@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -729,10 +730,18 @@ func BenchmarkAblation_LabelModelVsMajorityVote(b *testing.B) {
 // the bit-identical model (gradients reduce in fixed example-index
 // order); the contrast is pure wall clock. These are gated by the CI
 // bench job against bench/baseline.txt.
-func BenchmarkTrainSequential(b *testing.B) { benchTrainWorkers(b, 1) }
+func BenchmarkTrainSequential(b *testing.B) { benchTrain(b, 16, 1) }
 
 // BenchmarkTrainParallel is the 8-worker counterpart.
-func BenchmarkTrainParallel(b *testing.B) { benchTrainWorkers(b, 8) }
+func BenchmarkTrainParallel(b *testing.B) { benchTrain(b, 16, 8) }
+
+// BenchmarkTrainBatch1 is the training layer as every server and the
+// repository benchmark run it: one Adam step per example. Beside
+// ns/op (two epochs, model construction included) it reports the cost
+// of one example and — the kernel's contract — how many objects one
+// example allocates: the whole run's count spread over its steps,
+// which construction, encoding and the tape's warm-up account for.
+func BenchmarkTrainBatch1(b *testing.B) { benchTrain(b, 1, 1) }
 
 // benchTrainCorpus builds the training examples once: the staged
 // pipeline up to (but excluding) the train stage, via the same
@@ -748,15 +757,54 @@ func benchTrainCorpus(b *testing.B) (task core.Task, numFeatures int, exs []mode
 	return task, numFeatures, exs
 }
 
-func benchTrainWorkers(b *testing.B, workers int) {
+func benchTrain(b *testing.B, batch, workers int) {
 	task, numFeatures, exs := benchTrainCorpus(b)
-	b.ResetTimer()
+	const epochs = 2
+	perItem := startPerItem(b)
 	for i := 0; i < b.N; i++ {
 		m := model.NewFonduer(len(task.Args), numFeatures, 1, exs)
-		st := m.Train(exs, model.TrainOptions{Epochs: 2, Batch: 16, Workers: workers})
+		st := m.Train(exs, model.TrainOptions{Epochs: epochs, Batch: batch, Workers: workers})
 		b.ReportMetric(st.SecsPerEpoch*1000, "ms/epoch")
 	}
+	perItem(b.N*epochs*len(exs), "example")
 	b.ReportMetric(float64(len(exs)), "examples")
+}
+
+// startPerItem starts the measured part of a benchmark whose op is a
+// whole sweep (so that -benchtime 1x still times real work) and
+// returns the function that ends it, reporting elapsed time and
+// allocated objects per item of the sweep beside ns/op and allocs/op.
+func startPerItem(b *testing.B) func(items int, unit string) {
+	b.ReportAllocs()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	return func(items int, unit string) {
+		b.StopTimer()
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(items), "us/"+unit)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(items), "allocs/"+unit)
+	}
+}
+
+// BenchmarkClassify is the classify layer: one op scores every
+// candidate of the bench corpus once with a trained model —
+// Model.PredictProb, what classifyStage, delta classification,
+// AdoptModel and POST /classify pay per candidate.
+func BenchmarkClassify(b *testing.B) {
+	task, numFeatures, exs := benchTrainCorpus(b)
+	m := model.NewFonduer(len(task.Args), numFeatures, 1, exs)
+	m.Train(exs, model.TrainOptions{Epochs: 1})
+	sum := 0.0
+	perItem := startPerItem(b)
+	for i := 0; i < b.N; i++ {
+		for _, ex := range exs {
+			sum += m.PredictProb(ex)
+		}
+	}
+	perItem(b.N*len(exs), "candidate")
+	b.ReportMetric(sum/float64(b.N*len(exs)), "mean_marginal")
 }
 
 // BenchmarkServeIngestPublish measures the serving subsystem's
@@ -804,8 +852,11 @@ func BenchmarkServeIngestPublish(b *testing.B) {
 // synchronous server retrains over the full corpus before publishing
 // the same batch. The inner b.N timing is the async ingest-to-publish
 // latency; each iteration also runs the identical delta through the
-// synchronous server and reports the ratio as speedup_x, failing
-// outright if the delta publish is not at least 5x faster.
+// synchronous server and reports the ratio as speedup_x (5-8x; it was
+// 13-17x until the arena/fused training kernel made the retrain it is
+// measured against ~2.7x cheaper), failing outright if the delta
+// publish is not at least 2x faster — the margin a single -benchtime
+// 1x sample on a busy host needs.
 func BenchmarkServeIngestPublishAsync(b *testing.B) {
 	elec := synth.Electronics(8, 16)
 	task := elec.Tasks[0]
@@ -861,8 +912,8 @@ func BenchmarkServeIngestPublishAsync(b *testing.B) {
 	speedup := syncNs / deltaNs
 	b.ReportMetric(speedup, "speedup_x")
 	b.ReportMetric(syncNs/float64(b.N)/1e6, "sync_ms")
-	if speedup < 5 {
-		b.Fatalf("delta publish is only %.1fx faster than synchronous publish, want >= 5x", speedup)
+	if speedup < 2 {
+		b.Fatalf("delta publish is only %.1fx faster than synchronous publish, want >= 2x", speedup)
 	}
 }
 

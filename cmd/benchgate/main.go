@@ -1,8 +1,8 @@
 // Command benchgate is the CI benchmark-regression gate: it compares a
 // fresh `go test -bench` run against the committed baseline
 // (bench/baseline.txt) and fails when a gated benchmark — the training,
-// serving and ingestion hot paths — regressed by more than the
-// threshold.
+// classification, serving and ingestion hot paths — regressed by more
+// than the threshold.
 //
 // Both inputs are raw `go test -bench` output. Runs are expected to
 // use -count N (CI uses 3); benchgate takes the per-benchmark median
@@ -187,7 +187,7 @@ func main() {
 	baselinePath := flag.String("baseline", "bench/baseline.txt", "committed baseline (`go test -bench` output)")
 	currentPath := flag.String("current", "", "current run (`go test -bench` output)")
 	outPath := flag.String("out", "", "write the JSON report here (the BENCH_<sha>.json artifact)")
-	matchExpr := flag.String("match", `^Benchmark(Train|Serve|Ingest)`, "regexp selecting the gated benchmarks")
+	matchExpr := flag.String("match", `^Benchmark(Train|Classify|Serve|Ingest)`, "regexp selecting the gated benchmarks")
 	maxRegress := flag.Float64("max-regress", 0.20, "fail when a gated benchmark's median ns/op grows by more than this fraction")
 	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "commit SHA recorded in the report")
 	flag.Parse()

@@ -234,17 +234,28 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 
 // classifyStage thresholds the model's output marginals over the test
 // examples and deduplicates the resulting document-scoped tuples.
-func classifyStage(m *model.Model, testEx []model.Example, threshold float64) []GoldTuple {
-	var predicted []GoldTuple
-	seen := map[string]bool{}
-	for _, ex := range testEx {
-		if !m.Classify(ex, threshold) {
-			continue
-		}
-		t := TupleFromCandidate(ex.Cand)
-		if !seen[t.Key()] {
-			seen[t.Key()] = true
-			predicted = append(predicted, t)
+// Scoring fans out over the worker pool into per-position slots;
+// thresholding and first-wins dedup then run in index order, so the
+// predicted list is the same at any worker count.
+func classifyStage(m *model.Model, testEx []model.Example, threshold float64, workers int) []GoldTuple {
+	probs := make([]float64, len(testEx))
+	pool.Run(len(testEx), workers, func(i int) { probs[i] = m.PredictProb(testEx[i]) })
+	return keepPositives(nil, map[string]bool{}, probs, threshold, func(i int) *candidates.Candidate { return testEx[i].Cand })
+}
+
+// keepPositives appends to predicted, in index order, the tuple of
+// every candidate whose probability exceeds the threshold and whose
+// key is not yet in seen (first wins) — the sequential half of bulk
+// classification, which is what keeps the predicted list independent
+// of how the scoring half was scheduled.
+func keepPositives(predicted []GoldTuple, seen map[string]bool, probs []float64, threshold float64, cand func(i int) *candidates.Candidate) []GoldTuple {
+	for i, p := range probs {
+		if p > threshold {
+			t := TupleFromCandidate(cand(i))
+			if !seen[t.Key()] {
+				seen[t.Key()] = true
+				predicted = append(predicted, t)
+			}
 		}
 	}
 	return predicted
@@ -337,7 +348,7 @@ func runStagesWarm(task Task, opts Options, train, test stagedSplit, labels *lab
 	spans = append(spans, obs.NewSpan("train", t0, len(trainEx), trainStats.Epochs, pool.Workers(opts.Workers)))
 	res.TrainStats = trainStats
 	t0 = time.Now()
-	res.Predicted = classifyStage(m, testEx, opts.Threshold)
+	res.Predicted = classifyStage(m, testEx, opts.Threshold, opts.Workers)
 	spans = append(spans, obs.NewSpan("classify", t0, len(testEx), len(res.Predicted), 0))
 	res.Quality = EvaluateTuples(res.Predicted, FilterGold(gold, testDocNames))
 	return res, stageArtifacts{index: ix, model: m, marginals: marginals, spans: spans}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // Two-phase (async) view publication. Store.View couples every epoch
@@ -40,33 +41,30 @@ import (
 
 // deltaClassify extends prev's predicted-tuple list with the
 // positives among cands[from:], classified under (m, ix) — the same
-// threshold + first-wins dedup as classifyStage, continued from
-// prev's seen-set. names are the per-candidate raw feature-name rows
-// aligned with cands.
-func deltaClassify(prevPredicted []GoldTuple, cands []*candidates.Candidate, names [][]string, from int, m *model.Model, ix *features.Index, threshold float64) []GoldTuple {
+// scoring into per-position slots, then keepPositives in index order,
+// as classifyStage, continued from prev's seen-set. names
+// are the per-candidate raw feature-name rows aligned with cands.
+// workers bounds the scoring fan-out: the whole-corpus reclassification
+// of AdoptModel uses the pool, a writer-path delta (a handful of
+// candidates) passes 1.
+func deltaClassify(prevPredicted []GoldTuple, cands []*candidates.Candidate, names [][]string, from int, m *model.Model, ix *features.Index, threshold float64, workers int) []GoldTuple {
 	predicted := append([]GoldTuple(nil), prevPredicted...)
 	seen := make(map[string]bool, len(predicted))
 	for _, t := range predicted {
 		seen[t.Key()] = true
 	}
-	for i := from; i < len(cands); i++ {
+	probs := make([]float64, len(cands)-from)
+	pool.Run(len(probs), workers, func(k int) {
 		var cols []int
-		for _, n := range names[i] {
+		for _, n := range names[from+k] {
 			if id, ok := ix.Lookup(n); ok {
 				cols = append(cols, id)
 			}
 		}
 		sort.Ints(cols)
-		p := m.PredictProb(model.Example{Cand: cands[i], SparseFeats: cols})
-		if p > threshold {
-			t := TupleFromCandidate(cands[i])
-			if !seen[t.Key()] {
-				seen[t.Key()] = true
-				predicted = append(predicted, t)
-			}
-		}
-	}
-	return predicted
+		probs[k] = m.PredictProb(model.Example{Cand: cands[from+k], SparseFeats: cols})
+	})
+	return keepPositives(predicted, seen, probs, threshold, func(k int) *candidates.Candidate { return cands[from+k] })
 }
 
 // materializeKB builds a view's KB table from its predicted tuples.
@@ -193,7 +191,7 @@ func (s *Store) ViewDelta(prev *StoreView, gold []GoldTuple) (*StoreView, error)
 
 	// Classify only the delta under the inherited generation.
 	t0 = time.Now()
-	predicted := deltaClassify(prev.result.Predicted, cands, v.names, len(prev.cands), prev.model, prev.runIndex, s.opts.Threshold)
+	predicted := deltaClassify(prev.result.Predicted, cands, v.names, len(prev.cands), prev.model, prev.runIndex, s.opts.Threshold, 1)
 	classifySpan := obs.NewSpan("deltaClassify", t0, len(cands)-len(prev.cands), len(predicted)-len(prev.result.Predicted), 0)
 
 	v.result = prev.result
@@ -306,7 +304,7 @@ func (v *StoreView) AdoptModel(other *StoreView, gold []GoldTuple) (*StoreView, 
 		return nil, fmt.Errorf("core: AdoptModel across relations (%q vs %q)", other.relation, v.relation)
 	}
 	t0 := time.Now()
-	predicted := deltaClassify(nil, v.cands, v.names, 0, other.model, other.runIndex, v.opts.Threshold)
+	predicted := deltaClassify(nil, v.cands, v.names, 0, other.model, other.runIndex, v.opts.Threshold, v.opts.Workers)
 	classifySpan := obs.NewSpan("classify", t0, len(v.cands), len(predicted), 0)
 
 	nv := *v

@@ -179,3 +179,55 @@ func TestViewRetrainWarmDeterminism(t *testing.T) {
 		t.Fatal("no tuples predicted; test is vacuous")
 	}
 }
+
+// TestBulkClassifyWorkerDeterminism: bulk classification scores
+// candidates concurrently on one shared model (core.Run's classify
+// stage, AdoptModel's whole-corpus reclassification), then thresholds
+// and deduplicates in index order — so the predicted list, order
+// included, must not depend on the worker count. Run under -race this
+// also proves the forward-only inference path shares nothing mutable.
+func TestBulkClassifyWorkerDeterminism(t *testing.T) {
+	corpus := synth.Electronics(74, 12)
+	task := corpus.Tasks[0]
+	gold := corpus.GoldTuples[task.Relation]
+
+	classify := func(workers int) (run, adopted []core.GoldTuple) {
+		opts := core.Options{Seed: 5, Epochs: 2, Workers: workers}
+		run = core.Run(task, corpus.Docs[:6], corpus.Docs[6:], gold, opts).Predicted
+
+		st := core.NewStore(task, opts)
+		if err := st.AddDocuments(corpus.Docs[:6]...); err != nil {
+			t.Fatal(err)
+		}
+		base, err := st.View(gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AddDocuments(corpus.Docs[6:]...); err != nil {
+			t.Fatal(err)
+		}
+		delta, err := st.ViewDelta(base, gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopt, err := delta.AdoptModel(base, gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run, adopt.Result().Predicted
+	}
+
+	wantRun, wantAdopted := classify(1)
+	if len(wantRun) == 0 || len(wantAdopted) == 0 {
+		t.Fatal("no tuples predicted; test is vacuous")
+	}
+	for _, workers := range []int{2, 8} {
+		run, adopted := classify(workers)
+		if !reflect.DeepEqual(run, wantRun) {
+			t.Errorf("workers=%d: core.Run predicted list differs from workers=1", workers)
+		}
+		if !reflect.DeepEqual(adopted, wantAdopted) {
+			t.Errorf("workers=%d: AdoptModel predicted list differs from workers=1", workers)
+		}
+	}
+}

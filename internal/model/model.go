@@ -10,7 +10,9 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/candidates"
@@ -102,10 +104,9 @@ func New(cfg Config, sample []Example) *Model {
 	m := &Model{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
 	m.vocab = nlp.NewVocab()
 	if cfg.UseText || cfg.DocLevel {
+		var scratch seqIDs
 		for _, ex := range sample {
-			for _, tok := range m.tokens(ex) {
-				m.vocab.ID(tok)
-			}
+			m.encode(&scratch, ex.Cand) // admits the tokens, in sequence order
 		}
 		m.vocab.Freeze()
 		hashed := nlp.NewEmbedder(cfg.EmbedDim)
@@ -133,28 +134,64 @@ func New(cfg Config, sample []Example) *Model {
 	return m
 }
 
-// tokens produces the model's token sequence(s) for a candidate,
-// flattened (mention sequences are encoded separately at forward time;
-// this flattening is only for vocabulary building).
-func (m *Model) tokens(ex Example) []string {
-	var out []string
-	if m.cfg.DocLevel {
-		return docTokens(ex.Cand, m.cfg.MaxDocTokens)
-	}
-	for i := range ex.Cand.Mentions {
-		out = append(out, mentionTokens(ex.Cand, i, m.cfg.MaxSentTokens)...)
-	}
-	return out
+// seqIDs is one candidate's token sequences as vocabulary ids,
+// flattened: sequence k is ids[ends[k-1]:ends[k]]. The per-mention
+// model has one sequence per mention, the document-level model one.
+type seqIDs struct {
+	ids  []int
+	ends []int
 }
 
-// mentionTokens returns the lowercased context window of mention i
+func (s *seqIDs) seq(k int) []int {
+	lo := 0
+	if k > 0 {
+		lo = s.ends[k-1]
+	}
+	return s.ids[lo:s.ends[k]]
+}
+
+// endSeq closes the sequence being appended; an empty one becomes a
+// single padding token.
+func (s *seqIDs) endSeq() {
+	start := 0
+	if n := len(s.ends); n > 0 {
+		start = s.ends[n-1]
+	}
+	if len(s.ids) == start {
+		s.ids = append(s.ids, nlp.PadID)
+	}
+	s.ends = append(s.ends, len(s.ids))
+}
+
+// encode replaces dst's contents with the candidate's token sequences.
+// It is the one place tokens meet the vocabulary: New calls it while
+// the vocabulary is still growing (ids are admitted in sequence order),
+// Train once per example and PredictProb once per call afterwards, so a
+// forward pass never touches a string.
+func (m *Model) encode(dst *seqIDs, c *candidates.Candidate) {
+	dst.ids, dst.ends = dst.ids[:0], dst.ends[:0]
+	switch {
+	case m.cfg.DocLevel:
+		for _, tok := range docTokens(c, m.cfg.MaxDocTokens) {
+			dst.ids = append(dst.ids, m.vocab.ID(tok))
+		}
+		dst.endSeq()
+	case m.cfg.UseText:
+		for i := range c.Mentions {
+			dst.ids = m.appendMentionIDs(dst.ids, c, i)
+			dst.endSeq()
+		}
+	}
+}
+
+// appendMentionIDs appends the lowercased context window of mention i
 // with the paper's candidate markers ([[i ... i]]) inserted around the
 // mention to draw the network's attention to the candidate itself.
-func mentionTokens(c *candidates.Candidate, i, maxTokens int) []string {
+func (m *Model) appendMentionIDs(dst []int, c *candidates.Candidate, i int) []int {
 	sp := c.Mentions[i].Span
 	words := sp.Sentence.Words
 	// Window around the span.
-	half := (maxTokens - sp.Len() - 2) / 2
+	half := (m.cfg.MaxSentTokens - sp.Len() - 2) / 2
 	if half < 1 {
 		half = 1
 	}
@@ -166,20 +203,38 @@ func mentionTokens(c *candidates.Candidate, i, maxTokens int) []string {
 	if hi > len(words) {
 		hi = len(words)
 	}
-	out := make([]string, 0, hi-lo+2)
 	for k := lo; k < hi; k++ {
 		if k == sp.Start {
-			out = append(out, marker(i, true))
+			dst = append(dst, m.vocab.ID(marker(i, true)))
 		}
-		out = append(out, strings.ToLower(words[k]))
+		dst = append(dst, m.vocab.IDLower(words[k]))
 		if k == sp.End-1 {
-			out = append(out, marker(i, false))
+			dst = append(dst, m.vocab.ID(marker(i, false)))
 		}
 	}
-	return out
+	return dst
 }
 
+// markerTokens holds the marker strings of the first mentions, so that
+// encoding a candidate of ordinary arity allocates nothing.
+var markerTokens = func() (t [8]struct{ open, close string }) {
+	for i := range t {
+		t[i].open, t[i].close = newMarker(i, true), newMarker(i, false)
+	}
+	return t
+}()
+
 func marker(i int, open bool) string {
+	if i >= len(markerTokens) {
+		return newMarker(i, open)
+	}
+	if open {
+		return markerTokens[i].open
+	}
+	return markerTokens[i].close
+}
+
+func newMarker(i int, open bool) string {
 	if open {
 		return "[[" + string(rune('0'+i))
 	}
@@ -238,41 +293,37 @@ func docTokens(c *candidates.Candidate, maxTokens int) []string {
 	return out
 }
 
-// forward builds the candidate's logits on a fresh tape.
-func (m *Model) forward(t *neural.Tape, ex Example) *neural.Vec {
-	logits := m.bias.AsVec()
+// forward builds the logits of one encoded candidate on a reset tape.
+func (m *Model) forward(t *neural.Tape, seqs *seqIDs, feats []int) *neural.Vec {
+	logits := t.AsVec(m.bias)
 	if m.cfg.DocLevel {
-		seq := m.encodeSeq(t, docTokens(ex.Cand, m.cfg.MaxDocTokens))
-		logits = t.Add(logits, m.headText.Apply(t, seq))
+		logits = t.Add(logits, m.headText.Apply(t, m.encodeSeq(t, seqs.seq(0))))
 	} else if m.cfg.UseText {
-		reps := make([]*neural.Vec, len(ex.Cand.Mentions))
-		for i := range ex.Cand.Mentions {
-			reps[i] = m.encodeSeq(t, mentionTokens(ex.Cand, i, m.cfg.MaxSentTokens))
+		reps := t.Vecs(len(seqs.ends))
+		for i := range reps {
+			reps[i] = m.encodeSeq(t, seqs.seq(i))
 		}
 		logits = t.Add(logits, m.headText.Apply(t, t.Concat(reps...)))
 	}
 	if m.cfg.UseSparse {
-		logits = t.Add(logits, t.SparseLinear(m.headSparse, ex.SparseFeats))
+		logits = t.Add(logits, t.SparseLinear(m.headSparse, feats))
 	}
 	return logits
 }
 
-// encodeSeq embeds a token sequence, runs the Bi-LSTM, and aggregates
-// with attention (or max pooling in the ablation variant).
-func (m *Model) encodeSeq(t *neural.Tape, toks []string) *neural.Vec {
-	if len(toks) == 0 {
-		toks = []string{"<pad>"}
-	}
-	xs := make([]*neural.Vec, len(toks))
-	for i, tok := range toks {
-		xs[i] = m.emb.Lookup(m.vocab.ID(tok))
+// encodeSeq embeds a token-id sequence, runs the Bi-LSTM, and
+// aggregates with attention (or max pooling in the ablation variant).
+func (m *Model) encodeSeq(t *neural.Tape, ids []int) *neural.Vec {
+	xs := t.Vecs(len(ids))
+	for i, id := range ids {
+		xs[i] = m.emb.Lookup(t, id)
 	}
 	hs := m.bi.Run(t, xs)
 	if m.cfg.UseMaxPool {
 		// Project pooled hidden state into the attention dimension so
 		// head shapes stay identical across the ablation.
 		pooled := neural.MaxPool(t, hs)
-		return t.Tanh(t.Add(t.MatVec(m.att.Ww, pooled), m.att.Bw.AsVec()))
+		return t.Tanh(t.Add(t.MatVec(m.att.Ww, pooled), t.AsVec(m.att.Bw)))
 	}
 	agg, _ := m.att.Apply(t, hs)
 	return agg
@@ -390,10 +441,12 @@ func (m *Model) shadow() *Model {
 }
 
 // trainSlot is one minibatch position's private training state: a
-// shadow model (shared weights, private gradients) and a reusable
-// tape. Slot k always computes the k-th example of the current
-// minibatch, whichever pool worker picks it up, so the work done per
-// slot — and the gradients it yields — never depends on scheduling.
+// model (shared weights, private gradients) and a reusable tape. Slot k
+// always computes the k-th example of the current minibatch, whichever
+// pool worker picks it up, so the work done per slot — and the
+// gradients it yields — never depends on scheduling. Slot 0 is the
+// master model itself: its gradients are where the reduction starts,
+// so they need neither a shadow nor a copy.
 type trainSlot struct {
 	model *Model
 	tape  *neural.Tape
@@ -404,20 +457,22 @@ type trainSlot struct {
 // against the examples' marginals, using deterministic data-parallel
 // minibatch SGD:
 //
-//  1. Each epoch shuffles the example order (seeded rng, unchanged
-//     from the sequential implementation).
+//  1. Each example's token sequences are encoded to vocabulary ids
+//     once; each epoch shuffles the example order (seeded rng,
+//     unchanged from the sequential implementation).
 //  2. For every minibatch of opts.Batch examples, per-example
 //     gradients are computed concurrently on up to opts.Workers
-//     goroutines — one shadow model and one reusable tape per slot,
+//     goroutines — one model replica and one reusable tape per slot,
 //     no shared mutable state.
-//  3. Slot gradients are reduced into the master accumulator in fixed
-//     example-index order, averaged over the batch, clipped, and
-//     applied as a single Adam step.
+//  3. Slot gradients are reduced into the master's (slot 0's) in fixed
+//     example-index order, averaged over the batch, and applied as a
+//     single Adam step with the clip factor folded in.
 //
 // Because slot k's gradient is a pure function of the weights and
 // example k, and the reduction order is fixed, the trained weights are
-// bit-identical at any worker count. At Batch=1 the reduction is a
-// plain copy and the trajectory is exactly the per-example sequential
+// bit-identical at any worker count. At Batch=1 there is nothing to
+// reduce — three passes over the parameters per step (zero, norm,
+// Adam) — and the trajectory is exactly the per-example sequential
 // loop this implementation replaced.
 func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	opts.defaults()
@@ -426,8 +481,13 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	}
 	optim := neural.NewAdam(opts.LR)
 	optim.WeightDecay = opts.L2
+	start := time.Now()
+	seqs := make([]seqIDs, len(examples))
 	order := make([]int, len(examples))
-	for i := range order {
+	var scratch seqIDs
+	for i := range examples {
+		m.encode(&scratch, examples[i].Cand)
+		seqs[i] = seqIDs{ids: slices.Clone(scratch.ids), ends: slices.Clone(scratch.ends)}
 		order[i] = i
 	}
 	nslots := opts.Batch
@@ -438,40 +498,42 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 		nslots = 1
 	}
 	slots := make([]*trainSlot, nslots)
-	for k := range slots {
+	slots[0] = &trainSlot{model: m, tape: neural.NewTape()}
+	for k := 1; k < nslots; k++ {
 		slots[k] = &trainSlot{model: m.shadow(), tape: neural.NewTape()}
 	}
-	start := time.Now()
+	// One closure for the whole run (base is the minibatch's offset
+	// into order): a step allocates nothing, not even this.
+	var base int
+	step := func(k int) {
+		s, i := slots[k], order[base+k]
+		s.model.params.ZeroGrad()
+		s.tape.Reset()
+		logits := s.model.forward(s.tape, &seqs[i], examples[i].SparseFeats)
+		loss, node := neural.NoiseAwareCE(s.tape, logits, examples[i].Marginal)
+		s.loss = loss
+		s.tape.Backward(node)
+	}
 	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		optim.LR = opts.LR / (1 + opts.LRDecay*float64(epoch))
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		total := 0.0
-		for base := 0; base < len(order); base += nslots {
+		for base = 0; base < len(order); base += nslots {
 			n := len(order) - base
 			if n > nslots {
 				n = nslots
 			}
-			pool.Run(n, opts.Workers, func(k int) {
-				s := slots[k]
-				s.model.params.ZeroGrad()
-				s.tape.Reset()
-				ex := examples[order[base+k]]
-				logits := s.model.forward(s.tape, ex)
-				loss, node := neural.NoiseAwareCE(s.tape, logits, ex.Marginal)
-				s.loss = loss
-				s.tape.Backward(node)
-			})
-			m.params.ZeroGrad()
-			for k := 0; k < n; k++ {
+			pool.Run(n, opts.Workers, step)
+			total += slots[0].loss
+			for k := 1; k < n; k++ {
 				m.params.AccumGrad(slots[k].model.params)
 				total += slots[k].loss
 			}
 			if n > 1 {
 				m.params.ScaleGrad(1 / float64(n))
 			}
-			m.params.ClipGrad(opts.Clip)
-			optim.Step(m.params)
+			optim.StepScaled(m.params, m.params.ClipScale(opts.Clip))
 		}
 		if len(examples) > 0 {
 			lastLoss = total / float64(len(examples))
@@ -531,12 +593,29 @@ func copyMatched(dst, src neural.Params) {
 	}
 }
 
+// inference is the scratch of one PredictProb call: a forward-only
+// tape and the candidate's encoded sequences. Instances are recycled
+// through inferencePool, so a warm call allocates nothing and the
+// memory held is bounded by the callers in flight, each sized by the
+// largest candidate it has scored.
+type inference struct {
+	tape *neural.Tape
+	seqs seqIDs
+}
+
+var inferencePool = sync.Pool{New: func() any { return &inference{tape: neural.NewForwardTape()} }}
+
 // PredictProb returns the marginal probability that the candidate is a
-// true relation mention.
+// true relation mention. It runs forward-only and never writes to the
+// model, so any number of goroutines may call it on one model.
 func (m *Model) PredictProb(ex Example) float64 {
-	t := neural.NewTape()
-	logits := m.forward(t, ex)
-	return neural.SoftmaxProbs(logits.V)[1]
+	inf := inferencePool.Get().(*inference)
+	m.encode(&inf.seqs, ex.Cand)
+	var probs [2]float64
+	neural.SoftmaxProbs(probs[:], m.forward(inf.tape, &inf.seqs, ex.SparseFeats).V)
+	inf.tape.Reset() // also drops the tape's views of this model's weights
+	inferencePool.Put(inf)
+	return probs[1]
 }
 
 // Classify applies the user-specified threshold over the output

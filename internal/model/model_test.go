@@ -272,7 +272,9 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 			ex := examples[idx]
 			m.params.ZeroGrad()
 			tp := neural.NewTape()
-			logits := m.forward(tp, ex)
+			var seqs seqIDs
+			m.encode(&seqs, ex.Cand)
+			logits := m.forward(tp, &seqs, ex.SparseFeats)
 			loss, node := neural.NoiseAwareCE(tp, logits, ex.Marginal)
 			tp.Backward(node)
 			m.params.ClipGrad(opts.Clip)

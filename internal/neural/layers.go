@@ -28,12 +28,12 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand, init func(id int) []float64) *
 	return &Embedding{Table: t}
 }
 
-// Lookup returns the embedding of a vocabulary id.
-func (e *Embedding) Lookup(id int) *Vec {
+// Lookup returns the embedding of a vocabulary id as a leaf view on t.
+func (e *Embedding) Lookup(t *Tape, id int) *Vec {
 	if id < 0 || id >= e.Table.Rows {
 		id = 0
 	}
-	return e.Table.Row(id)
+	return t.Row(e.Table, id)
 }
 
 // Params returns the trainable table.
@@ -77,24 +77,101 @@ func NewLSTM(inDim, hidDim int, rng *rand.Rand) *LSTM {
 }
 
 // Step computes one timestep, returning the new hidden and cell states.
+// It is one fused op: the four gates, c and h are computed row by row
+// and a single record replays their backward rules. The arithmetic is
+// exactly that of the primitive composition
+//
+//	gate(W,U,B) = act(Add(Add(MatVec(W,x), MatVec(U,hPrev)), B))
+//	i, f, o, g  = gate(Wi..), gate(Wf..), gate(Wo..), gate(Wc..)   (g: tanh)
+//	c = Add(Mul(f,cPrev), Mul(i,g));  h = Mul(o, Tanh(c))
+//
+// — every dot product is summed left to right from zero, every
+// intermediate the composition materialized is rounded to float64 here
+// too — so values and gradients are bit-identical to it.
 func (l *LSTM) Step(t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
-	gate := func(W, U, B *Mat) *Vec {
-		return t.Sigmoid(t.Add(t.Add(t.MatVec(W, x), t.MatVec(U, hPrev)), B.AsVec()))
+	in, hid := l.InDim, l.HidDim
+	if x.Len() != in || hPrev.Len() != hid || cPrev.Len() != hid {
+		panic("neural: LSTM.Step dimension mismatch")
 	}
-	i := gate(l.Wi, l.Ui, l.Bi)
-	f := gate(l.Wf, l.Uf, l.Bf)
-	o := gate(l.Wo, l.Uo, l.Bo)
-	cand := t.Tanh(t.Add(t.Add(t.MatVec(l.Wc, x), t.MatVec(l.Uc, hPrev)), l.Bc.AsVec()))
-	c = t.Add(t.Mul(f, cPrev), t.Mul(i, cand))
-	h = t.Mul(o, t.Tanh(c))
+	h, c = t.NewVec(hid), t.NewVec(hid)
+	// Saved activations, one block of hid each: i, f, o, g, tanh(c).
+	act := t.floats.take(5 * hid)
+	ig, fg, og, gg, tc := act[:hid], act[hid:2*hid], act[2*hid:3*hid], act[3*hid:4*hid], act[4*hid:]
+	xv, hv := x.V[:in], hPrev.V[:hid]
+	for r := 0; r < hid; r++ {
+		// The four gates' rows advance together: four independent
+		// accumulation chains per loop, each in column order.
+		wi, wf, wo, wc := l.Wi.W[r*in:][:in], l.Wf.W[r*in:][:in], l.Wo.W[r*in:][:in], l.Wc.W[r*in:][:in]
+		var xi, xf, xo, xc float64
+		for k, v := range xv {
+			xi += wi[k] * v
+			xf += wf[k] * v
+			xo += wo[k] * v
+			xc += wc[k] * v
+		}
+		ui, uf, uo, uc := l.Ui.W[r*hid:][:hid], l.Uf.W[r*hid:][:hid], l.Uo.W[r*hid:][:hid], l.Uc.W[r*hid:][:hid]
+		var hi, hf, ho, hc float64
+		for k, v := range hv {
+			hi += ui[k] * v
+			hf += uf[k] * v
+			ho += uo[k] * v
+			hc += uc[k] * v
+		}
+		ig[r] = sigmoid((xi + hi) + l.Bi.W[r])
+		fg[r] = sigmoid((xf + hf) + l.Bf.W[r])
+		og[r] = sigmoid((xo + ho) + l.Bo.W[r])
+		gg[r] = math.Tanh((xc + hc) + l.Bc.W[r])
+		c.V[r] = float64(fg[r]*cPrev.V[r]) + float64(ig[r]*gg[r])
+		tc[r] = math.Tanh(c.V[r])
+		h.V[r] = og[r] * tc[r]
+	}
+	t.record(op{kind: opLSTMStep, lstm: l, a: x, b: hPrev, c: cPrev, out: h, out2: c, aux: act})
 	return h, c
 }
 
+// stepBackward replays the backward rules of the composition Step
+// replaces, in reverse tape order: the element-wise tail (h, tanh(c),
+// c, and the two products), then for each gate in the order g, o, f, i
+// its activation, its bias add, the U·hPrev product and the W·x
+// product. x.G, hPrev.G, cPrev.G and every weight gradient therefore
+// receive their terms in the order the primitive tape delivered them.
+// Record fields: a=x, b=hPrev, c=cPrev, out=h, out2=c, aux=activations.
+func (l *LSTM) stepBackward(t *Tape, o *op) {
+	hid := l.HidDim
+	x, hPrev, cPrev, h, c := o.a, o.b, o.c, o.out, o.out2
+	ig, fg, og, gg, tc := o.aux[:hid], o.aux[hid:2*hid], o.aux[2*hid:3*hid], o.aux[3*hid:4*hid], o.aux[4*hid:]
+	w := t.work(4 * hid)
+	di, df, do, dg := w[:hid], w[hid:2*hid], w[2*hid:3*hid], w[3*hid:]
+	for j := 0; j < hid; j++ {
+		dh := h.G[j]
+		oG, tcG := dh*tc[j], dh*og[j]
+		c.G[j] += tcG * (1 - tc[j]*tc[j])
+		dc := c.G[j]
+		iG, gG := dc*gg[j], dc*ig[j]
+		fG := dc * cPrev.V[j]
+		cPrev.G[j] += dc * fg[j]
+		dg[j] = gG * (1 - gg[j]*gg[j])
+		do[j] = oG * og[j] * (1 - og[j])
+		df[j] = fG * fg[j] * (1 - fg[j])
+		di[j] = iG * ig[j] * (1 - ig[j])
+	}
+	for _, g := range [...]struct {
+		d       []float64
+		w, u, b *Mat
+	}{{dg, l.Wc, l.Uc, l.Bc}, {do, l.Wo, l.Uo, l.Bo}, {df, l.Wf, l.Uf, l.Bf}, {di, l.Wi, l.Ui, l.Bi}} {
+		for j, d := range g.d {
+			g.b.G[j] += d
+		}
+		matVecBackward(g.u, g.d, hPrev)
+		matVecBackward(g.w, g.d, x)
+	}
+}
+
 // Run processes a sequence left to right from zero initial state,
-// returning the hidden state at every timestep.
+// returning the hidden state at every timestep (a tape-owned slice).
 func (l *LSTM) Run(t *Tape, xs []*Vec) []*Vec {
-	h, c := NewVec(l.HidDim), NewVec(l.HidDim)
-	out := make([]*Vec, len(xs))
+	h, c := t.NewVec(l.HidDim), t.NewVec(l.HidDim)
+	out := t.Vecs(len(xs))
 	for i, x := range xs {
 		h, c = l.Step(t, x, h, c)
 		out[i] = h
@@ -130,15 +207,15 @@ func NewBiLSTM(inDim, hidDim int, rng *rand.Rand) *BiLSTM {
 }
 
 // Run returns the concatenated forward/backward hidden states per
-// timestep (dimension 2*HidDim).
+// timestep (dimension 2*HidDim), as a tape-owned slice.
 func (b *BiLSTM) Run(t *Tape, xs []*Vec) []*Vec {
 	fwd := b.Fwd.Run(t, xs)
-	rev := make([]*Vec, len(xs))
+	rev := t.Vecs(len(xs))
 	for i := range xs {
 		rev[i] = xs[len(xs)-1-i]
 	}
 	bwdRev := b.Bwd.Run(t, rev)
-	out := make([]*Vec, len(xs))
+	out := t.Vecs(len(xs))
 	for i := range xs {
 		out[i] = t.Concat(fwd[i], bwdRev[len(xs)-1-i])
 	}
@@ -178,16 +255,64 @@ func NewAttention(hidDim, attDim int, rng *rand.Rand) *Attention {
 
 // Apply aggregates a sequence of hidden states into one vector using
 // learned word importances. It also returns the attention weights for
-// inspection.
+// inspection. Like LSTM.Step it is one fused op whose arithmetic is
+// exactly that of the primitive composition
+//
+//	u_k = Tanh(Add(MatVec(Ww,h_k), Bw));  s_k = Dot(u_k, Uw)
+//	α = Softmax(Concat(s...));  out = WeightedSum(α, u)
 func (a *Attention) Apply(t *Tape, hs []*Vec) (*Vec, *Vec) {
-	us := make([]*Vec, len(hs))
-	scores := make([]*Vec, len(hs))
+	dim, hdim := a.Ww.Rows, a.Ww.Cols
+	out, alpha := t.NewVec(dim), t.NewVec(len(hs))
+	us := t.floats.take(len(hs) * dim)
+	scores := t.floats.take(len(hs))
 	for k, h := range hs {
-		us[k] = t.Tanh(t.Add(t.MatVec(a.Ww, h), a.Bw.AsVec()))
-		scores[k] = t.Dot(us[k], a.Uw.AsVec())
+		if h.Len() != hdim {
+			panic("neural: Attention.Apply dimension mismatch")
+		}
+		u := us[k*dim : (k+1)*dim]
+		for r := range u {
+			u[r] = math.Tanh(dot(a.Ww.W[r*hdim:(r+1)*hdim], h.V) + a.Bw.W[r])
+		}
+		scores[k] = dot(u, a.Uw.W)
 	}
-	alpha := t.Softmax(t.Concat(scores...))
-	return t.WeightedSum(alpha, us), alpha
+	SoftmaxProbs(alpha.V, scores)
+	for k, w := range alpha.V {
+		for i, v := range us[k*dim : (k+1)*dim] {
+			out.V[i] += w * v
+		}
+	}
+	t.record(op{kind: opAttention, att: a, out: out, a: alpha, vs: t.keep(hs), aux: us})
+	return out, alpha
+}
+
+// applyBackward replays the composition's backward rules in reverse
+// tape order: WeightedSum (k ascending), Softmax, then per hidden state
+// k descending the Dot, Tanh, bias add and MatVec.
+// Record fields: out, a=α, vs=hs, aux=u values (len(hs)×dim).
+func (a *Attention) applyBackward(t *Tape, o *op) {
+	dim := a.Ww.Rows
+	out, alpha, hs, us := o.out, o.a, o.vs, o.aux
+	du := t.work(dim)
+	for k := range hs {
+		for i, v := range us[k*dim : (k+1)*dim] {
+			alpha.G[k] += out.G[i] * v
+		}
+	}
+	sum := 0.0
+	for k, w := range alpha.V {
+		sum += alpha.G[k] * w
+	}
+	for k := len(hs) - 1; k >= 0; k-- {
+		u := us[k*dim : (k+1)*dim]
+		sG := alpha.V[k] * (alpha.G[k] - sum)
+		for i, v := range u {
+			uG := float64(out.G[i]*alpha.V[k]) + sG*a.Uw.W[i]
+			a.Uw.G[i] += sG * v
+			du[i] = uG * (1 - v*v)
+			a.Bw.G[i] += du[i]
+		}
+		matVecBackward(a.Ww, du, hs[k])
+	}
 }
 
 // OutDim returns the aggregated vector's dimension.
@@ -215,7 +340,7 @@ func NewLinear(inDim, outDim int, rng *rand.Rand) *Linear {
 
 // Apply computes Wx + b.
 func (l *Linear) Apply(t *Tape, x *Vec) *Vec {
-	return t.Add(t.MatVec(l.W, x), l.B.AsVec())
+	return t.Add(t.MatVec(l.W, x), t.AsVec(l.B))
 }
 
 // Params returns the layer's parameters.
@@ -233,8 +358,8 @@ func MaxPool(t *Tape, hs []*Vec) *Vec {
 		panic("neural: MaxPool of empty sequence")
 	}
 	n := hs[0].Len()
-	out := NewVec(n)
-	argmax := make([]int, n)
+	out := t.NewVec(n)
+	argmax := t.ints.take(n)
 	for i := 0; i < n; i++ {
 		best := hs[0].V[i]
 		bestK := 0
@@ -247,11 +372,7 @@ func MaxPool(t *Tape, hs []*Vec) *Vec {
 		out.V[i] = best
 		argmax[i] = bestK
 	}
-	t.backward = append(t.backward, func() {
-		for i := 0; i < n; i++ {
-			hs[argmax[i]].G[i] += out.G[i]
-		}
-	})
+	t.record(op{kind: opMaxPool, out: out, vs: t.keep(hs), idx: argmax})
 	return out
 }
 
@@ -268,22 +389,21 @@ func NoiseAwareCE(t *Tape, logits *Vec, p float64) (float64, *Vec) {
 		panic("neural: NoiseAwareCE expects 2 logits")
 	}
 	q := t.Softmax(logits)
-	const eps = 1e-12
-	loss := -(p*math.Log(q.V[1]+eps) + (1-p)*math.Log(q.V[0]+eps))
-	out := NewVec(1)
+	loss := -(p*math.Log(q.V[1]+ceEps) + (1-p)*math.Log(q.V[0]+ceEps))
+	out := t.NewVec(1)
 	out.V[0] = loss
-	t.backward = append(t.backward, func() {
-		g := out.G[0]
-		q.G[1] += g * (-p / (q.V[1] + eps))
-		q.G[0] += g * (-(1 - p) / (q.V[0] + eps))
-	})
+	t.record(op{kind: opCE, out: out, a: q, s: p})
 	return loss, out
 }
 
-// SoftmaxProbs evaluates softmax probabilities without recording to a
-// tape (inference path).
-func SoftmaxProbs(logits []float64) []float64 {
-	out := make([]float64, len(logits))
+// ceEps keeps the cross-entropy's logarithms and their derivatives
+// finite when a class probability underflows to zero.
+const ceEps = 1e-12
+
+// SoftmaxProbs writes the softmax probabilities of logits into dst
+// (same length; numerically stabilized). It neither allocates nor
+// touches a tape, so it also serves as the inference-side softmax.
+func SoftmaxProbs(dst, logits []float64) {
 	max := logits[0]
 	for _, v := range logits[1:] {
 		if v > max {
@@ -292,11 +412,10 @@ func SoftmaxProbs(logits []float64) []float64 {
 	}
 	sum := 0.0
 	for i, v := range logits {
-		out[i] = math.Exp(v - max)
-		sum += out[i]
+		dst[i] = math.Exp(v - max)
+		sum += dst[i]
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
 }

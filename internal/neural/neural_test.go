@@ -110,7 +110,7 @@ func TestGradientsEmbedding(t *testing.T) {
 	loss := func() float64 {
 		tape := NewTape()
 		// Same id twice: gradient accumulates into one row.
-		s := tape.Sum(emb.Lookup(2), emb.Lookup(2), emb.Lookup(4))
+		s := tape.Sum(emb.Lookup(tape, 2), emb.Lookup(tape, 2), emb.Lookup(tape, 4))
 		l, node := NoiseAwareCE(tape, head.Apply(tape, s), 0.5)
 		tape.Backward(node)
 		return l
@@ -186,7 +186,10 @@ func TestDimensionPanics(t *testing.T) {
 		"Sum":    func() { tape.Sum() },
 		"CE":     func() { NoiseAwareCE(tape, NewVec(3), 0.5) },
 		"Pool":   func() { MaxPool(tape, nil) },
-		"Row":    func() { NewMat(2, 2).Row(5) },
+		"Row":    func() { tape.Row(NewMat(2, 2), 5) },
+		"Step":   func() { NewLSTM(2, 3, rand.New(rand.NewSource(1))).Step(tape, b, b, b) },
+		"Att":    func() { NewAttention(2, 2, rand.New(rand.NewSource(1))).Apply(tape, []*Vec{b}) },
+		"NoGrad": func() { NewForwardTape().Backward(a) },
 	} {
 		func() {
 			defer func() {
@@ -260,7 +263,8 @@ func TestParamsCount(t *testing.T) {
 }
 
 func TestSoftmaxProbs(t *testing.T) {
-	p := SoftmaxProbs([]float64{0, math.Log(3)})
+	p := make([]float64, 2)
+	SoftmaxProbs(p, []float64{0, math.Log(3)})
 	if math.Abs(p[1]-0.75) > 1e-12 {
 		t.Fatalf("SoftmaxProbs = %v", p)
 	}
@@ -271,11 +275,12 @@ func TestEmbeddingInitAndOOV(t *testing.T) {
 	emb := NewEmbedding(3, 2, rng, func(id int) []float64 {
 		return []float64{float64(id), float64(id)}
 	})
-	if emb.Lookup(2).V[0] != 2 {
+	tape := NewTape()
+	if emb.Lookup(tape, 2).V[0] != 2 {
 		t.Fatal("init function ignored")
 	}
 	// Out-of-range ids fall back to row 0.
-	if emb.Lookup(-1).V[0] != 0 || emb.Lookup(99).V[0] != 0 {
+	if emb.Lookup(tape, -1).V[0] != 0 || emb.Lookup(tape, 99).V[0] != 0 {
 		t.Fatal("OOV lookup must use row 0")
 	}
 }
@@ -440,4 +445,250 @@ func TestTapeResetReuse(t *testing.T) {
 			t.Fatalf("reused tape grad[%d]: %v want %v", i, lin.W.G[i], want[i])
 		}
 	}
+}
+
+// seqLoss runs one forward/backward of embedding -> Bi-LSTM ->
+// attention -> linear -> CE over the id sequence and returns the loss.
+func seqLoss(tape *Tape, emb *Embedding, bi *BiLSTM, att *Attention, head *Linear, ids []int) float64 {
+	xs := tape.Vecs(len(ids))
+	for i, id := range ids {
+		xs[i] = emb.Lookup(tape, id)
+	}
+	agg, _ := att.Apply(tape, bi.Run(tape, xs))
+	l, node := NoiseAwareCE(tape, head.Apply(tape, agg), 0.3)
+	tape.Backward(node)
+	return l
+}
+
+// TestTapeArenaReuse covers the arena's two hazards. A fresh tape
+// starts with no memory, so its first example outgrows the arena many
+// times mid-graph (blocks are replaced while earlier nodes still live
+// in the old ones); and a tape that has held a long example must hand
+// the following short one memory as clean as a fresh tape's. Both must
+// give bit-identical losses and gradients to a tape already warm.
+func TestTapeArenaReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	emb := NewEmbedding(9, 4, rng, nil)
+	bi := NewBiLSTM(4, 5, rng)
+	att := NewAttention(bi.OutDim(), 3, rng)
+	head := NewLinear(att.OutDim(), 2, rng)
+	params := append(append(append(emb.Params(), bi.Params()...), att.Params()...), head.Params()...)
+	long := make([]int, 60)
+	for i := range long {
+		long[i] = (i * 7) % 9
+	}
+	short := []int{3, 1, 3}
+
+	run := func(tape *Tape, ids []int) (float64, [][]float64) {
+		params.ZeroGrad()
+		tape.Reset()
+		l := seqLoss(tape, emb, bi, att, head, ids)
+		grads := make([][]float64, len(params))
+		for i, p := range params {
+			grads[i] = append([]float64(nil), p.G...)
+		}
+		return l, grads
+	}
+	same := func(label string, l1, l2 float64, g1, g2 [][]float64) {
+		t.Helper()
+		if math.Float64bits(l1) != math.Float64bits(l2) {
+			t.Fatalf("%s: loss %v vs %v", label, l1, l2)
+		}
+		for p := range g1 {
+			if !sameBits(g1[p], g2[p]) {
+				t.Fatalf("%s: gradient of param %d differs", label, p)
+			}
+		}
+	}
+
+	reused := NewTape()
+	growLoss, growGrads := run(reused, long) // grows mid-graph, repeatedly
+	warmLoss, warmGrads := run(reused, long) // same tape, arena now large enough
+	same("growing vs warm arena", growLoss, warmLoss, growGrads, warmGrads)
+
+	freshLoss, freshGrads := run(NewTape(), short)
+	afterLoss, afterGrads := run(reused, short) // short example after a long one
+	same("short after long vs fresh tape", freshLoss, afterLoss, freshGrads, afterGrads)
+
+	// The forward-only tape computes the same values, with no gradients.
+	ft := NewForwardTape()
+	xs := ft.Vecs(len(short))
+	for i, id := range short {
+		xs[i] = emb.Lookup(ft, id)
+	}
+	agg, _ := att.Apply(ft, bi.Run(ft, xs))
+	logits := head.Apply(ft, agg)
+	if logits.G != nil {
+		t.Fatal("forward-only nodes must carry no gradient buffer")
+	}
+	_, node := NoiseAwareCE(ft, logits, 0.3)
+	if math.Float64bits(node.V[0]) != math.Float64bits(freshLoss) {
+		t.Fatalf("forward-only loss %v, recording tape %v", node.V[0], freshLoss)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// refLSTMStep is LSTM.Step as the composition of primitive ops it was
+// before the cell was fused — kept as the reference the fused op must
+// match bit for bit, values and gradients.
+func refLSTMStep(l *LSTM, t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
+	gate := func(W, U, B *Mat) *Vec {
+		return t.Sigmoid(t.Add(t.Add(t.MatVec(W, x), t.MatVec(U, hPrev)), t.AsVec(B)))
+	}
+	i := gate(l.Wi, l.Ui, l.Bi)
+	f := gate(l.Wf, l.Uf, l.Bf)
+	o := gate(l.Wo, l.Uo, l.Bo)
+	cand := t.Tanh(t.Add(t.Add(t.MatVec(l.Wc, x), t.MatVec(l.Uc, hPrev)), t.AsVec(l.Bc)))
+	c = t.Add(t.Mul(f, cPrev), t.Mul(i, cand))
+	h = t.Mul(o, t.Tanh(c))
+	return h, c
+}
+
+// refAttentionApply is Attention.Apply as the primitive composition it
+// was before fusion.
+func refAttentionApply(a *Attention, t *Tape, hs []*Vec) (*Vec, *Vec) {
+	us := make([]*Vec, len(hs))
+	scores := make([]*Vec, len(hs))
+	for k, h := range hs {
+		us[k] = t.Tanh(t.Add(t.MatVec(a.Ww, h), t.AsVec(a.Bw)))
+		scores[k] = t.Dot(us[k], t.AsVec(a.Uw))
+	}
+	alpha := t.Softmax(t.Concat(scores...))
+	return t.WeightedSum(alpha, us), alpha
+}
+
+// TestFusedOpsMatchPrimitives runs embedding -> Bi-LSTM -> attention ->
+// masked head -> CE twice — once through the fused LSTM.Step and
+// Attention.Apply, once through their primitive references — and
+// demands identical bits everywhere: every hidden state, the attention
+// weights, the loss, and the gradient of every parameter and of the
+// free input. Token ids repeat, so embedding rows accumulate from both
+// directions and several timesteps. A third LSTM reads the first hidden
+// states beside the attention (two consumers of one node) and reaches
+// the loss only through a mask, so its last step sees exactly-zero
+// gate gradients — the rows the matrix-vector backward skips.
+func TestFusedOpsMatchPrimitives(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const in, hid, attDim = 3, 4, 5
+	emb := NewEmbedding(6, in, rng, nil)
+	bi := NewBiLSTM(in, hid, rng)
+	att := NewAttention(2*hid, attDim, rng)
+	head := NewLinear(attDim, 2, rng)
+	tail := NewLSTM(2*hid, hid, rng)
+	tailHead := NewLinear(hid, 2, rng)
+	params := append(append(append(emb.Params(), bi.Params()...), att.Params()...), head.Params()...)
+	params = append(append(params, tail.Params()...), tailHead.Params()...)
+	tailMask := FromSlice([]float64{0, 1, 0, 0})
+	ids := []int{2, 5, 2, 0, 5, 2, 1}
+	free := FromSlice([]float64{0.7, -1.3, 0.2}) // a non-parameter input, used at two positions
+	mask := FromSlice([]float64{1, 0, 1, 0, 0})
+
+	type result struct {
+		states [][]float64
+		alpha  []float64
+		loss   float64
+		grads  [][]float64
+		freeG  []float64
+	}
+	run := func(step func(*LSTM, *Tape, *Vec, *Vec, *Vec) (*Vec, *Vec), apply func(*Attention, *Tape, []*Vec) (*Vec, *Vec)) result {
+		params.ZeroGrad()
+		for i := range free.G {
+			free.G[i] = 0
+		}
+		tape := NewTape()
+		xs := make([]*Vec, 0, len(ids)+2)
+		for _, id := range ids {
+			xs = append(xs, emb.Lookup(tape, id))
+		}
+		xs = append(xs[:3], append([]*Vec{free}, append(xs[3:], free)...)...)
+		runDir := func(l *LSTM, seq []*Vec) []*Vec {
+			h, c := tape.NewVec(hid), tape.NewVec(hid)
+			out := make([]*Vec, len(seq))
+			for i, x := range seq {
+				h, c = step(l, tape, x, h, c)
+				out[i] = h
+			}
+			return out
+		}
+		rev := make([]*Vec, len(xs))
+		for i := range xs {
+			rev[i] = xs[len(xs)-1-i]
+		}
+		fwd, bwd := runDir(bi.Fwd, xs), runDir(bi.Bwd, rev)
+		var res result
+		hs := make([]*Vec, len(xs))
+		for i := range xs {
+			hs[i] = tape.Concat(fwd[i], bwd[len(xs)-1-i])
+			res.states = append(res.states, append([]float64(nil), hs[i].V...))
+		}
+		agg, alpha := apply(att, tape, hs)
+		res.alpha = append([]float64(nil), alpha.V...)
+		th := runDir(tail, hs[:3])[2]
+		res.states = append(res.states, append([]float64(nil), th.V...))
+		logits := tape.Add(head.Apply(tape, tape.Mul(agg, mask)), tailHead.Apply(tape, tape.Mul(th, tailMask)))
+		l, node := NoiseAwareCE(tape, logits, 0.8)
+		tape.Backward(node)
+		res.loss = l
+		for _, p := range params {
+			res.grads = append(res.grads, append([]float64(nil), p.G...))
+		}
+		res.freeG = append([]float64(nil), free.G...)
+		return res
+	}
+
+	ref := run(refLSTMStep, refAttentionApply)
+	fused := run((*LSTM).Step, (*Attention).Apply)
+	for i := range ref.states {
+		if !sameBits(ref.states[i], fused.states[i]) {
+			t.Fatalf("hidden state %d: fused %v, primitives %v", i, fused.states[i], ref.states[i])
+		}
+	}
+	if !sameBits(ref.alpha, fused.alpha) {
+		t.Fatalf("attention weights: fused %v, primitives %v", fused.alpha, ref.alpha)
+	}
+	if math.Float64bits(ref.loss) != math.Float64bits(fused.loss) {
+		t.Fatalf("loss: fused %v, primitives %v", fused.loss, ref.loss)
+	}
+	nonzero := false
+	for p := range ref.grads {
+		if !sameBits(ref.grads[p], fused.grads[p]) {
+			t.Fatalf("gradient of param %d: fused %v, primitives %v", p, fused.grads[p], ref.grads[p])
+		}
+		for _, g := range ref.grads[p] {
+			nonzero = nonzero || g != 0
+		}
+	}
+	if !sameBits(ref.freeG, fused.freeG) {
+		t.Fatalf("input gradient: fused %v, primitives %v", fused.freeG, ref.freeG)
+	}
+	if !nonzero {
+		t.Fatal("all gradients zero; test is vacuous")
+	}
+}
+
+// TestFusedOpsGradients checks the fused ops' analytic gradients
+// against central differences, including the gradient that reaches the
+// embedding rows through both LSTM directions.
+func TestFusedOpsGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	emb := NewEmbedding(4, 2, rng, nil)
+	bi := NewBiLSTM(2, 3, rng)
+	att := NewAttention(bi.OutDim(), 2, rng)
+	head := NewLinear(att.OutDim(), 2, rng)
+	params := append(append(append(emb.Params(), bi.Params()...), att.Params()...), head.Params()...)
+	loss := func() float64 {
+		return seqLoss(NewTape(), emb, bi, att, head, []int{1, 3, 1, 0})
+	}
+	numericGradCheck(t, "fused embedding+bilstm+attention", params, loss, 1e-4)
 }

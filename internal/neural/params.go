@@ -37,10 +37,6 @@ func (m *Mat) ZeroGrad() {
 	}
 }
 
-// AsVec returns a Vec view sharing the matrix's storage, letting bias
-// parameters participate in the graph directly.
-func (m *Mat) AsVec() *Vec { return &Vec{V: m.W, G: m.G} }
-
 // Shadow returns a matrix sharing m's weights but carrying a private,
 // zeroed gradient buffer. A forward/backward pass through a shadow
 // reads the live weights and accumulates gradients without touching
@@ -48,15 +44,6 @@ func (m *Mat) AsVec() *Vec { return &Vec{V: m.W, G: m.G} }
 // Weights must not be updated while shadows are in use.
 func (m *Mat) Shadow() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, W: m.W, G: make([]float64, len(m.G))}
-}
-
-// Row returns a Vec view of one row (used by embedding lookups); the
-// view shares storage, so gradients flow into the table.
-func (m *Mat) Row(r int) *Vec {
-	if r < 0 || r >= m.Rows {
-		panic("neural: row out of range")
-	}
-	return &Vec{V: m.W[r*m.Cols : (r+1)*m.Cols], G: m.G[r*m.Cols : (r+1)*m.Cols]}
 }
 
 // Params is the set of trainable matrices of a model.
@@ -109,10 +96,13 @@ func (ps Params) ScaleGrad(s float64) {
 	}
 }
 
-// ClipGrad scales gradients so their global L2 norm is at most c.
-func (ps Params) ClipGrad(c float64) {
+// ClipScale returns the factor that brings the gradients' global L2
+// norm down to c: c/norm when the norm exceeds c, otherwise exactly 1
+// (also when c <= 0, clipping disabled). Multiplying by 1 is exact, so
+// callers may apply the factor unconditionally.
+func (ps Params) ClipScale(c float64) float64 {
 	if c <= 0 {
-		return
+		return 1
 	}
 	sum := 0.0
 	for _, p := range ps {
@@ -122,9 +112,17 @@ func (ps Params) ClipGrad(c float64) {
 	}
 	norm := math.Sqrt(sum)
 	if norm <= c {
+		return 1
+	}
+	return c / norm
+}
+
+// ClipGrad scales gradients so their global L2 norm is at most c.
+func (ps Params) ClipGrad(c float64) {
+	scale := ps.ClipScale(c)
+	if scale == 1 {
 		return
 	}
-	scale := c / norm
 	for _, p := range ps {
 		for i := range p.G {
 			p.G[i] *= scale
@@ -173,10 +171,20 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step implements Optimizer.
-func (o *Adam) Step(ps Params) {
+func (o *Adam) Step(ps Params) { o.StepScaled(ps, 1) }
+
+// StepScaled applies one update from gradients multiplied by scale —
+// Params.ClipGrad folded into the optimizer's own pass over the
+// parameters. The product is rounded before use, so the update equals
+// scaling the gradients in place and then calling Step, bit for bit
+// (and Step itself, scale 1, is unchanged: x·1 is x).
+func (o *Adam) StepScaled(ps Params, scale float64) {
 	o.t++
 	b1t := 1 - math.Pow(o.Beta1, float64(o.t))
 	b2t := 1 - math.Pow(o.Beta2, float64(o.t))
+	// Locals, so the loop does not reload the hyperparameters after
+	// every store to a weight.
+	lr, b1, b2, eps, wd := o.LR, o.Beta1, o.Beta2, o.Eps, o.WeightDecay
 	for _, p := range ps {
 		m, ok := o.m[p]
 		if !ok {
@@ -188,13 +196,15 @@ func (o *Adam) Step(ps Params) {
 			v = make([]float64, len(p.W))
 			o.v[p] = v
 		}
-		for i := range p.W {
-			g := p.G[i] + o.WeightDecay*p.W[i]
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+		w := p.W
+		pg, m, v := p.G[:len(w)], m[:len(w)], v[:len(w)]
+		for i := range w {
+			g := float64(pg[i]*scale) + wd*w[i]
+			m[i] = b1*m[i] + (1-b1)*g
+			v[i] = b2*v[i] + (1-b2)*g*g
 			mh := m[i] / b1t
 			vh := v[i] / b2t
-			p.W[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
+			w[i] -= lr * mh / (math.Sqrt(vh) + eps)
 		}
 	}
 }

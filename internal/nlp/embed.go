@@ -3,6 +3,8 @@ package nlp
 import (
 	"hash/fnv"
 	"math"
+	"strings"
+	"unicode/utf8"
 )
 
 // Embedder produces deterministic word vectors. In place of the
@@ -104,6 +106,36 @@ func (v *Vocab) ID(word string) int {
 	v.ids[word] = id
 	v.words = append(v.words, word)
 	return id
+}
+
+// IDLower returns ID(strings.ToLower(word)). Unlike that expression it
+// does not allocate when the lowercased word is already known (or the
+// vocabulary is frozen): ASCII words — nearly all of a corpus — are
+// lowercased into a stack buffer for the lookup.
+func (v *Vocab) IDLower(word string) int {
+	var buf [64]byte
+	if len(word) > len(buf) {
+		return v.ID(strings.ToLower(word))
+	}
+	upper := false
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			return v.ID(strings.ToLower(word))
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+			upper = true
+		}
+		buf[i] = c
+	}
+	if !upper {
+		return v.ID(word)
+	}
+	if id, ok := v.ids[string(buf[:len(word)])]; ok || v.frozen {
+		return id // UnknownID is the zero id
+	}
+	return v.ID(string(buf[:len(word)]))
 }
 
 // Word returns the word for an id, or "<unk>" for invalid ids.

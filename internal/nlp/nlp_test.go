@@ -3,6 +3,7 @@ package nlp
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -261,5 +262,40 @@ func TestVocab(t *testing.T) {
 func TestLower(t *testing.T) {
 	if got := Lower([]string{"Ab", "CD"}); !reflect.DeepEqual(got, []string{"ab", "cd"}) {
 		t.Fatalf("Lower = %v", got)
+	}
+}
+
+// TestVocabIDLower pins IDLower to the expression it replaces on the
+// model's hot path, ID(strings.ToLower(w)), for a growing and then a
+// frozen vocabulary — including the inputs that leave its ASCII fast
+// path (non-ASCII, longer than the stack buffer).
+func TestVocabIDLower(t *testing.T) {
+	words := []string{"current", "Current", "BC546", "", "x", "ÄB", "İstanbul", "naïve", "MiXeD-42",
+		strings.Repeat("Ab", 40), "\xffBad", "CURRENT"}
+	a, b := NewVocab(), NewVocab()
+	for round := 0; round < 2; round++ { // second round: every word known
+		for _, w := range words {
+			if got, want := a.IDLower(w), b.ID(strings.ToLower(w)); got != want {
+				t.Fatalf("growing: IDLower(%q) = %d, ID(ToLower) = %d", w, got, want)
+			}
+		}
+	}
+	if a.Len() != b.Len() {
+		t.Fatalf("vocabularies diverged: %d vs %d words", a.Len(), b.Len())
+	}
+	for id := 0; id < a.Len(); id++ {
+		if a.Word(id) != b.Word(id) {
+			t.Fatalf("word %d: %q vs %q", id, a.Word(id), b.Word(id))
+		}
+	}
+	a.Freeze()
+	b.Freeze()
+	for _, w := range append(words, "Unseen", "unseen", "ÜNSEEN") {
+		if got, want := a.IDLower(w), b.ID(strings.ToLower(w)); got != want {
+			t.Fatalf("frozen: IDLower(%q) = %d, ID(ToLower) = %d", w, got, want)
+		}
+	}
+	if a.Len() != b.Len() {
+		t.Fatal("a frozen vocabulary grew")
 	}
 }
