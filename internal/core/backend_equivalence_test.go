@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -31,10 +30,8 @@ var storageConfigs = []struct {
 	{"columnar-evict", "columnar", 3},
 }
 
-// snapshotBytes reads every file of a SaveDB directory except the
-// derived ".zm" zone-map sidecars: those exist only for disk-backed
-// tables (LoadDB ignores them), so snapshot byte-equality across
-// backends is defined over the MANIFEST'd table files.
+// snapshotBytes reads every file of a SaveDB directory: snapshots are
+// compared across backends file for file.
 func snapshotBytes(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -43,9 +40,6 @@ func snapshotBytes(t *testing.T, dir string) map[string][]byte {
 	}
 	out := map[string][]byte{}
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".zm") {
-			continue
-		}
 		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)

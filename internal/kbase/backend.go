@@ -39,10 +39,12 @@ func renderCell(v any) string {
 }
 
 // matcher is a compiled predicate conjunction. Compilation happens
-// once per query so the per-row check avoids fmt in the hot loop:
-// string columns compare directly, integer columns compare parsed
-// int64s (after proving the probe is the canonical rendering), and
-// everything else falls back to the rendered comparison.
+// once per query (in Table, which hands the matcher to the backend) so
+// the per-row check avoids fmt in the hot loop: string columns compare
+// directly, integer columns compare parsed int64s (after proving the
+// probe is the canonical rendering), and everything else falls back to
+// the rendered comparison. The zero matcher is the empty conjunction:
+// every row matches.
 type matcher struct {
 	// impossible marks a conjunction no row can satisfy (a probe that
 	// is not the canonical rendering of any value of its column type).
@@ -85,10 +87,15 @@ func compilePreds(schema Schema, preds []Pred) matcher {
 	return m
 }
 
-// match reports whether the row satisfies every predicate. Rows are
-// trusted to be normalized (Table.Insert widened ints to int64), with
-// a rendered-comparison fallback for anything unexpected.
-func (m matcher) match(tp Tuple) bool {
+// match reports whether the row satisfies every predicate. It is small
+// enough to inline, so the empty conjunction costs unfiltered reads a
+// length check per row, not a call.
+func (m matcher) match(tp Tuple) bool { return len(m.preds) == 0 || m.matchPreds(tp) }
+
+// matchPreds is match for a non-empty conjunction. Rows are trusted to
+// be normalized (Table.Insert widened ints to int64), with a
+// rendered-comparison fallback for anything unexpected.
+func (m matcher) matchPreds(tp Tuple) bool {
 	for _, p := range m.preds {
 		v := tp[p.col]
 		if p.intOK {
@@ -112,27 +119,69 @@ func (m matcher) match(tp Tuple) bool {
 	return true
 }
 
+// window is the [offset, offset+limit) slice of a read's match sequence
+// (limit <= 0 means "to the end"), advanced as matches are counted.
+// Every windowed read — each backend's Page and Table's index plan —
+// clips through it, so the offset/limit conventions exist once.
+type window struct{ offset, limit, seen int }
+
+// newWindow clamps a negative offset to 0.
+func newWindow(offset, limit int) window { return window{offset: max(offset, 0), limit: limit} }
+
+// take counts the next k matches and returns which of them, as the
+// half-open range [lo, hi) of 0..k, fall inside the window. limit is
+// compared against the room left rather than added to offset, which a
+// huge caller-supplied limit would overflow.
+func (w *window) take(k int) (lo, hi int) {
+	lo, hi = min(max(w.offset-w.seen, 0), k), k
+	if room := w.limit - max(w.seen-w.offset, 0); w.limit > 0 && room < k-lo {
+		hi = lo + max(room, 0)
+	}
+	w.seen += k
+	return lo, hi
+}
+
+// admit counts one match and reports whether the window holds it.
+func (w *window) admit() bool {
+	lo, hi := w.take(1)
+	return lo < hi
+}
+
+// full reports that no later match can fall inside the window.
+func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit }
+
 // Backend is the pluggable row-storage engine behind a Table. A Table
 // owns exactly one backend and layers relational semantics on top of
-// it — schema/type checking, tuple normalization, and set semantics
-// via a compact hash index — so every backend only has to store an
-// ordered row sequence.
+// it — schema/type checking, tuple normalization, set semantics via a
+// compact hash index, and the filtered-read planner — so every backend
+// only has to store an ordered row sequence.
 //
-// The three implementations are the in-memory engine (rows in a
-// slice, the original representation), the disk-paged engine
-// (fixed-size row pages on disk behind a small LRU page cache, so a
-// table's resident footprint is the cache plus one partial tail page
-// no matter how many rows it holds), and the columnar engine
-// (fixed-size pages as column-major binary blobs in memory, so
-// filtered reads decode predicate columns only).
+// There are two implementations: memoryBackend, rows in a slice (the
+// reference the equivalence suites compare against), and pagedBackend
+// (paged.go), which is "disk" or "columnar" depending on its page codec
+// and page store.
 //
 // Contract, relied on by Table and by the cross-backend equivalence
 // tests:
 //
-//   - Append preserves insertion order; Scan, Page, Snapshot and Get
+//   - Append preserves insertion order; Get, Scan, Page and Snapshot
 //     observe rows in exactly that order.
-//   - Get and Scan hand out *borrowed* tuples that must not be
-//     retained or modified (Table's cloning read paths detach them).
+//   - Scan and Page are the only read entry points besides Get. Both
+//     take the conjunction already compiled by Table (never an
+//     impossible one; the zero matcher selects every row) and number
+//     its matches in insertion order. Scan streams them *borrowed* —
+//     like Get's, its tuples must not be retained or modified — until
+//     fn returns false. Page returns detached clones of the matches
+//     numbered [offset, offset+limit) (limit <= 0 means "to the end",
+//     a negative offset is 0, an empty window is nil) plus the exact
+//     number of matches: cloning stops once the window fills, counting
+//     always runs to the end — except that with no predicates the count
+//     is Len, so a paged backend goes straight to the offset's page and
+//     stops after the window.
+//   - Either read may prune storage regions (pages) that provably hold
+//     no match, and must never skip a matching row. Page also returns
+//     how many regions this call pruned (0 without predicates, and
+//     always for the memory backend).
 //   - DeleteWhere keeps survivors in relative order and re-packs
 //     positions densely (row i is the i-th surviving row).
 //   - Snapshot streams the rows in the escaped-TSV row encoding of
@@ -145,28 +194,14 @@ type Backend interface {
 	Len() int
 	// Append stores a normalized tuple at position Len().
 	Append(tp Tuple) error
-	// Get returns the row at position i (borrowed; do not retain or
-	// modify). It panics when i is out of range — positions come from
-	// the Table's index and are trusted.
+	// Get returns the row at position i (borrowed). It panics when i is
+	// out of range — positions come from the Table's index and are
+	// trusted.
 	Get(i int) Tuple
-	// Scan calls fn for each row in insertion order until fn returns
-	// false. The tuple is borrowed.
-	Scan(fn func(Tuple) bool)
-	// Page returns detached clones of up to limit rows starting at
-	// offset; limit <= 0 means "to the end", offsets past the end
-	// return nil.
-	Page(offset, limit int) []Tuple
-	// ScanWhere calls fn for each row satisfying every predicate, in
-	// insertion order, until fn returns false. The tuple is borrowed.
-	// Backends may prune storage regions (disk pages) that provably
-	// contain no match, but must never skip a matching row.
-	ScanWhere(preds []Pred, fn func(Tuple) bool)
-	// PageWhere returns detached clones of up to limit matching rows
-	// starting at the offset-th match (same offset/limit semantics as
-	// Page), plus the exact total number of matching rows. Cloning
-	// stops once the window fills; counting always runs to the end so
-	// total is exact on every backend and plan.
-	PageWhere(preds []Pred, offset, limit int) ([]Tuple, int)
+	// Scan is the streaming read: see the contract above.
+	Scan(m matcher, fn func(Tuple) bool)
+	// Page is the windowed read: see the contract above.
+	Page(m matcher, offset, limit int) (rows []Tuple, total, pruned int)
 	// DeleteWhere removes rows satisfying pred, returning how many
 	// were removed.
 	DeleteWhere(pred func(Tuple) bool) int
@@ -176,7 +211,7 @@ type Backend interface {
 	// Stats reports the backend's paging counters (zero-valued for
 	// the in-memory engine).
 	Stats() BackendStats
-	// Close releases backend resources (disk pages). The backend is
+	// Close releases backend resources (page files). The backend is
 	// unusable afterwards.
 	Close() error
 }
@@ -186,18 +221,18 @@ type Backend interface {
 // (IndexHits, FullScans) are recorded by the Table-level planner and
 // merged in by Table.BackendStats.
 type BackendStats struct {
-	// Pages counts full row pages: on disk for the disk engine,
-	// encoded column-major in memory for the columnar engine.
+	// Pages counts sealed pages (files for the disk engine, heap blobs
+	// for the columnar engine).
 	Pages int
-	// CacheHits / CacheMisses count page-cache lookups. A miss reads
-	// (disk) or decodes (columnar) one full page.
+	// CacheHits / CacheMisses count decoded-page cache lookups. A miss
+	// fetches and decodes one full page.
 	CacheHits, CacheMisses int64
 	// PagesSkipped counts pages pruned by zone maps during filtered
-	// reads — pages never read, decoded, or cached.
+	// reads, cumulatively — pages never fetched, decoded, or cached.
 	PagesSkipped int64
 	// IndexHits counts filtered reads answered through a hash index;
-	// FullScans counts filtered reads that had to scan (on the disk
-	// engine, still zone-map pruned).
+	// FullScans counts filtered reads that had to scan (on the paged
+	// engines, still zone-map pruned).
 	IndexHits, FullScans int64
 }
 
@@ -214,7 +249,7 @@ func (s *BackendStats) Add(other BackendStats) {
 }
 
 // Engine creates backends — one per table — sharing a storage policy
-// (and, for the disk engine, a spill directory).
+// (page geometry and, for the disk engine, a spill directory).
 type Engine interface {
 	// Kind names the engine; every backend it creates reports the
 	// same kind.
@@ -255,10 +290,10 @@ func BackendKindsWant() string {
 }
 
 // NewEngine resolves an engine kind: "" or "memory" is the in-memory
-// engine, "disk" the disk-paged engine with default page geometry
-// spilling under dir (a fresh temporary directory when dir is empty),
-// "columnar" the in-memory columnar engine with default page
-// geometry.
+// engine, "disk" the paged engine with TSV pages in files under dir (a
+// fresh temporary directory when dir is empty), "columnar" the paged
+// engine with binary column pages on the heap; both paged kinds get the
+// default page geometry.
 func NewEngine(kind, dir string) (Engine, error) {
 	switch kind {
 	case "", "memory":
@@ -280,18 +315,15 @@ type MemoryEngine struct{}
 func (MemoryEngine) Kind() string { return "memory" }
 
 // NewBackend creates an empty in-memory backend.
-func (MemoryEngine) NewBackend(schema Schema) (Backend, error) {
-	return &memoryBackend{schema: schema}, nil
+func (MemoryEngine) NewBackend(Schema) (Backend, error) {
+	return &memoryBackend{}, nil
 }
 
 // Close is a no-op.
 func (MemoryEngine) Close() error { return nil }
 
 // memoryBackend stores rows in a slice.
-type memoryBackend struct {
-	schema Schema
-	tuples []Tuple
-}
+type memoryBackend struct{ tuples []Tuple }
 
 func (b *memoryBackend) Kind() string { return "memory" }
 
@@ -304,61 +336,51 @@ func (b *memoryBackend) Append(tp Tuple) error {
 
 func (b *memoryBackend) Get(i int) Tuple { return b.tuples[i] }
 
-func (b *memoryBackend) Scan(fn func(Tuple) bool) {
-	for _, tp := range b.tuples {
-		if !fn(tp) {
-			return
+func (b *memoryBackend) Scan(m matcher, fn func(Tuple) bool) {
+	if len(m.preds) == 0 {
+		// Table.Scan of the served KB: nothing per row but the callback
+		// (even an inlined predicate-count check is measurable here).
+		for _, tp := range b.tuples {
+			if !fn(tp) {
+				return
+			}
 		}
-	}
-}
-
-func (b *memoryBackend) Page(offset, limit int) []Tuple {
-	lo, hi := clipPage(len(b.tuples), offset, limit)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Tuple, 0, hi-lo)
-	for _, tp := range b.tuples[lo:hi] {
-		out = append(out, tp.Clone())
-	}
-	return out
-}
-
-func (b *memoryBackend) ScanWhere(preds []Pred, fn func(Tuple) bool) {
-	m := compilePreds(b.schema, preds)
-	if m.impossible {
 		return
 	}
 	// Tight loop: no clone, no fmt — match borrows the stored tuple.
 	for _, tp := range b.tuples {
-		if m.match(tp) && !fn(tp) {
+		if m.matchPreds(tp) && !fn(tp) {
 			return
 		}
 	}
 }
 
-func (b *memoryBackend) PageWhere(preds []Pred, offset, limit int) ([]Tuple, int) {
-	m := compilePreds(b.schema, preds)
-	if m.impossible {
-		return nil, 0
-	}
-	if offset < 0 {
-		offset = 0
+func (b *memoryBackend) Page(m matcher, offset, limit int) ([]Tuple, int, int) {
+	w := newWindow(offset, limit)
+	if len(m.preds) == 0 {
+		// Match k is row k: slice the window out directly.
+		lo, hi := w.take(len(b.tuples))
+		if lo == hi {
+			return nil, len(b.tuples), 0
+		}
+		out := make([]Tuple, 0, hi-lo)
+		for _, tp := range b.tuples[lo:hi] {
+			out = append(out, tp.Clone())
+		}
+		return out, len(b.tuples), 0
 	}
 	var out []Tuple
-	total := 0
 	for _, tp := range b.tuples {
 		if !m.match(tp) {
 			continue
 		}
 		// Clone only in-window matches; keep counting past the window
 		// so total is exact.
-		if total >= offset && (limit <= 0 || len(out) < limit) {
+		if w.admit() {
 			out = append(out, tp.Clone())
 		}
-		total++
 	}
-	return out, total
+	return out, w.seen, 0
 }
 
 func (b *memoryBackend) DeleteWhere(pred func(Tuple) bool) int {
@@ -379,37 +401,13 @@ func (b *memoryBackend) DeleteWhere(pred func(Tuple) bool) int {
 	return deleted
 }
 
-func (b *memoryBackend) Snapshot(w io.Writer) error {
-	for _, tp := range b.tuples {
-		if _, err := io.WriteString(w, encodeTupleTSV(tp)+"\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (b *memoryBackend) Snapshot(w io.Writer) error { return writeRowsTSV(w, b.tuples) }
 
 func (b *memoryBackend) Stats() BackendStats { return BackendStats{} }
 
 func (b *memoryBackend) Close() error {
 	b.tuples = nil
 	return nil
-}
-
-// clipPage clips [offset, offset+limit) to n rows, comparing limit
-// against the remaining window rather than computing offset+limit,
-// which a huge caller-supplied limit would overflow.
-func clipPage(n, offset, limit int) (lo, hi int) {
-	if offset < 0 {
-		offset = 0
-	}
-	if offset >= n {
-		return n, n
-	}
-	hi = n
-	if limit > 0 && limit < hi-offset {
-		hi = offset + limit
-	}
-	return offset, hi
 }
 
 // hashKey hashes a canonical tuple key for the Table's dedup index.

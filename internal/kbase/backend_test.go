@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -298,7 +302,8 @@ func TestBackendTSVBytesIdentical(t *testing.T) {
 // the LRU cache (hits and misses both observed), and a table several
 // pages long still scans in insertion order.
 func TestDiskBackendPaging(t *testing.T) {
-	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
+	spill := filepath.Join(t.TempDir(), "spill")
+	engine, err := NewDiskEngine(spill, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +313,25 @@ func TestDiskBackendPaging(t *testing.T) {
 
 	if bs := tbl.BackendStats(); bs.Pages != 4 {
 		t.Fatalf("pages = %d, want 4", bs.Pages)
+	}
+	// The spill holds the table's directory and in it one file per
+	// sealed page — nothing else, before and after a delete rewrite.
+	spillFiles := func() []string {
+		var names []string
+		err := filepath.WalkDir(spill, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				names = append(names, strings.TrimPrefix(path, spill))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	want := []string{"/t0001-r/p00000000.page", "/t0001-r/p00000001.page", "/t0001-r/p00000002.page", "/t0001-r/p00000003.page"}
+	if got := spillFiles(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spill files = %v, want %v", got, want)
 	}
 	// Sequential scans see every row in order...
 	var got []string
@@ -336,6 +360,12 @@ func TestDiskBackendPaging(t *testing.T) {
 	}
 	if tbl.BackendKind() != "disk" {
 		t.Fatalf("kind = %q", tbl.BackendKind())
+	}
+	if n := tbl.DeleteWhere(func(tp Tuple) bool { return tp[1].(int64) < 9 }); n != 9 {
+		t.Fatalf("DeleteWhere removed %d", n)
+	}
+	if got := spillFiles(); !reflect.DeepEqual(got, want[:2]) {
+		t.Fatalf("spill files after delete = %v, want %v", got, want[:2])
 	}
 }
 
@@ -377,5 +407,160 @@ func TestDiskDBSaveLoadRoundTrip(t *testing.T) {
 	}
 	if disk.BackendKind() != "disk" || disk.Stats().Backend != "disk" {
 		t.Fatalf("restored kind = %q", disk.BackendKind())
+	}
+	// A disk snapshot is the table files and their manifest, nothing
+	// derived beside them.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"MANIFEST", "r.tsv"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("snapshot directory holds %v, want %v", names, want)
+	}
+}
+
+// faultyStore is a page store whose put of page failPut fails putFails
+// times and whose get of page failGet always fails — the substitute the
+// pageStore seam exists for.
+type faultyStore struct {
+	pageStore
+	failPut, putFails, failGet int
+}
+
+func (s *faultyStore) put(p int, page []byte) error {
+	if p == s.failPut && s.putFails > 0 {
+		s.putFails--
+		return fmt.Errorf("injected put fault")
+	}
+	return s.pageStore.put(p, page)
+}
+
+func (s *faultyStore) get(p int) ([]byte, error) {
+	if p == s.failGet {
+		return nil, fmt.Errorf("injected get fault")
+	}
+	return s.pageStore.get(p)
+}
+
+// TestPagedBackendStoreFaults drives the shared skeleton over a store
+// that fails. A put that fails while sealing a page makes that Append
+// return the error and leaves the backend exactly as it was before the
+// row; the next Append retries the flush. A get that fails panics
+// naming the table and the page.
+func TestPagedBackendStoreFaults(t *testing.T) {
+	schema := mustSchema(t, "faulty", "part", "n:integer")
+	row := func(i int) Tuple { return Tuple{fmt.Sprintf("p%02d", i), int64(i)} }
+	for _, codec := range []pageCodec{tsvCodec{}, binaryCodec{}} {
+		t.Run(fmt.Sprintf("%T", codec), func(t *testing.T) {
+			store := &faultyStore{pageStore: &heapStore{}, failPut: 1, putFails: 1, failGet: -1}
+			b := newPagedBackend("paged", schema, codec, store, 4, 2)
+			state := func() (rows []Tuple, zones int) {
+				b.Scan(matcher{}, func(tp Tuple) bool {
+					rows = append(rows, tp.Clone())
+					return true
+				})
+				if len(rows) != b.Len() {
+					t.Fatalf("Scan saw %d rows, Len = %d", len(rows), b.Len())
+				}
+				for i, tp := range rows {
+					if got := b.Get(i); !reflect.DeepEqual(got, tp) {
+						t.Fatalf("Get(%d) = %v, Scan saw %v", i, got, tp)
+					}
+				}
+				return rows, len(b.zones)
+			}
+			for i := 0; i < 7; i++ {
+				if err := b.Append(row(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantRows, wantZones := state() // 1 sealed page + 3-row tail
+			if wantZones != 1 {
+				t.Fatalf("zones = %d, want 1", wantZones)
+			}
+			// Row 7 fills page 1, whose put fails.
+			if err := b.Append(row(7)); err == nil || !strings.Contains(err.Error(), "injected put fault") {
+				t.Fatalf("Append over a failing put = %v", err)
+			}
+			if rows, zones := state(); !reflect.DeepEqual(rows, wantRows) || zones != wantZones || b.Stats().Pages != 1 {
+				t.Fatalf("failed Append left %d rows, %d zones, %d pages; want %d, %d, 1",
+					len(rows), zones, b.Stats().Pages, len(wantRows), wantZones)
+			}
+			// The retry seals the page.
+			if err := b.Append(row(7)); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			rows, zones := state()
+			if len(rows) != 8 || !reflect.DeepEqual(rows[7], row(7)) || zones != 2 || b.Stats().Pages != 2 {
+				t.Fatalf("after retry: %d rows, %d zones, %d pages", len(rows), zones, b.Stats().Pages)
+			}
+
+			// A page that cannot be read back: cached pages still
+			// serve, the lost one panics with its coordinates.
+			store.failGet = 1
+			b.invalidate()
+			if got := b.Get(0); !reflect.DeepEqual(got, row(0)) {
+				t.Fatalf("Get(0) = %v", got)
+			}
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "faulty") || !strings.Contains(msg, "page 1") {
+					t.Fatalf("panic %q does not name the table and page", msg)
+				}
+			}()
+			b.Get(5)
+			t.Fatal("Get of a lost page returned")
+		})
+	}
+}
+
+// TestPlanInfoPagesSkippedConcurrent pins PlanInfo.PagesSkipped to the
+// pages *this* read pruned: concurrent filtered reads with different,
+// known prune counts over one disk table each see exactly their own.
+// Run with -race.
+func TestPlanInfoPagesSkippedConcurrent(t *testing.T) {
+	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	tbl := newBackedTable(t, engine, whereSchema(t))
+	tbl.SetAutoIndex(false) // every read takes the scan plan
+	fillWidgets(t, tbl, 64) // 16 pages, grp g0..g7 → 2 pages per group
+	reads := []struct {
+		preds   []Pred
+		total   int
+		skipped int64
+	}{
+		{[]Pred{{Col: 1, Want: "g3"}}, 8, 14},                       // 2 pages hold g3
+		{[]Pred{{Col: 0, Want: "p010"}}, 1, 15},                     // 1 page holds p010
+		{[]Pred{{Col: 1, Want: "nope"}}, 0, 16},                     // no page can match
+		{[]Pred{{Col: 1, Want: "g5"}, {Col: 2, Want: "44"}}, 1, 15}, // conjunction prunes on both
+	}
+	const readers, rounds = 8, 150
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rd := reads[r%len(reads)]
+			for i := 0; i < rounds; i++ {
+				_, total, info := tbl.PageWhereInfo(rd.preds, 0, 3)
+				if total != rd.total || info.Plan != "scan" || info.PagesSkipped != rd.skipped {
+					t.Errorf("reader %d round %d: total %d plan %q skipped %d, want %d scan %d",
+						r, i, total, info.Plan, info.PagesSkipped, rd.total, rd.skipped)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	// The cumulative counter still adds every read up.
+	if got, want := tbl.BackendStats().PagesSkipped, int64(rounds*2*(14+15+16+15)); got != want {
+		t.Fatalf("cumulative PagesSkipped = %d, want %d", got, want)
 	}
 }

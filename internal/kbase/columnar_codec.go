@@ -3,11 +3,13 @@ package kbase
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
-// The columnar page codec: one table page encoded column-major into a
-// compact binary blob. The layout is
+// binaryCodec is the columnar page codec (a pageCodec and a
+// columnReader): one table page encoded column-major into a compact
+// binary blob. The layout is
 //
 //	uvarint rowCount
 //	uvarint blockLen per schema column      (the header)
@@ -27,6 +29,7 @@ import (
 // semantics are byte-identical to the row-major engines. The header's
 // per-column block lengths let a reader locate any single column in
 // O(arity) without touching the other columns' bytes.
+type binaryCodec struct{}
 
 // Column type tags in the binary page format.
 const (
@@ -47,9 +50,9 @@ func colTagFor(ct ColType) byte {
 	}
 }
 
-// encodeColumnarPage encodes rows (normalized tuples matching the
-// schema) into one column-major page blob.
-func encodeColumnarPage(schema Schema, rows []Tuple) ([]byte, error) {
+// encode encodes rows (normalized tuples matching the schema) into one
+// column-major page blob.
+func (binaryCodec) encode(schema Schema, rows []Tuple) ([]byte, error) {
 	arity := schema.Arity()
 	for _, tp := range rows {
 		if len(tp) != arity {
@@ -104,14 +107,15 @@ func encodeColumnarPage(schema Schema, rows []Tuple) ([]byte, error) {
 // tag-prefixed block, sliced out of the (immutable) page blob without
 // copying or decoding any cells.
 type colPage struct {
+	schema Schema
 	nrows  int
 	blocks [][]byte
 }
 
-// parseColumnarPage slices a page blob into its column blocks and
-// validates the fixed-width blocks' geometry. String cell boundaries
-// are validated lazily by stringColIndex.
-func parseColumnarPage(blob []byte, schema Schema) (colPage, error) {
+// parse slices a page blob into its column blocks and validates the
+// fixed-width blocks' geometry. String cell boundaries are validated
+// lazily by stringColIndex.
+func (binaryCodec) parse(schema Schema, blob []byte) (colPage, error) {
 	arity := schema.Arity()
 	nrows, n := binary.Uvarint(blob)
 	if n <= 0 || nrows > uint64(len(blob)) {
@@ -127,7 +131,7 @@ func parseColumnarPage(blob []byte, schema Schema) (colPage, error) {
 		lens[c] = int(l)
 		off += n
 	}
-	pg := colPage{nrows: int(nrows), blocks: make([][]byte, arity)}
+	pg := colPage{schema: schema, nrows: int(nrows), blocks: make([][]byte, arity)}
 	for c := 0; c < arity; c++ {
 		if lens[c] > len(blob)-off {
 			return colPage{}, fmt.Errorf("kbase: columnar page for %s: column %d block truncated", schema.Name, c)
@@ -185,37 +189,112 @@ func stringColIndex(blk []byte, nrows int) (offs []int, data []byte, err error) 
 	return offs, data, nil
 }
 
-// decodeColumnarPage materializes every row of a page — the full
-// decode behind Get/Scan/Page and delete rewrites.
-func decodeColumnarPage(blob []byte, schema Schema) ([]Tuple, error) {
-	pg, err := parseColumnarPage(blob, schema)
+// decode materializes every row of a page — the full decode behind
+// Get, unfiltered reads and delete rewrites.
+func (c binaryCodec) decode(schema Schema, page []byte) ([]Tuple, error) {
+	pg, err := c.parse(schema, page)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Tuple, pg.nrows)
-	for i := range rows {
-		rows[i] = make(Tuple, len(pg.blocks))
+	return pg.rows(pg.all(), func(int, int) {})
+}
+
+// all returns every row position of the page, ascending.
+func (pg colPage) all() []int {
+	sel := make([]int, pg.nrows)
+	for r := range sel {
+		sel[r] = r
 	}
-	for c, col := range schema.Columns {
+	return sel
+}
+
+// writeTSV re-renders the page's rows: stored cells are bit-exact (raw
+// int64/float64 bits, raw string bytes), so encodeTupleTSV reproduces
+// the exact bytes the row-major engines emit for the same rows.
+func (c binaryCodec) writeTSV(w io.Writer, schema Schema, page []byte) error {
+	rows, err := c.decode(schema, page)
+	if err != nil {
+		return err
+	}
+	return writeRowsTSV(w, rows)
+}
+
+// cellPred compiles one predicate against the page into a per-row test
+// over the raw column vector. String columns compare cell bytes against
+// the probe (the conversion in the comparison does not allocate), int
+// columns compare raw int64s, and float columns render only the
+// predicate column's cell — never any other column.
+func (pg colPage) cellPred(p compiledPred) (func(row int) bool, error) {
+	blk := pg.blocks[p.col]
+	switch pg.schema.Columns[p.col].Type {
+	case IntCol:
+		// compilePreds proved the probe canonical (intOK), else the
+		// matcher is impossible and no page is ever evaluated.
+		return func(row int) bool { return intColCell(blk, row) == p.intVal }, nil
+	case FloatCol:
+		return func(row int) bool { return renderCell(floatColCell(blk, row)) == p.want }, nil
+	default:
+		offs, data, err := stringColIndex(blk, pg.nrows)
+		return func(row int) bool { return string(data[offs[row]:offs[row+1]]) == p.want }, err
+	}
+}
+
+// match evaluates a non-empty conjunction against the page, decoding
+// only predicate columns, and returns the matching row positions in
+// page order: the first predicate examines every row, each further one
+// only the survivors. Examined cells are reported to count (column,
+// cells); non-predicate columns are never touched.
+func (pg colPage) match(m matcher, count func(col, cells int)) ([]int, error) {
+	sel := pg.all()
+	for _, p := range m.preds {
+		if len(sel) == 0 {
+			break
+		}
+		test, err := pg.cellPred(p)
+		if err != nil {
+			return nil, err
+		}
+		count(p.col, len(sel))
+		kept := sel[:0]
+		for _, r := range sel {
+			if test(r) {
+				kept = append(kept, r)
+			}
+		}
+		sel = kept
+	}
+	return sel, nil
+}
+
+// rows builds detached tuples for the given (ascending) row positions,
+// decoding each column only at those positions — the lazy half of a
+// filtered read — and reports the decoded cells to count.
+func (pg colPage) rows(sel []int, count func(col, cells int)) ([]Tuple, error) {
+	out := make([]Tuple, len(sel))
+	for i := range out {
+		out[i] = make(Tuple, len(pg.blocks))
+	}
+	for c, col := range pg.schema.Columns {
 		blk := pg.blocks[c]
 		switch col.Type {
 		case IntCol:
-			for i := range rows {
-				rows[i][c] = intColCell(blk, i)
+			for i, r := range sel {
+				out[i][c] = intColCell(blk, r)
 			}
 		case FloatCol:
-			for i := range rows {
-				rows[i][c] = floatColCell(blk, i)
+			for i, r := range sel {
+				out[i][c] = floatColCell(blk, r)
 			}
 		default:
 			offs, data, err := stringColIndex(blk, pg.nrows)
 			if err != nil {
 				return nil, err
 			}
-			for i := range rows {
-				rows[i][c] = string(data[offs[i]:offs[i+1]])
+			for i, r := range sel {
+				out[i][c] = string(data[offs[r]:offs[r+1]])
 			}
 		}
+		count(c, len(sel))
 	}
-	return rows, nil
+	return out, nil
 }

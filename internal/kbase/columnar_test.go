@@ -109,7 +109,7 @@ func TestColumnarInPagePruning(t *testing.T) {
 // floats, extreme ints, empty strings, and cell bytes that would need
 // escaping in TSV (the binary format stores them raw).
 func TestColumnarCodecRoundTrip(t *testing.T) {
-	schema := mustSchema(t, "codec", "s", "n:integer", "f:float")
+	schema, codec := mustSchema(t, "codec", "s", "n:integer", "f:float"), binaryCodec{}
 	nanPayload := math.Float64frombits(0x7ff8000000000042) // non-default NaN payload
 	rows := []Tuple{
 		{"", int64(0), 0.0},
@@ -118,11 +118,11 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 		{"unicode ✓ Ω", int64(-7), math.Inf(-1)},
 		{"nan", int64(42), nanPayload},
 	}
-	blob, err := encodeColumnarPage(schema, rows)
+	blob, err := codec.encode(schema, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeColumnarPage(blob, schema)
+	got, err := codec.decode(schema, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,16 +165,16 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 // TestColumnarParseRejectsCorruptPages checks the parser's validation:
 // a truncated or mis-tagged blob errors instead of mis-decoding.
 func TestColumnarParseRejectsCorruptPages(t *testing.T) {
-	schema := mustSchema(t, "codec", "s", "n:integer")
-	blob, err := encodeColumnarPage(schema, []Tuple{{"hello", int64(7)}, {"world", int64(8)}})
+	schema, codec := mustSchema(t, "codec", "s", "n:integer"), binaryCodec{}
+	blob, err := codec.encode(schema, []Tuple{{"hello", int64(7)}, {"world", int64(8)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parseColumnarPage(blob, schema); err != nil {
+	if _, err := codec.parse(schema, blob); err != nil {
 		t.Fatalf("valid page rejected: %v", err)
 	}
 	for i := 1; i < len(blob); i++ {
-		if _, err := decodeColumnarPage(blob[:i], schema); err == nil {
+		if _, err := codec.decode(schema, blob[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
@@ -182,10 +182,10 @@ func TestColumnarParseRejectsCorruptPages(t *testing.T) {
 	// must trip the tag check, and trailing garbage the length check.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-17] = 0xff
-	if _, err := decodeColumnarPage(bad, schema); err == nil {
+	if _, err := codec.decode(schema, bad); err == nil {
 		t.Fatal("flipped column tag accepted")
 	}
-	if _, err := decodeColumnarPage(append(append([]byte(nil), blob...), 0x00), schema); err == nil {
+	if _, err := codec.decode(schema, append(append([]byte(nil), blob...), 0x00)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }

@@ -27,7 +27,7 @@ import (
 // against the full compiled conjunction (hash collisions and the
 // other predicates), so it emits exactly the rows a scan would, in
 // the same order. The scan path delegates to the backend, where the
-// disk engine prunes pages through zone maps.
+// paged engines prune pages through zone maps.
 const autoIndexAfter = 2
 
 // maxIndexedRows caps index builds; a var so tests can lower it.
@@ -88,8 +88,12 @@ func (t *Table) SetAutoIndex(on bool) {
 // choosePlan records the filtered read in the heat map, builds any
 // newly-eligible index, and returns the index to drive the read with
 // (nil → scan plan). Deterministic: the lowest-numbered predicate
-// column with an index wins.
+// column with an index wins. The empty conjunction is not a filtered
+// read: it always scans and is not counted.
 func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
+	if len(m.preds) == 0 {
+		return nil, compiledPred{}, false
+	}
 	p := t.plan
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -122,7 +126,7 @@ func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
 func buildColIndex(be Backend, col int) *colIndex {
 	ci := &colIndex{postings: make(map[uint64][]int)}
 	pos := 0
-	be.Scan(func(tp Tuple) bool {
+	be.Scan(matcher{}, func(tp Tuple) bool {
 		h := hashKey(renderCell(tp[col]))
 		ci.postings[h] = append(ci.postings[h], pos)
 		pos++
@@ -136,10 +140,6 @@ func buildColIndex(be Backend, col int) *colIndex {
 // like Scan's. The planner may answer through a hash index or a
 // (zone-map pruned) backend scan; both emit identical rows.
 func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
-	if len(preds) == 0 {
-		t.be.Scan(fn)
-		return
-	}
 	m := compilePreds(t.schema, preds)
 	if m.impossible {
 		return
@@ -153,16 +153,16 @@ func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
 		}
 		return
 	}
-	t.be.ScanWhere(preds, fn)
+	t.be.Scan(m, fn)
 }
 
 // PlanInfo describes how one filtered read was answered, for slow-
 // query logging and tracing. Plan is one of "unfiltered" (no
-// predicates), "impossible" (a predicate names a missing column),
-// "index" (hash-index probe) or "scan" (backend scan, zone-map
-// pruned on the disk engine). PagesSkipped is the read's zone-map
-// pruning delta — a best-effort sample of the backend's counter
-// around the read, 0 for in-memory backends.
+// predicates), "impossible" (a predicate no row can satisfy: a missing
+// column or a non-canonical integer probe), "index" (hash-index probe)
+// or "scan" (backend scan, zone-map pruned on the paged engines).
+// PagesSkipped is the number of pages this read pruned — exact under
+// concurrent readers, 0 for the memory engine and for non-scan plans.
 type PlanInfo struct {
 	Plan         string
 	PagesSkipped int64
@@ -182,32 +182,28 @@ func (t *Table) PageWhere(preds []Pred, offset, limit int) ([]Tuple, int) {
 // path taken, so callers can log slow filtered reads with the plan
 // that produced them.
 func (t *Table) PageWhereInfo(preds []Pred, offset, limit int) ([]Tuple, int, PlanInfo) {
-	if len(preds) == 0 {
-		return t.be.Page(offset, limit), t.be.Len(), PlanInfo{Plan: "unfiltered"}
-	}
 	m := compilePreds(t.schema, preds)
 	if m.impossible {
 		return nil, 0, PlanInfo{Plan: "impossible"}
 	}
 	if ci, cp, ok := t.choosePlan(m); ok {
-		if offset < 0 {
-			offset = 0
-		}
+		w := newWindow(offset, limit)
 		var out []Tuple
-		total := 0
 		for _, pos := range ci.postings[hashKey(cp.want)] {
 			tp := t.be.Get(pos)
 			if !m.match(tp) {
 				continue
 			}
-			if total >= offset && (limit <= 0 || len(out) < limit) {
+			if w.admit() {
 				out = append(out, tp.Clone())
 			}
-			total++
 		}
-		return out, total, PlanInfo{Plan: "index"}
+		return out, w.seen, PlanInfo{Plan: "index"}
 	}
-	before := t.be.Stats().PagesSkipped
-	out, total := t.be.PageWhere(preds, offset, limit)
-	return out, total, PlanInfo{Plan: "scan", PagesSkipped: t.be.Stats().PagesSkipped - before}
+	out, total, pruned := t.be.Page(m, offset, limit)
+	plan := "scan"
+	if len(m.preds) == 0 {
+		plan = "unfiltered"
+	}
+	return out, total, PlanInfo{Plan: plan, PagesSkipped: int64(pruned)}
 }

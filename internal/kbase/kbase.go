@@ -1,10 +1,16 @@
-// Package kbase is a small in-memory relational engine playing the
-// role PostgreSQL plays in the paper's implementation: it stores the
-// target knowledge base (the relations Fonduer populates) plus the
+// Package kbase is a small relational engine playing the role
+// PostgreSQL plays in the paper's implementation: it stores the target
+// knowledge base (the relations Fonduer populates) plus the
 // intermediate Candidates/Features/Labels relations, with schemas,
 // typed columns, uniqueness constraints, predicates, and set
 // operations used by the evaluation (coverage and accuracy against an
 // existing knowledge base).
+//
+// A Table layers the relational semantics over one Backend. There are
+// two: a plain slice (engine kind "memory" — the served KB always uses
+// it) and one paged engine, pagedBackend{codec, store}, whose two kinds
+// hold a session store's relations: "disk" is TSV pages in files,
+// "columnar" binary column pages on the heap.
 package kbase
 
 import (
@@ -138,11 +144,11 @@ func (tp Tuple) Clone() Tuple {
 // Table stores the tuples of one relation with set semantics over the
 // full tuple (inserting a duplicate is a no-op, as relation mentions
 // are de-duplicated when populating the KB). Row storage is delegated
-// to a pluggable Backend — in-memory or disk-paged — while the Table
-// keeps the relational semantics: schema/type checking, tuple
+// to a pluggable Backend — a slice or the paged engine — while the
+// Table keeps the relational semantics: schema/type checking, tuple
 // normalization, and the dedup index (a compact hash -> positions map,
 // ~16 bytes per row, so set semantics cost bounded memory even when
-// the rows themselves live on disk; hash collisions are verified
+// the rows themselves live in pages; hash collisions are verified
 // against the stored row).
 type Table struct {
 	schema Schema
@@ -177,7 +183,7 @@ func (t *Table) BackendStats() BackendStats {
 	return bs
 }
 
-// Close releases the table's backend resources (disk pages). The
+// Close releases the table's backend resources (page files). The
 // table is unusable afterwards.
 func (t *Table) Close() error {
 	t.index = nil
@@ -256,7 +262,7 @@ func (t *Table) lookup(k string) int {
 func (t *Table) rebuildIndex() {
 	t.index = make(map[uint64][]int, t.be.Len())
 	pos := 0
-	t.be.Scan(func(tp Tuple) bool {
+	t.be.Scan(matcher{}, func(tp Tuple) bool {
 		h := hashKey(t.key(tp))
 		t.index[h] = append(t.index[h], pos)
 		pos++
@@ -333,7 +339,7 @@ func (t *Table) DeleteWhere(pred func(Tuple) bool) int {
 // it). Scan is the one deliberately zero-copy read path; Select,
 // Tuples and Page return detached clones.
 func (t *Table) Scan(fn func(Tuple) bool) {
-	t.be.Scan(fn)
+	t.be.Scan(matcher{}, fn)
 }
 
 // Select returns clones of the tuples satisfying the predicate. The
@@ -342,7 +348,7 @@ func (t *Table) Scan(fn func(Tuple) bool) {
 // freely while the table keeps mutating.
 func (t *Table) Select(pred func(Tuple) bool) []Tuple {
 	var out []Tuple
-	t.be.Scan(func(tp Tuple) bool {
+	t.be.Scan(matcher{}, func(tp Tuple) bool {
 		if pred(tp) {
 			out = append(out, tp.Clone())
 		}
@@ -356,7 +362,7 @@ func (t *Table) Select(pred func(Tuple) bool) []Tuple {
 // storage.
 func (t *Table) Tuples() []Tuple {
 	out := make([]Tuple, 0, t.be.Len())
-	t.be.Scan(func(tp Tuple) bool {
+	t.be.Scan(matcher{}, func(tp Tuple) bool {
 		out = append(out, tp.Clone())
 		return true
 	})
@@ -368,7 +374,8 @@ func (t *Table) Tuples() []Tuple {
 // negative or zero limit means "to the end"; offsets past the end
 // return nil.
 func (t *Table) Page(offset, limit int) []Tuple {
-	return t.be.Page(offset, limit)
+	rows, _, _ := t.be.Page(matcher{}, offset, limit)
+	return rows
 }
 
 // DB is a collection of named tables — the knowledge base. Tables are
@@ -427,14 +434,15 @@ func (db *DB) Close() error {
 // DBStats aggregates the paging and query-plan counters of every
 // table's backend.
 type DBStats struct {
-	// Backend is the engine kind ("memory" or "disk").
+	// Backend is the engine kind (one of BackendKinds).
 	Backend string
-	// Pages counts full row pages on disk across all tables.
+	// Pages counts sealed pages across all tables (0 on the memory
+	// engine).
 	Pages int
-	// CacheHits / CacheMisses sum the tables' page-cache lookups.
+	// CacheHits / CacheMisses sum the tables' decoded-page cache
+	// lookups.
 	CacheHits, CacheMisses int64
-	// PagesSkipped sums disk pages pruned by zone maps on filtered
-	// reads.
+	// PagesSkipped sums pages pruned by zone maps on filtered reads.
 	PagesSkipped int64
 	// IndexHits / FullScans sum the tables' filtered-read plan
 	// choices: answered through a hash index vs scanned.

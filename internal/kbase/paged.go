@@ -1,0 +1,624 @@
+package kbase
+
+import (
+	"container/list"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// Default page geometry of the paged engines: rows per page and cached
+// decoded pages per table. A table's decoded footprint is bounded by
+// cachePages*pageRows rows plus one partial tail page, independent of
+// table size.
+const (
+	defaultPageRows   = 128
+	defaultCachePages = 16
+)
+
+// pageCodec turns the rows of one sealed page into bytes and back —
+// the first of the two seams that make a paged engine kind. The TSV
+// codec (persist.go) stores WriteTSV's row encoding, so its writeTSV is
+// a verbatim copy; the binary codec (columnar_codec.go) stores column
+// vectors and additionally implements columnReader.
+type pageCodec interface {
+	encode(schema Schema, rows []Tuple) ([]byte, error)
+	decode(schema Schema, page []byte) ([]Tuple, error)
+	// writeTSV writes the page's rows in the WriteTSV row encoding.
+	writeTSV(w io.Writer, schema Schema, page []byte) error
+}
+
+// columnReader is the capability a column-major codec adds: a filtered
+// read parses the page header, evaluates the predicates against their
+// own columns only (colPage.match) and materializes the other columns
+// only at the positions the window keeps (colPage.rows). A backend
+// whose codec has it sends filtered reads around the decoded-page LRU;
+// without it they decode whole pages through the LRU.
+type columnReader interface {
+	parse(schema Schema, page []byte) (colPage, error)
+}
+
+// pageStore holds sealed pages as opaque bytes — the second seam: one
+// implementation keeps them in files, one on the heap, and a test
+// substitutes one that fails. The backend calls a store only while
+// holding its own mutex, puts pages 0, 1, 2… in order, and never
+// rewrites a page it has put.
+type pageStore interface {
+	put(p int, page []byte) error
+	get(p int) ([]byte, error)
+	// fresh returns an empty store of the same kind for a DeleteWhere
+	// rewrite to fill. The rewrite ends by closing it (nothing was
+	// deleted) or by handing it to adopt.
+	fresh() (pageStore, error)
+	// adopt replaces the receiver's pages with those of a store its
+	// fresh returned, which must not be used afterwards.
+	adopt(next pageStore) error
+	// close discards every page.
+	close() error
+}
+
+// fileStore keeps each page in its own file of one directory. The
+// directory is a paging area, not a persistence format — durable
+// snapshots remain SaveDB's TSV directories — so the files carry no
+// crash-consistency machinery.
+type fileStore struct{ dir string }
+
+func (s *fileStore) path(p int) string { return filepath.Join(s.dir, fmt.Sprintf("p%08d.page", p)) }
+
+func (s *fileStore) put(p int, page []byte) error { return os.WriteFile(s.path(p), page, 0o644) }
+
+func (s *fileStore) get(p int) ([]byte, error) { return os.ReadFile(s.path(p)) }
+
+func (s *fileStore) fresh() (pageStore, error) {
+	next := &fileStore{dir: s.dir + ".rewrite"}
+	return next, os.MkdirAll(next.dir, 0o755)
+}
+
+func (s *fileStore) adopt(next pageStore) error {
+	if err := os.RemoveAll(s.dir); err != nil {
+		return err
+	}
+	return os.Rename(next.(*fileStore).dir, s.dir)
+}
+
+func (s *fileStore) close() error { return os.RemoveAll(s.dir) }
+
+// heapStore keeps pages in memory. A page handed out by get stays valid
+// after adopt or close: pages are immutable and merely unreferenced.
+type heapStore struct{ pages [][]byte }
+
+func (s *heapStore) put(p int, page []byte) error {
+	if p != len(s.pages) {
+		return fmt.Errorf("page %d put out of order (have %d)", p, len(s.pages))
+	}
+	s.pages = append(s.pages, page)
+	return nil
+}
+
+func (s *heapStore) get(p int) ([]byte, error) {
+	if p < 0 || p >= len(s.pages) {
+		return nil, fmt.Errorf("no page %d (have %d)", p, len(s.pages))
+	}
+	return s.pages[p], nil
+}
+
+func (s *heapStore) fresh() (pageStore, error) { return &heapStore{}, nil }
+
+func (s *heapStore) adopt(next pageStore) error {
+	s.pages = next.(*heapStore).pages
+	return nil
+}
+
+func (s *heapStore) close() error {
+	s.pages = nil
+	return nil
+}
+
+// DiskEngine creates "disk" backends: the TSV codec over a file store,
+// one subdirectory of the spill directory per table. A table's resident
+// footprint is the decoded-page cache plus its tail, whatever its size.
+type DiskEngine struct {
+	dir        string
+	pageRows   int
+	cachePages int
+	owned      bool // engine created dir and removes it on Close
+
+	mu  sync.Mutex
+	seq int // per-table subdirectory counter
+}
+
+// NewDiskEngine creates a disk engine spilling under dir (a fresh
+// os.MkdirTemp directory when dir is empty, removed on Close).
+// pageRows and cachePages override the default page geometry when
+// positive.
+func NewDiskEngine(dir string, pageRows, cachePages int) (*DiskEngine, error) {
+	owned := false
+	if dir == "" {
+		var err error
+		dir, err = os.MkdirTemp("", "kbase-spill-")
+		if err != nil {
+			return nil, fmt.Errorf("kbase: creating spill directory: %w", err)
+		}
+		owned = true
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	pageRows, cachePages = pageGeometry(pageRows, cachePages)
+	return &DiskEngine{dir: dir, pageRows: pageRows, cachePages: cachePages, owned: owned}, nil
+}
+
+// pageGeometry substitutes the defaults for non-positive values.
+func pageGeometry(pageRows, cachePages int) (int, int) {
+	if pageRows <= 0 {
+		pageRows = defaultPageRows
+	}
+	if cachePages <= 0 {
+		cachePages = defaultCachePages
+	}
+	return pageRows, cachePages
+}
+
+// Kind returns "disk".
+func (e *DiskEngine) Kind() string { return "disk" }
+
+// NewBackend creates an empty disk backend for one table, in its own
+// subdirectory of the spill.
+func (e *DiskEngine) NewBackend(schema Schema) (Backend, error) {
+	e.mu.Lock()
+	e.seq++
+	name := fmt.Sprintf("t%04d", e.seq)
+	e.mu.Unlock()
+	if safeTableFile(schema.Name) {
+		name += "-" + schema.Name
+	}
+	dir := filepath.Join(e.dir, name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	b := newPagedBackend("disk", schema, tsvCodec{}, &fileStore{dir: dir}, e.pageRows, e.cachePages)
+	// GC backstop for sessions dropped without Close: the backend is
+	// reachable from the stack during every operation on it, so the
+	// finalizer can only fire once no reader or writer can ever touch
+	// the page files again. (A finalizer higher up — on the table, DB
+	// or store — would be unsafe: those can become unreachable while a
+	// method still scans this backend.) Explicit Close remains the
+	// deterministic cleanup path.
+	runtime.SetFinalizer(b, func(fb *pagedBackend) { fb.Close() })
+	return b, nil
+}
+
+// Close removes the spill directory when the engine created it.
+func (e *DiskEngine) Close() error {
+	if e.owned {
+		return os.RemoveAll(e.dir)
+	}
+	return nil
+}
+
+// ColumnarEngine creates "columnar" backends: the binary column codec
+// over a heap store. Pages are compact column-major blobs instead of
+// row-major []Tuple storage, and filtered reads decode predicate
+// columns only (see columnReader); durable snapshots remain SaveDB's
+// TSV, re-rendered from the bit-exact stored values.
+type ColumnarEngine struct {
+	pageRows   int
+	cachePages int
+}
+
+// NewColumnarEngine creates a columnar engine. pageRows and cachePages
+// override the default page geometry when positive; cachePages bounds
+// the per-table LRU of fully decoded pages behind Get and unfiltered
+// reads.
+func NewColumnarEngine(pageRows, cachePages int) *ColumnarEngine {
+	pageRows, cachePages = pageGeometry(pageRows, cachePages)
+	return &ColumnarEngine{pageRows: pageRows, cachePages: cachePages}
+}
+
+// Kind returns "columnar".
+func (e *ColumnarEngine) Kind() string { return "columnar" }
+
+// NewBackend creates an empty columnar backend for one table.
+func (e *ColumnarEngine) NewBackend(schema Schema) (Backend, error) {
+	return newPagedBackend("columnar", schema, binaryCodec{}, &heapStore{}, e.pageRows, e.cachePages), nil
+}
+
+// Close is a no-op: columnar pages live on the heap.
+func (e *ColumnarEngine) Close() error { return nil }
+
+// ColumnarStats is the columnar backend's decode accounting, exposed
+// for the in-page-pruning tests and benchmarks: it proves filtered
+// reads touch only predicate columns plus the materialized window.
+type ColumnarStats struct {
+	// Pages counts full encoded pages.
+	Pages int
+	// PagesSkipped counts pages pruned by zone maps on filtered reads —
+	// never parsed or decoded.
+	PagesSkipped int64
+	// CellsDecoded counts, per schema column, cells examined by
+	// predicate evaluation plus cells materialized into tuples (by
+	// lazy window materialization or full-page loads). A column that
+	// is neither filtered on nor selected stays at its floor.
+	CellsDecoded []int64
+}
+
+// ColumnarStats returns the table's columnar decode accounting, and
+// false when the table is not columnar-backed.
+func (t *Table) ColumnarStats() (ColumnarStats, bool) {
+	b, ok := t.be.(*pagedBackend)
+	if !ok || b.cols == nil {
+		return ColumnarStats{}, false
+	}
+	cs := ColumnarStats{
+		Pages:        b.Stats().Pages,
+		PagesSkipped: b.skipped.Load(),
+		CellsDecoded: make([]int64, len(b.decoded)),
+	}
+	for c := range b.decoded {
+		cs.CellsDecoded[c] = b.decoded[c].Load()
+	}
+	return cs, true
+}
+
+// pagedBackend is the one paged storage engine: a table's rows as
+// sealed fixed-size pages in a pageStore, encoded by a pageCodec, plus
+// an in-memory tail (the rows beyond the last full page) that is sealed
+// when it fills. Each sealed page has an in-memory zone map (zonemap.go)
+// and reads of whole pages go through a small LRU of decoded pages.
+//
+//	Append ─► tail ──(pageRows rows)──► codec.encode ─► store.put
+//	                                     └► buildPageZone ─► zones
+//	Get, unfiltered reads ─► LRU ─(miss)─► store.get ─► codec.decode
+//	filtered reads ─► zones prune ─► LRU, or columnReader around it
+//
+// Locking: mu guards the geometry, the tail, the LRU and every call
+// into the store. Reads snapshot (pages, tail, zones) and then take mu
+// page by page, so row callbacks run unlocked and may re-enter the
+// table's read paths (Contains during Compare). That is sound because
+// sealed pages, zone-map elements and tail elements below the snapshot
+// length never change; an Append may run beside any number of reads.
+// DeleteWhere renumbers pages, so it must not run beside a read — the
+// single-writer store sessions that own paged tables never do that.
+//
+// A page the store cannot return, or bytes the codec cannot decode,
+// panic with the table and page: the pages are process-private
+// transient state this backend wrote itself, and losing one mid-session
+// is unrecoverable in the way losing heap would be. Append and Snapshot
+// return their errors.
+type pagedBackend struct {
+	kind       string
+	schema     Schema
+	codec      pageCodec
+	cols       columnReader // codec's column capability, nil without
+	pageRows   int
+	cachePages int
+
+	mu    sync.Mutex
+	store pageStore
+	n     int        // total rows
+	pages int        // sealed pages
+	tail  []Tuple    // rows past the last sealed page
+	zones []pageZone // one per sealed page, immutable once appended
+
+	cached map[int]*list.Element // page -> lru element
+	lru    *list.List            // of *cachedPage, front = most recent
+	hits   int64
+	misses int64
+
+	// skipped counts zone-pruned pages and decoded the cells decoded
+	// per column (ColumnarStats.CellsDecoded); both atomic because
+	// filtered reads update them without holding mu.
+	skipped atomic.Int64
+	decoded []atomic.Int64
+}
+
+// cachedPage is one decoded page in the LRU.
+type cachedPage struct {
+	page int
+	rows []Tuple
+}
+
+func newPagedBackend(kind string, schema Schema, codec pageCodec, store pageStore, pageRows, cachePages int) *pagedBackend {
+	cols, _ := codec.(columnReader)
+	return &pagedBackend{
+		kind: kind, schema: schema, codec: codec, cols: cols, store: store,
+		pageRows: pageRows, cachePages: cachePages,
+		cached: map[int]*list.Element{}, lru: list.New(),
+		decoded: make([]atomic.Int64, schema.Arity()),
+	}
+}
+
+func (b *pagedBackend) Kind() string { return b.kind }
+
+func (b *pagedBackend) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.n
+}
+
+// lost reports a sealed page that cannot be read back.
+func (b *pagedBackend) lost(p int, err error) {
+	panic(fmt.Sprintf("kbase: %s backend for %s lost page %d: %v", b.kind, b.schema.Name, p, err))
+}
+
+// countDecoded charges cells decoded cells to column col.
+func (b *pagedBackend) countDecoded(col, cells int) {
+	b.decoded[col].Add(int64(cells))
+}
+
+// fetch returns page p's bytes.
+func (b *pagedBackend) fetch(p int) ([]byte, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.store.get(p)
+}
+
+// decodePage reads and fully decodes page p, bypassing the LRU. Caller
+// holds mu.
+func (b *pagedBackend) decodePage(p int) []Tuple {
+	page, err := b.store.get(p)
+	if err != nil {
+		b.lost(p, err)
+	}
+	rows, err := b.codec.decode(b.schema, page)
+	if err != nil {
+		b.lost(p, err)
+	}
+	for c := range b.decoded {
+		b.countDecoded(c, len(rows))
+	}
+	return rows
+}
+
+// load returns page p's decoded rows through the LRU. Caller holds mu.
+func (b *pagedBackend) load(p int) []Tuple {
+	if el, ok := b.cached[p]; ok {
+		b.hits++
+		b.lru.MoveToFront(el)
+		return el.Value.(*cachedPage).rows
+	}
+	b.misses++
+	rows := b.decodePage(p)
+	b.cached[p] = b.lru.PushFront(&cachedPage{page: p, rows: rows})
+	for b.lru.Len() > b.cachePages {
+		old := b.lru.Back()
+		b.lru.Remove(old)
+		delete(b.cached, old.Value.(*cachedPage).page)
+	}
+	return rows
+}
+
+// invalidate drops the decoded-page cache. Caller holds mu.
+func (b *pagedBackend) invalidate() {
+	b.cached = map[int]*list.Element{}
+	b.lru.Init()
+}
+
+func (b *pagedBackend) Append(tp Tuple) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.tail = append(b.tail, tp)
+	b.n++
+	if len(b.tail) < b.pageRows {
+		return nil
+	}
+	page, err := b.codec.encode(b.schema, b.tail)
+	if err == nil {
+		err = b.store.put(b.pages, page)
+	}
+	if err != nil {
+		// Take the row back out, so the table is as it was before the
+		// call and the next Append retries the flush.
+		b.tail = b.tail[:len(b.tail)-1]
+		b.n--
+		return fmt.Errorf("kbase: flushing page %d for %s: %w", b.pages, b.schema.Name, err)
+	}
+	b.zones = append(b.zones, buildPageZone(b.schema, b.tail))
+	b.pages++
+	b.tail = nil // readers may still hold the sealed slice
+	return nil
+}
+
+func (b *pagedBackend) Get(i int) Tuple {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if i < 0 || i >= b.n {
+		panic(fmt.Sprintf("kbase: %s backend for %s: row %d out of range [0,%d)", b.kind, b.schema.Name, i, b.n))
+	}
+	if sealed := b.pages * b.pageRows; i >= sealed {
+		return b.tail[i-sealed]
+	}
+	return b.load(i / b.pageRows)[i%b.pageRows]
+}
+
+// read is the one page walk behind both read methods. It numbers the
+// rows matching m in insertion order, calls emit for those the window
+// admits until emit returns false, and returns the match count (exact
+// unless emit stopped the walk) and the number of pages the zone maps
+// ruled out — pages never fetched, decoded or admitted to the LRU.
+// detached tells emit the tuple is its own, not the cache's or tail's.
+func (b *pagedBackend) read(m matcher, w window, emit func(tp Tuple, detached bool) bool) (total, pruned int) {
+	b.mu.Lock()
+	n, pages, tail, zones := b.n, b.pages, b.tail, b.zones
+	b.mu.Unlock()
+	filtered := len(m.preds) > 0
+	first := 0
+	if !filtered {
+		// Every row matches, so match k is row k: start at the page
+		// holding the window's first row.
+		first = min(w.offset/b.pageRows, pages)
+		w.seen = first * b.pageRows
+	}
+	emitRows := func(rows []Tuple) bool {
+		if !filtered {
+			// Every row matches: the window slices the run directly.
+			lo, hi := w.take(len(rows))
+			rows = rows[lo:hi]
+		}
+		for _, tp := range rows {
+			if filtered && !(m.match(tp) && w.admit()) {
+				continue
+			}
+			if !emit(tp, false) {
+				return false
+			}
+		}
+		return true
+	}
+	for p := first; p < pages; p++ {
+		switch {
+		case !filtered && w.full():
+			return n, 0 // nothing left to emit, and the count is known
+		case filtered && !zones[p].mayMatch(m):
+			pruned++
+			b.skipped.Add(1)
+		case filtered && b.cols != nil:
+			page, err := b.fetch(p)
+			if err != nil {
+				b.lost(p, err)
+			}
+			detached, err := b.columnRows(page, m, &w)
+			if err != nil {
+				b.lost(p, err)
+			}
+			for _, tp := range detached {
+				if !emit(tp, true) {
+					return w.seen, pruned
+				}
+			}
+		default:
+			b.mu.Lock()
+			cached := b.load(p)
+			b.mu.Unlock()
+			if !emitRows(cached) {
+				return w.seen, pruned
+			}
+		}
+	}
+	emitRows(tail)
+	return w.seen, pruned
+}
+
+// columnRows answers one page of a filtered read through the codec's
+// column capability: match on the predicate columns, then materialize
+// only the matches the window admits.
+func (b *pagedBackend) columnRows(page []byte, m matcher, w *window) ([]Tuple, error) {
+	pg, err := b.cols.parse(b.schema, page)
+	if err != nil {
+		return nil, err
+	}
+	sel, err := pg.match(m, b.countDecoded)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := w.take(len(sel))
+	if lo == hi {
+		return nil, nil
+	}
+	return pg.rows(sel[lo:hi], b.countDecoded)
+}
+
+func (b *pagedBackend) Scan(m matcher, fn func(Tuple) bool) {
+	b.read(m, window{}, func(tp Tuple, _ bool) bool { return fn(tp) })
+}
+
+func (b *pagedBackend) Page(m matcher, offset, limit int) ([]Tuple, int, int) {
+	var out []Tuple
+	total, pruned := b.read(m, newWindow(offset, limit), func(tp Tuple, detached bool) bool {
+		if !detached {
+			tp = tp.Clone()
+		}
+		out = append(out, tp)
+		return true
+	})
+	return out, total, pruned
+}
+
+func (b *pagedBackend) DeleteWhere(pred func(Tuple) bool) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	// Stream the survivors into a fresh page sequence, one page buffer
+	// in memory at a time, then swap: the delete never materializes the
+	// table. Pages are decoded bypassing the LRU, which the swap empties.
+	rewrite := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("kbase: %s backend for %s: delete rewrite: %v", b.kind, b.schema.Name, err))
+		}
+	}
+	next, err := b.store.fresh()
+	rewrite(err)
+	kept := make([]Tuple, 0, b.pageRows)
+	var zones []pageZone
+	keptN, deleted := 0, 0
+	consider := func(tp Tuple) {
+		if pred(tp) {
+			deleted++
+			return
+		}
+		kept = append(kept, tp)
+		keptN++
+		if len(kept) < b.pageRows {
+			return
+		}
+		page, err := b.codec.encode(b.schema, kept)
+		rewrite(err)
+		rewrite(next.put(len(zones), page))
+		zones = append(zones, buildPageZone(b.schema, kept))
+		kept = kept[:0]
+	}
+	for p := 0; p < b.pages; p++ {
+		for _, tp := range b.decodePage(p) {
+			consider(tp)
+		}
+	}
+	for _, tp := range b.tail {
+		consider(tp)
+	}
+	if deleted == 0 {
+		_ = next.close() // a leftover empty rewrite area is overwritten by the next one
+		return 0
+	}
+	rewrite(b.store.adopt(next))
+	b.n, b.pages, b.zones = keptN, len(zones), zones
+	b.tail = append([]Tuple(nil), kept...)
+	b.invalidate()
+	return deleted
+}
+
+func (b *pagedBackend) Snapshot(w io.Writer) error {
+	b.mu.Lock()
+	pages, tail := b.pages, b.tail
+	b.mu.Unlock()
+	for p := 0; p < pages; p++ {
+		page, err := b.fetch(p)
+		if err == nil {
+			err = b.codec.writeTSV(w, b.schema, page)
+		}
+		if err != nil {
+			return fmt.Errorf("kbase: %s backend for %s: snapshot page %d: %w", b.kind, b.schema.Name, p, err)
+		}
+	}
+	return writeRowsTSV(w, tail)
+}
+
+func (b *pagedBackend) Stats() BackendStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return BackendStats{
+		Pages:        b.pages,
+		CacheHits:    b.hits,
+		CacheMisses:  b.misses,
+		PagesSkipped: b.skipped.Load(),
+	}
+}
+
+func (b *pagedBackend) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.invalidate()
+	b.n, b.pages, b.tail, b.zones = 0, 0, nil, nil
+	return b.store.close()
+}

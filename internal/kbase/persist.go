@@ -2,6 +2,7 @@ package kbase
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -94,9 +95,9 @@ func splitTSV(line string) ([]string, error) {
 }
 
 // encodeTupleTSV renders one tuple as an escaped TSV line (no
-// trailing newline) — the row encoding shared by WriteTSV and the
-// disk backend's page files, which is what makes a table's serialized
-// bytes identical across backends.
+// trailing newline) — the row encoding shared by WriteTSV and the TSV
+// page codec, which is what makes a table's serialized bytes identical
+// across backends.
 func encodeTupleTSV(tp Tuple) string {
 	parts := make([]string, len(tp))
 	for i, v := range tp {
@@ -133,12 +134,58 @@ func parseTupleFields(schema Schema, parts []string) (Tuple, error) {
 	return tp, nil
 }
 
+// writeRowsTSV writes rows as newline-terminated encodeTupleTSV lines:
+// the body of every snapshot and of every TSV-codec page.
+func writeRowsTSV(w io.Writer, rows []Tuple) error {
+	for _, tp := range rows {
+		if _, err := io.WriteString(w, encodeTupleTSV(tp)+"\n"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tsvCodec is the row-major page codec: a page is its rows in the
+// WriteTSV row encoding, so snapshotting one is a byte copy.
+type tsvCodec struct{}
+
+func (tsvCodec) encode(_ Schema, rows []Tuple) ([]byte, error) {
+	var buf bytes.Buffer
+	err := writeRowsTSV(&buf, rows)
+	return buf.Bytes(), err
+}
+
+func (tsvCodec) decode(schema Schema, page []byte) ([]Tuple, error) {
+	if len(page) == 0 {
+		return nil, nil
+	}
+	lines := strings.Split(strings.TrimSuffix(string(page), "\n"), "\n")
+	rows := make([]Tuple, 0, len(lines))
+	for _, line := range lines {
+		parts, err := splitTSV(line)
+		if err != nil {
+			return nil, err
+		}
+		tp, err := parseTupleFields(schema, parts)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, tp)
+	}
+	return rows, nil
+}
+
+func (tsvCodec) writeTSV(w io.Writer, _ Schema, page []byte) error {
+	_, err := w.Write(page)
+	return err
+}
+
 // WriteTSV serializes the table as tab-separated values with a header
 // line of "name:type" column specs, so a table round-trips through
 // ReadTSV with its schema intact. String values are escaped, so tabs
 // and newlines inside values survive the round trip. The row bytes
-// come from the backend's Snapshot, which for the disk-paged backend
-// is a straight copy of its page files.
+// come from the backend's Snapshot, which for the TSV page codec is a
+// straight copy of its pages.
 func (t *Table) WriteTSV(w io.Writer) error {
 	specs := make([]string, len(t.schema.Columns))
 	for i, c := range t.schema.Columns {
@@ -276,26 +323,6 @@ func SaveDB(db *DB, dir string) error {
 		}
 		if err := f.Close(); err != nil {
 			return err
-		}
-		// Disk-backed tables also drop a derived "<table>.zm" sidecar
-		// with their page zone maps. It is pure metadata: MANIFEST does
-		// not list it, LoadDB never reads it (restores rebuild zones by
-		// re-inserting rows), and snapshot byte-equality across backends
-		// is defined over the MANIFEST'd .tsv files only.
-		if be, ok := db.Table(name).be.(*diskBackend); ok {
-			if zones := be.pageZones(); len(zones) > 0 {
-				zf, err := os.Create(filepath.Join(tmp, name+".zm"))
-				if err != nil {
-					return err
-				}
-				if err := writeTableZones(zf, zones); err != nil {
-					zf.Close()
-					return err
-				}
-				if err := zf.Close(); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	if err := os.WriteFile(filepath.Join(tmp, manifestName), []byte(strings.Join(names, "\n")+"\n"), 0o644); err != nil {

@@ -3,10 +3,8 @@ package kbase
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -350,87 +348,6 @@ func TestIndexLifecycle(t *testing.T) {
 		}
 		if st := big.BackendStats(); st.IndexHits != 0 || st.FullScans != 3 {
 			t.Fatalf("capped table: hits=%d scans=%d", st.IndexHits, st.FullScans)
-		}
-	})
-}
-
-// TestZoneSidecarConsistency checks the persisted .zm sidecars match
-// the in-memory zone maps through appends and DeleteWhere rewrites.
-func TestZoneSidecarConsistency(t *testing.T) {
-	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	tbl := newBackedTable(t, engine, whereSchema(t))
-	fillWidgets(t, tbl, 26) // 6 pages + 2-row tail
-
-	check := func(stage string) {
-		be := tbl.be.(*diskBackend)
-		zones := be.pageZones()
-		if len(zones) != be.Stats().Pages {
-			t.Fatalf("%s: %d zones for %d pages", stage, len(zones), be.Stats().Pages)
-		}
-		for p, want := range zones {
-			got, err := readZoneFile(be.zonePath(p))
-			if err != nil {
-				t.Fatalf("%s: page %d sidecar: %v", stage, p, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: page %d sidecar %v != memory %v", stage, p, got, want)
-			}
-		}
-		// No orphan sidecars past the live page range.
-		entries, err := os.ReadDir(be.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zm := 0
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".zm") {
-				zm++
-			}
-		}
-		if zm != len(zones) {
-			t.Fatalf("%s: %d .zm files for %d pages", stage, zm, len(zones))
-		}
-	}
-	check("fill")
-	if n := tbl.DeleteWhere(func(tp Tuple) bool { return tp[2].(int64)%2 == 0 }); n != 13 {
-		t.Fatalf("DeleteWhere removed %d", n)
-	}
-	check("post-delete")
-}
-
-// TestSaveDBWritesZoneSidecar checks disk-backed snapshots carry the
-// derived <table>.zm sidecar, memory snapshots don't, and LoadDB
-// ignores it either way.
-func TestSaveDBWritesZoneSidecar(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		db := NewDBWith(engine)
-		tbl, err := db.Create(whereSchema(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillWidgets(t, tbl, 20)
-		snap := filepath.Join(t.TempDir(), "snap")
-		if err := SaveDB(db, snap); err != nil {
-			t.Fatal(err)
-		}
-		_, statErr := os.Stat(filepath.Join(snap, "widgets.zm"))
-		if engine.Kind() == "disk" && statErr != nil {
-			t.Fatalf("disk snapshot missing widgets.zm: %v", statErr)
-		}
-		if engine.Kind() == "memory" && statErr == nil {
-			t.Fatal("memory snapshot grew a widgets.zm sidecar")
-		}
-		restored, err := LoadDB(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer restored.Close()
-		if got := restored.Table("widgets").Len(); got != 20 {
-			t.Fatalf("restored %d rows", got)
 		}
 	})
 }

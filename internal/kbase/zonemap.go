@@ -1,19 +1,13 @@
 package kbase
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"os"
-	"strings"
-)
-
-// Zone maps summarize one disk page's rendered column values so a
+// Zone maps summarize one sealed page's rendered column values so a
 // filtered read can prove "no row on this page matches" without
-// reading, decoding, or caching the page. Per page and column they
-// hold a lexicographic min/max over the rendered values plus — when
-// the page has few enough distinct values — the complete distinct
-// set, which turns the conservative range check into an exact one.
+// fetching, decoding, or caching the page. They live in memory only,
+// built when a page is sealed and rebuilt by DeleteWhere rewrites. Per
+// page and column they hold a lexicographic min/max over the rendered
+// values plus — when the page has few enough distinct values — the
+// complete distinct set, which turns the conservative range check into
+// an exact one.
 //
 // All bounds are over *rendered* values (renderCell), the same domain
 // predicates compare in, so the pruning is sound for every column
@@ -134,96 +128,4 @@ func (pz pageZone) mayMatch(m matcher) bool {
 		}
 	}
 	return true
-}
-
-// encodeZoneLine encodes one column zone as an escaped-TSV line:
-// maxOK, overflow flags, min, max, then the distinct values.
-func encodeZoneLine(z colZone) string {
-	flag := func(b bool) string {
-		if b {
-			return "1"
-		}
-		return "0"
-	}
-	fields := []string{flag(z.maxOK), flag(z.overflow), escapeTSV(z.min), escapeTSV(z.max)}
-	for _, d := range z.distinct {
-		fields = append(fields, escapeTSV(d))
-	}
-	return strings.Join(fields, "\t")
-}
-
-// decodeZoneLine parses one encodeZoneLine line.
-func decodeZoneLine(line string) (colZone, error) {
-	parts, err := splitTSV(line)
-	if err != nil {
-		return colZone{}, err
-	}
-	if len(parts) < 4 {
-		return colZone{}, fmt.Errorf("kbase: zone line has %d fields, want >= 4", len(parts))
-	}
-	z := colZone{maxOK: parts[0] == "1", overflow: parts[1] == "1", min: parts[2], max: parts[3]}
-	if rest := parts[4:]; len(rest) > 0 {
-		z.distinct = append([]string(nil), rest...)
-	}
-	return z, nil
-}
-
-// writeZoneFile persists one page's zones as a sidecar next to the
-// page file: one encodeZoneLine per column.
-func writeZoneFile(path string, pz pageZone) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, z := range pz {
-		if _, err := w.WriteString(encodeZoneLine(z) + "\n"); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readZoneFile parses a writeZoneFile sidecar.
-func readZoneFile(path string) (pageZone, error) {
-	body, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var pz pageZone
-	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
-		if line == "" {
-			continue
-		}
-		z, err := decodeZoneLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("kbase: zone sidecar %s: %w", path, err)
-		}
-		pz = append(pz, z)
-	}
-	return pz, nil
-}
-
-// writeTableZones serializes a whole table's page zones — the derived
-// `<table>.zm` sidecar SaveDB drops next to disk-backed tables'
-// snapshots. The format is self-describing and ignored by LoadDB
-// (restores rebuild zones by re-inserting rows): a `#page N` header
-// per page followed by its column lines.
-func writeTableZones(w io.Writer, zones []pageZone) error {
-	for p, pz := range zones {
-		if _, err := fmt.Fprintf(w, "#page %d\n", p); err != nil {
-			return err
-		}
-		for _, z := range pz {
-			if _, err := io.WriteString(w, encodeZoneLine(z)+"\n"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
