@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/features"
 	"repro/internal/kbase"
+	"repro/internal/labeling"
 	"repro/internal/model"
 	"repro/internal/nlp"
 	"repro/internal/obs"
@@ -995,5 +996,141 @@ func BenchmarkServeMetricsOverhead(b *testing.B) {
 	if overhead > 5 {
 		b.Fatalf("instrumentation overhead %.2f%% exceeds the 5%% budget (plain %dns, instrumented %dns)",
 			overhead, plainNs, instrNs)
+	}
+}
+
+// The four benchmarks below are the layers of one ingest-to-publish
+// that are bookkeeping rather than extraction or classification: the
+// kbase insert path, the store's per-document mirror, the label-model
+// fit, and the delta view.
+
+// BenchmarkTableInsert is Table.InsertAll on each engine: one op builds
+// a fresh 20 000-row table shaped like the features relation (candidate
+// id, sequence number, feature name) in 500-row batches, then offers
+// every row again — the rejected-duplicate path.
+func BenchmarkTableInsert(b *testing.B) {
+	const nRows, batch = 20000, 500
+	schema, err := kbase.NewSchema("features", "cand:integer", "seq:integer", "name")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]kbase.Tuple, nRows)
+	for i := range rows {
+		rows[i] = kbase.Tuple{int64(i / 40), int64(i % 40), fmt.Sprintf("TAB_e1_HEAD_WORD_[collector-%d]", i%977)}
+	}
+	for _, kind := range kbase.BackendKinds() {
+		b.Run(kind, func(b *testing.B) {
+			perItem := startPerItem(b)
+			for i := 0; i < b.N; i++ {
+				engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), fmt.Sprint(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				db := kbase.NewDBWith(engine)
+				tbl, err := db.Create(schema)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for pass := 0; pass < 2; pass++ {
+					for lo := 0; lo < nRows; lo += batch {
+						if _, err := tbl.InsertAll(rows[lo : lo+batch]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				if tbl.Len() != nRows {
+					b.Fatalf("table holds %d rows, want %d", tbl.Len(), nRows)
+				}
+				db.Close()
+			}
+			perItem(b.N*2*nRows, "row")
+		})
+	}
+}
+
+// BenchmarkMirrorDoc is the store's per-document mirror (every relation
+// row of a new document into kbase). One op ingests the 24-document
+// corpus into a fresh store; ns/op and allocs/op are the whole
+// AddDocuments, and the mirror stage's own time — its span — is reported
+// per document.
+func BenchmarkMirrorDoc(b *testing.B) {
+	elec, batches := ingestCorpus()
+	task := elec.Tasks[0]
+	mirrorMs := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := core.NewStore(task, core.Options{})
+		for _, batch := range batches {
+			if err := st.AddDocuments(batch...); err != nil {
+				b.Fatal(err)
+			}
+			for _, sp := range st.TakeIngestSpans() {
+				if sp.Name == "mirror" {
+					mirrorMs += sp.DurationMs
+				}
+			}
+		}
+	}
+	b.ReportMetric(mirrorMs*1e3/float64(b.N*len(elec.Docs)), "mirror_us/doc")
+}
+
+// BenchmarkLabelFit is what a delta publish pays for supervision: the
+// label-model fit plus the marginals over the electronics vote matrix at
+// about 4 000 candidates (the corpus size the serve_ingest workload ends
+// at).
+func BenchmarkLabelFit(b *testing.B) {
+	elec := synth.Electronics(8, 48)
+	task := elec.Tasks[0]
+	ext := &candidates.Extractor{Args: task.Args, Scope: DocumentScope, Throttlers: task.Throttlers}
+	cands := ext.ExtractAll(elec.Docs)
+	for i, c := range cands {
+		c.ID = i
+	}
+	votes := labeling.ParallelVotes(task.LFs, cands, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	iters := 0
+	for i := 0; i < b.N; i++ {
+		m := labeling.MatrixFromVotes(votes, len(task.LFs))
+		gen := labeling.Fit(m, labeling.FitOptions{})
+		if got := gen.Marginals(m); len(got) != len(cands) {
+			b.Fatalf("%d marginals for %d candidates", len(got), len(cands))
+		}
+		iters = gen.Iterations
+	}
+	b.ReportMetric(float64(len(cands)), "candidates")
+	b.ReportMetric(float64(iters), "em_iterations")
+}
+
+// BenchmarkViewDelta is Store.ViewDelta for a two-document delta on a
+// 46-document session with a trained generation: everything a delta
+// publish does after AddDocuments.
+func BenchmarkViewDelta(b *testing.B) {
+	elec := synth.Electronics(8, 48)
+	task := elec.Tasks[0]
+	st := core.NewStore(task, core.Options{Seed: 1, Epochs: 1})
+	defer st.Close()
+	warm := len(elec.Docs) - 2
+	if err := st.AddDocuments(elec.Docs[:warm]...); err != nil {
+		b.Fatal(err)
+	}
+	prev, err := st.View(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.AddDocuments(elec.Docs[warm:]...); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := st.ViewDelta(prev, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v.NumDocs() != len(elec.Docs) {
+			b.Fatalf("delta view has %d docs, want %d", v.NumDocs(), len(elec.Docs))
+		}
 	}
 }

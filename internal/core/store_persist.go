@@ -425,71 +425,93 @@ func (s *Store) writeMeta() {
 }
 
 // mirrorDoc persists one newly ingested document's shard of every
-// relation — the delta-only write path of AddDocuments.
+// relation — the delta-only write path of AddDocuments. Each relation's
+// rows are collected and go in as one batch.
 func (s *Store) mirrorDoc(sd *storeDoc) error {
-	ins := func(table string, tp kbase.Tuple) error {
-		_, err := s.db.Table(table).Insert(tp)
-		return err
+	// ins appends rows to a relation and returns where they landed.
+	ins := func(table string, rows ...kbase.Tuple) (first, added int, err error) {
+		tbl := s.db.Table(table)
+		first = tbl.Len()
+		added, err = tbl.InsertAll(rows)
+		return first, added, err
 	}
 	name := sd.doc.Name
-	if err := ins(tblDocuments, kbase.Tuple{sd.pos, name, sd.doc.Format}); err != nil {
+	if _, _, err := ins(tblDocuments, kbase.Tuple{sd.pos, name, sd.doc.Format}); err != nil {
 		return err
 	}
-	sd.sentRowFirst = s.db.Table(tblSentences).Len()
-	for _, sent := range sd.doc.Sentences() {
+	sents := sd.doc.Sentences()
+	sentRows := make([]kbase.Tuple, 0, len(sents))
+	for _, sent := range sents {
 		tp, err := sentenceTuple(name, sent)
 		if err != nil {
 			return err
 		}
-		if err := ins(tblSentences, tp); err != nil {
-			return err
-		}
+		sentRows = append(sentRows, tp)
 	}
-	sd.sentRowCount = s.db.Table(tblSentences).Len() - sd.sentRowFirst
-	sd.candRowFirst = s.db.Table(tblCands).Len()
+	var err error
+	if sd.sentRowFirst, sd.sentRowCount, err = ins(tblSentences, sentRows...); err != nil {
+		return err
+	}
+
+	// The features relation is most of a document's rows (a couple of
+	// thousand): its tuples are cut from one cell buffer.
+	nFeat := 0
 	for _, c := range sd.cands {
+		nFeat += len(s.names[c.ID])
+	}
+	featRows := make([]kbase.Tuple, 0, nFeat)
+	featCells := make(kbase.Tuple, 0, 3*nFeat)
+	var candRows, labelRows []kbase.Tuple
+	for _, c := range sd.cands {
+		id := any(int64(c.ID)) // boxed once per candidate, shared by its rows
 		for a, m := range c.Mentions {
-			tp := kbase.Tuple{c.ID, a, m.TypeName, name, m.Span.Sentence.Position, m.Span.Start, m.Span.End}
-			if err := ins(tblCands, tp); err != nil {
-				return err
-			}
+			candRows = append(candRows, kbase.Tuple{id, a, m.TypeName, name, m.Span.Sentence.Position, m.Span.Start, m.Span.End})
 		}
 		for seq, fn := range s.names[c.ID] {
-			if err := ins(tblFeatures, kbase.Tuple{c.ID, seq, fn}); err != nil {
-				return err
-			}
+			featCells = append(featCells, id, seq, fn)
+			featRows = append(featRows, featCells[len(featCells)-3:])
 		}
 		for lf, v := range s.votes[c.ID] {
 			if v != 0 {
-				if err := ins(tblLabels, kbase.Tuple{c.ID, lf, int(v)}); err != nil {
-					return err
-				}
+				labelRows = append(labelRows, kbase.Tuple{id, lf, int(v)})
 			}
 		}
 	}
-	sd.candRowCount = s.db.Table(tblCands).Len() - sd.candRowFirst
+	if sd.candRowFirst, sd.candRowCount, err = ins(tblCands, candRows...); err != nil {
+		return err
+	}
+	if _, _, err := ins(tblFeatures, featRows...); err != nil {
+		return err
+	}
+	if _, _, err := ins(tblLabels, labelRows...); err != nil {
+		return err
+	}
 	feats := make([]string, 0, len(sd.counts))
 	for fn := range sd.counts {
 		feats = append(feats, fn)
 	}
 	sort.Strings(feats)
-	for _, fn := range feats {
-		if err := ins(tblCounts, kbase.Tuple{name, fn, sd.counts[fn]}); err != nil {
-			return err
-		}
+	countRows := make([]kbase.Tuple, len(feats))
+	for i, fn := range feats {
+		countRows[i] = kbase.Tuple{name, fn, sd.counts[fn]}
 	}
-	return ins(tblDocStats, kbase.Tuple{name, len(sd.cands), sd.stats.Hits, sd.stats.Misses})
+	if _, _, err := ins(tblCounts, countRows...); err != nil {
+		return err
+	}
+	_, _, err = ins(tblDocStats, kbase.Tuple{name, len(sd.cands), sd.stats.Hits, sd.stats.Misses})
+	return err
 }
 
 // mirrorColumn persists one Labels column's non-abstain votes.
 func (s *Store) mirrorColumn(col int, votes []int8) {
-	tbl := s.db.Table(tblLabels)
+	var rows []kbase.Tuple
 	for i, v := range votes {
 		if v != 0 {
-			if _, err := tbl.Insert(kbase.Tuple{i, col, int(v)}); err != nil {
-				panic("core: " + err.Error())
-			}
+			rows = append(rows, kbase.Tuple{i, col, int(v)})
 		}
+	}
+	if _, err := s.db.Table(tblLabels).InsertAll(rows); err != nil {
+		panic("core: " + err.Error())
 	}
 }
 

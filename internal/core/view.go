@@ -22,11 +22,12 @@ import (
 // concurrently, with no locks, and never observe a half-applied
 // ingest.
 //
-// Immutability is by construction: mutable store state (votes, the
-// session feature index, relation row counts) is deep-copied at build
-// time, while structurally immutable state (ingested documents,
-// candidates, per-candidate feature-name rows — never modified after
-// ingestion) is shared by pointer. The view's production artifacts —
+// Immutability is by construction: mutable store state (votes,
+// relation row counts) is deep-copied at build time, while structurally
+// immutable state (ingested documents, candidates, per-candidate
+// feature-name rows — never modified after ingestion — and the prefix
+// of the append-only session feature-name list the epoch admits) is
+// shared. The view's production artifacts —
 // the trained model, its frozen feature index, the classified
 // knowledge base — are computed at build time through the same staged
 // code path as Store.RunSplit, so a served epoch's results are
@@ -75,8 +76,10 @@ type StoreView struct {
 	runIndex  *features.Index
 	marginals []float64
 
-	// Session feature-space statistics at this epoch.
-	sessionIndex     *features.Index
+	// Session feature-space statistics at this epoch; sessionFeatures
+	// are the admitted feature names in column order, a capped prefix of
+	// the live session index's append-only name list.
+	sessionFeatures  []string
 	pendingFeatures  int
 	distinctFeatures int
 
@@ -133,7 +136,7 @@ func (s *Store) View(gold []GoldTuple) (*StoreView, error) {
 		docNames:         names,
 		cands:            cands,
 		names:            s.names[:len(cands):len(cands)],
-		sessionIndex:     s.dict.Clone(),
+		sessionFeatures:  s.dict.NamesView(),
 		pendingFeatures:  len(s.pending),
 		distinctFeatures: len(s.counts),
 		tableRows:        map[string]int{},
@@ -173,18 +176,9 @@ func (s *Store) View(gold []GoldTuple) (*StoreView, error) {
 	v.marginals = art.marginals
 
 	// Materialize this epoch's knowledge base against the task schema.
-	// The table is always in-memory: a published epoch must stay
-	// readable lock-free after the store (and its spill) moves on.
 	t0 = time.Now()
-	v.kb = kbase.NewTable(s.task.Schema)
-	for _, t := range res.Predicted {
-		tup := make(kbase.Tuple, len(t.Values))
-		for i, val := range t.Values {
-			tup[i] = val
-		}
-		if _, err := v.kb.Insert(tup); err != nil {
-			return nil, fmt.Errorf("core: materializing KB for view: %w", err)
-		}
+	if v.kb, err = materializeKB(s.task.Schema, res.Predicted); err != nil {
+		return nil, err
 	}
 	v.spans = append(append([]obs.Span{hydrateSpan}, art.spans...),
 		obs.NewSpan("materializeKB", t0, len(res.Predicted), v.kb.Len(), 0))
@@ -297,7 +291,7 @@ type FeatureStats struct {
 func (v *StoreView) FeatureStats() FeatureStats {
 	return FeatureStats{
 		RunFeatures:      v.runIndex.Len(),
-		SessionFeatures:  v.sessionIndex.Len(),
+		SessionFeatures:  len(v.sessionFeatures),
 		PendingFeatures:  v.pendingFeatures,
 		DistinctFeatures: v.distinctFeatures,
 	}
@@ -305,7 +299,11 @@ func (v *StoreView) FeatureStats() FeatureStats {
 
 // FeatureNames returns a copy of the session index's admitted feature
 // names in column order.
-func (v *StoreView) FeatureNames() []string { return v.sessionIndex.Names() }
+func (v *StoreView) FeatureNames() []string {
+	out := make([]string, len(v.sessionFeatures))
+	copy(out, v.sessionFeatures)
+	return out
+}
 
 // TableRows returns a copy of the store relations' row counts at this
 // epoch.

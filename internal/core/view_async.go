@@ -42,17 +42,16 @@ import (
 // deltaClassify extends prev's predicted-tuple list with the
 // positives among cands[from:], classified under (m, ix) — the same
 // scoring into per-position slots, then keepPositives in index order,
-// as classifyStage, continued from prev's seen-set. names
-// are the per-candidate raw feature-name rows aligned with cands.
-// workers bounds the scoring fan-out: the whole-corpus reclassification
-// of AdoptModel uses the pool, a writer-path delta (a handful of
-// candidates) passes 1.
+// as classifyStage. prevPredicted must belong to other documents than
+// cands[from:]: a tuple's key starts with its document, so no earlier
+// tuple can collide with a new one and the seen-set starts empty; the
+// list itself is carried forward, copied only if a positive is
+// appended. names are the per-candidate raw feature-name rows aligned
+// with cands. workers bounds the scoring fan-out: the whole-corpus
+// reclassification of AdoptModel uses the pool, a writer-path delta (a
+// handful of candidates) passes 1.
 func deltaClassify(prevPredicted []GoldTuple, cands []*candidates.Candidate, names [][]string, from int, m *model.Model, ix *features.Index, threshold float64, workers int) []GoldTuple {
-	predicted := append([]GoldTuple(nil), prevPredicted...)
-	seen := make(map[string]bool, len(predicted))
-	for _, t := range predicted {
-		seen[t.Key()] = true
-	}
+	predicted := prevPredicted[:len(prevPredicted):len(prevPredicted)]
 	probs := make([]float64, len(cands)-from)
 	pool.Run(len(probs), workers, func(k int) {
 		var cols []int
@@ -64,20 +63,40 @@ func deltaClassify(prevPredicted []GoldTuple, cands []*candidates.Candidate, nam
 		sort.Ints(cols)
 		probs[k] = m.PredictProb(model.Example{Cand: cands[from+k], SparseFeats: cols})
 	})
-	return keepPositives(predicted, seen, probs, threshold, func(k int) *candidates.Candidate { return cands[from+k] })
+	return keepPositives(predicted, map[string]bool{}, probs, threshold, func(k int) *candidates.Candidate { return cands[from+k] })
 }
 
-// materializeKB builds a view's KB table from its predicted tuples.
+// viewQuality evaluates a view's predicted tuples against the gold
+// tuples of its documents. Without gold (the server's case) there is
+// nothing to count, and EvaluateTuples would return the zero PRF after
+// keying every predicted tuple.
+func viewQuality(predicted, gold []GoldTuple, docNames []string) PRF {
+	if len(gold) == 0 {
+		return PRF{}
+	}
+	docs := make(map[string]bool, len(docNames))
+	for _, n := range docNames {
+		docs[n] = true
+	}
+	return EvaluateTuples(predicted, FilterGold(gold, docs))
+}
+
+// materializeKB builds a view's KB table from its predicted tuples. The
+// table is always in-memory: a published epoch must stay readable
+// lock-free after the store (and its spill) moves on.
 func materializeKB(schema kbase.Schema, predicted []GoldTuple) (*kbase.Table, error) {
+	rows := make([]kbase.Tuple, len(predicted))
+	cells := make(kbase.Tuple, 0, len(predicted)*schema.Arity())
+	for k, t := range predicted {
+		first := len(cells)
+		for _, val := range t.Values {
+			cells = append(cells, val)
+		}
+		rows[k] = cells[first:len(cells):len(cells)]
+	}
 	kb := kbase.NewTable(schema)
-	for _, t := range predicted {
-		tup := make(kbase.Tuple, len(t.Values))
-		for i, val := range t.Values {
-			tup[i] = val
-		}
-		if _, err := kb.Insert(tup); err != nil {
-			return nil, fmt.Errorf("core: materializing KB for view: %w", err)
-		}
+	if _, err := kb.InsertAll(rows); err != nil {
+		return nil, fmt.Errorf("core: materializing KB for view: %w", err)
 	}
 	return kb, nil
 }
@@ -125,25 +144,35 @@ func (s *Store) ViewDelta(prev *StoreView, gold []GoldTuple) (*StoreView, error)
 		return nil, fmt.Errorf("core: previous view has %d docs, store has %d", prev.NumDocs(), len(s.docs))
 	}
 
-	names := s.DocNames()
+	// Doc names, like everything below that only grows between epochs,
+	// are carried forward: prev's list capped to its length, then the
+	// delta's names appended.
 	for i, n := range prev.docNames {
-		if names[i] != n {
-			return nil, fmt.Errorf("core: document order diverged at %d (%q vs %q)", i, names[i], n)
+		if s.docs[i].name != n {
+			return nil, fmt.Errorf("core: document order diverged at %d (%q vs %q)", i, s.docs[i].name, n)
 		}
+	}
+	delta := s.docs[prev.NumDocs():]
+	names := prev.docNames[:len(prev.docNames):len(prev.docNames)]
+	splitStats := prev.splitStats
+	for _, sd := range delta {
+		names = append(names, sd.name)
+		splitStats.Hits += sd.stats.Hits
+		splitStats.Misses += sd.stats.Misses
 	}
 
 	// Hydrate only the delta documents; prev's candidates are shared
 	// (immutable after ingestion, already hydrated into prev).
 	t0 := time.Now()
 	cands := prev.cands[:len(prev.cands):len(prev.cands)]
-	for _, sd := range s.docs[prev.NumDocs():] {
+	for _, sd := range delta {
 		dc, err := s.docCandidates(sd)
 		if err != nil {
 			return nil, err
 		}
 		cands = append(cands, dc...)
 	}
-	hydrateSpan := obs.NewSpan("hydrateDelta", t0, len(s.docs)-prev.NumDocs(), len(cands)-len(prev.cands), 0)
+	hydrateSpan := obs.NewSpan("hydrateDelta", t0, len(delta), len(cands)-len(prev.cands), 0)
 
 	v := &StoreView{
 		epoch:    s.epoch,
@@ -153,7 +182,9 @@ func (s *Store) ViewDelta(prev *StoreView, gold []GoldTuple) (*StoreView, error)
 		docNames: names,
 		cands:    cands,
 		names:    s.names[:len(cands):len(cands)],
-		lfNames:  append([]string(nil), prev.lfNames...),
+		lfNames:  prev.lfNames,
+
+		splitStats: splitStats,
 
 		generation:             prev.generation,
 		modelEpoch:             prev.modelEpoch,
@@ -161,14 +192,10 @@ func (s *Store) ViewDelta(prev *StoreView, gold []GoldTuple) (*StoreView, error)
 
 		model:            prev.model,
 		runIndex:         prev.runIndex,
-		sessionIndex:     s.dict.Clone(),
+		sessionFeatures:  s.dict.NamesView(),
 		pendingFeatures:  len(s.pending),
 		distinctFeatures: len(s.counts),
 		tableRows:        map[string]int{},
-	}
-	for _, sd := range s.docs {
-		v.splitStats.Hits += sd.stats.Hits
-		v.splitStats.Misses += sd.stats.Misses
 	}
 	// Prev's vote rows are already private copies; only the delta
 	// candidates' rows need copying out of the mutable store.
@@ -204,11 +231,7 @@ func (s *Store) ViewDelta(prev *StoreView, gold []GoldTuple) (*StoreView, error)
 	// the serving layer's train metrics from double-counting.
 	v.result.TrainStats = model.TrainStats{}
 
-	testDocs := map[string]bool{}
-	for _, n := range names {
-		testDocs[n] = true
-	}
-	v.result.Quality = EvaluateTuples(predicted, FilterGold(gold, testDocs))
+	v.result.Quality = viewQuality(predicted, gold, names)
 
 	t0 = time.Now()
 	kb, err := materializeKB(s.task.Schema, predicted)
@@ -268,7 +291,7 @@ func (v *StoreView) Retrain(cfg RetrainConfig) (*StoreView, error) {
 	nv := *v
 	nv.generation = cfg.Generation
 	nv.modelEpoch = v.epoch
-	nv.trainedSessionFeatures = v.sessionIndex.Len()
+	nv.trainedSessionFeatures = len(v.sessionFeatures)
 	nv.result = res
 	nv.model = art.model
 	nv.runIndex = art.index
@@ -318,11 +341,7 @@ func (v *StoreView) AdoptModel(other *StoreView, gold []GoldTuple) (*StoreView, 
 	// Carry the training stats of the adopted generation: the publish
 	// that installs it is the one that reports its training cost.
 	nv.result.TrainStats = other.result.TrainStats
-	testDocs := map[string]bool{}
-	for _, n := range v.docNames {
-		testDocs[n] = true
-	}
-	nv.result.Quality = EvaluateTuples(predicted, FilterGold(gold, testDocs))
+	nv.result.Quality = viewQuality(predicted, gold, v.docNames)
 	t0 = time.Now()
 	kb, err := materializeKB(v.task.Schema, predicted)
 	if err != nil {

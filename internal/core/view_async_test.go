@@ -130,6 +130,68 @@ func TestViewDeltaMatchesAdopt(t *testing.T) {
 	}
 }
 
+// TestViewDeltaLeavesEarlierViewsAlone: a delta view carries its
+// predecessor's doc names, predicted tuples and session feature names
+// forward instead of copying them, so what it adds must never show
+// through an earlier view — neither through the predecessor nor through
+// a sibling built from the same predecessor — and building the same
+// delta twice must give the same view.
+func TestViewDeltaLeavesEarlierViewsAlone(t *testing.T) {
+	corpus := synth.Electronics(72, 12)
+	task := corpus.Tasks[0]
+	gold := corpus.GoldTuples[task.Relation]
+	st := core.NewStore(task, core.Options{Seed: 3, Epochs: 2, Workers: 2})
+	if err := st.AddDocuments(corpus.Docs[:3]...); err != nil {
+		t.Fatal(err)
+	}
+	base, err := st.View(gold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		docs, feats []string
+		predicted   []core.GoldTuple
+		stats       core.FeatureStats
+		quality     core.PRF
+	}
+	capture := func(v *core.StoreView) state {
+		return state{v.DocNames(), v.FeatureNames(), append([]core.GoldTuple(nil), v.Result().Predicted...), v.FeatureStats(), v.Result().Quality}
+	}
+	views := []*core.StoreView{base}
+	want := []state{capture(base)}
+	for hi := 4; hi <= len(corpus.Docs); hi += 2 {
+		prev := views[len(views)-1]
+		if err := st.AddDocuments(corpus.Docs[prev.NumDocs():hi]...); err != nil {
+			t.Fatal(err)
+		}
+		a, err := st.ViewDelta(prev, gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := st.ViewDelta(prev, gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa, sb := capture(a), capture(b); !reflect.DeepEqual(sa, sb) || !reflect.DeepEqual(a.KB().Tuples(), b.KB().Tuples()) {
+			t.Fatalf("two deltas of epoch %d from the same predecessor differ", a.Epoch())
+		}
+		if a.NumDocs() != hi || a.FeatureStats().SessionFeatures != st.FeatureIndex().Len() {
+			t.Fatalf("epoch %d: %d docs, %d session features; store has %d, %d",
+				a.Epoch(), a.NumDocs(), a.FeatureStats().SessionFeatures, hi, st.FeatureIndex().Len())
+		}
+		views, want = append(views, a), append(want, capture(a))
+		for i, v := range views {
+			if got := capture(v); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("after epoch %d, the view of epoch %d changed", a.Epoch(), v.Epoch())
+			}
+		}
+	}
+	last := want[len(want)-1]
+	if len(last.predicted) <= len(want[0].predicted) || len(last.feats) <= len(want[0].feats) {
+		t.Fatal("the deltas added neither tuples nor features; test is vacuous")
+	}
+}
+
 // TestViewRetrainWarmDeterminism: warm-started retraining is a pure
 // function — two retrains of the same view with the same config (same
 // warm source, same generation) produce identical predictions, quality

@@ -451,22 +451,12 @@ func IndexDiff(prev, next *Index) (added, removed []string) {
 // Len returns the number of distinct features seen.
 func (ix *Index) Len() int { return len(ix.names) }
 
-// Clone returns an independent copy of the index: same name→column
-// assignment and frozen state, sharing no storage with the receiver.
-// The serving layer clones the live session index into each published
-// StoreView so lock-free readers never race writer-side admissions.
-func (ix *Index) Clone() *Index {
-	out := &Index{
-		ids:    make(map[string]int, len(ix.ids)),
-		names:  make([]string, len(ix.names)),
-		frozen: ix.frozen,
-	}
-	for name, id := range ix.ids {
-		out.ids[name] = id
-	}
-	copy(out.names, ix.names)
-	return out
-}
+// NamesView returns the feature names in column order without copying.
+// The slice is capped at the current length and an index only ever
+// appends, so it stays valid and unchanged however the index grows
+// afterwards — what lets a published StoreView share the live session
+// index's names with the writer. Read-only.
+func (ix *Index) NamesView() []string { return ix.names[:len(ix.names):len(ix.names)] }
 
 // Freeze stops the index from growing.
 func (ix *Index) Freeze() { ix.frozen = true }

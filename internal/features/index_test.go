@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -50,5 +51,27 @@ func TestIndexDiff(t *testing.T) {
 	added, removed = IndexDiff(other, same)
 	if len(added) != 0 || len(removed) != 0 {
 		t.Fatalf("permuted diff = added %v removed %v", added, removed)
+	}
+}
+
+// TestIndexNamesView: the view is a fixed prefix of an append-only
+// list, so it neither changes nor grows while the index does — across
+// many reallocations of the list.
+func TestIndexNamesView(t *testing.T) {
+	ix := NewIndex()
+	ix.ID("b")
+	ix.ID("a")
+	view := ix.NamesView()
+	for i := 0; i < 1000; i++ {
+		ix.ID(fmt.Sprint("later-", i))
+	}
+	if !reflect.DeepEqual(view, []string{"b", "a"}) || cap(view) != 2 {
+		t.Fatalf("view = %v (cap %d) after the index grew to %d", view, cap(view), ix.Len())
+	}
+	if v := ix.NamesView(); len(v) != ix.Len() || v[0] != "b" || v[1001] != "later-999" {
+		t.Fatalf("a fresh view has %d names", len(v))
+	}
+	if NewIndex().NamesView() != nil {
+		t.Fatal("an empty index has an empty view")
 	}
 }

@@ -2,7 +2,6 @@ package kbase
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strconv"
@@ -408,13 +407,4 @@ func (b *memoryBackend) Stats() BackendStats { return BackendStats{} }
 func (b *memoryBackend) Close() error {
 	b.tuples = nil
 	return nil
-}
-
-// hashKey hashes a canonical tuple key for the Table's dedup index.
-// Positions sharing a hash are verified against the stored row, so
-// collisions cost a row fetch, never a correctness failure.
-func hashKey(k string) uint64 {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, k)
-	return h.Sum64()
 }

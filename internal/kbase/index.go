@@ -3,6 +3,7 @@ package kbase
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Lazy secondary hash indexes and the tiny planner that routes each
@@ -45,6 +46,10 @@ type planner struct {
 	heat map[int]int       // filtered-read count per column
 	hot  map[int]bool      // columns to index on next filtered read
 	idx  map[int]*colIndex // built indexes
+	// built mirrors len(idx) > 0, so that invalidate — called by every
+	// insert batch, almost always on a table nobody has filtered — can
+	// tell there is nothing to drop without taking mu.
+	built atomic.Bool
 
 	indexHits, fullScans int64
 }
@@ -56,10 +61,12 @@ func newPlanner() *planner {
 // invalidate drops built indexes (hot marks and heat survive, so the
 // next filtered read rebuilds). Called on every mutation.
 func (p *planner) invalidate() {
-	p.mu.Lock()
-	for c := range p.idx {
-		delete(p.idx, c)
+	if !p.built.Load() {
+		return
 	}
+	p.mu.Lock()
+	clear(p.idx)
+	p.built.Store(false)
 	p.mu.Unlock()
 }
 
@@ -113,6 +120,7 @@ func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
 		if p.hot[cp.col] && t.be.Len() <= maxIndexedRows {
 			ci := buildColIndex(t.be, cp.col)
 			p.idx[cp.col] = ci
+			p.built.Store(true)
 			p.indexHits++
 			return ci, cp, true
 		}

@@ -146,15 +146,16 @@ func (tp Tuple) Clone() Tuple {
 // are de-duplicated when populating the KB). Row storage is delegated
 // to a pluggable Backend — a slice or the paged engine — while the
 // Table keeps the relational semantics: schema/type checking, tuple
-// normalization, and the dedup index (a compact hash -> positions map,
-// ~16 bytes per row, so set semantics cost bounded memory even when
-// the rows themselves live in pages; hash collisions are verified
-// against the stored row).
+// normalization, and the dedup index (dedup.go: a flat hash -> position
+// table, at most 16 bytes per row and invisible to the garbage
+// collector, so set semantics cost bounded memory even when the rows
+// themselves live in pages; hash hits are verified against the stored
+// row).
 type Table struct {
 	schema Schema
 	be     Backend
-	index  map[uint64][]int // hash of canonical key -> candidate positions
-	plan   *planner         // filtered-read planner (lazy hash indexes)
+	dedup  dedupIndex
+	plan   *planner // filtered-read planner (lazy hash indexes)
 }
 
 // NewTable creates an empty in-memory table for the schema.
@@ -165,7 +166,7 @@ func NewTable(schema Schema) *Table {
 
 // newTableWith wraps an empty backend in a table.
 func newTableWith(schema Schema, be Backend) *Table {
-	return &Table{schema: schema, be: be, index: map[uint64][]int{}, plan: newPlanner()}
+	return &Table{schema: schema, be: be, plan: newPlanner()}
 }
 
 // BackendKind names the table's storage backend.
@@ -186,7 +187,7 @@ func (t *Table) BackendStats() BackendStats {
 // Close releases the table's backend resources (page files). The
 // table is unusable afterwards.
 func (t *Table) Close() error {
-	t.index = nil
+	t.dedup = dedupIndex{}
 	t.plan.invalidate()
 	return t.be.Close()
 }
@@ -196,15 +197,6 @@ func (t *Table) Schema() Schema { return t.schema }
 
 // Len returns the number of stored tuples.
 func (t *Table) Len() int { return t.be.Len() }
-
-// key canonicalizes a tuple for set membership.
-func (t *Table) key(tp Tuple) string {
-	parts := make([]string, len(tp))
-	for i, v := range tp {
-		parts[i] = fmt.Sprintf("%v", v)
-	}
-	return strings.Join(parts, "\x00")
-}
 
 // typeOK checks a value against a column type.
 func typeOK(v any, ct ColType) bool {
@@ -225,33 +217,43 @@ func typeOK(v any, ct ColType) bool {
 	return false
 }
 
-// normalize widens int values to int64 and type-checks the tuple
-// against the schema when check is set.
-func (t *Table) normalize(tp Tuple, check bool) (Tuple, error) {
+// checkArity rejects a tuple of the wrong width.
+func (t *Table) checkArity(tp Tuple) error {
 	if len(tp) != t.schema.Arity() {
-		return nil, fmt.Errorf("kbase: %s: arity %d, got %d values", t.schema.Name, t.schema.Arity(), len(tp))
+		return fmt.Errorf("kbase: %s: arity %d, got %d values", t.schema.Name, t.schema.Arity(), len(tp))
 	}
-	norm := make(Tuple, len(tp))
-	for i, v := range tp {
-		if iv, ok := v.(int); ok {
-			v = int64(iv)
-		}
-		if check && !typeOK(v, t.schema.Columns[i].Type) {
-			return nil, fmt.Errorf("kbase: %s.%s: value %v (%T) does not match %s",
-				t.schema.Name, t.schema.Columns[i].Name, v, v, t.schema.Columns[i].Type)
-		}
-		norm[i] = v
-	}
-	return norm, nil
+	return nil
 }
 
-// lookup returns the position of the tuple with canonical key k, or
-// -1. Hash collisions are resolved by fetching the candidate rows and
-// comparing keys.
-func (t *Table) lookup(k string) int {
-	for _, pos := range t.index[hashKey(k)] {
-		if t.key(t.be.Get(pos)) == k {
-			return pos
+// checkTypes checks every value of a tuple of the right width against
+// its column's type (an int is accepted where an int64 is stored).
+func (t *Table) checkTypes(tp Tuple) error {
+	for i, v := range tp {
+		if !typeOK(v, t.schema.Columns[i].Type) {
+			return fmt.Errorf("kbase: %s.%s: value %v (%T) does not match %s",
+				t.schema.Name, t.schema.Columns[i].Name, v, v, t.schema.Columns[i].Type)
+		}
+	}
+	return nil
+}
+
+// find returns the position of the stored row equal to tp, whose hash
+// is h, or -1. A slot with the hash's tag is only a candidate: the row
+// is fetched and compared cell by cell.
+func (t *Table) find(h uint64, tp Tuple) int {
+	d := &t.dedup
+	if d.n == 0 {
+		return -1
+	}
+	tag := dedupTag(h)
+	for i := d.home(tag); d.slots[i] != 0; {
+		if s := d.slots[i]; s>>32 == tag {
+			if pos := int(uint32(s)) - 1; rowsEqual(t.be.Get(pos), tp) {
+				return pos
+			}
+		}
+		if i++; i == len(d.slots) {
+			i = 0
 		}
 	}
 	return -1
@@ -260,11 +262,11 @@ func (t *Table) lookup(k string) int {
 // rebuildIndex rehashes every stored row — the epilogue of any
 // positional change (deletes re-pack positions).
 func (t *Table) rebuildIndex() {
-	t.index = make(map[uint64][]int, t.be.Len())
+	t.dedup = dedupIndex{}
+	t.dedup.reserve(t.be.Len())
 	pos := 0
 	t.be.Scan(matcher{}, func(tp Tuple) bool {
-		h := hashKey(t.key(tp))
-		t.index[h] = append(t.index[h], pos)
+		t.dedup.add(hashTuple(tp), pos)
 		pos++
 		return true
 	})
@@ -273,31 +275,70 @@ func (t *Table) rebuildIndex() {
 // Insert adds a tuple, enforcing arity and column types. Duplicate
 // tuples are ignored. It reports whether the tuple was newly added.
 func (t *Table) Insert(tp Tuple) (bool, error) {
-	norm, err := t.normalize(tp, true)
-	if err != nil {
-		return false, err
+	n, err := t.InsertAll([]Tuple{tp})
+	return n == 1, err
+}
+
+// InsertAll is the one insert path: it adds the tuples in order, each
+// exactly as Insert would — arity and column types enforced, ints
+// widened to int64, duplicates (of stored rows or of earlier tuples of
+// the batch) ignored — and returns how many were newly added. The
+// batch pays for index growth and planner invalidation once. It stops
+// at the first tuple that is rejected or that the backend fails to
+// store; the tuples before it stay inserted.
+func (t *Table) InsertAll(rows []Tuple) (int, error) {
+	first := t.be.Len()
+	added := 0
+	// Stored rows are cut from slabs of about 1024 cells (small enough
+	// for the allocator's size classes), each row capped to its own cells;
+	// a batch of duplicates allocates nothing.
+	arity := t.schema.Arity()
+	var slab Tuple
+	var err error
+	for k, tp := range rows {
+		if err = t.checkArity(tp); err != nil {
+			break
+		}
+		if err = t.checkTypes(tp); err != nil {
+			break
+		}
+		h := hashTuple(tp)
+		if t.find(h, tp) >= 0 {
+			continue
+		}
+		if uint64(first+added) > maxDedupPos {
+			err = fmt.Errorf("kbase: %s: table is full (%d rows)", t.schema.Name, first+added)
+			break
+		}
+		if added == 0 {
+			t.dedup.reserve(len(rows) - k) // the index grows once for the batch
+		}
+		if len(slab) < arity {
+			slab = make(Tuple, min(len(rows)-k, max(1024/arity, 1))*arity)
+		}
+		norm := slab[:arity:arity]
+		for i, v := range tp {
+			if iv, ok := v.(int); ok {
+				v = int64(iv)
+			}
+			norm[i] = v
+		}
+		if err = t.be.Append(norm); err != nil {
+			break
+		}
+		slab = slab[arity:]
+		t.dedup.add(h, first+added)
+		added++
 	}
-	k := t.key(norm)
-	if t.lookup(k) >= 0 {
-		return false, nil
+	if added > 0 {
+		t.plan.invalidate()
 	}
-	pos := t.be.Len()
-	if err := t.be.Append(norm); err != nil {
-		return false, err
-	}
-	h := hashKey(k)
-	t.index[h] = append(t.index[h], pos)
-	t.plan.invalidate()
-	return true, nil
+	return added, err
 }
 
 // Contains reports whether an identical tuple is stored.
 func (t *Table) Contains(tp Tuple) bool {
-	norm, err := t.normalize(tp, false)
-	if err != nil {
-		return false
-	}
-	return t.lookup(t.key(norm)) >= 0
+	return t.checkArity(tp) == nil && t.find(hashTuple(tp), tp) >= 0
 }
 
 // Delete removes the exact tuple (after int normalization), reporting
@@ -306,18 +347,11 @@ func (t *Table) Contains(tp Tuple) bool {
 // rewriting a Labels column) goes through DeleteWhere, which re-packs
 // once for any number of rows.
 func (t *Table) Delete(tp Tuple) bool {
-	norm, err := t.normalize(tp, false)
-	if err != nil {
+	if !t.Contains(tp) {
 		return false
 	}
-	k := t.key(norm)
-	if t.lookup(k) < 0 {
-		return false
-	}
-	// Set semantics: exactly one stored row carries this key.
-	t.be.DeleteWhere(func(row Tuple) bool { return t.key(row) == k })
-	t.rebuildIndex()
-	t.plan.invalidate()
+	// Set semantics: exactly one stored row equals tp.
+	t.DeleteWhere(func(row Tuple) bool { return rowsEqual(row, tp) })
 	return true
 }
 

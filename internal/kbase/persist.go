@@ -255,7 +255,17 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", engine.Kind(), schema.Name, err)
 	}
 	t := newTableWith(schema, be)
+	// Rows go in a chunk at a time, so a table larger than memory streams
+	// through a paged backend.
+	chunk := make([]Tuple, 0, readChunkRows)
 	lineNo := 1
+	flush := func() error {
+		if _, err := t.InsertAll(chunk); err != nil {
+			return fmt.Errorf("kbase: TSV lines %d-%d: %w", lineNo-len(chunk)+1, lineNo, err)
+		}
+		chunk = chunk[:0]
+		return nil
+	}
 	for {
 		line, err := readLine(br)
 		if err == io.EOF {
@@ -277,12 +287,21 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kbase: TSV line %d: %v", lineNo, err)
 		}
-		if _, err := t.Insert(tp); err != nil {
-			return nil, fmt.Errorf("kbase: TSV line %d: %w", lineNo, err)
+		if chunk = append(chunk, tp); len(chunk) == readChunkRows {
+			if err := flush(); err != nil {
+				return nil, err
+			}
 		}
+	}
+	if err := flush(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
+
+// readChunkRows is how many parsed rows ReadTSVWith hands to one
+// InsertAll.
+const readChunkRows = 1024
 
 // manifestName is the snapshot directory's table-of-contents file. It
 // pins the table set, so stray files in the directory are ignored and

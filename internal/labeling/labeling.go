@@ -205,6 +205,104 @@ func (o *FitOptions) defaults() {
 	}
 }
 
+// votePatterns groups the rows of a LIL-backed label matrix by vote
+// pattern: the (column, sign) sequence a row holds. A dozen labeling
+// functions leave a few dozen patterns among thousands of rows, and a
+// row's posterior depends on its pattern alone, so the E-step runs once
+// per pattern instead of once per row.
+type votePatterns struct {
+	of   []int32          // of[i] is row i's pattern
+	rows [][]sparse.Entry // one row of each pattern
+}
+
+func groupRows(m *Matrix) votePatterns {
+	g := votePatterns{of: make([]int32, m.NumCands)}
+	byHash := map[uint64][]int32{} // patterns sharing a hash, told apart by sameVotes
+	for i := range g.of {
+		row := m.RowLabels(i)
+		h := uint64(len(row))
+		for _, e := range row {
+			h = h*1099511628211 + uint64(e.Col)<<1 // the 64-bit FNV prime
+			if e.Val > 0 {
+				h++
+			}
+		}
+		id := int32(-1)
+		for _, p := range byHash[h] {
+			if sameVotes(g.rows[p], row) {
+				id = p
+				break
+			}
+		}
+		if id < 0 {
+			id = int32(len(g.rows))
+			g.rows = append(g.rows, row)
+			byHash[h] = append(byHash[h], id)
+		}
+		g.of[i] = id
+	}
+	return g
+}
+
+// sameVotes reports whether two rows hold the same pattern.
+func sameVotes(a, b []sparse.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Col != b[k].Col || (a[k].Val > 0) != (b[k].Val > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// logOdds are the logarithms a posterior sums, taken once per model
+// state instead of once per vote.
+type logOdds struct {
+	prior, notPrior float64   // log P(y=+1), log P(y=-1)
+	acc, notAcc     []float64 // per LF: log acc, log (1 - acc)
+}
+
+// set takes the logarithms of mod's current state.
+func (lo *logOdds) set(mod *Model) {
+	lo.prior = math.Log(mod.Prior)
+	lo.notPrior = math.Log(1 - mod.Prior)
+	lo.acc, lo.notAcc = lo.acc[:0], lo.notAcc[:0]
+	for _, a := range mod.Acc {
+		lo.acc = append(lo.acc, math.Log(a))
+		lo.notAcc = append(lo.notAcc, math.Log(1-a))
+	}
+}
+
+// posterior computes P(y=+1 | row) under the independent-LF model.
+func (lo *logOdds) posterior(row []sparse.Entry) float64 {
+	logPos, logNeg := lo.prior, lo.notPrior
+	for _, e := range row {
+		if e.Val > 0 {
+			logPos += lo.acc[e.Col]
+			logNeg += lo.notAcc[e.Col]
+		} else {
+			logPos += lo.notAcc[e.Col]
+			logNeg += lo.acc[e.Col]
+		}
+	}
+	// Stable softmax over two log scores.
+	m := math.Max(logPos, logNeg)
+	pp := math.Exp(logPos - m)
+	pn := math.Exp(logNeg - m)
+	return pp / (pp + pn)
+}
+
+// posteriors is the E-step: one posterior per vote pattern, under mod's
+// current state, into mu.
+func (mod *Model) posteriors(pats votePatterns, lo *logOdds, mu []float64) {
+	lo.set(mod)
+	for p, row := range pats.rows {
+		mu[p] = lo.posterior(row)
+	}
+}
+
 // Fit estimates the generative model from a label matrix by
 // expectation-maximization over the latent true labels, under the
 // standard data-programming assumption that LFs are conditionally
@@ -213,6 +311,10 @@ func (o *FitOptions) defaults() {
 //	E-step: μ_i = P(y_i=+1 | Λ_i, acc, prior)
 //	M-step: acc_j = expected fraction of LF j's labels that agree
 //	        with the latent label; prior = mean μ.
+//
+// The E-step runs per vote pattern; every sum over rows — the
+// convergence test and the M-step — still adds row by row in row order,
+// so the fitted model is bit for bit the one a per-row E-step yields.
 func Fit(m *Matrix, opts FitOptions) *Model {
 	opts.defaults()
 	m = m.Compact()
@@ -223,37 +325,45 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 	if m.NumCands == 0 || m.NumLFs == 0 {
 		return mod
 	}
-	mu := make([]float64, m.NumCands)
-	prev := make([]float64, m.NumCands)
+	pats := groupRows(m)
+	// total[j] counts LF j's labels: the same in every iteration.
+	total := make([]float64, m.NumLFs)
+	for _, p := range pats.of {
+		for _, e := range pats.rows[p] {
+			total[e.Col]++
+		}
+	}
+	var lo logOdds
+	mu := make([]float64, len(pats.rows)) // per pattern
+	prev := make([]float64, len(pats.rows))
+	moved := make([]float64, len(pats.rows))
+	agree := make([]float64, m.NumLFs)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		mod.Iterations = iter + 1
 		// E-step.
-		for i := range mu {
-			mu[i] = mod.posterior(m.RowLabels(i))
-		}
+		mod.posteriors(pats, &lo, mu)
 		// Convergence check.
 		if iter > 0 {
-			delta := 0.0
-			for i := range mu {
-				delta += math.Abs(mu[i] - prev[i])
+			for p := range mu {
+				moved[p] = math.Abs(mu[p] - prev[p])
 			}
-			if delta/float64(len(mu)) < opts.Tol {
+			delta := 0.0
+			for _, p := range pats.of {
+				delta += moved[p]
+			}
+			if delta/float64(len(pats.of)) < opts.Tol {
 				break
 			}
 		}
 		copy(prev, mu)
 		// M-step.
-		agree := make([]float64, m.NumLFs)
-		total := make([]float64, m.NumLFs)
-		sum := 0.0
-		for i := 0; i < m.NumCands; i++ {
-			sum += mu[i]
-			for _, e := range m.RowLabels(i) {
-				total[e.Col]++
+		clear(agree)
+		for _, p := range pats.of {
+			for _, e := range pats.rows[p] {
 				if e.Val > 0 {
-					agree[e.Col] += mu[i]
+					agree[e.Col] += mu[p]
 				} else {
-					agree[e.Col] += 1 - mu[i]
+					agree[e.Col] += 1 - mu[p]
 				}
 			}
 		}
@@ -271,9 +381,9 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 			// uncovered rows (which receive the prior) cannot
 			// reinforce it.
 			covSum, covN := 0.0, 0
-			for i := 0; i < m.NumCands; i++ {
-				if len(m.RowLabels(i)) > 0 {
-					covSum += mu[i]
+			for _, p := range pats.of {
+				if len(pats.rows[p]) > 0 {
+					covSum += mu[p]
 					covN++
 				}
 			}
@@ -281,30 +391,8 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 				mod.Prior = clamp(covSum/float64(covN), 0.05, 0.95)
 			}
 		}
-		_ = sum
 	}
 	return mod
-}
-
-// posterior computes P(y=+1 | row) under the independent-LF model.
-func (mod *Model) posterior(row []sparse.Entry) float64 {
-	logPos := math.Log(mod.Prior)
-	logNeg := math.Log(1 - mod.Prior)
-	for _, e := range row {
-		a := mod.Acc[e.Col]
-		if e.Val > 0 {
-			logPos += math.Log(a)
-			logNeg += math.Log(1 - a)
-		} else {
-			logPos += math.Log(1 - a)
-			logNeg += math.Log(a)
-		}
-	}
-	// Stable softmax over two log scores.
-	m := math.Max(logPos, logNeg)
-	pp := math.Exp(logPos - m)
-	pn := math.Exp(logNeg - m)
-	return pp / (pp + pn)
 }
 
 // Marginals returns P(y=+1 | Λ_i) for every candidate row — the
@@ -312,9 +400,12 @@ func (mod *Model) posterior(row []sparse.Entry) float64 {
 // discriminative model. Rows with no labels get the prior.
 func (mod *Model) Marginals(m *Matrix) []float64 {
 	m = m.Compact()
+	pats := groupRows(m)
+	mu := make([]float64, len(pats.rows))
+	mod.posteriors(pats, new(logOdds), mu)
 	out := make([]float64, m.NumCands)
-	for i := range out {
-		out[i] = mod.posterior(m.RowLabels(i))
+	for i, p := range pats.of {
+		out[i] = mu[p]
 	}
 	return out
 }

@@ -118,15 +118,31 @@ func ParallelColumnVotes(lf LF, cands []*candidates.Candidate, workers int) []in
 // Apply(lfs, cands).Compact() when votes came from the same LFs in
 // the same candidate order.
 func MatrixFromVotes(votes [][]int8, numLFs int) *Matrix {
-	m := NewMatrix(sparse.NewLIL(), len(votes), numLFs)
+	nnz, last := 0, -1 // last: the last row with a vote, where Apply's matrix ends
 	for i, row := range votes {
-		for j, v := range row {
+		for _, v := range row {
 			if v != 0 {
-				m.M.Set(i, j, float64(v))
+				nnz++
+				last = i
 			}
 		}
 	}
-	return m
+	// Every row's entries are cut from one allocation; a row without
+	// votes stays nil, as in a matrix built by Set.
+	entries := make([]sparse.Entry, 0, nnz)
+	rows := make([][]sparse.Entry, last+1)
+	for i := range rows {
+		first := len(entries)
+		for j, v := range votes[i] {
+			if v != 0 {
+				entries = append(entries, sparse.Entry{Row: i, Col: j, Val: float64(v)})
+			}
+		}
+		if len(entries) > first {
+			rows[i] = entries[first:len(entries):len(entries)]
+		}
+	}
+	return NewMatrix(sparse.LILFromRows(rows), len(votes), numLFs)
 }
 
 // ParallelApply runs every LF over every candidate with up to workers

@@ -55,6 +55,18 @@ type LIL struct {
 // NewLIL returns an empty LIL matrix.
 func NewLIL() *LIL { return &LIL{} }
 
+// LILFromRows returns a LIL matrix that takes ownership of rows: row r
+// holds its non-zero entries, each with Row r, in ascending column
+// order. Rows may share one backing array as long as each is capped to
+// its own entries, so that a later Set reallocates the row it grows.
+func LILFromRows(rows [][]Entry) *LIL {
+	m := &LIL{rows: rows}
+	for _, r := range rows {
+		m.nnz += len(r)
+	}
+	return m
+}
+
 // Name implements Matrix.
 func (m *LIL) Name() string { return "lil" }
 
