@@ -85,7 +85,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables with an LRU page cache) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
 	maxResident := flag.Int("max-resident-docs", 0, "keep at most this many parsed documents hydrated in RAM per tenant, evicting LRU documents and rehydrating on demand; /meta reports the counters (0 = unlimited)")
-	syncPublish := flag.Bool("sync-publish", false, "retrain synchronously on every ingest before publishing (the pre-async behavior); default is async two-phase publication: immediate delta epochs + background retraining")
+	syncPublish := flag.Bool("sync-publish", false, "the writer is the trainer: retrain cold on every ingest before publishing; default is async: immediate delta epochs + background warm retraining")
 	trainDrift := flag.Float64("train-drift", 0.10, "async mode: trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")
 	trainInterval := flag.Duration("train-interval", 30*time.Second, "async mode: retrain at this cadence whenever delta epochs have been published since the serving generation was trained (0 disables the timer)")
 	logLevel := flag.String("log-level", "info", "structured-log level: debug, info, warn, error (JSON lines on stderr)")
@@ -155,10 +155,27 @@ func main() {
 	}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	if err := serveUntil(&http.Server{Handler: rg.Handler()}, rg, ln, stop); err != nil && err != http.ErrServerClosed {
+	if err := serveUntil(newHTTPServer(rg.Handler()), rg, ln, stop); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "fonduer-serve:", err)
 		os.Exit(1)
 	}
+}
+
+// The main listener's connection timeouts. A client gets
+// readHeaderTimeout to send its request line and headers — one that
+// connects and stalls is disconnected instead of holding a goroutine
+// and a descriptor forever — and a keep-alive connection with no
+// request in flight is reaped after idleTimeout. Bodies and responses
+// are deliberately unbounded: an /ingest upload or a full /kb export
+// may legitimately take long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the main listener's server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // serveUntil serves ln until a shutdown signal arrives (or the
@@ -241,8 +258,8 @@ func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 }
 
 // publishConfig carries the -sync-publish/-train-drift/-train-interval
-// flag surface into the registry: async two-phase publication (the
-// default) or the pre-async synchronous retrain-per-ingest behavior.
+// flag surface into the registry: who runs the trainer — a background
+// goroutine (the default) or the writer, cold, on every ingest.
 type publishConfig struct {
 	async    bool
 	drift    float64

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -196,7 +197,7 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	}
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
-	httpSrv := &http.Server{Handler: rg.Handler()}
+	httpSrv := newHTTPServer(rg.Handler())
 	go func() { done <- serveUntil(httpSrv, rg, ln, stop) }()
 
 	// The server is live: a real request round-trips.
@@ -232,4 +233,63 @@ func spillDirs(t *testing.T, root string) []string {
 		}
 	}
 	return out
+}
+
+// TestStalledHeaderClientIsDisconnected: the main listener must not let
+// a client that connects, sends half a request header and stalls hold
+// its connection forever — it is disconnected once the header timeout
+// passes, while another client keeps being served throughout. The
+// server comes from the production constructor (newHTTPServer) around a
+// trivial handler; only its header timeout is shortened so the test
+// does not wait out the real constant.
+func TestStalledHeaderClientIsDisconnected(t *testing.T) {
+	httpSrv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	if httpSrv.ReadHeaderTimeout != readHeaderTimeout || httpSrv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("main listener timeouts = header %v, idle %v", httpSrv.ReadHeaderTimeout, httpSrv.IdleTimeout)
+	}
+	httpSrv.ReadHeaderTimeout = 300 * time.Millisecond
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go httpSrv.Serve(ln)
+	defer httpSrv.Close()
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("GET /healthz HTTP/1.1\r\nHost: stalled\r\nX-Half")); err != nil {
+		t.Fatal(err)
+	}
+	// The server hangs up on the stalled client (after at most an error
+	// reply): reading to the end of the stream finishes — EOF or reset —
+	// well before the client's own 5 s deadline.
+	dropped := make(chan error, 1)
+	go func() {
+		stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := io.ReadAll(stalled)
+		dropped <- err
+	}()
+	url := "http://" + ln.Addr().String() + "/healthz"
+	for served := 0; ; served++ {
+		if h := get(t, url); h["ok"] != true {
+			t.Fatalf("healthz beside a stalled client = %v", h)
+		}
+		select {
+		case err := <-dropped:
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("stalled client was not disconnected (read: %v)", err)
+			}
+			if served == 0 {
+				t.Fatal("no request was served while the other client stalled")
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
 }

@@ -232,5 +232,6 @@ func RunWithCandidates(task Task, trainCands, testCands []*candidates.Candidate,
 		}
 		labels = labeling.ParallelApply(lfs, trainCands, opts.Workers).Compact()
 	}
-	return runStages(task, opts, train, testSp, labels, DocNames(test), gold)
+	res, _ := runStages(task, opts, train, testSp, labels, DocNames(test), gold, nil)
+	return res
 }

@@ -132,20 +132,28 @@ func indexStage(train stagedSplit, minCount int) *features.Index {
 	return features.IndexFromCounts(counts, minCount)
 }
 
-// materializeStage maps a split's feature names through a frozen
-// index, yielding each candidate's admitted column set in ascending
-// order — the numeric Features matrix rows the model consumes.
+// featureColumns maps one candidate's feature names through a frozen
+// index, yielding its admitted column set in ascending order — one row
+// of the numeric Features matrix the model consumes. Every consumer of
+// a trained model (the staged run, delta and whole-corpus
+// reclassification, ad-hoc document classification) builds its rows
+// here.
+func featureColumns(ix *features.Index, names []string) []int {
+	var cols []int
+	for _, n := range names {
+		if id, ok := ix.Lookup(n); ok {
+			cols = append(cols, id)
+		}
+	}
+	sort.Ints(cols)
+	return cols
+}
+
+// materializeStage is featureColumns over a whole split.
 func materializeStage(sp stagedSplit, ix *features.Index) [][]int {
 	rows := make([][]int, len(sp.names))
 	for i, names := range sp.names {
-		var cols []int
-		for _, n := range names {
-			if id, ok := ix.Lookup(n); ok {
-				cols = append(cols, id)
-			}
-		}
-		sort.Ints(cols)
-		rows[i] = cols
+		rows[i] = featureColumns(ix, names)
 	}
 	return rows
 }
@@ -263,46 +271,29 @@ func keepPositives(predicted []GoldTuple, seen map[string]bool, probs []float64,
 
 // stageArtifacts are the trained run's internals that outlive the
 // Result: the frozen feature index the model's columns are numbered
-// by, the trained model itself, and the per-train-candidate denoised
-// marginals. The serving layer captures them in each published
-// StoreView so ad-hoc classification can run against the exact model
-// and feature space of a served epoch.
+// by and the trained model itself — a StoreView's generation state.
 //
 // spans is the run's stage timing (observability only): it rides in
 // the artifacts — never in the Result — because Results must stay
 // bit-comparable across batching orders and worker counts, while
 // wall times are not.
 type stageArtifacts struct {
-	index     *features.Index
-	model     *model.Model
-	marginals []float64
-	spans     []obs.Span
+	index *features.Index
+	model *model.Model
+	spans []obs.Span
 }
 
 // runStages composes Featurize-index-materialize, Supervise, Train
 // and Classify over two staged splits. labels is the train split's
 // label matrix (rows positional, matching train.cands); it may be nil
 // when opts.Marginals bypasses supervision. testDocNames scopes the
-// gold tuples for evaluation. It is a thin wrapper over
-// runStagesArtifacts for the callers that only need the Result.
-func runStages(task Task, opts Options, train, test stagedSplit, labels *labeling.Matrix, testDocNames map[string]bool, gold []GoldTuple) Result {
-	res, _ := runStagesArtifacts(task, opts, train, test, labels, testDocNames, gold)
-	return res
-}
-
-// runStagesArtifacts is runStages, additionally returning the run's
-// trained artifacts. Every caller shares this single code path, which
-// is what makes served-epoch results structurally bit-identical to
-// from-scratch Run results.
-func runStagesArtifacts(task Task, opts Options, train, test stagedSplit, labels *labeling.Matrix, testDocNames map[string]bool, gold []GoldTuple) (Result, stageArtifacts) {
-	return runStagesWarm(task, opts, train, test, labels, testDocNames, gold, nil)
-}
-
-// runStagesWarm is runStagesArtifacts with an optional warm source:
-// training starts from the previous generation's weights instead of
-// the cold deterministic initialization. All other stages are
-// unaffected; a nil warm is exactly runStagesArtifacts.
-func runStagesWarm(task Task, opts Options, train, test stagedSplit, labels *labeling.Matrix, testDocNames map[string]bool, gold []GoldTuple, warm *warmSource) (Result, stageArtifacts) {
+// gold tuples for evaluation. warm, when non-nil, starts training from
+// a previous generation's weights instead of the cold deterministic
+// initialization; no other stage is affected. Every caller — Run,
+// Store.RunSplit, StoreView.Retrain — shares this single code path,
+// which is what makes served-epoch results structurally bit-identical
+// to from-scratch Run results.
+func runStages(task Task, opts Options, train, test stagedSplit, labels *labeling.Matrix, testDocNames map[string]bool, gold []GoldTuple, warm *warmSource) (Result, stageArtifacts) {
 	res := Result{TrainCandidates: len(train.cands), TestCandidates: len(test.cands)}
 	var spans []obs.Span
 
@@ -351,5 +342,5 @@ func runStagesWarm(task Task, opts Options, train, test stagedSplit, labels *lab
 	res.Predicted = classifyStage(m, testEx, opts.Threshold, opts.Workers)
 	spans = append(spans, obs.NewSpan("classify", t0, len(testEx), len(res.Predicted), 0))
 	res.Quality = EvaluateTuples(res.Predicted, FilterGold(gold, testDocNames))
-	return res, stageArtifacts{index: ix, model: m, marginals: marginals, spans: spans}
+	return res, stageArtifacts{index: ix, model: m, spans: spans}
 }

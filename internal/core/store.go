@@ -539,26 +539,14 @@ func (s *Store) splitView(names []string) (stagedSplit, error) {
 // the run's frozen index from the train split's counts, exactly as a
 // from-scratch run would.
 func (s *Store) RunSplit(trainNames, testNames []string, gold []GoldTuple) (Result, error) {
-	res, _, err := s.runSplitArtifacts(trainNames, testNames, gold)
-	return res, err
-}
-
-// runSplitArtifacts is RunSplit, additionally returning the run's
-// trained artifacts (frozen index, model, marginals) for StoreView
-// publication. One code path serves both, so a served epoch's results
-// are structurally bit-identical to RunSplit — and therefore to a
-// from-scratch Run — over the same corpus.
-func (s *Store) runSplitArtifacts(trainNames, testNames []string, gold []GoldTuple) (Result, stageArtifacts, error) {
-	t0 := time.Now()
 	train, err := s.splitView(trainNames)
 	if err != nil {
-		return Result{}, stageArtifacts{}, err
+		return Result{}, err
 	}
 	test, err := s.splitView(testNames)
 	if err != nil {
-		return Result{}, stageArtifacts{}, err
+		return Result{}, err
 	}
-	loadSpan := obs.NewSpan("loadSplits", t0, len(trainNames)+len(testNames), len(train.cands)+len(test.cands), 0)
 	var labels *labeling.Matrix
 	if s.opts.Marginals == nil {
 		rows := make([][]int8, len(train.cands))
@@ -571,7 +559,6 @@ func (s *Store) runSplitArtifacts(trainNames, testNames []string, gold []GoldTup
 	for _, n := range testNames {
 		testDocs[n] = true
 	}
-	res, art := runStagesArtifacts(s.task, s.opts, train, test, labels, testDocs, gold)
-	art.spans = append([]obs.Span{loadSpan}, art.spans...)
-	return res, art, nil
+	res, _ := runStages(s.task, s.opts, train, test, labels, testDocs, gold, nil)
+	return res, nil
 }

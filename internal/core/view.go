@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
@@ -17,21 +15,19 @@ import (
 // StoreView is an immutable snapshot of a Store at one epoch — the
 // unit of publication in the serving layer's epoch-based copy-on-write
 // concurrency model (internal/serve). A view is built on the writer
-// goroutine by Store.View, then published through an atomic pointer;
-// any number of reader goroutines may use every StoreView method
-// concurrently, with no locks, and never observe a half-applied
-// ingest.
+// goroutine, then published through an atomic pointer; any number of
+// reader goroutines may use every StoreView method concurrently, with
+// no locks, and never observe a half-applied ingest.
 //
-// Immutability is by construction: mutable store state (votes,
-// relation row counts) is deep-copied at build time, while structurally
-// immutable state (ingested documents, candidates, per-candidate
-// feature-name rows — never modified after ingestion — and the prefix
-// of the append-only session feature-name list the epoch admits) is
-// shared. The view's production artifacts —
-// the trained model, its frozen feature index, the classified
-// knowledge base — are computed at build time through the same staged
-// code path as Store.RunSplit, so a served epoch's results are
-// bit-identical to a from-scratch Run over the epoch's corpus.
+// A view is the product of two orthogonal steps, each written once in
+// view_build.go: epoch state (Store.capture — a function of the
+// corpus) and generation state (modelState — a function of the model,
+// either trained here or inherited). Immutability is by construction:
+// mutable store state (votes, relation row counts) is deep-copied at
+// capture, structurally immutable state (ingested documents,
+// candidates, per-candidate feature-name rows, the admitted prefix of
+// the append-only session feature-name list) is shared, and every step
+// returns a new view instead of touching its receiver.
 //
 // Accessors returning slices or maps either return private copies or
 // the view's own immutable data; callers must treat every returned
@@ -47,33 +43,16 @@ type StoreView struct {
 	votes    [][]int8
 	lfNames  []string
 
-	// Two-phase publication bookkeeping (async serving): the model
-	// generation this view serves, the epoch whose corpus that
-	// generation was trained on, and the session feature-space size at
-	// training time — the base against which feature-count drift is
-	// measured to trigger a background retrain. A (epoch, generation)
-	// pair fully determines the served bytes: the corpus is a function
-	// of the epoch, the model a function of the generation, and
-	// classification a pure per-candidate function of both.
-	generation             uint64
-	modelEpoch             uint64
-	trainedSessionFeatures int
-
 	// names are the per-candidate distinct feature-name rows, aligned
 	// with cands (shared immutable store rows — never mutated after
 	// ingestion), and splitStats the whole-corpus featurization cache
-	// statistics. Captured so ViewDelta and Retrain can re-run staged
-	// classification/training as pure functions of the view, off the
-	// store.
+	// statistics. Captured so training and classification run as pure
+	// functions of the view, off the store.
 	names      [][]string
 	splitStats features.CacheStats
 
-	// Production artifacts of this epoch: the whole-corpus run's
-	// Result, trained model, frozen feature index, and denoised
-	// per-candidate marginals.
-	result    Result
-	model     *model.Model
-	runIndex  *features.Index
+	// marginals are the denoised per-candidate marginals: supervision
+	// is epoch state, recomputed over the full label matrix at capture.
 	marginals []float64
 
 	// Session feature-space statistics at this epoch; sessionFeatures
@@ -83,119 +62,52 @@ type StoreView struct {
 	pendingFeatures  int
 	distinctFeatures int
 
-	// kb is this epoch's classified knowledge base, materialized
-	// against the task schema; tableRows are the store relations' row
-	// counts (session metadata).
-	kb        *kbase.Table
+	// tableRows are the store relations' row counts (session metadata);
+	// storage the store's backend/eviction counters at capture — the
+	// operator-facing /meta section.
 	tableRows map[string]int
+	storage   StorageStats
 
-	// storage captures the store's backend/eviction counters at build
-	// time — the operator-facing /meta section.
-	storage StorageStats
+	modelState
 
-	// spans is the view build's stage timing (hydrate, loadSplits, the
-	// staged run, materializeKB) — observability only, never part of
-	// the Result.
+	// What epoch and generation state determine together: the
+	// production Result (bit-identical to a from-scratch Run over the
+	// epoch's corpus when the model was trained cold at this epoch) and
+	// the classified knowledge base, materialized against the task
+	// schema.
+	result Result
+	kb     *kbase.Table
+
+	// spans is the stage timing of the calls that built this view —
+	// observability only, never part of the Result.
 	spans []obs.Span
 }
 
-// View builds an immutable snapshot of the store at its current
-// epoch: it deep-copies the mutable session state, then runs the
-// production half of the pipeline (train on the whole ingested
-// corpus, classify the whole corpus — RunSplit with both splits equal
-// to the full document list) and captures the trained model, frozen
-// index, marginals and materialized knowledge base. gold, when
-// non-nil, scopes the Result's quality evaluation exactly as in
-// RunSplit.
-//
-// View reads the entire store, so it takes the same
-// writer-goroutine-only guard as a mutation: call it from the thread
-// that mutates the store (the serving layer's writer goroutine does,
-// immediately after each ingest), never concurrently with one.
-func (s *Store) View(gold []GoldTuple) (*StoreView, error) {
-	s.beginMutation()
-	defer s.endMutation(false)
-
-	names := s.DocNames()
-	// The view needs every candidate's mention spans (serving and
-	// ad-hoc classification read them), so evicted documents are
-	// rehydrated here — through the LRU budget — into the snapshot.
-	// The view keeps its own references: later store evictions cannot
-	// reach into a published epoch.
-	t0 := time.Now()
-	cands, err := s.hydratedCandidates()
-	if err != nil {
-		return nil, err
-	}
-	hydrateSpan := obs.NewSpan("hydrate", t0, len(names), len(cands), 0)
-	v := &StoreView{
-		epoch:            s.epoch,
-		relation:         s.task.Relation,
-		task:             s.task,
-		opts:             s.opts,
-		docNames:         names,
-		cands:            cands,
-		names:            s.names[:len(cands):len(cands)],
-		sessionFeatures:  s.dict.NamesView(),
-		pendingFeatures:  len(s.pending),
-		distinctFeatures: len(s.counts),
-		tableRows:        map[string]int{},
-		// This view's model is trained here, on this epoch's corpus.
-		modelEpoch:             s.epoch,
-		trainedSessionFeatures: s.dict.Len(),
-	}
-	for _, sd := range s.docs {
-		v.splitStats.Hits += sd.stats.Hits
-		v.splitStats.Misses += sd.stats.Misses
-	}
-	v.lfNames = make([]string, len(s.lfs))
-	for i, lf := range s.lfs {
-		v.lfNames[i] = lf.Name
-	}
-	// Votes rows are mutated in place by AddLF/EditLF, so the view
-	// needs its own copies; candidates and documents are never
-	// modified after ingestion and are shared.
-	v.votes = make([][]int8, len(s.votes))
-	for i, row := range s.votes {
-		v.votes[i] = append([]int8(nil), row...)
-	}
-	for _, name := range s.db.Names() {
-		v.tableRows[name] = s.db.Table(name).Len()
-	}
-
-	// The production run: train on every ingested document, classify
-	// every ingested document (splits may overlap; see RunSplit). The
-	// epoch's guard is already held, and runSplitArtifacts only reads.
-	res, art, err := s.runSplitArtifacts(names, names, gold)
-	if err != nil {
-		return nil, err
-	}
-	v.result = res
-	v.model = art.model
-	v.runIndex = art.index
-	v.marginals = art.marginals
-
-	// Materialize this epoch's knowledge base against the task schema.
-	t0 = time.Now()
-	if v.kb, err = materializeKB(s.task.Schema, res.Predicted); err != nil {
-		return nil, err
-	}
-	v.spans = append(append([]obs.Span{hydrateSpan}, art.spans...),
-		obs.NewSpan("materializeKB", t0, len(res.Predicted), v.kb.Len(), 0))
-	// Sampled last, so the epoch's counters include the view build's
-	// own rehydration and page-cache traffic.
-	v.storage = s.StorageStats()
-	return v, nil
+// modelState is a view's generation state: the model generation it
+// serves, the epoch whose corpus trained that generation, the session
+// feature-space size at training time (the base against which feature
+// drift is measured to trigger a retrain), the trained model and the
+// frozen feature index its columns are numbered by. An (epoch,
+// generation) pair fully determines the served bytes: the corpus is a
+// function of the epoch, the model a function of the generation, and
+// classification a pure per-candidate function of both.
+type modelState struct {
+	generation             uint64
+	modelEpoch             uint64
+	trainedSessionFeatures int
+	model                  *model.Model
+	runIndex               *features.Index
 }
 
-// StageSpans returns the view build's stage timing (read-only): the
-// hydration pass, the staged production run, and the KB
+// StageSpans returns the stage timing of the call that built this view
+// (read-only): capture and classification for a delta view, the staged
+// run for a retrained one, both for Store.View; always ending in the KB
 // materialization. Observability data only — never compared across
 // runs, unlike the Result.
 func (v *StoreView) StageSpans() []obs.Span { return v.spans }
 
 // StorageStats returns the store's backend/eviction counters as of
-// this epoch's view build (backend kind, resident/peak/max document
+// this epoch's capture (backend kind, resident/peak/max document
 // counts, disk pages, page-cache hit rate).
 func (v *StoreView) StorageStats() StorageStats { return v.storage }
 
@@ -205,11 +117,6 @@ func (v *StoreView) Epoch() uint64 { return v.epoch }
 // Generation returns the model generation this view serves. Together
 // with the epoch it fully determines the served bytes (see Retrain).
 func (v *StoreView) Generation() uint64 { return v.generation }
-
-// SetGeneration stamps the view's model generation. Views are
-// immutable after publication; the single writer goroutine stamps the
-// generation between build and publish, never afterwards.
-func (v *StoreView) SetGeneration(g uint64) { v.generation = g }
 
 // ModelTrainedAtEpoch returns the epoch whose corpus trained this
 // view's model. Equal to Epoch() right after a (re)train; smaller on
@@ -255,9 +162,10 @@ func (v *StoreView) LFNames() []string {
 	return append([]string(nil), v.lfNames...)
 }
 
-// Result returns the epoch's production Result — bit-identical to a
-// from-scratch Run over the epoch's corpus with train = test = the
-// full document list. Read-only.
+// Result returns the view's production Result. When the model was
+// trained cold at this epoch (Store.View, a cold Retrain) it is
+// bit-identical to a from-scratch Run over the epoch's corpus with
+// train = test = the full document list. Read-only.
 func (v *StoreView) Result() Result { return v.result }
 
 // Marginals returns the denoised per-candidate marginals (indexed by
@@ -359,14 +267,7 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 	var out DocClassification
 	seen := map[string]bool{}
 	for _, c := range cands {
-		var cols []int
-		for _, n := range distinctFeatures(fx, c) {
-			if id, ok := v.runIndex.Lookup(n); ok {
-				cols = append(cols, id)
-			}
-		}
-		sort.Ints(cols)
-		p := v.model.PredictProb(model.Example{Cand: c, SparseFeats: cols})
+		p := v.model.PredictProb(model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, distinctFeatures(fx, c))})
 		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.Threshold}
 		out.Candidates = append(out.Candidates, cc)
 		if cc.Positive {

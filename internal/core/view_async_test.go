@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -12,18 +13,21 @@ import (
 // serving layer's replay test proves the end-to-end property over
 // HTTP; these tests pin the three primitives it is built from:
 //
-//   - Retrain over a view's raw feature-name rows reproduces the
-//     synchronous View pipeline bitwise (raw staging ≡ matrix staging).
+//   - Retrain over a view's raw feature-name rows reproduces a
+//     from-scratch Run and the store's RunSplit bitwise (raw staging ≡
+//     matrix staging).
 //   - A ViewDelta chain serves the same bytes as reclassifying the
 //     whole corpus under the inherited generation (AdoptModel).
 //   - Warm-started training is a pure deterministic function of
 //     (view, config).
 
 // TestViewRetrainMatchesView: a delta view cold-retrained at epoch e
-// must be bit-identical to the synchronous st.View at the same epoch —
-// same Result, same KB. This is the lemma that lets the background
-// trainer feed runStages from the view's raw feature-name rows instead
-// of the store's materialized matrix.
+// must be bit-identical to the independent oracles over the same
+// corpus — a from-scratch core.Run and the store's own RunSplit, both
+// with train = test = every document — same Result, same KB. Store.View
+// is itself built from Retrain, so it is no oracle here. This is the
+// lemma that lets the trainer feed runStages from the view's raw
+// feature-name rows instead of the store's materialized matrix.
 func TestViewRetrainMatchesView(t *testing.T) {
 	corpus := synth.Electronics(71, 8)
 	task := corpus.Tasks[0]
@@ -49,10 +53,6 @@ func TestViewRetrainMatchesView(t *testing.T) {
 		t.Fatalf("delta at (epoch %d, generation %d), want (2, %d)", delta.Epoch(), delta.Generation(), v1.Generation())
 	}
 
-	sync, err := st.View(gold)
-	if err != nil {
-		t.Fatal(err)
-	}
 	retrained, err := delta.Retrain(core.RetrainConfig{Gold: gold, Generation: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -62,21 +62,42 @@ func TestViewRetrainMatchesView(t *testing.T) {
 	}
 
 	got := normalizeResult(retrained.Result())
-	want := normalizeResult(sync.Result())
-	// The synchronous view reports the store's cache traffic for its
-	// own hydration; the retrain reuses candidates captured at view
-	// build time, so cache counters are the one legitimate divergence.
-	got.CacheStats = want.CacheStats
+	want := normalizeResult(core.Run(task, corpus.Docs, corpus.Docs, gold, opts))
 	if want.TrainCandidates == 0 || want.NumFeatures == 0 {
 		t.Fatalf("degenerate baseline: %+v", want)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Retrain differs from synchronous View\n got: %+v\nwant: %+v", got, want)
+		t.Errorf("Retrain differs from from-scratch Run\n got: %+v\nwant: %+v", got, want)
 	}
-	if !reflect.DeepEqual(retrained.KB().Tuples(), sync.KB().Tuples()) {
-		t.Error("Retrain KB differs from synchronous View KB")
+	split, err := st.RunSplit(st.DocNames(), st.DocNames(), gold)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(retrained.Result().Predicted) == 0 {
+	if !reflect.DeepEqual(got, normalizeResult(split)) {
+		t.Errorf("Retrain differs from Store.RunSplit\n got: %+v\nwant: %+v", got, normalizeResult(split))
+	}
+	// The KB holds the distinct value tuples of the oracle's predictions,
+	// first occurrence first.
+	var wantKB [][]string
+	seen := map[string]bool{}
+	for _, tp := range want.Predicted {
+		if key := strings.Join(tp.Values, "\x00"); !seen[key] {
+			seen[key] = true
+			wantKB = append(wantKB, tp.Values)
+		}
+	}
+	var gotKB [][]string
+	for _, row := range retrained.KB().Tuples() {
+		vals := make([]string, len(row))
+		for i, cell := range row {
+			vals[i] = cell.(string)
+		}
+		gotKB = append(gotKB, vals)
+	}
+	if !reflect.DeepEqual(gotKB, wantKB) {
+		t.Errorf("Retrain KB differs from the oracle's distinct predictions\n got: %v\nwant: %v", gotKB, wantKB)
+	}
+	if len(wantKB) == 0 {
 		t.Fatal("no tuples predicted; test is vacuous")
 	}
 }

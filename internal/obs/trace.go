@@ -15,9 +15,10 @@ import (
 // never touches the lock-free read path.
 
 // Span is one timed pipeline stage. Stage names come from a fixed
-// enum (extract, featurize, supervise, index, mirror, loadSplits,
-// materialize, train, classify, hydrate, materializeKB, ...), so the
-// per-stage metrics they feed stay fixed-cardinality.
+// enum (extract, featurize, supervise, merge, mirror from an ingest;
+// hydrate, hydrateDelta, deltaClassify from a view capture; index,
+// materialize, train, classify from a training run; materializeKB), so
+// the per-stage metrics they feed stay fixed-cardinality.
 type Span struct {
 	// Name is the stage name.
 	Name string `json:"name"`
@@ -53,10 +54,10 @@ func NewSpan(name string, start time.Time, rowsIn, rowsOut, workers int) Span {
 // published.
 type Trace struct {
 	// Kind is the trigger: "initial" (server construction), "ingest"
-	// (online synchronous ingest), "delta" (async ingest publishing a
-	// delta epoch under the current model), "train" (background
-	// retrain publishing a new model generation), or "snapshot"
-	// (persistence pass).
+	// (online ingest retrained by the writer before publishing),
+	// "delta" (online ingest publishing a delta epoch under the
+	// current model), "train" (a retrain installing a new model
+	// generation), or "snapshot" (persistence pass).
 	Kind string `json:"kind"`
 	// Epoch is the store epoch the run published (the pre-run epoch
 	// for failed publications and snapshots; for "train" traces, the

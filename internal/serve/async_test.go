@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -400,4 +401,118 @@ func TestServeBackgroundTrainTriggers(t *testing.T) {
 			t.Fatalf("interval-trained view at epoch %d, trainedAt %d", v.Epoch(), v.ModelTrainedAtEpoch())
 		}
 	})
+}
+
+// TestServeSyncTrainOverlappingIngest is the regression test for the
+// (epoch, generation) collision: on a synchronous server, a Train
+// started before an Ingest publishes finishes after it, holding a model
+// trained one epoch earlier and numbered like the writer's own. Every
+// view any party observes — the two calls' results and a reader polling
+// the served pointer — must agree per (epoch, generation) pair on the KB,
+// the run feature space and the model's training epoch, and the served
+// model must never move to one trained at an earlier epoch.
+func TestServeSyncTrainOverlappingIngest(t *testing.T) {
+	const rounds, perRound = 3, 2
+	corpus := synth.Electronics(47, (rounds+1)*perRound)
+	task := corpus.Tasks[0]
+	docs := reparse(t, corpus)
+
+	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 9, Epochs: 2, Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.Ingest(docs[:perRound]); err != nil {
+		t.Fatal(err)
+	}
+
+	type content struct {
+		kb          string
+		runFeatures int
+		trainedAt   uint64
+	}
+	var (
+		mu    sync.Mutex
+		pairs = map[[2]uint64]content{}
+	)
+	observe := func(who string, v *core.StoreView) {
+		kb, err := canonView(task, v)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got := content{kb, v.FeatureStats().RunFeatures, v.ModelTrainedAtEpoch()}
+		pair := [2]uint64{v.Epoch(), v.Generation()}
+		mu.Lock()
+		defer mu.Unlock()
+		if want, ok := pairs[pair]; !ok {
+			pairs[pair] = got
+		} else if got != want {
+			t.Errorf("%s: (epoch %d, generation %d) served with %d run features trained at epoch %d, "+
+				"but also with %d run features trained at epoch %d (same KB: %v)",
+				who, pair[0], pair[1], got.runFeatures, got.trainedAt, want.runFeatures, want.trainedAt, got.kb == want.kb)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last *core.StoreView
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := srv.CurrentView()
+			if v == last {
+				runtime.Gosched()
+				continue
+			}
+			if last != nil && v.ModelTrainedAtEpoch() < last.ModelTrainedAtEpoch() {
+				t.Errorf("served model went from one trained at epoch %d to one trained at epoch %d",
+					last.ModelTrainedAtEpoch(), v.ModelTrainedAtEpoch())
+			}
+			observe("reader", v)
+			last = v
+		}
+	}()
+
+	for r := 1; r <= rounds; r++ {
+		// Train reads its base view within microseconds and then trains
+		// for far longer than the ingest needs to reach the writer, so
+		// its install lands behind the ingest's publish.
+		trainDone := make(chan error, 1)
+		go func() {
+			v, err := srv.Train()
+			if err == nil {
+				observe("Train", v)
+			}
+			trainDone <- err
+		}()
+		v, err := srv.Ingest(docs[r*perRound : (r+1)*perRound])
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe("Ingest", v)
+		if v.Epoch() != uint64(r+1) || v.ModelTrainedAtEpoch() != v.Epoch() {
+			t.Fatalf("round %d: ingest published epoch %d with a model trained at epoch %d", r, v.Epoch(), v.ModelTrainedAtEpoch())
+		}
+		if err := <-trainDone; err != nil {
+			t.Fatalf("round %d: overlapped Train: %v", r, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	final := srv.CurrentView()
+	observe("final", final)
+	if final.Epoch() != rounds+1 || final.ModelTrainedAtEpoch() != final.Epoch() {
+		t.Fatalf("final view at epoch %d serves a model trained at epoch %d", final.Epoch(), final.ModelTrainedAtEpoch())
+	}
+	if !strings.Contains(pairs[[2]uint64{final.Epoch(), final.Generation()}].kb, `"tuples":[[`) {
+		t.Fatal("final KB is empty; test is vacuous")
+	}
 }

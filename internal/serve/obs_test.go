@@ -346,7 +346,7 @@ func TestTracesAndHealthObservability(t *testing.T) {
 			t.Fatalf("span without duration: %v", s)
 		}
 	}
-	for _, want := range []string{"extract", "featurize", "supervise", "merge", "mirror", "loadSplits", "train", "classify", "hydrate", "materializeKB"} {
+	for _, want := range []string{"extract", "featurize", "supervise", "merge", "mirror", "hydrateDelta", "deltaClassify", "index", "train", "classify", "materializeKB"} {
 		if !names[want] {
 			t.Errorf("ingest trace lacks span %q (have %v)", want, names)
 		}

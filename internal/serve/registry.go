@@ -73,9 +73,9 @@ type RegistryConfig struct {
 	// way). Per-Registry rather than process-global, so concurrent
 	// registries — tests, embedders — never share series.
 	Metrics *obs.Metrics
-	// Async/TrainDrift/TrainInterval configure every tenant's
-	// two-phase publication (see Config); the registry applies them
-	// uniformly to all tenants it builds.
+	// Async/TrainDrift/TrainInterval configure every tenant's training
+	// policy (see Config); the registry applies them uniformly to all
+	// tenants it builds.
 	Async         bool
 	TrainDrift    float64
 	TrainInterval time.Duration
@@ -170,8 +170,8 @@ type Registry struct {
 	snapshotRoot string
 	start        time.Time
 
-	// Fleet-wide two-phase publication settings, applied to every
-	// tenant the registry builds.
+	// Fleet-wide training-policy settings, applied to every tenant the
+	// registry builds.
 	async         bool
 	trainDrift    float64
 	trainInterval time.Duration

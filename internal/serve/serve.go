@@ -9,22 +9,32 @@
 // guard panics on concurrent writes), so the server never lets
 // requests touch it directly. Instead:
 //
-//   - All mutations — online ingestion, snapshots — are funneled
-//     through one writer goroutine, which applies them to the store
+//   - All mutations — online ingestion, snapshots, model installs —
+//     are funneled through one writer goroutine, which applies them
 //     strictly serially.
 //   - After every successful mutation the writer builds an immutable
-//     core.StoreView (deep copies of mutable session state, a freshly
-//     trained model, the epoch's classified knowledge base) and
-//     publishes it with a single atomic.Pointer store.
+//     core.StoreView and publishes it with a single atomic.Pointer
+//     store (Server.publish, the only place a view becomes visible).
 //   - Read requests load the pointer once and answer entirely from
 //     that view: lock-free, no coordination with the writer, and by
 //     construction a response can only ever observe exactly one
 //     published epoch — never a half-applied ingest.
 //
-// Every response carries the epoch it was served from, so clients
-// (and the race tests) can correlate reads across endpoints. A served
-// epoch's results are bit-identical to a from-scratch core.Run over
-// that epoch's corpus; see core.StoreView.
+// # One publication path, two training policies
+//
+// An ingest is always: apply the batch, capture the delta epoch under
+// the serving model (core.Store.ViewDelta), then the training policy.
+// Config.Async only decides who runs the trainer. False: the writer
+// trains cold inside the same turn and publishes only the trained view,
+// so every served epoch is bit-identical to a from-scratch core.Run
+// over its corpus. True: the delta view is published at once and a
+// background goroutine trains warm, installing through the writer.
+//
+// Every response carries the (epoch, generation) pair it was served
+// from, and the pair fully determines the served bytes: a generation
+// is numbered as the successor of the view it was trained from, and
+// the writer turn that installs it (Server.install) refuses any number
+// that is not the successor of the one being served at that moment.
 package serve
 
 import (
@@ -67,13 +77,14 @@ type Config struct {
 	// path completely uninstrumented — byte-for-byte the pre-metrics
 	// handler chain (the overhead benchmark compares the two).
 	Metrics *obs.Metrics
-	// Async enables two-phase publication: Ingest publishes an
-	// immediate delta epoch — the new documents classified under the
+	// Async decides who runs the trainer. True: Ingest publishes the
+	// delta epoch at once — the new documents classified under the
 	// CURRENT model generation, no training on the write path — and a
 	// background trainer goroutine retrains (warm-started from the
 	// previous weights) and republishes when feature drift crosses
-	// TrainDrift or TrainInterval elapses. False keeps the historical
-	// synchronous behavior: every ingest retrains before publishing.
+	// TrainDrift or TrainInterval elapses. False: the writer itself
+	// retrains cold before publishing, so readers never see an epoch
+	// whose model was not trained on it.
 	// cmd/fonduer-serve defaults to async (-sync-publish opts out).
 	Async bool
 	// TrainDrift triggers a background retrain when the session
@@ -117,14 +128,15 @@ type Server struct {
 	degraded atomic.Pointer[Degraded]
 
 	// publishFault, when armed (tests only, via
-	// FailNextPublishForTest), makes the next Ingest's view build fail
-	// — fault injection for the degraded path.
+	// FailNextPublishForTest), makes the next Ingest's capture fail —
+	// fault injection for the degraded path.
 	publishFault atomic.Pointer[string]
 
-	// Two-phase publication state (Config.Async). The trainer
-	// goroutine owns retraining; trainMu additionally serializes it
-	// against POST /admin/train. trainKick is the writer's buffered
-	// nudge after a delta epoch crosses the drift threshold.
+	// Training policy state. async is Config.Async: who runs the
+	// trainer. Under it the trainer goroutine owns retraining; trainMu
+	// serializes it against POST /admin/train (the writer's inline
+	// trainer never takes it). trainKick is the buffered nudge after a
+	// delta epoch crosses the drift threshold.
 	async         bool
 	trainDrift    float64
 	trainInterval time.Duration
@@ -247,15 +259,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		return nil, fmt.Errorf("serve: building initial view: %w", err)
 	}
-	s.view.Store(view)
-	s.recordPublish(obs.Trace{
-		Kind:       "initial",
-		Epoch:      view.Epoch(),
-		Start:      t0,
-		DurationMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-		Docs:       view.NumDocs(),
-		Spans:      view.StageSpans(),
-	}, view)
+	s.publish("initial", t0, view.NumDocs(), view.StageSpans(), view, nil)
 
 	s.wg.Add(1)
 	go func() {
@@ -309,64 +313,94 @@ func (s *Server) submit(fn func(st *core.Store) (any, error)) (any, error) {
 // CurrentView returns the most recently published epoch view.
 func (s *Server) CurrentView() *core.StoreView { return s.view.Load() }
 
-// recordPublish files one publication's trace into the ring, feeds
-// the publish/stage/training metrics, and emits the mutation log
-// line. view is nil for failed publications.
-func (s *Server) recordPublish(tr obs.Trace, view *core.StoreView) {
-	s.traces.Add(tr)
+// publish files one publication attempt. With a nil err, view becomes
+// the served epoch — this is the only place the view pointer is
+// stored, on the writer goroutine once it runs. With a non-nil err
+// nothing changes for readers: view is what they keep seeing, and only
+// the failure is recorded. Either way the trace goes into the ring, the
+// publish/stage/training metrics are fed and the mutation log line is
+// emitted. A successful "train" trace names the epoch whose corpus
+// trained the generation (the served epoch may be ahead of it after a
+// catch-up).
+func (s *Server) publish(kind string, t0 time.Time, docs int, spans []obs.Span, view *core.StoreView, err error) {
+	tr := obs.Trace{
+		Kind:       kind,
+		Epoch:      view.Epoch(),
+		Generation: view.Generation(),
+		Start:      t0,
+		DurationMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
+		Docs:       docs,
+		Spans:      spans,
+	}
 	epochs, trainSecs := 0, 0.0
-	if view != nil {
+	if err == nil {
+		s.view.Store(view)
+		if kind == "train" {
+			tr.Epoch = view.ModelTrainedAtEpoch()
+		}
 		ts := view.Result().TrainStats
 		epochs, trainSecs = ts.Epochs, ts.TotalDuration.Seconds()
+	} else {
+		tr.Err = err.Error()
 	}
+	s.traces.Add(tr)
 	if s.metrics != nil {
 		s.metrics.observePublish(s.name, tr, epochs, trainSecs)
 	}
-	if tr.Err != "" {
-		obs.Log().Error("publish failed", "tenant", s.name, "kind", tr.Kind,
-			"docs", tr.Docs, "durationMs", tr.DurationMs, "error", tr.Err)
+	if err != nil {
+		obs.Log().Error("publish failed", "tenant", s.name, "kind", kind,
+			"docs", docs, "durationMs", tr.DurationMs, "error", tr.Err)
 		return
 	}
-	obs.Log().Info("published", "tenant", s.name, "kind", tr.Kind, "epoch", tr.Epoch,
-		"docs", tr.Docs, "durationMs", tr.DurationMs)
+	obs.Log().Info("published", "tenant", s.name, "kind", kind, "epoch", tr.Epoch,
+		"docs", docs, "durationMs", tr.DurationMs)
+}
+
+// train runs the trainer over base's corpus — cold when warm is nil —
+// and numbers the result as base's successor generation. Whether that
+// number becomes real is decided on the writer turn that installs it.
+// Takes no lock: the writer's inline trainer runs while Train may be
+// holding trainMu and waiting on the writer.
+func (s *Server) train(base, warm *core.StoreView) (*core.StoreView, error) {
+	return base.Retrain(core.RetrainConfig{Gold: s.gold, Generation: base.Generation() + 1, WarmFrom: warm})
 }
 
 // Ingest applies one document batch on the writer goroutine —
 // extraction, featurization and supervision for the delta only, per
-// the store's incremental semantics — then publishes the next epoch's
-// view and returns it.
-//
-// Synchronous mode retrains inside the publish (the new view carries
-// a new model generation). Async mode publishes a delta epoch: the
-// new documents are classified under the current generation's model,
-// and the background trainer is nudged if the session feature space
-// has drifted past Config.TrainDrift since that generation trained.
+// the store's incremental semantics — captures the next epoch under
+// the serving model, runs the training policy, and publishes and
+// returns the resulting view.
 func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
-	kind := "ingest"
-	if s.async {
-		kind = "delta"
+	// The training policy — the one place an ingest consults
+	// Config.Async. Either the background trainer owns retraining and
+	// the delta view is what gets published, or the writer retrains cold
+	// in the same turn and only the trained view is ever visible.
+	kind, writerTrains := "delta", false
+	if !s.async {
+		kind, writerTrains = "ingest", true
 	}
 	val, err := s.submit(func(st *core.Store) (any, error) {
 		t0 := time.Now()
 		if err := st.AddDocuments(docs...); err != nil {
 			return nil, err
 		}
-		ingestSpans := st.TakeIngestSpans()
+		spans := st.TakeIngestSpans()
 		prev := s.view.Load()
+		// If a previous publish failed, prev is older than the store by
+		// more than this batch; ViewDelta captures everything after prev,
+		// folding the stranded documents in too.
 		var view *core.StoreView
-		verr := error(nil)
+		var err error
 		if msg := s.publishFault.Swap(nil); msg != nil {
-			verr = fmt.Errorf("%s", *msg)
-		} else if s.async {
-			// Delta publication: no training on the write path. If a
-			// previous publish failed, prev is older than the store by
-			// more than this batch; ViewDelta classifies everything
-			// after prev, folding the stranded documents in too.
-			view, verr = st.ViewDelta(prev, s.gold)
+			err = fmt.Errorf("%s", *msg)
 		} else {
-			view, verr = st.View(s.gold)
+			view, err = st.ViewDelta(prev, s.gold)
 		}
-		if verr != nil {
+		if err == nil && writerTrains {
+			spans = append(spans, view.StageSpans()...)
+			view, err = s.train(view, nil)
+		}
+		if err != nil {
 			// The documents are in the store but no epoch serves them:
 			// record the gap explicitly instead of letting the next
 			// unrelated publish or snapshot silently include them.
@@ -374,47 +408,20 @@ func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
 			for i, d := range docs {
 				names[i] = d.Name
 			}
-			served, servedGen := uint64(0), uint64(0)
-			if prev != nil {
-				served, servedGen = prev.Epoch(), prev.Generation()
-			}
 			s.degraded.Store(&Degraded{
-				Err:         verr.Error(),
+				Err:         err.Error(),
 				PendingDocs: names,
 				StoreEpoch:  st.Epoch(),
-				ServedEpoch: served,
+				ServedEpoch: prev.Epoch(),
 			})
-			s.recordPublish(obs.Trace{
-				Kind:       kind,
-				Epoch:      served,
-				Generation: servedGen,
-				Start:      t0,
-				DurationMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-				Docs:       len(docs),
-				Err:        verr.Error(),
-				Spans:      ingestSpans,
-			}, nil)
-			return nil, &PartialIngestError{Docs: names, Err: verr}
+			s.publish(kind, t0, len(docs), spans, prev, err)
+			return nil, &PartialIngestError{Docs: names, Err: err}
 		}
-		if !s.async && prev != nil {
-			// Synchronous publication trains a fresh model every epoch:
-			// stamp the new generation before the view becomes visible.
-			view.SetGeneration(prev.Generation() + 1)
-		}
-		s.view.Store(view)
+		s.publish(kind, t0, len(docs), append(spans, view.StageSpans()...), view, nil)
 		// A successful publication serves every applied mutation,
 		// including any previously stranded documents: the degradation
 		// is over, and the recovery is explicit in the epoch payload.
 		s.degraded.Store(nil)
-		s.recordPublish(obs.Trace{
-			Kind:       kind,
-			Epoch:      view.Epoch(),
-			Generation: view.Generation(),
-			Start:      t0,
-			DurationMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-			Docs:       len(docs),
-			Spans:      append(ingestSpans, view.StageSpans()...),
-		}, view)
 		return view, nil
 	})
 	if err != nil {
@@ -425,12 +432,13 @@ func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
 	return view, nil
 }
 
-// maybeKickTrainer nudges the background trainer after a delta
-// publish when the session feature space has grown past the drift
-// threshold since the serving generation was trained. Non-blocking:
-// the kick channel is buffered and a pending kick is enough.
+// maybeKickTrainer nudges the background trainer after a publish when
+// the session feature space has grown past the drift threshold since
+// the serving generation was trained (never the case for a view the
+// writer just trained). Non-blocking: the kick channel is buffered and
+// a pending kick is enough.
 func (s *Server) maybeKickTrainer(view *core.StoreView) {
-	if !s.async || s.trainDrift <= 0 || view == nil {
+	if s.trainDrift <= 0 {
 		return
 	}
 	base := view.TrainedSessionFeatures()
@@ -481,65 +489,34 @@ func (s *Server) needsTrain() bool {
 		return true
 	}
 	v := s.CurrentView()
-	return v != nil && v.Epoch() > v.ModelTrainedAtEpoch()
+	return v.Epoch() > v.ModelTrainedAtEpoch()
 }
 
 // Train retrains the model over the currently served corpus — warm-
-// started from the serving generation — and publishes the new
+// started from the serving generation — and installs the new
 // generation. Training runs on the calling goroutine (the background
-// trainer, or an /admin/train request), never on the writer: only the
-// final install step goes through the writer loop, where the new
-// generation catches up (AdoptModel) with any delta epochs published
-// while it trained. Works in synchronous mode too, where it is simply
-// an explicit retrain of the current corpus.
+// trainer, or an /admin/train request), never on the writer; only the
+// install goes through the writer loop. Works under either training
+// policy: when the writer trains every epoch itself, this is simply an
+// explicit extra retrain of the current corpus. It returns the view
+// being served once the install turn is over.
 func (s *Server) Train() (*core.StoreView, error) {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
 
 	base := s.CurrentView()
-	if base == nil {
-		return nil, fmt.Errorf("serve: no published view to train from")
-	}
-	gen := base.Generation() + 1
 	t0 := time.Now()
 	var trained *core.StoreView
 	var err error
 	if msg := s.trainFault.Swap(nil); msg != nil {
 		err = fmt.Errorf("%s", *msg)
 	} else {
-		trained, err = base.Retrain(core.RetrainConfig{
-			Gold:       s.gold,
-			Generation: gen,
-			WarmFrom:   base,
-		})
+		trained, err = s.train(base, base)
 	}
 	if err == nil {
-		// Install through the writer goroutine, so the swap is
-		// serialized against concurrent delta publishes.
 		var val any
-		val, err = s.submit(func(st *core.Store) (any, error) {
-			v := trained
-			if cur := s.view.Load(); cur != nil && cur.Epoch() != trained.Epoch() {
-				cv, aerr := cur.AdoptModel(trained, s.gold)
-				if aerr != nil {
-					return nil, aerr
-				}
-				v = cv
-			}
-			s.view.Store(v)
+		if val, err = s.submit(func(*core.Store) (any, error) { return s.install(trained, t0) }); err == nil {
 			s.trainDegraded.Store(nil)
-			s.recordPublish(obs.Trace{
-				Kind:       "train",
-				Epoch:      trained.Epoch(),
-				Generation: v.Generation(),
-				Start:      t0,
-				DurationMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-				Docs:       v.NumDocs(),
-				Spans:      v.StageSpans(),
-			}, v)
-			return v, nil
-		})
-		if err == nil {
 			return val.(*core.StoreView), nil
 		}
 		if err == errClosed {
@@ -554,15 +531,37 @@ func (s *Server) Train() (*core.StoreView, error) {
 		StoreEpoch:  base.Epoch(),
 		ServedEpoch: base.Epoch(),
 	})
-	s.recordPublish(obs.Trace{
-		Kind:       "train",
-		Epoch:      base.Epoch(),
-		Generation: gen,
-		Start:      t0,
-		DurationMs: float64(time.Since(t0).Nanoseconds()) / 1e6,
-		Err:        err.Error(),
-	}, nil)
+	s.publish("train", t0, 0, nil, base, err)
 	return nil, err
+}
+
+// install is the writer turn that makes a trained generation the served
+// one — serialized, like every publish, against concurrent ingests.
+// This is where a generation number becomes real, so this is where it
+// is checked: trained carries the successor of the generation it was
+// trained from, and if that is no longer the successor of the
+// generation being served, the writer's own trainer has installed a
+// model in the meantime — one trained at a later epoch, under the same
+// number. The stale model is dropped rather than published over it (one
+// pair, one byte content), and the fresher view is the answer. When
+// only delta epochs landed while it trained, the new generation catches
+// up with them (AdoptModel).
+func (s *Server) install(trained *core.StoreView, t0 time.Time) (*core.StoreView, error) {
+	cur := s.view.Load()
+	if cur.Generation()+1 != trained.Generation() {
+		obs.Log().Info("retrain superseded", "tenant", s.name, "trainedAtEpoch", trained.Epoch(),
+			"servedGeneration", cur.Generation(), "servedModelEpoch", cur.ModelTrainedAtEpoch())
+		return cur, nil
+	}
+	v := trained
+	if cur.Epoch() > trained.Epoch() {
+		var err error
+		if v, err = cur.AdoptModel(trained, s.gold); err != nil {
+			return nil, err
+		}
+	}
+	s.publish("train", t0, v.NumDocs(), v.StageSpans(), v, nil)
+	return v, nil
 }
 
 // Snapshot persists the session's relations to dir (or the
