@@ -235,42 +235,27 @@ func BenchmarkIngestIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestDiskPaged is BenchmarkIngestIncremental over the
-// disk-paged kbase backend: identical stage work, with every relation
-// row spilling to fixed-size pages behind the LRU page cache instead
-// of residing in memory — the storage-engine overhead in isolation.
-func BenchmarkIngestDiskPaged(b *testing.B) {
+// BenchmarkIngestPaged is BenchmarkIngestIncremental over each paged
+// kbase kind: identical stage work, with every relation row sealed into
+// binary column pages — spilled to files ("disk") or kept on the heap
+// ("columnar") — instead of residing in a slice: the storage engine's
+// ingest overhead in isolation.
+func BenchmarkIngestPaged(b *testing.B) {
 	elec, batches := ingestCorpus()
 	task := elec.Tasks[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := core.NewStore(task, core.Options{Backend: "disk"})
-		for _, batch := range batches {
-			if err := st.AddDocuments(batch...); err != nil {
-				b.Fatal(err)
+	for _, kind := range []string{"disk", "columnar"} {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st := core.NewStore(task, core.Options{Backend: kind})
+				for _, batch := range batches {
+					if err := st.AddDocuments(batch...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st.Close()
 			}
-		}
-		st.Close()
-	}
-}
-
-// BenchmarkIngestColumnar is BenchmarkIngestIncremental over the
-// columnar kbase backend: identical stage work, with every relation
-// row encoded into column-major binary pages in memory — the column
-// codec's ingest overhead in isolation, the write-side counterpart of
-// BenchmarkServeKBFilteredReadColumnar's read win.
-func BenchmarkIngestColumnar(b *testing.B) {
-	elec, batches := ingestCorpus()
-	task := elec.Tasks[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := core.NewStore(task, core.Options{Backend: "columnar"})
-		for _, batch := range batches {
-			if err := st.AddDocuments(batch...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st.Close()
+		})
 	}
 }
 
@@ -368,15 +353,22 @@ func benchServeRead(b *testing.B, paths []string) {
 
 // BenchmarkServeKBFilteredRead measures the serving layer's filtered
 // KB read primitive — Table.PageWhere, the storage call behind
-// /kb?col=value — with a selective filter over a multi-page
-// disk-backed table (32 default-geometry pages, one group value per
-// page, so zone maps can prune 31 of them). The timed path is the
-// pushdown plan the /kb handler now uses; the legacy scan-and-clone
-// loop it replaced is measured once per run and reported as
-// legacy_ns/op alongside the speedup ratio, so the win is visible in
-// every benchmark log.
+// /kb?col=value, on the zone-map scan plan — over a 32-page table of
+// each paged kind, two ways. Clustered: one group value per page, so
+// zone maps prune 31 pages and the read is one page's predicate column
+// plus a 50-row window. Scattered: every page holds one row of each of
+// 128 groups, so nothing prunes and the read is the predicate column of
+// every page plus the 32 matching rows. (The exact per-column decode
+// counts are TestColumnarInPagePruning's.)
 func BenchmarkServeKBFilteredRead(b *testing.B) {
-	engine, err := kbase.NewDiskEngine(filepath.Join(b.TempDir(), "spill"), 0, 0)
+	for _, kind := range []string{"disk", "columnar"} {
+		b.Run(kind+"/clustered", func(b *testing.B) { benchFilteredRead(b, kind, false) })
+		b.Run(kind+"/scattered", func(b *testing.B) { benchFilteredRead(b, kind, true) })
+	}
+}
+
+func benchFilteredRead(b *testing.B, kind string, scattered bool) {
+	engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), "spill"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,149 +382,32 @@ func BenchmarkServeKBFilteredRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const rows = 4096 // 32 full pages of 128 rows
+	const rows, pageRows = 4096, 128 // 32 full pages of the default geometry
+	limit, matches := 50, pageRows   // clustered: g007 is all of page 7
+	if scattered {
+		limit, matches = rows/pageRows, rows/pageRows // one g007 row per page
+	}
 	for i := 0; i < rows; i++ {
-		if _, err := tbl.Insert(kbase.Tuple{fmt.Sprintf("p%05d", i), fmt.Sprintf("g%03d", i/128), i}); err != nil {
+		grp := i / pageRows
+		if scattered {
+			grp = i % pageRows
+		}
+		if _, err := tbl.Insert(kbase.Tuple{fmt.Sprintf("p%05d", i), fmt.Sprintf("g%03d", grp), i}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	// Zone-map scan plan only: the acceptance contrast is
-	// pushdown+zone maps vs scan-and-clone, not index lookups.
-	tbl.SetAutoIndex(false)
+	tbl.SetAutoIndex(false) // the scan plan, not index lookups
 	preds := []kbase.Pred{{Col: 1, Want: "g007"}}
-	const offset, limit, matches = 0, 50, 128
-
-	// Legacy comparator: full Scan, fmt.Sprint per row, clone every
-	// match, then slice the window — the /kb filtered path before
-	// pushdown.
-	legacy := func() {
-		var all []kbase.Tuple
-		tbl.Scan(func(tp kbase.Tuple) bool {
-			if fmt.Sprint(tp[1]) == "g007" {
-				all = append(all, tp.Clone())
-			}
-			return true
-		})
-		if len(all) != matches {
-			b.Fatalf("legacy matched %d rows", len(all))
-		}
-		_ = all[offset : offset+limit]
-	}
-	const legacyIters = 8
-	lstart := time.Now()
-	for i := 0; i < legacyIters; i++ {
-		legacy()
-	}
-	legacyNs := float64(time.Since(lstart).Nanoseconds()) / legacyIters
-
+	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		page, total := tbl.PageWhere(preds, offset, limit)
+		page, total := tbl.PageWhere(preds, 0, limit)
 		if total != matches || len(page) != limit {
-			b.Fatalf("PageWhere: %d rows, total %d", len(page), total)
+			b.Fatalf("PageWhere: %d rows, total %d, want %d of %d", len(page), total, limit, matches)
 		}
 	}
-	elapsed := time.Since(start)
-	if st := tbl.BackendStats(); st.PagesSkipped == 0 {
-		b.Fatal("zone maps pruned nothing")
-	}
-	if ns := float64(elapsed.Nanoseconds()) / float64(b.N); ns > 0 {
-		b.ReportMetric(legacyNs, "legacy_ns/op")
-		b.ReportMetric(legacyNs/ns, "speedup_x")
-	}
-}
-
-// BenchmarkServeKBFilteredReadColumnar measures the columnar engine's
-// reason to exist: the same selective filtered read served by
-// BenchmarkServeKBFilteredRead's disk engine, but with a SCATTERED
-// group value — every page holds one row of each of 128 groups, so
-// zone maps prune nothing for either engine and the contrast is pure
-// decode work. The disk engine must parse every row of every TSV page
-// per read (32 pages through a 16-page LRU cache, so reads thrash);
-// the columnar engine decodes only the predicate column's string
-// vector and materializes the other columns at the 32 matching
-// positions. The disk path is timed once per run as disk_ns/op; the
-// benchmark fails outright below 2x, and the engine's decode counters
-// prove the lazy-materialization claim: non-predicate columns decode
-// exactly matches cells per read, never the full page.
-func BenchmarkServeKBFilteredReadColumnar(b *testing.B) {
-	const rows, groups = 4096, 128 // 32 full pages, one row per group per page
-	const matches = rows / groups
-	newTable := func(db *kbase.DB) *kbase.Table {
-		schema, err := kbase.NewSchema("kb", "part", "grp", "n:integer")
-		if err != nil {
-			b.Fatal(err)
-		}
-		tbl, err := db.Create(schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < rows; i++ {
-			if _, err := tbl.Insert(kbase.Tuple{fmt.Sprintf("p%05d", i), fmt.Sprintf("g%03d", i%groups), i}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Decode work only: no index plans, and the scattered values
-		// defeat zone pruning by construction.
-		tbl.SetAutoIndex(false)
-		return tbl
-	}
-	diskEngine, err := kbase.NewDiskEngine(filepath.Join(b.TempDir(), "spill"), 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	diskDB := kbase.NewDBWith(diskEngine)
-	defer diskDB.Close()
-	diskTbl := newTable(diskDB)
-	colDB := kbase.NewDBWith(kbase.NewColumnarEngine(0, 0))
-	defer colDB.Close()
-	colTbl := newTable(colDB)
-
-	preds := []kbase.Pred{{Col: 1, Want: "g007"}}
-	read := func(tbl *kbase.Table) {
-		page, total := tbl.PageWhere(preds, 0, 0)
-		if total != matches || len(page) != matches {
-			b.Fatalf("PageWhere: %d rows, total %d, want %d", len(page), total, matches)
-		}
-	}
-	const diskIters = 8
-	dstart := time.Now()
-	for i := 0; i < diskIters; i++ {
-		read(diskTbl)
-	}
-	diskNs := float64(time.Since(dstart).Nanoseconds()) / diskIters
-
-	before, ok := colTbl.ColumnarStats()
-	if !ok {
-		b.Fatal("columnar table reports no columnar stats")
-	}
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		read(colTbl)
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-
-	after, _ := colTbl.ColumnarStats()
-	reads := int64(b.N)
-	for _, col := range []int{0, 2} { // the non-predicate columns
-		if got := after.CellsDecoded[col] - before.CellsDecoded[col]; got != matches*reads {
-			b.Fatalf("column %d decoded %d cells over %d reads, want %d (lazy materialization broken)",
-				col, got, reads, matches*reads)
-		}
-	}
-	if got := after.CellsDecoded[1] - before.CellsDecoded[1]; got != (rows+matches)*reads {
-		b.Fatalf("predicate column decoded %d cells over %d reads, want %d", got, reads, (rows+matches)*reads)
-	}
-
-	ns := float64(elapsed.Nanoseconds()) / float64(b.N)
-	b.ReportMetric(diskNs, "disk_ns/op")
-	speedup := diskNs / ns
-	b.ReportMetric(speedup, "speedup_x")
-	if speedup < 2 {
-		b.Fatalf("columnar filtered read is only %.2fx faster than the disk engine, want >= 2x", speedup)
+	if pruned := tbl.BackendStats().PagesSkipped > 0; pruned == scattered {
+		b.Fatalf("zone maps pruned = %v on a table with scattered = %v", pruned, scattered)
 	}
 }
 

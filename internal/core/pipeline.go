@@ -118,12 +118,13 @@ type Options struct {
 	// Batch (it is a real hyperparameter) but never on Workers.
 	Batch int
 	// Backend selects the kbase storage engine materializing a Store's
-	// relations: "memory" (every row resident — the original
-	// representation), "disk" (fixed-size row pages on disk behind a
-	// small LRU page cache, so relations stream instead of residing in
-	// RAM) or "columnar" (fixed-size pages as column-major binary
-	// blobs in memory, so filtered reads decode only the predicate
-	// columns and prune pages by in-page min/max zones). The zero
+	// relations: "memory" (every row resident in a slice — the original
+	// representation) or one of the two kinds of the paged engine,
+	// whose fixed-size pages are column-major binary blobs pruned by
+	// per-page zones and decoded lazily per column: "disk" (pages in
+	// spill files behind a small LRU of decoded pages, so relations
+	// stream instead of residing in RAM) or "columnar" (the same pages
+	// on the heap). The zero
 	// value "" is a sentinel consulting $FONDUER_BACKEND first (how CI
 	// runs the whole suite per backend) and defaulting to "memory".
 	// Results are bit-identical across backends; only the

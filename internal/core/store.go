@@ -13,7 +13,6 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/sparse"
 )
 
 // Store is the persistent, incrementally maintained state of one
@@ -25,9 +24,9 @@ import (
 // tables, so that:
 //
 //   - documents can be ingested incrementally: AddDocuments extracts,
-//     featurizes and labels only the new documents, merges their
-//     feature-count shards, and re-materializes only the matrix rows
-//     the resulting index change touches;
+//     featurizes and labels only the new documents and merges their
+//     feature-count shards; the numeric feature rows are derived per run
+//     from the name rows, under that run's frozen index;
 //   - labeling functions can be iterated without re-running extraction
 //     or featurization (the DevSession loop is a thin wrapper);
 //   - the whole session can be snapshotted to disk and resumed later
@@ -92,14 +91,10 @@ type Store struct {
 	// incremental ingestion is append-only.
 	counts map[string]int
 
-	// dict assigns stable session columns to admitted features in
-	// admission order; matrix is the materialized numeric Features
-	// matrix (global candidate ID × session column); pending maps each
-	// below-floor feature to the candidates carrying it — the exact
-	// row set to re-materialize when the feature crosses the floor.
-	dict    *features.Index
-	matrix  *sparse.LIL
-	pending map[string][]int
+	// dict lists the features at or above the MinFeatureCount floor in
+	// admission order (what /features serves and the drift trigger
+	// counts); every other key of counts is still below the floor.
+	dict *features.Index
 
 	db *kbase.DB
 
@@ -123,7 +118,6 @@ type storeDoc struct {
 	format string
 	pos    int
 	cands  []*candidates.Candidate // nil when evicted
-	counts map[string]int          // per-doc FeatureCounts shard
 	stats  features.CacheStats
 
 	candFirst, candCount int
@@ -152,13 +146,11 @@ type storeDoc struct {
 func NewStore(task Task, opts Options) *Store {
 	opts.defaults()
 	s := &Store{
-		task:    task,
-		opts:    opts,
-		byName:  map[string]*storeDoc{},
-		counts:  map[string]int{},
-		dict:    features.NewIndex(),
-		matrix:  sparse.NewLIL(),
-		pending: map[string][]int{},
+		task:   task,
+		opts:   opts,
+		byName: map[string]*storeDoc{},
+		counts: map[string]int{},
+		dict:   features.NewIndex(),
 	}
 	s.lfs = append(s.lfs, task.LFs...)
 	if opts.LFs != nil {
@@ -209,9 +201,8 @@ func (s *Store) LFs() []labeling.LF {
 
 // FeatureIndex returns the session feature index: every feature at or
 // above the MinFeatureCount floor over the whole ingested corpus, in
-// admission order. The columns are stable across AddDocuments calls
-// (admission is append-only), which is what keeps incremental row
-// re-materialization local to the rows an index change touches.
+// admission order. Admission is append-only (counts never shrink), so
+// the list only grows across AddDocuments calls.
 func (s *Store) FeatureIndex() *features.Index { return s.dict }
 
 // DB exposes the store's materialized kbase relations (read-only use;
@@ -256,11 +247,9 @@ func (s *Store) endMutation(changed bool) {
 // AddDocuments ingests documents incrementally: the Extract,
 // Featurize and Supervise stages run for the new documents only, the
 // new per-document FeatureCounts shards are merged into the session
-// counts, the frozen session index is rebuilt from the merged counts
-// (append-only: counts never shrink, so features only ever cross the
-// admission floor upward), and exactly the matrix rows affected by
-// the index change — the pending rows of newly admitted features,
-// plus the new candidates' own rows — are (re-)materialized.
+// counts, and the features those shards carried across the admission
+// floor join the session index (append-only: counts never shrink, so
+// features only ever cross the floor upward).
 //
 // Ingesting the same *Document pointer again is a no-op; a different
 // document with an already-ingested name is an error. Under eviction
@@ -370,7 +359,7 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	for i, d := range delta {
 		sd := &storeDoc{
 			doc: d, name: d.Name, format: d.Format, pos: len(s.docs),
-			cands: perDoc[i], counts: countsPerDoc[i], stats: statsPerDoc[i],
+			cands: perDoc[i], stats: statsPerDoc[i],
 			candFirst: len(s.cands), candCount: len(perDoc[i]),
 		}
 		s.docs = append(s.docs, sd)
@@ -387,10 +376,8 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 		}
 	}
 
-	// ---- Index rebuild + delta re-materialization: admit features
-	// that crossed the floor (sorted order within the batch keeps
-	// admission deterministic), back-filling exactly the pending rows
-	// that carry them, then materialize the new candidates' rows.
+	// ---- Index: admit the features that crossed the floor (sorted
+	// order within the batch keeps admission deterministic).
 	touched := map[string]bool{}
 	for i := range delta {
 		for n := range countsPerDoc[i] {
@@ -407,20 +394,7 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	}
 	sort.Strings(admitted)
 	for _, n := range admitted {
-		col := s.dict.ID(n)
-		for _, gid := range s.pending[n] {
-			s.matrix.Set(gid, col, 1)
-		}
-		delete(s.pending, n)
-	}
-	for gid := firstNew; gid < len(s.cands); gid++ {
-		for _, n := range s.names[gid] {
-			if col, ok := s.dict.Lookup(n); ok {
-				s.matrix.Set(gid, col, 1)
-			} else {
-				s.pending[n] = append(s.pending[n], gid)
-			}
-		}
+		s.dict.ID(n)
 	}
 	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("merge", t0, len(deltaCands), len(admitted), 0))
 
@@ -428,12 +402,12 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	// eviction budget per document: once a document's relations are
 	// materialized it is evictable, so the store never retains more
 	// than MaxResidentDocs hydrated documents — even mid-batch.
-	// Mirroring runs after the index/matrix section so a persistence
-	// error (e.g. a full spill disk) leaves the in-memory session
-	// fully self-consistent; only the kbase mirror is then behind.
+	// Mirroring runs after the merge so a persistence error (e.g. a
+	// full spill disk) leaves the in-memory session fully
+	// self-consistent; only the kbase mirror is then behind.
 	t0 = time.Now()
-	for _, sd := range newDocs {
-		if err := s.mirrorDoc(sd); err != nil {
+	for k, sd := range newDocs {
+		if err := s.mirrorDoc(sd, countsPerDoc[k]); err != nil {
 			return err
 		}
 		s.accountHydrated(sd)
@@ -496,9 +470,9 @@ func (s *Store) EditLF(col int, lf labeling.LF) error {
 // splitView assembles one split's staged relations by reading the
 // store: candidates in name-list document order (evicted documents
 // rehydrate through the LRU budget; the split holds its own candidate
-// references, so later evictions cannot disturb it), each row of the
-// materialized Features matrix translated back to feature names, and
-// the split's summed cache statistics.
+// references, so later evictions cannot disturb it), each candidate's
+// row of the Features relation, and the split's summed cache
+// statistics.
 func (s *Store) splitView(names []string) (stagedSplit, error) {
 	var sp stagedSplit
 	for _, name := range names {
@@ -511,13 +485,8 @@ func (s *Store) splitView(names []string) (stagedSplit, error) {
 			return sp, err
 		}
 		for _, c := range cands {
-			row := s.matrix.Row(c.ID)
-			nm := make([]string, len(row))
-			for k, e := range row {
-				nm[k] = s.dict.Name(e.Col)
-			}
 			sp.cands = append(sp.cands, c)
-			sp.names = append(sp.names, nm)
+			sp.names = append(sp.names, s.names[c.ID])
 		}
 		sp.stats.Hits += sd.stats.Hits
 		sp.stats.Misses += sd.stats.Misses
@@ -534,10 +503,10 @@ func (s *Store) splitView(names []string) (stagedSplit, error) {
 // in how many batches) the corpus was ingested.
 //
 // Splits may overlap (production mode often classifies the full
-// corpus, including the training documents). The session feature
-// matrix admits features by whole-corpus counts; RunSplit re-derives
-// the run's frozen index from the train split's counts, exactly as a
-// from-scratch run would.
+// corpus, including the training documents). The session index admits
+// features by whole-corpus counts; RunSplit derives the run's frozen
+// index from the train split's counts, and the numeric feature rows
+// under it, exactly as a from-scratch run would.
 func (s *Store) RunSplit(trainNames, testNames []string, gold []GoldTuple) (Result, error) {
 	train, err := s.splitView(trainNames)
 	if err != nil {

@@ -118,9 +118,9 @@ func (s *Store) lruPop() (lruEntry, bool) {
 }
 
 // evictDoc drops one document's hydrated state. Its relations (and
-// the RAM-resident skeleton: feature names, votes, counts, matrix
-// rows) are untouched, so every store operation keeps working; only
-// operations needing the document DAG pay a rehydration.
+// the RAM-resident skeleton: feature names, votes, counts) are
+// untouched, so every store operation keeps working; only operations
+// needing the document DAG pay a rehydration.
 func (s *Store) evictDoc(sd *storeDoc) {
 	if sd.doc == nil {
 		return
@@ -418,10 +418,9 @@ type StorageStats struct {
 	// of ResidentDocs (sampled after each budget enforcement), and
 	// MaxResidentDocs the configured budget (0 = unlimited).
 	Docs, ResidentDocs, PeakResidentDocs, MaxResidentDocs int
-	// DiskPages counts full row pages across relations (on disk for
-	// the disk engine, encoded in memory for the columnar engine); the
-	// cache counters report page-cache effectiveness on the paged
-	// engines.
+	// DiskPages counts sealed pages across relations (in spill files
+	// for the "disk" kind, on the heap for "columnar"); the cache
+	// counters report the decoded-page cache's effectiveness on both.
 	DiskPages                      int
 	PageCacheHits, PageCacheMisses int64
 	PageCacheHitRate               float64

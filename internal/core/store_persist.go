@@ -9,7 +9,6 @@ import (
 	"repro/internal/datamodel"
 	"repro/internal/features"
 	"repro/internal/kbase"
-	"repro/internal/sparse"
 )
 
 // The store's relations, materialized as kbase tables. Everything a
@@ -425,9 +424,10 @@ func (s *Store) writeMeta() {
 }
 
 // mirrorDoc persists one newly ingested document's shard of every
-// relation — the delta-only write path of AddDocuments. Each relation's
-// rows are collected and go in as one batch.
-func (s *Store) mirrorDoc(sd *storeDoc) error {
+// relation (counts is its FeatureCounts shard) — the delta-only write
+// path of AddDocuments. Each relation's rows are collected and go in as
+// one batch.
+func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
 	// ins appends rows to a relation and returns where they landed.
 	ins := func(table string, rows ...kbase.Tuple) (first, added int, err error) {
 		tbl := s.db.Table(table)
@@ -486,14 +486,14 @@ func (s *Store) mirrorDoc(sd *storeDoc) error {
 	if _, _, err := ins(tblLabels, labelRows...); err != nil {
 		return err
 	}
-	feats := make([]string, 0, len(sd.counts))
-	for fn := range sd.counts {
+	feats := make([]string, 0, len(counts))
+	for fn := range counts {
 		feats = append(feats, fn)
 	}
 	sort.Strings(feats)
 	countRows := make([]kbase.Tuple, len(feats))
 	for i, fn := range feats {
-		countRows[i] = kbase.Tuple{name, fn, sd.counts[fn]}
+		countRows[i] = kbase.Tuple{name, fn, counts[fn]}
 	}
 	if _, _, err := ins(tblCounts, countRows...); err != nil {
 		return err
@@ -534,14 +534,13 @@ func IsStoreDir(dir string) bool { return kbase.IsSnapshot(dir) }
 // their full sentence-level attributes and table grids (so training,
 // tuple extraction and labeling-function application behave exactly
 // as in the live session), candidates re-linked to their spans, the
-// Features and Labels relations, merged feature counts and the
-// materialized feature matrix — without re-parsing or re-extracting
-// anything. task must be the same task the store was
-// built for (labeling functions are code and cannot be persisted;
-// they are re-supplied here), and opts must agree with the persisted
-// configuration on every knob that shaped the relations. Runtime
-// knobs (Seed, Epochs, Threshold, LR, Workers, ...) are taken fresh
-// from opts.
+// Features and Labels relations, merged feature counts and the session
+// feature index — without re-parsing or re-extracting anything. task
+// must be the same task the store was built for (labeling functions
+// are code and cannot be persisted; they are re-supplied here), and
+// opts must agree with the persisted configuration on every knob that
+// shaped the relations. Runtime knobs (Seed, Epochs, Threshold, LR,
+// Workers, ...) are taken fresh from opts.
 func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	opts.defaults()
 	db, err := kbase.LoadDBWith(dir, newStoreEngine(opts))
@@ -557,13 +556,11 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 		}
 	}()
 	s := &Store{
-		task:    task,
-		opts:    opts,
-		byName:  map[string]*storeDoc{},
-		counts:  map[string]int{},
-		dict:    features.NewIndex(),
-		matrix:  sparse.NewLIL(),
-		pending: map[string][]int{},
+		task:   task,
+		opts:   opts,
+		byName: map[string]*storeDoc{},
+		counts: map[string]int{},
+		dict:   features.NewIndex(),
 	}
 	s.lfs = append(s.lfs, task.LFs...)
 	if opts.LFs != nil {
@@ -659,7 +656,7 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("core: documents relation has non-dense position %d at row %d", dr.pos, i)
 		}
 		sd := &storeDoc{
-			name: dr.name, format: dr.format, pos: i, counts: map[string]int{},
+			name: dr.name, format: dr.format, pos: i,
 			sentRowFirst: -1, candRowFirst: -1,
 		}
 		if rr := sentR[dr.name]; rr == nil {
@@ -735,17 +732,14 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 		s.names[id] = names
 	}
 
-	// FeatureCounts shards and merged counts.
+	// FeatureCounts shards, summed into the merged counts.
 	var countErr error
 	db.Table(tblCounts).Scan(func(tp kbase.Tuple) bool {
-		sd, ok := s.byName[tp[0].(string)]
-		if !ok {
+		if _, ok := s.byName[tp[0].(string)]; !ok {
 			countErr = fmt.Errorf("core: feature_counts references unknown document %q", tp[0])
 			return false
 		}
-		n := int(tp[2].(int64))
-		sd.counts[tp[1].(string)] = n
-		s.counts[tp[1].(string)] += n
+		s.counts[tp[1].(string)] += int(tp[2].(int64))
 		return true
 	})
 	if countErr != nil {
@@ -775,17 +769,15 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 		return true
 	})
 
-	// Re-derive the session index and materialized matrix from the
-	// restored relations. Admission order here (first encounter in
-	// candidate order) may differ from the live session's
-	// (batch-sorted), but session columns are internal: every result
-	// is a function of the name sets, not the column numbering.
-	for gid := range s.cands {
-		for _, n := range s.names[gid] {
+	// Re-derive the session index from the restored relations. Admission
+	// order here (first encounter in candidate order) may differ from the
+	// live session's (batch-sorted), but session columns are internal:
+	// every result is a function of the name sets, not the column
+	// numbering.
+	for _, names := range s.names {
+		for _, n := range names {
 			if s.counts[n] >= s.opts.MinFeatureCount {
-				s.matrix.Set(gid, s.dict.ID(n), 1)
-			} else {
-				s.pending[n] = append(s.pending[n], gid)
+				s.dict.ID(n)
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 		lfNames:          make([]string, len(s.lfs)),
 		splitStats:       splitStats,
 		sessionFeatures:  s.dict.NamesView(),
-		pendingFeatures:  len(s.pending),
+		pendingFeatures:  len(s.counts) - s.dict.Len(),
 		distinctFeatures: len(s.counts),
 		tableRows:        map[string]int{},
 	}
@@ -285,12 +285,8 @@ type RetrainConfig struct {
 // publishing delta epochs.
 //
 // The staged run is the same code path as Store.RunSplit with train =
-// test = the full corpus, fed from the view's raw feature-name rows.
-// Raw rows are equivalent to the store's materialized matrix rows
-// here: the frozen run index admits features by train-split counts
-// under the same MinFeatureCount floor the session matrix uses, so
-// over the full corpus both stagings admit exactly the same columns
-// (TestViewRetrainMatchesView pins this bitwise against RunSplit).
+// test = the full corpus, fed from the same feature-name rows
+// (TestViewRetrainMatchesView pins it bitwise against RunSplit).
 func (v *StoreView) Retrain(cfg RetrainConfig) (*StoreView, error) {
 	sp := stagedSplit{cands: v.cands, names: v.names, stats: v.splitStats}
 	testDocs := map[string]bool{}

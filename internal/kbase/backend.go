@@ -157,8 +157,8 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 //
 // There are two implementations: memoryBackend, rows in a slice (the
 // reference the equivalence suites compare against), and pagedBackend
-// (paged.go), which is "disk" or "columnar" depending on its page codec
-// and page store.
+// (paged.go), which is "disk" or "columnar" depending on where its page
+// store keeps the pages.
 //
 // Contract, relied on by Table and by the cross-backend equivalence
 // tests:
@@ -220,14 +220,14 @@ type Backend interface {
 // (IndexHits, FullScans) are recorded by the Table-level planner and
 // merged in by Table.BackendStats.
 type BackendStats struct {
-	// Pages counts sealed pages (files for the disk engine, heap blobs
-	// for the columnar engine).
+	// Pages counts sealed pages (files for the "disk" kind, heap blobs
+	// for "columnar").
 	Pages int
 	// CacheHits / CacheMisses count decoded-page cache lookups. A miss
 	// fetches and decodes one full page.
 	CacheHits, CacheMisses int64
 	// PagesSkipped counts pages pruned by zone maps during filtered
-	// reads, cumulatively — pages never fetched, decoded, or cached.
+	// reads, cumulatively — pages never fetched or decoded.
 	PagesSkipped int64
 	// IndexHits counts filtered reads answered through a hash index;
 	// FullScans counts filtered reads that had to scan (on the paged
@@ -248,7 +248,7 @@ func (s *BackendStats) Add(other BackendStats) {
 }
 
 // Engine creates backends — one per table — sharing a storage policy
-// (page geometry and, for the disk engine, a spill directory).
+// (page geometry and, for the "disk" kind, a spill directory).
 type Engine interface {
 	// Kind names the engine; every backend it creates reports the
 	// same kind.
@@ -289,10 +289,10 @@ func BackendKindsWant() string {
 }
 
 // NewEngine resolves an engine kind: "" or "memory" is the in-memory
-// engine, "disk" the paged engine with TSV pages in files under dir (a
+// engine, "disk" the paged engine with its pages in files under dir (a
 // fresh temporary directory when dir is empty), "columnar" the paged
-// engine with binary column pages on the heap; both paged kinds get the
-// default page geometry.
+// engine with its pages on the heap; both paged kinds get the default
+// page geometry.
 func NewEngine(kind, dir string) (Engine, error) {
 	switch kind {
 	case "", "memory":

@@ -106,7 +106,55 @@ func TestBackendSetSemantics(t *testing.T) {
 		if added, err := tbl.Insert(Tuple{"p04", 4}); err != nil || !added {
 			t.Fatalf("re-insert after delete: added=%v err=%v", added, err)
 		}
+
+		// Cells are stored bit for bit — a NaN's payload, the sign of zero,
+		// a subnormal, NUL and separator bytes — in sealed pages as in the
+		// tail (two pages and a row at pageRows = 4), whichever read hands
+		// them back.
+		exact := newBackedTable(t, engine, mustSchema(t, "exact", "s", "f:float"))
+		stored := exactRows()
+		if n, err := exact.InsertAll(stored); err != nil || n != len(stored) {
+			t.Fatalf("InsertAll(exact) = %d, %v", n, err)
+		}
+		var scanned, gotten []Tuple
+		exact.Scan(func(tp Tuple) bool {
+			scanned = append(scanned, tp.Clone())
+			return true
+		})
+		for i := range stored {
+			gotten = append(gotten, exact.be.Get(i).Clone())
+		}
+		for read, got := range map[string][]Tuple{"Scan": scanned, "Page": exact.Page(0, 0), "Get": gotten} {
+			if len(got) != len(stored) {
+				t.Fatalf("%s returned %d rows, want %d", read, len(got), len(stored))
+			}
+			for i, tp := range stored {
+				gf, wf := math.Float64bits(got[i][1].(float64)), math.Float64bits(tp[1].(float64))
+				if got[i][0] != tp[0] || gf != wf {
+					t.Fatalf("%s row %d = (%q, %#x), stored (%q, %#x)", read, i, got[i][0], gf, tp[0], wf)
+				}
+			}
+		}
 	})
+}
+
+// exactRows are (string, float) rows whose cells a lossy store would
+// change: each float has a rendering that does not parse back to the
+// same bits, or is at an edge of the format.
+func exactRows() []Tuple {
+	floats := []float64{
+		math.Float64frombits(0x7ff8000000000123), // NaN with a payload
+		math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64,
+		1e21,
+		math.Inf(-1),
+	}
+	strs := []string{"nul\x00byte", "tab\tand\nnewline\r\\", "", "\xff\xfe not utf8"}
+	rows := make([]Tuple, 9)
+	for i := range rows {
+		rows[i] = Tuple{fmt.Sprintf("%d:%s", i, strs[i%len(strs)]), floats[i%len(floats)]}
+	}
+	return rows
 }
 
 func TestBackendPageEdgeCases(t *testing.T) {
@@ -446,18 +494,18 @@ func (s *faultyStore) get(p int) ([]byte, error) {
 	return s.pageStore.get(p)
 }
 
-// TestPagedBackendStoreFaults drives the shared skeleton over a store
-// that fails. A put that fails while sealing a page makes that Append
-// return the error and leaves the backend exactly as it was before the
-// row; the next Append retries the flush. A get that fails panics
-// naming the table and the page.
+// TestPagedBackendStoreFaults drives the paged backend over each kind of
+// store, failing. A put that fails while sealing a page makes that
+// Append return the error and leaves the backend exactly as it was
+// before the row; the next Append retries the flush. A get that fails
+// panics naming the table and the page.
 func TestPagedBackendStoreFaults(t *testing.T) {
 	schema := mustSchema(t, "faulty", "part", "n:integer")
 	row := func(i int) Tuple { return Tuple{fmt.Sprintf("p%02d", i), int64(i)} }
-	for _, codec := range []pageCodec{tsvCodec{}, binaryCodec{}} {
-		t.Run(fmt.Sprintf("%T", codec), func(t *testing.T) {
-			store := &faultyStore{pageStore: &heapStore{}, failPut: 1, putFails: 1, failGet: -1}
-			b := newPagedBackend("paged", schema, codec, store, 4, 2)
+	for name, inner := range map[string]pageStore{"heap": &heapStore{}, "file": &fileStore{dir: t.TempDir()}} {
+		t.Run(name, func(t *testing.T) {
+			store := &faultyStore{pageStore: inner, failPut: 1, putFails: 1, failGet: -1}
+			b := newPagedBackend("paged", schema, store, 4, 2)
 			state := func() (rows []Tuple, zones int) {
 				b.Scan(matcher{}, func(tp Tuple) bool {
 					rows = append(rows, tp.Clone())

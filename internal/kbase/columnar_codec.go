@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 )
 
-// binaryCodec is the columnar page codec (a pageCodec and a
-// columnReader): one table page encoded column-major into a compact
-// binary blob. The layout is
+// binaryCodec is the page format of the paged engine — the only thing a
+// pageStore ever holds: one table page encoded column-major into a
+// compact binary blob. The layout is
 //
 //	uvarint rowCount
 //	uvarint blockLen per schema column      (the header)
@@ -26,7 +27,7 @@ import (
 // Storing numeric cells as raw bit patterns (math.Float64bits for
 // floats) makes decode bit-exact — NaN payloads, -0 and subnormals
 // round-trip unchanged — so rendered values, snapshots and predicate
-// semantics are byte-identical to the row-major engines. The header's
+// semantics are byte-identical to the memory engine's. The header's
 // per-column block lengths let a reader locate any single column in
 // O(arity) without touching the other columns' bytes.
 type binaryCodec struct{}
@@ -208,15 +209,42 @@ func (pg colPage) all() []int {
 	return sel
 }
 
-// writeTSV re-renders the page's rows: stored cells are bit-exact (raw
-// int64/float64 bits, raw string bytes), so encodeTupleTSV reproduces
-// the exact bytes the row-major engines emit for the same rows.
-func (c binaryCodec) writeTSV(w io.Writer, schema Schema, page []byte) error {
-	rows, err := c.decode(schema, page)
+// writeTSV renders the page's rows straight from the column vectors, no
+// tuple built: stored cells are bit-exact (raw int64/float64 bits, raw
+// string bytes), so this emits the bytes appendTupleTSV emits for the
+// same rows.
+func (bc binaryCodec) writeTSV(w io.Writer, schema Schema, page []byte) error {
+	pg, err := bc.parse(schema, page)
 	if err != nil {
 		return err
 	}
-	return writeRowsTSV(w, rows)
+	offs, data := make([][]int, len(pg.blocks)), make([][]byte, len(pg.blocks))
+	for c, col := range schema.Columns {
+		if col.Type == StringCol {
+			if offs[c], data[c], err = stringColIndex(pg.blocks[c], pg.nrows); err != nil {
+				return err
+			}
+		}
+	}
+	buf := make([]byte, 0, len(page)) // a rendered page is about its encoded size
+	for r := 0; r < pg.nrows; r++ {
+		for c, col := range schema.Columns {
+			if c > 0 {
+				buf = append(buf, '\t')
+			}
+			switch col.Type {
+			case IntCol:
+				buf = strconv.AppendInt(buf, intColCell(pg.blocks[c], r), 10)
+			case FloatCol:
+				buf = strconv.AppendFloat(buf, floatColCell(pg.blocks[c], r), 'g', -1, 64)
+			default:
+				buf = appendFieldTSV(buf, data[c][offs[c][r]:offs[c][r+1]])
+			}
+		}
+		buf = append(buf, '\n')
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
 // cellPred compiles one predicate against the page into a per-row test

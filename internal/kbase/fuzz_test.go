@@ -2,6 +2,7 @@ package kbase
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -27,9 +28,9 @@ func fuzzSeeds(f *testing.F) {
 	f.Add("nan", "inf", int64(42), uint64(0x7ff8000000000042)) // NaN with payload
 }
 
-// floatEq is the round-trip float contract: non-NaN values (including
-// -0, subnormals and ±Inf) must round-trip bit-exactly; NaN must stay
-// NaN (the TSV rendering "NaN" carries no payload bits).
+// floatEq is the TSV round-trip float contract: non-NaN values
+// (including -0, subnormals and ±Inf) must round-trip bit-exactly; NaN
+// must stay NaN (the TSV rendering "NaN" carries no payload bits).
 func floatEq(got, want float64) bool {
 	if math.IsNaN(want) {
 		return math.IsNaN(got)
@@ -39,14 +40,18 @@ func floatEq(got, want float64) bool {
 
 // FuzzTSVRoundTrip proves the escaped-TSV row codec — the snapshot
 // format every backend's byte-equality is defined over — round-trips
-// arbitrary cell bytes: encodeTupleTSV → splitTSV → parseTupleFields
+// arbitrary cell bytes: appendTupleTSV renders exactly the bytes of the
+// fmt.Sprint reference (reference_test.go), splitTSV → parseTupleFields
 // reproduces the tuple, and re-encoding reproduces the exact line.
 func FuzzTSVRoundTrip(f *testing.F) {
 	schema := fuzzSchema(f)
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, a, b string, n int64, fbits uint64) {
 		tp := Tuple{a, b, n, math.Float64frombits(fbits)}
-		line := encodeTupleTSV(tp)
+		line := string(appendTupleTSV(nil, tp))
+		if want := encodeTupleTSV(tp); line != want {
+			t.Fatalf("appendTupleTSV = %q, reference renders %q", line, want)
+		}
 		// Cell bytes never leak raw record separators: the only newlines
 		// or carriage returns in a line would be unescaped cell content.
 		if strings.ContainsAny(line, "\n\r") {
@@ -68,31 +73,21 @@ func FuzzTSVRoundTrip(f *testing.F) {
 		}
 		// Idempotence: the decoded tuple renders the identical line, so
 		// snapshot bytes are stable across save/load cycles.
-		if again := encodeTupleTSV(got); again != line {
+		if again := string(appendTupleTSV(nil, got)); again != line {
 			t.Fatalf("re-encode diverged: %q -> %q", line, again)
 		}
 	})
 }
 
-// FuzzColumnarPageRoundTrip runs every page codec (the name is the one
-// the CI fuzz corpus and test floor know it by). For each, encode →
-// decode is the identity on arbitrary cell bytes — bit-exactly for the
-// binary codec, NaN payloads included, and up to the payload-free "NaN"
-// rendering for the TSV codec — the decoded rows render the same TSV as
-// the originals (the snapshot-equality argument), writeTSV emits exactly
-// that rendering, and decoding arbitrary bytes returns an error or rows,
-// never panics.
+// FuzzColumnarPageRoundTrip pins the page format. Encode → decode is the
+// identity on arbitrary cell bytes, bit-exactly, NaN payloads included;
+// writeTSV renders from the column vectors exactly what writeRowsTSV
+// renders from the rows, which is the reference rendering (the
+// snapshot-equality argument); and decoding arbitrary bytes returns an
+// error or well-formed rows, never panics.
 func FuzzColumnarPageRoundTrip(f *testing.F) {
-	schema := fuzzSchema(f)
+	schema, codec := fuzzSchema(f), binaryCodec{}
 	fuzzSeeds(f)
-	codecs := []struct {
-		name     string
-		codec    pageCodec
-		exactNaN bool
-	}{
-		{"tsv", tsvCodec{}, false},
-		{"binary", binaryCodec{}, true},
-	}
 	f.Fuzz(func(t *testing.T, a, b string, n int64, fbits uint64) {
 		rows := []Tuple{
 			{a, b, n, math.Float64frombits(fbits)},
@@ -100,49 +95,52 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 			{"", b + a, n / 2, 0.0},
 		}
 		var want bytes.Buffer
-		if err := writeRowsTSV(&want, rows); err != nil {
+		for _, tp := range rows {
+			want.WriteString(encodeTupleTSV(tp) + "\n")
+		}
+		var fromRows bytes.Buffer
+		if err := writeRowsTSV(&fromRows, rows); err != nil || !bytes.Equal(fromRows.Bytes(), want.Bytes()) {
+			t.Fatalf("writeRowsTSV = %q (err %v), reference renders %q", fromRows.Bytes(), err, want.Bytes())
+		}
+		page, err := codec.encode(schema, rows)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range codecs {
-			page, err := c.codec.encode(schema, rows)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+		got, err := codec.decode(schema, page)
+		if err != nil {
+			t.Fatalf("decode of own encoding failed: %v", err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("decoded %d rows, want %d", len(got), len(rows))
+		}
+		for i, want := range rows {
+			if got[i][0] != want[0] || got[i][1] != want[1] || got[i][2] != want[2] {
+				t.Fatalf("row %d: %v -> %v", i, want, got[i])
 			}
-			got, err := c.codec.decode(schema, page)
-			if err != nil {
-				t.Fatalf("%s: decode of own encoding failed: %v", c.name, err)
+			if gf, wf := got[i][3].(float64), want[3].(float64); math.Float64bits(gf) != math.Float64bits(wf) {
+				t.Fatalf("row %d float bits: %x -> %x", i, math.Float64bits(wf), math.Float64bits(gf))
 			}
-			if len(got) != len(rows) {
-				t.Fatalf("%s: decoded %d rows, want %d", c.name, len(got), len(rows))
-			}
-			for i, want := range rows {
-				if got[i][0] != want[0] || got[i][1] != want[1] || got[i][2] != want[2] {
-					t.Fatalf("%s: row %d: %v -> %v", c.name, i, want, got[i])
-				}
-				gf, wf := got[i][3].(float64), want[3].(float64)
-				if !floatEq(gf, wf) || c.exactNaN && math.Float64bits(gf) != math.Float64bits(wf) {
-					t.Fatalf("%s: row %d float bits: %x -> %x", c.name, i, math.Float64bits(wf), math.Float64bits(gf))
-				}
-			}
-			var tsv bytes.Buffer
-			if err := c.codec.writeTSV(&tsv, schema, page); err != nil || !bytes.Equal(tsv.Bytes(), want.Bytes()) {
-				t.Fatalf("%s: writeTSV = %q (err %v), want %q", c.name, tsv.Bytes(), err, want.Bytes())
-			}
-			// Arbitrary bytes: the strings as they are, and this codec's
-			// own page damaged at a position the inputs choose.
-			damaged := append([]byte(nil), page...)
-			if len(damaged) > 0 {
-				damaged[int(fbits%uint64(len(damaged)))] ^= byte(n) | 1
-			}
-			for _, junk := range [][]byte{[]byte(a), []byte(b), damaged, damaged[:len(damaged)/2]} {
-				if rows, err := c.codec.decode(schema, junk); err == nil {
-					for _, tp := range rows {
-						if len(tp) != schema.Arity() {
-							t.Fatalf("%s: decode(%q) returned a %d-column row", c.name, junk, len(tp))
-						}
+		}
+		var tsv bytes.Buffer
+		if err := codec.writeTSV(&tsv, schema, page); err != nil || !bytes.Equal(tsv.Bytes(), want.Bytes()) {
+			t.Fatalf("writeTSV = %q (err %v), want %q", tsv.Bytes(), err, want.Bytes())
+		}
+		// Arbitrary bytes: the strings as they are, and the page damaged
+		// at a position the inputs choose.
+		damaged := append([]byte(nil), page...)
+		if len(damaged) > 0 {
+			damaged[int(fbits%uint64(len(damaged)))] ^= byte(n) | 1
+		}
+		for _, junk := range [][]byte{[]byte(a), []byte(b), damaged, damaged[:len(damaged)/2]} {
+			if rows, err := codec.decode(schema, junk); err == nil {
+				for _, tp := range rows {
+					if len(tp) != schema.Arity() {
+						t.Fatalf("decode(%q) returned a %d-column row", junk, len(tp))
 					}
 				}
 			}
+			// A page that does not render must say so, not panic.
+			_ = codec.writeTSV(io.Discard, schema, junk)
 		}
 	})
 }

@@ -8,9 +8,9 @@
 //
 // A Table layers the relational semantics over one Backend. There are
 // two: a plain slice (engine kind "memory" — the served KB always uses
-// it) and one paged engine, pagedBackend{codec, store}, whose two kinds
-// hold a session store's relations: "disk" is TSV pages in files,
-// "columnar" binary column pages on the heap.
+// it) and one paged engine of binary column pages, whose two kinds hold
+// a session store's relations: "disk" keeps the pages in files,
+// "columnar" on the heap. TSV is the snapshot format only.
 package kbase
 
 import (

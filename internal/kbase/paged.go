@@ -20,33 +20,12 @@ const (
 	defaultCachePages = 16
 )
 
-// pageCodec turns the rows of one sealed page into bytes and back —
-// the first of the two seams that make a paged engine kind. The TSV
-// codec (persist.go) stores WriteTSV's row encoding, so its writeTSV is
-// a verbatim copy; the binary codec (columnar_codec.go) stores column
-// vectors and additionally implements columnReader.
-type pageCodec interface {
-	encode(schema Schema, rows []Tuple) ([]byte, error)
-	decode(schema Schema, page []byte) ([]Tuple, error)
-	// writeTSV writes the page's rows in the WriteTSV row encoding.
-	writeTSV(w io.Writer, schema Schema, page []byte) error
-}
-
-// columnReader is the capability a column-major codec adds: a filtered
-// read parses the page header, evaluates the predicates against their
-// own columns only (colPage.match) and materializes the other columns
-// only at the positions the window keeps (colPage.rows). A backend
-// whose codec has it sends filtered reads around the decoded-page LRU;
-// without it they decode whole pages through the LRU.
-type columnReader interface {
-	parse(schema Schema, page []byte) (colPage, error)
-}
-
-// pageStore holds sealed pages as opaque bytes — the second seam: one
-// implementation keeps them in files, one on the heap, and a test
-// substitutes one that fails. The backend calls a store only while
-// holding its own mutex, puts pages 0, 1, 2… in order, and never
-// rewrites a page it has put.
+// pageStore holds sealed pages (binaryCodec blobs) as opaque bytes. It is
+// what makes a paged engine kind — one implementation keeps the pages in
+// files, one on the heap — and the seam where a test substitutes a store
+// that fails. The backend calls a store only while holding its own
+// mutex, puts pages 0, 1, 2… in order, and never rewrites a page it has
+// put.
 type pageStore interface {
 	put(p int, page []byte) error
 	get(p int) ([]byte, error)
@@ -118,11 +97,14 @@ func (s *heapStore) close() error {
 	return nil
 }
 
-// DiskEngine creates "disk" backends: the TSV codec over a file store,
-// one subdirectory of the spill directory per table. A table's resident
-// footprint is the decoded-page cache plus its tail, whatever its size.
-type DiskEngine struct {
-	dir        string
+// PagedEngine creates the paged backends. Its kind says where their
+// pages live and nothing else: "disk" keeps them in files, one
+// subdirectory of the spill directory per table, so a table's resident
+// footprint is the decoded-page cache plus its tail, whatever its size;
+// "columnar" keeps them on the heap. Durable snapshots are SaveDB's TSV
+// for both, rendered from the bit-exact stored values.
+type PagedEngine struct {
+	dir        string // spill directory; "" keeps pages on the heap
 	pageRows   int
 	cachePages int
 	owned      bool // engine created dir and removes it on Close
@@ -131,43 +113,52 @@ type DiskEngine struct {
 	seq int // per-table subdirectory counter
 }
 
-// NewDiskEngine creates a disk engine spilling under dir (a fresh
+// NewDiskEngine creates a paged engine spilling under dir (a fresh
 // os.MkdirTemp directory when dir is empty, removed on Close).
 // pageRows and cachePages override the default page geometry when
-// positive.
-func NewDiskEngine(dir string, pageRows, cachePages int) (*DiskEngine, error) {
-	owned := false
+// positive; cachePages bounds the per-table LRU of fully decoded pages
+// behind Get and unfiltered reads.
+func NewDiskEngine(dir string, pageRows, cachePages int) (*PagedEngine, error) {
+	e := NewColumnarEngine(pageRows, cachePages) // the geometry; a spill directory makes it "disk"
 	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "kbase-spill-")
+		tmp, err := os.MkdirTemp("", "kbase-spill-")
 		if err != nil {
 			return nil, fmt.Errorf("kbase: creating spill directory: %w", err)
 		}
-		owned = true
+		dir, e.owned = tmp, true
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	pageRows, cachePages = pageGeometry(pageRows, cachePages)
-	return &DiskEngine{dir: dir, pageRows: pageRows, cachePages: cachePages, owned: owned}, nil
+	e.dir = dir
+	return e, nil
 }
 
-// pageGeometry substitutes the defaults for non-positive values.
-func pageGeometry(pageRows, cachePages int) (int, int) {
+// NewColumnarEngine creates a paged engine with its pages on the heap;
+// pageRows and cachePages as for NewDiskEngine.
+func NewColumnarEngine(pageRows, cachePages int) *PagedEngine {
 	if pageRows <= 0 {
 		pageRows = defaultPageRows
 	}
 	if cachePages <= 0 {
 		cachePages = defaultCachePages
 	}
-	return pageRows, cachePages
+	return &PagedEngine{pageRows: pageRows, cachePages: cachePages}
 }
 
-// Kind returns "disk".
-func (e *DiskEngine) Kind() string { return "disk" }
+// Kind returns "disk" or "columnar".
+func (e *PagedEngine) Kind() string {
+	if e.dir == "" {
+		return "columnar"
+	}
+	return "disk"
+}
 
-// NewBackend creates an empty disk backend for one table, in its own
-// subdirectory of the spill.
-func (e *DiskEngine) NewBackend(schema Schema) (Backend, error) {
+// NewBackend creates an empty backend for one table: over the heap, or
+// over its own subdirectory of the spill.
+func (e *PagedEngine) NewBackend(schema Schema) (Backend, error) {
+	if e.dir == "" {
+		return newPagedBackend(e.Kind(), schema, &heapStore{}, e.pageRows, e.cachePages), nil
+	}
 	e.mu.Lock()
 	e.seq++
 	name := fmt.Sprintf("t%04d", e.seq)
@@ -179,7 +170,7 @@ func (e *DiskEngine) NewBackend(schema Schema) (Backend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	b := newPagedBackend("disk", schema, tsvCodec{}, &fileStore{dir: dir}, e.pageRows, e.cachePages)
+	b := newPagedBackend(e.Kind(), schema, &fileStore{dir: dir}, e.pageRows, e.cachePages)
 	// GC backstop for sessions dropped without Close: the backend is
 	// reachable from the stack during every operation on it, so the
 	// finalizer can only fire once no reader or writer can ever touch
@@ -192,46 +183,16 @@ func (e *DiskEngine) NewBackend(schema Schema) (Backend, error) {
 }
 
 // Close removes the spill directory when the engine created it.
-func (e *DiskEngine) Close() error {
+func (e *PagedEngine) Close() error {
 	if e.owned {
 		return os.RemoveAll(e.dir)
 	}
 	return nil
 }
 
-// ColumnarEngine creates "columnar" backends: the binary column codec
-// over a heap store. Pages are compact column-major blobs instead of
-// row-major []Tuple storage, and filtered reads decode predicate
-// columns only (see columnReader); durable snapshots remain SaveDB's
-// TSV, re-rendered from the bit-exact stored values.
-type ColumnarEngine struct {
-	pageRows   int
-	cachePages int
-}
-
-// NewColumnarEngine creates a columnar engine. pageRows and cachePages
-// override the default page geometry when positive; cachePages bounds
-// the per-table LRU of fully decoded pages behind Get and unfiltered
-// reads.
-func NewColumnarEngine(pageRows, cachePages int) *ColumnarEngine {
-	pageRows, cachePages = pageGeometry(pageRows, cachePages)
-	return &ColumnarEngine{pageRows: pageRows, cachePages: cachePages}
-}
-
-// Kind returns "columnar".
-func (e *ColumnarEngine) Kind() string { return "columnar" }
-
-// NewBackend creates an empty columnar backend for one table.
-func (e *ColumnarEngine) NewBackend(schema Schema) (Backend, error) {
-	return newPagedBackend("columnar", schema, binaryCodec{}, &heapStore{}, e.pageRows, e.cachePages), nil
-}
-
-// Close is a no-op: columnar pages live on the heap.
-func (e *ColumnarEngine) Close() error { return nil }
-
-// ColumnarStats is the columnar backend's decode accounting, exposed
-// for the in-page-pruning tests and benchmarks: it proves filtered
-// reads touch only predicate columns plus the materialized window.
+// ColumnarStats is a paged backend's decode accounting, exposed for the
+// in-page-pruning tests: it proves filtered reads touch only predicate
+// columns plus the materialized window.
 type ColumnarStats struct {
 	// Pages counts full encoded pages.
 	Pages int
@@ -245,11 +206,11 @@ type ColumnarStats struct {
 	CellsDecoded []int64
 }
 
-// ColumnarStats returns the table's columnar decode accounting, and
-// false when the table is not columnar-backed.
+// ColumnarStats returns the table's decode accounting, and false when
+// the table is not backed by a paged engine.
 func (t *Table) ColumnarStats() (ColumnarStats, bool) {
 	b, ok := t.be.(*pagedBackend)
-	if !ok || b.cols == nil {
+	if !ok {
 		return ColumnarStats{}, false
 	}
 	cs := ColumnarStats{
@@ -264,15 +225,17 @@ func (t *Table) ColumnarStats() (ColumnarStats, bool) {
 }
 
 // pagedBackend is the one paged storage engine: a table's rows as
-// sealed fixed-size pages in a pageStore, encoded by a pageCodec, plus
-// an in-memory tail (the rows beyond the last full page) that is sealed
-// when it fills. Each sealed page has an in-memory zone map (zonemap.go)
-// and reads of whole pages go through a small LRU of decoded pages.
+// sealed fixed-size binaryCodec pages in a pageStore, plus an in-memory
+// tail (the rows beyond the last full page) that is sealed when it
+// fills. Each sealed page has an in-memory zone map (zonemap.go); reads
+// of whole pages go through a small LRU of decoded pages, filtered reads
+// go around it and decode only what they need.
 //
-//	Append ─► tail ──(pageRows rows)──► codec.encode ─► store.put
+//	Append ─► tail ──(pageRows rows)──► encode ─► store.put
 //	                                     └► buildPageZone ─► zones
-//	Get, unfiltered reads ─► LRU ─(miss)─► store.get ─► codec.decode
-//	filtered reads ─► zones prune ─► LRU, or columnReader around it
+//	Get, unfiltered reads ─► LRU ─(miss)─► store.get ─► decode
+//	filtered reads ─► zones prune ─► store.get ─► predicate columns
+//	                                 ─► the window's rows (columnRows)
 //
 // Locking: mu guards the geometry, the tail, the LRU and every call
 // into the store. Reads snapshot (pages, tail, zones) and then take mu
@@ -283,7 +246,7 @@ func (t *Table) ColumnarStats() (ColumnarStats, bool) {
 // DeleteWhere renumbers pages, so it must not run beside a read — the
 // single-writer store sessions that own paged tables never do that.
 //
-// A page the store cannot return, or bytes the codec cannot decode,
+// A page the store cannot return, or bytes that do not decode,
 // panic with the table and page: the pages are process-private
 // transient state this backend wrote itself, and losing one mid-session
 // is unrecoverable in the way losing heap would be. Append and Snapshot
@@ -291,8 +254,6 @@ func (t *Table) ColumnarStats() (ColumnarStats, bool) {
 type pagedBackend struct {
 	kind       string
 	schema     Schema
-	codec      pageCodec
-	cols       columnReader // codec's column capability, nil without
 	pageRows   int
 	cachePages int
 
@@ -321,10 +282,9 @@ type cachedPage struct {
 	rows []Tuple
 }
 
-func newPagedBackend(kind string, schema Schema, codec pageCodec, store pageStore, pageRows, cachePages int) *pagedBackend {
-	cols, _ := codec.(columnReader)
+func newPagedBackend(kind string, schema Schema, store pageStore, pageRows, cachePages int) *pagedBackend {
 	return &pagedBackend{
-		kind: kind, schema: schema, codec: codec, cols: cols, store: store,
+		kind: kind, schema: schema, store: store,
 		pageRows: pageRows, cachePages: cachePages,
 		cached: map[int]*list.Element{}, lru: list.New(),
 		decoded: make([]atomic.Int64, schema.Arity()),
@@ -363,7 +323,7 @@ func (b *pagedBackend) decodePage(p int) []Tuple {
 	if err != nil {
 		b.lost(p, err)
 	}
-	rows, err := b.codec.decode(b.schema, page)
+	rows, err := binaryCodec{}.decode(b.schema, page)
 	if err != nil {
 		b.lost(p, err)
 	}
@@ -405,7 +365,7 @@ func (b *pagedBackend) Append(tp Tuple) error {
 	if len(b.tail) < b.pageRows {
 		return nil
 	}
-	page, err := b.codec.encode(b.schema, b.tail)
+	page, err := binaryCodec{}.encode(b.schema, b.tail)
 	if err == nil {
 		err = b.store.put(b.pages, page)
 	}
@@ -438,75 +398,74 @@ func (b *pagedBackend) Get(i int) Tuple {
 // rows matching m in insertion order, calls emit for those the window
 // admits until emit returns false, and returns the match count (exact
 // unless emit stopped the walk) and the number of pages the zone maps
-// ruled out — pages never fetched, decoded or admitted to the LRU.
-// detached tells emit the tuple is its own, not the cache's or tail's.
+// ruled out — pages never fetched or decoded. detached tells emit the
+// tuple is its own, not the cache's or tail's.
 func (b *pagedBackend) read(m matcher, w window, emit func(tp Tuple, detached bool) bool) (total, pruned int) {
 	b.mu.Lock()
 	n, pages, tail, zones := b.n, b.pages, b.tail, b.zones
 	b.mu.Unlock()
-	filtered := len(m.preds) > 0
-	first := 0
-	if !filtered {
+	if len(m.preds) == 0 {
 		// Every row matches, so match k is row k: start at the page
-		// holding the window's first row.
-		first = min(w.offset/b.pageRows, pages)
+		// holding the window's first row, and slice the window out of each
+		// decoded page (through the LRU) directly.
+		first := min(w.offset/b.pageRows, pages)
 		w.seen = first * b.pageRows
-	}
-	emitRows := func(rows []Tuple) bool {
-		if !filtered {
-			// Every row matches: the window slices the run directly.
+		emitRun := func(rows []Tuple) bool {
 			lo, hi := w.take(len(rows))
-			rows = rows[lo:hi]
-		}
-		for _, tp := range rows {
-			if filtered && !(m.match(tp) && w.admit()) {
-				continue
-			}
-			if !emit(tp, false) {
-				return false
-			}
-		}
-		return true
-	}
-	for p := first; p < pages; p++ {
-		switch {
-		case !filtered && w.full():
-			return n, 0 // nothing left to emit, and the count is known
-		case filtered && !zones[p].mayMatch(m):
-			pruned++
-			b.skipped.Add(1)
-		case filtered && b.cols != nil:
-			page, err := b.fetch(p)
-			if err != nil {
-				b.lost(p, err)
-			}
-			detached, err := b.columnRows(page, m, &w)
-			if err != nil {
-				b.lost(p, err)
-			}
-			for _, tp := range detached {
-				if !emit(tp, true) {
-					return w.seen, pruned
+			for _, tp := range rows[lo:hi] {
+				if !emit(tp, false) {
+					return false
 				}
 			}
-		default:
+			return true
+		}
+		for p := first; p < pages; p++ {
+			if w.full() {
+				return n, 0 // nothing left to emit, and the count is known
+			}
 			b.mu.Lock()
 			cached := b.load(p)
 			b.mu.Unlock()
-			if !emitRows(cached) {
+			if !emitRun(cached) {
+				return w.seen, 0
+			}
+		}
+		emitRun(tail)
+		return w.seen, 0
+	}
+	for p := 0; p < pages; p++ {
+		if !zones[p].mayMatch(m) {
+			pruned++
+			b.skipped.Add(1)
+			continue
+		}
+		page, err := b.fetch(p)
+		if err != nil {
+			b.lost(p, err)
+		}
+		detached, err := b.columnRows(page, m, &w)
+		if err != nil {
+			b.lost(p, err)
+		}
+		for _, tp := range detached {
+			if !emit(tp, true) {
 				return w.seen, pruned
 			}
 		}
 	}
-	emitRows(tail)
+	for _, tp := range tail {
+		if m.match(tp) && w.admit() && !emit(tp, false) {
+			return w.seen, pruned
+		}
+	}
 	return w.seen, pruned
 }
 
-// columnRows answers one page of a filtered read through the codec's
-// column capability: match on the predicate columns, then materialize
-// only the matches the window admits.
+// columnRows answers one sealed page of a filtered read: match on the
+// predicate columns, then materialize only the matches the window
+// admits.
 func (b *pagedBackend) columnRows(page []byte, m matcher, w *window) ([]Tuple, error) {
-	pg, err := b.cols.parse(b.schema, page)
+	pg, err := binaryCodec{}.parse(b.schema, page)
 	if err != nil {
 		return nil, err
 	}
@@ -563,7 +522,7 @@ func (b *pagedBackend) DeleteWhere(pred func(Tuple) bool) int {
 		if len(kept) < b.pageRows {
 			return
 		}
-		page, err := b.codec.encode(b.schema, kept)
+		page, err := binaryCodec{}.encode(b.schema, kept)
 		rewrite(err)
 		rewrite(next.put(len(zones), page))
 		zones = append(zones, buildPageZone(b.schema, kept))
@@ -595,7 +554,7 @@ func (b *pagedBackend) Snapshot(w io.Writer) error {
 	for p := 0; p < pages; p++ {
 		page, err := b.fetch(p)
 		if err == nil {
-			err = b.codec.writeTSV(w, b.schema, page)
+			err = binaryCodec{}.writeTSV(w, b.schema, page)
 		}
 		if err != nil {
 			return fmt.Errorf("kbase: %s backend for %s: snapshot page %d: %w", b.kind, b.schema.Name, p, err)

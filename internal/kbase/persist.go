@@ -2,7 +2,6 @@ package kbase
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -12,43 +11,41 @@ import (
 	"strings"
 )
 
-// TSV field escaping: tabs and newlines are the format's structural
-// characters, so string values containing them must be encoded or a
-// row shears apart on read. The scheme is the usual minimal one —
-// backslash-escape the backslash itself plus the three characters TSV
-// cannot carry raw:
+// appendFieldTSV appends one field, escaped for embedding in a TSV line.
+// Tabs and newlines are the format's structural characters, so string
+// values containing them must be encoded or a row shears apart on read.
+// The scheme is the usual minimal one — backslash-escape the backslash
+// itself plus the three characters TSV cannot carry raw:
 //
 //	\  -> \\    tab -> \t    newline -> \n    carriage return -> \r
 //
 // Every tab-separated field (header and data alike) goes through the
-// same escape/unescape pair, so any Go string round-trips.
-const tsvEscapes = "\\\t\n\r"
-
-// escapeTSV encodes one field for embedding in a TSV line.
-func escapeTSV(s string) string {
-	if !strings.ContainsAny(s, tsvEscapes) {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
+// same escape/unescape pair, so any Go string round-trips. The bytes
+// between escapes go in as they are, so a field with nothing to escape
+// is one append.
+func appendFieldTSV[S string | []byte](dst []byte, s S) []byte {
+	from := 0
 	for i := 0; i < len(s); i++ {
+		var esc byte
 		switch s[i] {
 		case '\\':
-			sb.WriteString(`\\`)
+			esc = '\\'
 		case '\t':
-			sb.WriteString(`\t`)
+			esc = 't'
 		case '\n':
-			sb.WriteString(`\n`)
+			esc = 'n'
 		case '\r':
-			sb.WriteString(`\r`)
+			esc = 'r'
 		default:
-			sb.WriteByte(s[i])
+			continue
 		}
+		dst = append(append(dst, s[from:i]...), '\\', esc)
+		from = i + 1
 	}
-	return sb.String()
+	return append(dst, s[from:]...)
 }
 
-// unescapeTSV decodes a field written by escapeTSV.
+// unescapeTSV decodes a field written by appendFieldTSV.
 func unescapeTSV(s string) (string, error) {
 	if !strings.ContainsRune(s, '\\') {
 		return s, nil
@@ -94,16 +91,27 @@ func splitTSV(line string) ([]string, error) {
 	return out, nil
 }
 
-// encodeTupleTSV renders one tuple as an escaped TSV line (no
-// trailing newline) — the row encoding shared by WriteTSV and the TSV
-// page codec, which is what makes a table's serialized bytes identical
-// across backends.
-func encodeTupleTSV(tp Tuple) string {
-	parts := make([]string, len(tp))
+// appendTupleTSV appends one tuple as an escaped TSV line (no trailing
+// newline), each cell rendered as fmt.Sprint renders it — the row
+// encoding of every snapshot, which is what makes a table's serialized
+// bytes identical across backends.
+func appendTupleTSV(dst []byte, tp Tuple) []byte {
 	for i, v := range tp {
-		parts[i] = escapeTSV(fmt.Sprint(v))
+		if i > 0 {
+			dst = append(dst, '\t')
+		}
+		switch x := v.(type) {
+		case string:
+			dst = appendFieldTSV(dst, x)
+		case int64:
+			dst = strconv.AppendInt(dst, x, 10)
+		case float64:
+			dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+		default:
+			dst = appendFieldTSV(dst, fmt.Sprint(v))
+		}
 	}
-	return strings.Join(parts, "\t")
+	return dst
 }
 
 // parseTupleFields type-converts one row's unescaped fields against
@@ -134,68 +142,47 @@ func parseTupleFields(schema Schema, parts []string) (Tuple, error) {
 	return tp, nil
 }
 
-// writeRowsTSV writes rows as newline-terminated encodeTupleTSV lines:
-// the body of every snapshot and of every TSV-codec page.
+// writeRowsTSV writes rows as newline-terminated appendTupleTSV lines,
+// each rendered into the one buffer and handed to w (WriteTSV's buffered
+// writer, so a row is a copy, not a system call).
 func writeRowsTSV(w io.Writer, rows []Tuple) error {
+	var buf []byte
 	for _, tp := range rows {
-		if _, err := io.WriteString(w, encodeTupleTSV(tp)+"\n"); err != nil {
+		buf = append(appendTupleTSV(buf[:0], tp), '\n')
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// tsvCodec is the row-major page codec: a page is its rows in the
-// WriteTSV row encoding, so snapshotting one is a byte copy.
-type tsvCodec struct{}
-
-func (tsvCodec) encode(_ Schema, rows []Tuple) ([]byte, error) {
-	var buf bytes.Buffer
-	err := writeRowsTSV(&buf, rows)
-	return buf.Bytes(), err
-}
-
-func (tsvCodec) decode(schema Schema, page []byte) ([]Tuple, error) {
-	if len(page) == 0 {
-		return nil, nil
-	}
-	lines := strings.Split(strings.TrimSuffix(string(page), "\n"), "\n")
-	rows := make([]Tuple, 0, len(lines))
-	for _, line := range lines {
-		parts, err := splitTSV(line)
-		if err != nil {
-			return nil, err
-		}
-		tp, err := parseTupleFields(schema, parts)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, tp)
-	}
-	return rows, nil
-}
-
-func (tsvCodec) writeTSV(w io.Writer, _ Schema, page []byte) error {
-	_, err := w.Write(page)
-	return err
-}
-
 // WriteTSV serializes the table as tab-separated values with a header
 // line of "name:type" column specs, so a table round-trips through
 // ReadTSV with its schema intact. String values are escaped, so tabs
-// and newlines inside values survive the round trip. The row bytes
-// come from the backend's Snapshot, which for the TSV page codec is a
-// straight copy of its pages.
+// and newlines inside values survive the round trip. The row bytes come
+// from the backend's Snapshot; w is written in tsvChunk pieces, so it
+// need not be buffered.
 func (t *Table) WriteTSV(w io.Writer) error {
-	specs := make([]string, len(t.schema.Columns))
-	for i, c := range t.schema.Columns {
-		specs[i] = escapeTSV(c.Name) + ":" + c.Type.String()
+	bw := bufio.NewWriterSize(w, tsvChunk)
+	hdr := appendFieldTSV([]byte{'#'}, t.schema.Name)
+	for _, c := range t.schema.Columns {
+		hdr = append(hdr, '\t')
+		hdr = appendFieldTSV(hdr, c.Name)
+		hdr = append(hdr, ':')
+		hdr = append(hdr, c.Type.String()...)
 	}
-	if _, err := fmt.Fprintf(w, "#%s\t%s\n", escapeTSV(t.schema.Name), strings.Join(specs, "\t")); err != nil {
+	if _, err := bw.Write(append(hdr, '\n')); err != nil {
 		return err
 	}
-	return t.be.Snapshot(w)
+	if err := t.be.Snapshot(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
+
+// tsvChunk is how many rendered bytes WriteTSV hands its writer at a
+// time.
+const tsvChunk = 64 << 10
 
 // readLine reads one newline-terminated line of unbounded length,
 // returning io.EOF only when no bytes remain. Unlike bufio.Scanner

@@ -19,9 +19,9 @@ import (
 // window — and stays stable while the table's planner flips hot
 // columns from scans to lazy hash indexes across repeated queries.
 // The new /meta storage counters account for that filtered traffic.
-// The grid quantifies over every storage engine, since each backend
-// implements the pushed-down PageWhere path differently (resident
-// rows, TSV page decode, columnar predicate-column decode).
+// The grid quantifies over every storage engine kind: resident rows,
+// and the paged engine's predicate-column decode over pages in files
+// and on the heap.
 func TestKBFilterPushdown(t *testing.T) {
 	for _, backend := range []string{"memory", "disk", "columnar"} {
 		t.Run(backend, func(t *testing.T) {

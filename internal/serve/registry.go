@@ -90,9 +90,9 @@ type TenantConfig struct {
 	// resolver (relation "" = the domain's first).
 	Domain   string `json:"domain"`
 	Relation string `json:"relation,omitempty"`
-	// Backend picks the tenant's storage engine ("memory", "disk" or
-	// "columnar"; "" inherits the registry's base options /
-	// $FONDUER_BACKEND).
+	// Backend picks the tenant's storage engine ("memory", or where the
+	// paged engine keeps its pages: "disk" or "columnar"; "" inherits
+	// the registry's base options / $FONDUER_BACKEND).
 	Backend string `json:"backend,omitempty"`
 	// MaxResidentDocs is the tenant's parsed-document budget (>0
 	// overrides the base; mostly-idle disk tenants run well at small

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -67,6 +68,35 @@ func postJSON(t *testing.T, url string, body any, wantStatus int) map[string]any
 		t.Fatalf("POST %s: status %d, want %d (body %v)", url, resp.StatusCode, wantStatus, out)
 	}
 	return out
+}
+
+// featureSpaces is what /features reports of an epoch: the four sizes
+// and an FNV-1a hash of the session feature names in served (admission)
+// order.
+type featureSpaces struct {
+	run, session, pending, distinct int
+	namesHash                       uint32
+}
+
+// wantFeatures checks /features against values recorded from this ingest
+// sequence before the store's feature matrix was removed (PR 16's
+// commit): the session index admits the same features in the same order
+// and the below-floor count is still distinct minus admitted.
+func wantFeatures(t *testing.T, url string, want featureSpaces) {
+	t.Helper()
+	f := getJSON(t, url+"/features", http.StatusOK)
+	names := f["names"].([]any)
+	h := fnv.New32a()
+	for _, n := range names {
+		h.Write([]byte(n.(string) + "\n"))
+	}
+	got := featureSpaces{
+		int(f["runFeatures"].(float64)), int(f["sessionFeatures"].(float64)),
+		int(f["pendingFeatures"].(float64)), int(f["distinctFeatures"].(float64)), h.Sum32(),
+	}
+	if got != want || got.pending != got.distinct-got.session || len(names) != got.session {
+		t.Fatalf("/features = %+v (%d names), want %+v", got, len(names), want)
+	}
 }
 
 func epochOf(t *testing.T, payload map[string]any) uint64 {
@@ -181,6 +211,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if len(feats["names"].([]any)) > 5 {
 		t.Fatalf("features names ignored limit: %v", feats["names"])
 	}
+	wantFeatures(t, ts.URL, featureSpaces{run: 409, session: 409, pending: 1, distinct: 410, namesHash: 2078371943})
 
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)
 	if meta["relation"].(string) != task.Relation {
@@ -232,6 +263,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if epochOf(t, ing2) != 2 || ing2["docs"].(float64) != 8 {
 		t.Fatalf("second ingest reply = %v", ing2)
 	}
+	wantFeatures(t, ts.URL, featureSpaces{run: 568, session: 568, pending: 1, distinct: 569, namesHash: 3568624762})
 	// Same name, different contents: conflict, epoch unchanged.
 	dup := uploadFor(corpus, 0)
 	dup.Source = "<html><body><p>changed</p></body></html>"
