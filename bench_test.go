@@ -1,11 +1,15 @@
 package fonduer
 
-// The benchmark harness: one testing.B benchmark per table and figure
-// of the paper's evaluation. Each benchmark regenerates its experiment
-// at the fast configuration (use cmd/fonduer-bench for the full-size
-// runs recorded in EXPERIMENTS.md) and reports the headline metric as
-// a custom benchmark unit so `go test -bench=.` prints the reproduced
-// numbers next to the timings.
+// Per-layer micro benchmarks: one row per layer of the system — parse,
+// align, tokenize, featurize (mention cache on/off), sparse
+// representations, train, classify, full pipeline runs, store
+// ingestion per backend, kbase insert/mirror, label-model fit, delta
+// views and the serving handlers — each with a real -benchtime and,
+// where allocation is part of the contract, ReportAllocs. These are
+// for measuring while you work; the repository's end-to-end numbers
+// come from `go run ./benchmark` (BENCHMARK.json), and the paper's
+// tables and figures are regenerated by cmd/fonduer-bench and asserted
+// by internal/experiments' tests, not timed here.
 
 import (
 	"fmt"
@@ -32,129 +36,6 @@ import (
 )
 
 func benchCfg() experiments.Config { return experiments.FastConfig() }
-
-// BenchmarkTable2_OracleComparison regenerates Table 2 (end-to-end
-// quality vs Text/Table/Ensemble oracle upper bounds, four domains).
-func BenchmarkTable2_OracleComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table2(benchCfg())
-		b.ReportMetric(r.Rows[0].Fonduer.F1, "elec_fonduer_F1")
-		b.ReportMetric(r.Rows[0].Ensemble.F1, "elec_ensemble_F1")
-	}
-}
-
-// BenchmarkTable3_ExistingKBs regenerates Table 3 (coverage and
-// accuracy against simulated existing knowledge bases).
-func BenchmarkTable3_ExistingKBs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table3(benchCfg())
-		b.ReportMetric(r.Rows[0].Coverage, "elec_coverage")
-		b.ReportMetric(r.Rows[0].Accuracy, "elec_accuracy")
-	}
-}
-
-// BenchmarkTable4_Featurization regenerates Table 4 (human-tuned vs
-// text-only Bi-LSTM vs Fonduer).
-func BenchmarkTable4_Featurization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table4(benchCfg())
-		b.ReportMetric(r.Rows[0].Fonduer.F1, "elec_fonduer_F1")
-		b.ReportMetric(r.Rows[0].BiLSTM.F1, "elec_bilstm_F1")
-	}
-}
-
-// BenchmarkTable5_SRV regenerates Table 5 (SRV HTML features vs
-// Fonduer on ADS).
-func BenchmarkTable5_SRV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table5(benchCfg())
-		b.ReportMetric(r.Fonduer.F1, "fonduer_F1")
-		b.ReportMetric(r.SRV.F1, "srv_F1")
-	}
-}
-
-// BenchmarkTable6_DocRNN regenerates Table 6 (document-level RNN vs
-// Fonduer: runtime per epoch and F1).
-func BenchmarkTable6_DocRNN(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table6(benchCfg())
-		b.ReportMetric(r.DocRNNSecsPerEpoch/r.FonduerSecsPerEpoch, "docRNN_slowdown_x")
-		b.ReportMetric(r.FonduerF1-r.DocRNNF1, "fonduer_F1_advantage")
-	}
-}
-
-// BenchmarkFigure4_Throttling regenerates Figure 4 (quality and
-// speedup vs candidate filter ratio).
-func BenchmarkFigure4_Throttling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4(benchCfg())
-		last := r.Points[len(r.Points)-1]
-		b.ReportMetric(last.SpeedUp, "speedup_at_90pct")
-		b.ReportMetric(last.Quality.F1, "F1_at_90pct")
-	}
-}
-
-// BenchmarkFigure6_ContextScope regenerates Figure 6 (average F1 per
-// context scope on ELECTRONICS).
-func BenchmarkFigure6_ContextScope(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure6(benchCfg())
-		b.ReportMetric(r.F1[3], "document_F1")
-		b.ReportMetric(r.F1[0], "sentence_F1")
-	}
-}
-
-// BenchmarkFigure7_FeatureAblation regenerates Figure 7 (per-modality
-// feature ablation).
-func BenchmarkFigure7_FeatureAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure7(benchCfg())
-		b.ReportMetric(r.Rows[0].All, "elec_all_F1")
-		b.ReportMetric(r.Rows[0].NoTabular, "elec_no_tabular_F1")
-	}
-}
-
-// BenchmarkFigure8_SupervisionAblation regenerates Figure 8 (textual
-// vs metadata labeling functions).
-func BenchmarkFigure8_SupervisionAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure8(benchCfg())
-		b.ReportMetric(r.Rows[0].All, "elec_all_F1")
-		b.ReportMetric(r.Rows[0].OnlyTextual, "elec_textual_F1")
-	}
-}
-
-// BenchmarkFigure9_UserStudy regenerates Figure 9 (manual annotation
-// vs labeling functions over a simulated 30-minute session).
-func BenchmarkFigure9_UserStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure9(benchCfg())
-		var avgManual, avgLF float64
-		for _, p := range r.Points {
-			avgManual += p.ManualF1
-			avgLF += p.LFF1
-		}
-		n := float64(len(r.Points))
-		b.ReportMetric(avgLF/n, "avg_LF_F1")
-		b.ReportMetric(avgManual/n, "avg_manual_F1")
-	}
-}
-
-// BenchmarkParallelPipelineSpeedup measures the staged-parallel
-// pipeline (extraction + two-pass featurization + LF application)
-// against its Workers=1 execution and reports the wall-clock speedup
-// as a metric. On a multi-core host the speedup approaches
-// min(GOMAXPROCS, cores); see EXPERIMENTS.md for recorded runs.
-func BenchmarkParallelPipelineSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.SpeedupStudy(benchCfg())
-		if !r.Identical {
-			b.Fatal("parallel run diverged from sequential")
-		}
-		b.ReportMetric(r.SpeedUp, "parallel_speedup_x")
-		b.ReportMetric(float64(r.Workers), "workers")
-	}
-}
 
 // BenchmarkRunSequential / BenchmarkRunParallel time one full pipeline
 // run (ELEC, first relation) at Workers=1 vs the full pool, so
@@ -617,14 +498,13 @@ func BenchmarkTrainParallel(b *testing.B) { benchTrain(b, 16, 8) }
 // which construction, encoding and the tape's warm-up account for.
 func BenchmarkTrainBatch1(b *testing.B) { benchTrain(b, 1, 1) }
 
-// benchTrainCorpus builds the training examples once: the staged
-// pipeline up to (but excluding) the train stage, via the same
-// experiments.TrainExamples helper the trainspeed study uses, so the
-// benchmark and the study measure the same workload.
+// benchTrainCorpus builds the training examples once: the pipeline's
+// front half (core.TrainExamples), which the trainspeed study also
+// uses, so the benchmark and the study measure the same workload.
 func benchTrainCorpus(b *testing.B) (task core.Task, numFeatures int, exs []model.Example) {
 	elec := synth.Electronics(42, 32)
 	task = elec.Tasks[0]
-	numFeatures, exs = experiments.TrainExamples(task, elec.Docs, 0)
+	numFeatures, exs = core.TrainExamples(task, elec.Docs, core.Options{})
 	if len(exs) == 0 {
 		b.Fatal("bench corpus produced no covered examples")
 	}

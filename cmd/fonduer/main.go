@@ -29,6 +29,7 @@ import (
 	fonduer "repro"
 	"repro/internal/kbase"
 	"repro/internal/obs"
+	"repro/internal/parser"
 )
 
 func main() {
@@ -201,34 +202,25 @@ func loadDocs(dir string) ([]*fonduer.Document, error) {
 	}
 	var docs []*fonduer.Document
 	for _, e := range entries {
-		name := e.Name()
-		path := filepath.Join(dir, name)
-		base := strings.TrimSuffix(name, filepath.Ext(name))
-		switch filepath.Ext(name) {
-		case ".html":
-			body, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			doc := fonduer.ParseHTML(base, string(body))
-			// Merge the rendered layout when present.
-			if vbody, err := os.ReadFile(filepath.Join(dir, base+".vdoc")); err == nil {
-				if _, err := fonduer.AlignVDoc(doc, string(vbody)); err != nil {
-					return nil, fmt.Errorf("%s: %w", base, err)
-				}
-			}
-			docs = append(docs, doc)
-		case ".xml":
-			body, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			doc, err := fonduer.ParseXML(base, string(body))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", base, err)
-			}
-			docs = append(docs, doc)
+		ext := filepath.Ext(e.Name())
+		if ext != ".html" && ext != ".xml" {
+			continue
 		}
+		base := strings.TrimSuffix(e.Name(), ext)
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return nil, err
+		}
+		// An HTML document's rendered layout is merged in when present.
+		var vdoc []byte
+		if ext == ".html" {
+			vdoc, _ = os.ReadFile(filepath.Join(dir, base+".vdoc")) // absent: nothing to merge
+		}
+		doc, err := parser.Parse(base, ext[1:], string(body), string(vdoc))
+		if err != nil {
+			return nil, err
+		}
+		docs = append(docs, doc)
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].Name < docs[j].Name })
 	return docs, nil

@@ -172,7 +172,8 @@ func TestBackendStoreEquivalence(t *testing.T) {
 // tabular and visual LFs) produces exactly the votes of a fully
 // resident session.
 func TestEvictionLFFidelity(t *testing.T) {
-	corpus := synth.Electronics(82, 8)
+	// The last document has row- and column-spanning table cells.
+	corpus := withSpanningDoc(synth.Electronics(82, 8))
 	task := corpus.Tasks[0]
 	opts := core.Options{Epochs: 1, LFs: []labeling.LF{}}
 
@@ -204,6 +205,20 @@ func TestEvictionLFFidelity(t *testing.T) {
 	}
 	if m := labeling.ComputeMetrics(em); m.Coverage == 0 {
 		t.Fatal("evicting store's LF application is all-abstain")
+	}
+	// A split run over rehydrated documents is bit-identical to the
+	// resident store's.
+	names := docNames(corpus.Docs)
+	want, err := full.RunSplit(names[:5], names[5:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := evicting.RunSplit(names[:5], names[5:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
+		t.Errorf("RunSplit under eviction differs\n got: %+v\nwant: %+v", normalizeResult(got), normalizeResult(want))
 	}
 	// DevSession reads over an evicting store are hydration-aware:
 	// Candidates() must never hand out nil (evicted) entries.

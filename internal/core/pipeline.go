@@ -102,7 +102,7 @@ type Options struct {
 	// MaxDocTokens caps the document-level RNN input (Table 6).
 	MaxDocTokens int
 	// Workers sizes the worker pool shared by the pipeline's parallel
-	// stages — candidate extraction, two-pass featurization,
+	// stages — candidate extraction, featurization,
 	// labeling-function application, and (when Batch > 1) the
 	// per-example gradient fan-out of minibatch training. <=0 means
 	// GOMAXPROCS. Results are bit-identical at any worker count:
@@ -211,28 +211,18 @@ func Run(task Task, train, test []*datamodel.Document, gold []GoldTuple, opts Op
 // throttling sweep, which filters candidates itself). Candidate IDs of
 // each split must be dense starting at zero, in list order.
 //
-// The implementation is the staged pipeline of stages.go over
-// transient in-memory relations: one Featurize pass per split
-// producing the per-candidate Features relation, a frozen index from
-// the train split's feature counts, labeling-function application
-// into the Labels relation, then Train and Classify. Store.RunSplit
-// composes the same stages over relations persisted in kbase.
+// The implementation composes the stages of stages.go over transient
+// in-memory relations: one Featurize pass per split producing the
+// per-candidate Features relation, labeling-function votes
+// materialized into the Labels matrix, then runStages (a frozen index
+// from the train split's feature counts, Supervise, Train, Classify).
+// Store.RunSplit feeds the same runStages from relations persisted in
+// kbase.
 func RunWithCandidates(task Task, trainCands, testCands []*candidates.Candidate, test []*datamodel.Document, gold []GoldTuple, opts Options) Result {
 	opts.defaults()
 	newFx := extractorFactory(opts)
 	train := featurizeSplit(newFx, trainCands, opts.Workers)
 	testSp := featurizeSplit(newFx, testCands, opts.Workers)
-
-	// Supervision input: the train split's label matrix (skipped when
-	// explicit marginals bypass the stage).
-	var labels *labeling.Matrix
-	if opts.Marginals == nil {
-		lfs := task.LFs
-		if opts.LFs != nil {
-			lfs = opts.LFs
-		}
-		labels = labeling.ParallelApply(lfs, trainCands, opts.Workers).Compact()
-	}
-	res, _ := runStages(task, opts, train, testSp, labels, DocNames(test), gold, nil)
+	res, _ := runStages(task, opts, train, testSp, labelStage(task, opts, trainCands), DocNames(test), gold, nil)
 	return res
 }

@@ -68,10 +68,6 @@ func SessionFromStore(st *Store) *DevSession {
 // Store exposes the session's backing store.
 func (s *DevSession) Store() *Store { return s.store }
 
-// DocumentScopeDefault returns the pipeline's default scope; exposed
-// so DevSession and Run agree.
-func DocumentScopeDefault() candidates.Scope { return candidates.DocumentScope }
-
 // Candidates returns the session's extracted candidates. Over an
 // evicting store (Options.MaxResidentDocs > 0) the list is fully
 // rehydrated — unlike Store.Candidates, it never contains nil

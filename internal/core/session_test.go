@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/labeling"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 )
 
@@ -176,35 +175,6 @@ func TestParallelExtractMatchesSequential(t *testing.T) {
 			if got[i].Key() != want[i].Key() || got[i].ID != i {
 				t.Fatalf("workers=%d: candidate %d mismatch", workers, i)
 			}
-		}
-	}
-}
-
-func TestParallelFeaturizeMatchesSequential(t *testing.T) {
-	corpus := synth.Electronics(55, 8)
-	task := corpus.Tasks[0]
-	ext := &candidates.Extractor{Args: task.Args, Scope: candidates.DocumentScope, Throttlers: task.Throttlers}
-	cands := ext.ExtractAll(corpus.Docs)
-
-	ix := features.NewIndex()
-	fx := features.NewExtractor()
-	want := sparse.NewLIL()
-	features.FeaturizeAll(fx, ix, cands, want)
-	ix.Freeze()
-
-	for _, workers := range []int{1, 4, 0} {
-		got, stats := core.ParallelFeaturize(features.NewExtractor, ix, cands, workers)
-		if got.NNZ() != want.NNZ() || got.Rows() != want.Rows() {
-			t.Fatalf("workers=%d: parallel NNZ=%d rows=%d, want NNZ=%d rows=%d",
-				workers, got.NNZ(), got.Rows(), want.NNZ(), want.Rows())
-		}
-		for r := 0; r < want.Rows(); r++ {
-			if !reflect.DeepEqual(got.Row(r), want.Row(r)) {
-				t.Fatalf("workers=%d: row %d differs", workers, r)
-			}
-		}
-		if stats.Hits+stats.Misses == 0 {
-			t.Fatalf("workers=%d: no cache activity reported", workers)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/candidates"
+	"repro/internal/datamodel"
 	"repro/internal/features"
 	"repro/internal/labeling"
 	"repro/internal/model"
@@ -16,21 +17,27 @@ import (
 // per-candidate relations — the paper's Candidates, FeatureCounts,
 // Features and Labels tables:
 //
-//	Extract   docs            -> Candidates          (parallel.go)
-//	Featurize Candidates      -> Features(cand, name), FeatureCounts, CacheStats
+//	Extract   docs            -> Candidates, one list per document
+//	Featurize Candidates      -> Features(cand, name), FeatureCounts, CacheStats per document
+//	Label     Candidates      -> Labels votes -> label matrix
 //	Index     FeatureCounts   -> frozen feature Index (train-split counts)
 //	Supervise Labels          -> marginals + coverage
 //	Train     Features+Labels -> model
 //	Classify  model+Features  -> predicted tuples + quality
 //
-// Run and RunWithCandidates compose the stages over transient
-// in-memory relations; Store persists the same relations in kbase and
-// re-runs only the stages a change invalidates (incremental document
-// ingestion, labeling-function iteration). Because every stage's
-// output is a pure, per-document-deterministic function of its input
-// relations, stage results are bit-identical no matter how the corpus
-// was batched into Extract/Featurize invocations and no matter the
-// worker count.
+// Each stage is written once, here, and every path composes the same
+// functions: Run and RunWithCandidates over transient in-memory
+// relations, Store.AddDocuments over the delta it persists in kbase
+// (re-running only the stages a change invalidates), ad-hoc
+// StoreView.ClassifyDocument, and the experiments through
+// TrainExamples. Fonduer processes documents atomically (Appendix C):
+// Extract and Featurize fan out one document per pool task and their
+// per-document outputs are concatenated in corpus order, so every
+// stage's output is a pure, per-document-deterministic function of its
+// input relations — bit-identical no matter how the corpus was batched
+// into invocations and no matter the worker count. That is what makes
+// the store's confluence with a from-scratch Run structural rather
+// than only tested.
 
 // stagedSplit is one split's view of the staged relations: the
 // candidates, each candidate's distinct feature names (the
@@ -42,9 +49,60 @@ type stagedSplit struct {
 	stats features.CacheStats
 }
 
-// extractorFactory builds the per-shard feature-extractor constructor
-// for the run's options: cache switch, ablated modalities, and the
-// SRV variant's HTML-only feature space.
+// extractStage runs the Extract stage: one candidate list per
+// document, in document order, IDs not yet assigned. It is the only
+// place a candidate extractor is built from a task.
+func extractStage(task Task, docs []*datamodel.Document, scope candidates.Scope, throttle bool, workers int) [][]*candidates.Candidate {
+	perDoc := make([][]*candidates.Candidate, len(docs))
+	pool.Run(len(docs), workers, func(i int) {
+		ext := &candidates.Extractor{Args: task.Args, Scope: scope}
+		if throttle {
+			ext.Throttlers = task.Throttlers
+		}
+		perDoc[i] = ext.Extract(docs[i])
+	})
+	return perDoc
+}
+
+// numberCandidates concatenates per-document candidate lists in
+// document order, assigning dense IDs from first.
+func numberCandidates(perDoc [][]*candidates.Candidate, first int) []*candidates.Candidate {
+	var out []*candidates.Candidate
+	for _, cs := range perDoc {
+		for _, c := range cs {
+			c.ID = first + len(out)
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// ParallelExtract runs candidate extraction over the corpus with up to
+// workers goroutines (<=0 means GOMAXPROCS). The result is identical
+// to a sequential ExtractAll: candidates in document order with dense
+// IDs.
+func ParallelExtract(task Task, docs []*datamodel.Document, scope candidates.Scope, throttle bool, workers int) []*candidates.Candidate {
+	return numberCandidates(extractStage(task, docs, scope, throttle, workers), 0)
+}
+
+// shardByDoc splits a candidate list (in corpus order) back into its
+// contiguous per-document lists — the inverse of numberCandidates for
+// callers that hold a flat list.
+func shardByDoc(cands []*candidates.Candidate) [][]*candidates.Candidate {
+	var shards [][]*candidates.Candidate
+	start := 0
+	for i := 1; i <= len(cands); i++ {
+		if i == len(cands) || cands[i].Doc() != cands[i-1].Doc() {
+			shards = append(shards, cands[start:i])
+			start = i
+		}
+	}
+	return shards
+}
+
+// extractorFactory builds the per-document feature-extractor
+// constructor for the run's options: cache switch, ablated modalities,
+// and the SRV variant's HTML-only feature space.
 func extractorFactory(opts Options) func() *features.Extractor {
 	disabled := opts.DisabledModalities
 	if opts.Variant == VariantSRV {
@@ -77,44 +135,64 @@ func distinctFeatures(fx *features.Extractor, c *candidates.Candidate) []string 
 	return out
 }
 
-// featurizeStage runs the Featurize stage over a candidate list: one
-// extractor (and therefore one mention cache) per document shard,
-// producing each candidate's distinct feature names (aligned with
-// cands) and the per-shard cache statistics. Shards are the
-// per-document candidate runs of shardByDoc, so per-shard results are
-// a per-document invariant: they do not depend on which other
-// documents are in the batch, which is what makes incremental
-// ingestion equivalent to a from-scratch run.
-func featurizeStage(newFx func() *features.Extractor, cands []*candidates.Candidate, workers int) (names [][]string, shards [][]*candidates.Candidate, stats []features.CacheStats) {
-	shards = shardByDoc(cands)
-	perShard := make([][][]string, len(shards))
-	stats = make([]features.CacheStats, len(shards))
-	pool.Run(len(shards), workers, func(si int) {
-		fx := newFx()
-		out := make([][]string, len(shards[si]))
-		for i, c := range shards[si] {
-			out[i] = distinctFeatures(fx, c)
-		}
-		perShard[si] = out
-		stats[si] = fx.Stats()
-	})
-	names = make([][]string, 0, len(cands))
-	for _, sh := range perShard {
-		names = append(names, sh...)
-	}
-	return names, shards, stats
+// docFeatures is one document's output of the Featurize stage: each
+// candidate's distinct feature names (aligned with the document's
+// candidate list), the document's FeatureCounts shard — how many of
+// its candidates each feature fires on — and its mention-cache
+// statistics.
+type docFeatures struct {
+	names  [][]string
+	counts map[string]int
+	stats  features.CacheStats
 }
 
-// featurizeSplit is featurizeStage for a whole split, with the shard
-// statistics already summed.
+// featurizeStage runs the Featurize stage over per-document candidate
+// lists: one extractor (and therefore one mention cache, which flushes
+// per document anyway) per document. A document's result does not
+// depend on which other documents are in the batch, which is what
+// makes incremental ingestion equivalent to a from-scratch run.
+func featurizeStage(newFx func() *features.Extractor, perDoc [][]*candidates.Candidate, workers int) []docFeatures {
+	out := make([]docFeatures, len(perDoc))
+	pool.Run(len(perDoc), workers, func(i int) {
+		fx := newFx()
+		df := docFeatures{names: make([][]string, len(perDoc[i])), counts: map[string]int{}}
+		for k, c := range perDoc[i] {
+			df.names[k] = distinctFeatures(fx, c)
+			for _, n := range df.names[k] {
+				df.counts[n]++
+			}
+		}
+		df.stats = fx.Stats()
+		out[i] = df
+	})
+	return out
+}
+
+// featurizeSplit is featurizeStage for a flat candidate list, the
+// per-document results concatenated back in list order.
 func featurizeSplit(newFx func() *features.Extractor, cands []*candidates.Candidate, workers int) stagedSplit {
-	names, _, stats := featurizeStage(newFx, cands, workers)
-	sp := stagedSplit{cands: cands, names: names}
-	for _, st := range stats {
-		sp.stats.Hits += st.Hits
-		sp.stats.Misses += st.Misses
+	sp := stagedSplit{cands: cands, names: make([][]string, 0, len(cands))}
+	for _, df := range featurizeStage(newFx, shardByDoc(cands), workers) {
+		sp.names = append(sp.names, df.names...)
+		sp.stats.Hits += df.stats.Hits
+		sp.stats.Misses += df.stats.Misses
 	}
 	return sp
+}
+
+// labelStage applies the session's labeling functions to a candidate
+// list and materializes the Labels relation as the label matrix (rows
+// positional, matching cands) — nil when explicit Options.Marginals
+// bypass supervision. opts.LFs, when non-nil, overrides the task's.
+func labelStage(task Task, opts Options, cands []*candidates.Candidate) *labeling.Matrix {
+	if opts.Marginals != nil {
+		return nil
+	}
+	lfs := task.LFs
+	if opts.LFs != nil {
+		lfs = opts.LFs
+	}
+	return labeling.ParallelApply(lfs, cands, opts.Workers)
 }
 
 // indexStage builds the frozen feature index from the train split's
@@ -177,6 +255,35 @@ func superviseStage(opts Options, labels *labeling.Matrix) (marginals []float64,
 	}
 	covered = func(i int) bool { return len(labels.RowLabels(i)) > 0 }
 	return marginals, covered, metrics
+}
+
+// coveredExamples builds the Train stage's input from the covered
+// candidates. Positions are the relation keys here: row i of every
+// staged relation belongs to split candidate i.
+func coveredExamples(cands []*candidates.Candidate, rows [][]int, marginals []float64, covered func(int) bool) []model.Example {
+	exs := make([]model.Example, 0, len(cands))
+	for i, c := range cands {
+		if covered(i) {
+			exs = append(exs, model.Example{Cand: c, SparseFeats: rows[i], Marginal: marginals[i]})
+		}
+	}
+	return exs
+}
+
+// TrainExamples is the pipeline's front half — everything before Train
+// — over one corpus: extract, featurize, freeze the index from the
+// corpus' own feature counts, label, denoise, keep the covered
+// candidates. It returns the frozen feature-space size and exactly the
+// examples Run(task, docs, ...) would train on, so studies and
+// benchmarks that isolate training measure the pipeline's own
+// workload.
+func TrainExamples(task Task, docs []*datamodel.Document, opts Options) (numFeatures int, exs []model.Example) {
+	opts.defaults()
+	cands := ParallelExtract(task, docs, opts.Scope, !opts.NoThrottlers, opts.Workers)
+	train := featurizeSplit(extractorFactory(opts), cands, opts.Workers)
+	ix := indexStage(train, opts.MinFeatureCount)
+	marginals, covered, _ := superviseStage(opts, labelStage(task, opts, cands))
+	return ix.Len(), coveredExamples(cands, materializeStage(train, ix), marginals, covered)
 }
 
 // warmSource is a previous generation's trained state, used to
@@ -318,16 +425,7 @@ func runStages(task Task, opts Options, train, test stagedSplit, labels *labelin
 	spans = append(spans, obs.NewSpan("supervise", t0, len(train.cands), len(marginals), 0))
 	res.LFMetrics = metrics
 
-	// ---- Build examples from the covered candidates. Positions are
-	// the relation keys here: row i of every staged relation belongs
-	// to split candidate i.
-	trainEx := make([]model.Example, 0, len(train.cands))
-	for i, c := range train.cands {
-		if !covered(i) {
-			continue
-		}
-		trainEx = append(trainEx, model.Example{Cand: c, SparseFeats: trainRows[i], Marginal: marginals[i]})
-	}
+	trainEx := coveredExamples(train.cands, trainRows, marginals, covered)
 	testEx := make([]model.Example, len(test.cands))
 	for i, c := range test.cands {
 		testEx[i] = model.Example{Cand: c, SparseFeats: testRows[i]}

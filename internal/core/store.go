@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/list"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -70,15 +71,12 @@ type Store struct {
 
 	// Parsed-document eviction state (opts.MaxResidentDocs > 0): how
 	// many documents are currently hydrated, the high-water mark of
-	// that count as sampled after every budget enforcement, the LRU
-	// clock stamping storeDoc.lastUse, and a lazy min-heap of
-	// (doc, tick) touch records for O(log n) victim selection
-	// (stale entries — re-touched or already-evicted docs — are
-	// skipped at pop time).
+	// that count as sampled after every budget enforcement, and the
+	// resident documents (*storeDoc) in use order, most recent first —
+	// the eviction victim is the back.
 	resident     int
 	peakResident int
-	lruTick      uint64
-	lruHeap      []lruEntry
+	lru          list.List
 
 	// Global candidate-indexed relations; candidate IDs are assigned
 	// densely in ingestion order, so index i is candidate ID i.
@@ -121,7 +119,7 @@ type storeDoc struct {
 	stats  features.CacheStats
 
 	candFirst, candCount int
-	lastUse              uint64 // Store.lruTick stamp of the last hydration-requiring use
+	lru                  *list.Element // position in Store.lru; nil when evicted or unbudgeted
 
 	// Row ranges of this document's shard inside the sentences and
 	// candidates relations (rows are appended contiguously per
@@ -298,53 +296,15 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 
 	// ---- Extract stage (delta only).
 	t0 := time.Now()
-	perDoc := make([][]*candidates.Candidate, len(delta))
-	pool.Run(len(delta), workers, func(i int) {
-		ext := &candidates.Extractor{Args: s.task.Args, Scope: s.opts.Scope}
-		if !s.opts.NoThrottlers {
-			ext.Throttlers = s.task.Throttlers
-		}
-		perDoc[i] = ext.Extract(delta[i])
-	})
-	nCands := 0
-	for _, cs := range perDoc {
-		nCands += len(cs)
-	}
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("extract", t0, len(delta), nCands, pool.Workers(workers)))
+	perDoc := extractStage(s.task, delta, s.opts.Scope, !s.opts.NoThrottlers, workers)
+	// Global candidate IDs are dense in ingestion order.
+	deltaCands := numberCandidates(perDoc, len(s.cands))
+	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("extract", t0, len(delta), len(deltaCands), pool.Workers(workers)))
 
-	// ---- Featurize stage (delta only): per-document feature names,
-	// count shards and cache statistics, one extractor per document.
+	// ---- Featurize stage (delta only).
 	t0 = time.Now()
-	newFx := extractorFactory(s.opts)
-	namesPerDoc := make([][][]string, len(delta))
-	countsPerDoc := make([]map[string]int, len(delta))
-	statsPerDoc := make([]features.CacheStats, len(delta))
-	pool.Run(len(delta), workers, func(i int) {
-		fx := newFx()
-		names := make([][]string, len(perDoc[i]))
-		counts := map[string]int{}
-		for k, c := range perDoc[i] {
-			names[k] = distinctFeatures(fx, c)
-			for _, n := range names[k] {
-				counts[n]++
-			}
-		}
-		namesPerDoc[i] = names
-		countsPerDoc[i] = counts
-		statsPerDoc[i] = fx.Stats()
-	})
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("featurize", t0, nCands, nCands, pool.Workers(workers)))
-
-	// Assign global candidate IDs (dense, ingestion order) before the
-	// Supervise stage so the delta is one flat candidate list.
-	firstNew := len(s.cands)
-	var deltaCands []*candidates.Candidate
-	for _, cs := range perDoc {
-		for _, c := range cs {
-			c.ID = firstNew + len(deltaCands)
-			deltaCands = append(deltaCands, c)
-		}
-	}
+	feats := featurizeStage(extractorFactory(s.opts), perDoc, workers)
+	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("featurize", t0, len(deltaCands), len(deltaCands), pool.Workers(workers)))
 
 	// ---- Supervise stage (delta only).
 	t0 = time.Now()
@@ -355,23 +315,19 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	t0 = time.Now()
 	changed = true
 	newDocs := make([]*storeDoc, 0, len(delta))
-	vi := 0
+	s.votes = append(s.votes, votes...)
 	for i, d := range delta {
 		sd := &storeDoc{
 			doc: d, name: d.Name, format: d.Format, pos: len(s.docs),
-			cands: perDoc[i], stats: statsPerDoc[i],
+			cands: perDoc[i], stats: feats[i].stats,
 			candFirst: len(s.cands), candCount: len(perDoc[i]),
 		}
 		s.docs = append(s.docs, sd)
 		s.byName[d.Name] = sd
 		newDocs = append(newDocs, sd)
-		for k := range perDoc[i] {
-			s.cands = append(s.cands, perDoc[i][k])
-			s.names = append(s.names, namesPerDoc[i][k])
-			s.votes = append(s.votes, votes[vi])
-			vi++
-		}
-		for n, c := range countsPerDoc[i] {
+		s.cands = append(s.cands, perDoc[i]...)
+		s.names = append(s.names, feats[i].names...)
+		for n, c := range feats[i].counts {
 			s.counts[n] += c
 		}
 	}
@@ -379,8 +335,8 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	// ---- Index: admit the features that crossed the floor (sorted
 	// order within the batch keeps admission deterministic).
 	touched := map[string]bool{}
-	for i := range delta {
-		for n := range countsPerDoc[i] {
+	for _, df := range feats {
+		for n := range df.counts {
 			touched[n] = true
 		}
 	}
@@ -407,7 +363,7 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	// self-consistent; only the kbase mirror is then behind.
 	t0 = time.Now()
 	for k, sd := range newDocs {
-		if err := s.mirrorDoc(sd, countsPerDoc[k]); err != nil {
+		if err := s.mirrorDoc(sd, feats[k].counts); err != nil {
 			return err
 		}
 		s.accountHydrated(sd)

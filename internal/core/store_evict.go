@@ -26,95 +26,17 @@ import (
 // budget b the reported peak never exceeds b — the /meta counter the
 // larger-than-RAM acceptance test asserts on.
 
-// lruEntry is one touch record in the store's lazy eviction heap.
-type lruEntry struct {
-	sd   *storeDoc
-	tick uint64
-}
-
-// touch stamps sd as most recently used. Under a budget every touch
-// also pushes a heap record; records invalidated by a later touch (or
-// by eviction) are discarded lazily when popped.
+// touch marks sd as most recently used: under a budget the store keeps
+// its resident documents in a list, most recent first.
 func (s *Store) touch(sd *storeDoc) {
-	s.lruTick++
-	sd.lastUse = s.lruTick
-	if s.opts.MaxResidentDocs > 0 {
-		s.lruPush(lruEntry{sd: sd, tick: s.lruTick})
+	if s.opts.MaxResidentDocs <= 0 {
+		return
 	}
-}
-
-// lruPush / lruPop maintain a min-heap over touch ticks. Pops only
-// happen while over budget, so a long-lived under-budget session
-// would accumulate stale records forever; lruPush therefore compacts
-// — drops stale records and re-heapifies — whenever the heap outgrows
-// a small multiple of the document count, keeping it O(resident)
-// amortized.
-func (s *Store) lruPush(e lruEntry) {
-	if len(s.lruHeap) >= 2*len(s.docs)+64 {
-		s.lruCompact()
+	if sd.lru == nil {
+		sd.lru = s.lru.PushFront(sd)
+	} else {
+		s.lru.MoveToFront(sd.lru)
 	}
-	h := append(s.lruHeap, e)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent].tick <= h[i].tick {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	s.lruHeap = h
-}
-
-// lruCompact drops stale records (evicted documents, superseded
-// touches) and restores the heap property over the survivors.
-func (s *Store) lruCompact() {
-	live := s.lruHeap[:0]
-	for _, e := range s.lruHeap {
-		if e.sd.doc != nil && e.sd.lastUse == e.tick {
-			live = append(live, e)
-		}
-	}
-	for i := len(live); i < len(s.lruHeap); i++ {
-		s.lruHeap[i] = lruEntry{}
-	}
-	s.lruHeap = live
-	for i := len(live)/2 - 1; i >= 0; i-- {
-		siftDownLRU(live, i)
-	}
-}
-
-// siftDownLRU restores the min-heap property at index i.
-func siftDownLRU(h []lruEntry, i int) {
-	for {
-		left, right := 2*i+1, 2*i+2
-		small := i
-		if left < len(h) && h[left].tick < h[small].tick {
-			small = left
-		}
-		if right < len(h) && h[right].tick < h[small].tick {
-			small = right
-		}
-		if small == i {
-			return
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-}
-
-func (s *Store) lruPop() (lruEntry, bool) {
-	h := s.lruHeap
-	if len(h) == 0 {
-		return lruEntry{}, false
-	}
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = lruEntry{}
-	h = h[:last]
-	siftDownLRU(h, 0)
-	s.lruHeap = h
-	return top, true
 }
 
 // evictDoc drops one document's hydrated state. Its relations (and
@@ -131,25 +53,21 @@ func (s *Store) evictDoc(sd *storeDoc) {
 	sd.cands = nil
 	sd.doc = nil
 	s.resident--
+	if sd.lru != nil {
+		s.lru.Remove(sd.lru)
+		sd.lru = nil
+	}
 }
 
-// enforceBudget evicts least-recently-used documents until the
-// resident count fits the budget, then samples the peak counter.
-// Victims come off the touch heap: a popped record is live only if it
-// is the document's *current* stamp and the document is still
-// resident — every resident document has exactly one live record, so
-// the loop always finds its victims, in O(log n) amortized per touch.
+// enforceBudget evicts least-recently-used documents — the back of the
+// resident list — until the resident count fits the budget, then
+// samples the peak counter. Every resident document was touched when
+// it was hydrated, so under a budget the list holds exactly the
+// resident set.
 func (s *Store) enforceBudget() {
 	if budget := s.opts.MaxResidentDocs; budget > 0 {
 		for s.resident > budget {
-			e, ok := s.lruPop()
-			if !ok {
-				break
-			}
-			if e.sd.doc == nil || e.sd.lastUse != e.tick {
-				continue // stale: evicted already, or re-touched since
-			}
-			s.evictDoc(e.sd)
+			s.evictDoc(s.lru.Back().Value.(*storeDoc))
 		}
 	}
 	if s.resident > s.peakResident {

@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/candidates"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/kbase"
 	"repro/internal/labeling"
+	"repro/internal/parser"
 	"repro/internal/synth"
 )
 
@@ -178,6 +182,74 @@ func TestStoreSnapshotResume(t *testing.T) {
 	if !kbase.EqualDB(st.DB(), again.DB()) {
 		t.Fatal("second-generation snapshot drifted")
 	}
+
+	// A snapshot is a set of relations, whatever order its rows are in:
+	// with the sentence and candidate rows shuffled, no document's rows
+	// are contiguous any more, OpenStore and rehydration fall back to
+	// filter scans, and the Result must not move — with every document
+	// resident and under an eviction budget.
+	shuffled := filepath.Join(t.TempDir(), "shuffled")
+	if err := os.Mkdir(shuffled, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range snapshotBytes(t, dir) {
+		if name == "sentences.tsv" || name == "candidates.tsv" {
+			lines := strings.SplitAfter(string(body), "\n") // header, rows..., ""
+			rows := lines[1 : len(lines)-1]
+			if lines[len(lines)-1] != "" || len(rows) < 2 {
+				t.Fatalf("%s: unexpected layout (%d lines)", name, len(lines))
+			}
+			rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			body = []byte(strings.Join(lines, ""))
+		}
+		if err := os.WriteFile(filepath.Join(shuffled, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, maxResident := range []int{0, 3} {
+		o := opts
+		o.MaxResidentDocs = maxResident
+		permuted, err := core.OpenStore(shuffled, task, o)
+		if err != nil {
+			t.Fatalf("MaxResidentDocs %d: %v", maxResident, err)
+		}
+		got, err := permuted.RunSplit(docNames(train), docNames(test), gold)
+		if err != nil {
+			t.Fatalf("MaxResidentDocs %d: %v", maxResident, err)
+		}
+		if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
+			t.Errorf("MaxResidentDocs %d: Result from the row-shuffled snapshot differs\n got: %+v\nwant: %+v",
+				maxResident, normalizeResult(got), normalizeResult(want))
+		}
+		permuted.Close()
+	}
+}
+
+// spanningDoc is a datasheet-shaped document whose ratings table has
+// row- and column-spanning cells, which the synthetic corpora never
+// produce: a spanning cell is linked into every row it covers, and the
+// snapshot and rehydration paths must still see each sentence once.
+func spanningDoc() *datamodel.Document {
+	return parser.ParseHTML("spanning", `<html><body>
+<h1 class="part-header" id="hdr">2N7825C</h1>
+<p>NPN Silicon Switching Transistors.</p>
+<table class="ratings"><caption>Maximum Ratings</caption>
+<tr><th>Parameter</th><th>Symbol</th><th>Value</th><th>Unit</th><th>Condition</th></tr>
+<tr><td>Type</td><td>2N7825C</td><td colspan=3></td></tr>
+<tr><td>Collector-emitter voltage</td><td>VCEO</td><td>46</td><td rowspan=2>V</td><td></td></tr>
+<tr><td>Collector-base voltage</td><td>VCBO</td><td>62</td><td>pulse 275 us</td></tr>
+<tr><td rowspan=2>Collector current</td><td>IC</td><td>620</td><td>mA</td><td></td></tr>
+<tr><td>ICM</td><td>800</td><td>mA</td><td>pulse 505 us</td></tr>
+</table>
+</body></html>`)
+}
+
+// withSpanningDoc returns the corpus with spanningDoc appended to its
+// documents.
+func withSpanningDoc(c *synth.Corpus) *synth.Corpus {
+	out := *c
+	out.Docs = append(append([]*datamodel.Document{}, c.Docs...), spanningDoc())
+	return &out
 }
 
 // TestStoreResumeLFFidelity guards the LF-iteration-after-resume
@@ -194,6 +266,7 @@ func TestStoreResumeLFFidelity(t *testing.T) {
 	}{
 		{"electronics", synth.Electronics(66, 6)}, // HTML + vdoc: tabular, visual, structural LFs
 		{"genomics", synth.Genomics(67, 6)},       // native XML: no visual modality
+		{"electronics+spans", withSpanningDoc(synth.Electronics(68, 4))},
 	} {
 		task := domain.corpus.Tasks[0]
 		opts := core.Options{Epochs: 1, LFs: []labeling.LF{}}
@@ -248,6 +321,7 @@ func TestStoreSnapshotAllDomains(t *testing.T) {
 		{"ads", synth.Ads(72, 8)},
 		{"paleo", synth.Paleo(73, 4)},
 		{"genomics", synth.Genomics(74, 6)},
+		{"electronics+spans", withSpanningDoc(synth.Electronics(75, 4))},
 	} {
 		task := domain.corpus.Tasks[0]
 		train, test := domain.corpus.Split()

@@ -249,25 +249,21 @@ type DocClassification struct {
 
 // ClassifyDocument runs candidate generation, featurization against
 // the epoch's frozen index, and model classification over one
-// document — without mutating anything: the extractor and feature
-// extractor are private to the call, index lookups never allocate,
-// and the model's forward pass is read-only. Safe to call from any
-// number of goroutines concurrently, on the same or different views.
+// document — the Extract and Featurize stages of stages.go over a
+// one-document corpus — without mutating anything: both extractors are
+// private to the call, index lookups never allocate, and the model's
+// forward pass is read-only. Safe to call from any number of goroutines
+// concurrently, on the same or different views.
 func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification, error) {
 	if doc == nil {
 		return DocClassification{}, fmt.Errorf("core: nil document")
 	}
-	ext := &candidates.Extractor{Args: v.task.Args, Scope: v.opts.Scope}
-	if !v.opts.NoThrottlers {
-		ext.Throttlers = v.task.Throttlers
-	}
-	cands := ext.Extract(doc)
-	newFx := extractorFactory(v.opts)
-	fx := newFx()
+	perDoc := extractStage(v.task, []*datamodel.Document{doc}, v.opts.Scope, !v.opts.NoThrottlers, 1)
+	names := featurizeStage(extractorFactory(v.opts), perDoc, 1)[0].names
 	var out DocClassification
 	seen := map[string]bool{}
-	for _, c := range cands {
-		p := v.model.PredictProb(model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, distinctFeatures(fx, c))})
+	for i, c := range perDoc[0] {
+		p := v.model.PredictProb(model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, names[i])})
 		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.Threshold}
 		out.Candidates = append(out.Candidates, cc)
 		if cc.Positive {

@@ -314,11 +314,15 @@ func (r *Row) Type() NodeType { return RowType }
 // Parent implements Node.
 func (r *Row) Parent() Node { return r.Table }
 
-// ChildNodes implements Node.
+// ChildNodes implements Node. A row-spanning cell is listed in the
+// Cells of every row it covers but is the child of its first row only
+// (Cell.Parent), so a walk visits each cell once.
 func (r *Row) ChildNodes() []Node {
-	out := make([]Node, len(r.Cells))
-	for i, c := range r.Cells {
-		out[i] = c
+	out := make([]Node, 0, len(r.Cells))
+	for _, c := range r.Cells {
+		if c.RowStart == r.Index {
+			out = append(out, c)
+		}
 	}
 	return out
 }

@@ -420,7 +420,9 @@ func TestSpanningCells(t *testing.T) {
 	b.AddRow(tbl)
 	b.AddRow(tbl)
 	b.AddRow(tbl)
-	// A cell spanning rows 0-2 in column 0, plus singles in column 1.
+	b.AddRow(tbl)
+	// A cell spanning rows 0-2 in column 0, singles in column 1, and a
+	// last row that is one cell spanning both columns.
 	big := b.AddCell(tbl, 0, 2, 0, 0)
 	p := b.AddParagraph(big)
 	b.AddSentence(p, []string{"Ptot"})
@@ -429,13 +431,39 @@ func TestSpanningCells(t *testing.T) {
 		p := b.AddParagraph(c)
 		b.AddSentence(p, []string{"v" + string(rune('0'+r))})
 	}
+	wide := b.AddCell(tbl, 3, 3, 0, 1)
+	b.AddSentence(b.AddParagraph(wide), []string{"note"})
 	d := b.Finish()
 	tb := d.Tables()[0]
-	if tb.NumRows != 3 || tb.NumCols != 2 {
+	if tb.NumRows != 4 || tb.NumCols != 2 {
 		t.Fatalf("grid %dx%d", tb.NumRows, tb.NumCols)
 	}
-	if big.RowSpan() != 3 || big.ColSpan() != 1 {
-		t.Fatalf("spans %d/%d", big.RowSpan(), big.ColSpan())
+	if big.RowSpan() != 3 || big.ColSpan() != 1 || wide.RowSpan() != 1 || wide.ColSpan() != 2 {
+		t.Fatalf("spans %d/%d and %d/%d", big.RowSpan(), big.ColSpan(), wide.RowSpan(), wide.ColSpan())
+	}
+	// A spanning cell is linked into every row it covers but is walked
+	// once, under its first row: every node is visited exactly once and
+	// sentence positions are dense.
+	visits := map[Node]int{}
+	Walk(d, func(n Node) bool {
+		visits[n]++
+		return true
+	})
+	for n, k := range visits {
+		if k != 1 {
+			t.Errorf("%v node visited %d times", n.Type(), k)
+		}
+	}
+	if len(d.Sentences()) != 5 {
+		t.Fatalf("%d sentences, want 5", len(d.Sentences()))
+	}
+	for i, s := range d.Sentences() {
+		if s.Position != i {
+			t.Errorf("sentence %d (%q) has position %d", i, s.Text(), s.Position)
+		}
+	}
+	if len(tb.Rows[1].Cells) != 2 || big.Parent() != Node(tb.Rows[0]) {
+		t.Errorf("spanning cell must stay linked into the rows it covers, with its first row as parent")
 	}
 	// The spanning cell shares a row with each single cell.
 	ptot := NewSpan(d.Sentences()[0], 0, 1)

@@ -2,26 +2,25 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"time"
 
-	"repro/internal/candidates"
 	"repro/internal/core"
-	"repro/internal/features"
-	"repro/internal/labeling"
-	"repro/internal/sparse"
+	"repro/internal/model"
 	"repro/internal/synth"
 )
 
-// SpeedupResult reports the staged-parallel pipeline's wall-clock
-// advantage over sequential execution on its embarrassingly parallel
-// phases: candidate extraction, the two featurization passes, and
-// labeling-function application. Training is excluded here — its own
-// data-parallel speedup is measured by TrainSpeedStudy. Identical
-// confirms the
-// parallel run produced bit-identical candidates and matrices, the
-// tentpole guarantee that makes parallelism safe to enable by default.
+// SpeedupResult reports the pipeline's wall-clock advantage over
+// sequential execution on everything before Train — candidate
+// extraction, featurization, index construction, labeling-function
+// application and label-model denoising (core.TrainExamples). Training
+// is excluded here — its own data-parallel speedup is measured by
+// TrainSpeedStudy. Candidates counts the covered candidates, i.e. the
+// training examples both runs end in; Identical confirms the parallel
+// run produced them bit for bit, the guarantee that makes parallelism
+// safe to enable by default.
 type SpeedupResult struct {
 	Workers    int
 	Docs       int
@@ -32,12 +31,13 @@ type SpeedupResult struct {
 	Identical  bool
 }
 
-// SpeedupStudy times the extraction + featurization + labeling phases
-// of the ELECTRONICS pipeline at Workers=1 versus Workers=N (N = the
-// cfg worker pool, GOMAXPROCS when unset). On a multi-core machine the
-// speedup approaches min(N, cores) because documents are processed
-// atomically with no cross-document coordination; on a single core it
-// degenerates to ~1x.
+// SpeedupStudy times core.TrainExamples over the ELECTRONICS train
+// split at Workers=1 versus Workers=N (N = the cfg worker pool,
+// GOMAXPROCS when unset). Extraction, featurization and labeling
+// process documents atomically with no cross-document coordination, so
+// on a multi-core machine their share of the speedup approaches
+// min(N, cores); the index and the label-model fit are sequential. On
+// a single core the study degenerates to ~1x.
 func SpeedupStudy(cfg Config) SpeedupResult {
 	elec := synth.Electronics(cfg.Seed, cfg.ElecDocs*2)
 	task := elec.Tasks[0]
@@ -48,76 +48,38 @@ func SpeedupStudy(cfg Config) SpeedupResult {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	type phaseOutputs struct {
-		cands []*candidates.Candidate
-		ix    *features.Index
-		feats *sparse.LIL
-		lm    *labeling.Matrix
-		secs  float64
-	}
-	run := func(w int) phaseOutputs {
+	run := func(w int) (numFeatures int, exs []model.Example, secs float64) {
 		start := time.Now()
-		cands := core.ParallelExtract(task, train, core.DocumentScopeDefault(), true, w)
-		newFx := features.NewExtractor
-		counts, _ := core.ParallelCountFeatures(newFx, cands, w)
-		ix := features.IndexFromCounts(counts, 2)
-		feats, _ := core.ParallelFeaturize(newFx, ix, cands, w)
-		lm := labeling.ParallelApply(task.LFs, cands, w)
-		return phaseOutputs{cands: cands, ix: ix, feats: feats, lm: lm, secs: time.Since(start).Seconds()}
+		numFeatures, exs = core.TrainExamples(task, train, core.Options{Workers: w})
+		return numFeatures, exs, time.Since(start).Seconds()
 	}
-
-	seq := run(1)
-	par := run(workers)
+	seqFeatures, seq, seqSecs := run(1)
+	parFeatures, par, parSecs := run(workers)
 
 	out := SpeedupResult{
 		Workers: workers, Docs: len(train),
-		Candidates: len(seq.cands),
-		SeqSecs:    seq.secs, ParSecs: par.secs,
-		Identical: identicalPhases(seq.cands, par.cands, seq.ix, par.ix, seq.feats, par.feats, seq.lm, par.lm),
+		Candidates: len(seq),
+		SeqSecs:    seqSecs, ParSecs: parSecs,
+		Identical: seqFeatures == parFeatures && identicalExamples(seq, par),
 	}
-	if par.secs > 0 {
-		out.SpeedUp = seq.secs / par.secs
+	if parSecs > 0 {
+		out.SpeedUp = seqSecs / parSecs
 	}
 	return out
 }
 
-// identicalPhases compares the two runs' full outputs: candidate
-// identity and order, feature-index contents, every feature-matrix
-// row, and every label-matrix cell — the same bit-identity contract
-// the pipeline equivalence tests enforce, so a future ordering bug
-// cannot hide behind matching counts.
-func identicalPhases(candsA, candsB []*candidates.Candidate, ixA, ixB *features.Index,
-	featsA, featsB *sparse.LIL, lmA, lmB *labeling.Matrix) bool {
-	if len(candsA) != len(candsB) {
+// identicalExamples compares two runs' training examples bit for bit:
+// candidate identity and order, every feature row, and every marginal
+// — the same contract the pipeline equivalence tests enforce, so a
+// future ordering bug cannot hide behind matching counts.
+func identicalExamples(a, b []model.Example) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range candsA {
-		if candsA[i].ID != candsB[i].ID || candsA[i].Key() != candsB[i].Key() {
-			return false
-		}
-	}
-	if ixA.Len() != ixB.Len() {
-		return false
-	}
-	for id := 0; id < ixA.Len(); id++ {
-		if ixA.Name(id) != ixB.Name(id) {
-			return false
-		}
-	}
-	if featsA.NNZ() != featsB.NNZ() || featsA.Rows() != featsB.Rows() {
-		return false
-	}
-	for r := 0; r < featsA.Rows(); r++ {
-		if !reflect.DeepEqual(featsA.Row(r), featsB.Row(r)) {
-			return false
-		}
-	}
-	ca, cb := lmA.Compact(), lmB.Compact()
-	if ca.NumCands != cb.NumCands || ca.NumLFs != cb.NumLFs || ca.M.NNZ() != cb.M.NNZ() {
-		return false
-	}
-	for i := 0; i < ca.NumCands; i++ {
-		if !reflect.DeepEqual(ca.RowLabels(i), cb.RowLabels(i)) {
+	for i := range a {
+		if a[i].Cand.ID != b[i].Cand.ID || a[i].Cand.Key() != b[i].Cand.Key() ||
+			!reflect.DeepEqual(a[i].SparseFeats, b[i].SparseFeats) ||
+			math.Float64bits(a[i].Marginal) != math.Float64bits(b[i].Marginal) {
 			return false
 		}
 	}
@@ -126,7 +88,7 @@ func identicalPhases(candsA, candsB []*candidates.Candidate, ixA, ixB *features.
 
 // String renders the speedup study.
 func (r SpeedupResult) String() string {
-	return fmt.Sprintf("Parallel pipeline: extraction+featurization+labeling, ELEC (%d docs, %d candidates)\n"+
+	return fmt.Sprintf("Parallel pipeline: extract+featurize+index+label+denoise, ELEC (%d docs, %d training examples)\n"+
 		"sequential: %.3fs   %d workers: %.3fs   speedup: %.2fx   identical: %v\n"+
 		"(speedup tracks min(workers, cores); this host has %d logical CPUs)\n",
 		r.Docs, r.Candidates, r.SeqSecs, r.Workers, r.ParSecs, r.SpeedUp, r.Identical, runtime.NumCPU())

@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datamodel"
-	"repro/internal/features"
-	"repro/internal/labeling"
 	"repro/internal/model"
 	"repro/internal/synth"
 )
@@ -37,39 +34,9 @@ type TrainSpeedResult struct {
 // SGD on the small synthetic corpora.
 const trainSpeedBatch = 16
 
-// TrainExamples builds the staged training set for task over docs —
-// extract, featurize against a frozen index, label, denoise, keep the
-// covered candidates — exactly what the pipeline's train stage
-// consumes. It returns the frozen feature-space size and the
-// examples. Shared by TrainSpeedStudy and the repo-root train
-// benchmarks so the CI-gated benchmark and the study measure the same
-// workload.
-func TrainExamples(task core.Task, docs []*datamodel.Document, workers int) (numFeatures int, exs []model.Example) {
-	cands := core.ParallelExtract(task, docs, core.DocumentScopeDefault(), true, workers)
-	newFx := features.NewExtractor
-	counts, _ := core.ParallelCountFeatures(newFx, cands, workers)
-	ix := features.IndexFromCounts(counts, 2)
-	feats, _ := core.ParallelFeaturize(newFx, ix, cands, workers)
-	lm := labeling.ParallelApply(task.LFs, cands, workers).Compact()
-	marginals := labeling.Fit(lm, labeling.FitOptions{}).Marginals(lm)
-
-	exs = make([]model.Example, 0, len(cands))
-	for i, c := range cands {
-		if len(lm.RowLabels(i)) == 0 {
-			continue // uncovered: no supervision signal
-		}
-		var cols []int
-		for _, e := range feats.Row(i) {
-			cols = append(cols, e.Col)
-		}
-		exs = append(exs, model.Example{Cand: c, SparseFeats: cols, Marginal: marginals[i]})
-	}
-	return ix.Len(), exs
-}
-
 // TrainSpeedStudy builds the ELECTRONICS training set once
-// (TrainExamples), then times model.Train on the resulting examples at
-// Workers=1 versus Workers=N (N = the cfg worker pool, GOMAXPROCS
+// (core.TrainExamples), then times model.Train on the resulting examples
+// at Workers=1 versus Workers=N (N = the cfg worker pool, GOMAXPROCS
 // when unset) with the same minibatch size. Per-example gradients
 // within a batch fan out over the worker pool and are reduced in
 // fixed example-index order, so both runs train the identical model;
@@ -86,7 +53,7 @@ func TrainSpeedStudy(cfg Config) TrainSpeedResult {
 
 	// The staged relations are built once and shared by both timed
 	// runs: the study isolates training cost exactly as Table 6 does.
-	numFeatures, exs := TrainExamples(task, train, workers)
+	numFeatures, exs := core.TrainExamples(task, train, core.Options{Workers: workers})
 
 	run := func(w int) (*model.Model, float64) {
 		m := model.NewFonduer(len(task.Args), numFeatures, cfg.Seed, exs)

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
-	"repro/internal/sparse"
 )
 
 // Modality classifies a feature by the data modality it derives from.
@@ -464,8 +463,8 @@ func (ix *Index) Freeze() { ix.frozen = true }
 // IndexFromCounts builds a frozen index from a feature-frequency map,
 // admitting names occurring at least minCount times, in sorted name
 // order — the deterministic index construction of the pipeline's
-// two-pass featurization. Column ids therefore never depend on map
-// iteration or on the order per-shard counts were merged in.
+// Index stage. Column ids therefore never depend on map iteration or
+// on the order per-document counts were merged in.
 func IndexFromCounts(counts map[string]int, minCount int) *Index {
 	names := make([]string, 0, len(counts))
 	for name, n := range counts {
@@ -480,17 +479,4 @@ func IndexFromCounts(counts map[string]int, minCount int) *Index {
 	}
 	ix.Freeze()
 	return ix
-}
-
-// FeaturizeAll featurizes a candidate set into a sparse indicator
-// matrix (rows = candidate IDs, columns = feature ids), growing the
-// index as needed. This materializes the Features relation.
-func FeaturizeAll(e *Extractor, ix *Index, cands []*candidates.Candidate, m sparse.Matrix) {
-	for _, c := range cands {
-		for _, f := range e.Featurize(c) {
-			if id := ix.ID(f.Name); id >= 0 {
-				m.Set(c.ID, id, 1)
-			}
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
 	"repro/internal/matchers"
-	"repro/internal/sparse"
 )
 
 // buildDoc mirrors Figure 1: part names in a bold header, a ratings
@@ -257,40 +256,6 @@ func TestIndex(t *testing.T) {
 	}
 	if ix.ID("F_B") != b {
 		t.Fatal("frozen index must resolve known names")
-	}
-}
-
-func TestFeaturizeAll(t *testing.T) {
-	d := buildDoc(t)
-	cands := extractCands(t, d)
-	ex := NewExtractor()
-	ix := NewIndex()
-	m := sparse.NewLIL()
-	FeaturizeAll(ex, ix, cands, m)
-	if m.Rows() != len(cands) {
-		t.Fatalf("rows = %d", m.Rows())
-	}
-	if m.NNZ() == 0 || ix.Len() == 0 {
-		t.Fatal("no features materialized")
-	}
-	// Every row has at least one feature; all values are indicators.
-	for r := 0; r < m.Rows(); r++ {
-		row := m.Row(r)
-		if len(row) == 0 {
-			t.Fatalf("row %d empty", r)
-		}
-		for _, e := range row {
-			if e.Val != 1 {
-				t.Fatalf("indicator value = %v", e.Val)
-			}
-		}
-	}
-	// Frozen index: unseen features are skipped, not panicking.
-	ix.Freeze()
-	m2 := sparse.NewLIL()
-	FeaturizeAll(ex, ix, cands, m2)
-	if m2.NNZ() != m.NNZ() {
-		t.Fatalf("frozen refeaturization NNZ = %d, want %d", m2.NNZ(), m.NNZ())
 	}
 }
 

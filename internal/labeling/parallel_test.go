@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/candidates"
-	"repro/internal/sparse"
 )
 
 // matricesEqual compares two label matrices cell-semantically: same
@@ -96,32 +95,5 @@ func TestParallelApplyEdgeCases(t *testing.T) {
 	matricesEqual(t, m, Apply(abstain, cands))
 	if got := ComputeMetrics(m); got.Coverage != 0 {
 		t.Fatalf("all-abstain coverage = %v", got.Coverage)
-	}
-}
-
-// TestParallelApplyColumnMatchesSequential checks the single-column
-// development path against a sequential ApplyOne loop, including the
-// overwrite (edit) case.
-func TestParallelApplyColumnMatchesSequential(t *testing.T) {
-	vals := make([]string, parallelShardSize+33)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("w%d", i%5)
-	}
-	cands := makeCands(t, vals)
-	lf := randomLFs(1, 99)[0]
-	lf2 := randomLFs(1, 123)[0]
-
-	want := NewMatrix(sparse.NewCOO(), len(cands), 1)
-	for _, c := range cands {
-		ApplyOne(want, c, 0, lf)
-	}
-	for _, c := range cands {
-		ApplyOne(want, c, 0, lf2) // edit overwrites via the log
-	}
-	for _, workers := range []int{1, 3, 0} {
-		got := NewMatrix(sparse.NewCOO(), len(cands), 1)
-		ParallelApplyColumn(got, cands, 0, lf, workers)
-		ParallelApplyColumn(got, cands, 0, lf2, workers)
-		matricesEqual(t, got, want)
 	}
 }

@@ -225,10 +225,37 @@ func (w *htmlWalker) walk(n *htmlNode, path []*htmlNode) {
 	}
 }
 
+// maxColspan is HTML's own limit on a colspan attribute.
+const maxColspan = 1000
+
+// countRows counts a table's <tr> elements, directly under it or inside
+// its row groups — the elements emitTable turns into rows.
+func countRows(n *htmlNode) int {
+	rows := 0
+	for _, c := range n.children {
+		switch c.tag {
+		case "thead", "tbody", "tfoot":
+			rows += countRows(c)
+		case "tr":
+			rows++
+		}
+	}
+	return rows
+}
+
 // emitTable converts a <table> element, honoring rowspan/colspan via a
-// grid-occupancy map, and attaching <caption> when present.
+// grid-occupancy map, and attaching <caption> when present. The grid is
+// bounded by the source, not by its span attributes: the table has one
+// row per <tr>, a rowspan is clipped to the rows that remain (as the
+// HTML table model clips a cell to its row group) and a colspan to
+// maxColspan.
 func (w *htmlWalker) emitTable(tn *htmlNode, path []*htmlNode) {
 	tbl := w.b.AddTable()
+	for n := countRows(tn); n > 0; n-- {
+		w.b.AddRow(tbl)
+	}
+	// occupied marks the slots of later rows held by a cell spanning
+	// down from an earlier one.
 	occupied := map[[2]int]bool{}
 	rowIdx := 0
 	var handleRows func(n *htmlNode)
@@ -242,7 +269,6 @@ func (w *htmlWalker) emitTable(tn *htmlNode, path []*htmlNode) {
 			case "thead", "tbody", "tfoot":
 				handleRows(c)
 			case "tr":
-				w.b.AddRow(tbl)
 				col := 0
 				for _, cell := range c.children {
 					if cell.tag != "td" && cell.tag != "th" {
@@ -251,11 +277,11 @@ func (w *htmlWalker) emitTable(tn *htmlNode, path []*htmlNode) {
 					for occupied[[2]int{rowIdx, col}] {
 						col++
 					}
-					rs := atoiDefault(cell.attrs["rowspan"], 1)
-					cs := atoiDefault(cell.attrs["colspan"], 1)
+					rs := min(atoiDefault(cell.attrs["rowspan"], 1), len(tbl.Rows)-rowIdx)
+					cs := min(atoiDefault(cell.attrs["colspan"], 1), maxColspan)
 					cc := w.b.AddCell(tbl, rowIdx, rowIdx+rs-1, col, col+cs-1)
 					cc.IsHeader = cell.tag == "th"
-					for r := rowIdx; r < rowIdx+rs; r++ {
+					for r := rowIdx + 1; r < rowIdx+rs; r++ {
 						for cdx := col; cdx < col+cs; cdx++ {
 							occupied[[2]int{r, cdx}] = true
 						}
@@ -269,36 +295,6 @@ func (w *htmlWalker) emitTable(tn *htmlNode, path []*htmlNode) {
 		}
 	}
 	handleRows(tn)
-	// Spanning cells may extend below the last <tr>; add rows so the
-	// grid stays rectangular.
-	maxRow := -1
-	for _, c := range tbl.Cells {
-		if c.RowEnd > maxRow {
-			maxRow = c.RowEnd
-		}
-	}
-	for len(tbl.Rows) <= maxRow {
-		w.b.AddRow(tbl)
-	}
-	// Re-link cells to all rows they span (AddCell linked only rows
-	// that existed at insert time).
-	for _, c := range tbl.Cells {
-		for r := c.RowStart; r <= c.RowEnd; r++ {
-			row := tbl.Rows[r]
-			if !rowHasCell(row, c) {
-				row.Cells = append(row.Cells, c)
-			}
-		}
-	}
-}
-
-func rowHasCell(r *datamodel.Row, c *datamodel.Cell) bool {
-	for _, x := range r.Cells {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // emitSentences splits text into sentences and attaches structural and

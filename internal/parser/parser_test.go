@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,6 +62,47 @@ func TestParseHTMLStructure(t *testing.T) {
 	fig := d.Sections[0].Figures[0]
 	if fig.URL != "fig1.png" || fig.Caption == nil {
 		t.Fatalf("figure = %+v", fig)
+	}
+}
+
+// A row-spanning cell's sentence is listed once and positions stay
+// dense — the store's snapshot and rehydration paths rely on it.
+func TestParseHTMLRowspanSentencesOnce(t *testing.T) {
+	d := ParseHTML("span", `<table><tr><td rowspan=2>A b c</td><td>1</td></tr><tr><td>2</td></tr></table>`)
+	var got []string
+	for i, s := range d.Sentences() {
+		if s.Position != i {
+			t.Errorf("sentence %d (%q) has position %d", i, s.Text(), s.Position)
+		}
+		got = append(got, s.Text())
+	}
+	if want := []string{"A b c", "1", "2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sentences = %q, want %q", got, want)
+	}
+	tbl := d.Tables()[0]
+	if tbl.CellAt(1, 0) != tbl.CellAt(0, 0) || tbl.CellAt(1, 1).Paragraphs[0].Sentences[0].Text() != "2" {
+		t.Fatal("rowspan cell must still cover (1,0) and push the next row's cell to column 1")
+	}
+}
+
+// The grid is bounded by the source, not by its span attributes: a
+// rowspan is clipped to the <tr> rows the table has, a colspan to
+// HTML's limit of 1000.
+func TestParseHTMLSpanBounds(t *testing.T) {
+	for _, tc := range []struct {
+		src        string
+		rows, cols int
+	}{
+		{`<table><tr><td rowspan=3000000 colspan=3>a</td></tr></table>`, 1, 3},
+		{`<table><tr><td rowspan=2000000000>a</td><td colspan=2000000000>b</td></tr><tbody><tr><td>c</td></tr></tbody></table>`, 2, 1 + maxColspan},
+	} {
+		tbl := ParseHTML("bomb", tc.src).Tables()[0]
+		if len(tbl.Rows) != tc.rows || tbl.NumRows != tc.rows || tbl.NumCols != tc.cols {
+			t.Errorf("%s:\n%d rows (NumRows %d) x %d cols, want %d x %d", tc.src, len(tbl.Rows), tbl.NumRows, tbl.NumCols, tc.rows, tc.cols)
+		}
+		if c := tbl.CellAt(tc.rows-1, 0); c == nil || c.RowStart != 0 {
+			t.Errorf("%s: the spanning cell must reach the last row", tc.src)
+		}
 	}
 }
 

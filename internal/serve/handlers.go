@@ -149,29 +149,7 @@ func parseUpload(u DocumentUpload) (*datamodel.Document, error) {
 	if u.Source == "" {
 		return nil, fmt.Errorf("document %q has no source", u.Name)
 	}
-	switch u.Format {
-	case "", "html":
-		doc := parser.ParseHTML(u.Name, u.Source)
-		if u.VDoc != "" {
-			v, err := parser.ParseVDoc(u.VDoc)
-			if err != nil {
-				return nil, fmt.Errorf("document %q: vdoc: %w", u.Name, err)
-			}
-			parser.AlignVisual(doc, v)
-		}
-		return doc, nil
-	case "xml":
-		if u.VDoc != "" {
-			return nil, fmt.Errorf("document %q: xml documents carry no visual layout", u.Name)
-		}
-		doc, err := parser.ParseXML(u.Name, u.Source)
-		if err != nil {
-			return nil, fmt.Errorf("document %q: %w", u.Name, err)
-		}
-		return doc, nil
-	default:
-		return nil, fmt.Errorf("document %q: unknown format %q", u.Name, u.Format)
-	}
+	return parser.Parse(u.Name, u.Format, u.Source, u.VDoc)
 }
 
 // ---- Read endpoints.
@@ -246,41 +224,24 @@ func (s *Server) handleKB(w http.ResponseWriter, r *http.Request) {
 		}
 		filters = append(filters, kbase.Pred{Col: idx, Want: vals[0]})
 	}
-	var page []kbase.Tuple
-	var total, lo int
-	if len(filters) == 0 {
-		// Unfiltered reads clone only the served page, not the whole
-		// table (Table.Page is the pagination read path).
-		total = v.KB().Len()
-		lo, _ = pageBounds(total, offset, limit)
-		page = v.KB().Page(offset, limit)
-	} else {
-		// Filtered reads push the predicates and the window into the
-		// storage layer: the table's planner answers through a lazy
-		// hash index or a (zone-map pruned) scan, cloning only the
-		// served window and returning the exact match total — the
-		// same rows, total and order the old scan-then-clone loop
-		// produced, at storage speed.
-		t0 := time.Now()
-		var plan kbase.PlanInfo
-		page, total, plan = v.KB().PageWhereInfo(filters, offset, limit)
-		if thr := obs.SlowQueryThreshold(); thr > 0 {
-			if dur := time.Since(t0); dur >= thr {
-				// One structured line per slow filtered read: the plan
-				// the table chose, the predicates, the zone-map pruning
-				// it got, and the wall time that crossed -slow-query-ms.
-				preds := make([]string, len(filters))
-				for i, f := range filters {
-					preds[i] = schema.Columns[f.Col].Name + "=" + fmt.Sprint(f.Want)
-				}
-				obs.Log().Warn("slow query", "tenant", s.name, "route", "/kb",
-					"plan", plan.Plan, "preds", preds, "pagesSkipped", plan.PagesSkipped,
-					"rows", total, "durationMs", float64(dur.Nanoseconds())/1e6)
+	// The predicates (none for a plain page read) and the window are
+	// pushed into the storage layer: the table's planner answers through
+	// a lazy hash index or a (zone-map pruned) scan, cloning only the
+	// served window and returning the exact match total.
+	t0 := time.Now()
+	page, total, plan := v.KB().PageWhereInfo(filters, offset, limit)
+	if thr := obs.SlowQueryThreshold(); thr > 0 && len(filters) > 0 {
+		if dur := time.Since(t0); dur >= thr {
+			// One structured line per slow filtered read: the plan the
+			// table chose, the predicates, the zone-map pruning it got,
+			// and the wall time that crossed -slow-query-ms.
+			preds := make([]string, len(filters))
+			for i, f := range filters {
+				preds[i] = schema.Columns[f.Col].Name + "=" + fmt.Sprint(f.Want)
 			}
-		}
-		lo = offset
-		if lo > total {
-			lo = total
+			obs.Log().Warn("slow query", "tenant", s.name, "route", "/kb",
+				"plan", plan.Plan, "preds", preds, "pagesSkipped", plan.PagesSkipped,
+				"rows", total, "durationMs", float64(dur.Nanoseconds())/1e6)
 		}
 	}
 	if page == nil {
@@ -296,7 +257,7 @@ func (s *Server) handleKB(w http.ResponseWriter, r *http.Request) {
 		"relation":   v.Relation(),
 		"columns":    cols,
 		"total":      total,
-		"offset":     lo,
+		"offset":     min(offset, total),
 		"tuples":     page,
 	})
 }
