@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -176,10 +177,13 @@ func TestServeUnknownInputs(t *testing.T) {
 // shutdown spill leak: before signal handling existed, SIGINT/SIGTERM
 // killed the process without running Close, leaking one
 // kbase-spill-* directory per disk tenant. serveUntil must drain the
-// HTTP server and close every tenant, leaving the spill area empty.
+// HTTP server and close every tenant, leaving the spill area empty and —
+// a disk relation that has sealed a page holds its segment open — no
+// descriptor on a spill file behind.
 func TestShutdownReleasesSpillDirs(t *testing.T) {
 	spillArea := t.TempDir()
 	t.Setenv("TMPDIR", spillArea) // disk engines os.MkdirTemp here
+	fdBaseline, _ := spillFDs(t)
 
 	opts := fonduer.Options{Threshold: 0.5, Epochs: 1, Seed: 1, Workers: 1}
 	rg, err := buildRegistry("", "electronics", "",
@@ -189,6 +193,10 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	}
 	if dirs := spillDirs(t, spillArea); len(dirs) != 3 {
 		t.Fatalf("expected 3 live spill directories, found %v", dirs)
+	}
+	// Empty relations hold no descriptor.
+	if held, ok := spillFDs(t); ok && len(held) != len(fdBaseline) {
+		t.Fatalf("three empty disk tenants hold spill descriptors: %v", held)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -200,10 +208,32 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	httpSrv := newHTTPServer(rg.Handler())
 	go func() { done <- serveUntil(httpSrv, rg, ln, stop) }()
 
-	// The server is live: a real request round-trips.
-	h := get(t, "http://"+ln.Addr().String()+"/healthz")
+	// The server is live: a real request round-trips, and an ingest
+	// seals pages, so one tenant now holds segments open.
+	base := "http://" + ln.Addr().String()
+	h := get(t, base+"/healthz")
 	if h["ok"] != true {
 		t.Fatalf("healthz = %v", h)
+	}
+	corpus := fonduer.ElectronicsCorpus(5, 2)
+	var uploads []map[string]string
+	for i, doc := range corpus.Docs {
+		uploads = append(uploads, map[string]string{"name": doc.Name, "source": corpus.Sources[i]["html"], "vdoc": corpus.Sources[i]["vdoc"]})
+	}
+	body, err := json.Marshal(map[string]any{"documents": uploads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/t/a/ingest", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	if held, ok := spillFDs(t); ok && len(held) <= len(fdBaseline) {
+		t.Fatalf("the ingest opened no segment (spill descriptors %v)", held)
 	}
 
 	stop <- syscall.SIGTERM
@@ -218,6 +248,28 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	if dirs := spillDirs(t, spillArea); len(dirs) != 0 {
 		t.Fatalf("shutdown leaked spill directories: %v", dirs)
 	}
+	if left, ok := spillFDs(t); ok && len(left) != len(fdBaseline) {
+		t.Fatalf("shutdown left spill descriptors open: %v", left)
+	}
+}
+
+// spillFDs lists what this process's open descriptors on kbase spill
+// files point at (a disk relation holds one, on its segment, from its
+// first sealed page until it is closed); ok is false where there is no
+// /proc to read them from.
+func spillFDs(t *testing.T) (targets []string, ok bool) {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Logf("descriptor checks skipped: %v", err)
+		return nil, false
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.Contains(target, "kbase-spill-") {
+			targets = append(targets, target)
+		}
+	}
+	return targets, true
 }
 
 func spillDirs(t *testing.T, root string) []string {

@@ -110,12 +110,19 @@ func decodeAttrs(s string) map[string]string {
 	return out
 }
 
+// encodeInts, encodeBoxes and encodeFont build their field in one
+// buffer — on the stack for a sentence of ordinary length — and copy it
+// out once.
 func encodeInts(xs []int) string {
-	parts := make([]string, len(xs))
+	var stack [256]byte
+	buf := stack[:0]
 	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
+		if i > 0 {
+			buf = append(buf, wordSep...)
+		}
+		buf = strconv.AppendInt(buf, int64(x), 10)
 	}
-	return joinList(parts)
+	return string(buf)
 }
 
 func decodeInts(s string) ([]int, error) {
@@ -131,14 +138,23 @@ func decodeInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func appendFloat(buf []byte, v float64) []byte { return strconv.AppendFloat(buf, v, 'g', -1, 64) }
 
 func encodeBoxes(bs []datamodel.Box) string {
-	parts := make([]string, len(bs))
+	var stack [1024]byte
+	buf := stack[:0]
 	for i, b := range bs {
-		parts[i] = ftoa(b.X0) + fieldSep + ftoa(b.Y0) + fieldSep + ftoa(b.X1) + fieldSep + ftoa(b.Y1)
+		if i > 0 {
+			buf = append(buf, wordSep...)
+		}
+		for j, v := range [4]float64{b.X0, b.Y0, b.X1, b.Y1} {
+			if j > 0 {
+				buf = append(buf, fieldSep...)
+			}
+			buf = appendFloat(buf, v)
+		}
 	}
-	return joinList(parts)
+	return string(buf)
 }
 
 func decodeBoxes(s string) ([]datamodel.Box, error) {
@@ -166,7 +182,11 @@ func encodeFont(f datamodel.Font) string {
 	if f == (datamodel.Font{}) {
 		return ""
 	}
-	return f.Name + fieldSep + ftoa(f.Size) + fieldSep + strconv.FormatBool(f.Bold) + fieldSep + strconv.FormatBool(f.Italic)
+	var stack [128]byte
+	buf := append(append(stack[:0], f.Name...), fieldSep...)
+	buf = append(appendFloat(buf, f.Size), fieldSep...)
+	buf = append(strconv.AppendBool(buf, f.Bold), fieldSep...)
+	return string(strconv.AppendBool(buf, f.Italic))
 }
 
 func decodeFont(s string) (datamodel.Font, error) {

@@ -72,6 +72,36 @@ func TestInsertAllocs(t *testing.T) {
 	}
 }
 
+// TestSealAllocs is the allocation guard of sealing a page: encoding the
+// tail, putting the page and building its zone map. 128 appends to a
+// paged backend seal exactly one 128-row page and cost O(columns)
+// objects — the tail's growth, one exactly sized block per column, the
+// page, and the values the zone's min, max and distinct slots adopt —
+// where rendering every numeric cell to a string cost one per cell.
+func TestSealAllocs(t *testing.T) {
+	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
+	const pageRows = 128
+	rows := make([]Tuple, pageRows)
+	for i := range rows {
+		rows[i] = Tuple{int64(1000 + i/40), int64(100 + i%40), fmt.Sprintf("TAB_e1_HEAD_WORD_[collector-%d]", i)}
+	}
+	b := newPagedBackend("columnar", schema, &heapStore{}, pageRows, 2)
+	seal := testing.AllocsPerRun(20, func() {
+		for _, tp := range rows {
+			if err := b.Append(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if pages := b.Stats().Pages; pages != 21 {
+		t.Fatalf("sealed %d pages, want 21", pages)
+	}
+	t.Logf("sealing a %d-row, %d-column page: %.0f allocations", pageRows, schema.Arity(), seal)
+	if limit := float64(16 * schema.Arity()); seal > limit {
+		t.Errorf("sealing a page costs %.0f allocations, want <= %.0f (it has %d cells)", seal, limit, pageRows*schema.Arity())
+	}
+}
+
 // TestDedupIndexBytesPerRow measures what set semantics cost: the heap
 // held by the dedup index of a 100 000-row table, per row.
 func TestDedupIndexBytesPerRow(t *testing.T) {

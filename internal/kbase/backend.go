@@ -210,8 +210,8 @@ type Backend interface {
 	// Stats reports the backend's paging counters (zero-valued for
 	// the in-memory engine).
 	Stats() BackendStats
-	// Close releases backend resources (page files). The backend is
-	// unusable afterwards.
+	// Close releases backend resources (the spill segment and its
+	// descriptor). The backend is unusable afterwards.
 	Close() error
 }
 
@@ -220,8 +220,8 @@ type Backend interface {
 // (IndexHits, FullScans) are recorded by the Table-level planner and
 // merged in by Table.BackendStats.
 type BackendStats struct {
-	// Pages counts sealed pages (files for the "disk" kind, heap blobs
-	// for "columnar").
+	// Pages counts sealed pages (in the table's segment file for the
+	// "disk" kind, heap blobs for "columnar").
 	Pages int
 	// CacheHits / CacheMisses count decoded-page cache lookups. A miss
 	// fetches and decodes one full page.
@@ -289,8 +289,8 @@ func BackendKindsWant() string {
 }
 
 // NewEngine resolves an engine kind: "" or "memory" is the in-memory
-// engine, "disk" the paged engine with its pages in files under dir (a
-// fresh temporary directory when dir is empty), "columnar" the paged
+// engine, "disk" the paged engine with one segment file per table under
+// dir (a fresh temporary directory when dir is empty), "columnar" the paged
 // engine with its pages on the heap; both paged kinds get the default
 // page geometry.
 func NewEngine(kind, dir string) (Engine, error) {

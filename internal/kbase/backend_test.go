@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // forEachBackend runs the same test body against every storage
@@ -346,9 +348,9 @@ func TestBackendTSVBytesIdentical(t *testing.T) {
 }
 
 // TestDiskBackendPaging exercises the disk engine's page mechanics
-// directly: rows spill to page files as they fill, reads run through
-// the LRU cache (hits and misses both observed), and a table several
-// pages long still scans in insertion order.
+// directly: rows spill to the table's segment as pages fill, reads run
+// through the LRU cache (hits and misses both observed), and a table
+// several pages long still scans in insertion order.
 func TestDiskBackendPaging(t *testing.T) {
 	spill := filepath.Join(t.TempDir(), "spill")
 	engine, err := NewDiskEngine(spill, 4, 2)
@@ -357,30 +359,51 @@ func TestDiskBackendPaging(t *testing.T) {
 	}
 	defer engine.Close()
 	tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
-	fillParts(t, tbl, 19) // 4 full pages + 3-row tail
-
-	if bs := tbl.BackendStats(); bs.Pages != 4 {
-		t.Fatalf("pages = %d, want 4", bs.Pages)
-	}
-	// The spill holds the table's directory and in it one file per
-	// sealed page — nothing else, before and after a delete rewrite.
-	spillFiles := func() []string {
-		var names []string
-		err := filepath.WalkDir(spill, func(path string, d os.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				names = append(names, strings.TrimPrefix(path, spill))
+	empty := newBackedTable(t, engine, mustSchema(t, "e", "part"))
+	fillParts(t, tbl, 3) // no page sealed yet
+	// The spill holds one segment per table that has sealed a page, as
+	// long as its pages laid end to end — nothing else, before and after
+	// a delete rewrite, and nothing once the table is closed.
+	checkSpill := func(when string, pages int) {
+		t.Helper()
+		if bs := tbl.BackendStats(); bs.Pages != pages {
+			t.Fatalf("%s: pages = %d, want %d", when, bs.Pages, pages)
+		}
+		want := map[string]int64{}
+		if pages > 0 {
+			store := tbl.be.(*pagedBackend).store
+			for p := 0; p < pages; p++ {
+				page, err := store.get(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want["t0001-r.seg"] += int64(len(page))
 			}
-			return err
-		})
+		}
+		got := map[string]int64{}
+		entries, err := os.ReadDir(spill)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return names
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil || e.IsDir() {
+				t.Fatalf("%s: spill entry %s: dir %v, err %v", when, e.Name(), e.IsDir(), err)
+			}
+			got[e.Name()] = info.Size()
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: spill holds %v, want %v", when, got, want)
+		}
 	}
-	want := []string{"/t0001-r/p00000000.page", "/t0001-r/p00000001.page", "/t0001-r/p00000002.page", "/t0001-r/p00000003.page"}
-	if got := spillFiles(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("spill files = %v, want %v", got, want)
+	checkSpill("before the first seal", 0)
+	for i := 3; i < 19; i++ { // 4 full pages + 3-row tail
+		if _, err := tbl.Insert(Tuple{fmt.Sprintf("p%02d", i), i}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	checkSpill("after fill", 4)
+
 	// Sequential scans see every row in order...
 	var got []string
 	tbl.Scan(func(tp Tuple) bool {
@@ -412,8 +435,115 @@ func TestDiskBackendPaging(t *testing.T) {
 	if n := tbl.DeleteWhere(func(tp Tuple) bool { return tp[1].(int64) < 9 }); n != 9 {
 		t.Fatalf("DeleteWhere removed %d", n)
 	}
-	if got := spillFiles(); !reflect.DeepEqual(got, want[:2]) {
-		t.Fatalf("spill files after delete = %v, want %v", got, want[:2])
+	checkSpill("after delete", 2)
+	if tbl.Len() != 10 || !tbl.Contains(Tuple{"p18", 18}) || tbl.Contains(Tuple{"p08", 8}) {
+		t.Fatalf("after delete: %d rows", tbl.Len())
+	}
+	// A rewrite no survivor of which seals a page leaves no segment, and
+	// the table fills one again afterwards.
+	if n := tbl.DeleteWhere(func(tp Tuple) bool { return tp[1].(int64) < 17 }); n != 8 {
+		t.Fatalf("second DeleteWhere removed %d", n)
+	}
+	checkSpill("after a delete down to the tail", 0)
+	fillParts(t, tbl, 9) // p17, p18 kept; p00..p08 new: 11 rows
+	checkSpill("after refill", 2)
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkSpill("after Close", 0)
+}
+
+// TestDiskDescriptorLifecycle pins what a disk relation costs in file
+// descriptors — one, on its segment, from its first sealed page — and
+// every way it gives it back: Table.Close, DB.Close, and the finalizer
+// backstop of a backend dropped without Close.
+func TestDiskDescriptorLifecycle(t *testing.T) {
+	spill := filepath.Join(t.TempDir(), "spill")
+	open := func() (targets []string) { // descriptors on files of the spill
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+		}
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, spill) {
+				targets = append(targets, target)
+			}
+		}
+		return targets
+	}
+	engine, err := NewDiskEngine(spill, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	db := NewDBWith(engine)
+	var tables []*Table
+	for _, name := range []string{"empty", "tailonly", "a", "b"} {
+		tbl, err := db.Create(mustSchema(t, name, "part", "n:integer"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, tbl)
+	}
+	fillParts(t, tables[1], 3)
+	if got := open(); len(got) != 0 {
+		t.Fatalf("tables without a sealed page hold descriptors: %v", got)
+	}
+	fillParts(t, tables[2], 9)
+	fillParts(t, tables[3], 9)
+	if got := open(); len(got) != 2 {
+		t.Fatalf("two tables with sealed pages hold %v, want one descriptor each", got)
+	}
+	if err := tables[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := open(); len(got) != 1 {
+		t.Fatalf("after Table.Close: %v, want one descriptor", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := open(); len(got) != 0 {
+		t.Fatalf("after DB.Close: %v", got)
+	}
+
+	// A backend dropped without Close: the finalizer closes and removes
+	// its segment.
+	func() {
+		fillParts(t, newBackedTable(t, engine, mustSchema(t, "dropped", "part", "n:integer")), 9)
+		if got := open(); len(got) != 1 {
+			t.Fatalf("dropped table's segment: %v", got)
+		}
+	}()
+	for i := 0; len(open()) != 0; i++ {
+		if i == 200 {
+			t.Fatalf("finalizer did not release %v", open())
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if entries, err := os.ReadDir(spill); err != nil || len(entries) != 0 {
+		t.Fatalf("spill after the finalizer ran: %v, %v", entries, err)
+	}
+
+	// Closing a table after its engine already removed the spill it owns
+	// is not an error: the segment being gone is what close wants.
+	t.Setenv("TMPDIR", t.TempDir())
+	owner, err := NewDiskEngine("", 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := newBackedTable(t, owner, mustSchema(t, "late", "part", "n:integer"))
+	fillParts(t, late, 9)
+	if err := owner.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Close(); err != nil {
+		t.Fatalf("Close after the engine removed the spill: %v", err)
 	}
 }
 
@@ -498,11 +628,13 @@ func (s *faultyStore) get(p int) ([]byte, error) {
 // store, failing. A put that fails while sealing a page makes that
 // Append return the error and leaves the backend exactly as it was
 // before the row; the next Append retries the flush. A get that fails
-// panics naming the table and the page.
+// panics naming the table and the page. The "segment" leg then has a
+// real file fail the ways an injected fault cannot: a descriptor that
+// cannot write, and a segment cut short behind the store's back.
 func TestPagedBackendStoreFaults(t *testing.T) {
 	schema := mustSchema(t, "faulty", "part", "n:integer")
 	row := func(i int) Tuple { return Tuple{fmt.Sprintf("p%02d", i), int64(i)} }
-	for name, inner := range map[string]pageStore{"heap": &heapStore{}, "file": &fileStore{dir: t.TempDir()}} {
+	for name, inner := range map[string]pageStore{"heap": &heapStore{}, "file": &segmentStore{path: filepath.Join(t.TempDir(), "faulty.seg")}} {
 		t.Run(name, func(t *testing.T) {
 			store := &faultyStore{pageStore: inner, failPut: 1, putFails: 1, failGet: -1}
 			b := newPagedBackend("paged", schema, store, 4, 2)
@@ -564,6 +696,54 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 			t.Fatal("Get of a lost page returned")
 		})
 	}
+	// The two faults only a real file has.
+	t.Run("segment", func(t *testing.T) {
+		store := &segmentStore{path: filepath.Join(t.TempDir(), "faulty.seg")}
+		b := newPagedBackend("paged", schema, store, 4, 2)
+		for i := 0; i < 11; i++ { // 2 sealed pages + 3-row tail
+			if err := b.Append(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A handle that cannot write: sealing page 2 fails, nothing moves,
+		// and the retry on the real handle lands where the failure did.
+		rw, ends := store.f, append([]int64(nil), store.ends...)
+		var err error
+		if store.f, err = os.Open(store.path); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append(row(11)); err == nil {
+			t.Fatal("Append over a read-only segment succeeded")
+		}
+		if b.Len() != 11 || len(b.zones) != 2 || b.Stats().Pages != 2 || !reflect.DeepEqual(store.ends, ends) {
+			t.Fatalf("failed Append left %d rows, %d zones, %d pages, directory %v; want 11, 2, 2, %v",
+				b.Len(), len(b.zones), b.Stats().Pages, store.ends, ends)
+		}
+		store.f.Close()
+		store.f = rw
+		if err := b.Append(row(11)); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		if info, err := os.Stat(store.path); err != nil || b.Stats().Pages != 3 || info.Size() != store.ends[2] {
+			t.Fatalf("after retry: %d pages, segment %v (%v), directory %v", b.Stats().Pages, info, err, store.ends)
+		}
+		// A segment cut short behind the store's back: the pages before
+		// the cut still read, the one across it is lost, by name.
+		if err := os.Truncate(store.path, store.ends[2]-1); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Get(4); !reflect.DeepEqual(got, row(4)) {
+			t.Fatalf("Get(4) = %v", got)
+		}
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "faulty") || !strings.Contains(msg, "page 2") {
+				t.Fatalf("panic %q does not name the table and page", msg)
+			}
+		}()
+		b.Get(9)
+		t.Fatal("Get of a truncated page returned")
+	})
 }
 
 // TestPlanInfoPagesSkippedConcurrent pins PlanInfo.PagesSkipped to the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -61,8 +62,19 @@ func (binaryCodec) encode(schema Schema, rows []Tuple) ([]byte, error) {
 		}
 	}
 	blocks := make([][]byte, arity)
+	total := uvarintLen(len(rows))
 	for c, col := range schema.Columns {
-		blk := []byte{colTagFor(col.Type)}
+		// Every block is allocated at its final size: 8 bytes a cell, or a
+		// string column's length prefixes and bytes.
+		size := 1 + 8*len(rows)
+		if colTagFor(col.Type) == colTagString {
+			size = 1
+			for _, tp := range rows {
+				s, _ := tp[c].(string)
+				size += uvarintLen(len(s)) + len(s)
+			}
+		}
+		blk := append(make([]byte, 0, size), colTagFor(col.Type))
 		switch col.Type {
 		case IntCol:
 			for _, tp := range rows {
@@ -93,8 +105,9 @@ func (binaryCodec) encode(schema Schema, rows []Tuple) ([]byte, error) {
 			}
 		}
 		blocks[c] = blk
+		total += uvarintLen(len(blk)) + len(blk)
 	}
-	out := binary.AppendUvarint(nil, uint64(len(rows)))
+	out := binary.AppendUvarint(make([]byte, 0, total), uint64(len(rows)))
 	for _, blk := range blocks {
 		out = binary.AppendUvarint(out, uint64(len(blk)))
 	}
@@ -103,6 +116,9 @@ func (binaryCodec) encode(schema Schema, rows []Tuple) ([]byte, error) {
 	}
 	return out, nil
 }
+
+// uvarintLen is how many bytes binary.AppendUvarint appends for n.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // colPage is a parsed page header: the row count plus each column's
 // tag-prefixed block, sliced out of the (immutable) page blob without

@@ -9,8 +9,8 @@
 // A Table layers the relational semantics over one Backend. There are
 // two: a plain slice (engine kind "memory" — the served KB always uses
 // it) and one paged engine of binary column pages, whose two kinds hold
-// a session store's relations: "disk" keeps the pages in files,
-// "columnar" on the heap. TSV is the snapshot format only.
+// a session store's relations: "disk" keeps a table's pages in one
+// append-only segment file, "columnar" on the heap. TSV is the snapshot format only.
 package kbase
 
 import (
@@ -184,8 +184,8 @@ func (t *Table) BackendStats() BackendStats {
 	return bs
 }
 
-// Close releases the table's backend resources (page files). The
-// table is unusable afterwards.
+// Close releases the table's backend resources (the spill segment and
+// its descriptor). The table is unusable afterwards.
 func (t *Table) Close() error {
 	t.dedup = dedupIndex{}
 	t.plan.invalidate()

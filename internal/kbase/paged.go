@@ -2,8 +2,10 @@ package kbase
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,7 +24,7 @@ const (
 
 // pageStore holds sealed pages (binaryCodec blobs) as opaque bytes. It is
 // what makes a paged engine kind — one implementation keeps the pages in
-// files, one on the heap — and the seam where a test substitutes a store
+// a file, one on the heap — and the seam where a test substitutes a store
 // that fails. The backend calls a store only while holding its own
 // mutex, puts pages 0, 1, 2… in order, and never rewrites a page it has
 // put.
@@ -40,31 +42,86 @@ type pageStore interface {
 	close() error
 }
 
-// fileStore keeps each page in its own file of one directory. The
-// directory is a paging area, not a persistence format — durable
-// snapshots remain SaveDB's TSV directories — so the files carry no
-// crash-consistency machinery.
-type fileStore struct{ dir string }
-
-func (s *fileStore) path(p int) string { return filepath.Join(s.dir, fmt.Sprintf("p%08d.page", p)) }
-
-func (s *fileStore) put(p int, page []byte) error { return os.WriteFile(s.path(p), page, 0o644) }
-
-func (s *fileStore) get(p int) ([]byte, error) { return os.ReadFile(s.path(p)) }
-
-func (s *fileStore) fresh() (pageStore, error) {
-	next := &fileStore{dir: s.dir + ".rewrite"}
-	return next, os.MkdirAll(next.dir, 0o755)
+// segmentStore keeps a table's pages back to back in one file — the
+// access pattern above is a log's — with the page boundaries in memory.
+// The file is created by the first put and held open until close, so a
+// table that never seals a page costs neither a file nor a descriptor.
+// It is a paging area, not a persistence format — durable snapshots
+// remain SaveDB's TSV directories — so it carries no crash-consistency
+// machinery.
+type segmentStore struct {
+	path string
+	f    *os.File // nil until the first put
+	ends []int64  // ends[p] is the offset just past page p
 }
 
-func (s *fileStore) adopt(next pageStore) error {
-	if err := os.RemoveAll(s.dir); err != nil {
+// start returns the offset of page p: the end of page p-1.
+func (s *segmentStore) start(p int) int64 {
+	if p == 0 {
+		return 0
+	}
+	return s.ends[p-1]
+}
+
+func (s *segmentStore) put(p int, page []byte) (err error) {
+	if p != len(s.ends) {
+		return fmt.Errorf("page %d put out of order (have %d)", p, len(s.ends))
+	}
+	if s.f == nil {
+		if s.f, err = os.OpenFile(s.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+			return err
+		}
+	}
+	// The directory moves only once the page is written whole: a failed
+	// or short write leaves the store as it was, and the retry overwrites
+	// the same range.
+	off := s.start(p)
+	if _, err := s.f.WriteAt(page, off); err != nil {
 		return err
 	}
-	return os.Rename(next.(*fileStore).dir, s.dir)
+	s.ends = append(s.ends, off+int64(len(page)))
+	return nil
 }
 
-func (s *fileStore) close() error { return os.RemoveAll(s.dir) }
+func (s *segmentStore) get(p int) ([]byte, error) {
+	if p < 0 || p >= len(s.ends) {
+		return nil, fmt.Errorf("no page %d (have %d)", p, len(s.ends))
+	}
+	off := s.start(p)
+	page := make([]byte, s.ends[p]-off)
+	if _, err := s.f.ReadAt(page, off); err != nil { // a short read is an error
+		return nil, err
+	}
+	return page, nil
+}
+
+func (s *segmentStore) fresh() (pageStore, error) {
+	return &segmentStore{path: s.path + ".rewrite"}, nil
+}
+
+func (s *segmentStore) adopt(next pageStore) error {
+	n := next.(*segmentStore)
+	if err := s.close(); err != nil || n.f == nil { // no survivor sealed a page: no segment
+		return err
+	}
+	if err := os.Rename(n.path, s.path); err != nil {
+		return err
+	}
+	s.f, s.ends = n.f, n.ends
+	return nil
+}
+
+func (s *segmentStore) close() error {
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	if rerr := os.Remove(s.path); err == nil && !errors.Is(rerr, fs.ErrNotExist) {
+		err = rerr // already gone (the engine removed the spill first) is fine
+	}
+	s.f, s.ends = nil, nil
+	return err
+}
 
 // heapStore keeps pages in memory. A page handed out by get stays valid
 // after adopt or close: pages are immutable and merely unreferenced.
@@ -98,11 +155,12 @@ func (s *heapStore) close() error {
 }
 
 // PagedEngine creates the paged backends. Its kind says where their
-// pages live and nothing else: "disk" keeps them in files, one
-// subdirectory of the spill directory per table, so a table's resident
-// footprint is the decoded-page cache plus its tail, whatever its size;
-// "columnar" keeps them on the heap. Durable snapshots are SaveDB's TSV
-// for both, rendered from the bit-exact stored values.
+// pages live and nothing else: "disk" keeps them in one segment file of
+// the spill directory per table, so a table's resident footprint is the
+// decoded-page cache plus its tail, whatever its size, and one open
+// descriptor once it has sealed a page; "columnar" keeps them on the
+// heap. Durable snapshots are SaveDB's TSV for both, rendered from the
+// bit-exact stored values.
 type PagedEngine struct {
 	dir        string // spill directory; "" keeps pages on the heap
 	pageRows   int
@@ -110,7 +168,7 @@ type PagedEngine struct {
 	owned      bool // engine created dir and removes it on Close
 
 	mu  sync.Mutex
-	seq int // per-table subdirectory counter
+	seq int // per-table segment counter
 }
 
 // NewDiskEngine creates a paged engine spilling under dir (a fresh
@@ -154,7 +212,7 @@ func (e *PagedEngine) Kind() string {
 }
 
 // NewBackend creates an empty backend for one table: over the heap, or
-// over its own subdirectory of the spill.
+// over its own segment of the spill.
 func (e *PagedEngine) NewBackend(schema Schema) (Backend, error) {
 	if e.dir == "" {
 		return newPagedBackend(e.Kind(), schema, &heapStore{}, e.pageRows, e.cachePages), nil
@@ -166,15 +224,12 @@ func (e *PagedEngine) NewBackend(schema Schema) (Backend, error) {
 	if safeTableFile(schema.Name) {
 		name += "-" + schema.Name
 	}
-	dir := filepath.Join(e.dir, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	b := newPagedBackend(e.Kind(), schema, &fileStore{dir: dir}, e.pageRows, e.cachePages)
+	store := &segmentStore{path: filepath.Join(e.dir, name+".seg")}
+	b := newPagedBackend(e.Kind(), schema, store, e.pageRows, e.cachePages)
 	// GC backstop for sessions dropped without Close: the backend is
 	// reachable from the stack during every operation on it, so the
 	// finalizer can only fire once no reader or writer can ever touch
-	// the page files again. (A finalizer higher up — on the table, DB
+	// the segment again. (A finalizer higher up — on the table, DB
 	// or store — would be unsafe: those can become unreachable while a
 	// method still scans this backend.) Explicit Close remains the
 	// deterministic cleanup path.

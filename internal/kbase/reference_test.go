@@ -43,3 +43,62 @@ func encodeTupleTSV(tp Tuple) string {
 	}
 	return strings.Join(parts, "\t")
 }
+
+// referencePageZone is buildPageZone as it was before cells were compared
+// from a stack buffer: every cell rendered to a string of its own, rows
+// outermost. It is the oracle buildPageZone must match zone for zone
+// (TestPageZoneMatchesReference).
+func referencePageZone(schema Schema, rows []Tuple) pageZone {
+	pz := make(pageZone, schema.Arity())
+	seen := make([]bool, len(pz))
+	for i := range pz {
+		pz[i].maxOK = true
+	}
+	for _, tp := range rows {
+		for c := range pz {
+			z := &pz[c]
+			v := renderCell(tp[c])
+			truncated := false
+			if len(v) > zoneValueCap {
+				v = v[:zoneValueCap]
+				truncated = true
+			}
+			if !seen[c] {
+				seen[c] = true
+				z.min, z.max = v, v
+			} else {
+				if v < z.min {
+					z.min = v
+				}
+				if v > z.max {
+					z.max = v
+				}
+			}
+			if truncated {
+				z.maxOK = false
+				z.overflow = true
+				z.distinct = nil
+				continue
+			}
+			if z.overflow {
+				continue
+			}
+			found := false
+			for _, d := range z.distinct {
+				if d == v {
+					found = true
+					break
+				}
+			}
+			if !found {
+				if len(z.distinct) >= zoneDistinctCap {
+					z.overflow = true
+					z.distinct = nil
+				} else {
+					z.distinct = append(z.distinct, v)
+				}
+			}
+		}
+	}
+	return pz
+}

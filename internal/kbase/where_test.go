@@ -3,8 +3,10 @@ package kbase
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -298,6 +300,36 @@ func decodedCells(t *testing.T, tbl *Table) []int64 {
 		t.Fatalf("ColumnarStats() not available on a %s table", tbl.BackendKind())
 	}
 	return cs.CellsDecoded
+}
+
+// TestPageZoneMatchesReference pins buildPageZone, which compares numeric
+// cells from a stack buffer a column at a time, to the render-every-cell
+// reference: same min, max, maxOK, distinct set and overflow for pages of
+// few and many distinct values, ascending and descending ids, floats
+// without a decimal rendering, and strings around the truncation cap.
+func TestPageZoneMatchesReference(t *testing.T) {
+	schema := mustSchema(t, "z", "id:integer", "few:integer", "w:float", "s", "long")
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1.5, 1e21, 100, 99.5}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		distinct := 1 + rng.Intn(12)
+		rows := make([]Tuple, n)
+		for i := range rows {
+			id := int64(trial*7 + i - 20)
+			if trial%2 == 1 {
+				id = math.MaxInt64 - id
+			}
+			rows[i] = Tuple{
+				id, int64(rng.Intn(distinct)) - 2, floats[rng.Intn(min(distinct, len(floats)))],
+				fmt.Sprintf("s%d", rng.Intn(distinct)),
+				strings.Repeat("x", zoneValueCap-2+rng.Intn(distinct)%4) + fmt.Sprint(rng.Intn(3)),
+			}
+		}
+		if got, want := buildPageZone(schema, rows), referencePageZone(schema, rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: zone\n%+v\nreference\n%+v\nrows %v", trial, got, want, rows)
+		}
+	}
 }
 
 // TestIndexLifecycle covers lazy builds, heat-based auto selection,

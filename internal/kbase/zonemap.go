@@ -1,5 +1,7 @@
 package kbase
 
+import "strconv"
+
 // Zone maps summarize one sealed page's rendered column values so a
 // filtered read can prove "no row on this page matches" without
 // fetching, decoding, or caching the page. They live in memory only,
@@ -39,63 +41,75 @@ type colZone struct {
 // pageZone is one page's zones, one per schema column.
 type pageZone []colZone
 
-// buildPageZone summarizes rows (non-empty) for a schema.
+// buildPageZone summarizes rows (non-empty, already encoded and so known
+// to hold the schema's types), a column at a time.
 func buildPageZone(schema Schema, rows []Tuple) pageZone {
 	pz := make(pageZone, schema.Arity())
-	seen := make([]bool, len(pz))
-	for i := range pz {
-		pz[i].maxOK = true
-	}
-	for _, tp := range rows {
-		for c := range pz {
-			z := &pz[c]
-			v := renderCell(tp[c])
-			truncated := false
-			if len(v) > zoneValueCap {
-				// The truncated prefix stays a valid lower bound but not
-				// an upper one, and the distinct set can no longer answer
-				// membership exactly.
-				v = v[:zoneValueCap]
-				truncated = true
-			}
-			if !seen[c] {
-				seen[c] = true
-				z.min, z.max = v, v
-			} else {
-				if v < z.min {
+	var cur, lo, hi [32]byte // the longest int64 is 20 bytes, the longest float64 24
+	for c, col := range schema.Columns {
+		z := &pz[c]
+		z.maxOK = true
+		if col.Type == StringCol {
+			for r, tp := range rows {
+				v := tp[c].(string)
+				if len(v) > zoneValueCap {
+					// The truncated prefix stays a valid lower bound but not
+					// an upper one, and the distinct set can no longer answer
+					// membership exactly.
+					v = v[:zoneValueCap]
+					z.maxOK, z.overflow, z.distinct = false, true, nil
+				}
+				if r == 0 || v < z.min {
 					z.min = v
 				}
-				if v > z.max {
+				if r == 0 || v > z.max {
 					z.max = v
 				}
+				addDistinct(z, v)
 			}
-			if truncated {
-				z.maxOK = false
-				z.overflow = true
-				z.distinct = nil
-				continue
-			}
-			if z.overflow {
-				continue
-			}
-			found := false
-			for _, d := range z.distinct {
-				if d == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				if len(z.distinct) >= zoneDistinctCap {
-					z.overflow = true
-					z.distinct = nil
-				} else {
-					z.distinct = append(z.distinct, v)
-				}
-			}
+			continue
 		}
+		// A numeric cell is rendered into cur and compared there; the
+		// running bounds live in lo and hi. Only the final min and max and
+		// what the distinct set adopts become strings — O(1) a column,
+		// where an ascending id column would adopt a new max every row.
+		least, most := lo[:0], hi[:0]
+		for r, tp := range rows {
+			v := cur[:0]
+			if col.Type == IntCol {
+				v = strconv.AppendInt(v, tp[c].(int64), 10)
+			} else {
+				v = strconv.AppendFloat(v, tp[c].(float64), 'g', -1, 64)
+			}
+			if r == 0 || string(v) < string(least) {
+				least = append(lo[:0], v...)
+			}
+			if r == 0 || string(v) > string(most) {
+				most = append(hi[:0], v...)
+			}
+			addDistinct(z, v)
+		}
+		z.min, z.max = string(least), string(most)
 	}
 	return pz
+}
+
+// addDistinct adds v to z's distinct set, unless that has overflowed or
+// overflows now. v is borrowed: compared in place, copied if adopted.
+func addDistinct[S string | []byte](z *colZone, v S) {
+	if z.overflow {
+		return
+	}
+	for _, d := range z.distinct {
+		if d == string(v) {
+			return
+		}
+	}
+	if len(z.distinct) >= zoneDistinctCap {
+		z.overflow, z.distinct = true, nil
+	} else {
+		z.distinct = append(z.distinct, string(v))
+	}
 }
 
 // mayMatch reports whether any row on the page could satisfy the

@@ -366,7 +366,7 @@ func (rg *Registry) lookup(name string) *tenantEntry {
 
 // Delete evicts a tenant: it disappears from routing immediately,
 // then its writer goroutine stops and its store (spill directory,
-// page files) is closed. In-flight reads finish against their
+// segment files and their descriptors) is closed. In-flight reads finish against their
 // already-loaded views. The default tenant cannot be deleted — the
 // un-prefixed alias must keep resolving.
 func (rg *Registry) Delete(name string) error {

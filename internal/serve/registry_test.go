@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,6 +57,25 @@ func newTestRegistry(t *testing.T, root string, opts core.Options) *serve.Regist
 	}
 	t.Cleanup(rg.Close)
 	return rg
+}
+
+// spillFDs lists what this process's open descriptors on kbase spill
+// files point at (a disk relation holds one, on its segment, from its
+// first sealed page until it is closed); ok is false where there is no
+// /proc to read them from.
+func spillFDs(t *testing.T) (targets []string, ok bool) {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Logf("descriptor checks skipped: %v", err)
+		return nil, false
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.Contains(target, "kbase-spill-") {
+			targets = append(targets, target)
+		}
+	}
+	return targets, true
 }
 
 func deleteReq(t *testing.T, url string, wantStatus int) map[string]any {
@@ -137,7 +157,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	if epochOf(t, ing) != 1 {
 		t.Fatalf("elec ingest = %v", ing)
 	}
+	fdBaseline, _ := spillFDs(t)
 	postJSON(t, ts.URL+"/t/ads/ingest", map[string]any{"documents": adsBatch}, http.StatusOK)
+	if held, ok := spillFDs(t); ok && len(held) <= len(fdBaseline) {
+		t.Fatalf("the disk tenant's ingest opened no segment (spill descriptors %v, before %v)", held, fdBaseline)
+	}
 
 	// Paleo never ingested: still epoch 0, undisturbed by its
 	// neighbors' writes.
@@ -196,6 +220,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	elecKBBefore := getJSON(t, ts.URL+"/t/elec/kb", http.StatusOK)
 	deleteReq(t, ts.URL+"/admin/tenants/ads", http.StatusOK)
 	getJSON(t, ts.URL+"/t/ads/kb", http.StatusNotFound)
+	// The evicted disk tenant's segment descriptors went with it.
+	if left, ok := spillFDs(t); ok && len(left) != len(fdBaseline) {
+		t.Fatalf("evicting ads left %d spill descriptors open, want the %d from before its ingest: %v", len(left), len(fdBaseline), left)
+	}
 	if e := epochOf(t, getJSON(t, ts.URL+"/t/elec/healthz", http.StatusOK)); e != elecEpochBefore {
 		t.Fatalf("evicting ads moved elec's epoch %d -> %d", elecEpochBefore, e)
 	}
