@@ -9,7 +9,7 @@
 // One process carries N isolated tenants (a session registry, see
 // internal/serve/registry.go): each tenant is its own store, writer
 // goroutine and epoch pointer, routed under /t/<tenant>/..., with the
-// classic un-prefixed routes aliasing the default tenant. Tenants are
+// un-prefixed routes reaching the default tenant. Tenants are
 // bootstrapped with -tenants or created at runtime via
 // POST /admin/tenants; all tenants share one worker-pool budget
 // (-pool) so a retrain in one cannot starve the rest.
@@ -19,9 +19,9 @@
 //	fonduer-serve -addr :8080 -domain electronics                # one empty default tenant, ingest online
 //	fonduer-serve -store ./session -domain electronics           # serve a 'fonduer -store ./session' build
 //	fonduer-serve -store ./session -relation HasCollectorCurrent # pick one of the domain's relations
-//	fonduer-serve -backend disk -max-resident-docs 64            # disk-paged relations + parsed-doc eviction
-//	fonduer-serve -tenants 'elec:electronics,ads:ads::disk:32'   # multi-tenant bootstrap
-//	                                                             # (name:domain[:relation[:backend[:maxResidentDocs]]])
+//	fonduer-serve -backend disk                                  # session relations paged to spill files
+//	fonduer-serve -tenants 'elec:electronics,ads:ads::disk'      # multi-tenant bootstrap
+//	                                                             # (name:domain[:relation[:backend]])
 //
 // With -store, the directory layout of cmd/fonduer is understood
 // directly: the default tenant resumes a batch-built snapshot at
@@ -58,7 +58,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -78,13 +77,17 @@ func main() {
 	batch := flag.Int("batch", 0, "training minibatch size per published view (0 = 1, one Adam step per example; >1 parallelizes gradient work across -workers)")
 	domain := flag.String("domain", "electronics", "default tenant's task definitions: electronics, ads, paleo, genomics")
 	relation := flag.String("relation", "", "default tenant's relation (default: the domain's first)")
-	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation[:backend[:maxResidentDocs]]] specs; empty = one default tenant from -domain/-relation")
+	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation[:backend]] specs; empty = one default tenant from -domain/-relation")
 	defaultTenant := flag.String("default-tenant", "", "tenant served by the un-prefixed routes (default: the first bootstrapped tenant)")
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables with an LRU page cache) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
-	maxResident := flag.Int("max-resident-docs", 0, "keep at most this many parsed documents hydrated in RAM per tenant, evicting LRU documents and rehydrating on demand; /meta reports the counters (0 = unlimited)")
+	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
+	// Deprecated: parsed documents stay in memory (DESIGN.md, "Why
+	// documents stay resident"). The flag is accepted only because
+	// benchmark/ still passes it to its store_spill server; it goes when
+	// the next benchmark-archetype PR drops that argument (ROADMAP item 2).
+	maxResident := flag.Int("max-resident-docs", 0, "deprecated and ignored: parsed documents always stay in memory")
 	syncPublish := flag.Bool("sync-publish", false, "the writer is the trainer: retrain cold on every ingest before publishing; default is async: immediate delta epochs + background warm retraining")
 	trainDrift := flag.Float64("train-drift", 0.10, "async mode: trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")
 	trainInterval := flag.Duration("train-interval", 30*time.Second, "async mode: retrain at this cadence whenever delta epochs have been published since the serving generation was trained (0 disables the timer)")
@@ -109,6 +112,9 @@ func main() {
 		defer stopDebug()
 		fmt.Printf("fonduer-serve: pprof on http://%s/debug/pprof/\n", dbg)
 	}
+	if *maxResident != 0 {
+		obs.Log().Warn("-max-resident-docs is deprecated and ignored: parsed documents always stay in memory", "value", *maxResident)
+	}
 	if !kbase.ValidBackendKind(*backend) {
 		fmt.Fprintf(os.Stderr, "fonduer-serve: unknown -backend %q (want %s)\n", *backend, kbase.BackendKindsWant())
 		os.Exit(1)
@@ -125,7 +131,7 @@ func main() {
 	opts := fonduer.Options{
 		ThresholdOverride: fonduer.Float64(*threshold), Epochs: *epochs, Seed: *seed,
 		Workers: *workers, Batch: *batch,
-		Backend: *backend, MaxResidentDocs: *maxResident,
+		Backend: *backend,
 	}
 	pub := publishConfig{async: !*syncPublish, drift: *trainDrift, interval: *trainInterval}
 	rg, err := buildRegistry(*store, *domain, *relation, *tenants, *defaultTenant, opts, pub)
@@ -222,8 +228,8 @@ func resolveTask(domain, relation string) (fonduer.Task, []fonduer.GoldTuple, er
 }
 
 // parseTenantSpecs parses the -tenants flag: comma-separated
-// name:domain[:relation[:backend[:maxResidentDocs]]] with empty
-// positional fields allowed (elec:electronics::disk).
+// name:domain[:relation[:backend]] with empty positional fields allowed
+// (elec:electronics::disk).
 func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -235,8 +241,8 @@ func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 			continue
 		}
 		parts := strings.Split(spec, ":")
-		if len(parts) < 2 || len(parts) > 5 || parts[0] == "" || parts[1] == "" {
-			return nil, fmt.Errorf("bad -tenants spec %q (want name:domain[:relation[:backend[:maxResidentDocs]]])", spec)
+		if len(parts) < 2 || len(parts) > 4 || parts[0] == "" || parts[1] == "" {
+			return nil, fmt.Errorf("bad -tenants spec %q (want name:domain[:relation[:backend]])", spec)
 		}
 		tc := serve.TenantConfig{Name: parts[0], Domain: parts[1]}
 		if len(parts) > 2 {
@@ -244,13 +250,6 @@ func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 		}
 		if len(parts) > 3 {
 			tc.Backend = parts[3]
-		}
-		if len(parts) > 4 && parts[4] != "" {
-			n, err := strconv.Atoi(parts[4])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad -tenants spec %q: maxResidentDocs %q is not a non-negative integer", spec, parts[4])
-			}
-			tc.MaxResidentDocs = n
 		}
 		out = append(out, tc)
 	}
@@ -267,9 +266,9 @@ type publishConfig struct {
 }
 
 // buildRegistry assembles the session registry from the flag surface:
-// explicit -tenants specs, or the legacy single-tenant shape (one
-// tenant named "default" from -domain/-relation, resuming the
-// cmd/fonduer <store>/<relation> layout directly).
+// explicit -tenants specs or, without them, one tenant named "default"
+// from -domain/-relation, resuming the cmd/fonduer <store>/<relation>
+// layout directly.
 func buildRegistry(storeDir, domain, relation, tenantsFlag, defaultTenant string, opts fonduer.Options, pub publishConfig) (*serve.Registry, error) {
 	rg, err := serve.NewRegistry(serve.RegistryConfig{
 		Resolve:       resolveTask,
@@ -294,9 +293,9 @@ func buildRegistry(storeDir, domain, relation, tenantsFlag, defaultTenant string
 				return nil, err
 			}
 			// Accept both a per-relation snapshot directory and the
-			// cmd/fonduer parent layout (<store>/<relation>) — the PR 3
-			// contract: fonduer and fonduer-serve hand one session back
-			// and forth through the same path.
+			// cmd/fonduer parent layout (<store>/<relation>): fonduer and
+			// fonduer-serve hand one session back and forth through the
+			// same path.
 			snapDir := storeDir
 			if !fonduer.IsStoreDir(snapDir) {
 				snapDir = filepath.Join(storeDir, task.Relation)

@@ -118,12 +118,12 @@ func TestServeFreshSession(t *testing.T) {
 }
 
 // TestServeMultiTenantBootstrap covers -tenants parsing and the
-// resulting fleet: per-tenant domains, backends and budgets, the
+// resulting fleet: per-tenant domains and backends, the
 // -default-tenant override, and spec validation errors.
 func TestServeMultiTenantBootstrap(t *testing.T) {
 	opts := fonduer.Options{Threshold: 0.5, Epochs: 1, Seed: 1, Workers: 1}
 	rg, err := buildRegistry(t.TempDir(), "electronics", "",
-		"elec:electronics, ads:ads:::, paleo:paleo::disk:4", "ads", opts, publishConfig{})
+		"elec:electronics, ads:ads::, paleo:paleo::disk", "ads", opts, publishConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 	for _, ts := range list {
 		byName[ts.Name] = true
 		if ts.Name == "paleo" {
-			if ts.Backend != "disk" || ts.MaxResidentDocs != 4 {
+			if ts.Backend != "disk" {
 				t.Fatalf("paleo tenant config not applied: %+v", ts)
 			}
 		}
@@ -151,7 +151,7 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 		t.Fatalf("default tenant = %q", rg.DefaultName())
 	}
 
-	for _, bad := range []string{"justaname", "x:nosuchdomain", "a:electronics:NoSuchRelation", "e:electronics::tape", "e:electronics::disk:notanum"} {
+	for _, bad := range []string{"justaname", "x:nosuchdomain", "a:electronics:NoSuchRelation", "e:electronics::tape", "e:electronics::disk:4"} {
 		if _, err := buildRegistry(t.TempDir(), "electronics", "", bad, "", opts, publishConfig{}); err == nil {
 			t.Fatalf("-tenants %q must fail", bad)
 		}
@@ -161,7 +161,7 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 	}
 }
 
-// TestServeUnknownInputs covers flag validation of the legacy
+// TestServeUnknownInputs covers flag validation of the -tenants-less
 // single-tenant surface.
 func TestServeUnknownInputs(t *testing.T) {
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1}

@@ -41,8 +41,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("out", "", "write each relation's KB as TSV into this directory")
 	store := flag.String("store", "", "persist the session's relations under this directory and resume from them when present")
-	backend := flag.String("backend", "", "storage engine for -store sessions: memory, disk (disk-paged tables with an LRU page cache) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory)")
-	maxResident := flag.Int("max-resident-docs", 0, "with -store, keep at most this many parsed documents hydrated in RAM, evicting LRU documents and rehydrating from the session relations on demand (0 = unlimited)")
+	backend := flag.String("backend", "", "storage engine for -store sessions: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory)")
 	logLevel := flag.String("log-level", "warn", "structured-log level: debug, info, warn, error (JSON lines on stderr)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address while the pipeline runs (e.g. 127.0.0.1:6060; empty = off)")
 	flag.Parse()
@@ -64,13 +63,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fonduer: unknown -backend %q (want %s)\n", *backend, kbase.BackendKindsWant())
 		os.Exit(1)
 	}
-	if err := run(*dir, *domain, *relation, *threshold, *epochs, *seed, *out, *store, *backend, *maxResident); err != nil {
+	if err := run(*dir, *domain, *relation, *threshold, *epochs, *seed, *out, *store, *backend); err != nil {
 		fmt.Fprintln(os.Stderr, "fonduer:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir, domain, relation string, threshold float64, epochs int, seed int64, outDir, storeDir, backend string, maxResident int) error {
+func run(dir, domain, relation string, threshold float64, epochs int, seed int64, outDir, storeDir, backend string) error {
 	// Task definitions come from the domain's built-in tasks (the
 	// matchers, throttlers and labeling functions a user would write).
 	// Two documents suffice: only the task definitions are used.
@@ -114,7 +113,7 @@ func run(dir, domain, relation string, threshold float64, epochs int, seed int64
 		// explicit, and the plain field snaps 0 to the 0.5 default.
 		opts := fonduer.Options{
 			ThresholdOverride: fonduer.Float64(threshold), Epochs: epochs, Seed: seed,
-			Backend: backend, MaxResidentDocs: maxResident,
+			Backend: backend,
 		}
 
 		var res fonduer.Result

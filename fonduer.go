@@ -373,11 +373,11 @@ type (
 
 // NewStore creates an empty session store for a task; opts fixes the
 // session's featurization/supervision configuration. Options.Backend
-// selects the storage engine materializing the relations ("memory" or
-// "disk" — disk-paged tables with an LRU page cache for corpora
-// larger than RAM) and Options.MaxResidentDocs bounds how many parsed
-// documents stay hydrated (evicted documents rehydrate on demand with
-// bit-identical results; see DESIGN.md §3e). Call Store.Close to
+// selects the storage engine materializing the relations ("memory",
+// or the paged engine with its pages in spill files, "disk", or on the
+// heap, "columnar"; results are bit-identical across the three). The
+// parsed documents themselves stay in memory for the life of the store
+// (DESIGN.md, "Why documents stay resident"). Call Store.Close to
 // release a disk-backed store's spill directory.
 func NewStore(task Task, opts Options) *Store { return core.NewStore(task, opts) }
 
@@ -396,7 +396,7 @@ func IsStoreDir(dir string) bool { return core.IsStoreDir(dir) }
 // development-mode DevSession view.
 func SessionFromStore(st *Store) *DevSession { return core.SessionFromStore(st) }
 
-// Float64 returns a pointer to v, for Options' ThresholdOverride /
-// L2Override fields (exact values, including 0, that the plain fields'
-// zero-value defaults cannot express).
+// Float64 returns a pointer to v, for Options.ThresholdOverride (an
+// exact threshold, including 0, that the plain field's zero-value
+// default cannot express).
 func Float64(v float64) *float64 { return core.Float64(v) }

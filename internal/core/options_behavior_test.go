@@ -36,31 +36,6 @@ func TestOptionsThresholdZeroBehavior(t *testing.T) {
 	}
 }
 
-// TestOptionsL2OffBehavior checks L2Override(0) actually disables
-// weight decay: the trained weights (and therefore the run's
-// predictions or final loss) differ from the default-L2 run, and the
-// option survives the defaults pass end to end.
-func TestOptionsL2OffBehavior(t *testing.T) {
-	corpus := synth.Electronics(32, 8)
-	task := corpus.Tasks[0]
-	train, test := corpus.Split()
-	gold := corpus.GoldTuples[task.Relation]
-
-	base := core.Options{Seed: 4, Epochs: 2}
-	off := base
-	off.L2Override = core.Float64(0)
-	strong := base
-	strong.L2 = 0.05
-
-	resOff := core.Run(task, train, test, gold, off)
-	resStrong := core.Run(task, train, test, gold, strong)
-	// Weight decay shrinks weights every step; with it off the final
-	// loss trajectory must differ from a strongly regularized run.
-	if resOff.TrainStats.FinalLoss == resStrong.TrainStats.FinalLoss {
-		t.Fatalf("L2 off and L2=0.05 trained identically (loss %v)", resOff.TrainStats.FinalLoss)
-	}
-}
-
 // TestOptionsBatchTrainingBehavior covers the Batch option end to end:
 // the zero value must mean "batch of 1" (the pre-minibatch trajectory,
 // bit-identical Result), Batch must reach the training stage (a real

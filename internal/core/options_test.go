@@ -3,8 +3,8 @@ package core
 import "testing"
 
 // These tests pin the Options zero-value semantics: 0 is a documented
-// "use the default" sentinel for Threshold and L2, and the *Override
-// fields are the explicit opt-outs that make threshold-0 and L2-off
+// "use the default" sentinel for Threshold and L2, and
+// ThresholdOverride is the explicit opt-out that makes threshold-0
 // reachable.
 func TestOptionsDefaultsSentinels(t *testing.T) {
 	var o Options
@@ -27,20 +27,17 @@ func TestOptionsDefaultsSentinels(t *testing.T) {
 }
 
 func TestOptionsOverrides(t *testing.T) {
-	o := Options{ThresholdOverride: Float64(0), L2Override: Float64(0)}
+	o := Options{ThresholdOverride: Float64(0)}
 	o.defaults()
 	if o.Threshold != 0 {
 		t.Fatalf("ThresholdOverride(0) snapped to %v", o.Threshold)
 	}
-	if o.L2 != 0 {
-		t.Fatalf("L2Override(0) snapped to %v", o.L2)
-	}
 
-	// Overrides beat the plain fields even when those are non-zero.
-	o = Options{Threshold: 0.9, ThresholdOverride: Float64(0.1), L2: 1, L2Override: Float64(2)}
+	// The override beats the plain field even when that is non-zero.
+	o = Options{Threshold: 0.9, ThresholdOverride: Float64(0.1)}
 	o.defaults()
-	if o.Threshold != 0.1 || o.L2 != 2 {
-		t.Fatalf("overrides must take precedence: %+v", o)
+	if o.Threshold != 0.1 {
+		t.Fatalf("the override must take precedence: %+v", o)
 	}
 
 	if v := Float64(0.75); *v != 0.75 {

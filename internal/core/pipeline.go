@@ -48,10 +48,8 @@ func (v Variant) String() string {
 // Options configure one pipeline run.
 //
 // Zero-value sentinels: several float fields treat 0 as "use the
-// default" (documented per field). Where the zero is itself a
-// meaningful setting — a classification threshold of 0, L2 turned off
-// — use the corresponding *Override pointer field, which expresses
-// every value exactly.
+// default" (documented per field). A classification threshold of
+// exactly 0 goes through ThresholdOverride.
 type Options struct {
 	// Variant selects the model (default VariantFonduer).
 	Variant Variant
@@ -84,14 +82,10 @@ type Options struct {
 	// NoFeatureCache disables the Appendix C.1 mention cache.
 	NoFeatureCache bool
 	// Epochs/LR/L2 control training (defaults 8 / 0.02 / 1e-4). L2's
-	// zero value is a sentinel for the default weight decay; turning
-	// weight decay off entirely requires L2Override.
+	// zero value is a sentinel for the default weight decay.
 	Epochs int
 	LR     float64
 	L2     float64
-	// L2Override, when non-nil, sets the weight-decay coefficient
-	// exactly — including 0 (off) — and takes precedence over L2.
-	L2Override *float64
 	// MinFeatureCount drops features occurring in fewer training
 	// candidates (default 2). Identity features — a part number seen
 	// in one document — carry no cross-document signal and would let
@@ -122,7 +116,7 @@ type Options struct {
 	// representation) or one of the two kinds of the paged engine,
 	// whose fixed-size pages are column-major binary blobs pruned by
 	// per-page zones and decoded lazily per column: "disk" (pages in
-	// spill files behind a small LRU of decoded pages, so relations
+	// spill files behind a small cache of decoded pages, so relations
 	// stream instead of residing in RAM) or "columnar" (the same pages
 	// on the heap). The zero
 	// value "" is a sentinel consulting $FONDUER_BACKEND first (how CI
@@ -130,13 +124,13 @@ type Options struct {
 	// Results are bit-identical across backends; only the
 	// memory/latency trade differs. Ignored by store-less Run calls.
 	Backend string
-	// MaxResidentDocs bounds how many parsed documents a Store keeps
-	// hydrated in memory. Beyond the budget, least-recently-used
-	// documents are evicted — their sentence layer and candidate
-	// objects dropped — and rehydrated on demand from the persisted
-	// sentences/candidates relations (resume fidelity is the proven
-	// invariant: rehydrated state yields bit-identical results). <= 0
-	// means unlimited (no eviction). Ignored by store-less Run calls.
+	// Deprecated: MaxResidentDocs is ignored. It used to bound how many
+	// parsed documents a Store kept in memory, evicting the rest; every
+	// published view pins every document, so the bound moved a counter
+	// and no memory (DESIGN.md, "Why documents stay resident"). The
+	// field is kept only because benchmark/ still sets it; it goes when
+	// the next benchmark-archetype PR drops those literals (ROADMAP
+	// item 2).
 	MaxResidentDocs int
 }
 
@@ -152,9 +146,7 @@ func (o *Options) defaults() {
 	if o.LR <= 0 {
 		o.LR = 0.02
 	}
-	if o.L2Override != nil {
-		o.L2 = *o.L2Override
-	} else if o.L2 == 0 {
+	if o.L2 == 0 {
 		o.L2 = 1e-4
 	}
 	if o.MinFeatureCount == 0 {
@@ -169,7 +161,7 @@ func (o *Options) defaults() {
 	}
 }
 
-// Float64 returns a pointer to v, for the Options *Override fields.
+// Float64 returns a pointer to v, for Options.ThresholdOverride.
 func Float64(v float64) *float64 { return &v }
 
 // Result summarizes one pipeline run.

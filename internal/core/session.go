@@ -68,11 +68,8 @@ func SessionFromStore(st *Store) *DevSession {
 // Store exposes the session's backing store.
 func (s *DevSession) Store() *Store { return s.store }
 
-// Candidates returns the session's extracted candidates. Over an
-// evicting store (Options.MaxResidentDocs > 0) the list is fully
-// rehydrated — unlike Store.Candidates, it never contains nil
-// entries.
-func (s *DevSession) Candidates() []*candidates.Candidate { return s.store.sessionCandidates() }
+// Candidates returns the session's extracted candidates.
+func (s *DevSession) Candidates() []*candidates.Candidate { return s.store.cands }
 
 // NumLFs returns the number of labeling functions currently installed.
 func (s *DevSession) NumLFs() int { return s.store.NumLFs() }
@@ -137,7 +134,7 @@ func (s *DevSession) EstimateAccuracy() float64 {
 // wrong — the error-analysis view driving the next LF iteration.
 func (s *DevSession) Errors() []*candidates.Candidate {
 	marg := s.Marginals()
-	cands := s.store.sessionCandidates()
+	cands := s.store.cands
 	var out []*candidates.Candidate
 	for id, truth := range s.holdout {
 		if id >= 0 && id < len(marg) && (marg[id] > 0.5) != truth {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -69,15 +68,6 @@ type Store struct {
 	docs   []*storeDoc
 	byName map[string]*storeDoc
 
-	// Parsed-document eviction state (opts.MaxResidentDocs > 0): how
-	// many documents are currently hydrated, the high-water mark of
-	// that count as sampled after every budget enforcement, and the
-	// resident documents (*storeDoc) in use order, most recent first —
-	// the eviction victim is the back.
-	resident     int
-	peakResident int
-	lru          list.List
-
 	// Global candidate-indexed relations; candidate IDs are assigned
 	// densely in ingestion order, so index i is candidate ID i.
 	cands []*candidates.Candidate
@@ -104,32 +94,18 @@ type Store struct {
 	ingestSpans []obs.Span
 }
 
-// storeDoc is one ingested document's shard of the store relations.
-// Under parsed-document eviction the heavy state — the parsed
-// document DAG and the candidate objects spanning it — may be nil
-// (evicted); everything needed to rehydrate it lives in the
-// sentences/candidates relations, keyed by name, and in the
-// candidate-ID range [candFirst, candFirst+candCount).
+// storeDoc is one ingested document's shard of the store relations:
+// the parsed document, its candidates in global-ID order (candidate
+// IDs are dense, so they are one contiguous range of Store.cands) and
+// its featurization cache statistics. Documents stay resident for the
+// life of the store (DESIGN.md, "Why documents stay resident").
 type storeDoc struct {
-	doc    *datamodel.Document // nil when evicted
+	doc    *datamodel.Document
 	name   string
 	format string
 	pos    int
-	cands  []*candidates.Candidate // nil when evicted
+	cands  []*candidates.Candidate
 	stats  features.CacheStats
-
-	candFirst, candCount int
-	lru                  *list.Element // position in Store.lru; nil when evicted or unbudgeted
-
-	// Row ranges of this document's shard inside the sentences and
-	// candidates relations (rows are appended contiguously per
-	// document and those relations are never deleted from), letting
-	// rehydration page in exactly the document's rows instead of
-	// filter-scanning whole relations. first == -1 means "layout
-	// unknown" (a resumed snapshot with non-contiguous rows) and
-	// falls back to the filter scan.
-	sentRowFirst, sentRowCount int
-	candRowFirst, candRowCount int
 }
 
 // NewStore creates an empty session store for a task. opts fixes the
@@ -163,14 +139,9 @@ func NewStore(task Task, opts Options) *Store {
 func (s *Store) Task() Task { return s.task }
 
 // Candidates returns the ingested candidates in global ID order.
-// Under parsed-document eviction (Options.MaxResidentDocs > 0),
-// entries belonging to evicted documents are nil — use NumCandidates
-// for counting, or build a StoreView, which hydrates every candidate
-// into an immutable snapshot.
 func (s *Store) Candidates() []*candidates.Candidate { return s.cands }
 
-// NumCandidates returns the number of ingested candidates, hydrated
-// or not.
+// NumCandidates returns the number of ingested candidates.
 func (s *Store) NumCandidates() int { return len(s.cands) }
 
 // DocNames returns the ingested document names in ingestion order.
@@ -206,6 +177,52 @@ func (s *Store) FeatureIndex() *features.Index { return s.dict }
 // DB exposes the store's materialized kbase relations (read-only use;
 // mutating them bypasses the in-memory state).
 func (s *Store) DB() *kbase.DB { return s.db }
+
+// StorageStats describes the store's storage engine — the
+// operator-facing counters surfaced by the serving layer's /meta
+// endpoint.
+type StorageStats struct {
+	// Backend is the kbase engine kind ("memory", "disk" or
+	// "columnar").
+	Backend string
+	// Docs is the ingested document count.
+	Docs int
+	// Deprecated: PeakResidentDocs always equals Docs — every document
+	// is resident (DESIGN.md, "Why documents stay resident"). It is
+	// kept only because benchmark/ still reads it; it goes when the
+	// next benchmark-archetype PR drops that read (ROADMAP item 2).
+	PeakResidentDocs int
+	// DiskPages counts sealed pages across relations (in spill files
+	// for the "disk" kind, on the heap for "columnar"); the cache
+	// counters report the decoded-page cache's effectiveness on both.
+	DiskPages                      int
+	PageCacheHits, PageCacheMisses int64
+	PageCacheHitRate               float64
+	// PagesSkipped counts pages pruned by zone maps on filtered reads;
+	// IndexHits / FullScans count how filtered reads were planned
+	// (hash index vs scan).
+	PagesSkipped         int64
+	IndexHits, FullScans int64
+}
+
+// StorageStats reports the store's current storage counters. Like all
+// whole-store reads it must run on the writer goroutine (StoreView
+// captures it at build time for concurrent readers).
+func (s *Store) StorageStats() StorageStats {
+	dbs := s.db.Stats()
+	return StorageStats{
+		Backend:          dbs.Backend,
+		Docs:             len(s.docs),
+		PeakResidentDocs: len(s.docs),
+		DiskPages:        dbs.Pages,
+		PageCacheHits:    dbs.CacheHits,
+		PageCacheMisses:  dbs.CacheMisses,
+		PageCacheHitRate: dbs.HitRate(),
+		PagesSkipped:     dbs.PagesSkipped,
+		IndexHits:        dbs.IndexHits,
+		FullScans:        dbs.FullScans,
+	}
+}
 
 // LabelMatrix materializes the Labels relation as a LIL matrix over
 // all ingested candidates — the development-mode view DevSession
@@ -250,13 +267,9 @@ func (s *Store) endMutation(changed bool) {
 // features only ever cross the floor upward).
 //
 // Ingesting the same *Document pointer again is a no-op; a different
-// document with an already-ingested name is an error. Under eviction
-// (MaxResidentDocs > 0) the no-op check is by content against the
-// persisted sentence rows instead of by pointer — the prior ingest
-// may have been evicted or rehydrated into a fresh object — so
-// idempotent re-ingestion keeps working across evictions. The
-// resulting store state is observably equivalent regardless of how a
-// corpus is batched across AddDocuments calls.
+// document with an already-ingested name is an error, on every
+// backend. The resulting store state is observably equivalent
+// regardless of how a corpus is batched across AddDocuments calls.
 func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	s.beginMutation()
 	changed := false
@@ -266,15 +279,6 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	for _, d := range docs {
 		if prev, ok := s.byName[d.Name]; ok {
 			if prev.doc == d {
-				continue
-			}
-			// Under eviction pointer identity is meaningless (the prior
-			// ingest may have been evicted, or rehydrated into a fresh
-			// object), so the idempotent-re-ingestion contract is kept
-			// by comparing contents against the persisted sentence
-			// rows: an identical document is a no-op, a different one
-			// under the same name is refused.
-			if s.opts.MaxResidentDocs > 0 && s.sameDocContent(prev, d) {
 				continue
 			}
 			return fmt.Errorf("core: document %q already ingested with different contents", d.Name)
@@ -314,17 +318,14 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	// ---- Merge: append per-document state and sum the count shards.
 	t0 = time.Now()
 	changed = true
-	newDocs := make([]*storeDoc, 0, len(delta))
 	s.votes = append(s.votes, votes...)
 	for i, d := range delta {
 		sd := &storeDoc{
 			doc: d, name: d.Name, format: d.Format, pos: len(s.docs),
 			cands: perDoc[i], stats: feats[i].stats,
-			candFirst: len(s.cands), candCount: len(perDoc[i]),
 		}
 		s.docs = append(s.docs, sd)
 		s.byName[d.Name] = sd
-		newDocs = append(newDocs, sd)
 		s.cands = append(s.cands, perDoc[i]...)
 		s.names = append(s.names, feats[i].names...)
 		for n, c := range feats[i].counts {
@@ -354,21 +355,17 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	}
 	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("merge", t0, len(deltaCands), len(admitted), 0))
 
-	// ---- Persist the delta into the kbase relations, enforcing the
-	// eviction budget per document: once a document's relations are
-	// materialized it is evictable, so the store never retains more
-	// than MaxResidentDocs hydrated documents — even mid-batch.
-	// Mirroring runs after the merge so a persistence error (e.g. a
-	// full spill disk) leaves the in-memory session fully
-	// self-consistent; only the kbase mirror is then behind.
+	// ---- Persist the delta into the kbase relations. Mirroring runs
+	// after the merge so a persistence error (e.g. a full spill disk)
+	// leaves the in-memory session fully self-consistent; only the
+	// kbase mirror is then behind.
 	t0 = time.Now()
-	for k, sd := range newDocs {
+	for k, sd := range s.docs[len(s.docs)-len(delta):] {
 		if err := s.mirrorDoc(sd, feats[k].counts); err != nil {
 			return err
 		}
-		s.accountHydrated(sd)
 	}
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("mirror", t0, len(newDocs), len(newDocs), 0))
+	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("mirror", t0, len(delta), len(delta), 0))
 	return nil
 }
 
@@ -391,7 +388,7 @@ func (s *Store) AddLF(lf labeling.LF) int {
 	defer s.endMutation(true)
 	col := len(s.lfs)
 	s.lfs = append(s.lfs, lf)
-	votes := s.columnVotes(lf)
+	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)
 	for i := range s.votes {
 		s.votes[i] = append(s.votes[i], votes[i])
 	}
@@ -411,7 +408,7 @@ func (s *Store) EditLF(col int, lf labeling.LF) error {
 	s.beginMutation()
 	defer s.endMutation(true)
 	s.lfs[col] = lf
-	votes := s.columnVotes(lf)
+	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)
 	for i := range s.votes {
 		s.votes[i][col] = votes[i]
 	}
@@ -424,11 +421,8 @@ func (s *Store) EditLF(col int, lf labeling.LF) error {
 }
 
 // splitView assembles one split's staged relations by reading the
-// store: candidates in name-list document order (evicted documents
-// rehydrate through the LRU budget; the split holds its own candidate
-// references, so later evictions cannot disturb it), each candidate's
-// row of the Features relation, and the split's summed cache
-// statistics.
+// store: candidates in name-list document order, each candidate's row
+// of the Features relation, and the split's summed cache statistics.
 func (s *Store) splitView(names []string) (stagedSplit, error) {
 	var sp stagedSplit
 	for _, name := range names {
@@ -436,11 +430,7 @@ func (s *Store) splitView(names []string) (stagedSplit, error) {
 		if !ok {
 			return sp, fmt.Errorf("core: document %q is not in the store", name)
 		}
-		cands, err := s.docCandidates(sd)
-		if err != nil {
-			return sp, err
-		}
-		for _, c := range cands {
+		for _, c := range sd.cands {
 			sp.cands = append(sp.cands, c)
 			sp.names = append(sp.names, s.names[c.ID])
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/datamodel"
-	"repro/internal/features"
 	"repro/internal/kbase"
 )
 
@@ -448,15 +447,12 @@ func (s *Store) writeMeta() {
 // path of AddDocuments. Each relation's rows are collected and go in as
 // one batch.
 func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
-	// ins appends rows to a relation and returns where they landed.
-	ins := func(table string, rows ...kbase.Tuple) (first, added int, err error) {
-		tbl := s.db.Table(table)
-		first = tbl.Len()
-		added, err = tbl.InsertAll(rows)
-		return first, added, err
+	ins := func(table string, rows ...kbase.Tuple) error {
+		_, err := s.db.Table(table).InsertAll(rows)
+		return err
 	}
 	name := sd.doc.Name
-	if _, _, err := ins(tblDocuments, kbase.Tuple{sd.pos, name, sd.doc.Format}); err != nil {
+	if err := ins(tblDocuments, kbase.Tuple{sd.pos, name, sd.doc.Format}); err != nil {
 		return err
 	}
 	sents := sd.doc.Sentences()
@@ -468,8 +464,7 @@ func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
 		}
 		sentRows = append(sentRows, tp)
 	}
-	var err error
-	if sd.sentRowFirst, sd.sentRowCount, err = ins(tblSentences, sentRows...); err != nil {
+	if err := ins(tblSentences, sentRows...); err != nil {
 		return err
 	}
 
@@ -497,13 +492,13 @@ func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
 			}
 		}
 	}
-	if sd.candRowFirst, sd.candRowCount, err = ins(tblCands, candRows...); err != nil {
+	if err := ins(tblCands, candRows...); err != nil {
 		return err
 	}
-	if _, _, err := ins(tblFeatures, featRows...); err != nil {
+	if err := ins(tblFeatures, featRows...); err != nil {
 		return err
 	}
-	if _, _, err := ins(tblLabels, labelRows...); err != nil {
+	if err := ins(tblLabels, labelRows...); err != nil {
 		return err
 	}
 	feats := make([]string, 0, len(counts))
@@ -515,11 +510,10 @@ func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
 	for i, fn := range feats {
 		countRows[i] = kbase.Tuple{name, fn, counts[fn]}
 	}
-	if _, _, err := ins(tblCounts, countRows...); err != nil {
+	if err := ins(tblCounts, countRows...); err != nil {
 		return err
 	}
-	_, _, err = ins(tblDocStats, kbase.Tuple{name, len(sd.cands), sd.stats.Hits, sd.stats.Misses})
-	return err
+	return ins(tblDocStats, kbase.Tuple{name, len(sd.cands), sd.stats.Hits, sd.stats.Misses})
 }
 
 // mirrorColumn persists one Labels column's non-abstain votes.
@@ -548,259 +542,3 @@ func (s *Store) Snapshot(dir string) error {
 
 // IsStoreDir reports whether dir holds a store snapshot.
 func IsStoreDir(dir string) bool { return kbase.IsSnapshot(dir) }
-
-// OpenStore resumes a snapshotted session: it restores the relation
-// set from dir and rebuilds the in-memory state — documents with
-// their full sentence-level attributes and table grids (so training,
-// tuple extraction and labeling-function application behave exactly
-// as in the live session), candidates re-linked to their spans, the
-// Features and Labels relations, merged feature counts and the session
-// feature index — without re-parsing or re-extracting anything. task
-// must be the same task the store was built for (labeling functions
-// are code and cannot be persisted; they are re-supplied here), and
-// opts must agree with the persisted configuration on every knob that
-// shaped the relations. Runtime knobs (Seed, Epochs, Threshold, LR,
-// Workers, ...) are taken fresh from opts.
-func OpenStore(dir string, task Task, opts Options) (*Store, error) {
-	opts.defaults()
-	db, err := kbase.LoadDBWith(dir, newStoreEngine(opts))
-	if err != nil {
-		return nil, err
-	}
-	// Any failure past this point must release the engine (the disk
-	// backend holds a spill directory).
-	ok := false
-	defer func() {
-		if !ok {
-			db.Close()
-		}
-	}()
-	s := &Store{
-		task:   task,
-		opts:   opts,
-		byName: map[string]*storeDoc{},
-		counts: map[string]int{},
-		dict:   features.NewIndex(),
-	}
-	s.lfs = append(s.lfs, task.LFs...)
-	if opts.LFs != nil {
-		s.lfs = append(s.lfs[:0], opts.LFs...)
-	}
-
-	// Validate the persisted configuration against the caller's.
-	for _, name := range []string{tblDocuments, tblSentences, tblCands, tblFeatures, tblCounts, tblLabels, tblDocStats, tblMeta} {
-		if db.Table(name) == nil {
-			return nil, fmt.Errorf("core: store snapshot is missing relation %q", name)
-		}
-	}
-	meta := map[string]string{}
-	db.Table(tblMeta).Scan(func(tp kbase.Tuple) bool {
-		meta[tp[0].(string)] = tp[1].(string)
-		return true
-	})
-	for k, want := range s.configMeta() {
-		if got, ok := meta[k]; !ok || got != want {
-			return nil, fmt.Errorf("core: store snapshot %s=%q does not match session %s=%q", k, meta[k], k, want)
-		}
-	}
-
-	// Rebuild the corpus one document at a time, enforcing the
-	// parsed-document eviction budget as we go. A first pass over the
-	// sentences and candidates relations records only each document's
-	// contiguous row range and candidate-ID range — no payloads are
-	// decoded or retained — then every document pages in exactly its
-	// own rows through rebuildDocState (the same path eviction
-	// rehydration uses), so resuming a larger-than-RAM session peaks
-	// at one document's rows plus the resident budget, never the
-	// whole corpus.
-	type docRow struct {
-		pos          int
-		name, format string
-	}
-	var docRows []docRow
-	db.Table(tblDocuments).Scan(func(tp kbase.Tuple) bool {
-		docRows = append(docRows, docRow{int(tp[0].(int64)), tp[1].(string), tp[2].(string)})
-		return true
-	})
-	sort.Slice(docRows, func(i, j int) bool { return docRows[i].pos < docRows[j].pos })
-
-	type rowRange struct {
-		first, count, last int
-		contig             bool
-	}
-	track := func(ranges map[string]*rowRange, name string, pos int) *rowRange {
-		rr := ranges[name]
-		if rr == nil {
-			rr = &rowRange{first: pos, last: pos - 1, contig: true}
-			ranges[name] = rr
-		}
-		if pos != rr.last+1 {
-			rr.contig = false // interleaved snapshot: fall back to filter scans
-		}
-		rr.count++
-		rr.last = pos
-		return rr
-	}
-	sentR := map[string]*rowRange{}
-	pos := 0
-	db.Table(tblSentences).Scan(func(tp kbase.Tuple) bool {
-		track(sentR, tp[0].(string), pos)
-		pos++
-		return true
-	})
-	candR := map[string]*rowRange{}
-	idMax := map[string]int{}
-	maxCand := -1
-	pos = 0
-	db.Table(tblCands).Scan(func(tp kbase.Tuple) bool {
-		name := tp[3].(string)
-		track(candR, name, pos)
-		id := int(tp[0].(int64))
-		if cur, ok := idMax[name]; !ok || id > cur {
-			idMax[name] = id
-		}
-		if id > maxCand {
-			maxCand = id
-		}
-		pos++
-		return true
-	})
-
-	// rebuildDocState reads through s.db; the relations are fully
-	// loaded, so it can be bound before the in-memory state exists.
-	s.db = db
-	numLFs, _ := strconv.Atoi(meta["num_lfs"])
-	nextID := 0
-	for i, dr := range docRows {
-		if dr.pos != i {
-			return nil, fmt.Errorf("core: documents relation has non-dense position %d at row %d", dr.pos, i)
-		}
-		sd := &storeDoc{
-			name: dr.name, format: dr.format, pos: i,
-			sentRowFirst: -1, candRowFirst: -1,
-		}
-		if rr := sentR[dr.name]; rr == nil {
-			sd.sentRowFirst, sd.sentRowCount = 0, 0
-		} else if rr.contig {
-			sd.sentRowFirst, sd.sentRowCount = rr.first, rr.count
-		}
-		// The store assigns candidate IDs densely in document order:
-		// this document's candidates are exactly [nextID, idMax];
-		// buildDocCandidates (via rebuildDocState) validates density
-		// and spans, so gaps, overlaps and cross-document candidates
-		// all surface as errors.
-		count := 0
-		if rr := candR[dr.name]; rr != nil {
-			if rr.contig {
-				sd.candRowFirst, sd.candRowCount = rr.first, rr.count
-			}
-			mx := idMax[dr.name]
-			if mx < nextID {
-				return nil, fmt.Errorf("core: candidate %d of %q out of document order (spans documents?)", mx, dr.name)
-			}
-			count = mx - nextID + 1
-		} else {
-			sd.candRowFirst, sd.candRowCount = 0, 0
-		}
-		sd.candFirst, sd.candCount = nextID, count
-		doc, cands, err := s.rebuildDocState(sd)
-		if err != nil {
-			return nil, err
-		}
-		sd.doc = doc
-		sd.cands = cands
-		for _, c := range cands {
-			s.cands = append(s.cands, c)
-			s.names = append(s.names, nil)
-			s.votes = append(s.votes, make([]int8, numLFs))
-		}
-		nextID += count
-		s.docs = append(s.docs, sd)
-		s.byName[dr.name] = sd
-		s.accountHydrated(sd)
-		delete(sentR, dr.name)
-		delete(candR, dr.name)
-		delete(idMax, dr.name)
-	}
-	if nextID != maxCand+1 {
-		return nil, fmt.Errorf("core: candidates relation has no rows for candidate %d", nextID)
-	}
-	for name := range candR {
-		return nil, fmt.Errorf("core: candidates relation references unknown document %q", name)
-	}
-
-	// Features relation: per-candidate names in seq order.
-	type featRow struct {
-		seq  int
-		name string
-	}
-	featRows := make(map[int][]featRow, len(s.cands))
-	db.Table(tblFeatures).Scan(func(tp kbase.Tuple) bool {
-		id := int(tp[0].(int64))
-		featRows[id] = append(featRows[id], featRow{int(tp[1].(int64)), tp[2].(string)})
-		return true
-	})
-	for id, rows := range featRows {
-		if id < 0 || id >= len(s.cands) {
-			return nil, fmt.Errorf("core: features relation references unknown candidate %d", id)
-		}
-		sort.Slice(rows, func(a, b int) bool { return rows[a].seq < rows[b].seq })
-		names := make([]string, len(rows))
-		for k, r := range rows {
-			names[k] = r.name
-		}
-		s.names[id] = names
-	}
-
-	// FeatureCounts shards, summed into the merged counts.
-	var countErr error
-	db.Table(tblCounts).Scan(func(tp kbase.Tuple) bool {
-		if _, ok := s.byName[tp[0].(string)]; !ok {
-			countErr = fmt.Errorf("core: feature_counts references unknown document %q", tp[0])
-			return false
-		}
-		s.counts[tp[1].(string)] += int(tp[2].(int64))
-		return true
-	})
-	if countErr != nil {
-		return nil, countErr
-	}
-
-	// Labels votes.
-	var labelErr error
-	db.Table(tblLabels).Scan(func(tp kbase.Tuple) bool {
-		id, lf := int(tp[0].(int64)), int(tp[1].(int64))
-		if id < 0 || id >= len(s.cands) || lf < 0 || lf >= numLFs {
-			labelErr = fmt.Errorf("core: labels relation references candidate %d / lf %d out of range", id, lf)
-			return false
-		}
-		s.votes[id][lf] = int8(tp[2].(int64))
-		return true
-	})
-	if labelErr != nil {
-		return nil, labelErr
-	}
-
-	// Per-document cache statistics.
-	db.Table(tblDocStats).Scan(func(tp kbase.Tuple) bool {
-		if sd, ok := s.byName[tp[0].(string)]; ok {
-			sd.stats = features.CacheStats{Hits: int(tp[2].(int64)), Misses: int(tp[3].(int64))}
-		}
-		return true
-	})
-
-	// Re-derive the session index from the restored relations. Admission
-	// order here (first encounter in candidate order) may differ from the
-	// live session's (batch-sorted), but session columns are internal:
-	// every result is a function of the name sets, not the column
-	// numbering.
-	for _, names := range s.names {
-		for _, n := range names {
-			if s.counts[n] >= s.opts.MinFeatureCount {
-				s.dict.ID(n)
-			}
-		}
-	}
-	ok = true
-	return s, nil
-}

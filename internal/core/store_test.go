@@ -185,9 +185,8 @@ func TestStoreSnapshotResume(t *testing.T) {
 
 	// A snapshot is a set of relations, whatever order its rows are in:
 	// with the sentence and candidate rows shuffled, no document's rows
-	// are contiguous any more, OpenStore and rehydration fall back to
-	// filter scans, and the Result must not move — with every document
-	// resident and under an eviction budget.
+	// are contiguous any more, OpenStore falls back to filter scans, and
+	// the Result must not move.
 	shuffled := filepath.Join(t.TempDir(), "shuffled")
 	if err := os.Mkdir(shuffled, 0o755); err != nil {
 		t.Fatal(err)
@@ -206,29 +205,25 @@ func TestStoreSnapshotResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, maxResident := range []int{0, 3} {
-		o := opts
-		o.MaxResidentDocs = maxResident
-		permuted, err := core.OpenStore(shuffled, task, o)
-		if err != nil {
-			t.Fatalf("MaxResidentDocs %d: %v", maxResident, err)
-		}
-		got, err := permuted.RunSplit(docNames(train), docNames(test), gold)
-		if err != nil {
-			t.Fatalf("MaxResidentDocs %d: %v", maxResident, err)
-		}
-		if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
-			t.Errorf("MaxResidentDocs %d: Result from the row-shuffled snapshot differs\n got: %+v\nwant: %+v",
-				maxResident, normalizeResult(got), normalizeResult(want))
-		}
-		permuted.Close()
+	permuted, err := core.OpenStore(shuffled, task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer permuted.Close()
+	got, err = permuted.RunSplit(docNames(train), docNames(test), gold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
+		t.Errorf("Result from the row-shuffled snapshot differs\n got: %+v\nwant: %+v",
+			normalizeResult(got), normalizeResult(want))
 	}
 }
 
 // spanningDoc is a datasheet-shaped document whose ratings table has
 // row- and column-spanning cells, which the synthetic corpora never
 // produce: a spanning cell is linked into every row it covers, and the
-// snapshot and rehydration paths must still see each sentence once.
+// snapshot and resume paths must still see each sentence once.
 func spanningDoc() *datamodel.Document {
 	return parser.ParseHTML("spanning", `<html><body>
 <h1 class="part-header" id="hdr">2N7825C</h1>

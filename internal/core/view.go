@@ -63,7 +63,7 @@ type StoreView struct {
 	distinctFeatures int
 
 	// tableRows are the store relations' row counts (session metadata);
-	// storage the store's backend/eviction counters at capture — the
+	// storage the store's storage-engine counters at capture — the
 	// operator-facing /meta section.
 	tableRows map[string]int
 	storage   StorageStats
@@ -106,9 +106,9 @@ type modelState struct {
 // runs, unlike the Result.
 func (v *StoreView) StageSpans() []obs.Span { return v.spans }
 
-// StorageStats returns the store's backend/eviction counters as of
-// this epoch's capture (backend kind, resident/peak/max document
-// counts, disk pages, page-cache hit rate).
+// StorageStats returns the store's storage-engine counters as of this
+// epoch's capture (backend kind, document count, disk pages, page-cache
+// hit rate).
 func (v *StoreView) StorageStats() StorageStats { return v.storage }
 
 // Epoch returns the store mutation epoch the view was built at.

@@ -75,24 +75,16 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 		}
 	}
 
-	// The view needs every candidate's mention spans (serving and ad-hoc
-	// classification read them), so evicted delta documents are
-	// rehydrated here — through the LRU budget. The view keeps its own
-	// references: later store evictions cannot reach into a published
-	// epoch. prev's candidates are shared (immutable after ingestion,
-	// already hydrated into prev).
+	// The view shares the store's candidate objects (immutable after
+	// ingestion) and, through them, pins every parsed document.
 	t0 := time.Now()
 	delta := s.docs[prev.NumDocs():]
 	names := prev.docNames[:len(prev.docNames):len(prev.docNames)]
 	cands := prev.cands[:len(prev.cands):len(prev.cands)]
 	splitStats := prev.splitStats
 	for _, sd := range delta {
-		dc, err := s.docCandidates(sd)
-		if err != nil {
-			return nil, err
-		}
 		names = append(names, sd.name)
-		cands = append(cands, dc...)
+		cands = append(cands, sd.cands...)
 		splitStats.Hits += sd.stats.Hits
 		splitStats.Misses += sd.stats.Misses
 	}
@@ -140,8 +132,6 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 	v.result.TrainCandidates = len(cands)
 	v.result.TestCandidates = len(cands)
 	v.result.CacheStats = features.CacheStats{Hits: 2 * splitStats.Hits, Misses: 2 * splitStats.Misses}
-	// Sampled last, so the epoch's counters include the capture's own
-	// rehydration and page-cache traffic.
 	v.storage = s.StorageStats()
 	return v, nil
 }

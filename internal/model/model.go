@@ -332,10 +332,7 @@ func (m *Model) encodeSeq(t *neural.Tape, ids []int) *neural.Vec {
 // TrainOptions configure Train.
 //
 // Zero-value sentinels: numeric fields treat 0 as "use the default"
-// (documented per field). Where zero is itself a meaningful setting —
-// learning-rate decay turned off — use the corresponding *Override
-// pointer field, which expresses every value exactly (the same
-// convention as core.Options.ThresholdOverride).
+// (documented per field).
 type TrainOptions struct {
 	Epochs int     // default 10
 	LR     float64 // default 0.01
@@ -346,12 +343,8 @@ type TrainOptions struct {
 	L2 float64
 	// LRDecay divides the learning rate by (1 + LRDecay*epoch),
 	// damping late-training oscillation. The zero value is a sentinel
-	// meaning "use the default 0.15"; disabling decay entirely is only
-	// reachable through LRDecayOverride.
+	// meaning "use the default 0.15".
 	LRDecay float64
-	// LRDecayOverride, when non-nil, sets the decay coefficient
-	// exactly — including 0 (off) — and takes precedence over LRDecay.
-	LRDecayOverride *float64
 	// Batch is the minibatch size: per-example gradients are averaged
 	// over Batch examples and applied as one Adam step. The zero value
 	// is a sentinel meaning "use the default 1" — one step per example,
@@ -392,9 +385,7 @@ func (o *TrainOptions) defaults() {
 	if o.Clip <= 0 {
 		o.Clip = 5
 	}
-	if o.LRDecayOverride != nil {
-		o.LRDecay = *o.LRDecayOverride
-	} else if o.LRDecay == 0 {
+	if o.LRDecay == 0 {
 		o.LRDecay = 0.15
 	}
 	if o.Batch <= 0 {

@@ -347,31 +347,3 @@ func TestTrainBatchChangesTrajectory(t *testing.T) {
 	}
 	t.Fatal("Batch=4 trained identically to Batch=1")
 }
-
-// TestLRDecayOverride covers the zero-value-sentinel bugfix: LRDecay=0
-// silently meant "default 0.15", so decay could never be turned off.
-// LRDecayOverride(0) must hold the learning rate constant across
-// epochs — a different trajectory from the default — while
-// LRDecayOverride(0.15) must reproduce the default bitwise.
-func TestLRDecayOverride(t *testing.T) {
-	exs := mixedDataset(12)
-	zero, def := 0.0, 0.15
-
-	mDefault := NewFonduer(1, 10, 5, exs)
-	mDefault.Train(exs, TrainOptions{Epochs: 3, LR: 0.02})
-	mExplicit := NewFonduer(1, 10, 5, exs)
-	mExplicit.Train(exs, TrainOptions{Epochs: 3, LR: 0.02, LRDecayOverride: &def})
-	mustEqualWeights(t, "override(0.15) == default", weights(mDefault), weights(mExplicit))
-
-	mOff := NewFonduer(1, 10, 5, exs)
-	mOff.Train(exs, TrainOptions{Epochs: 3, LR: 0.02, LRDecayOverride: &zero})
-	a, b := weights(mDefault), weights(mOff)
-	for p := range a {
-		for i := range a[p] {
-			if a[p][i] != b[p][i] {
-				return
-			}
-		}
-	}
-	t.Fatal("LRDecayOverride(0) trained identically to the default decay")
-}

@@ -407,14 +407,13 @@ func (s *Server) metaPayload() map[string]any {
 	}
 	res := v.Result()
 	// The storage section is the operator's view of the pluggable
-	// engine: which backend materializes the relations, how many
-	// parsed documents are hydrated against the eviction budget (the
-	// peak proves the budget held), whether the disk backend's page
-	// cache is absorbing the read traffic, and how the query planner
-	// is answering filtered /kb reads. The store-side counters were
-	// sampled when the view published; the served KB table's own
-	// counters are read live, so pagesSkipped/indexHits/fullScans
-	// reflect the filtered traffic this epoch has already served.
+	// engine: which backend materializes the relations, whether the
+	// disk backend's page cache is absorbing the read traffic, and how
+	// the query planner is answering filtered /kb reads. The store-side
+	// counters were sampled when the view published; the served KB
+	// table's own counters are read live, so pagesSkipped/indexHits/
+	// fullScans reflect the filtered traffic this epoch has already
+	// served.
 	st := v.StorageStats()
 	// The served KB table's live counters fold into the store-side
 	// sample through BackendStats.Add, so the arithmetic lives with
@@ -451,9 +450,6 @@ func (s *Server) metaPayload() map[string]any {
 		"storage": map[string]any{
 			"backend":          st.Backend,
 			"docs":             st.Docs,
-			"residentDocs":     st.ResidentDocs,
-			"peakResidentDocs": st.PeakResidentDocs,
-			"maxResidentDocs":  st.MaxResidentDocs,
 			"diskPages":        st.DiskPages,
 			"pageCacheHits":    st.PageCacheHits,
 			"pageCacheMisses":  st.PageCacheMisses,

@@ -19,7 +19,7 @@ import (
 // window — and stays stable while the table's planner flips hot
 // columns from scans to lazy hash indexes across repeated queries.
 // The new /meta storage counters account for that filtered traffic.
-// The grid quantifies over every storage engine kind: resident rows,
+// The grid quantifies over every storage engine kind: rows in a slice,
 // and the paged engine's predicate-column decode over pages in files
 // and on the heap.
 func TestKBFilterPushdown(t *testing.T) {

@@ -4,7 +4,7 @@ package serve
 // sessions. Each tenant is a full per-session serving unit — an owned
 // core.Store, a writer goroutine, an atomic epoch pointer — i.e.
 // exactly a Server; the Registry owns the fleet, routes
-// /t/<tenant>/... to it, and adds lifecycle (create/list/evict/
+// /t/<tenant>/... to it, and adds lifecycle (create/list/delete/
 // snapshot) plus fleet-wide health aggregation.
 //
 // # Isolation and sharing
@@ -25,13 +25,11 @@ package serve
 //	/t/<tenant>/kb|candidates|marginals|lfmetrics|features|meta|
 //	            ingest|classify|healthz|admin/snapshot
 //	                      per-tenant API (identical to a standalone Server)
-//	/kb, /ingest, ...     alias for the configured default tenant
-//	                      (the PR 3 single-tenant surface, preserved)
+//	/kb, /ingest, ...     the same routes, un-prefixed: the default tenant
 //	GET    /admin/tenants           list tenants with epoch/doc/storage stats
 //	POST   /admin/tenants           create a tenant {name, domain, relation,
-//	                                backend, maxResidentDocs, workers, batch,
-//	                                epochs, seed}
-//	DELETE /admin/tenants/<name>    evict: remove from routing, Close the store
+//	                                backend, workers, batch, epochs, seed}
+//	DELETE /admin/tenants/<name>    remove from routing, Close the store
 //	GET    /healthz, /meta          registry-wide aggregation (default tenant's
 //	                                payload + per-tenant fleet summary)
 
@@ -94,10 +92,6 @@ type TenantConfig struct {
 	// paged engine keeps its pages: "disk" or "columnar"; "" inherits
 	// the registry's base options / $FONDUER_BACKEND).
 	Backend string `json:"backend,omitempty"`
-	// MaxResidentDocs is the tenant's parsed-document budget (>0
-	// overrides the base; mostly-idle disk tenants run well at small
-	// budgets).
-	MaxResidentDocs int `json:"maxResidentDocs,omitempty"`
 	// Workers/Batch/Epochs/Seed override the corresponding base
 	// options when non-zero.
 	Workers int   `json:"workers,omitempty"`
@@ -127,11 +121,8 @@ type TenantStatus struct {
 	Candidates int    `json:"candidates"`
 	KBEntries  int    `json:"kbEntries"`
 
-	Backend          string `json:"backend"`
-	MaxResidentDocs  int    `json:"maxResidentDocs"`
-	ResidentDocs     int    `json:"residentDocs"`
-	PeakResidentDocs int    `json:"peakResidentDocs"`
-	DiskPages        int    `json:"diskPages"`
+	Backend   string `json:"backend"`
+	DiskPages int    `json:"diskPages"`
 
 	SnapshotDir string    `json:"snapshotDir,omitempty"`
 	Degraded    *Degraded `json:"degraded,omitempty"`
@@ -218,9 +209,6 @@ func (rg *Registry) tenantOptions(tc TenantConfig) core.Options {
 	opts := rg.baseOpts
 	if tc.Backend != "" {
 		opts.Backend = tc.Backend
-	}
-	if tc.MaxResidentDocs > 0 {
-		opts.MaxResidentDocs = tc.MaxResidentDocs
 	}
 	if tc.Workers > 0 {
 		opts.Workers = tc.Workers
@@ -351,20 +339,15 @@ func (rg *Registry) DefaultName() string {
 
 // Get returns a tenant's serving unit, or nil if unknown.
 func (rg *Registry) Get(name string) *Server {
-	if e := rg.lookup(name); e != nil {
+	rg.mu.RLock()
+	defer rg.mu.RUnlock()
+	if e := rg.tenants[name]; e != nil { // nil for reservations in progress
 		return e.srv
 	}
 	return nil
 }
 
-func (rg *Registry) lookup(name string) *tenantEntry {
-	rg.mu.RLock()
-	defer rg.mu.RUnlock()
-	e := rg.tenants[name] // nil for reservations in progress
-	return e
-}
-
-// Delete evicts a tenant: it disappears from routing immediately,
+// Delete removes a tenant: it disappears from routing immediately,
 // then its writer goroutine stops and its store (spill directory,
 // segment files and their descriptors) is closed. In-flight reads finish against their
 // already-loaded views. The default tenant cannot be deleted — the
@@ -378,12 +361,12 @@ func (rg *Registry) Delete(name string) error {
 	}
 	if name == rg.defaultName {
 		rg.mu.Unlock()
-		return fmt.Errorf("serve: tenant %q is the default tenant; pick a new default before evicting it", name)
+		return fmt.Errorf("serve: tenant %q is the default tenant; pick a new default before deleting it", name)
 	}
 	delete(rg.tenants, name)
 	rg.mu.Unlock()
 	e.srv.Close()
-	obs.Log().Info("tenant evicted", "tenant", name)
+	obs.Log().Info("tenant deleted", "tenant", name)
 	return nil
 }
 
@@ -407,24 +390,21 @@ func (rg *Registry) statusLocked(e *tenantEntry) TenantStatus {
 	v := e.srv.CurrentView()
 	st := v.StorageStats()
 	return TenantStatus{
-		Name:             e.cfg.Name,
-		Domain:           e.cfg.Domain,
-		Relation:         e.cfg.Relation,
-		Default:          e.cfg.Name == rg.defaultName,
-		Resumed:          e.resumed,
-		Epoch:            v.Epoch(),
-		Generation:       v.Generation(),
-		TrainLag:         v.Epoch() - v.ModelTrainedAtEpoch(),
-		Docs:             v.NumDocs(),
-		Candidates:       len(v.Candidates()),
-		KBEntries:        v.KB().Len(),
-		Backend:          st.Backend,
-		MaxResidentDocs:  st.MaxResidentDocs,
-		ResidentDocs:     st.ResidentDocs,
-		PeakResidentDocs: st.PeakResidentDocs,
-		DiskPages:        st.DiskPages,
-		SnapshotDir:      e.cfg.SnapshotDir,
-		Degraded:         e.srv.Degraded(),
+		Name:        e.cfg.Name,
+		Domain:      e.cfg.Domain,
+		Relation:    e.cfg.Relation,
+		Default:     e.cfg.Name == rg.defaultName,
+		Resumed:     e.resumed,
+		Epoch:       v.Epoch(),
+		Generation:  v.Generation(),
+		TrainLag:    v.Epoch() - v.ModelTrainedAtEpoch(),
+		Docs:        v.NumDocs(),
+		Candidates:  len(v.Candidates()),
+		KBEntries:   v.KB().Len(),
+		Backend:     st.Backend,
+		DiskPages:   st.DiskPages,
+		SnapshotDir: e.cfg.SnapshotDir,
+		Degraded:    e.srv.Degraded(),
 	}
 }
 
@@ -454,8 +434,8 @@ func (rg *Registry) Close() {
 // ---- HTTP surface.
 
 // Handler returns the registry's HTTP API: per-tenant routes under
-// /t/<name>/, the default-tenant alias at the root, tenant lifecycle
-// under /admin/tenants, fleet-wide /healthz + /meta + /admin/traces,
+// /t/<name>/, the same routes un-prefixed for the default tenant,
+// tenant lifecycle under /admin/tenants, fleet-wide /healthz + /meta + /admin/traces,
 // and Prometheus exposition at /metrics. Fleet-level routes are
 // instrumented under the pseudo-tenant "_fleet"; Create reserves the
 // name so a real tenant can never alias its series.
@@ -475,39 +455,36 @@ func (rg *Registry) Handler() http.Handler {
 	reg("GET /admin/traces", rg.handleTraces)
 	mux.HandleFunc("/t/{tenant}", rg.handleTenant) // no trailing path: still resolve, 404 cleanly
 	mux.HandleFunc("/t/{tenant}/", rg.handleTenant)
-	mux.HandleFunc("/", rg.handleDefaultAlias)
+	mux.HandleFunc("/", rg.handleTenant) // un-prefixed: the default tenant
 	return mux
 }
 
-// handleTenant routes /t/<name>/<rest> to the tenant's own handler
-// with the prefix stripped, so the per-tenant API is byte-identical
-// to a standalone Server's.
+// handleTenant is the one dispatch into a tenant's own handler:
+// /t/<name>/<rest> with the prefix stripped, so the per-tenant API is
+// byte-identical to a standalone Server's, and every un-prefixed route
+// (/kb, /ingest, /admin/snapshot, ... — the matched pattern has no
+// {tenant}) as it is, against the default tenant.
 func (rg *Registry) handleTenant(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	e := rg.lookup(name)
-	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown tenant %q", name)
-		return
-	}
-	http.StripPrefix("/t/"+name, e.handler).ServeHTTP(w, r)
-}
-
-// handleDefaultAlias serves the un-prefixed PR 3 routes (/kb,
-// /ingest, /admin/snapshot, ...) against the default tenant.
-func (rg *Registry) handleDefaultAlias(w http.ResponseWriter, r *http.Request) {
+	name, prefix := r.PathValue("tenant"), ""
 	rg.mu.RLock()
-	e := rg.tenants[rg.defaultName]
+	if name == "" {
+		name = rg.defaultName
+	} else {
+		prefix = "/t/" + name
+	}
+	e := rg.tenants[name] // nil for reservations in progress
 	closed := rg.closed
 	rg.mu.RUnlock()
-	if closed {
+	switch {
+	case closed:
 		writeError(w, http.StatusServiceUnavailable, "registry is closed")
-		return
-	}
-	if e == nil {
+	case name == "":
 		writeError(w, http.StatusNotFound, "no default tenant configured (create one via POST /admin/tenants)")
-		return
+	case e == nil:
+		writeError(w, http.StatusNotFound, "unknown tenant %q", name)
+	default:
+		http.StripPrefix(prefix, e.handler).ServeHTTP(w, r)
 	}
-	e.handler.ServeHTTP(w, r)
 }
 
 func (rg *Registry) handleList(w http.ResponseWriter, r *http.Request) {
@@ -555,7 +532,7 @@ func (rg *Registry) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"evicted": name})
+	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
 }
 
 // handleHealthz aggregates fleet health. The payload is a superset of

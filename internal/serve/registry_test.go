@@ -98,11 +98,11 @@ func deleteReq(t *testing.T, url string, wantStatus int) map[string]any {
 }
 
 // TestRegistryLifecycle drives the tenant lifecycle over real HTTP:
-// create (with per-tenant backend/budget), list, per-tenant ingest
+// create (with a per-tenant backend), list, per-tenant ingest
 // and reads, per-tenant snapshot into <root>/<tenant>/<relation>,
-// eviction, resume-on-create, and the cross-tenant isolation error
+// deletion, resume-on-create, and the cross-tenant isolation error
 // paths (unknown tenant 404, duplicate create 409, undeletable
-// default, eviction leaving other tenants' epochs untouched).
+// default, deletion leaving other tenants' epochs untouched).
 func TestRegistryLifecycle(t *testing.T) {
 	root := t.TempDir()
 	opts := core.Options{Seed: 3, Epochs: 1, Workers: 2}
@@ -116,7 +116,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	// ---- Create three tenants over HTTP; the first becomes default.
 	for _, body := range []map[string]any{
 		{"name": "elec", "domain": "electronics"},
-		{"name": "ads", "domain": "ads", "backend": "disk", "maxResidentDocs": 4},
+		{"name": "ads", "domain": "ads", "backend": "disk"},
 		{"name": "paleo", "domain": "paleo"},
 	} {
 		created := postJSON(t, ts.URL+"/admin/tenants", body, http.StatusCreated)
@@ -127,6 +127,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	// Creation errors: duplicate name, bad name, unknown domain/backend.
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "elec", "domain": "electronics"}, http.StatusConflict)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "no/slashes", "domain": "electronics"}, http.StatusBadRequest)
+	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "budget", "domain": "ads", "maxResidentDocs": 4}, http.StatusBadRequest)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "x", "domain": "nosuchdomain"}, http.StatusBadRequest)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "x", "domain": "ads", "backend": "tape"}, http.StatusBadRequest)
 
@@ -212,7 +213,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("snapshot directory %s empty or unreadable: %v", wantDir, err)
 	}
 
-	// ---- Eviction: the default tenant is protected; others close
+	// ---- Deletion: the default tenant is protected; others close
 	// cleanly and vanish from routing without disturbing neighbors.
 	deleteReq(t, ts.URL+"/admin/tenants/elec", http.StatusBadRequest)
 	deleteReq(t, ts.URL+"/admin/tenants/nosuchtenant", http.StatusNotFound)
@@ -220,21 +221,21 @@ func TestRegistryLifecycle(t *testing.T) {
 	elecKBBefore := getJSON(t, ts.URL+"/t/elec/kb", http.StatusOK)
 	deleteReq(t, ts.URL+"/admin/tenants/ads", http.StatusOK)
 	getJSON(t, ts.URL+"/t/ads/kb", http.StatusNotFound)
-	// The evicted disk tenant's segment descriptors went with it.
+	// The deleted disk tenant's segment descriptors went with it.
 	if left, ok := spillFDs(t); ok && len(left) != len(fdBaseline) {
-		t.Fatalf("evicting ads left %d spill descriptors open, want the %d from before its ingest: %v", len(left), len(fdBaseline), left)
+		t.Fatalf("deleting ads left %d spill descriptors open, want the %d from before its ingest: %v", len(left), len(fdBaseline), left)
 	}
 	if e := epochOf(t, getJSON(t, ts.URL+"/t/elec/healthz", http.StatusOK)); e != elecEpochBefore {
-		t.Fatalf("evicting ads moved elec's epoch %d -> %d", elecEpochBefore, e)
+		t.Fatalf("deleting ads moved elec's epoch %d -> %d", elecEpochBefore, e)
 	}
 	elecKBAfter := getJSON(t, ts.URL+"/t/elec/kb", http.StatusOK)
 	b1, _ := canonicalKB(elecKBBefore["columns"], elecKBBefore["tuples"])
 	b2, _ := canonicalKB(elecKBAfter["columns"], elecKBAfter["tuples"])
 	if b1 != b2 {
-		t.Fatal("evicting ads changed elec's served KB")
+		t.Fatal("deleting ads changed elec's served KB")
 	}
 
-	// ---- Resume: re-creating the evicted tenant picks its snapshot
+	// ---- Resume: re-creating the deleted tenant picks its snapshot
 	// back up from <root>/<tenant>/<relation>.
 	recreated := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "ads", "domain": "ads"}, http.StatusCreated)
 	if recreated["resumed"] != true {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kbase"
 	"repro/internal/serve"
 	"repro/internal/synth"
 )
@@ -320,5 +321,29 @@ func TestServeClosed(t *testing.T) {
 	postJSON(t, ts.URL+"/admin/snapshot", map[string]any{"dir": t.TempDir()}, http.StatusServiceUnavailable)
 	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["ok"] != true {
 		t.Fatalf("reads must survive Close: %v", h)
+	}
+}
+
+// TestReingestConflictsOnEveryBackend: re-POSTing an already ingested
+// document — byte for byte the same upload — answers 409 and leaves the
+// epoch alone, whichever engine kind stores the session.
+func TestReingestConflictsOnEveryBackend(t *testing.T) {
+	corpus := synth.Electronics(53, 2)
+	for _, backend := range kbase.BackendKinds() {
+		t.Run(backend, func(t *testing.T) {
+			srv, err := serve.New(serve.Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 1, Epochs: 1, Backend: backend}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			req := map[string]any{"documents": []serve.DocumentUpload{uploadFor(corpus, 0), uploadFor(corpus, 1)}}
+			postJSON(t, ts.URL+"/ingest", req, http.StatusOK)
+			postJSON(t, ts.URL+"/ingest", req, http.StatusConflict)
+			if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); epochOf(t, h) != 1 || h["docs"].(float64) != 2 {
+				t.Fatalf("the refused re-ingest changed the session: %v", h)
+			}
+		})
 	}
 }
