@@ -128,9 +128,10 @@ func kbTuples(t *testing.T, body []byte) any {
 // one path a resident-document budget used to change — resume. A
 // process on -backend disk, started with the deprecated
 // -max-resident-docs flag (warned about once, otherwise ignored),
-// ingests, snapshots and is restarted from the snapshot; it must serve
-// the tuples it served before the restart, and /kb bytes identical to a
-// memory-kind process resumed from the same snapshot.
+// ingests, shrugs off two hostile uploads, snapshots and is restarted
+// from the snapshot; it must serve the tuples it served before the
+// restart, and /kb bytes identical to a memory-kind process resumed from
+// the same snapshot.
 func TestDiskProcessResumeMatchesMemory(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "fonduer-serve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -163,6 +164,20 @@ func TestDiskProcessResumeMatchesMemory(t *testing.T) {
 		if strings.Contains(strings.ToLower(key), "residentdocs") {
 			t.Fatalf("/meta storage still reports %q: %v", key, meta.Storage)
 		}
+	}
+	// Two hostile uploads leave no mark: HTML carrying the store's
+	// reserved separator byte (it used to be merged, answered 409, and
+	// made this very snapshot unresumable) is refused with 400, and 900 KB
+	// of unclosed elements classifies on an ordinary stack.
+	evil := map[string]string{"name": "evil", "source": strings.Replace(corpus.Sources[0]["html"], "<td>", "<td>\x1f", 1)}
+	disk.do(t, http.MethodPost, "/ingest", map[string]any{"documents": []any{evil}}, http.StatusBadRequest)
+	disk.do(t, http.MethodPost, "/classify", map[string]string{"name": "bomb", "source": strings.Repeat("<b>", 300_000) + "x"}, http.StatusOK)
+	var health struct {
+		OK   bool `json:"ok"`
+		Docs int  `json:"docs"`
+	}
+	if err := json.Unmarshal(disk.do(t, http.MethodGet, "/healthz", nil, http.StatusOK), &health); err != nil || !health.OK || health.Docs != len(corpus.Docs) {
+		t.Fatalf("/healthz after the hostile uploads: %+v (%v)", health, err)
 	}
 	before := kbTuples(t, disk.do(t, http.MethodGet, "/kb", nil, http.StatusOK))
 	disk.do(t, http.MethodPost, "/admin/snapshot", map[string]any{}, http.StatusOK)

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	fonduer "repro"
 )
@@ -27,7 +28,10 @@ func main() {
 
 	// Development mode: add LFs one at a time and watch the holdout
 	// accuracy move — the error-analysis loop of Figure 2.
-	session := fonduer.NewDevSession(task, train)
+	session, err := fonduer.NewDevSession(task, train)
+	if err != nil {
+		log.Fatal(err)
+	}
 	holdout := map[int]bool{}
 	for _, c := range session.Candidates() {
 		holdout[c.ID] = task.Gold(c)
@@ -35,7 +39,9 @@ func main() {
 	session.SetHoldout(holdout)
 	fmt.Println("development iterations:")
 	for _, lf := range task.LFs {
-		session.AddLF(lf)
+		if _, err := session.AddLF(lf); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  + %-40s holdout accuracy %.2f\n", lf.Name, session.EstimateAccuracy())
 	}
 	met := session.Metrics()

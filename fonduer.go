@@ -338,8 +338,9 @@ type (
 )
 
 // NewDevSession extracts candidates once and prepares the iterative
-// supervision loop over them.
-func NewDevSession(task Task, docs []*Document) *DevSession {
+// supervision loop over them. It fails as Store.AddDocuments does: on
+// two documents sharing a name, or one that cannot be persisted.
+func NewDevSession(task Task, docs []*Document) (*DevSession, error) {
 	return core.NewDevSession(task, docs)
 }
 
@@ -378,8 +379,19 @@ type (
 // heap, "columnar"; results are bit-identical across the three). The
 // parsed documents themselves stay in memory for the life of the store
 // (DESIGN.md, "Why documents stay resident"). Call Store.Close to
-// release a disk-backed store's spill directory.
+// release a disk-backed store's spill directory. Store calls report
+// what they refuse or cannot do as ErrDocumentExists, ErrInvalidDocument
+// and ErrStoreFailed.
 func NewStore(task Task, opts Options) *Store { return core.NewStore(task, opts) }
+
+// The errors of a Store call, for errors.Is: the first two refuse a
+// batch and leave the store untouched; the third is terminal for the
+// store value, and OpenStore on its last snapshot is the way back.
+var (
+	ErrDocumentExists  = core.ErrDocumentExists
+	ErrInvalidDocument = core.ErrInvalidDocument
+	ErrStoreFailed     = core.ErrStoreFailed
+)
 
 // OpenStore resumes a session snapshotted with Store.Snapshot,
 // skipping parsing and candidate extraction entirely. task re-supplies

@@ -37,26 +37,27 @@ type DevSession struct {
 // production (Store.RunSplit, or Snapshot/OpenStore) with nothing
 // recomputed; that is a deliberate trade of constructor latency for
 // the shared dev/production state representation. Document names must
-// be unique — the store keys its relations by name — and a conflict
-// panics (the constructor predates error returns). Use
-// NewDevSessionWorkers to bound the session's parallelism.
-func NewDevSession(task Task, docs []*datamodel.Document) *DevSession {
+// be unique — the store keys its relations by name — and the error is
+// AddDocuments'. Use NewDevSessionWorkers to bound the session's
+// parallelism.
+func NewDevSession(task Task, docs []*datamodel.Document) (*DevSession, error) {
 	return NewDevSessionWorkers(task, docs, 0)
 }
 
 // NewDevSessionWorkers is NewDevSession with an explicit worker-pool
 // size governing both the initial ingestion and subsequent LF
 // application (<=0 means GOMAXPROCS, 1 means sequential).
-func NewDevSessionWorkers(task Task, docs []*datamodel.Document, workers int) *DevSession {
+func NewDevSessionWorkers(task Task, docs []*datamodel.Document, workers int) (*DevSession, error) {
 	// A dev session starts with no labeling functions installed even
 	// when the task carries some: the session's whole point is to
 	// build them up interactively. The explicit empty (non-nil) LFs
 	// override expresses that to the store.
 	st := NewStore(task, Options{Workers: workers, LFs: []labeling.LF{}})
 	if err := st.AddDocuments(docs...); err != nil {
-		panic("core: " + err.Error())
+		st.Close()
+		return nil, err
 	}
-	return &DevSession{store: st, Workers: workers}
+	return &DevSession{store: st, Workers: workers}, nil
 }
 
 // SessionFromStore wraps an existing store (e.g. one resumed with
@@ -76,8 +77,8 @@ func (s *DevSession) NumLFs() int { return s.store.NumLFs() }
 
 // AddLF installs a labeling function and applies it to every candidate
 // (one new Labels column — the fast-update path). It returns the LF's
-// column index.
-func (s *DevSession) AddLF(lf labeling.LF) int {
+// column index; the error is Store.AddLF's.
+func (s *DevSession) AddLF(lf labeling.LF) (int, error) {
 	s.store.setWorkers(s.Workers)
 	return s.store.AddLF(lf)
 }

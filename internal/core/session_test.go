@@ -15,7 +15,11 @@ func elecSession(t *testing.T) (*core.DevSession, core.Task) {
 	t.Helper()
 	corpus := synth.Electronics(51, 10)
 	task := corpus.Tasks[0]
-	return core.NewDevSession(task, corpus.Docs), task
+	s, err := core.NewDevSession(task, corpus.Docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, task
 }
 
 func TestDevSessionIterativeLoop(t *testing.T) {
@@ -41,7 +45,9 @@ func TestDevSessionIterativeLoop(t *testing.T) {
 	// Iteration 1: add the task's LFs one at a time; accuracy must end
 	// higher than the no-LF baseline and errors must shrink.
 	for _, lf := range task.LFs {
-		s.AddLF(lf)
+		if _, err := s.AddLF(lf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if s.NumLFs() != len(task.LFs) {
 		t.Fatalf("NumLFs = %d", s.NumLFs())
@@ -64,7 +70,10 @@ func TestDevSessionIterativeLoop(t *testing.T) {
 	// Iteration 2: sabotage one LF (always-positive), watch accuracy
 	// drop, then repair it via EditLF.
 	bad := labeling.LF{Name: "always-true", Fn: func(*candidates.Candidate) int { return 1 }}
-	col := s.AddLF(bad)
+	col, err := s.AddLF(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
 	accBad := s.EstimateAccuracy()
 	if err := s.EditLF(col, task.LFs[0]); err != nil {
 		t.Fatal(err)

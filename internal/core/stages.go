@@ -333,6 +333,8 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 	case VariantMaxPool:
 		m = model.NewMaxPoolText(arity, opts.Seed, trainEx)
 	default:
+		// Unreachable from input or I/O: Variant is an enum set in Go
+		// source (Options literals), never parsed from a request or a file.
 		panic("core: unknown variant")
 	}
 	topts := model.TrainOptions{

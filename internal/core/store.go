@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -54,6 +55,15 @@ import (
 // serialized — while concurrent readers consume immutable StoreViews
 // published by View. A cheap atomic guard turns violations into an
 // immediate panic instead of silent corruption.
+//
+// Failure semantics: a mutation is validate → commit. What the input can
+// cause (ErrDocumentExists, ErrInvalidDocument) is found before the
+// store changes, and the call leaves it exactly as it was. What remains
+// after the commit point is I/O (a paged relation that cannot seal a
+// page); it leaves the relations and the session disagreeing, so the
+// store marks itself failed and every later guarded call — mutations,
+// Snapshot, View — returns ErrStoreFailed. The way back is OpenStore on
+// the last snapshot.
 type Store struct {
 	task Task
 	opts Options
@@ -64,6 +74,8 @@ type Store struct {
 	// published StoreView.
 	mutating atomic.Bool
 	epoch    uint64
+	// failed, once set (fail), is what every later guarded call returns.
+	failed error
 
 	docs   []*storeDoc
 	byName map[string]*storeDoc
@@ -113,10 +125,12 @@ type storeDoc struct {
 // comment); opts.LFs, when non-nil, overrides task.LFs as the
 // session's labeling functions (an empty non-nil slice starts the
 // session with none, the DevSession entry state). opts.Backend picks
-// the storage engine materializing the relations; an unknown backend
-// panics (the CLIs validate the flag, and the Options field documents
-// the valid values). Disk-backed stores should be Closed to reclaim
-// their spill directory promptly; a GC finalizer backstops leaks.
+// the storage engine materializing the relations. NewStore has no error
+// result: when the engine cannot be created (an unknown backend name, a
+// spill directory that cannot be made) the store comes back already
+// failed, over the memory engine, and its first guarded call returns the
+// cause. Disk-backed stores should be Closed to reclaim their spill
+// directory promptly; a GC finalizer backstops leaks.
 func NewStore(task Task, opts Options) *Store {
 	opts.defaults()
 	s := &Store{
@@ -130,8 +144,17 @@ func NewStore(task Task, opts Options) *Store {
 	if opts.LFs != nil {
 		s.lfs = append(s.lfs[:0], opts.LFs...)
 	}
-	s.db = s.newStoreDB(newStoreEngine(opts))
-	s.writeMeta()
+	engine, err := newStoreEngine(opts)
+	if err != nil {
+		engine = kbase.MemoryEngine{}
+	}
+	s.db = s.newStoreDB(engine)
+	if err == nil {
+		err = s.writeMeta()
+	}
+	if err != nil {
+		s.fail(err)
+	}
 	return s
 }
 
@@ -240,15 +263,47 @@ func (s *Store) setWorkers(n int) { s.opts.Workers = n }
 // stamped with the epoch it was built at.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// beginMutation enforces the writer-goroutine-only contract: a second
-// mutation entering while one is in flight is a caller bug (two
-// goroutines mutating one store), and panics immediately rather than
-// corrupting the relations.
-func (s *Store) beginMutation() {
+// The errors a store call can return because of its input or its
+// storage; match them with errors.Is.
+var (
+	// ErrDocumentExists: a document of the batch carries a name the
+	// store (or the batch) already holds. Nothing was ingested.
+	ErrDocumentExists = errors.New("core: document name conflict")
+	// ErrInvalidDocument: a document of the batch cannot be persisted
+	// (checkPersistable). Nothing was ingested.
+	ErrInvalidDocument = errors.New("core: invalid document")
+	// ErrStoreFailed: an I/O error after a commit point left the
+	// relations and the session disagreeing; the store refuses further
+	// use, and OpenStore on its last snapshot is the way back.
+	ErrStoreFailed = errors.New("core: store failed")
+)
+
+// fail marks the store failed with cause and returns the error every
+// later guarded call will return.
+func (s *Store) fail(cause error) error {
+	s.failed = fmt.Errorf("%w: %v", ErrStoreFailed, cause)
+	return s.failed
+}
+
+// Err returns what closed the store (an ErrStoreFailed) or nil.
+// Writer-goroutine state, like Epoch.
+func (s *Store) Err() error { return s.failed }
+
+// beginMutation opens a guarded call. It enforces the
+// writer-goroutine-only contract — a second call entering while one is
+// in flight panics immediately rather than corrupting the relations;
+// that is two goroutines using one store, a caller bug that neither a
+// document nor an I/O error can produce — and refuses a failed store.
+func (s *Store) beginMutation() error {
 	if !s.mutating.CompareAndSwap(false, true) {
 		panic("core: concurrent Store mutation — Store writes are writer-goroutine-only; " +
 			"publish StoreViews (Store.View) for concurrent readers")
 	}
+	if s.failed != nil {
+		s.mutating.Store(false)
+		return s.failed
+	}
+	return nil
 }
 
 // endMutation releases the guard; changed mutations advance the epoch.
@@ -267,13 +322,20 @@ func (s *Store) endMutation(changed bool) {
 // features only ever cross the floor upward).
 //
 // Ingesting the same *Document pointer again is a no-op; a different
-// document with an already-ingested name is an error, on every
-// backend. The resulting store state is observably equivalent
+// document with an already-ingested name is ErrDocumentExists, on every
+// backend, and a document carrying the reserved separator bytes is
+// ErrInvalidDocument. Either refuses the whole batch with the store
+// untouched. The resulting store state is observably equivalent
 // regardless of how a corpus is batched across AddDocuments calls.
 func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
-	s.beginMutation()
+	if err := s.beginMutation(); err != nil {
+		return err
+	}
 	changed := false
 	defer func() { s.endMutation(changed) }()
+
+	// ---- Validate: everything the input can make fail, for the whole
+	// batch, before anything is computed or changed.
 	var delta []*datamodel.Document
 	seen := map[string]*datamodel.Document{}
 	for _, d := range docs {
@@ -281,13 +343,16 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 			if prev.doc == d {
 				continue
 			}
-			return fmt.Errorf("core: document %q already ingested with different contents", d.Name)
+			return fmt.Errorf("%w: %q is already ingested with different contents", ErrDocumentExists, d.Name)
 		}
 		if prev, ok := seen[d.Name]; ok {
 			if prev == d {
 				continue
 			}
-			return fmt.Errorf("core: duplicate document name %q in one batch", d.Name)
+			return fmt.Errorf("%w: %q appears twice in one batch", ErrDocumentExists, d.Name)
+		}
+		if err := checkPersistable(d); err != nil {
+			return err
 		}
 		seen[d.Name] = d
 		delta = append(delta, d)
@@ -296,24 +361,40 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 		return nil
 	}
 	workers := s.opts.Workers
-	s.ingestSpans = nil
 
 	// ---- Extract stage (delta only).
 	t0 := time.Now()
 	perDoc := extractStage(s.task, delta, s.opts.Scope, !s.opts.NoThrottlers, workers)
 	// Global candidate IDs are dense in ingestion order.
 	deltaCands := numberCandidates(perDoc, len(s.cands))
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("extract", t0, len(delta), len(deltaCands), pool.Workers(workers)))
+	spans := []obs.Span{obs.NewSpan("extract", t0, len(delta), len(deltaCands), pool.Workers(workers))}
 
 	// ---- Featurize stage (delta only).
 	t0 = time.Now()
 	feats := featurizeStage(extractorFactory(s.opts), perDoc, workers)
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("featurize", t0, len(deltaCands), len(deltaCands), pool.Workers(workers)))
+	spans = append(spans, obs.NewSpan("featurize", t0, len(deltaCands), len(deltaCands), pool.Workers(workers)))
 
 	// ---- Supervise stage (delta only).
 	t0 = time.Now()
 	votes := labeling.ParallelVotes(s.lfs, deltaCands, workers)
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("supervise", t0, len(deltaCands), len(votes), pool.Workers(workers)))
+	spans = append(spans, obs.NewSpan("supervise", t0, len(deltaCands), len(votes), pool.Workers(workers)))
+
+	// ---- Commit point. Nothing above touched the store and nothing
+	// below depends on the input. The relations take the delta first:
+	// that is the only step that can still fail (I/O on a paged kind),
+	// and when it does the session fields are still those of the last
+	// epoch while the relations hold part of a batch — the store is
+	// failed, not rolled back.
+	t0 = time.Now()
+	first := 0
+	for k, d := range delta {
+		n := len(perDoc[k])
+		if err := s.mirrorDoc(len(s.docs)+k, d, perDoc[k], feats[k], votes[first:first+n]); err != nil {
+			return s.fail(err)
+		}
+		first += n
+	}
+	spans = append(spans, obs.NewSpan("mirror", t0, len(delta), len(delta), 0))
 
 	// ---- Merge: append per-document state and sum the count shards.
 	t0 = time.Now()
@@ -353,19 +434,7 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	for _, n := range admitted {
 		s.dict.ID(n)
 	}
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("merge", t0, len(deltaCands), len(admitted), 0))
-
-	// ---- Persist the delta into the kbase relations. Mirroring runs
-	// after the merge so a persistence error (e.g. a full spill disk)
-	// leaves the in-memory session fully self-consistent; only the
-	// kbase mirror is then behind.
-	t0 = time.Now()
-	for k, sd := range s.docs[len(s.docs)-len(delta):] {
-		if err := s.mirrorDoc(sd, feats[k].counts); err != nil {
-			return err
-		}
-	}
-	s.ingestSpans = append(s.ingestSpans, obs.NewSpan("mirror", t0, len(delta), len(delta), 0))
+	s.ingestSpans = append(spans, obs.NewSpan("merge", t0, len(deltaCands), len(admitted), 0))
 	return nil
 }
 
@@ -382,9 +451,12 @@ func (s *Store) TakeIngestSpans() []obs.Span {
 
 // AddLF installs a labeling function and applies it to every ingested
 // candidate — the Supervise stage re-run for one new Labels column.
-// It returns the LF's column index.
-func (s *Store) AddLF(lf labeling.LF) int {
-	s.beginMutation()
+// It returns the LF's column index. No input makes it fail; an error is
+// ErrStoreFailed.
+func (s *Store) AddLF(lf labeling.LF) (int, error) {
+	if err := s.beginMutation(); err != nil {
+		return 0, err
+	}
 	defer s.endMutation(true)
 	col := len(s.lfs)
 	s.lfs = append(s.lfs, lf)
@@ -392,32 +464,29 @@ func (s *Store) AddLF(lf labeling.LF) int {
 	for i := range s.votes {
 		s.votes[i] = append(s.votes[i], votes[i])
 	}
-	s.mirrorColumn(col, votes)
-	s.writeMeta()
-	return col
+	return col, s.mirrorColumn(col, votes)
 }
 
 // EditLF replaces the labeling function at col and re-applies it to
 // every candidate. In the kbase Labels relation the column's rows are
 // deleted and re-materialized — the row-deletion path an append-only
-// log cannot express.
+// log cannot express. A column that does not exist is the one error
+// that leaves the store untouched; any other is ErrStoreFailed.
 func (s *Store) EditLF(col int, lf labeling.LF) error {
 	if col < 0 || col >= len(s.lfs) {
 		return fmt.Errorf("core: no labeling function at column %d", col)
 	}
-	s.beginMutation()
+	if err := s.beginMutation(); err != nil {
+		return err
+	}
 	defer s.endMutation(true)
 	s.lfs[col] = lf
 	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)
 	for i := range s.votes {
 		s.votes[i][col] = votes[i]
 	}
-	if tbl := s.db.Table(tblLabels); tbl != nil {
-		tbl.DeleteWhere(func(tp kbase.Tuple) bool { return tp[1].(int64) == int64(col) })
-	}
-	s.mirrorColumn(col, votes)
-	s.writeMeta() // the LF name list may have changed
-	return nil
+	s.db.Table(tblLabels).DeleteWhere(func(tp kbase.Tuple) bool { return tp[1].(int64) == int64(col) })
+	return s.mirrorColumn(col, votes)
 }
 
 // splitView assembles one split's staged relations by reading the

@@ -46,10 +46,15 @@ func TestStoreMutationGuard(t *testing.T) {
 	}
 
 	lf := labeling.LF{Name: "guard", Fn: func(*candidates.Candidate) int { return 1 }}
-	col := st.AddLF(lf) // EditLF validates the column before guarding
-	st.beginMutation()
+	col, err := st.AddLF(lf) // EditLF validates the column before guarding
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.beginMutation(); err != nil {
+		t.Fatal(err)
+	}
 	mustPanic("AddDocuments", func() { _ = st.AddDocuments() })
-	mustPanic("AddLF", func() { st.AddLF(lf) })
+	mustPanic("AddLF", func() { _, _ = st.AddLF(lf) })
 	mustPanic("EditLF", func() { _ = st.EditLF(col, lf) })
 	mustPanic("Snapshot", func() { _ = st.Snapshot(t.TempDir()) })
 	mustPanic("View", func() { _, _ = st.View(nil) })
@@ -58,7 +63,7 @@ func TestStoreMutationGuard(t *testing.T) {
 	// Released: mutations proceed again, and epochs advance only on
 	// real changes.
 	e := st.Epoch()
-	if st.AddLF(lf); st.Epoch() != e+1 {
+	if _, err := st.AddLF(lf); err != nil || st.Epoch() != e+1 {
 		t.Fatalf("AddLF did not advance the epoch: %d -> %d", e, st.Epoch())
 	}
 	if err := st.AddDocuments(); err != nil || st.Epoch() != e+1 {

@@ -34,7 +34,11 @@ import (
 // afterwards (TestOpenStoreViewReadsNoPages).
 func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	opts.defaults()
-	db, err := kbase.LoadDBWith(dir, newStoreEngine(opts))
+	engine, err := newStoreEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	db, err := kbase.LoadDBWith(dir, engine)
 	if err != nil {
 		return nil, err
 	}

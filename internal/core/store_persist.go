@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/candidates"
 	"repro/internal/datamodel"
 	"repro/internal/kbase"
 )
@@ -47,6 +48,8 @@ const storeFormat = "2"
 func mustSchema(name string, cols ...string) kbase.Schema {
 	s, err := kbase.NewSchema(name, cols...)
 	if err != nil {
+		// Unreachable from input or I/O: every caller passes the column
+		// literals of storeSchemas, at package initialization.
 		panic("core: " + err.Error())
 	}
 	return s
@@ -205,20 +208,43 @@ func decodeFont(s string) (datamodel.Font, error) {
 
 // checkSepFree rejects values containing the reserved separator
 // bytes: rather than silently corrupting the snapshot round-trip, a
-// document carrying them fails to persist with a clear error.
+// document carrying them is refused with a clear error.
 func checkSepFree(ss ...string) error {
 	for _, s := range ss {
 		if strings.ContainsAny(s, wordSep+fieldSep) {
-			return fmt.Errorf("core: value %q contains the reserved separator bytes \\x1f/\\x1e and cannot be persisted", s)
+			return fmt.Errorf("value %q contains the reserved separator bytes \\x1f/\\x1e and cannot be persisted", s)
+		}
+	}
+	return nil
+}
+
+// checkPersistable is the validate half of AddDocuments for one
+// document: every string attribute sentenceTuple joins with the
+// separators must be free of them. parser.Parse already refuses such
+// sources, so this is the guard for programmatically built documents.
+func checkPersistable(d *datamodel.Document) error {
+	for _, sent := range d.Sentences() {
+		err := checkSepFree(sent.HTMLTag, sent.PrevSibTag, sent.NextSibTag, sent.Font.Name)
+		for _, list := range [][]string{sent.Words, sent.Lemmas, sent.POS, sent.NER, sent.AncestorTags, sent.AncestorClasses, sent.AncestorIDs} {
+			if err == nil {
+				err = checkSepFree(list...)
+			}
+		}
+		for k, v := range sent.HTMLAttrs {
+			if err == nil {
+				err = checkSepFree(k, v)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%w: document %q sentence %d: %v", ErrInvalidDocument, d.Name, sent.Position, err)
 		}
 	}
 	return nil
 }
 
 // sentenceTuple flattens one sentence (and its cell linkage) into a
-// sentences-relation row. It errors if any string attribute contains
-// the reserved separator bytes.
-func sentenceTuple(docName string, sent *datamodel.Sentence) (kbase.Tuple, error) {
+// sentences-relation row. The sentence has passed checkPersistable.
+func sentenceTuple(docName string, sent *datamodel.Sentence) kbase.Tuple {
 	tbl, rs, re, cs, ce, header := -1, 0, 0, 0, 0, 0
 	if cell := sent.Cell(); cell != nil {
 		tbl = cell.Table.Position
@@ -226,16 +252,6 @@ func sentenceTuple(docName string, sent *datamodel.Sentence) (kbase.Tuple, error
 		if cell.IsHeader {
 			header = 1
 		}
-	}
-	fields := []string{sent.HTMLTag, sent.PrevSibTag, sent.NextSibTag, sent.Font.Name}
-	for _, list := range [][]string{sent.Words, sent.Lemmas, sent.POS, sent.NER, sent.AncestorTags, sent.AncestorClasses, sent.AncestorIDs} {
-		fields = append(fields, list...)
-	}
-	for k, v := range sent.HTMLAttrs {
-		fields = append(fields, k, v)
-	}
-	if err := checkSepFree(fields...); err != nil {
-		return nil, fmt.Errorf("document %q sentence %d: %w", docName, sent.Position, err)
 	}
 	return kbase.Tuple{
 		docName, sent.Position,
@@ -245,7 +261,7 @@ func sentenceTuple(docName string, sent *datamodel.Sentence) (kbase.Tuple, error
 		sent.NodePos, sent.PrevSibTag, sent.NextSibTag,
 		encodeInts(sent.PageNums), encodeBoxes(sent.Boxes), encodeFont(sent.Font),
 		tbl, rs, re, cs, ce, header,
-	}, nil
+	}
 }
 
 // sentRow is the decoded form of one sentences-relation row.
@@ -358,19 +374,18 @@ func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error
 }
 
 // newStoreEngine resolves the session's storage engine from the
-// (defaulted) options. An unknown backend name panics — the Options
-// field documents the valid values and the CLIs validate their flag —
-// as does a failure to create the disk engine's spill directory
-// (environmental, unrecoverable).
-func newStoreEngine(opts Options) kbase.Engine {
+// (defaulted) options. It fails on an unknown backend name (the Options
+// field documents the valid values and the CLIs validate their flag)
+// and when the disk engine's spill directory cannot be created.
+func newStoreEngine(opts Options) (kbase.Engine, error) {
 	engine, err := kbase.NewEngine(opts.Backend, "")
 	if err != nil {
 		// Name the env var: an unset Options.Backend resolves through
 		// $FONDUER_BACKEND, so a typo there surfaces here with no flag
 		// in sight.
-		panic("core: " + err.Error() + " (from Options.Backend; the empty value consults $FONDUER_BACKEND)")
+		return nil, fmt.Errorf("core: %w (from Options.Backend; the empty value consults $FONDUER_BACKEND)", err)
 	}
-	return engine
+	return engine, nil
 }
 
 // newStoreDB creates the empty relation set over the engine.
@@ -378,6 +393,9 @@ func (s *Store) newStoreDB(engine kbase.Engine) *kbase.DB {
 	db := kbase.NewDBWith(engine)
 	for _, schema := range storeSchemas {
 		if _, err := db.Create(schema); err != nil {
+			// Unreachable from input or I/O: the schemas are the literals
+			// above with distinct names, db is new, and no engine touches
+			// the file system before a table's first sealed page.
 			panic("core: " + err.Error())
 		}
 	}
@@ -425,7 +443,7 @@ func (s *Store) configMeta() map[string]string {
 // rows, sorted key order so the relation's row order — and with it
 // the snapshot's meta.tsv bytes — is deterministic across sessions
 // and backends).
-func (s *Store) writeMeta() {
+func (s *Store) writeMeta() error {
 	tbl := s.db.Table(tblMeta)
 	meta := s.configMeta()
 	keys := make([]string, 0, len(meta))
@@ -437,32 +455,32 @@ func (s *Store) writeMeta() {
 		key := k
 		tbl.DeleteWhere(func(tp kbase.Tuple) bool { return tp[0].(string) == key })
 		if _, err := tbl.Insert(kbase.Tuple{k, meta[k]}); err != nil {
-			panic("core: " + err.Error())
+			return err
 		}
 	}
+	return nil
 }
 
 // mirrorDoc persists one newly ingested document's shard of every
-// relation (counts is its FeatureCounts shard) — the delta-only write
-// path of AddDocuments. Each relation's rows are collected and go in as
-// one batch.
-func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
+// relation — the delta-only write path of AddDocuments, run past its
+// commit point: pos is the document's position, cands its candidates
+// (IDs assigned), df its Featurize output and votes its candidates'
+// Labels rows. The rows are a pure function of those (the document has
+// passed checkPersistable), each relation's go in as one batch, and the
+// only error is the engine's.
+func (s *Store) mirrorDoc(pos int, doc *datamodel.Document, cands []*candidates.Candidate, df docFeatures, votes [][]int8) error {
 	ins := func(table string, rows ...kbase.Tuple) error {
 		_, err := s.db.Table(table).InsertAll(rows)
 		return err
 	}
-	name := sd.doc.Name
-	if err := ins(tblDocuments, kbase.Tuple{sd.pos, name, sd.doc.Format}); err != nil {
+	name := doc.Name
+	if err := ins(tblDocuments, kbase.Tuple{pos, name, doc.Format}); err != nil {
 		return err
 	}
-	sents := sd.doc.Sentences()
-	sentRows := make([]kbase.Tuple, 0, len(sents))
-	for _, sent := range sents {
-		tp, err := sentenceTuple(name, sent)
-		if err != nil {
-			return err
-		}
-		sentRows = append(sentRows, tp)
+	sents := doc.Sentences()
+	sentRows := make([]kbase.Tuple, len(sents))
+	for i, sent := range sents {
+		sentRows[i] = sentenceTuple(name, sent)
 	}
 	if err := ins(tblSentences, sentRows...); err != nil {
 		return err
@@ -471,22 +489,22 @@ func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
 	// The features relation is most of a document's rows (a couple of
 	// thousand): its tuples are cut from one cell buffer.
 	nFeat := 0
-	for _, c := range sd.cands {
-		nFeat += len(s.names[c.ID])
+	for _, names := range df.names {
+		nFeat += len(names)
 	}
 	featRows := make([]kbase.Tuple, 0, nFeat)
 	featCells := make(kbase.Tuple, 0, 3*nFeat)
 	var candRows, labelRows []kbase.Tuple
-	for _, c := range sd.cands {
+	for k, c := range cands {
 		id := any(int64(c.ID)) // boxed once per candidate, shared by its rows
 		for a, m := range c.Mentions {
 			candRows = append(candRows, kbase.Tuple{id, a, m.TypeName, name, m.Span.Sentence.Position, m.Span.Start, m.Span.End})
 		}
-		for seq, fn := range s.names[c.ID] {
+		for seq, fn := range df.names[k] {
 			featCells = append(featCells, id, seq, fn)
 			featRows = append(featRows, featCells[len(featCells)-3:])
 		}
-		for lf, v := range s.votes[c.ID] {
+		for lf, v := range votes[k] {
 			if v != 0 {
 				labelRows = append(labelRows, kbase.Tuple{id, lf, int(v)})
 			}
@@ -501,23 +519,26 @@ func (s *Store) mirrorDoc(sd *storeDoc, counts map[string]int) error {
 	if err := ins(tblLabels, labelRows...); err != nil {
 		return err
 	}
-	feats := make([]string, 0, len(counts))
-	for fn := range counts {
+	feats := make([]string, 0, len(df.counts))
+	for fn := range df.counts {
 		feats = append(feats, fn)
 	}
 	sort.Strings(feats)
 	countRows := make([]kbase.Tuple, len(feats))
 	for i, fn := range feats {
-		countRows[i] = kbase.Tuple{name, fn, counts[fn]}
+		countRows[i] = kbase.Tuple{name, fn, df.counts[fn]}
 	}
 	if err := ins(tblCounts, countRows...); err != nil {
 		return err
 	}
-	return ins(tblDocStats, kbase.Tuple{name, len(sd.cands), sd.stats.Hits, sd.stats.Misses})
+	return ins(tblDocStats, kbase.Tuple{name, len(cands), df.stats.Hits, df.stats.Misses})
 }
 
-// mirrorColumn persists one Labels column's non-abstain votes.
-func (s *Store) mirrorColumn(col int, votes []int8) {
+// mirrorColumn persists one Labels column's non-abstain votes and the
+// meta relation's labeling-function list — the I/O half of AddLF and
+// EditLF. An error fails the store: the session already carries the
+// column.
+func (s *Store) mirrorColumn(col int, votes []int8) error {
 	var rows []kbase.Tuple
 	for i, v := range votes {
 		if v != 0 {
@@ -525,17 +546,25 @@ func (s *Store) mirrorColumn(col int, votes []int8) {
 		}
 	}
 	if _, err := s.db.Table(tblLabels).InsertAll(rows); err != nil {
-		panic("core: " + err.Error())
+		return s.fail(err)
 	}
+	if err := s.writeMeta(); err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
 // Snapshot writes the store's relations to dir as a kbase snapshot
 // (one TSV per relation plus a manifest). A snapshotted session can
 // be resumed with OpenStore. Snapshot reads the entire relation set,
 // so it takes the mutation guard: it must run on the writer goroutine
-// (or otherwise exclusively with mutations), exactly like a write.
+// (or otherwise exclusively with mutations), exactly like a write. A
+// failed store refuses before dir is touched: its relations are not a
+// session, and SaveDB would swap them in for the last good snapshot.
 func (s *Store) Snapshot(dir string) error {
-	s.beginMutation()
+	if err := s.beginMutation(); err != nil {
+		return err
+	}
 	defer s.endMutation(false)
 	return kbase.SaveDB(s.db, dir)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -278,8 +279,12 @@ func TestStoreResumeLFFidelity(t *testing.T) {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
 		for _, lf := range task.LFs {
-			live.AddLF(lf)
-			resumed.AddLF(lf)
+			if _, err := live.AddLF(lf); err != nil {
+				t.Fatalf("%s: %v", domain.name, err)
+			}
+			if _, err := resumed.AddLF(lf); err != nil {
+				t.Fatalf("%s: %v", domain.name, err)
+			}
 		}
 		lm, rm := live.LabelMatrix(), resumed.LabelMatrix()
 		if lm.NumCands != rm.NumCands || lm.NumLFs != rm.NumLFs {
@@ -399,19 +404,147 @@ func TestStoreOpenValidation(t *testing.T) {
 	}
 }
 
-// TestStoreRejectsSeparatorBytes: documents whose text carries the
-// snapshot encoding's reserved control bytes must fail to persist
-// loudly instead of corrupting the round trip.
+// storeState is what a refused or failed call must leave alone.
+type storeState struct {
+	epoch  uint64
+	docs   []string
+	cands  int
+	tables map[string]int
+}
+
+func stateOf(st *core.Store) storeState {
+	s := storeState{epoch: st.Epoch(), docs: st.DocNames(), cands: st.NumCandidates(), tables: map[string]int{}}
+	for _, name := range st.DB().Names() {
+		s.tables[name] = st.DB().Table(name).Len()
+	}
+	return s
+}
+
+func snapshotOf(t *testing.T, st *core.Store) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	return snapshotBytes(t, dir)
+}
+
+// TestStoreRejectsSeparatorBytes: a document whose text carries the
+// snapshot encoding's reserved control bytes is refused with
+// ErrInvalidDocument, and the refusal is whole — on every backend the
+// batch it arrived in (a good document first, so a store that merged
+// before it validated would keep that one) leaves the epoch, the
+// document list, the candidate count, all eight relations and the
+// snapshot bytes as they were, and the session goes on to resume.
 func TestStoreRejectsSeparatorBytes(t *testing.T) {
 	b := datamodel.NewBuilder("evil", "html")
 	par := b.AddParagraph(b.AddText())
 	b.AddSentence(par, []string{"fine", "bad\x1fword"})
-	doc := b.Finish()
+	evil := b.Finish()
 
-	corpus := synth.Electronics(68, 1)
-	st := core.NewStore(corpus.Tasks[0], core.Options{Epochs: 1})
-	if err := st.AddDocuments(doc); err == nil {
-		t.Fatal("reserved separator bytes must be rejected at ingest")
+	for _, backend := range kbase.BackendKinds() {
+		t.Run(backend, func(t *testing.T) {
+			corpus := synth.Electronics(68, 4)
+			task := corpus.Tasks[0]
+			opts := core.Options{Epochs: 1, Backend: backend}
+			st := core.NewStore(task, opts)
+			defer st.Close()
+			if err := st.AddDocuments(corpus.Docs[:2]...); err != nil {
+				t.Fatal(err)
+			}
+			before, snapBefore := stateOf(st), snapshotOf(t, st)
+			if len(before.tables) != 8 {
+				t.Fatalf("store has %d relations, want 8", len(before.tables))
+			}
+
+			err := st.AddDocuments(corpus.Docs[2], evil)
+			if !errors.Is(err, core.ErrInvalidDocument) || !strings.Contains(err.Error(), `"evil"`) {
+				t.Fatalf("AddDocuments = %v, want ErrInvalidDocument naming the document", err)
+			}
+			if after := stateOf(st); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused batch changed the store:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if !reflect.DeepEqual(snapshotOf(t, st), snapBefore) {
+				t.Fatal("refused batch changed the snapshot bytes")
+			}
+
+			// The refusal cost nothing: the same store ingests the good
+			// documents and its snapshot resumes to what a store that never
+			// saw the batch holds.
+			if err := st.AddDocuments(corpus.Docs[2:]...); err != nil {
+				t.Fatal(err)
+			}
+			ref := core.NewStore(task, opts)
+			defer ref.Close()
+			if err := ref.AddDocuments(corpus.Docs[:2]...); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.AddDocuments(corpus.Docs[2:]...); err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := st.Snapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(snapshotBytes(t, dir), snapshotOf(t, ref)) {
+				t.Fatal("snapshot differs from a store that never saw the refused batch")
+			}
+			resumed, err := core.OpenStore(dir, task, opts)
+			if err != nil {
+				t.Fatalf("snapshot after a refused batch does not resume: %v", err)
+			}
+			resumed.Close()
+		})
+	}
+}
+
+// TestStoreFailsAfterSpillLoss is the one failure past the commit
+// point: a disk store whose spill directory disappears cannot seal its
+// first page. The call names the relation, the session fields stay at
+// the last epoch, and the store refuses every later guarded call —
+// above all Snapshot, which would otherwise replace the last good
+// snapshot with relations that hold part of a batch.
+func TestStoreFailsAfterSpillLoss(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	corpus := synth.Electronics(68, 2)
+	task := corpus.Tasks[0]
+	st := core.NewStore(task, core.Options{Epochs: 1, Backend: "disk"})
+	defer st.Close()
+	snap := filepath.Join(t.TempDir(), "snap")
+	if err := st.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	good := snapshotBytes(t, snap)
+
+	spills, _ := filepath.Glob(filepath.Join(tmp, "kbase-spill-*"))
+	if len(spills) != 1 {
+		t.Fatalf("spill directories under TMPDIR: %v", spills)
+	}
+	if err := os.RemoveAll(spills[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	err := st.AddDocuments(corpus.Docs...)
+	if !errors.Is(err, core.ErrStoreFailed) || !strings.Contains(err.Error(), "for features") {
+		t.Fatalf("AddDocuments = %v, want ErrStoreFailed naming the relation", err)
+	}
+	if st.Epoch() != 0 || len(st.DocNames()) != 0 || st.NumCandidates() != 0 {
+		t.Fatalf("failed ingest moved the session: epoch %d, %d docs, %d candidates", st.Epoch(), len(st.DocNames()), st.NumCandidates())
+	}
+	lf := labeling.LF{Name: "late", Fn: func(*candidates.Candidate) int { return 0 }}
+	_, lfErr := st.AddLF(lf)
+	_, viewErr := st.View(nil)
+	for name, err := range map[string]error{
+		"AddDocuments": st.AddDocuments(corpus.Docs...), "AddLF": lfErr, "EditLF": st.EditLF(0, lf),
+		"Snapshot": st.Snapshot(snap), "View": viewErr,
+	} {
+		if !errors.Is(err, core.ErrStoreFailed) {
+			t.Errorf("%s on a failed store = %v, want ErrStoreFailed", name, err)
+		}
+	}
+	if !reflect.DeepEqual(snapshotBytes(t, snap), good) {
+		t.Fatal("a failed store overwrote its last good snapshot")
 	}
 }
 
@@ -432,7 +565,10 @@ func TestStoreLFIteration(t *testing.T) {
 	if labelsLen() != 0 {
 		t.Fatal("labels relation must start empty")
 	}
-	col := st.AddLF(task.LFs[0])
+	col, err := st.AddLF(task.LFs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	n1 := labelsLen()
 	if n1 == 0 {
 		t.Fatal("AddLF must materialize label rows")

@@ -52,7 +52,9 @@ import (
 // guard as a mutation: call it from the thread that mutates the store,
 // never concurrently with one.
 func (s *Store) capture(prev *StoreView) (*StoreView, error) {
-	s.beginMutation()
+	if err := s.beginMutation(); err != nil {
+		return nil, err
+	}
 	defer s.endMutation(false)
 
 	hydrate := "hydrateDelta"

@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/datamodel"
@@ -20,6 +21,8 @@ func FuzzParseDocument(f *testing.F) {
 	f.Add("xml", synth.Genomics(7, 1).Sources[0]["xml"], "")
 	f.Add("html", `<table><tr><td rowspan=2>A b c</td><td>1</td></tr><tr><td>2</td></tr></table>`, "")
 	f.Add("", `<table><tr><td rowspan=3000000 colspan=3>a</td></tr></table>`, "")
+	f.Add("html", strings.Repeat("<b>", 300_000)+"x", "")
+	f.Add("html", "<p>reserved \x1f separator</p>", "")
 	f.Fuzz(func(t *testing.T, format, source, vdoc string) {
 		doc, err := parser.Parse("fuzz", format, source, vdoc)
 		if err != nil {

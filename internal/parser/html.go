@@ -38,13 +38,21 @@ var voidTags = map[string]bool{
 	"input": true, "area": true, "base": true, "col": true,
 }
 
+// maxElementDepth caps how deep elements nest in the DOM that
+// tokenizeHTML and xmlToDOM build: an element opened below an element at
+// the cap is attached as that element's sibling, as browsers do. It is a
+// bound on resources, not on shape: the walkers recurse once per level,
+// so a megabyte of unclosed <b> would otherwise cost a hundred megabytes
+// of stack (and six megabytes the process).
+const maxElementDepth = 512
+
 // tokenizeHTML performs a forgiving scan of HTML source into a DOM
 // tree. It tolerates unquoted attributes, unclosed void tags, and
 // mismatched closing tags (closing tags pop to the nearest matching
 // open element).
 func tokenizeHTML(src string) *htmlNode {
 	root := &htmlNode{tag: "#root", attrs: map[string]string{}}
-	cur := root
+	cur, depth := root, 0 // depth is cur's distance from root
 	i := 0
 	for i < len(src) {
 		if src[i] == '<' {
@@ -69,9 +77,9 @@ func tokenizeHTML(src string) *htmlNode {
 				// DOCTYPE or processing instruction: ignore.
 			case strings.HasPrefix(tagSrc, "/"):
 				name := strings.ToLower(strings.TrimSpace(tagSrc[1:]))
-				for n := cur; n != nil && n != root; n = n.parent {
+				for n, d := cur, depth; n != root; n, d = n.parent, d-1 {
 					if n.tag == name {
-						cur = n.parent
+						cur, depth = n.parent, d-1
 						break
 					}
 				}
@@ -81,10 +89,13 @@ func tokenizeHTML(src string) *htmlNode {
 					tagSrc = tagSrc[:len(tagSrc)-1]
 				}
 				name, attrs := parseTag(tagSrc)
+				if depth == maxElementDepth {
+					cur, depth = cur.parent, depth-1 // el becomes cur's sibling
+				}
 				el := &htmlNode{tag: name, attrs: attrs, parent: cur}
 				cur.children = append(cur.children, el)
 				if !selfClose && !voidTags[name] {
-					cur = el
+					cur, depth = el, depth+1
 				}
 			}
 		} else {
@@ -382,23 +393,24 @@ func siblingInfo(el *htmlNode) (pos int, prevTag, nextTag string) {
 }
 
 // collectText concatenates all descendant text of an element, inserting
-// spaces at element boundaries.
+// spaces at element boundaries: a pre-order walk over an explicit stack.
 func collectText(n *htmlNode) string {
 	var sb strings.Builder
-	var rec func(*htmlNode)
-	rec = func(m *htmlNode) {
+	stack := []*htmlNode{n}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if m.tag == "" {
 			if sb.Len() > 0 {
 				sb.WriteByte(' ')
 			}
 			sb.WriteString(m.text)
-			return
+			continue
 		}
-		for _, c := range m.children {
-			rec(c)
+		for i := len(m.children) - 1; i >= 0; i-- {
+			stack = append(stack, m.children[i])
 		}
 	}
-	rec(n)
 	return sb.String()
 }
 

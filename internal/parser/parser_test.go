@@ -2,6 +2,7 @@ package parser
 
 import (
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -358,5 +359,73 @@ func TestDocStats(t *testing.T) {
 	s := DocStats(d)
 	if !strings.Contains(s, "smbt3904") || !strings.Contains(s, "tables") {
 		t.Fatalf("stats = %q", s)
+	}
+}
+
+// nestingBomb is 900 KB of unclosed elements around one word; its XML
+// twin closes them, as encoding/xml demands.
+var (
+	nestingBomb    = strings.Repeat("<b>", 300_000) + "x"
+	nestingBombXML = "<r>" + strings.Repeat("<b>", 100_000) + "x" + strings.Repeat("</b>", 100_000) + "</r>"
+)
+
+// TestParseBoundsStack: element nesting costs heap, not stack. With the
+// goroutine stack limited to 2 MB — a recursion per level took 134 MB
+// for this input, and a deeper one the process — both bombs parse, the
+// word survives, and no sentence sits below maxElementDepth elements.
+func TestParseBoundsStack(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(2 << 20))
+	for format, src := range map[string]string{"html": nestingBomb, "xml": nestingBombXML} {
+		doc, err := Parse("bomb", format, src, "")
+		if err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		sents := doc.Sentences()
+		if len(sents) != 1 || sents[0].Text() != "x" {
+			t.Fatalf("%s: sentences = %v", format, sents)
+		}
+		if n := len(sents[0].AncestorTags); n > maxElementDepth {
+			t.Fatalf("%s: sentence has %d ancestors, cap is %d", format, n, maxElementDepth)
+		}
+	}
+}
+
+// TestElementDepthCap: an element opened below the cap becomes a
+// sibling, text keeps its order, and closing tags still find their
+// element.
+func TestElementDepthCap(t *testing.T) {
+	src := strings.Repeat("<div>", maxElementDepth) + "<p>deep one.</p><p>deep two.</p>" +
+		strings.Repeat("</div>", maxElementDepth) + "<p>after.</p>"
+	var got []string
+	for _, s := range ParseHTML("capped", src).Sentences() {
+		got = append(got, s.Text())
+		if len(s.AncestorTags) > maxElementDepth {
+			t.Fatalf("%q has %d ancestors", s.Text(), len(s.AncestorTags))
+		}
+	}
+	if want := []string{"deep one .", "deep two .", "after ."}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sentences = %q, want %q", got, want)
+	}
+	dom := tokenizeHTML(src)
+	if last := dom.children[len(dom.children)-1]; last.tag != "p" || collectText(last) != "after." {
+		t.Fatalf("closing tags lost their way: the source's last element is under %q", last.tag)
+	}
+}
+
+// TestParseRejectsReservedBytes: the store's separator bytes are
+// refused at the boundary, in the source and in the vdoc, naming the
+// document; XML was already covered by encoding/xml.
+func TestParseRejectsReservedBytes(t *testing.T) {
+	for _, c := range []struct{ format, source, vdoc string }{
+		{"html", "<p>a\x1fb</p>", ""},
+		{"", "<p class=\"x\x1ey\">a</p>", ""},
+		{"html", "<p>a</p>", "vdoc 1\ndoc d pages=1\nfont F\x1f 10 0 0\nw 1 0 0 1 1 a\n"},
+		{"xml", "<p>a\x1fb</p>", ""},
+		{"xml", "<p>a&#x1f;b</p>", ""},
+	} {
+		_, err := Parse("evil-doc", c.format, c.source, c.vdoc)
+		if err == nil || !strings.Contains(err.Error(), `"evil-doc"`) {
+			t.Errorf("Parse(%q, %q) = %v, want an error naming the document", c.format, c.source, err)
+		}
 	}
 }

@@ -39,7 +39,10 @@ func ParseXML(name, src string) (*datamodel.Document, error) {
 func xmlToDOM(src string) (*htmlNode, error) {
 	dec := xml.NewDecoder(strings.NewReader(src))
 	root := &htmlNode{tag: "#root", attrs: map[string]string{}}
-	cur := root
+	// depth is cur's distance from root; over counts the open elements
+	// that maxElementDepth flattened into siblings, whose end tags
+	// therefore close nothing.
+	cur, depth, over := root, 0, 0
 	for {
 		tok, err := dec.Token()
 		if err != nil {
@@ -54,12 +57,17 @@ func xmlToDOM(src string) (*htmlNode, error) {
 			for _, a := range t.Attr {
 				attrs[strings.ToLower(a.Name.Local)] = a.Value
 			}
+			if depth == maxElementDepth {
+				cur, depth, over = cur.parent, depth-1, over+1
+			}
 			el := &htmlNode{tag: normalizeXMLTag(t.Name.Local), attrs: attrs, parent: cur}
 			cur.children = append(cur.children, el)
-			cur = el
+			cur, depth = el, depth+1
 		case xml.EndElement:
-			if cur.parent != nil {
-				cur = cur.parent
+			if over > 0 {
+				over--
+			} else if cur.parent != nil {
+				cur, depth = cur.parent, depth-1
 			}
 		case xml.CharData:
 			appendText(cur, string(t))

@@ -20,7 +20,9 @@
 package pool
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -105,6 +107,11 @@ func SharedInUse() int {
 // shared limit (SetSharedLimit) has slots free, so concurrent Run
 // calls across tenants degrade gracefully toward sequential instead
 // of oversubscribing the host.
+//
+// A panic in fn on a spawned worker would end the process whatever the
+// caller does, so it is carried to the calling goroutine and re-raised
+// there once the workers have returned (the first one, with its
+// worker's stack): a recover above Run covers the whole pool.
 func Run(n, workers int, fn func(int)) {
 	workers = Workers(workers)
 	if workers > n {
@@ -131,6 +138,7 @@ func Run(n, workers int, fn func(int)) {
 	}
 	lim := shared.Load()
 	var wg sync.WaitGroup
+	var workerPanic atomic.Pointer[string]
 	for w := 1; w < workers; w++ {
 		if lim != nil {
 			if !lim.tryAcquire() {
@@ -143,9 +151,19 @@ func Run(n, workers int, fn func(int)) {
 			if lim != nil {
 				defer lim.release()
 			}
+			defer func() {
+				if r := recover(); r != nil {
+					next.Store(int64(n)) // the other workers stop at their next index
+					msg := fmt.Sprintf("%v\n\npool worker stack:\n%s", r, debug.Stack())
+					workerPanic.CompareAndSwap(nil, &msg)
+				}
+			}()
 			work()
 		}()
 	}
 	work() // worker 0: the caller, unconditionally
 	wg.Wait()
+	if msg := workerPanic.Load(); msg != nil {
+		panic(*msg)
+	}
 }

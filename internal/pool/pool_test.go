@@ -2,6 +2,8 @@ package pool
 
 import (
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,4 +118,26 @@ func TestSharedLimitNeverStarves(t *testing.T) {
 	if got := total.Load(); got != 16 {
 		t.Fatalf("nested runs executed %d tasks, want 16", got)
 	}
+}
+
+// TestRunReraisesWorkerPanic: a panic on a spawned worker reaches the
+// goroutine that called Run — where a caller's recover can see it —
+// instead of ending the process, and carries the worker's stack.
+func TestRunReraisesWorkerPanic(t *testing.T) {
+	var inFlight sync.WaitGroup
+	inFlight.Add(2)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "boom") || !strings.Contains(msg, "pool worker stack") {
+			t.Fatalf("Run panicked with %q, want the worker's panic and stack", msg)
+		}
+	}()
+	Run(2, 2, func(int) {
+		inFlight.Done()
+		inFlight.Wait() // both indices are running, so one is on the spawned worker
+		if !strings.Contains(string(debug.Stack()), "tRunner") {
+			panic("boom")
+		}
+	})
+	t.Fatal("Run returned normally")
 }

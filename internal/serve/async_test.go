@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/synth"
 )
@@ -263,18 +265,33 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	t.Logf("validated %d observations across generations %v (%d ahead of their training epoch)", len(seen), gensSeen, lagged)
 }
 
-// TestServeTrainFailureKeepsDelta is the train-degraded surface test:
-// a failed background retrain must mark the tenant degraded without
-// touching the write path — delta epochs keep publishing and serving
-// under the stuck generation — and the next successful retrain clears
-// the degradation and advances the generation.
+// TestServeTrainFailureKeepsDelta is the train-degraded surface test. The
+// fault is a real one: explicit Options.Marginals sized for the first
+// batch, so a retrain over a larger corpus indexes past them and panics
+// on the trainer's goroutine. That must end neither the process nor the
+// write path: the retrain is answered 500 and counted in
+// fonduer_panics_total{where="trainer"}, the tenant reports the stuck
+// generation, delta epochs keep publishing under it — without clearing
+// the record — and the next retrain is a retry, not a refusal. (That a
+// good retrain clears the record is TestContainRecords'.)
 func TestServeTrainFailureKeepsDelta(t *testing.T) {
-	corpus := synth.Electronics(77, 6)
+	corpus := synth.Electronics(77, 8)
 	task := corpus.Tasks[0]
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2}
 
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Async: true})
+	sized := core.NewStore(task, opts)
+	if err := sized.AddDocuments(reparse(t, corpus)[:3]...); err != nil {
+		t.Fatal(err)
+	}
+	opts.Marginals = make([]float64, sized.NumCandidates())
+	sized.Close()
+	for i := range opts.Marginals {
+		opts.Marginals[i] = 0.9
+	}
+
+	metrics := obs.NewMetrics()
+	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Async: true, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,67 +299,50 @@ func TestServeTrainFailureKeepsDelta(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	batch := func(lo, hi int) map[string]any {
-		var docs []serve.DocumentUpload
-		for i := lo; i < hi; i++ {
-			docs = append(docs, uploadFor(corpus, i))
-		}
-		return map[string]any{"documents": docs}
+	// The trainer works while the marginals cover the corpus.
+	postJSON(t, ts.URL+"/ingest", uploads(corpus, 0, 3), http.StatusOK)
+	if trained := postJSON(t, ts.URL+"/admin/train", nil, http.StatusOK); trained["generation"].(float64) != 1 {
+		t.Fatalf("first retrain reply = %v", trained)
 	}
 
-	postJSON(t, ts.URL+"/ingest", batch(0, 3), http.StatusOK)
+	// ---- The corpus outgrows them: the next retrain panics.
+	postJSON(t, ts.URL+"/ingest", uploads(corpus, 3, 6), http.StatusOK)
+	fail := postJSON(t, ts.URL+"/admin/train", nil, http.StatusInternalServerError)
+	if msg, _ := fail["error"].(string); !strings.Contains(msg, "panic on the trainer") {
+		t.Fatalf("failed retrain reply = %v", fail)
+	}
+	stuck := func() {
+		t.Helper()
+		h := getJSON(t, ts.URL+"/healthz", http.StatusOK)
+		deg, _ := h["degraded"].(map[string]any)
+		if h["ok"] != false || deg["where"] != "trainer" || !strings.Contains(deg["error"].(string), "index out of range") {
+			t.Fatalf("train-degraded healthz = %v", h)
+		}
+	}
+	stuck()
 
-	// ---- Inject a retrain failure.
-	srv.FailNextTrainForTest("injected retrain failure")
-	resp, err := http.Post(ts.URL+"/admin/train", "application/json", nil)
-	if err != nil {
+	// The write path is unaffected: a delta epoch publishes and serves
+	// the new documents under the stuck generation — and does not clear
+	// the record (a later delta must never mask a broken trainer).
+	postJSON(t, ts.URL+"/ingest", uploads(corpus, 6, 8), http.StatusOK)
+	kb := getJSON(t, ts.URL+"/kb", http.StatusOK)
+	if epochOf(t, kb) != 3 || kb["generation"].(float64) != 1 {
+		t.Fatalf("post-failure delta serves (epoch %v, generation %v), want (3, 1)", kb["epoch"], kb["generation"])
+	}
+	stuck()
+
+	// A stuck generation is retried, not refused.
+	postJSON(t, ts.URL+"/admin/train", nil, http.StatusInternalServerError)
+	var buf bytes.Buffer
+	if err := metrics.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("failed retrain status = %d, want 500", resp.StatusCode)
-	}
-
-	// Degraded, and visibly so — but the served epoch is untouched.
-	h := getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if h["ok"] != false {
-		t.Fatalf("train-degraded healthz ok = %v", h["ok"])
-	}
-	deg, ok := h["degraded"].(map[string]any)
-	if !ok || !strings.Contains(deg["error"].(string), "injected retrain failure") {
-		t.Fatalf("degraded record = %v", h["degraded"])
-	}
-
-	// The write path is unaffected: a delta epoch publishes, serves the
-	// new documents under the old generation — and does NOT clear the
-	// train degradation (a later delta must never mask a broken
-	// trainer).
-	postJSON(t, ts.URL+"/ingest", batch(3, 6), http.StatusOK)
-	kb := getJSON(t, ts.URL+"/kb", http.StatusOK)
-	if epochOf(t, kb) != 2 || kb["generation"].(float64) != 0 {
-		t.Fatalf("post-failure delta serves (epoch %v, generation %v), want (2, 0)", kb["epoch"], kb["generation"])
-	}
-	h = getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if h["ok"] != false {
-		t.Fatal("delta publish cleared the train degradation")
-	}
-
-	// ---- Recovery: the next retrain succeeds, bumps the generation
-	// and clears the degraded record.
-	trained := postJSON(t, ts.URL+"/admin/train", nil, http.StatusOK)
-	if trained["generation"].(float64) != 1 || trained["modelTrainedAtEpoch"].(float64) != 2 {
-		t.Fatalf("recovery retrain reply = %v", trained)
-	}
-	h = getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if h["ok"] != true {
-		t.Fatalf("recovered healthz = %v", h)
+	if want := `fonduer_panics_total{tenant="default",where="trainer"} 2`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics lack %s", want)
 	}
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)
-	if meta["generation"].(float64) != 1 || meta["trainLagEpochs"].(float64) != 0 {
-		t.Fatalf("recovered /meta publication state = generation %v, lag %v", meta["generation"], meta["trainLagEpochs"])
-	}
-	if meta["asyncPublish"] != true {
-		t.Fatalf("/meta asyncPublish = %v", meta["asyncPublish"])
+	if meta["generation"].(float64) != 1 || meta["trainLagEpochs"].(float64) != 2 || meta["asyncPublish"] != true {
+		t.Fatalf("/meta publication state = generation %v, lag %v, async %v", meta["generation"], meta["trainLagEpochs"], meta["asyncPublish"])
 	}
 }
 

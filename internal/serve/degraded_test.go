@@ -1,30 +1,118 @@
 package serve_test
 
 import (
+	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/core"
+	"repro/internal/datamodel"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
-// TestPartialIngestMarksDegraded covers the partial-ingest failure
-// mode: AddDocuments succeeds but the view build fails, so the store
-// holds applied-but-unpublished mutations. That state must be
-// explicit — ingest returns an error, /healthz flips unhealthy,
-// /meta carries the degraded record (pending docs, store vs served
-// epoch) — and the next successful publish must clear it, folding the
-// stranded documents into the published view so the final KB is
-// bit-identical to a server that never failed (confluence).
-func TestPartialIngestMarksDegraded(t *testing.T) {
-	corpus := synth.Electronics(77, 9)
-	task := corpus.Tasks[0]
-	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2}
+// The faults of this file are real ones, injected through the real
+// path. The post-commit I/O failure: a disk tenant's spill directory
+// (under a TMPDIR of its own) is removed once its large relations hold
+// their segment descriptors, so the next relation to seal its first page
+// cannot create its segment. With synth.Electronics(78, ·) two documents
+// leave sentences, candidates and labels below one page (128 rows) and
+// the next two carry sentences across it.
+var lostPage = regexp.MustCompile(`kbase: flushing page \d+ for (\w+)`)
 
-	srv, err := serve.New(serve.Config{Task: task, Options: opts})
+// loseSpill removes the one spill directory under tmp.
+func loseSpill(t *testing.T, tmp string) {
+	t.Helper()
+	spills, _ := filepath.Glob(filepath.Join(tmp, "kbase-spill-*"))
+	if len(spills) != 1 {
+		t.Fatalf("spill directories under %s: %v", tmp, spills)
+	}
+	if err := os.RemoveAll(spills[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirBytes reads every file of a snapshot directory.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(body)
+	}
+	return out
+}
+
+func uploads(c *synth.Corpus, lo, hi int) map[string]any {
+	var docs []serve.DocumentUpload
+	for i := lo; i < hi; i++ {
+		docs = append(docs, uploadFor(c, i))
+	}
+	return map[string]any{"documents": docs}
+}
+
+func kbOf(t *testing.T, url string) (uint64, string) {
+	t.Helper()
+	kb := getJSON(t, url+"/kb", http.StatusOK)
+	canon, err := canonicalKB(kb["columns"], kb["tuples"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return epochOf(t, kb), canon
+}
+
+// wantWriterFailed checks a tenant's /healthz for the writer's failure
+// record and returns the relation it names.
+func wantWriterFailed(t *testing.T, h map[string]any, servedEpoch float64) string {
+	t.Helper()
+	deg, ok := h["degraded"].(map[string]any)
+	if h["ok"] != false || !ok {
+		t.Fatalf("failed tenant's healthz = %v", h)
+	}
+	m := lostPage.FindStringSubmatch(deg["error"].(string))
+	if deg["where"] != "writer" || m == nil {
+		t.Fatalf("degraded record = %v, want the writer's, naming the relation that lost its page", deg)
+	}
+	if deg["storeEpoch"] != servedEpoch || deg["servedEpoch"] != servedEpoch {
+		t.Fatalf("degraded record epochs = %v, want both %v: the session never took the batch", deg, servedEpoch)
+	}
+	return m[1]
+}
+
+// TestPartialIngestMarksDegraded: an ingest that fails past the store's
+// commit point closes the tenant. The request is answered 503, /healthz
+// and /meta carry the record, naming the relation; readers keep the last
+// epoch, byte for byte; later writes, retrains and snapshots are refused
+// with 503 and the last good snapshot directory is untouched; and
+// reloading from that snapshot is the way back — the reloaded session,
+// fed the remaining documents, serves the KB of a server that never
+// failed.
+func TestPartialIngestMarksDegraded(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	corpus := synth.Electronics(78, 6)
+	task := corpus.Tasks[0]
+	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2, Backend: "disk"}
+	snap := filepath.Join(t.TempDir(), "snap")
+
+	srv, err := serve.New(serve.Config{Task: task, Options: opts, SnapshotDir: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,160 +120,308 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	batch := func(lo, hi int) map[string]any {
-		var docs []serve.DocumentUpload
-		for i := lo; i < hi; i++ {
-			docs = append(docs, uploadFor(corpus, i))
-		}
-		return map[string]any{"documents": docs}
+	// Healthy epoch 1, snapshotted.
+	postJSON(t, ts.URL+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
+	postJSON(t, ts.URL+"/admin/snapshot", nil, http.StatusOK)
+	good := dirBytes(t, snap)
+	epochBefore, kbBefore := kbOf(t, ts.URL)
+	if epochBefore != 1 {
+		t.Fatalf("kb epoch = %d", epochBefore)
 	}
 
-	// Healthy epoch 1.
-	postJSON(t, ts.URL+"/ingest", batch(0, 3), http.StatusOK)
-	kbBefore := getJSON(t, ts.URL+"/kb", http.StatusOK)
-	if epochOf(t, kbBefore) != 1 {
-		t.Fatalf("kb epoch = %v", kbBefore["epoch"])
-	}
-
-	// ---- Inject a publish failure into the next ingest.
-	srv.FailNextPublishForTest("injected view-build failure")
-	fail := postJSON(t, ts.URL+"/ingest", batch(3, 6), http.StatusInternalServerError)
-	if msg, _ := fail["error"].(string); !strings.Contains(msg, "injected view-build failure") {
+	// ---- The fault.
+	loseSpill(t, tmp)
+	fail := postJSON(t, ts.URL+"/ingest", uploads(corpus, 2, 4), http.StatusServiceUnavailable)
+	if msg, _ := fail["error"].(string); !lostPage.MatchString(msg) {
 		t.Fatalf("ingest error = %v", fail)
 	}
-
-	// The session is degraded and says so everywhere. Readers still get
-	// the last published epoch — epoch 1, untouched by the failure.
-	h := getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if h["ok"] != false {
-		t.Fatalf("degraded healthz ok = %v", h["ok"])
-	}
-	deg, ok := h["degraded"].(map[string]any)
-	if !ok {
-		t.Fatalf("degraded healthz lacks record: %v", h)
-	}
-	pending := deg["pendingDocs"].([]any)
-	if len(pending) != 3 {
-		t.Fatalf("pendingDocs = %v, want the 3 stranded documents", pending)
-	}
-	if deg["storeEpoch"].(float64) <= deg["servedEpoch"].(float64) {
-		t.Fatalf("degraded record epochs = %v", deg)
-	}
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)
+	table := wantWriterFailed(t, getJSON(t, ts.URL+"/healthz", http.StatusOK), 1)
+	if _, ok := meta["tables"].(map[string]any)[table]; !ok {
+		t.Fatalf("degraded record names %q, not one of the relations %v", table, meta["tables"])
+	}
 	if _, ok := meta["degraded"]; !ok {
-		t.Fatalf("degraded /meta lacks record: %v", meta)
+		t.Fatalf("failed tenant's /meta lacks the record: %v", meta)
 	}
-	kbDuring := getJSON(t, ts.URL+"/kb", http.StatusOK)
-	if epochOf(t, kbDuring) != 1 {
-		t.Fatalf("degraded server moved the served epoch to %v", kbDuring["epoch"])
+
+	// Fail closed, keep serving.
+	postJSON(t, ts.URL+"/ingest", uploads(corpus, 4, 6), http.StatusServiceUnavailable)
+	postJSON(t, ts.URL+"/admin/snapshot", nil, http.StatusServiceUnavailable)
+	postJSON(t, ts.URL+"/admin/train", nil, http.StatusServiceUnavailable)
+	if e, kb := kbOf(t, ts.URL); e != 1 || kb != kbBefore {
+		t.Fatalf("failed tenant serves epoch %d; its last epoch's KB changed: %v", e, kb != kbBefore)
 	}
-	c1, err := canonicalKB(kbBefore["columns"], kbBefore["tuples"])
+	if !reflect.DeepEqual(dirBytes(t, snap), good) {
+		t.Fatal("failed tenant's last good snapshot directory changed")
+	}
+
+	// ---- The way back: reload from the snapshot.
+	st, err := core.OpenStore(snap, task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := canonicalKB(kbDuring["columns"], kbDuring["tuples"])
+	reloaded, err := serve.New(serve.Config{Task: task, Options: opts, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c2 {
-		t.Fatal("partial ingest changed the served KB")
-	}
-
-	// ---- Recovery: the next successful ingest publishes a view over
-	// everything the store holds — including the stranded batch — and
-	// clears the degraded record.
-	rec := postJSON(t, ts.URL+"/ingest", batch(6, 9), http.StatusOK)
-	if rec["docs"].(float64) != 9 {
-		t.Fatalf("recovery ingest docs = %v, want 9 (stranded batch folded in)", rec["docs"])
-	}
-	h = getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if h["ok"] != true {
-		t.Fatalf("recovered healthz = %v", h)
-	}
-	if _, ok := h["degraded"]; ok {
-		t.Fatalf("degraded record not cleared: %v", h)
-	}
-
-	// Confluence: a server that never failed, fed the same 9 documents,
-	// serves the bit-identical KB.
+	defer reloaded.Close()
 	ref, err := serve.New(serve.Config{Task: task, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	refTS := httptest.NewServer(ref.Handler())
+	reloadedTS, refTS := httptest.NewServer(reloaded.Handler()), httptest.NewServer(ref.Handler())
+	defer reloadedTS.Close()
 	defer refTS.Close()
-	postJSON(t, refTS.URL+"/ingest", batch(0, 3), http.StatusOK)
-	postJSON(t, refTS.URL+"/ingest", batch(3, 6), http.StatusOK)
-	postJSON(t, refTS.URL+"/ingest", batch(6, 9), http.StatusOK)
-	got := getJSON(t, ts.URL+"/kb", http.StatusOK)
-	want := getJSON(t, refTS.URL+"/kb", http.StatusOK)
-	gc, err := canonicalKB(got["columns"], got["tuples"])
-	if err != nil {
-		t.Fatal(err)
+	postJSON(t, refTS.URL+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
+	for _, url := range []string{reloadedTS.URL, refTS.URL} {
+		postJSON(t, url+"/ingest", uploads(corpus, 2, 4), http.StatusOK)
+		postJSON(t, url+"/ingest", uploads(corpus, 4, 6), http.StatusOK)
 	}
-	wc, err := canonicalKB(want["columns"], want["tuples"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc != wc {
-		t.Fatalf("recovered KB differs from never-failed server\n got: %s\nwant: %s", gc, wc)
-	}
-	if epochOf(t, got) != epochOf(t, want) {
-		t.Fatalf("recovered epoch %v != reference %v", got["epoch"], want["epoch"])
+	_, got := kbOf(t, reloadedTS.URL)
+	if _, want := kbOf(t, refTS.URL); got != want {
+		t.Fatalf("reloaded KB differs from never-failed server\n got: %s\nwant: %s", got, want)
 	}
 }
 
-// TestRegistryAggregatesDegradedTenant pins the fleet view of the
-// same failure: one degraded tenant flips the registry-wide /healthz
-// conjunction and shows up in the tenant roll-up, without touching
-// its neighbors' health.
+// TestRegistryAggregatesDegradedTenant is the fleet view of the same
+// fault, three tenants in one registry: A (disk) loses its spill
+// directory. A reports degraded naming the relation, refuses /ingest and
+// /admin/snapshot with its snapshot directory byte-identical, and keeps
+// serving its last epoch; the fleet /healthz conjunction and the tenant
+// listing show it; B (disk, a spill directory of its own) and C (memory)
+// never notice — every epoch they publish afterwards is bit-identical
+// to a standalone server's. Deleting and re-creating A reloads it from
+// its snapshot.
 func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 1}
-	rg := newTestRegistry(t, "", opts)
-	for _, tc := range []serve.TenantConfig{
-		{Name: "sick", Domain: "electronics"},
-		{Name: "well", Domain: "ads"},
-	} {
-		if _, err := rg.Create(tc); err != nil {
+	root := t.TempDir()
+	rg := newTestRegistry(t, root, opts)
+	type tenant struct {
+		name, domain, backend string
+		corpus                *synth.Corpus
+	}
+	tenants := []tenant{
+		{"a", "electronics", "disk", synth.Electronics(78, 4)},
+		{"b", "ads", "disk", synth.Ads(44, 4)},
+		{"c", "genomics", "memory", synth.Genomics(45, 4)},
+	}
+	tmpA := ""
+	for _, tn := range tenants {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp) // each disk tenant spills under its own
+		if tn.name == "a" {
+			tmpA = tmp
+		}
+		if _, err := rg.Create(serve.TenantConfig{Name: tn.name, Domain: tn.domain, Backend: tn.backend}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ts := httptest.NewServer(rg.Handler())
 	defer ts.Close()
 
-	corpus := synth.Electronics(78, 2)
-	var docs []serve.DocumentUpload
-	for i := 0; i < 2; i++ {
-		docs = append(docs, uploadFor(corpus, i))
+	// Epoch 1 everywhere; A snapshots it.
+	for _, tn := range tenants {
+		postJSON(t, ts.URL+"/t/"+tn.name+"/ingest", uploads(tn.corpus, 0, 2), http.StatusOK)
 	}
-	rg.Get("sick").FailNextPublishForTest("injected tenant failure")
-	postJSON(t, ts.URL+"/t/sick/ingest", map[string]any{"documents": docs}, http.StatusInternalServerError)
+	snapA := postJSON(t, ts.URL+"/t/a/admin/snapshot", nil, http.StatusOK)["dir"].(string)
+	good := dirBytes(t, snapA)
+	_, kbA := kbOf(t, ts.URL+"/t/a")
 
+	loseSpill(t, tmpA)
+	postJSON(t, ts.URL+"/t/a/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusServiceUnavailable)
+	postJSON(t, ts.URL+"/t/a/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusServiceUnavailable)
+	postJSON(t, ts.URL+"/t/a/admin/snapshot", nil, http.StatusServiceUnavailable)
+	if e, kb := kbOf(t, ts.URL+"/t/a"); e != 1 || kb != kbA {
+		t.Fatalf("failed tenant serves epoch %d; KB changed: %v", e, kb != kbA)
+	}
+	if !reflect.DeepEqual(dirBytes(t, snapA), good) {
+		t.Fatal("failed tenant's snapshot directory changed")
+	}
+
+	// The neighbours go on, bit-identical to standalone servers.
+	resolver := testResolver(t)
+	for _, tn := range tenants[1:] {
+		postJSON(t, ts.URL+"/t/"+tn.name+"/ingest", uploads(tn.corpus, 2, 4), http.StatusOK)
+		task, _, err := resolver(tn.domain, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tnOpts := opts
+		tnOpts.Backend = tn.backend
+		ref, err := serve.New(serve.Config{Task: task, Options: tnOpts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refTS := httptest.NewServer(ref.Handler())
+		postJSON(t, refTS.URL+"/ingest", uploads(tn.corpus, 0, 2), http.StatusOK)
+		postJSON(t, refTS.URL+"/ingest", uploads(tn.corpus, 2, 4), http.StatusOK)
+		gotE, got := kbOf(t, ts.URL+"/t/"+tn.name)
+		wantE, want := kbOf(t, refTS.URL)
+		refTS.Close()
+		ref.Close()
+		if gotE != wantE || got != want {
+			t.Fatalf("tenant %s epoch %d differs from standalone epoch %d\n got: %s\nwant: %s", tn.name, gotE, wantE, got, want)
+		}
+	}
+
+	// The fleet says which tenant, and only that one.
 	h := getJSON(t, ts.URL+"/healthz", http.StatusOK)
 	if h["ok"] != false {
-		t.Fatalf("fleet healthz ok = %v with a degraded tenant", h["ok"])
+		t.Fatalf("fleet healthz ok = %v with a failed tenant", h["ok"])
 	}
 	for _, row := range h["tenants"].([]any) {
 		p := row.(map[string]any)
-		switch p["name"] {
-		case "sick":
-			if p["ok"] != false {
-				t.Fatalf("sick tenant reported healthy: %v", p)
-			}
-		case "well":
-			if p["ok"] != true {
-				t.Fatalf("well tenant caught its neighbor's degradation: %v", p)
-			}
+		if p["name"] == "a" {
+			wantWriterFailed(t, p, 1)
+		} else if p["ok"] != true {
+			t.Fatalf("tenant %v caught its neighbour's failure: %v", p["name"], p)
 		}
 	}
 	list := getJSON(t, ts.URL+"/admin/tenants", http.StatusOK)
 	for _, row := range list["tenants"].([]any) {
 		p := row.(map[string]any)
-		if p["name"] == "sick" {
-			if _, ok := p["degraded"]; !ok {
-				t.Fatalf("tenant listing lacks degraded record: %v", p)
-			}
+		if _, failed := p["degraded"]; failed != (p["name"] == "a") {
+			t.Fatalf("tenant listing row %v", p)
+		}
+	}
+
+	// The way back: delete and re-create A. It resumes its snapshot —
+	// the KB it was serving — healthy, and takes the batch it refused.
+	if err := rg.SetDefault("c"); err != nil {
+		t.Fatal(err)
+	}
+	deleteReq(t, ts.URL+"/admin/tenants/a", http.StatusOK)
+	created := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "a", "domain": "electronics", "backend": "disk"}, http.StatusCreated)
+	if _, kb := kbOf(t, ts.URL+"/t/a"); created["resumed"] != true || kb != kbA {
+		t.Fatalf("re-created tenant %v does not serve its snapshot's KB", created)
+	}
+	postJSON(t, ts.URL+"/t/a/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusOK)
+	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["ok"] != true {
+		t.Fatalf("fleet healthz after the reload = %v", h)
+	}
+}
+
+// TestReservedByteUploadRefused is the regression test for the upload
+// that used to poison a tenant: HTML carrying the store's reserved
+// separator byte was answered 409 after its document had been merged,
+// the next publish served it and every later snapshot was unresumable.
+// Now the parser refuses it with 400 before the writer is involved, the
+// store's own guard refuses a programmatically built one the same way,
+// neither leaves a trace — the tenant stays healthy and at its epoch —
+// and ingest + /admin/snapshot + OpenStore give a KB bit-identical to a
+// server that never saw either.
+func TestReservedByteUploadRefused(t *testing.T) {
+	corpus := synth.Electronics(78, 4)
+	task := corpus.Tasks[0]
+	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2}
+	serverOver := func(st *core.Store) (*serve.Server, string) {
+		srv, err := serve.New(serve.Config{Task: task, Options: opts, Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		return srv, ts.URL
+	}
+	srv, url := serverOver(nil)
+	_, refURL := serverOver(nil)
+	for _, u := range []string{url, refURL} {
+		postJSON(t, u+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
+	}
+
+	// Over HTTP: a batch of one good document and one carrying 0x1F.
+	bad := uploads(corpus, 2, 4)
+	evil := &bad["documents"].([]serve.DocumentUpload)[1]
+	evil.Source = strings.Replace(evil.Source, "<td>", "<td>\x1f", 1)
+	resp := postJSON(t, url+"/ingest", bad, http.StatusBadRequest)
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, evil.Name) {
+		t.Fatalf("refusal does not name the document: %v", resp)
+	}
+	// Past the parser: a built document through the writer.
+	b := datamodel.NewBuilder("built", "html")
+	b.AddSentence(b.AddParagraph(b.AddText()), []string{"bad\x1eword"})
+	docs := append(reparse(t, corpus)[2:3], b.Finish())
+	if _, err := srv.Ingest(docs); !errors.Is(err, core.ErrInvalidDocument) {
+		t.Fatalf("Ingest = %v, want ErrInvalidDocument", err)
+	}
+	if h := getJSON(t, url+"/healthz", http.StatusOK); h["ok"] != true || h["epoch"].(float64) != 1 || h["docs"].(float64) != 2 {
+		t.Fatalf("refused uploads left a mark: %v", h)
+	}
+
+	// Both servers take the good documents; the snapshots and the KBs
+	// they resume to are the same bytes.
+	snap, refSnap := filepath.Join(t.TempDir(), "s"), filepath.Join(t.TempDir(), "s")
+	for u, dir := range map[string]string{url: snap, refURL: refSnap} {
+		postJSON(t, u+"/ingest", uploads(corpus, 2, 4), http.StatusOK)
+		postJSON(t, u+"/admin/snapshot", map[string]any{"dir": dir}, http.StatusOK)
+	}
+	if !reflect.DeepEqual(dirBytes(t, snap), dirBytes(t, refSnap)) {
+		t.Fatal("snapshot differs from a server that never saw the refused uploads")
+	}
+	var kbs []string
+	for _, dir := range []string{snap, refSnap} {
+		st, err := core.OpenStore(dir, task, opts)
+		if err != nil {
+			t.Fatalf("snapshot does not resume: %v", err)
+		}
+		_, resumedURL := serverOver(st)
+		_, kb := kbOf(t, resumedURL)
+		kbs = append(kbs, kb)
+	}
+	if _, live := kbOf(t, url); kbs[0] != kbs[1] || kbs[0] != live || !strings.Contains(live, "[[") {
+		t.Fatalf("resumed KBs differ (or are empty):\n%s\n%s\n%s", kbs[0], kbs[1], live)
+	}
+}
+
+// TestWriterPanicClosesTenant: a panic in task code — here a throttler,
+// which the writer runs on pool workers and /classify on the handler's
+// goroutine — ends neither the process nor the server. The writer turn
+// is answered 503, counted in fonduer_panics_total{where="writer"}, and
+// the tenant is failed with the panic on record; the handler panic is
+// counted under where="http" and answered 500.
+func TestWriterPanicClosesTenant(t *testing.T) {
+	corpus := synth.Electronics(78, 2)
+	task := corpus.Tasks[0]
+	var armed atomic.Bool
+	task.Throttlers = append(task.Throttlers[:len(task.Throttlers):len(task.Throttlers)], func(*candidates.Candidate) bool {
+		if armed.Load() {
+			panic("throttler blew up")
+		}
+		return true
+	})
+	metrics := obs.NewMetrics()
+	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 5, Epochs: 1, Workers: 2}, Metrics: metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	postJSON(t, ts.URL+"/ingest", uploads(corpus, 0, 1), http.StatusOK)
+	armed.Store(true)
+	resp := postJSON(t, ts.URL+"/ingest", uploads(corpus, 1, 2), http.StatusServiceUnavailable)
+	if msg, _ := resp["error"].(string); !strings.Contains(msg, "throttler blew up") {
+		t.Fatalf("ingest error = %v", resp)
+	}
+	h := getJSON(t, ts.URL+"/healthz", http.StatusOK)
+	if deg, _ := h["degraded"].(map[string]any); h["ok"] != false || deg["where"] != "writer" || h["epoch"].(float64) != 1 {
+		t.Fatalf("healthz after a writer panic = %v", h)
+	}
+	postJSON(t, ts.URL+"/classify", uploadFor(corpus, 1), http.StatusInternalServerError)
+
+	var buf bytes.Buffer
+	if err := metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`fonduer_panics_total{tenant="default",where="writer"} 1`,
+		`fonduer_panics_total{tenant="default",where="http"} 1`,
+		`fonduer_http_requests_total{tenant="default",route="/classify",status="500"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics lack %s", want)
 		}
 	}
 }

@@ -10,15 +10,16 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datamodel"
 	"repro/internal/kbase"
 	"repro/internal/obs"
 	"repro/internal/parser"
 )
 
-// The HTTP API. Every response body carries the epoch it was served
-// from; handlers load the published view exactly once, so a response
-// can never mix state from two epochs.
+// Handler returns the HTTP API. Every response body carries the epoch
+// it was served from; handlers load the published view exactly once, so
+// a response can never mix state from two epochs.
 //
 //	GET  /healthz         liveness + epoch summary
 //	GET  /kb              KB tuples: relation/column filters, pagination
@@ -31,7 +32,7 @@ import (
 //	POST /classify        ad-hoc classification, no store mutation
 //	POST /admin/snapshot  persist the session to disk
 //	GET  /admin/traces    recent publication traces (span trees)
-func (s *Server) routes() http.Handler {
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// reg registers one route, wrapping it with the request counter
 	// and latency histogram when the session is instrumented. The
@@ -59,7 +60,32 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// ---- JSON plumbing.
+// ---- Errors and JSON plumbing.
+
+// statusFor is the one error → HTTP status table, for every handler of
+// the server and the registry (README, "Errors over HTTP"): the request
+// is wrong 400, unknown tenant 404, a taken name 409, a target that
+// cannot take it now — failed tenant, closed server or registry — 503,
+// anything else (a snapshot directory that cannot be written, a retrain
+// that failed) 500.
+func statusFor(err error) int {
+	switch {
+	case errors.Is(err, core.ErrInvalidDocument), errors.Is(err, errBadRequest):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrUnknownTenant):
+		return http.StatusNotFound
+	case errors.Is(err, core.ErrDocumentExists), errors.Is(err, ErrTenantExists):
+		return http.StatusConflict
+	case errors.Is(err, errFailed), errors.Is(err, errClosed), errors.Is(err, errRegistryClosed):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// writeErr answers err with its status from the table.
+func writeErr(w http.ResponseWriter, err error) {
+	writeError(w, statusFor(err), "%v", err)
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -154,12 +180,17 @@ func parseUpload(u DocumentUpload) (*datamodel.Document, error) {
 
 // ---- Read endpoints.
 
+// buildPayload is the process's build identity, as /healthz carries it.
+func buildPayload() map[string]string {
+	b := obs.BuildInfo()
+	return map[string]string{"version": b.Version, "revision": b.Revision, "go": b.GoVersion}
+}
+
 // healthzPayload is the per-session liveness summary; the registry
 // reuses it for its per-tenant aggregation. ok is false while the
 // session is degraded (applied-but-unpublished mutations).
 func (s *Server) healthzPayload() map[string]any {
 	v := s.CurrentView()
-	b := obs.BuildInfo()
 	p := map[string]any{
 		"ok":            true,
 		"epoch":         v.Epoch(),
@@ -168,11 +199,7 @@ func (s *Server) healthzPayload() map[string]any {
 		"docs":          v.NumDocs(),
 		"candidates":    len(v.Candidates()),
 		"uptimeSeconds": time.Since(s.start).Seconds(),
-		"build": map[string]string{
-			"version":  b.Version,
-			"revision": b.Revision,
-			"go":       b.GoVersion,
-		},
+		"build":         buildPayload(),
 	}
 	if d := s.Degraded(); d != nil {
 		p["ok"] = false
@@ -225,16 +252,17 @@ func (s *Server) handleKB(w http.ResponseWriter, r *http.Request) {
 		filters = append(filters, kbase.Pred{Col: idx, Want: vals[0]})
 	}
 	// The predicates (none for a plain page read) and the window are
-	// pushed into the storage layer: the table's planner answers through
-	// a lazy hash index or a (zone-map pruned) scan, cloning only the
-	// served window and returning the exact match total.
+	// pushed into the table: its planner answers through a lazy hash
+	// index or a scan, cloning only the served window and returning the
+	// exact match total. A served KB is always the memory kind — a
+	// slice, no pages — so there is no zone map to prune with here.
 	t0 := time.Now()
 	page, total, plan := v.KB().PageWhereInfo(filters, offset, limit)
 	if thr := obs.SlowQueryThreshold(); thr > 0 && len(filters) > 0 {
 		if dur := time.Since(t0); dur >= thr {
 			// One structured line per slow filtered read: the plan the
-			// table chose, the predicates, the zone-map pruning it got,
-			// and the wall time that crossed -slow-query-ms.
+			// table chose, the predicates and the wall time that crossed
+			// -slow-query-ms (pagesSkipped is PlanInfo's field; 0 here).
 			preds := make([]string, len(filters))
 			for i, f := range filters {
 				preds[i] = schema.Columns[f.Col].Name + "=" + fmt.Sprint(f.Want)
@@ -407,13 +435,13 @@ func (s *Server) metaPayload() map[string]any {
 	}
 	res := v.Result()
 	// The storage section is the operator's view of the pluggable
-	// engine: which backend materializes the relations, whether the
-	// disk backend's page cache is absorbing the read traffic, and how
-	// the query planner is answering filtered /kb reads. The store-side
-	// counters were sampled when the view published; the served KB
-	// table's own counters are read live, so pagesSkipped/indexHits/
-	// fullScans reflect the filtered traffic this epoch has already
-	// served.
+	// engine: which backend materializes the session's relations, how
+	// its page cache did, and how the query planner is answering
+	// filtered /kb reads. The store-side counters (pages, cache,
+	// pagesSkipped: what a resume's document scans pruned) were sampled
+	// when the view published; the served KB table is the memory kind,
+	// and its live indexHits/fullScans are the filtered traffic this
+	// epoch has already served.
 	st := v.StorageStats()
 	// The served KB table's live counters fold into the store-side
 	// sample through BackendStats.Add, so the arithmetic lives with
@@ -507,19 +535,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	view, err := s.Ingest(docs)
 	if err != nil {
-		// Rejected batches (duplicate documents, parse-stage
-		// conflicts) are the client's problem; a partial ingest —
-		// documents applied but the epoch publication failed — is a
-		// server fault and flips the session to degraded.
-		status := http.StatusConflict
-		var partial *PartialIngestError
-		if errors.As(err, &partial) {
-			status = http.StatusInternalServerError
-		}
-		if err == errClosed {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -540,11 +556,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	view, err := s.Train()
 	if err != nil {
-		if err == errClosed {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -568,7 +580,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	v := s.CurrentView()
 	res, err := v.ClassifyDocument(doc)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	cands := make([]map[string]any, len(res.Candidates))
@@ -607,21 +619,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	dir, epoch, err := s.Snapshot(req.Dir)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if err == errClosed {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "%v", err)
+		writeErr(w, err)
 		return
 	}
-	p := map[string]any{
-		"epoch": epoch,
-		"dir":   dir,
-	}
-	// A degraded session's snapshot contains applied-but-unpublished
-	// documents; say so instead of letting them ride along silently.
-	if d := s.Degraded(); d != nil {
-		p["degraded"] = d
-	}
-	writeJSON(w, http.StatusOK, p)
+	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "dir": dir})
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -52,6 +54,7 @@ type serverMetrics struct {
 	trainEpochs *obs.Family // counter  {tenant}
 	trainDur    *obs.Family // histogram{tenant}
 	publishes   *obs.Family // counter  {tenant,kind}: initial|ingest|failed
+	panics      *obs.Family // counter  {tenant,where}: writer|trainer|http
 }
 
 func newServerMetrics(m *obs.Metrics) *serverMetrics {
@@ -78,25 +81,39 @@ func newServerMetrics(m *obs.Metrics) *serverMetrics {
 		publishes: m.Counter("fonduer_publish_total",
 			"Epoch publications by kind: initial, ingest, delta, train, or failed.",
 			"tenant", "kind"),
+		panics: m.Counter("fonduer_panics_total",
+			"Panics recovered at the tenant boundary: on a writer turn, a trainer run or in an HTTP handler.",
+			"tenant", "where"),
 	}
 }
 
 // statusRecorder captures the handler's status code (200 when the
-// handler never calls WriteHeader explicitly).
+// handler never calls WriteHeader explicitly) and whether the response
+// has begun.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	begun  bool
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
+	sr.status, sr.begun = code, true
 	sr.ResponseWriter.WriteHeader(code)
+}
+
+func (sr *statusRecorder) Write(p []byte) (int, error) {
+	sr.begun = true
+	return sr.ResponseWriter.Write(p)
 }
 
 // instrument wraps one route's handler with the request counter and
 // latency histogram. Children for the fixed status set are resolved
 // here, at registration — the per-request cost is a small map lookup
 // plus two atomic updates, keeping the lock-free read path lock-free.
+// A handler panic, which net/http would isolate silently, is counted in
+// fonduer_panics_total{where="http"}, logged with its stack and
+// answered 500 (counted as such); once the response has begun the
+// connection is aborted instead.
 func (sm *serverMetrics) instrument(tenant, route string, h http.HandlerFunc) http.HandlerFunc {
 	type cell struct{ reqs, dur *obs.Child }
 	cells := make(map[int]cell, len(trackedStatuses))
@@ -114,14 +131,41 @@ func (sm *serverMetrics) instrument(tenant, route string, h http.HandlerFunc) ht
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		defer func() {
+			p := recover()
+			if p != nil && p != http.ErrAbortHandler {
+				sm.countPanic(tenant, "http", p)
+				if !sr.begun {
+					writeError(sr, http.StatusInternalServerError, "internal error in %s", route)
+					p = nil
+				}
+			}
+			c, ok := cells[sr.status]
+			if !ok {
+				c = other
+			}
+			c.reqs.Inc()
+			c.dur.Observe(time.Since(t0).Seconds())
+			if p != nil {
+				// Not a new failure: the handler's panic, re-raised as the
+				// sentinel net/http aborts a connection on without logging —
+				// mid-response there is nothing else left to answer with.
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		h(sr, r)
-		c, ok := cells[sr.status]
-		if !ok {
-			c = other
-		}
-		c.reqs.Inc()
-		c.dur.Observe(time.Since(t0).Seconds())
 	}
+}
+
+// countPanic records one panic recovered at a boundary (contain's, or
+// instrument's): fonduer_panics_total — sm is nil for an uninstrumented
+// session — and a log line carrying the stack.
+func (sm *serverMetrics) countPanic(tenant, where string, r any) {
+	if sm != nil {
+		sm.panics.With(tenant, where).Inc()
+	}
+	obs.Log().Error("panic recovered", "tenant", tenant, "where", where,
+		"panic", fmt.Sprint(r), "stack", string(debug.Stack()))
 }
 
 // registryMetrics are the fleet-level families: gauges mirroring
@@ -166,7 +210,7 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 		poolInUse: m.Gauge("fonduer_pool_shared_in_use",
 			"Extra worker goroutines currently holding a shared-limit slot."),
 		degraded: m.Gauge("fonduer_tenant_degraded",
-			"1 while the tenant has applied-but-unpublished mutations.",
+			"1 while the tenant carries a failure record: a failed writer or a stuck trainer.",
 			"tenant"),
 		servedEpoch: m.Gauge("fonduer_served_epoch",
 			"Epoch the tenant's readers currently observe.",
@@ -204,9 +248,10 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 	}
 }
 
-// sample refreshes the fleet gauges and sampled counters; called by
-// the /metrics handler immediately before exposition.
-func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, srvs map[string]*Server) {
+// sample refreshes the fleet gauges and sampled counters (statuses[i]
+// is entries[i]'s row); called by the /metrics handler immediately
+// before exposition.
+func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, entries []*tenantEntry) {
 	rm.uptime.With().Set(uptimeSecs)
 	b := obs.BuildInfo()
 	rm.buildInfo.With(b.Version, b.Revision, b.GoVersion).Set(1)
@@ -215,7 +260,7 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, s
 	rm.poolInUse.With().Set(float64(pool.SharedInUse()))
 	rm.respErrs.With("encode").Set(float64(respErrEncode.Load()))
 	rm.respErrs.With("write").Set(float64(respErrWrite.Load()))
-	for _, ts := range statuses {
+	for i, ts := range statuses {
 		deg := 0.0
 		if ts.Degraded != nil {
 			deg = 1
@@ -227,11 +272,7 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, s
 		rm.docs.With(ts.Name).Set(float64(ts.Docs))
 		rm.candidates.With(ts.Name).Set(float64(ts.Candidates))
 		rm.kbEntries.With(ts.Name).Set(float64(ts.KBEntries))
-		srv := srvs[ts.Name]
-		if srv == nil {
-			continue
-		}
-		v := srv.CurrentView()
+		v := entries[i].srv.CurrentView()
 		st := v.StorageStats()
 		rm.cacheHitRate.With(ts.Name).Set(st.PageCacheHitRate)
 		kb := v.KB().BackendStats()

@@ -128,12 +128,13 @@ type TenantStatus struct {
 	Degraded    *Degraded `json:"degraded,omitempty"`
 }
 
-// Registry errors, wrapped with tenant context; the HTTP layer maps
-// them to status codes (409, 404).
+// Registry errors, wrapped with tenant context; statusFor maps them to
+// status codes (409, 404, 503, 400).
 var (
 	ErrTenantExists   = errors.New("tenant already exists")
 	ErrUnknownTenant  = errors.New("unknown tenant")
 	errRegistryClosed = errors.New("serve: registry is closed")
+	errBadRequest     = errors.New("serve: bad request")
 )
 
 var tenantName = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
@@ -230,17 +231,17 @@ func (rg *Registry) tenantOptions(tc TenantConfig) core.Options {
 // becomes the registry default.
 func (rg *Registry) Create(tc TenantConfig) (*TenantStatus, error) {
 	if !tenantName.MatchString(tc.Name) {
-		return nil, fmt.Errorf("serve: bad tenant name %q (want [A-Za-z0-9_-]{1,64})", tc.Name)
+		return nil, fmt.Errorf("%w: tenant name %q (want [A-Za-z0-9_-]{1,64})", errBadRequest, tc.Name)
 	}
 	if tc.Name == fleetTenant {
-		return nil, fmt.Errorf("serve: tenant name %q is reserved for fleet metrics", tc.Name)
+		return nil, fmt.Errorf("%w: tenant name %q is reserved for fleet metrics", errBadRequest, tc.Name)
 	}
 	if !kbase.ValidBackendKind(tc.Backend) {
-		return nil, fmt.Errorf("serve: tenant %q: unknown backend %q (want %s)", tc.Name, tc.Backend, kbase.BackendKindsWant())
+		return nil, fmt.Errorf("%w: tenant %q: unknown backend %q (want %s)", errBadRequest, tc.Name, tc.Backend, kbase.BackendKindsWant())
 	}
 	task, gold, err := rg.resolve(tc.Domain, tc.Relation)
 	if err != nil {
-		return nil, fmt.Errorf("serve: tenant %q: %w", tc.Name, err)
+		return nil, fmt.Errorf("%w: tenant %q: %v", errBadRequest, tc.Name, err)
 	}
 	tc.Relation = task.Relation
 
@@ -361,7 +362,7 @@ func (rg *Registry) Delete(name string) error {
 	}
 	if name == rg.defaultName {
 		rg.mu.Unlock()
-		return fmt.Errorf("serve: tenant %q is the default tenant; pick a new default before deleting it", name)
+		return fmt.Errorf("%w: tenant %q is the default tenant; pick a new default before deleting it", errBadRequest, name)
 	}
 	delete(rg.tenants, name)
 	rg.mu.Unlock()
@@ -374,14 +375,11 @@ func (rg *Registry) Delete(name string) error {
 func (rg *Registry) List() []TenantStatus {
 	rg.mu.RLock()
 	defer rg.mu.RUnlock()
-	out := make([]TenantStatus, 0, len(rg.tenants))
-	for _, e := range rg.tenants {
-		if e == nil {
-			continue // creation in progress
-		}
-		out = append(out, rg.statusLocked(e))
+	entries := rg.sortedEntriesLocked()
+	out := make([]TenantStatus, len(entries))
+	for i, e := range entries {
+		out[i] = rg.statusLocked(e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -418,12 +416,7 @@ func (rg *Registry) Close() {
 		return
 	}
 	rg.closed = true
-	entries := make([]*tenantEntry, 0, len(rg.tenants))
-	for _, e := range rg.tenants {
-		if e != nil {
-			entries = append(entries, e)
-		}
-	}
+	entries := rg.sortedEntriesLocked()
 	rg.tenants = map[string]*tenantEntry{}
 	rg.mu.Unlock()
 	for _, e := range entries {
@@ -459,6 +452,22 @@ func (rg *Registry) Handler() http.Handler {
 	return mux
 }
 
+// read runs fn under the registry's read lock and reports true — or,
+// when the registry is closed, answers 503 and reports false. Every
+// route that looks at the fleet starts here.
+func (rg *Registry) read(w http.ResponseWriter, fn func()) bool {
+	rg.mu.RLock()
+	closed := rg.closed
+	if !closed {
+		fn()
+	}
+	rg.mu.RUnlock()
+	if closed {
+		writeErr(w, errRegistryClosed)
+	}
+	return !closed
+}
+
 // handleTenant is the one dispatch into a tenant's own handler:
 // /t/<name>/<rest> with the prefix stripped, so the per-tenant API is
 // byte-identical to a standalone Server's, and every un-prefixed route
@@ -466,18 +475,18 @@ func (rg *Registry) Handler() http.Handler {
 // {tenant}) as it is, against the default tenant.
 func (rg *Registry) handleTenant(w http.ResponseWriter, r *http.Request) {
 	name, prefix := r.PathValue("tenant"), ""
-	rg.mu.RLock()
-	if name == "" {
-		name = rg.defaultName
-	} else {
-		prefix = "/t/" + name
+	var e *tenantEntry
+	if !rg.read(w, func() {
+		if name == "" {
+			name = rg.defaultName
+		} else {
+			prefix = "/t/" + name
+		}
+		e = rg.tenants[name] // nil for reservations in progress
+	}) {
+		return
 	}
-	e := rg.tenants[name] // nil for reservations in progress
-	closed := rg.closed
-	rg.mu.RUnlock()
 	switch {
-	case closed:
-		writeError(w, http.StatusServiceUnavailable, "registry is closed")
 	case name == "":
 		writeError(w, http.StatusNotFound, "no default tenant configured (create one via POST /admin/tenants)")
 	case e == nil:
@@ -488,12 +497,8 @@ func (rg *Registry) handleTenant(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rg *Registry) handleList(w http.ResponseWriter, r *http.Request) {
-	rg.mu.RLock()
-	closed := rg.closed
-	def := rg.defaultName
-	rg.mu.RUnlock()
-	if closed {
-		writeError(w, http.StatusServiceUnavailable, "registry is closed")
+	var def string
+	if !rg.read(w, func() { def = rg.defaultName }) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -509,14 +514,7 @@ func (rg *Registry) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	status, err := rg.Create(tc)
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case errors.Is(err, ErrTenantExists):
-			code = http.StatusConflict
-		case errors.Is(err, errRegistryClosed):
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, status)
@@ -525,11 +523,7 @@ func (rg *Registry) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (rg *Registry) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := rg.Delete(name); err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrUnknownTenant) {
-			code = http.StatusNotFound
-		}
-		writeError(w, code, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
@@ -540,14 +534,12 @@ func (rg *Registry) handleDelete(w http.ResponseWriter, r *http.Request) {
 // level (PR 3 clients keep working), plus a per-tenant roll-up; ok is
 // the conjunction over every tenant.
 func (rg *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rg.mu.RLock()
-	def := rg.tenants[rg.defaultName]
-	defName := rg.defaultName
-	entries := rg.sortedEntriesLocked()
-	closed := rg.closed
-	rg.mu.RUnlock()
-	if closed {
-		writeError(w, http.StatusServiceUnavailable, "registry is closed")
+	var def *tenantEntry
+	var defName string
+	var entries []*tenantEntry
+	if !rg.read(w, func() {
+		def, defName, entries = rg.tenants[rg.defaultName], rg.defaultName, rg.sortedEntriesLocked()
+	}) {
 		return
 	}
 	ok := true
@@ -562,20 +554,15 @@ func (rg *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	base := map[string]any{}
 	if def != nil {
-		base = def.healthzBase()
+		base = def.srv.healthzPayload()
 	}
 	base["ok"] = ok
 	base["default"] = defName
 	base["tenants"] = perTenant
-	// Fleet uptime and build identity override the default tenant's:
-	// the fleet payload describes the process, not one session.
+	// Fleet uptime overrides the default tenant's: the fleet payload
+	// describes the process, not one session.
 	base["uptimeSeconds"] = time.Since(rg.start).Seconds()
-	b := obs.BuildInfo()
-	base["build"] = map[string]string{
-		"version":  b.Version,
-		"revision": b.Revision,
-		"go":       b.GoVersion,
-	}
+	base["build"] = buildPayload()
 	writeJSON(w, http.StatusOK, base)
 }
 
@@ -585,20 +572,17 @@ func (rg *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // pool utilization, sampled storage counters) are refreshed here,
 // right before exposition, so scraping is what pays for them.
 func (rg *Registry) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rg.mu.RLock()
-	closed := rg.closed
-	srvs := make(map[string]*Server, len(rg.tenants))
-	for name, e := range rg.tenants {
-		if e != nil {
-			srvs[name] = e.srv
+	var entries []*tenantEntry
+	var statuses []TenantStatus // entries' rows, from one hold of the lock
+	if !rg.read(w, func() {
+		entries = rg.sortedEntriesLocked()
+		for _, e := range entries {
+			statuses = append(statuses, rg.statusLocked(e))
 		}
-	}
-	rg.mu.RUnlock()
-	if closed {
-		writeError(w, http.StatusServiceUnavailable, "registry is closed")
+	}) {
 		return
 	}
-	rg.fleetMetrics.sample(time.Since(rg.start).Seconds(), rg.List(), srvs)
+	rg.fleetMetrics.sample(time.Since(rg.start).Seconds(), statuses, entries)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := rg.metrics.WritePrometheus(w); err != nil {
 		respErrWrite.Add(1)
@@ -610,12 +594,8 @@ func (rg *Registry) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // publication traces, keyed by tenant name. (Per-tenant rings are
 // also served at /t/<name>/admin/traces.)
 func (rg *Registry) handleTraces(w http.ResponseWriter, r *http.Request) {
-	rg.mu.RLock()
-	closed := rg.closed
-	entries := rg.sortedEntriesLocked()
-	rg.mu.RUnlock()
-	if closed {
-		writeError(w, http.StatusServiceUnavailable, "registry is closed")
+	var entries []*tenantEntry
+	if !rg.read(w, func() { entries = rg.sortedEntriesLocked() }) {
 		return
 	}
 	perTenant := make(map[string]any, len(entries))
@@ -625,23 +605,13 @@ func (rg *Registry) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": perTenant})
 }
 
-// healthzBase is the default tenant's healthz payload without the
-// fleet fields the registry overwrites.
-func (e *tenantEntry) healthzBase() map[string]any {
-	return e.srv.healthzPayload()
-}
-
 // handleMeta serves the registry-wide /meta: the default tenant's
 // full metadata (alias compatibility) decorated with a "registry"
 // section carrying the fleet's per-tenant stats.
 func (rg *Registry) handleMeta(w http.ResponseWriter, r *http.Request) {
-	rg.mu.RLock()
-	def := rg.tenants[rg.defaultName]
-	defName := rg.defaultName
-	closed := rg.closed
-	rg.mu.RUnlock()
-	if closed {
-		writeError(w, http.StatusServiceUnavailable, "registry is closed")
+	var def *tenantEntry
+	var defName string
+	if !rg.read(w, func() { def, defName = rg.tenants[rg.defaultName], rg.defaultName }) {
 		return
 	}
 	p := map[string]any{}

@@ -38,8 +38,8 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,17 +120,11 @@ type Server struct {
 
 	view atomic.Pointer[core.StoreView]
 
-	// degraded is set when an ingest applied its documents to the
-	// store but epoch publication failed (see PartialIngestError):
-	// readers keep the previous epoch while the store carries the new
-	// documents. Cleared by the next successful publication, which
-	// folds the pending documents into its epoch.
+	// degraded is the writer's failure record, set by contain: a writer
+	// turn panicked, or left the store failed or ahead of the served
+	// epoch. It is terminal — the tenant fails closed, serving its last
+	// epoch, until it is reloaded from its last snapshot.
 	degraded atomic.Pointer[Degraded]
-
-	// publishFault, when armed (tests only, via
-	// FailNextPublishForTest), makes the next Ingest's capture fail —
-	// fault injection for the degraded path.
-	publishFault atomic.Pointer[string]
 
 	// Training policy state. async is Config.Async: who runs the
 	// trainer. Under it the trainer goroutine owns retraining; trainMu
@@ -143,16 +137,12 @@ type Server struct {
 	trainKick     chan struct{}
 	trainMu       sync.Mutex
 
-	// trainDegraded is set when a background retrain failed: delta
-	// epochs keep serving (and keep the write path healthy), but the
-	// model generation is stuck until a retrain succeeds. Kept
-	// separate from the ingest degradation so a later delta publish
-	// can't mask a broken trainer.
+	// trainDegraded is the trainer's failure record, set by contain when
+	// a retrain (or its install) failed or panicked: delta epochs keep
+	// serving and the write path stays healthy, but the model generation
+	// is stuck until a retrain succeeds, which clears it. Kept apart from
+	// degraded so a delta publish cannot mask a broken trainer.
 	trainDegraded atomic.Pointer[Degraded]
-
-	// trainFault (tests only, via FailNextTrainForTest) makes the next
-	// retrain fail — fault injection for the train-degraded path.
-	trainFault atomic.Pointer[string]
 
 	reqs      chan writerReq
 	closed    chan struct{}
@@ -160,28 +150,25 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// Degraded describes a session whose store holds mutations that no
-// published epoch serves yet. It is the explicit form of the
-// partial-ingest failure mode: without it, documents stuck between
-// "applied" and "published" would silently ride along with the next
-// unrelated publish or snapshot.
+// Degraded is a tenant's failure record: what went wrong, where, and the
+// epochs on either side of it. Surfaced in /healthz (ok=false), /meta
+// and the registry's tenant listing.
 type Degraded struct {
-	// Err is the publication failure that stranded the documents.
+	// Err is the failure: the error a writer turn or trainer run
+	// returned, or the panic it was recovered from.
 	Err string `json:"error"`
-	// PendingDocs names the applied-but-unpublished documents.
-	PendingDocs []string `json:"pendingDocs"`
+	// Where is "writer" (terminal: writes and snapshots are refused with
+	// 503 until the tenant is reloaded) or "trainer" (the generation is
+	// stuck; the next good retrain clears it).
+	Where string `json:"where"`
 	// StoreEpoch counts the store's applied mutations; ServedEpoch is
-	// the epoch readers still observe. StoreEpoch > ServedEpoch is the
-	// degradation gap.
+	// the epoch readers observe.
 	StoreEpoch  uint64 `json:"storeEpoch"`
 	ServedEpoch uint64 `json:"servedEpoch"`
 }
 
-// Degraded returns the current degradation record, or nil when every
-// applied mutation is published and the last retrain (if any)
-// succeeded. Ingest degradation (stranded documents) takes precedence
-// over train degradation (stale generation). Surfaced in /healthz
-// (ok=false), /meta, and the registry's tenant listing.
+// Degraded returns the current failure record, or nil for a healthy
+// tenant. The writer's takes precedence over the trainer's.
 func (s *Server) Degraded() *Degraded {
 	if d := s.degraded.Load(); d != nil {
 		return d
@@ -189,25 +176,67 @@ func (s *Server) Degraded() *Degraded {
 	return s.trainDegraded.Load()
 }
 
-// PartialIngestError is returned by Ingest when the document batch
-// was applied to the store but building/publishing the next epoch's
-// view failed (e.g. a disk-backend hydration error during retrain).
-// The server is marked Degraded until a later publication succeeds;
-// the pending documents are then folded into that epoch.
-type PartialIngestError struct {
-	Docs []string
-	Err  error
+// contain is the one failure path: it runs fn — one writer turn (where
+// "writer", on the writer goroutine) or one trainer run ("trainer") —
+// and turns what goes wrong into the tenant's Degraded record instead
+// of the process's exit (DESIGN.md §3f has the table). A panic is
+// recovered, counted, logged with its stack, and becomes fn's error.
+//
+//   - writer: the turn is a fault when it panicked, or left the store
+//     failed or at another epoch than the served one. Every sound turn
+//     ends with the two equal — a refused batch and a snapshot that
+//     could not be written move neither, a publish moves both — so an
+//     error alone is the caller's answer, not a fault. A fault closes
+//     the tenant: this turn and every later one answer errFailed.
+//   - trainer: any error of its own marks the generation stuck
+//     (trainLoop retries); success clears the mark.
+//
+// Either record files one failed publication of the given kind.
+func (s *Server) contain(where, kind string, fn func() (any, error)) (val any, err error) {
+	if d := s.degraded.Load(); d != nil {
+		return nil, fmt.Errorf("%w: %s", errFailed, d.Err)
+	}
+	t0, panicked := time.Now(), false
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panicked = true
+				val, err = nil, fmt.Errorf("serve: panic on the %s: %v", where, r)
+				s.metrics.countPanic(s.name, where, r)
+			}
+		}()
+		val, err = fn()
+	}()
+	view := s.view.Load()
+	rec := &Degraded{Where: where, StoreEpoch: view.Epoch(), ServedEpoch: view.Epoch()}
+	if where == "trainer" {
+		if err == nil {
+			s.trainDegraded.Store(nil)
+		}
+		if err == nil || errors.Is(err, errClosed) || errors.Is(err, errFailed) {
+			return val, err // the last two are the server's state, not the trainer's
+		}
+		rec.Err = err.Error()
+		s.trainDegraded.Store(rec)
+	} else {
+		rec.StoreEpoch = s.store.Epoch() // the writer goroutine may read its store
+		if !panicked && s.store.Err() == nil && rec.StoreEpoch == rec.ServedEpoch {
+			return val, err
+		}
+		if err == nil {
+			err = fmt.Errorf("serve: the turn left the store at epoch %d, serving epoch %d", rec.StoreEpoch, rec.ServedEpoch)
+		}
+		rec.Err = err.Error()
+		s.degraded.Store(rec)
+		err = fmt.Errorf("%w: %v", errFailed, err)
+	}
+	s.publish(kind, t0, 0, nil, view, err)
+	return nil, err
 }
-
-func (e *PartialIngestError) Error() string {
-	return fmt.Sprintf("serve: ingest applied %d document(s) but publishing the new epoch failed "+
-		"(session degraded; readers stay on the previous epoch): %v", len(e.Docs), e.Err)
-}
-
-func (e *PartialIngestError) Unwrap() error { return e.Err }
 
 // writerReq is one serialized unit of writer-goroutine work.
 type writerReq struct {
+	kind  string // the publication kind contain files a fault under
 	apply func(st *core.Store) (any, error)
 	reply chan writerReply
 }
@@ -269,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 			case <-s.closed:
 				return
 			case req := <-s.reqs:
-				val, err := req.apply(st)
+				val, err := s.contain("writer", req.kind, func() (any, error) { return req.apply(st) })
 				req.reply <- writerReply{val: val, err: err}
 			}
 		}
@@ -292,15 +321,19 @@ func (s *Server) Close() {
 	s.store.Close()
 }
 
-// errClosed is returned for writes against a closed server.
-var errClosed = fmt.Errorf("serve: server is closed")
+// errClosed is returned for writes against a closed server, errFailed
+// for writes against a tenant whose writer failed (contain); both 503.
+var (
+	errClosed = errors.New("serve: server is closed")
+	errFailed = errors.New("serve: tenant failed, reload it from its last snapshot")
+)
 
 // submit runs fn on the writer goroutine and waits for its result.
 // The request channel is unbuffered, so a send only completes when
 // the writer has taken the request — every accepted request is
 // answered, even across a concurrent Close.
-func (s *Server) submit(fn func(st *core.Store) (any, error)) (any, error) {
-	req := writerReq{apply: fn, reply: make(chan writerReply, 1)}
+func (s *Server) submit(kind string, fn func(st *core.Store) (any, error)) (any, error) {
+	req := writerReq{kind: kind, apply: fn, reply: make(chan writerReply, 1)}
 	select {
 	case s.reqs <- req:
 		rep := <-req.reply
@@ -379,49 +412,21 @@ func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
 	if !s.async {
 		kind, writerTrains = "ingest", true
 	}
-	val, err := s.submit(func(st *core.Store) (any, error) {
+	val, err := s.submit(kind, func(st *core.Store) (any, error) {
 		t0 := time.Now()
 		if err := st.AddDocuments(docs...); err != nil {
 			return nil, err
 		}
 		spans := st.TakeIngestSpans()
-		prev := s.view.Load()
-		// If a previous publish failed, prev is older than the store by
-		// more than this batch; ViewDelta captures everything after prev,
-		// folding the stranded documents in too.
-		var view *core.StoreView
-		var err error
-		if msg := s.publishFault.Swap(nil); msg != nil {
-			err = fmt.Errorf("%s", *msg)
-		} else {
-			view, err = st.ViewDelta(prev, s.gold)
-		}
+		view, err := st.ViewDelta(s.view.Load(), s.gold)
 		if err == nil && writerTrains {
 			spans = append(spans, view.StageSpans()...)
 			view, err = s.train(view, nil)
 		}
 		if err != nil {
-			// The documents are in the store but no epoch serves them:
-			// record the gap explicitly instead of letting the next
-			// unrelated publish or snapshot silently include them.
-			names := make([]string, len(docs))
-			for i, d := range docs {
-				names[i] = d.Name
-			}
-			s.degraded.Store(&Degraded{
-				Err:         err.Error(),
-				PendingDocs: names,
-				StoreEpoch:  st.Epoch(),
-				ServedEpoch: prev.Epoch(),
-			})
-			s.publish(kind, t0, len(docs), spans, prev, err)
-			return nil, &PartialIngestError{Docs: names, Err: err}
+			return nil, err // the store is an epoch ahead: contain closes the tenant
 		}
 		s.publish(kind, t0, len(docs), append(spans, view.StageSpans()...), view, nil)
-		// A successful publication serves every applied mutation,
-		// including any previously stranded documents: the degradation
-		// is over, and the recovery is explicit in the epoch payload.
-		s.degraded.Store(nil)
 		return view, nil
 	})
 	if err != nil {
@@ -485,6 +490,9 @@ func (s *Server) trainLoop() {
 // needsTrain reports whether the serving generation is stale: delta
 // epochs were published since it trained, or the last retrain failed.
 func (s *Server) needsTrain() bool {
+	if s.degraded.Load() != nil {
+		return false // a failed tenant needs a reload, not a model
+	}
 	if s.trainDegraded.Load() != nil {
 		return true
 	}
@@ -504,35 +512,19 @@ func (s *Server) Train() (*core.StoreView, error) {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
 
-	base := s.CurrentView()
-	t0 := time.Now()
-	var trained *core.StoreView
-	var err error
-	if msg := s.trainFault.Swap(nil); msg != nil {
-		err = fmt.Errorf("%s", *msg)
-	} else {
-		trained, err = s.train(base, base)
-	}
-	if err == nil {
-		var val any
-		if val, err = s.submit(func(*core.Store) (any, error) { return s.install(trained, t0) }); err == nil {
-			s.trainDegraded.Store(nil)
-			return val.(*core.StoreView), nil
-		}
-		if err == errClosed {
+	val, err := s.contain("trainer", "train", func() (any, error) {
+		base := s.CurrentView()
+		t0 := time.Now()
+		trained, err := s.train(base, base)
+		if err != nil {
 			return nil, err
 		}
-	}
-	// The retrain (or its install) failed: delta epochs keep serving,
-	// but the generation is stuck — surface it on the degraded
-	// channel until a retrain succeeds.
-	s.trainDegraded.Store(&Degraded{
-		Err:         fmt.Sprintf("background retrain failed: %v", err),
-		StoreEpoch:  base.Epoch(),
-		ServedEpoch: base.Epoch(),
+		return s.submit("train", func(*core.Store) (any, error) { return s.install(trained, t0) })
 	})
-	s.publish("train", t0, 0, nil, base, err)
-	return nil, err
+	if err != nil {
+		return nil, err
+	}
+	return val.(*core.StoreView), nil
 }
 
 // install is the writer turn that makes a trained generation the served
@@ -577,7 +569,7 @@ func (s *Server) Snapshot(dir string) (string, uint64, error) {
 	if dir == "" {
 		return "", 0, fmt.Errorf("serve: no snapshot directory configured")
 	}
-	val, err := s.submit(func(st *core.Store) (any, error) {
+	val, err := s.submit("snapshot", func(st *core.Store) (any, error) {
 		t0 := time.Now()
 		if err := st.Snapshot(dir); err != nil {
 			obs.Log().Error("snapshot failed", "tenant", s.name, "dir", dir, "error", err)
@@ -603,6 +595,3 @@ func (s *Server) Snapshot(dir string) (string, uint64, error) {
 // first (the /admin/traces payload; the registry aggregates it per
 // tenant).
 func (s *Server) Traces() []obs.Trace { return s.traces.Snapshot() }
-
-// Handler returns the HTTP API. See routes in handlers.go.
-func (s *Server) Handler() http.Handler { return s.routes() }
