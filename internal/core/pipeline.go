@@ -112,8 +112,8 @@ type Options struct {
 	// Batch (it is a real hyperparameter) but never on Workers.
 	Batch int
 	// Backend selects the kbase storage engine materializing a Store's
-	// relations: "memory" (every row resident in a slice — the original
-	// representation) or one of the two kinds of the paged engine,
+	// relations: "memory" (every row resident, as typed column vectors)
+	// or one of the two kinds of the paged engine,
 	// whose fixed-size pages are column-major binary blobs pruned by
 	// per-page zones and decoded lazily per column: "disk" (pages in
 	// spill files behind a small cache of decoded pages, so relations

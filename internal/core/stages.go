@@ -40,13 +40,42 @@ import (
 // than only tested.
 
 // stagedSplit is one split's view of the staged relations: the
-// candidates, each candidate's distinct feature names (the
-// index-independent Features relation), and the cache statistics of
-// the split's featurization pass.
+// candidates, each candidate's distinct features (the index-independent
+// Features relation) as ids into dict, and the cache statistics of the
+// split's featurization pass.
 type stagedSplit struct {
 	cands []*candidates.Candidate
-	names [][]string
+	names [][]uint32
+	dict  []string // id -> feature name
 	stats features.CacheStats
+}
+
+// internRows turns one document's name rows into rows of ids in dict,
+// cut from one buffer and each capped to its own ids: a name becomes a
+// dense id the first time dict sees it, and the Features relation is
+// held as those ids — four bytes a (candidate, feature) pair, and a
+// name's bytes once however many candidates carry it. Only the
+// goroutine that owns dict interns (a store's writer, past the commit
+// point; a from-scratch run after its featurize workers have returned);
+// everyone else reads dict.NamesView(), a capped prefix of the
+// append-only id -> name list. Ids are process-private: whatever leaves
+// the process — the frozen index's order, /features, snapshots, KB
+// bytes — is names.
+func internRows(dict *features.Index, rows [][]string) [][]uint32 {
+	n := 0
+	for _, names := range rows {
+		n += len(names)
+	}
+	buf := make([]uint32, 0, n)
+	out := make([][]uint32, len(rows))
+	for k, names := range rows {
+		first := len(buf)
+		for _, name := range names {
+			buf = append(buf, uint32(dict.ID(name)))
+		}
+		out[k] = buf[first:len(buf):len(buf)]
+	}
+	return out
 }
 
 // extractStage runs the Extract stage: one candidate list per
@@ -169,14 +198,17 @@ func featurizeStage(newFx func() *features.Extractor, perDoc [][]*candidates.Can
 }
 
 // featurizeSplit is featurizeStage for a flat candidate list, the
-// per-document results concatenated back in list order.
+// per-document results concatenated back in list order and interned
+// into the split's own dictionary.
 func featurizeSplit(newFx func() *features.Extractor, cands []*candidates.Candidate, workers int) stagedSplit {
-	sp := stagedSplit{cands: cands, names: make([][]string, 0, len(cands))}
+	sp := stagedSplit{cands: cands, names: make([][]uint32, 0, len(cands))}
+	dict := features.NewIndex()
 	for _, df := range featurizeStage(newFx, shardByDoc(cands), workers) {
-		sp.names = append(sp.names, df.names...)
+		sp.names = append(sp.names, internRows(dict, df.names)...)
 		sp.stats.Hits += df.stats.Hits
 		sp.stats.Misses += df.stats.Misses
 	}
+	sp.dict = dict.NamesView()
 	return sp
 }
 
@@ -201,21 +233,54 @@ func labelStage(task Task, opts Options, cands []*candidates.Candidate) *labelin
 // the MinFeatureCount floor in sorted-name order, so the index never
 // depends on map iteration or batch order.
 func indexStage(train stagedSplit, minCount int) *features.Index {
-	counts := map[string]int{}
-	for _, names := range train.names {
-		for _, n := range names {
-			counts[n]++
+	counts := make([]int, len(train.dict))
+	for _, ids := range train.names {
+		for _, id := range ids {
+			counts[id]++
 		}
 	}
-	return features.IndexFromCounts(counts, minCount)
+	admitted := map[string]int{}
+	for id, n := range counts {
+		if n >= minCount {
+			admitted[train.dict[id]] = n
+		}
+	}
+	return features.IndexFromCounts(admitted, minCount)
 }
 
-// featureColumns maps one candidate's feature names through a frozen
-// index, yielding its admitted column set in ascending order — one row
-// of the numeric Features matrix the model consumes. Every consumer of
-// a trained model (the staged run, delta and whole-corpus
-// reclassification, ad-hoc document classification) builds its rows
-// here.
+// indexColumns maps a whole dictionary through a frozen index: element
+// id is the column of the name with that id, or -1 when the index does
+// not admit it. It costs one probe of the index per distinct name, after
+// which a candidate's row is a gather (gatherColumns), not a probe per
+// (candidate, feature) pair.
+func indexColumns(ix *features.Index, dict []string) []int32 {
+	colOf := make([]int32, len(dict))
+	for id, name := range dict {
+		colOf[id] = -1
+		if col, ok := ix.Lookup(name); ok {
+			colOf[id] = int32(col)
+		}
+	}
+	return colOf
+}
+
+// gatherColumns maps one candidate's feature ids through indexColumns'
+// vector, yielding its admitted column set in ascending order — one row
+// of the numeric Features matrix the model consumes.
+func gatherColumns(colOf []int32, ids []uint32) []int {
+	var cols []int
+	for _, id := range ids {
+		if col := colOf[id]; col >= 0 {
+			cols = append(cols, int(col))
+		}
+	}
+	sort.Ints(cols)
+	return cols
+}
+
+// featureColumns is the same row built from names — ad-hoc document
+// classification, whose document was never interned: a reader must not
+// touch a writer's dictionary, and the frozen index is all it needs.
 func featureColumns(ix *features.Index, names []string) []int {
 	var cols []int
 	for _, n := range names {
@@ -227,11 +292,12 @@ func featureColumns(ix *features.Index, names []string) []int {
 	return cols
 }
 
-// materializeStage is featureColumns over a whole split.
+// materializeStage is gatherColumns over a whole split.
 func materializeStage(sp stagedSplit, ix *features.Index) [][]int {
+	colOf := indexColumns(ix, sp.dict)
 	rows := make([][]int, len(sp.names))
-	for i, names := range sp.names {
-		rows[i] = featureColumns(ix, names)
+	for i, ids := range sp.names {
+		rows[i] = gatherColumns(colOf, ids)
 	}
 	return rows
 }

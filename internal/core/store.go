@@ -83,17 +83,24 @@ type Store struct {
 	// Global candidate-indexed relations; candidate IDs are assigned
 	// densely in ingestion order, so index i is candidate ID i.
 	cands []*candidates.Candidate
-	names [][]string // Features relation: distinct names, first-occurrence order
+	names [][]uint32 // Features relation: distinct features as ids into feats, first-occurrence order
 	votes [][]int8   // Labels relation: one clamped vote per LF
 
-	// counts is the merged FeatureCounts relation (sum of the per-doc
-	// shards). Counts only ever grow, so index evolution under
-	// incremental ingestion is append-only.
-	counts map[string]int
+	// feats is the session feature dictionary names is written in
+	// (internRows): every name seen, in first-seen order. A name is
+	// interned on the writer goroutine past AddDocuments' commit point
+	// (or while OpenStore scans), never in a featurize worker and never
+	// for a refused batch; views share feats.NamesView().
+	feats *features.Index
+
+	// counts is the merged FeatureCounts relation (the sum of the
+	// per-doc shards), indexed by dictionary id. Counts only ever grow,
+	// so index evolution under incremental ingestion is append-only.
+	counts []int
 
 	// dict lists the features at or above the MinFeatureCount floor in
 	// admission order (what /features serves and the drift trigger
-	// counts); every other key of counts is still below the floor.
+	// counts); every other name of feats is still below the floor.
 	dict *features.Index
 
 	db *kbase.DB
@@ -137,7 +144,7 @@ func NewStore(task Task, opts Options) *Store {
 		task:   task,
 		opts:   opts,
 		byName: map[string]*storeDoc{},
-		counts: map[string]int{},
+		feats:  features.NewIndex(),
 		dict:   features.NewIndex(),
 	}
 	s.lfs = append(s.lfs, task.LFs...)
@@ -396,10 +403,18 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	}
 	spans = append(spans, obs.NewSpan("mirror", t0, len(delta), len(delta), 0))
 
-	// ---- Merge: append per-document state and sum the count shards.
+	// ---- Merge: append per-document state, the Features rows as ids —
+	// this is where a name is first interned — and sum the count shards:
+	// a document's rows name each feature once per candidate it fires on.
+	// A count passes the admission floor exactly once, since it grows by
+	// one, so the features this batch carried across it are collected on
+	// the way (sorted below: admission order must not depend on the order
+	// names were seen in).
 	t0 = time.Now()
 	changed = true
 	s.votes = append(s.votes, votes...)
+	floor := max(s.opts.MinFeatureCount, 1)
+	var admitted []string
 	for i, d := range delta {
 		sd := &storeDoc{
 			doc: d, name: d.Name, format: d.Format, pos: len(s.docs),
@@ -408,25 +423,14 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 		s.docs = append(s.docs, sd)
 		s.byName[d.Name] = sd
 		s.cands = append(s.cands, perDoc[i]...)
-		s.names = append(s.names, feats[i].names...)
-		for n, c := range feats[i].counts {
-			s.counts[n] += c
-		}
-	}
-
-	// ---- Index: admit the features that crossed the floor (sorted
-	// order within the batch keeps admission deterministic).
-	touched := map[string]bool{}
-	for _, df := range feats {
-		for n := range df.counts {
-			touched[n] = true
-		}
-	}
-	var admitted []string
-	for n := range touched {
-		if s.counts[n] >= s.opts.MinFeatureCount {
-			if _, ok := s.dict.Lookup(n); !ok {
-				admitted = append(admitted, n)
+		rows := internRows(s.feats, feats[i].names)
+		s.names = append(s.names, rows...)
+		s.counts = append(s.counts, make([]int, s.feats.Len()-len(s.counts))...)
+		for _, ids := range rows {
+			for _, id := range ids {
+				if s.counts[id]++; s.counts[id] == floor {
+					admitted = append(admitted, s.feats.Name(int(id)))
+				}
 			}
 		}
 	}
@@ -493,7 +497,7 @@ func (s *Store) EditLF(col int, lf labeling.LF) error {
 // store: candidates in name-list document order, each candidate's row
 // of the Features relation, and the split's summed cache statistics.
 func (s *Store) splitView(names []string) (stagedSplit, error) {
-	var sp stagedSplit
+	sp := stagedSplit{dict: s.feats.NamesView()}
 	for _, name := range names {
 		sd, ok := s.byName[name]
 		if !ok {

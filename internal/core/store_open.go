@@ -25,13 +25,12 @@ import (
 // Workers, ...) are taken fresh from opts.
 //
 // Ordering invariant: the parsed documents are rebuilt last, after the
-// features, counts and labels relations have been scanned, so the
-// scans' transient row buffers are garbage before the documents — the
-// part of the session that stays — are allocated; building them first
-// costs the resumed process 8–29 MB of peak RSS at 240 documents
-// (DESIGN.md, "Why documents stay resident"). Every document is built
-// exactly once here and nothing is read back from the relations
-// afterwards (TestOpenStoreViewReadsNoPages).
+// features, counts and labels relations have been scanned, so what the
+// load and the scans leave behind (parsed row chunks, decoded pages) is
+// garbage before the documents — the part of the session that stays —
+// are allocated (DESIGN.md, "Why documents stay resident"). Every
+// document is built exactly once here and nothing is read back from the
+// relations afterwards (TestOpenStoreViewReadsNoPages).
 func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	opts.defaults()
 	engine, err := newStoreEngine(opts)
@@ -54,7 +53,7 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 		task:   task,
 		opts:   opts,
 		byName: map[string]*storeDoc{},
-		counts: map[string]int{},
+		feats:  features.NewIndex(),
 		dict:   features.NewIndex(),
 		db:     db,
 	}
@@ -136,38 +135,54 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	}
 	nCands := candFirst[len(s.docs)]
 
-	// Features relation: per-candidate names in seq order.
-	type featRow struct {
-		seq  int
-		name string
-	}
-	featRows := make(map[int][]featRow, nCands)
+	// Features relation: per-candidate feature ids in seq order, interned
+	// while the relation streams past — no row and no name outlives its
+	// callback except a name's first occurrence. The store wrote the rows
+	// in (cand, seq) order, so a row almost always extends its candidate's
+	// list; seqs remembers the seq of every row of just the candidates for
+	// which one did not (a snapshot shuffled by hand), and those are
+	// sorted afterwards.
+	s.names = make([][]uint32, nCands)
+	seqs := map[int][]int{}
+	var featErr error
 	db.Table(tblFeatures).Scan(func(tp kbase.Tuple) bool {
-		id := int(tp[0].(int64))
-		featRows[id] = append(featRows[id], featRow{int(tp[1].(int64)), tp[2].(string)})
+		id, seq := int(tp[0].(int64)), int(tp[1].(int64))
+		if id < 0 || id >= nCands {
+			featErr = fmt.Errorf("core: features relation references unknown candidate %d", id)
+			return false
+		}
+		if sq, unordered := seqs[id]; unordered {
+			seqs[id] = append(sq, seq)
+		} else if seq != len(s.names[id]) {
+			sq = make([]int, len(s.names[id]), len(s.names[id])+1)
+			for k := range sq {
+				sq[k] = k
+			}
+			seqs[id] = append(sq, seq)
+		}
+		s.names[id] = append(s.names[id], uint32(s.feats.ID(tp[2].(string))))
 		return true
 	})
-	s.names = make([][]string, nCands)
-	for id, rows := range featRows {
-		if id < 0 || id >= nCands {
-			return nil, fmt.Errorf("core: features relation references unknown candidate %d", id)
-		}
-		sort.Slice(rows, func(a, b int) bool { return rows[a].seq < rows[b].seq })
-		names := make([]string, len(rows))
-		for k, r := range rows {
-			names[k] = r.name
-		}
-		s.names[id] = names
+	if featErr != nil {
+		return nil, featErr
+	}
+	for id, sq := range seqs {
+		sort.Sort(bySeq{sq, s.names[id]})
 	}
 
 	// FeatureCounts shards, summed into the merged counts.
+	s.counts = make([]int, s.feats.Len())
 	var countErr error
 	db.Table(tblCounts).Scan(func(tp kbase.Tuple) bool {
 		if _, ok := s.byName[tp[0].(string)]; !ok {
 			countErr = fmt.Errorf("core: feature_counts references unknown document %q", tp[0])
 			return false
 		}
-		s.counts[tp[1].(string)] += int(tp[2].(int64))
+		id := s.feats.ID(tp[1].(string))
+		if id == len(s.counts) { // a name no Features row carries
+			s.counts = append(s.counts, 0)
+		}
+		s.counts[id] += int(tp[2].(int64))
 		return true
 	})
 	if countErr != nil {
@@ -207,10 +222,10 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	// live session's (batch-sorted), but session columns are internal:
 	// every result is a function of the name sets, not the column
 	// numbering.
-	for _, names := range s.names {
-		for _, n := range names {
-			if s.counts[n] >= s.opts.MinFeatureCount {
-				s.dict.ID(n)
+	for _, ids := range s.names {
+		for _, id := range ids {
+			if s.counts[id] >= s.opts.MinFeatureCount {
+				s.dict.ID(s.feats.Name(int(id)))
 			}
 		}
 	}
@@ -225,6 +240,19 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	}
 	ok = true
 	return s, nil
+}
+
+// bySeq sorts one candidate's feature ids by their rows' seq values.
+type bySeq struct {
+	seq []int
+	ids []uint32
+}
+
+func (b bySeq) Len() int           { return len(b.seq) }
+func (b bySeq) Less(i, j int) bool { return b.seq[i] < b.seq[j] }
+func (b bySeq) Swap(i, j int) {
+	b.seq[i], b.seq[j] = b.seq[j], b.seq[i]
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
 }
 
 // rowRange is where one document's rows sit in a relation whose rows

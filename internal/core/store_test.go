@@ -186,14 +186,16 @@ func TestStoreSnapshotResume(t *testing.T) {
 
 	// A snapshot is a set of relations, whatever order its rows are in:
 	// with the sentence and candidate rows shuffled, no document's rows
-	// are contiguous any more, OpenStore falls back to filter scans, and
-	// the Result must not move.
+	// are contiguous any more and OpenStore falls back to filter scans;
+	// with the feature rows shuffled, hardly a row arrives in its
+	// candidate's seq order and OpenStore sorts what it interned. Neither
+	// the Result nor any candidate's feature list may move.
 	shuffled := filepath.Join(t.TempDir(), "shuffled")
 	if err := os.Mkdir(shuffled, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for name, body := range snapshotBytes(t, dir) {
-		if name == "sentences.tsv" || name == "candidates.tsv" {
+		if name == "sentences.tsv" || name == "candidates.tsv" || name == "features.tsv" {
 			lines := strings.SplitAfter(string(body), "\n") // header, rows..., ""
 			rows := lines[1 : len(lines)-1]
 			if lines[len(lines)-1] != "" || len(rows) < 2 {
@@ -218,6 +220,14 @@ func TestStoreSnapshotResume(t *testing.T) {
 	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
 		t.Errorf("Result from the row-shuffled snapshot differs\n got: %+v\nwant: %+v",
 			normalizeResult(got), normalizeResult(want))
+	}
+	if permuted.NumCandidates() != st.NumCandidates() {
+		t.Fatalf("the row-shuffled snapshot resumed %d candidates, want %d", permuted.NumCandidates(), st.NumCandidates())
+	}
+	for id := 0; id < st.NumCandidates(); id++ {
+		if got, want := permuted.CandidateFeatures(id), st.CandidateFeatures(id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("candidate %d resumed from shuffled feature rows with its %d features out of seq order (or not its %d)", id, len(got), len(want))
+		}
 	}
 }
 

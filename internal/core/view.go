@@ -25,9 +25,10 @@ import (
 // either trained here or inherited). Immutability is by construction:
 // mutable store state (votes, relation row counts) is deep-copied at
 // capture, structurally immutable state (ingested documents,
-// candidates, per-candidate feature-name rows, the admitted prefix of
-// the append-only session feature-name list) is shared, and every step
-// returns a new view instead of touching its receiver.
+// candidates, per-candidate feature-id rows, and prefixes of the two
+// append-only name lists — the feature dictionary and the admitted
+// session features) is shared, and every step returns a new view
+// instead of touching its receiver.
 //
 // Accessors returning slices or maps either return private copies or
 // the view's own immutable data; callers must treat every returned
@@ -43,12 +44,16 @@ type StoreView struct {
 	votes    [][]int8
 	lfNames  []string
 
-	// names are the per-candidate distinct feature-name rows, aligned
-	// with cands (shared immutable store rows — never mutated after
-	// ingestion), and splitStats the whole-corpus featurization cache
-	// statistics. Captured so training and classification run as pure
-	// functions of the view, off the store.
-	names      [][]string
+	// names are the per-candidate distinct feature rows, aligned with
+	// cands (shared immutable store rows — never mutated after
+	// ingestion), as ids into featNames: the store's feature dictionary
+	// as of this epoch, a capped prefix of its append-only id -> name
+	// list (the view never sees the writer's name -> id map). splitStats
+	// are the whole-corpus featurization cache statistics. Captured so
+	// training and classification run as pure functions of the view, off
+	// the store.
+	names      [][]uint32
+	featNames  []string
 	splitStats features.CacheStats
 
 	// marginals are the denoised per-candidate marginals: supervision
@@ -251,8 +256,9 @@ type DocClassification struct {
 // the epoch's frozen index, and model classification over one
 // document — the Extract and Featurize stages of stages.go over a
 // one-document corpus — without mutating anything: both extractors are
-// private to the call, index lookups never allocate, and the model's
-// forward pass is read-only. Safe to call from any number of goroutines
+// private to the call, the document's feature names are looked up in
+// the frozen index and never interned, and the model's forward pass is
+// read-only. Safe to call from any number of goroutines
 // concurrently, on the same or different views.
 func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification, error) {
 	if doc == nil {

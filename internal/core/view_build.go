@@ -100,11 +100,12 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 		docNames:         names,
 		cands:            cands,
 		names:            s.names[:len(cands):len(cands)],
+		featNames:        s.feats.NamesView(),
 		lfNames:          make([]string, len(s.lfs)),
 		splitStats:       splitStats,
 		sessionFeatures:  s.dict.NamesView(),
-		pendingFeatures:  len(s.counts) - s.dict.Len(),
-		distinctFeatures: len(s.counts),
+		pendingFeatures:  s.feats.Len() - s.dict.Len(),
+		distinctFeatures: s.feats.Len(),
 		tableRows:        map[string]int{},
 	}
 	for i, lf := range s.lfs {
@@ -191,9 +192,10 @@ func (v *StoreView) classifyFrom(src *StoreView, from, workers int, gold []GoldT
 	if from > 0 {
 		prefix = src.result.Predicted[:len(src.result.Predicted):len(src.result.Predicted)]
 	}
+	colOf := indexColumns(src.runIndex, v.featNames)
 	probs := make([]float64, len(v.cands)-from)
 	pool.Run(len(probs), workers, func(k int) {
-		probs[k] = src.model.PredictProb(model.Example{Cand: v.cands[from+k], SparseFeats: featureColumns(src.runIndex, v.names[from+k])})
+		probs[k] = src.model.PredictProb(model.Example{Cand: v.cands[from+k], SparseFeats: gatherColumns(colOf, v.names[from+k])})
 	})
 	res := v.result
 	res.Predicted = keepPositives(prefix, map[string]bool{}, probs, v.opts.Threshold, func(k int) *candidates.Candidate { return v.cands[from+k] })
@@ -271,16 +273,16 @@ type RetrainConfig struct {
 
 // Retrain trains a new model generation over this view's corpus and
 // returns a view serving the same epoch under the new generation. It
-// is a pure function of the view (plus cfg): candidates, feature-name
-// rows, and votes were captured, so Retrain never touches the Store and
+// is a pure function of the view (plus cfg): candidates, feature rows
+// with their dictionary, and votes were captured, so Retrain never touches the Store and
 // is safe to run on a background goroutine while the writer keeps
 // publishing delta epochs.
 //
 // The staged run is the same code path as Store.RunSplit with train =
-// test = the full corpus, fed from the same feature-name rows
+// test = the full corpus, fed from the same feature rows
 // (TestViewRetrainMatchesView pins it bitwise against RunSplit).
 func (v *StoreView) Retrain(cfg RetrainConfig) (*StoreView, error) {
-	sp := stagedSplit{cands: v.cands, names: v.names, stats: v.splitStats}
+	sp := stagedSplit{cands: v.cands, names: v.names, dict: v.featNames, stats: v.splitStats}
 	testDocs := map[string]bool{}
 	for _, n := range v.docNames {
 		testDocs[n] = true

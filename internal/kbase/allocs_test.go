@@ -10,10 +10,12 @@ import (
 
 // TestInsertAllocs is the allocation guard of the insert path on the
 // memory backend (the race detector changes allocation counts, hence
-// the build tag). A new row costs its stored copy and the amortized
-// growth of the row slice and the index — at most 2 objects, through
-// Insert and through InsertAll; a rejected duplicate is hashed from its
-// typed cells and compared in place, and costs nothing.
+// the build tag). A row is appended to typed vectors, so a new row costs
+// no object of its own: what is allocated is the amortized growth of the
+// vectors, of the index and of the dictionary of the 97 distinct names —
+// some hundred objects over 4096 rows, through Insert and through
+// InsertAll. A rejected duplicate is hashed from its typed cells and
+// compared in place, and costs nothing.
 func TestInsertAllocs(t *testing.T) {
 	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "name", "w:float")
 	const n = 4096
@@ -32,17 +34,18 @@ func TestInsertAllocs(t *testing.T) {
 			}
 		}
 	})
-	if one > 2 {
-		t.Errorf("Insert: %.2f allocations per new row, want <= 2", one)
-	}
 	batch := perRow(func() {
 		tbl = NewTable(schema)
 		if _, err := tbl.InsertAll(rows); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if batch > 2 {
-		t.Errorf("InsertAll: %.2f allocations per new row, want <= 2", batch)
+	t.Logf("allocations per new row: Insert %.3f, InsertAll %.3f", one, batch)
+	if one > 0.05 {
+		t.Errorf("Insert: %.3f allocations per new row, want <= 0.05 (amortized growth only)", one)
+	}
+	if batch > 0.05 {
+		t.Errorf("InsertAll: %.3f allocations per new row, want <= 0.05 (amortized growth only)", batch)
 	}
 
 	if dup := perRow(func() {
@@ -102,6 +105,111 @@ func TestSealAllocs(t *testing.T) {
 	}
 }
 
+// liveHeap is the heap in use after two collections: a sync.Pool (fmt's)
+// gives its contents up over two.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// featureRows are n rows shaped like the store's features relation —
+// (cand, seq, feature) over `names` distinct feature names, a couple of
+// hundred rows a candidate — appended in batches the size of a
+// document's.
+func featureRows(t *testing.T, tbl *Table, n, names int) {
+	t.Helper()
+	const perCand = 180
+	batch := make([]Tuple, 0, 2000)
+	for i := 0; i < n; i++ {
+		batch = append(batch, Tuple{int64(i / perCand), int64(i % perCand), fmt.Sprintf("TAB_e1_ROW_HEAD_[%04d]", (i*7919)%names)})
+		if len(batch) == cap(batch) || i == n-1 {
+			if added, err := tbl.InsertAll(batch); err != nil || added != len(batch) {
+				t.Fatalf("InsertAll = %d, %v", added, err)
+			}
+			batch = batch[:0]
+		}
+	}
+}
+
+// TestMemoryBackendBytesPerRow bounds what a row of the features
+// relation costs the memory kind, dedup index included: its 20 bytes of
+// payload (two int64s and a dictionary id), the index's 11–15, and the
+// vectors' growth slack — where a boxed row cost about 135.
+func TestMemoryBackendBytesPerRow(t *testing.T) {
+	const n, names = 200_000, 5_000
+	before := liveHeap()
+	tbl := NewTable(mustSchema(t, "features", "cand:integer", "seq:integer", "feature"))
+	featureRows(t, tbl, n, names)
+	perRow := float64(liveHeap()-before) / n
+	runtime.KeepAlive(tbl)
+	t.Logf("memory backend: %.1f B/row at %d rows over %d names", perRow, n, names)
+	if perRow > 40 {
+		t.Errorf("a features row costs %.1f B on the memory backend, want <= 40", perRow)
+	}
+}
+
+// TestMemoryBackendDeleteReleasesStrings: DeleteWhere re-packs the
+// vectors to the survivors and rebuilds the string dictionaries from
+// them, so the heap a table holds after deleting most of its rows is,
+// to within a page, what a table holding only the survivors costs. (The
+// store's meta relation is rewritten by delete-and-insert on every
+// labeling-function edit; values that stayed in a dictionary would
+// accumulate.)
+func TestMemoryBackendDeleteReleasesStrings(t *testing.T) {
+	schema := mustSchema(t, "kv", "key", "n:integer", "value")
+	row := func(i int) Tuple {
+		return Tuple{fmt.Sprintf("key-%06d", i), int64(i), fmt.Sprintf("a value long enough to be worth releasing: %032d", i)}
+	}
+	const n, keepEvery = 20_000, 100
+	survivor := func(i int) bool { return i%keepEvery == 0 }
+	fill := func(only func(int) bool) *Table {
+		tbl := NewTable(schema)
+		for i := 0; i < n; i++ {
+			if only(i) {
+				if _, err := tbl.Insert(row(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tbl
+	}
+
+	base := liveHeap()
+	want := fill(survivor)
+	wantBytes := int64(liveHeap() - base)
+	base = liveHeap()
+	got := fill(func(int) bool { return true })
+	full := int64(liveHeap() - base)
+	if deleted := got.DeleteWhere(func(tp Tuple) bool { return !survivor(int(tp[1].(int64))) }); deleted != n-n/keepEvery {
+		t.Fatalf("deleted %d rows, want %d", deleted, n-n/keepEvery)
+	}
+	gotBytes := int64(liveHeap() - base)
+	t.Logf("full table %d B, after DeleteWhere %d B, a table of the %d survivors %d B", full, gotBytes, want.Len(), wantBytes)
+	const page = 8 << 10
+	if gotBytes > wantBytes+page {
+		t.Errorf("after DeleteWhere the table holds %d B, a table of the survivors %d B: the deleted rows were not released", gotBytes, wantBytes)
+	}
+	if !EqualDB(dbOf(t, got), dbOf(t, want)) {
+		t.Error("the survivors differ from a table built from them")
+	}
+	if got.Contains(row(1)) || !got.Contains(row(keepEvery)) {
+		t.Error("membership after DeleteWhere is wrong")
+	}
+}
+
+// dbOf wraps one table in a database.
+func dbOf(t *testing.T, tbl *Table) *DB {
+	t.Helper()
+	db := NewDB()
+	if err := db.Attach(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // TestDedupIndexBytesPerRow measures what set semantics cost: the heap
 // held by the dedup index of a 100 000-row table, per row.
 func TestDedupIndexBytesPerRow(t *testing.T) {
@@ -116,15 +224,9 @@ func TestDedupIndexBytesPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	with := heap()
+	with := liveHeap()
 	tbl.dedup = dedupIndex{}
-	without := heap()
+	without := liveHeap()
 	runtime.KeepAlive(tbl)
 	perRow := float64(with-without) / n
 	t.Logf("dedup index: %.2f B/row at %d rows", perRow, n)

@@ -151,36 +151,44 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 
 // Backend is the pluggable row-storage engine behind a Table. A Table
 // owns exactly one backend and layers relational semantics on top of
-// it — schema/type checking, tuple normalization, set semantics via a
-// compact hash index, and the filtered-read planner — so every backend
-// only has to store an ordered row sequence.
+// it — schema/type checking, set semantics via a compact hash index, and
+// the filtered-read planner — so every backend only has to store an
+// ordered row sequence.
 //
-// There are two implementations: memoryBackend, rows in a slice (the
-// reference the equivalence suites compare against), and pagedBackend
-// (paged.go), which is "disk" or "columnar" depending on where its page
-// store keeps the pages.
+// There are two implementations: memoryBackend (memory.go), typed column
+// vectors on the heap (the reference the equivalence suites compare
+// against), and pagedBackend (paged.go), which is "disk" or "columnar"
+// depending on where its page store keeps the pages.
 //
 // Contract, relied on by Table and by the cross-backend equivalence
 // tests:
 //
-//   - Append preserves insertion order; Get, Scan, Page and Snapshot
-//     observe rows in exactly that order.
-//   - Scan and Page are the only read entry points besides Get. Both
-//     take the conjunction already compiled by Table (never an
-//     impossible one; the zero matcher selects every row) and number
-//     its matches in insertion order. Scan streams them *borrowed* —
-//     like Get's, its tuples must not be retained or modified — until
-//     fn returns false. Page returns detached clones of the matches
-//     numbered [offset, offset+limit) (limit <= 0 means "to the end",
-//     a negative offset is 0, an empty window is nil) plus the exact
-//     number of matches: cloning stops once the window fills, counting
-//     always runs to the end — except that with no predicates the count
-//     is Len, so a paged backend goes straight to the offset's page and
-//     stops after the window.
+//   - Append stores its own copy of the row — an int cell as the int64
+//     it widens to — and never retains the tuple it was given. It
+//     preserves insertion order; Scan, Page and Snapshot observe rows in
+//     exactly that order, and Equal addresses them by it.
+//   - Scan and Page are the only read entry points. Both take the
+//     conjunction already compiled by Table (never an impossible one;
+//     the zero matcher selects every row) and number its matches in
+//     insertion order. at, when non-nil, lists in ascending order the
+//     only positions worth considering (an index plan's candidates);
+//     every one of them is still checked against the conjunction. Scan
+//     streams the matches *borrowed* — its tuple may be storage or a
+//     scratch row overwritten by the next match, so it must not be
+//     retained or modified — until fn returns false. Page returns
+//     detached rows for the matches numbered [offset, offset+limit)
+//     (limit <= 0 means "to the end", a negative offset is 0, an empty
+//     window is nil) plus the exact number of matches: rows stop being
+//     built once the window fills, counting always runs to the end —
+//     except that with no predicates the count is Len, so a paged
+//     backend goes straight to the offset's page and stops after the
+//     window.
 //   - Either read may prune storage regions (pages) that provably hold
 //     no match, and must never skip a matching row. Page also returns
 //     how many regions this call pruned (0 without predicates, and
 //     always for the memory backend).
+//   - Reads share no mutable state: any number may run beside each
+//     other on a table nobody is writing.
 //   - DeleteWhere keeps survivors in relative order and re-packs
 //     positions densely (row i is the i-th surviving row).
 //   - Snapshot streams the rows in the escaped-TSV row encoding of
@@ -191,18 +199,19 @@ type Backend interface {
 	Kind() string
 	// Len returns the number of stored rows.
 	Len() int
-	// Append stores a normalized tuple at position Len().
+	// Append stores a type-checked tuple at position Len().
 	Append(tp Tuple) error
-	// Get returns the row at position i (borrowed). It panics when i is
-	// out of range — positions come from the Table's index and are
+	// Equal reports whether the row at position i and a probe of the
+	// same width have the same dedup key (rowsEqual). It panics when i
+	// is out of range — positions come from the Table's index and are
 	// trusted.
-	Get(i int) Tuple
+	Equal(i int, probe Tuple) bool
 	// Scan is the streaming read: see the contract above.
-	Scan(m matcher, fn func(Tuple) bool)
+	Scan(at []int, m matcher, fn func(Tuple) bool)
 	// Page is the windowed read: see the contract above.
-	Page(m matcher, offset, limit int) (rows []Tuple, total, pruned int)
-	// DeleteWhere removes rows satisfying pred, returning how many
-	// were removed.
+	Page(at []int, m matcher, offset, limit int) (rows []Tuple, total, pruned int)
+	// DeleteWhere removes rows satisfying pred (which borrows its tuple,
+	// as Scan's callback does), returning how many were removed.
 	DeleteWhere(pred func(Tuple) bool) int
 	// Snapshot writes the rows (no header) in the WriteTSV row
 	// encoding.
@@ -304,107 +313,4 @@ func NewEngine(kind, dir string) (Engine, error) {
 	default:
 		return nil, fmt.Errorf("kbase: unknown backend %q (want %s)", kind, BackendKindsWant())
 	}
-}
-
-// MemoryEngine creates in-memory backends — the original
-// representation: every row resident, zero I/O.
-type MemoryEngine struct{}
-
-// Kind returns "memory".
-func (MemoryEngine) Kind() string { return "memory" }
-
-// NewBackend creates an empty in-memory backend.
-func (MemoryEngine) NewBackend(Schema) (Backend, error) {
-	return &memoryBackend{}, nil
-}
-
-// Close is a no-op.
-func (MemoryEngine) Close() error { return nil }
-
-// memoryBackend stores rows in a slice.
-type memoryBackend struct{ tuples []Tuple }
-
-func (b *memoryBackend) Kind() string { return "memory" }
-
-func (b *memoryBackend) Len() int { return len(b.tuples) }
-
-func (b *memoryBackend) Append(tp Tuple) error {
-	b.tuples = append(b.tuples, tp)
-	return nil
-}
-
-func (b *memoryBackend) Get(i int) Tuple { return b.tuples[i] }
-
-func (b *memoryBackend) Scan(m matcher, fn func(Tuple) bool) {
-	if len(m.preds) == 0 {
-		// Table.Scan of the served KB: nothing per row but the callback
-		// (even an inlined predicate-count check is measurable here).
-		for _, tp := range b.tuples {
-			if !fn(tp) {
-				return
-			}
-		}
-		return
-	}
-	// Tight loop: no clone, no fmt — match borrows the stored tuple.
-	for _, tp := range b.tuples {
-		if m.matchPreds(tp) && !fn(tp) {
-			return
-		}
-	}
-}
-
-func (b *memoryBackend) Page(m matcher, offset, limit int) ([]Tuple, int, int) {
-	w := newWindow(offset, limit)
-	if len(m.preds) == 0 {
-		// Match k is row k: slice the window out directly.
-		lo, hi := w.take(len(b.tuples))
-		if lo == hi {
-			return nil, len(b.tuples), 0
-		}
-		out := make([]Tuple, 0, hi-lo)
-		for _, tp := range b.tuples[lo:hi] {
-			out = append(out, tp.Clone())
-		}
-		return out, len(b.tuples), 0
-	}
-	var out []Tuple
-	for _, tp := range b.tuples {
-		if !m.match(tp) {
-			continue
-		}
-		// Clone only in-window matches; keep counting past the window
-		// so total is exact.
-		if w.admit() {
-			out = append(out, tp.Clone())
-		}
-	}
-	return out, w.seen, 0
-}
-
-func (b *memoryBackend) DeleteWhere(pred func(Tuple) bool) int {
-	kept := b.tuples[:0]
-	deleted := 0
-	for _, tp := range b.tuples {
-		if pred(tp) {
-			deleted++
-			continue
-		}
-		kept = append(kept, tp)
-	}
-	// Clear the re-packed slice's tail so deleted rows are collectable.
-	for i := len(kept); i < len(b.tuples); i++ {
-		b.tuples[i] = nil
-	}
-	b.tuples = kept
-	return deleted
-}
-
-func (b *memoryBackend) Snapshot(w io.Writer) error { return writeRowsTSV(w, b.tuples) }
-
-func (b *memoryBackend) Stats() BackendStats { return BackendStats{} }
-
-func (b *memoryBackend) Close() error {
-	b.tuples = nil
-	return nil
 }

@@ -87,12 +87,17 @@ func cellsEqual(a, b any) bool {
 		}
 	case float64:
 		if y, ok := b.(float64); ok {
-			// The shortest round-trip rendering is injective except that
-			// every NaN renders "NaN"; -0 renders "-0".
-			return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+			return floatsEqual(x, y)
 		}
 	}
 	return renderCell(a) == renderCell(b)
+}
+
+// floatsEqual reports whether two floats render alike: the shortest
+// round-trip rendering is injective except that every NaN renders
+// "NaN"; -0 renders "-0".
+func floatsEqual(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
 }
 
 // dedupIndex is a Table's set-membership index: an open-addressed,

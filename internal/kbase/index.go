@@ -23,12 +23,13 @@ import (
 // rebuilds. Planner state lives behind its own mutex because filtered
 // reads arrive concurrently from lock-free StoreView readers.
 //
-// Plans never change results: the index path visits candidate
-// positions in ascending (= insertion) order and verifies every row
-// against the full compiled conjunction (hash collisions and the
-// other predicates), so it emits exactly the rows a scan would, in
-// the same order. The scan path delegates to the backend, where the
-// paged engines prune pages through zone maps.
+// Plans never change results: both plans are one backend read. The
+// index plan hands it the driving value's postings — candidate
+// positions in ascending (= insertion) order — and the backend verifies
+// every one against the full compiled conjunction (hash collisions and
+// the other predicates), so it emits exactly the rows a scan would, in
+// the same order. The scan plan hands it none, and the paged engines
+// prune pages through zone maps.
 const autoIndexAfter = 2
 
 // maxIndexedRows caps index builds; a var so tests can lower it.
@@ -93,13 +94,15 @@ func (t *Table) SetAutoIndex(on bool) {
 }
 
 // choosePlan records the filtered read in the heat map, builds any
-// newly-eligible index, and returns the index to drive the read with
-// (nil → scan plan). Deterministic: the lowest-numbered predicate
-// column with an index wins. The empty conjunction is not a filtered
-// read: it always scans and is not counted.
-func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
+// newly-eligible index, and returns the ascending positions the read
+// need consider — the postings of the driving predicate's value, empty
+// but never nil when no row holds it — or nil for the scan plan.
+// Deterministic: the lowest-numbered predicate column with an index
+// wins. The empty conjunction is not a filtered read: it always scans
+// and is not counted.
+func (t *Table) choosePlan(m matcher) []int {
 	if len(m.preds) == 0 {
-		return nil, compiledPred{}, false
+		return nil
 	}
 	p := t.plan
 	p.mu.Lock()
@@ -110,10 +113,16 @@ func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
 			p.hot[cp.col] = true
 		}
 	}
+	postings := func(ci *colIndex, cp compiledPred) []int {
+		p.indexHits++
+		if at := ci.postings[hashKey(cp.want)]; at != nil {
+			return at
+		}
+		return []int{}
+	}
 	for _, cp := range m.preds {
 		if p.idx[cp.col] != nil {
-			p.indexHits++
-			return p.idx[cp.col], cp, true
+			return postings(p.idx[cp.col], cp)
 		}
 	}
 	for _, cp := range m.preds {
@@ -121,12 +130,11 @@ func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
 			ci := buildColIndex(t.be, cp.col)
 			p.idx[cp.col] = ci
 			p.built.Store(true)
-			p.indexHits++
-			return ci, cp, true
+			return postings(ci, cp)
 		}
 	}
 	p.fullScans++
-	return nil, compiledPred{}, false
+	return nil
 }
 
 // buildColIndex scans the backend once, hashing one column's rendered
@@ -134,7 +142,7 @@ func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
 func buildColIndex(be Backend, col int) *colIndex {
 	ci := &colIndex{postings: make(map[uint64][]int)}
 	pos := 0
-	be.Scan(matcher{}, func(tp Tuple) bool {
+	be.Scan(nil, matcher{}, func(tp Tuple) bool {
 		h := hashKey(renderCell(tp[col]))
 		ci.postings[h] = append(ci.postings[h], pos)
 		pos++
@@ -152,16 +160,7 @@ func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
 	if m.impossible {
 		return
 	}
-	if ci, cp, ok := t.choosePlan(m); ok {
-		for _, pos := range ci.postings[hashKey(cp.want)] {
-			tp := t.be.Get(pos)
-			if m.match(tp) && !fn(tp) {
-				return
-			}
-		}
-		return
-	}
-	t.be.Scan(m, fn)
+	t.be.Scan(t.choosePlan(m), m, fn)
 }
 
 // PlanInfo describes how one filtered read was answered, for slow-
@@ -194,23 +193,13 @@ func (t *Table) PageWhereInfo(preds []Pred, offset, limit int) ([]Tuple, int, Pl
 	if m.impossible {
 		return nil, 0, PlanInfo{Plan: "impossible"}
 	}
-	if ci, cp, ok := t.choosePlan(m); ok {
-		w := newWindow(offset, limit)
-		var out []Tuple
-		for _, pos := range ci.postings[hashKey(cp.want)] {
-			tp := t.be.Get(pos)
-			if !m.match(tp) {
-				continue
-			}
-			if w.admit() {
-				out = append(out, tp.Clone())
-			}
-		}
-		return out, w.seen, PlanInfo{Plan: "index"}
-	}
-	out, total, pruned := t.be.Page(m, offset, limit)
+	at := t.choosePlan(m)
+	out, total, pruned := t.be.Page(at, m, offset, limit)
 	plan := "scan"
-	if len(m.preds) == 0 {
+	switch {
+	case at != nil:
+		plan = "index"
+	case len(m.preds) == 0:
 		plan = "unfiltered"
 	}
 	return out, total, PlanInfo{Plan: plan, PagesSkipped: int64(pruned)}

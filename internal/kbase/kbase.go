@@ -7,10 +7,11 @@
 // existing knowledge base).
 //
 // A Table layers the relational semantics over one Backend. There are
-// two: a plain slice (engine kind "memory" — the served KB always uses
-// it) and one paged engine of binary column pages, whose two kinds hold
-// a session store's relations: "disk" keeps a table's pages in one
-// append-only segment file, "columnar" on the heap. TSV is the snapshot format only.
+// two: typed column vectors on the heap (engine kind "memory" — the
+// served KB always uses it) and one paged engine of binary column pages,
+// whose two kinds hold a session store's relations: "disk" keeps a
+// table's pages in one append-only segment file, "columnar" on the heap.
+// TSV is the snapshot format only.
 package kbase
 
 import (
@@ -144,13 +145,12 @@ func (tp Tuple) Clone() Tuple {
 // Table stores the tuples of one relation with set semantics over the
 // full tuple (inserting a duplicate is a no-op, as relation mentions
 // are de-duplicated when populating the KB). Row storage is delegated
-// to a pluggable Backend — a slice or the paged engine — while the
-// Table keeps the relational semantics: schema/type checking, tuple
-// normalization, and the dedup index (dedup.go: a flat hash -> position
-// table, at most 16 bytes per row and invisible to the garbage
-// collector, so set semantics cost bounded memory even when the rows
-// themselves live in pages; hash hits are verified against the stored
-// row).
+// to a pluggable Backend — column vectors or the paged engine — while
+// the Table keeps the relational semantics: schema/type checking and
+// the dedup index (dedup.go: a flat hash -> position table, at most 16
+// bytes per row and invisible to the garbage collector, so set
+// semantics cost bounded memory even when the rows themselves live in
+// pages; hash hits are verified against the stored row).
 type Table struct {
 	schema Schema
 	be     Backend
@@ -248,7 +248,7 @@ func (t *Table) find(h uint64, tp Tuple) int {
 	tag := dedupTag(h)
 	for i := d.home(tag); d.slots[i] != 0; {
 		if s := d.slots[i]; s>>32 == tag {
-			if pos := int(uint32(s)) - 1; rowsEqual(t.be.Get(pos), tp) {
+			if pos := int(uint32(s)) - 1; t.be.Equal(pos, tp) {
 				return pos
 			}
 		}
@@ -265,7 +265,7 @@ func (t *Table) rebuildIndex() {
 	t.dedup = dedupIndex{}
 	t.dedup.reserve(t.be.Len())
 	pos := 0
-	t.be.Scan(matcher{}, func(tp Tuple) bool {
+	t.be.Scan(nil, matcher{}, func(tp Tuple) bool {
 		t.dedup.add(hashTuple(tp), pos)
 		pos++
 		return true
@@ -283,17 +283,14 @@ func (t *Table) Insert(tp Tuple) (bool, error) {
 // exactly as Insert would — arity and column types enforced, ints
 // widened to int64, duplicates (of stored rows or of earlier tuples of
 // the batch) ignored — and returns how many were newly added. The
-// batch pays for index growth and planner invalidation once. It stops
+// backend stores its own copy of a row, so the caller's tuples are
+// never retained; a batch of duplicates allocates nothing. The batch
+// pays for index growth and planner invalidation once. It stops
 // at the first tuple that is rejected or that the backend fails to
 // store; the tuples before it stay inserted.
 func (t *Table) InsertAll(rows []Tuple) (int, error) {
 	first := t.be.Len()
 	added := 0
-	// Stored rows are cut from slabs of about 1024 cells (small enough
-	// for the allocator's size classes), each row capped to its own cells;
-	// a batch of duplicates allocates nothing.
-	arity := t.schema.Arity()
-	var slab Tuple
 	var err error
 	for k, tp := range rows {
 		if err = t.checkArity(tp); err != nil {
@@ -313,20 +310,9 @@ func (t *Table) InsertAll(rows []Tuple) (int, error) {
 		if added == 0 {
 			t.dedup.reserve(len(rows) - k) // the index grows once for the batch
 		}
-		if len(slab) < arity {
-			slab = make(Tuple, min(len(rows)-k, max(1024/arity, 1))*arity)
-		}
-		norm := slab[:arity:arity]
-		for i, v := range tp {
-			if iv, ok := v.(int); ok {
-				v = int64(iv)
-			}
-			norm[i] = v
-		}
-		if err = t.be.Append(norm); err != nil {
+		if err = t.be.Append(tp); err != nil {
 			break
 		}
-		slab = slab[arity:]
 		t.dedup.add(h, first+added)
 		added++
 	}
@@ -368,12 +354,13 @@ func (t *Table) DeleteWhere(pred func(Tuple) bool) int {
 
 // Scan calls fn for every tuple in insertion order; fn returning false
 // stops the scan. The tuple passed to fn is *borrowed*: it aliases
-// table (or page-cache) storage for the duration of the callback and
+// table (or page-cache) storage, or is a scratch row the next call
+// overwrites, so it is valid for the duration of the callback only and
 // must not be retained or modified (clone it with Tuple.Clone to keep
 // it). Scan is the one deliberately zero-copy read path; Select,
-// Tuples and Page return detached clones.
+// Tuples and Page return detached rows.
 func (t *Table) Scan(fn func(Tuple) bool) {
-	t.be.Scan(matcher{}, fn)
+	t.be.Scan(nil, matcher{}, fn)
 }
 
 // Select returns clones of the tuples satisfying the predicate. The
@@ -382,7 +369,7 @@ func (t *Table) Scan(fn func(Tuple) bool) {
 // freely while the table keeps mutating.
 func (t *Table) Select(pred func(Tuple) bool) []Tuple {
 	var out []Tuple
-	t.be.Scan(matcher{}, func(tp Tuple) bool {
+	t.be.Scan(nil, matcher{}, func(tp Tuple) bool {
 		if pred(tp) {
 			out = append(out, tp.Clone())
 		}
@@ -396,7 +383,7 @@ func (t *Table) Select(pred func(Tuple) bool) []Tuple {
 // storage.
 func (t *Table) Tuples() []Tuple {
 	out := make([]Tuple, 0, t.be.Len())
-	t.be.Scan(matcher{}, func(tp Tuple) bool {
+	t.be.Scan(nil, matcher{}, func(tp Tuple) bool {
 		out = append(out, tp.Clone())
 		return true
 	})
@@ -408,7 +395,7 @@ func (t *Table) Tuples() []Tuple {
 // negative or zero limit means "to the end"; offsets past the end
 // return nil.
 func (t *Table) Page(offset, limit int) []Tuple {
-	rows, _, _ := t.be.Page(matcher{}, offset, limit)
+	rows, _, _ := t.be.Page(nil, matcher{}, offset, limit)
 	return rows
 }
 

@@ -317,6 +317,7 @@ type pagedBackend struct {
 	n     int        // total rows
 	pages int        // sealed pages
 	tail  []Tuple    // rows past the last sealed page
+	cells Tuple      // the page-sized buffer Append cuts the tail's rows from
 	zones []pageZone // one per sealed page, immutable once appended
 
 	cached map[int]*list.Element // page -> lru element
@@ -415,7 +416,21 @@ func (b *pagedBackend) invalidate() {
 func (b *pagedBackend) Append(tp Tuple) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.tail = append(b.tail, tp)
+	// The tail's rows are cut from one buffer a page, each capped to its
+	// own cells: row k of the tail is cells k*arity onwards, so a row
+	// taken back out below is simply overwritten by the retry.
+	arity := len(tp)
+	if b.cells == nil {
+		b.cells = make(Tuple, b.pageRows*arity)
+	}
+	row := b.cells[len(b.tail)*arity:][:arity:arity]
+	for c, v := range tp {
+		if iv, ok := v.(int); ok {
+			v = int64(iv)
+		}
+		row[c] = v
+	}
+	b.tail = append(b.tail, row)
 	b.n++
 	if len(b.tail) < b.pageRows {
 		return nil
@@ -433,10 +448,13 @@ func (b *pagedBackend) Append(tp Tuple) error {
 	}
 	b.zones = append(b.zones, buildPageZone(b.schema, b.tail))
 	b.pages++
-	b.tail = nil // readers may still hold the sealed slice
+	b.tail, b.cells = nil, nil // readers may still hold the sealed slice
 	return nil
 }
 
+func (b *pagedBackend) Equal(i int, probe Tuple) bool { return rowsEqual(b.Get(i), probe) }
+
+// Get returns the row at position i (borrowed), through the LRU.
 func (b *pagedBackend) Get(i int) Tuple {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -454,8 +472,18 @@ func (b *pagedBackend) Get(i int) Tuple {
 // admits until emit returns false, and returns the match count (exact
 // unless emit stopped the walk) and the number of pages the zone maps
 // ruled out — pages never fetched or decoded. detached tells emit the
-// tuple is its own, not the cache's or tail's.
-func (b *pagedBackend) read(m matcher, w window, emit func(tp Tuple, detached bool) bool) (total, pruned int) {
+// tuple is its own, not the cache's or tail's. With an index plan's
+// candidate positions in at there is no walk: each is fetched through
+// the LRU and checked.
+func (b *pagedBackend) read(at []int, m matcher, w window, emit func(tp Tuple, detached bool) bool) (total, pruned int) {
+	if at != nil {
+		for _, pos := range at {
+			if tp := b.Get(pos); m.match(tp) && w.admit() && !emit(tp, false) {
+				break
+			}
+		}
+		return w.seen, 0
+	}
 	b.mu.Lock()
 	n, pages, tail, zones := b.n, b.pages, b.tail, b.zones
 	b.mu.Unlock()
@@ -535,13 +563,13 @@ func (b *pagedBackend) columnRows(page []byte, m matcher, w *window) ([]Tuple, e
 	return pg.rows(sel[lo:hi], b.countDecoded)
 }
 
-func (b *pagedBackend) Scan(m matcher, fn func(Tuple) bool) {
-	b.read(m, window{}, func(tp Tuple, _ bool) bool { return fn(tp) })
+func (b *pagedBackend) Scan(at []int, m matcher, fn func(Tuple) bool) {
+	b.read(at, m, window{}, func(tp Tuple, _ bool) bool { return fn(tp) })
 }
 
-func (b *pagedBackend) Page(m matcher, offset, limit int) ([]Tuple, int, int) {
+func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, int, int) {
 	var out []Tuple
-	total, pruned := b.read(m, newWindow(offset, limit), func(tp Tuple, detached bool) bool {
+	total, pruned := b.read(at, m, newWindow(offset, limit), func(tp Tuple, detached bool) bool {
 		if !detached {
 			tp = tp.Clone()
 		}
@@ -597,7 +625,7 @@ func (b *pagedBackend) DeleteWhere(pred func(Tuple) bool) int {
 	}
 	rewrite(b.store.adopt(next))
 	b.n, b.pages, b.zones = keptN, len(zones), zones
-	b.tail = append([]Tuple(nil), kept...)
+	b.tail, b.cells = append([]Tuple(nil), kept...), nil
 	b.invalidate()
 	return deleted
 }
@@ -633,6 +661,6 @@ func (b *pagedBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.invalidate()
-	b.n, b.pages, b.tail, b.zones = 0, 0, nil, nil
+	b.n, b.pages, b.tail, b.cells, b.zones = 0, 0, nil, nil, nil
 	return b.store.close()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"runtime/metrics"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -181,6 +182,13 @@ type registryMetrics struct {
 	poolLimit *obs.Family // gauge
 	poolInUse *obs.Family // gauge
 
+	// The process's memory, read with runtime/metrics (which, unlike
+	// ReadMemStats, stops nothing): what a claim about resident memory or
+	// about the collector's share of a publish is checked against.
+	heapLive    *obs.Family // gauge
+	heapObjects *obs.Family // gauge
+	gcCPU       *obs.Family // counter, sampled
+
 	degraded     *obs.Family // gauge {tenant}
 	servedEpoch  *obs.Family // gauge {tenant}
 	generation   *obs.Family // gauge {tenant}
@@ -188,6 +196,8 @@ type registryMetrics struct {
 	docs         *obs.Family // gauge {tenant}
 	candidates   *obs.Family // gauge {tenant}
 	kbEntries    *obs.Family // gauge {tenant}
+	featureRows  *obs.Family // gauge {tenant}
+	featureDict  *obs.Family // gauge {tenant}
 	cacheHitRate *obs.Family // gauge {tenant}
 	pagesSkipped *obs.Family // counter {tenant}, sampled
 	indexHits    *obs.Family // counter {tenant}, sampled
@@ -209,6 +219,12 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 			"Process-wide cap on extra worker goroutines (0 = unlimited)."),
 		poolInUse: m.Gauge("fonduer_pool_shared_in_use",
 			"Extra worker goroutines currently holding a shared-limit slot."),
+		heapLive: m.Gauge("fonduer_go_heap_live_bytes",
+			"Heap that survived the last garbage collection ("+runtimeHeapLive+")."),
+		heapObjects: m.Gauge("fonduer_go_heap_objects_bytes",
+			"Heap occupied by live objects and by dead ones not yet swept ("+runtimeHeapObjects+")."),
+		gcCPU: m.Counter("fonduer_go_gc_cpu_seconds_total",
+			"Estimated CPU time the garbage collector has used since the process started ("+runtimeGCCPU+")."),
 		degraded: m.Gauge("fonduer_tenant_degraded",
 			"1 while the tenant carries a failure record: a failed writer or a stuck trainer.",
 			"tenant"),
@@ -230,6 +246,12 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 		kbEntries: m.Gauge("fonduer_tenant_kb_entries",
 			"Knowledge-base tuples in the tenant's served epoch.",
 			"tenant"),
+		featureRows: m.Gauge("fonduer_store_feature_rows",
+			"Rows of the tenant's Features relation: (candidate, feature) pairs in its served epoch.",
+			"tenant"),
+		featureDict: m.Gauge("fonduer_store_feature_dictionary_size",
+			"Distinct feature names in the tenant's session feature dictionary (what /features reports as distinctFeatures).",
+			"tenant"),
 		cacheHitRate: m.Gauge("fonduer_page_cache_hit_rate",
 			"Disk backend page-cache hit rate for the tenant's store, 0..1.",
 			"tenant"),
@@ -248,6 +270,13 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 	}
 }
 
+// The runtime/metrics series behind the three process gauges.
+const (
+	runtimeHeapLive    = "/gc/heap/live:bytes"
+	runtimeHeapObjects = "/memory/classes/heap/objects:bytes"
+	runtimeGCCPU       = "/cpu/classes/gc/total:cpu-seconds"
+)
+
 // sample refreshes the fleet gauges and sampled counters (statuses[i]
 // is entries[i]'s row); called by the /metrics handler immediately
 // before exposition.
@@ -260,6 +289,11 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, e
 	rm.poolInUse.With().Set(float64(pool.SharedInUse()))
 	rm.respErrs.With("encode").Set(float64(respErrEncode.Load()))
 	rm.respErrs.With("write").Set(float64(respErrWrite.Load()))
+	mem := []metrics.Sample{{Name: runtimeHeapLive}, {Name: runtimeHeapObjects}, {Name: runtimeGCCPU}}
+	metrics.Read(mem)
+	rm.heapLive.With().Set(float64(mem[0].Value.Uint64()))
+	rm.heapObjects.With().Set(float64(mem[1].Value.Uint64()))
+	rm.gcCPU.With().Set(mem[2].Value.Float64())
 	for i, ts := range statuses {
 		deg := 0.0
 		if ts.Degraded != nil {
@@ -273,6 +307,8 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, e
 		rm.candidates.With(ts.Name).Set(float64(ts.Candidates))
 		rm.kbEntries.With(ts.Name).Set(float64(ts.KBEntries))
 		v := entries[i].srv.CurrentView()
+		rm.featureRows.With(ts.Name).Set(float64(v.TableRows()["features"]))
+		rm.featureDict.With(ts.Name).Set(float64(v.FeatureStats().DistinctFeatures))
 		st := v.StorageStats()
 		rm.cacheHitRate.With(ts.Name).Set(st.PageCacheHitRate)
 		kb := v.KB().BackendStats()

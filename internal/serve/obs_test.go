@@ -160,6 +160,9 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"fonduer_tenants",
 		"fonduer_pool_shared_limit",
 		"fonduer_pool_shared_in_use",
+		"fonduer_go_heap_live_bytes",
+		"fonduer_go_heap_objects_bytes",
+		"fonduer_go_gc_cpu_seconds_total",
 		"fonduer_tenant_degraded",
 		"fonduer_served_epoch",
 		"fonduer_model_generation",
@@ -167,6 +170,8 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"fonduer_tenant_docs",
 		"fonduer_tenant_candidates",
 		"fonduer_tenant_kb_entries",
+		"fonduer_store_feature_rows",
+		"fonduer_store_feature_dictionary_size",
 		"fonduer_page_cache_hit_rate",
 		"fonduer_kbase_pages_skipped_total",
 		"fonduer_kbase_index_hits_total",
@@ -236,6 +241,25 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	}
 	if v := find(byName["fonduer_publish_total"], map[string]string{"tenant": "elec", "kind": "ingest"}); v != 1 {
 		t.Errorf("elec ingest publish counter = %v", v)
+	}
+	// The memory series: the process has a heap, and the two store gauges
+	// are the Features relation as the tenant's own routes report it.
+	if v := find(byName["fonduer_go_heap_objects_bytes"], nil); v <= 0 {
+		t.Errorf("heap objects gauge = %v", v)
+	}
+	if v := find(byName["fonduer_go_heap_live_bytes"], nil); v < 0 {
+		t.Errorf("live heap gauge = %v", v)
+	}
+	feats := getJSON(t, ts.URL+"/t/elec/features", http.StatusOK)
+	if v, want := find(byName["fonduer_store_feature_dictionary_size"], map[string]string{"tenant": "elec"}), feats["distinctFeatures"].(float64); v != want || want == 0 {
+		t.Errorf("elec feature dictionary gauge = %v, /features reports distinctFeatures %v", v, want)
+	}
+	meta := getJSON(t, ts.URL+"/t/elec/meta", http.StatusOK)
+	if v, want := find(byName["fonduer_store_feature_rows"], map[string]string{"tenant": "elec"}), meta["tables"].(map[string]any)["features"].(float64); v != want || want == 0 {
+		t.Errorf("elec feature rows gauge = %v, /meta reports %v feature rows", v, want)
+	}
+	if v := find(byName["fonduer_store_feature_rows"], map[string]string{"tenant": "ads"}); v != 0 {
+		t.Errorf("ads feature rows gauge = %v before any ingest", v)
 	}
 	// Stage durations observed with stage names from the pipeline enum.
 	stages := map[string]bool{}
