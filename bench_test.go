@@ -633,47 +633,83 @@ func BenchmarkServeMetricsOverhead(b *testing.B) {
 // kbase insert path, the store's per-document mirror, the label-model
 // fit, and the delta view.
 
-// BenchmarkTableInsert is Table.InsertAll on each engine: one op builds
-// a fresh 20 000-row table shaped like the features relation (candidate
-// id, sequence number, feature name) in 500-row batches, then offers
-// every row again — the rejected-duplicate path.
+// BenchmarkTableInsert is the kbase insert path on each engine, through
+// each of its entry points: one op builds a fresh 20 000-row table shaped
+// like the features relation (candidate id, sequence number, feature
+// name) in 500-row batches — a tuple at a time through Insert, a []Tuple
+// through InsertAll, or a typed Batch built from the unboxed values
+// through InsertBatch — then offers every row again: the
+// rejected-duplicate path.
 func BenchmarkTableInsert(b *testing.B) {
 	const nRows, batch = 20000, 500
 	schema, err := kbase.NewSchema("features", "cand:integer", "seq:integer", "name")
 	if err != nil {
 		b.Fatal(err)
 	}
+	names := make([]string, 977)
+	for i := range names {
+		names[i] = fmt.Sprintf("TAB_e1_HEAD_WORD_[collector-%d]", i)
+	}
 	rows := make([]kbase.Tuple, nRows)
 	for i := range rows {
-		rows[i] = kbase.Tuple{int64(i / 40), int64(i % 40), fmt.Sprintf("TAB_e1_HEAD_WORD_[collector-%d]", i%977)}
+		rows[i] = kbase.Tuple{int64(i / 40), int64(i % 40), names[i%len(names)]}
+	}
+	paths := []struct {
+		name   string
+		insert func(tbl *kbase.Table, lo int) error
+	}{
+		{"Insert", func(tbl *kbase.Table, lo int) error {
+			for _, tp := range rows[lo : lo+batch] {
+				if _, err := tbl.Insert(tp); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"InsertAll", func(tbl *kbase.Table, lo int) error {
+			_, err := tbl.InsertAll(rows[lo : lo+batch])
+			return err
+		}},
+		{"InsertBatch", func(tbl *kbase.Table, lo int) error {
+			bt := kbase.NewBatch(schema, batch)
+			for i := lo; i < lo+batch; i++ {
+				bt.AppendInt(0, int64(i/40))
+				bt.AppendInt(1, int64(i%40))
+				bt.AppendString(2, names[i%len(names)])
+			}
+			_, err := tbl.InsertBatch(bt)
+			return err
+		}},
 	}
 	for _, kind := range kbase.BackendKinds() {
-		b.Run(kind, func(b *testing.B) {
-			perItem := startPerItem(b)
-			for i := 0; i < b.N; i++ {
-				engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), fmt.Sprint(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				db := kbase.NewDBWith(engine)
-				tbl, err := db.Create(schema)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for pass := 0; pass < 2; pass++ {
-					for lo := 0; lo < nRows; lo += batch {
-						if _, err := tbl.InsertAll(rows[lo : lo+batch]); err != nil {
-							b.Fatal(err)
+		for _, path := range paths {
+			b.Run(kind+"/"+path.name, func(b *testing.B) {
+				perItem := startPerItem(b)
+				for i := 0; i < b.N; i++ {
+					engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), fmt.Sprint(i)))
+					if err != nil {
+						b.Fatal(err)
+					}
+					db := kbase.NewDBWith(engine)
+					tbl, err := db.Create(schema)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for pass := 0; pass < 2; pass++ {
+						for lo := 0; lo < nRows; lo += batch {
+							if err := path.insert(tbl, lo); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
+					if tbl.Len() != nRows {
+						b.Fatalf("table holds %d rows, want %d", tbl.Len(), nRows)
+					}
+					db.Close()
 				}
-				if tbl.Len() != nRows {
-					b.Fatalf("table holds %d rows, want %d", tbl.Len(), nRows)
-				}
-				db.Close()
-			}
-			perItem(b.N*2*nRows, "row")
-		})
+				perItem(b.N*2*nRows, "row")
+			})
+		}
 	}
 }
 

@@ -185,3 +185,41 @@ func TestOpenStoreViewReadsNoPages(t *testing.T) {
 		t.Fatalf("View decoded %d pages after OpenStore, want 0", after.PageCacheMisses-before.PageCacheMisses)
 	}
 }
+
+// TestMirrorWorkersSnapshotIdentical: AddDocuments inserts an upload's
+// relations side by side, one batch each. Inserts into distinct relations
+// commute, so the schedule must not show: on every engine kind a session
+// fed two documents a call at Workers 1, the same at Workers 4, and one
+// fed a document a call at Workers 1 — a relation's batch is then one
+// document's rows, as it used to be — snapshot to the same bytes. Run
+// under -race.
+func TestMirrorWorkersSnapshotIdentical(t *testing.T) {
+	corpus := synth.Electronics(83, 10)
+	task := corpus.Tasks[0]
+	var want map[string][]byte
+	for _, backend := range kbase.BackendKinds() {
+		for _, feed := range []struct{ workers, perCall int }{{1, 2}, {4, 2}, {1, 1}} {
+			st := core.NewStore(task, core.Options{Seed: 3, Workers: feed.workers, Backend: backend})
+			for i := 0; i < len(corpus.Docs); i += feed.perCall {
+				if err := st.AddDocuments(corpus.Docs[i : i+feed.perCall]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dir := filepath.Join(t.TempDir(), "snap")
+			if err := st.Snapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			got := snapshotBytes(t, dir)
+			if want == nil {
+				want = got
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, Workers %d, %d documents a call: the snapshot differs from the first session's", backend, feed.workers, feed.perCall)
+			}
+		}
+	}
+	if len(want["features.tsv"]) == 0 {
+		t.Fatal("the snapshots hold no features relation")
+	}
+}

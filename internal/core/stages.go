@@ -151,11 +151,13 @@ func extractorFactory(opts Options) func() *features.Extractor {
 // distinctFeatures returns the candidate's feature names, first
 // occurrence only, in emission order. Distinctness is what both
 // downstream consumers want: the count stage counts candidates per
-// feature, and the indicator matrix is {0,1}-valued.
-func distinctFeatures(fx *features.Extractor, c *candidates.Candidate) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, f := range fx.Featurize(c) {
+// feature, and the indicator matrix is {0,1}-valued. seen is the caller's
+// scratch set, cleared here: one map serves a document's candidates.
+func distinctFeatures(fx *features.Extractor, c *candidates.Candidate, seen map[string]bool) []string {
+	clear(seen)
+	fs := fx.Featurize(c)
+	out := make([]string, 0, len(fs))
+	for _, f := range fs {
 		if !seen[f.Name] {
 			seen[f.Name] = true
 			out = append(out, f.Name)
@@ -185,8 +187,9 @@ func featurizeStage(newFx func() *features.Extractor, perDoc [][]*candidates.Can
 	pool.Run(len(perDoc), workers, func(i int) {
 		fx := newFx()
 		df := docFeatures{names: make([][]string, len(perDoc[i])), counts: map[string]int{}}
+		seen := map[string]bool{}
 		for k, c := range perDoc[i] {
-			df.names[k] = distinctFeatures(fx, c)
+			df.names[k] = distinctFeatures(fx, c, seen)
 			for _, n := range df.names[k] {
 				df.counts[n]++
 			}
@@ -268,7 +271,7 @@ func indexColumns(ix *features.Index, dict []string) []int32 {
 // vector, yielding its admitted column set in ascending order — one row
 // of the numeric Features matrix the model consumes.
 func gatherColumns(colOf []int32, ids []uint32) []int {
-	var cols []int
+	cols := make([]int, 0, len(ids))
 	for _, id := range ids {
 		if col := colOf[id]; col >= 0 {
 			cols = append(cols, int(col))

@@ -387,21 +387,18 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	spans = append(spans, obs.NewSpan("supervise", t0, len(deltaCands), len(votes), pool.Workers(workers)))
 
 	// ---- Commit point. Nothing above touched the store and nothing
-	// below depends on the input. The relations take the delta first:
-	// that is the only step that can still fail (I/O on a paged kind),
-	// and when it does the session fields are still those of the last
-	// epoch while the relations hold part of a batch — the store is
-	// failed, not rolled back.
+	// below depends on the input. The relations take the delta first,
+	// one batch each, side by side: that is the only step that can still
+	// fail (I/O on a paged kind), and when it does the session fields are
+	// still those of the last epoch while the relations hold part of an
+	// upload — the failing relation a prefix of its batch, the others all
+	// of theirs or none — so the store is failed, not rolled back.
 	t0 = time.Now()
-	first := 0
-	for k, d := range delta {
-		n := len(perDoc[k])
-		if err := s.mirrorDoc(len(s.docs)+k, d, perDoc[k], feats[k], votes[first:first+n]); err != nil {
-			return s.fail(err)
-		}
-		first += n
+	mirrored, err := s.mirror(len(s.docs), delta, perDoc, feats, votes, workers)
+	if err != nil {
+		return s.fail(err)
 	}
-	spans = append(spans, obs.NewSpan("mirror", t0, len(delta), len(delta), 0))
+	spans = append(spans, obs.NewSpan("mirror", t0, len(delta), mirrored, pool.Workers(workers)))
 
 	// ---- Merge: append per-document state, the Features rows as ids —
 	// this is where a name is first interned — and sum the count shards:

@@ -9,6 +9,7 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
 	"repro/internal/kbase"
+	"repro/internal/pool"
 )
 
 // The store's relations, materialized as kbase tables. Everything a
@@ -242,9 +243,9 @@ func checkPersistable(d *datamodel.Document) error {
 	return nil
 }
 
-// sentenceTuple flattens one sentence (and its cell linkage) into a
-// sentences-relation row. The sentence has passed checkPersistable.
-func sentenceTuple(docName string, sent *datamodel.Sentence) kbase.Tuple {
+// appendSentence flattens one sentence (and its cell linkage) into a
+// sentences-relation row of b. The sentence has passed checkPersistable.
+func appendSentence(b *kbase.Batch, docName string, sent *datamodel.Sentence) {
 	tbl, rs, re, cs, ce, header := -1, 0, 0, 0, 0, 0
 	if cell := sent.Cell(); cell != nil {
 		tbl = cell.Table.Position
@@ -253,14 +254,28 @@ func sentenceTuple(docName string, sent *datamodel.Sentence) kbase.Tuple {
 			header = 1
 		}
 	}
-	return kbase.Tuple{
-		docName, sent.Position,
-		joinList(sent.Words), joinList(sent.Lemmas), joinList(sent.POS), joinList(sent.NER),
-		sent.HTMLTag, encodeAttrs(sent.HTMLAttrs),
-		joinList(sent.AncestorTags), joinList(sent.AncestorClasses), joinList(sent.AncestorIDs),
-		sent.NodePos, sent.PrevSibTag, sent.NextSibTag,
-		encodeInts(sent.PageNums), encodeBoxes(sent.Boxes), encodeFont(sent.Font),
-		tbl, rs, re, cs, ce, header,
+	col := 0 // the cells go in schema order
+	str := func(v string) { b.AppendString(col, v); col++ }
+	num := func(v int) { b.AppendInt(col, int64(v)); col++ }
+	str(docName)
+	num(sent.Position)
+	str(joinList(sent.Words))
+	str(joinList(sent.Lemmas))
+	str(joinList(sent.POS))
+	str(joinList(sent.NER))
+	str(sent.HTMLTag)
+	str(encodeAttrs(sent.HTMLAttrs))
+	str(joinList(sent.AncestorTags))
+	str(joinList(sent.AncestorClasses))
+	str(joinList(sent.AncestorIDs))
+	num(sent.NodePos)
+	str(sent.PrevSibTag)
+	str(sent.NextSibTag)
+	str(encodeInts(sent.PageNums))
+	str(encodeBoxes(sent.Boxes))
+	str(encodeFont(sent.Font))
+	for _, v := range [...]int{tbl, rs, re, cs, ce, header} {
+		num(v)
 	}
 }
 
@@ -461,77 +476,123 @@ func (s *Store) writeMeta() error {
 	return nil
 }
 
-// mirrorDoc persists one newly ingested document's shard of every
-// relation — the delta-only write path of AddDocuments, run past its
-// commit point: pos is the document's position, cands its candidates
-// (IDs assigned), df its Featurize output and votes its candidates'
-// Labels rows. The rows are a pure function of those (the document has
-// passed checkPersistable), each relation's go in as one batch, and the
-// only error is the engine's.
-func (s *Store) mirrorDoc(pos int, doc *datamodel.Document, cands []*candidates.Candidate, df docFeatures, votes [][]int8) error {
-	ins := func(table string, rows ...kbase.Tuple) error {
-		_, err := s.db.Table(table).InsertAll(rows)
-		return err
-	}
-	name := doc.Name
-	if err := ins(tblDocuments, kbase.Tuple{pos, name, doc.Format}); err != nil {
-		return err
-	}
-	sents := doc.Sentences()
-	sentRows := make([]kbase.Tuple, len(sents))
-	for i, sent := range sents {
-		sentRows[i] = sentenceTuple(name, sent)
-	}
-	if err := ins(tblSentences, sentRows...); err != nil {
-		return err
-	}
-
-	// The features relation is most of a document's rows (a couple of
-	// thousand): its tuples are cut from one cell buffer.
+// mirror persists the shards of newly ingested documents — the
+// delta-only write path of AddDocuments, run past its commit point:
+// delta[k] takes position firstPos+k, perDoc[k] are its candidates (IDs
+// assigned), feats[k] its Featurize output, and votes holds the Labels
+// rows of all of them in candidate order. Each relation gets one batch,
+// its rows in document order, and the relations — each table owns its
+// backend, dedup index, planner and segment — are built and inserted on
+// up to workers goroutines. The rows are a pure function of the
+// arguments (the documents have passed checkPersistable), so the only
+// error is an engine's: the first in relation order, whatever the
+// schedule. It returns how many rows went in.
+func (s *Store) mirror(firstPos int, delta []*datamodel.Document, perDoc [][]*candidates.Candidate, feats []docFeatures, votes [][]int8, workers int) (int, error) {
 	nFeat := 0
-	for _, names := range df.names {
-		nFeat += len(names)
+	for _, df := range feats {
+		for _, names := range df.names {
+			nFeat += len(names)
+		}
 	}
-	featRows := make([]kbase.Tuple, 0, nFeat)
-	featCells := make(kbase.Tuple, 0, 3*nFeat)
-	var candRows, labelRows []kbase.Tuple
-	for k, c := range cands {
-		id := any(int64(c.ID)) // boxed once per candidate, shared by its rows
-		for a, m := range c.Mentions {
-			candRows = append(candRows, kbase.Tuple{id, a, m.TypeName, name, m.Span.Sentence.Position, m.Span.Start, m.Span.End})
-		}
-		for seq, fn := range df.names[k] {
-			featCells = append(featCells, id, seq, fn)
-			featRows = append(featRows, featCells[len(featCells)-3:])
-		}
-		for lf, v := range votes[k] {
-			if v != 0 {
-				labelRows = append(labelRows, kbase.Tuple{id, lf, int(v)})
+	relations := []struct {
+		table string
+		rows  int // a size hint
+		fill  func(b *kbase.Batch)
+	}{
+		{tblDocuments, len(delta), func(b *kbase.Batch) {
+			for k, d := range delta {
+				b.AppendInt(0, int64(firstPos+k))
+				b.AppendString(1, d.Name)
+				b.AppendString(2, d.Format)
 			}
+		}},
+		{tblSentences, 0, func(b *kbase.Batch) {
+			for _, d := range delta {
+				for _, sent := range d.Sentences() {
+					appendSentence(b, d.Name, sent)
+				}
+			}
+		}},
+		{tblCands, 2 * len(votes), func(b *kbase.Batch) {
+			for k, d := range delta {
+				for _, c := range perDoc[k] {
+					for a, m := range c.Mentions {
+						b.AppendInt(0, int64(c.ID))
+						b.AppendInt(1, int64(a))
+						b.AppendString(2, m.TypeName)
+						b.AppendString(3, d.Name)
+						b.AppendInt(4, int64(m.Span.Sentence.Position))
+						b.AppendInt(5, int64(m.Span.Start))
+						b.AppendInt(6, int64(m.Span.End))
+					}
+				}
+			}
+		}},
+		{tblFeatures, nFeat, func(b *kbase.Batch) {
+			for k := range delta {
+				for i, c := range perDoc[k] {
+					for seq, fn := range feats[k].names[i] {
+						b.AppendInt(0, int64(c.ID))
+						b.AppendInt(1, int64(seq))
+						b.AppendString(2, fn)
+					}
+				}
+			}
+		}},
+		{tblLabels, len(votes), func(b *kbase.Batch) {
+			i := 0
+			for k := range delta {
+				for _, c := range perDoc[k] {
+					for lf, v := range votes[i] {
+						if v != 0 {
+							b.AppendInt(0, int64(c.ID))
+							b.AppendInt(1, int64(lf))
+							b.AppendInt(2, int64(v))
+						}
+					}
+					i++
+				}
+			}
+		}},
+		{tblCounts, 0, func(b *kbase.Batch) {
+			for k, d := range delta {
+				counts := feats[k].counts
+				names := make([]string, 0, len(counts))
+				for fn := range counts {
+					names = append(names, fn)
+				}
+				sort.Strings(names)
+				for _, fn := range names {
+					b.AppendString(0, d.Name)
+					b.AppendString(1, fn)
+					b.AppendInt(2, int64(counts[fn]))
+				}
+			}
+		}},
+		{tblDocStats, len(delta), func(b *kbase.Batch) {
+			for k, d := range delta {
+				b.AppendString(0, d.Name)
+				b.AppendInt(1, int64(len(perDoc[k])))
+				b.AppendInt(2, int64(feats[k].stats.Hits))
+				b.AppendInt(3, int64(feats[k].stats.Misses))
+			}
+		}},
+	}
+	added, errs := make([]int, len(relations)), make([]error, len(relations))
+	pool.Run(len(relations), workers, func(i int) {
+		tbl := s.db.Table(relations[i].table)
+		b := kbase.NewBatch(tbl.Schema(), relations[i].rows)
+		relations[i].fill(b)
+		added[i], errs[i] = tbl.InsertBatch(b)
+	})
+	rows := 0
+	for i, err := range errs {
+		if err != nil {
+			return rows, err
 		}
+		rows += added[i]
 	}
-	if err := ins(tblCands, candRows...); err != nil {
-		return err
-	}
-	if err := ins(tblFeatures, featRows...); err != nil {
-		return err
-	}
-	if err := ins(tblLabels, labelRows...); err != nil {
-		return err
-	}
-	feats := make([]string, 0, len(df.counts))
-	for fn := range df.counts {
-		feats = append(feats, fn)
-	}
-	sort.Strings(feats)
-	countRows := make([]kbase.Tuple, len(feats))
-	for i, fn := range feats {
-		countRows[i] = kbase.Tuple{name, fn, df.counts[fn]}
-	}
-	if err := ins(tblCounts, countRows...); err != nil {
-		return err
-	}
-	return ins(tblDocStats, kbase.Tuple{name, len(cands), df.stats.Hits, df.stats.Misses})
+	return rows, nil
 }
 
 // mirrorColumn persists one Labels column's non-abstain votes and the
@@ -539,13 +600,16 @@ func (s *Store) mirrorDoc(pos int, doc *datamodel.Document, cands []*candidates.
 // EditLF. An error fails the store: the session already carries the
 // column.
 func (s *Store) mirrorColumn(col int, votes []int8) error {
-	var rows []kbase.Tuple
+	tbl := s.db.Table(tblLabels)
+	b := kbase.NewBatch(tbl.Schema(), len(votes))
 	for i, v := range votes {
 		if v != 0 {
-			rows = append(rows, kbase.Tuple{i, col, int(v)})
+			b.AppendInt(0, int64(i))
+			b.AppendInt(1, int64(col))
+			b.AppendInt(2, int64(v))
 		}
 	}
-	if _, err := s.db.Table(tblLabels).InsertAll(rows); err != nil {
+	if _, err := tbl.InsertBatch(b); err != nil {
 		return s.fail(err)
 	}
 	if err := s.writeMeta(); err != nil {

@@ -155,17 +155,18 @@ func (v *StoreView) labels() *labeling.Matrix {
 // after the store (and its spill) moves on.
 func (v *StoreView) withModel(g modelState, res Result, spans []obs.Span) (*StoreView, error) {
 	t0 := time.Now()
-	rows := make([]kbase.Tuple, len(res.Predicted))
-	cells := make(kbase.Tuple, 0, len(res.Predicted)*v.task.Schema.Arity())
-	for k, t := range res.Predicted {
-		first := len(cells)
-		for _, val := range t.Values {
-			cells = append(cells, val)
+	schema := v.task.Schema
+	b := kbase.NewBatch(schema, len(res.Predicted))
+	for _, t := range res.Predicted {
+		if len(t.Values) != schema.Arity() {
+			return nil, fmt.Errorf("core: materializing KB for view: %s has arity %d, got %d values", schema.Name, schema.Arity(), len(t.Values))
 		}
-		rows[k] = cells[first:len(cells):len(cells)]
+		for c, val := range t.Values {
+			b.AppendString(c, val)
+		}
 	}
-	kb := kbase.NewTable(v.task.Schema)
-	if _, err := kb.InsertAll(rows); err != nil {
+	kb := kbase.NewTable(schema)
+	if _, err := kb.InsertBatch(b); err != nil {
 		return nil, fmt.Errorf("core: materializing KB for view: %w", err)
 	}
 	nv := *v

@@ -81,6 +81,17 @@ type Extractor struct {
 	cache    map[string][]Feature
 	cacheDoc *datamodel.Document // cache is flushed per document
 	stats    CacheStats
+	// named holds, per argument position and span key, the cached unary
+	// features under their position-prefixed names, so the candidates of
+	// a document that share a mention share its name strings. Flushed
+	// with cache; not counted in stats.
+	named map[argSpan][]Feature
+	last  int // how many features the last candidate had: the next one's size hint
+}
+
+type argSpan struct {
+	arg  int
+	span string
 }
 
 // NewExtractor returns an extractor with caching enabled and all
@@ -109,26 +120,45 @@ func (e *Extractor) Featurize(c *candidates.Candidate) []Feature {
 	if doc := c.Doc(); doc != e.cacheDoc {
 		e.cacheDoc = doc
 		e.cache = map[string][]Feature{}
+		e.named = map[argSpan][]Feature{}
 	}
-	var out []Feature
+	out := make([]Feature, 0, e.last) // a document's candidates are alike
 	for i, m := range c.Mentions {
-		prefix := fmt.Sprintf("e%d_", i)
-		for _, f := range e.mentionFeatures(m.Span) {
-			out = append(out, Feature{Name: prefix + f.Name, Modality: f.Modality})
-		}
+		out = append(out, e.argFeatures(i, m.Span)...)
 	}
 	for i := 0; i < len(c.Mentions); i++ {
 		for j := i + 1; j < len(c.Mentions); j++ {
 			out = append(out, e.pairFeatures(c.Mentions[i].Span, c.Mentions[j].Span)...)
 		}
 	}
+	e.last = len(out)
 	return out
 }
 
-// mentionFeatures returns (and caches) the unary features of one span.
-func (e *Extractor) mentionFeatures(sp datamodel.Span) []Feature {
+// argFeatures returns the unary features of the span as argument arg of
+// a candidate: mentionFeatures, each name prefixed by the position.
+func (e *Extractor) argFeatures(arg int, sp datamodel.Span) []Feature {
+	key := argSpan{arg, sp.Key()}
+	fs := e.mentionFeatures(sp, key.span)
+	if named, ok := e.named[key]; ok && e.UseCache {
+		return named
+	}
+	prefix := fmt.Sprintf("e%d_", arg)
+	named := make([]Feature, len(fs))
+	for k, f := range fs {
+		named[k] = Feature{Name: prefix + f.Name, Modality: f.Modality}
+	}
 	if e.UseCache {
-		if fs, ok := e.cache[sp.Key()]; ok {
+		e.named[key] = named
+	}
+	return named
+}
+
+// mentionFeatures returns (and caches, under the span's key) the unary
+// features of one span.
+func (e *Extractor) mentionFeatures(sp datamodel.Span, key string) []Feature {
+	if e.UseCache {
+		if fs, ok := e.cache[key]; ok {
 			e.stats.Hits++
 			return fs
 		}
@@ -136,7 +166,7 @@ func (e *Extractor) mentionFeatures(sp datamodel.Span) []Feature {
 	}
 	fs := e.computeMentionFeatures(sp)
 	if e.UseCache {
-		e.cache[sp.Key()] = fs
+		e.cache[key] = fs
 	}
 	return fs
 }

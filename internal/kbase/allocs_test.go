@@ -76,11 +76,13 @@ func TestInsertAllocs(t *testing.T) {
 }
 
 // TestSealAllocs is the allocation guard of sealing a page: encoding the
-// tail, putting the page and building its zone map. 128 appends to a
-// paged backend seal exactly one 128-row page and cost O(columns)
-// objects — the tail's growth, one exactly sized block per column, the
-// page, and the values the zone's min, max and distinct slots adopt —
-// where rendering every numeric cell to a string cost one per cell.
+// tail, putting the page and building its zone map. The append that
+// brings a paged backend's tail to 128 rows seals exactly one 128-row
+// page and costs O(columns) objects — one exactly sized block per column,
+// the page, and the values the zone's min, max and distinct slots adopt —
+// where rendering every numeric cell to a string cost one per cell. (The
+// 127 rows before it are counted out: the tail is []Tuple, and boxes a
+// string cell per row.)
 func TestSealAllocs(t *testing.T) {
 	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
 	const pageRows = 128
@@ -89,19 +91,35 @@ func TestSealAllocs(t *testing.T) {
 		rows[i] = Tuple{int64(1000 + i/40), int64(100 + i%40), fmt.Sprintf("TAB_e1_HEAD_WORD_[collector-%d]", i)}
 	}
 	b := newPagedBackend("columnar", schema, &heapStore{}, pageRows, 2)
-	seal := testing.AllocsPerRun(20, func() {
-		for _, tp := range rows {
-			if err := b.Append(tp); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if pages := b.Stats().Pages; pages != 21 {
-		t.Fatalf("sealed %d pages, want 21", pages)
+	batch, all := batchOf(schema, rows), make([]int, pageRows)
+	for i := range all {
+		all[i] = i
 	}
-	t.Logf("sealing a %d-row, %d-column page: %.0f allocations", pageRows, schema.Arity(), seal)
-	if limit := float64(16 * schema.Arity()); seal > limit {
-		t.Errorf("sealing a page costs %.0f allocations, want <= %.0f (it has %d cells)", seal, limit, pageRows*schema.Arity())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	const runs = 21
+	var seal uint64
+	for run := 0; run < runs; run++ {
+		if _, err := b.Append(batch, all[:pageRows-1]); err != nil {
+			t.Fatal(err)
+		}
+		before := mallocs()
+		if _, err := b.Append(batch, all[pageRows-1:]); err != nil {
+			t.Fatal(err)
+		}
+		seal += mallocs() - before
+	}
+	seal /= runs
+	if pages := b.Stats().Pages; pages != runs {
+		t.Fatalf("sealed %d pages, want %d", pages, runs)
+	}
+	t.Logf("sealing a %d-row, %d-column page: %d allocations", pageRows, schema.Arity(), seal)
+	if limit := uint64(16 * schema.Arity()); seal > limit {
+		t.Errorf("sealing a page costs %d allocations, want <= %d (it has %d cells)", seal, limit, pageRows*schema.Arity())
 	}
 }
 

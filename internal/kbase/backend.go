@@ -163,10 +163,13 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 // Contract, relied on by Table and by the cross-backend equivalence
 // tests:
 //
-//   - Append stores its own copy of the row — an int cell as the int64
-//     it widens to — and never retains the tuple it was given. It
-//     preserves insertion order; Scan, Page and Snapshot observe rows in
-//     exactly that order, and Equal addresses them by it.
+//   - Append stores its own copy of the listed rows of a batch Table has
+//     checked against the schema, a column at a time, and retains nothing
+//     of the batch. It stops at the first row it fails to store and
+//     returns how many it stored: those stay, and the backend is as if
+//     the call had listed only them (the next Append retries whatever
+//     failed). It preserves insertion order; Scan, Page and Snapshot
+//     observe rows in exactly that order, and Equal addresses them by it.
 //   - Scan and Page are the only read entry points. Both take the
 //     conjunction already compiled by Table (never an impossible one;
 //     the zero matcher selects every row) and number its matches in
@@ -199,13 +202,15 @@ type Backend interface {
 	Kind() string
 	// Len returns the number of stored rows.
 	Len() int
-	// Append stores a type-checked tuple at position Len().
-	Append(tp Tuple) error
-	// Equal reports whether the row at position i and a probe of the
-	// same width have the same dedup key (rowsEqual). It panics when i
-	// is out of range — positions come from the Table's index and are
-	// trusted.
-	Equal(i int, probe Tuple) bool
+	// Append stores rows rows[0], rows[1], … of the checked batch b at
+	// positions Len(), Len()+1, … and returns how many it stored, with the
+	// error that stopped it short.
+	Append(b *Batch, rows []int) (int, error)
+	// Equal reports whether the row at position i and row r of the
+	// checked batch b have the same dedup key, comparing typed cells in
+	// place. It panics when i is out of range — positions come from the
+	// Table's index and are trusted.
+	Equal(i int, b *Batch, r int) bool
 	// Scan is the streaming read: see the contract above.
 	Scan(at []int, m matcher, fn func(Tuple) bool)
 	// Page is the windowed read: see the contract above.

@@ -69,14 +69,18 @@ func partsOf(rows []Tuple) []string {
 }
 
 func TestBackendSetSemantics(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
+	forEachInsertPath(t, func(t *testing.T, engine Engine, insert insertFunc) {
 		tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
-		fillParts(t, tbl, 10)
+		for i := 0; i < 10; i++ {
+			if added, err := insert(tbl, []Tuple{{fmt.Sprintf("p%02d", i), i}}); err != nil || added != 1 {
+				t.Fatalf("insert %d: added=%v err=%v", i, added, err)
+			}
+		}
 		if tbl.Len() != 10 {
 			t.Fatalf("len = %d", tbl.Len())
 		}
 		// Duplicates (with int normalization) are no-ops.
-		if added, err := tbl.Insert(Tuple{"p03", int64(3)}); err != nil || added {
+		if added, err := insert(tbl, []Tuple{{"p03", int64(3)}}); err != nil || added != 0 {
 			t.Fatalf("dup insert: added=%v err=%v", added, err)
 		}
 		for i := 0; i < 10; i++ {
@@ -105,7 +109,7 @@ func TestBackendSetSemantics(t *testing.T) {
 			}
 		}
 		// The deleted tuple can be re-inserted (index rebuilt correctly).
-		if added, err := tbl.Insert(Tuple{"p04", 4}); err != nil || !added {
+		if added, err := insert(tbl, []Tuple{{"p04", 4}}); err != nil || added != 1 {
 			t.Fatalf("re-insert after delete: added=%v err=%v", added, err)
 		}
 
@@ -115,8 +119,8 @@ func TestBackendSetSemantics(t *testing.T) {
 		// them back.
 		exact := newBackedTable(t, engine, mustSchema(t, "exact", "s", "f:float"))
 		stored := exactRows()
-		if n, err := exact.InsertAll(stored); err != nil || n != len(stored) {
-			t.Fatalf("InsertAll(exact) = %d, %v", n, err)
+		if n, err := insert(exact, stored); err != nil || n != len(stored) {
+			t.Fatalf("insert(exact) = %d, %v", n, err)
 		}
 		var scanned, gotten []Tuple
 		exact.Scan(func(tp Tuple) bool {
@@ -658,7 +662,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 				return rows, len(b.zones)
 			}
 			for i := 0; i < 7; i++ {
-				if err := b.Append(row(i)); err != nil {
+				if err := appendRow(b, schema, row(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -667,7 +671,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 				t.Fatalf("zones = %d, want 1", wantZones)
 			}
 			// Row 7 fills page 1, whose put fails.
-			if err := b.Append(row(7)); err == nil || !strings.Contains(err.Error(), "injected put fault") {
+			if err := appendRow(b, schema, row(7)); err == nil || !strings.Contains(err.Error(), "injected put fault") {
 				t.Fatalf("Append over a failing put = %v", err)
 			}
 			if rows, zones := state(); !reflect.DeepEqual(rows, wantRows) || zones != wantZones || b.Stats().Pages != 1 {
@@ -675,7 +679,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 					len(rows), zones, b.Stats().Pages, len(wantRows), wantZones)
 			}
 			// The retry seals the page.
-			if err := b.Append(row(7)); err != nil {
+			if err := appendRow(b, schema, row(7)); err != nil {
 				t.Fatalf("retry: %v", err)
 			}
 			rows, zones := state()
@@ -705,7 +709,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 		store := &segmentStore{path: filepath.Join(t.TempDir(), "faulty.seg")}
 		b := newPagedBackend("paged", schema, store, 4, 2)
 		for i := 0; i < 11; i++ { // 2 sealed pages + 3-row tail
-			if err := b.Append(row(i)); err != nil {
+			if err := appendRow(b, schema, row(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -716,7 +720,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 		if store.f, err = os.Open(store.path); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Append(row(11)); err == nil {
+		if err := appendRow(b, schema, row(11)); err == nil {
 			t.Fatal("Append over a read-only segment succeeded")
 		}
 		if b.Len() != 11 || len(b.zones) != 2 || b.Stats().Pages != 2 || !reflect.DeepEqual(store.ends, ends) {
@@ -725,7 +729,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 		}
 		store.f.Close()
 		store.f = rw
-		if err := b.Append(row(11)); err != nil {
+		if err := appendRow(b, schema, row(11)); err != nil {
 			t.Fatalf("retry: %v", err)
 		}
 		if info, err := os.Stat(store.path); err != nil || b.Stats().Pages != 3 || info.Size() != store.ends[2] {

@@ -148,13 +148,13 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer be.Close()
-	if err := be.Append(Tuple{"x", "not-an-int", 0.0}); err == nil {
+	if err := appendRow(be, schema, Tuple{"x", "not-an-int", 0.0}); err == nil {
 		t.Fatal("Append with a mistyped cell did not error")
 	}
 	if be.Len() != 0 {
 		t.Fatalf("failed Append left %d rows", be.Len())
 	}
-	if err := be.Append(Tuple{"x", int64(1), 0.5}); err != nil {
+	if err := appendRow(be, schema, Tuple{"x", int64(1), 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if be.Len() != 1 {

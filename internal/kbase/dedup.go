@@ -156,3 +156,18 @@ func (d *dedupIndex) add(h uint64, pos int) {
 	d.place(dedupTag(h)<<32 | uint64(pos+1))
 	d.n++
 }
+
+// remove takes back the most recent add that has not been removed yet:
+// its slot was free when it was placed and nothing has been placed
+// since, so clearing it restores the table as it was.
+func (d *dedupIndex) remove(h uint64, pos int) {
+	s := dedupTag(h)<<32 | uint64(pos+1)
+	i := d.home(s >> 32)
+	for d.slots[i] != s {
+		if i++; i == len(d.slots) {
+			i = 0
+		}
+	}
+	d.slots[i] = 0
+	d.n--
+}

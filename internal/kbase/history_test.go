@@ -77,8 +77,9 @@ func modelWindow(rows []Tuple, offset, limit int) []Tuple {
 }
 
 // TestEngineRandomHistories applies seeded random operation histories
-// to a memory, a disk (4, 2) and a columnar (4, 2) table and to a plain
-// []Tuple model: after every step each table holds exactly the model's
+// to a memory, a disk (4, 2) and a columnar (4, 2) table — two of each,
+// one taking its rows through Insert, one through InsertBatch — and to a
+// plain []Tuple model: after every step each table holds exactly the model's
 // rows in the model's order, and every read — windows, filtered windows
 // under whatever plan the planner picked, early-stopped scans,
 // membership, serialized bytes — agrees with the model.
@@ -93,10 +94,12 @@ func TestEngineRandomHistories(t *testing.T) {
 			}
 			defer disk.Close()
 			engines := []Engine{MemoryEngine{}, disk, NewColumnarEngine(4, 2)}
-			tables := make([]*Table, len(engines))
-			for i, e := range engines {
-				tables[i] = newBackedTable(t, e, whereSchema(t))
+			tables := make([]*Table, 2*len(engines))
+			batchFed := map[*Table]bool{}
+			for i := range tables {
+				tables[i] = newBackedTable(t, engines[i/2], whereSchema(t))
 				defer tables[i].Close()
+				batchFed[tables[i]] = i%2 == 1
 			}
 			var model []Tuple
 			next := 0 // next never-inserted row id
@@ -134,6 +137,15 @@ func TestEngineRandomHistories(t *testing.T) {
 						model = append(model, tp)
 					}
 					each(op, func(tbl *Table) error {
+						if batchFed[tbl] {
+							// Twice in one batch: the second is a duplicate of a
+							// row that is not stored yet.
+							n, err := tbl.InsertBatch(batchOf(tbl.Schema(), []Tuple{tp, tp}))
+							if err != nil || (n == 1) != fresh || n > 1 {
+								return fmt.Errorf("InsertBatch added %d, err=%v, want added=%v", n, err, fresh)
+							}
+							return nil
+						}
 						// Un-normalized ints exercise the widening path.
 						added, err := tbl.Insert(Tuple{tp[0], tp[1], i, tp[3]})
 						if err != nil || added != fresh {

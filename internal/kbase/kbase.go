@@ -16,8 +16,11 @@ package kbase
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ColType enumerates supported column types.
@@ -156,6 +159,13 @@ type Table struct {
 	be     Backend
 	dedup  dedupIndex
 	plan   *planner // filtered-read planner (lazy hash indexes)
+
+	// Insert scratch, reused from call to call (a table has one writer):
+	// the batch's row hashes, which of its rows were admitted, and the
+	// batch InsertAll transposes its tuples into.
+	hashes   []uint64
+	admitted []int
+	scratch  *Batch
 }
 
 // NewTable creates an empty in-memory table for the schema.
@@ -188,6 +198,7 @@ func (t *Table) BackendStats() BackendStats {
 // its descriptor). The table is unusable afterwards.
 func (t *Table) Close() error {
 	t.dedup = dedupIndex{}
+	t.hashes, t.admitted, t.scratch = nil, nil, nil
 	t.plan.invalidate()
 	return t.be.Close()
 }
@@ -198,49 +209,12 @@ func (t *Table) Schema() Schema { return t.schema }
 // Len returns the number of stored tuples.
 func (t *Table) Len() int { return t.be.Len() }
 
-// typeOK checks a value against a column type.
-func typeOK(v any, ct ColType) bool {
-	switch ct {
-	case StringCol:
-		_, ok := v.(string)
-		return ok
-	case IntCol:
-		_, ok := v.(int64)
-		if !ok {
-			_, ok = v.(int)
-		}
-		return ok
-	case FloatCol:
-		_, ok := v.(float64)
-		return ok
-	}
-	return false
-}
-
-// checkArity rejects a tuple of the wrong width.
-func (t *Table) checkArity(tp Tuple) error {
-	if len(tp) != t.schema.Arity() {
-		return fmt.Errorf("kbase: %s: arity %d, got %d values", t.schema.Name, t.schema.Arity(), len(tp))
-	}
-	return nil
-}
-
-// checkTypes checks every value of a tuple of the right width against
-// its column's type (an int is accepted where an int64 is stored).
-func (t *Table) checkTypes(tp Tuple) error {
-	for i, v := range tp {
-		if !typeOK(v, t.schema.Columns[i].Type) {
-			return fmt.Errorf("kbase: %s.%s: value %v (%T) does not match %s",
-				t.schema.Name, t.schema.Columns[i].Name, v, v, t.schema.Columns[i].Type)
-		}
-	}
-	return nil
-}
-
-// find returns the position of the stored row equal to tp, whose hash
-// is h, or -1. A slot with the hash's tag is only a candidate: the row
-// is fetched and compared cell by cell.
-func (t *Table) find(h uint64, tp Tuple) int {
+// find returns the position of the row with the dedup key of row r of b,
+// whose hash is h, or -1. A slot with the hash's tag is only a candidate:
+// the row is compared cell by cell, in place. Positions from first on are
+// rows of b itself that the insert in progress has admitted and not yet
+// stored — admitted[pos-first] is where in b.
+func (t *Table) find(h uint64, b *Batch, r, first int, admitted []int) int {
 	d := &t.dedup
 	if d.n == 0 {
 		return -1
@@ -248,7 +222,12 @@ func (t *Table) find(h uint64, tp Tuple) int {
 	tag := dedupTag(h)
 	for i := d.home(tag); d.slots[i] != 0; {
 		if s := d.slots[i]; s>>32 == tag {
-			if pos := int(uint32(s)) - 1; t.be.Equal(pos, tp) {
+			pos := int(uint32(s)) - 1
+			if pos >= first {
+				if b.rowsEqual(admitted[pos-first], r) {
+					return pos
+				}
+			} else if t.be.Equal(pos, b, r) {
 				return pos
 			}
 		}
@@ -272,59 +251,126 @@ func (t *Table) rebuildIndex() {
 	})
 }
 
-// Insert adds a tuple, enforcing arity and column types. Duplicate
-// tuples are ignored. It reports whether the tuple was newly added.
+// InsertBatch is the one insert path: it adds the batch's rows in order
+// and returns how many were newly added. The batch is checked against
+// the schema first — a column at a time, and a batch that fails adds
+// nothing; then every row is hashed, a column at a time; then each row
+// is admitted unless it is a duplicate of a stored row or of an earlier
+// row of the batch; then the backend appends the admitted rows, a column
+// at a time. The backend stores its own copy, so the batch is the
+// caller's again on return, and a batch of duplicates allocates nothing.
+// The index grows and the planner is invalidated once. When the backend
+// fails to store a row, the rows before it stay inserted and the table
+// is as if the batch had ended there.
+func (t *Table) InsertBatch(b *Batch) (int, error) {
+	if err := b.check(t.schema); err != nil {
+		return 0, err
+	}
+	t.hashes = b.hash(t.hashes)
+	first := t.be.Len()
+	admitted := t.admitted[:0]
+	var err error
+	for r, h := range t.hashes {
+		if t.find(h, b, r, first, admitted) >= 0 {
+			continue
+		}
+		pos := first + len(admitted)
+		if uint64(pos) > maxDedupPos {
+			err = fmt.Errorf("kbase: %s: table is full (%d rows)", t.schema.Name, pos)
+			break
+		}
+		if len(admitted) == 0 {
+			t.dedup.reserve(len(t.hashes) - r) // the index grows once for the batch
+		}
+		t.dedup.add(h, pos)
+		admitted = append(admitted, r)
+	}
+	t.admitted = admitted
+	if len(admitted) == 0 {
+		return 0, err
+	}
+	stored, appendErr := t.be.Append(b, admitted)
+	// The index entries of rows that were not stored come back out, last
+	// placed first, which leaves the slots exactly as they were.
+	for k := len(admitted) - 1; k >= stored; k-- {
+		t.dedup.remove(t.hashes[admitted[k]], first+k)
+	}
+	if stored > 0 {
+		t.plan.invalidate()
+	}
+	if appendErr != nil {
+		err = appendErr
+	}
+	return stored, err
+}
+
+// insertChunkRows is how many tuples InsertAll transposes into one batch
+// (and so the size the table's scratch batch grows to).
+const insertChunkRows = 1024
+
+// InsertAll adds the tuples in order through InsertBatch, transposing
+// them a chunk at a time into a scratch batch the table keeps: arity and
+// column types are enforced, ints widen to int64, the tuples are never
+// retained. It stops at the first tuple that is rejected or that the
+// backend fails to store; the tuples before it stay inserted.
+func (t *Table) InsertAll(rows []Tuple) (int, error) {
+	if t.scratch == nil {
+		t.scratch = NewBatch(t.schema, min(len(rows), insertChunkRows))
+	}
+	added := 0
+	for len(rows) > 0 {
+		var bad error
+		k := 0
+		for k < len(rows) && k < insertChunkRows {
+			if bad = t.scratch.appendTuple(t.schema, rows[k]); bad != nil {
+				break
+			}
+			k++
+		}
+		n, err := t.InsertBatch(t.scratch)
+		t.scratch.Reset() // emptied for the next chunk, and so as not to pin the caller's cells
+		added += n
+		if err == nil {
+			err = bad
+		}
+		if err != nil {
+			return added, err
+		}
+		rows = rows[k:]
+	}
+	return added, nil
+}
+
+// Insert adds one tuple as InsertAll does, reporting whether it was newly
+// added.
 func (t *Table) Insert(tp Tuple) (bool, error) {
 	n, err := t.InsertAll([]Tuple{tp})
 	return n == 1, err
 }
 
-// InsertAll is the one insert path: it adds the tuples in order, each
-// exactly as Insert would — arity and column types enforced, ints
-// widened to int64, duplicates (of stored rows or of earlier tuples of
-// the batch) ignored — and returns how many were newly added. The
-// backend stores its own copy of a row, so the caller's tuples are
-// never retained; a batch of duplicates allocates nothing. The batch
-// pays for index growth and planner invalidation once. It stops
-// at the first tuple that is rejected or that the backend fails to
-// store; the tuples before it stay inserted.
-func (t *Table) InsertAll(rows []Tuple) (int, error) {
-	first := t.be.Len()
-	added := 0
-	var err error
-	for k, tp := range rows {
-		if err = t.checkArity(tp); err != nil {
-			break
-		}
-		if err = t.checkTypes(tp); err != nil {
-			break
-		}
-		h := hashTuple(tp)
-		if t.find(h, tp) >= 0 {
-			continue
-		}
-		if uint64(first+added) > maxDedupPos {
-			err = fmt.Errorf("kbase: %s: table is full (%d rows)", t.schema.Name, first+added)
-			break
-		}
-		if added == 0 {
-			t.dedup.reserve(len(rows) - k) // the index grows once for the batch
-		}
-		if err = t.be.Append(tp); err != nil {
-			break
-		}
-		t.dedup.add(h, first+added)
-		added++
-	}
-	if added > 0 {
-		t.plan.invalidate()
-	}
-	return added, err
-}
+// probes lends Contains its one-row batch: a read may run beside other
+// reads, so it cannot use the table's scratch.
+var probes = sync.Pool{New: func() any { return new(Batch) }}
 
-// Contains reports whether an identical tuple is stored.
+// Contains reports whether a tuple with tp's dedup key is stored. It does
+// not type-check: a cell of another type than its column's is looked up
+// by its rendering.
 func (t *Table) Contains(tp Tuple) bool {
-	return t.checkArity(tp) == nil && t.find(hashTuple(tp), tp) >= 0
+	if len(tp) != t.schema.Arity() {
+		return false
+	}
+	b := probes.Get().(*Batch) // empty: Reset before it was put back
+	b.cols = slices.Grow(b.cols[:0], len(tp))[:len(tp)]
+	found := true
+	for c, v := range tp {
+		if found = b.appendProbe(c, t.schema.Columns[c].Type, v); !found {
+			break
+		}
+	}
+	found = found && t.find(hashTuple(tp), b, 0, math.MaxInt, nil) >= 0
+	b.Reset() // so the pool pins none of the probe's cells
+	probes.Put(b)
+	return found
 }
 
 // Delete removes the exact tuple (after int normalization), reporting

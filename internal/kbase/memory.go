@@ -1,8 +1,8 @@
 package kbase
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -58,42 +58,53 @@ type memColumn struct {
 // str is the string with dictionary id.
 func (col *memColumn) str(id uint32) string { return col.vals[id].(string) }
 
-// push appends one cell (an int widens to int64). Table type-checks a
-// row before it reaches a backend, so a cell of another type than the
-// column's is a bug in the caller, and panics.
-func (col *memColumn) push(v any) {
-	switch x := v.(type) {
-	case int64:
-		if col.typ == IntCol {
-			col.ints = append(col.ints, x)
-			return
+// intern returns the dictionary id of s, which joins the dictionary —
+// in box, if that is not nil and so holds s — if it is new.
+func (col *memColumn) intern(s string, box any) uint32 {
+	id, ok := col.idOf[s]
+	if !ok {
+		if col.idOf == nil {
+			col.idOf = map[string]uint32{}
 		}
-	case int:
-		if col.typ == IntCol {
-			col.ints = append(col.ints, int64(x))
-			return
+		if box == nil {
+			box = s
 		}
-	case float64:
-		if col.typ == FloatCol {
-			col.floats = append(col.floats, x)
-			return
-		}
-	case string:
-		if col.typ == StringCol {
-			id, ok := col.idOf[x]
-			if !ok {
-				if col.idOf == nil {
-					col.idOf = map[string]uint32{}
-				}
-				id = uint32(len(col.vals))
-				col.idOf[x] = id
-				col.vals = append(col.vals, v)
+		id = uint32(len(col.vals))
+		col.idOf[s] = id
+		col.vals = append(col.vals, box)
+	}
+	return id
+}
+
+// gather appends src[r] for every r of rows to dst, which grows once.
+func gather[T any](dst, src []T, rows []int) []T {
+	dst = slices.Grow(dst, len(rows))
+	for _, r := range rows {
+		dst = append(dst, src[r])
+	}
+	return dst
+}
+
+// append stores the listed cells of the batch column v, which Table has
+// checked is of the column's type. A string cell costs a dictionary
+// probe, unless it repeats the cell before it.
+func (col *memColumn) append(v *vector, rows []int) {
+	switch col.typ {
+	case IntCol:
+		col.ints = gather(col.ints, v.ints, rows)
+	case FloatCol:
+		col.floats = gather(col.floats, v.floats, rows)
+	default:
+		col.ids = slices.Grow(col.ids, len(rows))
+		var last string
+		var id uint32
+		for k, r := range rows {
+			if s := v.strs[r]; k == 0 || s != last {
+				last, id = s, col.intern(s, v.carried(r))
 			}
 			col.ids = append(col.ids, id)
-			return
 		}
 	}
-	panic(fmt.Sprintf("kbase: memory backend: value %v (%T) appended to a %s column", v, v, col.typ))
 }
 
 // cell returns row i's cell as a Tuple holds it.
@@ -108,28 +119,17 @@ func (col *memColumn) cell(i int) any {
 	}
 }
 
-// equal reports whether row i's cell and the probe cell render alike —
-// cellsEqual on the stored value, which is boxed only for a probe of
-// another type than the column's.
-func (col *memColumn) equal(i int, probe any) bool {
+// equal reports whether row i's cell and row r's of the batch column v
+// have the same dedup key.
+func (col *memColumn) equal(i int, v *vector, r int) bool {
 	switch col.typ {
 	case IntCol:
-		switch y := probe.(type) {
-		case int64:
-			return col.ints[i] == y
-		case int:
-			return col.ints[i] == int64(y)
-		}
+		return col.ints[i] == v.ints[r]
 	case FloatCol:
-		if y, ok := probe.(float64); ok {
-			return floatsEqual(col.floats[i], y)
-		}
+		return floatsEqual(col.floats[i], v.floats[r])
 	default:
-		if y, ok := probe.(string); ok {
-			return col.str(col.ids[i]) == y
-		}
+		return col.str(col.ids[i]) == v.strs[r]
 	}
-	return cellsEqual(col.cell(i), probe)
 }
 
 // keep re-packs the column to the rows marked in keep (kept of them)
@@ -146,7 +146,7 @@ func (col *memColumn) keep(keep []bool, kept int) {
 		*col = memColumn{typ: StringCol, ids: make([]uint32, 0, kept)}
 		for i, id := range old.ids {
 			if keep[i] {
-				col.push(old.vals[id])
+				col.ids = append(col.ids, col.intern(old.str(id), old.vals[id]))
 			}
 		}
 	}
@@ -166,17 +166,17 @@ func (b *memoryBackend) Kind() string { return "memory" }
 
 func (b *memoryBackend) Len() int { return b.n }
 
-func (b *memoryBackend) Append(tp Tuple) error {
+func (b *memoryBackend) Append(bt *Batch, rows []int) (int, error) {
 	for c := range b.cols {
-		b.cols[c].push(tp[c])
+		b.cols[c].append(&bt.cols[c], rows)
 	}
-	b.n++
-	return nil
+	b.n += len(rows)
+	return len(rows), nil
 }
 
-func (b *memoryBackend) Equal(i int, probe Tuple) bool {
+func (b *memoryBackend) Equal(i int, bt *Batch, r int) bool {
 	for c := range b.cols {
-		if !b.cols[c].equal(i, probe[c]) {
+		if !b.cols[c].equal(i, &bt.cols[c], r) {
 			return false
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -413,46 +414,83 @@ func (b *pagedBackend) invalidate() {
 	b.lru.Init()
 }
 
-func (b *pagedBackend) Append(tp Tuple) error {
+// Append fills the tail from the batch — the rows that fit, a column at a
+// time — and seals it each time it reaches a page. The tail's rows are
+// cut from one cell buffer a page, each capped to its own cells: row k of
+// the tail is cells k*arity onwards, so a row taken back out below is
+// simply overwritten by the retry. mu is held throughout: a read waits
+// for the batch, not for a row.
+func (b *pagedBackend) Append(bt *Batch, rows []int) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// The tail's rows are cut from one buffer a page, each capped to its
-	// own cells: row k of the tail is cells k*arity onwards, so a row
-	// taken back out below is simply overwritten by the retry.
-	arity := len(tp)
-	if b.cells == nil {
-		b.cells = make(Tuple, b.pageRows*arity)
-	}
-	row := b.cells[len(b.tail)*arity:][:arity:arity]
-	for c, v := range tp {
-		if iv, ok := v.(int); ok {
-			v = int64(iv)
+	arity := b.schema.Arity()
+	stored := 0
+	for stored < len(rows) {
+		if b.cells == nil {
+			b.cells = make(Tuple, b.pageRows*arity)
 		}
-		row[c] = v
+		at := len(b.tail)
+		fit := rows[stored:min(len(rows), stored+b.pageRows-at)]
+		for c := range bt.cols {
+			bt.cols[c].box(b.cells[at*arity+c:], arity, fit)
+		}
+		for k := range fit {
+			b.tail = append(b.tail, b.cells[(at+k)*arity:][:arity:arity])
+		}
+		b.n += len(fit)
+		stored += len(fit)
+		if len(b.tail) < b.pageRows {
+			break
+		}
+		page, err := binaryCodec{}.encode(b.schema, b.tail)
+		if err == nil {
+			err = b.store.put(b.pages, page)
+		}
+		if err != nil {
+			// Take the row that filled the page back out, so the backend is
+			// as it was before that row and the next Append retries the
+			// flush.
+			b.tail = b.tail[:len(b.tail)-1]
+			b.n--
+			return stored - 1, fmt.Errorf("kbase: flushing page %d for %s: %w", b.pages, b.schema.Name, err)
+		}
+		b.zones = append(b.zones, buildPageZone(b.schema, b.tail))
+		b.pages++
+		b.tail, b.cells = nil, nil // readers may still hold the sealed slice
 	}
-	b.tail = append(b.tail, row)
-	b.n++
-	if len(b.tail) < b.pageRows {
-		return nil
-	}
-	page, err := binaryCodec{}.encode(b.schema, b.tail)
-	if err == nil {
-		err = b.store.put(b.pages, page)
-	}
-	if err != nil {
-		// Take the row back out, so the table is as it was before the
-		// call and the next Append retries the flush.
-		b.tail = b.tail[:len(b.tail)-1]
-		b.n--
-		return fmt.Errorf("kbase: flushing page %d for %s: %w", b.pages, b.schema.Name, err)
-	}
-	b.zones = append(b.zones, buildPageZone(b.schema, b.tail))
-	b.pages++
-	b.tail, b.cells = nil, nil // readers may still hold the sealed slice
-	return nil
+	return stored, nil
 }
 
-func (b *pagedBackend) Equal(i int, probe Tuple) bool { return rowsEqual(b.Get(i), probe) }
+// box writes the listed cells, as a Tuple holds them, to dst[0],
+// dst[stride], dst[2*stride], …: in the box the cell arrived in when the
+// batch carries one, else in the box of the cell listed before it when
+// the two are the same bits, else in a new one.
+func (v *vector) box(dst Tuple, stride int, rows []int) {
+	var cell any
+	for k, r := range rows {
+		if carried := v.carried(r); carried != nil {
+			cell = carried
+		} else {
+			switch {
+			case len(v.ints) > 0:
+				if k == 0 || v.ints[r] != v.ints[rows[k-1]] {
+					cell = v.ints[r]
+				}
+			case len(v.floats) > 0:
+				if k == 0 || math.Float64bits(v.floats[r]) != math.Float64bits(v.floats[rows[k-1]]) {
+					cell = v.floats[r]
+				}
+			default:
+				if k == 0 || v.strs[r] != v.strs[rows[k-1]] {
+					cell = v.strs[r]
+				}
+			}
+		}
+		dst[k*stride] = cell
+	}
+}
+
+func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool { return bt.equalTuple(r, b.Get(i)) }
 
 // Get returns the row at position i (borrowed), through the LRU.
 func (b *pagedBackend) Get(i int) Tuple {

@@ -114,34 +114,6 @@ func appendTupleTSV(dst []byte, tp Tuple) []byte {
 	return dst
 }
 
-// parseTupleFields type-converts one row's unescaped fields against
-// the schema.
-func parseTupleFields(schema Schema, parts []string) (Tuple, error) {
-	if len(parts) != schema.Arity() {
-		return nil, fmt.Errorf("%d values, want %d", len(parts), schema.Arity())
-	}
-	tp := make(Tuple, len(parts))
-	for i, p := range parts {
-		switch schema.Columns[i].Type {
-		case IntCol:
-			v, err := strconv.ParseInt(p, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			tp[i] = v
-		case FloatCol:
-			v, err := strconv.ParseFloat(p, 64)
-			if err != nil {
-				return nil, err
-			}
-			tp[i] = v
-		default:
-			tp[i] = p
-		}
-	}
-	return tp, nil
-}
-
 // writeRowsTSV writes rows as newline-terminated appendTupleTSV lines,
 // each rendered into the one buffer and handed to w (WriteTSV's buffered
 // writer, so a row is a copy, not a system call).
@@ -242,15 +214,16 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", engine.Kind(), schema.Name, err)
 	}
 	t := newTableWith(schema, be)
-	// Rows go in a chunk at a time, so a table larger than memory streams
-	// through a paged backend.
-	chunk := make([]Tuple, 0, readChunkRows)
+	// Rows go in a batch at a time, each field parsed straight into its
+	// column's vector, so a table larger than memory streams through a
+	// paged backend.
+	chunk := NewBatch(schema, readChunkRows)
 	lineNo := 1
 	flush := func() error {
-		if _, err := t.InsertAll(chunk); err != nil {
-			return fmt.Errorf("kbase: TSV lines %d-%d: %w", lineNo-len(chunk)+1, lineNo, err)
+		if _, err := t.InsertBatch(chunk); err != nil {
+			return fmt.Errorf("kbase: TSV lines %d-%d: %w", lineNo-chunk.Len()+1, lineNo, err)
 		}
-		chunk = chunk[:0]
+		chunk.Reset()
 		return nil
 	}
 	for {
@@ -270,11 +243,10 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kbase: TSV line %d: %w", lineNo, err)
 		}
-		tp, err := parseTupleFields(schema, parts)
-		if err != nil {
+		if err := chunk.appendFields(schema, parts); err != nil {
 			return nil, fmt.Errorf("kbase: TSV line %d: %v", lineNo, err)
 		}
-		if chunk = append(chunk, tp); len(chunk) == readChunkRows {
+		if chunk.Len() == readChunkRows {
 			if err := flush(); err != nil {
 				return nil, err
 			}
@@ -287,7 +259,7 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 }
 
 // readChunkRows is how many parsed rows ReadTSVWith hands to one
-// InsertAll.
+// InsertBatch.
 const readChunkRows = 1024
 
 // manifestName is the snapshot directory's table-of-contents file. It

@@ -118,14 +118,20 @@ func appendText(parent *htmlNode, text string) {
 	parent.children = append(parent.children, &htmlNode{text: decodeEntities(t), parent: parent})
 }
 
-// decodeEntities handles the handful of entities the corpora use.
+// entities maps the handful of entities the corpora use (a Replacer is
+// safe for concurrent use).
+var entities = strings.NewReplacer(
+	"&amp;", "&", "&lt;", "<", "&gt;", ">",
+	"&quot;", `"`, "&apos;", "'", "&nbsp;", " ",
+	"&deg;", "°", "&le;", "≤", "&ge;", "≥",
+)
+
+// decodeEntities replaces the entities in a text node.
 func decodeEntities(s string) string {
-	r := strings.NewReplacer(
-		"&amp;", "&", "&lt;", "<", "&gt;", ">",
-		"&quot;", `"`, "&apos;", "'", "&nbsp;", " ",
-		"&deg;", "°", "&le;", "≤", "&ge;", "≥",
-	)
-	return r.Replace(s)
+	if strings.IndexByte(s, '&') < 0 {
+		return s
+	}
+	return entities.Replace(s)
 }
 
 // parseTag splits `name attr="v" flag` into the tag name and attributes.

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"bufio"
+	"errors"
 	"reflect"
 	"runtime/debug"
 	"strings"
@@ -253,6 +255,23 @@ func TestParseVDocErrors(t *testing.T) {
 		if _, err := ParseVDoc(src); err == nil {
 			t.Errorf("ParseVDoc(%q) should error", src)
 		}
+	}
+}
+
+// TestParseVDocLineLimit: the scanner's buffer starts small and grows,
+// but the longest line it takes is what it always was — maxVDocLine bytes
+// with the newline — and a longer one is bufio.ErrTooLong, not a
+// truncated word.
+func TestParseVDocLineLimit(t *testing.T) {
+	const head = "vdoc 1\nw 1 0 0 1 1 "
+	line := func(word int) string { return head + strings.Repeat("x", word) + "\nw 1 0 0 1 1 tail\n" }
+	fits := maxVDocLine - len("w 1 0 0 1 1 ") - 1 // the word of a line that is exactly at the limit
+	v, err := ParseVDoc(line(fits))
+	if err != nil || len(v.Words) != 2 || len(v.Words[0].Text) != fits || v.Words[1].Text != "tail" {
+		t.Fatalf("a %d-byte line: %v (%d words)", maxVDocLine, err, len(v.Words))
+	}
+	if _, err := ParseVDoc(line(fits + 1)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a %d-byte line: err = %v, want bufio.ErrTooLong", maxVDocLine+1, err)
 	}
 }
 

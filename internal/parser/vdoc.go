@@ -64,10 +64,14 @@ func b2i(b bool) int {
 	return 0
 }
 
+// maxVDocLine is the longest vdoc line ParseVDoc accepts, its newline
+// included.
+const maxVDocLine = 1 << 20
+
 // ParseVDoc parses the vdoc serialization format.
 func ParseVDoc(src string) (*VDoc, error) {
 	sc := bufio.NewScanner(strings.NewReader(src))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 4<<10), maxVDocLine) // grows to the limit only for a line that needs it
 	v := &VDoc{}
 	var font datamodel.Font
 	lineNo := 0

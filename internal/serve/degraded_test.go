@@ -302,6 +302,36 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	}
 }
 
+// TestIngestNamesFirstBadDocument: an upload's documents parse side by
+// side, and the refusal still names the first bad one in upload order —
+// here documents 2 and 4 of five are invalid in different ways, at
+// every worker count — and nothing of the upload is ingested.
+func TestIngestNamesFirstBadDocument(t *testing.T) {
+	corpus := synth.Electronics(78, 5)
+	for _, workers := range []int{1, 2, 8} {
+		srv, err := serve.New(serve.Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 5, Epochs: 1, Workers: workers}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		for round := 0; round < 20; round++ {
+			bad := uploads(corpus, 0, 5)
+			docs := bad["documents"].([]serve.DocumentUpload)
+			docs[1].Source = strings.Replace(docs[1].Source, "<td>", "<td>\x1f", 1)
+			docs[3].Format = "docx"
+			resp := postJSON(t, ts.URL+"/ingest", bad, http.StatusBadRequest)
+			if msg, _ := resp["error"].(string); !strings.Contains(msg, docs[1].Name) || strings.Contains(msg, docs[3].Name) {
+				t.Fatalf("workers %d: refusal names %v, want document 2 (%s)", workers, resp, docs[1].Name)
+			}
+		}
+		if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["ok"] != true || h["docs"].(float64) != 0 {
+			t.Fatalf("workers %d: refused uploads left a mark: %v", workers, h)
+		}
+		ts.Close()
+		srv.Close()
+	}
+}
+
 // TestReservedByteUploadRefused is the regression test for the upload
 // that used to poison a tenant: HTML carrying the store's reserved
 // separator byte was answered 409 after its document had been merged,

@@ -15,6 +15,7 @@ import (
 	"repro/internal/kbase"
 	"repro/internal/obs"
 	"repro/internal/parser"
+	"repro/internal/pool"
 )
 
 // Handler returns the HTTP API. Every response body carries the epoch
@@ -524,14 +525,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "ingest request has no documents")
 		return
 	}
-	docs := make([]*datamodel.Document, len(req.Documents))
-	for i, u := range req.Documents {
-		doc, err := parseUpload(u)
+	// The documents parse side by side, under the shared pool limit like
+	// every other stage; the refusal names the first bad one in upload
+	// order, whatever the schedule.
+	docs, errs := make([]*datamodel.Document, len(req.Documents)), make([]error, len(req.Documents))
+	pool.Run(len(docs), s.workers, func(i int) { docs[i], errs[i] = parseUpload(req.Documents[i]) })
+	for _, err := range errs {
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		docs[i] = doc
 	}
 	view, err := s.Ingest(docs)
 	if err != nil {

@@ -56,7 +56,7 @@ type Config struct {
 	Task core.Task
 	// Options fix the session configuration (variant, modalities,
 	// workers, training knobs). Workers also bounds the writer's
-	// per-ingest parallelism.
+	// per-ingest parallelism and an upload's parse fan-out.
 	Options core.Options
 	// Gold, when non-nil, scopes each epoch's quality evaluation
 	// (surfaced in /meta); serving works identically without it.
@@ -106,6 +106,7 @@ type Server struct {
 	snapshotDir string
 	name        string
 	start       time.Time
+	workers     int // Config.Options.Workers
 
 	// traces is the bounded ring of publication traces (initial
 	// build, each ingest, snapshots) behind /meta's trace section and
@@ -264,6 +265,7 @@ func New(cfg Config) (*Server, error) {
 		snapshotDir:   cfg.SnapshotDir,
 		name:          name,
 		start:         time.Now(),
+		workers:       cfg.Options.Workers,
 		traces:        obs.NewTraceRing(0),
 		store:         st,
 		async:         cfg.Async,
