@@ -482,22 +482,50 @@ func startPerItem(b *testing.B) func(items int, unit string) {
 }
 
 // BenchmarkClassify is the classify layer: one op scores every
-// candidate of the bench corpus once with a trained model —
-// Model.PredictProb, what classifyStage, delta classification,
-// AdoptModel and POST /classify pay per candidate.
+// candidate of the bench corpus once with a trained model.
+// per-document is what classifyStage, delta classification, AdoptModel
+// and POST /classify run: the candidates cut into runs of one document,
+// one Model.PredictProbs call per run, each distinct mention context
+// encoded once (seqs/candidate counts the encoder runs). per-candidate
+// is Model.PredictProb, which encodes every mention of every candidate.
 func BenchmarkClassify(b *testing.B) {
 	task, numFeatures, exs := benchTrainCorpus(b)
 	m := model.NewFonduer(len(task.Args), numFeatures, 1, exs)
 	m.Train(exs, model.TrainOptions{Epochs: 1})
-	sum := 0.0
-	perItem := startPerItem(b)
-	for i := 0; i < b.N; i++ {
-		for _, ex := range exs {
-			sum += m.PredictProb(ex)
+	b.Run("per-document", func(b *testing.B) {
+		starts := []int{0}
+		for i := 1; i < len(exs); i++ {
+			if exs[i].Cand.Doc() != exs[i-1].Cand.Doc() {
+				starts = append(starts, i)
+			}
 		}
-	}
-	perItem(b.N*len(exs), "candidate")
-	b.ReportMetric(sum/float64(b.N*len(exs)), "mean_marginal")
+		starts = append(starts, len(exs))
+		probs := make([]float64, len(exs))
+		sum, encoded := 0.0, 0
+		perItem := startPerItem(b)
+		for i := 0; i < b.N; i++ {
+			for k := 1; k < len(starts); k++ {
+				encoded += m.PredictProbs(exs[starts[k-1]:starts[k]], probs[starts[k-1]:starts[k]])
+			}
+			for _, p := range probs {
+				sum += p
+			}
+		}
+		perItem(b.N*len(exs), "candidate")
+		b.ReportMetric(float64(encoded)/float64(b.N*len(exs)), "seqs/candidate")
+		b.ReportMetric(sum/float64(b.N*len(exs)), "mean_marginal")
+	})
+	b.Run("per-candidate", func(b *testing.B) {
+		sum := 0.0
+		perItem := startPerItem(b)
+		for i := 0; i < b.N; i++ {
+			for _, ex := range exs {
+				sum += m.PredictProb(ex)
+			}
+		}
+		perItem(b.N*len(exs), "candidate")
+		b.ReportMetric(sum/float64(b.N*len(exs)), "mean_marginal")
+	})
 }
 
 // BenchmarkServeIngestPublish and BenchmarkServeIngestPublishAsync

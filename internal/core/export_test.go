@@ -1,8 +1,10 @@
 package core
 
+import "repro/internal/model"
+
 // What the external test package needs to see of a store's in-memory
-// Features relation, which has no exported accessor: ids are
-// process-private.
+// Features relation, which has no exported accessor (ids are
+// process-private), and of the scoring path.
 
 // CandidateFeatures returns the feature names of candidate id in
 // emission (seq) order.
@@ -24,4 +26,9 @@ func (s *Store) ForgetFeatures() (pairs int) {
 	}
 	s.names, s.feats, s.counts = nil, nil, nil
 	return pairs
+}
+
+// ScoreByDoc is scoreByDoc, every scoring site's path into the model.
+func ScoreByDoc(m *model.Model, exs []model.Example, workers int) []float64 {
+	return scoreByDoc(m, exs, workers)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -254,8 +255,8 @@ func indexStage(train stagedSplit, minCount int) *features.Index {
 // indexColumns maps a whole dictionary through a frozen index: element
 // id is the column of the name with that id, or -1 when the index does
 // not admit it. It costs one probe of the index per distinct name, after
-// which a candidate's row is a gather (gatherColumns), not a probe per
-// (candidate, feature) pair.
+// which a candidate's row is a gather (materializeStage), not a probe
+// per (candidate, feature) pair.
 func indexColumns(ix *features.Index, dict []string) []int32 {
 	colOf := make([]int32, len(dict))
 	for id, name := range dict {
@@ -265,20 +266,6 @@ func indexColumns(ix *features.Index, dict []string) []int32 {
 		}
 	}
 	return colOf
-}
-
-// gatherColumns maps one candidate's feature ids through indexColumns'
-// vector, yielding its admitted column set in ascending order — one row
-// of the numeric Features matrix the model consumes.
-func gatherColumns(colOf []int32, ids []uint32) []int {
-	cols := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if col := colOf[id]; col >= 0 {
-			cols = append(cols, int(col))
-		}
-	}
-	sort.Ints(cols)
-	return cols
 }
 
 // featureColumns is the same row built from names — ad-hoc document
@@ -295,12 +282,33 @@ func featureColumns(ix *features.Index, names []string) []int {
 	return cols
 }
 
-// materializeStage is gatherColumns over a whole split.
+// materializeStage maps each candidate's feature ids through
+// indexColumns' vector: one row of the numeric Features matrix the model
+// consumes per candidate, its admitted columns in ascending order. A
+// candidate's feature ids are distinct and so are the dictionary's
+// names, so its columns are a set: they are marked in a bitset over the
+// index's columns and read back in order, which costs less than sorting
+// them.
 func materializeStage(sp stagedSplit, ix *features.Index) [][]int {
 	colOf := indexColumns(ix, sp.dict)
+	marked := make([]uint64, (ix.Len()+63)/64)
 	rows := make([][]int, len(sp.names))
 	for i, ids := range sp.names {
-		rows[i] = gatherColumns(colOf, ids)
+		n := 0
+		for _, id := range ids {
+			if col := colOf[id]; col >= 0 {
+				marked[col>>6] |= 1 << (col & 63)
+				n++
+			}
+		}
+		row := make([]int, 0, n)
+		for w := 0; w < len(marked) && len(row) < n; w++ {
+			for word := marked[w]; word != 0; word &= word - 1 {
+				row = append(row, w<<6|bits.TrailingZeros64(word))
+			}
+			marked[w] = 0
+		}
+		rows[i] = row
 	}
 	return rows
 }
@@ -420,13 +428,35 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 
 // classifyStage thresholds the model's output marginals over the test
 // examples and deduplicates the resulting document-scoped tuples.
-// Scoring fans out over the worker pool into per-position slots;
-// thresholding and first-wins dedup then run in index order, so the
-// predicted list is the same at any worker count.
+// Scoring is scoreByDoc; thresholding and first-wins dedup then run in
+// index order, so the predicted list is the same at any worker count.
 func classifyStage(m *model.Model, testEx []model.Example, threshold float64, workers int) []GoldTuple {
-	probs := make([]float64, len(testEx))
-	pool.Run(len(testEx), workers, func(i int) { probs[i] = m.PredictProb(testEx[i]) })
+	probs := scoreByDoc(m, testEx, workers)
 	return keepPositives(nil, map[string]bool{}, probs, threshold, func(i int) *candidates.Candidate { return testEx[i].Cand })
+}
+
+// scoreByDoc returns m's probability for every example, in example
+// order — every scoring site's one path into the model. The examples
+// are cut into runs from one document (a corpus lists its candidates
+// document by document) and each run is one PredictProbs call, which
+// encodes each distinct mention context of the run once. Runs fan out
+// over up to workers goroutines into per-position slots, and each
+// probability is bit-identical to m.PredictProb's, so the result is the
+// same at any worker count.
+func scoreByDoc(m *model.Model, exs []model.Example, workers int) []float64 {
+	starts := []int{0}
+	for i := 1; i < len(exs); i++ {
+		if exs[i].Cand.Doc() != exs[i-1].Cand.Doc() {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(exs))
+	probs := make([]float64, len(exs))
+	pool.Run(len(starts)-1, workers, func(k int) {
+		lo, hi := starts[k], starts[k+1]
+		m.PredictProbs(exs[lo:hi], probs[lo:hi])
+	})
+	return probs
 }
 
 // keepPositives appends to predicted, in index order, the tuple of

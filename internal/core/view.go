@@ -266,10 +266,14 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 	}
 	perDoc := extractStage(v.task, []*datamodel.Document{doc}, v.opts.Scope, !v.opts.NoThrottlers, 1)
 	names := featurizeStage(extractorFactory(v.opts), perDoc, 1)[0].names
+	exs := make([]model.Example, len(perDoc[0]))
+	for i, c := range perDoc[0] {
+		exs[i] = model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, names[i])}
+	}
 	var out DocClassification
 	seen := map[string]bool{}
-	for i, c := range perDoc[0] {
-		p := v.model.PredictProb(model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, names[i])})
+	for i, p := range scoreByDoc(v.model, exs, 1) {
+		c := exs[i].Cand
 		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.Threshold}
 		out.Candidates = append(out.Candidates, cc)
 		if cc.Positive {

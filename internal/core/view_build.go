@@ -10,7 +10,6 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // How a StoreView is built: two orthogonal steps, each written once.
@@ -179,8 +178,8 @@ func (v *StoreView) withModel(g modelState, res Result, spans []obs.Span) (*Stor
 
 // classifyFrom is generation state without training: v's corpus served
 // under src's model. The candidates from position `from` on are scored
-// — into per-position slots on up to `workers` goroutines, then
-// keepPositives in index order, as classifyStage does — and appended to
+// — scoreByDoc on up to `workers` goroutines, then keepPositives in
+// index order, as classifyStage does — and appended to
 // the tuples src predicted for the candidates before `from`, which must
 // be exactly v.cands[:from]. A tuple's key starts with its document and
 // the candidates past `from` belong to other documents than the ones
@@ -193,11 +192,12 @@ func (v *StoreView) classifyFrom(src *StoreView, from, workers int, gold []GoldT
 	if from > 0 {
 		prefix = src.result.Predicted[:len(src.result.Predicted):len(src.result.Predicted)]
 	}
-	colOf := indexColumns(src.runIndex, v.featNames)
-	probs := make([]float64, len(v.cands)-from)
-	pool.Run(len(probs), workers, func(k int) {
-		probs[k] = src.model.PredictProb(model.Example{Cand: v.cands[from+k], SparseFeats: gatherColumns(colOf, v.names[from+k])})
-	})
+	rows := materializeStage(stagedSplit{names: v.names[from:], dict: v.featNames}, src.runIndex)
+	exs := make([]model.Example, len(rows))
+	for k, row := range rows {
+		exs[k] = model.Example{Cand: v.cands[from+k], SparseFeats: row}
+	}
+	probs := scoreByDoc(src.model, exs, workers)
 	res := v.result
 	res.Predicted = keepPositives(prefix, map[string]bool{}, probs, v.opts.Threshold, func(k int) *candidates.Candidate { return v.cands[from+k] })
 	res.NumFeatures = src.runIndex.Len()

@@ -237,7 +237,7 @@ func (t *Table) Parent() Node { return t.Section }
 // ChildNodes implements Node. Rows are the canonical children; the
 // Caption, when present, comes first.
 func (t *Table) ChildNodes() []Node {
-	var out []Node
+	out := make([]Node, 0, len(t.Rows)+1)
 	if t.Caption != nil {
 		out = append(out, t.Caption)
 	}
@@ -318,9 +318,12 @@ func (r *Row) Parent() Node { return r.Table }
 // Cells of every row it covers but is the child of its first row only
 // (Cell.Parent), so a walk visits each cell once.
 func (r *Row) ChildNodes() []Node {
-	out := make([]Node, 0, len(r.Cells))
+	var out []Node
 	for _, c := range r.Cells {
 		if c.RowStart == r.Index {
+			if out == nil {
+				out = make([]Node, 0, len(r.Cells))
+			}
 			out = append(out, c)
 		}
 	}

@@ -2,7 +2,12 @@
 
 package model
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/datamodel"
+)
 
 // TestAllocsSteadyState is the model-level allocation guard (the race
 // detector changes allocation counts and empties sync.Pool at random,
@@ -12,7 +17,9 @@ import "testing"
 // forward, loss, backward, clip, Adam — allocates nothing. Inference: a
 // warm PredictProb, pooled tape and token encoding included, allocates
 // nothing either (the candidate's "X3" token takes the lowercasing
-// path).
+// path). A warm PredictProbs over one document allocates nothing per
+// candidate and at most one object (its memo key) per distinct sequence
+// it encodes.
 func TestAllocsSteadyState(t *testing.T) {
 	exs := mixedDataset(12)
 	train := func(epochs int) func() {
@@ -34,6 +41,37 @@ func TestAllocsSteadyState(t *testing.T) {
 	predict()
 	if n := testing.AllocsPerRun(100, predict); n != 0 {
 		t.Errorf("warm PredictProb: %v allocations per call, want 0", n)
+	}
+
+	// One document: 3 part spans × 4 value spans, 7 distinct sequences.
+	b := datamodel.NewBuilder("doc", "html")
+	s := b.AddSentence(b.AddParagraph(b.AddText()), []string{"BC546", "BC547", "BC548", "collector", "current", "is", "100", "200", "300", "500", "mA"})
+	b.Finish()
+	var doc []Example
+	for p := 0; p < 3; p++ {
+		for v := 6; v < 10; v++ {
+			doc = append(doc, pairExample(len(doc), s, [2]int{p, p + 1}, [2]int{v, v + 1}))
+		}
+	}
+	pm := NewFonduer(2, 3, 3, doc)
+	pm.Train(doc, TrainOptions{Epochs: 1})
+	twice := append(slices.Clone(doc), doc...)
+	probs := make([]float64, len(twice))
+	var encoded int
+	allocs := func(exs []Example) float64 {
+		run := func() { encoded = pm.PredictProbs(exs, probs) }
+		run()
+		run()
+		return testing.AllocsPerRun(50, run)
+	}
+	once, both := allocs(doc), allocs(twice)
+	t.Logf("warm PredictProbs: %v allocations, %d sequences encoded", once, encoded)
+	if encoded != 7 {
+		t.Fatalf("PredictProbs encoded %d sequences, want 7", encoded)
+	}
+	if both != once || once > float64(encoded) {
+		t.Errorf("warm PredictProbs: %v allocations over %d candidates, %v over %d; want equal and <= %d (one per distinct sequence)",
+			once, len(doc), both, len(twice), encoded)
 	}
 	_ = sink
 }

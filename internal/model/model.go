@@ -9,6 +9,7 @@
 package model
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/candidates"
+	"repro/internal/datamodel"
 	"repro/internal/neural"
 	"repro/internal/nlp"
 	"repro/internal/pool"
@@ -166,8 +168,8 @@ func (s *seqIDs) endSeq() {
 // encode replaces dst's contents with the candidate's token sequences.
 // It is the one place tokens meet the vocabulary: New calls it while
 // the vocabulary is still growing (ids are admitted in sequence order),
-// Train once per example and PredictProb once per call afterwards, so a
-// forward pass never touches a string.
+// Train once per example and inference once per candidate afterwards,
+// so a forward pass never touches a string.
 func (m *Model) encode(dst *seqIDs, c *candidates.Candidate) {
 	dst.ids, dst.ends = dst.ids[:0], dst.ends[:0]
 	switch {
@@ -294,14 +296,16 @@ func docTokens(c *candidates.Candidate, maxTokens int) []string {
 }
 
 // forward builds the logits of one encoded candidate on a reset tape.
-func (m *Model) forward(t *neural.Tape, seqs *seqIDs, feats []int) *neural.Vec {
+// memo, when non-nil, supplies the mention encodings it holds and
+// records the ones it does not; only a forward-only tape takes one.
+func (m *Model) forward(t *neural.Tape, seqs *seqIDs, feats []int, memo *encodingMemo) *neural.Vec {
 	logits := t.AsVec(m.bias)
 	if m.cfg.DocLevel {
 		logits = t.Add(logits, m.headText.Apply(t, m.encodeSeq(t, seqs.seq(0))))
 	} else if m.cfg.UseText {
 		reps := t.Vecs(len(seqs.ends))
 		for i := range reps {
-			reps[i] = m.encodeSeq(t, seqs.seq(i))
+			reps[i] = m.encodeMention(t, seqs.seq(i), memo)
 		}
 		logits = t.Add(logits, m.headText.Apply(t, t.Concat(reps...)))
 	}
@@ -327,6 +331,70 @@ func (m *Model) encodeSeq(t *neural.Tape, ids []int) *neural.Vec {
 	}
 	agg, _ := m.att.Apply(t, hs)
 	return agg
+}
+
+// encodeMention is encodeSeq through a memo: a sequence the memo holds
+// enters the graph as a constant leaf of the floats encodeSeq produced
+// for it earlier, and any other sequence is encoded and recorded.
+func (m *Model) encodeMention(t *neural.Tape, ids []int, memo *encodingMemo) *neural.Vec {
+	if memo == nil {
+		return m.encodeSeq(t, ids)
+	}
+	if enc, ok := memo.lookup(ids); ok {
+		return t.Const(enc)
+	}
+	v := m.encodeSeq(t, ids)
+	memo.add(v.V)
+	return v
+}
+
+// encodingMemo maps a mention's token-id sequence to the encoding
+// encodeSeq produced for it, for the candidates of one document under
+// one model. The key is the encoder's whole input, and under frozen
+// weights an encoding is a pure function of that input, so a hit is
+// exact by construction: its floats are the graph's, copied bit for
+// bit. The key carries the candidate markers, so one span used as
+// argument 0 and as argument 1 is two entries.
+type encodingMemo struct {
+	doc *datamodel.Document
+	// at maps a key (the ids, uvarint-encoded) to the encoding's offset
+	// in enc; every encoding is dim floats long.
+	at  map[string]int
+	enc []float64
+	dim int
+	// key is the key lookup built last, which add records.
+	key []byte
+	// added counts the encodings recorded since the memo was last
+	// emptied by PredictProbs.
+	added int
+}
+
+// reset empties the memo for the candidates of doc.
+func (mm *encodingMemo) reset(doc *datamodel.Document) {
+	mm.doc = doc
+	clear(mm.at)
+	mm.enc = mm.enc[:0]
+}
+
+func (mm *encodingMemo) lookup(ids []int) ([]float64, bool) {
+	mm.key = mm.key[:0]
+	for _, id := range ids {
+		mm.key = binary.AppendUvarint(mm.key, uint64(id))
+	}
+	off, ok := mm.at[string(mm.key)]
+	if !ok {
+		return nil, false
+	}
+	return mm.enc[off : off+mm.dim], true
+}
+
+// add records enc under the key of the lookup that missed. The floats
+// are copied: the graph's own storage dies with the tape's next Reset.
+func (mm *encodingMemo) add(enc []float64) {
+	mm.dim = len(enc)
+	mm.at[string(mm.key)] = len(mm.enc)
+	mm.enc = append(mm.enc, enc...)
+	mm.added++
 }
 
 // TrainOptions configure Train.
@@ -500,7 +568,7 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 		s, i := slots[k], order[base+k]
 		s.model.params.ZeroGrad()
 		s.tape.Reset()
-		logits := s.model.forward(s.tape, &seqs[i], examples[i].SparseFeats)
+		logits := s.model.forward(s.tape, &seqs[i], examples[i].SparseFeats, nil)
 		loss, node := neural.NoiseAwareCE(s.tape, logits, examples[i].Marginal)
 		s.loss = loss
 		s.tape.Backward(node)
@@ -584,28 +652,75 @@ func copyMatched(dst, src neural.Params) {
 	}
 }
 
-// inference is the scratch of one PredictProb call: a forward-only
-// tape and the candidate's encoded sequences. Instances are recycled
-// through inferencePool, so a warm call allocates nothing and the
-// memory held is bounded by the callers in flight, each sized by the
-// largest candidate it has scored.
+// inference is the scratch of one PredictProb or PredictProbs call: a
+// forward-only tape, the candidate's encoded sequences and the memo of
+// one document's mention encodings. Instances are recycled through
+// inferencePool, so a warm call allocates nothing (PredictProbs: one
+// memo key per distinct sequence) and the memory held is bounded by the
+// callers in flight, each sized by the largest candidate and the
+// largest document it has scored.
 type inference struct {
 	tape *neural.Tape
 	seqs seqIDs
+	memo encodingMemo
 }
 
-var inferencePool = sync.Pool{New: func() any { return &inference{tape: neural.NewForwardTape()} }}
+var inferencePool = sync.Pool{New: func() any {
+	return &inference{tape: neural.NewForwardTape(), memo: encodingMemo{at: map[string]int{}}}
+}}
 
 // PredictProb returns the marginal probability that the candidate is a
 // true relation mention. It runs forward-only and never writes to the
 // model, so any number of goroutines may call it on one model.
 func (m *Model) PredictProb(ex Example) float64 {
 	inf := inferencePool.Get().(*inference)
+	p := m.predict(inf, ex, nil)
+	inferencePool.Put(inf)
+	return p
+}
+
+// PredictProbs sets probs[i] to PredictProb(exs[i]), bit for bit, for
+// every example (probs must be at least as long as exs), and returns how
+// many token sequences it ran through the encoder. Within each run of
+// consecutive examples from one document, the per-mention model encodes
+// each distinct mention context once: a mention recurs across the
+// candidates it takes part in, so callers should pass a document's
+// candidates together, in corpus order. The document-level model has
+// one sequence per candidate and encodes every one. Like PredictProb it
+// is read-only, so any number of goroutines may call it on one model.
+func (m *Model) PredictProbs(exs []Example, probs []float64) (encoded int) {
+	inf := inferencePool.Get().(*inference)
+	var memo *encodingMemo
+	if m.cfg.UseText && !m.cfg.DocLevel {
+		memo = &inf.memo
+		memo.added = 0
+	}
+	for i, ex := range exs {
+		if memo != nil {
+			if doc := ex.Cand.Doc(); i == 0 || doc != memo.doc {
+				memo.reset(doc)
+			}
+		}
+		probs[i] = m.predict(inf, ex, memo)
+		if memo == nil {
+			encoded += len(inf.seqs.ends)
+		}
+	}
+	if memo != nil {
+		encoded = memo.added
+		memo.doc = nil // a pooled scratch pins no document
+	}
+	inferencePool.Put(inf)
+	return encoded
+}
+
+// predict scores one candidate on inf's tape and resets the tape, which
+// also drops its views of this model's weights.
+func (m *Model) predict(inf *inference, ex Example, memo *encodingMemo) float64 {
 	m.encode(&inf.seqs, ex.Cand)
 	var probs [2]float64
-	neural.SoftmaxProbs(probs[:], m.forward(inf.tape, &inf.seqs, ex.SparseFeats).V)
-	inf.tape.Reset() // also drops the tape's views of this model's weights
-	inferencePool.Put(inf)
+	neural.SoftmaxProbs(probs[:], m.forward(inf.tape, &inf.seqs, ex.SparseFeats, memo).V)
+	inf.tape.Reset()
 	return probs[1]
 }
 

@@ -274,7 +274,7 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 			tp := neural.NewTape()
 			var seqs seqIDs
 			m.encode(&seqs, ex.Cand)
-			logits := m.forward(tp, &seqs, ex.SparseFeats)
+			logits := m.forward(tp, &seqs, ex.SparseFeats, nil)
 			loss, node := neural.NoiseAwareCE(tp, logits, ex.Marginal)
 			tp.Backward(node)
 			m.params.ClipGrad(opts.Clip)
@@ -346,4 +346,62 @@ func TestTrainBatchChangesTrajectory(t *testing.T) {
 		}
 	}
 	t.Fatal("Batch=4 trained identically to Batch=1")
+}
+
+// pairExample builds a binary candidate over two spans of one sentence.
+func pairExample(id int, s *datamodel.Sentence, a, b [2]int) Example {
+	return Example{Cand: &candidates.Candidate{ID: id, Mentions: []candidates.Mention{
+		{TypeName: "Part", Span: datamodel.NewSpan(s, a[0], a[1])},
+		{TypeName: "Value", Span: datamodel.NewSpan(s, b[0], b[1])},
+	}}, SparseFeats: []int{id % 3}, Marginal: float64(id % 2)}
+}
+
+// TestPredictProbsMemo pins PredictProbs' per-document memo on
+// hand-built candidates: probabilities bit-identical to PredictProb,
+// and exactly the encodings a memo keyed by token ids must run — a
+// mention shared by two candidates is encoded once, the same span as
+// argument 0 and as argument 1 twice (its markers differ), and a second
+// document with the same words again (the memo holds one document).
+func TestPredictProbsMemo(t *testing.T) {
+	sentence := func(name string) *datamodel.Sentence {
+		b := datamodel.NewBuilder(name, "html")
+		s := b.AddSentence(b.AddParagraph(b.AddText()), []string{"the", "BC547", "collector", "current", "is", "100", "mA", "at", "25", "C"})
+		b.Finish()
+		return s
+	}
+	s1, s2 := sentence("d1"), sentence("d2")
+	part, ma, c := [2]int{1, 2}, [2]int{5, 7}, [2]int{8, 10}
+	exs := []Example{
+		pairExample(0, s1, part, ma), // 2 encodings
+		pairExample(1, s1, part, c),  // part as argument 0 again: 1
+		pairExample(2, s1, ma, part), // both spans in the other role: 2
+		pairExample(3, s2, part, ma), // same words, another document: 2
+	}
+	const wantEncoded = 7
+
+	for name, m := range map[string]*Model{
+		"fonduer": NewFonduer(2, 3, 5, exs),
+		"maxpool": NewMaxPoolText(2, 5, exs),
+		"docrnn":  NewDocRNN(5, exs, 40),
+		"sparse":  NewHumanTuned(3, 5),
+	} {
+		m.Train(exs, TrainOptions{Epochs: 1})
+		probs := make([]float64, len(exs))
+		encoded := m.PredictProbs(exs, probs)
+		for i, ex := range exs {
+			if want := m.PredictProb(ex); math.Float64bits(probs[i]) != math.Float64bits(want) {
+				t.Errorf("%s: candidate %d: PredictProbs %v, PredictProb %v", name, i, probs[i], want)
+			}
+		}
+		want := wantEncoded
+		switch name {
+		case "docrnn":
+			want = len(exs) // one sequence per candidate, no memo
+		case "sparse":
+			want = 0
+		}
+		if encoded != want {
+			t.Errorf("%s: %d sequences encoded, want %d", name, encoded, want)
+		}
+	}
 }

@@ -148,6 +148,18 @@ func (t *Tape) view(v, g []float64) *Vec {
 // parameters participate in the graph directly.
 func (t *Tape) AsVec(m *Mat) *Vec { return t.view(m.W, m.G) }
 
+// Const returns a leaf view of values the graph reads but never
+// differentiates — an encoding computed on an earlier graph and reused.
+// The view shares v's storage, which must stay unchanged until Reset.
+// Only a forward-only tape takes one: a recording tape panics, since
+// Backward would have nowhere to put the leaf's gradient.
+func (t *Tape) Const(v []float64) *Vec {
+	if t.grad {
+		panic("neural: Const on a recording tape")
+	}
+	return t.view(v, nil)
+}
+
 // Row returns a leaf view of one row (used by embedding lookups); the
 // view shares storage, so gradients flow into the table.
 func (t *Tape) Row(m *Mat, r int) *Vec {

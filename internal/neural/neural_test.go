@@ -190,6 +190,7 @@ func TestDimensionPanics(t *testing.T) {
 		"Step":   func() { NewLSTM(2, 3, rand.New(rand.NewSource(1))).Step(tape, b, b, b) },
 		"Att":    func() { NewAttention(2, 2, rand.New(rand.NewSource(1))).Apply(tape, []*Vec{b}) },
 		"NoGrad": func() { NewForwardTape().Backward(a) },
+		"Const":  func() { tape.Const(a.V) },
 	} {
 		func() {
 			defer func() {
@@ -520,6 +521,11 @@ func TestTapeArenaReuse(t *testing.T) {
 	logits := head.Apply(ft, agg)
 	if logits.G != nil {
 		t.Fatal("forward-only nodes must carry no gradient buffer")
+	}
+	// A copy of the encoding, fed back as a constant leaf, yields the
+	// head's logits bit for bit.
+	if again := head.Apply(ft, ft.Const(append([]float64(nil), agg.V...))); !sameBits(again.V, logits.V) {
+		t.Fatalf("logits over a Const encoding %v, over the graph's %v", again.V, logits.V)
 	}
 	_, node := NoiseAwareCE(ft, logits, 0.3)
 	if math.Float64bits(node.V[0]) != math.Float64bits(freshLoss) {

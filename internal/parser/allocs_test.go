@@ -34,3 +34,22 @@ func TestParseAllocs(t *testing.T) {
 		t.Errorf("parsing a document allocates %.3f MB, want <= 0.35", mb)
 	}
 }
+
+// TestParseSpanBombAllocs bounds what a table costs by its width, not
+// its area: the 36 KB span bomb allocates well under 1 MB. A grid
+// occupancy map over (row, column) slots allocated 447 MB for it.
+func TestParseSpanBombAllocs(t *testing.T) {
+	src := spanBomb(4000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := parser.Parse("bomb", "html", src, ""); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("%d KB span bomb: %.3f MB, %d objects", len(src)/1000, mb, after.Mallocs-before.Mallocs)
+	if mb >= 1 {
+		t.Errorf("parsing the %d KB span bomb allocates %.3f MB, want < 1", len(src)/1000, mb)
+	}
+}

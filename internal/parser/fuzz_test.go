@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,6 +22,7 @@ func FuzzParseDocument(f *testing.F) {
 	f.Add("xml", synth.Genomics(7, 1).Sources[0]["xml"], "")
 	f.Add("html", `<table><tr><td rowspan=2>A b c</td><td>1</td></tr><tr><td>2</td></tr></table>`, "")
 	f.Add("", `<table><tr><td rowspan=3000000 colspan=3>a</td></tr></table>`, "")
+	f.Add("html", spanBomb(4000), "")
 	f.Add("html", strings.Repeat("<b>", 300_000)+"x", "")
 	f.Add("html", "<p>reserved \x1f separator</p>", "")
 	f.Fuzz(func(t *testing.T, format, source, vdoc string) {
@@ -46,4 +48,10 @@ func FuzzParseDocument(f *testing.F) {
 			}
 		}
 	})
+}
+
+// spanBomb is one cell spanning every row and HTML's widest colspan over
+// n empty rows: 36 KB of source at n = 4000.
+func spanBomb(n int) string {
+	return `<table><tr><td rowspan=` + strconv.Itoa(n+1) + ` colspan=1000>x</td></tr>` + strings.Repeat("<tr></tr>", n) + `</table>`
 }

@@ -14,6 +14,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -135,13 +136,17 @@ func decodeEntities(s string) string {
 }
 
 // parseTag splits `name attr="v" flag` into the tag name and attributes.
+// A tag without attributes gets a nil map.
 func parseTag(src string) (string, map[string]string) {
-	attrs := map[string]string{}
 	fields := splitTagFields(src)
 	if len(fields) == 0 {
-		return "", attrs
+		return "", nil
 	}
 	name := strings.ToLower(fields[0])
+	var attrs map[string]string
+	if len(fields) > 1 {
+		attrs = make(map[string]string, len(fields)-1)
+	}
 	for _, f := range fields[1:] {
 		if eq := strings.IndexByte(f, '='); eq >= 0 {
 			k := strings.ToLower(f[:eq])
@@ -210,6 +215,12 @@ func ParseHTML(name, src string) *datamodel.Document {
 
 type htmlWalker struct {
 	b *datamodel.Builder
+	// heldTo is emitTable's grid state, reused from table to table (a
+	// cell's text is collected, not walked, so tables never nest here):
+	// heldTo[c] is the last row a cell spanning down from an earlier row
+	// holds column c to. At row r, column c is taken exactly when
+	// heldTo[c] >= r; columns past its end are free.
+	heldTo []int
 }
 
 func (w *htmlWalker) walk(n *htmlNode, path []*htmlNode) {
@@ -242,8 +253,13 @@ func (w *htmlWalker) walk(n *htmlNode, path []*htmlNode) {
 	}
 }
 
-// maxColspan is HTML's own limit on a colspan attribute.
-const maxColspan = 1000
+const (
+	// maxColspan is HTML's own limit on a colspan attribute.
+	maxColspan = 1000
+	// maxTableCols caps a table's width: far past any real table, and it
+	// bounds the per-column vector emitTable keeps at 32 KB.
+	maxTableCols = 4096
+)
 
 // countRows counts a table's <tr> elements, directly under it or inside
 // its row groups — the elements emitTable turns into rows.
@@ -260,20 +276,21 @@ func countRows(n *htmlNode) int {
 	return rows
 }
 
-// emitTable converts a <table> element, honoring rowspan/colspan via a
-// grid-occupancy map, and attaching <caption> when present. The grid is
-// bounded by the source, not by its span attributes: the table has one
-// row per <tr>, a rowspan is clipped to the rows that remain (as the
-// HTML table model clips a cell to its row group) and a colspan to
-// maxColspan.
+// emitTable converts a <table> element, honoring rowspan/colspan, and
+// attaching <caption> when present. The grid is bounded by the source,
+// not by its span attributes: the table has one row per <tr>, a rowspan
+// is clipped to the rows that remain (as the HTML table model clips a
+// cell to its row group), a colspan to maxColspan and a cell's columns
+// to maxTableCols. Its memory is bounded by the width, not the area: a
+// spanning cell records, per column it covers, the last row it holds.
 func (w *htmlWalker) emitTable(tn *htmlNode, path []*htmlNode) {
 	tbl := w.b.AddTable()
-	for n := countRows(tn); n > 0; n-- {
+	n := countRows(tn)
+	tbl.Rows = slices.Grow(tbl.Rows, n)
+	for ; n > 0; n-- {
 		w.b.AddRow(tbl)
 	}
-	// occupied marks the slots of later rows held by a cell spanning
-	// down from an earlier one.
-	occupied := map[[2]int]bool{}
+	w.heldTo = w.heldTo[:0]
 	rowIdx := 0
 	var handleRows func(n *htmlNode)
 	handleRows = func(n *htmlNode) {
@@ -291,16 +308,20 @@ func (w *htmlWalker) emitTable(tn *htmlNode, path []*htmlNode) {
 					if cell.tag != "td" && cell.tag != "th" {
 						continue
 					}
-					for occupied[[2]int{rowIdx, col}] {
+					for col < len(w.heldTo) && w.heldTo[col] >= rowIdx {
 						col++
 					}
+					col = min(col, maxTableCols-1)
 					rs := min(atoiDefault(cell.attrs["rowspan"], 1), len(tbl.Rows)-rowIdx)
-					cs := min(atoiDefault(cell.attrs["colspan"], 1), maxColspan)
+					cs := min(atoiDefault(cell.attrs["colspan"], 1), maxColspan, maxTableCols-col)
 					cc := w.b.AddCell(tbl, rowIdx, rowIdx+rs-1, col, col+cs-1)
 					cc.IsHeader = cell.tag == "th"
-					for r := rowIdx + 1; r < rowIdx+rs; r++ {
-						for cdx := col; cdx < col+cs; cdx++ {
-							occupied[[2]int{r, cdx}] = true
+					if last := rowIdx + rs - 1; last > rowIdx {
+						for len(w.heldTo) < col+cs {
+							w.heldTo = append(w.heldTo, -1)
+						}
+						for k := col; k < col+cs; k++ {
+							w.heldTo[k] = max(w.heldTo[k], last)
 						}
 					}
 					p := w.b.AddParagraph(cc)

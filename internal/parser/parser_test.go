@@ -3,6 +3,8 @@ package parser
 import (
 	"bufio"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime/debug"
 	"strings"
@@ -90,7 +92,7 @@ func TestParseHTMLRowspanSentencesOnce(t *testing.T) {
 
 // The grid is bounded by the source, not by its span attributes: a
 // rowspan is clipped to the <tr> rows the table has, a colspan to
-// HTML's limit of 1000.
+// HTML's limit of 1000 and a row's cells to maxTableCols columns.
 func TestParseHTMLSpanBounds(t *testing.T) {
 	for _, tc := range []struct {
 		src        string
@@ -98,6 +100,7 @@ func TestParseHTMLSpanBounds(t *testing.T) {
 	}{
 		{`<table><tr><td rowspan=3000000 colspan=3>a</td></tr></table>`, 1, 3},
 		{`<table><tr><td rowspan=2000000000>a</td><td colspan=2000000000>b</td></tr><tbody><tr><td>c</td></tr></tbody></table>`, 2, 1 + maxColspan},
+		{`<table><tr>` + strings.Repeat(`<td colspan=1000>w</td>`, 6) + `</tr></table>`, 1, maxTableCols},
 	} {
 		tbl := ParseHTML("bomb", tc.src).Tables()[0]
 		if len(tbl.Rows) != tc.rows || tbl.NumRows != tc.rows || tbl.NumCols != tc.cols {
@@ -445,6 +448,59 @@ func TestParseRejectsReservedBytes(t *testing.T) {
 		_, err := Parse("evil-doc", c.format, c.source, c.vdoc)
 		if err == nil || !strings.Contains(err.Error(), `"evil-doc"`) {
 			t.Errorf("Parse(%q, %q) = %v, want an error naming the document", c.format, c.source, err)
+		}
+	}
+}
+
+// TestTablePlacementMatchesReference pins emitTable's per-column grid
+// state to the (row, column) occupancy map it replaced, kept here as
+// the reference: over seeded random tables of spanning cells, every
+// cell lands on the same rows and columns.
+func TestTablePlacementMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	type span struct{ rs, cs int }
+	for trial := 0; trial < 2000; trial++ {
+		rows := make([][]span, 1+rng.Intn(8))
+		var src strings.Builder
+		src.WriteString("<table>")
+		for r := range rows {
+			src.WriteString("<tr>")
+			for range rng.Intn(5) {
+				sp := span{1 + rng.Intn(4), 1 + rng.Intn(3)}
+				rows[r] = append(rows[r], sp)
+				fmt.Fprintf(&src, "<td rowspan=%d colspan=%d>x</td>", sp.rs, sp.cs)
+			}
+			src.WriteString("</tr>")
+		}
+		src.WriteString("</table>")
+
+		var want [][4]int
+		occupied := map[[2]int]bool{}
+		for r, row := range rows {
+			col := 0
+			for _, sp := range row {
+				for occupied[[2]int{r, col}] {
+					col++
+				}
+				rs := min(sp.rs, len(rows)-r)
+				want = append(want, [4]int{r, r + rs - 1, col, col + sp.cs - 1})
+				for rr := r + 1; rr < r+rs; rr++ {
+					for cc := col; cc < col+sp.cs; cc++ {
+						occupied[[2]int{rr, cc}] = true
+					}
+				}
+				col += sp.cs
+			}
+		}
+
+		var got [][4]int
+		if tables := ParseHTML("grid", src.String()).Tables(); len(tables) > 0 {
+			for _, c := range tables[0].Cells {
+				got = append(got, [4]int{c.RowStart, c.RowEnd, c.ColStart, c.ColEnd})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\ncells %v\nwant  %v", src.String(), got, want)
 		}
 	}
 }
