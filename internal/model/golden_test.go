@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -33,7 +34,13 @@ func trajectoryHash(m *Model, st TrainStats) uint64 {
 // change to an accumulation order, in a kernel or in the Train loop's
 // gradient sweeps, moves them. Clip 0.05 forces the clip scale on every
 // step; Batch 4 exercises the slot reduction and the 1/n averaging.
+// Bits are pinned per platform: on amd64 math.Exp is assembly that
+// takes an FMA path (math/exp_amd64.s), so other architectures train
+// to other, equally valid, bits.
 func TestGoldenTrajectory(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hashes are amd64's: math.Exp takes an FMA path there (math/exp_amd64.s), so %s rounds differently", runtime.GOARCH)
+	}
 	exs := mixedDataset(16)
 	variants := map[string]func() *Model{
 		"fonduer": func() *Model { return NewFonduer(1, 10, 11, exs) },

@@ -11,7 +11,8 @@ import (
 // detector changes allocation counts, hence the build tag): once a tape
 // has seen an example of the largest shape, building the graph again —
 // leaf views, fused LSTM steps, attention, loss — and running Backward
-// allocates nothing; nor does the forward-only pass.
+// allocates nothing; nor do a warm Adam step and the forward-only
+// pass.
 func TestAllocsWarmTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	emb := NewEmbedding(9, 4, rng, nil)
@@ -29,6 +30,14 @@ func TestAllocsWarmTape(t *testing.T) {
 	train() // a replaced block is only right-sized on the pass after
 	if n := testing.AllocsPerRun(20, train); n != 0 {
 		t.Errorf("forward+backward on a warm tape: %v allocations per run, want 0", n)
+	}
+	// The step's constants go to the AVX kernel by pointer; they must
+	// stay on the stack.
+	ps := append(append(emb.Params(), bi.Params()...), att.Params()...)
+	opt := NewAdam(0.01)
+	opt.Step(ps) // allocates the moment vectors
+	if n := testing.AllocsPerRun(20, func() { opt.StepScaled(ps, 0.5) }); n != 0 {
+		t.Errorf("warm Adam step: %v allocations per run, want 0", n)
 	}
 
 	ft := NewForwardTape()

@@ -455,27 +455,6 @@ func (t *Tape) MatVec(m *Mat, x *Vec) *Vec {
 	return out
 }
 
-// matVecBackward propagates g = dL/d(M·x) into M.G and x.G one row at
-// a time, skipping rows whose gradient is exactly zero. Within a row
-// the weight and the input gradient receive their terms column by
-// column; x.G therefore accumulates rows in ascending order — the
-// order every fused op that contains a matrix-vector product keeps.
-func matVecBackward(m *Mat, g []float64, x *Vec) {
-	cols := m.Cols
-	for r, gr := range g[:m.Rows] {
-		if gr == 0 {
-			continue
-		}
-		mw := m.W[r*cols : (r+1)*cols]
-		mg := m.G[r*cols : (r+1)*cols][:len(mw)]
-		xv, xg := x.V[:len(mw)], x.G[:len(mw)]
-		for c, w := range mw {
-			mg[c] += gr * xv[c]
-			xg[c] += gr * w
-		}
-	}
-}
-
 // Softmax returns the softmax of a (numerically stabilized).
 func (t *Tape) Softmax(a *Vec) *Vec {
 	out := t.NewVec(a.Len())

@@ -100,14 +100,31 @@ func (ps Params) ScaleGrad(s float64) {
 // norm down to c: c/norm when the norm exceeds c, otherwise exactly 1
 // (also when c <= 0, clipping disabled). Multiplying by 1 is exact, so
 // callers may apply the factor unconditionally.
+//
+// Exactly-zero gradients — most of them: an example touches few
+// embedding rows and sparse columns — are skipped four at a time. That
+// is exact: the sum starts at +0 and every g·g is ≥ +0, so adding 0·0
+// changes no bit. (One test per element costs more in mispredicted
+// branches than the adds it saves.)
 func (ps Params) ClipScale(c float64) float64 {
 	if c <= 0 {
 		return 1
 	}
 	sum := 0.0
 	for _, p := range ps {
-		for _, g := range p.G {
-			sum += g * g
+		g := p.G
+		for ; len(g) >= 4; g = g[4:] {
+			// ±0 has no bit set but the sign.
+			if (math.Float64bits(g[0])|math.Float64bits(g[1])|math.Float64bits(g[2])|math.Float64bits(g[3]))<<1 == 0 {
+				continue
+			}
+			sum += g[0] * g[0]
+			sum += g[1] * g[1]
+			sum += g[2] * g[2]
+			sum += g[3] * g[3]
+		}
+		for _, x := range g {
+			sum += x * x
 		}
 	}
 	norm := math.Sqrt(sum)
@@ -180,11 +197,14 @@ func (o *Adam) Step(ps Params) { o.StepScaled(ps, 1) }
 // (and Step itself, scale 1, is unchanged: x·1 is x).
 func (o *Adam) StepScaled(ps Params, scale float64) {
 	o.t++
-	b1t := 1 - math.Pow(o.Beta1, float64(o.t))
-	b2t := 1 - math.Pow(o.Beta2, float64(o.t))
-	// Locals, so the loop does not reload the hyperparameters after
-	// every store to a weight.
-	lr, b1, b2, eps, wd := o.LR, o.Beta1, o.Beta2, o.Eps, o.WeightDecay
+	k := adamConsts{
+		scale: scale, wd: o.WeightDecay,
+		b1: o.Beta1, c1: 1 - o.Beta1,
+		b2: o.Beta2, c2: 1 - o.Beta2,
+		b1t: 1 - math.Pow(o.Beta1, float64(o.t)),
+		b2t: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr:  o.LR, eps: o.Eps,
+	}
 	for _, p := range ps {
 		m, ok := o.m[p]
 		if !ok {
@@ -196,15 +216,6 @@ func (o *Adam) StepScaled(ps Params, scale float64) {
 			v = make([]float64, len(p.W))
 			o.v[p] = v
 		}
-		w := p.W
-		pg, m, v := p.G[:len(w)], m[:len(w)], v[:len(w)]
-		for i := range w {
-			g := float64(pg[i]*scale) + wd*w[i]
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
-			mh := m[i] / b1t
-			vh := v[i] / b2t
-			w[i] -= lr * mh / (math.Sqrt(vh) + eps)
-		}
+		adamUpdate(p.W, p.G, m, v, &k)
 	}
 }
