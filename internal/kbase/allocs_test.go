@@ -75,14 +75,14 @@ func TestInsertAllocs(t *testing.T) {
 	}
 }
 
-// TestSealAllocs is the allocation guard of sealing a page: encoding the
-// tail, putting the page and building its zone map. The append that
-// brings a paged backend's tail to 128 rows seals exactly one 128-row
-// page and costs O(columns) objects — one exactly sized block per column,
-// the page, and the values the zone's min, max and distinct slots adopt —
-// where rendering every numeric cell to a string cost one per cell. (The
-// 127 rows before it are counted out: the tail is []Tuple, and boxes a
-// string cell per row.)
+// TestSealAllocs is the allocation guard of filling and sealing a page:
+// the 128 appends that fill a paged backend's open page — 128 distinct
+// strings among them — and the seal the last one triggers, encoding the
+// page, putting it and building its zone map. A page costs O(columns)
+// objects: its vectors, allocated together, its dictionary's values and
+// boxes, one exactly sized blob, and the values the zone's min, max and
+// distinct slots adopt — where boxing a string cell per row cost one per
+// row, and rendering every numeric cell to a string one per cell.
 func TestSealAllocs(t *testing.T) {
 	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
 	const pageRows = 128
@@ -102,24 +102,23 @@ func TestSealAllocs(t *testing.T) {
 		return ms.Mallocs
 	}
 	const runs = 21
-	var seal uint64
+	var page uint64
 	for run := 0; run < runs; run++ {
-		if _, err := b.Append(batch, all[:pageRows-1]); err != nil {
-			t.Fatal(err)
-		}
 		before := mallocs()
-		if _, err := b.Append(batch, all[pageRows-1:]); err != nil {
-			t.Fatal(err)
+		for r := range all {
+			if _, err := b.Append(batch, all[r:r+1]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		seal += mallocs() - before
+		page += mallocs() - before
 	}
-	seal /= runs
+	page /= runs
 	if pages := b.Stats().Pages; pages != runs {
 		t.Fatalf("sealed %d pages, want %d", pages, runs)
 	}
-	t.Logf("sealing a %d-row, %d-column page: %d allocations", pageRows, schema.Arity(), seal)
-	if limit := uint64(16 * schema.Arity()); seal > limit {
-		t.Errorf("sealing a page costs %d allocations, want <= %d (it has %d cells)", seal, limit, pageRows*schema.Arity())
+	t.Logf("filling and sealing a %d-row, %d-column page: %d allocations", pageRows, schema.Arity(), page)
+	if limit := uint64(16 * schema.Arity()); page > limit {
+		t.Errorf("filling and sealing a page costs %d allocations, want <= %d (it has %d cells)", page, limit, pageRows*schema.Arity())
 	}
 }
 
@@ -155,17 +154,31 @@ func featureRows(t *testing.T, tbl *Table, n, names int) {
 // TestMemoryBackendBytesPerRow bounds what a row of the features
 // relation costs the memory kind, dedup index included: its 20 bytes of
 // payload (two int64s and a dictionary id), the index's 11–15, and the
-// vectors' growth slack — where a boxed row cost about 135.
+// share of the table-wide dictionary — where a boxed row cost about 135.
+// It logs what the same rows cost the other kinds, whose dictionaries are
+// a page's: the encoded pages on the heap (columnar), or only the zone
+// maps, the segment's page directory and the open page (disk).
 func TestMemoryBackendBytesPerRow(t *testing.T) {
 	const n, names = 200_000, 5_000
-	before := liveHeap()
-	tbl := NewTable(mustSchema(t, "features", "cand:integer", "seq:integer", "feature"))
-	featureRows(t, tbl, n, names)
-	perRow := float64(liveHeap()-before) / n
-	runtime.KeepAlive(tbl)
-	t.Logf("memory backend: %.1f B/row at %d rows over %d names", perRow, n, names)
-	if perRow > 40 {
-		t.Errorf("a features row costs %.1f B on the memory backend, want <= 40", perRow)
+	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
+	disk, err := NewDiskEngine(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for _, engine := range []Engine{MemoryEngine{}, NewColumnarEngine(0, 0), disk} {
+		before := liveHeap()
+		tbl := newBackedTable(t, engine, schema)
+		featureRows(t, tbl, n, names)
+		perRow := float64(liveHeap()-before) / n
+		runtime.KeepAlive(tbl)
+		t.Logf("%s backend: %.1f B/row at %d rows over %d names", engine.Kind(), perRow, n, names)
+		if engine.Kind() == "memory" && perRow > 40 {
+			t.Errorf("a features row costs %.1f B on the memory backend, want <= 40", perRow)
+		}
+		if err := tbl.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -86,38 +86,6 @@ func compilePreds(schema Schema, preds []Pred) matcher {
 	return m
 }
 
-// match reports whether the row satisfies every predicate. It is small
-// enough to inline, so the empty conjunction costs unfiltered reads a
-// length check per row, not a call.
-func (m matcher) match(tp Tuple) bool { return len(m.preds) == 0 || m.matchPreds(tp) }
-
-// matchPreds is match for a non-empty conjunction. Rows are trusted to
-// be normalized (Table.Insert widened ints to int64), with a
-// rendered-comparison fallback for anything unexpected.
-func (m matcher) matchPreds(tp Tuple) bool {
-	for _, p := range m.preds {
-		v := tp[p.col]
-		if p.intOK {
-			if n, ok := v.(int64); ok {
-				if n != p.intVal {
-					return false
-				}
-				continue
-			}
-		}
-		if s, ok := v.(string); ok {
-			if s != p.want {
-				return false
-			}
-			continue
-		}
-		if renderCell(v) != p.want {
-			return false
-		}
-	}
-	return true
-}
-
 // window is the [offset, offset+limit) slice of a read's match sequence
 // (limit <= 0 means "to the end"), advanced as matches are counted.
 // Every windowed read — each backend's Page and Table's index plan —
@@ -149,16 +117,14 @@ func (w *window) admit() bool {
 // full reports that no later match can fall inside the window.
 func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit }
 
-// Backend is the pluggable row-storage engine behind a Table. A Table
-// owns exactly one backend and layers relational semantics on top of
-// it — schema/type checking, set semantics via a compact hash index, and
-// the filtered-read planner — so every backend only has to store an
-// ordered row sequence.
+// Backend is the row storage behind a Table. A Table owns exactly one
+// backend and layers relational semantics on top of it — schema/type
+// checking, set semantics via a compact hash index, and the filtered-read
+// planner — so a backend only has to store an ordered row sequence.
 //
-// There are two implementations: memoryBackend (memory.go), typed column
-// vectors on the heap (the reference the equivalence suites compare
-// against), and pagedBackend (paged.go), which is "disk" or "columnar"
-// depending on where its page store keeps the pages.
+// There is one implementation, pagedBackend (paged.go): typed pages of
+// column vectors (page.go), which the "disk" and "columnar" kinds seal
+// into a page store as they fill and the "memory" kind keeps open.
 //
 // Contract, relied on by Table and by the cross-backend equivalence
 // tests:
@@ -176,27 +142,27 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 //     insertion order. at, when non-nil, lists in ascending order the
 //     only positions worth considering (an index plan's candidates);
 //     every one of them is still checked against the conjunction. Scan
-//     streams the matches *borrowed* — its tuple may be storage or a
-//     scratch row overwritten by the next match, so it must not be
-//     retained or modified — until fn returns false. Page returns
-//     detached rows for the matches numbered [offset, offset+limit)
-//     (limit <= 0 means "to the end", a negative offset is 0, an empty
-//     window is nil) plus the exact number of matches: rows stop being
-//     built once the window fills, counting always runs to the end —
-//     except that with no predicates the count is Len, so a paged
-//     backend goes straight to the offset's page and stops after the
-//     window.
-//   - Either read may prune storage regions (pages) that provably hold
-//     no match, and must never skip a matching row. Page also returns
-//     how many regions this call pruned (0 without predicates, and
-//     always for the memory backend).
-//   - Reads share no mutable state: any number may run beside each
-//     other on a table nobody is writing.
+//     streams the matches *borrowed* — its tuple is a scratch row
+//     overwritten by the next match, so it must not be retained or
+//     modified — until fn returns false. Page returns detached rows for
+//     the matches numbered [offset, offset+limit) (limit <= 0 means "to
+//     the end", a negative offset is 0, an empty window is nil) plus the
+//     exact number of matches: rows stop being built once the window
+//     fills, counting always runs to the end — except that with no
+//     predicates the count is Len, so the walk goes straight to the
+//     offset's page and stops after the window.
+//   - Either read may prune sealed pages that provably hold no match,
+//     and must never skip a matching row. Page also returns how many
+//     pages this call pruned (0 without predicates, and always on the
+//     memory kind, which seals none).
+//   - Concurrency: Append may run beside any number of reads, and reads
+//     beside each other; a read sees the rows stored when it began.
+//     DeleteWhere must run beside nothing.
 //   - DeleteWhere keeps survivors in relative order and re-packs
 //     positions densely (row i is the i-th surviving row).
 //   - Snapshot streams the rows in the escaped-TSV row encoding of
 //     WriteTSV, so a table's serialized bytes are identical across
-//     backends holding the same rows in the same order.
+//     kinds holding the same rows in the same order.
 type Backend interface {
 	// Kind names the backend (one of BackendKinds).
 	Kind() string
@@ -221,8 +187,8 @@ type Backend interface {
 	// Snapshot writes the rows (no header) in the WriteTSV row
 	// encoding.
 	Snapshot(w io.Writer) error
-	// Stats reports the backend's paging counters (zero-valued for
-	// the in-memory engine).
+	// Stats reports the backend's paging counters (zero-valued on the
+	// memory kind).
 	Stats() BackendStats
 	// Close releases backend resources (the spill segment and its
 	// descriptor). The backend is unusable afterwards.

@@ -23,20 +23,6 @@ type vector struct {
 	ints   []int64
 	floats []float64
 	strs   []string
-	// boxed is empty, or as long as the column: InsertAll's transposition
-	// keeps here the interface value each cell arrived in (nil for an int,
-	// which is stored as another type), so a backend that holds cells
-	// boxed — the paged tail, a string dictionary — adopts the caller's box
-	// rather than allocating its own.
-	boxed []any
-}
-
-// carried returns the box cell r arrived in, or nil.
-func (v *vector) carried(r int) any {
-	if len(v.boxed) == 0 {
-		return nil
-	}
-	return v.boxed[r]
 }
 
 func (v *vector) len() int { return len(v.ints) + len(v.floats) + len(v.strs) }
@@ -72,8 +58,7 @@ func (b *Batch) Reset() {
 	for c := range b.cols {
 		v := &b.cols[c]
 		clear(v.strs)
-		clear(v.boxed)
-		v.ints, v.floats, v.strs, v.boxed = v.ints[:0], v.floats[:0], v.strs[:0], v.boxed[:0]
+		v.ints, v.floats, v.strs = v.ints[:0], v.floats[:0], v.strs[:0]
 	}
 }
 
@@ -102,7 +87,7 @@ func (b *Batch) check(schema Schema) error {
 		case FloatCol:
 			typed = len(v.floats)
 		}
-		if typed != n || v.len() != n || len(v.boxed) != 0 && len(v.boxed) != n {
+		if typed != n || v.len() != n {
 			return fmt.Errorf("kbase: %s.%s: batch column holds %d %s cells of %d, want %d",
 				schema.Name, col.Name, typed, col.Type, v.len(), n)
 		}
@@ -111,7 +96,7 @@ func (b *Batch) check(schema Schema) error {
 }
 
 // appendCell appends v to column c as a cell of type ct (an int widens
-// to int64), keeping its box, and reports whether v is one.
+// to int64) and reports whether v is one.
 func (b *Batch) appendCell(c int, ct ColType, v any) bool {
 	col := &b.cols[c]
 	switch x := v.(type) {
@@ -130,7 +115,6 @@ func (b *Batch) appendCell(c int, ct ColType, v any) bool {
 			return false
 		}
 		col.ints = append(col.ints, int64(x))
-		v = nil
 	case float64:
 		if ct != FloatCol {
 			return false
@@ -139,7 +123,6 @@ func (b *Batch) appendCell(c int, ct ColType, v any) bool {
 	default:
 		return false
 	}
-	col.boxed = append(col.boxed, v)
 	return true
 }
 
@@ -223,7 +206,6 @@ func (b *Batch) truncate(n int) {
 	for c := range b.cols {
 		v := &b.cols[c]
 		v.ints, v.floats, v.strs = v.ints[:min(n, len(v.ints))], v.floats[:min(n, len(v.floats))], v.strs[:min(n, len(v.strs))]
-		v.boxed = v.boxed[:min(n, len(v.boxed))]
 	}
 }
 
@@ -242,28 +224,6 @@ func (b *Batch) rowsEqual(i, j int) bool {
 			}
 		default:
 			if v.strs[i] != v.strs[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// equalTuple reports whether row r of a checked batch and a stored
-// (normalized) row have the same dedup key.
-func (b *Batch) equalTuple(r int, stored Tuple) bool {
-	for c, cell := range stored {
-		switch x := cell.(type) {
-		case int64:
-			if x != b.cols[c].ints[r] {
-				return false
-			}
-		case float64:
-			if !floatsEqual(x, b.cols[c].floats[r]) {
-				return false
-			}
-		case string:
-			if x != b.cols[c].strs[r] {
 				return false
 			}
 		}

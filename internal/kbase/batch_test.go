@@ -82,6 +82,30 @@ func parseTupleFields(schema Schema, parts []string) (Tuple, error) {
 	return batchRow(schema, b, 0), nil
 }
 
+// viewOf stores rows, a page of them at most, in a fresh memory-kind
+// backend and returns the page that holds them.
+func viewOf(schema Schema, rows []Tuple) pageView {
+	b := newPagedBackend("memory", schema, nil, defaultPageRows, 0)
+	all := make([]int, len(rows))
+	for i := range all {
+		all[i] = i
+	}
+	if _, err := b.Append(batchOf(schema, rows), all); err != nil {
+		panic(err)
+	}
+	return b.openView(&b.pageSeq, 0)
+}
+
+// tuplesOf reads a page's rows back as tuples.
+func tuplesOf(v *pageView) []Tuple {
+	out := make([]Tuple, v.n)
+	for i := range out {
+		out[i] = make(Tuple, len(v.l.types))
+		v.fill(out[i], i)
+	}
+	return out
+}
+
 // appendRow appends one tuple to a bare backend.
 func appendRow(b Backend, schema Schema, tp Tuple) error {
 	_, err := b.Append(batchOf(schema, []Tuple{tp}), []int{0})

@@ -28,7 +28,7 @@ import (
 // Storing numeric cells as raw bit patterns (math.Float64bits for
 // floats) makes decode bit-exact — NaN payloads, -0 and subnormals
 // round-trip unchanged — so rendered values, snapshots and predicate
-// semantics are byte-identical to the memory engine's. The header's
+// semantics are byte-identical to an open page's. The header's
 // per-column block lengths let a reader locate any single column in
 // O(arity) without touching the other columns' bytes.
 type binaryCodec struct{}
@@ -52,79 +52,58 @@ func colTagFor(ct ColType) byte {
 	}
 }
 
-// encode encodes rows (normalized tuples matching the schema) into one
-// column-major page blob.
-func (binaryCodec) encode(schema Schema, rows []Tuple) ([]byte, error) {
-	arity := schema.Arity()
-	for _, tp := range rows {
-		if len(tp) != arity {
-			return nil, fmt.Errorf("kbase: columnar page for %s: arity %d, got %d values", schema.Name, arity, len(tp))
-		}
-	}
-	blocks := make([][]byte, arity)
-	total := uvarintLen(len(rows))
-	for c, col := range schema.Columns {
-		// Every block is allocated at its final size: 8 bytes a cell, or a
-		// string column's length prefixes and bytes.
-		size := 1 + 8*len(rows)
-		if colTagFor(col.Type) == colTagString {
-			size = 1
-			for _, tp := range rows {
-				s, _ := tp[c].(string)
-				size += uvarintLen(len(s)) + len(s)
+// encode encodes a page's rows into one column-major page blob, straight
+// from the vectors: every block's size is known up front, so the blob is
+// allocated once, at its final size.
+func (binaryCodec) encode(v *pageView) []byte {
+	sizes := make([]int, len(v.l.types))
+	total := uvarintLen(v.n)
+	for c, t := range v.l.types {
+		sizes[c] = 1 + 8*v.n
+		if t == StringCol {
+			sizes[c] = 1
+			for i := 0; i < v.n; i++ {
+				s := v.strAt(c, i)
+				sizes[c] += uvarintLen(len(s)) + len(s)
 			}
 		}
-		blk := append(make([]byte, 0, size), colTagFor(col.Type))
-		switch col.Type {
+		total += uvarintLen(sizes[c]) + sizes[c]
+	}
+	out := binary.AppendUvarint(make([]byte, 0, total), uint64(v.n))
+	for _, size := range sizes {
+		out = binary.AppendUvarint(out, uint64(size))
+	}
+	for c, t := range v.l.types {
+		out = append(out, colTagFor(t))
+		switch t {
 		case IntCol:
-			for _, tp := range rows {
-				n, ok := tp[c].(int64)
-				if !ok {
-					return nil, fmt.Errorf("kbase: columnar page for %s.%s: value %v (%T) is not int64", schema.Name, col.Name, tp[c], tp[c])
-				}
-				blk = binary.LittleEndian.AppendUint64(blk, uint64(n))
+			for i := 0; i < v.n; i++ {
+				out = binary.LittleEndian.AppendUint64(out, uint64(v.intAt(c, i)))
 			}
 		case FloatCol:
-			for _, tp := range rows {
-				f, ok := tp[c].(float64)
-				if !ok {
-					return nil, fmt.Errorf("kbase: columnar page for %s.%s: value %v (%T) is not float64", schema.Name, col.Name, tp[c], tp[c])
-				}
-				blk = binary.LittleEndian.AppendUint64(blk, math.Float64bits(f))
+			for i := 0; i < v.n; i++ {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.floatAt(c, i)))
 			}
 		default:
-			for _, tp := range rows {
-				s, ok := tp[c].(string)
-				if !ok {
-					return nil, fmt.Errorf("kbase: columnar page for %s.%s: value %v (%T) is not string", schema.Name, col.Name, tp[c], tp[c])
-				}
-				blk = binary.AppendUvarint(blk, uint64(len(s)))
+			for i := 0; i < v.n; i++ {
+				out = binary.AppendUvarint(out, uint64(len(v.strAt(c, i))))
 			}
-			for _, tp := range rows {
-				blk = append(blk, tp[c].(string)...)
+			for i := 0; i < v.n; i++ {
+				out = append(out, v.strAt(c, i)...)
 			}
 		}
-		blocks[c] = blk
-		total += uvarintLen(len(blk)) + len(blk)
 	}
-	out := binary.AppendUvarint(make([]byte, 0, total), uint64(len(rows)))
-	for _, blk := range blocks {
-		out = binary.AppendUvarint(out, uint64(len(blk)))
-	}
-	for _, blk := range blocks {
-		out = append(out, blk...)
-	}
-	return out, nil
+	return out
 }
 
 // uvarintLen is how many bytes binary.AppendUvarint appends for n.
 func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
-// colPage is a parsed page header: the row count plus each column's
+// parsedPage is a parsed page header: the row count plus each column's
 // tag-prefixed block, sliced out of the (immutable) page blob without
 // copying or decoding any cells.
-type colPage struct {
-	schema Schema
+type parsedPage struct {
+	l      *layout
 	nrows  int
 	blocks [][]byte
 }
@@ -132,40 +111,40 @@ type colPage struct {
 // parse slices a page blob into its column blocks and validates the
 // fixed-width blocks' geometry. String cell boundaries are validated
 // lazily by stringColIndex.
-func (binaryCodec) parse(schema Schema, blob []byte) (colPage, error) {
-	arity := schema.Arity()
+func (binaryCodec) parse(l *layout, blob []byte) (parsedPage, error) {
+	name, arity := l.name, len(l.types)
 	nrows, n := binary.Uvarint(blob)
 	if n <= 0 || nrows > uint64(len(blob)) {
-		return colPage{}, fmt.Errorf("kbase: columnar page for %s: bad row count", schema.Name)
+		return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: bad row count", name)
 	}
 	off := n
 	lens := make([]int, arity)
 	for c := 0; c < arity; c++ {
-		l, n := binary.Uvarint(blob[off:])
-		if n <= 0 || l > uint64(len(blob)) {
-			return colPage{}, fmt.Errorf("kbase: columnar page for %s: bad block length for column %d", schema.Name, c)
+		size, n := binary.Uvarint(blob[off:])
+		if n <= 0 || size > uint64(len(blob)) {
+			return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: bad block length for column %d", name, c)
 		}
-		lens[c] = int(l)
+		lens[c] = int(size)
 		off += n
 	}
-	pg := colPage{schema: schema, nrows: int(nrows), blocks: make([][]byte, arity)}
+	pg := parsedPage{l: l, nrows: int(nrows), blocks: make([][]byte, arity)}
 	for c := 0; c < arity; c++ {
 		if lens[c] > len(blob)-off {
-			return colPage{}, fmt.Errorf("kbase: columnar page for %s: column %d block truncated", schema.Name, c)
+			return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: column %d block truncated", name, c)
 		}
 		pg.blocks[c] = blob[off : off+lens[c]]
 		off += lens[c]
 	}
 	if off != len(blob) {
-		return colPage{}, fmt.Errorf("kbase: columnar page for %s: %d trailing bytes", schema.Name, len(blob)-off)
+		return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: %d trailing bytes", name, len(blob)-off)
 	}
-	for c, col := range schema.Columns {
+	for c, t := range l.types {
 		blk := pg.blocks[c]
-		if len(blk) == 0 || blk[0] != colTagFor(col.Type) {
-			return colPage{}, fmt.Errorf("kbase: columnar page for %s: column %d tag mismatch", schema.Name, c)
+		if len(blk) == 0 || blk[0] != colTagFor(t) {
+			return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: column %d tag mismatch", name, c)
 		}
-		if (col.Type == IntCol || col.Type == FloatCol) && len(blk) != 1+8*pg.nrows {
-			return colPage{}, fmt.Errorf("kbase: columnar page for %s: column %d block is %d bytes, want %d", schema.Name, c, len(blk), 1+8*pg.nrows)
+		if t != StringCol && len(blk) != 1+8*pg.nrows {
+			return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: column %d block is %d bytes, want %d", name, c, len(blk), 1+8*pg.nrows)
 		}
 	}
 	return pg, nil
@@ -206,18 +185,19 @@ func stringColIndex(blk []byte, nrows int) (offs []int, data []byte, err error) 
 	return offs, data, nil
 }
 
-// decode materializes every row of a page — the full decode behind
-// Get, unfiltered reads and delete rewrites.
-func (c binaryCodec) decode(schema Schema, page []byte) ([]Tuple, error) {
-	pg, err := c.parse(schema, page)
+// decode materializes every row of a page — the full decode behind the
+// decoded-page cache and delete rewrites — and reports the decoded cells
+// to count.
+func (c binaryCodec) decode(l *layout, page []byte, count func(col, cells int)) (pageView, error) {
+	pg, err := c.parse(l, page)
 	if err != nil {
-		return nil, err
+		return pageView{}, err
 	}
-	return pg.rows(pg.all(), func(int, int) {})
+	return pg.rows(pg.all(), count)
 }
 
 // all returns every row position of the page, ascending.
-func (pg colPage) all() []int {
+func (pg parsedPage) all() []int {
 	sel := make([]int, pg.nrows)
 	for r := range sel {
 		sel[r] = r
@@ -225,18 +205,18 @@ func (pg colPage) all() []int {
 	return sel
 }
 
-// writeTSV renders the page's rows straight from the column vectors, no
+// writeTSV renders the page's rows straight from the column blocks, no
 // tuple built: stored cells are bit-exact (raw int64/float64 bits, raw
-// string bytes), so this emits the bytes appendTupleTSV emits for the
+// string bytes), so this emits the bytes pageView.appendTSV emits for the
 // same rows.
-func (bc binaryCodec) writeTSV(w io.Writer, schema Schema, page []byte) error {
-	pg, err := bc.parse(schema, page)
+func (bc binaryCodec) writeTSV(w io.Writer, l *layout, page []byte) error {
+	pg, err := bc.parse(l, page)
 	if err != nil {
 		return err
 	}
 	offs, data := make([][]int, len(pg.blocks)), make([][]byte, len(pg.blocks))
-	for c, col := range schema.Columns {
-		if col.Type == StringCol {
+	for c, t := range l.types {
+		if t == StringCol {
 			if offs[c], data[c], err = stringColIndex(pg.blocks[c], pg.nrows); err != nil {
 				return err
 			}
@@ -244,11 +224,11 @@ func (bc binaryCodec) writeTSV(w io.Writer, schema Schema, page []byte) error {
 	}
 	buf := make([]byte, 0, len(page)) // a rendered page is about its encoded size
 	for r := 0; r < pg.nrows; r++ {
-		for c, col := range schema.Columns {
+		for c, t := range l.types {
 			if c > 0 {
 				buf = append(buf, '\t')
 			}
-			switch col.Type {
+			switch t {
 			case IntCol:
 				buf = strconv.AppendInt(buf, intColCell(pg.blocks[c], r), 10)
 			case FloatCol:
@@ -268,9 +248,9 @@ func (bc binaryCodec) writeTSV(w io.Writer, schema Schema, page []byte) error {
 // the probe (the conversion in the comparison does not allocate), int
 // columns compare raw int64s, and float columns render only the
 // predicate column's cell — never any other column.
-func (pg colPage) cellPred(p compiledPred) (func(row int) bool, error) {
+func (pg parsedPage) cellPred(p compiledPred) (func(row int) bool, error) {
 	blk := pg.blocks[p.col]
-	switch pg.schema.Columns[p.col].Type {
+	switch pg.l.types[p.col] {
 	case IntCol:
 		// compilePreds proved the probe canonical (intOK), else the
 		// matcher is impossible and no page is ever evaluated.
@@ -288,7 +268,7 @@ func (pg colPage) cellPred(p compiledPred) (func(row int) bool, error) {
 // page order: the first predicate examines every row, each further one
 // only the survivors. Examined cells are reported to count (column,
 // cells); non-predicate columns are never touched.
-func (pg colPage) match(m matcher, count func(col, cells int)) ([]int, error) {
+func (pg parsedPage) match(m matcher, count func(col, cells int)) ([]int, error) {
 	sel := pg.all()
 	for _, p := range m.preds {
 		if len(sel) == 0 {
@@ -310,35 +290,43 @@ func (pg colPage) match(m matcher, count func(col, cells int)) ([]int, error) {
 	return sel, nil
 }
 
-// rows builds detached tuples for the given (ascending) row positions,
-// decoding each column only at those positions — the lazy half of a
-// filtered read — and reports the decoded cells to count.
-func (pg colPage) rows(sel []int, count func(col, cells int)) ([]Tuple, error) {
-	out := make([]Tuple, len(sel))
-	for i := range out {
-		out[i] = make(Tuple, len(pg.blocks))
-	}
-	for c, col := range pg.schema.Columns {
-		blk := pg.blocks[c]
-		switch col.Type {
+// rows materializes the given (ascending) row positions as a page of
+// their own, decoding each column only at those positions — the lazy
+// half of a filtered read, and with every position the full decode — and
+// reports the decoded cells to count. A string column's dictionary is its
+// cells in order, boxed in one allocation.
+func (pg parsedPage) rows(sel []int, count func(col, cells int)) (pageView, error) {
+	v := pageView{l: pg.l, colPage: pg.l.newPage(len(sel)), n: len(sel), dicts: make([]dict, pg.l.width[StringCol])}
+	for c, t := range pg.l.types {
+		blk, at := pg.blocks[c], pg.l.slot[c]*v.rows
+		switch t {
 		case IntCol:
-			for i, r := range sel {
-				out[i][c] = intColCell(blk, r)
+			for k, r := range sel {
+				v.ints[at+k] = intColCell(blk, r)
 			}
 		case FloatCol:
-			for i, r := range sel {
-				out[i][c] = floatColCell(blk, r)
+			for k, r := range sel {
+				v.floats[at+k] = floatColCell(blk, r)
 			}
 		default:
 			offs, data, err := stringColIndex(blk, pg.nrows)
 			if err != nil {
-				return nil, err
+				return pageView{}, err
 			}
-			for i, r := range sel {
-				out[i][c] = string(data[offs[r]:offs[r+1]])
+			strs, vals := make([]string, len(sel)), make([]any, len(sel))
+			if len(sel) > 0 {
+				// The cells are cut from one string: the bytes from the
+				// first selected cell to the last.
+				base := offs[sel[0]]
+				span := string(data[base:offs[sel[len(sel)-1]+1]])
+				for k, r := range sel {
+					strs[k] = span[offs[r]-base : offs[r+1]-base]
+					vals[k], v.ids[at+k] = stringBox(&strs[k]), uint32(k)
+				}
 			}
+			v.dicts[pg.l.slot[c]].vals = vals
 		}
 		count(c, len(sel))
 	}
-	return out, nil
+	return v, nil
 }

@@ -118,14 +118,13 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 		{"unicode ✓ Ω", int64(-7), math.Inf(-1)},
 		{"nan", int64(42), nanPayload},
 	}
-	blob, err := codec.encode(schema, rows)
+	v := viewOf(schema, rows)
+	blob := codec.encode(&v)
+	decoded, err := codec.decode(v.l, blob, func(int, int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.decode(schema, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tuplesOf(&decoded)
 	if len(got) != len(rows) {
 		t.Fatalf("decoded %d rows, want %d", len(got), len(rows))
 	}
@@ -141,24 +140,26 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Type mismatches surface as Append errors at flush time, and the
-	// failed flush rolls back cleanly.
+	// A page holds only typed cells, so a mistyped cell is refused before
+	// it reaches one: the insert errors and stores nothing, and the table
+	// takes the next row.
 	be, err := NewColumnarEngine(1, 2).NewBackend(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer be.Close()
-	if err := appendRow(be, schema, Tuple{"x", "not-an-int", 0.0}); err == nil {
-		t.Fatal("Append with a mistyped cell did not error")
+	tbl := newTableWith(schema, be)
+	defer tbl.Close()
+	if _, err := tbl.Insert(Tuple{"x", "not-an-int", 0.0}); err == nil {
+		t.Fatal("Insert with a mistyped cell did not error")
 	}
-	if be.Len() != 0 {
-		t.Fatalf("failed Append left %d rows", be.Len())
+	if tbl.Len() != 0 {
+		t.Fatalf("failed Insert left %d rows", tbl.Len())
 	}
-	if err := appendRow(be, schema, Tuple{"x", int64(1), 0.5}); err != nil {
+	if _, err := tbl.Insert(Tuple{"x", int64(1), 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if be.Len() != 1 {
-		t.Fatalf("len = %d after recovery append", be.Len())
+	if tbl.Len() != 1 {
+		t.Fatalf("len = %d after recovery insert", tbl.Len())
 	}
 }
 
@@ -166,15 +167,13 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 // a truncated or mis-tagged blob errors instead of mis-decoding.
 func TestColumnarParseRejectsCorruptPages(t *testing.T) {
 	schema, codec := mustSchema(t, "codec", "s", "n:integer"), binaryCodec{}
-	blob, err := codec.encode(schema, []Tuple{{"hello", int64(7)}, {"world", int64(8)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := codec.parse(schema, blob); err != nil {
+	v := viewOf(schema, []Tuple{{"hello", int64(7)}, {"world", int64(8)}})
+	blob, none := codec.encode(&v), func(int, int) {}
+	if _, err := codec.parse(v.l, blob); err != nil {
 		t.Fatalf("valid page rejected: %v", err)
 	}
 	for i := 1; i < len(blob); i++ {
-		if _, err := codec.decode(schema, blob[:i]); err == nil {
+		if _, err := codec.decode(v.l, blob[:i], none); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
@@ -182,10 +181,10 @@ func TestColumnarParseRejectsCorruptPages(t *testing.T) {
 	// must trip the tag check, and trailing garbage the length check.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-17] = 0xff
-	if _, err := codec.decode(schema, bad); err == nil {
+	if _, err := codec.decode(v.l, bad, none); err == nil {
 		t.Fatal("flipped column tag accepted")
 	}
-	if _, err := codec.decode(schema, append(append([]byte(nil), blob...), 0x00)); err == nil {
+	if _, err := codec.decode(v.l, append(append([]byte(nil), blob...), 0x00), none); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }

@@ -40,17 +40,21 @@ func floatEq(got, want float64) bool {
 
 // FuzzTSVRoundTrip proves the escaped-TSV row codec — the snapshot
 // format every backend's byte-equality is defined over — round-trips
-// arbitrary cell bytes: appendTupleTSV renders exactly the bytes of the
+// arbitrary cell bytes: a page renders a row as exactly the bytes of the
 // fmt.Sprint reference (reference_test.go), splitTSV → parseTupleFields
 // reproduces the tuple, and re-encoding reproduces the exact line.
 func FuzzTSVRoundTrip(f *testing.F) {
 	schema := fuzzSchema(f)
 	fuzzSeeds(f)
+	render := func(tp Tuple) string {
+		v := viewOf(schema, []Tuple{tp})
+		return string(v.appendTSV(nil, 0))
+	}
 	f.Fuzz(func(t *testing.T, a, b string, n int64, fbits uint64) {
 		tp := Tuple{a, b, n, math.Float64frombits(fbits)}
-		line := string(appendTupleTSV(nil, tp))
+		line := render(tp)
 		if want := encodeTupleTSV(tp); line != want {
-			t.Fatalf("appendTupleTSV = %q, reference renders %q", line, want)
+			t.Fatalf("appendTSV = %q, reference renders %q", line, want)
 		}
 		// Cell bytes never leak raw record separators: the only newlines
 		// or carriage returns in a line would be unescaped cell content.
@@ -73,7 +77,7 @@ func FuzzTSVRoundTrip(f *testing.F) {
 		}
 		// Idempotence: the decoded tuple renders the identical line, so
 		// snapshot bytes are stable across save/load cycles.
-		if again := string(appendTupleTSV(nil, got)); again != line {
+		if again := render(got); again != line {
 			t.Fatalf("re-encode diverged: %q -> %q", line, again)
 		}
 	})
@@ -81,13 +85,13 @@ func FuzzTSVRoundTrip(f *testing.F) {
 
 // FuzzColumnarPageRoundTrip pins the page format. Encode → decode is the
 // identity on arbitrary cell bytes, bit-exactly, NaN payloads included;
-// writeTSV renders from the column vectors exactly what writeRowsTSV
-// renders from the rows, which is the reference rendering (the
-// snapshot-equality argument); and decoding arbitrary bytes returns an
-// error or well-formed rows, never panics.
+// a sealed page's writeTSV and an open page's appendTSV both render the
+// reference rendering (the snapshot-equality argument); and decoding
+// arbitrary bytes returns an error or well-formed rows, never panics.
 func FuzzColumnarPageRoundTrip(f *testing.F) {
 	schema, codec := fuzzSchema(f), binaryCodec{}
 	fuzzSeeds(f)
+	none := func(int, int) {}
 	f.Fuzz(func(t *testing.T, a, b string, n int64, fbits uint64) {
 		rows := []Tuple{
 			{a, b, n, math.Float64frombits(fbits)},
@@ -98,18 +102,20 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 		for _, tp := range rows {
 			want.WriteString(encodeTupleTSV(tp) + "\n")
 		}
-		var fromRows bytes.Buffer
-		if err := writeRowsTSV(&fromRows, rows); err != nil || !bytes.Equal(fromRows.Bytes(), want.Bytes()) {
-			t.Fatalf("writeRowsTSV = %q (err %v), reference renders %q", fromRows.Bytes(), err, want.Bytes())
+		v := viewOf(schema, rows)
+		var open []byte
+		for i := 0; i < v.n; i++ {
+			open = append(v.appendTSV(open, i), '\n')
 		}
-		page, err := codec.encode(schema, rows)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(open, want.Bytes()) {
+			t.Fatalf("appendTSV = %q, reference renders %q", open, want.Bytes())
 		}
-		got, err := codec.decode(schema, page)
+		page := codec.encode(&v)
+		decoded, err := codec.decode(v.l, page, none)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
+		got := tuplesOf(&decoded)
 		if len(got) != len(rows) {
 			t.Fatalf("decoded %d rows, want %d", len(got), len(rows))
 		}
@@ -122,7 +128,7 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 			}
 		}
 		var tsv bytes.Buffer
-		if err := codec.writeTSV(&tsv, schema, page); err != nil || !bytes.Equal(tsv.Bytes(), want.Bytes()) {
+		if err := codec.writeTSV(&tsv, v.l, page); err != nil || !bytes.Equal(tsv.Bytes(), want.Bytes()) {
 			t.Fatalf("writeTSV = %q (err %v), want %q", tsv.Bytes(), err, want.Bytes())
 		}
 		// Arbitrary bytes: the strings as they are, and the page damaged
@@ -132,15 +138,15 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 			damaged[int(fbits%uint64(len(damaged)))] ^= byte(n) | 1
 		}
 		for _, junk := range [][]byte{[]byte(a), []byte(b), damaged, damaged[:len(damaged)/2]} {
-			if rows, err := codec.decode(schema, junk); err == nil {
-				for _, tp := range rows {
+			if dv, err := codec.decode(v.l, junk, none); err == nil {
+				for _, tp := range tuplesOf(&dv) {
 					if len(tp) != schema.Arity() {
 						t.Fatalf("decode(%q) returned a %d-column row", junk, len(tp))
 					}
 				}
 			}
 			// A page that does not render must say so, not panic.
-			_ = codec.writeTSV(io.Discard, schema, junk)
+			_ = codec.writeTSV(io.Discard, v.l, junk)
 		}
 	})
 }

@@ -6,11 +6,12 @@
 // operations used by the evaluation (coverage and accuracy against an
 // existing knowledge base).
 //
-// A Table layers the relational semantics over one Backend. There are
-// two: typed column vectors on the heap (engine kind "memory" — the
-// served KB always uses it) and one paged engine of binary column pages,
-// whose two kinds hold a session store's relations: "disk" keeps a
-// table's pages in one append-only segment file, "columnar" on the heap.
+// A Table layers the relational semantics over one Backend, which holds
+// its rows as typed pages of column vectors in one of three kinds:
+// "memory" keeps every page open, sharing one string dictionary per
+// column (the served KB always uses it); "disk" and "columnar" seal each
+// page as it fills into a binary column blob — in one append-only segment
+// file per table, or on the heap — and hold a session store's relations.
 // TSV is the snapshot format only.
 package kbase
 
@@ -148,8 +149,8 @@ func (tp Tuple) Clone() Tuple {
 // Table stores the tuples of one relation with set semantics over the
 // full tuple (inserting a duplicate is a no-op, as relation mentions
 // are de-duplicated when populating the KB). Row storage is delegated
-// to a pluggable Backend — column vectors or the paged engine — while
-// the Table keeps the relational semantics: schema/type checking and
+// to a Backend of one of the storage kinds, while the Table keeps the
+// relational semantics: schema/type checking and
 // the dedup index (dedup.go: a flat hash -> position table, at most 16
 // bytes per row and invisible to the garbage collector, so set
 // semantics cost bounded memory even when the rows themselves live in
@@ -399,11 +400,10 @@ func (t *Table) DeleteWhere(pred func(Tuple) bool) int {
 }
 
 // Scan calls fn for every tuple in insertion order; fn returning false
-// stops the scan. The tuple passed to fn is *borrowed*: it aliases
-// table (or page-cache) storage, or is a scratch row the next call
-// overwrites, so it is valid for the duration of the callback only and
-// must not be retained or modified (clone it with Tuple.Clone to keep
-// it). Scan is the one deliberately zero-copy read path; Select,
+// stops the scan. The tuple passed to fn is *borrowed*: it is a scratch
+// row the next call overwrites, so it is valid for the duration of the
+// callback only and must not be retained or modified (clone it with
+// Tuple.Clone to keep it). Scan is the one deliberately zero-copy read path; Select,
 // Tuples and Page return detached rows.
 func (t *Table) Scan(fn func(Tuple) bool) {
 	t.be.Scan(nil, matcher{}, fn)

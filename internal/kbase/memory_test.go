@@ -7,15 +7,19 @@ import (
 	"testing"
 )
 
-// TestMemoryBackendConcurrentReads is the memory kind's read contract
-// under the race detector (run it with -race -count=10): a table nobody
+// TestMemoryBackendConcurrentReads is the read contract under the race
+// detector (run it with -race -count=10), on every kind: a table nobody
 // writes any more — a published KB — is read by eight goroutines at
 // once through every read path, each of which must see exactly what a
 // lone reader sees. A lent row is per-call scratch, never shared, so a
 // Scan that checked its rows against another goroutine's would find
 // them torn.
 func TestMemoryBackendConcurrentReads(t *testing.T) {
-	tbl := NewTable(whereSchema(t))
+	forEachBackend(t, concurrentReads)
+}
+
+func concurrentReads(t *testing.T, engine Engine) {
+	tbl := newBackedTable(t, engine, whereSchema(t))
 	const n = 512
 	fillWidgets(t, tbl, n)
 	want := tbl.Tuples()

@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Default page geometry of the paged engines: rows per page and cached
-// decoded pages per table. A table's decoded footprint is bounded by
+// Page geometry: rows per page, and decoded pages cached per table of a
+// kind with a page store. A disk table's resident footprint is bounded by
 // cachePages*pageRows rows plus one partial tail page, independent of
 // table size.
 const (
@@ -155,6 +155,21 @@ func (s *heapStore) close() error {
 	return nil
 }
 
+// MemoryEngine creates the "memory" kind's backends: every row resident,
+// zero I/O.
+type MemoryEngine struct{}
+
+// Kind returns "memory".
+func (MemoryEngine) Kind() string { return "memory" }
+
+// NewBackend creates an empty backend with no page store.
+func (MemoryEngine) NewBackend(schema Schema) (Backend, error) {
+	return newPagedBackend("memory", schema, nil, defaultPageRows, 0), nil
+}
+
+// Close is a no-op.
+func (MemoryEngine) Close() error { return nil }
+
 // PagedEngine creates the paged backends. Its kind says where their
 // pages live and nothing else: "disk" keeps them in one segment file of
 // the spill directory per table, so a table's resident footprint is the
@@ -263,10 +278,10 @@ type ColumnarStats struct {
 }
 
 // ColumnarStats returns the table's decode accounting, and false when
-// the table is not backed by a paged engine.
+// the table is of the memory kind.
 func (t *Table) ColumnarStats() (ColumnarStats, bool) {
-	b, ok := t.be.(*pagedBackend)
-	if !ok {
+	b := t.be.(*pagedBackend)
+	if b.store == nil {
 		return ColumnarStats{}, false
 	}
 	cs := ColumnarStats{
@@ -280,46 +295,49 @@ func (t *Table) ColumnarStats() (ColumnarStats, bool) {
 	return cs, true
 }
 
-// pagedBackend is the one paged storage engine: a table's rows as
-// sealed fixed-size binaryCodec pages in a pageStore, plus an in-memory
-// tail (the rows beyond the last full page) that is sealed when it
-// fills. Each sealed page has an in-memory zone map (zonemap.go); reads
-// of whole pages go through a small LRU of decoded pages, filtered reads
-// go around it and decode only what they need.
+// pagedBackend is kbase's one Backend: a table's rows as a sequence of
+// pageRows-row typed pages (colPage). The first are sealed — encoded as
+// binaryCodec blobs into the kind's page store, each with an in-memory zone
+// map (zonemap.go) — and the rest are open, filled in place. The "memory"
+// kind has no page store and never seals, so all its pages are open; they
+// share one table-wide dictionary per string column, and its zone maps and
+// cache stay empty. The "disk" and "columnar" kinds seal a page as soon as
+// it fills, so their one open page is the tail, with dictionaries of its
+// own. Reads of whole sealed pages go through a small LRU of decoded
+// pages; filtered reads go around it and decode only what they need.
 //
-//	Append ─► tail ──(pageRows rows)──► encode ─► store.put
-//	                                     └► buildPageZone ─► zones
+//	Append ─► open page ──(pageRows rows, a store)──► encode ─► store.put
+//	                                              └► buildPageZone ─► zones
 //	Get, unfiltered reads ─► LRU ─(miss)─► store.get ─► decode
 //	filtered reads ─► zones prune ─► store.get ─► predicate columns
 //	                                 ─► the window's rows (columnRows)
 //
-// Locking: mu guards the geometry, the tail, the LRU and every call
-// into the store. Reads snapshot (pages, tail, zones) and then take mu
-// page by page, so row callbacks run unlocked and may re-enter the
-// table's read paths (Contains during Compare). That is sound because
-// sealed pages, zone-map elements and tail elements below the snapshot
-// length never change; an Append may run beside any number of reads.
-// DeleteWhere renumbers pages, so it must not run beside a read — the
-// single-writer store sessions that own paged tables never do that.
+// Locking: mu guards pageSeq, the LRU and every call into the store. A
+// read takes a snapshot of pageSeq and then takes mu page by page for the
+// LRU, so row callbacks run unlocked and may re-enter the table's read
+// paths (Contains during Compare). That is sound because an append only
+// writes cells above the snapshot's row count, into vectors that never
+// move, and only appends to the dictionaries, whose values the snapshot
+// holds up to its own length; sealed pages and zone-map elements never
+// change. So an Append may run beside any number of reads. DeleteWhere
+// renumbers rows, so it must not run beside a read — the single-writer
+// store sessions never do that.
 //
-// A page the store cannot return, or bytes that do not decode,
-// panic with the table and page: the pages are process-private
-// transient state this backend wrote itself, and losing one mid-session
-// is unrecoverable in the way losing heap would be. Append and Snapshot
-// return their errors.
+// A page the store cannot return, or bytes that do not decode, panic
+// with the table and page: the pages are process-private transient state
+// this backend wrote itself, and losing one mid-session is unrecoverable
+// in the way losing heap would be. Append and Snapshot return their
+// errors.
 type pagedBackend struct {
 	kind       string
 	schema     Schema
+	layout     layout
 	pageRows   int
 	cachePages int
+	store      pageStore // nil on the memory kind
 
-	mu    sync.Mutex
-	store pageStore
-	n     int        // total rows
-	pages int        // sealed pages
-	tail  []Tuple    // rows past the last sealed page
-	cells Tuple      // the page-sized buffer Append cuts the tail's rows from
-	zones []pageZone // one per sealed page, immutable once appended
+	mu sync.Mutex
+	pageSeq
 
 	cached map[int]*list.Element // page -> lru element
 	lru    *list.List            // of *cachedPage, front = most recent
@@ -333,19 +351,40 @@ type pagedBackend struct {
 	decoded []atomic.Int64
 }
 
+// pageSeq is a table's row sequence: the sealed pages, then the open
+// pages, whose string cells dicts numbers.
+type pageSeq struct {
+	n     int        // total rows
+	pages int        // sealed pages
+	open  []colPage  // the pages after the sealed ones
+	dicts []dict     // the open pages' dictionaries, one per string column
+	zones []pageZone // one per sealed page, immutable once appended
+}
+
 // cachedPage is one decoded page in the LRU.
 type cachedPage struct {
 	page int
-	rows []Tuple
+	v    pageView
 }
 
 func newPagedBackend(kind string, schema Schema, store pageStore, pageRows, cachePages int) *pagedBackend {
-	return &pagedBackend{
-		kind: kind, schema: schema, store: store,
+	b := &pagedBackend{
+		kind: kind, schema: schema, layout: newLayout(schema), store: store,
 		pageRows: pageRows, cachePages: cachePages,
 		cached: map[int]*list.Element{}, lru: list.New(),
 		decoded: make([]atomic.Int64, schema.Arity()),
 	}
+	b.pageSeq = b.emptySeq()
+	return b
+}
+
+// emptySeq is a sequence of no rows, with empty dictionaries.
+func (b *pagedBackend) emptySeq() pageSeq {
+	dicts := make([]dict, b.layout.width[StringCol])
+	for s := range dicts {
+		dicts[s].idOf = map[string]uint32{}
+	}
+	return pageSeq{dicts: dicts}
 }
 
 func (b *pagedBackend) Kind() string { return b.kind }
@@ -375,187 +414,239 @@ func (b *pagedBackend) fetch(p int) ([]byte, error) {
 
 // decodePage reads and fully decodes page p, bypassing the LRU. Caller
 // holds mu.
-func (b *pagedBackend) decodePage(p int) []Tuple {
+func (b *pagedBackend) decodePage(p int) pageView {
 	page, err := b.store.get(p)
 	if err != nil {
 		b.lost(p, err)
 	}
-	rows, err := binaryCodec{}.decode(b.schema, page)
+	v, err := binaryCodec{}.decode(&b.layout, page, b.countDecoded)
 	if err != nil {
 		b.lost(p, err)
 	}
-	for c := range b.decoded {
-		b.countDecoded(c, len(rows))
-	}
-	return rows
+	return v
 }
 
-// load returns page p's decoded rows through the LRU. Caller holds mu.
-func (b *pagedBackend) load(p int) []Tuple {
+// load returns sealed page p decoded, through the LRU. Caller holds mu.
+func (b *pagedBackend) load(p int) pageView {
 	if el, ok := b.cached[p]; ok {
 		b.hits++
 		b.lru.MoveToFront(el)
-		return el.Value.(*cachedPage).rows
+		return el.Value.(*cachedPage).v
 	}
 	b.misses++
-	rows := b.decodePage(p)
-	b.cached[p] = b.lru.PushFront(&cachedPage{page: p, rows: rows})
+	v := b.decodePage(p)
+	b.cached[p] = b.lru.PushFront(&cachedPage{page: p, v: v})
 	for b.lru.Len() > b.cachePages {
 		old := b.lru.Back()
 		b.lru.Remove(old)
 		delete(b.cached, old.Value.(*cachedPage).page)
 	}
-	return rows
+	return v
 }
 
 // invalidate drops the decoded-page cache. Caller holds mu.
 func (b *pagedBackend) invalidate() {
-	b.cached = map[int]*list.Element{}
+	clear(b.cached)
 	b.lru.Init()
 }
 
-// Append fills the tail from the batch — the rows that fit, a column at a
-// time — and seals it each time it reaches a page. The tail's rows are
-// cut from one cell buffer a page, each capped to its own cells: row k of
-// the tail is cells k*arity onwards, so a row taken back out below is
-// simply overwritten by the retry. mu is held throughout: a read waits
-// for the batch, not for a row.
+// openView returns open page k of s.
+func (b *pagedBackend) openView(s *pageSeq, k int) pageView {
+	n := min(b.pageRows, s.n-(s.pages+k)*b.pageRows)
+	return pageView{l: &b.layout, colPage: s.open[k], n: n, dicts: s.dicts}
+}
+
+// Append fills the open pages from the batch, a column at a time, sealing
+// each page that fills on a kind with a page store. mu is held
+// throughout: a read waits for the batch, not for a row.
 func (b *pagedBackend) Append(bt *Batch, rows []int) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	arity := b.schema.Arity()
+	return b.append(bt, rows, b.store)
+}
+
+// append is Append into store. Caller holds mu.
+func (b *pagedBackend) append(bt *Batch, rows []int, store pageStore) (int, error) {
 	stored := 0
 	for stored < len(rows) {
-		if b.cells == nil {
-			b.cells = make(Tuple, b.pageRows*arity)
+		at := (b.n - b.pages*b.pageRows) % b.pageRows // rows in the last open page, unless it is full
+		if at == 0 {
+			b.open = append(b.open, b.layout.newPage(b.pageRows))
 		}
-		at := len(b.tail)
+		pg := &b.open[len(b.open)-1]
 		fit := rows[stored:min(len(rows), stored+b.pageRows-at)]
 		for c := range bt.cols {
-			bt.cols[c].box(b.cells[at*arity+c:], arity, fit)
-		}
-		for k := range fit {
-			b.tail = append(b.tail, b.cells[(at+k)*arity:][:arity:arity])
+			b.put(pg, c, at, &bt.cols[c], fit)
 		}
 		b.n += len(fit)
 		stored += len(fit)
-		if len(b.tail) < b.pageRows {
-			break
-		}
-		page, err := binaryCodec{}.encode(b.schema, b.tail)
-		if err == nil {
-			err = b.store.put(b.pages, page)
-		}
-		if err != nil {
+		if err := b.seal(store); err != nil {
 			// Take the row that filled the page back out, so the backend is
 			// as it was before that row and the next Append retries the
-			// flush.
-			b.tail = b.tail[:len(b.tail)-1]
+			// seal, overwriting its cells.
 			b.n--
-			return stored - 1, fmt.Errorf("kbase: flushing page %d for %s: %w", b.pages, b.schema.Name, err)
+			return stored - 1, err
 		}
-		b.zones = append(b.zones, buildPageZone(b.schema, b.tail))
-		b.pages++
-		b.tail, b.cells = nil, nil // readers may still hold the sealed slice
 	}
 	return stored, nil
 }
 
-// box writes the listed cells, as a Tuple holds them, to dst[0],
-// dst[stride], dst[2*stride], …: in the box the cell arrived in when the
-// batch carries one, else in the box of the cell listed before it when
-// the two are the same bits, else in a new one.
-func (v *vector) box(dst Tuple, stride int, rows []int) {
-	var cell any
-	for k, r := range rows {
-		if carried := v.carried(r); carried != nil {
-			cell = carried
-		} else {
-			switch {
-			case len(v.ints) > 0:
-				if k == 0 || v.ints[r] != v.ints[rows[k-1]] {
-					cell = v.ints[r]
-				}
-			case len(v.floats) > 0:
-				if k == 0 || math.Float64bits(v.floats[r]) != math.Float64bits(v.floats[rows[k-1]]) {
-					cell = v.floats[r]
-				}
-			default:
-				if k == 0 || v.strs[r] != v.strs[rows[k-1]] {
-					cell = v.strs[r]
-				}
-			}
+// put writes the listed cells of the batch column v, which Table has
+// checked is of column c's type, to rows at, at+1, … of page pg. A string
+// cell costs a dictionary probe, unless it repeats the cell before it.
+func (b *pagedBackend) put(pg *colPage, c, at int, v *vector, rows []int) {
+	at += b.layout.slot[c] * pg.rows
+	switch b.layout.types[c] {
+	case IntCol:
+		for k, r := range rows {
+			pg.ints[at+k] = v.ints[r]
 		}
-		dst[k*stride] = cell
+	case FloatCol:
+		for k, r := range rows {
+			pg.floats[at+k] = v.floats[r]
+		}
+	default:
+		d := &b.dicts[b.layout.slot[c]]
+		var last string
+		var id uint32
+		for k, r := range rows {
+			if s := v.strs[r]; k == 0 || s != last {
+				last, id = s, d.intern(s, b.pageRows)
+			}
+			pg.ids[at+k] = id
+		}
 	}
 }
 
-func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool { return bt.equalTuple(r, b.Get(i)) }
+// seal moves the open page to store once it is full: encoded straight
+// from the vectors, with its zone map built from them too, and the next
+// page starts with empty dictionaries. A nil store (the memory kind)
+// never seals. Caller holds mu.
+func (b *pagedBackend) seal(store pageStore) error {
+	if store == nil || b.n < (b.pages+1)*b.pageRows {
+		return nil
+	}
+	v := b.openView(&b.pageSeq, 0)
+	if err := store.put(b.pages, binaryCodec{}.encode(&v)); err != nil {
+		return fmt.Errorf("kbase: flushing page %d for %s: %w", b.pages, b.schema.Name, err)
+	}
+	b.zones = append(b.zones, buildPageZone(&v))
+	b.pages++
+	b.open = nil // readers may still hold the sealed page
+	for s := range b.dicts {
+		b.dicts[s].reset(b.pageRows)
+	}
+	return nil
+}
 
-// Get returns the row at position i (borrowed), through the LRU.
-func (b *pagedBackend) Get(i int) Tuple {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// row returns the page holding row i, and i's row there. It panics when i
+// is out of range. Caller holds mu.
+func (b *pagedBackend) row(i int) (pageView, int) {
 	if i < 0 || i >= b.n {
 		panic(fmt.Sprintf("kbase: %s backend for %s: row %d out of range [0,%d)", b.kind, b.schema.Name, i, b.n))
 	}
-	if sealed := b.pages * b.pageRows; i >= sealed {
-		return b.tail[i-sealed]
+	if p := i / b.pageRows; p < b.pages {
+		return b.load(p), i % b.pageRows
 	}
-	return b.load(i / b.pageRows)[i%b.pageRows]
+	return b.openView(&b.pageSeq, i/b.pageRows-b.pages), i % b.pageRows
 }
 
-// read is the one page walk behind both read methods. It numbers the
-// rows matching m in insertion order, calls emit for those the window
-// admits until emit returns false, and returns the match count (exact
-// unless emit stopped the walk) and the number of pages the zone maps
-// ruled out — pages never fetched or decoded. detached tells emit the
-// tuple is its own, not the cache's or tail's. With an index plan's
-// candidate positions in at there is no walk: each is fetched through
-// the LRU and checked.
-func (b *pagedBackend) read(at []int, m matcher, w window, emit func(tp Tuple, detached bool) bool) (total, pruned int) {
+func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, k := b.row(i)
+	for c, t := range b.layout.types {
+		col := &bt.cols[c]
+		switch t {
+		case IntCol:
+			if v.intAt(c, k) != col.ints[r] {
+				return false
+			}
+		case FloatCol:
+			if !floatsEqual(v.floatAt(c, k), col.floats[r]) {
+				return false
+			}
+		default:
+			if v.strAt(c, k) != col.strs[r] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Get returns a copy of the row at position i.
+func (b *pagedBackend) Get(i int) Tuple {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, k := b.row(i)
+	tp := make(Tuple, b.schema.Arity())
+	v.fill(tp, k)
+	return tp
+}
+
+// snapshot returns what a read may look at: the sequence as it stands,
+// with the dictionaries' values up to their current lengths.
+func (b *pagedBackend) snapshot() pageSeq {
+	dicts := make([]dict, b.layout.width[StringCol]) // allocated before the lock, which readers share
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := b.pageSeq
+	s.dicts = dicts[:copy(dicts, s.dicts)]
+	return s
+}
+
+// page returns page p of the snapshot s: a sealed one through the LRU.
+func (b *pagedBackend) page(s *pageSeq, p int) pageView {
+	if p >= s.pages {
+		return b.openView(s, p-s.pages)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.load(p)
+}
+
+// read is the one page walk behind both read methods, over the snapshot
+// s. It numbers the rows matching m in insertion order, calls emit for
+// those the window admits until emit returns false, and returns the match
+// count (exact unless emit stopped the walk) and the number of pages the
+// zone maps ruled out — pages never fetched or decoded. With an index
+// plan's candidate positions in at there is no walk: each is looked up
+// and checked.
+func (b *pagedBackend) read(s *pageSeq, at []int, m matcher, w window, emit func(v *pageView, i int) bool) (total, pruned int) {
+	var v pageView // the page at hand: one per read, as emit's pointer moves it to the heap
 	if at != nil {
 		for _, pos := range at {
-			if tp := b.Get(pos); m.match(tp) && w.admit() && !emit(tp, false) {
+			v = b.page(s, pos/b.pageRows)
+			if i := pos % b.pageRows; v.match(m, i) && w.admit() && !emit(&v, i) {
 				break
 			}
 		}
 		return w.seen, 0
 	}
-	b.mu.Lock()
-	n, pages, tail, zones := b.n, b.pages, b.tail, b.zones
-	b.mu.Unlock()
+	pages := s.pages + len(s.open)
 	if len(m.preds) == 0 {
 		// Every row matches, so match k is row k: start at the page
 		// holding the window's first row, and slice the window out of each
-		// decoded page (through the LRU) directly.
-		first := min(w.offset/b.pageRows, pages)
+		// page directly.
+		first := min(w.offset, s.n) / b.pageRows
 		w.seen = first * b.pageRows
-		emitRun := func(rows []Tuple) bool {
-			lo, hi := w.take(len(rows))
-			for _, tp := range rows[lo:hi] {
-				if !emit(tp, false) {
-					return false
-				}
-			}
-			return true
-		}
 		for p := first; p < pages; p++ {
 			if w.full() {
-				return n, 0 // nothing left to emit, and the count is known
+				return s.n, 0 // nothing left to emit, and the count is known
 			}
-			b.mu.Lock()
-			cached := b.load(p)
-			b.mu.Unlock()
-			if !emitRun(cached) {
-				return w.seen, 0
+			v = b.page(s, p)
+			lo, hi := w.take(v.n)
+			for i := lo; i < hi; i++ {
+				if !emit(&v, i) {
+					return w.seen, 0
+				}
 			}
 		}
-		emitRun(tail)
 		return w.seen, 0
 	}
-	for p := 0; p < pages; p++ {
-		if !zones[p].mayMatch(m) {
+	for p := 0; p < s.pages; p++ {
+		if !s.zones[p].mayMatch(m) {
 			pruned++
 			b.skipped.Add(1)
 			continue
@@ -564,19 +655,21 @@ func (b *pagedBackend) read(at []int, m matcher, w window, emit func(tp Tuple, d
 		if err != nil {
 			b.lost(p, err)
 		}
-		detached, err := b.columnRows(page, m, &w)
-		if err != nil {
+		if v, err = b.columnRows(page, m, &w); err != nil {
 			b.lost(p, err)
 		}
-		for _, tp := range detached {
-			if !emit(tp, true) {
+		for i := 0; i < v.n; i++ {
+			if !emit(&v, i) {
 				return w.seen, pruned
 			}
 		}
 	}
-	for _, tp := range tail {
-		if m.match(tp) && w.admit() && !emit(tp, false) {
-			return w.seen, pruned
+	for k := range s.open {
+		v = b.openView(s, k)
+		for i := 0; i < v.n; i++ {
+			if v.match(m, i) && w.admit() && !emit(&v, i) {
+				return w.seen, pruned
+			}
 		}
 	}
 	return w.seen, pruned
@@ -585,103 +678,148 @@ func (b *pagedBackend) read(at []int, m matcher, w window, emit func(tp Tuple, d
 // columnRows answers one sealed page of a filtered read: match on the
 // predicate columns, then materialize only the matches the window
 // admits.
-func (b *pagedBackend) columnRows(page []byte, m matcher, w *window) ([]Tuple, error) {
-	pg, err := binaryCodec{}.parse(b.schema, page)
+func (b *pagedBackend) columnRows(page []byte, m matcher, w *window) (pageView, error) {
+	pg, err := binaryCodec{}.parse(&b.layout, page)
 	if err != nil {
-		return nil, err
+		return pageView{}, err
 	}
 	sel, err := pg.match(m, b.countDecoded)
 	if err != nil {
-		return nil, err
+		return pageView{}, err
 	}
 	lo, hi := w.take(len(sel))
 	if lo == hi {
-		return nil, nil
+		return pageView{}, nil
 	}
 	return pg.rows(sel[lo:hi], b.countDecoded)
 }
 
+// Scan lends one scratch row, filled from the vectors.
 func (b *pagedBackend) Scan(at []int, m matcher, fn func(Tuple) bool) {
-	b.read(at, m, window{}, func(tp Tuple, _ bool) bool { return fn(tp) })
+	s, scratch := b.snapshot(), make(Tuple, b.schema.Arity())
+	b.read(&s, at, m, window{}, func(v *pageView, i int) bool {
+		v.fill(scratch, i)
+		return fn(scratch)
+	})
 }
 
+// Page builds the window's rows from the vectors, cut from one cell
+// buffer, each capped to its own cells.
 func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, int, int) {
-	var out []Tuple
-	total, pruned := b.read(at, m, newWindow(offset, limit), func(tp Tuple, detached bool) bool {
-		if !detached {
-			tp = tp.Clone()
-		}
-		out = append(out, tp)
+	s, arity, w := b.snapshot(), b.schema.Arity(), newWindow(offset, limit)
+	room := min(max(limit, 0), s.n) // a window holds at most limit rows
+	if at == nil && len(m.preds) == 0 {
+		every := w
+		lo, hi := every.take(s.n)
+		room = hi - lo // every row matches, so the window is known
+	}
+	cells := make(Tuple, 0, room*arity)
+	rows := 0
+	total, pruned := b.read(&s, at, m, w, func(v *pageView, i int) bool {
+		cells = slices.Grow(cells, arity)[:len(cells)+arity]
+		v.fill(cells[rows*arity:], i)
+		rows++
 		return true
 	})
+	if rows == 0 {
+		return nil, total, pruned
+	}
+	out := make([]Tuple, rows)
+	for k := range out {
+		out[k] = cells[k*arity : (k+1)*arity : (k+1)*arity]
+	}
 	return out, total, pruned
 }
 
+// DeleteWhere streams the survivors, through the append path, into a
+// fresh sequence — fresh pages, fresh dictionaries, so what was deleted is
+// released, and for a kind with a page store a fresh store, one page in
+// memory at a time — then swaps it in. Sealed pages are decoded bypassing
+// the LRU, which the swap empties.
 func (b *pagedBackend) DeleteWhere(pred func(Tuple) bool) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Stream the survivors into a fresh page sequence, one page buffer
-	// in memory at a time, then swap: the delete never materializes the
-	// table. Pages are decoded bypassing the LRU, which the swap empties.
 	rewrite := func(err error) {
 		if err != nil {
 			panic(fmt.Sprintf("kbase: %s backend for %s: delete rewrite: %v", b.kind, b.schema.Name, err))
 		}
 	}
-	next, err := b.store.fresh()
-	rewrite(err)
-	kept := make([]Tuple, 0, b.pageRows)
-	var zones []pageZone
-	keptN, deleted := 0, 0
-	consider := func(tp Tuple) {
-		if pred(tp) {
-			deleted++
-			return
-		}
-		kept = append(kept, tp)
-		keptN++
-		if len(kept) < b.pageRows {
-			return
-		}
-		page, err := binaryCodec{}.encode(b.schema, kept)
+	var next pageStore
+	if b.store != nil {
+		var err error
+		next, err = b.store.fresh()
 		rewrite(err)
-		rewrite(next.put(len(zones), page))
-		zones = append(zones, buildPageZone(b.schema, kept))
-		kept = kept[:0]
 	}
-	for p := 0; p < b.pages; p++ {
-		for _, tp := range b.decodePage(p) {
-			consider(tp)
+	old := b.pageSeq
+	b.pageSeq = b.emptySeq()
+	scratch, kept := make(Tuple, b.schema.Arity()), NewBatch(b.schema, b.pageRows)
+	all := make([]int, b.pageRows)
+	for k := range all {
+		all[k] = k
+	}
+	flush := func() {
+		_, err := b.append(kept, all[:kept.Len()], next)
+		rewrite(err)
+		kept.Reset()
+	}
+	deleted := 0
+	for p := 0; p < old.pages+len(old.open); p++ {
+		var v pageView
+		if p < old.pages {
+			v = b.decodePage(p)
+		} else {
+			v = b.openView(&old, p-old.pages)
+		}
+		for i := 0; i < v.n; i++ {
+			if v.fill(scratch, i); pred(scratch) {
+				deleted++
+				continue
+			}
+			_ = kept.appendTuple(b.schema, scratch) // the row's own cells: always of their columns' types
+			if kept.Len() == b.pageRows {
+				flush()
+			}
 		}
 	}
-	for _, tp := range b.tail {
-		consider(tp)
-	}
+	flush()
 	if deleted == 0 {
-		_ = next.close() // a leftover empty rewrite area is overwritten by the next one
+		b.pageSeq = old
+		if next != nil {
+			_ = next.close() // a leftover empty rewrite area is overwritten by the next one
+		}
 		return 0
 	}
-	rewrite(b.store.adopt(next))
-	b.n, b.pages, b.zones = keptN, len(zones), zones
-	b.tail, b.cells = append([]Tuple(nil), kept...), nil
+	if next != nil {
+		rewrite(b.store.adopt(next))
+	}
 	b.invalidate()
 	return deleted
 }
 
+// Snapshot renders sealed pages from their blobs and open pages from
+// their vectors.
 func (b *pagedBackend) Snapshot(w io.Writer) error {
-	b.mu.Lock()
-	pages, tail := b.pages, b.tail
-	b.mu.Unlock()
-	for p := 0; p < pages; p++ {
+	s := b.snapshot()
+	for p := 0; p < s.pages; p++ {
 		page, err := b.fetch(p)
 		if err == nil {
-			err = binaryCodec{}.writeTSV(w, b.schema, page)
+			err = binaryCodec{}.writeTSV(w, &b.layout, page)
 		}
 		if err != nil {
 			return fmt.Errorf("kbase: %s backend for %s: snapshot page %d: %w", b.kind, b.schema.Name, p, err)
 		}
 	}
-	return writeRowsTSV(w, tail)
+	var buf []byte
+	for k := range s.open {
+		v := b.openView(&s, k)
+		for i := 0; i < v.n; i++ {
+			buf = append(v.appendTSV(buf[:0], i), '\n')
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (b *pagedBackend) Stats() BackendStats {
@@ -699,6 +837,9 @@ func (b *pagedBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.invalidate()
-	b.n, b.pages, b.tail, b.cells, b.zones = 0, 0, nil, nil, nil
+	b.pageSeq = pageSeq{}
+	if b.store == nil {
+		return nil
+	}
 	return b.store.close()
 }

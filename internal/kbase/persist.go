@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -89,43 +88,6 @@ func splitTSV(line string) ([]string, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// appendTupleTSV appends one tuple as an escaped TSV line (no trailing
-// newline), each cell rendered as fmt.Sprint renders it — the row
-// encoding of every snapshot, which is what makes a table's serialized
-// bytes identical across backends.
-func appendTupleTSV(dst []byte, tp Tuple) []byte {
-	for i, v := range tp {
-		if i > 0 {
-			dst = append(dst, '\t')
-		}
-		switch x := v.(type) {
-		case string:
-			dst = appendFieldTSV(dst, x)
-		case int64:
-			dst = strconv.AppendInt(dst, x, 10)
-		case float64:
-			dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
-		default:
-			dst = appendFieldTSV(dst, fmt.Sprint(v))
-		}
-	}
-	return dst
-}
-
-// writeRowsTSV writes rows as newline-terminated appendTupleTSV lines,
-// each rendered into the one buffer and handed to w (WriteTSV's buffered
-// writer, so a row is a copy, not a system call).
-func writeRowsTSV(w io.Writer, rows []Tuple) error {
-	var buf []byte
-	for _, tp := range rows {
-		buf = append(appendTupleTSV(buf[:0], tp), '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteTSV serializes the table as tab-separated values with a header

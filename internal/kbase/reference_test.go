@@ -7,9 +7,9 @@ import (
 
 // escapeTSV and encodeTupleTSV are the TSV row renderer as it was before
 // rows were appended into one buffer: fmt.Sprint per cell, a builder per
-// escaped field, strings.Join per row. They are the oracle
-// appendTupleTSV, writeRowsTSV and the page renderer must match byte for
-// byte (FuzzTSVRoundTrip, FuzzColumnarPageRoundTrip,
+// escaped field, strings.Join per row. They are the oracle both page
+// renderers — an open page's appendTSV and a sealed page's writeTSV —
+// must match byte for byte (FuzzTSVRoundTrip, FuzzColumnarPageRoundTrip,
 // TestEngineRandomHistories).
 const tsvEscapes = "\\\t\n\r"
 

@@ -326,7 +326,8 @@ func TestPageZoneMatchesReference(t *testing.T) {
 				strings.Repeat("x", zoneValueCap-2+rng.Intn(distinct)%4) + fmt.Sprint(rng.Intn(3)),
 			}
 		}
-		if got, want := buildPageZone(schema, rows), referencePageZone(schema, rows); !reflect.DeepEqual(got, want) {
+		v := viewOf(schema, rows)
+		if got, want := buildPageZone(&v), referencePageZone(schema, rows); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: zone\n%+v\nreference\n%+v\nrows %v", trial, got, want, rows)
 		}
 	}
@@ -456,67 +457,64 @@ func TestMatcherRenderedEquality(t *testing.T) {
 }
 
 // TestFilteredReadsConcurrentIngest races filtered readers (index and
-// scan plans, lazy builds, zone-map pruning) against a live ingester
-// on the disk backend — the engine whose backend-level locking makes
-// concurrent write+read part of the contract. Run with -race.
+// scan plans, lazy builds, zone-map pruning) against a live ingester on
+// every kind: an Append may run beside reads on every backend. Run with
+// -race.
 func TestFilteredReadsConcurrentIngest(t *testing.T) {
-	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	tbl := newBackedTable(t, engine, whereSchema(t))
-	fillWidgets(t, tbl, 16)
-	mustEnsureIndex(t, tbl, "grp")
+	forEachBackend(t, func(t *testing.T, engine Engine) {
+		tbl := newBackedTable(t, engine, whereSchema(t))
+		fillWidgets(t, tbl, 16)
+		mustEnsureIndex(t, tbl, "grp")
 
-	const writers, readers, rounds = 1, 4, 200
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(writers)
-	go func() {
-		defer wg.Done()
-		defer close(stop)
-		for i := 16; i < 16+rounds; i++ {
-			if _, err := tbl.Insert(Tuple{fmt.Sprintf("p%03d", i), fmt.Sprintf("g%d", i/8), i, float64(i) / 2}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
+		const writers, readers, rounds = 1, 4, 200
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		wg.Add(writers)
+		go func() {
 			defer wg.Done()
-			preds := []Pred{{Col: 1, Want: "g1"}}
-			if r%2 == 1 {
-				preds = []Pred{{Col: 0, Want: "p004"}}
-			}
-			for {
-				rows, total := tbl.PageWhere(preds, 0, 5)
-				if len(rows) > total {
-					t.Errorf("reader %d: window %d > total %d", r, len(rows), total)
+			defer close(stop)
+			for i := 16; i < 16+rounds; i++ {
+				if _, err := tbl.Insert(Tuple{fmt.Sprintf("p%03d", i), fmt.Sprintf("g%d", i/8), i, float64(i) / 2}); err != nil {
+					t.Error(err)
 					return
 				}
-				for _, tp := range rows {
-					for _, p := range preds {
-						if fmt.Sprint(tp[p.Col]) != p.Want {
-							t.Errorf("reader %d: row %v fails pred %+v", r, tp, p)
-							return
+			}
+		}()
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				preds := []Pred{{Col: 1, Want: "g1"}}
+				if r%2 == 1 {
+					preds = []Pred{{Col: 0, Want: "p004"}}
+				}
+				for {
+					rows, total := tbl.PageWhere(preds, 0, 5)
+					if len(rows) > total {
+						t.Errorf("reader %d: window %d > total %d", r, len(rows), total)
+						return
+					}
+					for _, tp := range rows {
+						for _, p := range preds {
+							if fmt.Sprint(tp[p.Col]) != p.Want {
+								t.Errorf("reader %d: row %v fails pred %+v", r, tp, p)
+								return
+							}
 						}
 					}
+					tbl.ScanWhere(preds, func(Tuple) bool { return true })
+					select {
+					case <-stop:
+						return
+					default:
+					}
 				}
-				tbl.ScanWhere(preds, func(Tuple) bool { return true })
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	// Quiesced: the final state answers exactly.
-	if _, total := tbl.PageWhere([]Pred{{Col: 1, Want: "g1"}}, 0, 0); total != 8 {
-		t.Fatalf("final g1 total = %d, want 8", total)
-	}
+			}(r)
+		}
+		wg.Wait()
+		// Quiesced: the final state answers exactly.
+		if _, total := tbl.PageWhere([]Pred{{Col: 1, Want: "g1"}}, 0, 0); total != 8 {
+			t.Fatalf("final g1 total = %d, want 8", total)
+		}
+	})
 }

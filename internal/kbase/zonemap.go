@@ -41,31 +41,31 @@ type colZone struct {
 // pageZone is one page's zones, one per schema column.
 type pageZone []colZone
 
-// buildPageZone summarizes rows (non-empty, already encoded and so known
-// to hold the schema's types), a column at a time.
-func buildPageZone(schema Schema, rows []Tuple) pageZone {
-	pz := make(pageZone, schema.Arity())
+// buildPageZone summarizes a page's rows, a column at a time, from the
+// vectors.
+func buildPageZone(v *pageView) pageZone {
+	pz := make(pageZone, len(v.l.types))
 	var cur, lo, hi [32]byte // the longest int64 is 20 bytes, the longest float64 24
-	for c, col := range schema.Columns {
+	for c, t := range v.l.types {
 		z := &pz[c]
 		z.maxOK = true
-		if col.Type == StringCol {
-			for r, tp := range rows {
-				v := tp[c].(string)
-				if len(v) > zoneValueCap {
+		if t == StringCol {
+			for i := 0; i < v.n; i++ {
+				s := v.strAt(c, i)
+				if len(s) > zoneValueCap {
 					// The truncated prefix stays a valid lower bound but not
 					// an upper one, and the distinct set can no longer answer
 					// membership exactly.
-					v = v[:zoneValueCap]
+					s = s[:zoneValueCap]
 					z.maxOK, z.overflow, z.distinct = false, true, nil
 				}
-				if r == 0 || v < z.min {
-					z.min = v
+				if i == 0 || s < z.min {
+					z.min = s
 				}
-				if r == 0 || v > z.max {
-					z.max = v
+				if i == 0 || s > z.max {
+					z.max = s
 				}
-				addDistinct(z, v)
+				addDistinct(z, s)
 			}
 			continue
 		}
@@ -74,20 +74,20 @@ func buildPageZone(schema Schema, rows []Tuple) pageZone {
 		// what the distinct set adopts become strings — O(1) a column,
 		// where an ascending id column would adopt a new max every row.
 		least, most := lo[:0], hi[:0]
-		for r, tp := range rows {
-			v := cur[:0]
-			if col.Type == IntCol {
-				v = strconv.AppendInt(v, tp[c].(int64), 10)
+		for i := 0; i < v.n; i++ {
+			s := cur[:0]
+			if t == IntCol {
+				s = strconv.AppendInt(s, v.intAt(c, i), 10)
 			} else {
-				v = strconv.AppendFloat(v, tp[c].(float64), 'g', -1, 64)
+				s = strconv.AppendFloat(s, v.floatAt(c, i), 'g', -1, 64)
 			}
-			if r == 0 || string(v) < string(least) {
-				least = append(lo[:0], v...)
+			if i == 0 || string(s) < string(least) {
+				least = append(lo[:0], s...)
 			}
-			if r == 0 || string(v) > string(most) {
-				most = append(hi[:0], v...)
+			if i == 0 || string(s) > string(most) {
+				most = append(hi[:0], s...)
 			}
-			addDistinct(z, v)
+			addDistinct(z, s)
 		}
 		z.min, z.max = string(least), string(most)
 	}
