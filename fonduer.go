@@ -355,8 +355,9 @@ func MostUncertain(cands []*Candidate, marginals []float64, k int) []UncertainCa
 func ReadKBTable(r io.Reader) (*KBTable, error) { return kbase.ReadTSV(r) }
 
 // Store-backed sessions: the pipeline's intermediate relations
-// (Candidates, Features, FeatureCounts, Labels) materialized in the
-// relational store, supporting incremental document ingestion,
+// (Candidates, Features, Labels; feature counts are derived from
+// Features) materialized in the relational store, each fact once,
+// supporting incremental document ingestion,
 // labeling-function iteration without re-extraction, and
 // snapshot/resume across process invocations — the role the paper's
 // PostgreSQL database plays. See DESIGN.md §"Store-backed staged

@@ -18,7 +18,7 @@ func (s *Store) CandidateFeatures(id int) []string {
 
 // ForgetFeatures drops everything the store holds of the Features
 // relation outside kbase — the id rows, the feature dictionary, the
-// merged counts — and returns how many (candidate, feature) pairs that
+// counts — and returns how many (candidate, feature) pairs that
 // was. The store is unusable afterwards.
 func (s *Store) ForgetFeatures() (pairs int) {
 	for _, ids := range s.names {

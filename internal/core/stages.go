@@ -15,13 +15,13 @@ import (
 )
 
 // The pipeline is decomposed into explicit stages over materialized
-// per-candidate relations — the paper's Candidates, FeatureCounts,
-// Features and Labels tables:
+// per-candidate relations — the paper's Candidates, Features and Labels
+// tables; feature counts are always summed from Features, never stored:
 //
 //	Extract   docs            -> Candidates, one list per document
-//	Featurize Candidates      -> Features(cand, name), FeatureCounts, CacheStats per document
+//	Featurize Candidates      -> Features(cand, name), CacheStats per document
 //	Label     Candidates      -> Labels votes -> label matrix
-//	Index     FeatureCounts   -> frozen feature Index (train-split counts)
+//	Index     Features        -> train-split counts -> frozen feature Index
 //	Supervise Labels          -> marginals + coverage
 //	Train     Features+Labels -> model
 //	Classify  model+Features  -> predicted tuples + quality
@@ -169,13 +169,10 @@ func distinctFeatures(fx *features.Extractor, c *candidates.Candidate, seen map[
 
 // docFeatures is one document's output of the Featurize stage: each
 // candidate's distinct feature names (aligned with the document's
-// candidate list), the document's FeatureCounts shard — how many of
-// its candidates each feature fires on — and its mention-cache
-// statistics.
+// candidate list) and the document's mention-cache statistics.
 type docFeatures struct {
-	names  [][]string
-	counts map[string]int
-	stats  features.CacheStats
+	names [][]string
+	stats features.CacheStats
 }
 
 // featurizeStage runs the Featurize stage over per-document candidate
@@ -187,13 +184,10 @@ func featurizeStage(newFx func() *features.Extractor, perDoc [][]*candidates.Can
 	out := make([]docFeatures, len(perDoc))
 	pool.Run(len(perDoc), workers, func(i int) {
 		fx := newFx()
-		df := docFeatures{names: make([][]string, len(perDoc[i])), counts: map[string]int{}}
+		df := docFeatures{names: make([][]string, len(perDoc[i]))}
 		seen := map[string]bool{}
 		for k, c := range perDoc[i] {
 			df.names[k] = distinctFeatures(fx, c, seen)
-			for _, n := range df.names[k] {
-				df.counts[n]++
-			}
 		}
 		df.stats = fx.Stats()
 		out[i] = df
@@ -232,7 +226,7 @@ func labelStage(task Task, opts Options, cands []*candidates.Candidate) *labelin
 }
 
 // indexStage builds the frozen feature index from the train split's
-// feature counts — the FeatureCounts -> Index step. Counts are the
+// feature counts — the Features -> counts -> Index step. Counts are the
 // number of train candidates each feature fires on; admission applies
 // the MinFeatureCount floor in sorted-name order, so the index never
 // depends on map iteration or batch order.

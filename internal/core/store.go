@@ -20,14 +20,14 @@ import (
 // extraction session — the role PostgreSQL plays in the paper's
 // implementation. It materializes the pipeline's intermediate
 // relations (per-document Candidates, the index-independent Features
-// relation of per-candidate feature names, sharded per-document
-// FeatureCounts, and the Labels votes) both in memory and as kbase
-// tables, so that:
+// relation of per-candidate feature names, and the Labels votes) both
+// in memory and as kbase tables, each fact in one relation; the feature
+// counts are summed from Features, never persisted. So:
 //
 //   - documents can be ingested incrementally: AddDocuments extracts,
-//     featurizes and labels only the new documents and merges their
-//     feature-count shards; the numeric feature rows are derived per run
-//     from the name rows, under that run's frozen index;
+//     featurizes and labels only the new documents and adds their
+//     features to the counts; the numeric feature rows are derived per
+//     run from the name rows, under that run's frozen index;
 //   - labeling functions can be iterated without re-running extraction
 //     or featurization (the DevSession loop is a thin wrapper);
 //   - the whole session can be snapshotted to disk and resumed later
@@ -93,9 +93,10 @@ type Store struct {
 	// for a refused batch; views share feats.NamesView().
 	feats *features.Index
 
-	// counts is the merged FeatureCounts relation (the sum of the
-	// per-doc shards), indexed by dictionary id. Counts only ever grow,
-	// so index evolution under incremental ingestion is append-only.
+	// counts is, per dictionary id, how many candidates carry the name:
+	// derived from names (countFeatures), on ingest and on resume. Counts
+	// only ever grow, so index evolution under incremental ingestion is
+	// append-only.
 	counts []int
 
 	// dict lists the features at or above the MinFeatureCount floor in
@@ -322,11 +323,10 @@ func (s *Store) endMutation(changed bool) {
 }
 
 // AddDocuments ingests documents incrementally: the Extract,
-// Featurize and Supervise stages run for the new documents only, the
-// new per-document FeatureCounts shards are merged into the session
-// counts, and the features those shards carried across the admission
-// floor join the session index (append-only: counts never shrink, so
-// features only ever cross the floor upward).
+// Featurize and Supervise stages run for the new documents only, their
+// features are added to the session counts, and the features that
+// crossed the admission floor join the session index (append-only:
+// counts never shrink, so features only ever cross the floor upward).
 //
 // Ingesting the same *Document pointer again is a no-op; a different
 // document with an already-ingested name is ErrDocumentExists, on every
@@ -400,18 +400,12 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	}
 	spans = append(spans, obs.NewSpan("mirror", t0, len(delta), mirrored, pool.Workers(workers)))
 
-	// ---- Merge: append per-document state, the Features rows as ids —
-	// this is where a name is first interned — and sum the count shards:
-	// a document's rows name each feature once per candidate it fires on.
-	// A count passes the admission floor exactly once, since it grows by
-	// one, so the features this batch carried across it are collected on
-	// the way (sorted below: admission order must not depend on the order
-	// names were seen in).
+	// ---- Merge: append per-document state and the Features rows as ids
+	// — this is where a name is first interned — then count them.
 	t0 = time.Now()
 	changed = true
 	s.votes = append(s.votes, votes...)
-	floor := max(s.opts.MinFeatureCount, 1)
-	var admitted []string
+	firstCand := len(s.names)
 	for i, d := range delta {
 		sd := &storeDoc{
 			doc: d, name: d.Name, format: d.Format, pos: len(s.docs),
@@ -420,14 +414,28 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 		s.docs = append(s.docs, sd)
 		s.byName[d.Name] = sd
 		s.cands = append(s.cands, perDoc[i]...)
-		rows := internRows(s.feats, feats[i].names)
-		s.names = append(s.names, rows...)
-		s.counts = append(s.counts, make([]int, s.feats.Len()-len(s.counts))...)
-		for _, ids := range rows {
-			for _, id := range ids {
-				if s.counts[id]++; s.counts[id] == floor {
-					admitted = append(admitted, s.feats.Name(int(id)))
-				}
+		s.names = append(s.names, internRows(s.feats, feats[i].names)...)
+	}
+	admitted := s.countFeatures(s.names[firstCand:])
+	s.ingestSpans = append(spans, obs.NewSpan("merge", t0, len(deltaCands), admitted, 0))
+	return nil
+}
+
+// countFeatures adds Features rows — new candidates' distinct features,
+// as ids into feats — to the counts, and admits to dict the names whose
+// count crossed the MinFeatureCount floor, returning how many. A count
+// grows by one, so it passes the floor exactly once; the names that did
+// are admitted in sorted order, so that admission order does not depend
+// on the order names were seen in. It is the one counting path: of each
+// AddDocuments batch, and of the whole corpus in OpenStore.
+func (s *Store) countFeatures(rows [][]uint32) int {
+	s.counts = append(s.counts, make([]int, s.feats.Len()-len(s.counts))...)
+	floor := max(s.opts.MinFeatureCount, 1)
+	var admitted []string
+	for _, ids := range rows {
+		for _, id := range ids {
+			if s.counts[id]++; s.counts[id] == floor {
+				admitted = append(admitted, s.feats.Name(int(id)))
 			}
 		}
 	}
@@ -435,8 +443,7 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	for _, n := range admitted {
 		s.dict.ID(n)
 	}
-	s.ingestSpans = append(spans, obs.NewSpan("merge", t0, len(deltaCands), len(admitted), 0))
-	return nil
+	return len(admitted)
 }
 
 // TakeIngestSpans drains the stage timing of the most recent

@@ -5,17 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/candidates"
+	"repro/internal/datamodel"
 	"repro/internal/labeling"
 	"repro/internal/matchers"
 	"repro/internal/parser"
 )
 
-// TestStoreMutationGuard pins the writer-goroutine-only contract:
-// entering a mutation while another is in flight must panic with a
-// message naming the contract, not corrupt the relations. The guard
-// is exercised deterministically by holding it open and calling each
-// guarded method.
-func TestStoreMutationGuard(t *testing.T) {
+// tinySession is a one-relation task with no labeling functions and a
+// one-sentence document it extracts a candidate from: enough for the
+// in-package tests, which cannot import the synthetic corpora.
+func tinySession() (Task, *datamodel.Document) {
 	task := Task{
 		Relation: "GuardRel",
 		Schema:   mustSchema("GuardRel", "part", "current"),
@@ -24,7 +23,16 @@ func TestStoreMutationGuard(t *testing.T) {
 			{TypeName: "Current", Matcher: matchers.NumberRange{Min: 100, Max: 995}},
 		},
 	}
-	doc := parser.ParseHTML("d0", "<html><body><p>SMBT3904 is rated 200 mA.</p></body></html>")
+	return task, parser.ParseHTML("d0", "<html><body><p>SMBT3904 is rated 200 mA.</p></body></html>")
+}
+
+// TestStoreMutationGuard pins the writer-goroutine-only contract:
+// entering a mutation while another is in flight must panic with a
+// message naming the contract, not corrupt the relations. The guard
+// is exercised deterministically by holding it open and calling each
+// guarded method.
+func TestStoreMutationGuard(t *testing.T) {
+	task, doc := tinySession()
 	st := NewStore(task, Options{Epochs: 1})
 	if err := st.AddDocuments(doc); err != nil {
 		t.Fatal(err)

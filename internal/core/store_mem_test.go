@@ -48,11 +48,13 @@ func TestStoreFeatureBytesPerPair(t *testing.T) {
 // TestIngestAllocs bounds what one upload allocates on the writer: a
 // two-document AddDocuments and the ViewDelta that publishes it, into a
 // 40-document session with a trained generation, on the memory kind.
-// Measured (it repeats exactly): 1.21 MB in 7 910 objects; the bounds are
-// that plus a tenth. With a boxed Tuple per mirrored row, the relations
-// inserted a document at a time, a seen-set per featurized candidate and
-// a prefixed copy of every feature name per candidate, the same upload
-// allocated 3.17 MB in 17 393 objects: the bounds are under 60 % of that.
+// Measured (it repeats to a few objects): 1.19 MB in 7 730 objects; the
+// bounds are that plus a tenth. With a boxed Tuple per mirrored row, the
+// relations inserted a document at a time, a seen-set per featurized
+// candidate and a prefixed copy of every feature name per candidate, the
+// same upload allocated 3.17 MB in 17 393 objects: the bounds are under
+// 60 % of that. While each document's feature counts were also kept as a
+// map and mirrored as a relation of their own, it was 1.31 MB in 7 808.
 func TestIngestAllocs(t *testing.T) {
 	corpus := synth.Electronics(8, 42)
 	st := core.NewStore(corpus.Tasks[0], core.Options{Seed: 1, Epochs: 1, Backend: "memory"})
@@ -81,8 +83,8 @@ func TestIngestAllocs(t *testing.T) {
 	mb, objects := float64(after.TotalAlloc-before.TotalAlloc)/1e6, after.Mallocs-before.Mallocs
 	t.Logf("one upload: %.2f MB in %d objects", mb, objects)
 	const (
-		maxMB      = 1.21 * 1.1 // 42 % of the 3.17 it was
-		maxObjects = 7910 * 11 / 10
+		maxMB      = 1.19 * 1.1 // 41 % of the 3.17 it was
+		maxObjects = 7730 * 11 / 10
 	)
 	if mb > maxMB {
 		t.Errorf("one upload allocates %.2f MB, want <= %.2f", mb, maxMB)

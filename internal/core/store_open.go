@@ -16,16 +16,16 @@ import (
 // their full sentence-level attributes and table grids (so training,
 // tuple extraction and labeling-function application behave exactly
 // as in the live session), candidates re-linked to their spans, the
-// Features and Labels relations, merged feature counts and the session
-// feature index — without re-parsing or re-extracting anything. task
-// must be the same task the store was built for (labeling functions
-// are code and cannot be persisted; they are re-supplied here), and
-// opts must agree with the persisted configuration on every knob that
-// shaped the relations. Runtime knobs (Seed, Epochs, Threshold, LR,
-// Workers, ...) are taken fresh from opts.
+// Features and Labels relations, and the feature counts and session
+// feature index derived from Features — without re-parsing or
+// re-extracting anything. task must be the same task the store was
+// built for (labeling functions are code and cannot be persisted; they
+// are re-supplied here), and opts must agree with the persisted
+// configuration on every knob that shaped the relations. Runtime knobs
+// (Seed, Epochs, Threshold, LR, Workers, ...) are taken fresh from opts.
 //
 // Ordering invariant: the parsed documents are rebuilt last, after the
-// features, counts and labels relations have been scanned, so what the
+// features and labels relations have been scanned, so what the
 // load and the scans leave behind (parsed row chunks, decoded pages) is
 // garbage before the documents — the part of the session that stays —
 // are allocated (DESIGN.md, "Why documents stay resident"). Every
@@ -63,9 +63,9 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	}
 
 	// Validate the persisted configuration against the caller's.
-	for _, name := range []string{tblDocuments, tblSentences, tblCands, tblFeatures, tblCounts, tblLabels, tblDocStats, tblMeta} {
-		if db.Table(name) == nil {
-			return nil, fmt.Errorf("core: store snapshot is missing relation %q", name)
+	for _, schema := range storeSchemas {
+		if db.Table(schema.Name) == nil {
+			return nil, fmt.Errorf("core: store snapshot is missing relation %q", schema.Name)
 		}
 	}
 	meta := map[string]string{}
@@ -79,9 +79,13 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 		}
 	}
 
-	// The documents relation gives the corpus skeleton in position order.
+	// The documents relation gives the corpus skeleton in position order,
+	// with each document's cache statistics.
 	db.Table(tblDocuments).Scan(func(tp kbase.Tuple) bool {
-		s.docs = append(s.docs, &storeDoc{pos: int(tp[0].(int64)), name: tp[1].(string), format: tp[2].(string)})
+		s.docs = append(s.docs, &storeDoc{
+			pos: int(tp[0].(int64)), name: tp[1].(string), format: tp[2].(string),
+			stats: features.CacheStats{Hits: int(tp[3].(int64)), Misses: int(tp[4].(int64))},
+		})
 		return true
 	})
 	sort.Slice(s.docs, func(i, j int) bool { return s.docs[i].pos < s.docs[j].pos })
@@ -169,27 +173,15 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	for id, sq := range seqs {
 		sort.Sort(bySeq{sq, s.names[id]})
 	}
+	// The counts and the session index, derived from the Features rows as
+	// AddDocuments derives them, with the whole corpus as one batch: the
+	// admission order (sorted names) may differ from the live session's
+	// (sorted per batch), but session columns are internal — every result
+	// is a function of the name sets, not the column numbering.
+	s.countFeatures(s.names)
 
-	// FeatureCounts shards, summed into the merged counts.
-	s.counts = make([]int, s.feats.Len())
-	var countErr error
-	db.Table(tblCounts).Scan(func(tp kbase.Tuple) bool {
-		if _, ok := s.byName[tp[0].(string)]; !ok {
-			countErr = fmt.Errorf("core: feature_counts references unknown document %q", tp[0])
-			return false
-		}
-		id := s.feats.ID(tp[1].(string))
-		if id == len(s.counts) { // a name no Features row carries
-			s.counts = append(s.counts, 0)
-		}
-		s.counts[id] += int(tp[2].(int64))
-		return true
-	})
-	if countErr != nil {
-		return nil, countErr
-	}
-
-	// Labels votes.
+	// Labels votes: at most one per (candidate, LF), and never an abstain
+	// (the store writes only votes of -1 or +1).
 	numLFs, _ := strconv.Atoi(meta["num_lfs"])
 	s.votes = make([][]int8, nCands)
 	for i := range s.votes {
@@ -197,37 +189,22 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	}
 	var labelErr error
 	db.Table(tblLabels).Scan(func(tp kbase.Tuple) bool {
-		id, lf := int(tp[0].(int64)), int(tp[1].(int64))
-		if id < 0 || id >= nCands || lf < 0 || lf >= numLFs {
+		id, lf, vote := int(tp[0].(int64)), int(tp[1].(int64)), tp[2].(int64)
+		switch {
+		case id < 0 || id >= nCands || lf < 0 || lf >= numLFs:
 			labelErr = fmt.Errorf("core: labels relation references candidate %d / lf %d out of range", id, lf)
-			return false
+		case vote != -1 && vote != 1:
+			labelErr = fmt.Errorf("core: labels relation holds vote %d for candidate %d / lf %d, want -1 or +1", vote, id, lf)
+		case s.votes[id][lf] != 0:
+			labelErr = fmt.Errorf("core: labels relation holds two votes for candidate %d / lf %d", id, lf)
+		default:
+			s.votes[id][lf] = int8(vote)
+			return true
 		}
-		s.votes[id][lf] = int8(tp[2].(int64))
-		return true
+		return false
 	})
 	if labelErr != nil {
 		return nil, labelErr
-	}
-
-	// Per-document cache statistics.
-	db.Table(tblDocStats).Scan(func(tp kbase.Tuple) bool {
-		if sd, ok := s.byName[tp[0].(string)]; ok {
-			sd.stats = features.CacheStats{Hits: int(tp[2].(int64)), Misses: int(tp[3].(int64))}
-		}
-		return true
-	})
-
-	// Re-derive the session index from the restored relations. Admission
-	// order here (first encounter in candidate order) may differ from the
-	// live session's (batch-sorted), but session columns are internal:
-	// every result is a function of the name sets, not the column
-	// numbering.
-	for _, ids := range s.names {
-		for _, id := range ids {
-			if s.counts[id] >= s.opts.MinFeatureCount {
-				s.dict.ID(s.feats.Name(int(id)))
-			}
-		}
 	}
 
 	// Documents last (the ordering invariant above), one at a time.

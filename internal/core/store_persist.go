@@ -12,24 +12,22 @@ import (
 	"repro/internal/pool"
 )
 
-// The store's relations, materialized as kbase tables. Everything a
-// resumed session needs survives here: the data model's sentence
+// The store's relations, materialized as kbase tables, each fact in one
+// of them. Everything a resumed session needs survives here: the
+// documents with their cache statistics, the data model's sentence
 // layer with its multimodal attributes and table grid (so training,
 // tuple extraction AND labeling-function application all see the same
 // values after a resume), the Candidates relation as mention spans,
 // the index-independent Features relation (feature *names* per
 // candidate, so the numeric matrix can be re-derived under any frozen
-// index), the per-document FeatureCounts shards, the Labels votes,
-// per-document cache statistics, and a meta table pinning the
-// session's configuration.
+// index, and the feature counts summed from it), the Labels votes, and
+// a meta table pinning the session's configuration.
 const (
 	tblDocuments = "documents"
 	tblSentences = "sentences"
 	tblCands     = "candidates"
 	tblFeatures  = "features"
-	tblCounts    = "feature_counts"
 	tblLabels    = "labels"
-	tblDocStats  = "doc_stats"
 	tblMeta      = "meta"
 )
 
@@ -43,8 +41,9 @@ const (
 	fieldSep = "\x1e"
 )
 
-// storeFormat versions the snapshot layout.
-const storeFormat = "2"
+// storeFormat versions the snapshot layout: storeSchemas below, pinned
+// by TestStoreSchemasMatchFormat.
+const storeFormat = "3"
 
 func mustSchema(name string, cols ...string) kbase.Schema {
 	s, err := kbase.NewSchema(name, cols...)
@@ -57,7 +56,9 @@ func mustSchema(name string, cols ...string) kbase.Schema {
 }
 
 var storeSchemas = []kbase.Schema{
-	mustSchema(tblDocuments, "pos:integer", "name", "format"),
+	// One row per document, in ingestion order, with its featurization
+	// cache statistics.
+	mustSchema(tblDocuments, "pos:integer", "name", "format", "hits:integer", "misses:integer"),
 	// One row per sentence, carrying every attribute the data model
 	// records at sentence granularity — textual, structural, visual —
 	// plus the containing table cell's grid coordinates (tbl = -1 for
@@ -69,9 +70,7 @@ var storeSchemas = []kbase.Schema{
 		"tbl:integer", "row_start:integer", "row_end:integer", "col_start:integer", "col_end:integer", "header:integer"),
 	mustSchema(tblCands, "cand:integer", "arg:integer", "type", "doc", "sent:integer", "start:integer", "end:integer"),
 	mustSchema(tblFeatures, "cand:integer", "seq:integer", "feature"),
-	mustSchema(tblCounts, "doc", "feature", "count:integer"),
 	mustSchema(tblLabels, "cand:integer", "lf:integer", "vote:integer"),
-	mustSchema(tblDocStats, "doc", "cands:integer", "hits:integer", "misses:integer"),
 	mustSchema(tblMeta, "key", "value"),
 }
 
@@ -504,6 +503,8 @@ func (s *Store) mirror(firstPos int, delta []*datamodel.Document, perDoc [][]*ca
 				b.AppendInt(0, int64(firstPos+k))
 				b.AppendString(1, d.Name)
 				b.AppendString(2, d.Format)
+				b.AppendInt(3, int64(feats[k].stats.Hits))
+				b.AppendInt(4, int64(feats[k].stats.Misses))
 			}
 		}},
 		{tblSentences, 0, func(b *kbase.Batch) {
@@ -552,29 +553,6 @@ func (s *Store) mirror(firstPos int, delta []*datamodel.Document, perDoc [][]*ca
 					}
 					i++
 				}
-			}
-		}},
-		{tblCounts, 0, func(b *kbase.Batch) {
-			for k, d := range delta {
-				counts := feats[k].counts
-				names := make([]string, 0, len(counts))
-				for fn := range counts {
-					names = append(names, fn)
-				}
-				sort.Strings(names)
-				for _, fn := range names {
-					b.AppendString(0, d.Name)
-					b.AppendString(1, fn)
-					b.AppendInt(2, int64(counts[fn]))
-				}
-			}
-		}},
-		{tblDocStats, len(delta), func(b *kbase.Batch) {
-			for k, d := range delta {
-				b.AppendString(0, d.Name)
-				b.AppendInt(1, int64(len(perDoc[k])))
-				b.AppendInt(2, int64(feats[k].stats.Hits))
-				b.AppendInt(3, int64(feats[k].stats.Misses))
 			}
 		}},
 	}

@@ -414,6 +414,67 @@ func TestStoreOpenValidation(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRefusesBadVotes: the store writes one vote of -1 or +1 per
+// (candidate, LF) it labels, and OpenStore holds a snapshot's labels
+// relation to that. A vote of 2 would be kept as a vote no LF can cast,
+// 256 would wrap to an abstain, and a second, conflicting row for one
+// (candidate, LF) would overwrite the first: each is refused with an
+// error naming the candidate and the LF.
+func TestOpenStoreRefusesBadVotes(t *testing.T) {
+	corpus := synth.Electronics(64, 4)
+	task := corpus.Tasks[0]
+	opts := core.Options{Epochs: 1}
+	st := core.NewStore(task, opts)
+	defer st.Close()
+	if err := st.AddDocuments(corpus.Docs...); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	files := snapshotBytes(t, dir)
+	lines := strings.SplitAfter(string(files["labels.tsv"]), "\n") // header, rows..., ""
+	if len(lines) < 3 {
+		t.Fatalf("labels.tsv holds no votes:\n%s", files["labels.tsv"])
+	}
+	row := strings.Split(strings.TrimSuffix(lines[1], "\n"), "\t") // cand, lf, vote
+	flipped := map[string]string{"1": "-1", "-1": "1"}[row[2]]
+	if flipped == "" {
+		t.Fatalf("labels.tsv's first vote is %q, want -1 or 1", row[2])
+	}
+	withVote := func(vote string) string { return row[0] + "\t" + row[1] + "\t" + vote + "\n" }
+	rest := strings.Join(lines[2:], "")
+	for name, labels := range map[string]string{
+		"vote 2":          lines[0] + withVote("2") + rest,
+		"vote 256":        lines[0] + withVote("256") + rest,
+		"explicit 0":      lines[0] + withVote("0") + rest,
+		"conflicting two": lines[0] + lines[1] + withVote(flipped) + rest,
+	} {
+		edited := filepath.Join(t.TempDir(), "edited")
+		if err := os.Mkdir(edited, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for file, body := range files {
+			if file == "labels.tsv" {
+				body = []byte(labels)
+			}
+			if err := os.WriteFile(filepath.Join(edited, file), body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resumed, err := core.OpenStore(edited, task, opts)
+		if err == nil {
+			resumed.Close()
+			t.Errorf("%s: OpenStore resumed the edited snapshot", name)
+			continue
+		}
+		if want := "candidate " + row[0] + " / lf " + row[1]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: OpenStore = %v, want an error naming %q", name, err, want)
+		}
+	}
+}
+
 // storeState is what a refused or failed call must leave alone.
 type storeState struct {
 	epoch  uint64
@@ -444,7 +505,7 @@ func snapshotOf(t *testing.T, st *core.Store) map[string][]byte {
 // ErrInvalidDocument, and the refusal is whole — on every backend the
 // batch it arrived in (a good document first, so a store that merged
 // before it validated would keep that one) leaves the epoch, the
-// document list, the candidate count, all eight relations and the
+// document list, the candidate count, all six relations and the
 // snapshot bytes as they were, and the session goes on to resume.
 func TestStoreRejectsSeparatorBytes(t *testing.T) {
 	b := datamodel.NewBuilder("evil", "html")
@@ -463,8 +524,8 @@ func TestStoreRejectsSeparatorBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, snapBefore := stateOf(st), snapshotOf(t, st)
-			if len(before.tables) != 8 {
-				t.Fatalf("store has %d relations, want 8", len(before.tables))
+			if len(before.tables) != 6 {
+				t.Fatalf("store has %d relations, want 6", len(before.tables))
 			}
 
 			err := st.AddDocuments(corpus.Docs[2], evil)
