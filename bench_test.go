@@ -204,66 +204,6 @@ func benchServeRead(b *testing.B, paths []string) {
 	}
 }
 
-// BenchmarkServeKBFilteredRead measures the serving layer's filtered
-// KB read primitive — Table.PageWhere, the storage call behind
-// /kb?col=value, on the zone-map scan plan — over a 32-page table of
-// each paged kind, two ways. Clustered: one group value per page, so
-// zone maps prune 31 pages and the read is one page's predicate column
-// plus a 50-row window. Scattered: every page holds one row of each of
-// 128 groups, so nothing prunes and the read is the predicate column of
-// every page plus the 32 matching rows. (The exact per-column decode
-// counts are TestColumnarInPagePruning's.)
-func BenchmarkServeKBFilteredRead(b *testing.B) {
-	for _, kind := range []string{"disk", "columnar"} {
-		b.Run(kind+"/clustered", func(b *testing.B) { benchFilteredRead(b, kind, false) })
-		b.Run(kind+"/scattered", func(b *testing.B) { benchFilteredRead(b, kind, true) })
-	}
-}
-
-func benchFilteredRead(b *testing.B, kind string, scattered bool) {
-	engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), "spill"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := kbase.NewDBWith(engine)
-	defer db.Close()
-	schema, err := kbase.NewSchema("kb", "part", "grp", "n:integer")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tbl, err := db.Create(schema)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rows, pageRows = 4096, 128 // 32 full pages of the default geometry
-	limit, matches := 50, pageRows   // clustered: g007 is all of page 7
-	if scattered {
-		limit, matches = rows/pageRows, rows/pageRows // one g007 row per page
-	}
-	for i := 0; i < rows; i++ {
-		grp := i / pageRows
-		if scattered {
-			grp = i % pageRows
-		}
-		if _, err := tbl.Insert(kbase.Tuple{fmt.Sprintf("p%05d", i), fmt.Sprintf("g%03d", grp), i}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tbl.SetAutoIndex(false) // the scan plan, not index lookups
-	preds := []kbase.Pred{{Col: 1, Want: "g007"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		page, total := tbl.PageWhere(preds, 0, limit)
-		if total != matches || len(page) != limit {
-			b.Fatalf("PageWhere: %d rows, total %d, want %d of %d", len(page), total, limit, matches)
-		}
-	}
-	if pruned := tbl.BackendStats().PagesSkipped > 0; pruned == scattered {
-		b.Fatalf("zone maps pruned = %v on a table with scattered = %v", pruned, scattered)
-	}
-}
-
 // BenchmarkServeMultiTenantRead measures the session registry's read
 // path under a mixed fleet workload: 8 populated tenants in one
 // registry, concurrent clients rotating reads across every tenant's

@@ -82,7 +82,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
+	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (the same pages and cache, with the pages on the heap; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
 	// Deprecated: parsed documents stay in memory (DESIGN.md, "Why
 	// documents stay resident"). The flag is accepted only because
 	// benchmark/ still passes it to its store_spill server; it goes when

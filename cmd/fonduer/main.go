@@ -41,7 +41,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("out", "", "write each relation's KB as TSV into this directory")
 	store := flag.String("store", "", "persist the session's relations under this directory and resume from them when present")
-	backend := flag.String("backend", "", "storage engine for -store sessions: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory)")
+	backend := flag.String("backend", "", "storage engine for -store sessions: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (the same pages and cache, with the pages on the heap; default: $FONDUER_BACKEND, else memory)")
 	logLevel := flag.String("log-level", "warn", "structured-log level: debug, info, warn, error (JSON lines on stderr)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address while the pipeline runs (e.g. 127.0.0.1:6060; empty = off)")
 	flag.Parse()

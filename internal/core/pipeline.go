@@ -113,10 +113,9 @@ type Options struct {
 	Batch int
 	// Backend selects the kbase storage engine materializing a Store's
 	// relations: "memory" (every row resident, as typed column vectors)
-	// or one of the two kinds of the paged engine,
-	// whose fixed-size pages are column-major binary blobs pruned by
-	// per-page zones and decoded lazily per column: "disk" (pages in
-	// spill files behind a small cache of decoded pages, so relations
+	// or one of the two kinds of the paged engine, whose fixed-size
+	// pages are column-major binary blobs read back through a small
+	// cache of decoded pages: "disk" (pages in spill files, so relations
 	// stream instead of residing in RAM) or "columnar" (the same pages
 	// on the heap). The zero
 	// value "" is a sentinel consulting $FONDUER_BACKEND first (how CI

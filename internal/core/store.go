@@ -229,11 +229,6 @@ type StorageStats struct {
 	DiskPages                      int
 	PageCacheHits, PageCacheMisses int64
 	PageCacheHitRate               float64
-	// PagesSkipped counts pages pruned by zone maps on filtered reads;
-	// IndexHits / FullScans count how filtered reads were planned
-	// (hash index vs scan).
-	PagesSkipped         int64
-	IndexHits, FullScans int64
 }
 
 // StorageStats reports the store's current storage counters. Like all
@@ -249,9 +244,6 @@ func (s *Store) StorageStats() StorageStats {
 		PageCacheHits:    dbs.CacheHits,
 		PageCacheMisses:  dbs.CacheMisses,
 		PageCacheHitRate: dbs.HitRate(),
-		PagesSkipped:     dbs.PagesSkipped,
-		IndexHits:        dbs.IndexHits,
-		FullScans:        dbs.FullScans,
 	}
 }
 

@@ -265,9 +265,9 @@ func (s *Store) docRelationRows(table string, rr *rowRange, docCol int, name str
 	if rr.contig {
 		return tbl.Page(rr.first, rr.count)
 	}
-	// Push the doc-name filter into storage: on the paged backends the
-	// scan then skips pages whose zone maps exclude the name instead of
-	// decoding the whole relation.
+	// Push the doc-name filter into storage: the table's planner answers
+	// it by a scan of every page, and through a hash index on the doc
+	// column from the second such read on.
 	var out []kbase.Tuple
 	tbl.ScanWhere([]kbase.Pred{{Col: docCol, Want: name}}, func(tp kbase.Tuple) bool {
 		out = append(out, tp.Clone())

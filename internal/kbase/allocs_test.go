@@ -78,11 +78,9 @@ func TestInsertAllocs(t *testing.T) {
 // TestSealAllocs is the allocation guard of filling and sealing a page:
 // the 128 appends that fill a paged backend's open page — 128 distinct
 // strings among them — and the seal the last one triggers, encoding the
-// page, putting it and building its zone map. A page costs O(columns)
-// objects: its vectors, allocated together, its dictionary's values and
-// boxes, one exactly sized blob, and the values the zone's min, max and
-// distinct slots adopt — where boxing a string cell per row cost one per
-// row, and rendering every numeric cell to a string one per cell.
+// page and putting it. A page costs a handful of objects: its vectors,
+// allocated together, its dictionary's values and boxes, and one exactly
+// sized blob — where boxing a string cell per row cost one per row.
 func TestSealAllocs(t *testing.T) {
 	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
 	const pageRows = 128
@@ -117,7 +115,7 @@ func TestSealAllocs(t *testing.T) {
 		t.Fatalf("sealed %d pages, want %d", pages, runs)
 	}
 	t.Logf("filling and sealing a %d-row, %d-column page: %d allocations", pageRows, schema.Arity(), page)
-	if limit := uint64(16 * schema.Arity()); page > limit {
+	if limit := uint64(4 * schema.Arity()); page > limit {
 		t.Errorf("filling and sealing a page costs %d allocations, want <= %d (it has %d cells)", page, limit, pageRows*schema.Arity())
 	}
 }
@@ -156,8 +154,8 @@ func featureRows(t *testing.T, tbl *Table, n, names int) {
 // payload (two int64s and a dictionary id), the index's 11–15, and the
 // share of the table-wide dictionary — where a boxed row cost about 135.
 // It logs what the same rows cost the other kinds, whose dictionaries are
-// a page's: the encoded pages on the heap (columnar), or only the zone
-// maps, the segment's page directory and the open page (disk).
+// a page's: the encoded pages on the heap (columnar), or only the
+// segment's page directory and the open page (disk), which it bounds too.
 func TestMemoryBackendBytesPerRow(t *testing.T) {
 	const n, names = 200_000, 5_000
 	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
@@ -173,8 +171,8 @@ func TestMemoryBackendBytesPerRow(t *testing.T) {
 		perRow := float64(liveHeap()-before) / n
 		runtime.KeepAlive(tbl)
 		t.Logf("%s backend: %.1f B/row at %d rows over %d names", engine.Kind(), perRow, n, names)
-		if engine.Kind() == "memory" && perRow > 40 {
-			t.Errorf("a features row costs %.1f B on the memory backend, want <= 40", perRow)
+		if limit := map[string]float64{"memory": 40, "disk": 15}[engine.Kind()]; limit > 0 && perRow > limit {
+			t.Errorf("a features row costs %.1f B on the %s backend, want <= %.0f", perRow, engine.Kind(), limit)
 		}
 		if err := tbl.Close(); err != nil {
 			t.Fatal(err)

@@ -53,7 +53,7 @@ type matcher struct {
 
 type compiledPred struct {
 	col    int
-	want   string // rendered probe (zone-map checks use this)
+	want   string // rendered probe: what float and string cells and the index's hash compare against
 	intVal int64  // parsed probe when intOK
 	intOK  bool
 }
@@ -151,10 +151,6 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 //     fills, counting always runs to the end — except that with no
 //     predicates the count is Len, so the walk goes straight to the
 //     offset's page and stops after the window.
-//   - Either read may prune sealed pages that provably hold no match,
-//     and must never skip a matching row. Page also returns how many
-//     pages this call pruned (0 without predicates, and always on the
-//     memory kind, which seals none).
 //   - Concurrency: Append may run beside any number of reads, and reads
 //     beside each other; a read sees the rows stored when it began.
 //     DeleteWhere must run beside nothing.
@@ -180,7 +176,7 @@ type Backend interface {
 	// Scan is the streaming read: see the contract above.
 	Scan(at []int, m matcher, fn func(Tuple) bool)
 	// Page is the windowed read: see the contract above.
-	Page(at []int, m matcher, offset, limit int) (rows []Tuple, total, pruned int)
+	Page(at []int, m matcher, offset, limit int) (rows []Tuple, total int)
 	// DeleteWhere removes rows satisfying pred (which borrows its tuple,
 	// as Scan's callback does), returning how many were removed.
 	DeleteWhere(pred func(Tuple) bool) int
@@ -206,25 +202,9 @@ type BackendStats struct {
 	// CacheHits / CacheMisses count decoded-page cache lookups. A miss
 	// fetches and decodes one full page.
 	CacheHits, CacheMisses int64
-	// PagesSkipped counts pages pruned by zone maps during filtered
-	// reads, cumulatively — pages never fetched or decoded.
-	PagesSkipped int64
 	// IndexHits counts filtered reads answered through a hash index;
-	// FullScans counts filtered reads that had to scan (on the paged
-	// engines, still zone-map pruned).
+	// FullScans counts filtered reads that walked every page.
 	IndexHits, FullScans int64
-}
-
-// Add accumulates other's counters into s (Pages included: callers
-// summing stats across tables want total resident pages). Used when
-// aggregating one store's tables or a serving view plus its store.
-func (s *BackendStats) Add(other BackendStats) {
-	s.Pages += other.Pages
-	s.CacheHits += other.CacheHits
-	s.CacheMisses += other.CacheMisses
-	s.PagesSkipped += other.PagesSkipped
-	s.IndexHits += other.IndexHits
-	s.FullScans += other.FullScans
 }
 
 // Engine creates backends — one per table — sharing a storage policy

@@ -462,6 +462,30 @@ func TestDiskBackendPaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSpill("after Close", 0)
+
+	// A filtered read walks sealed pages through the LRU too: over a table
+	// whose cache holds every page, the second pass of a scan-plan read is
+	// all hits.
+	roomy, err := NewDiskEngine(filepath.Join(t.TempDir(), "roomy"), 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer roomy.Close()
+	cached := newBackedTable(t, roomy, mustSchema(t, "c", "part", "n:integer"))
+	cached.SetAutoIndex(false)
+	fillParts(t, cached, 19) // 4 sealed pages + 3-row tail
+	where := []Pred{{Col: 1, Want: "7"}}
+	if _, total := cached.PageWhere(where, 0, 0); total != 1 {
+		t.Fatalf("first filtered pass: total %d", total)
+	}
+	before := cached.BackendStats()
+	if _, total := cached.PageWhere(where, 0, 0); total != 1 {
+		t.Fatalf("second filtered pass: total %d", total)
+	}
+	if after := cached.BackendStats(); after.CacheMisses != before.CacheMisses || after.CacheHits != before.CacheHits+4 {
+		t.Fatalf("second filtered pass: %d hits, %d misses; want 4 hits, 0 misses",
+			after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses)
+	}
 }
 
 // TestDiskDescriptorLifecycle pins what a disk relation costs in file
@@ -646,7 +670,7 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			store := &faultyStore{pageStore: inner, failPut: 1, putFails: 1, failGet: -1}
 			b := newPagedBackend("paged", schema, store, 4, 2)
-			state := func() (rows []Tuple, zones int) {
+			state := func() (rows []Tuple) {
 				b.Scan(nil, matcher{}, func(tp Tuple) bool {
 					rows = append(rows, tp.Clone())
 					return true
@@ -659,32 +683,29 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 						t.Fatalf("Get(%d) = %v, Scan saw %v", i, got, tp)
 					}
 				}
-				return rows, len(b.zones)
+				return rows
 			}
 			for i := 0; i < 7; i++ {
 				if err := appendRow(b, schema, row(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			wantRows, wantZones := state() // 1 sealed page + 3-row tail
-			if wantZones != 1 {
-				t.Fatalf("zones = %d, want 1", wantZones)
-			}
+			wantRows := state() // 1 sealed page + 3-row tail
 			// Row 7 fills page 1, whose put fails.
 			if err := appendRow(b, schema, row(7)); err == nil || !strings.Contains(err.Error(), "injected put fault") {
 				t.Fatalf("Append over a failing put = %v", err)
 			}
-			if rows, zones := state(); !reflect.DeepEqual(rows, wantRows) || zones != wantZones || b.Stats().Pages != 1 {
-				t.Fatalf("failed Append left %d rows, %d zones, %d pages; want %d, %d, 1",
-					len(rows), zones, b.Stats().Pages, len(wantRows), wantZones)
+			if rows := state(); !reflect.DeepEqual(rows, wantRows) || b.Stats().Pages != 1 {
+				t.Fatalf("failed Append left %d rows, %d pages; want %d, 1",
+					len(rows), b.Stats().Pages, len(wantRows))
 			}
 			// The retry seals the page.
 			if err := appendRow(b, schema, row(7)); err != nil {
 				t.Fatalf("retry: %v", err)
 			}
-			rows, zones := state()
-			if len(rows) != 8 || !reflect.DeepEqual(rows[7], row(7)) || zones != 2 || b.Stats().Pages != 2 {
-				t.Fatalf("after retry: %d rows, %d zones, %d pages", len(rows), zones, b.Stats().Pages)
+			rows := state()
+			if len(rows) != 8 || !reflect.DeepEqual(rows[7], row(7)) || b.Stats().Pages != 2 {
+				t.Fatalf("after retry: %d rows, %d pages", len(rows), b.Stats().Pages)
 			}
 
 			// A page that cannot be read back: cached pages still
@@ -723,9 +744,9 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 		if err := appendRow(b, schema, row(11)); err == nil {
 			t.Fatal("Append over a read-only segment succeeded")
 		}
-		if b.Len() != 11 || len(b.zones) != 2 || b.Stats().Pages != 2 || !reflect.DeepEqual(store.ends, ends) {
-			t.Fatalf("failed Append left %d rows, %d zones, %d pages, directory %v; want 11, 2, 2, %v",
-				b.Len(), len(b.zones), b.Stats().Pages, store.ends, ends)
+		if b.Len() != 11 || b.Stats().Pages != 2 || !reflect.DeepEqual(store.ends, ends) {
+			t.Fatalf("failed Append left %d rows, %d pages, directory %v; want 11, 2, %v",
+				b.Len(), b.Stats().Pages, store.ends, ends)
 		}
 		store.f.Close()
 		store.f = rw
@@ -754,11 +775,11 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 	})
 }
 
-// TestPlanInfoPagesSkippedConcurrent pins PlanInfo.PagesSkipped to the
-// pages *this* read pruned: concurrent filtered reads with different,
-// known prune counts over one disk table each see exactly their own.
-// Run with -race.
-func TestPlanInfoPagesSkippedConcurrent(t *testing.T) {
+// TestScanPlanConcurrent races filtered reads of known answers over one
+// disk table whose pages outnumber its cache: every read takes the scan
+// plan and walks the pages through the shared LRU, and each sees exactly
+// its own total. Run with -race.
+func TestScanPlanConcurrent(t *testing.T) {
 	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -768,14 +789,13 @@ func TestPlanInfoPagesSkippedConcurrent(t *testing.T) {
 	tbl.SetAutoIndex(false) // every read takes the scan plan
 	fillWidgets(t, tbl, 64) // 16 pages, grp g0..g7 → 2 pages per group
 	reads := []struct {
-		preds   []Pred
-		total   int
-		skipped int64
+		preds []Pred
+		total int
 	}{
-		{[]Pred{{Col: 1, Want: "g3"}}, 8, 14},                       // 2 pages hold g3
-		{[]Pred{{Col: 0, Want: "p010"}}, 1, 15},                     // 1 page holds p010
-		{[]Pred{{Col: 1, Want: "nope"}}, 0, 16},                     // no page can match
-		{[]Pred{{Col: 1, Want: "g5"}, {Col: 2, Want: "44"}}, 1, 15}, // conjunction prunes on both
+		{[]Pred{{Col: 1, Want: "g3"}}, 8},
+		{[]Pred{{Col: 0, Want: "p010"}}, 1},
+		{[]Pred{{Col: 1, Want: "nope"}}, 0},
+		{[]Pred{{Col: 1, Want: "g5"}, {Col: 2, Want: "44"}}, 1},
 	}
 	const readers, rounds = 8, 150
 	var wg sync.WaitGroup
@@ -786,17 +806,15 @@ func TestPlanInfoPagesSkippedConcurrent(t *testing.T) {
 			rd := reads[r%len(reads)]
 			for i := 0; i < rounds; i++ {
 				_, total, info := tbl.PageWhereInfo(rd.preds, 0, 3)
-				if total != rd.total || info.Plan != "scan" || info.PagesSkipped != rd.skipped {
-					t.Errorf("reader %d round %d: total %d plan %q skipped %d, want %d scan %d",
-						r, i, total, info.Plan, info.PagesSkipped, rd.total, rd.skipped)
+				if total != rd.total || info.Plan != "scan" {
+					t.Errorf("reader %d round %d: total %d plan %q, want %d scan", r, i, total, info.Plan, rd.total)
 					return
 				}
 			}
 		}(r)
 	}
 	wg.Wait()
-	// The cumulative counter still adds every read up.
-	if got, want := tbl.BackendStats().PagesSkipped, int64(rounds*2*(14+15+16+15)); got != want {
-		t.Fatalf("cumulative PagesSkipped = %d, want %d", got, want)
+	if got, want := tbl.BackendStats().FullScans, int64(readers*rounds); got != want {
+		t.Fatalf("FullScans = %d, want %d", got, want)
 	}
 }

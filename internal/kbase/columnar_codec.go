@@ -29,8 +29,8 @@ import (
 // floats) makes decode bit-exact — NaN payloads, -0 and subnormals
 // round-trip unchanged — so rendered values, snapshots and predicate
 // semantics are byte-identical to an open page's. The header's
-// per-column block lengths let a reader locate any single column in
-// O(arity) without touching the other columns' bytes.
+// per-column block lengths delimit the blocks, so parse slices a blob
+// into its columns without reading a cell.
 type binaryCodec struct{}
 
 // Column type tags in the binary page format.
@@ -103,7 +103,6 @@ func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 // tag-prefixed block, sliced out of the (immutable) page blob without
 // copying or decoding any cells.
 type parsedPage struct {
-	l      *layout
 	nrows  int
 	blocks [][]byte
 }
@@ -127,7 +126,7 @@ func (binaryCodec) parse(l *layout, blob []byte) (parsedPage, error) {
 		lens[c] = int(size)
 		off += n
 	}
-	pg := parsedPage{l: l, nrows: int(nrows), blocks: make([][]byte, arity)}
+	pg := parsedPage{nrows: int(nrows), blocks: make([][]byte, arity)}
 	for c := 0; c < arity; c++ {
 		if lens[c] > len(blob)-off {
 			return parsedPage{}, fmt.Errorf("kbase: columnar page for %s: column %d block truncated", name, c)
@@ -185,24 +184,42 @@ func stringColIndex(blk []byte, nrows int) (offs []int, data []byte, err error) 
 	return offs, data, nil
 }
 
-// decode materializes every row of a page — the full decode behind the
-// decoded-page cache and delete rewrites — and reports the decoded cells
-// to count.
-func (c binaryCodec) decode(l *layout, page []byte, count func(col, cells int)) (pageView, error) {
-	pg, err := c.parse(l, page)
+// decode materializes every row of a page as a page of its own — the
+// decode behind the decoded-page cache and delete rewrites. A string
+// column's dictionary is its cells in order, cut from one string and
+// boxed in one allocation.
+func (bc binaryCodec) decode(l *layout, page []byte) (pageView, error) {
+	pg, err := bc.parse(l, page)
 	if err != nil {
 		return pageView{}, err
 	}
-	return pg.rows(pg.all(), count)
-}
-
-// all returns every row position of the page, ascending.
-func (pg parsedPage) all() []int {
-	sel := make([]int, pg.nrows)
-	for r := range sel {
-		sel[r] = r
+	n := pg.nrows
+	v := pageView{l: l, colPage: l.newPage(n), n: n, dicts: make([]dict, l.width[StringCol])}
+	for c, t := range l.types {
+		blk, at := pg.blocks[c], l.slot[c]*n
+		switch t {
+		case IntCol:
+			for r := 0; r < n; r++ {
+				v.ints[at+r] = intColCell(blk, r)
+			}
+		case FloatCol:
+			for r := 0; r < n; r++ {
+				v.floats[at+r] = floatColCell(blk, r)
+			}
+		default:
+			offs, data, err := stringColIndex(blk, n)
+			if err != nil {
+				return pageView{}, err
+			}
+			span, strs, vals := string(data), make([]string, n), make([]any, n)
+			for r := range strs {
+				strs[r] = span[offs[r]:offs[r+1]]
+				vals[r], v.ids[at+r] = stringBox(&strs[r]), uint32(r)
+			}
+			v.dicts[l.slot[c]].vals = vals
+		}
 	}
-	return sel
+	return v, nil
 }
 
 // writeTSV renders the page's rows straight from the column blocks, no
@@ -241,92 +258,4 @@ func (bc binaryCodec) writeTSV(w io.Writer, l *layout, page []byte) error {
 	}
 	_, err = w.Write(buf)
 	return err
-}
-
-// cellPred compiles one predicate against the page into a per-row test
-// over the raw column vector. String columns compare cell bytes against
-// the probe (the conversion in the comparison does not allocate), int
-// columns compare raw int64s, and float columns render only the
-// predicate column's cell — never any other column.
-func (pg parsedPage) cellPred(p compiledPred) (func(row int) bool, error) {
-	blk := pg.blocks[p.col]
-	switch pg.l.types[p.col] {
-	case IntCol:
-		// compilePreds proved the probe canonical (intOK), else the
-		// matcher is impossible and no page is ever evaluated.
-		return func(row int) bool { return intColCell(blk, row) == p.intVal }, nil
-	case FloatCol:
-		return func(row int) bool { return renderCell(floatColCell(blk, row)) == p.want }, nil
-	default:
-		offs, data, err := stringColIndex(blk, pg.nrows)
-		return func(row int) bool { return string(data[offs[row]:offs[row+1]]) == p.want }, err
-	}
-}
-
-// match evaluates a non-empty conjunction against the page, decoding
-// only predicate columns, and returns the matching row positions in
-// page order: the first predicate examines every row, each further one
-// only the survivors. Examined cells are reported to count (column,
-// cells); non-predicate columns are never touched.
-func (pg parsedPage) match(m matcher, count func(col, cells int)) ([]int, error) {
-	sel := pg.all()
-	for _, p := range m.preds {
-		if len(sel) == 0 {
-			break
-		}
-		test, err := pg.cellPred(p)
-		if err != nil {
-			return nil, err
-		}
-		count(p.col, len(sel))
-		kept := sel[:0]
-		for _, r := range sel {
-			if test(r) {
-				kept = append(kept, r)
-			}
-		}
-		sel = kept
-	}
-	return sel, nil
-}
-
-// rows materializes the given (ascending) row positions as a page of
-// their own, decoding each column only at those positions — the lazy
-// half of a filtered read, and with every position the full decode — and
-// reports the decoded cells to count. A string column's dictionary is its
-// cells in order, boxed in one allocation.
-func (pg parsedPage) rows(sel []int, count func(col, cells int)) (pageView, error) {
-	v := pageView{l: pg.l, colPage: pg.l.newPage(len(sel)), n: len(sel), dicts: make([]dict, pg.l.width[StringCol])}
-	for c, t := range pg.l.types {
-		blk, at := pg.blocks[c], pg.l.slot[c]*v.rows
-		switch t {
-		case IntCol:
-			for k, r := range sel {
-				v.ints[at+k] = intColCell(blk, r)
-			}
-		case FloatCol:
-			for k, r := range sel {
-				v.floats[at+k] = floatColCell(blk, r)
-			}
-		default:
-			offs, data, err := stringColIndex(blk, pg.nrows)
-			if err != nil {
-				return pageView{}, err
-			}
-			strs, vals := make([]string, len(sel)), make([]any, len(sel))
-			if len(sel) > 0 {
-				// The cells are cut from one string: the bytes from the
-				// first selected cell to the last.
-				base := offs[sel[0]]
-				span := string(data[base:offs[sel[len(sel)-1]+1]])
-				for k, r := range sel {
-					strs[k] = span[offs[r]-base : offs[r+1]-base]
-					vals[k], v.ids[at+k] = stringBox(&strs[k]), uint32(k)
-				}
-			}
-			v.dicts[pg.l.slot[c]].vals = vals
-		}
-		count(c, len(sel))
-	}
-	return v, nil
 }

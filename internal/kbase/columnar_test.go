@@ -2,107 +2,8 @@ package kbase
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
-
-// TestColumnarInPagePruning is the tentpole's decode-accounting
-// assertion: a filtered read on the columnar engine decodes the
-// predicate column to find matches, materializes the other columns
-// only at the window's surviving positions, and never touches pruned
-// pages at all.
-func TestColumnarInPagePruning(t *testing.T) {
-	engine := NewColumnarEngine(4, 2)
-	defer engine.Close()
-	tbl := newBackedTable(t, engine, whereSchema(t))
-	tbl.SetAutoIndex(false) // measure the scan path, not index plans
-	fillWidgets(t, tbl, 64) // 16 pages, grp g0..g7 → 2 pages per group
-
-	stats := func() ColumnarStats {
-		cs, ok := tbl.ColumnarStats()
-		if !ok {
-			t.Fatal("ColumnarStats() not available on a columnar table")
-		}
-		return cs
-	}
-	delta := func(a, b ColumnarStats) (skipped int64, cells []int64) {
-		cells = make([]int64, len(b.CellsDecoded))
-		for c := range cells {
-			cells[c] = b.CellsDecoded[c] - a.CellsDecoded[c]
-		}
-		return b.PagesSkipped - a.PagesSkipped, cells
-	}
-
-	s0 := stats()
-	if s0.Pages != 16 {
-		t.Fatalf("pages = %d, want 16", s0.Pages)
-	}
-
-	// Full-window read: 14 of 16 pages pruned before parsing; on the 2
-	// surviving pages the grp column is examined in full (8 cells) and
-	// all 8 matches materialize every column.
-	rows, total := tbl.PageWhere([]Pred{{Col: 1, Want: "g3"}}, 0, 0)
-	if total != 8 || len(rows) != 8 || rows[0][0] != "p024" || rows[7][0] != "p031" {
-		t.Fatalf("PageWhere(g3): %d rows, total %d: %v", len(rows), total, rows)
-	}
-	s1 := stats()
-	skipped, cells := delta(s0, s1)
-	if skipped != 14 {
-		t.Fatalf("PagesSkipped delta = %d, want 14", skipped)
-	}
-	if want := []int64{8, 16, 8, 8}; !reflect.DeepEqual(cells, want) {
-		t.Fatalf("CellsDecoded delta = %v, want %v (predicate col examined 8 + materialized 8; others materialized 8)", cells, want)
-	}
-
-	// Windowed read (offset 2, limit 3): the predicate column is still
-	// examined on both surviving pages (total must stay exact), but the
-	// unselected columns decode exactly the 3 window cells each.
-	rows, total = tbl.PageWhere([]Pred{{Col: 1, Want: "g3"}}, 2, 3)
-	if total != 8 || len(rows) != 3 || rows[0][0] != "p026" || rows[2][0] != "p028" {
-		t.Fatalf("PageWhere(g3, 2, 3): %d rows, total %d: %v", len(rows), total, rows)
-	}
-	s2 := stats()
-	skipped, cells = delta(s1, s2)
-	if skipped != 14 {
-		t.Fatalf("windowed PagesSkipped delta = %d, want 14", skipped)
-	}
-	if want := []int64{3, 11, 3, 3}; !reflect.DeepEqual(cells, want) {
-		t.Fatalf("windowed CellsDecoded delta = %v, want %v", cells, want)
-	}
-
-	// A probe outside every page's distinct set prunes all 16 pages:
-	// nothing is parsed, decoded or materialized.
-	if rows, total := tbl.PageWhere([]Pred{{Col: 1, Want: "nope"}}, 0, 0); total != 0 || rows != nil {
-		t.Fatalf("PageWhere(nope): %d rows, total %d", len(rows), total)
-	}
-	s3 := stats()
-	skipped, cells = delta(s2, s3)
-	if skipped != 16 {
-		t.Fatalf("no-match PagesSkipped delta = %d, want 16", skipped)
-	}
-	if want := []int64{0, 0, 0, 0}; !reflect.DeepEqual(cells, want) {
-		t.Fatalf("no-match CellsDecoded delta = %v, want %v", cells, want)
-	}
-
-	// A conjunction prunes through *both* columns' zones — grp=g3
-	// admits pages 6 and 7, but n=25 is outside page 7's exact distinct
-	// set, so only page 6 is ever parsed — and evaluates the second
-	// predicate only at the first predicate's surviving positions.
-	rows, total = tbl.PageWhere([]Pred{{Col: 1, Want: "g3"}, {Col: 2, Want: "25"}}, 0, 0)
-	if total != 1 || len(rows) != 1 || rows[0][0] != "p025" {
-		t.Fatalf("conjunction: %d rows, total %d: %v", len(rows), total, rows)
-	}
-	skipped, cells = delta(s3, stats())
-	if skipped != 15 {
-		t.Fatalf("conjunction PagesSkipped delta = %d, want 15", skipped)
-	}
-	// grp: 4 examined on page 6 + 1 materialized; n: 4 examined (grp
-	// matched every row of the page) + 1 materialized; part/score: 1
-	// materialized each.
-	if want := []int64{1, 5, 5, 1}; !reflect.DeepEqual(cells, want) {
-		t.Fatalf("conjunction CellsDecoded delta = %v, want %v", cells, want)
-	}
-}
 
 // TestColumnarCodecRoundTrip pins the binary page codec bit-exactly on
 // the adversarial cells: NaN payloads, negative zero, exponent-form
@@ -120,7 +21,7 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 	}
 	v := viewOf(schema, rows)
 	blob := codec.encode(&v)
-	decoded, err := codec.decode(v.l, blob, func(int, int) {})
+	decoded, err := codec.decode(v.l, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +69,12 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 func TestColumnarParseRejectsCorruptPages(t *testing.T) {
 	schema, codec := mustSchema(t, "codec", "s", "n:integer"), binaryCodec{}
 	v := viewOf(schema, []Tuple{{"hello", int64(7)}, {"world", int64(8)}})
-	blob, none := codec.encode(&v), func(int, int) {}
+	blob := codec.encode(&v)
 	if _, err := codec.parse(v.l, blob); err != nil {
 		t.Fatalf("valid page rejected: %v", err)
 	}
 	for i := 1; i < len(blob); i++ {
-		if _, err := codec.decode(v.l, blob[:i], none); err == nil {
+		if _, err := codec.decode(v.l, blob[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
@@ -181,10 +82,10 @@ func TestColumnarParseRejectsCorruptPages(t *testing.T) {
 	// must trip the tag check, and trailing garbage the length check.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-17] = 0xff
-	if _, err := codec.decode(v.l, bad, none); err == nil {
+	if _, err := codec.decode(v.l, bad); err == nil {
 		t.Fatal("flipped column tag accepted")
 	}
-	if _, err := codec.decode(v.l, append(append([]byte(nil), blob...), 0x00), none); err == nil {
+	if _, err := codec.decode(v.l, append(append([]byte(nil), blob...), 0x00)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }

@@ -91,7 +91,6 @@ func FuzzTSVRoundTrip(f *testing.F) {
 func FuzzColumnarPageRoundTrip(f *testing.F) {
 	schema, codec := fuzzSchema(f), binaryCodec{}
 	fuzzSeeds(f)
-	none := func(int, int) {}
 	f.Fuzz(func(t *testing.T, a, b string, n int64, fbits uint64) {
 		rows := []Tuple{
 			{a, b, n, math.Float64frombits(fbits)},
@@ -111,7 +110,7 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 			t.Fatalf("appendTSV = %q, reference renders %q", open, want.Bytes())
 		}
 		page := codec.encode(&v)
-		decoded, err := codec.decode(v.l, page, none)
+		decoded, err := codec.decode(v.l, page)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -138,7 +137,7 @@ func FuzzColumnarPageRoundTrip(f *testing.F) {
 			damaged[int(fbits%uint64(len(damaged)))] ^= byte(n) | 1
 		}
 		for _, junk := range [][]byte{[]byte(a), []byte(b), damaged, damaged[:len(damaged)/2]} {
-			if dv, err := codec.decode(v.l, junk, none); err == nil {
+			if dv, err := codec.decode(v.l, junk); err == nil {
 				for _, tp := range tuplesOf(&dv) {
 					if len(tp) != schema.Arity() {
 						t.Fatalf("decode(%q) returned a %d-column row", junk, len(tp))

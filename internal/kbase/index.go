@@ -7,9 +7,9 @@ import (
 )
 
 // Lazy secondary hash indexes and the tiny planner that routes each
-// filtered read to the cheapest access path:
+// filtered read to one of two access paths:
 //
-//	index → zone-map scan → full scan
+//	index → scan
 //
 // An index maps fnv64(rendered column value) → ascending row
 // positions. Columns become index candidates ("hot") either
@@ -28,8 +28,8 @@ import (
 // positions in ascending (= insertion) order — and the backend verifies
 // every one against the full compiled conjunction (hash collisions and
 // the other predicates), so it emits exactly the rows a scan would, in
-// the same order. The scan plan hands it none, and the paged engines
-// prune pages through zone maps.
+// the same order. The scan plan hands it none, and the backend tests
+// every row of every page.
 const autoIndexAfter = 2
 
 // maxIndexedRows caps index builds; a var so tests can lower it.
@@ -154,7 +154,7 @@ func buildColIndex(be Backend, col int) *colIndex {
 // ScanWhere calls fn for every tuple satisfying all predicates, in
 // insertion order, until fn returns false. The tuple is borrowed,
 // like Scan's. The planner may answer through a hash index or a
-// (zone-map pruned) backend scan; both emit identical rows.
+// backend scan; both emit identical rows.
 func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
 	m := compilePreds(t.schema, preds)
 	if m.impossible {
@@ -167,12 +167,9 @@ func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
 // query logging and tracing. Plan is one of "unfiltered" (no
 // predicates), "impossible" (a predicate no row can satisfy: a missing
 // column or a non-canonical integer probe), "index" (hash-index probe)
-// or "scan" (backend scan, zone-map pruned on the paged engines).
-// PagesSkipped is the number of pages this read pruned — exact under
-// concurrent readers, 0 for the memory engine and for non-scan plans.
+// or "scan" (a walk of every page).
 type PlanInfo struct {
-	Plan         string
-	PagesSkipped int64
+	Plan string
 }
 
 // PageWhere returns detached clones of up to limit matching tuples
@@ -194,7 +191,7 @@ func (t *Table) PageWhereInfo(preds []Pred, offset, limit int) ([]Tuple, int, Pl
 		return nil, 0, PlanInfo{Plan: "impossible"}
 	}
 	at := t.choosePlan(m)
-	out, total, pruned := t.be.Page(at, m, offset, limit)
+	out, total := t.be.Page(at, m, offset, limit)
 	plan := "scan"
 	switch {
 	case at != nil:
@@ -202,5 +199,5 @@ func (t *Table) PageWhereInfo(preds []Pred, offset, limit int) ([]Tuple, int, Pl
 	case len(m.preds) == 0:
 		plan = "unfiltered"
 	}
-	return out, total, PlanInfo{Plan: plan, PagesSkipped: int64(pruned)}
+	return out, total, PlanInfo{Plan: plan}
 }

@@ -441,7 +441,7 @@ func (t *Table) Tuples() []Tuple {
 // negative or zero limit means "to the end"; offsets past the end
 // return nil.
 func (t *Table) Page(offset, limit int) []Tuple {
-	rows, _, _ := t.be.Page(nil, matcher{}, offset, limit)
+	rows, _ := t.be.Page(nil, matcher{}, offset, limit)
 	return rows
 }
 
@@ -509,7 +509,9 @@ type DBStats struct {
 	// CacheHits / CacheMisses sum the tables' decoded-page cache
 	// lookups.
 	CacheHits, CacheMisses int64
-	// PagesSkipped sums pages pruned by zone maps on filtered reads.
+	// Deprecated: PagesSkipped is always 0: no read skips a page. It is
+	// kept only because benchmark/ still reads it; it goes when the next
+	// benchmark-archetype PR drops that read (ROADMAP item 3(d)).
 	PagesSkipped int64
 	// IndexHits / FullScans sum the tables' filtered-read plan
 	// choices: answered through a hash index vs scanned.
@@ -533,7 +535,6 @@ func (db *DB) Stats() DBStats {
 		out.Pages += bs.Pages
 		out.CacheHits += bs.CacheHits
 		out.CacheMisses += bs.CacheMisses
-		out.PagesSkipped += bs.PagesSkipped
 		out.IndexHits += bs.IndexHits
 		out.FullScans += bs.FullScans
 	}

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Page geometry: rows per page, and decoded pages cached per table of a
@@ -190,8 +189,8 @@ type PagedEngine struct {
 // NewDiskEngine creates a paged engine spilling under dir (a fresh
 // os.MkdirTemp directory when dir is empty, removed on Close).
 // pageRows and cachePages override the default page geometry when
-// positive; cachePages bounds the per-table LRU of fully decoded pages
-// behind Get and unfiltered reads.
+// positive; cachePages bounds the per-table LRU of decoded pages behind
+// Get and every read.
 func NewDiskEngine(dir string, pageRows, cachePages int) (*PagedEngine, error) {
 	e := NewColumnarEngine(pageRows, cachePages) // the geometry; a spill directory makes it "disk"
 	if dir == "" {
@@ -261,56 +260,19 @@ func (e *PagedEngine) Close() error {
 	return nil
 }
 
-// ColumnarStats is a paged backend's decode accounting, exposed for the
-// in-page-pruning tests: it proves filtered reads touch only predicate
-// columns plus the materialized window.
-type ColumnarStats struct {
-	// Pages counts full encoded pages.
-	Pages int
-	// PagesSkipped counts pages pruned by zone maps on filtered reads —
-	// never parsed or decoded.
-	PagesSkipped int64
-	// CellsDecoded counts, per schema column, cells examined by
-	// predicate evaluation plus cells materialized into tuples (by
-	// lazy window materialization or full-page loads). A column that
-	// is neither filtered on nor selected stays at its floor.
-	CellsDecoded []int64
-}
-
-// ColumnarStats returns the table's decode accounting, and false when
-// the table is of the memory kind.
-func (t *Table) ColumnarStats() (ColumnarStats, bool) {
-	b := t.be.(*pagedBackend)
-	if b.store == nil {
-		return ColumnarStats{}, false
-	}
-	cs := ColumnarStats{
-		Pages:        b.Stats().Pages,
-		PagesSkipped: b.skipped.Load(),
-		CellsDecoded: make([]int64, len(b.decoded)),
-	}
-	for c := range b.decoded {
-		cs.CellsDecoded[c] = b.decoded[c].Load()
-	}
-	return cs, true
-}
-
 // pagedBackend is kbase's one Backend: a table's rows as a sequence of
 // pageRows-row typed pages (colPage). The first are sealed — encoded as
-// binaryCodec blobs into the kind's page store, each with an in-memory zone
-// map (zonemap.go) — and the rest are open, filled in place. The "memory"
-// kind has no page store and never seals, so all its pages are open; they
-// share one table-wide dictionary per string column, and its zone maps and
-// cache stay empty. The "disk" and "columnar" kinds seal a page as soon as
-// it fills, so their one open page is the tail, with dictionaries of its
-// own. Reads of whole sealed pages go through a small LRU of decoded
-// pages; filtered reads go around it and decode only what they need.
+// binaryCodec blobs into the kind's page store — and the rest are open,
+// filled in place. The "memory" kind has no page store and never seals, so
+// all its pages are open; they share one table-wide dictionary per string
+// column, and its cache stays empty. The "disk" and "columnar" kinds seal a
+// page as soon as it fills, so their one open page is the tail, with
+// dictionaries of its own. Every read of a sealed page goes through a small
+// LRU of decoded pages, and every read tests rows the same way on sealed
+// and open pages.
 //
 //	Append ─► open page ──(pageRows rows, a store)──► encode ─► store.put
-//	                                              └► buildPageZone ─► zones
-//	Get, unfiltered reads ─► LRU ─(miss)─► store.get ─► decode
-//	filtered reads ─► zones prune ─► store.get ─► predicate columns
-//	                                 ─► the window's rows (columnRows)
+//	Get, reads ─► LRU ─(miss)─► store.get ─► decode
 //
 // Locking: mu guards pageSeq, the LRU and every call into the store. A
 // read takes a snapshot of pageSeq and then takes mu page by page for the
@@ -318,8 +280,8 @@ func (t *Table) ColumnarStats() (ColumnarStats, bool) {
 // paths (Contains during Compare). That is sound because an append only
 // writes cells above the snapshot's row count, into vectors that never
 // move, and only appends to the dictionaries, whose values the snapshot
-// holds up to its own length; sealed pages and zone-map elements never
-// change. So an Append may run beside any number of reads. DeleteWhere
+// holds up to its own length; sealed pages and decoded ones never change.
+// So an Append may run beside any number of reads. DeleteWhere
 // renumbers rows, so it must not run beside a read — the single-writer
 // store sessions never do that.
 //
@@ -343,22 +305,15 @@ type pagedBackend struct {
 	lru    *list.List            // of *cachedPage, front = most recent
 	hits   int64
 	misses int64
-
-	// skipped counts zone-pruned pages and decoded the cells decoded
-	// per column (ColumnarStats.CellsDecoded); both atomic because
-	// filtered reads update them without holding mu.
-	skipped atomic.Int64
-	decoded []atomic.Int64
 }
 
 // pageSeq is a table's row sequence: the sealed pages, then the open
 // pages, whose string cells dicts numbers.
 type pageSeq struct {
-	n     int        // total rows
-	pages int        // sealed pages
-	open  []colPage  // the pages after the sealed ones
-	dicts []dict     // the open pages' dictionaries, one per string column
-	zones []pageZone // one per sealed page, immutable once appended
+	n     int       // total rows
+	pages int       // sealed pages
+	open  []colPage // the pages after the sealed ones
+	dicts []dict    // the open pages' dictionaries, one per string column
 }
 
 // cachedPage is one decoded page in the LRU.
@@ -372,7 +327,6 @@ func newPagedBackend(kind string, schema Schema, store pageStore, pageRows, cach
 		kind: kind, schema: schema, layout: newLayout(schema), store: store,
 		pageRows: pageRows, cachePages: cachePages,
 		cached: map[int]*list.Element{}, lru: list.New(),
-		decoded: make([]atomic.Int64, schema.Arity()),
 	}
 	b.pageSeq = b.emptySeq()
 	return b
@@ -400,11 +354,6 @@ func (b *pagedBackend) lost(p int, err error) {
 	panic(fmt.Sprintf("kbase: %s backend for %s lost page %d: %v", b.kind, b.schema.Name, p, err))
 }
 
-// countDecoded charges cells decoded cells to column col.
-func (b *pagedBackend) countDecoded(col, cells int) {
-	b.decoded[col].Add(int64(cells))
-}
-
 // fetch returns page p's bytes.
 func (b *pagedBackend) fetch(p int) ([]byte, error) {
 	b.mu.Lock()
@@ -419,7 +368,7 @@ func (b *pagedBackend) decodePage(p int) pageView {
 	if err != nil {
 		b.lost(p, err)
 	}
-	v, err := binaryCodec{}.decode(&b.layout, page, b.countDecoded)
+	v, err := binaryCodec{}.decode(&b.layout, page)
 	if err != nil {
 		b.lost(p, err)
 	}
@@ -518,10 +467,9 @@ func (b *pagedBackend) put(pg *colPage, c, at int, v *vector, rows []int) {
 	}
 }
 
-// seal moves the open page to store once it is full: encoded straight
-// from the vectors, with its zone map built from them too, and the next
-// page starts with empty dictionaries. A nil store (the memory kind)
-// never seals. Caller holds mu.
+// seal moves the open page to store once it is full, encoded straight
+// from the vectors, and the next page starts with empty dictionaries. A
+// nil store (the memory kind) never seals. Caller holds mu.
 func (b *pagedBackend) seal(store pageStore) error {
 	if store == nil || b.n < (b.pages+1)*b.pageRows {
 		return nil
@@ -530,7 +478,6 @@ func (b *pagedBackend) seal(store pageStore) error {
 	if err := store.put(b.pages, binaryCodec{}.encode(&v)); err != nil {
 		return fmt.Errorf("kbase: flushing page %d for %s: %w", b.pages, b.schema.Name, err)
 	}
-	b.zones = append(b.zones, buildPageZone(&v))
 	b.pages++
 	b.open = nil // readers may still hold the sealed page
 	for s := range b.dicts {
@@ -609,11 +556,11 @@ func (b *pagedBackend) page(s *pageSeq, p int) pageView {
 // read is the one page walk behind both read methods, over the snapshot
 // s. It numbers the rows matching m in insertion order, calls emit for
 // those the window admits until emit returns false, and returns the match
-// count (exact unless emit stopped the walk) and the number of pages the
-// zone maps ruled out — pages never fetched or decoded. With an index
-// plan's candidate positions in at there is no walk: each is looked up
-// and checked.
-func (b *pagedBackend) read(s *pageSeq, at []int, m matcher, w window, emit func(v *pageView, i int) bool) (total, pruned int) {
+// count (exact unless emit stopped the walk). Every page, sealed or open,
+// comes from page and every row is tested in place. With an index plan's
+// candidate positions in at there is no walk: each is looked up and
+// checked.
+func (b *pagedBackend) read(s *pageSeq, at []int, m matcher, w window, emit func(v *pageView, i int) bool) int {
 	var v pageView // the page at hand: one per read, as emit's pointer moves it to the heap
 	if at != nil {
 		for _, pos := range at {
@@ -622,7 +569,7 @@ func (b *pagedBackend) read(s *pageSeq, at []int, m matcher, w window, emit func
 				break
 			}
 		}
-		return w.seen, 0
+		return w.seen
 	}
 	pages := s.pages + len(s.open)
 	if len(m.preds) == 0 {
@@ -633,65 +580,27 @@ func (b *pagedBackend) read(s *pageSeq, at []int, m matcher, w window, emit func
 		w.seen = first * b.pageRows
 		for p := first; p < pages; p++ {
 			if w.full() {
-				return s.n, 0 // nothing left to emit, and the count is known
+				return s.n // nothing left to emit, and the count is known
 			}
 			v = b.page(s, p)
 			lo, hi := w.take(v.n)
 			for i := lo; i < hi; i++ {
 				if !emit(&v, i) {
-					return w.seen, 0
+					return w.seen
 				}
 			}
 		}
-		return w.seen, 0
+		return w.seen
 	}
-	for p := 0; p < s.pages; p++ {
-		if !s.zones[p].mayMatch(m) {
-			pruned++
-			b.skipped.Add(1)
-			continue
-		}
-		page, err := b.fetch(p)
-		if err != nil {
-			b.lost(p, err)
-		}
-		if v, err = b.columnRows(page, m, &w); err != nil {
-			b.lost(p, err)
-		}
-		for i := 0; i < v.n; i++ {
-			if !emit(&v, i) {
-				return w.seen, pruned
-			}
-		}
-	}
-	for k := range s.open {
-		v = b.openView(s, k)
+	for p := 0; p < pages; p++ {
+		v = b.page(s, p)
 		for i := 0; i < v.n; i++ {
 			if v.match(m, i) && w.admit() && !emit(&v, i) {
-				return w.seen, pruned
+				return w.seen
 			}
 		}
 	}
-	return w.seen, pruned
-}
-
-// columnRows answers one sealed page of a filtered read: match on the
-// predicate columns, then materialize only the matches the window
-// admits.
-func (b *pagedBackend) columnRows(page []byte, m matcher, w *window) (pageView, error) {
-	pg, err := binaryCodec{}.parse(&b.layout, page)
-	if err != nil {
-		return pageView{}, err
-	}
-	sel, err := pg.match(m, b.countDecoded)
-	if err != nil {
-		return pageView{}, err
-	}
-	lo, hi := w.take(len(sel))
-	if lo == hi {
-		return pageView{}, nil
-	}
-	return pg.rows(sel[lo:hi], b.countDecoded)
+	return w.seen
 }
 
 // Scan lends one scratch row, filled from the vectors.
@@ -705,7 +614,7 @@ func (b *pagedBackend) Scan(at []int, m matcher, fn func(Tuple) bool) {
 
 // Page builds the window's rows from the vectors, cut from one cell
 // buffer, each capped to its own cells.
-func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, int, int) {
+func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, int) {
 	s, arity, w := b.snapshot(), b.schema.Arity(), newWindow(offset, limit)
 	room := min(max(limit, 0), s.n) // a window holds at most limit rows
 	if at == nil && len(m.preds) == 0 {
@@ -715,20 +624,20 @@ func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, in
 	}
 	cells := make(Tuple, 0, room*arity)
 	rows := 0
-	total, pruned := b.read(&s, at, m, w, func(v *pageView, i int) bool {
+	total := b.read(&s, at, m, w, func(v *pageView, i int) bool {
 		cells = slices.Grow(cells, arity)[:len(cells)+arity]
 		v.fill(cells[rows*arity:], i)
 		rows++
 		return true
 	})
 	if rows == 0 {
-		return nil, total, pruned
+		return nil, total
 	}
 	out := make([]Tuple, rows)
 	for k := range out {
 		out[k] = cells[k*arity : (k+1)*arity : (k+1)*arity]
 	}
-	return out, total, pruned
+	return out, total
 }
 
 // DeleteWhere streams the survivors, through the append path, into a
@@ -825,12 +734,7 @@ func (b *pagedBackend) Snapshot(w io.Writer) error {
 func (b *pagedBackend) Stats() BackendStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BackendStats{
-		Pages:        b.pages,
-		CacheHits:    b.hits,
-		CacheMisses:  b.misses,
-		PagesSkipped: b.skipped.Load(),
-	}
+	return BackendStats{Pages: b.pages, CacheHits: b.hits, CacheMisses: b.misses}
 }
 
 func (b *pagedBackend) Close() error {

@@ -3,16 +3,14 @@ package kbase
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
 
 // whereSchema is the filtered-read test relation: a unique part id, a
-// low-cardinality group (zone maps prune on it), an int and a float.
+// low-cardinality group, an int and a float.
 func whereSchema(t *testing.T) Schema {
 	t.Helper()
 	return mustSchema(t, "widgets", "part", "grp", "n:integer", "score:float")
@@ -102,13 +100,13 @@ func whereConfigs(t *testing.T) []whereConfig {
 			setup: func(t *testing.T, tbl *Table) { mustEnsureIndex(t, tbl, "grp", "part", "n", "score") },
 		},
 		{
-			name:  "disk+zone-map-only",
+			name:  "disk+scan-only",
 			make:  newDisk,
 			setup: func(t *testing.T, tbl *Table) { tbl.SetAutoIndex(false) },
 		},
 		{
 			// Same three plan shapes on the columnar engine: auto planner
-			// flips, forced indexes, and pure lazy-decode scans.
+			// flips, forced indexes, and scans alone.
 			name: "columnar",
 			make: newColumnar,
 		},
@@ -118,7 +116,7 @@ func whereConfigs(t *testing.T) []whereConfig {
 			setup: func(t *testing.T, tbl *Table) { mustEnsureIndex(t, tbl, "grp", "part", "n", "score") },
 		},
 		{
-			name:  "columnar+zone-map-only",
+			name:  "columnar+scan-only",
 			make:  newColumnar,
 			setup: func(t *testing.T, tbl *Table) { tbl.SetAutoIndex(false) },
 		},
@@ -139,7 +137,7 @@ func mustEnsureIndex(t *testing.T, tbl *Table, cols ...string) {
 func whereGrid(t *testing.T, ref, tbl *Table, stage string) {
 	t.Helper()
 	predSets := [][]Pred{
-		{{Col: 1, Want: "g1"}},                         // clustered: zone maps prune
+		{{Col: 1, Want: "g1"}},                         // clustered: whole pages match
 		{{Col: 0, Want: "p010"}},                       // unique value
 		{{Col: 2, Want: "17"}},                         // int equality
 		{{Col: 3, Want: "3.5"}},                        // float equality (rendered)
@@ -197,8 +195,8 @@ func TestFilteredReadEquivalence(t *testing.T) {
 			// index plans between passes, which must not change results.
 			whereGrid(t, ref, tbl, "fill-repeat")
 
-			// DeleteWhere re-pack: drop every third row, zone maps and
-			// indexes rebuild.
+			// DeleteWhere re-pack: drop every third row, indexes
+			// rebuild.
 			refDel := newBackedTable(t, MemoryEngine{}, whereSchema(t))
 			drop := func(tp Tuple) bool { return tp[2].(int64)%3 == 0 }
 			ref.Scan(func(tp Tuple) bool {
@@ -252,84 +250,6 @@ func TestFilteredReadEquivalence(t *testing.T) {
 			}
 			whereGrid(t, refDel, rt, "post-restore")
 		})
-	}
-}
-
-// TestZoneMapSkipsPages is the acceptance-criteria assertion: a
-// selective filtered read over a multi-page disk table prunes pages
-// (14 of 16) without losing rows, and goes around the decoded-page LRU
-// altogether — on the 2 surviving pages it examines the predicate
-// column (8 cells) and materializes the 8 matches, nothing more.
-func TestZoneMapSkipsPages(t *testing.T) {
-	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
-	tbl := newBackedTable(t, engine, whereSchema(t))
-	tbl.SetAutoIndex(false)
-	fillWidgets(t, tbl, 64) // 16 pages, grp g0..g7 → 2 pages per group
-	before, cellsBefore := tbl.BackendStats(), decodedCells(t, tbl)
-	rows, total := tbl.PageWhere([]Pred{{Col: 1, Want: "g3"}}, 0, 0)
-	if total != 8 || len(rows) != 8 {
-		t.Fatalf("PageWhere(g3): %d rows, total %d", len(rows), total)
-	}
-	after, cells := tbl.BackendStats(), decodedCells(t, tbl)
-	if got := after.PagesSkipped - before.PagesSkipped; got != 14 {
-		t.Fatalf("PagesSkipped delta = %d, want 14", got)
-	}
-	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses {
-		t.Fatalf("filtered read went through the page cache: %+v -> %+v", before, after)
-	}
-	for c := range cells {
-		cells[c] -= cellsBefore[c]
-	}
-	if want := []int64{8, 16, 8, 8}; !reflect.DeepEqual(cells, want) {
-		t.Fatalf("CellsDecoded delta = %v, want %v", cells, want)
-	}
-	if after.FullScans != before.FullScans+1 {
-		t.Fatalf("FullScans = %d, want %d", after.FullScans, before.FullScans+1)
-	}
-}
-
-// decodedCells is the table's per-column decode count.
-func decodedCells(t *testing.T, tbl *Table) []int64 {
-	t.Helper()
-	cs, ok := tbl.ColumnarStats()
-	if !ok {
-		t.Fatalf("ColumnarStats() not available on a %s table", tbl.BackendKind())
-	}
-	return cs.CellsDecoded
-}
-
-// TestPageZoneMatchesReference pins buildPageZone, which compares numeric
-// cells from a stack buffer a column at a time, to the render-every-cell
-// reference: same min, max, maxOK, distinct set and overflow for pages of
-// few and many distinct values, ascending and descending ids, floats
-// without a decimal rendering, and strings around the truncation cap.
-func TestPageZoneMatchesReference(t *testing.T) {
-	schema := mustSchema(t, "z", "id:integer", "few:integer", "w:float", "s", "long")
-	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1.5, 1e21, 100, 99.5}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		distinct := 1 + rng.Intn(12)
-		rows := make([]Tuple, n)
-		for i := range rows {
-			id := int64(trial*7 + i - 20)
-			if trial%2 == 1 {
-				id = math.MaxInt64 - id
-			}
-			rows[i] = Tuple{
-				id, int64(rng.Intn(distinct)) - 2, floats[rng.Intn(min(distinct, len(floats)))],
-				fmt.Sprintf("s%d", rng.Intn(distinct)),
-				strings.Repeat("x", zoneValueCap-2+rng.Intn(distinct)%4) + fmt.Sprint(rng.Intn(3)),
-			}
-		}
-		v := viewOf(schema, rows)
-		if got, want := buildPageZone(&v), referencePageZone(schema, rows); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: zone\n%+v\nreference\n%+v\nrows %v", trial, got, want, rows)
-		}
 	}
 }
 
@@ -457,7 +377,7 @@ func TestMatcherRenderedEquality(t *testing.T) {
 }
 
 // TestFilteredReadsConcurrentIngest races filtered readers (index and
-// scan plans, lazy builds, zone-map pruning) against a live ingester on
+// scan plans, lazy builds) against a live ingester on
 // every kind: an Append may run beside reads on every backend. Run with
 // -race.
 func TestFilteredReadsConcurrentIngest(t *testing.T) {

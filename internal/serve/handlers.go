@@ -254,22 +254,27 @@ func (s *Server) handleKB(w http.ResponseWriter, r *http.Request) {
 	}
 	// The predicates (none for a plain page read) and the window are
 	// pushed into the table: its planner answers through a lazy hash
-	// index or a scan, cloning only the served window and returning the
-	// exact match total. A served KB is always the memory kind — a
-	// slice, no pages — so there is no zone map to prune with here.
+	// index or a scan of the served KB (always the memory kind), cloning
+	// only the served window and returning the exact match total.
 	t0 := time.Now()
 	page, total, plan := v.KB().PageWhereInfo(filters, offset, limit)
+	switch plan.Plan {
+	case "index":
+		s.kbIndexReads.Inc()
+	case "scan":
+		s.kbScanReads.Inc()
+	}
 	if thr := obs.SlowQueryThreshold(); thr > 0 && len(filters) > 0 {
 		if dur := time.Since(t0); dur >= thr {
 			// One structured line per slow filtered read: the plan the
 			// table chose, the predicates and the wall time that crossed
-			// -slow-query-ms (pagesSkipped is PlanInfo's field; 0 here).
+			// -slow-query-ms.
 			preds := make([]string, len(filters))
 			for i, f := range filters {
 				preds[i] = schema.Columns[f.Col].Name + "=" + fmt.Sprint(f.Want)
 			}
 			obs.Log().Warn("slow query", "tenant", s.name, "route", "/kb",
-				"plan", plan.Plan, "preds", preds, "pagesSkipped", plan.PagesSkipped,
+				"plan", plan.Plan, "preds", preds,
 				"rows", total, "durationMs", float64(dur.Nanoseconds())/1e6)
 		}
 	}
@@ -436,23 +441,11 @@ func (s *Server) metaPayload() map[string]any {
 	}
 	res := v.Result()
 	// The storage section is the operator's view of the pluggable
-	// engine: which backend materializes the session's relations, how
-	// its page cache did, and how the query planner is answering
-	// filtered /kb reads. The store-side counters (pages, cache,
-	// pagesSkipped: what a resume's document scans pruned) were sampled
-	// when the view published; the served KB table is the memory kind,
-	// and its live indexHits/fullScans are the filtered traffic this
-	// epoch has already served.
+	// engine: which backend materializes the session's relations and how
+	// its page cache did — sampled when the view published — and how the
+	// query planner has answered the tenant's filtered /kb reads, counted
+	// as they were served (the same counts /metrics exposes).
 	st := v.StorageStats()
-	// The served KB table's live counters fold into the store-side
-	// sample through BackendStats.Add, so the arithmetic lives with
-	// the counters instead of inline here.
-	agg := kbase.BackendStats{
-		PagesSkipped: st.PagesSkipped,
-		IndexHits:    st.IndexHits,
-		FullScans:    st.FullScans,
-	}
-	agg.Add(v.KB().BackendStats())
 	p := map[string]any{
 		"epoch": v.Epoch(),
 		// Two-phase publication state: which model generation this
@@ -483,9 +476,8 @@ func (s *Server) metaPayload() map[string]any {
 			"pageCacheHits":    st.PageCacheHits,
 			"pageCacheMisses":  st.PageCacheMisses,
 			"pageCacheHitRate": st.PageCacheHitRate,
-			"pagesSkipped":     agg.PagesSkipped,
-			"indexHits":        agg.IndexHits,
-			"fullScans":        agg.FullScans,
+			"indexHits":        int64(s.kbIndexReads.Value()),
+			"fullScans":        int64(s.kbScanReads.Value()),
 		},
 	}
 	// The most recent publication's span tree; the full ring is at

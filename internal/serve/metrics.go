@@ -56,6 +56,8 @@ type serverMetrics struct {
 	trainDur    *obs.Family // histogram{tenant}
 	publishes   *obs.Family // counter  {tenant,kind}: initial|ingest|failed
 	panics      *obs.Family // counter  {tenant,where}: writer|trainer|http
+	indexHits   *obs.Family // counter  {tenant}: filtered /kb reads by plan
+	fullScans   *obs.Family // counter  {tenant}
 }
 
 func newServerMetrics(m *obs.Metrics) *serverMetrics {
@@ -85,6 +87,12 @@ func newServerMetrics(m *obs.Metrics) *serverMetrics {
 		panics: m.Counter("fonduer_panics_total",
 			"Panics recovered at the tenant boundary: on a writer turn, a trainer run or in an HTTP handler.",
 			"tenant", "where"),
+		indexHits: m.Counter("fonduer_kbase_index_hits_total",
+			"Filtered /kb reads answered through a lazy hash index.",
+			"tenant"),
+		fullScans: m.Counter("fonduer_kbase_full_scans_total",
+			"Filtered /kb reads answered by a scan of every row.",
+			"tenant"),
 	}
 }
 
@@ -170,11 +178,8 @@ func (sm *serverMetrics) countPanic(tenant, where string, r any) {
 }
 
 // registryMetrics are the fleet-level families: gauges mirroring
-// registry state and counters sampled from lower layers at scrape
-// time (the storage counters are maintained by kbase under its own
-// locks; mirroring them on every operation would put metric updates
-// on paths that must stay lock-free, so /metrics samples them
-// instead).
+// registry state and counters sampled at scrape time from state kept
+// elsewhere (the process's runtime, writeJSON's failure atomics).
 type registryMetrics struct {
 	uptime    *obs.Family // gauge
 	buildInfo *obs.Family // gauge {version,revision,goversion}, fixed at 1
@@ -199,9 +204,6 @@ type registryMetrics struct {
 	featureRows  *obs.Family // gauge {tenant}
 	featureDict  *obs.Family // gauge {tenant}
 	cacheHitRate *obs.Family // gauge {tenant}
-	pagesSkipped *obs.Family // counter {tenant}, sampled
-	indexHits    *obs.Family // counter {tenant}, sampled
-	fullScans    *obs.Family // counter {tenant}, sampled
 
 	respErrs *obs.Family // counter {kind}, sampled from the writeJSON atomics
 }
@@ -255,15 +257,6 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 		cacheHitRate: m.Gauge("fonduer_page_cache_hit_rate",
 			"Disk backend page-cache hit rate for the tenant's store, 0..1.",
 			"tenant"),
-		pagesSkipped: m.Counter("fonduer_kbase_pages_skipped_total",
-			"Disk pages pruned by zone maps during the tenant's filtered reads.",
-			"tenant"),
-		indexHits: m.Counter("fonduer_kbase_index_hits_total",
-			"Filtered reads answered through a lazy hash index.",
-			"tenant"),
-		fullScans: m.Counter("fonduer_kbase_full_scans_total",
-			"Filtered reads that fell back to a (zone-map pruned) scan.",
-			"tenant"),
 		respErrs: m.Counter("fonduer_response_errors_total",
 			"Response bodies that failed after the status line: encode (server bug) or write (client gone).",
 			"kind"),
@@ -309,12 +302,7 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, e
 		v := entries[i].srv.CurrentView()
 		rm.featureRows.With(ts.Name).Set(float64(v.TableRows()["features"]))
 		rm.featureDict.With(ts.Name).Set(float64(v.FeatureStats().DistinctFeatures))
-		st := v.StorageStats()
-		rm.cacheHitRate.With(ts.Name).Set(st.PageCacheHitRate)
-		kb := v.KB().BackendStats()
-		rm.pagesSkipped.With(ts.Name).Set(float64(st.PagesSkipped + kb.PagesSkipped))
-		rm.indexHits.With(ts.Name).Set(float64(st.IndexHits + kb.IndexHits))
-		rm.fullScans.With(ts.Name).Set(float64(st.FullScans + kb.FullScans))
+		rm.cacheHitRate.With(ts.Name).Set(v.StorageStats().PageCacheHitRate)
 	}
 }
 

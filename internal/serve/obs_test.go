@@ -173,7 +173,6 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"fonduer_store_feature_rows",
 		"fonduer_store_feature_dictionary_size",
 		"fonduer_page_cache_hit_rate",
-		"fonduer_kbase_pages_skipped_total",
 		"fonduer_kbase_index_hits_total",
 		"fonduer_kbase_full_scans_total",
 		"fonduer_response_errors_total",
@@ -277,6 +276,60 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	// Scraping twice yields a parseable, consistent exposition again
 	// (gauge resampling must not mint or corrupt series).
 	checkHistograms(t, scrape(t, ts.URL+"/metrics"))
+}
+
+// TestPlanCountersNeverDecrease pins the planner counters on /metrics
+// to the filtered /kb reads a tenant has served: an ingest publishes a
+// new KB table, and the counts must carry across it, as /meta reports
+// them too.
+func TestPlanCountersNeverDecrease(t *testing.T) {
+	rg := newTestRegistry(t, "", core.Options{Seed: 3, Epochs: 1, Workers: 2})
+	if _, err := rg.Create(serve.TenantConfig{Name: "elec", Domain: "electronics"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rg.Handler())
+	defer ts.Close()
+	elec := synth.Electronics(63, 4)
+	ingest := func(docs ...int) {
+		var batch []serve.DocumentUpload
+		for _, i := range docs {
+			batch = append(batch, uploadFor(elec, i))
+		}
+		postJSON(t, ts.URL+"/t/elec/ingest", map[string]any{"documents": batch}, http.StatusOK)
+	}
+	counts := func() (index, scans float64) {
+		t.Helper()
+		for _, f := range scrape(t, ts.URL+"/metrics") {
+			for _, s := range f.Samples {
+				switch {
+				case s.Labels["tenant"] != "elec":
+				case f.Name == "fonduer_kbase_index_hits_total":
+					index = s.Value
+				case f.Name == "fonduer_kbase_full_scans_total":
+					scans = s.Value
+				}
+			}
+		}
+		storage := getJSON(t, ts.URL+"/t/elec/meta", http.StatusOK)["storage"].(map[string]any)
+		if storage["indexHits"] != index || storage["fullScans"] != scans {
+			t.Fatalf("/meta counts %v index, %v scans; /metrics %v, %v", storage["indexHits"], storage["fullScans"], index, scans)
+		}
+		return index, scans
+	}
+
+	ingest(0, 1, 2)
+	col := getJSON(t, ts.URL+"/t/elec/kb", http.StatusOK)["columns"].([]any)[0].(string)
+	for i := 0; i < 5; i++ { // the first read scans, the planner indexes the rest
+		getJSON(t, ts.URL+"/t/elec/kb?"+col+"=x", http.StatusOK)
+	}
+	index, scans := counts()
+	if index != 4 || scans != 1 {
+		t.Fatalf("after five filtered reads: %v index, %v scans; want 4, 1", index, scans)
+	}
+	ingest(3)
+	if index2, scans2 := counts(); index2 < index || scans2 < scans {
+		t.Fatalf("an ingest took the counters from %v index, %v scans to %v, %v", index, scans, index2, scans2)
+	}
 }
 
 // TestConcurrentScrapesDuringIngest proves torn-free scrapes under

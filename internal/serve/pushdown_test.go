@@ -135,7 +135,7 @@ func testKBFilterPushdown(t *testing.T, backend string) {
 	// The filtered traffic shows up in /meta's storage section.
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)
 	storage := meta["storage"].(map[string]any)
-	for _, key := range []string{"pagesSkipped", "indexHits", "fullScans"} {
+	for _, key := range []string{"indexHits", "fullScans"} {
 		if _, ok := storage[key]; !ok {
 			t.Fatalf("/meta storage missing %q: %v", key, storage)
 		}

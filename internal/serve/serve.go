@@ -114,6 +114,12 @@ type Server struct {
 	traces *obs.TraceRing
 	// metrics is non-nil when Config.Metrics instrumented the session.
 	metrics *serverMetrics
+	// kbIndexReads and kbScanReads count the filtered /kb reads answered
+	// through a hash index and by a scan: the tenant's children of
+	// fonduer_kbase_{index_hits,full_scans}_total, or counters of the
+	// server's own when it is not instrumented. Every epoch serves a new
+	// KB table, so the counts cannot live in the table's planner.
+	kbIndexReads, kbScanReads *obs.Child
 
 	// store is the owned session; mutated only by the writer
 	// goroutine, closed (storage-engine cleanup) by Close.
@@ -274,9 +280,12 @@ func New(cfg Config) (*Server, error) {
 		trainKick:     make(chan struct{}, 1),
 		reqs:          make(chan writerReq),
 		closed:        make(chan struct{}),
+		kbIndexReads:  &obs.Child{},
+		kbScanReads:   &obs.Child{},
 	}
 	if cfg.Metrics != nil {
 		s.metrics = newServerMetrics(cfg.Metrics)
+		s.kbIndexReads, s.kbScanReads = s.metrics.indexHits.With(name), s.metrics.fullScans.With(name)
 	}
 	t0 := time.Now()
 	view, err := st.View(cfg.Gold)
