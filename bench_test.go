@@ -140,6 +140,36 @@ func BenchmarkIngestPaged(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenStore is resume's own layer: OpenStore of a 120-document
+// electronics snapshot — load, column checks, the one pass per relation
+// and every document rebuilt — on the memory and disk kinds. B/op is
+// what a resumed process allocates before it serves anything.
+func BenchmarkOpenStore(b *testing.B) {
+	elec := synth.Electronics(1, 120)
+	task := elec.Tasks[0]
+	st := core.NewStore(task, core.Options{})
+	if err := st.AddDocuments(elec.Docs...); err != nil {
+		b.Fatal(err)
+	}
+	dir := filepath.Join(b.TempDir(), "snap")
+	if err := st.Snapshot(dir); err != nil {
+		b.Fatal(err)
+	}
+	st.Close()
+	for _, kind := range []string{"memory", "disk"} {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resumed, err := core.OpenStore(dir, task, core.Options{Backend: kind})
+				if err != nil {
+					b.Fatal(err)
+				}
+				resumed.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkServeKBRead / BenchmarkServeMixedRead establish the
 // serving subsystem's read-throughput baseline: concurrent clients
 // querying a populated store through the full HTTP handler stack

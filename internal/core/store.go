@@ -140,6 +140,24 @@ type storeDoc struct {
 // cause. Disk-backed stores should be Closed to reclaim their spill
 // directory promptly; a GC finalizer backstops leaks.
 func NewStore(task Task, opts Options) *Store {
+	s := newStore(task, opts)
+	engine, err := newStoreEngine(s.opts)
+	if err != nil {
+		engine = kbase.MemoryEngine{}
+	}
+	s.db = s.newStoreDB(engine)
+	if err == nil {
+		err = s.writeMeta()
+	}
+	if err != nil {
+		s.fail(err)
+	}
+	return s
+}
+
+// newStore is what NewStore and OpenStore build alike: a store with no
+// documents and no relations yet, under the defaulted options.
+func newStore(task Task, opts Options) *Store {
 	opts.defaults()
 	s := &Store{
 		task:   task,
@@ -151,17 +169,6 @@ func NewStore(task Task, opts Options) *Store {
 	s.lfs = append(s.lfs, task.LFs...)
 	if opts.LFs != nil {
 		s.lfs = append(s.lfs[:0], opts.LFs...)
-	}
-	engine, err := newStoreEngine(opts)
-	if err != nil {
-		engine = kbase.MemoryEngine{}
-	}
-	s.db = s.newStoreDB(engine)
-	if err == nil {
-		err = s.writeMeta()
-	}
-	if err != nil {
-		s.fail(err)
 	}
 	return s
 }

@@ -321,10 +321,11 @@ func decodeSentence(tp kbase.Tuple) (sentRow, error) {
 }
 
 // rebuildDoc reconstructs one document's data model from its sentence
-// rows (sorted by position): text paragraphs for plain runs, tables
-// with their cell grid for tabular runs, every sentence attribute
-// restored. The rebuilt walk order must reproduce the stored sentence
-// positions; that invariant is verified after Finalize.
+// rows, which must hold positions 0, 1, 2, … in that order: text
+// paragraphs for plain runs, tables with their cell grid for tabular
+// runs, every sentence attribute restored. The rebuilt walk order must
+// reproduce the stored sentence positions; that invariant is verified
+// after Finalize.
 func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error) {
 	b := datamodel.NewBuilder(name, format)
 	var curText *datamodel.Paragraph
@@ -333,7 +334,11 @@ func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error
 	cellParas := map[int]map[[4]int]*datamodel.Paragraph{}
 	for k, r := range rows {
 		if r.pos != k {
-			return nil, fmt.Errorf("core: document %q has non-dense sentence position %d", name, r.pos)
+			return nil, fmt.Errorf("core: sentences relation: document %q has sentence position %d, want %d", name, r.pos, k)
+		}
+		if r.tbl >= 0 && (r.rowStart < 0 || r.rowStart > r.rowEnd || r.colStart < 0 || r.colStart > r.colEnd) {
+			return nil, fmt.Errorf("core: sentences relation: document %q sentence %d has table-cell rows [%d,%d] and columns [%d,%d]",
+				name, r.pos, r.rowStart, r.rowEnd, r.colStart, r.colEnd)
 		}
 		var sent *datamodel.Sentence
 		if r.tbl < 0 {
@@ -377,11 +382,11 @@ func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error
 	// than assumed).
 	got := doc.Sentences()
 	if len(got) != len(made) {
-		return nil, fmt.Errorf("core: document %q rebuilt with %d sentences, want %d", name, len(got), len(made))
+		return nil, fmt.Errorf("core: sentences relation: document %q rebuilt with %d sentences, want %d", name, len(got), len(made))
 	}
 	for k := range got {
 		if got[k] != made[k] {
-			return nil, fmt.Errorf("core: document %q did not rebuild in stored sentence order", name)
+			return nil, fmt.Errorf("core: sentences relation: document %q did not rebuild in stored sentence order", name)
 		}
 	}
 	return doc, nil

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -182,52 +184,6 @@ func TestStoreSnapshotResume(t *testing.T) {
 	}
 	if !kbase.EqualDB(st.DB(), again.DB()) {
 		t.Fatal("second-generation snapshot drifted")
-	}
-
-	// A snapshot is a set of relations, whatever order its rows are in:
-	// with the sentence and candidate rows shuffled, no document's rows
-	// are contiguous any more and OpenStore falls back to filter scans;
-	// with the feature rows shuffled, hardly a row arrives in its
-	// candidate's seq order and OpenStore sorts what it interned. Neither
-	// the Result nor any candidate's feature list may move.
-	shuffled := filepath.Join(t.TempDir(), "shuffled")
-	if err := os.Mkdir(shuffled, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, body := range snapshotBytes(t, dir) {
-		if name == "sentences.tsv" || name == "candidates.tsv" || name == "features.tsv" {
-			lines := strings.SplitAfter(string(body), "\n") // header, rows..., ""
-			rows := lines[1 : len(lines)-1]
-			if lines[len(lines)-1] != "" || len(rows) < 2 {
-				t.Fatalf("%s: unexpected layout (%d lines)", name, len(lines))
-			}
-			rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-			body = []byte(strings.Join(lines, ""))
-		}
-		if err := os.WriteFile(filepath.Join(shuffled, name), body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	permuted, err := core.OpenStore(shuffled, task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer permuted.Close()
-	got, err = permuted.RunSplit(docNames(train), docNames(test), gold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeResult(got), normalizeResult(want)) {
-		t.Errorf("Result from the row-shuffled snapshot differs\n got: %+v\nwant: %+v",
-			normalizeResult(got), normalizeResult(want))
-	}
-	if permuted.NumCandidates() != st.NumCandidates() {
-		t.Fatalf("the row-shuffled snapshot resumed %d candidates, want %d", permuted.NumCandidates(), st.NumCandidates())
-	}
-	for id := 0; id < st.NumCandidates(); id++ {
-		if got, want := permuted.CandidateFeatures(id), st.CandidateFeatures(id); !reflect.DeepEqual(got, want) {
-			t.Fatalf("candidate %d resumed from shuffled feature rows with its %d features out of seq order (or not its %d)", id, len(got), len(want))
-		}
 	}
 }
 
@@ -471,6 +427,138 @@ func TestOpenStoreRefusesBadVotes(t *testing.T) {
 		}
 		if want := "candidate " + row[0] + " / lf " + row[1]; !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: OpenStore = %v, want an error naming %q", name, err, want)
+		}
+	}
+}
+
+// TestOpenStoreRefusesMalformedSnapshots: OpenStore reads a snapshot in
+// the order and the types Snapshot writes it. A retyped or dropped
+// column, rows out of that order (shuffled, a repeated document, a gap
+// in candidate ids or in a candidate's seq) and a table cell's span that
+// is negative or inverted are each refused with an error naming the
+// relation — never a panic, never a resume — and on the disk kind the
+// refusal leaves no spill directory and no open segment behind.
+func TestOpenStoreRefusesMalformedSnapshots(t *testing.T) {
+	corpus := synth.Electronics(63, 10)
+	task := corpus.Tasks[0]
+	st := core.NewStore(task, core.Options{Epochs: 1})
+	defer st.Close()
+	if err := st.AddDocuments(corpus.Docs...); err != nil {
+		t.Fatal(err)
+	}
+	files := snapshotOf(t, st)
+
+	// Each edit gets a file's lines, its header first, and returns them.
+	shuffle := func(lines []string) []string {
+		rows := lines[1:]
+		rand.New(rand.NewSource(1)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		return lines
+	}
+	retype := func(from, to string) func([]string) []string {
+		return func(lines []string) []string {
+			if !strings.Contains(lines[0], "\t"+from) {
+				t.Fatalf("header %q has no column %s", lines[0], from)
+			}
+			lines[0] = strings.Replace(lines[0], "\t"+from, "\t"+to, 1)
+			return lines
+		}
+	}
+	dropRows := func(prefix string) func([]string) []string {
+		return func(lines []string) []string {
+			return slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(l, prefix) })
+		}
+	}
+	// tableCell rewrites one field of the first sentence in a table cell.
+	tableCell := func(col int, val func(f []string) string) func([]string) []string {
+		return func(lines []string) []string {
+			for i, l := range lines[1:] {
+				if f := strings.Split(l, "\t"); f[17] != "-1" { // tbl
+					f[col] = val(f)
+					lines[i+1] = strings.Join(f, "\t")
+					return lines
+				}
+			}
+			t.Fatal("no sentence in a table cell")
+			return nil
+		}
+	}
+	cases := []struct {
+		name, file, relation string
+		edit                 func(lines []string) []string
+	}{
+		{"documents pos retyped", "documents.tsv", "documents", retype("pos:integer", "pos:varchar")},
+		{"features cand retyped", "features.tsv", "features", retype("cand:integer", "cand:varchar")},
+		{"candidates end dropped", "candidates.tsv", "candidates", func(lines []string) []string {
+			for i, l := range lines {
+				lines[i] = l[:strings.LastIndexByte(l, '\t')]
+			}
+			return lines
+		}},
+		{"shuffled features", "features.tsv", "features", shuffle},
+		{"shuffled candidates", "candidates.tsv", "candidates", shuffle},
+		{"shuffled sentences", "sentences.tsv", "sentences", shuffle},
+		{"duplicate document", "documents.tsv", "documents", func(lines []string) []string {
+			// An exact copy is a duplicate tuple the load drops, so the copy
+			// takes the next position.
+			f := strings.Split(lines[1], "\t")
+			f[0] = strconv.Itoa(len(lines) - 1)
+			return append(lines, strings.Join(f, "\t"))
+		}},
+		{"candidate id gap", "candidates.tsv", "candidates", dropRows("1\t")},
+		{"seq gap", "features.tsv", "features", dropRows("0\t1\t")},
+		{"negative row_start", "sentences.tsv", "sentences", tableCell(18, func([]string) string { return "-1" })},
+		{"inverted column span", "sentences.tsv", "sentences", tableCell(20, func(f []string) string {
+			end, _ := strconv.Atoi(f[21])
+			return strconv.Itoa(end + 1)
+		})},
+	}
+	for _, kind := range []string{"memory", "disk"} {
+		for _, tc := range cases {
+			t.Run(kind+"/"+tc.name, func(t *testing.T) {
+				spill := t.TempDir()
+				t.Setenv("TMPDIR", spill) // where the disk kind makes its spill directory
+				dir := filepath.Join(t.TempDir(), "snap")
+				if err := os.Mkdir(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				for file, body := range files {
+					if file == tc.file {
+						lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+						body = []byte(strings.Join(tc.edit(lines), "\n") + "\n")
+					}
+					if err := os.WriteFile(filepath.Join(dir, file), body, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("OpenStore panicked: %v", p)
+						}
+					}()
+					var resumed *core.Store
+					if resumed, err = core.OpenStore(dir, task, core.Options{Epochs: 1, Backend: kind}); err == nil {
+						resumed.Close()
+					}
+				}()
+				if err == nil {
+					t.Fatal("OpenStore resumed the malformed snapshot")
+				}
+				if !strings.Contains(err.Error(), tc.relation+" relation") {
+					t.Errorf("OpenStore = %v, want an error naming the %s relation", err, tc.relation)
+				}
+				if left, _ := os.ReadDir(spill); len(left) != 0 {
+					t.Errorf("the refusal left %s behind in the spill root", left[0].Name())
+				}
+				if fds, err := os.ReadDir("/proc/self/fd"); err == nil {
+					for _, fd := range fds {
+						if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(target, spill) {
+							t.Errorf("the refusal left descriptor %s open on %s", fd.Name(), target)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -176,6 +176,10 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", engine.Kind(), schema.Name, err)
 	}
 	t := newTableWith(schema, be)
+	fail := func(err error) (*Table, error) {
+		t.Close() // a paged backend holds its segment open
+		return nil, err
+	}
 	// Rows go in a batch at a time, each field parsed straight into its
 	// column's vector, so a table larger than memory streams through a
 	// paged backend.
@@ -194,7 +198,7 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("kbase: reading TSV: %w", err)
+			return fail(fmt.Errorf("kbase: reading TSV: %w", err))
 		}
 		lineNo++
 		// No blank-line skipping: with escaping, every emitted line —
@@ -203,19 +207,19 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 		// produces spurious blanks.
 		parts, err := splitTSV(line)
 		if err != nil {
-			return nil, fmt.Errorf("kbase: TSV line %d: %w", lineNo, err)
+			return fail(fmt.Errorf("kbase: TSV line %d: %w", lineNo, err))
 		}
 		if err := chunk.appendFields(schema, parts); err != nil {
-			return nil, fmt.Errorf("kbase: TSV line %d: %v", lineNo, err)
+			return fail(fmt.Errorf("kbase: TSV line %d: %v", lineNo, err))
 		}
 		if chunk.Len() == readChunkRows {
 			if err := flush(); err != nil {
-				return nil, err
+				return fail(err)
 			}
 		}
 	}
 	if err := flush(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return t, nil
 }

@@ -440,3 +440,52 @@ func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 	}
 	t.Logf("validated %d observations across %d tenants", len(seen), len(cases))
 }
+
+// TestRegistryCreateRefusesMalformedSnapshot: a tenant whose snapshot
+// declares a retyped column is refused with an error, not a panic, and
+// the refusal releases the tenant's name — once the file is repaired, a
+// second Create of the same name resumes it.
+func TestRegistryCreateRefusesMalformedSnapshot(t *testing.T) {
+	root := t.TempDir()
+	opts := core.Options{Seed: 3, Epochs: 1}
+	rg := newTestRegistry(t, root, opts)
+	task, _, err := testResolver(t)("electronics", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := core.NewStore(task, opts)
+	defer st.Close()
+	if err := st.AddDocuments(synth.Electronics(21, 3).Docs...); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(root, "elec", task.Relation)
+	if err := st.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	docs := filepath.Join(snap, "documents.tsv")
+	good, err := os.ReadFile(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retyped := strings.Replace(string(good), "\tpos:integer", "\tpos:varchar", 1)
+	if retyped == string(good) {
+		t.Fatalf("documents.tsv has no pos:integer column:\n%.200s", good)
+	}
+	if err := os.WriteFile(docs, []byte(retyped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tc := serve.TenantConfig{Name: "elec", Domain: "electronics"}
+	if _, err := rg.Create(tc); err == nil || !strings.Contains(err.Error(), "documents relation") {
+		t.Fatalf("Create on a retyped snapshot = %v, want an error naming the documents relation", err)
+	}
+	if err := os.WriteFile(docs, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, err := rg.Create(tc)
+	if err != nil {
+		t.Fatalf("Create after the repair: %v", err)
+	}
+	if !status.Resumed || status.Docs != 3 {
+		t.Fatalf("Create after the repair = %+v, want the 3-document session resumed", status)
+	}
+}
