@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/kbase"
 )
 
 // The persisted relations of snapshot format schemaFormat. A snapshot is
@@ -86,5 +88,29 @@ func TestStoreSchemasMatchFormat(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `format="2"`) {
 		t.Fatalf("OpenStore of a format-2 snapshot = %v, want an error naming the format", err)
+	}
+}
+
+// TestStoreSchemaKeys pins each persisted relation's key. The key is a
+// declaration, not data — snapshots carry no trace of it, so it is not
+// part of the format — but it is what OpenStore relies on to refuse a
+// repeated row, and what spares mirror's ascending relations an index.
+func TestStoreSchemaKeys(t *testing.T) {
+	want := map[string]kbase.Key{
+		tblDocuments: {Cols: 1, Ascending: true}, // (pos)
+		tblSentences: {Cols: 2},                  // (doc, pos): doc is a name, not in row order
+		tblCands:     {Cols: 2, Ascending: true}, // (cand, arg)
+		tblFeatures:  {Cols: 2, Ascending: true}, // (cand, seq)
+		tblLabels:    {Cols: 2},                  // (cand, lf): AddLF appends a column
+		tblMeta:      {Cols: 1},                  // (key)
+	}
+	for _, s := range storeSchemas {
+		if s.Key != want[s.Name] {
+			t.Errorf("%s declares key %+v, want %+v", s.Name, s.Key, want[s.Name])
+		}
+		delete(want, s.Name)
+	}
+	if len(want) != 0 {
+		t.Errorf("no schema for %v", want)
 	}
 }

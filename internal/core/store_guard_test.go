@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
+	"repro/internal/kbase"
 	"repro/internal/labeling"
 	"repro/internal/matchers"
 	"repro/internal/parser"
@@ -17,7 +18,7 @@ import (
 func tinySession() (Task, *datamodel.Document) {
 	task := Task{
 		Relation: "GuardRel",
-		Schema:   mustSchema("GuardRel", "part", "current"),
+		Schema:   mustSchema("GuardRel", kbase.Key{}, "part", "current"),
 		Args: []candidates.ArgSpec{
 			{TypeName: "Part", Matcher: matchers.MustRegex(`SMBT[0-9]{4}`)},
 			{TypeName: "Current", Matcher: matchers.NumberRange{Min: 100, Max: 995}},

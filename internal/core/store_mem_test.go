@@ -49,7 +49,9 @@ func TestStoreFeatureBytesPerPair(t *testing.T) {
 // two-document AddDocuments and the ViewDelta that publishes it, into a
 // 40-document session with a trained generation, on the memory kind.
 // Measured (it repeats to a few objects): 1.19 MB in 7 730 objects; the
-// bounds are that plus a tenth. With a boxed Tuple per mirrored row, the
+// bounds are that plus a tenth. Re-measured once the store's relations
+// declared keys (no index over whole rows): the same figure, as this
+// upload grows no index. With a boxed Tuple per mirrored row, the
 // relations inserted a document at a time, a seen-set per featurized
 // candidate and a prefixed copy of every feature name per candidate, the
 // same upload allocated 3.17 MB in 17 393 objects: the bounds are under

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -28,15 +29,16 @@ import (
 // anything else is refused with an error naming the relation and the row
 // or ids — checked, never re-established:
 //
-//   - every relation declares exactly its storeSchemas columns; meta is
-//     checked first, with the configuration it pins, so a snapshot of
+//   - every relation loads into its storeSchemas key — no key repeats,
+//     the ascending ones ascend — and declares exactly its columns; meta
+//     is checked first, with the configuration it pins, so a snapshot of
 //     another format is refused by its format;
 //   - documents: row i has pos i, and names are distinct;
 //   - candidates: rows are grouped by document, in documents order;
 //     ids run 0, 1, 2, …; a candidate's arguments run 0, 1, …, all in
 //     its own document, each a valid span of its sentence;
 //   - features: each candidate's seq runs 0, 1, 2, …;
-//   - labels: votes of -1 or +1, at most one per (candidate, LF);
+//   - labels: votes of -1 or +1;
 //   - sentences: rows are grouped by document, in documents order, pos
 //     runs 0, 1, 2, … within a document, and a table cell's row and
 //     column spans are non-negative and not inverted.
@@ -54,7 +56,12 @@ func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.db, err = kbase.LoadDBWith(dir, engine); err != nil {
+	if s.db, err = kbase.LoadDBWith(dir, engine, storeSchemas...); err != nil {
+		if ke := (*kbase.KeyError)(nil); errors.As(err, &ke) && ke.Table == tblLabels {
+			err = fmt.Errorf("core: labels relation holds two votes for candidate %v / lf %v", ke.Key[0], ke.Key[1])
+		} else if errors.As(err, &ke) {
+			err = fmt.Errorf("core: %s relation: %w", ke.Table, err)
+		}
 		return nil, err
 	}
 	if err := s.resume(); err != nil {
@@ -181,8 +188,7 @@ func (s *Store) resume() error {
 	// is a function of the name sets, not the column numbering.
 	s.countFeatures(s.names)
 
-	// Labels votes: at most one per (candidate, LF), and never an abstain
-	// (the store writes only votes of -1 or +1).
+	// Labels votes: -1 or +1, one per (candidate, LF) by the key.
 	numLFs, _ := strconv.Atoi(meta["num_lfs"])
 	s.votes = make([][]int8, nCands)
 	for i := range s.votes {
@@ -195,8 +201,6 @@ func (s *Store) resume() error {
 			return fmt.Errorf("core: labels relation references candidate %d / lf %d out of range", id, lf)
 		case vote != -1 && vote != 1:
 			return fmt.Errorf("core: labels relation holds vote %d for candidate %d / lf %d, want -1 or +1", vote, id, lf)
-		case s.votes[id][lf] != 0:
-			return fmt.Errorf("core: labels relation holds two votes for candidate %d / lf %d", id, lf)
 		}
 		s.votes[id][lf] = int8(vote)
 		return nil

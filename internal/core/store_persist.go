@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,8 +46,11 @@ const (
 // by TestStoreSchemasMatchFormat.
 const storeFormat = "3"
 
-func mustSchema(name string, cols ...string) kbase.Schema {
+func mustSchema(name string, key kbase.Key, cols ...string) kbase.Schema {
 	s, err := kbase.NewSchema(name, cols...)
+	if err == nil {
+		s, err = s.WithKey(key)
+	}
 	if err != nil {
 		// Unreachable from input or I/O: every caller passes the column
 		// literals of storeSchemas, at package initialization.
@@ -55,23 +59,25 @@ func mustSchema(name string, cols ...string) kbase.Schema {
 	return s
 }
 
+// Each relation declares its key (TestStoreSchemaKeys); the ascending
+// ones are those mirror appends in key order.
 var storeSchemas = []kbase.Schema{
 	// One row per document, in ingestion order, with its featurization
 	// cache statistics.
-	mustSchema(tblDocuments, "pos:integer", "name", "format", "hits:integer", "misses:integer"),
+	mustSchema(tblDocuments, kbase.Key{Cols: 1, Ascending: true}, "pos:integer", "name", "format", "hits:integer", "misses:integer"),
 	// One row per sentence, carrying every attribute the data model
 	// records at sentence granularity — textual, structural, visual —
 	// plus the containing table cell's grid coordinates (tbl = -1 for
 	// non-tabular sentences), so the document DAG's leaf layer
 	// restores faithfully.
-	mustSchema(tblSentences, "doc", "pos:integer", "words", "lemmas", "pos_tags", "ner",
+	mustSchema(tblSentences, kbase.Key{Cols: 2}, "doc", "pos:integer", "words", "lemmas", "pos_tags", "ner",
 		"htmltag", "attrs", "ancestor_tags", "ancestor_classes", "ancestor_ids",
 		"nodepos:integer", "prevsib", "nextsib", "pages", "boxes", "font",
 		"tbl:integer", "row_start:integer", "row_end:integer", "col_start:integer", "col_end:integer", "header:integer"),
-	mustSchema(tblCands, "cand:integer", "arg:integer", "type", "doc", "sent:integer", "start:integer", "end:integer"),
-	mustSchema(tblFeatures, "cand:integer", "seq:integer", "feature"),
-	mustSchema(tblLabels, "cand:integer", "lf:integer", "vote:integer"),
-	mustSchema(tblMeta, "key", "value"),
+	mustSchema(tblCands, kbase.Key{Cols: 2, Ascending: true}, "cand:integer", "arg:integer", "type", "doc", "sent:integer", "start:integer", "end:integer"),
+	mustSchema(tblFeatures, kbase.Key{Cols: 2, Ascending: true}, "cand:integer", "seq:integer", "feature"),
+	mustSchema(tblLabels, kbase.Key{Cols: 2}, "cand:integer", "lf:integer", "vote:integer"),
+	mustSchema(tblMeta, kbase.Key{Cols: 1}, "key", "value"),
 }
 
 // ---- sentence-attribute field codecs.
@@ -426,14 +432,11 @@ func (s *Store) newStoreDB(engine kbase.Engine) *kbase.DB {
 // configuration (runtime knobs — seed, epochs, threshold, workers —
 // are free to change between invocations).
 func (s *Store) configMeta() map[string]string {
-	mods := make([]int, 0, len(s.opts.DisabledModalities))
-	for _, m := range s.opts.DisabledModalities {
-		mods = append(mods, int(m))
-	}
-	sort.Ints(mods)
+	mods := slices.Clone(s.opts.DisabledModalities)
+	slices.Sort(mods)
 	modStrs := make([]string, len(mods))
 	for i, m := range mods {
-		modStrs[i] = strconv.Itoa(m)
+		modStrs[i] = strconv.Itoa(int(m))
 	}
 	lfNames := make([]string, len(s.lfs))
 	for i, lf := range s.lfs {
@@ -458,26 +461,19 @@ func (s *Store) configMeta() map[string]string {
 	}
 }
 
-// writeMeta re-materializes the meta relation (delete + insert, keyed
-// rows, sorted key order so the relation's row order — and with it
-// the snapshot's meta.tsv bytes — is deterministic across sessions
-// and backends).
+// writeMeta rewrites the meta relation whole, in sorted key order, so its
+// row order — and with it the snapshot's meta.tsv bytes — is
+// deterministic across sessions and backends.
 func (s *Store) writeMeta() error {
-	tbl := s.db.Table(tblMeta)
-	meta := s.configMeta()
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
+	tbl, meta := s.db.Table(tblMeta), s.configMeta()
+	rows := make([]kbase.Tuple, 0, len(meta))
+	for k, v := range meta {
+		rows = append(rows, kbase.Tuple{k, v})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		key := k
-		tbl.DeleteWhere(func(tp kbase.Tuple) bool { return tp[0].(string) == key })
-		if _, err := tbl.Insert(kbase.Tuple{k, meta[k]}); err != nil {
-			return err
-		}
-	}
-	return nil
+	sort.Slice(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) })
+	tbl.DeleteWhere(func(kbase.Tuple) bool { return true })
+	_, err := tbl.InsertAll(rows)
+	return err
 }
 
 // mirror persists the shards of newly ingested documents — the
@@ -486,7 +482,7 @@ func (s *Store) writeMeta() error {
 // assigned), feats[k] its Featurize output, and votes holds the Labels
 // rows of all of them in candidate order. Each relation gets one batch,
 // its rows in document order, and the relations — each table owns its
-// backend, dedup index, planner and segment — are built and inserted on
+// backend, key check, planner and segment — are built and inserted on
 // up to workers goroutines. The rows are a pure function of the
 // arguments (the documents have passed checkPersistable), so the only
 // error is an engine's: the first in relation order, whatever the

@@ -563,6 +563,85 @@ func TestOpenStoreRefusesMalformedSnapshots(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRefusesDuplicateKeys: every relation loads into its
+// declared key, so a snapshot whose documents, features or labels
+// relation repeats a row exactly — a duplicate a set would silently drop
+// — is refused with an error naming the relation, and on the disk kind
+// leaves no spill directory or open segment behind. A snapshot that
+// resumes has its relations keyed: re-inserting a stored row is refused.
+func TestOpenStoreRefusesDuplicateKeys(t *testing.T) {
+	corpus := synth.Electronics(63, 6)
+	task := corpus.Tasks[0]
+	st := core.NewStore(task, core.Options{Epochs: 1})
+	defer st.Close()
+	if err := st.AddDocuments(corpus.Docs...); err != nil {
+		t.Fatal(err)
+	}
+	files := snapshotOf(t, st)
+	for _, kind := range []string{"memory", "disk"} {
+		t.Run(kind+"/resumed", func(t *testing.T) {
+			dir := writeSnapshot(t, files, "", "")
+			resumed, err := core.OpenStore(dir, task, core.Options{Epochs: 1, Backend: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resumed.Close()
+			for _, name := range []string{"documents", "sentences", "candidates", "features", "labels", "meta"} {
+				tbl := resumed.DB().Table(name)
+				_, err := tbl.Insert(tbl.Page(0, 1)[0])
+				if ke := (*kbase.KeyError)(nil); !errors.As(err, &ke) || ke.Table != name {
+					t.Errorf("re-inserting the first %s row of a resumed store = %v, want a key error", name, err)
+				}
+			}
+		})
+		for _, relation := range []string{"documents", "features", "labels"} {
+			t.Run(kind+"/"+relation, func(t *testing.T) {
+				spill := t.TempDir()
+				t.Setenv("TMPDIR", spill) // where the disk kind makes its spill directory
+				lines := strings.SplitAfter(string(files[relation+".tsv"]), "\n")
+				copied := strings.Join(lines[:2], "") + lines[1] + strings.Join(lines[2:], "") // row 0 twice
+				dir := writeSnapshot(t, files, relation+".tsv", copied)
+				resumed, err := core.OpenStore(dir, task, core.Options{Epochs: 1, Backend: kind})
+				if err == nil {
+					resumed.Close()
+					t.Fatal("OpenStore resumed a snapshot with a repeated row")
+				}
+				if !strings.Contains(err.Error(), relation+" relation") {
+					t.Errorf("OpenStore = %v, want an error naming the %s relation", err, relation)
+				}
+				if left, _ := os.ReadDir(spill); len(left) != 0 {
+					t.Errorf("the refusal left %s behind in the spill root", left[0].Name())
+				}
+				fds, _ := os.ReadDir("/proc/self/fd")
+				for _, fd := range fds {
+					if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(target, spill) {
+						t.Errorf("the refusal left descriptor %s open on %s", fd.Name(), target)
+					}
+				}
+			})
+		}
+	}
+}
+
+// writeSnapshot writes the snapshot files to a fresh directory, the file
+// named edited (if any) with body instead.
+func writeSnapshot(t *testing.T, files map[string][]byte, edited, body string) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for file, b := range files {
+		if file == edited {
+			b = []byte(body)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // storeState is what a refused or failed call must leave alone.
 type storeState struct {
 	epoch  uint64

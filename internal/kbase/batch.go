@@ -1,9 +1,11 @@
 package kbase
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // Batch is the unit of insertion: rows of one schema held column-major,
@@ -209,26 +211,38 @@ func (b *Batch) truncate(n int) {
 	}
 }
 
-// rowsEqual reports whether rows i and j of a checked batch have the
-// same dedup key.
-func (b *Batch) rowsEqual(i, j int) bool {
-	for c := range b.cols {
+// compare compares the first cols cells of rows i and j of a checked
+// batch, as Backend.Compare does.
+func (b *Batch) compare(i, j, cols int) int {
+	for c := range cols {
+		d := 0
 		switch v := &b.cols[c]; {
 		case len(v.ints) > 0:
-			if v.ints[i] != v.ints[j] {
-				return false
-			}
+			d = cmp.Compare(v.ints[i], v.ints[j])
 		case len(v.floats) > 0:
 			if !floatsEqual(v.floats[i], v.floats[j]) {
-				return false
+				d = 1
 			}
 		default:
-			if v.strs[i] != v.strs[j] {
-				return false
-			}
+			d = strings.Compare(v.strs[i], v.strs[j])
+		}
+		if d != 0 {
+			return d
 		}
 	}
-	return true
+	return 0
+}
+
+// cell returns the cell of row r in column c of a checked batch.
+func (b *Batch) cell(c, r int) any {
+	switch v := &b.cols[c]; {
+	case len(v.ints) > 0:
+		return v.ints[r]
+	case len(v.floats) > 0:
+		return v.floats[r]
+	default:
+		return v.strs[r]
+	}
 }
 
 // hash computes every row's dedup hash into hs (reused when it has the

@@ -1,6 +1,7 @@
 package kbase
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -498,28 +500,27 @@ func (b *pagedBackend) row(i int) (pageView, int) {
 	return b.openView(&b.pageSeq, i/b.pageRows-b.pages), i % b.pageRows
 }
 
-func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool {
+func (b *pagedBackend) Compare(i int, bt *Batch, r, cols int) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	v, k := b.row(i)
-	for c, t := range b.layout.types {
-		col := &bt.cols[c]
+	for c, t := range b.layout.types[:cols] {
+		d, col := 0, &bt.cols[c]
 		switch t {
 		case IntCol:
-			if v.intAt(c, k) != col.ints[r] {
-				return false
-			}
+			d = cmp.Compare(v.intAt(c, k), col.ints[r])
 		case FloatCol:
 			if !floatsEqual(v.floatAt(c, k), col.floats[r]) {
-				return false
+				d = 1
 			}
 		default:
-			if v.strAt(c, k) != col.strs[r] {
-				return false
-			}
+			d = strings.Compare(v.strAt(c, k), col.strs[r])
+		}
+		if d != 0 {
+			return d
 		}
 	}
-	return true
+	return 0
 }
 
 // Get returns a copy of the row at position i.

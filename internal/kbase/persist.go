@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -141,8 +142,10 @@ func ReadTSV(r io.Reader) (*Table, error) {
 
 // ReadTSVWith is ReadTSV with the restored rows stored through the
 // given engine — how a disk-backed session resumes a snapshot without
-// materializing its relations in memory.
-func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
+// materializing its relations in memory. A declared schema with the
+// header's name and columns is the table's, key included; any other
+// header is read as it says.
+func ReadTSVWith(r io.Reader, engine Engine, declared ...Schema) (*Table, error) {
 	br := bufio.NewReader(r)
 	header, err := readLine(br)
 	if err == io.EOF {
@@ -170,6 +173,11 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 	schema, err := NewSchema(name, specs...)
 	if err != nil {
 		return nil, err
+	}
+	for _, d := range declared {
+		if d.Name == schema.Name && slices.Equal(d.Columns, schema.Columns) {
+			schema = d
+		}
 	}
 	be, err := engine.NewBackend(schema)
 	if err != nil {
@@ -300,10 +308,11 @@ func LoadDB(dir string) (*DB, error) {
 }
 
 // LoadDBWith restores a database from a SaveDB directory through the
-// given storage engine. The database takes ownership of the engine.
-// On error the partially built database is closed, so a failed
+// given storage engine, each table under its declared schema when its
+// header matches one (ReadTSVWith). The database takes ownership of the
+// engine. On error the partially built database is closed, so a failed
 // disk-backed load leaks no spill files.
-func LoadDBWith(dir string, engine Engine) (*DB, error) {
+func LoadDBWith(dir string, engine Engine, declared ...Schema) (*DB, error) {
 	body, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		engine.Close()
@@ -326,7 +335,7 @@ func LoadDBWith(dir string, engine Engine) (*DB, error) {
 		if err != nil {
 			return fail(err)
 		}
-		t, err := ReadTSVWith(f, engine)
+		t, err := ReadTSVWith(f, engine, declared...)
 		f.Close()
 		if err != nil {
 			return fail(fmt.Errorf("kbase: table %s: %w", name, err))
