@@ -3,7 +3,7 @@ package fonduer
 // Per-layer micro benchmarks: one row per layer of the system — parse,
 // align, tokenize, featurize (mention cache on/off), sparse
 // representations, train, classify, full pipeline runs, store
-// ingestion per backend, kbase insert/mirror, label-model fit, delta
+// ingestion, snapshot and resume, kbase insert, label-model fit, delta
 // views and the serving handlers — each with a real -benchtime and,
 // where allocation is part of the contract, ReportAllocs. These are
 // for measuring while you work; the repository's end-to-end numbers
@@ -116,34 +116,10 @@ func BenchmarkIngestIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestPaged is BenchmarkIngestIncremental over each paged
-// kbase kind: identical stage work, with every relation row sealed into
-// binary column pages — spilled to files ("disk") or kept on the heap
-// ("columnar") — instead of residing in a slice: the storage engine's
-// ingest overhead in isolation.
-func BenchmarkIngestPaged(b *testing.B) {
-	elec, batches := ingestCorpus()
-	task := elec.Tasks[0]
-	for _, kind := range []string{"disk", "columnar"} {
-		b.Run(kind, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				st := core.NewStore(task, core.Options{Backend: kind})
-				for _, batch := range batches {
-					if err := st.AddDocuments(batch...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				st.Close()
-			}
-		})
-	}
-}
-
 // BenchmarkOpenStore is resume's own layer: OpenStore of a 120-document
-// electronics snapshot — load, column checks, the one pass per relation
-// and every document rebuilt — on the memory and disk kinds. B/op is
-// what a resumed process allocates before it serves anything.
+// electronics snapshot — column checks, the one pass per relation file
+// and every document rebuilt. B/op is what a resumed process allocates
+// before it serves anything.
 func BenchmarkOpenStore(b *testing.B) {
 	elec := synth.Electronics(1, 120)
 	task := elec.Tasks[0]
@@ -155,18 +131,12 @@ func BenchmarkOpenStore(b *testing.B) {
 	if err := st.Snapshot(dir); err != nil {
 		b.Fatal(err)
 	}
-	st.Close()
-	for _, kind := range []string{"memory", "disk"} {
-		b.Run(kind, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				resumed, err := core.OpenStore(dir, task, core.Options{Backend: kind})
-				if err != nil {
-					b.Fatal(err)
-				}
-				resumed.Close()
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.OpenStore(dir, task, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -724,31 +694,25 @@ func BenchmarkTableInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkMirrorDoc is the store's per-document mirror (every relation
-// row of a new document into kbase). One op ingests the 24-document
-// corpus into a fresh store; ns/op and allocs/op are the whole
-// AddDocuments, and the mirror stage's own time — its span — is reported
-// per document.
-func BenchmarkMirrorDoc(b *testing.B) {
-	elec, batches := ingestCorpus()
-	task := elec.Tasks[0]
-	mirrorMs := 0.0
+// BenchmarkSnapshot is the snapshot's own layer: Store.Snapshot of a
+// 120-document electronics session, every relation streamed from the
+// store into its TSV file a bounded batch at a time. B/op is what a
+// snapshot allocates beside the session; it does not grow with the
+// session.
+func BenchmarkSnapshot(b *testing.B) {
+	elec := synth.Electronics(1, 120)
+	st := core.NewStore(elec.Tasks[0], core.Options{})
+	if err := st.AddDocuments(elec.Docs...); err != nil {
+		b.Fatal(err)
+	}
+	dir := filepath.Join(b.TempDir(), "snap")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := core.NewStore(task, core.Options{})
-		for _, batch := range batches {
-			if err := st.AddDocuments(batch...); err != nil {
-				b.Fatal(err)
-			}
-			for _, sp := range st.TakeIngestSpans() {
-				if sp.Name == "mirror" {
-					mirrorMs += sp.DurationMs
-				}
-			}
+		if err := st.Snapshot(dir); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(mirrorMs*1e3/float64(b.N*len(elec.Docs)), "mirror_us/doc")
 }
 
 // BenchmarkLabelFit is what a delta publish pays for supervision: the

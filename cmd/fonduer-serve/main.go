@@ -19,7 +19,7 @@
 //	fonduer-serve -addr :8080 -domain electronics                # one empty default tenant, ingest online
 //	fonduer-serve -store ./session -domain electronics           # serve a 'fonduer -store ./session' build
 //	fonduer-serve -store ./session -relation HasCollectorCurrent # pick one of the domain's relations
-//	fonduer-serve -backend disk                                  # session relations paged to spill files
+//	fonduer-serve -backend disk                                  # accepted and echoed in /meta; relations stay in the store
 //	fonduer-serve -tenants 'elec:electronics,ads:ads::disk'      # multi-tenant bootstrap
 //	                                                             # (name:domain[:relation[:backend]])
 //
@@ -46,7 +46,7 @@
 // on a separate listener so profiling never contends with the API.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests and closes
-// every tenant, releasing the disk backend's spill directories.
+// every tenant.
 package main
 
 import (
@@ -58,6 +58,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -82,11 +83,11 @@ func main() {
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables behind a cache of decoded pages) or columnar (the same pages and cache, with the pages on the heap; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
+	backend := flag.String("backend", "", "storage engine kind: memory, disk or columnar (default: $FONDUER_BACKEND, else memory); validated and echoed in /meta, while the session keeps its relations itself on every kind; per-tenant overrides via -tenants or POST /admin/tenants")
 	// Deprecated: parsed documents stay in memory (DESIGN.md, "Why
 	// documents stay resident"). The flag is accepted only because
 	// benchmark/ still passes it to its store_spill server; it goes when
-	// the next benchmark-archetype PR drops that argument (ROADMAP item 2).
+	// the next benchmark-archetype PR drops that argument (ROADMAP item 3(d)).
 	maxResident := flag.Int("max-resident-docs", 0, "deprecated and ignored: parsed documents always stay in memory")
 	syncPublish := flag.Bool("sync-publish", false, "the writer is the trainer: retrain cold on every ingest before publishing; default is async: immediate delta epochs + background warm retraining")
 	trainDrift := flag.Float64("train-drift", 0.10, "async mode: trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")
@@ -118,6 +119,15 @@ func main() {
 	if !kbase.ValidBackendKind(*backend) {
 		fmt.Fprintf(os.Stderr, "fonduer-serve: unknown -backend %q (want %s)\n", *backend, kbase.BackendKindsWant())
 		os.Exit(1)
+	}
+	// A server's live heap is small and mostly pointerful (a session
+	// keeps each relation once: documents, candidates, views), so at
+	// GOGC=100 the collector cycles often for the marking each cycle
+	// does. On a read-heavy tenant 150 cuts GC CPU by about a third and
+	// keeps the p99 page read flat, for a larger heap goal (DESIGN.md
+	// §3b). $GOGC still decides when set.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(150)
 	}
 	// The fleet-wide pool budget: installed before any tenant exists so
 	// even bootstrap-time view building honors it.
@@ -186,11 +196,8 @@ func newHTTPServer(h http.Handler) *http.Server {
 
 // serveUntil serves ln until a shutdown signal arrives (or the
 // listener fails), then drains in-flight requests via
-// http.Server.Shutdown and closes every tenant. The registry Close is
-// what releases the disk backend's spill directories — before signal
-// handling existed, SIGINT/SIGTERM killed the process with the
-// deferred Close never run, leaking a spill directory per disk
-// tenant (the GC finalizer backstop doesn't fire on process exit).
+// http.Server.Shutdown and closes every tenant (registry Close), so
+// in-flight requests finish before the process exits.
 func serveUntil(httpSrv *http.Server, rg *serve.Registry, ln net.Listener, stop <-chan os.Signal) error {
 	defer rg.Close()
 	errc := make(chan error, 1)

@@ -173,13 +173,13 @@ func TestServeUnknownInputs(t *testing.T) {
 	}
 }
 
-// TestShutdownReleasesSpillDirs is the regression test for the
+// TestShutdownReleasesSpillDirs began as the regression test for the
 // shutdown spill leak: before signal handling existed, SIGINT/SIGTERM
-// killed the process without running Close, leaking one
-// kbase-spill-* directory per disk tenant. serveUntil must drain the
-// HTTP server and close every tenant, leaving the spill area empty and —
-// a disk relation that has sealed a page holds its segment open — no
-// descriptor on a spill file behind.
+// killed the process without running Close, leaking one kbase-spill-*
+// directory per disk tenant. A disk tenant now keeps its relations in
+// the store and creates no spill directory and no spill file, ingest or
+// not; serveUntil must still drain the HTTP server on SIGTERM and close
+// every tenant.
 func TestShutdownReleasesSpillDirs(t *testing.T) {
 	spillArea := t.TempDir()
 	t.Setenv("TMPDIR", spillArea) // disk engines os.MkdirTemp here
@@ -191,10 +191,9 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dirs := spillDirs(t, spillArea); len(dirs) != 3 {
-		t.Fatalf("expected 3 live spill directories, found %v", dirs)
+	if dirs := spillDirs(t, spillArea); len(dirs) != 0 {
+		t.Fatalf("three disk tenants created spill directories %v, want none", dirs)
 	}
-	// Empty relations hold no descriptor.
 	if held, ok := spillFDs(t); ok && len(held) != len(fdBaseline) {
 		t.Fatalf("three empty disk tenants hold spill descriptors: %v", held)
 	}
@@ -209,7 +208,7 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	go func() { done <- serveUntil(httpSrv, rg, ln, stop) }()
 
 	// The server is live: a real request round-trips, and an ingest
-	// seals pages, so one tenant now holds segments open.
+	// spills nothing.
 	base := "http://" + ln.Addr().String()
 	h := get(t, base+"/healthz")
 	if h["ok"] != true {
@@ -232,8 +231,11 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
-	if held, ok := spillFDs(t); ok && len(held) <= len(fdBaseline) {
-		t.Fatalf("the ingest opened no segment (spill descriptors %v)", held)
+	if held, ok := spillFDs(t); ok && len(held) != len(fdBaseline) {
+		t.Fatalf("the ingest opened a spill file (spill descriptors %v)", held)
+	}
+	if dirs := spillDirs(t, spillArea); len(dirs) != 0 {
+		t.Fatalf("the ingest created spill directories %v", dirs)
 	}
 
 	stop <- syscall.SIGTERM

@@ -151,8 +151,6 @@ func run(dir, domain, relation string, threshold float64, epochs int, seed int64
 			}
 			trainNames, testNames := splitNames(st.DocNames())
 			res, err = st.RunSplit(trainNames, testNames, gold)
-			// Deterministically reclaim the disk backend's spill before
-			// moving to the next relation.
 			st.Close()
 			if err != nil {
 				return err

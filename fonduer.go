@@ -375,19 +375,17 @@ type (
 
 // NewStore creates an empty session store for a task; opts fixes the
 // session's featurization/supervision configuration. Options.Backend
-// selects the storage engine materializing the relations ("memory",
-// or the paged engine with its pages in spill files, "disk", or on the
-// heap, "columnar"; results are bit-identical across the three). The
-// parsed documents themselves stay in memory for the life of the store
-// (DESIGN.md, "Why documents stay resident"). Call Store.Close to
-// release a disk-backed store's spill directory. Store calls report
+// names a storage engine kind ("memory", "disk" or "columnar"): an
+// unknown one fails the store, and the store keeps its relations — and
+// the parsed documents (DESIGN.md, "Why documents stay resident") — in
+// memory on every kind. Store calls report
 // what they refuse or cannot do as ErrDocumentExists, ErrInvalidDocument
 // and ErrStoreFailed.
 func NewStore(task Task, opts Options) *Store { return core.NewStore(task, opts) }
 
 // The errors of a Store call, for errors.Is: the first two refuse a
-// batch and leave the store untouched; the third is terminal for the
-// store value, and OpenStore on its last snapshot is the way back.
+// batch and leave the store untouched; the third is a store created
+// under an unknown Options.Backend, which refuses every call.
 var (
 	ErrDocumentExists  = core.ErrDocumentExists
 	ErrInvalidDocument = core.ErrInvalidDocument

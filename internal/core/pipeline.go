@@ -111,17 +111,14 @@ type Options struct {
 	// per example, the pre-minibatch trajectory. Results depend on
 	// Batch (it is a real hyperparameter) but never on Workers.
 	Batch int
-	// Backend selects the kbase storage engine materializing a Store's
-	// relations: "memory" (every row resident, as typed column vectors)
-	// or one of the two kinds of the paged engine, whose fixed-size
-	// pages are column-major binary blobs read back through a small
-	// cache of decoded pages: "disk" (pages in spill files, so relations
-	// stream instead of residing in RAM) or "columnar" (the same pages
-	// on the heap). The zero
-	// value "" is a sentinel consulting $FONDUER_BACKEND first (how CI
-	// runs the whole suite per backend) and defaulting to "memory".
-	// Results are bit-identical across backends; only the
-	// memory/latency trade differs. Ignored by store-less Run calls.
+	// Backend names a kbase storage engine kind: "memory", "disk" or
+	// "columnar". The zero value "" is a sentinel consulting
+	// $FONDUER_BACKEND first (how CI runs the whole suite per backend)
+	// and defaulting to "memory". A Store refuses an unknown kind and
+	// echoes a valid one in StorageStats; it keeps its relations itself
+	// on every kind, so results, snapshots and memory are the same
+	// across them. The field goes with the paged kinds (ROADMAP item
+	// 13(b)). Ignored by store-less Run calls.
 	Backend string
 	// Deprecated: MaxResidentDocs is ignored. It used to bound how many
 	// parsed documents a Store kept in memory, evicting the rest; every
@@ -129,7 +126,7 @@ type Options struct {
 	// and no memory (DESIGN.md, "Why documents stay resident"). The
 	// field is kept only because benchmark/ still sets it; it goes when
 	// the next benchmark-archetype PR drops those literals (ROADMAP
-	// item 2).
+	// item 3(d)).
 	MaxResidentDocs int
 }
 
@@ -207,8 +204,7 @@ func Run(task Task, train, test []*datamodel.Document, gold []GoldTuple, opts Op
 // per-candidate Features relation, labeling-function votes
 // materialized into the Labels matrix, then runStages (a frozen index
 // from the train split's feature counts, Supervise, Train, Classify).
-// Store.RunSplit feeds the same runStages from relations persisted in
-// kbase.
+// Store.RunSplit feeds the same runStages from the store's relations.
 func RunWithCandidates(task Task, trainCands, testCands []*candidates.Candidate, test []*datamodel.Document, gold []GoldTuple, opts Options) Result {
 	opts.defaults()
 	newFx := extractorFactory(opts)

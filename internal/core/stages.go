@@ -28,7 +28,7 @@ import (
 //
 // Each stage is written once, here, and every path composes the same
 // functions: Run and RunWithCandidates over transient in-memory
-// relations, Store.AddDocuments over the delta it persists in kbase
+// relations, Store.AddDocuments over the delta it keeps in the store
 // (re-running only the stages a change invalidates), ad-hoc
 // StoreView.ClassifyDocument, and the experiments through
 // TrainExamples. Fonduer processes documents atomically (Appendix C):

@@ -10,7 +10,6 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
 	"repro/internal/features"
-	"repro/internal/kbase"
 	"repro/internal/labeling"
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -20,9 +19,10 @@ import (
 // extraction session — the role PostgreSQL plays in the paper's
 // implementation. It materializes the pipeline's intermediate
 // relations (per-document Candidates, the index-independent Features
-// relation of per-candidate feature names, and the Labels votes) both
-// in memory and as kbase tables, each fact in one relation; the feature
-// counts are summed from Features, never persisted. So:
+// relation of per-candidate feature names, and the Labels votes) once,
+// in its own structures, each fact in one relation; a snapshot streams
+// them from there (Snapshot), and the feature counts are summed from
+// Features, never persisted. So:
 //
 //   - documents can be ingested incrementally: AddDocuments extracts,
 //     featurizes and labels only the new documents and adds their
@@ -58,12 +58,10 @@ import (
 //
 // Failure semantics: a mutation is validate → commit. What the input can
 // cause (ErrDocumentExists, ErrInvalidDocument) is found before the
-// store changes, and the call leaves it exactly as it was. What remains
-// after the commit point is I/O (a paged relation that cannot seal a
-// page); it leaves the relations and the session disagreeing, so the
-// store marks itself failed and every later guarded call — mutations,
-// Snapshot, View — returns ErrStoreFailed. The way back is OpenStore on
-// the last snapshot.
+// store changes, and the call leaves it exactly as it was; past the
+// commit point nothing can fail, as a mutation does no I/O. The one
+// store that refuses every guarded call — mutations, Snapshot, View —
+// with ErrStoreFailed is one created under an unknown Options.Backend.
 type Store struct {
 	task Task
 	opts Options
@@ -104,7 +102,9 @@ type Store struct {
 	// counts); every other name of feats is still below the floor.
 	dict *features.Index
 
-	db *kbase.DB
+	// rows counts each relation's rows, as stream writes them: kept by
+	// AddDocuments, AddLF and EditLF, and read by View (TableRows).
+	rows map[string]int
 
 	// ingestSpans is the stage timing of the most recent AddDocuments
 	// call (observability only — cleared and rebuilt per call). Like
@@ -132,24 +132,12 @@ type storeDoc struct {
 // session's featurization and supervision configuration (see the type
 // comment); opts.LFs, when non-nil, overrides task.LFs as the
 // session's labeling functions (an empty non-nil slice starts the
-// session with none, the DevSession entry state). opts.Backend picks
-// the storage engine materializing the relations. NewStore has no error
-// result: when the engine cannot be created (an unknown backend name, a
-// spill directory that cannot be made) the store comes back already
-// failed, over the memory engine, and its first guarded call returns the
-// cause. Disk-backed stores should be Closed to reclaim their spill
-// directory promptly; a GC finalizer backstops leaks.
+// session with none, the DevSession entry state). NewStore has no
+// error result: under an unknown opts.Backend the store comes back
+// already failed, and its first guarded call returns the cause.
 func NewStore(task Task, opts Options) *Store {
 	s := newStore(task, opts)
-	engine, err := newStoreEngine(s.opts)
-	if err != nil {
-		engine = kbase.MemoryEngine{}
-	}
-	s.db = s.newStoreDB(engine)
-	if err == nil {
-		err = s.writeMeta()
-	}
-	if err != nil {
+	if err := checkBackend(s.opts); err != nil {
 		s.fail(err)
 	}
 	return s
@@ -165,11 +153,16 @@ func newStore(task Task, opts Options) *Store {
 		byName: map[string]*storeDoc{},
 		feats:  features.NewIndex(),
 		dict:   features.NewIndex(),
+		rows:   map[string]int{},
 	}
 	s.lfs = append(s.lfs, task.LFs...)
 	if opts.LFs != nil {
 		s.lfs = append(s.lfs[:0], opts.LFs...)
 	}
+	for _, schema := range storeSchemas {
+		s.rows[schema.Name] = 0
+	}
+	s.rows[tblMeta] = len(s.configMeta())
 	return s
 }
 
@@ -191,10 +184,9 @@ func (s *Store) DocNames() []string {
 	return out
 }
 
-// Close releases the store's storage-engine resources (the disk
-// backend's spill directory). The store is unusable afterwards;
-// snapshots taken earlier are unaffected.
-func (s *Store) Close() error { return s.db.Close() }
+// Close releases nothing, as the store holds no file or storage engine,
+// and returns nil.
+func (s *Store) Close() error { return nil }
 
 // NumLFs returns the number of installed labeling functions.
 func (s *Store) NumLFs() int { return len(s.lfs) }
@@ -212,27 +204,21 @@ func (s *Store) LFs() []labeling.LF {
 // the list only grows across AddDocuments calls.
 func (s *Store) FeatureIndex() *features.Index { return s.dict }
 
-// DB exposes the store's materialized kbase relations (read-only use;
-// mutating them bypasses the in-memory state).
-func (s *Store) DB() *kbase.DB { return s.db }
-
-// StorageStats describes the store's storage engine — the
-// operator-facing counters surfaced by the serving layer's /meta
-// endpoint.
+// StorageStats describes the store's storage — the operator-facing
+// counters surfaced by the serving layer's /meta endpoint.
 type StorageStats struct {
-	// Backend is the kbase engine kind ("memory", "disk" or
-	// "columnar").
+	// Backend echoes the (defaulted) Options.Backend: "memory", "disk"
+	// or "columnar". The store keeps its relations itself on every kind.
 	Backend string
 	// Docs is the ingested document count.
 	Docs int
 	// Deprecated: PeakResidentDocs always equals Docs — every document
 	// is resident (DESIGN.md, "Why documents stay resident"). It is
 	// kept only because benchmark/ still reads it; it goes when the
-	// next benchmark-archetype PR drops that read (ROADMAP item 2).
+	// next benchmark-archetype PR drops that read (ROADMAP item 3(d)).
 	PeakResidentDocs int
-	// DiskPages counts sealed pages across relations (in spill files
-	// for the "disk" kind, on the heap for "columnar"); the cache
-	// counters report the decoded-page cache's effectiveness on both.
+	// DiskPages and the page-cache counters read 0: no relation is kept
+	// in pages. They go with the paged kinds (ROADMAP item 13(b)).
 	DiskPages                      int
 	PageCacheHits, PageCacheMisses int64
 	PageCacheHitRate               float64
@@ -242,16 +228,7 @@ type StorageStats struct {
 // whole-store reads it must run on the writer goroutine (StoreView
 // captures it at build time for concurrent readers).
 func (s *Store) StorageStats() StorageStats {
-	dbs := s.db.Stats()
-	return StorageStats{
-		Backend:          dbs.Backend,
-		Docs:             len(s.docs),
-		PeakResidentDocs: len(s.docs),
-		DiskPages:        dbs.Pages,
-		PageCacheHits:    dbs.CacheHits,
-		PageCacheMisses:  dbs.CacheMisses,
-		PageCacheHitRate: dbs.HitRate(),
-	}
+	return StorageStats{Backend: s.opts.Backend, Docs: len(s.docs), PeakResidentDocs: len(s.docs)}
 }
 
 // LabelMatrix materializes the Labels relation as a LIL matrix over
@@ -279,9 +256,8 @@ var (
 	// ErrInvalidDocument: a document of the batch cannot be persisted
 	// (checkPersistable). Nothing was ingested.
 	ErrInvalidDocument = errors.New("core: invalid document")
-	// ErrStoreFailed: an I/O error after a commit point left the
-	// relations and the session disagreeing; the store refuses further
-	// use, and OpenStore on its last snapshot is the way back.
+	// ErrStoreFailed: the store was created under an unknown
+	// Options.Backend and refuses every guarded call.
 	ErrStoreFailed = errors.New("core: store failed")
 )
 
@@ -386,24 +362,15 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 	spans = append(spans, obs.NewSpan("supervise", t0, len(deltaCands), len(votes), pool.Workers(workers)))
 
 	// ---- Commit point. Nothing above touched the store and nothing
-	// below depends on the input. The relations take the delta first,
-	// one batch each, side by side: that is the only step that can still
-	// fail (I/O on a paged kind), and when it does the session fields are
-	// still those of the last epoch while the relations hold part of an
-	// upload — the failing relation a prefix of its batch, the others all
-	// of theirs or none — so the store is failed, not rolled back.
-	t0 = time.Now()
-	mirrored, err := s.mirror(len(s.docs), delta, perDoc, feats, votes, workers)
-	if err != nil {
-		return s.fail(err)
-	}
-	spans = append(spans, obs.NewSpan("mirror", t0, len(delta), mirrored, pool.Workers(workers)))
-
-	// ---- Merge: append per-document state and the Features rows as ids
-	// — this is where a name is first interned — then count them.
+	// below depends on the input or can fail. Merge: append per-document
+	// state and the Features rows as ids — this is where a name is first
+	// interned — count the relations' new rows, then the features.
 	t0 = time.Now()
 	changed = true
 	s.votes = append(s.votes, votes...)
+	for _, v := range votes {
+		s.rows[tblLabels] += countVotes(v)
+	}
 	firstCand := len(s.names)
 	for i, d := range delta {
 		sd := &storeDoc{
@@ -414,10 +381,29 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 		s.byName[d.Name] = sd
 		s.cands = append(s.cands, perDoc[i]...)
 		s.names = append(s.names, internRows(s.feats, feats[i].names)...)
+		s.rows[tblSentences] += len(d.Sentences())
+		for _, c := range perDoc[i] {
+			s.rows[tblCands] += len(c.Mentions)
+		}
+	}
+	s.rows[tblDocuments] = len(s.docs)
+	for _, ids := range s.names[firstCand:] {
+		s.rows[tblFeatures] += len(ids)
 	}
 	admitted := s.countFeatures(s.names[firstCand:])
 	s.ingestSpans = append(spans, obs.NewSpan("merge", t0, len(deltaCands), admitted, 0))
 	return nil
+}
+
+// countVotes counts the non-abstain votes: the Labels rows they are.
+func countVotes(votes []int8) int {
+	n := 0
+	for _, v := range votes {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // countFeatures adds Features rows — new candidates' distinct features,
@@ -471,14 +457,14 @@ func (s *Store) AddLF(lf labeling.LF) (int, error) {
 	for i := range s.votes {
 		s.votes[i] = append(s.votes[i], votes[i])
 	}
-	return col, s.mirrorColumn(col, votes)
+	s.rows[tblLabels] += countVotes(votes)
+	return col, nil
 }
 
 // EditLF replaces the labeling function at col and re-applies it to
-// every candidate. In the kbase Labels relation the column's rows are
-// deleted and re-materialized — the row-deletion path an append-only
-// log cannot express. A column that does not exist is the one error
-// that leaves the store untouched; any other is ErrStoreFailed.
+// every candidate: the column's votes are replaced in place. A column
+// that does not exist is an error that leaves the store untouched; the
+// only other is ErrStoreFailed.
 func (s *Store) EditLF(col int, lf labeling.LF) error {
 	if col < 0 || col >= len(s.lfs) {
 		return fmt.Errorf("core: no labeling function at column %d", col)
@@ -490,10 +476,13 @@ func (s *Store) EditLF(col int, lf labeling.LF) error {
 	s.lfs[col] = lf
 	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)
 	for i := range s.votes {
+		if s.votes[i][col] != 0 {
+			s.rows[tblLabels]--
+		}
 		s.votes[i][col] = votes[i]
 	}
-	s.db.Table(tblLabels).DeleteWhere(func(tp kbase.Tuple) bool { return tp[1].(int64) == int64(col) })
-	return s.mirrorColumn(col, votes)
+	s.rows[tblLabels] += countVotes(votes)
+	return nil
 }
 
 // splitView assembles one split's staged relations by reading the

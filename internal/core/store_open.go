@@ -3,6 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 
@@ -12,7 +16,7 @@ import (
 	"repro/internal/kbase"
 )
 
-// OpenStore resumes a snapshotted session: it restores the relation
+// OpenStore resumes a snapshotted session: it reads the relation
 // set from dir and rebuilds the in-memory state — documents with
 // their full sentence-level attributes and table grids (so training,
 // tuple extraction and labeling-function application behave exactly
@@ -29,101 +33,116 @@ import (
 // anything else is refused with an error naming the relation and the row
 // or ids — checked, never re-established:
 //
-//   - every relation loads into its storeSchemas key — no key repeats,
-//     the ascending ones ascend — and declares exactly its columns; meta
-//     is checked first, with the configuration it pins, so a snapshot of
-//     another format is refused by its format;
+//   - every relation declares exactly its storeSchemas columns, and no
+//     relation repeats its key; meta is checked first, with the
+//     configuration it pins, so a snapshot of another format is refused
+//     by its format;
 //   - documents: row i has pos i, and names are distinct;
 //   - candidates: rows are grouped by document, in documents order;
 //     ids run 0, 1, 2, …; a candidate's arguments run 0, 1, …, all in
 //     its own document, each a valid span of its sentence;
 //   - features: each candidate's seq runs 0, 1, 2, …;
-//   - labels: votes of -1 or +1;
+//   - labels: votes of -1 or +1, one per (candidate, LF);
 //   - sentences: rows are grouped by document, in documents order, pos
 //     runs 0, 1, 2, … within a document, and a table cell's row and
 //     column spans are non-negative and not inverted.
 //
-// Ordering invariant: each relation is read once (candidates twice), and
-// the documents are rebuilt after the features and labels scans, so what
-// the load and the scans leave behind is garbage before the documents —
-// the part of the session that stays — are allocated (DESIGN.md, "Why
-// documents stay resident"). Each document is built once, when its
-// sentence rows end; nothing is read back afterwards
-// (TestOpenStoreViewReadsNoPages).
+// Ordering invariant: each relation's file is parsed once (candidates
+// twice), a bounded batch at a time, straight into the store's
+// structures — no kbase table is built — and the documents are rebuilt
+// after the features and labels scans, so what the scans leave behind is
+// garbage before the documents — the part of the session that stays —
+// are allocated (DESIGN.md, "Why documents stay resident"). Each document
+// is built once, when its sentence rows end.
 func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	s := newStore(task, opts)
-	engine, err := newStoreEngine(s.opts)
-	if err != nil {
+	if err := checkBackend(s.opts); err != nil {
 		return nil, err
 	}
-	if s.db, err = kbase.LoadDBWith(dir, engine, storeSchemas...); err != nil {
-		if ke := (*kbase.KeyError)(nil); errors.As(err, &ke) && ke.Table == tblLabels {
-			err = fmt.Errorf("core: labels relation holds two votes for candidate %v / lf %v", ke.Key[0], ke.Key[1])
-		} else if errors.As(err, &ke) {
-			err = fmt.Errorf("core: %s relation: %w", ke.Table, err)
-		}
-		return nil, err
+	if !kbase.IsSnapshot(dir) {
+		return nil, fmt.Errorf("core: %s holds no store snapshot (no MANIFEST)", dir)
 	}
-	if err := s.resume(); err != nil {
-		s.db.Close() // the disk engine holds a spill directory
+	if err := s.resume(dir); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// scan streams one relation in row order, stopping at fn's first error.
-func (s *Store) scan(table string, fn func(row int, tp kbase.Tuple) error) (err error) {
-	row := 0
-	s.db.Table(table).Scan(func(tp kbase.Tuple) bool {
-		err = fn(row, tp)
-		row++
-		return err == nil
-	})
-	return err
+// cells is one relation row as resume reads it: row r of the batch its
+// file is parsed into.
+type cells struct {
+	b *kbase.Batch
+	r int
 }
 
-// checkColumns refuses a relation that is missing or does not declare
-// exactly its storeSchemas columns: every row is read by position and
-// type.
-func (s *Store) checkColumns(name string) error {
-	want := storeSchemas[slices.IndexFunc(storeSchemas, func(sc kbase.Schema) bool { return sc.Name == name })]
-	tbl := s.db.Table(name)
-	if tbl == nil {
-		return fmt.Errorf("core: store snapshot is missing relation %q", name)
+func (x cells) num(c int) int    { return int(x.b.Int(c, x.r)) }
+func (x cells) str(c int) string { return x.b.Str(c, x.r) }
+
+// scan streams one relation's rows from its file in dir to fn, stopping
+// at fn's first error, and returns how many went by. It first refuses a
+// missing relation, or one not declaring exactly its storeSchemas
+// columns (rows are read by position and type); a nil fn checks just that.
+func scan(dir, name string, fn func(row int, x cells) error) (int, error) {
+	f, err := os.Open(filepath.Join(dir, name+".tsv"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("core: store snapshot is missing relation %q", name)
+	} else if err != nil {
+		return 0, err
 	}
-	if got := tbl.Schema().Columns; !slices.Equal(got, want.Columns) {
-		return fmt.Errorf("core: store snapshot's %s relation declares columns %v, want %v", name, got, want.Columns)
+	defer f.Close()
+	tr, err := kbase.NewTSVReader(f)
+	if err != nil {
+		return 0, fmt.Errorf("core: %s relation: %w", name, err)
 	}
-	return nil
+	if got, want := tr.Schema(), storeSchema(name); got.Name != name || !slices.Equal(got.Columns, want.Columns) {
+		return 0, fmt.Errorf("core: store snapshot's %s relation declares %s%v, want %s%v", name, got.Name, got.Columns, name, want.Columns)
+	}
+	for row := 0; fn != nil; {
+		b, err := tr.Next()
+		if err == io.EOF {
+			return row, nil
+		} else if err != nil {
+			return row, fmt.Errorf("core: %s relation: %w", name, err)
+		}
+		for r := 0; r < b.Len(); r, row = r+1, row+1 {
+			if err := fn(row, cells{b, r}); err != nil {
+				return row, err
+			}
+		}
+	}
+	return 0, nil
 }
 
-// resume rebuilds the session from the loaded relations (OpenStore).
-func (s *Store) resume() error {
-	if err := s.checkColumns(tblMeta); err != nil {
-		return err
-	}
+// resume rebuilds the session from the snapshot in dir (OpenStore).
+func (s *Store) resume(dir string) error {
 	meta := map[string]string{}
-	s.scan(tblMeta, func(_ int, tp kbase.Tuple) error {
-		meta[tp[0].(string)] = tp[1].(string)
+	_, err := scan(dir, tblMeta, func(row int, x cells) error {
+		if _, ok := meta[x.str(0)]; ok {
+			return fmt.Errorf("core: meta relation row %d repeats key %q", row, x.str(0))
+		}
+		meta[x.str(0)] = x.str(1)
 		return nil
 	})
+	if err != nil {
+		return err
+	}
 	for k, want := range s.configMeta() {
 		if got, ok := meta[k]; !ok || got != want {
 			return fmt.Errorf("core: store snapshot %s=%q does not match session %s=%q", k, meta[k], k, want)
 		}
 	}
 	for _, schema := range storeSchemas {
-		if err := s.checkColumns(schema.Name); err != nil {
+		if _, err := scan(dir, schema.Name, nil); err != nil {
 			return err
 		}
 	}
 
 	// The corpus skeleton, in position order, with each document's cache
 	// statistics.
-	err := s.scan(tblDocuments, func(row int, tp kbase.Tuple) error {
+	s.rows[tblDocuments], err = scan(dir, tblDocuments, func(row int, x cells) error {
 		sd := &storeDoc{
-			pos: int(tp[0].(int64)), name: tp[1].(string), format: tp[2].(string),
-			stats: features.CacheStats{Hits: int(tp[3].(int64)), Misses: int(tp[4].(int64))},
+			pos: x.num(0), name: x.str(1), format: x.str(2),
+			stats: features.CacheStats{Hits: x.num(3), Misses: x.num(4)},
 		}
 		if sd.pos != row {
 			return fmt.Errorf("core: documents relation row %d has pos %d", row, sd.pos)
@@ -143,8 +162,8 @@ func (s *Store) resume() error {
 	// features and labels scans need. The store assigns ids densely in
 	// document order, and a candidate's mention rows follow one another.
 	nCands, nextArg, lastDoc := 0, 0, 0
-	err = s.scan(tblCands, func(row int, tp kbase.Tuple) error {
-		id, arg, name := int(tp[0].(int64)), int(tp[1].(int64)), tp[3].(string)
+	s.rows[tblCands], err = scan(dir, tblCands, func(row int, x cells) error {
+		id, arg, name := x.num(0), x.num(1), x.str(3)
 		sd := s.byName[name]
 		switch {
 		case sd == nil:
@@ -165,17 +184,17 @@ func (s *Store) resume() error {
 
 	// Features relation: per-candidate feature ids in seq order, interned
 	// while the relation streams past — no row and no name outlives its
-	// callback except a name's first occurrence.
+	// batch except a name's first occurrence.
 	s.names = make([][]uint32, nCands)
-	err = s.scan(tblFeatures, func(row int, tp kbase.Tuple) error {
-		id, seq := int(tp[0].(int64)), int(tp[1].(int64))
+	s.rows[tblFeatures], err = scan(dir, tblFeatures, func(row int, x cells) error {
+		id, seq := x.num(0), x.num(1)
 		if id < 0 || id >= nCands {
 			return fmt.Errorf("core: features relation row %d references unknown candidate %d", row, id)
 		}
 		if seq != len(s.names[id]) {
 			return fmt.Errorf("core: features relation row %d has seq %d for candidate %d, want %d", row, seq, id, len(s.names[id]))
 		}
-		s.names[id] = append(s.names[id], uint32(s.feats.ID(tp[2].(string))))
+		s.names[id] = append(s.names[id], uint32(s.feats.ID(x.str(2))))
 		return nil
 	})
 	if err != nil {
@@ -188,19 +207,21 @@ func (s *Store) resume() error {
 	// is a function of the name sets, not the column numbering.
 	s.countFeatures(s.names)
 
-	// Labels votes: -1 or +1, one per (candidate, LF) by the key.
+	// Labels votes: -1 or +1, at most one per (candidate, LF).
 	numLFs, _ := strconv.Atoi(meta["num_lfs"])
 	s.votes = make([][]int8, nCands)
 	for i := range s.votes {
 		s.votes[i] = make([]int8, numLFs)
 	}
-	err = s.scan(tblLabels, func(_ int, tp kbase.Tuple) error {
-		id, lf, vote := int(tp[0].(int64)), int(tp[1].(int64)), tp[2].(int64)
+	s.rows[tblLabels], err = scan(dir, tblLabels, func(_ int, x cells) error {
+		id, lf, vote := x.num(0), x.num(1), x.num(2)
 		switch {
 		case id < 0 || id >= nCands || lf < 0 || lf >= numLFs:
 			return fmt.Errorf("core: labels relation references candidate %d / lf %d out of range", id, lf)
 		case vote != -1 && vote != 1:
 			return fmt.Errorf("core: labels relation holds vote %d for candidate %d / lf %d, want -1 or +1", vote, id, lf)
+		case s.votes[id][lf] != 0:
+			return fmt.Errorf("core: labels relation holds two votes for candidate %d / lf %d", id, lf)
 		}
 		s.votes[id][lf] = int8(vote)
 		return nil
@@ -225,15 +246,15 @@ func (s *Store) resume() error {
 		}
 		return nil
 	}
-	err = s.scan(tblSentences, func(row int, tp kbase.Tuple) error {
-		name := tp[0].(string)
+	s.rows[tblSentences], err = scan(dir, tblSentences, func(row int, x cells) error {
+		name := x.str(0)
 		if sd := s.byName[name]; sd == nil || sd.pos < built {
 			return fmt.Errorf("core: sentences relation row %d (document %q) names no document, or is out of documents order", row, name)
 		}
 		if err := finish(s.byName[name].pos); err != nil {
 			return err
 		}
-		r, err := decodeSentence(tp)
+		r, err := decodeSentence(x)
 		if err != nil {
 			return fmt.Errorf("core: sentences relation row %d of document %q: %w", row, name, err)
 		}
@@ -251,15 +272,15 @@ func (s *Store) resume() error {
 	// The first pass checked the order, so a row with argument 0 starts
 	// candidate len(s.cands).
 	s.cands = make([]*candidates.Candidate, 0, nCands)
-	return s.scan(tblCands, func(row int, tp kbase.Tuple) error {
-		sd := s.byName[tp[3].(string)]
-		if tp[1].(int64) == 0 {
+	_, err = scan(dir, tblCands, func(row int, x cells) error {
+		sd := s.byName[x.str(3)]
+		if x.num(1) == 0 {
 			c := &candidates.Candidate{ID: len(s.cands)}
 			s.cands = append(s.cands, c)
 			sd.cands = append(sd.cands, c)
 		}
 		c := s.cands[len(s.cands)-1]
-		si, start, end := int(tp[4].(int64)), int(tp[5].(int64)), int(tp[6].(int64))
+		si, start, end := x.num(4), x.num(5), x.num(6)
 		sents := sd.doc.Sentences()
 		if si < 0 || si >= len(sents) {
 			return fmt.Errorf("core: candidates relation row %d: candidate %d references missing sentence %d of %q", row, c.ID, si, sd.name)
@@ -268,9 +289,10 @@ func (s *Store) resume() error {
 			return fmt.Errorf("core: candidates relation row %d: candidate %d has invalid span [%d,%d) in %q", row, c.ID, start, end, sd.name)
 		}
 		c.Mentions = append(c.Mentions, candidates.Mention{
-			TypeName: tp[2].(string),
+			TypeName: x.str(2),
 			Span:     datamodel.Span{Sentence: sents[si], Start: start, End: end},
 		})
 		return nil
 	})
+	return err
 }

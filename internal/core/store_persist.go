@@ -2,19 +2,18 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/candidates"
 	"repro/internal/datamodel"
 	"repro/internal/kbase"
-	"repro/internal/pool"
 )
 
-// The store's relations, materialized as kbase tables, each fact in one
-// of them. Everything a resumed session needs survives here: the
+// The store's relations as a snapshot writes them, each fact in one of
+// them. Everything a resumed session needs survives here: the
 // documents with their cache statistics, the data model's sentence
 // layer with its multimodal attributes and table grid (so training,
 // tuple extraction AND labeling-function application all see the same
@@ -59,8 +58,8 @@ func mustSchema(name string, key kbase.Key, cols ...string) kbase.Schema {
 	return s
 }
 
-// Each relation declares its key (TestStoreSchemaKeys); the ascending
-// ones are those mirror appends in key order.
+// Each relation declares its key (TestStoreSchemaKeys): stream writes no
+// key twice, and the ascending ones in ascending order.
 var storeSchemas = []kbase.Schema{
 	// One row per document, in ingestion order, with its featurization
 	// cache statistics.
@@ -300,27 +299,27 @@ type sentRow struct {
 	header                                  bool
 }
 
-func decodeSentence(tp kbase.Tuple) (sentRow, error) {
+func decodeSentence(x cells) (sentRow, error) {
 	r := sentRow{
-		pos:     int(tp[1].(int64)),
-		words:   splitList(tp[2].(string)),
-		lemmas:  splitList(tp[3].(string)),
-		posTags: splitList(tp[4].(string)),
-		ner:     splitList(tp[5].(string)),
-		htmlTag: tp[6].(string), attrs: decodeAttrs(tp[7].(string)),
-		ancTags: splitList(tp[8].(string)), ancClasses: splitList(tp[9].(string)), ancIDs: splitList(tp[10].(string)),
-		nodePos: int(tp[11].(int64)), prevSib: tp[12].(string), nextSib: tp[13].(string),
-		tbl: int(tp[17].(int64)), rowStart: int(tp[18].(int64)), rowEnd: int(tp[19].(int64)),
-		colStart: int(tp[20].(int64)), colEnd: int(tp[21].(int64)), header: tp[22].(int64) == 1,
+		pos:     x.num(1),
+		words:   splitList(x.str(2)),
+		lemmas:  splitList(x.str(3)),
+		posTags: splitList(x.str(4)),
+		ner:     splitList(x.str(5)),
+		htmlTag: x.str(6), attrs: decodeAttrs(x.str(7)),
+		ancTags: splitList(x.str(8)), ancClasses: splitList(x.str(9)), ancIDs: splitList(x.str(10)),
+		nodePos: x.num(11), prevSib: x.str(12), nextSib: x.str(13),
+		tbl: x.num(17), rowStart: x.num(18), rowEnd: x.num(19),
+		colStart: x.num(20), colEnd: x.num(21), header: x.num(22) == 1,
 	}
 	var err error
-	if r.pages, err = decodeInts(tp[14].(string)); err != nil {
+	if r.pages, err = decodeInts(x.str(14)); err != nil {
 		return r, err
 	}
-	if r.boxes, err = decodeBoxes(tp[15].(string)); err != nil {
+	if r.boxes, err = decodeBoxes(x.str(15)); err != nil {
 		return r, err
 	}
-	if r.font, err = decodeFont(tp[16].(string)); err != nil {
+	if r.font, err = decodeFont(x.str(16)); err != nil {
 		return r, err
 	}
 	return r, nil
@@ -398,33 +397,17 @@ func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error
 	return doc, nil
 }
 
-// newStoreEngine resolves the session's storage engine from the
-// (defaulted) options. It fails on an unknown backend name (the Options
-// field documents the valid values and the CLIs validate their flag)
-// and when the disk engine's spill directory cannot be created.
-func newStoreEngine(opts Options) (kbase.Engine, error) {
-	engine, err := kbase.NewEngine(opts.Backend, "")
-	if err != nil {
+// checkBackend refuses an unknown Options.Backend by name; a valid one
+// only names the kind StorageStats echoes.
+func checkBackend(opts Options) error {
+	if !kbase.ValidBackendKind(opts.Backend) {
 		// Name the env var: an unset Options.Backend resolves through
 		// $FONDUER_BACKEND, so a typo there surfaces here with no flag
 		// in sight.
-		return nil, fmt.Errorf("core: %w (from Options.Backend; the empty value consults $FONDUER_BACKEND)", err)
+		return fmt.Errorf("core: unknown backend %q (want %s; from Options.Backend, whose empty value consults $FONDUER_BACKEND)",
+			opts.Backend, kbase.BackendKindsWant())
 	}
-	return engine, nil
-}
-
-// newStoreDB creates the empty relation set over the engine.
-func (s *Store) newStoreDB(engine kbase.Engine) *kbase.DB {
-	db := kbase.NewDBWith(engine)
-	for _, schema := range storeSchemas {
-		if _, err := db.Create(schema); err != nil {
-			// Unreachable from input or I/O: the schemas are the literals
-			// above with distinct names, db is new, and no engine touches
-			// the file system before a table's first sealed page.
-			panic("core: " + err.Error())
-		}
-	}
-	return db
+	return nil
 }
 
 // configMeta captures the options that shape the store's persisted
@@ -461,155 +444,150 @@ func (s *Store) configMeta() map[string]string {
 	}
 }
 
-// writeMeta rewrites the meta relation whole, in sorted key order, so its
-// row order — and with it the snapshot's meta.tsv bytes — is
-// deterministic across sessions and backends.
-func (s *Store) writeMeta() error {
-	tbl, meta := s.db.Table(tblMeta), s.configMeta()
-	rows := make([]kbase.Tuple, 0, len(meta))
-	for k, v := range meta {
-		rows = append(rows, kbase.Tuple{k, v})
+// streamChunk is how many rows stream puts in a batch before it flushes.
+const streamChunk = 1024
+
+// stream hands the relation's rows to flush in one batch of at most
+// streamChunk rows, refilled, and returns flush's first error. It is the
+// one row source of Snapshot and DB, read from the store's own
+// structures, in key order: documents by position, sentences by
+// document then position, candidates by id then argument, features by
+// candidate then seq, labels by candidate then LF (abstains left out),
+// meta by key.
+func (s *Store) stream(relation string, flush func(*kbase.Batch) error) error {
+	b := kbase.NewBatch(storeSchema(relation), streamChunk)
+	var err error
+	row := func() { // after each row; once a flush failed, rows are dropped
+		if b.Len() == streamChunk {
+			if err == nil {
+				err = flush(b)
+			}
+			b.Reset()
+		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0].(string) < rows[j][0].(string) })
-	tbl.DeleteWhere(func(kbase.Tuple) bool { return true })
-	_, err := tbl.InsertAll(rows)
+	switch relation {
+	case tblDocuments:
+		for _, sd := range s.docs {
+			b.AppendInt(0, int64(sd.pos))
+			b.AppendString(1, sd.name)
+			b.AppendString(2, sd.format)
+			b.AppendInt(3, int64(sd.stats.Hits))
+			b.AppendInt(4, int64(sd.stats.Misses))
+			row()
+		}
+	case tblSentences:
+		for _, sd := range s.docs {
+			for _, sent := range sd.doc.Sentences() {
+				appendSentence(b, sd.name, sent)
+				row()
+			}
+		}
+	case tblCands:
+		for _, sd := range s.docs {
+			for _, c := range sd.cands {
+				for a, m := range c.Mentions {
+					b.AppendInt(0, int64(c.ID))
+					b.AppendInt(1, int64(a))
+					b.AppendString(2, m.TypeName)
+					b.AppendString(3, sd.name)
+					b.AppendInt(4, int64(m.Span.Sentence.Position))
+					b.AppendInt(5, int64(m.Span.Start))
+					b.AppendInt(6, int64(m.Span.End))
+					row()
+				}
+			}
+		}
+	case tblFeatures:
+		for id, ids := range s.names {
+			for seq, f := range ids {
+				b.AppendInt(0, int64(id))
+				b.AppendInt(1, int64(seq))
+				b.AppendString(2, s.feats.Name(int(f)))
+				row()
+			}
+		}
+	case tblLabels:
+		for id, votes := range s.votes {
+			for lf, v := range votes {
+				if v != 0 {
+					b.AppendInt(0, int64(id))
+					b.AppendInt(1, int64(lf))
+					b.AppendInt(2, int64(v))
+					row()
+				}
+			}
+		}
+	case tblMeta:
+		meta := s.configMeta()
+		keys := make([]string, 0, len(meta))
+		for k := range meta {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			b.AppendString(0, k)
+			b.AppendString(1, meta[k])
+			row()
+		}
+	}
+	if err == nil && b.Len() > 0 {
+		err = flush(b)
+	}
 	return err
 }
 
-// mirror persists the shards of newly ingested documents — the
-// delta-only write path of AddDocuments, run past its commit point:
-// delta[k] takes position firstPos+k, perDoc[k] are its candidates (IDs
-// assigned), feats[k] its Featurize output, and votes holds the Labels
-// rows of all of them in candidate order. Each relation gets one batch,
-// its rows in document order, and the relations — each table owns its
-// backend, key check, planner and segment — are built and inserted on
-// up to workers goroutines. The rows are a pure function of the
-// arguments (the documents have passed checkPersistable), so the only
-// error is an engine's: the first in relation order, whatever the
-// schedule. It returns how many rows went in.
-func (s *Store) mirror(firstPos int, delta []*datamodel.Document, perDoc [][]*candidates.Candidate, feats []docFeatures, votes [][]int8, workers int) (int, error) {
-	nFeat := 0
-	for _, df := range feats {
-		for _, names := range df.names {
-			nFeat += len(names)
-		}
-	}
-	relations := []struct {
-		table string
-		rows  int // a size hint
-		fill  func(b *kbase.Batch)
-	}{
-		{tblDocuments, len(delta), func(b *kbase.Batch) {
-			for k, d := range delta {
-				b.AppendInt(0, int64(firstPos+k))
-				b.AppendString(1, d.Name)
-				b.AppendString(2, d.Format)
-				b.AppendInt(3, int64(feats[k].stats.Hits))
-				b.AppendInt(4, int64(feats[k].stats.Misses))
-			}
-		}},
-		{tblSentences, 0, func(b *kbase.Batch) {
-			for _, d := range delta {
-				for _, sent := range d.Sentences() {
-					appendSentence(b, d.Name, sent)
-				}
-			}
-		}},
-		{tblCands, 2 * len(votes), func(b *kbase.Batch) {
-			for k, d := range delta {
-				for _, c := range perDoc[k] {
-					for a, m := range c.Mentions {
-						b.AppendInt(0, int64(c.ID))
-						b.AppendInt(1, int64(a))
-						b.AppendString(2, m.TypeName)
-						b.AppendString(3, d.Name)
-						b.AppendInt(4, int64(m.Span.Sentence.Position))
-						b.AppendInt(5, int64(m.Span.Start))
-						b.AppendInt(6, int64(m.Span.End))
-					}
-				}
-			}
-		}},
-		{tblFeatures, nFeat, func(b *kbase.Batch) {
-			for k := range delta {
-				for i, c := range perDoc[k] {
-					for seq, fn := range feats[k].names[i] {
-						b.AppendInt(0, int64(c.ID))
-						b.AppendInt(1, int64(seq))
-						b.AppendString(2, fn)
-					}
-				}
-			}
-		}},
-		{tblLabels, len(votes), func(b *kbase.Batch) {
-			i := 0
-			for k := range delta {
-				for _, c := range perDoc[k] {
-					for lf, v := range votes[i] {
-						if v != 0 {
-							b.AppendInt(0, int64(c.ID))
-							b.AppendInt(1, int64(lf))
-							b.AppendInt(2, int64(v))
-						}
-					}
-					i++
-				}
-			}
-		}},
-	}
-	added, errs := make([]int, len(relations)), make([]error, len(relations))
-	pool.Run(len(relations), workers, func(i int) {
-		tbl := s.db.Table(relations[i].table)
-		b := kbase.NewBatch(tbl.Schema(), relations[i].rows)
-		relations[i].fill(b)
-		added[i], errs[i] = tbl.InsertBatch(b)
-	})
-	rows := 0
-	for i, err := range errs {
-		if err != nil {
-			return rows, err
-		}
-		rows += added[i]
-	}
-	return rows, nil
-}
-
-// mirrorColumn persists one Labels column's non-abstain votes and the
-// meta relation's labeling-function list — the I/O half of AddLF and
-// EditLF. An error fails the store: the session already carries the
-// column.
-func (s *Store) mirrorColumn(col int, votes []int8) error {
-	tbl := s.db.Table(tblLabels)
-	b := kbase.NewBatch(tbl.Schema(), len(votes))
-	for i, v := range votes {
-		if v != 0 {
-			b.AppendInt(0, int64(i))
-			b.AppendInt(1, int64(col))
-			b.AppendInt(2, int64(v))
-		}
-	}
-	if _, err := tbl.InsertBatch(b); err != nil {
-		return s.fail(err)
-	}
-	if err := s.writeMeta(); err != nil {
-		return s.fail(err)
-	}
-	return nil
-}
-
 // Snapshot writes the store's relations to dir as a kbase snapshot
-// (one TSV per relation plus a manifest). A snapshotted session can
-// be resumed with OpenStore. Snapshot reads the entire relation set,
-// so it takes the mutation guard: it must run on the writer goroutine
-// (or otherwise exclusively with mutations), exactly like a write. A
-// failed store refuses before dir is touched: its relations are not a
-// session, and SaveDB would swap them in for the last good snapshot.
+// directory (one TSV per relation plus a manifest), each streamed from
+// the store's structures a bounded batch at a time; OpenStore resumes it.
+// Snapshot reads the entire relation set, so it takes the mutation guard:
+// it must run on the writer goroutine, exactly like a write.
 func (s *Store) Snapshot(dir string) error {
 	if err := s.beginMutation(); err != nil {
 		return err
 	}
 	defer s.endMutation(false)
-	return kbase.SaveDB(s.db, dir)
+	names := make([]string, len(storeSchemas))
+	for i, schema := range storeSchemas {
+		names[i] = schema.Name
+	}
+	sort.Strings(names) // the MANIFEST order
+	return kbase.WriteSnapshot(dir, names, func(name string, w io.Writer) error {
+		tw := kbase.NewTSVWriter(w, storeSchema(name))
+		if err := s.stream(name, tw.WriteBatch); err != nil {
+			return err
+		}
+		return tw.Flush()
+	})
+}
+
+// DB builds the store's relations anew, as keyed memory-engine tables of
+// the rows Snapshot streams; nothing the store does reads them.
+//
+// Deprecated: DB copies the whole session, for the benchmark's traced
+// replay only; it goes with the paged kinds (ROADMAP item 13(b)).
+func (s *Store) DB() *kbase.DB {
+	db := kbase.NewDB()
+	for _, schema := range storeSchemas {
+		tbl, err := db.Create(schema)
+		if err == nil {
+			err = s.stream(schema.Name, func(b *kbase.Batch) error {
+				_, err := tbl.InsertBatch(b)
+				return err
+			})
+		}
+		if err != nil {
+			// Unreachable from input or I/O: the schemas have distinct
+			// names, the memory engine does no I/O, and the store's rows
+			// are keyed as storeSchemas declares.
+			panic("core: " + err.Error())
+		}
+	}
+	return db
+}
+
+// storeSchema returns the storeSchemas entry of a relation.
+func storeSchema(name string) kbase.Schema {
+	return storeSchemas[slices.IndexFunc(storeSchemas, func(sc kbase.Schema) bool { return sc.Name == name })]
 }
 
 // IsStoreDir reports whether dir holds a store snapshot.

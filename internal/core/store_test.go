@@ -563,12 +563,12 @@ func TestOpenStoreRefusesMalformedSnapshots(t *testing.T) {
 	}
 }
 
-// TestOpenStoreRefusesDuplicateKeys: every relation loads into its
-// declared key, so a snapshot whose documents, features or labels
-// relation repeats a row exactly — a duplicate a set would silently drop
-// — is refused with an error naming the relation, and on the disk kind
-// leaves no spill directory or open segment behind. A snapshot that
-// resumes has its relations keyed: re-inserting a stored row is refused.
+// TestOpenStoreRefusesDuplicateKeys: no relation may repeat its declared
+// key, so a snapshot in which any of the six relations repeats a row
+// exactly — a duplicate a set would silently drop — is refused with an
+// error naming the relation, and on the disk kind leaves no spill
+// directory or open segment behind. A snapshot that resumes has its
+// relations keyed: re-inserting a stored row is refused.
 func TestOpenStoreRefusesDuplicateKeys(t *testing.T) {
 	corpus := synth.Electronics(63, 6)
 	task := corpus.Tasks[0]
@@ -594,7 +594,7 @@ func TestOpenStoreRefusesDuplicateKeys(t *testing.T) {
 				}
 			}
 		})
-		for _, relation := range []string{"documents", "features", "labels"} {
+		for _, relation := range []string{"documents", "sentences", "candidates", "features", "labels", "meta"} {
 			t.Run(kind+"/"+relation, func(t *testing.T) {
 				spill := t.TempDir()
 				t.Setenv("TMPDIR", spill) // where the disk kind makes its spill directory
@@ -736,56 +736,6 @@ func TestStoreRejectsSeparatorBytes(t *testing.T) {
 	}
 }
 
-// TestStoreFailsAfterSpillLoss is the one failure past the commit
-// point: a disk store whose spill directory disappears cannot seal its
-// first page. The call names the relation, the session fields stay at
-// the last epoch, and the store refuses every later guarded call —
-// above all Snapshot, which would otherwise replace the last good
-// snapshot with relations that hold part of a batch.
-func TestStoreFailsAfterSpillLoss(t *testing.T) {
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
-	corpus := synth.Electronics(68, 2)
-	task := corpus.Tasks[0]
-	st := core.NewStore(task, core.Options{Epochs: 1, Backend: "disk"})
-	defer st.Close()
-	snap := filepath.Join(t.TempDir(), "snap")
-	if err := st.Snapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	good := snapshotBytes(t, snap)
-
-	spills, _ := filepath.Glob(filepath.Join(tmp, "kbase-spill-*"))
-	if len(spills) != 1 {
-		t.Fatalf("spill directories under TMPDIR: %v", spills)
-	}
-	if err := os.RemoveAll(spills[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	err := st.AddDocuments(corpus.Docs...)
-	if !errors.Is(err, core.ErrStoreFailed) || !strings.Contains(err.Error(), "for features") {
-		t.Fatalf("AddDocuments = %v, want ErrStoreFailed naming the relation", err)
-	}
-	if st.Epoch() != 0 || len(st.DocNames()) != 0 || st.NumCandidates() != 0 {
-		t.Fatalf("failed ingest moved the session: epoch %d, %d docs, %d candidates", st.Epoch(), len(st.DocNames()), st.NumCandidates())
-	}
-	lf := labeling.LF{Name: "late", Fn: func(*candidates.Candidate) int { return 0 }}
-	_, lfErr := st.AddLF(lf)
-	_, viewErr := st.View(nil)
-	for name, err := range map[string]error{
-		"AddDocuments": st.AddDocuments(corpus.Docs...), "AddLF": lfErr, "EditLF": st.EditLF(0, lf),
-		"Snapshot": st.Snapshot(snap), "View": viewErr,
-	} {
-		if !errors.Is(err, core.ErrStoreFailed) {
-			t.Errorf("%s on a failed store = %v, want ErrStoreFailed", name, err)
-		}
-	}
-	if !reflect.DeepEqual(snapshotBytes(t, snap), good) {
-		t.Fatal("a failed store overwrote its last good snapshot")
-	}
-}
-
 // TestStoreLFIteration exercises the shared dev/production state: LF
 // add/edit on a store, with the Labels relation re-materialized (rows
 // deleted and rewritten) on edit.
@@ -827,5 +777,69 @@ func TestStoreLFIteration(t *testing.T) {
 	}
 	if err := st.EditLF(99, task.LFs[0]); err == nil {
 		t.Fatal("editing a missing column must error")
+	}
+}
+
+// TestSnapshotIgnoresLFHistory: a snapshot is a function of the session's
+// state, not of the LF edits that led to it. A session that labels with
+// the task's LFs from the start snapshots byte for byte like one that
+// starts with none, adds each LF, edits one to always abstain and then
+// restores it. The deprecated DB(), saved by kbase.SaveDB, writes the
+// same bytes as Snapshot — they share one row source — and a view's
+// running row counts match its tables.
+func TestSnapshotIgnoresLFHistory(t *testing.T) {
+	corpus := synth.Electronics(65, 6)
+	task := corpus.Tasks[0]
+	direct := core.NewStore(task, core.Options{Epochs: 1})
+	edited := core.NewStore(task, core.Options{Epochs: 1, LFs: []labeling.LF{}})
+	for _, st := range []*core.Store{direct, edited} {
+		if err := st.AddDocuments(corpus.Docs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, lf := range task.LFs {
+		if _, err := edited.AddLF(lf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col := len(task.LFs) / 2
+	if err := edited.EditLF(col, labeling.LF{Name: "abstain", Fn: func(*candidates.Candidate) int { return 0 }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := edited.EditLF(col, task.LFs[col]); err != nil {
+		t.Fatal(err)
+	}
+
+	want := snapshotOf(t, direct)
+	if labels := strings.Count(string(want["labels.tsv"]), "\n"); labels < 2 {
+		t.Fatalf("labels.tsv holds %d lines, want votes", labels)
+	}
+	got := snapshotOf(t, edited)
+	for name, body := range want {
+		if !slices.Equal(got[name], body) {
+			t.Errorf("%s differs after AddLF/EditLF from the session labeled from the start", name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("snapshot file sets differ: %d vs %d files", len(got), len(want))
+	}
+
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := kbase.SaveDB(edited.DB(), dir); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snapshotBytes(t, dir), got) {
+		t.Error("kbase.SaveDB(st.DB()) writes other bytes than st.Snapshot")
+	}
+
+	view, err := edited.View(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := edited.DB()
+	for _, name := range db.Names() {
+		if rows, n := view.TableRows()[name], db.Table(name).Len(); rows != n {
+			t.Errorf("TableRows()[%s] = %d, the table holds %d", name, rows, n)
+		}
 	}
 }

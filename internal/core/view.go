@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
@@ -220,13 +221,7 @@ func (v *StoreView) FeatureNames() []string {
 
 // TableRows returns a copy of the store relations' row counts at this
 // epoch.
-func (v *StoreView) TableRows() map[string]int {
-	out := make(map[string]int, len(v.tableRows))
-	for k, n := range v.tableRows {
-		out[k] = n
-	}
-	return out
-}
+func (v *StoreView) TableRows() map[string]int { return maps.Clone(v.tableRows) }
 
 // ClassifiedCandidate is one ad-hoc candidate's classification under
 // a view's model.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/candidates"
@@ -105,7 +106,7 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 		sessionFeatures:  s.dict.NamesView(),
 		pendingFeatures:  s.feats.Len() - s.dict.Len(),
 		distinctFeatures: s.feats.Len(),
-		tableRows:        map[string]int{},
+		tableRows:        maps.Clone(s.rows),
 	}
 	for i, lf := range s.lfs {
 		v.lfNames[i] = lf.Name
@@ -117,9 +118,6 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 	copy(v.votes, prev.votes)
 	for i := len(prev.votes); i < len(s.votes); i++ {
 		v.votes[i] = append([]int8(nil), s.votes[i]...)
-	}
-	for _, name := range s.db.Names() {
-		v.tableRows[name] = s.db.Table(name).Len()
 	}
 
 	// Supervision is epoch state, not generation state: denoise over the
@@ -151,7 +149,7 @@ func (v *StoreView) labels() *labeling.Matrix {
 // and res.Predicted its knowledge base. This is the one place a view's
 // generation (and model, and run index) is assigned. The KB table is
 // always in-memory: a published epoch must stay readable lock-free
-// after the store (and its spill) moves on.
+// after the store moves on.
 func (v *StoreView) withModel(g modelState, res Result, spans []obs.Span) (*StoreView, error) {
 	t0 := time.Now()
 	schema := v.task.Schema

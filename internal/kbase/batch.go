@@ -73,6 +73,12 @@ func (b *Batch) AppendFloat(c int, x float64) { b.cols[c].floats = append(b.cols
 // AppendString appends one cell to string column c.
 func (b *Batch) AppendString(c int, s string) { b.cols[c].strs = append(b.cols[c].strs, s) }
 
+// Int returns the cell of row r in integer column c.
+func (b *Batch) Int(c, r int) int64 { return b.cols[c].ints[r] }
+
+// Str returns the cell of row r in string column c.
+func (b *Batch) Str(c, r int) string { return b.cols[c].strs[r] }
+
 // check is the type check: every column holds Len cells, all of them in
 // the vector of the type the schema declares.
 func (b *Batch) check(schema Schema) error {
@@ -209,6 +215,26 @@ func (b *Batch) truncate(n int) {
 		v := &b.cols[c]
 		v.ints, v.floats, v.strs = v.ints[:min(n, len(v.ints))], v.floats[:min(n, len(v.floats))], v.strs[:min(n, len(v.strs))]
 	}
+}
+
+// appendTSV appends row r of a checked batch in the escaped-TSV row
+// encoding of WriteTSV (no trailing newline), each cell rendered as an
+// open page's appendTSV renders it.
+func (b *Batch) appendTSV(dst []byte, r int) []byte {
+	for c := range b.cols {
+		if c > 0 {
+			dst = append(dst, '\t')
+		}
+		switch v := &b.cols[c]; {
+		case len(v.ints) > 0:
+			dst = strconv.AppendInt(dst, v.ints[r], 10)
+		case len(v.floats) > 0:
+			dst = strconv.AppendFloat(dst, v.floats[r], 'g', -1, 64)
+		default:
+			dst = appendFieldTSV(dst, v.strs[r])
+		}
+	}
+	return dst
 }
 
 // compare compares the first cols cells of rows i and j of a checked

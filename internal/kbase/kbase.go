@@ -1,18 +1,19 @@
 // Package kbase is a small relational engine playing the role
 // PostgreSQL plays in the paper's implementation: it stores the target
-// knowledge base (the relations Fonduer populates) plus the
-// intermediate Candidates/Features/Labels relations, with schemas,
-// typed columns, keys (a table with none is a set), predicates, and set
+// knowledge base (the relations Fonduer populates), with schemas, typed
+// columns, keys (a table with none is a set), predicates, and set
 // operations used by the evaluation (coverage and accuracy against an
-// existing knowledge base).
+// existing knowledge base), and it is the snapshot format of the
+// intermediate Candidates/Features/Labels relations.
 //
 // A Table layers the relational semantics over one Backend, which holds
 // its rows as typed pages of column vectors in one of three kinds:
 // "memory" keeps every page open, sharing one string dictionary per
 // column (the served KB always uses it); "disk" and "columnar" seal each
 // page as it fills into a binary column blob — in one append-only segment
-// file per table, or on the heap — and hold a session store's relations.
-// TSV is the snapshot format only.
+// file per table, or on the heap — and have no production user: a
+// session store keeps its relations itself and streams its snapshots
+// (TSVWriter, TSVReader, WriteSnapshot). TSV is the snapshot format only.
 package kbase
 
 import (

@@ -98,26 +98,51 @@ func splitTSV(line string) ([]string, error) {
 // from the backend's Snapshot; w is written in tsvChunk pieces, so it
 // need not be buffered.
 func (t *Table) WriteTSV(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, tsvChunk)
-	hdr := appendFieldTSV([]byte{'#'}, t.schema.Name)
-	for _, c := range t.schema.Columns {
-		hdr = append(hdr, '\t')
-		hdr = appendFieldTSV(hdr, c.Name)
-		hdr = append(hdr, ':')
-		hdr = append(hdr, c.Type.String()...)
-	}
-	if _, err := bw.Write(append(hdr, '\n')); err != nil {
+	tw := NewTSVWriter(w, t.schema)
+	if err := t.be.Snapshot(tw.bw); err != nil {
 		return err
 	}
-	if err := t.be.Snapshot(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return tw.Flush()
 }
 
-// tsvChunk is how many rendered bytes WriteTSV hands its writer at a
+// tsvChunk is how many rendered bytes a TSVWriter hands its writer at a
 // time.
 const tsvChunk = 64 << 10
+
+// TSVWriter writes the bytes WriteTSV writes, without a table: the
+// header line, then rows a Batch at a time, each cell rendered as a
+// backend's Snapshot renders it. Call Flush after the last batch.
+type TSVWriter struct {
+	bw     *bufio.Writer
+	schema Schema
+	line   []byte
+}
+
+// NewTSVWriter returns the writer of schema's TSV to w, its header line
+// buffered.
+func NewTSVWriter(w io.Writer, schema Schema) *TSVWriter {
+	tw := &TSVWriter{bw: bufio.NewWriterSize(w, tsvChunk), schema: schema}
+	tw.line = appendFieldTSV(append(tw.line, '#'), schema.Name)
+	for _, c := range schema.Columns {
+		tw.line = append(appendFieldTSV(append(tw.line, '\t'), c.Name), ':')
+		tw.line = append(tw.line, c.Type.String()...)
+	}
+	_, _ = tw.bw.Write(append(tw.line, '\n')) // a bufio error is sticky: WriteBatch or Flush returns it
+	return tw
+}
+
+// WriteBatch writes b's rows, in order. b must be of the writer's schema.
+func (tw *TSVWriter) WriteBatch(b *Batch) error {
+	err := b.check(tw.schema)
+	for r := 0; r < b.Len() && err == nil; r++ {
+		tw.line = append(b.appendTSV(tw.line[:0], r), '\n')
+		_, err = tw.bw.Write(tw.line)
+	}
+	return err
+}
+
+// Flush writes out what the writer still buffers.
+func (tw *TSVWriter) Flush() error { return tw.bw.Flush() }
 
 // readLine reads one newline-terminated line of unbounded length,
 // returning io.EOF only when no bytes remain. Unlike bufio.Scanner
@@ -133,19 +158,19 @@ func readLine(r *bufio.Reader) (string, error) {
 	return line, err
 }
 
-// ReadTSV parses a table previously written by WriteTSV, rebuilding
-// the schema from the header line and type-converting every value.
-// The table is in-memory; ReadTSVWith restores into another engine.
-func ReadTSV(r io.Reader) (*Table, error) {
-	return ReadTSVWith(r, MemoryEngine{})
+// TSVReader reads a TSV that WriteTSV or a TSVWriter wrote, without a
+// table: the header line's schema, then batches of up to readChunkRows
+// rows, each field parsed straight into its column's vector.
+type TSVReader struct {
+	br     *bufio.Reader
+	schema Schema
+	batch  *Batch
+	line   int // lines read, the header included
 }
 
-// ReadTSVWith is ReadTSV with the restored rows stored through the
-// given engine — how a disk-backed session resumes a snapshot without
-// materializing its relations in memory. A declared schema with the
-// header's name and columns is the table's, key included; any other
-// header is read as it says.
-func ReadTSVWith(r io.Reader, engine Engine, declared ...Schema) (*Table, error) {
+// NewTSVReader reads the header line of r and returns the reader of its
+// rows.
+func NewTSVReader(r io.Reader) (*TSVReader, error) {
 	br := bufio.NewReader(r)
 	header, err := readLine(br)
 	if err == io.EOF {
@@ -164,16 +189,69 @@ func ReadTSVWith(r io.Reader, engine Engine, declared ...Schema) (*Table, error)
 	if len(fields) < 2 {
 		return nil, fmt.Errorf("kbase: malformed TSV header %q", header)
 	}
-	name := fields[0]
 	specs := make([]string, 0, len(fields)-1)
 	for _, f := range fields[1:] {
 		// Normalize "col:varchar" etc. back into NewSchema's grammar.
 		specs = append(specs, strings.Replace(f, ":varchar", "", 1))
 	}
-	schema, err := NewSchema(name, specs...)
+	schema, err := NewSchema(fields[0], specs...)
 	if err != nil {
 		return nil, err
 	}
+	return &TSVReader{br: br, schema: schema, batch: NewBatch(schema, readChunkRows), line: 1}, nil
+}
+
+// Schema returns the schema the header declares (no key: a TSV file
+// does not carry one).
+func (tr *TSVReader) Schema() Schema { return tr.schema }
+
+// Next returns the next rows, up to readChunkRows of them, in a batch the
+// reader reuses: the next call overwrites it. After the last row it
+// returns io.EOF.
+func (tr *TSVReader) Next() (*Batch, error) {
+	b := tr.batch
+	b.Reset()
+	for b.Len() < readChunkRows {
+		line, err := readLine(tr.br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("kbase: reading TSV: %w", err)
+		}
+		tr.line++
+		// With escaping every line is a row, "" (one empty string) too.
+		parts, err := splitTSV(line)
+		if err == nil {
+			err = b.appendFields(tr.schema, parts)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("kbase: TSV line %d: %v", tr.line, err)
+		}
+	}
+	if b.Len() == 0 {
+		return nil, io.EOF
+	}
+	return b, nil
+}
+
+// ReadTSV parses a table previously written by WriteTSV, rebuilding
+// the schema from the header line and type-converting every value.
+// The table is in-memory; ReadTSVWith restores into another engine.
+func ReadTSV(r io.Reader) (*Table, error) {
+	return ReadTSVWith(r, MemoryEngine{})
+}
+
+// ReadTSVWith is ReadTSV with the rows stored through the given engine,
+// a TSVReader batch at a time. A declared schema with the header's name
+// and columns is the table's, key included; any other header is read as
+// it says.
+func ReadTSVWith(r io.Reader, engine Engine, declared ...Schema) (*Table, error) {
+	tr, err := NewTSVReader(r)
+	if err != nil {
+		return nil, err
+	}
+	schema := tr.schema
 	for _, d := range declared {
 		if d.Name == schema.Name && slices.Equal(d.Columns, schema.Columns) {
 			schema = d
@@ -184,56 +262,24 @@ func ReadTSVWith(r io.Reader, engine Engine, declared ...Schema) (*Table, error)
 		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", engine.Kind(), schema.Name, err)
 	}
 	t := newTableWith(schema, be)
-	fail := func(err error) (*Table, error) {
-		t.Close() // a paged backend holds its segment open
-		return nil, err
-	}
-	// Rows go in a batch at a time, each field parsed straight into its
-	// column's vector, so a table larger than memory streams through a
-	// paged backend.
-	chunk := NewBatch(schema, readChunkRows)
-	lineNo := 1
-	flush := func() error {
-		if _, err := t.InsertBatch(chunk); err != nil {
-			return fmt.Errorf("kbase: TSV lines %d-%d: %w", lineNo-chunk.Len()+1, lineNo, err)
-		}
-		chunk.Reset()
-		return nil
-	}
 	for {
-		line, err := readLine(br)
+		b, err := tr.Next()
 		if err == io.EOF {
-			break
+			return t, nil
 		}
-		if err != nil {
-			return fail(fmt.Errorf("kbase: reading TSV: %w", err))
-		}
-		lineNo++
-		// No blank-line skipping: with escaping, every emitted line —
-		// including "" (a single empty-string column) and "\t" (a row
-		// of empty strings) — is a real row, and WriteTSV never
-		// produces spurious blanks.
-		parts, err := splitTSV(line)
-		if err != nil {
-			return fail(fmt.Errorf("kbase: TSV line %d: %w", lineNo, err))
-		}
-		if err := chunk.appendFields(schema, parts); err != nil {
-			return fail(fmt.Errorf("kbase: TSV line %d: %v", lineNo, err))
-		}
-		if chunk.Len() == readChunkRows {
-			if err := flush(); err != nil {
-				return fail(err)
+		if err == nil {
+			if _, err = t.InsertBatch(b); err != nil {
+				err = fmt.Errorf("kbase: TSV lines %d-%d: %w", tr.line-b.Len()+1, tr.line, err)
 			}
 		}
+		if err != nil {
+			t.Close() // a paged backend holds its segment open
+			return nil, err
+		}
 	}
-	if err := flush(); err != nil {
-		return fail(err)
-	}
-	return t, nil
 }
 
-// readChunkRows is how many parsed rows ReadTSVWith hands to one
-// InsertBatch.
+// readChunkRows is how many parsed rows a TSVReader batch holds.
 const readChunkRows = 1024
 
 // manifestName is the snapshot directory's table-of-contents file. It
@@ -242,14 +288,22 @@ const readChunkRows = 1024
 const manifestName = "MANIFEST"
 
 // SaveDB snapshots a whole database into a directory: one
-// "<table>.tsv" file per relation plus a MANIFEST listing the tables.
-// The snapshot is written into a fresh temporary sibling directory
-// and swapped into place, so a crash or disk-full mid-save can never
-// leave a MANIFEST pointing at a mix of old and new table files — dir
-// either keeps the previous consistent snapshot (up to the final
-// rename pair) or holds the new one.
+// "<table>.tsv" file per relation, its table's WriteTSV, plus a MANIFEST
+// listing the tables (WriteSnapshot).
 func SaveDB(db *DB, dir string) error {
-	names := db.Names()
+	return WriteSnapshot(dir, db.Names(), func(name string, w io.Writer) error {
+		return db.Table(name).WriteTSV(w)
+	})
+}
+
+// WriteSnapshot is the one snapshot-directory writer: write(name, w)
+// writes table name's TSV, for each of names in turn, and a MANIFEST
+// lists them. The snapshot is written into a fresh temporary sibling
+// directory and swapped into place, so a crash or disk-full mid-save can
+// never leave a MANIFEST pointing at a mix of old and new table files —
+// dir either keeps the previous consistent snapshot (up to the final
+// rename pair) or holds the new one.
+func WriteSnapshot(dir string, names []string, write func(name string, w io.Writer) error) error {
 	for _, name := range names {
 		if !safeTableFile(name) {
 			return fmt.Errorf("kbase: table name %q is not snapshot-safe", name)
@@ -269,7 +323,7 @@ func SaveDB(db *DB, dir string) error {
 		if err != nil {
 			return err
 		}
-		if err := db.Table(name).WriteTSV(f); err != nil {
+		if err := write(name, f); err != nil {
 			f.Close()
 			return err
 		}

@@ -26,9 +26,6 @@ func NewEmbedder(dim int) *Embedder {
 	return &Embedder{dim: dim}
 }
 
-// Dim returns the embedding dimension.
-func (e *Embedder) Dim() int { return e.dim }
-
 // Embed returns the word's vector. The vector is unit-norm and a pure
 // function of the lowercased word.
 func (e *Embedder) Embed(word string) []float64 {

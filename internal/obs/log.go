@@ -58,9 +58,6 @@ func InitLogging(level string, w io.Writer) error {
 	return nil
 }
 
-// SetLogLevel adjusts the level without replacing the handler.
-func SetLogLevel(lv slog.Level) { logLevel.Set(lv) }
-
 // Log returns the process logger. Callers attach context with the
 // usual slog key/value pairs; the logger is safe for concurrent use.
 func Log() *slog.Logger { return curLogger.Load() }

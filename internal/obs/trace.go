@@ -15,7 +15,7 @@ import (
 // never touches the lock-free read path.
 
 // Span is one timed pipeline stage. Stage names come from a fixed
-// enum (extract, featurize, supervise, merge, mirror from an ingest;
+// enum (extract, featurize, supervise, merge from an ingest;
 // hydrate, hydrateDelta, deltaClassify from a view capture; index,
 // materialize, train, classify from a training run; materializeKB), so
 // the per-stage metrics they feed stay fixed-cardinality.

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,24 +21,17 @@ import (
 )
 
 // The faults of this file are real ones, injected through the real
-// path. The post-commit I/O failure: a disk tenant's spill directory
-// (under a TMPDIR of its own) is removed once its large relations hold
-// their segment descriptors, so the next relation to seal its first page
-// cannot create its segment. With synth.Electronics(78, ·) two documents
-// leave sentences, candidates and labels below one page (128 rows) and
-// the next two carry sentences across it.
-var lostPage = regexp.MustCompile(`kbase: flushing page \d+ for (\w+)`)
-
-// loseSpill removes the one spill directory under tmp.
-func loseSpill(t *testing.T, tmp string) {
-	t.Helper()
-	spills, _ := filepath.Glob(filepath.Join(tmp, "kbase-spill-*"))
-	if len(spills) != 1 {
-		t.Fatalf("spill directories under %s: %v", tmp, spills)
-	}
-	if err := os.RemoveAll(spills[0]); err != nil {
-		t.Fatal(err)
-	}
+// path: task code that panics. armedThrottler returns task with one more
+// throttler, which keeps every candidate and panics while armed is set —
+// the writer runs it on pool workers, after the upload parsed.
+func armedThrottler(task core.Task, armed *atomic.Bool) core.Task {
+	task.Throttlers = append(task.Throttlers[:len(task.Throttlers):len(task.Throttlers)], func(*candidates.Candidate) bool {
+		if armed.Load() {
+			panic("throttler blew up")
+		}
+		return true
+	})
+	return task
 }
 
 // dirBytes reads every file of a snapshot directory.
@@ -79,36 +71,32 @@ func kbOf(t *testing.T, url string) (uint64, string) {
 }
 
 // wantWriterFailed checks a tenant's /healthz for the writer's failure
-// record and returns the relation it names.
-func wantWriterFailed(t *testing.T, h map[string]any, servedEpoch float64) string {
+// record, naming the panic.
+func wantWriterFailed(t *testing.T, h map[string]any, servedEpoch float64) {
 	t.Helper()
 	deg, ok := h["degraded"].(map[string]any)
 	if h["ok"] != false || !ok {
 		t.Fatalf("failed tenant's healthz = %v", h)
 	}
-	m := lostPage.FindStringSubmatch(deg["error"].(string))
-	if deg["where"] != "writer" || m == nil {
-		t.Fatalf("degraded record = %v, want the writer's, naming the relation that lost its page", deg)
+	if msg, _ := deg["error"].(string); deg["where"] != "writer" || !strings.Contains(msg, "throttler blew up") {
+		t.Fatalf("degraded record = %v, want the writer's, naming the panic", deg)
 	}
 	if deg["storeEpoch"] != servedEpoch || deg["servedEpoch"] != servedEpoch {
 		t.Fatalf("degraded record epochs = %v, want both %v: the session never took the batch", deg, servedEpoch)
 	}
-	return m[1]
 }
 
-// TestPartialIngestMarksDegraded: an ingest that fails past the store's
-// commit point closes the tenant. The request is answered 503, /healthz
-// and /meta carry the record, naming the relation; readers keep the last
-// epoch, byte for byte; later writes, retrains and snapshots are refused
-// with 503 and the last good snapshot directory is untouched; and
-// reloading from that snapshot is the way back — the reloaded session,
-// fed the remaining documents, serves the KB of a server that never
-// failed.
+// TestPartialIngestMarksDegraded: an ingest whose task code panics
+// closes the tenant. The request is answered 503, /healthz and /meta
+// carry the record, naming the panic; readers keep the last epoch, byte
+// for byte; later writes, retrains and snapshots are refused with 503
+// and the last good snapshot directory is untouched; and reloading from
+// that snapshot is the way back — the reloaded session, fed the
+// remaining documents, serves the KB of a server that never failed.
 func TestPartialIngestMarksDegraded(t *testing.T) {
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
 	corpus := synth.Electronics(78, 6)
-	task := corpus.Tasks[0]
+	var armed atomic.Bool
+	task := armedThrottler(corpus.Tasks[0], &armed)
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2, Backend: "disk"}
 	snap := filepath.Join(t.TempDir(), "snap")
 
@@ -130,16 +118,13 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 	}
 
 	// ---- The fault.
-	loseSpill(t, tmp)
+	armed.Store(true)
 	fail := postJSON(t, ts.URL+"/ingest", uploads(corpus, 2, 4), http.StatusServiceUnavailable)
-	if msg, _ := fail["error"].(string); !lostPage.MatchString(msg) {
+	if msg, _ := fail["error"].(string); !strings.Contains(msg, "throttler blew up") {
 		t.Fatalf("ingest error = %v", fail)
 	}
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)
-	table := wantWriterFailed(t, getJSON(t, ts.URL+"/healthz", http.StatusOK), 1)
-	if _, ok := meta["tables"].(map[string]any)[table]; !ok {
-		t.Fatalf("degraded record names %q, not one of the relations %v", table, meta["tables"])
-	}
+	wantWriterFailed(t, getJSON(t, ts.URL+"/healthz", http.StatusOK), 1)
 	if _, ok := meta["degraded"]; !ok {
 		t.Fatalf("failed tenant's /meta lacks the record: %v", meta)
 	}
@@ -156,6 +141,7 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 	}
 
 	// ---- The way back: reload from the snapshot.
+	armed.Store(false)
 	st, err := core.OpenStore(snap, task, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -185,18 +171,33 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 }
 
 // TestRegistryAggregatesDegradedTenant is the fleet view of the same
-// fault, three tenants in one registry: A (disk) loses its spill
-// directory. A reports degraded naming the relation, refuses /ingest and
+// fault, three tenants in one registry: A (disk, electronics) panics in
+// its throttler. A reports degraded naming the panic, refuses /ingest and
 // /admin/snapshot with its snapshot directory byte-identical, and keeps
 // serving its last epoch; the fleet /healthz conjunction and the tenant
-// listing show it; B (disk, a spill directory of its own) and C (memory)
-// never notice — every epoch they publish afterwards is bit-identical
-// to a standalone server's. Deleting and re-creating A reloads it from
-// its snapshot.
+// listing show it; B (disk) and C (memory) never notice — every epoch
+// they publish afterwards is bit-identical to a standalone server's.
+// Deleting and re-creating A reloads it from its snapshot.
 func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 1}
 	root := t.TempDir()
-	rg := newTestRegistry(t, root, opts)
+	var armed atomic.Bool
+	resolve := testResolver(t)
+	rg, err := serve.NewRegistry(serve.RegistryConfig{
+		Resolve: func(domain, relation string) (core.Task, []core.GoldTuple, error) {
+			task, gold, err := resolve(domain, relation)
+			if domain == "electronics" {
+				task = armedThrottler(task, &armed)
+			}
+			return task, gold, err
+		},
+		BaseOptions:  opts,
+		SnapshotRoot: root,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rg.Close)
 	type tenant struct {
 		name, domain, backend string
 		corpus                *synth.Corpus
@@ -206,13 +207,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		{"b", "ads", "disk", synth.Ads(44, 4)},
 		{"c", "genomics", "memory", synth.Genomics(45, 4)},
 	}
-	tmpA := ""
 	for _, tn := range tenants {
-		tmp := t.TempDir()
-		t.Setenv("TMPDIR", tmp) // each disk tenant spills under its own
-		if tn.name == "a" {
-			tmpA = tmp
-		}
 		if _, err := rg.Create(serve.TenantConfig{Name: tn.name, Domain: tn.domain, Backend: tn.backend}); err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +223,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	good := dirBytes(t, snapA)
 	_, kbA := kbOf(t, ts.URL+"/t/a")
 
-	loseSpill(t, tmpA)
+	armed.Store(true)
 	postJSON(t, ts.URL+"/t/a/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusServiceUnavailable)
 	postJSON(t, ts.URL+"/t/a/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusServiceUnavailable)
 	postJSON(t, ts.URL+"/t/a/admin/snapshot", nil, http.StatusServiceUnavailable)
@@ -288,6 +283,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 
 	// The way back: delete and re-create A. It resumes its snapshot —
 	// the KB it was serving — healthy, and takes the batch it refused.
+	armed.Store(false)
 	if err := rg.SetDefault("c"); err != nil {
 		t.Fatal(err)
 	}

@@ -423,7 +423,7 @@ func TestTracesAndHealthObservability(t *testing.T) {
 			t.Fatalf("span without duration: %v", s)
 		}
 	}
-	for _, want := range []string{"extract", "featurize", "supervise", "merge", "mirror", "hydrateDelta", "deltaClassify", "index", "train", "classify", "materializeKB"} {
+	for _, want := range []string{"extract", "featurize", "supervise", "merge", "hydrateDelta", "deltaClassify", "index", "train", "classify", "materializeKB"} {
 		if !names[want] {
 			t.Errorf("ingest trace lacks span %q (have %v)", want, names)
 		}

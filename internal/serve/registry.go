@@ -349,8 +349,8 @@ func (rg *Registry) Get(name string) *Server {
 }
 
 // Delete removes a tenant: it disappears from routing immediately,
-// then its writer goroutine stops and its store (spill directory,
-// segment files and their descriptors) is closed. In-flight reads finish against their
+// then its writer goroutine stops and its store is closed. In-flight
+// reads finish against their
 // already-loaded views. The default tenant cannot be deleted — the
 // un-prefixed alias must keep resolving.
 func (rg *Registry) Delete(name string) error {
@@ -407,7 +407,7 @@ func (rg *Registry) statusLocked(e *tenantEntry) TenantStatus {
 }
 
 // Close shuts every tenant down (writer goroutines stopped, stores
-// and their spill directories released) and rejects subsequent
+// closed) and rejects subsequent
 // registry operations. Safe to call more than once.
 func (rg *Registry) Close() {
 	rg.mu.Lock()

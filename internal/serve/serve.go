@@ -291,10 +291,9 @@ func New(cfg Config) (*Server, error) {
 	view, err := st.View(cfg.Gold)
 	if err != nil {
 		if cfg.Store == nil {
-			// We created this store; release its storage engine (the
-			// disk backend's spill directory) rather than leak it. A
-			// caller-provided store stays the caller's to close —
-			// ownership only transfers on success.
+			// We created this store, so we close it. A caller-provided
+			// store stays the caller's to close — ownership only
+			// transfers on success.
 			st.Close()
 		}
 		return nil, fmt.Errorf("serve: building initial view: %w", err)
@@ -321,8 +320,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the writer goroutine and releases the owned store's
-// storage-engine resources (the disk backend's spill directory). An
+// Close stops the writer goroutine and closes the owned store. An
 // in-flight request finishes first; subsequent writes fail with an
 // error. Reads keep working against the last published view — views
 // carry their own state and never touch the store.
