@@ -607,16 +607,10 @@ func BenchmarkServeMetricsOverhead(b *testing.B) {
 // name) in 500-row batches — a tuple at a time through Insert, a []Tuple
 // through InsertAll, or a typed Batch built from the unboxed values
 // through InsertBatch — then offers every row again: the
-// rejected-duplicate path. The keyed legs declare the store's ascending
-// (cand, seq) key, which checks each row against the one before it and
-// keeps no index; they make the one pass, as a repeated key is an error.
+// rejected-duplicate path.
 func BenchmarkTableInsert(b *testing.B) {
 	const nRows, batch = 20000, 500
-	unkeyed, err := kbase.NewSchema("features", "cand:integer", "seq:integer", "name")
-	if err != nil {
-		b.Fatal(err)
-	}
-	keyed, err := unkeyed.WithKey(kbase.Key{Cols: 2, Ascending: true})
+	schema, err := kbase.NewSchema("features", "cand:integer", "seq:integer", "name")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -645,7 +639,7 @@ func BenchmarkTableInsert(b *testing.B) {
 			return err
 		}},
 		{"InsertBatch", func(tbl *kbase.Table, lo int) error {
-			bt := kbase.NewBatch(tbl.Schema(), batch)
+			bt := kbase.NewBatch(schema, batch)
 			for i := lo; i < lo+batch; i++ {
 				bt.AppendInt(0, int64(i/40))
 				bt.AppendInt(1, int64(i%40))
@@ -655,41 +649,34 @@ func BenchmarkTableInsert(b *testing.B) {
 			return err
 		}},
 	}
-	legs := []struct {
-		name   string
-		schema kbase.Schema
-		passes int
-	}{{"", unkeyed, 2}, {"keyed/", keyed, 1}}
 	for _, kind := range kbase.BackendKinds() {
-		for _, leg := range legs {
-			for _, path := range paths {
-				b.Run(kind+"/"+leg.name+path.name, func(b *testing.B) {
-					perItem := startPerItem(b)
-					for i := 0; i < b.N; i++ {
-						engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), fmt.Sprint(i)))
-						if err != nil {
-							b.Fatal(err)
-						}
-						db := kbase.NewDBWith(engine)
-						tbl, err := db.Create(leg.schema)
-						if err != nil {
-							b.Fatal(err)
-						}
-						for pass := 0; pass < leg.passes; pass++ {
-							for lo := 0; lo < nRows; lo += batch {
-								if err := path.insert(tbl, lo); err != nil {
-									b.Fatal(err)
-								}
+		for _, path := range paths {
+			b.Run(kind+"/"+path.name, func(b *testing.B) {
+				perItem := startPerItem(b)
+				for i := 0; i < b.N; i++ {
+					engine, err := kbase.NewEngine(kind, filepath.Join(b.TempDir(), fmt.Sprint(i)))
+					if err != nil {
+						b.Fatal(err)
+					}
+					db := kbase.NewDBWith(engine)
+					tbl, err := db.Create(schema)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for pass := 0; pass < 2; pass++ {
+						for lo := 0; lo < nRows; lo += batch {
+							if err := path.insert(tbl, lo); err != nil {
+								b.Fatal(err)
 							}
 						}
-						if tbl.Len() != nRows {
-							b.Fatalf("table holds %d rows, want %d", tbl.Len(), nRows)
-						}
-						db.Close()
 					}
-					perItem(b.N*leg.passes*nRows, "row")
-				})
-			}
+					if tbl.Len() != nRows {
+						b.Fatalf("table holds %d rows, want %d", tbl.Len(), nRows)
+					}
+					db.Close()
+				}
+				perItem(b.N*2*nRows, "row")
+			})
 		}
 	}
 }

@@ -83,7 +83,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "storage engine kind: memory, disk or columnar (default: $FONDUER_BACKEND, else memory); validated and echoed in /meta, while the session keeps its relations itself on every kind; per-tenant overrides via -tenants or POST /admin/tenants")
+	backend := flag.String("backend", "", "storage engine kind: memory, disk or columnar (default memory); validated and echoed in /meta, while the session keeps its relations itself on every kind; per-tenant overrides via -tenants or POST /admin/tenants")
 	// Deprecated: parsed documents stay in memory (DESIGN.md, "Why
 	// documents stay resident"). The flag is accepted only because
 	// benchmark/ still passes it to its store_spill server; it goes when

@@ -59,7 +59,7 @@ func TestStoreFlagRoundTrip(t *testing.T) {
 	writeCorpus(t, fonduer.ElectronicsCorpus(3, 8), corpusDir)
 
 	const rel = "HasCollectorCurrent"
-	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, out1, storeDir, ""); err != nil {
+	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, out1, storeDir); err != nil {
 		t.Fatal(err)
 	}
 	kb1, err := os.ReadFile(filepath.Join(out1, rel+".tsv"))
@@ -71,7 +71,7 @@ func TestStoreFlagRoundTrip(t *testing.T) {
 	if err := os.RemoveAll(filepath.Join(corpusDir, "docs")); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, out2, storeDir, ""); err != nil {
+	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, out2, storeDir); err != nil {
 		t.Fatalf("resumed run (without corpus sources): %v", err)
 	}
 	kb2, err := os.ReadFile(filepath.Join(out2, rel+".tsv"))
@@ -97,10 +97,10 @@ func TestStoreFlagFreshRunMatchesStoreless(t *testing.T) {
 	const rel = "HasCollectorCurrent"
 	outPlain := filepath.Join(base, "plain")
 	outStore := filepath.Join(base, "stored")
-	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, outPlain, "", ""); err != nil {
+	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, outPlain, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, outStore, filepath.Join(base, "store"), ""); err != nil {
+	if err := run(corpusDir, "electronics", rel, 0.5, 2, 1, outStore, filepath.Join(base, "store")); err != nil {
 		t.Fatal(err)
 	}
 	kbPlain, err := os.ReadFile(filepath.Join(outPlain, rel+".tsv"))

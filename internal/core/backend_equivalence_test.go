@@ -52,14 +52,11 @@ func kbTSV(t *testing.T, task core.Task, res core.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestBackendStoreEquivalence is the cross-backend half of the
-// tentpole invariant: over the synth corpus, every storage engine
-// kind — pinned explicitly, so the matrix is exercised even when
-// $FONDUER_BACKEND (the CI matrix lever) forces a suite-wide default —
-// yields (a) a RunSplit Result bit-identical to the in-memory baseline, (b)
-// a byte-identical SaveDB snapshot, (c) byte-identical KB TSV output,
-// and (d) a resumable snapshot that reproduces the Result again under
-// its own backend.
+// TestBackendStoreEquivalence: over the synth corpus, every storage
+// engine kind yields (a) a RunSplit Result bit-identical to the
+// in-memory baseline, (b) a byte-identical SaveDB snapshot, (c)
+// byte-identical KB TSV output, and (d) a resumable snapshot that
+// reproduces the Result again under its own backend.
 func TestBackendStoreEquivalence(t *testing.T) {
 	corpus := synth.Electronics(81, 12)
 	task := corpus.Tasks[0]

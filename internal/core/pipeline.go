@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
@@ -112,13 +111,11 @@ type Options struct {
 	// Batch (it is a real hyperparameter) but never on Workers.
 	Batch int
 	// Backend names a kbase storage engine kind: "memory", "disk" or
-	// "columnar". The zero value "" is a sentinel consulting
-	// $FONDUER_BACKEND first (how CI runs the whole suite per backend)
-	// and defaulting to "memory". A Store refuses an unknown kind and
-	// echoes a valid one in StorageStats; it keeps its relations itself
-	// on every kind, so results, snapshots and memory are the same
-	// across them. The field goes with the paged kinds (ROADMAP item
-	// 13(b)). Ignored by store-less Run calls.
+	// "columnar"; the zero value "" means "memory". A Store refuses an
+	// unknown kind and echoes a valid one in StorageStats; it keeps its
+	// relations itself on every kind, so results, snapshots and memory
+	// are the same across them. The field goes with the paged kinds
+	// (ROADMAP item 13(b)). Ignored by store-less Run calls.
 	Backend string
 	// Deprecated: MaxResidentDocs is ignored. It used to bound how many
 	// parsed documents a Store kept in memory, evicting the rest; every
@@ -149,11 +146,7 @@ func (o *Options) defaults() {
 		o.MinFeatureCount = 2
 	}
 	if o.Backend == "" {
-		if env := os.Getenv("FONDUER_BACKEND"); env != "" {
-			o.Backend = env
-		} else {
-			o.Backend = "memory"
-		}
+		o.Backend = "memory"
 	}
 }
 

@@ -45,11 +45,8 @@ const (
 // by TestStoreSchemasMatchFormat.
 const storeFormat = "3"
 
-func mustSchema(name string, key kbase.Key, cols ...string) kbase.Schema {
+func mustSchema(name string, cols ...string) kbase.Schema {
 	s, err := kbase.NewSchema(name, cols...)
-	if err == nil {
-		s, err = s.WithKey(key)
-	}
 	if err != nil {
 		// Unreachable from input or I/O: every caller passes the column
 		// literals of storeSchemas, at package initialization.
@@ -58,25 +55,23 @@ func mustSchema(name string, key kbase.Key, cols ...string) kbase.Schema {
 	return s
 }
 
-// Each relation declares its key (TestStoreSchemaKeys): stream writes no
-// key twice, and the ascending ones in ascending order.
 var storeSchemas = []kbase.Schema{
 	// One row per document, in ingestion order, with its featurization
 	// cache statistics.
-	mustSchema(tblDocuments, kbase.Key{Cols: 1, Ascending: true}, "pos:integer", "name", "format", "hits:integer", "misses:integer"),
+	mustSchema(tblDocuments, "pos:integer", "name", "format", "hits:integer", "misses:integer"),
 	// One row per sentence, carrying every attribute the data model
 	// records at sentence granularity — textual, structural, visual —
 	// plus the containing table cell's grid coordinates (tbl = -1 for
 	// non-tabular sentences), so the document DAG's leaf layer
 	// restores faithfully.
-	mustSchema(tblSentences, kbase.Key{Cols: 2}, "doc", "pos:integer", "words", "lemmas", "pos_tags", "ner",
+	mustSchema(tblSentences, "doc", "pos:integer", "words", "lemmas", "pos_tags", "ner",
 		"htmltag", "attrs", "ancestor_tags", "ancestor_classes", "ancestor_ids",
 		"nodepos:integer", "prevsib", "nextsib", "pages", "boxes", "font",
 		"tbl:integer", "row_start:integer", "row_end:integer", "col_start:integer", "col_end:integer", "header:integer"),
-	mustSchema(tblCands, kbase.Key{Cols: 2, Ascending: true}, "cand:integer", "arg:integer", "type", "doc", "sent:integer", "start:integer", "end:integer"),
-	mustSchema(tblFeatures, kbase.Key{Cols: 2, Ascending: true}, "cand:integer", "seq:integer", "feature"),
-	mustSchema(tblLabels, kbase.Key{Cols: 2}, "cand:integer", "lf:integer", "vote:integer"),
-	mustSchema(tblMeta, kbase.Key{Cols: 1}, "key", "value"),
+	mustSchema(tblCands, "cand:integer", "arg:integer", "type", "doc", "sent:integer", "start:integer", "end:integer"),
+	mustSchema(tblFeatures, "cand:integer", "seq:integer", "feature"),
+	mustSchema(tblLabels, "cand:integer", "lf:integer", "vote:integer"),
+	mustSchema(tblMeta, "key", "value"),
 }
 
 // ---- sentence-attribute field codecs.
@@ -401,11 +396,7 @@ func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error
 // only names the kind StorageStats echoes.
 func checkBackend(opts Options) error {
 	if !kbase.ValidBackendKind(opts.Backend) {
-		// Name the env var: an unset Options.Backend resolves through
-		// $FONDUER_BACKEND, so a typo there surfaces here with no flag
-		// in sight.
-		return fmt.Errorf("core: unknown backend %q (want %s; from Options.Backend, whose empty value consults $FONDUER_BACKEND)",
-			opts.Backend, kbase.BackendKindsWant())
+		return fmt.Errorf("core: unknown backend %q (want %s)", opts.Backend, kbase.BackendKindsWant())
 	}
 	return nil
 }
@@ -560,8 +551,9 @@ func (s *Store) Snapshot(dir string) error {
 	})
 }
 
-// DB builds the store's relations anew, as keyed memory-engine tables of
-// the rows Snapshot streams; nothing the store does reads them.
+// DB builds the store's relations anew, as memory-engine tables (sets
+// over whole rows) of the rows Snapshot streams; nothing the store does
+// reads them.
 //
 // Deprecated: DB copies the whole session, for the benchmark's traced
 // replay only; it goes with the paged kinds (ROADMAP item 13(b)).
@@ -578,7 +570,7 @@ func (s *Store) DB() *kbase.DB {
 		if err != nil {
 			// Unreachable from input or I/O: the schemas have distinct
 			// names, the memory engine does no I/O, and the store's rows
-			// are keyed as storeSchemas declares.
+			// have storeSchemas' columns and types.
 			panic("core: " + err.Error())
 		}
 	}

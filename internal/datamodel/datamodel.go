@@ -497,16 +497,6 @@ func (s *Sentence) BoundingBox() Box {
 	return b
 }
 
-// Ancestors returns the chain of contexts from the sentence's parent up
-// to and including the Document, in leaf-to-root order.
-func Ancestors(n Node) []Node {
-	var out []Node
-	for p := n.Parent(); p != nil; p = p.Parent() {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Depth returns the number of edges from n to the Document root.
 func Depth(n Node) int {
 	d := 0

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// Ancestors returns the chain of contexts from the sentence's parent up
+// to and including the Document, in leaf-to-root order.
+func Ancestors(n Node) []Node {
+	var out []Node
+	for p := n.Parent(); p != nil; p = p.Parent() {
+		out = append(out, p)
+	}
+	return out
+}
+
 // buildFig1 constructs a small document mirroring the paper's Figure 1:
 // a header Text containing the transistor part numbers, and a table of
 // maximum ratings with Parameter/Symbol/Value/Unit columns.

@@ -275,7 +275,4 @@ func TestTableRenderer(t *testing.T) {
 	if !strings.Contains(s, "xxx") || !strings.Contains(s, "bb") {
 		t.Fatalf("render = %q", s)
 	}
-	if trim(s+"\n\n") != strings.TrimRight(s, "\n") {
-		t.Fatal("trim")
-	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/kbase"
@@ -318,7 +317,3 @@ func (r Table6Result) String() string {
 	return "Table 6: document-level RNN vs Fonduer (ELEC, 1 relation)\n" + t.String() +
 		fmt.Sprintf("Doc-RNN slowdown: %s\n", slow)
 }
-
-// trim removes trailing whitespace lines from rendered tables (helper
-// for golden comparisons in tests).
-func trim(s string) string { return strings.TrimRight(s, "\n") }

@@ -156,43 +156,26 @@ func featureRows(t *testing.T, tbl *Table, n, names int) {
 // It logs what the same rows cost the other kinds, whose dictionaries are
 // a page's: the encoded pages on the heap (columnar), or only the
 // segment's page directory and the open page (disk), which it bounds too.
-// The store declares the relation's (cand, seq) key ascending, so its
-// table keeps no index at all: keyed, a row costs the memory kind its
-// payload and dictionary share (<= 25 B) and the disk kind next to
-// nothing (<= 4 B).
 func TestMemoryBackendBytesPerRow(t *testing.T) {
 	const n, names = 200_000, 5_000
-	unkeyed := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
-	keyed, err := unkeyed.WithKey(Key{Cols: 2, Ascending: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	schema := mustSchema(t, "features", "cand:integer", "seq:integer", "feature")
 	disk, err := NewDiskEngine(t.TempDir(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	for _, leg := range []struct {
-		name   string
-		schema Schema
-		limit  map[string]float64
-	}{
-		{"unkeyed", unkeyed, map[string]float64{"memory": 40, "disk": 15}},
-		{"keyed", keyed, map[string]float64{"memory": 25, "disk": 4}},
-	} {
-		for _, engine := range []Engine{MemoryEngine{}, NewColumnarEngine(0, 0), disk} {
-			before := liveHeap()
-			tbl := newBackedTable(t, engine, leg.schema)
-			featureRows(t, tbl, n, names)
-			perRow := float64(liveHeap()-before) / n
-			runtime.KeepAlive(tbl)
-			t.Logf("%s %s backend: %.1f B/row at %d rows over %d names", leg.name, engine.Kind(), perRow, n, names)
-			if limit := leg.limit[engine.Kind()]; limit > 0 && perRow > limit {
-				t.Errorf("an %s features row costs %.1f B on the %s backend, want <= %.0f", leg.name, perRow, engine.Kind(), limit)
-			}
-			if err := tbl.Close(); err != nil {
-				t.Fatal(err)
-			}
+	for _, engine := range []Engine{MemoryEngine{}, NewColumnarEngine(0, 0), disk} {
+		before := liveHeap()
+		tbl := newBackedTable(t, engine, schema)
+		featureRows(t, tbl, n, names)
+		perRow := float64(liveHeap()-before) / n
+		runtime.KeepAlive(tbl)
+		t.Logf("%s backend: %.1f B/row at %d rows over %d names", engine.Kind(), perRow, n, names)
+		if limit := map[string]float64{"memory": 40, "disk": 15}[engine.Kind()]; limit > 0 && perRow > limit {
+			t.Errorf("a features row costs %.1f B on the %s backend, want <= %.0f", perRow, engine.Kind(), limit)
+		}
+		if err := tbl.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

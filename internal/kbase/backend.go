@@ -119,9 +119,8 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 
 // Backend is the row storage behind a Table. A Table owns exactly one
 // backend and layers relational semantics on top of it — schema/type
-// checking, set or key semantics (a compact hash index, unless the key
-// ascends), and the filtered-read planner — so a backend only has to
-// store an ordered row sequence.
+// checking, set semantics via a compact hash index, and the filtered-read
+// planner — so a backend only has to store an ordered row sequence.
 //
 // There is one implementation, pagedBackend (paged.go): typed pages of
 // column vectors (page.go), which the "disk" and "columnar" kinds seal
@@ -136,7 +135,7 @@ func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit 
 //     returns how many it stored: those stay, and the backend is as if
 //     the call had listed only them (the next Append retries whatever
 //     failed). It preserves insertion order; Scan, Page and Snapshot
-//     observe rows in exactly that order, and Compare addresses them by it.
+//     observe rows in exactly that order, and Equal addresses them by it.
 //   - Scan and Page are the only read entry points. Both take the
 //     conjunction already compiled by Table (never an impossible one;
 //     the zero matcher selects every row) and number its matches in
@@ -169,13 +168,11 @@ type Backend interface {
 	// positions Len(), Len()+1, … and returns how many it stored, with the
 	// error that stopped it short.
 	Append(b *Batch, rows []int) (int, error)
-	// Compare compares the first cols cells of the row at position i with
-	// those of row r of the checked batch b, typed cells in place, and
-	// returns the sign of the first difference: integers and strings in
-	// their order, floats 0 or 1 (only ascending keys, all integers, are
-	// ordered). It panics when i is out of range — positions come from
-	// the Table and are trusted.
-	Compare(i int, b *Batch, r, cols int) int
+	// Equal reports whether the row at position i and row r of the
+	// checked batch b have the same dedup key, comparing typed cells in
+	// place. It panics when i is out of range — positions come from the
+	// Table's index and are trusted.
+	Equal(i int, b *Batch, r int) bool
 	// Scan is the streaming read: see the contract above.
 	Scan(at []int, m matcher, fn func(Tuple) bool)
 	// Page is the windowed read: see the contract above.

@@ -1,11 +1,9 @@
 package kbase
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // Batch is the unit of insertion: rows of one schema held column-major,
@@ -237,38 +235,26 @@ func (b *Batch) appendTSV(dst []byte, r int) []byte {
 	return dst
 }
 
-// compare compares the first cols cells of rows i and j of a checked
-// batch, as Backend.Compare does.
-func (b *Batch) compare(i, j, cols int) int {
-	for c := range cols {
-		d := 0
+// equal reports whether rows i and j of a checked batch have the same
+// dedup key.
+func (b *Batch) equal(i, j int) bool {
+	for c := range b.cols {
 		switch v := &b.cols[c]; {
 		case len(v.ints) > 0:
-			d = cmp.Compare(v.ints[i], v.ints[j])
+			if v.ints[i] != v.ints[j] {
+				return false
+			}
 		case len(v.floats) > 0:
 			if !floatsEqual(v.floats[i], v.floats[j]) {
-				d = 1
+				return false
 			}
 		default:
-			d = strings.Compare(v.strs[i], v.strs[j])
-		}
-		if d != 0 {
-			return d
+			if v.strs[i] != v.strs[j] {
+				return false
+			}
 		}
 	}
-	return 0
-}
-
-// cell returns the cell of row r in column c of a checked batch.
-func (b *Batch) cell(c, r int) any {
-	switch v := &b.cols[c]; {
-	case len(v.ints) > 0:
-		return v.ints[r]
-	case len(v.floats) > 0:
-		return v.floats[r]
-	default:
-		return v.strs[r]
-	}
+	return true
 }
 
 // hash computes every row's dedup hash into hs (reused when it has the

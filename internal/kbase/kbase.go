@@ -1,7 +1,7 @@
 // Package kbase is a small relational engine playing the role
 // PostgreSQL plays in the paper's implementation: it stores the target
 // knowledge base (the relations Fonduer populates), with schemas, typed
-// columns, keys (a table with none is a set), predicates, and set
+// columns, set semantics over whole rows, predicates, and set
 // operations used by the evaluation (coverage and accuracy against an
 // existing knowledge base), and it is the snapshot format of the
 // intermediate Candidates/Features/Labels relations.
@@ -17,7 +17,6 @@
 package kbase
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -56,57 +55,12 @@ type Column struct {
 	Type ColType
 }
 
-// Schema describes a relation: its name, typed columns and optional key.
-// This is the KB schema S_R(T1, ..., Tn) the user specifies during KBC
+// Schema describes a relation: its name and typed columns. This is the
+// KB schema S_R(T1, ..., Tn) the user specifies during KBC
 // initialization.
 type Schema struct {
 	Name    string
 	Columns []Column
-	Key     Key // declared with WithKey; the zero Key declares none
-}
-
-// Key declares a relation's key: its first Cols columns, on which no two
-// rows agree. A keyed table keeps no index over whole rows, and an insert
-// whose key is taken is refused with a *KeyError, never skipped. An
-// ascending key is integer columns whose rows arrive in strictly
-// ascending order: each row is checked against the one before it, with no
-// index. Any other key is checked through a hash index over its cells.
-// The zero Key declares none: the table is a set over whole rows.
-type Key struct {
-	Cols      int
-	Ascending bool
-}
-
-// WithKey returns the schema with k declared as its key.
-func (s Schema) WithKey(k Key) (Schema, error) {
-	ok := k.Cols >= 0 && k.Cols <= s.Arity() && (k.Cols > 0 || !k.Ascending)
-	for c := 0; ok && c < k.Cols; c++ {
-		ok = !k.Ascending || s.Columns[c].Type == IntCol
-	}
-	if !ok {
-		return Schema{}, fmt.Errorf("kbase: schema %s: no key %+v (an ascending key is integer columns)", s.Name, k)
-	}
-	s.Key = k
-	return s, nil
-}
-
-// KeyError is an insert a keyed table refused: the table and the refused
-// row's key cells, which did not climb above the row before them
-// (Ascending) or are already stored.
-type KeyError struct {
-	Table     string
-	Columns   []string // the key columns' names
-	Key       Tuple    // the refused row's key cells
-	Ascending bool
-}
-
-func (e *KeyError) Error() string {
-	cells := make([]string, len(e.Key))
-	for i, v := range e.Key {
-		cells[i] = fmt.Sprintf("%s=%v", e.Columns[i], v)
-	}
-	what := map[bool]string{false: "is already stored", true: "does not ascend"}[e.Ascending]
-	return fmt.Sprintf("kbase: %s: key (%s) %s", e.Table, strings.Join(cells, ", "), what)
 }
 
 // NewSchema constructs a schema. Column specs take the form
@@ -161,18 +115,11 @@ func (s Schema) ColIndex(name string) int {
 	return -1
 }
 
-// SQL renders the schema as a CREATE TABLE statement (Example 3.2), a
-// declared key as its PRIMARY KEY.
+// SQL renders the schema as a CREATE TABLE statement (Example 3.2).
 func (s Schema) SQL() string {
-	lines, key := make([]string, len(s.Columns)), make([]string, s.Key.Cols)
+	lines := make([]string, len(s.Columns))
 	for i, c := range s.Columns {
 		lines[i] = fmt.Sprintf("    %s %s", c.Name, c.Type)
-	}
-	for i, c := range s.Columns[:s.Key.Cols] {
-		key[i] = c.Name
-	}
-	if len(key) > 0 {
-		lines = append(lines, "    PRIMARY KEY ("+strings.Join(key, ", ")+")")
 	}
 	return "CREATE TABLE " + s.Name + " (\n" + strings.Join(lines, ",\n") + "\n);"
 }
@@ -194,22 +141,20 @@ func (tp Tuple) Clone() Tuple {
 	return out
 }
 
-// Table stores the tuples of one relation: a set over whole tuples
+// Table stores the tuples of one relation as a set over whole tuples
 // (inserting a duplicate is a no-op, as relation mentions are
-// de-duplicated when populating the KB), unless its schema declares a
-// Key. Row storage is delegated to a Backend of one of the storage kinds,
-// while the Table keeps the relational semantics: schema/type checking
-// and, unless the key ascends, the dedup index (dedup.go: a flat hash ->
-// position table over whole rows or key cells, at most 16 bytes per row
-// and invisible to the garbage collector, so the check costs bounded
+// de-duplicated when populating the KB). Row storage is delegated to a
+// Backend of one of the storage kinds, while the Table keeps the
+// relational semantics: schema/type checking and the dedup index
+// (dedup.go: a flat hash -> position table, at most 16 bytes per row and
+// invisible to the garbage collector, so set semantics cost bounded
 // memory even when the rows themselves live in pages; hash hits are
 // verified against the stored row).
 type Table struct {
-	schema  Schema
-	be      Backend
-	dedup   dedupIndex
-	indexed int      // the leading columns dedup covers: the key's, or all
-	plan    *planner // filtered-read planner (lazy hash indexes)
+	schema Schema
+	be     Backend
+	dedup  dedupIndex
+	plan   *planner // filtered-read planner (lazy hash indexes)
 
 	// Insert scratch, reused from call to call (a table has one writer):
 	// the batch's row hashes, which of its rows were admitted, and the
@@ -227,7 +172,7 @@ func NewTable(schema Schema) *Table {
 
 // newTableWith wraps an empty backend in a table.
 func newTableWith(schema Schema, be Backend) *Table {
-	return &Table{schema: schema, be: be, indexed: cmp.Or(schema.Key.Cols, schema.Arity()), plan: newPlanner()}
+	return &Table{schema: schema, be: be, plan: newPlanner()}
 }
 
 // BackendKind names the table's storage backend.
@@ -260,14 +205,13 @@ func (t *Table) Schema() Schema { return t.schema }
 // Len returns the number of stored tuples.
 func (t *Table) Len() int { return t.be.Len() }
 
-// find returns the position of the row whose indexed cells equal those
-// of row r of b, whose hash is h, or -1. A slot with the hash's tag is
-// only a candidate: the cells are compared one by one, in place.
-// Positions from first on are rows of b itself that the insert in
-// progress has admitted and not yet stored — admitted[pos-first] is where
-// in b.
+// find returns the position of the row equal to row r of b, whose hash
+// is h, or -1. A slot with the hash's tag is only a candidate: the row is
+// compared cell by cell, in place. Positions from first on are rows of b
+// itself that the insert in progress has admitted and not yet stored —
+// admitted[pos-first] is where in b.
 func (t *Table) find(h uint64, b *Batch, r, first int, admitted []int) int {
-	d, cols := &t.dedup, t.indexed
+	d := &t.dedup
 	if d.n == 0 {
 		return -1
 	}
@@ -276,10 +220,10 @@ func (t *Table) find(h uint64, b *Batch, r, first int, admitted []int) int {
 		if s := d.slots[i]; s>>32 == tag {
 			pos := int(uint32(s)) - 1
 			if pos >= first {
-				if b.compare(admitted[pos-first], r, cols) == 0 {
+				if b.equal(admitted[pos-first], r) {
 					return pos
 				}
-			} else if t.be.Compare(pos, b, r, cols) == 0 {
+			} else if t.be.Equal(pos, b, r) {
 				return pos
 			}
 		}
@@ -291,77 +235,39 @@ func (t *Table) find(h uint64, b *Batch, r, first int, admitted []int) int {
 }
 
 // rebuildIndex rehashes every stored row — the epilogue of any
-// positional change (deletes re-pack positions). An ascending key has no
-// index to rebuild.
+// positional change (deletes re-pack positions).
 func (t *Table) rebuildIndex() {
 	t.dedup = dedupIndex{}
-	if t.schema.Key.Ascending {
-		return
-	}
 	t.dedup.reserve(t.be.Len())
 	pos := 0
 	t.be.Scan(nil, matcher{}, func(tp Tuple) bool {
-		t.dedup.add(hashTuple(tp[:t.indexed]), pos)
+		t.dedup.add(hashTuple(tp), pos)
 		pos++
 		return true
 	})
 }
 
-// unindex takes the index entries of admitted[from:] back out, last placed
-// first, which leaves the slots exactly as they were before them.
-func (t *Table) unindex(admitted []int, from, first int) {
-	for k := len(admitted) - 1; k >= from && !t.schema.Key.Ascending; k-- {
-		t.dedup.remove(t.hashes[admitted[k]], first+k)
-	}
-}
-
-// keyError refuses row r of b for its key.
-func (t *Table) keyError(b *Batch, r int) error {
-	k := t.schema.Key
-	e := &KeyError{Table: t.schema.Name, Columns: make([]string, k.Cols), Key: make(Tuple, k.Cols), Ascending: k.Ascending}
-	for c := range e.Key {
-		e.Columns[c], e.Key[c] = t.schema.Columns[c].Name, b.cell(c, r)
-	}
-	return e
-}
-
 // InsertBatch is the one insert path: it adds the batch's rows in order
 // and returns how many were newly added. The batch is checked against
-// the schema first — a column at a time; then, under an ascending key,
-// each row's key against the row before it; otherwise every row's indexed
-// cells are hashed, a column at a time, and a row that repeats a stored
-// row or an earlier row of the batch is skipped (unkeyed) or refuses the
-// batch (keyed). A refused batch adds nothing. Then the backend appends
-// the admitted rows, a column at a time. The backend stores its own copy,
-// so the batch is the caller's again on return, and a batch of
-// duplicates allocates nothing. The index grows and the planner is
-// invalidated once. When the backend fails to store a row, the rows
-// before it stay inserted and the table is as if the batch had ended
-// there.
+// the schema first — a column at a time, and a batch that fails adds
+// nothing; then every row is hashed, a column at a time; then each row
+// is admitted unless it is a duplicate of a stored row or of an earlier
+// row of the batch; then the backend appends the admitted rows, a column
+// at a time. The backend stores its own copy, so the batch is the
+// caller's again on return, and a batch of duplicates allocates nothing.
+// The index grows and the planner is invalidated once. When the backend
+// fails to store a row, the rows before it stay inserted and the table
+// is as if the batch had ended there.
 func (t *Table) InsertBatch(b *Batch) (int, error) {
 	if err := b.check(t.schema); err != nil {
 		return 0, err
 	}
-	first, key := t.be.Len(), t.schema.Key
+	t.hashes = b.hash(t.hashes)
+	first := t.be.Len()
 	admitted := t.admitted[:0]
-	if key.Ascending {
-		for r := range b.Len() {
-			if r > 0 && b.compare(r, r-1, key.Cols) <= 0 || r == 0 && first > 0 && t.be.Compare(first-1, b, 0, key.Cols) >= 0 {
-				return 0, t.keyError(b, r)
-			}
-			admitted = append(admitted, r)
-		}
-		t.hashes = t.hashes[:0]
-	} else {
-		t.hashes = (&Batch{cols: b.cols[:t.indexed]}).hash(t.hashes)
-	}
 	var err error
 	for r, h := range t.hashes {
 		if t.find(h, b, r, first, admitted) >= 0 {
-			if key.Cols > 0 {
-				t.unindex(admitted, 0, first)
-				return 0, t.keyError(b, r)
-			}
 			continue
 		}
 		pos := first + len(admitted)
@@ -380,7 +286,11 @@ func (t *Table) InsertBatch(b *Batch) (int, error) {
 		return 0, err
 	}
 	stored, appendErr := t.be.Append(b, admitted)
-	t.unindex(admitted, stored, first) // the rows that were not stored
+	// The index entries of rows that were not stored come back out, last
+	// placed first, which leaves the slots exactly as they were.
+	for k := len(admitted) - 1; k >= stored; k-- {
+		t.dedup.remove(t.hashes[admitted[k]], first+k)
+	}
 	if stored > 0 {
 		t.plan.invalidate()
 	}
@@ -398,8 +308,7 @@ const insertChunkRows = 1024
 // them a chunk at a time into a scratch batch the table keeps: arity and
 // column types are enforced, ints widen to int64, the tuples are never
 // retained. It stops at the first tuple that is rejected or that the
-// backend fails to store; the tuples before it stay inserted — except
-// that a key error refuses its whole chunk of insertChunkRows.
+// backend fails to store; the tuples before it stay inserted.
 func (t *Table) InsertAll(rows []Tuple) (int, error) {
 	if t.scratch == nil {
 		t.scratch = NewBatch(t.schema, min(len(rows), insertChunkRows))
@@ -441,8 +350,7 @@ var probes = sync.Pool{New: func() any { return new(Batch) }}
 
 // Contains reports whether a tuple with tp's dedup key is stored. It does
 // not type-check: a cell of another type than its column's is looked up
-// by its rendering. An ascending key is binary-searched, reading only the
-// backend, so Contains may run beside InsertBatch there.
+// by its rendering.
 func (t *Table) Contains(tp Tuple) bool {
 	if len(tp) != t.schema.Arity() {
 		return false
@@ -455,14 +363,7 @@ func (t *Table) Contains(tp Tuple) bool {
 			break
 		}
 	}
-	if key := t.schema.Key; found && key.Ascending {
-		n := t.be.Len()
-		pos := sort.Search(n, func(i int) bool { return t.be.Compare(i, b, 0, key.Cols) >= 0 })
-		found = pos < n && t.be.Compare(pos, b, 0, len(tp)) == 0
-	} else if found {
-		pos := t.find(hashTuple(tp[:t.indexed]), b, 0, math.MaxInt, nil)
-		found = pos >= 0 && (key.Cols == 0 || t.be.Compare(pos, b, 0, len(tp)) == 0)
-	}
+	found = found && t.find(hashTuple(tp), b, 0, math.MaxInt, nil) >= 0
 	b.Reset() // so the pool pins none of the probe's cells
 	probes.Put(b)
 	return found
@@ -477,7 +378,7 @@ func (t *Table) Delete(tp Tuple) bool {
 	if !t.Contains(tp) {
 		return false
 	}
-	// Exactly one stored row equals tp.
+	// Set semantics: exactly one stored row equals tp.
 	t.DeleteWhere(func(row Tuple) bool { return rowsEqual(row, tp) })
 	return true
 }

@@ -1,7 +1,6 @@
 package kbase
 
 import (
-	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -279,7 +277,7 @@ func (e *PagedEngine) Close() error {
 // Locking: mu guards pageSeq, the LRU and every call into the store. A
 // read takes a snapshot of pageSeq and then takes mu page by page for the
 // LRU, so row callbacks run unlocked and may re-enter the table's read
-// paths (Contains during Compare). That is sound because an append only
+// paths (Contains during Equal). That is sound because an append only
 // writes cells above the snapshot's row count, into vectors that never
 // move, and only appends to the dictionaries, whose values the snapshot
 // holds up to its own length; sealed pages and decoded ones never change.
@@ -500,27 +498,28 @@ func (b *pagedBackend) row(i int) (pageView, int) {
 	return b.openView(&b.pageSeq, i/b.pageRows-b.pages), i % b.pageRows
 }
 
-func (b *pagedBackend) Compare(i int, bt *Batch, r, cols int) int {
+func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	v, k := b.row(i)
-	for c, t := range b.layout.types[:cols] {
-		d, col := 0, &bt.cols[c]
+	for c, t := range b.layout.types {
+		col := &bt.cols[c]
 		switch t {
 		case IntCol:
-			d = cmp.Compare(v.intAt(c, k), col.ints[r])
+			if v.intAt(c, k) != col.ints[r] {
+				return false
+			}
 		case FloatCol:
 			if !floatsEqual(v.floatAt(c, k), col.floats[r]) {
-				d = 1
+				return false
 			}
 		default:
-			d = strings.Compare(v.strAt(c, k), col.strs[r])
-		}
-		if d != 0 {
-			return d
+			if v.strAt(c, k) != col.strs[r] {
+				return false
+			}
 		}
 	}
-	return 0
+	return true
 }
 
 // Get returns a copy of the row at position i.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -201,8 +200,7 @@ func NewTSVReader(r io.Reader) (*TSVReader, error) {
 	return &TSVReader{br: br, schema: schema, batch: NewBatch(schema, readChunkRows), line: 1}, nil
 }
 
-// Schema returns the schema the header declares (no key: a TSV file
-// does not carry one).
+// Schema returns the schema the header declares.
 func (tr *TSVReader) Schema() Schema { return tr.schema }
 
 // Next returns the next rows, up to readChunkRows of them, in a batch the
@@ -243,20 +241,13 @@ func ReadTSV(r io.Reader) (*Table, error) {
 }
 
 // ReadTSVWith is ReadTSV with the rows stored through the given engine,
-// a TSVReader batch at a time. A declared schema with the header's name
-// and columns is the table's, key included; any other header is read as
-// it says.
-func ReadTSVWith(r io.Reader, engine Engine, declared ...Schema) (*Table, error) {
+// a TSVReader batch at a time.
+func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 	tr, err := NewTSVReader(r)
 	if err != nil {
 		return nil, err
 	}
 	schema := tr.schema
-	for _, d := range declared {
-		if d.Name == schema.Name && slices.Equal(d.Columns, schema.Columns) {
-			schema = d
-		}
-	}
 	be, err := engine.NewBackend(schema)
 	if err != nil {
 		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", engine.Kind(), schema.Name, err)
@@ -362,11 +353,10 @@ func LoadDB(dir string) (*DB, error) {
 }
 
 // LoadDBWith restores a database from a SaveDB directory through the
-// given storage engine, each table under its declared schema when its
-// header matches one (ReadTSVWith). The database takes ownership of the
-// engine. On error the partially built database is closed, so a failed
+// given storage engine. The database takes ownership of the engine.
+// On error the partially built database is closed, so a failed
 // disk-backed load leaks no spill files.
-func LoadDBWith(dir string, engine Engine, declared ...Schema) (*DB, error) {
+func LoadDBWith(dir string, engine Engine) (*DB, error) {
 	body, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		engine.Close()
@@ -389,7 +379,7 @@ func LoadDBWith(dir string, engine Engine, declared ...Schema) (*DB, error) {
 		if err != nil {
 			return fail(err)
 		}
-		t, err := ReadTSVWith(f, engine, declared...)
+		t, err := ReadTSVWith(f, engine)
 		f.Close()
 		if err != nil {
 			return fail(fmt.Errorf("kbase: table %s: %w", name, err))

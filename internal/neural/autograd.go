@@ -111,14 +111,6 @@ func NewVec(n int) *Vec {
 	return &Vec{V: make([]float64, n), G: make([]float64, n)}
 }
 
-// FromSlice wraps values in a leaf node (gradient is tracked but the
-// values are external inputs).
-func FromSlice(vals []float64) *Vec {
-	v := NewVec(len(vals))
-	copy(v.V, vals)
-	return v
-}
-
 // NewVec returns a zero vector node of dimension n owned by the tape.
 func (t *Tape) NewVec(n int) *Vec {
 	v := &t.vecs.take(1)[0]
@@ -196,7 +188,6 @@ const (
 	opAdd opKind = iota
 	opSub
 	opMul
-	opScale
 	opTanh
 	opSigmoid
 	opConcat
@@ -264,10 +255,6 @@ func (t *Tape) backward(o *op) {
 		for i := range out.G {
 			a.G[i] += out.G[i] * b.V[i]
 			b.G[i] += out.G[i] * a.V[i]
-		}
-	case opScale:
-		for i := range out.G {
-			a.G[i] += o.s * out.G[i]
 		}
 	case opTanh:
 		for i := range out.G {
@@ -371,16 +358,6 @@ func (t *Tape) Mul(a, b *Vec) *Vec {
 		out.V[i] = a.V[i] * b.V[i]
 	}
 	t.record(op{kind: opMul, out: out, a: a, b: b})
-	return out
-}
-
-// Scale returns s * a for a constant scalar s.
-func (t *Tape) Scale(a *Vec, s float64) *Vec {
-	out := t.NewVec(a.Len())
-	for i := range out.V {
-		out.V[i] = s * a.V[i]
-	}
-	t.record(op{kind: opScale, out: out, a: a, s: s})
 	return out
 }
 

@@ -149,6 +149,3 @@ func (v *Vocab) Len() int { return len(v.words) }
 // Freeze stops the vocabulary from growing; subsequent unseen words map
 // to UnknownID.
 func (v *Vocab) Freeze() { v.frozen = true }
-
-// Frozen reports whether the vocabulary is frozen.
-func (v *Vocab) Frozen() bool { return v.frozen }

@@ -63,22 +63,6 @@ func TestSplitSentences(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	toks := []string{"Collector", "current", "IC"}
-	if got := NGrams(toks, 1); !reflect.DeepEqual(got, []string{"collector", "current", "ic"}) {
-		t.Fatalf("1-grams = %v", got)
-	}
-	if got := NGrams(toks, 2); !reflect.DeepEqual(got, []string{"collector current", "current ic"}) {
-		t.Fatalf("2-grams = %v", got)
-	}
-	if got := NGrams(toks, 4); got != nil {
-		t.Fatalf("too-long n-grams = %v", got)
-	}
-	if got := NGrams(toks, 0); got != nil {
-		t.Fatalf("n=0 = %v", got)
-	}
-}
-
 func TestLemmatize(t *testing.T) {
 	cases := map[string]string{
 		"voltages":     "voltage",
@@ -248,20 +232,11 @@ func TestVocab(t *testing.T) {
 		t.Fatal("invalid ids must map to <unk>")
 	}
 	v.Freeze()
-	if !v.Frozen() {
-		t.Fatal("Frozen() after Freeze()")
-	}
 	if v.ID("unseen") != UnknownID {
 		t.Fatal("frozen vocab must return UnknownID")
 	}
 	if v.ID("current") != id {
 		t.Fatal("frozen vocab must still find known words")
-	}
-}
-
-func TestLower(t *testing.T) {
-	if got := Lower([]string{"Ab", "CD"}); !reflect.DeepEqual(got, []string{"ab", "cd"}) {
-		t.Fatalf("Lower = %v", got)
 	}
 }
 

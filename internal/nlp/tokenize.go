@@ -1,8 +1,7 @@
 // Package nlp provides the text preprocessing substrate Fonduer's data
 // model depends on: tokenization, sentence splitting, a rule-based
 // lemmatizer, a lexicon-backed part-of-speech tagger, a lightweight
-// named-entity tagger, n-gram utilities, and deterministic hashed word
-// embeddings.
+// named-entity tagger, and deterministic hashed word embeddings.
 //
 // The paper delegates this stage to standard NLP toolkits; this package
 // is a from-scratch, stdlib-only equivalent tuned for the token-level
@@ -10,10 +9,7 @@
 // tags, n-grams).
 package nlp
 
-import (
-	"strings"
-	"unicode"
-)
+import "unicode"
 
 // Tokenize splits raw text into word tokens. Punctuation is split into
 // separate tokens, except that decimal numbers ("1.5"), intra-word
@@ -92,28 +88,6 @@ func SplitSentences(text string) [][]string {
 	}
 	if len(cur) > 0 {
 		out = append(out, cur)
-	}
-	return out
-}
-
-// NGrams returns the n-grams (joined by single spaces, lowercased) of
-// the token sequence. n must be >= 1; shorter sequences yield nil.
-func NGrams(tokens []string, n int) []string {
-	if n < 1 || len(tokens) < n {
-		return nil
-	}
-	out := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		out = append(out, strings.ToLower(strings.Join(tokens[i:i+n], " ")))
-	}
-	return out
-}
-
-// Lower returns a lowercased copy of the tokens.
-func Lower(tokens []string) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = strings.ToLower(t)
 	}
 	return out
 }

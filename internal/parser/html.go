@@ -13,7 +13,6 @@
 package parser
 
 import (
-	"fmt"
 	"slices"
 	"strconv"
 	"strings"
@@ -450,14 +449,4 @@ func atoiDefault(s string, def int) int {
 		return def
 	}
 	return v
-}
-
-// DocStats summarizes a parsed document for debugging and tests.
-func DocStats(d *datamodel.Document) string {
-	words := 0
-	for _, s := range d.Sentences() {
-		words += len(s.Words)
-	}
-	return fmt.Sprintf("%s: %d sections, %d sentences, %d tables, %d words",
-		d.Name, len(d.Sections), len(d.Sentences()), len(d.Tables()), words)
 }

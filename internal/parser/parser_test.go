@@ -376,14 +376,6 @@ func TestGreedyPairs(t *testing.T) {
 	}
 }
 
-func TestDocStats(t *testing.T) {
-	d := ParseHTML("smbt3904", sampleHTML)
-	s := DocStats(d)
-	if !strings.Contains(s, "smbt3904") || !strings.Contains(s, "tables") {
-		t.Fatalf("stats = %q", s)
-	}
-}
-
 // nestingBomb is 900 KB of unclosed elements around one word; its XML
 // twin closes them, as encoding/xml demands.
 var (

@@ -90,7 +90,7 @@ type TenantConfig struct {
 	Relation string `json:"relation,omitempty"`
 	// Backend picks the tenant's storage engine ("memory", or where the
 	// paged engine keeps its pages: "disk" or "columnar"; "" inherits
-	// the registry's base options / $FONDUER_BACKEND).
+	// the registry's base options).
 	Backend string `json:"backend,omitempty"`
 	// Workers/Batch/Epochs/Seed override the corresponding base
 	// options when non-zero.
