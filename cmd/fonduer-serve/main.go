@@ -20,8 +20,8 @@
 //	fonduer-serve -store ./session -domain electronics           # serve a 'fonduer -store ./session' build
 //	fonduer-serve -store ./session -relation HasCollectorCurrent # pick one of the domain's relations
 //	fonduer-serve -backend disk                                  # accepted and echoed in /meta; relations stay in the store
-//	fonduer-serve -tenants 'elec:electronics,ads:ads::disk'      # multi-tenant bootstrap
-//	                                                             # (name:domain[:relation[:backend]])
+//	fonduer-serve -tenants 'elec:electronics,ads:ads'            # multi-tenant bootstrap
+//	                                                             # (name:domain[:relation])
 //
 // With -store, the directory layout of cmd/fonduer is understood
 // directly: the default tenant resumes a batch-built snapshot at
@@ -78,12 +78,12 @@ func main() {
 	batch := flag.Int("batch", 0, "training minibatch size per published view (0 = 1, one Adam step per example; >1 parallelizes gradient work across -workers)")
 	domain := flag.String("domain", "electronics", "default tenant's task definitions: electronics, ads, paleo, genomics")
 	relation := flag.String("relation", "", "default tenant's relation (default: the domain's first)")
-	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation[:backend]] specs; empty = one default tenant from -domain/-relation")
+	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation] specs; empty = one default tenant from -domain/-relation")
 	defaultTenant := flag.String("default-tenant", "", "tenant served by the un-prefixed routes (default: the first bootstrapped tenant)")
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "storage engine kind: memory, disk or columnar (default memory); validated and echoed in /meta, while the session keeps its relations itself on every kind; per-tenant overrides via -tenants or POST /admin/tenants")
+	backend := flag.String("backend", "", "storage engine kind: memory, disk or columnar (default memory); validated here, echoed in /meta, while the session keeps its relations itself on every kind")
 	// Deprecated: parsed documents stay in memory (DESIGN.md, "Why
 	// documents stay resident"). The flag is accepted only because
 	// benchmark/ still passes it to its store_spill server; it goes when
@@ -158,7 +158,7 @@ func main() {
 		if ts.Default {
 			def = " [default]"
 		}
-		fmt.Printf("tenant %-16s %s/%s backend=%s %s%s\n", ts.Name, ts.Domain, ts.Relation, ts.Backend, state, def)
+		fmt.Printf("tenant %-16s %s/%s %s%s\n", ts.Name, ts.Domain, ts.Relation, state, def)
 	}
 	fmt.Printf("fonduer-serve: %d tenant(s), pool budget %d, listening on %s\n",
 		len(rg.List()), pool.SharedLimit(), *addr)
@@ -235,8 +235,8 @@ func resolveTask(domain, relation string) (fonduer.Task, []fonduer.GoldTuple, er
 }
 
 // parseTenantSpecs parses the -tenants flag: comma-separated
-// name:domain[:relation[:backend]] with empty positional fields allowed
-// (elec:electronics::disk).
+// name:domain[:relation], where an empty relation picks the domain's
+// first (elec:electronics:).
 func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -248,15 +248,12 @@ func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 			continue
 		}
 		parts := strings.Split(spec, ":")
-		if len(parts) < 2 || len(parts) > 4 || parts[0] == "" || parts[1] == "" {
-			return nil, fmt.Errorf("bad -tenants spec %q (want name:domain[:relation[:backend]])", spec)
+		if len(parts) < 2 || len(parts) > 3 || parts[0] == "" || parts[1] == "" {
+			return nil, fmt.Errorf("bad -tenants spec %q (want name:domain[:relation])", spec)
 		}
 		tc := serve.TenantConfig{Name: parts[0], Domain: parts[1]}
 		if len(parts) > 2 {
 			tc.Relation = parts[2]
-		}
-		if len(parts) > 3 {
-			tc.Backend = parts[3]
 		}
 		out = append(out, tc)
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -124,6 +126,40 @@ func kbTuples(t *testing.T, body []byte) any {
 	return kb.Tuples
 }
 
+// buildServe builds the fonduer-serve binary into a test directory.
+func buildServe(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "fonduer-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestUnknownBackendRefused: -backend is the one place a backend name
+// is validated. An unknown one exits 1 before any tenant is built, with
+// a message naming the flag and the valid kinds, not a panic.
+func TestUnknownBackendRefused(t *testing.T) {
+	bin := buildServe(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-backend", "tape")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("-backend tape: %v, want exit status 1\n%s", err, stderr.String())
+	}
+	msg := stderr.String()
+	if !strings.Contains(msg, "-backend") || !strings.Contains(msg, "memory, disk or columnar") {
+		t.Fatalf("stderr does not name the flag and the valid kinds:\n%s", msg)
+	}
+	if strings.Contains(msg, "goroutine ") {
+		t.Fatalf("-backend tape panicked:\n%s", msg)
+	}
+}
+
 // TestDiskProcessResumeMatchesMemory drives the real binary through the
 // one path a resident-document budget used to change — resume. A
 // process on -backend disk, started with the deprecated
@@ -133,10 +169,7 @@ func kbTuples(t *testing.T, body []byte) any {
 // restart, and /kb bytes identical to a memory-kind process resumed from
 // the same snapshot.
 func TestDiskProcessResumeMatchesMemory(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "fonduer-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServe(t)
 	store := t.TempDir()
 	const deprecation = "-max-resident-docs is deprecated"
 	diskFlags := []string{"-store", store, "-backend", "disk", "-max-resident-docs", "16"}

@@ -375,27 +375,27 @@ type (
 
 // NewStore creates an empty session store for a task; opts fixes the
 // session's featurization/supervision configuration. Options.Backend
-// names a storage engine kind ("memory", "disk" or "columnar"): an
-// unknown one fails the store, and the store keeps its relations — and
-// the parsed documents (DESIGN.md, "Why documents stay resident") — in
-// memory on every kind. Store calls report
-// what they refuse or cannot do as ErrDocumentExists, ErrInvalidDocument
-// and ErrStoreFailed.
+// is a label the store echoes in StorageStats: it keeps its relations —
+// and the parsed documents (DESIGN.md, "Why documents stay resident") —
+// in memory on every kind. Store calls report the input they refuse as
+// ErrDocumentExists or ErrInvalidDocument.
 func NewStore(task Task, opts Options) *Store { return core.NewStore(task, opts) }
 
-// The errors of a Store call, for errors.Is: the first two refuse a
-// batch and leave the store untouched; the third is a store created
-// under an unknown Options.Backend, which refuses every call.
+// The errors of a Store call, for errors.Is: each refuses a batch and
+// leaves the store untouched.
 var (
 	ErrDocumentExists  = core.ErrDocumentExists
 	ErrInvalidDocument = core.ErrInvalidDocument
-	ErrStoreFailed     = core.ErrStoreFailed
 )
 
 // OpenStore resumes a session snapshotted with Store.Snapshot,
 // skipping parsing and candidate extraction entirely. task re-supplies
 // the labeling functions (code is not persisted); opts must match the
-// persisted configuration on the knobs that shaped the relations.
+// persisted configuration on the knobs that shaped the relations. A
+// resumed document keeps its sentences and table grids but not its
+// text blocks and paragraphs, so an LF added after the resume that
+// reads the context tree can vote differently than on the live
+// document (core.OpenStore).
 func OpenStore(dir string, task Task, opts Options) (*Store, error) {
 	return core.OpenStore(dir, task, opts)
 }

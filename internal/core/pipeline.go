@@ -111,11 +111,12 @@ type Options struct {
 	// Batch (it is a real hyperparameter) but never on Workers.
 	Batch int
 	// Backend names a kbase storage engine kind: "memory", "disk" or
-	// "columnar"; the zero value "" means "memory". A Store refuses an
-	// unknown kind and echoes a valid one in StorageStats; it keeps its
-	// relations itself on every kind, so results, snapshots and memory
-	// are the same across them. The field goes with the paged kinds
-	// (ROADMAP item 13(b)). Ignored by store-less Run calls.
+	// "columnar"; the zero value "" means "memory". It is a label: a
+	// Store echoes it in StorageStats and checks nothing (fonduer-serve
+	// validates its -backend flag); the store keeps its relations itself
+	// on every kind, so results, snapshots and memory are the same across
+	// them. The field goes with the paged kinds (ROADMAP item 13(b)).
+	// Ignored by store-less Run calls.
 	Backend string
 	// Deprecated: MaxResidentDocs is ignored. It used to bound how many
 	// parsed documents a Store kept in memory, evicting the rest; every

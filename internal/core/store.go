@@ -59,9 +59,7 @@ import (
 // Failure semantics: a mutation is validate → commit. What the input can
 // cause (ErrDocumentExists, ErrInvalidDocument) is found before the
 // store changes, and the call leaves it exactly as it was; past the
-// commit point nothing can fail, as a mutation does no I/O. The one
-// store that refuses every guarded call — mutations, Snapshot, View —
-// with ErrStoreFailed is one created under an unknown Options.Backend.
+// commit point nothing can fail, as a mutation does no I/O.
 type Store struct {
 	task Task
 	opts Options
@@ -72,8 +70,6 @@ type Store struct {
 	// published StoreView.
 	mutating atomic.Bool
 	epoch    uint64
-	// failed, once set (fail), is what every later guarded call returns.
-	failed error
 
 	docs   []*storeDoc
 	byName map[string]*storeDoc
@@ -132,20 +128,9 @@ type storeDoc struct {
 // session's featurization and supervision configuration (see the type
 // comment); opts.LFs, when non-nil, overrides task.LFs as the
 // session's labeling functions (an empty non-nil slice starts the
-// session with none, the DevSession entry state). NewStore has no
-// error result: under an unknown opts.Backend the store comes back
-// already failed, and its first guarded call returns the cause.
+// session with none, the DevSession entry state). OpenStore starts
+// from the same empty store.
 func NewStore(task Task, opts Options) *Store {
-	s := newStore(task, opts)
-	if err := checkBackend(s.opts); err != nil {
-		s.fail(err)
-	}
-	return s
-}
-
-// newStore is what NewStore and OpenStore build alike: a store with no
-// documents and no relations yet, under the defaulted options.
-func newStore(task Task, opts Options) *Store {
 	opts.defaults()
 	s := &Store{
 		task:   task,
@@ -217,11 +202,6 @@ type StorageStats struct {
 	// kept only because benchmark/ still reads it; it goes when the
 	// next benchmark-archetype PR drops that read (ROADMAP item 3(d)).
 	PeakResidentDocs int
-	// DiskPages and the page-cache counters read 0: no relation is kept
-	// in pages. They go with the paged kinds (ROADMAP item 13(b)).
-	DiskPages                      int
-	PageCacheHits, PageCacheMisses int64
-	PageCacheHitRate               float64
 }
 
 // StorageStats reports the store's current storage counters. Like all
@@ -247,8 +227,8 @@ func (s *Store) setWorkers(n int) { s.opts.Workers = n }
 // stamped with the epoch it was built at.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// The errors a store call can return because of its input or its
-// storage; match them with errors.Is.
+// The errors a store call can return because of its input; match them
+// with errors.Is.
 var (
 	// ErrDocumentExists: a document of the batch carries a name the
 	// store (or the batch) already holds. Nothing was ingested.
@@ -256,37 +236,18 @@ var (
 	// ErrInvalidDocument: a document of the batch cannot be persisted
 	// (checkPersistable). Nothing was ingested.
 	ErrInvalidDocument = errors.New("core: invalid document")
-	// ErrStoreFailed: the store was created under an unknown
-	// Options.Backend and refuses every guarded call.
-	ErrStoreFailed = errors.New("core: store failed")
 )
-
-// fail marks the store failed with cause and returns the error every
-// later guarded call will return.
-func (s *Store) fail(cause error) error {
-	s.failed = fmt.Errorf("%w: %v", ErrStoreFailed, cause)
-	return s.failed
-}
-
-// Err returns what closed the store (an ErrStoreFailed) or nil.
-// Writer-goroutine state, like Epoch.
-func (s *Store) Err() error { return s.failed }
 
 // beginMutation opens a guarded call. It enforces the
 // writer-goroutine-only contract — a second call entering while one is
 // in flight panics immediately rather than corrupting the relations;
 // that is two goroutines using one store, a caller bug that neither a
-// document nor an I/O error can produce — and refuses a failed store.
-func (s *Store) beginMutation() error {
+// document nor an I/O error can produce.
+func (s *Store) beginMutation() {
 	if !s.mutating.CompareAndSwap(false, true) {
 		panic("core: concurrent Store mutation — Store writes are writer-goroutine-only; " +
 			"publish StoreViews (Store.View) for concurrent readers")
 	}
-	if s.failed != nil {
-		s.mutating.Store(false)
-		return s.failed
-	}
-	return nil
 }
 
 // endMutation releases the guard; changed mutations advance the epoch.
@@ -310,9 +271,7 @@ func (s *Store) endMutation(changed bool) {
 // untouched. The resulting store state is observably equivalent
 // regardless of how a corpus is batched across AddDocuments calls.
 func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
-	if err := s.beginMutation(); err != nil {
-		return err
-	}
+	s.beginMutation()
 	changed := false
 	defer func() { s.endMutation(changed) }()
 
@@ -444,12 +403,10 @@ func (s *Store) TakeIngestSpans() []obs.Span {
 
 // AddLF installs a labeling function and applies it to every ingested
 // candidate — the Supervise stage re-run for one new Labels column.
-// It returns the LF's column index. No input makes it fail; an error is
-// ErrStoreFailed.
+// It returns the LF's column index and never fails: the error result is
+// always nil.
 func (s *Store) AddLF(lf labeling.LF) (int, error) {
-	if err := s.beginMutation(); err != nil {
-		return 0, err
-	}
+	s.beginMutation()
 	defer s.endMutation(true)
 	col := len(s.lfs)
 	s.lfs = append(s.lfs, lf)
@@ -463,15 +420,12 @@ func (s *Store) AddLF(lf labeling.LF) (int, error) {
 
 // EditLF replaces the labeling function at col and re-applies it to
 // every candidate: the column's votes are replaced in place. A column
-// that does not exist is an error that leaves the store untouched; the
-// only other is ErrStoreFailed.
+// that does not exist is the only error, and leaves the store untouched.
 func (s *Store) EditLF(col int, lf labeling.LF) error {
 	if col < 0 || col >= len(s.lfs) {
 		return fmt.Errorf("core: no labeling function at column %d", col)
 	}
-	if err := s.beginMutation(); err != nil {
-		return err
-	}
+	s.beginMutation()
 	defer s.endMutation(true)
 	s.lfs[col] = lf
 	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)

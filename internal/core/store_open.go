@@ -18,16 +18,24 @@ import (
 
 // OpenStore resumes a snapshotted session: it reads the relation
 // set from dir and rebuilds the in-memory state — documents with
-// their full sentence-level attributes and table grids (so training,
-// tuple extraction and labeling-function application behave exactly
-// as in the live session), candidates re-linked to their spans, the
-// Features and Labels relations, and the feature counts and session
-// feature index derived from Features — without re-parsing or
-// re-extracting anything. task must be the same task the store was
-// built for (labeling functions are code and cannot be persisted; they
-// are re-supplied here), and opts must agree with the persisted
-// configuration on every knob that shaped the relations. Runtime knobs
-// (Seed, Epochs, Threshold, LR, Workers, ...) are taken fresh from opts.
+// their full sentence-level attributes and table grids, candidates
+// re-linked to their spans, the Features and Labels relations, and the
+// feature counts and session feature index derived from Features —
+// without re-parsing or re-extracting anything. task must be the same
+// task the store was built for (labeling functions are code and cannot
+// be persisted; they are re-supplied here), and opts must agree with
+// the persisted configuration on every knob that shaped the relations.
+// Runtime knobs (Seed, Epochs, Threshold, LR, Workers, ...) are taken
+// fresh from opts.
+//
+// The context tree above the sentences is not stored: a run of
+// non-tabular sentences is rebuilt as one text block with one
+// paragraph, however many the live document had. Training and the
+// resumed Result read the stored features and votes, so they are
+// unaffected; but an LF installed after the resume that reads the tree
+// (LowestCommonAncestor, MinDistToLCA, LCADepth, Depth, Sections) can
+// vote differently than it would have on the live document (ROADMAP
+// item 15).
 //
 // A snapshot is read in the order and the types Snapshot writes it, and
 // anything else is refused with an error naming the relation and the row
@@ -55,10 +63,7 @@ import (
 // are allocated (DESIGN.md, "Why documents stay resident"). Each document
 // is built once, when its sentence rows end.
 func OpenStore(dir string, task Task, opts Options) (*Store, error) {
-	s := newStore(task, opts)
-	if err := checkBackend(s.opts); err != nil {
-		return nil, err
-	}
+	s := NewStore(task, opts)
 	if !kbase.IsSnapshot(dir) {
 		return nil, fmt.Errorf("core: %s holds no store snapshot (no MANIFEST)", dir)
 	}

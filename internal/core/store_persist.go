@@ -62,8 +62,9 @@ var storeSchemas = []kbase.Schema{
 	// One row per sentence, carrying every attribute the data model
 	// records at sentence granularity — textual, structural, visual —
 	// plus the containing table cell's grid coordinates (tbl = -1 for
-	// non-tabular sentences), so the document DAG's leaf layer
-	// restores faithfully.
+	// non-tabular sentences). The leaf layer and the table grids
+	// restore from it; the text blocks and paragraphs above non-tabular
+	// sentences do not (OpenStore).
 	mustSchema(tblSentences, "doc", "pos:integer", "words", "lemmas", "pos_tags", "ner",
 		"htmltag", "attrs", "ancestor_tags", "ancestor_classes", "ancestor_ids",
 		"nodepos:integer", "prevsib", "nextsib", "pages", "boxes", "font",
@@ -392,15 +393,6 @@ func rebuildDoc(name, format string, rows []sentRow) (*datamodel.Document, error
 	return doc, nil
 }
 
-// checkBackend refuses an unknown Options.Backend by name; a valid one
-// only names the kind StorageStats echoes.
-func checkBackend(opts Options) error {
-	if !kbase.ValidBackendKind(opts.Backend) {
-		return fmt.Errorf("core: unknown backend %q (want %s)", opts.Backend, kbase.BackendKindsWant())
-	}
-	return nil
-}
-
 // configMeta captures the options that shape the store's persisted
 // relations; a snapshot can only be resumed under a matching
 // configuration (runtime knobs — seed, epochs, threshold, workers —
@@ -533,9 +525,7 @@ func (s *Store) stream(relation string, flush func(*kbase.Batch) error) error {
 // Snapshot reads the entire relation set, so it takes the mutation guard:
 // it must run on the writer goroutine, exactly like a write.
 func (s *Store) Snapshot(dir string) error {
-	if err := s.beginMutation(); err != nil {
-		return err
-	}
+	s.beginMutation()
 	defer s.endMutation(false)
 	names := make([]string, len(storeSchemas))
 	for i, schema := range storeSchemas {

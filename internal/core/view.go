@@ -112,9 +112,8 @@ type modelState struct {
 // runs, unlike the Result.
 func (v *StoreView) StageSpans() []obs.Span { return v.spans }
 
-// StorageStats returns the store's storage-engine counters as of this
-// epoch's capture (backend kind, document count, disk pages, page-cache
-// hit rate).
+// StorageStats returns the store's storage counters as of this epoch's
+// capture (backend label, document count).
 func (v *StoreView) StorageStats() StorageStats { return v.storage }
 
 // Epoch returns the store mutation epoch the view was built at.

@@ -52,9 +52,7 @@ import (
 // guard as a mutation: call it from the thread that mutates the store,
 // never concurrently with one.
 func (s *Store) capture(prev *StoreView) (*StoreView, error) {
-	if err := s.beginMutation(); err != nil {
-		return nil, err
-	}
+	s.beginMutation()
 	defer s.endMutation(false)
 
 	hydrate := "hydrateDelta"

@@ -239,10 +239,3 @@ func (r Figure8Result) String() string {
 	}
 	return "Figure 8: supervision-modality ablation (F1)\n" + t.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

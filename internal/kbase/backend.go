@@ -221,10 +221,9 @@ type Engine interface {
 }
 
 // BackendKinds lists the storage engine names NewEngine accepts, in
-// presentation order. The empty string resolves to "memory". Every
-// surface that validates an engine name (CLI flags, tenant configs,
-// the HTTP admin API) derives its message from this list, so the
-// valid set can never drift per layer.
+// presentation order. The empty string resolves to "memory". What
+// validates an engine name (NewEngine, fonduer-serve's -backend flag)
+// derives its message from this list, so the valid set cannot drift.
 func BackendKinds() []string { return []string{"memory", "disk", "columnar"} }
 
 // ValidBackendKind reports whether kind names a storage engine ("" is

@@ -64,8 +64,8 @@ func Apply(lfs []LF, cands []*candidates.Candidate) *Matrix {
 }
 
 // ApplyOne applies a single LF to a single candidate, updating the
-// matrix — the incremental path used when a user edits one LF during
-// iterative development.
+// matrix; Apply calls it cell by cell. (A store that installs or edits
+// one LF re-applies it with ParallelColumnVotes instead.)
 func ApplyOne(m *Matrix, c *candidates.Candidate, col int, lf LF) {
 	m.M.Set(c.ID, col, float64(clampVote(lf.Fn(c))))
 }

@@ -278,7 +278,7 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 			loss, node := neural.NoiseAwareCE(tp, logits, ex.Marginal)
 			tp.Backward(node)
 			m.params.ClipGrad(opts.Clip)
-			optim.Step(m.params)
+			optim.StepScaled(m.params, 1)
 			total += loss
 		}
 		if len(examples) > 0 {

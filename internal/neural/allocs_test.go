@@ -35,7 +35,7 @@ func TestAllocsWarmTape(t *testing.T) {
 	// stay on the stack.
 	ps := append(append(emb.Params(), bi.Params()...), att.Params()...)
 	opt := NewAdam(0.01)
-	opt.Step(ps) // allocates the moment vectors
+	opt.StepScaled(ps, 1) // allocates the moment vectors
 	if n := testing.AllocsPerRun(20, func() { opt.StepScaled(ps, 0.5) }); n != 0 {
 		t.Errorf("warm Adam step: %v allocations per run, want 0", n)
 	}

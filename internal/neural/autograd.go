@@ -1,7 +1,7 @@
 // Package neural is the from-scratch deep-learning substrate Fonduer's
 // discriminative model runs on: a small reverse-mode automatic
-// differentiation engine over vectors, parameter containers with Adam
-// and SGD optimizers, and the layers the paper's model needs — word
+// differentiation engine over vectors, parameter containers with an
+// Adam optimizer, and the layers the paper's model needs — word
 // embeddings, LSTM cells (Section 2.2), bidirectional composition, the
 // word-attention mechanism, and linear/softmax heads with a noise-aware
 // cross-entropy loss that accepts the probabilistic labels produced by

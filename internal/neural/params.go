@@ -147,29 +147,6 @@ func (ps Params) ClipGrad(c float64) {
 	}
 }
 
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched (callers
-	// ZeroGrad between steps).
-	Step(Params)
-}
-
-// SGD is plain stochastic gradient descent with optional weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step implements Optimizer.
-func (o SGD) Step(ps Params) {
-	for _, p := range ps {
-		for i := range p.W {
-			g := p.G[i] + o.WeightDecay*p.W[i]
-			p.W[i] -= o.LR * g
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -187,14 +164,12 @@ func NewAdam(lr float64) *Adam {
 		m: map[*Mat][]float64{}, v: map[*Mat][]float64{}}
 }
 
-// Step implements Optimizer.
-func (o *Adam) Step(ps Params) { o.StepScaled(ps, 1) }
-
 // StepScaled applies one update from gradients multiplied by scale —
 // Params.ClipGrad folded into the optimizer's own pass over the
-// parameters. The product is rounded before use, so the update equals
-// scaling the gradients in place and then calling Step, bit for bit
-// (and Step itself, scale 1, is unchanged: x·1 is x).
+// parameters — and leaves the gradients untouched (callers ZeroGrad
+// between steps). The product is rounded before use, so the update
+// equals scaling the gradients in place and then stepping at scale 1,
+// bit for bit (x·1 is x).
 func (o *Adam) StepScaled(ps Params, scale float64) {
 	o.t++
 	k := adamConsts{

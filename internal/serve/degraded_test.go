@@ -199,16 +199,16 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	}
 	t.Cleanup(rg.Close)
 	type tenant struct {
-		name, domain, backend string
-		corpus                *synth.Corpus
+		name, domain string
+		corpus       *synth.Corpus
 	}
 	tenants := []tenant{
-		{"a", "electronics", "disk", synth.Electronics(78, 4)},
-		{"b", "ads", "disk", synth.Ads(44, 4)},
-		{"c", "genomics", "memory", synth.Genomics(45, 4)},
+		{"a", "electronics", synth.Electronics(78, 4)},
+		{"b", "ads", synth.Ads(44, 4)},
+		{"c", "genomics", synth.Genomics(45, 4)},
 	}
 	for _, tn := range tenants {
-		if _, err := rg.Create(serve.TenantConfig{Name: tn.name, Domain: tn.domain, Backend: tn.backend}); err != nil {
+		if _, err := rg.Create(serve.TenantConfig{Name: tn.name, Domain: tn.domain}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,9 +242,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tnOpts := opts
-		tnOpts.Backend = tn.backend
-		ref, err := serve.New(serve.Config{Task: task, Options: tnOpts})
+		ref, err := serve.New(serve.Config{Task: task, Options: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +286,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	deleteReq(t, ts.URL+"/admin/tenants/a", http.StatusOK)
-	created := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "a", "domain": "electronics", "backend": "disk"}, http.StatusCreated)
+	created := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "a", "domain": "electronics"}, http.StatusCreated)
 	if _, kb := kbOf(t, ts.URL+"/t/a"); created["resumed"] != true || kb != kbA {
 		t.Fatalf("re-created tenant %v does not serve its snapshot's KB", created)
 	}

@@ -440,11 +440,10 @@ func (s *Server) metaPayload() map[string]any {
 		cols[i] = map[string]string{"name": c.Name, "type": c.Type.String()}
 	}
 	res := v.Result()
-	// The storage section is the operator's view of the pluggable
-	// engine: which backend materializes the session's relations and how
-	// its page cache did — sampled when the view published — and how the
-	// query planner has answered the tenant's filtered /kb reads, counted
-	// as they were served (the same counts /metrics exposes).
+	// The storage section echoes the backend label and the document
+	// count, sampled when the view published, and says how the query
+	// planner has answered the tenant's filtered /kb reads, counted as
+	// they were served (the same counts /metrics exposes).
 	st := v.StorageStats()
 	p := map[string]any{
 		"epoch": v.Epoch(),
@@ -470,14 +469,10 @@ func (s *Server) metaPayload() map[string]any {
 		"numFeatures": res.NumFeatures,
 		"kbEntries":   v.KB().Len(),
 		"storage": map[string]any{
-			"backend":          st.Backend,
-			"docs":             st.Docs,
-			"diskPages":        st.DiskPages,
-			"pageCacheHits":    st.PageCacheHits,
-			"pageCacheMisses":  st.PageCacheMisses,
-			"pageCacheHitRate": st.PageCacheHitRate,
-			"indexHits":        int64(s.kbIndexReads.Value()),
-			"fullScans":        int64(s.kbScanReads.Value()),
+			"backend":   st.Backend,
+			"docs":      st.Docs,
+			"indexHits": int64(s.kbIndexReads.Value()),
+			"fullScans": int64(s.kbScanReads.Value()),
 		},
 	}
 	// The most recent publication's span tree; the full ring is at

@@ -194,16 +194,15 @@ type registryMetrics struct {
 	heapObjects *obs.Family // gauge
 	gcCPU       *obs.Family // counter, sampled
 
-	degraded     *obs.Family // gauge {tenant}
-	servedEpoch  *obs.Family // gauge {tenant}
-	generation   *obs.Family // gauge {tenant}
-	trainLag     *obs.Family // gauge {tenant}
-	docs         *obs.Family // gauge {tenant}
-	candidates   *obs.Family // gauge {tenant}
-	kbEntries    *obs.Family // gauge {tenant}
-	featureRows  *obs.Family // gauge {tenant}
-	featureDict  *obs.Family // gauge {tenant}
-	cacheHitRate *obs.Family // gauge {tenant}
+	degraded    *obs.Family // gauge {tenant}
+	servedEpoch *obs.Family // gauge {tenant}
+	generation  *obs.Family // gauge {tenant}
+	trainLag    *obs.Family // gauge {tenant}
+	docs        *obs.Family // gauge {tenant}
+	candidates  *obs.Family // gauge {tenant}
+	kbEntries   *obs.Family // gauge {tenant}
+	featureRows *obs.Family // gauge {tenant}
+	featureDict *obs.Family // gauge {tenant}
 
 	respErrs *obs.Family // counter {kind}, sampled from the writeJSON atomics
 }
@@ -254,9 +253,6 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 		featureDict: m.Gauge("fonduer_store_feature_dictionary_size",
 			"Distinct feature names in the tenant's session feature dictionary (what /features reports as distinctFeatures).",
 			"tenant"),
-		cacheHitRate: m.Gauge("fonduer_page_cache_hit_rate",
-			"Disk backend page-cache hit rate for the tenant's store, 0..1.",
-			"tenant"),
 		respErrs: m.Counter("fonduer_response_errors_total",
 			"Response bodies that failed after the status line: encode (server bug) or write (client gone).",
 			"kind"),
@@ -302,7 +298,6 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, e
 		v := entries[i].srv.CurrentView()
 		rm.featureRows.With(ts.Name).Set(float64(v.TableRows()["features"]))
 		rm.featureDict.With(ts.Name).Set(float64(v.FeatureStats().DistinctFeatures))
-		rm.cacheHitRate.With(ts.Name).Set(v.StorageStats().PageCacheHitRate)
 	}
 }
 

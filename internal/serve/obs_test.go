@@ -172,7 +172,6 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"fonduer_tenant_kb_entries",
 		"fonduer_store_feature_rows",
 		"fonduer_store_feature_dictionary_size",
-		"fonduer_page_cache_hit_rate",
 		"fonduer_kbase_index_hits_total",
 		"fonduer_kbase_full_scans_total",
 		"fonduer_response_errors_total",

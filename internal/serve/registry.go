@@ -26,9 +26,9 @@ package serve
 //	            ingest|classify|healthz|admin/snapshot
 //	                      per-tenant API (identical to a standalone Server)
 //	/kb, /ingest, ...     the same routes, un-prefixed: the default tenant
-//	GET    /admin/tenants           list tenants with epoch/doc/storage stats
+//	GET    /admin/tenants           list tenants with epoch/doc stats
 //	POST   /admin/tenants           create a tenant {name, domain, relation,
-//	                                backend, workers, batch, epochs, seed}
+//	                                workers, batch, epochs, seed}
 //	DELETE /admin/tenants/<name>    remove from routing, Close the store
 //	GET    /healthz, /meta          registry-wide aggregation (default tenant's
 //	                                payload + per-tenant fleet summary)
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kbase"
 	"repro/internal/obs"
 )
 
@@ -88,10 +87,6 @@ type TenantConfig struct {
 	// resolver (relation "" = the domain's first).
 	Domain   string `json:"domain"`
 	Relation string `json:"relation,omitempty"`
-	// Backend picks the tenant's storage engine ("memory", or where the
-	// paged engine keeps its pages: "disk" or "columnar"; "" inherits
-	// the registry's base options).
-	Backend string `json:"backend,omitempty"`
 	// Workers/Batch/Epochs/Seed override the corresponding base
 	// options when non-zero.
 	Workers int   `json:"workers,omitempty"`
@@ -120,9 +115,6 @@ type TenantStatus struct {
 	Docs       int    `json:"docs"`
 	Candidates int    `json:"candidates"`
 	KBEntries  int    `json:"kbEntries"`
-
-	Backend   string `json:"backend"`
-	DiskPages int    `json:"diskPages"`
 
 	SnapshotDir string    `json:"snapshotDir,omitempty"`
 	Degraded    *Degraded `json:"degraded,omitempty"`
@@ -208,9 +200,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 // tenantOptions layers one tenant's overrides onto the base options.
 func (rg *Registry) tenantOptions(tc TenantConfig) core.Options {
 	opts := rg.baseOpts
-	if tc.Backend != "" {
-		opts.Backend = tc.Backend
-	}
 	if tc.Workers > 0 {
 		opts.Workers = tc.Workers
 	}
@@ -235,9 +224,6 @@ func (rg *Registry) Create(tc TenantConfig) (*TenantStatus, error) {
 	}
 	if tc.Name == fleetTenant {
 		return nil, fmt.Errorf("%w: tenant name %q is reserved for fleet metrics", errBadRequest, tc.Name)
-	}
-	if !kbase.ValidBackendKind(tc.Backend) {
-		return nil, fmt.Errorf("%w: tenant %q: unknown backend %q (want %s)", errBadRequest, tc.Name, tc.Backend, kbase.BackendKindsWant())
 	}
 	task, gold, err := rg.resolve(tc.Domain, tc.Relation)
 	if err != nil {
@@ -386,7 +372,6 @@ func (rg *Registry) List() []TenantStatus {
 // statusLocked builds one tenant's status row; rg.mu must be held.
 func (rg *Registry) statusLocked(e *tenantEntry) TenantStatus {
 	v := e.srv.CurrentView()
-	st := v.StorageStats()
 	return TenantStatus{
 		Name:        e.cfg.Name,
 		Domain:      e.cfg.Domain,
@@ -399,8 +384,6 @@ func (rg *Registry) statusLocked(e *tenantEntry) TenantStatus {
 		Docs:        v.NumDocs(),
 		Candidates:  len(v.Candidates()),
 		KBEntries:   v.KB().Len(),
-		Backend:     st.Backend,
-		DiskPages:   st.DiskPages,
 		SnapshotDir: e.cfg.SnapshotDir,
 		Degraded:    e.srv.Degraded(),
 	}

@@ -98,7 +98,7 @@ func deleteReq(t *testing.T, url string, wantStatus int) map[string]any {
 }
 
 // TestRegistryLifecycle drives the tenant lifecycle over real HTTP:
-// create (with a per-tenant backend), list, per-tenant ingest
+// create, list, per-tenant ingest
 // and reads, per-tenant snapshot into <root>/<tenant>/<relation>,
 // deletion, resume-on-create, and the cross-tenant isolation error
 // paths (unknown tenant 404, duplicate create 409, undeletable
@@ -116,7 +116,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	// ---- Create three tenants over HTTP; the first becomes default.
 	for _, body := range []map[string]any{
 		{"name": "elec", "domain": "electronics"},
-		{"name": "ads", "domain": "ads", "backend": "disk"},
+		{"name": "ads", "domain": "ads"},
 		{"name": "paleo", "domain": "paleo"},
 	} {
 		created := postJSON(t, ts.URL+"/admin/tenants", body, http.StatusCreated)
@@ -124,7 +124,7 @@ func TestRegistryLifecycle(t *testing.T) {
 			t.Fatalf("create reply = %v", created)
 		}
 	}
-	// Creation errors: duplicate name, bad name, unknown domain/backend.
+	// Creation errors: duplicate name, bad name, unknown field or domain.
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "elec", "domain": "electronics"}, http.StatusConflict)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "no/slashes", "domain": "electronics"}, http.StatusBadRequest)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "budget", "domain": "ads", "maxResidentDocs": 4}, http.StatusBadRequest)
@@ -138,12 +138,6 @@ func TestRegistryLifecycle(t *testing.T) {
 	rows := list["tenants"].([]any)
 	if len(rows) != 3 {
 		t.Fatalf("tenants = %v", rows)
-	}
-	for _, r := range rows {
-		row := r.(map[string]any)
-		if row["name"] == "ads" && row["backend"] != "disk" {
-			t.Fatalf("ads tenant backend = %v", row["backend"])
-		}
 	}
 
 	// ---- Ingest into two tenants; epochs advance independently.

@@ -128,9 +128,9 @@ type Server struct {
 	view atomic.Pointer[core.StoreView]
 
 	// degraded is the writer's failure record, set by contain: a writer
-	// turn panicked, or left the store failed or ahead of the served
-	// epoch. It is terminal — the tenant fails closed, serving its last
-	// epoch, until it is reloaded from its last snapshot.
+	// turn panicked, or left the store ahead of the served epoch. It is
+	// terminal — the tenant fails closed, serving its last epoch, until
+	// it is reloaded from its last snapshot.
 	degraded atomic.Pointer[Degraded]
 
 	// Training policy state. async is Config.Async: who runs the
@@ -190,7 +190,7 @@ func (s *Server) Degraded() *Degraded {
 // recovered, counted, logged with its stack, and becomes fn's error.
 //
 //   - writer: the turn is a fault when it panicked, or left the store
-//     failed or at another epoch than the served one. Every sound turn
+//     at another epoch than the served one. Every sound turn
 //     ends with the two equal — a refused batch and a snapshot that
 //     could not be written move neither, a publish moves both — so an
 //     error alone is the caller's answer, not a fault. A fault closes
@@ -227,7 +227,7 @@ func (s *Server) contain(where, kind string, fn func() (any, error)) (val any, e
 		s.trainDegraded.Store(rec)
 	} else {
 		rec.StoreEpoch = s.store.Epoch() // the writer goroutine may read its store
-		if !panicked && s.store.Err() == nil && rec.StoreEpoch == rec.ServedEpoch {
+		if !panicked && rec.StoreEpoch == rec.ServedEpoch {
 			return val, err
 		}
 		if err == nil {
