@@ -135,9 +135,6 @@ func main() {
 		pool.SetSharedLimit(pool.Workers(*poolSize))
 	}
 
-	// The flag value is always explicit, so ThresholdOverride is the
-	// right carrier: it expresses every value exactly, including 0
-	// (which the plain field's zero-value sentinel would snap to 0.5).
 	opts := fonduer.Options{
 		ThresholdOverride: fonduer.Float64(*threshold), Epochs: *epochs, Seed: *seed,
 		Workers: *workers, Batch: *batch,

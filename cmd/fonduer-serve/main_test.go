@@ -44,7 +44,7 @@ func TestServeStoreIntegration(t *testing.T) {
 	storeDir := t.TempDir()
 	corpus := fonduer.ElectronicsCorpus(3, 6)
 	task := corpus.Tasks[0]
-	opts := fonduer.Options{Threshold: 0.5, Epochs: 2, Seed: 1}
+	opts := fonduer.Options{Epochs: 2, Seed: 1}
 	st := fonduer.NewStore(task, opts)
 	if err := st.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestServeStoreIntegration(t *testing.T) {
 // with an empty store directory serves an empty epoch-0 default
 // tenant ready for online ingestion.
 func TestServeFreshSession(t *testing.T) {
-	rg, err := buildRegistry(t.TempDir(), "electronics", "", "", "", fonduer.Options{Threshold: 0.5, Epochs: 2, Seed: 1, Workers: 1}, publishConfig{})
+	rg, err := buildRegistry(t.TempDir(), "electronics", "", "", "", fonduer.Options{Epochs: 2, Seed: 1, Workers: 1}, publishConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestServeFreshSession(t *testing.T) {
 // resulting fleet: per-tenant domains, the -default-tenant override,
 // and spec validation errors (a fourth field is one).
 func TestServeMultiTenantBootstrap(t *testing.T) {
-	opts := fonduer.Options{Threshold: 0.5, Epochs: 1, Seed: 1, Workers: 1}
+	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1}
 	rg, err := buildRegistry(t.TempDir(), "electronics", "",
 		"elec:electronics, ads:ads:, paleo:paleo", "ads", opts, publishConfig{})
 	if err != nil {
@@ -135,15 +135,13 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 	byName := map[string]bool{}
 	for _, ts := range list {
 		byName[ts.Name] = true
+		// The -default-tenant override: ads is the default, no one else.
 		if ts.Default != (ts.Name == "ads") {
 			t.Fatalf("default flag wrong on %+v", ts)
 		}
 	}
 	if !byName["elec"] || !byName["ads"] || !byName["paleo"] {
 		t.Fatalf("tenant names = %v", byName)
-	}
-	if rg.DefaultName() != "ads" {
-		t.Fatalf("default tenant = %q", rg.DefaultName())
 	}
 
 	for _, bad := range []string{"justaname", "x:nosuchdomain", "a:electronics:NoSuchRelation", "e:electronics::disk", "e:electronics::disk:4"} {
@@ -180,7 +178,7 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 	t.Setenv("TMPDIR", spillArea) // disk engines os.MkdirTemp here
 	fdBaseline, _ := spillFDs(t)
 
-	opts := fonduer.Options{Threshold: 0.5, Epochs: 1, Seed: 1, Workers: 1, Backend: "disk"}
+	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1, Backend: "disk"}
 	rg, err := buildRegistry("", "electronics", "",
 		"a:electronics,b:ads,c:genomics", "", opts, publishConfig{})
 	if err != nil {

@@ -103,8 +103,6 @@ func run(dir, domain, relation string, threshold float64, epochs int, seed int64
 		if err != nil {
 			return err
 		}
-		// ThresholdOverride, not Threshold: the flag value is always
-		// explicit, and the plain field snaps 0 to the 0.5 default.
 		opts := fonduer.Options{ThresholdOverride: fonduer.Float64(threshold), Epochs: epochs, Seed: seed}
 
 		var res fonduer.Result

@@ -407,7 +407,6 @@ func IsStoreDir(dir string) bool { return core.IsStoreDir(dir) }
 // development-mode DevSession view.
 func SessionFromStore(st *Store) *DevSession { return core.SessionFromStore(st) }
 
-// Float64 returns a pointer to v, for Options.ThresholdOverride (an
-// exact threshold, including 0, that the plain field's zero-value
-// default cannot express).
+// Float64 returns a pointer to v, for Options.ThresholdOverride (nil
+// means 0.5; any value, including 0, is taken exactly).
 func Float64(v float64) *float64 { return core.Float64(v) }

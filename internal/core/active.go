@@ -51,28 +51,3 @@ func MostUncertain(cands []*candidates.Candidate, marginals []float64, k int) []
 	}
 	return out
 }
-
-// DisagreementWithGold returns the candidates whose marginal disagrees
-// with a gold oracle, most-confidently-wrong first — the error buckets
-// a user inspects to write the next labeling function.
-func DisagreementWithGold(cands []*candidates.Candidate, marginals []float64, gold func(*candidates.Candidate) bool) []UncertainCandidate {
-	var out []UncertainCandidate
-	for _, c := range cands {
-		if c.ID < 0 || c.ID >= len(marginals) {
-			continue
-		}
-		p := marginals[c.ID]
-		if (p > 0.5) != gold(c) {
-			out = append(out, UncertainCandidate{Cand: c, Marginal: p})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di := math.Abs(out[i].Marginal - 0.5)
-		dj := math.Abs(out[j].Marginal - 0.5)
-		if di != dj {
-			return di > dj // most confident mistakes first
-		}
-		return out[i].Cand.Key() < out[j].Cand.Key()
-	})
-	return out
-}

@@ -12,8 +12,7 @@ import (
 // variant end to end and checks a literal zero threshold is really in
 // effect: every test candidate with positive predicted probability is
 // classified true, so predictions can only grow relative to a high
-// threshold. Before ThresholdOverride existed, Threshold = 0 silently
-// snapped back to 0.5 and this setting was unreachable.
+// threshold.
 func TestOptionsThresholdZeroBehavior(t *testing.T) {
 	corpus := synth.Electronics(31, 8)
 	task := corpus.Tasks[0]
@@ -22,7 +21,7 @@ func TestOptionsThresholdZeroBehavior(t *testing.T) {
 
 	base := core.Options{Variant: core.VariantHumanTuned, Seed: 3, Epochs: 2}
 	high := base
-	high.Threshold = 0.999999
+	high.ThresholdOverride = core.Float64(0.999999)
 	low := base
 	low.ThresholdOverride = core.Float64(0)
 

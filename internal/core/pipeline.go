@@ -45,32 +45,20 @@ func (v Variant) String() string {
 }
 
 // Options configure one pipeline run.
-//
-// Zero-value sentinels: several float fields treat 0 as "use the
-// default" (documented per field). A classification threshold of
-// exactly 0 goes through ThresholdOverride.
 type Options struct {
 	// Variant selects the model (default VariantFonduer).
 	Variant Variant
 	// Scope is the candidate context scope (default DocumentScope).
 	Scope candidates.Scope
-	// Threshold classifies candidates whose marginal probability
-	// exceeds it as "True". The zero value is a sentinel meaning "use
-	// the default 0.5"; a literal threshold of 0 (classify anything
-	// with positive probability) is only reachable through
-	// ThresholdOverride.
-	Threshold float64
-	// ThresholdOverride, when non-nil, sets the threshold exactly —
-	// including 0 — and takes precedence over Threshold.
+	// ThresholdOverride classifies candidates whose marginal
+	// probability exceeds it as "True"; nil means 0.5. Any value,
+	// including 0, is taken exactly.
 	ThresholdOverride *float64
 	// DisabledModalities switches feature modalities off (Figure 7).
 	DisabledModalities []features.Modality
 	// LFs overrides the task's labeling functions when non-nil
 	// (Figure 8's supervision ablation and Figure 9's schedules).
 	LFs []labeling.LF
-	// MajorityVote replaces the generative label model with majority
-	// voting (label-model ablation).
-	MajorityVote bool
 	// Marginals, when non-nil, bypasses the supervision stage entirely
 	// and trains on these per-candidate probabilities (indexed by
 	// train-candidate ID). The user-study simulation uses this for its
@@ -78,13 +66,8 @@ type Options struct {
 	Marginals []float64
 	// NoThrottlers disables the task's throttlers.
 	NoThrottlers bool
-	// NoFeatureCache disables the Appendix C.1 mention cache.
-	NoFeatureCache bool
-	// Epochs/LR/L2 control training (defaults 8 / 0.02 / 1e-4). L2's
-	// zero value is a sentinel for the default weight decay.
+	// Epochs is the number of training passes (default 8).
 	Epochs int
-	LR     float64
-	L2     float64
 	// MinFeatureCount drops features occurring in fewer training
 	// candidates (default 2). Identity features — a part number seen
 	// in one document — carry no cross-document signal and would let
@@ -92,8 +75,6 @@ type Options struct {
 	MinFeatureCount int
 	// Seed drives all stochastic choices.
 	Seed int64
-	// MaxDocTokens caps the document-level RNN input (Table 6).
-	MaxDocTokens int
 	// Workers sizes the worker pool shared by the pipeline's parallel
 	// stages — candidate extraction, featurization,
 	// labeling-function application, and (when Batch > 1) the
@@ -128,20 +109,17 @@ type Options struct {
 	MaxResidentDocs int
 }
 
-func (o *Options) defaults() {
+// threshold resolves ThresholdOverride: nil means 0.5.
+func (o *Options) threshold() float64 {
 	if o.ThresholdOverride != nil {
-		o.Threshold = *o.ThresholdOverride
-	} else if o.Threshold == 0 {
-		o.Threshold = 0.5
+		return *o.ThresholdOverride
 	}
+	return 0.5
+}
+
+func (o *Options) defaults() {
 	if o.Epochs <= 0 {
 		o.Epochs = 8
-	}
-	if o.LR <= 0 {
-		o.LR = 0.02
-	}
-	if o.L2 == 0 {
-		o.L2 = 1e-4
 	}
 	if o.MinFeatureCount == 0 {
 		o.MinFeatureCount = 2

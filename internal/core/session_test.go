@@ -143,33 +143,6 @@ func TestMostUncertain(t *testing.T) {
 	}
 }
 
-func TestDisagreementWithGold(t *testing.T) {
-	corpus := synth.Electronics(53, 6)
-	task := corpus.Tasks[0]
-	ext := &candidates.Extractor{Args: task.Args, Scope: candidates.DocumentScope, Throttlers: task.Throttlers}
-	cands := ext.ExtractAll(corpus.Docs)
-	// Marginals that are exactly wrong everywhere.
-	marg := make([]float64, len(cands))
-	for i, c := range cands {
-		if task.Gold(c) {
-			marg[i] = 0.1
-		} else {
-			marg[i] = 0.9
-		}
-	}
-	wrong := core.DisagreementWithGold(cands, marg, task.Gold)
-	if len(wrong) != len(cands) {
-		t.Fatalf("disagreements = %d of %d", len(wrong), len(cands))
-	}
-	// Flip to all-correct: no disagreements.
-	for i := range marg {
-		marg[i] = 1 - marg[i]
-	}
-	if got := core.DisagreementWithGold(cands, marg, task.Gold); len(got) != 0 {
-		t.Fatalf("correct marginals disagreements = %d", len(got))
-	}
-}
-
 func TestParallelExtractMatchesSequential(t *testing.T) {
 	corpus := synth.Electronics(54, 12)
 	task := corpus.Tasks[0]
@@ -223,15 +196,15 @@ func TestRunParallelEquivalence(t *testing.T) {
 }
 
 // TestRunParallelEquivalenceAblations checks the determinism guarantee
-// holds with the pipeline's ablation knobs switched on (majority vote,
-// disabled modalities, no feature cache).
+// holds with the pipeline's ablation knob switched on (disabled
+// modalities).
 func TestRunParallelEquivalenceAblations(t *testing.T) {
 	corpus := synth.Electronics(57, 10)
 	task := corpus.Tasks[0]
 	train, test := corpus.Split()
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{
-		Seed: 9, Epochs: 2, MajorityVote: true, NoFeatureCache: true,
+		Seed: 9, Epochs: 2,
 		DisabledModalities: []features.Modality{features.Visual},
 	}
 	run := func(workers int) core.Result {

@@ -131,8 +131,8 @@ func shardByDoc(cands []*candidates.Candidate) [][]*candidates.Candidate {
 }
 
 // extractorFactory builds the per-document feature-extractor
-// constructor for the run's options: cache switch, ablated modalities,
-// and the SRV variant's HTML-only feature space.
+// constructor for the run's options: ablated modalities and the SRV
+// variant's HTML-only feature space. The mention cache is always on.
 func extractorFactory(opts Options) func() *features.Extractor {
 	disabled := opts.DisabledModalities
 	if opts.Variant == VariantSRV {
@@ -141,7 +141,6 @@ func extractorFactory(opts Options) func() *features.Extractor {
 	}
 	return func() *features.Extractor {
 		fx := features.NewExtractor()
-		fx.UseCache = !opts.NoFeatureCache
 		for _, m := range disabled {
 			fx.Disabled[m] = true
 		}
@@ -308,22 +307,17 @@ func materializeStage(sp stagedSplit, ix *features.Index) [][]int {
 }
 
 // superviseStage turns the train split's label matrix into training
-// marginals: generative-model denoising by default, majority vote
-// under the ablation, or the caller's explicit marginals (which
-// bypass supervision entirely). covered reports, per train-candidate
-// position, whether any LF labeled it — uncovered candidates carry no
-// supervision signal and are excluded from training.
+// marginals: generative-model denoising, or the caller's explicit
+// marginals (which bypass supervision entirely). covered reports, per
+// train-candidate position, whether any LF labeled it — uncovered
+// candidates carry no supervision signal and are excluded from
+// training.
 func superviseStage(opts Options, labels *labeling.Matrix) (marginals []float64, covered func(int) bool, metrics labeling.Metrics) {
 	if opts.Marginals != nil {
 		return opts.Marginals, func(int) bool { return true }, labeling.Metrics{}
 	}
 	metrics = labeling.ComputeMetrics(labels)
-	if opts.MajorityVote {
-		marginals = labeling.MajorityVote(labels)
-	} else {
-		gen := labeling.Fit(labels, labeling.FitOptions{})
-		marginals = gen.Marginals(labels)
-	}
+	marginals = labeling.Fit(labels, labeling.FitOptions{}).Marginals(labels)
 	covered = func(i int) bool { return len(labels.RowLabels(i)) > 0 }
 	return marginals, covered, metrics
 }
@@ -382,7 +376,8 @@ func warmFeats(newIx, oldIx *features.Index) map[int]int {
 // trainStage constructs the selected model variant and trains it
 // noise-aware on the covered examples, optionally warm-started from a
 // previous generation (ix is the run's frozen index, needed to map
-// sparse-head columns across generations).
+// sparse-head columns across generations). Adam runs at learning rate
+// 0.02 with weight decay 1e-4.
 func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Example, warm *warmSource, ix *features.Index) (*model.Model, model.TrainStats) {
 	arity := len(task.Args)
 	var m *model.Model
@@ -396,11 +391,7 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 	case VariantSRV:
 		m = model.NewSRV(numFeatures, opts.Seed)
 	case VariantDocRNN:
-		maxTokens := opts.MaxDocTokens
-		if maxTokens <= 0 {
-			maxTokens = 400
-		}
-		m = model.NewDocRNN(opts.Seed, trainEx, maxTokens)
+		m = model.NewDocRNN(opts.Seed, trainEx, 0)
 	case VariantMaxPool:
 		m = model.NewMaxPoolText(arity, opts.Seed, trainEx)
 	default:
@@ -409,7 +400,7 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 		panic("core: unknown variant")
 	}
 	topts := model.TrainOptions{
-		Epochs: opts.Epochs, LR: opts.LR, L2: opts.L2,
+		Epochs: opts.Epochs, LR: 0.02, L2: 1e-4,
 		Batch: opts.Batch, Workers: opts.Workers,
 	}
 	if warm != nil && warm.model != nil {
@@ -532,7 +523,7 @@ func runStages(task Task, opts Options, train, test stagedSplit, labels *labelin
 	spans = append(spans, obs.NewSpan("train", t0, len(trainEx), trainStats.Epochs, pool.Workers(opts.Workers)))
 	res.TrainStats = trainStats
 	t0 = time.Now()
-	res.Predicted = classifyStage(m, testEx, opts.Threshold, opts.Workers)
+	res.Predicted = classifyStage(m, testEx, opts.threshold(), opts.Workers)
 	spans = append(spans, obs.NewSpan("classify", t0, len(testEx), len(res.Predicted), 0))
 	res.Quality = EvaluateTuples(res.Predicted, FilterGold(gold, testDocNames))
 	return res, stageArtifacts{index: ix, model: m, spans: spans}

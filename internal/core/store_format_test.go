@@ -54,24 +54,13 @@ func TestStoreSchemasMatchFormat(t *testing.T) {
 	if err := st.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	rewrite := func(file string, edit func(string) string) {
-		t.Helper()
-		path := filepath.Join(dir, file)
-		body, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(edit(string(body))), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rewrite("meta.tsv", func(s string) string {
+	rewriteSnapshotFile(t, dir, "meta.tsv", func(s string) string {
 		if !strings.Contains(s, "\nformat\t3\n") {
 			t.Fatalf("meta.tsv has no format 3 row:\n%s", s)
 		}
 		return strings.Replace(s, "\nformat\t3\n", "\nformat\t2\n", 1)
 	})
-	rewrite("documents.tsv", func(s string) string { // (pos, name, format)
+	rewriteSnapshotFile(t, dir, "documents.tsv", func(s string) string { // (pos, name, format)
 		lines := strings.SplitAfter(s, "\n")
 		for i, l := range lines[:len(lines)-1] {
 			f := strings.Split(strings.TrimSuffix(l, "\n"), "\t")
@@ -86,5 +75,63 @@ func TestStoreSchemasMatchFormat(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `format="2"`) {
 		t.Fatalf("OpenStore of a format-2 snapshot = %v, want an error naming the format", err)
+	}
+}
+
+// rewriteSnapshotFile replaces a snapshot file's contents with edit's
+// result.
+func rewriteSnapshotFile(t *testing.T, dir, file string, edit func(string) string) {
+	t.Helper()
+	path := filepath.Join(dir, file)
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(edit(string(body))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenStoreIgnoresRetiredMetaRow: format-3 snapshots written while
+// the mention cache could be switched off carry a "no_feature_cache
+// false" meta row that the session no longer writes. Resume compares
+// only the session's own configuration keys, so such a snapshot still
+// resumes, at format 3, to the same store.
+func TestOpenStoreIgnoresRetiredMetaRow(t *testing.T) {
+	task, doc := tinySession()
+	st := NewStore(task, Options{Epochs: 1})
+	defer st.Close()
+	if err := st.AddDocuments(doc); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	rewriteSnapshotFile(t, dir, "meta.tsv", func(s string) string {
+		if strings.Contains(s, "no_feature_cache") || !strings.Contains(s, "\nno_throttlers\t") {
+			t.Fatalf("meta.tsv is not the current row set:\n%s", s)
+		}
+		// Rows are in key order, as an older snapshot wrote them.
+		return strings.Replace(s, "\nno_throttlers\t", "\nno_feature_cache\tfalse\nno_throttlers\t", 1)
+	})
+	resumed, err := OpenStore(dir, task, Options{Epochs: 1})
+	if err != nil {
+		t.Fatalf("a snapshot with a no_feature_cache row does not resume: %v", err)
+	}
+	defer resumed.Close()
+	again := filepath.Join(t.TempDir(), "again")
+	if err := resumed.Snapshot(again); err != nil {
+		t.Fatal(err)
+	}
+	for _, schema := range storeSchemas {
+		if schema.Name == tblMeta {
+			continue
+		}
+		a, errA := os.ReadFile(filepath.Join(dir, schema.Name+".tsv"))
+		b, errB := os.ReadFile(filepath.Join(again, schema.Name+".tsv"))
+		if errA != nil || errB != nil || string(a) != string(b) {
+			t.Fatalf("%s differs after resuming the older snapshot (%v, %v)", schema.Name, errA, errB)
+		}
 	}
 }

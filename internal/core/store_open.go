@@ -25,8 +25,9 @@ import (
 // task the store was built for (labeling functions are code and cannot
 // be persisted; they are re-supplied here), and opts must agree with
 // the persisted configuration on every knob that shaped the relations.
-// Runtime knobs (Seed, Epochs, Threshold, LR, Workers, ...) are taken
-// fresh from opts.
+// Runtime knobs (Seed, Epochs, ThresholdOverride, Workers, Batch) are
+// taken fresh from opts. Meta rows the session does not write (an
+// older format-3 snapshot's no_feature_cache) are not compared.
 //
 // The context tree above the sentences is not stored: a run of
 // non-tabular sentences is rebuilt as one text block with one

@@ -421,7 +421,6 @@ func (s *Store) configMeta() map[string]string {
 		"variant":             strconv.Itoa(int(s.opts.Variant)),
 		"scope":               strconv.Itoa(int(s.opts.Scope)),
 		"min_feature_count":   strconv.Itoa(s.opts.MinFeatureCount),
-		"no_feature_cache":    strconv.FormatBool(s.opts.NoFeatureCache),
 		"no_throttlers":       strconv.FormatBool(s.opts.NoThrottlers),
 		"disabled_modalities": strings.Join(modStrs, ","),
 	}

@@ -268,7 +268,7 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 	seen := map[string]bool{}
 	for i, p := range scoreByDoc(v.model, exs, 1) {
 		c := exs[i].Cand
-		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.Threshold}
+		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.threshold()}
 		out.Candidates = append(out.Candidates, cc)
 		if cc.Positive {
 			t := TupleFromCandidate(c)

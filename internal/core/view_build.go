@@ -195,7 +195,7 @@ func (v *StoreView) classifyFrom(src *StoreView, from, workers int, gold []GoldT
 	}
 	probs := scoreByDoc(src.model, exs, workers)
 	res := v.result
-	res.Predicted = keepPositives(prefix, map[string]bool{}, probs, v.opts.Threshold, func(k int) *candidates.Candidate { return v.cands[from+k] })
+	res.Predicted = keepPositives(prefix, map[string]bool{}, probs, v.opts.threshold(), func(k int) *candidates.Candidate { return v.cands[from+k] })
 	res.NumFeatures = src.runIndex.Len()
 	res.TrainStats = model.TrainStats{}
 	// Without gold (the server's case) there is nothing to count, and

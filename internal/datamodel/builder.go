@@ -17,9 +17,6 @@ func NewBuilder(name, format string) *Builder {
 	return b
 }
 
-// Doc exposes the document under construction.
-func (b *Builder) Doc() *Document { return b.doc }
-
 // NewSection appends a new Section and makes it current.
 func (b *Builder) NewSection() *Section {
 	s := &Section{Doc: b.doc, Position: len(b.doc.Sections)}

@@ -455,28 +455,6 @@ func (ix *Index) Names() []string {
 	return out
 }
 
-// IndexDiff compares two indexes as feature-name sets, returning the
-// names present only in next (added) and only in prev (removed), each
-// in sorted order. The store's equivalence tests use it to verify the
-// append-only admission invariant of incremental ingestion: counts
-// only ever grow, so an incrementally grown index and a from-scratch
-// index over the same corpus must diff empty both ways.
-func IndexDiff(prev, next *Index) (added, removed []string) {
-	for name := range next.ids {
-		if _, ok := prev.ids[name]; !ok {
-			added = append(added, name)
-		}
-	}
-	for name := range prev.ids {
-		if _, ok := next.ids[name]; !ok {
-			removed = append(removed, name)
-		}
-	}
-	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed
-}
-
 // Len returns the number of distinct features seen.
 func (ix *Index) Len() int { return len(ix.names) }
 

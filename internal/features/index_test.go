@@ -29,31 +29,6 @@ func TestIndexLookupAndNames(t *testing.T) {
 	}
 }
 
-func TestIndexDiff(t *testing.T) {
-	prev := IndexFromCounts(map[string]int{"a": 2, "b": 3}, 2)
-	next := IndexFromCounts(map[string]int{"a": 2, "b": 3, "c": 2, "d": 9}, 2)
-	added, removed := IndexDiff(prev, next)
-	if !reflect.DeepEqual(added, []string{"c", "d"}) || removed != nil {
-		t.Fatalf("diff = added %v removed %v", added, removed)
-	}
-	// Symmetric direction reports removals.
-	added, removed = IndexDiff(next, prev)
-	if added != nil || !reflect.DeepEqual(removed, []string{"c", "d"}) {
-		t.Fatalf("reverse diff = added %v removed %v", added, removed)
-	}
-	// Identical name sets (even with different column orders) diff empty.
-	other := NewIndex()
-	other.ID("b")
-	other.ID("a")
-	same := NewIndex()
-	same.ID("a")
-	same.ID("b")
-	added, removed = IndexDiff(other, same)
-	if len(added) != 0 || len(removed) != 0 {
-		t.Fatalf("permuted diff = added %v removed %v", added, removed)
-	}
-}
-
 // TestIndexNamesView: the view is a fixed prefix of an append-only
 // list, so it neither changes nor grows while the index does — across
 // many reallocations of the list.

@@ -14,6 +14,16 @@ import (
 	"time"
 )
 
+// Get returns a copy of the row at position i.
+func (b *pagedBackend) Get(i int) Tuple {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, k := b.row(i)
+	tp := make(Tuple, b.schema.Arity())
+	v.fill(tp, k)
+	return tp
+}
+
 // forEachBackend runs the same test body against every storage
 // engine, so Table semantics (set membership, insertion order,
 // pagination, deletion, snapshots) are proven identical across the

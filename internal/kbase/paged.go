@@ -522,16 +522,6 @@ func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool {
 	return true
 }
 
-// Get returns a copy of the row at position i.
-func (b *pagedBackend) Get(i int) Tuple {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, k := b.row(i)
-	tp := make(Tuple, b.schema.Arity())
-	v.fill(tp, k)
-	return tp
-}
-
 // snapshot returns what a read may look at: the sequence as it stands,
 // with the dictionaries' values up to their current lengths.
 func (b *pagedBackend) snapshot() pageSeq {

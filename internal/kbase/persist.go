@@ -327,17 +327,22 @@ func WriteSnapshot(dir string, names []string, write func(name string, w io.Writ
 	}
 	// Swap: retire any existing snapshot, move the new one in. Only a
 	// prior snapshot (or an empty directory) is ever displaced —
-	// overwriting an arbitrary directory would destroy user data.
+	// overwriting an arbitrary path would destroy user data — and the
+	// refusal comes before anything, dir.old included, is removed.
+	fi, err := os.Stat(dir)
+	exists := err == nil
+	if exists && !IsSnapshot(dir) {
+		if !fi.IsDir() || os.Remove(dir) != nil { // Remove succeeds only when empty
+			return fmt.Errorf("kbase: refusing to overwrite %s: not a snapshot directory", dir)
+		}
+		exists = false
+	}
 	old := dir + ".old"
 	if err := os.RemoveAll(old); err != nil {
 		return err
 	}
-	if _, err := os.Stat(dir); err == nil {
-		if !IsSnapshot(dir) {
-			if rmErr := os.Remove(dir); rmErr != nil { // succeeds only when empty
-				return fmt.Errorf("kbase: refusing to overwrite %s: not a snapshot directory", dir)
-			}
-		} else if err := os.Rename(dir, old); err != nil {
+	if exists {
+		if err := os.Rename(dir, old); err != nil {
 			return err
 		}
 	}

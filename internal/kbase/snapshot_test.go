@@ -256,26 +256,64 @@ func TestTSVEmptyRows(t *testing.T) {
 }
 
 // TestSaveDBRefusesNonSnapshot: the atomic swap must never displace a
-// pre-existing directory that is not a snapshot (user data).
+// pre-existing directory that is not a snapshot (user data), and a
+// refused save removes nothing: the directory and its ".old" sibling
+// stay byte for byte as they were, and a regular file at the target is
+// refused, not deleted. An empty directory is fine.
 func TestSaveDBRefusesNonSnapshot(t *testing.T) {
 	db := NewDB()
 	s, _ := NewSchema("r", "x")
 	if _, err := db.Create(s); err != nil {
 		t.Fatal(err)
 	}
+	tree := func(root string) map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			body, err := os.ReadFile(path)
+			out[path] = string(body)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	dir := filepath.Join(t.TempDir(), "target")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	for path, body := range map[string]string{
+		filepath.Join(dir, "precious.txt"):           "keep me",
+		filepath.Join(dir+".old", "keep.txt"):        "and me",
+		filepath.Join(dir+".old", "sub", "more.txt"): "and me too",
+	} {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, beforeOld := tree(dir), tree(dir+".old")
+	if err := SaveDB(db, dir); err == nil || !strings.Contains(err.Error(), "not a snapshot directory") {
+		t.Fatalf("SaveDB over a non-snapshot directory = %v, want a refusal", err)
+	}
+	if got := tree(dir); !reflect.DeepEqual(got, before) {
+		t.Fatalf("non-snapshot content changed: %v, want %v", got, before)
+	}
+	if got := tree(dir + ".old"); !reflect.DeepEqual(got, beforeOld) {
+		t.Fatalf("the refused save changed %s.old: %v, want %v", dir, got, beforeOld)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, []byte("data"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	precious := filepath.Join(dir, "precious.txt")
-	if err := os.WriteFile(precious, []byte("keep me"), 0o644); err != nil {
-		t.Fatal(err)
+	if err := SaveDB(db, file); err == nil {
+		t.Fatal("SaveDB over a regular file must refuse")
 	}
-	if err := SaveDB(db, dir); err == nil {
-		t.Fatal("overwriting a non-snapshot directory must error")
-	}
-	if _, err := os.Stat(precious); err != nil {
-		t.Fatalf("non-snapshot content was destroyed: %v", err)
+	if body, err := os.ReadFile(file); err != nil || string(body) != "data" {
+		t.Fatalf("the refused file is now %q, %v", body, err)
 	}
 	// An empty pre-existing directory is fine.
 	empty := filepath.Join(t.TempDir(), "empty")

@@ -70,9 +70,6 @@ func ApplyOne(m *Matrix, c *candidates.Candidate, col int, lf LF) {
 	m.M.Set(c.ID, col, float64(clampVote(lf.Fn(c))))
 }
 
-// Label returns Λ[i,j] as -1, 0 or +1.
-func (m *Matrix) Label(i, j int) int { return int(m.M.Get(i, j)) }
-
 // RowLabels returns the non-abstain (column, label) pairs of row i.
 func (m *Matrix) RowLabels(i int) []sparse.Entry { return m.M.Row(i) }
 
@@ -406,26 +403,6 @@ func (mod *Model) Marginals(m *Matrix) []float64 {
 	out := make([]float64, m.NumCands)
 	for i, p := range pats.of {
 		out[i] = mu[p]
-	}
-	return out
-}
-
-// MajorityVote returns marginals by unweighted voting — the baseline
-// data programming improves on. Ties and empty rows yield 0.5.
-func MajorityVote(m *Matrix) []float64 {
-	m = m.Compact()
-	out := make([]float64, m.NumCands)
-	for i := range out {
-		pos, neg := 0, 0
-		for _, e := range m.RowLabels(i) {
-			if e.Val > 0 {
-				pos++
-			} else {
-				neg++
-			}
-		}
-		// Laplace-smoothed vote fraction; empty rows and ties yield 0.5.
-		out[i] = float64(pos+1) / float64(pos+neg+2)
 	}
 	return out
 }

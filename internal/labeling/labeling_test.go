@@ -11,6 +11,9 @@ import (
 	"repro/internal/sparse"
 )
 
+// Label returns Λ[i,j] as -1, 0 or +1.
+func (m *Matrix) Label(i, j int) int { return int(m.M.Get(i, j)) }
+
 // makeCands fabricates n candidates with dense IDs over a dummy
 // document (LF tests only need IDs and values).
 func makeCands(t *testing.T, vals []string) []*candidates.Candidate {
@@ -191,6 +194,26 @@ func TestPosteriorDirections(t *testing.T) {
 	if p := mod.posterior(nil); p != 0.5 {
 		t.Fatalf("empty row posterior = %v", p)
 	}
+}
+
+// MajorityVote returns marginals by unweighted voting — the baseline
+// data programming improves on. Ties and empty rows yield 0.5.
+func MajorityVote(m *Matrix) []float64 {
+	m = m.Compact()
+	out := make([]float64, m.NumCands)
+	for i := range out {
+		pos, neg := 0, 0
+		for _, e := range m.RowLabels(i) {
+			if e.Val > 0 {
+				pos++
+			} else {
+				neg++
+			}
+		}
+		// Laplace-smoothed vote fraction; empty rows and ties yield 0.5.
+		out[i] = float64(pos+1) / float64(pos+neg+2)
+	}
+	return out
 }
 
 func TestMajorityVote(t *testing.T) {

@@ -105,12 +105,6 @@ type Vec struct {
 // Len returns the vector's dimension.
 func (v *Vec) Len() int { return len(v.V) }
 
-// NewVec allocates a zero vector node of dimension n on the heap — a
-// leaf that outlives any tape (tests, external inputs).
-func NewVec(n int) *Vec {
-	return &Vec{V: make([]float64, n), G: make([]float64, n)}
-}
-
 // NewVec returns a zero vector node of dimension n owned by the tape.
 func (t *Tape) NewVec(n int) *Vec {
 	v := &t.vecs.take(1)[0]

@@ -315,9 +315,6 @@ func (a *Attention) applyBackward(t *Tape, o *op) {
 	}
 }
 
-// OutDim returns the aggregated vector's dimension.
-func (a *Attention) OutDim() int { return a.Ww.Rows }
-
 // Params returns the attention parameters.
 func (a *Attention) Params() Params { return Params{a.Ww, a.Bw, a.Uw} }
 

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// NewVec allocates a zero vector node of dimension n on the heap — a
+// leaf that outlives any tape (tests, external inputs).
+func NewVec(n int) *Vec {
+	return &Vec{V: make([]float64, n), G: make([]float64, n)}
+}
+
+// OutDim returns the aggregated vector's dimension.
+func (a *Attention) OutDim() int { return a.Ww.Rows }
+
 // FromSlice wraps values in a leaf node (gradient is tracked but the
 // values are external inputs).
 func FromSlice(vals []float64) *Vec {

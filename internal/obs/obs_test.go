@@ -14,6 +14,16 @@ import (
 	"time"
 )
 
+// Len reports how many traces are buffered.
+func (r *TraceRing) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.full {
+		return len(r.buf)
+	}
+	return r.next
+}
+
 // TestExpositionRoundTrip writes every metric type through the
 // exposition path and re-reads it with the strict parser: the
 // format is the conformance contract /metrics is tested against.

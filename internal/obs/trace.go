@@ -121,13 +121,3 @@ func (r *TraceRing) Snapshot() []Trace {
 	}
 	return out
 }
-
-// Len reports how many traces are buffered.
-func (r *TraceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}

@@ -339,8 +339,8 @@ func TestReservedByteUploadRefused(t *testing.T) {
 	corpus := synth.Electronics(78, 4)
 	task := corpus.Tasks[0]
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2}
-	serverOver := func(st *core.Store) (*serve.Server, string) {
-		srv, err := serve.New(serve.Config{Task: task, Options: opts, Store: st})
+	serverOver := func(st *core.Store, snapDir string) (*serve.Server, string) {
+		srv, err := serve.New(serve.Config{Task: task, Options: opts, Store: st, SnapshotDir: snapDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,8 +348,9 @@ func TestReservedByteUploadRefused(t *testing.T) {
 		t.Cleanup(func() { ts.Close(); srv.Close() })
 		return srv, ts.URL
 	}
-	srv, url := serverOver(nil)
-	_, refURL := serverOver(nil)
+	snap, refSnap := filepath.Join(t.TempDir(), "s"), filepath.Join(t.TempDir(), "s")
+	srv, url := serverOver(nil, snap)
+	_, refURL := serverOver(nil, refSnap)
 	for _, u := range []string{url, refURL} {
 		postJSON(t, u+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
 	}
@@ -375,10 +376,9 @@ func TestReservedByteUploadRefused(t *testing.T) {
 
 	// Both servers take the good documents; the snapshots and the KBs
 	// they resume to are the same bytes.
-	snap, refSnap := filepath.Join(t.TempDir(), "s"), filepath.Join(t.TempDir(), "s")
-	for u, dir := range map[string]string{url: snap, refURL: refSnap} {
+	for _, u := range []string{url, refURL} {
 		postJSON(t, u+"/ingest", uploads(corpus, 2, 4), http.StatusOK)
-		postJSON(t, u+"/admin/snapshot", map[string]any{"dir": dir}, http.StatusOK)
+		postJSON(t, u+"/admin/snapshot", nil, http.StatusOK)
 	}
 	if !reflect.DeepEqual(dirBytes(t, snap), dirBytes(t, refSnap)) {
 		t.Fatal("snapshot differs from a server that never saw the refused uploads")
@@ -389,7 +389,7 @@ func TestReservedByteUploadRefused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot does not resume: %v", err)
 		}
-		_, resumedURL := serverOver(st)
+		_, resumedURL := serverOver(st, "")
 		_, kb := kbOf(t, resumedURL)
 		kbs = append(kbs, kb)
 	}

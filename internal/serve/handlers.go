@@ -596,18 +596,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 // ---- Admin endpoints.
 
-type snapshotRequest struct {
-	Dir string `json:"dir,omitempty"`
-}
-
+// handleSnapshot writes the configured snapshot directory. The request
+// names nothing: a body, if any, must be an empty JSON object, so a
+// client can never choose the path.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req snapshotRequest
-	if r.ContentLength != 0 {
-		if !readJSON(w, r, &req) {
-			return
-		}
+	if r.ContentLength != 0 && !readJSON(w, r, &struct{}{}) {
+		return
 	}
-	dir, epoch, err := s.Snapshot(req.Dir)
+	dir, epoch, err := s.Snapshot()
 	if err != nil {
 		writeErr(w, err)
 		return

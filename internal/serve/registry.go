@@ -27,8 +27,7 @@ package serve
 //	                      per-tenant API (identical to a standalone Server)
 //	/kb, /ingest, ...     the same routes, un-prefixed: the default tenant
 //	GET    /admin/tenants           list tenants with epoch/doc stats
-//	POST   /admin/tenants           create a tenant {name, domain, relation,
-//	                                workers, batch, epochs, seed}
+//	POST   /admin/tenants           create a tenant {name, domain, relation}
 //	DELETE /admin/tenants/<name>    remove from routing, Close the store
 //	GET    /healthz, /meta          registry-wide aggregation (default tenant's
 //	                                payload + per-tenant fleet summary)
@@ -58,8 +57,8 @@ type ResolveTask func(domain, relation string) (core.Task, []core.GoldTuple, err
 type RegistryConfig struct {
 	// Resolve maps tenant (domain, relation) specs to tasks. Required.
 	Resolve ResolveTask
-	// BaseOptions seed every tenant's session options; per-tenant
-	// TenantConfig fields override them individually.
+	// BaseOptions are every tenant's session options; a tenant
+	// overrides none of them.
 	BaseOptions core.Options
 	// SnapshotRoot, when non-empty, roots per-tenant persistence:
 	// tenant <name> serving relation <rel> snapshots into (and resumes
@@ -87,12 +86,6 @@ type TenantConfig struct {
 	// resolver (relation "" = the domain's first).
 	Domain   string `json:"domain"`
 	Relation string `json:"relation,omitempty"`
-	// Workers/Batch/Epochs/Seed override the corresponding base
-	// options when non-zero.
-	Workers int   `json:"workers,omitempty"`
-	Batch   int   `json:"batch,omitempty"`
-	Epochs  int   `json:"epochs,omitempty"`
-	Seed    int64 `json:"seed,omitempty"`
 	// SnapshotDir, when set programmatically, overrides the
 	// <SnapshotRoot>/<name>/<relation> layout (cmd/fonduer-serve uses
 	// this to keep the legacy <store>/<relation> path for the default
@@ -197,24 +190,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	}, nil
 }
 
-// tenantOptions layers one tenant's overrides onto the base options.
-func (rg *Registry) tenantOptions(tc TenantConfig) core.Options {
-	opts := rg.baseOpts
-	if tc.Workers > 0 {
-		opts.Workers = tc.Workers
-	}
-	if tc.Batch > 0 {
-		opts.Batch = tc.Batch
-	}
-	if tc.Epochs > 0 {
-		opts.Epochs = tc.Epochs
-	}
-	if tc.Seed != 0 {
-		opts.Seed = tc.Seed
-	}
-	return opts
-}
-
 // Create builds, registers and (if a snapshot exists under its
 // snapshot directory) resumes a tenant. The first tenant created
 // becomes the registry default.
@@ -268,7 +243,7 @@ func (rg *Registry) Create(tc TenantConfig) (*TenantStatus, error) {
 }
 
 func (rg *Registry) buildTenant(tc TenantConfig, task core.Task, gold []core.GoldTuple) (*tenantEntry, error) {
-	opts := rg.tenantOptions(tc)
+	opts := rg.baseOpts
 	snapDir := tc.SnapshotDir
 	if snapDir == "" && rg.snapshotRoot != "" {
 		snapDir = filepath.Join(rg.snapshotRoot, tc.Name, task.Relation)
@@ -315,13 +290,6 @@ func (rg *Registry) SetDefault(name string) error {
 	}
 	rg.defaultName = name
 	return nil
-}
-
-// DefaultName returns the default tenant's name ("" when none).
-func (rg *Registry) DefaultName() string {
-	rg.mu.RLock()
-	defer rg.mu.RUnlock()
-	return rg.defaultName
 }
 
 // Get returns a tenant's serving unit, or nil if unknown.

@@ -98,8 +98,9 @@ func deleteReq(t *testing.T, url string, wantStatus int) map[string]any {
 }
 
 // TestRegistryLifecycle drives the tenant lifecycle over real HTTP:
-// create, list, per-tenant ingest
-// and reads, per-tenant snapshot into <root>/<tenant>/<relation>,
+// create (no field overrides the base options), list, per-tenant ingest
+// and reads, per-tenant snapshot into <root>/<tenant>/<relation> (and
+// nowhere a request names),
 // deletion, resume-on-create, and the cross-tenant isolation error
 // paths (unknown tenant 404, duplicate create 409, undeletable
 // default, deletion leaving other tenants' epochs untouched).
@@ -130,6 +131,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "budget", "domain": "ads", "maxResidentDocs": 4}, http.StatusBadRequest)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "x", "domain": "nosuchdomain"}, http.StatusBadRequest)
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "x", "domain": "ads", "backend": "tape"}, http.StatusBadRequest)
+	// A tenant runs the registry's base options: no field overrides them.
+	for _, field := range []string{"workers", "batch", "epochs", "seed"} {
+		postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "x", "domain": "ads", field: 2}, http.StatusBadRequest)
+	}
 
 	list := getJSON(t, ts.URL+"/admin/tenants", http.StatusOK)
 	if list["default"] != "elec" {
@@ -205,6 +210,23 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(wantDir); err != nil || len(entries) == 0 {
 		t.Fatalf("snapshot directory %s empty or unreadable: %v", wantDir, err)
+	}
+	// The client names no directory: a body with "dir" is 400 and leaves
+	// that path and its ".old" sibling alone.
+	other := filepath.Join(t.TempDir(), "x")
+	keep := filepath.Join(other+".old", "keep")
+	if err := os.MkdirAll(filepath.Dir(keep), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(keep, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	postJSON(t, ts.URL+"/t/ads/admin/snapshot", map[string]any{"dir": other}, http.StatusBadRequest)
+	if body, err := os.ReadFile(keep); err != nil || string(body) != "precious" {
+		t.Fatalf("%s after the refused snapshot: %q, %v", keep, body, err)
+	}
+	if _, err := os.Stat(other); !os.IsNotExist(err) {
+		t.Fatalf("the refused snapshot created %s (%v)", other, err)
 	}
 
 	// ---- Deletion: the default tenant is protected; others close

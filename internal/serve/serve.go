@@ -66,8 +66,8 @@ type Config struct {
 	// session is created. The server takes ownership: no other
 	// goroutine may mutate the store afterwards.
 	Store *core.Store
-	// SnapshotDir, when non-empty, is the default target directory
-	// for POST /admin/snapshot requests that do not name one.
+	// SnapshotDir is the directory POST /admin/snapshot writes; when
+	// empty, snapshots are refused.
 	SnapshotDir string
 	// Name labels this session in metrics, traces and log lines
 	// (the registry passes the tenant name; "" means "default").
@@ -565,16 +565,13 @@ func (s *Server) install(trained *core.StoreView, t0 time.Time) (*core.StoreView
 	return v, nil
 }
 
-// Snapshot persists the session's relations to dir (or the
-// configured default when dir is empty) on the writer goroutine, so
-// it can never interleave with an ingest. The returned epoch is
-// captured inside the writer turn, so it names exactly the state the
-// snapshot contains — not whatever epoch is current once the caller
-// reads the reply.
-func (s *Server) Snapshot(dir string) (string, uint64, error) {
-	if dir == "" {
-		dir = s.snapshotDir
-	}
+// Snapshot persists the session's relations to Config.SnapshotDir on
+// the writer goroutine, so it can never interleave with an ingest. The
+// returned epoch is captured inside the writer turn, so it names
+// exactly the state the snapshot contains — not whatever epoch is
+// current once the caller reads the reply.
+func (s *Server) Snapshot() (string, uint64, error) {
+	dir := s.snapshotDir
 	if dir == "" {
 		return "", 0, fmt.Errorf("serve: no snapshot directory configured")
 	}

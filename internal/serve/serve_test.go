@@ -307,7 +307,7 @@ func TestServeEndToEnd(t *testing.T) {
 func TestServeClosed(t *testing.T) {
 	corpus := synth.Electronics(52, 2)
 	task := corpus.Tasks[0]
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 1, Epochs: 1}})
+	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 1, Epochs: 1}, SnapshotDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestServeClosed(t *testing.T) {
 	postJSON(t, ts.URL+"/ingest", map[string]any{
 		"documents": []serve.DocumentUpload{uploadFor(corpus, 0)},
 	}, http.StatusServiceUnavailable)
-	postJSON(t, ts.URL+"/admin/snapshot", map[string]any{"dir": t.TempDir()}, http.StatusServiceUnavailable)
+	postJSON(t, ts.URL+"/admin/snapshot", nil, http.StatusServiceUnavailable)
 	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["ok"] != true {
 		t.Fatalf("reads must survive Close: %v", h)
 	}
