@@ -89,7 +89,7 @@ func main() {
 	// benchmark/ still passes it to its store_spill server; it goes when
 	// the next benchmark-archetype PR drops that argument (ROADMAP item 3(d)).
 	maxResident := flag.Int("max-resident-docs", 0, "deprecated and ignored: parsed documents always stay in memory")
-	syncPublish := flag.Bool("sync-publish", false, "the writer is the trainer: retrain cold on every ingest before publishing; default is async: immediate delta epochs + background warm retraining")
+	syncPublish := flag.Bool("sync-publish", false, "the writer is the trainer: retrain on every ingest before publishing; default is async: immediate delta epochs + background retraining (both train cold)")
 	trainDrift := flag.Float64("train-drift", 0.10, "async mode: trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")
 	trainInterval := flag.Duration("train-interval", 30*time.Second, "async mode: retrain at this cadence whenever delta epochs have been published since the serving generation was trained (0 disables the timer)")
 	logLevel := flag.String("log-level", "info", "structured-log level: debug, info, warn, error (JSON lines on stderr)")

@@ -182,6 +182,6 @@ func RunWithCandidates(task Task, trainCands, testCands []*candidates.Candidate,
 	newFx := extractorFactory(opts)
 	train := featurizeSplit(newFx, trainCands, opts.Workers)
 	testSp := featurizeSplit(newFx, testCands, opts.Workers)
-	res, _ := runStages(task, opts, train, testSp, labelStage(task, opts, trainCands), DocNames(test), gold, nil)
+	res, _ := runStages(task, opts, train, testSp, labelStage(task, opts, trainCands), DocNames(test), gold)
 	return res
 }

@@ -351,34 +351,11 @@ func TrainExamples(task Task, docs []*datamodel.Document, opts Options) (numFeat
 	return ix.Len(), coveredExamples(cands, materializeStage(train, ix), marginals, covered)
 }
 
-// warmSource is a previous generation's trained state, used to
-// warm-start the next generation's training: the model supplies the
-// dense weights and embedding rows, the frozen index maps the new
-// run's sparse-head columns back to the old run's.
-type warmSource struct {
-	model *model.Model
-	index *features.Index
-}
-
-// warmFeats builds the new-column -> old-column map between two
-// frozen feature indexes. Columns whose feature name the old index
-// never admitted are absent (they keep their fresh initialization).
-func warmFeats(newIx, oldIx *features.Index) map[int]int {
-	out := make(map[int]int, newIx.Len())
-	for newCol, name := range newIx.Names() {
-		if oldCol, ok := oldIx.Lookup(name); ok {
-			out[newCol] = oldCol
-		}
-	}
-	return out
-}
-
 // trainStage constructs the selected model variant and trains it
-// noise-aware on the covered examples, optionally warm-started from a
-// previous generation (ix is the run's frozen index, needed to map
-// sparse-head columns across generations). Adam runs at learning rate
-// 0.02 with weight decay 1e-4.
-func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Example, warm *warmSource, ix *features.Index) (*model.Model, model.TrainStats) {
+// noise-aware on the covered examples from its deterministic cold
+// initialization. Adam runs at learning rate 0.02 with weight decay
+// 1e-4.
+func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Example) (*model.Model, model.TrainStats) {
 	arity := len(task.Args)
 	var m *model.Model
 	switch opts.Variant {
@@ -399,15 +376,10 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 		// source (Options literals), never parsed from a request or a file.
 		panic("core: unknown variant")
 	}
-	topts := model.TrainOptions{
+	stats := m.Train(trainEx, model.TrainOptions{
 		Epochs: opts.Epochs, LR: 0.02, L2: 1e-4,
 		Batch: opts.Batch, Workers: opts.Workers,
-	}
-	if warm != nil && warm.model != nil {
-		topts.Warm = warm.model
-		topts.WarmFeats = warmFeats(ix, warm.index)
-	}
-	stats := m.Train(trainEx, topts)
+	})
 	return m, stats
 }
 
@@ -480,13 +452,11 @@ type stageArtifacts struct {
 // and Classify over two staged splits. labels is the train split's
 // label matrix (rows positional, matching train.cands); it may be nil
 // when opts.Marginals bypasses supervision. testDocNames scopes the
-// gold tuples for evaluation. warm, when non-nil, starts training from
-// a previous generation's weights instead of the cold deterministic
-// initialization; no other stage is affected. Every caller — Run,
-// Store.RunSplit, StoreView.Retrain — shares this single code path,
-// which is what makes served-epoch results structurally bit-identical
-// to from-scratch Run results.
-func runStages(task Task, opts Options, train, test stagedSplit, labels *labeling.Matrix, testDocNames map[string]bool, gold []GoldTuple, warm *warmSource) (Result, stageArtifacts) {
+// gold tuples for evaluation. Every caller — Run, Store.RunSplit,
+// StoreView.Retrain — shares this single code path and trains from the
+// same cold initialization, which is what makes every trained
+// generation structurally bit-identical to a from-scratch Run result.
+func runStages(task Task, opts Options, train, test stagedSplit, labels *labeling.Matrix, testDocNames map[string]bool, gold []GoldTuple) (Result, stageArtifacts) {
 	res := Result{TrainCandidates: len(train.cands), TestCandidates: len(test.cands)}
 	var spans []obs.Span
 
@@ -519,7 +489,7 @@ func runStages(task Task, opts Options, train, test stagedSplit, labels *labelin
 
 	// ---- Train the selected variant, then classify and evaluate.
 	t0 = time.Now()
-	m, trainStats := trainStage(task, opts, ix.Len(), trainEx, warm, ix)
+	m, trainStats := trainStage(task, opts, ix.Len(), trainEx)
 	spans = append(spans, obs.NewSpan("train", t0, len(trainEx), trainStats.Epochs, pool.Workers(opts.Workers)))
 	res.TrainStats = trainStats
 	t0 = time.Now()

@@ -493,6 +493,6 @@ func (s *Store) RunSplit(trainNames, testNames []string, gold []GoldTuple) (Resu
 	for _, n := range testNames {
 		testDocs[n] = true
 	}
-	res, _ := runStages(s.task, s.opts, train, test, labels, testDocs, gold, nil)
+	res, _ := runStages(s.task, s.opts, train, test, labels, testDocs, gold)
 	return res, nil
 }

@@ -101,7 +101,7 @@ func TestStoreIndexEvolution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, got := scratch.FeatureIndex().Names(), incr.FeatureIndex().Names()
+	want, got := slices.Clone(scratch.FeatureIndex().NamesView()), slices.Clone(incr.FeatureIndex().NamesView())
 	slices.Sort(want)
 	slices.Sort(got)
 	if !slices.Equal(got, want) {

@@ -20,12 +20,12 @@ import (
 //     whatever only grows between epochs, so a capture costs the delta.
 //   - Generation state — StoreView.withModel: everything that is a
 //     function of the model. It comes from one of two places: train
-//     (Retrain, cold or warm-started) or serve under an existing model
+//     (Retrain) or serve under an existing model
 //     (classifyFrom: only the candidates past an offset are scored).
 //
 // The four exported builders are compositions of those:
 //
-//	Store.View       capture(nil),  then a cold Retrain
+//	Store.View       capture(nil),  then a Retrain
 //	Store.ViewDelta  capture(prev), then classifyFrom(prev, len(prev.cands))
 //	Retrain          train on the view's corpus
 //	AdoptModel       classifyFrom(other, 0)
@@ -36,7 +36,7 @@ import (
 // classification over a prefix-identical predecessor is bit-identical
 // to reclassifying the whole corpus (AdoptModel) at the same pair —
 // proven by TestViewDeltaMatchesAdopt and the serving layer's replay
-// suite — and a cold Retrain is the staged run of Store.RunSplit with
+// suite — and a Retrain is the staged run of Store.RunSplit with
 // train = test = the full corpus, hence bit-identical to a from-scratch
 // Run (TestStoreViewEquivalence, TestViewRetrainMatchesView).
 
@@ -261,10 +261,12 @@ type RetrainConfig struct {
 	Gold []GoldTuple
 	// Generation numbers the produced view's model generation.
 	Generation uint64
-	// WarmFrom, when non-nil, warm-starts training from that view's
-	// model: dense layers copy whole, embedding rows transfer by word,
-	// sparse-head columns transfer through the two frozen feature
-	// indexes. Nil trains from the deterministic cold initialization.
+	// WarmFrom is ignored: every generation trains from the cold
+	// initialization, so it is bit-identical to a from-scratch run over
+	// the view's corpus.
+	//
+	// Deprecated: kept only so existing callers compile; it is to be
+	// deleted.
 	WarmFrom *StoreView
 }
 
@@ -284,11 +286,7 @@ func (v *StoreView) Retrain(cfg RetrainConfig) (*StoreView, error) {
 	for _, n := range v.docNames {
 		testDocs[n] = true
 	}
-	var warm *warmSource
-	if cfg.WarmFrom != nil {
-		warm = &warmSource{model: cfg.WarmFrom.model, index: cfg.WarmFrom.runIndex}
-	}
-	res, art := runStages(v.task, v.opts, sp, sp, v.labels(), testDocs, cfg.Gold, warm)
+	res, art := runStages(v.task, v.opts, sp, sp, v.labels(), testDocs, cfg.Gold)
 	return v.withModel(modelState{
 		generation:             cfg.Generation,
 		modelEpoch:             v.epoch,

@@ -448,13 +448,6 @@ func (ix *Index) Name(id int) string {
 	return ix.names[id]
 }
 
-// Names returns a copy of the feature names in column order.
-func (ix *Index) Names() []string {
-	out := make([]string, len(ix.names))
-	copy(out, ix.names)
-	return out
-}
-
 // Len returns the number of distinct features seen.
 func (ix *Index) Len() int { return len(ix.names) }
 

@@ -19,13 +19,11 @@ func TestIndexLookupAndNames(t *testing.T) {
 	if ix.Len() != 2 {
 		t.Fatalf("Lookup allocated: len = %d", ix.Len())
 	}
-	names := ix.Names()
-	if !reflect.DeepEqual(names, []string{"b", "a"}) {
-		t.Fatalf("Names = %v", names)
+	if names := ix.NamesView(); !reflect.DeepEqual(names, []string{"b", "a"}) {
+		t.Fatalf("NamesView = %v", names)
 	}
-	names[0] = "mutated"
-	if ix.Name(0) != "b" {
-		t.Fatal("Names must copy")
+	if ix.Name(1) != "a" || ix.Name(2) != "" {
+		t.Fatalf("Name(1), Name(2) = %q, %q", ix.Name(1), ix.Name(2))
 	}
 }
 

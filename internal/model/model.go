@@ -33,14 +33,20 @@ type Example struct {
 	Marginal float64
 }
 
+// The network's fixed dimensions, the mention context window and the
+// learning-rate decay: one setting each for every variant.
+const (
+	embedDim      = 16 // word-embedding dimension
+	hidDim        = 16 // per-direction LSTM hidden size
+	attDim        = 16 // attention space dimension
+	maxSentTokens = 24 // tokens per mention context window
+	// lrDecay divides the learning rate by (1 + lrDecay*epoch),
+	// damping late-training oscillation.
+	lrDecay = 0.15
+)
+
 // Config selects the model variant and its dimensions.
 type Config struct {
-	// EmbedDim is the word-embedding dimension (default 16).
-	EmbedDim int
-	// HidDim is the per-direction LSTM hidden size (default 16).
-	HidDim int
-	// AttDim is the attention space dimension (default 16).
-	AttDim int
 	// NumFeatures is the extended-feature space size (required when
 	// UseSparse).
 	NumFeatures int
@@ -57,8 +63,6 @@ type Config struct {
 	// UseMaxPool replaces attention with max pooling (ablation).
 	UseMaxPool bool
 
-	// MaxSentTokens caps tokens per mention context window (default 24).
-	MaxSentTokens int
 	// MaxDocTokens caps the document-level sequence (default 400).
 	MaxDocTokens int
 	// Seed makes initialization and shuffling deterministic.
@@ -66,18 +70,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.EmbedDim <= 0 {
-		c.EmbedDim = 16
-	}
-	if c.HidDim <= 0 {
-		c.HidDim = 16
-	}
-	if c.AttDim <= 0 {
-		c.AttDim = 16
-	}
-	if c.MaxSentTokens <= 0 {
-		c.MaxSentTokens = 24
-	}
 	if c.MaxDocTokens <= 0 {
 		c.MaxDocTokens = 400
 	}
@@ -111,15 +103,15 @@ func New(cfg Config, sample []Example) *Model {
 			m.encode(&scratch, ex.Cand) // admits the tokens, in sequence order
 		}
 		m.vocab.Freeze()
-		hashed := nlp.NewEmbedder(cfg.EmbedDim)
-		m.emb = neural.NewEmbedding(m.vocab.Len(), cfg.EmbedDim, m.rng, func(id int) []float64 {
+		hashed := nlp.NewEmbedder(embedDim)
+		m.emb = neural.NewEmbedding(m.vocab.Len(), embedDim, m.rng, func(id int) []float64 {
 			return hashed.Embed(m.vocab.Word(id))
 		})
-		m.bi = neural.NewBiLSTM(cfg.EmbedDim, cfg.HidDim, m.rng)
-		m.att = neural.NewAttention(m.bi.OutDim(), cfg.AttDim, m.rng)
-		textDim := cfg.AttDim * cfg.NumMentions
+		m.bi = neural.NewBiLSTM(embedDim, hidDim, m.rng)
+		m.att = neural.NewAttention(m.bi.OutDim(), attDim, m.rng)
+		textDim := attDim * cfg.NumMentions
 		if cfg.DocLevel {
-			textDim = cfg.AttDim
+			textDim = attDim
 		}
 		m.headText = neural.NewLinear(textDim, 2, m.rng)
 		m.params = append(m.params, m.emb.Params()...)
@@ -193,7 +185,7 @@ func (m *Model) appendMentionIDs(dst []int, c *candidates.Candidate, i int) []in
 	sp := c.Mentions[i].Span
 	words := sp.Sentence.Words
 	// Window around the span.
-	half := (m.cfg.MaxSentTokens - sp.Len() - 2) / 2
+	half := (maxSentTokens - sp.Len() - 2) / 2
 	if half < 1 {
 		half = 1
 	}
@@ -409,10 +401,6 @@ type TrainOptions struct {
 	// decay keeps rare identity features (e.g. a part number seen in
 	// one document) from dominating generic multimodal features.
 	L2 float64
-	// LRDecay divides the learning rate by (1 + LRDecay*epoch),
-	// damping late-training oscillation. The zero value is a sentinel
-	// meaning "use the default 0.15".
-	LRDecay float64
 	// Batch is the minibatch size: per-example gradients are averaged
 	// over Batch examples and applied as one Adam step. The zero value
 	// is a sentinel meaning "use the default 1" — one step per example,
@@ -426,21 +414,6 @@ type TrainOptions struct {
 	// minibatch position owns a private gradient buffer, and buffers
 	// are reduced in fixed example-index order (see Train).
 	Workers int
-	// Warm, when non-nil, copies the previous generation's trained
-	// weights over this model's fresh initialization before the first
-	// epoch. Dense layers copy whole matrices (their shapes are fixed
-	// by Config), embedding rows are matched by word through both
-	// frozen vocabularies, and sparse-head columns are matched through
-	// WarmFeats; anything unmatched — new words, new features — keeps
-	// its deterministic fresh initialization. The copy is a pure
-	// function of the two models plus WarmFeats, so warm-started
-	// training stays bit-reproducible.
-	Warm *Model
-	// WarmFeats maps this model's sparse feature columns to Warm's
-	// columns (new index → old index). Required for the sparse head to
-	// transfer when Warm is set; columns absent from the map keep their
-	// zero initialization.
-	WarmFeats map[int]int
 }
 
 func (o *TrainOptions) defaults() {
@@ -452,9 +425,6 @@ func (o *TrainOptions) defaults() {
 	}
 	if o.Clip <= 0 {
 		o.Clip = 5
-	}
-	if o.LRDecay == 0 {
-		o.LRDecay = 0.15
 	}
 	if o.Batch <= 0 {
 		o.Batch = 1
@@ -535,9 +505,6 @@ type trainSlot struct {
 // loop this implementation replaced.
 func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	opts.defaults()
-	if opts.Warm != nil {
-		m.warmStart(opts.Warm, opts.WarmFeats)
-	}
 	optim := neural.NewAdam(opts.LR)
 	optim.WeightDecay = opts.L2
 	start := time.Now()
@@ -575,7 +542,7 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	}
 	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		optim.LR = opts.LR / (1 + opts.LRDecay*float64(epoch))
+		optim.LR = opts.LR / (1 + lrDecay*float64(epoch))
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		total := 0.0
 		for base = 0; base < len(order); base += nslots {
@@ -604,52 +571,6 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 		st.SecsPerEpoch = dur.Seconds() / float64(opts.Epochs)
 	}
 	return st
-}
-
-// warmStart overwrites this model's fresh initialization with weights
-// from src wherever the two parameter spaces line up. Only the
-// vocabulary (embedding rows) and the sparse feature head (columns)
-// can differ in shape between generations of the same Config; every
-// other layer's dimensions are fixed by Config, so those copy whole.
-// Writes are independent per destination cell, so iteration order —
-// including map order over feats — cannot affect the result.
-func (m *Model) warmStart(src *Model, feats map[int]int) {
-	if m.emb != nil && src.emb != nil {
-		dim := m.cfg.EmbedDim
-		for id := 0; id < m.vocab.Len(); id++ {
-			w := m.vocab.Word(id)
-			sid := src.vocab.ID(w)
-			if sid == nlp.UnknownID && w != "<unk>" {
-				continue // new word: keep its deterministic hashed init
-			}
-			copy(m.emb.Table.W[id*dim:(id+1)*dim], src.emb.Table.W[sid*dim:(sid+1)*dim])
-		}
-		copyMatched(m.bi.Params(), src.bi.Params())
-		copyMatched(m.att.Params(), src.att.Params())
-		copyMatched(m.headText.Params(), src.headText.Params())
-	}
-	if m.headSparse != nil && src.headSparse != nil {
-		for newCol, oldCol := range feats {
-			if newCol < 0 || newCol >= m.headSparse.Cols || oldCol < 0 || oldCol >= src.headSparse.Cols {
-				continue
-			}
-			for r := 0; r < m.headSparse.Rows && r < src.headSparse.Rows; r++ {
-				m.headSparse.W[r*m.headSparse.Cols+newCol] = src.headSparse.W[r*src.headSparse.Cols+oldCol]
-			}
-		}
-	}
-	copyMatched(neural.Params{m.bias}, neural.Params{src.bias})
-}
-
-// copyMatched copies weights pairwise between two parameter lists
-// wherever positions agree in shape (they always do for same-Config
-// dense layers; the guard makes a mismatch inert rather than a panic).
-func copyMatched(dst, src neural.Params) {
-	for i := 0; i < len(dst) && i < len(src); i++ {
-		if dst[i].Rows == src[i].Rows && dst[i].Cols == src[i].Cols {
-			copy(dst[i].W, src[i].W)
-		}
-	}
 }
 
 // inference is the scratch of one PredictProb or PredictProbs call: a

@@ -265,7 +265,7 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 	}
 	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		optim.LR = opts.LR / (1 + opts.LRDecay*float64(epoch))
+		optim.LR = opts.LR / (1 + lrDecay*float64(epoch))
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		total := 0.0
 		for _, idx := range order {

@@ -3,8 +3,11 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -43,9 +46,9 @@ func canonView(task core.Task, v *core.StoreView) (string, error) {
 // test: with two-phase publication on, every (epoch, generation) pair
 // a reader ever observes over real HTTP must serve a KB bit-identical
 // to a from-scratch replay of the same history — delta chains advanced
-// epoch by epoch on a fresh store, model generations retrained
-// (warm-started, exactly as the server does) at the epochs the train
-// traces record. Run under -race, with retrains deliberately
+// epoch by epoch on a fresh store, each model generation a cold
+// retrain at the epoch the train traces record, independent of the
+// generation before it. Run under -race, with retrains deliberately
 // overlapping delta ingests so the install path's AdoptModel catch-up
 // is exercised, this proves the pair fully determines the served
 // bytes.
@@ -181,8 +184,10 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	}
 
 	// ---- Replay from scratch: a fresh store over the same batches,
-	// one delta chain per generation, retrains applied at the recorded
-	// epochs with the server's exact warm-start configuration.
+	// one delta chain per generation. Generation g is a cold retrain of
+	// the corpus at its recorded epoch: it is taken from generation 0's
+	// chain, which shares that epoch's corpus and nothing else with the
+	// view the server trained from.
 	st := core.NewStore(task, opts)
 	chains := map[uint64]*core.StoreView{}
 	v0, err := st.View(gold)
@@ -202,10 +207,10 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	}
 	spawn := func(e uint64) {
 		for g := uint64(1); g <= maxGen; g++ {
-			if trainedAt[g] != e || chains[g] != nil || chains[g-1] == nil {
+			if trainedAt[g] != e || chains[g] != nil {
 				continue
 			}
-			nv, err := chains[g-1].Retrain(core.RetrainConfig{Gold: gold, Generation: g, WarmFrom: chains[g-1]})
+			nv, err := chains[0].Retrain(core.RetrainConfig{Gold: gold, Generation: g})
 			if err != nil {
 				t.Fatalf("replay retrain gen %d at epoch %d: %v", g, e, err)
 			}
@@ -263,6 +268,112 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 		t.Fatal("final replayed KB is empty; test is vacuous")
 	}
 	t.Logf("validated %d observations across generations %v (%d ahead of their training epoch)", len(seen), gensSeen, lagged)
+}
+
+// TestServeAsyncGenerationsMatchView: the async policy decides when a
+// generation trains, never what it is. An async server ingests
+// 2-document batches and is retrained at two points; each generation,
+// caught up with the corpus, serves the KB, quality and final training
+// loss of Store.View over a fresh store holding the same documents —
+// not a function of the generation before it.
+func TestServeAsyncGenerationsMatchView(t *testing.T) {
+	corpus := synth.Electronics(44, 8)
+	task := corpus.Tasks[0]
+	gold := corpus.GoldTuples[task.Relation]
+	opts := core.Options{Seed: 9, Epochs: 2, Workers: 2}
+	docs := reparse(t, corpus)
+
+	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for b := 0; b < 4; b++ {
+		if _, err := srv.Ingest(docs[2*b : 2*b+2]); err != nil {
+			t.Fatal(err)
+		}
+		if b%2 == 0 {
+			continue // a delta epoch under the serving generation
+		}
+		got, err := srv.Train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := uint64(b+1) / 2
+		if got.Generation() != gen || got.Epoch() != got.ModelTrainedAtEpoch() {
+			t.Fatalf("Train served (epoch %d, generation %d, trained at %d), want generation %d with no lag",
+				got.Epoch(), got.Generation(), got.ModelTrainedAtEpoch(), gen)
+		}
+		fresh := core.NewStore(task, opts)
+		defer fresh.Close()
+		if err := fresh.AddDocuments(reparse(t, corpus)[:2*b+2]...); err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.View(gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.KB().Tuples()) == 0 {
+			t.Fatalf("generation %d: the fresh view extracts nothing; test is vacuous", gen)
+		}
+		if !reflect.DeepEqual(got.KB().Tuples(), want.KB().Tuples()) {
+			t.Errorf("generation %d: KB differs from a fresh store's View", gen)
+		}
+		if g, w := got.Result().Quality, want.Result().Quality; g != w {
+			t.Errorf("generation %d: quality %+v, fresh View %+v", gen, g, w)
+		}
+		if g, w := got.Result().TrainStats.FinalLoss, want.Result().TrainStats.FinalLoss; g != w {
+			t.Errorf("generation %d: final loss %v, fresh View %v", gen, g, w)
+		}
+	}
+}
+
+// TestServeCaughtUpRestartServesSameKB: an async tenant whose model has
+// caught up with its corpus serves the same /kb bytes after Snapshot,
+// Close, OpenStore and a new server over the resumed store — which
+// trains its first view cold over the corpus, as every retrain does.
+func TestServeCaughtUpRestartServesSameKB(t *testing.T) {
+	for _, seed := range []int64{44, 45, 46} {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			corpus := synth.Electronics(seed, 8)
+			task := corpus.Tasks[0]
+			opts := core.Options{Seed: 9, Epochs: 2, Workers: 2}
+			dir := filepath.Join(t.TempDir(), "snap")
+			srv, err := serve.New(serve.Config{Task: task, Options: opts, Async: true, SnapshotDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			for b := 0; b < 4; b++ {
+				postJSON(t, ts.URL+"/ingest", uploads(corpus, 2*b, 2*b+2), http.StatusOK)
+				if b%2 == 1 {
+					postJSON(t, ts.URL+"/admin/train", nil, http.StatusOK)
+				}
+			}
+			if lag := getJSON(t, ts.URL+"/meta", http.StatusOK)["trainLagEpochs"]; lag != 0.0 {
+				t.Fatalf("trainLagEpochs = %v after the last retrain, want 0", lag)
+			}
+			_, before := kbOf(t, ts.URL)
+			postJSON(t, ts.URL+"/admin/snapshot", nil, http.StatusOK)
+			ts.Close()
+			srv.Close()
+
+			st, err := core.OpenStore(dir, task, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := serve.New(serve.Config{Task: task, Options: opts, Async: true, Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resumed.Close()
+			ts = httptest.NewServer(resumed.Handler())
+			defer ts.Close()
+			if _, after := kbOf(t, ts.URL); after != before || !strings.Contains(before, "[[") {
+				t.Fatalf("/kb across the restart (or empty):\nbefore: %s\nafter:  %s", before, after)
+			}
+		})
+	}
 }
 
 // TestServeTrainFailureKeepsDelta is the train-degraded surface test. The

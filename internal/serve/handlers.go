@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -29,9 +30,10 @@ import (
 //	GET  /lfmetrics       labeling-function development metrics
 //	GET  /features        feature-space statistics (+ admitted names)
 //	GET  /meta            session metadata: schema, docs, config, quality
-//	POST /ingest          online document ingestion (retrains, publishes)
+//	POST /ingest          online document ingestion (publishes an epoch)
 //	POST /classify        ad-hoc classification, no store mutation
 //	POST /admin/snapshot  persist the session to disk
+//	POST /admin/train     retrain over the served corpus, publish the generation
 //	GET  /admin/traces    recent publication traces (span trees)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -115,10 +117,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readJSON decodes the body into v or answers 400; an empty body passes only if emptyOK.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := dec.Decode(v); err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return false
 	}
@@ -505,7 +508,7 @@ type ingestRequest struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	if len(req.Documents) == 0 {
@@ -559,7 +562,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	var u DocumentUpload
-	if !readJSON(w, r, &u) {
+	if !readJSON(w, r, &u, false) {
 		return
 	}
 	doc, err := parseUpload(u)
@@ -600,7 +603,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // names nothing: a body, if any, must be an empty JSON object, so a
 // client can never choose the path.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.ContentLength != 0 && !readJSON(w, r, &struct{}{}) {
+	if !readJSON(w, r, &struct{}{}, true) {
 		return
 	}
 	dir, epoch, err := s.Snapshot()

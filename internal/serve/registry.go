@@ -460,7 +460,7 @@ func (rg *Registry) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (rg *Registry) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var tc TenantConfig
-	if !readJSON(w, r, &tc) {
+	if !readJSON(w, r, &tc, false) {
 		return
 	}
 	status, err := rg.Create(tc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -227,6 +228,22 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 	if _, err := os.Stat(other); !os.IsNotExist(err) {
 		t.Fatalf("the refused snapshot created %s (%v)", other, err)
+	}
+	// An empty body of unknown length (sent chunked) is no body: 200,
+	// and the snapshot is written again.
+	if err := os.RemoveAll(wantDir); err != nil {
+		t.Fatal(err)
+	}
+	chunked, err := http.Post(ts.URL+"/t/ads/admin/snapshot", "application/json", struct{ io.Reader }{strings.NewReader("")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked.Body.Close()
+	if chunked.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot with an empty chunked body: status %d, want 200", chunked.StatusCode)
+	}
+	if entries, err := os.ReadDir(wantDir); err != nil || len(entries) == 0 {
+		t.Fatalf("snapshot directory %s empty or unreadable after the chunked request: %v", wantDir, err)
 	}
 
 	// ---- Deletion: the default tenant is protected; others close

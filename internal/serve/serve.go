@@ -24,11 +24,11 @@
 //
 // An ingest is always: apply the batch, capture the delta epoch under
 // the serving model (core.Store.ViewDelta), then the training policy.
-// Config.Async only decides who runs the trainer. False: the writer
-// trains cold inside the same turn and publishes only the trained view,
-// so every served epoch is bit-identical to a from-scratch core.Run
-// over its corpus. True: the delta view is published at once and a
-// background goroutine trains warm, installing through the writer.
+// Config.Async only decides who runs the trainer, never what a trained
+// generation is: a cold run over its corpus, bit-identical to core.Run.
+// False: the writer trains inside the same turn and publishes only the
+// trained view. True: the delta view is published at once and a
+// background goroutine trains, installing through the writer.
 //
 // Every response carries the (epoch, generation) pair it was served
 // from, and the pair fully determines the served bytes: a generation
@@ -80,11 +80,10 @@ type Config struct {
 	// Async decides who runs the trainer. True: Ingest publishes the
 	// delta epoch at once — the new documents classified under the
 	// CURRENT model generation, no training on the write path — and a
-	// background trainer goroutine retrains (warm-started from the
-	// previous weights) and republishes when feature drift crosses
-	// TrainDrift or TrainInterval elapses. False: the writer itself
-	// retrains cold before publishing, so readers never see an epoch
-	// whose model was not trained on it.
+	// background trainer goroutine retrains and republishes when
+	// feature drift crosses TrainDrift or TrainInterval elapses. False:
+	// the writer itself retrains before publishing, so readers never
+	// see an epoch whose model was not trained on it. Both train cold.
 	// cmd/fonduer-serve defaults to async (-sync-publish opts out).
 	Async bool
 	// TrainDrift triggers a background retrain when the session
@@ -398,13 +397,12 @@ func (s *Server) publish(kind string, t0 time.Time, docs int, spans []obs.Span, 
 		"docs", docs, "durationMs", tr.DurationMs)
 }
 
-// train runs the trainer over base's corpus — cold when warm is nil —
-// and numbers the result as base's successor generation. Whether that
-// number becomes real is decided on the writer turn that installs it.
-// Takes no lock: the writer's inline trainer runs while Train may be
-// holding trainMu and waiting on the writer.
-func (s *Server) train(base, warm *core.StoreView) (*core.StoreView, error) {
-	return base.Retrain(core.RetrainConfig{Gold: s.gold, Generation: base.Generation() + 1, WarmFrom: warm})
+// train runs the trainer cold over base's corpus and numbers the result
+// as base's successor generation; the writer turn that installs it
+// decides whether that number becomes real. Takes no lock: the writer's
+// inline trainer runs while Train may hold trainMu, waiting on the writer.
+func (s *Server) train(base *core.StoreView) (*core.StoreView, error) {
+	return base.Retrain(core.RetrainConfig{Gold: s.gold, Generation: base.Generation() + 1})
 }
 
 // Ingest applies one document batch on the writer goroutine —
@@ -430,7 +428,7 @@ func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
 		view, err := st.ViewDelta(s.view.Load(), s.gold)
 		if err == nil && writerTrains {
 			spans = append(spans, view.StageSpans()...)
-			view, err = s.train(view, nil)
+			view, err = s.train(view)
 		}
 		if err != nil {
 			return nil, err // the store is an epoch ahead: contain closes the tenant
@@ -509,11 +507,10 @@ func (s *Server) needsTrain() bool {
 	return v.Epoch() > v.ModelTrainedAtEpoch()
 }
 
-// Train retrains the model over the currently served corpus — warm-
-// started from the serving generation — and installs the new
-// generation. Training runs on the calling goroutine (the background
-// trainer, or an /admin/train request), never on the writer; only the
-// install goes through the writer loop. Works under either training
+// Train retrains the model cold over the currently served corpus and
+// installs the new generation. Training runs on the calling goroutine
+// (the background trainer, or an /admin/train request), never on the
+// writer; only the install goes through the writer loop. Works under either training
 // policy: when the writer trains every epoch itself, this is simply an
 // explicit extra retrain of the current corpus. It returns the view
 // being served once the install turn is over.
@@ -524,7 +521,7 @@ func (s *Server) Train() (*core.StoreView, error) {
 	val, err := s.contain("trainer", "train", func() (any, error) {
 		base := s.CurrentView()
 		t0 := time.Now()
-		trained, err := s.train(base, base)
+		trained, err := s.train(base)
 		if err != nil {
 			return nil, err
 		}
