@@ -26,7 +26,6 @@ var callerAllowlist = map[string]string{
 	"repro/internal/neural.Tape.Sigmoid":       "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
 	"repro/internal/neural.Tape.Sum":           "primitive op with a backward case, pinned by TestGradientsEmbedding",
 	"repro/internal/neural.Tape.WeightedSum":   "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
-	"repro/internal/neural.Params.ClipGrad":    "model's referenceTrain clips through it",
 	"repro/internal/sparse.ToCOO":              "labeling's reference_test builds its matrices with it",
 	"repro/internal/candidates.MeasureBalance": "synth's corpus checks measure class balance with it",
 	"repro/internal/candidates.Balance.Ratio":  "synth's corpus checks measure class balance with it",

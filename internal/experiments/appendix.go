@@ -23,32 +23,39 @@ type CacheResult struct {
 // the mention cache. The paper measures ~100x average speedup on real
 // datasheets (hundreds of candidates per mention); the synthetic
 // corpus has fewer candidates per mention, so the factor is smaller,
-// but the direction and mechanism are identical.
+// but the direction and mechanism are identical. Both times are medians
+// of timingRuns interleaved runs.
 func CacheStudy(cfg Config) CacheResult {
 	elec := synth.Electronics(cfg.Seed, cfg.ElecDocs)
 	task := elec.Tasks[0]
 	ext := &candidates.Extractor{Args: task.Args, Scope: candidates.DocumentScope}
 	cands := ext.ExtractAll(elec.Docs)
 
-	run := func(useCache bool) (float64, features.CacheStats) {
-		fx := features.NewExtractor()
-		fx.UseCache = useCache
-		start := time.Now()
-		for _, c := range cands {
-			fx.Featurize(c)
+	var stats features.CacheStats
+	run := func(useCache bool) func() float64 {
+		return func() float64 {
+			fx := features.NewExtractor()
+			fx.UseCache = useCache
+			start := time.Now()
+			for _, c := range cands {
+				fx.Featurize(c)
+			}
+			secs := time.Since(start).Seconds()
+			if useCache {
+				stats = fx.Stats()
+			}
+			return secs
 		}
-		return time.Since(start).Seconds(), fx.Stats()
 	}
-	cachedSecs, stats := run(true)
-	uncachedSecs, _ := run(false)
+	secs := interleavedMedians(run(true), run(false))
 	out := CacheResult{
 		Candidates:   len(cands),
-		CachedSecs:   cachedSecs,
-		UncachedSecs: uncachedSecs,
+		CachedSecs:   secs[0],
+		UncachedSecs: secs[1],
 		CacheHitRate: stats.HitRate(),
 	}
-	if cachedSecs > 0 {
-		out.SpeedUp = uncachedSecs / cachedSecs
+	if out.CachedSecs > 0 {
+		out.SpeedUp = out.UncachedSecs / out.CachedSecs
 	}
 	return out
 }
@@ -76,7 +83,8 @@ type SparseResult struct {
 
 // SparseStudy measures the representation tradeoff with a synthetic
 // Features/Labels workload shaped like the ELECTRONICS application
-// (sparse rows over a large column space).
+// (sparse rows over a large column space). Every time is the median of
+// timingRuns interleaved runs.
 func SparseStudy(rows, cols, activePerRow, repeats int) SparseResult {
 	out := SparseResult{Rows: rows, Cols: cols}
 
@@ -103,12 +111,18 @@ func SparseStudy(rows, cols, activePerRow, repeats int) SparseResult {
 			}
 		}
 	}
-	lilU := sparse.NewLIL()
-	fill(lilU)
-	out.UpdateLILSecs = updates(lilU)
-	cooU := sparse.NewCOO()
-	fill(cooU)
-	out.UpdateCOOSecs = updates(cooU)
+	// Each timed run updates a freshly filled matrix.
+	update := func(newMatrix func() sparse.Matrix) func() float64 {
+		return func() float64 {
+			m := newMatrix()
+			fill(m)
+			return updates(m)
+		}
+	}
+	u := interleavedMedians(
+		update(func() sparse.Matrix { return sparse.NewLIL() }),
+		update(func() sparse.Matrix { return sparse.NewCOO() }))
+	out.UpdateLILSecs, out.UpdateCOOSecs = u[0], u[1]
 	if out.UpdateCOOSecs > 0 {
 		out.UpdateSpeedup = out.UpdateLILSecs / out.UpdateCOOSecs
 	}
@@ -131,12 +145,11 @@ func SparseStudy(rows, cols, activePerRow, repeats int) SparseResult {
 		_ = sink
 		return time.Since(start).Seconds()
 	}
-	lilQ := sparse.NewLIL()
+	lilQ, cooQ := sparse.NewLIL(), sparse.NewCOO()
 	fill(lilQ)
-	out.QueryLILSecs = queries(lilQ)
-	cooQ := sparse.NewCOO()
 	fill(cooQ)
-	out.QueryCOOSecs = queries(cooQ)
+	q := interleavedMedians(func() float64 { return queries(lilQ) }, func() float64 { return queries(cooQ) })
+	out.QueryLILSecs, out.QueryCOOSecs = q[0], q[1]
 	if out.QueryLILSecs > 0 {
 		out.QuerySpeedup = out.QueryCOOSecs / out.QueryLILSecs
 	}

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/candidates"
@@ -30,8 +31,36 @@ type Config struct {
 	// pipeline execution is bit-identical to sequential, so results do
 	// not depend on this value. Experiments that measure wall-clock
 	// time (Table 6, Figure 4, the appendix studies) always run their
-	// timed sections back-to-back.
+	// timed sections one at a time.
 	Workers int
+}
+
+// timingRuns is how many times each side of a wall-clock comparison
+// runs (Figure 4, the appendix studies). The sides take turns, and each
+// reports the median of its runs, so that a moment of CPU taken by
+// another process moves neither side.
+const timingRuns = 5
+
+// interleavedMedians runs each function timingRuns times, in rounds
+// that alternate direction (a b c, c b a, a b c, ...), and returns the
+// median of the seconds each one reported.
+func interleavedMedians(runs ...func() float64) []float64 {
+	secs := make([][]float64, len(runs))
+	for round := 0; round < timingRuns; round++ {
+		for k := range runs {
+			i := k
+			if round%2 == 1 {
+				i = len(runs) - 1 - k
+			}
+			secs[i] = append(secs[i], runs[i]())
+		}
+	}
+	med := make([]float64, len(runs))
+	for i, s := range secs {
+		slices.Sort(s)
+		med[i] = s[len(s)/2]
+	}
+	return med
 }
 
 // DefaultConfig returns the configuration used for EXPERIMENTS.md.

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/features"
+	"repro/internal/sparse"
+	"repro/internal/synth"
 )
 
 // The experiment tests use FastConfig (small corpora, few epochs) and
@@ -238,9 +242,14 @@ func TestFigure9Shapes(t *testing.T) {
 	}
 }
 
+// TestCacheStudy asserts Appendix C.1's shape, cache speedup > 1 (each
+// side timed as the median of interleaved runs), and its mechanism
+// without a clock: the cache answers repeated mentions and changes no
+// candidate's features.
 func TestCacheStudy(t *testing.T) {
 	skipSlow(t)
-	r := CacheStudy(FastConfig())
+	cfg := FastConfig()
+	r := CacheStudy(cfg)
 	if r.Candidates == 0 {
 		t.Fatal("no candidates")
 	}
@@ -253,10 +262,31 @@ func TestCacheStudy(t *testing.T) {
 	if s := r.String(); !strings.Contains(s, "speedup") {
 		t.Fatal("render")
 	}
+
+	elec := synth.Electronics(cfg.Seed, cfg.ElecDocs)
+	task := elec.Tasks[0]
+	cands := (&candidates.Extractor{Args: task.Args, Scope: candidates.DocumentScope}).ExtractAll(elec.Docs)
+	cached, plain := features.NewExtractor(), features.NewExtractor()
+	plain.UseCache = false
+	for _, c := range cands {
+		if got, want := cached.Featurize(c), plain.Featurize(c); !slices.Equal(got, want) {
+			t.Fatalf("candidate %d: %d features with the cache, %d without", c.ID, len(got), len(want))
+		}
+	}
+	if st := cached.Stats(); st.Hits == 0 {
+		t.Fatalf("cache stats %+v: want hits", st)
+	}
 }
 
+// TestSparseStudy asserts Appendix C.2's shape, COO updates and LIL row
+// queries faster (each side timed as the median of interleaved runs),
+// and its mechanism without a clock: an update of a filled LIL row
+// moves the entries after the updated column, where a COO update
+// appends one entry; a LIL row query reads the row, where a COO one
+// reads the whole log.
 func TestSparseStudy(t *testing.T) {
-	r := SparseStudy(800, 4000, 40, 50)
+	const rows, cols, active, repeats = 800, 4000, 40, 50
+	r := SparseStudy(rows, cols, active, repeats)
 	if r.UpdateSpeedup <= 1 {
 		t.Fatalf("COO update speedup = %v, want > 1", r.UpdateSpeedup)
 	}
@@ -265,6 +295,35 @@ func TestSparseStudy(t *testing.T) {
 	}
 	if s := r.String(); !strings.Contains(s, "faster") {
 		t.Fatal("render")
+	}
+
+	// The study's fill, then its update pattern: one column of every
+	// row, once per repeat.
+	lil, writes := sparse.NewLIL(), 0
+	for row := 0; row < rows; row++ {
+		for k := 0; k < active; k++ {
+			lil.Set(row, (row*31+k*977)%cols, 1)
+			writes++
+		}
+	}
+	moved, updates := 0, 0
+	for rep := 0; rep < repeats; rep++ {
+		for row := 0; row < rows; row++ {
+			entries := lil.Row(row)
+			at, found := slices.BinarySearchFunc(entries, rep%cols, func(e sparse.Entry, col int) int { return e.Col - col })
+			if !found {
+				moved += len(entries) - at
+			}
+			lil.Set(row, rep%cols, 1)
+			updates++
+		}
+	}
+	if moved <= updates {
+		t.Fatalf("LIL updates moved %d entries over %d updates; a COO update writes one entry each", moved, updates)
+	}
+	// A COO row query scans every write of the fill at least.
+	if rowLen := len(lil.Row(0)); rowLen >= writes {
+		t.Fatalf("a LIL row query reads %d entries, a COO one scans %d", rowLen, writes)
 	}
 }
 

@@ -29,7 +29,8 @@ type Figure4Result struct {
 // Figure4 sweeps throttling strength on ELECTRONICS. Candidates that
 // fail the task's throttlers are pruned first (accurate filtering of
 // negatives); past that point pruning removes candidates blindly,
-// which cuts into recall — the paper's non-monotone quality curve.
+// which cuts into recall — the paper's non-monotone quality curve. Each
+// point's time is the median of timingRuns interleaved runs.
 func Figure4(cfg Config) Figure4Result {
 	elec := synth.Electronics(cfg.Seed, cfg.ElecDocs)
 	task := elec.Tasks[0]
@@ -76,24 +77,30 @@ func Figure4(cfg Config) Figure4Result {
 		return out
 	}
 
-	var out Figure4Result
-	var baseSecs float64
-	for _, ratio := range []float64{0, 0.25, 0.5, 0.75, 0.9} {
+	ratios := []float64{0, 0.25, 0.5, 0.75, 0.9}
+	out := Figure4Result{Points: make([]Figure4Point, len(ratios))}
+	runs := make([]func() float64, len(ratios))
+	for i, ratio := range ratios {
 		tr := keepFiltered(trainAll, ratio, cfg.Seed+int64(ratio*100))
 		te := keepFiltered(testAll, ratio, cfg.Seed+1000+int64(ratio*100))
-		start := time.Now()
-		res := core.RunWithCandidates(task, tr, te, test, gold,
-			core.Options{Epochs: cfg.Epochs, Seed: cfg.Seed, NoThrottlers: true, Workers: innerWorkers()})
-		secs := time.Since(start).Seconds()
-		pt := Figure4Point{FilterRatio: ratio, Quality: res.Quality, Seconds: secs}
-		if ratio == 0 {
-			baseSecs = secs
-			pt.SpeedUp = 1
-		} else if secs > 0 {
-			pt.SpeedUp = baseSecs / secs
+		runs[i] = func() float64 {
+			start := time.Now()
+			res := core.RunWithCandidates(task, tr, te, test, gold,
+				core.Options{Epochs: cfg.Epochs, Seed: cfg.Seed, NoThrottlers: true, Workers: innerWorkers()})
+			// Every run of a point is seeded alike and gives the same
+			// result; only its time varies.
+			out.Points[i] = Figure4Point{FilterRatio: ratio, Quality: res.Quality}
+			return time.Since(start).Seconds()
 		}
-		out.Points = append(out.Points, pt)
 	}
+	secs := interleavedMedians(runs...)
+	for i := range out.Points {
+		out.Points[i].Seconds = secs[i]
+		if secs[i] > 0 {
+			out.Points[i].SpeedUp = secs[0] / secs[i]
+		}
+	}
+	out.Points[0].SpeedUp = 1
 	return out
 }
 

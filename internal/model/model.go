@@ -480,6 +480,46 @@ type trainSlot struct {
 	model *Model
 	tape  *neural.Tape
 	loss  float64
+	// rows and cols are the embedding rows and feature-head columns the
+	// slot's example read: outside them its gradient is +0.
+	rows, cols []int
+	// sparse names the slot model's embedding table and feature head,
+	// the parameters whose gradient an example writes only in part, with
+	// Idx at rows and cols.
+	sparse []neural.Sparse
+}
+
+// touch records the embedding rows and feature-head columns the slot's
+// example read (its token sequences and features), and points the
+// slot's sparse entries at them.
+func (s *trainSlot) touch(seq *seqIDs, feats []int) {
+	if s.model.emb != nil {
+		s.rows = s.model.emb.Rows(s.rows, seq.ids)
+	}
+	if s.model.headSparse != nil {
+		s.cols = neural.SparseCols(s.cols, s.model.headSparse, feats)
+	}
+	for j := range s.sparse {
+		s.sparse[j].Idx = s.rows
+		if s.sparse[j].Cols {
+			s.sparse[j].Idx = s.cols
+		}
+	}
+}
+
+// sparseParams returns a Sparse entry, with no indices yet, for each of
+// the model's parameters whose gradient one example writes only in
+// part: the embedding table (the rows of its tokens) and the feature
+// head (the columns of its features).
+func (m *Model) sparseParams() []neural.Sparse {
+	var sp []neural.Sparse
+	if m.emb != nil {
+		sp = append(sp, neural.Sparse{M: m.emb.Table})
+	}
+	if m.headSparse != nil {
+		sp = append(sp, neural.Sparse{M: m.headSparse, Cols: true})
+	}
+	return sp
 }
 
 // Train fits the model with Adam on the noise-aware cross-entropy
@@ -500,9 +540,12 @@ type trainSlot struct {
 // Because slot k's gradient is a pure function of the weights and
 // example k, and the reduction order is fixed, the trained weights are
 // bit-identical at any worker count. At Batch=1 there is nothing to
-// reduce — three passes over the parameters per step (zero, norm,
-// Adam) — and the trajectory is exactly the per-example sequential
-// loop this implementation replaced.
+// reduce, and the trajectory is exactly the per-example sequential loop
+// this implementation replaced. A step reads the whole parameter set
+// once, in Adam; the clip norm and the zeroing of the gradients visit
+// only the dense parameters and the embedding rows and feature columns
+// the step's examples read (their union over a minibatch), since every
+// other gradient is +0.
 func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	opts.defaults()
 	optim := neural.NewAdam(opts.LR)
@@ -528,17 +571,25 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	for k := 1; k < nslots; k++ {
 		slots[k] = &trainSlot{model: m.shadow(), tape: neural.NewTape()}
 	}
+	for _, s := range slots {
+		s.sparse = s.model.sparseParams()
+	}
+	// union is the master's scratch for a minibatch's rows and columns,
+	// one list per sparse entry.
+	union := make([][]int, len(slots[0].sparse))
+	// Steps zero only what they wrote, so they start from a zero gradient.
+	m.params.ZeroGrad()
 	// One closure for the whole run (base is the minibatch's offset
 	// into order): a step allocates nothing, not even this.
 	var base int
 	step := func(k int) {
 		s, i := slots[k], order[base+k]
-		s.model.params.ZeroGrad()
 		s.tape.Reset()
 		logits := s.model.forward(s.tape, &seqs[i], examples[i].SparseFeats, nil)
 		loss, node := neural.NoiseAwareCE(s.tape, logits, examples[i].Marginal)
 		s.loss = loss
 		s.tape.Backward(node)
+		s.touch(&seqs[i], examples[i].SparseFeats)
 	}
 	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
@@ -559,7 +610,24 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 			if n > 1 {
 				m.params.ScaleGrad(1 / float64(n))
 			}
-			optim.StepScaled(m.params, m.params.ClipScale(opts.Clip))
+			// The master's gradient can be nonzero wherever a slot's was.
+			master := slots[0].sparse
+			if n > 1 {
+				for j := range master {
+					u := union[j][:0]
+					for _, s := range slots[:n] {
+						u = append(u, s.sparse[j].Idx...)
+					}
+					slices.Sort(u)
+					union[j] = slices.Compact(u)
+					master[j].Idx = union[j]
+				}
+			}
+			optim.StepScaled(m.params, m.params.ClipScale(opts.Clip, master...))
+			m.params.ZeroGrad(master...)
+			for k := 1; k < n; k++ {
+				slots[k].model.params.ZeroGrad(slots[k].sparse...)
+			}
 		}
 		if len(examples) > 0 {
 			lastLoss = total / float64(len(examples))

@@ -252,10 +252,27 @@ func mustEqualWeights(t *testing.T, label string, a, b [][]float64) {
 	}
 }
 
+// clipGrad scales the gradients in place so that their global L2 norm
+// is at most c — the clip as the sequential loop applied it, before the
+// factor was folded into Adam's step — and reports whether it did.
+func clipGrad(ps neural.Params, c float64) bool {
+	scale := ps.ClipScale(c)
+	if scale == 1 {
+		return false
+	}
+	for _, p := range ps {
+		for i := range p.G {
+			p.G[i] *= scale
+		}
+	}
+	return true
+}
+
 // referenceTrain is the pre-minibatch sequential loop — one tape, one
 // gradient accumulation and one Adam step per example — kept verbatim
-// as the trajectory oracle for the Batch=1 equivalence contract.
-func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
+// as the trajectory oracle for the Batch=1 equivalence contract. It
+// also returns the number of steps whose clip bound.
+func referenceTrain(m *Model, examples []Example, opts TrainOptions) (lastLoss float64, clipped int) {
 	opts.defaults()
 	optim := neural.NewAdam(opts.LR)
 	optim.WeightDecay = opts.L2
@@ -263,7 +280,6 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 	for i := range order {
 		order[i] = i
 	}
-	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		optim.LR = opts.LR / (1 + lrDecay*float64(epoch))
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -277,7 +293,9 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 			logits := m.forward(tp, &seqs, ex.SparseFeats, nil)
 			loss, node := neural.NoiseAwareCE(tp, logits, ex.Marginal)
 			tp.Backward(node)
-			m.params.ClipGrad(opts.Clip)
+			if clipGrad(m.params, opts.Clip) {
+				clipped++
+			}
 			optim.StepScaled(m.params, 1)
 			total += loss
 		}
@@ -285,25 +303,42 @@ func referenceTrain(m *Model, examples []Example, opts TrainOptions) float64 {
 			lastLoss = total / float64(len(examples))
 		}
 	}
-	return lastLoss
+	return lastLoss, clipped
 }
 
 // TestTrainBatch1MatchesSequentialReference pins the tentpole's
 // backward-compatibility contract: minibatch training at Batch=1 must
 // reproduce the pre-parallel per-example trajectory exactly — same
-// weights bit for bit, same reported loss — at any worker count.
+// weights bit for bit, same reported loss — at any worker count. The
+// long case runs past step 356, where Adam's bias correction 1−β₁ᵗ
+// rounds to 1, with weight decay and a clip that binds on most steps,
+// so that the touched-set clip norm and the kernel without m/b1t are on
+// the path.
 func TestTrainBatch1MatchesSequentialReference(t *testing.T) {
 	exs := mixedDataset(12)
-	ref := NewFonduer(1, 10, 99, exs)
-	refLoss := referenceTrain(ref, exs, TrainOptions{Epochs: 3, LR: 0.02})
-	want := weights(ref)
+	for _, tc := range []struct {
+		name string
+		opts TrainOptions
+	}{
+		{"short", TrainOptions{Epochs: 3, LR: 0.02}},
+		{"past step 356, L2, clip", TrainOptions{Epochs: 31, LR: 0.02, L2: 1e-4, Clip: 0.001}},
+	} {
+		ref := NewFonduer(1, 10, 99, exs)
+		refLoss, clipped := referenceTrain(ref, exs, tc.opts)
+		if steps := tc.opts.Epochs * len(exs); tc.opts.Clip > 0 && (steps <= 356 || 2*clipped < steps) {
+			t.Fatalf("%s: %d steps, the clip bound on %d: want past 356 and most", tc.name, steps, clipped)
+		}
+		want := weights(ref)
 
-	for _, workers := range []int{1, 2, 8} {
-		m := NewFonduer(1, 10, 99, exs)
-		st := m.Train(exs, TrainOptions{Epochs: 3, LR: 0.02, Batch: 1, Workers: workers})
-		mustEqualWeights(t, fmt.Sprintf("workers=%d", workers), want, weights(m))
-		if st.FinalLoss != refLoss {
-			t.Fatalf("workers=%d: FinalLoss %v, reference %v", workers, st.FinalLoss, refLoss)
+		for _, workers := range []int{1, 2, 8} {
+			m := NewFonduer(1, 10, 99, exs)
+			opts := tc.opts
+			opts.Batch, opts.Workers = 1, workers
+			st := m.Train(exs, opts)
+			mustEqualWeights(t, fmt.Sprintf("%s, workers=%d", tc.name, workers), want, weights(m))
+			if st.FinalLoss != refLoss {
+				t.Fatalf("%s, workers=%d: FinalLoss %v, reference %v", tc.name, workers, st.FinalLoss, refLoss)
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@
 // from a slab, and the backward pass is a list of plain records — so a
 // tape that is Reset and reused (one per training slot, pooled ones for
 // inference) allocates nothing once it has seen its largest example.
-// The hot, fixed-shape path — LSTM.Step and Attention.Apply — is one
+// The hot, fixed-shape path — the LSTM step and Attention.Apply — is one
 // fused op each; the primitive ops stay for the ablation variants and
 // as the reference the fused ops are tested against, and every fused op
 // performs the same floating-point operations in the same accumulation
@@ -26,7 +26,10 @@
 // in the tests.
 package neural
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // bump is a grow-only bump allocator whose elements are zero when
 // handed out. When the current block is exhausted a larger one replaces
@@ -68,8 +71,9 @@ type Tape struct {
 	refs   bump[*Vec]
 	ints   bump[int]
 	ops    []op
-	// scratch is the fused ops' backward workspace (pre-activation
-	// gradients), sized on demand and reused across records: see work.
+	// scratch is the fused ops' workspace — LSTM.Run's packed inputs
+	// and projections, the backward rules' pre-activation gradients —
+	// sized on demand and reused: see work.
 	scratch []float64
 }
 
@@ -155,8 +159,9 @@ func (t *Tape) Row(m *Mat, r int) *Vec {
 	return t.view(m.W[r*m.Cols:(r+1)*m.Cols], m.G[r*m.Cols:(r+1)*m.Cols])
 }
 
-// work returns the tape's backward workspace, at least n long; its
-// contents are whatever the previous record left there.
+// work returns the tape's workspace, at least n long; its contents are
+// whatever its previous user left there, and the next call may hand
+// the same memory out again.
 func (t *Tape) work(n int) []float64 {
 	if len(t.scratch) < n {
 		t.scratch = make([]float64, n)
@@ -487,6 +492,20 @@ func (t *Tape) SparseLinear(m *Mat, cols []int) *Vec {
 	}
 	t.record(op{kind: opSparseLinear, out: out, m: m, idx: cols})
 	return out
+}
+
+// SparseCols sets dst to the columns of m that SparseLinear(m, cols)
+// reads, and that its backward pass can write: the ones in range,
+// ascending and without repeats, the Idx of m's Sparse entry.
+func SparseCols(dst []int, m *Mat, cols []int) []int {
+	dst = dst[:0]
+	for _, c := range cols {
+		if c >= 0 && c < m.Cols {
+			dst = append(dst, c)
+		}
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 func mustSameLen(a, b *Vec) {

@@ -93,3 +93,43 @@ func matVecBackwardGo(m *Mat, g []float64, x *Vec, c0 int) {
 		}
 	}
 }
+
+// inputProj computes an LSTM gate's input projections W·x_t for a whole
+// sequence at once (they do not depend on the recurrence): x4 holds the
+// inputs in groups of four timesteps, column-major within a group —
+// x4[(q·cols+k)·4+j] is column k of timestep 4q+j — and out receives,
+// for each group q and row r, the four timesteps' sums at
+// out[(q·rows+r)·4 : +4]. Each sum is W's row times x_t accumulated
+// from +0 in column order, as the LSTM step accumulated it in place.
+func inputProj(w []float64, rows, cols int, x4, out []float64) {
+	if cols == 0 {
+		clear(out) // empty rows: every sum is its starting +0
+		return
+	}
+	groups := len(x4) / (4 * cols)
+	if len(w) < rows*cols || len(x4) != 4*cols*groups || len(out) < 4*rows*groups {
+		panic("neural: inputProj dimension mismatch")
+	}
+	if useAVX && rows%4 == 0 && groups > 0 {
+		inputProjAVX(w[:rows*cols], x4, out[:4*rows*groups], cols)
+		return
+	}
+	inputProjGo(w, rows, cols, x4, out)
+}
+
+// inputProjGo is inputProj's scalar loop.
+func inputProjGo(w []float64, rows, cols int, x4, out []float64) {
+	for q := 0; q < len(x4)/(4*cols); q++ {
+		xq := x4[4*q*cols:][:4*cols]
+		for r := 0; r < rows; r++ {
+			wr := w[r*cols:][:cols]
+			for j := 0; j < 4; j++ {
+				s := 0.0
+				for k, wk := range wr {
+					s += wk * xq[4*k+j]
+				}
+				out[4*(q*rows+r)+j] = s
+			}
+		}
+	}
+}

@@ -3,7 +3,8 @@
 
 // The kernels perform the scalar loops' operations (kernels.go) four
 // lanes at a time, in the same order and with the same rounding points;
-// AVX1 only, no FMA. Go's three-operand form is OP src2, src1, dst with
+// AVX1 only, no FMA. (The gate nonlinearities, which do replay FMAs,
+// are in gates_amd64.s.) Go's three-operand form is OP src2, src1, dst with
 // dst = src1 op src2.
 
 // func hasAVX() bool
@@ -26,7 +27,44 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// ADAMMOMENTS and ADAMUPDATE update the four parameters at offset BX,
+// with the constants in Y0–Y9 as adamAVX loads them; between them the
+// first moment m (Y12) may be bias-corrected.
+#define ADAMMOMENTS \
+	VMOVUPD (SI)(BX*8), Y10; \
+	VMULPD  Y0, Y10, Y10; \
+	VMOVUPD (DI)(BX*8), Y11; \
+	VMULPD  Y1, Y11, Y12; \
+	VADDPD  Y10, Y12, Y10; \
+	VMOVUPD (R8)(BX*8), Y12; \
+	VMULPD  Y2, Y12, Y12; \
+	VMULPD  Y10, Y3, Y13; \
+	VADDPD  Y12, Y13, Y12; \
+	VMOVUPD Y12, (R8)(BX*8); \
+	VMOVUPD (R9)(BX*8), Y13; \
+	VMULPD  Y4, Y13, Y13; \
+	VMULPD  Y10, Y5, Y14; \
+	VMULPD  Y10, Y14, Y14; \
+	VADDPD  Y13, Y14, Y13; \
+	VMOVUPD Y13, (R9)(BX*8)
+
+#define ADAMUPDATE \
+	VDIVPD  Y7, Y13, Y13; \
+	VMULPD  Y8, Y12, Y12; \
+	VSQRTPD Y13, Y13; \
+	VADDPD  Y9, Y13, Y13; \
+	VDIVPD  Y13, Y12, Y12; \
+	VSUBPD  Y12, Y11, Y11; \
+	VMOVUPD Y11, (DI)(BX*8); \
+	ADDQ    $4, BX
+
 // func adamAVX(w, grad, m, v []float64, k *adamConsts)
+//
+// Per lane: g := float64(grad·scale) + wd·w, summed as (w·wd) +
+// (grad·scale); m = b1·m + (1−b1)·g; v = b2·v + (1−b2)·g·g; then
+// w −= lr·(m/b1t) / (√(v/b2t) + eps). From the step at which 1−β₁ᵗ
+// rounds to exactly 1 on, m/b1t is m/1 = m, and the second loop skips
+// that division: x/1 is x for every x, NaN included as a class.
 TEXT ·adamAVX(SB), NOSPLIT, $0-104
 	MOVQ w_base+0(FP), DI
 	MOVQ w_len+8(FP), CX
@@ -46,46 +84,30 @@ TEXT ·adamAVX(SB), NOSPLIT, $0-104
 	VBROADCASTSD adamConsts_lr(AX), Y8
 	VBROADCASTSD adamConsts_eps(AX), Y9
 	XORQ BX, BX
+	MOVQ adamConsts_b1t(AX), DX
+	MOVQ $0x3ff0000000000000, R10 // 1.0
+	CMPQ DX, R10
+	JEQ  nob1test
 	JMP  adamtest
 
 adamloop:
-	// g := float64(grad·scale) + wd·w, summed as (w·wd) + (grad·scale)
-	VMOVUPD (SI)(BX*8), Y10
-	VMULPD  Y0, Y10, Y10
-	VMOVUPD (DI)(BX*8), Y11
-	VMULPD  Y1, Y11, Y12
-	VADDPD  Y10, Y12, Y10
-
-	// m = b1·m + (1−b1)·g
-	VMOVUPD (R8)(BX*8), Y12
-	VMULPD  Y2, Y12, Y12
-	VMULPD  Y10, Y3, Y13
-	VADDPD  Y12, Y13, Y12
-	VMOVUPD Y12, (R8)(BX*8)
-
-	// v = b2·v + (1−b2)·g·g
-	VMOVUPD (R9)(BX*8), Y13
-	VMULPD  Y4, Y13, Y13
-	VMULPD  Y10, Y5, Y14
-	VMULPD  Y10, Y14, Y14
-	VADDPD  Y13, Y14, Y13
-	VMOVUPD Y13, (R9)(BX*8)
-
-	// w −= lr·(m/b1t) / (√(v/b2t) + eps)
-	VDIVPD  Y6, Y12, Y12
-	VDIVPD  Y7, Y13, Y13
-	VMULPD  Y8, Y12, Y12
-	VSQRTPD Y13, Y13
-	VADDPD  Y9, Y13, Y13
-	VDIVPD  Y13, Y12, Y12
-	VSUBPD  Y12, Y11, Y11
-	VMOVUPD Y11, (DI)(BX*8)
-
-	ADDQ $4, BX
+	ADAMMOMENTS
+	VDIVPD Y6, Y12, Y12
+	ADAMUPDATE
 
 adamtest:
 	CMPQ BX, CX
 	JLT  adamloop
+	VZEROUPPER
+	RET
+
+nob1loop:
+	ADAMMOMENTS
+	ADAMUPDATE
+
+nob1test:
+	CMPQ BX, CX
+	JLT  nob1loop
 	VZEROUPPER
 	RET
 
@@ -137,5 +159,78 @@ nextrow:
 rowtest:
 	CMPQ AX, R9
 	JLT  rowloop
+	VZEROUPPER
+	RET
+
+// func inputProjAVX(w, x4, out []float64, cols int)
+//
+// Four rows of w at a time against one group of four timesteps: each
+// lane of an accumulator is one timestep's dot product with one row,
+// summed from +0 in column order, a product rounded before each add.
+TEXT ·inputProjAVX(SB), NOSPLIT, $0-80
+	MOVQ w_base+0(FP), SI
+	MOVQ w_len+8(FP), R8
+	MOVQ x4_base+24(FP), DX
+	MOVQ x4_len+32(FP), R9
+	MOVQ out_base+48(FP), DI
+	MOVQ cols+72(FP), R10
+	TESTQ R10, R10
+	JZ    projdone
+	LEAQ (SI)(R8*8), R8 // end of w
+	LEAQ (DX)(R9*8), R9 // end of x4
+	MOVQ R10, R11
+	SHLQ $3, R11        // row stride of w in bytes
+	LEAQ (R11)(R11*2), R13
+	JMP  grouptest
+
+grouploop:
+	MOVQ SI, AX // first of the four rows
+
+blockloop:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   AX, R12
+	MOVQ   DX, CX
+	MOVQ   R10, BX
+
+colloop:
+	VMOVUPD      (CX), Y4
+	VBROADCASTSD (R12), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (R12)(R11*1), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (R12)(R11*2), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (R12)(R13*1), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R12
+	ADDQ         $32, CX
+	DECQ         BX
+	JNZ          colloop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	LEAQ    (AX)(R11*4), AX
+	CMPQ    AX, R8
+	JLT     blockloop
+
+	MOVQ R10, BX
+	SHLQ $5, BX
+	ADDQ BX, DX // next group of timesteps
+
+grouptest:
+	CMPQ DX, R9
+	JLT  grouploop
+
+projdone:
 	VZEROUPPER
 	RET

@@ -214,6 +214,7 @@ func FuzzAdamKernel(f *testing.F) {
 	f.Add(seed, 1.0, 1e-4, 0.9, 0.999, 0.1, 0.001999, 0.02, 1e-8)
 	f.Add(seed[:5*32], 0.37, 0.0, 0.9, 0.999, 1.0, 0.45, 0.02, 1e-8)
 	f.Add([]byte{}, 1.0, 0.0, 0.9, 0.999, 1.0, 1.0, 0.02, 1e-8)
+	f.Add(seed[:7*32], 0.5, 1e-4, 0.9, 0.999, 1.0, 0.3, 0.02, 1e-8) // b1t = 1: no m/b1t
 	f.Fuzz(func(t *testing.T, data []byte, scale, wd, b1, b2, b1t, b2t, lr, eps float64) {
 		n := len(data) / 32
 		s := make([]float64, 4*n)
@@ -318,20 +319,112 @@ func TestClipScaleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestInputProjKernelMatchesReference pins inputProj bit for bit
+// against its scalar loop over every shape up to 20×20 (row counts that
+// are and are not a multiple of four; the kernel takes only the former)
+// and zero to three timestep groups, with special values among the
+// weights and inputs.
+func TestInputProjKernelMatchesReference(t *testing.T) {
+	t.Logf("AVX kernels in use: %v", useAVX)
+	rng := rand.New(rand.NewSource(43))
+	for rows := 1; rows <= 20; rows++ {
+		for cols := 1; cols <= 20; cols++ {
+			for groups := 0; groups <= 3; groups++ {
+				w, x4 := make([]float64, rows*cols), make([]float64, 4*cols*groups)
+				fillMixed(rng, w, 0.05, 0.02)
+				fillMixed(rng, x4, 0.1, 0.02)
+				got, want := make([]float64, 4*rows*groups), make([]float64, 4*rows*groups)
+				inputProj(w, rows, cols, x4, got)
+				inputProjGo(w, rows, cols, x4, want)
+				if i := firstBitsDiff(got, want); i >= 0 {
+					t.Fatalf("%d×%d, %d groups: out[%d] = %v, reference %v", rows, cols, groups, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestClipScaleSparseMatchesReference pins the touched-set clip: with
+// gradients that are +0 outside the rows of a row-sparse parameter and
+// the columns of a column-sparse one, ClipScale given those rows and
+// columns has the dense factor's bits — on sparse, signed-zero,
+// subnormal and overflowing values, for every clip setting — and
+// ZeroGrad given them leaves every gradient +0.
+func TestClipScaleSparseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// pick returns k distinct indices below n, ascending.
+	pick := func(n, k int) []int {
+		idx := rng.Perm(n)[:k]
+		slices.Sort(idx)
+		return idx
+	}
+	for trial := 0; trial < 300; trial++ {
+		emb, head := NewMat(37, 5), NewMat(2, 61)
+		dense := []*Mat{NewMat(9, 7), NewMat(13, 1)}
+		ps := Params{dense[0], emb, dense[1], head}
+		rows, cols := pick(emb.Rows, rng.Intn(emb.Rows+1)), pick(head.Cols, rng.Intn(head.Cols+1))
+		fill := func(g []float64) {
+			switch trial % 3 {
+			case 0:
+				fillMixed(rng, g, 0.2, 0)
+			case 1:
+				for i := range g {
+					g[i] = specials[rng.Intn(6)]
+				}
+			default:
+				fillMixed(rng, g, 0.3, 0.1)
+			}
+		}
+		for _, p := range dense {
+			fill(p.G)
+		}
+		for _, r := range rows {
+			fill(emb.G[r*emb.Cols : (r+1)*emb.Cols])
+		}
+		col := make([]float64, head.Rows)
+		for _, c := range cols {
+			fill(col)
+			for r, g := range col {
+				head.G[r*head.Cols+c] = g
+			}
+		}
+		sparse := []Sparse{{M: emb, Idx: rows}, {M: head, Cols: true, Idx: cols}}
+		for _, c := range []float64{-1, 0, 5e-324, 0.05, 1, 1e300, math.Inf(1)} {
+			if got, want := ps.ClipScale(c, sparse...), ps.ClipScale(c); !bitsMatch(got, want) {
+				t.Fatalf("trial %d, clip %v: touched-set ClipScale %v, dense %v", trial, c, got, want)
+			}
+		}
+		ps.ZeroGrad(sparse...)
+		for k, p := range ps {
+			for i, g := range p.G {
+				if math.Float64bits(g) != 0 {
+					t.Fatalf("trial %d: after ZeroGrad, parameter %d gradient [%d] = %v", trial, k, i, g)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAdamStep times one Adam update over the batch_kbc model's
-// parameter count, through the kernel and through the scalar loop.
+// parameter count, through the kernel (before and after 1−β₁ᵗ rounds to
+// 1) and through the scalar loop.
 func BenchmarkAdamStep(b *testing.B) {
 	const n = 13604
 	for _, bc := range []struct {
 		name string
 		fn   func(w, grad, m, v []float64, k *adamConsts)
-	}{{"kernel", adamUpdate}, {"reference", adamUpdateGo}} {
+		step int // 1−β₁ᵗ rounds to 1 from step 356 on
+	}{{"kernel", adamUpdate, 10}, {"kernel/b1t=1", adamUpdate, 400}, {"reference", adamUpdateGo, 10}} {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			w, g, m, v := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 			fillMixed(rng, w, 0, 0)
-			fillMixed(rng, g, 0.5, 0)
-			k := newAdamConsts(1, 1e-4, 0.9, 0.999, 0.02, 1e-8, 10)
+			// No exact zeros: where the gradient stays 0, the weight and
+			// its first moment decay into the subnormals after about
+			// 14 000 steps, within one long run, and the time goes to
+			// the CPU's subnormal assists.
+			fillMixed(rng, g, 0, 0)
+			k := newAdamConsts(1, 1e-4, 0.9, 0.999, 0.02, 1e-8, bc.step)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				bc.fn(w, g, m, v, &k)

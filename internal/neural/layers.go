@@ -3,6 +3,7 @@ package neural
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Embedding is a trainable word-embedding table. Rows are vocabulary
@@ -30,10 +31,28 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand, init func(id int) []float64) *
 
 // Lookup returns the embedding of a vocabulary id as a leaf view on t.
 func (e *Embedding) Lookup(t *Tape, id int) *Vec {
+	return t.Row(e.Table, e.row(id))
+}
+
+// row is the table row Lookup reads for id: an id out of range reads
+// row 0.
+func (e *Embedding) row(id int) int {
 	if id < 0 || id >= e.Table.Rows {
-		id = 0
+		return 0
 	}
-	return t.Row(e.Table, id)
+	return id
+}
+
+// Rows sets dst to the table rows that lookups of ids read, and that
+// their backward pass can write: ascending and without repeats, the
+// Idx of the table's Sparse entry.
+func (e *Embedding) Rows(dst, ids []int) []int {
+	dst = dst[:0]
+	for _, id := range ids {
+		dst = append(dst, e.row(id))
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // Params returns the trainable table.
@@ -76,10 +95,12 @@ func NewLSTM(inDim, hidDim int, rng *rand.Rand) *LSTM {
 	return l
 }
 
-// Step computes one timestep, returning the new hidden and cell states.
-// It is one fused op: the four gates, c and h are computed row by row
-// and a single record replays their backward rules. The arithmetic is
-// exactly that of the primitive composition
+// step computes one timestep from the input projections W·x of the
+// four gates (gate g's row r at wx[g·gs + r·rs]), returning the new
+// hidden and cell states. It is one fused op: the four gates, c and h
+// are computed a block at a time and a single record replays their
+// backward rules. The arithmetic is exactly that of the primitive
+// composition
 //
 //	gate(W,U,B) = act(Add(Add(MatVec(W,x), MatVec(U,hPrev)), B))
 //	i, f, o, g  = gate(Wi..), gate(Wf..), gate(Wo..), gate(Wc..)   (g: tanh)
@@ -88,27 +109,21 @@ func NewLSTM(inDim, hidDim int, rng *rand.Rand) *LSTM {
 // — every dot product is summed left to right from zero, every
 // intermediate the composition materialized is rounded to float64 here
 // too — so values and gradients are bit-identical to it.
-func (l *LSTM) Step(t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
-	in, hid := l.InDim, l.HidDim
-	if x.Len() != in || hPrev.Len() != hid || cPrev.Len() != hid {
-		panic("neural: LSTM.Step dimension mismatch")
+func (l *LSTM) step(t *Tape, x *Vec, wx []float64, gs, rs int, hPrev, cPrev *Vec) (h, c *Vec) {
+	hid := l.HidDim
+	if hPrev.Len() != hid || cPrev.Len() != hid {
+		panic("neural: LSTM dimension mismatch")
 	}
 	h, c = t.NewVec(hid), t.NewVec(hid)
-	// Saved activations, one block of hid each: i, f, o, g, tanh(c).
+	// Saved activations, one block of hid each: i, f, o, g, tanh(c). They
+	// hold the pre-activations until the nonlinearities run over whole
+	// blocks.
 	act := t.floats.take(5 * hid)
 	ig, fg, og, gg, tc := act[:hid], act[hid:2*hid], act[2*hid:3*hid], act[3*hid:4*hid], act[4*hid:]
-	xv, hv := x.V[:in], hPrev.V[:hid]
+	hv := hPrev.V[:hid]
 	for r := 0; r < hid; r++ {
 		// The four gates' rows advance together: four independent
 		// accumulation chains per loop, each in column order.
-		wi, wf, wo, wc := l.Wi.W[r*in:][:in], l.Wf.W[r*in:][:in], l.Wo.W[r*in:][:in], l.Wc.W[r*in:][:in]
-		var xi, xf, xo, xc float64
-		for k, v := range xv {
-			xi += wi[k] * v
-			xf += wf[k] * v
-			xo += wo[k] * v
-			xc += wc[k] * v
-		}
 		ui, uf, uo, uc := l.Ui.W[r*hid:][:hid], l.Uf.W[r*hid:][:hid], l.Uo.W[r*hid:][:hid], l.Uc.W[r*hid:][:hid]
 		var hi, hf, ho, hc float64
 		for k, v := range hv {
@@ -117,19 +132,26 @@ func (l *LSTM) Step(t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
 			ho += uo[k] * v
 			hc += uc[k] * v
 		}
-		ig[r] = sigmoid((xi + hi) + l.Bi.W[r])
-		fg[r] = sigmoid((xf + hf) + l.Bf.W[r])
-		og[r] = sigmoid((xo + ho) + l.Bo.W[r])
-		gg[r] = math.Tanh((xc + hc) + l.Bc.W[r])
-		c.V[r] = float64(fg[r]*cPrev.V[r]) + float64(ig[r]*gg[r])
-		tc[r] = math.Tanh(c.V[r])
-		h.V[r] = og[r] * tc[r]
+		ig[r] = (wx[r*rs] + hi) + l.Bi.W[r]
+		fg[r] = (wx[gs+r*rs] + hf) + l.Bf.W[r]
+		og[r] = (wx[2*gs+r*rs] + ho) + l.Bo.W[r]
+		gg[r] = (wx[3*gs+r*rs] + hc) + l.Bc.W[r]
+	}
+	sigmoids(act[:3*hid], act[:3*hid])
+	tanhs(gg, gg)
+	cv, cp := c.V[:hid], cPrev.V[:hid]
+	for r := range cv {
+		cv[r] = float64(fg[r]*cp[r]) + float64(ig[r]*gg[r])
+	}
+	tanhs(tc, cv)
+	for r, o := range og {
+		h.V[r] = o * tc[r]
 	}
 	t.record(op{kind: opLSTMStep, lstm: l, a: x, b: hPrev, c: cPrev, out: h, out2: c, aux: act})
 	return h, c
 }
 
-// stepBackward replays the backward rules of the composition Step
+// stepBackward replays the backward rules of the composition step
 // replaces, in reverse tape order: the element-wise tail (h, tanh(c),
 // c, and the two products), then for each gate in the order g, o, f, i
 // its activation, its bias add, the U·hPrev product and the W·x
@@ -169,11 +191,37 @@ func (l *LSTM) stepBackward(t *Tape, o *op) {
 
 // Run processes a sequence left to right from zero initial state,
 // returning the hidden state at every timestep (a tape-owned slice).
+// The input projections W·x do not depend on the recurrence, so they
+// are computed for the whole sequence up front, four timesteps at a
+// time (inputProj); each timestep is then one step.
 func (l *LSTM) Run(t *Tape, xs []*Vec) []*Vec {
-	h, c := t.NewVec(l.HidDim), t.NewVec(l.HidDim)
+	in, hid := l.InDim, l.HidDim
+	groups := (len(xs) + 3) / 4
+	// The inputs four timesteps to a group, column-major within it (a
+	// short last group's missing timesteps are zero), and the gates'
+	// projections: only the steps below read them, so they live in the
+	// tape's scratch, not in its arena.
+	gs := 4 * hid * groups
+	buf := t.work(4*in*groups + 4*gs)
+	x4, wx := buf[:4*in*groups], buf[4*in*groups:]
+	clear(x4)
+	for i, x := range xs {
+		if x.Len() != in {
+			panic("neural: LSTM dimension mismatch")
+		}
+		xq := x4[4*in*(i/4):]
+		for k, v := range x.V[:in] {
+			xq[4*k+i%4] = v
+		}
+	}
+	// One block per gate, each laid out as inputProj writes it.
+	for g, w := range [...]*Mat{l.Wi, l.Wf, l.Wo, l.Wc} {
+		inputProj(w.W, hid, in, x4, wx[g*gs:(g+1)*gs])
+	}
+	h, c := t.NewVec(hid), t.NewVec(hid)
 	out := t.Vecs(len(xs))
 	for i, x := range xs {
-		h, c = l.Step(t, x, h, c)
+		h, c = l.step(t, x, wx[4*hid*(i/4)+i%4:], gs, 4, h, c)
 		out[i] = h
 	}
 	return out
@@ -255,7 +303,7 @@ func NewAttention(hidDim, attDim int, rng *rand.Rand) *Attention {
 
 // Apply aggregates a sequence of hidden states into one vector using
 // learned word importances. It also returns the attention weights for
-// inspection. Like LSTM.Step it is one fused op whose arithmetic is
+// inspection. Like the LSTM step it is one fused op whose arithmetic is
 // exactly that of the primitive composition
 //
 //	u_k = Tanh(Add(MatVec(Ww,h_k), Bw));  s_k = Dot(u_k, Uw)
@@ -271,8 +319,9 @@ func (a *Attention) Apply(t *Tape, hs []*Vec) (*Vec, *Vec) {
 		}
 		u := us[k*dim : (k+1)*dim]
 		for r := range u {
-			u[r] = math.Tanh(dot(a.Ww.W[r*hdim:(r+1)*hdim], h.V) + a.Bw.W[r])
+			u[r] = dot(a.Ww.W[r*hdim:(r+1)*hdim], h.V) + a.Bw.W[r]
 		}
+		tanhs(u, u)
 		scores[k] = dot(u, a.Uw.W)
 	}
 	SoftmaxProbs(alpha.V, scores)

@@ -248,21 +248,23 @@ func TestOptimizersReduceLoss(t *testing.T) {
 	})
 }
 
+// TestClipGrad pins the clip factor's semantics: a norm above the clip
+// is brought down to it, one below it is left alone (exactly 1), and a
+// clip of 0 disables clipping.
 func TestClipGrad(t *testing.T) {
 	p := NewMat(1, 2)
 	p.G[0], p.G[1] = 3, 4 // norm 5
 	ps := Params{p}
-	ps.ClipGrad(1)
-	norm := math.Hypot(p.G[0], p.G[1])
-	if math.Abs(norm-1) > 1e-12 {
+	s := ps.ClipScale(1)
+	if norm := math.Hypot(s*p.G[0], s*p.G[1]); math.Abs(norm-1) > 1e-12 {
 		t.Fatalf("clipped norm = %v", norm)
 	}
-	// No-op when under the limit.
-	ps.ClipGrad(10)
-	if math.Abs(math.Hypot(p.G[0], p.G[1])-1) > 1e-12 {
-		t.Fatal("clip should be stable under limit")
+	if s := ps.ClipScale(10); s != 1 {
+		t.Fatalf("clip above the norm: scale %v, want 1", s)
 	}
-	ps.ClipGrad(0) // disabled
+	if s := ps.ClipScale(0); s != 1 {
+		t.Fatalf("clip disabled: scale %v, want 1", s)
+	}
 }
 
 func TestParamsCount(t *testing.T) {

@@ -30,13 +30,6 @@ func NewMatXavier(rows, cols int, rng *rand.Rand) *Mat {
 	return m
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (m *Mat) ZeroGrad() {
-	for i := range m.G {
-		m.G[i] = 0
-	}
-}
-
 // Shadow returns a matrix sharing m's weights but carrying a private,
 // zeroed gradient buffer. A forward/backward pass through a shadow
 // reads the live weights and accumulates gradients without touching
@@ -49,10 +42,54 @@ func (m *Mat) Shadow() *Mat {
 // Params is the set of trainable matrices of a model.
 type Params []*Mat
 
-// ZeroGrad clears all gradients.
-func (ps Params) ZeroGrad() {
+// Sparse names the part of one parameter's gradient a training step
+// can have written when that is not all of it: the rows Idx of M (an
+// embedding's looked-up ids, Embedding.Rows), or its columns Idx when
+// Cols is set (a sparse head's active features, SparseCols). Idx is
+// ascending and holds no repeats. Outside it the gradient still holds
+// the +0 that ZeroGrad left there.
+type Sparse struct {
+	M    *Mat
+	Cols bool
+	Idx  []int
+}
+
+// sparseOf returns the entry of sparse that names p, or nil: p is dense.
+// ClipScale and ZeroGrad each walk the named rows and columns
+// themselves: a shared walker with a callback per row and per column
+// made the two together 2.1× slower in a profile of
+// BenchmarkTrainBatch1.
+func sparseOf(p *Mat, sparse []Sparse) *Sparse {
+	for i := range sparse {
+		if sparse[i].M == p {
+			return &sparse[i]
+		}
+	}
+	return nil
+}
+
+// ZeroGrad clears the gradients: all of every parameter that sparse
+// does not name, and the named rows or columns of those it does. With
+// sparse naming what a step wrote, it restores an all-zero gradient
+// without reading the rest.
+func (ps Params) ZeroGrad(sparse ...Sparse) {
 	for _, p := range ps {
-		p.ZeroGrad()
+		s := sparseOf(p, sparse)
+		switch {
+		case s == nil:
+			clear(p.G)
+		case s.Cols:
+			for r := 0; r < p.Rows; r++ {
+				row := p.G[r*p.Cols:][:p.Cols]
+				for _, c := range s.Idx {
+					row[c] = 0
+				}
+			}
+		default:
+			for _, r := range s.Idx {
+				clear(p.G[r*p.Cols:][:p.Cols])
+			}
+		}
 	}
 }
 
@@ -101,30 +138,34 @@ func (ps Params) ScaleGrad(s float64) {
 // (also when c <= 0, clipping disabled). Multiplying by 1 is exact, so
 // callers may apply the factor unconditionally.
 //
-// Exactly-zero gradients — most of them: an example touches few
-// embedding rows and sparse columns — are skipped four at a time. That
-// is exact: the sum starts at +0 and every g·g is ≥ +0, so adding 0·0
-// changes no bit. (One test per element costs more in mispredicted
-// branches than the adds it saves.)
-func (ps Params) ClipScale(c float64) float64 {
+// The squares are summed in parameter order, and only where a gradient
+// can be nonzero: sparse names the rows or columns a step wrote of its
+// sparse parameters (see ZeroGrad), and every other entry of those is
+// +0. Within what is read, groups of four exactly-zero gradients are
+// skipped too. Both skips are exact: the sum starts at +0 and every g·g
+// is ≥ +0, so adding 0·0 changes no bit. (One test per element costs
+// more in mispredicted branches than the adds it saves.)
+func (ps Params) ClipScale(c float64, sparse ...Sparse) float64 {
 	if c <= 0 {
 		return 1
 	}
 	sum := 0.0
 	for _, p := range ps {
-		g := p.G
-		for ; len(g) >= 4; g = g[4:] {
-			// ±0 has no bit set but the sign.
-			if (math.Float64bits(g[0])|math.Float64bits(g[1])|math.Float64bits(g[2])|math.Float64bits(g[3]))<<1 == 0 {
-				continue
+		s := sparseOf(p, sparse)
+		switch {
+		case s == nil:
+			sum = addSquares(sum, p.G)
+		case s.Cols:
+			for r := 0; r < p.Rows; r++ {
+				row := p.G[r*p.Cols:][:p.Cols]
+				for _, c := range s.Idx {
+					sum += row[c] * row[c]
+				}
 			}
-			sum += g[0] * g[0]
-			sum += g[1] * g[1]
-			sum += g[2] * g[2]
-			sum += g[3] * g[3]
-		}
-		for _, x := range g {
-			sum += x * x
+		default:
+			for _, r := range s.Idx {
+				sum = addSquares(sum, p.G[r*p.Cols:][:p.Cols])
+			}
 		}
 	}
 	norm := math.Sqrt(sum)
@@ -134,17 +175,22 @@ func (ps Params) ClipScale(c float64) float64 {
 	return c / norm
 }
 
-// ClipGrad scales gradients so their global L2 norm is at most c.
-func (ps Params) ClipGrad(c float64) {
-	scale := ps.ClipScale(c)
-	if scale == 1 {
-		return
-	}
-	for _, p := range ps {
-		for i := range p.G {
-			p.G[i] *= scale
+// addSquares returns sum plus the squares of g, added in order.
+func addSquares(sum float64, g []float64) float64 {
+	for ; len(g) >= 4; g = g[4:] {
+		// ±0 has no bit set but the sign.
+		if (math.Float64bits(g[0])|math.Float64bits(g[1])|math.Float64bits(g[2])|math.Float64bits(g[3]))<<1 == 0 {
+			continue
 		}
+		sum += g[0] * g[0]
+		sum += g[1] * g[1]
+		sum += g[2] * g[2]
+		sum += g[3] * g[3]
 	}
+	for _, x := range g {
+		sum += x * x
+	}
+	return sum
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
@@ -165,8 +211,8 @@ func NewAdam(lr float64) *Adam {
 }
 
 // StepScaled applies one update from gradients multiplied by scale —
-// Params.ClipGrad folded into the optimizer's own pass over the
-// parameters — and leaves the gradients untouched (callers ZeroGrad
+// the clip factor (ClipScale) folded into the optimizer's own pass over
+// the parameters — and leaves the gradients untouched (callers ZeroGrad
 // between steps). The product is rounded before use, so the update
 // equals scaling the gradients in place and then stepping at scale 1,
 // bit for bit (x·1 is x).
