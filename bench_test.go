@@ -171,6 +171,9 @@ func benchServeRead(b *testing.B, paths []string) {
 	if _, err := srv.Ingest(elec.Docs); err != nil {
 		b.Fatal(err)
 	}
+	if _, err := srv.Train(); err != nil {
+		b.Fatal(err)
+	}
 	handler := srv.Handler()
 	// Warm up every route before the clock starts: the first request
 	// pays one-time lazy initialization (JSON encoder states, route
@@ -232,6 +235,9 @@ func BenchmarkServeMultiTenantRead(b *testing.B) {
 		}
 		corpus := synth.Electronics(int64(100+i), 8)
 		if _, err := rg.Get(name).Ingest(corpus.Docs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rg.Get(name).Train(); err != nil {
 			b.Fatal(err)
 		}
 		paths = append(paths, "/t/"+name+"/kb", "/t/"+name+"/meta")
@@ -468,21 +474,14 @@ func BenchmarkClassify(b *testing.B) {
 	})
 }
 
-// BenchmarkServeIngestPublish and BenchmarkServeIngestPublishAsync
-// measure the serving subsystem's ingest-to-publish latency under the
-// two training policies: a POST /ingest-sized delta (two documents)
+// BenchmarkServeIngestPublish measures the serving subsystem's
+// ingest-to-publish latency: a POST /ingest-sized delta (two documents)
 // landing on a warm 14-document session — incremental
 // extract/featurize/label, delta capture, epoch publication — until the
-// new view is readable. With the writer as trainer the op includes the
-// cold retrain over the full corpus; with the background trainer the
-// delta epoch classifies only the new documents under the serving
-// generation's model.
-func BenchmarkServeIngestPublish(b *testing.B) { benchIngestPublish(b, false) }
-
-// BenchmarkServeIngestPublishAsync is the background-trainer policy.
-func BenchmarkServeIngestPublishAsync(b *testing.B) { benchIngestPublish(b, true) }
-
-func benchIngestPublish(b *testing.B, async bool) {
+// new view is readable. The delta epoch classifies only the new
+// documents under the serving generation's model; no training is on
+// the path.
+func BenchmarkServeIngestPublish(b *testing.B) {
 	elec := synth.Electronics(8, 16)
 	task := elec.Tasks[0]
 	warm := len(elec.Docs) - 2
@@ -493,7 +492,6 @@ func benchIngestPublish(b *testing.B, async bool) {
 			Task:    task,
 			Options: core.Options{Seed: 1, Epochs: 2, Batch: 16},
 			Gold:    elec.GoldTuples[task.Relation],
-			Async:   async,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -545,6 +543,9 @@ func BenchmarkServeMetricsOverhead(b *testing.B) {
 		}
 		b.Cleanup(srv.Close)
 		if _, err := srv.Ingest(elec.Docs); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Train(); err != nil {
 			b.Fatal(err)
 		}
 		return srv.Handler()

@@ -1,10 +1,11 @@
 // Command fonduer-serve serves knowledge-base sessions over HTTP:
 // snapshot-isolated reads (KB tuples, candidates, marginals, LF
 // metrics, feature statistics, session metadata), online document
-// ingestion with incremental retraining, ad-hoc classification
-// against the current model, and snapshot-to-disk — all concurrently,
-// with every response served from exactly one published epoch (see
-// internal/serve for the copy-on-write concurrency model).
+// ingestion (each batch published at once under the serving model, the
+// model retrained in the background or on POST /admin/train), ad-hoc
+// classification against the current model, and snapshot-to-disk — all
+// concurrently, with every response served from exactly one published
+// epoch (see internal/serve for the copy-on-write concurrency model).
 //
 // One process carries N isolated tenants (a session registry, see
 // internal/serve/registry.go): each tenant is its own store, writer
@@ -34,7 +35,7 @@
 //	GET  /healthz   GET /kb   GET /candidates   GET /marginals
 //	GET  /lfmetrics GET /features GET /meta     (default-tenant alias;
 //	                                             /healthz and /meta aggregate the fleet)
-//	POST /ingest    POST /classify   POST /admin/snapshot
+//	POST /ingest    POST /classify   POST /admin/snapshot   POST /admin/train
 //	GET|POST /admin/tenants   DELETE /admin/tenants/<name>
 //	GET  /metrics   (Prometheus text exposition, fleet + per-tenant)
 //	GET  /admin/traces   (recent publication span trees, per tenant)
@@ -89,9 +90,8 @@ func main() {
 	// benchmark/ still passes it to its store_spill server; it goes when
 	// the next benchmark-archetype PR drops that argument (ROADMAP item 3(d)).
 	maxResident := flag.Int("max-resident-docs", 0, "deprecated and ignored: parsed documents always stay in memory")
-	syncPublish := flag.Bool("sync-publish", false, "the writer is the trainer: retrain on every ingest before publishing; default is async: immediate delta epochs + background retraining (both train cold)")
-	trainDrift := flag.Float64("train-drift", 0.10, "async mode: trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")
-	trainInterval := flag.Duration("train-interval", 30*time.Second, "async mode: retrain at this cadence whenever delta epochs have been published since the serving generation was trained (0 disables the timer)")
+	trainDrift := flag.Float64("train-drift", 0.10, "trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")
+	trainInterval := flag.Duration("train-interval", 30*time.Second, "retrain in the background at this cadence whenever delta epochs have been published since the serving generation was trained (0 disables the timer)")
 	logLevel := flag.String("log-level", "info", "structured-log level: debug, info, warn, error (JSON lines on stderr)")
 	slowQueryMs := flag.Int("slow-query-ms", 500, "log filtered /kb reads slower than this many milliseconds, with the chosen plan (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty = off)")
@@ -140,8 +140,7 @@ func main() {
 		Workers: *workers, Batch: *batch,
 		Backend: *backend,
 	}
-	pub := publishConfig{async: !*syncPublish, drift: *trainDrift, interval: *trainInterval}
-	rg, err := buildRegistry(*store, *domain, *relation, *tenants, *defaultTenant, opts, pub)
+	rg, err := buildRegistry(*store, *domain, *relation, *tenants, *defaultTenant, opts, *trainDrift, *trainInterval)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fonduer-serve:", err)
 		os.Exit(1)
@@ -257,27 +256,18 @@ func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 	return out, nil
 }
 
-// publishConfig carries the -sync-publish/-train-drift/-train-interval
-// flag surface into the registry: who runs the trainer — a background
-// goroutine (the default) or the writer, cold, on every ingest.
-type publishConfig struct {
-	async    bool
-	drift    float64
-	interval time.Duration
-}
-
 // buildRegistry assembles the session registry from the flag surface:
 // explicit -tenants specs or, without them, one tenant named "default"
 // from -domain/-relation, resuming the cmd/fonduer <store>/<relation>
-// layout directly.
-func buildRegistry(storeDir, domain, relation, tenantsFlag, defaultTenant string, opts fonduer.Options, pub publishConfig) (*serve.Registry, error) {
+// layout directly. trainDrift and trainInterval are every tenant's
+// background-trainer triggers (-train-drift, -train-interval).
+func buildRegistry(storeDir, domain, relation, tenantsFlag, defaultTenant string, opts fonduer.Options, trainDrift float64, trainInterval time.Duration) (*serve.Registry, error) {
 	rg, err := serve.NewRegistry(serve.RegistryConfig{
 		Resolve:       resolveTask,
 		BaseOptions:   opts,
 		SnapshotRoot:  storeDir,
-		Async:         pub.async,
-		TrainDrift:    pub.drift,
-		TrainInterval: pub.interval,
+		TrainDrift:    trainDrift,
+		TrainInterval: trainInterval,
 	})
 	if err != nil {
 		return nil, err

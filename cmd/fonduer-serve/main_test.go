@@ -53,7 +53,7 @@ func TestServeStoreIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rg, err := buildRegistry(storeDir, "electronics", task.Relation, "", "", opts, publishConfig{})
+	rg, err := buildRegistry(storeDir, "electronics", task.Relation, "", "", opts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestServeStoreIntegration(t *testing.T) {
 // with an empty store directory serves an empty epoch-0 default
 // tenant ready for online ingestion.
 func TestServeFreshSession(t *testing.T) {
-	rg, err := buildRegistry(t.TempDir(), "electronics", "", "", "", fonduer.Options{Epochs: 2, Seed: 1, Workers: 1}, publishConfig{})
+	rg, err := buildRegistry(t.TempDir(), "electronics", "", "", "", fonduer.Options{Epochs: 2, Seed: 1, Workers: 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestServeFreshSession(t *testing.T) {
 func TestServeMultiTenantBootstrap(t *testing.T) {
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1}
 	rg, err := buildRegistry(t.TempDir(), "electronics", "",
-		"elec:electronics, ads:ads:, paleo:paleo", "ads", opts, publishConfig{})
+		"elec:electronics, ads:ads:, paleo:paleo", "ads", opts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 	}
 
 	for _, bad := range []string{"justaname", "x:nosuchdomain", "a:electronics:NoSuchRelation", "e:electronics::disk", "e:electronics::disk:4"} {
-		if _, err := buildRegistry(t.TempDir(), "electronics", "", bad, "", opts, publishConfig{}); err == nil {
+		if _, err := buildRegistry(t.TempDir(), "electronics", "", bad, "", opts, 0, 0); err == nil {
 			t.Fatalf("-tenants %q must fail", bad)
 		}
 	}
-	if _, err := buildRegistry(t.TempDir(), "electronics", "", "a:electronics", "nosuchtenant", opts, publishConfig{}); err == nil {
+	if _, err := buildRegistry(t.TempDir(), "electronics", "", "a:electronics", "nosuchtenant", opts, 0, 0); err == nil {
 		t.Fatal("-default-tenant naming an unknown tenant must fail")
 	}
 }
@@ -158,10 +158,10 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 // single-tenant surface.
 func TestServeUnknownInputs(t *testing.T) {
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1}
-	if _, err := buildRegistry("", "nosuchdomain", "", "", "", opts, publishConfig{}); err == nil {
+	if _, err := buildRegistry("", "nosuchdomain", "", "", "", opts, 0, 0); err == nil {
 		t.Fatal("unknown domain must fail")
 	}
-	if _, err := buildRegistry("", "electronics", "NoSuchRelation", "", "", opts, publishConfig{}); err == nil {
+	if _, err := buildRegistry("", "electronics", "NoSuchRelation", "", "", opts, 0, 0); err == nil {
 		t.Fatal("unknown relation must fail")
 	}
 }
@@ -180,7 +180,7 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1, Backend: "disk"}
 	rg, err := buildRegistry("", "electronics", "",
-		"a:electronics,b:ads,c:genomics", "", opts, publishConfig{})
+		"a:electronics,b:ads,c:genomics", "", opts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

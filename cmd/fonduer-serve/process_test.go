@@ -53,7 +53,7 @@ func startProc(t *testing.T, bin string, flags ...string) *serveProc {
 	ln.Close()
 	p := &serveProc{base: "http://" + addr}
 	p.cmd = exec.Command(bin, append([]string{"-addr", addr, "-domain", "electronics",
-		"-epochs", "2", "-seed", "1", "-workers", "1", "-sync-publish", "-log-level", "warn"}, flags...)...)
+		"-epochs", "2", "-seed", "1", "-workers", "1", "-log-level", "warn"}, flags...)...)
 	p.cmd.Env = append(os.Environ(), "TMPDIR="+t.TempDir())
 	p.cmd.Stdout, p.cmd.Stderr = p, p
 	if err := p.cmd.Start(); err != nil {
@@ -164,10 +164,10 @@ func TestUnknownBackendRefused(t *testing.T) {
 // one path a resident-document budget used to change — resume. A
 // process on -backend disk, started with the deprecated
 // -max-resident-docs flag (warned about once, otherwise ignored),
-// ingests, shrugs off two hostile uploads, snapshots and is restarted
-// from the snapshot; it must serve the tuples it served before the
-// restart, and /kb bytes identical to a memory-kind process resumed from
-// the same snapshot.
+// ingests, retrains, shrugs off two hostile uploads, snapshots and is
+// restarted from the snapshot; it must serve the tuples it served
+// before the restart, and /kb bytes identical to a memory-kind process
+// resumed from the same snapshot.
 func TestDiskProcessResumeMatchesMemory(t *testing.T) {
 	bin := buildServe(t)
 	store := t.TempDir()
@@ -184,6 +184,9 @@ func TestDiskProcessResumeMatchesMemory(t *testing.T) {
 		}
 		disk.do(t, http.MethodPost, "/ingest", map[string]any{"documents": uploads}, http.StatusOK)
 	}
+	// Ingests publish delta epochs; the retrain serves the corpus under a
+	// model trained on all of it, as the restarted process will.
+	disk.do(t, http.MethodPost, "/admin/train", nil, http.StatusOK)
 	var meta struct {
 		Storage map[string]any `json:"storage"`
 	}

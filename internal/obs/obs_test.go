@@ -230,7 +230,7 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 func TestTraceRing(t *testing.T) {
 	r := NewTraceRing(3)
 	for i := 0; i < 5; i++ {
-		r.Add(Trace{Kind: "ingest", Epoch: uint64(i)})
+		r.Add(Trace{Kind: "delta", Epoch: uint64(i)})
 	}
 	got := r.Snapshot()
 	if len(got) != 3 || r.Len() != 3 {

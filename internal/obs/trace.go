@@ -53,11 +53,10 @@ func NewSpan(name string, start time.Time, rowsIn, rowsOut, workers int) Span {
 // pipeline run, tagged with what triggered it and the epoch it
 // published.
 type Trace struct {
-	// Kind is the trigger: "initial" (server construction), "ingest"
-	// (online ingest retrained by the writer before publishing),
-	// "delta" (online ingest publishing a delta epoch under the
-	// current model), "train" (a retrain installing a new model
-	// generation), or "snapshot" (persistence pass).
+	// Kind is the trigger: "initial" (server construction), "delta"
+	// (online ingest publishing a delta epoch under the current
+	// model), "train" (a retrain installing a new model generation),
+	// or "snapshot" (persistence pass).
 	Kind string `json:"kind"`
 	// Epoch is the store epoch the run published (the pre-run epoch
 	// for failed publications and snapshots; for "train" traces, the

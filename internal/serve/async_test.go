@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -21,37 +20,36 @@ import (
 	"repro/internal/synth"
 )
 
-// canonView renders a view's served KB exactly as /kb does — schema
+// canonKB renders a result's KB exactly as /kb serves it — schema
 // columns plus first-wins-deduplicated predicted value tuples — for
 // bit-identity comparison against canonicalKB of a live response.
-func canonView(task core.Task, v *core.StoreView) (string, error) {
+func canonKB(task core.Task, res core.Result) string {
 	cols := make([]string, task.Schema.Arity())
 	for i, c := range task.Schema.Columns {
 		cols[i] = c.Name
 	}
 	rows := [][]string{}
 	seen := map[string]bool{}
-	for _, tp := range v.Result().Predicted {
+	for _, tp := range res.Predicted {
 		key := strings.Join(tp.Values, "\x00")
 		if !seen[key] {
 			seen[key] = true
 			rows = append(rows, tp.Values)
 		}
 	}
-	buf, err := json.Marshal(map[string]any{"columns": cols, "tuples": rows})
-	return string(buf), err
+	kb, _ := canonicalKB(cols, rows) // strings only: cannot fail
+	return kb
 }
 
-// TestServeAsyncReplayEquivalence is the async-publication acceptance
-// test: with two-phase publication on, every (epoch, generation) pair
-// a reader ever observes over real HTTP must serve a KB bit-identical
-// to a from-scratch replay of the same history — delta chains advanced
-// epoch by epoch on a fresh store, each model generation a cold
-// retrain at the epoch the train traces record, independent of the
-// generation before it. Run under -race, with retrains deliberately
-// overlapping delta ingests so the install path's AdoptModel catch-up
-// is exercised, this proves the pair fully determines the served
-// bytes.
+// TestServeAsyncReplayEquivalence is the two-phase publication
+// acceptance test: every (epoch, generation) pair a reader ever
+// observes over real HTTP must serve a KB bit-identical to a
+// from-scratch replay of the same history — delta chains advanced epoch
+// by epoch on a fresh store, each model generation a cold retrain at
+// the epoch the train traces record, independent of the generation
+// before it. Run under -race, with retrains deliberately overlapping
+// delta ingests so the install path's AdoptModel catch-up is exercised,
+// this proves the pair fully determines the served bytes.
 func TestServeAsyncReplayEquivalence(t *testing.T) {
 	const nDocs, batchSize, nReaders = 12, 2, 3
 	corpus := synth.Electronics(43, nDocs)
@@ -63,7 +61,7 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	// Drift and interval are off: the test controls exactly when
 	// generations advance, via Train — the same entry point the
 	// background trainer and POST /admin/train use.
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Async: true})
+	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +196,7 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	expected := map[[2]uint64]string{}
 	record := func(e uint64) {
 		for g, v := range chains {
-			c, err := canonView(task, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			expected[[2]uint64{e, g}] = c
+			expected[[2]uint64{e, g}] = canonKB(task, v.Result())
 		}
 	}
 	spawn := func(e uint64) {
@@ -270,8 +264,8 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	t.Logf("validated %d observations across generations %v (%d ahead of their training epoch)", len(seen), gensSeen, lagged)
 }
 
-// TestServeAsyncGenerationsMatchView: the async policy decides when a
-// generation trains, never what it is. An async server ingests
+// TestServeAsyncGenerationsMatchView: when a generation trains is up to
+// the trainer's callers, never what it is. A server ingests
 // 2-document batches and is retrained at two points; each generation,
 // caught up with the corpus, serves the KB, quality and final training
 // loss of Store.View over a fresh store holding the same documents —
@@ -283,7 +277,7 @@ func TestServeAsyncGenerationsMatchView(t *testing.T) {
 	opts := core.Options{Seed: 9, Epochs: 2, Workers: 2}
 	docs := reparse(t, corpus)
 
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Async: true})
+	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +322,7 @@ func TestServeAsyncGenerationsMatchView(t *testing.T) {
 	}
 }
 
-// TestServeCaughtUpRestartServesSameKB: an async tenant whose model has
+// TestServeCaughtUpRestartServesSameKB: a tenant whose model has
 // caught up with its corpus serves the same /kb bytes after Snapshot,
 // Close, OpenStore and a new server over the resumed store — which
 // trains its first view cold over the corpus, as every retrain does.
@@ -339,7 +333,7 @@ func TestServeCaughtUpRestartServesSameKB(t *testing.T) {
 			task := corpus.Tasks[0]
 			opts := core.Options{Seed: 9, Epochs: 2, Workers: 2}
 			dir := filepath.Join(t.TempDir(), "snap")
-			srv, err := serve.New(serve.Config{Task: task, Options: opts, Async: true, SnapshotDir: dir})
+			srv, err := serve.New(serve.Config{Task: task, Options: opts, SnapshotDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +356,7 @@ func TestServeCaughtUpRestartServesSameKB(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := serve.New(serve.Config{Task: task, Options: opts, Async: true, Store: st})
+			resumed, err := serve.New(serve.Config{Task: task, Options: opts, Store: st})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,7 +396,7 @@ func TestServeTrainFailureKeepsDelta(t *testing.T) {
 	}
 
 	metrics := obs.NewMetrics()
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Async: true, Metrics: metrics})
+	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +446,8 @@ func TestServeTrainFailureKeepsDelta(t *testing.T) {
 		t.Fatalf("metrics lack %s", want)
 	}
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)
-	if meta["generation"].(float64) != 1 || meta["trainLagEpochs"].(float64) != 2 || meta["asyncPublish"] != true {
-		t.Fatalf("/meta publication state = generation %v, lag %v, async %v", meta["generation"], meta["trainLagEpochs"], meta["asyncPublish"])
+	if meta["generation"].(float64) != 1 || meta["trainLagEpochs"].(float64) != 2 {
+		t.Fatalf("/meta publication state = generation %v, lag %v", meta["generation"], meta["trainLagEpochs"])
 	}
 }
 
@@ -482,8 +476,7 @@ func TestServeBackgroundTrainTriggers(t *testing.T) {
 	}
 
 	t.Run("drift", func(t *testing.T) {
-		srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold,
-			Async: true, TrainDrift: 0.01})
+		srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, TrainDrift: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,8 +491,7 @@ func TestServeBackgroundTrainTriggers(t *testing.T) {
 	})
 
 	t.Run("interval", func(t *testing.T) {
-		srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold,
-			Async: true, TrainInterval: 25 * time.Millisecond})
+		srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, TrainInterval: 25 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,55 +506,70 @@ func TestServeBackgroundTrainTriggers(t *testing.T) {
 	})
 }
 
-// TestServeSyncTrainOverlappingIngest is the regression test for the
-// (epoch, generation) collision: on a synchronous server, a Train
-// started before an Ingest publishes finishes after it, holding a model
-// trained one epoch earlier and numbered like the writer's own. Every
-// view any party observes — the two calls' results and a reader polling
-// the served pointer — must agree per (epoch, generation) pair on the KB,
-// the run feature space and the model's training epoch, and the served
-// model must never move to one trained at an earlier epoch.
-func TestServeSyncTrainOverlappingIngest(t *testing.T) {
-	const rounds, perRound = 3, 2
+// TestServeTrainOverlappingIngest: Train is the one trainer, and its
+// callers — the drift-kicked background trainer and concurrent POST
+// /admin/train requests — overlap ingests. Each round starts two
+// retrains just before an ingest, so their installs land behind its
+// delta publish and catch up with it. Every (epoch, generation) pair any
+// party observes — ingest results, retrain replies and a reader polling
+// the served pointer — must agree on the KB, the run feature space and
+// the model's training epoch, and the served model must never move to
+// one trained at an earlier epoch.
+func TestServeTrainOverlappingIngest(t *testing.T) {
+	const rounds, perRound, trainers = 3, 2, 2
 	corpus := synth.Electronics(47, (rounds+1)*perRound)
 	task := corpus.Tasks[0]
 	docs := reparse(t, corpus)
 
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 9, Epochs: 2, Workers: 2}})
+	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 9, Epochs: 2, Workers: 2}, TrainDrift: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.Ingest(docs[:perRound]); err != nil {
-		t.Fatal(err)
-	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
 	type content struct {
 		kb          string
 		runFeatures int
-		trainedAt   uint64
 	}
 	var (
-		mu    sync.Mutex
-		pairs = map[[2]uint64]content{}
+		mu        sync.Mutex
+		trainedAt = map[[2]uint64]uint64{}
+		pairs     = map[[2]uint64]content{}
 	)
-	observe := func(who string, v *core.StoreView) {
-		kb, err := canonView(task, v)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got := content{kb, v.FeatureStats().RunFeatures, v.ModelTrainedAtEpoch()}
-		pair := [2]uint64{v.Epoch(), v.Generation()}
+	// agree files one observation of a pair; c is nil for a retrain
+	// reply, which names the training epoch but not the bytes.
+	agree := func(who string, pair [2]uint64, at uint64, c *content) {
 		mu.Lock()
 		defer mu.Unlock()
-		if want, ok := pairs[pair]; !ok {
-			pairs[pair] = got
-		} else if got != want {
-			t.Errorf("%s: (epoch %d, generation %d) served with %d run features trained at epoch %d, "+
-				"but also with %d run features trained at epoch %d (same KB: %v)",
-				who, pair[0], pair[1], got.runFeatures, got.trainedAt, want.runFeatures, want.trainedAt, got.kb == want.kb)
+		if want, ok := trainedAt[pair]; ok && want != at {
+			t.Errorf("%s: (epoch %d, generation %d) served a model trained at epoch %d, but also one trained at epoch %d",
+				who, pair[0], pair[1], at, want)
 		}
+		trainedAt[pair] = at
+		if c == nil {
+			return
+		}
+		if want, ok := pairs[pair]; !ok {
+			pairs[pair] = *c
+		} else if *c != want {
+			t.Errorf("%s: (epoch %d, generation %d) served with %d run features, but also with %d (same KB: %v)",
+				who, pair[0], pair[1], c.runFeatures, want.runFeatures, c.kb == want.kb)
+		}
+	}
+	observe := func(who string, v *core.StoreView) {
+		agree(who, [2]uint64{v.Epoch(), v.Generation()}, v.ModelTrainedAtEpoch(),
+			&content{canonKB(task, v.Result()), v.FeatureStats().RunFeatures})
+	}
+	train := func() error {
+		reply, err := postOK(ts.URL+"/admin/train", nil)
+		if err != nil {
+			return err
+		}
+		pair := [2]uint64{uint64(reply["epoch"].(float64)), uint64(reply["generation"].(float64))}
+		agree("POST /admin/train", pair, uint64(reply["modelTrainedAtEpoch"].(float64)), nil)
+		return nil
 	}
 
 	stop := make(chan struct{})
@@ -582,38 +589,43 @@ func TestServeSyncTrainOverlappingIngest(t *testing.T) {
 				runtime.Gosched()
 				continue
 			}
-			if last != nil && v.ModelTrainedAtEpoch() < last.ModelTrainedAtEpoch() {
-				t.Errorf("served model went from one trained at epoch %d to one trained at epoch %d",
-					last.ModelTrainedAtEpoch(), v.ModelTrainedAtEpoch())
+			if last != nil && (v.ModelTrainedAtEpoch() < last.ModelTrainedAtEpoch() || v.Generation() < last.Generation()) {
+				t.Errorf("served model went from generation %d trained at epoch %d to generation %d trained at epoch %d",
+					last.Generation(), last.ModelTrainedAtEpoch(), v.Generation(), v.ModelTrainedAtEpoch())
 			}
 			observe("reader", v)
 			last = v
 		}
 	}()
 
+	if _, err := srv.Ingest(docs[:perRound]); err != nil {
+		t.Fatal(err)
+	}
 	for r := 1; r <= rounds; r++ {
-		// Train reads its base view within microseconds and then trains
-		// for far longer than the ingest needs to reach the writer, so
-		// its install lands behind the ingest's publish.
-		trainDone := make(chan error, 1)
-		go func() {
-			v, err := srv.Train()
-			if err == nil {
-				observe("Train", v)
-			}
-			trainDone <- err
-		}()
+		// A retrain reads its base view within microseconds and then
+		// trains for far longer than the ingest needs to reach the writer,
+		// so the first install lands behind the ingest's publish; the
+		// second retrain waits for the first on trainMu.
+		trainDone := make(chan error, trainers)
+		for i := 0; i < trainers; i++ {
+			go func() { trainDone <- train() }()
+		}
 		v, err := srv.Ingest(docs[r*perRound : (r+1)*perRound])
 		if err != nil {
 			t.Fatal(err)
 		}
 		observe("Ingest", v)
-		if v.Epoch() != uint64(r+1) || v.ModelTrainedAtEpoch() != v.Epoch() {
-			t.Fatalf("round %d: ingest published epoch %d with a model trained at epoch %d", r, v.Epoch(), v.ModelTrainedAtEpoch())
+		if v.Epoch() != uint64(r+1) {
+			t.Fatalf("round %d: ingest published epoch %d", r, v.Epoch())
 		}
-		if err := <-trainDone; err != nil {
-			t.Fatalf("round %d: overlapped Train: %v", r, err)
+		for i := 0; i < trainers; i++ {
+			if err := <-trainDone; err != nil {
+				t.Fatalf("round %d: overlapped retrain: %v", r, err)
+			}
 		}
+	}
+	if err := train(); err != nil {
+		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
@@ -626,4 +638,11 @@ func TestServeSyncTrainOverlappingIngest(t *testing.T) {
 	if !strings.Contains(pairs[[2]uint64{final.Epoch(), final.Generation()}].kb, `"tuples":[[`) {
 		t.Fatal("final KB is empty; test is vacuous")
 	}
+	caughtUp := 0
+	for pair, at := range trainedAt {
+		if at < pair[0] {
+			caughtUp++
+		}
+	}
+	t.Logf("%d (epoch, generation) pairs observed, %d served ahead of their training epoch", len(trainedAt), caughtUp)
 }

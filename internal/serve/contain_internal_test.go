@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/synth"
@@ -12,10 +13,11 @@ import (
 
 // TestContainRecords drives the one failure path directly, for the
 // transitions no real fault reaches in order: a trainer error marks the
-// generation stuck and the next good run clears the mark; a writer
-// turn's plain error — a refusal, a snapshot that could not be written —
-// is the caller's answer and not a fault; a writer panic is, and after
-// it every turn and run is refused.
+// generation stuck and the next good run clears the mark; an install
+// numbered out of sequence, which trainMu rules out, is such an error
+// and serves nothing; a writer turn's plain error — a refusal, a
+// snapshot that could not be written — is the caller's answer and not a
+// fault; a writer panic is, and after it every turn and run is refused.
 func TestContainRecords(t *testing.T) {
 	corpus := synth.Electronics(78, 1)
 	s, err := New(Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 5, Epochs: 1, Workers: 1}})
@@ -39,6 +41,21 @@ func TestContainRecords(t *testing.T) {
 		if _, got := s.contain("trainer", "train", func() (any, error) { return nil, err }); got != err || s.Degraded() != nil {
 			t.Fatalf("the server's state %v went on the trainer's record: %v, %+v", err, got, s.Degraded())
 		}
+	}
+
+	cur := s.CurrentView()
+	skipped, err := cur.Retrain(core.RetrainConfig{Generation: cur.Generation() + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.contain("trainer", "train", func() (any, error) {
+		return s.submit("train", func(*core.Store) (any, error) { return s.install(skipped, time.Now()) })
+	})
+	if d := s.Degraded(); err == nil || d == nil || d.Where != "trainer" || s.CurrentView() != cur {
+		t.Fatalf("install out of sequence: %v, record %+v, served generation %d", err, d, s.CurrentView().Generation())
+	}
+	if _, err := s.contain("trainer", "train", good); err != nil || s.Degraded() != nil {
+		t.Fatalf("good trainer run after the refused install: %v, record %+v", err, s.Degraded())
 	}
 
 	// Writer turns run on the writer goroutine (contain reads the store).

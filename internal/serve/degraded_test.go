@@ -108,8 +108,8 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Healthy epoch 1, snapshotted.
-	postJSON(t, ts.URL+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
+	// Healthy epoch 1, trained and snapshotted.
+	ingestTrained(t, ts.URL, uploads(corpus, 0, 2))
 	postJSON(t, ts.URL+"/admin/snapshot", nil, http.StatusOK)
 	good := dirBytes(t, snap)
 	epochBefore, kbBefore := kbOf(t, ts.URL)
@@ -162,7 +162,7 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 	postJSON(t, refTS.URL+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
 	for _, url := range []string{reloadedTS.URL, refTS.URL} {
 		postJSON(t, url+"/ingest", uploads(corpus, 2, 4), http.StatusOK)
-		postJSON(t, url+"/ingest", uploads(corpus, 4, 6), http.StatusOK)
+		ingestTrained(t, url, uploads(corpus, 4, 6))
 	}
 	_, got := kbOf(t, reloadedTS.URL)
 	if _, want := kbOf(t, refTS.URL); got != want {
@@ -215,9 +215,9 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	ts := httptest.NewServer(rg.Handler())
 	defer ts.Close()
 
-	// Epoch 1 everywhere; A snapshots it.
+	// Epoch 1 everywhere, trained; A snapshots it.
 	for _, tn := range tenants {
-		postJSON(t, ts.URL+"/t/"+tn.name+"/ingest", uploads(tn.corpus, 0, 2), http.StatusOK)
+		ingestTrained(t, ts.URL+"/t/"+tn.name, uploads(tn.corpus, 0, 2))
 	}
 	snapA := postJSON(t, ts.URL+"/t/a/admin/snapshot", nil, http.StatusOK)["dir"].(string)
 	good := dirBytes(t, snapA)
@@ -247,7 +247,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 			t.Fatal(err)
 		}
 		refTS := httptest.NewServer(ref.Handler())
-		postJSON(t, refTS.URL+"/ingest", uploads(tn.corpus, 0, 2), http.StatusOK)
+		ingestTrained(t, refTS.URL, uploads(tn.corpus, 0, 2))
 		postJSON(t, refTS.URL+"/ingest", uploads(tn.corpus, 2, 4), http.StatusOK)
 		gotE, got := kbOf(t, ts.URL+"/t/"+tn.name)
 		wantE, want := kbOf(t, refTS.URL)
@@ -377,7 +377,7 @@ func TestReservedByteUploadRefused(t *testing.T) {
 	// Both servers take the good documents; the snapshots and the KBs
 	// they resume to are the same bytes.
 	for _, u := range []string{url, refURL} {
-		postJSON(t, u+"/ingest", uploads(corpus, 2, 4), http.StatusOK)
+		ingestTrained(t, u, uploads(corpus, 2, 4))
 		postJSON(t, u+"/admin/snapshot", nil, http.StatusOK)
 	}
 	if !reflect.DeepEqual(dirBytes(t, snap), dirBytes(t, refSnap)) {

@@ -117,11 +117,20 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// readJSON decodes the body into v or answers 400; an empty body passes only if emptyOK.
+// readJSON decodes the body, one JSON value and nothing after it but
+// whitespace, into v or answers 400; an empty body passes only if emptyOK.
 func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && !(emptyOK && errors.Is(err, io.EOF)) {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	} else if emptyOK && errors.Is(err, io.EOF) {
+		err = nil
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return false
 	}
@@ -452,12 +461,10 @@ func (s *Server) metaPayload() map[string]any {
 		"epoch": v.Epoch(),
 		// Two-phase publication state: which model generation this
 		// epoch serves, the epoch whose corpus trained it, and the
-		// staleness gap delta epochs have opened since. In synchronous
-		// mode the lag is always 0.
+		// staleness gap delta epochs have opened since.
 		"generation":          v.Generation(),
 		"modelTrainedAtEpoch": v.ModelTrainedAtEpoch(),
 		"trainLagEpochs":      v.Epoch() - v.ModelTrainedAtEpoch(),
-		"asyncPublish":        s.async,
 		"relation":            v.Relation(),
 		"schema":              map[string]any{"name": schema.Name, "columns": cols},
 		"docs":                v.DocNames(),
@@ -541,10 +548,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrain retrains the model over the currently served corpus and
-// publishes the new generation (POST /admin/train). In async mode
-// this is the manual version of what the background trainer does on
-// drift/interval triggers; in synchronous mode it is an explicit
-// retrain without ingesting anything.
+// publishes the new generation (POST /admin/train): the manual version
+// of what the background trainer does on drift/interval triggers.
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	view, err := s.Train()

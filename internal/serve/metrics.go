@@ -54,7 +54,7 @@ type serverMetrics struct {
 	stageDur    *obs.Family // histogram{tenant,stage}
 	trainEpochs *obs.Family // counter  {tenant}
 	trainDur    *obs.Family // histogram{tenant}
-	publishes   *obs.Family // counter  {tenant,kind}: initial|ingest|failed
+	publishes   *obs.Family // counter  {tenant,kind}: initial|delta|train|failed
 	panics      *obs.Family // counter  {tenant,where}: writer|trainer|http
 	indexHits   *obs.Family // counter  {tenant}: filtered /kb reads by plan
 	fullScans   *obs.Family // counter  {tenant}
@@ -82,7 +82,7 @@ func newServerMetrics(m *obs.Metrics) *serverMetrics {
 			"Model training wall time per publish run.",
 			obs.DefStageBuckets, "tenant"),
 		publishes: m.Counter("fonduer_publish_total",
-			"Epoch publications by kind: initial, ingest, delta, train, or failed.",
+			"Epoch publications by kind: initial, delta, train, or failed.",
 			"tenant", "kind"),
 		panics: m.Counter("fonduer_panics_total",
 			"Panics recovered at the tenant boundary: on a writer turn, a trainer run or in an HTTP handler.",
@@ -236,7 +236,7 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 			"Model generation the tenant's served epoch classifies with.",
 			"tenant"),
 		trainLag: m.Gauge("fonduer_train_lag_epochs",
-			"Delta epochs published since the serving model generation was trained (async publication staleness).",
+			"Delta epochs published since the serving model generation was trained.",
 			"tenant"),
 		docs: m.Gauge("fonduer_tenant_docs",
 			"Documents in the tenant's served epoch.",

@@ -237,8 +237,8 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	if v := find(byName["fonduer_served_epoch"], map[string]string{"tenant": "elec"}); v != 1 {
 		t.Errorf("elec served epoch gauge = %v", v)
 	}
-	if v := find(byName["fonduer_publish_total"], map[string]string{"tenant": "elec", "kind": "ingest"}); v != 1 {
-		t.Errorf("elec ingest publish counter = %v", v)
+	if v := find(byName["fonduer_publish_total"], map[string]string{"tenant": "elec", "kind": "delta"}); v != 1 {
+		t.Errorf("elec delta publish counter = %v", v)
 	}
 	// The memory series: the process has a heap, and the two store gauges
 	// are the Features relation as the tenant's own routes report it.
@@ -401,40 +401,48 @@ func TestTracesAndHealthObservability(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		batch = append(batch, uploadFor(corpus, i))
 	}
-	postJSON(t, ts.URL+"/t/elec/ingest", map[string]any{"documents": batch}, http.StatusOK)
+	ingestTrained(t, ts.URL+"/t/elec", map[string]any{"documents": batch})
 
-	// Tenant ring: initial build + ingest, newest first, with spans.
+	// Tenant ring: initial build, the ingest's delta epoch and the
+	// retrain, newest first, with spans.
 	tr := getJSON(t, ts.URL+"/t/elec/admin/traces", http.StatusOK)
 	traces := tr["traces"].([]any)
-	if len(traces) != 2 {
-		t.Fatalf("trace ring has %d entries, want 2 (initial + ingest)", len(traces))
+	if len(traces) != 3 {
+		t.Fatalf("trace ring has %d entries, want 3 (initial + delta + train)", len(traces))
 	}
-	newest := traces[0].(map[string]any)
-	if newest["kind"] != "ingest" || newest["epoch"].(float64) != 1 || newest["docs"].(float64) != 3 {
-		t.Fatalf("newest trace = %v", newest)
-	}
-	spans := newest["spans"].([]any)
-	names := map[string]bool{}
-	for _, sp := range spans {
-		s := sp.(map[string]any)
-		names[s["name"].(string)] = true
-		if _, ok := s["durationMs"].(float64); !ok {
-			t.Fatalf("span without duration: %v", s)
+	for i, want := range []struct {
+		kind  string
+		epoch float64
+		docs  any // the initial build of an empty session omits its 0
+		spans []string
+	}{
+		{"train", 1, 3.0, []string{"index", "train", "classify", "materializeKB"}},
+		{"delta", 1, 3.0, []string{"extract", "featurize", "supervise", "merge", "hydrateDelta", "deltaClassify", "materializeKB"}},
+		{"initial", 0, nil, nil},
+	} {
+		trace := traces[i].(map[string]any)
+		if trace["kind"] != want.kind || trace["epoch"] != want.epoch || trace["docs"] != want.docs {
+			t.Fatalf("trace %d = %v, want kind %s at epoch %v with %v docs", i, trace, want.kind, want.epoch, want.docs)
 		}
-	}
-	for _, want := range []string{"extract", "featurize", "supervise", "merge", "hydrateDelta", "deltaClassify", "index", "train", "classify", "materializeKB"} {
-		if !names[want] {
-			t.Errorf("ingest trace lacks span %q (have %v)", want, names)
+		names := map[string]bool{}
+		for _, sp := range trace["spans"].([]any) {
+			s := sp.(map[string]any)
+			names[s["name"].(string)] = true
+			if _, ok := s["durationMs"].(float64); !ok {
+				t.Fatalf("span without duration: %v", s)
+			}
 		}
-	}
-	if traces[1].(map[string]any)["kind"] != "initial" {
-		t.Fatalf("oldest trace = %v", traces[1])
+		for _, span := range want.spans {
+			if !names[span] {
+				t.Errorf("%s trace lacks span %q (have %v)", want.kind, span, names)
+			}
+		}
 	}
 
 	// /meta carries the most recent trace.
 	meta := getJSON(t, ts.URL+"/t/elec/meta", http.StatusOK)
 	mt, ok := meta["trace"].(map[string]any)
-	if !ok || mt["kind"] != "ingest" {
+	if !ok || mt["kind"] != "train" {
 		t.Fatalf("/meta trace section = %v", meta["trace"])
 	}
 

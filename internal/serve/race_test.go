@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -70,6 +71,80 @@ func fetchJSON(url string) (map[string]any, error) {
 	return out, nil
 }
 
+// postOK is the goroutine-safe POST helper: a status other than 200 is
+// an error.
+func postOK(url string, body any) (map[string]any, error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("POST %s: %v", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("POST %s: status %d (%v)", url, resp.StatusCode, out)
+	}
+	return out, nil
+}
+
+// fromScratch is the from-scratch reference for a server that ingested
+// c's documents in batches of batch: the returned function gives the KB
+// it must serve at epoch e under a generation trained at epoch at. A
+// trained pair (at == e) is core.Run over the epoch's corpus prefix; a
+// delta pair is a fresh store's View at epoch e re-served under the
+// model of its View at epoch at (AdoptModel) — the canonical
+// classification of that corpus under that generation.
+func fromScratch(t *testing.T, c *synth.Corpus, task core.Task, gold []core.GoldTuple, opts core.Options, batch int) func(e, at uint64) string {
+	t.Helper()
+	docs := reparse(t, c)
+	st := core.NewStore(task, opts)
+	defer st.Close() // the views outlive their store
+	// views[e] is the View over the first e batches.
+	var views []*core.StoreView
+	for e := 0; ; e++ {
+		v, err := st.View(gold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, v)
+		if e*batch >= len(docs) {
+			break
+		}
+		if err := st.AddDocuments(reparse(t, c)[e*batch : (e+1)*batch]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memo := map[[2]uint64]string{}
+	return func(e, at uint64) string {
+		key := [2]uint64{e, at}
+		if kb, ok := memo[key]; ok {
+			return kb
+		}
+		if e >= uint64(len(views)) || at > e {
+			t.Fatalf("no reference for epoch %d under a generation trained at epoch %d", e, at)
+		}
+		var res core.Result
+		if at == e {
+			prefix := docs[:e*uint64(batch)]
+			res = core.Run(task, prefix, prefix, gold, opts)
+		} else {
+			v, err := views[e].AdoptModel(views[at], gold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = v.Result()
+		}
+		memo[key] = canonKB(task, res)
+		return memo[key]
+	}
+}
+
 func num(payload map[string]any, key string) (float64, error) {
 	v, ok := payload[key].(float64)
 	if !ok {
@@ -80,12 +155,14 @@ func num(payload map[string]any, key string) (float64, error) {
 
 // TestServeConcurrentEpochConsistency is the serving subsystem's
 // flagship -race test: reader goroutines hammer every endpoint over
-// real HTTP while one writer ingests document batches. Every /kb
-// response must be bit-identical to the knowledge base a from-scratch
-// core.Run produces over exactly that epoch's corpus prefix — i.e.
-// each reader observes exactly one published epoch, never a
-// half-applied ingest — and every /candidates response must report
-// that epoch's exact candidate count.
+// real HTTP while one writer ingests document batches, each followed by
+// a retrain. Every /kb response must be bit-identical to the from-scratch
+// reference for its (epoch, generation) pair — core.Run over the
+// epoch's corpus prefix once the generation trained on it, the delta
+// epoch's canonical classification under the previous generation before
+// — i.e. each reader observes exactly one published pair, never a
+// half-applied ingest or install, and every /candidates response must
+// report that epoch's exact candidate count.
 func TestServeConcurrentEpochConsistency(t *testing.T) {
 	const nDocs, batchSize, nReaders = 10, 2, 4
 	corpus := synth.Electronics(43, nDocs)
@@ -107,8 +184,8 @@ func TestServeConcurrentEpochConsistency(t *testing.T) {
 	// Reader goroutines: rotate across every endpoint, recording the
 	// (epoch, payload) observations the validation phase checks.
 	type kbObs struct {
-		epoch uint64
-		kb    string
+		epoch, gen uint64
+		kb         string
 	}
 	type candObs struct {
 		epoch uint64
@@ -140,13 +217,15 @@ func TestServeConcurrentEpochConsistency(t *testing.T) {
 				case 0:
 					var resp map[string]any
 					if resp, err = fetchJSON(ts.URL + "/kb"); err == nil {
-						var e float64
+						var e, g float64
 						if e, err = num(resp, "epoch"); err == nil {
-							var kb string
-							if kb, err = canonicalKB(resp["columns"], resp["tuples"]); err == nil {
-								mu.Lock()
-								kbSeen = append(kbSeen, kbObs{epoch: uint64(e), kb: kb})
-								mu.Unlock()
+							if g, err = num(resp, "generation"); err == nil {
+								var kb string
+								if kb, err = canonicalKB(resp["columns"], resp["tuples"]); err == nil {
+									mu.Lock()
+									kbSeen = append(kbSeen, kbObs{epoch: uint64(e), gen: uint64(g), kb: kb})
+									mu.Unlock()
+								}
 							}
 						}
 					}
@@ -198,17 +277,17 @@ func TestServeConcurrentEpochConsistency(t *testing.T) {
 		}()
 	}
 
-	// The writer: ingest batch after batch over HTTP. Each reply must
-	// name the next epoch.
+	// The writer: ingest batch after batch over HTTP, each followed by a
+	// retrain. Each ingest reply must name the next epoch; each retrain
+	// reply names the epoch its generation trained at.
+	trainedAt := map[uint64]uint64{0: 0}
 	for b := 0; b*batchSize < nDocs; b++ {
-		var batch []serve.DocumentUpload
-		for i := b * batchSize; i < (b+1)*batchSize; i++ {
-			batch = append(batch, uploadFor(corpus, i))
-		}
-		reply := postJSON(t, ts.URL+"/ingest", map[string]any{"documents": batch}, http.StatusOK)
+		reply := postJSON(t, ts.URL+"/ingest", uploads(corpus, b*batchSize, (b+1)*batchSize), http.StatusOK)
 		if got, want := epochOf(t, reply), uint64(b+1); got != want {
 			t.Fatalf("batch %d published epoch %d, want %d", b, got, want)
 		}
+		trained := postJSON(t, ts.URL+"/admin/train", nil, http.StatusOK)
+		trainedAt[uint64(trained["generation"].(float64))] = uint64(trained["modelTrainedAtEpoch"].(float64))
 	}
 	close(stop)
 	wg.Wait()
@@ -216,43 +295,25 @@ func TestServeConcurrentEpochConsistency(t *testing.T) {
 		return
 	}
 
-	// ---- Validation: recompute every epoch's expected state from
-	// scratch and hold each observation to it.
-	expectKB := make([]string, numEpochs)
+	// ---- Validation: recompute every observed pair's expected state
+	// from scratch and hold each observation to it.
+	expectKB := fromScratch(t, corpus, task, gold, opts, batchSize)
 	expectCands := make([]int, numEpochs)
 	for e := 0; e < numEpochs; e++ {
 		prefix := docs[:e*batchSize]
-		res := core.Run(task, prefix, prefix, gold, opts)
-		cols := make([]string, task.Schema.Arity())
-		for i, c := range task.Schema.Columns {
-			cols[i] = c.Name
-		}
-		rows := [][]string{}
-		seen := map[string]bool{}
-		for _, tp := range res.Predicted {
-			key := strings.Join(tp.Values, "\x00")
-			if !seen[key] {
-				seen[key] = true
-				rows = append(rows, tp.Values)
-			}
-		}
-		buf, err := json.Marshal(map[string]any{"columns": cols, "tuples": rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		expectKB[e] = string(buf)
-		expectCands[e] = res.TrainCandidates
+		expectCands[e] = core.Run(task, prefix, prefix, gold, opts).TrainCandidates
 	}
 
-	epochsObserved := map[uint64]bool{}
+	pairsObserved := map[[2]uint64]bool{}
 	for _, obs := range kbSeen {
-		if obs.epoch >= uint64(numEpochs) {
-			t.Fatalf("reader observed unpublished epoch %d", obs.epoch)
+		at, trained := trainedAt[obs.gen]
+		if obs.epoch >= uint64(numEpochs) || !trained || at > obs.epoch {
+			t.Fatalf("reader observed unpublished (epoch %d, generation %d)", obs.epoch, obs.gen)
 		}
-		epochsObserved[obs.epoch] = true
-		if want := expectKB[obs.epoch]; obs.kb != want {
-			t.Fatalf("epoch %d: served KB is not bit-identical to from-scratch Run\n got: %s\nwant: %s",
-				obs.epoch, obs.kb, want)
+		pairsObserved[[2]uint64{obs.epoch, obs.gen}] = true
+		if want := expectKB(obs.epoch, at); obs.kb != want {
+			t.Fatalf("(epoch %d, generation %d trained at epoch %d): served KB is not bit-identical to the from-scratch reference\n got: %s\nwant: %s",
+				obs.epoch, obs.gen, at, obs.kb, want)
 		}
 	}
 	for _, obs := range candSeen {
@@ -267,14 +328,9 @@ func TestServeConcurrentEpochConsistency(t *testing.T) {
 	if len(kbSeen) == 0 || len(candSeen) == 0 {
 		t.Fatal("readers recorded no observations; test is vacuous")
 	}
-	t.Logf("validated %d /kb and %d /candidates observations across epochs %v",
-		len(kbSeen), len(candSeen), keys(epochsObserved))
-}
-
-func keys(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	if !strings.Contains(expectKB(uint64(numEpochs-1), uint64(numEpochs-1)), `"tuples":[[`) {
+		t.Fatal("final reference KB is empty; test is vacuous")
 	}
-	return out
+	t.Logf("validated %d /kb and %d /candidates observations across (epoch, generation) pairs %v",
+		len(kbSeen), len(candSeen), pairsObserved)
 }

@@ -69,12 +69,17 @@ type RegistryConfig struct {
 	// way). Per-Registry rather than process-global, so concurrent
 	// registries — tests, embedders — never share series.
 	Metrics *obs.Metrics
-	// Async/TrainDrift/TrainInterval configure every tenant's training
-	// policy (see Config); the registry applies them uniformly to all
+	// TrainDrift/TrainInterval configure every tenant's background
+	// trainer (see Config); the registry applies them uniformly to all
 	// tenants it builds.
-	Async         bool
 	TrainDrift    float64
 	TrainInterval time.Duration
+	// Async is ignored: every tenant publishes delta epochs and trains
+	// only through Server.Train.
+	//
+	// Deprecated: kept only so existing callers compile; it is to be
+	// deleted.
+	Async bool
 }
 
 // TenantConfig describes one tenant at creation time. It is the
@@ -147,9 +152,8 @@ type Registry struct {
 	snapshotRoot string
 	start        time.Time
 
-	// Fleet-wide training-policy settings, applied to every tenant the
-	// registry builds.
-	async         bool
+	// Fleet-wide trainer settings, applied to every tenant the registry
+	// builds.
 	trainDrift    float64
 	trainInterval time.Duration
 
@@ -181,7 +185,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		baseOpts:      cfg.BaseOptions,
 		snapshotRoot:  cfg.SnapshotRoot,
 		start:         time.Now(),
-		async:         cfg.Async,
 		trainDrift:    cfg.TrainDrift,
 		trainInterval: cfg.TrainInterval,
 		metrics:       m,
@@ -268,7 +271,6 @@ func (rg *Registry) buildTenant(tc TenantConfig, task core.Task, gold []core.Gol
 		SnapshotDir:   snapDir,
 		Name:          tc.Name,
 		Metrics:       rg.metrics,
-		Async:         rg.async,
 		TrainDrift:    rg.trainDrift,
 		TrainInterval: rg.trainInterval,
 	})

@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -154,7 +153,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		elecBatch = append(elecBatch, uploadFor(elec, i))
 		adsBatch = append(adsBatch, uploadFor(ads, i))
 	}
-	ing := postJSON(t, ts.URL+"/t/elec/ingest", map[string]any{"documents": elecBatch}, http.StatusOK)
+	ing := ingestTrained(t, ts.URL+"/t/elec", map[string]any{"documents": elecBatch})
 	if epochOf(t, ing) != 1 {
 		t.Fatalf("elec ingest = %v", ing)
 	}
@@ -285,11 +284,12 @@ func TestRegistryLifecycle(t *testing.T) {
 
 // TestRegistryTenantEpochsBitIdenticalToStandalone is the registry's
 // flagship -race test: three tenants (distinct domains, the shapes a
-// production fleet mixes) are ingested and read concurrently through
-// the registry, while standalone single-tenant Servers replay the
-// identical batches. Every observed per-tenant /kb response must be
-// bit-identical to the standalone server's response at the same
-// epoch — multi-tenancy must be invisible to any single tenant.
+// production fleet mixes) are ingested, each batch followed by a
+// retrain, and read concurrently through the registry. Every observed
+// per-tenant /kb response must be bit-identical to the from-scratch
+// reference for its (epoch, generation) pair — the KB a standalone
+// session over the same batches serves at that pair — so multi-tenancy
+// is invisible to any single tenant.
 func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 	const nDocs, batchSize, nReaders = 6, 2, 2
 	opts := core.Options{Seed: 9, Epochs: 1, Workers: 2}
@@ -305,47 +305,6 @@ func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 	}
 	numEpochs := nDocs/batchSize + 1
 
-	// ---- Standalone references: one single-tenant Server per case,
-	// same task, same options, same batches. Record each epoch's
-	// canonical /kb body.
-	expect := map[string][]string{}
-	resolver := testResolver(t)
-	for _, tc := range cases {
-		task, _, err := resolver(tc.domain, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := serve.New(serve.Config{Task: task, Options: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refTS := httptest.NewServer(ref.Handler())
-		perEpoch := make([]string, numEpochs)
-		record := func(epoch int) {
-			kb := getJSON(t, refTS.URL+"/kb", http.StatusOK)
-			if got := epochOf(t, kb); got != uint64(epoch) {
-				t.Fatalf("standalone %s epoch = %d, want %d", tc.name, got, epoch)
-			}
-			canon, err := canonicalKB(kb["columns"], kb["tuples"])
-			if err != nil {
-				t.Fatal(err)
-			}
-			perEpoch[epoch] = canon
-		}
-		record(0)
-		for b := 0; b*batchSize < nDocs; b++ {
-			var batch []serve.DocumentUpload
-			for i := b * batchSize; i < (b+1)*batchSize; i++ {
-				batch = append(batch, uploadFor(tc.corpus, i))
-			}
-			postJSON(t, refTS.URL+"/ingest", map[string]any{"documents": batch}, http.StatusOK)
-			record(b + 1)
-		}
-		expect[tc.name] = perEpoch
-		refTS.Close()
-		ref.Close()
-	}
-
 	// ---- The fleet under test: all three tenants live in one
 	// registry, ingested concurrently while readers hammer each
 	// tenant's routes.
@@ -359,14 +318,18 @@ func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 	defer ts.Close()
 
 	type obs struct {
-		tenant string
-		epoch  uint64
-		kb     string
+		tenant     string
+		epoch, gen uint64
+		kb         string
 	}
 	var (
-		mu   sync.Mutex
-		seen []obs
+		mu        sync.Mutex
+		seen      []obs
+		trainedAt = map[string]map[uint64]uint64{} // tenant → generation → epoch
 	)
+	for _, tc := range cases {
+		trainedAt[tc.name] = map[uint64]uint64{0: 0}
+	}
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for _, tc := range cases {
@@ -390,13 +353,18 @@ func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					g, err := num(resp, "generation")
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					canon, err := canonicalKB(resp["columns"], resp["tuples"])
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					mu.Lock()
-					seen = append(seen, obs{tenant: name, epoch: uint64(e), kb: canon})
+					seen = append(seen, obs{tenant: name, epoch: uint64(e), gen: uint64(g), kb: canon})
 					mu.Unlock()
 				}
 			}(tc.name)
@@ -404,32 +372,27 @@ func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 	}
 
 	// Concurrent writers: each tenant's batches ingest in order within
-	// the tenant, interleaved arbitrarily across tenants.
+	// the tenant, each followed by a retrain, interleaved arbitrarily
+	// across tenants.
 	var writers sync.WaitGroup
 	for _, tc := range cases {
 		writers.Add(1)
 		go func(tc tenantCase) {
 			defer writers.Done()
+			base := ts.URL + "/t/" + tc.name
 			for b := 0; b*batchSize < nDocs; b++ {
-				var batch []serve.DocumentUpload
-				for i := b * batchSize; i < (b+1)*batchSize; i++ {
-					batch = append(batch, uploadFor(tc.corpus, i))
+				if _, err := postOK(base+"/ingest", uploads(tc.corpus, b*batchSize, (b+1)*batchSize)); err != nil {
+					t.Errorf("tenant %s batch %d: %v", tc.name, b, err)
+					return
 				}
-				buf, err := json.Marshal(map[string]any{"documents": batch})
+				trained, err := postOK(base+"/admin/train", nil)
 				if err != nil {
-					t.Error(err)
+					t.Errorf("tenant %s batch %d: %v", tc.name, b, err)
 					return
 				}
-				resp, err := http.Post(ts.URL+"/t/"+tc.name+"/ingest", "application/json", bytes.NewReader(buf))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("tenant %s batch %d: ingest status %d", tc.name, b, resp.StatusCode)
-					return
-				}
+				mu.Lock()
+				trainedAt[tc.name][uint64(trained["generation"].(float64))] = uint64(trained["modelTrainedAtEpoch"].(float64))
+				mu.Unlock()
 			}
 		}(tc)
 	}
@@ -440,35 +403,45 @@ func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 		return
 	}
 
-	// ---- Validation: every observation matches the standalone server
-	// at that epoch, bit for bit.
+	// ---- Validation: every observation matches the from-scratch
+	// reference for its pair, bit for bit.
+	expect := map[string]func(e, at uint64) string{}
+	resolver := testResolver(t)
+	for _, tc := range cases {
+		task, gold, err := resolver(tc.domain, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		expect[tc.name] = fromScratch(t, tc.corpus, task, gold, opts, batchSize)
+	}
 	perTenant := map[string]int{}
 	for _, o := range seen {
-		want := expect[o.tenant]
-		if o.epoch >= uint64(len(want)) {
-			t.Fatalf("tenant %s: observed unpublished epoch %d", o.tenant, o.epoch)
+		at, trained := trainedAt[o.tenant][o.gen]
+		if o.epoch >= uint64(numEpochs) || !trained || at > o.epoch {
+			t.Fatalf("tenant %s: observed unpublished (epoch %d, generation %d)", o.tenant, o.epoch, o.gen)
 		}
-		if o.kb != want[o.epoch] {
-			t.Fatalf("tenant %s epoch %d: registry-served KB differs from standalone server\n got: %s\nwant: %s",
-				o.tenant, o.epoch, o.kb, want[o.epoch])
+		if want := expect[o.tenant](o.epoch, at); o.kb != want {
+			t.Fatalf("tenant %s (epoch %d, generation %d trained at epoch %d): registry-served KB differs from the from-scratch reference\n got: %s\nwant: %s",
+				o.tenant, o.epoch, o.gen, at, o.kb, want)
 		}
 		perTenant[o.tenant]++
 	}
+	last := uint64(numEpochs - 1)
 	for _, tc := range cases {
 		if perTenant[tc.name] == 0 {
 			t.Fatalf("no observations for tenant %s; test is vacuous", tc.name)
 		}
-		// And the final epoch is exactly the standalone final epoch.
+		// And the final pair is the last epoch, trained on itself.
 		kb := getJSON(t, ts.URL+"/t/"+tc.name+"/kb", http.StatusOK)
-		if got := epochOf(t, kb); got != uint64(numEpochs-1) {
-			t.Fatalf("tenant %s final epoch = %d, want %d", tc.name, got, numEpochs-1)
+		if got := epochOf(t, kb); got != last || trainedAt[tc.name][uint64(kb["generation"].(float64))] != last {
+			t.Fatalf("tenant %s final (epoch %d, generation %v), want epoch %d trained on itself", tc.name, got, kb["generation"], last)
 		}
 		canon, err := canonicalKB(kb["columns"], kb["tuples"])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if canon != expect[tc.name][numEpochs-1] {
-			t.Fatalf("tenant %s final KB differs from standalone", tc.name)
+		if want := expect[tc.name](last, last); canon != want || !strings.Contains(want, "[[") {
+			t.Fatalf("tenant %s final KB differs from the from-scratch reference (or is empty)\n got: %s\nwant: %s", tc.name, canon, want)
 		}
 	}
 	t.Logf("validated %d observations across %d tenants", len(seen), len(cases))

@@ -20,21 +20,21 @@
 //     construction a response can only ever observe exactly one
 //     published epoch — never a half-applied ingest.
 //
-// # One publication path, two training policies
+// # One publication path, one trainer
 //
 // An ingest is always: apply the batch, capture the delta epoch under
-// the serving model (core.Store.ViewDelta), then the training policy.
-// Config.Async only decides who runs the trainer, never what a trained
-// generation is: a cold run over its corpus, bit-identical to core.Run.
-// False: the writer trains inside the same turn and publishes only the
-// trained view. True: the delta view is published at once and a
-// background goroutine trains, installing through the writer.
+// the serving model (core.Store.ViewDelta) and publish it. Only
+// Server.Train trains — driven by the background trainer, POST
+// /admin/train or a direct call — cold over the corpus of the view it
+// starts from, so a generation is bit-identical to core.Run over that
+// corpus; it installs through the writer.
 //
 // Every response carries the (epoch, generation) pair it was served
 // from, and the pair fully determines the served bytes: a generation
 // is numbered as the successor of the view it was trained from, and
-// the writer turn that installs it (Server.install) refuses any number
-// that is not the successor of the one being served at that moment.
+// Train holds trainMu from reading that view to the end of the writer
+// turn that installs it (Server.install), so no other generation can
+// be installed in between.
 package serve
 
 import (
@@ -77,23 +77,14 @@ type Config struct {
 	// path completely uninstrumented — byte-for-byte the pre-metrics
 	// handler chain (the overhead benchmark compares the two).
 	Metrics *obs.Metrics
-	// Async decides who runs the trainer. True: Ingest publishes the
-	// delta epoch at once — the new documents classified under the
-	// CURRENT model generation, no training on the write path — and a
-	// background trainer goroutine retrains and republishes when
-	// feature drift crosses TrainDrift or TrainInterval elapses. False:
-	// the writer itself retrains before publishing, so readers never
-	// see an epoch whose model was not trained on it. Both train cold.
-	// cmd/fonduer-serve defaults to async (-sync-publish opts out).
-	Async bool
 	// TrainDrift triggers a background retrain when the session
 	// feature space has grown by more than this fraction since the
 	// serving generation was trained (0.1 = 10%). <= 0 disables the
-	// drift trigger. Async mode only.
+	// drift trigger.
 	TrainDrift float64
 	// TrainInterval, when > 0, checks at this cadence whether the
 	// serving generation is stale (delta epochs published since it
-	// trained) and retrains if so. Async mode only.
+	// trained) and retrains if so.
 	TrainInterval time.Duration
 }
 
@@ -132,12 +123,9 @@ type Server struct {
 	// it is reloaded from its last snapshot.
 	degraded atomic.Pointer[Degraded]
 
-	// Training policy state. async is Config.Async: who runs the
-	// trainer. Under it the trainer goroutine owns retraining; trainMu
-	// serializes it against POST /admin/train (the writer's inline
-	// trainer never takes it). trainKick is the buffered nudge after a
-	// delta epoch crosses the drift threshold.
-	async         bool
+	// Trainer state. trainMu serializes Train — the background trainer
+	// against POST /admin/train and direct calls. trainKick is the
+	// buffered nudge after a delta epoch crosses the drift threshold.
 	trainDrift    float64
 	trainInterval time.Duration
 	trainKick     chan struct{}
@@ -273,7 +261,6 @@ func New(cfg Config) (*Server, error) {
 		workers:       cfg.Options.Workers,
 		traces:        obs.NewTraceRing(0),
 		store:         st,
-		async:         cfg.Async,
 		trainDrift:    cfg.TrainDrift,
 		trainInterval: cfg.TrainInterval,
 		trainKick:     make(chan struct{}, 1),
@@ -312,10 +299,8 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 	}()
-	if s.async {
-		s.wg.Add(1)
-		go s.trainLoop()
-	}
+	s.wg.Add(1)
+	go s.trainLoop()
 	return s, nil
 }
 
@@ -397,43 +382,24 @@ func (s *Server) publish(kind string, t0 time.Time, docs int, spans []obs.Span, 
 		"docs", docs, "durationMs", tr.DurationMs)
 }
 
-// train runs the trainer cold over base's corpus and numbers the result
-// as base's successor generation; the writer turn that installs it
-// decides whether that number becomes real. Takes no lock: the writer's
-// inline trainer runs while Train may hold trainMu, waiting on the writer.
-func (s *Server) train(base *core.StoreView) (*core.StoreView, error) {
-	return base.Retrain(core.RetrainConfig{Gold: s.gold, Generation: base.Generation() + 1})
-}
-
 // Ingest applies one document batch on the writer goroutine —
 // extraction, featurization and supervision for the delta only, per
 // the store's incremental semantics — captures the next epoch under
-// the serving model, runs the training policy, and publishes and
-// returns the resulting view.
+// the serving model generation, publishes that delta epoch and returns
+// it. It never trains: it kicks the background trainer when the feature
+// space has drifted past Config.TrainDrift.
 func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
-	// The training policy — the one place an ingest consults
-	// Config.Async. Either the background trainer owns retraining and
-	// the delta view is what gets published, or the writer retrains cold
-	// in the same turn and only the trained view is ever visible.
-	kind, writerTrains := "delta", false
-	if !s.async {
-		kind, writerTrains = "ingest", true
-	}
-	val, err := s.submit(kind, func(st *core.Store) (any, error) {
+	val, err := s.submit("delta", func(st *core.Store) (any, error) {
 		t0 := time.Now()
 		if err := st.AddDocuments(docs...); err != nil {
 			return nil, err
 		}
 		spans := st.TakeIngestSpans()
 		view, err := st.ViewDelta(s.view.Load(), s.gold)
-		if err == nil && writerTrains {
-			spans = append(spans, view.StageSpans()...)
-			view, err = s.train(view)
-		}
 		if err != nil {
 			return nil, err // the store is an epoch ahead: contain closes the tenant
 		}
-		s.publish(kind, t0, len(docs), append(spans, view.StageSpans()...), view, nil)
+		s.publish("delta", t0, len(docs), append(spans, view.StageSpans()...), view, nil)
 		return view, nil
 	})
 	if err != nil {
@@ -444,11 +410,10 @@ func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
 	return view, nil
 }
 
-// maybeKickTrainer nudges the background trainer after a publish when
-// the session feature space has grown past the drift threshold since
-// the serving generation was trained (never the case for a view the
-// writer just trained). Non-blocking: the kick channel is buffered and
-// a pending kick is enough.
+// maybeKickTrainer nudges the background trainer after a delta publish
+// when the session feature space has grown past the drift threshold
+// since the serving generation was trained. Non-blocking: the kick
+// channel is buffered and a pending kick is enough.
 func (s *Server) maybeKickTrainer(view *core.StoreView) {
 	if s.trainDrift <= 0 {
 		return
@@ -466,10 +431,10 @@ func (s *Server) maybeKickTrainer(view *core.StoreView) {
 	}
 }
 
-// trainLoop is the background trainer goroutine (async mode): it
-// waits for a drift kick or the interval tick, and retrains whenever
-// the serving generation is stale — or the previous retrain failed
-// and needs retrying.
+// trainLoop is the background trainer goroutine: it waits for a drift
+// kick or the interval tick, and retrains whenever the serving
+// generation is stale — or the previous retrain failed and needs
+// retrying. With both triggers off it only waits for Close.
 func (s *Server) trainLoop() {
 	defer s.wg.Done()
 	var tick <-chan time.Time
@@ -508,12 +473,12 @@ func (s *Server) needsTrain() bool {
 }
 
 // Train retrains the model cold over the currently served corpus and
-// installs the new generation. Training runs on the calling goroutine
-// (the background trainer, or an /admin/train request), never on the
-// writer; only the install goes through the writer loop. Works under either training
-// policy: when the writer trains every epoch itself, this is simply an
-// explicit extra retrain of the current corpus. It returns the view
-// being served once the install turn is over.
+// installs it as the successor generation. Training runs on the calling
+// goroutine (the background trainer, an /admin/train request or a
+// direct call), never on the writer; only the install goes through the
+// writer loop. trainMu is held from reading the base view to the end of
+// the install turn, so the generation being served at install is the
+// base's. It returns the view the install published.
 func (s *Server) Train() (*core.StoreView, error) {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
@@ -521,7 +486,7 @@ func (s *Server) Train() (*core.StoreView, error) {
 	val, err := s.contain("trainer", "train", func() (any, error) {
 		base := s.CurrentView()
 		t0 := time.Now()
-		trained, err := s.train(base)
+		trained, err := base.Retrain(core.RetrainConfig{Gold: s.gold, Generation: base.Generation() + 1})
 		if err != nil {
 			return nil, err
 		}
@@ -536,20 +501,17 @@ func (s *Server) Train() (*core.StoreView, error) {
 // install is the writer turn that makes a trained generation the served
 // one — serialized, like every publish, against concurrent ingests.
 // This is where a generation number becomes real, so this is where it
-// is checked: trained carries the successor of the generation it was
-// trained from, and if that is no longer the successor of the
-// generation being served, the writer's own trainer has installed a
-// model in the meantime — one trained at a later epoch, under the same
-// number. The stale model is dropped rather than published over it (one
-// pair, one byte content), and the fresher view is the answer. When
-// only delta epochs landed while it trained, the new generation catches
-// up with them (AdoptModel).
+// is checked: trained must carry the successor of the generation being
+// served. Train's trainMu makes that so; a number that is not would
+// serve one (epoch, generation) pair with two byte contents, so it is
+// refused, and the refusal goes on the trainer's record. When delta
+// epochs landed while it trained, the new generation catches up with
+// them (AdoptModel).
 func (s *Server) install(trained *core.StoreView, t0 time.Time) (*core.StoreView, error) {
 	cur := s.view.Load()
 	if cur.Generation()+1 != trained.Generation() {
-		obs.Log().Info("retrain superseded", "tenant", s.name, "trainedAtEpoch", trained.Epoch(),
-			"servedGeneration", cur.Generation(), "servedModelEpoch", cur.ModelTrainedAtEpoch())
-		return cur, nil
+		return nil, fmt.Errorf("serve: refusing to install generation %d (trained at epoch %d) over generation %d",
+			trained.Generation(), trained.Epoch(), cur.Generation())
 	}
 	v := trained
 	if cur.Epoch() > trained.Epoch() {

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -50,9 +51,15 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 	return out
 }
 
+// rawBody is a request body postJSON sends as it is, unmarshaled.
+type rawBody string
+
 func postJSON(t *testing.T, url string, body any, wantStatus int) map[string]any {
 	t.Helper()
 	buf, err := json.Marshal(body)
+	if raw, ok := body.(rawBody); ok {
+		buf, err = []byte(raw), nil
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +107,18 @@ func wantFeatures(t *testing.T, url string, want featureSpaces) {
 	}
 }
 
+// ingestTrained POSTs body to url's /ingest and then /admin/train, and
+// returns the ingest's reply. An ingest publishes a delta epoch under
+// the serving generation; the retrain then serves that epoch under a
+// generation trained on it — the pair and the bytes of a from-scratch
+// run over the corpus.
+func ingestTrained(t *testing.T, url string, body any) map[string]any {
+	t.Helper()
+	reply := postJSON(t, url+"/ingest", body, http.StatusOK)
+	postJSON(t, url+"/admin/train", nil, http.StatusOK)
+	return reply
+}
+
 func epochOf(t *testing.T, payload map[string]any) uint64 {
 	t.Helper()
 	e, ok := payload["epoch"].(float64)
@@ -139,7 +158,7 @@ func TestServeEndToEnd(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		batch1 = append(batch1, uploadFor(corpus, i))
 	}
-	ing := postJSON(t, ts.URL+"/ingest", map[string]any{"documents": batch1}, http.StatusOK)
+	ing := ingestTrained(t, ts.URL, map[string]any{"documents": batch1})
 	if epochOf(t, ing) != 1 || ing["docs"].(float64) != 4 || ing["added"].(float64) != 4 {
 		t.Fatalf("ingest reply = %v", ing)
 	}
@@ -260,7 +279,7 @@ func TestServeEndToEnd(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		batch2 = append(batch2, uploadFor(corpus, i))
 	}
-	ing2 := postJSON(t, ts.URL+"/ingest", map[string]any{"documents": batch2}, http.StatusOK)
+	ing2 := ingestTrained(t, ts.URL, map[string]any{"documents": batch2})
 	if epochOf(t, ing2) != 2 || ing2["docs"].(float64) != 8 {
 		t.Fatalf("second ingest reply = %v", ing2)
 	}
@@ -271,12 +290,22 @@ func TestServeEndToEnd(t *testing.T) {
 	dup.VDoc = ""
 	postJSON(t, ts.URL+"/ingest", map[string]any{"documents": []serve.DocumentUpload{dup}}, http.StatusConflict)
 	postJSON(t, ts.URL+"/ingest", map[string]any{"documents": []serve.DocumentUpload{}}, http.StatusBadRequest)
+	// A body is one JSON value: a second one, or anything but whitespace
+	// after it, is refused whole — not the first value taken and the rest
+	// dropped.
+	fresh := `{"documents":[{"name":"extra","source":"<p>x</p>"}]}`
+	postJSON(t, ts.URL+"/ingest", rawBody(fresh+" "+fresh+" garbage"), http.StatusBadRequest)
 	if e := epochOf(t, getJSON(t, ts.URL+"/healthz", http.StatusOK)); e != 2 {
 		t.Fatalf("failed ingests moved the epoch to %d", e)
 	}
+	postJSON(t, ts.URL+"/admin/snapshot", rawBody("{}x"), http.StatusBadRequest)
+	if _, err := os.Stat(snapDir); !os.IsNotExist(err) {
+		t.Fatalf("the refused snapshot wrote %s (%v)", snapDir, err)
+	}
 
-	// ---- Snapshot and resume into a second server.
-	snap := postJSON(t, ts.URL+"/admin/snapshot", nil, http.StatusOK)
+	// ---- Snapshot (a body ending in a newline is still one value) and
+	// resume into a second server.
+	snap := postJSON(t, ts.URL+"/admin/snapshot", rawBody("{}\n"), http.StatusOK)
 	if snap["dir"].(string) != snapDir {
 		t.Fatalf("snapshot dir = %v", snap["dir"])
 	}
