@@ -3,6 +3,7 @@
 package fonduer
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,9 +11,13 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,17 +25,10 @@ import (
 // may have no caller in non-test Go, each with its reason. Keys are
 // "<package path>.<func>" or "<package path>.<type>.<method>".
 var callerAllowlist = map[string]string{
-	"repro/internal/neural.Tape.Sub":           "primitive op with a backward case, pinned by TestOpsForward",
-	"repro/internal/neural.Tape.Mul":           "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
-	"repro/internal/neural.Tape.Dot":           "primitive op with a backward case, pinned by TestOpsForward",
-	"repro/internal/neural.Tape.Sigmoid":       "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
-	"repro/internal/neural.Tape.Sum":           "primitive op with a backward case, pinned by TestGradientsEmbedding",
-	"repro/internal/neural.Tape.WeightedSum":   "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
-	"repro/internal/sparse.ToCOO":              "labeling's reference_test builds its matrices with it",
-	"repro/internal/candidates.MeasureBalance": "synth's corpus checks measure class balance with it",
-	"repro/internal/candidates.Balance.Ratio":  "synth's corpus checks measure class balance with it",
-	"repro/internal/labeling.Apply":            "the sequential development-mode reference ParallelApply is tested against",
-	"repro/internal/datamodel.NewSpan":         "the model, features and parser tests build spans with it",
+	"repro/internal/neural.Tape.Mul":         "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
+	"repro/internal/neural.Tape.Dot":         "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
+	"repro/internal/neural.Tape.Sigmoid":     "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
+	"repro/internal/neural.Tape.WeightedSum": "primitive op: TestFusedOpsMatchPrimitives' reference for the fused ops",
 }
 
 // TestEveryInternalFuncHasACaller type-checks the module from source and
@@ -43,43 +41,7 @@ var callerAllowlist = map[string]string{
 // under the race detector, which has nothing to find in it: the file
 // is tagged !race.
 func TestEveryInternalFuncHasACaller(t *testing.T) {
-	// The pure-Go variants of the standard library type-check without a
-	// C toolchain, and none of the module uses cgo.
-	build.Default.CgoEnabled = false
-	const module = "repro"
-	fset := token.NewFileSet()
-	m := &moduleChecker{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		dirs:  map[string]string{},
-		pkgs:  map[string]*types.Package{},
-		decls: map[*types.Func]*ast.FuncDecl{},
-		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
-		},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if matches, _ := filepath.Glob(filepath.Join(path, "*.go")); len(matches) > 0 {
-			m.dirs[filepath.ToSlash(filepath.Join(module, path))] = path
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for path := range m.dirs {
-		if _, err := m.Import(path); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m := checkedModule(t)
 
 	// Everything the non-test code references, minus self-references.
 	used := map[*types.Func]bool{}
@@ -162,7 +124,7 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 		if _, ok := callerAllowlist[key]; ok {
 			continue
 		}
-		missing = append(missing, key+" ("+fset.Position(decl.Pos()).String()+")")
+		missing = append(missing, key+" ("+m.fset.Position(decl.Pos()).String()+")")
 	}
 	sort.Strings(missing)
 	for _, k := range missing {
@@ -215,8 +177,75 @@ type moduleChecker struct {
 	std   types.Importer
 	dirs  map[string]string // import path -> directory
 	pkgs  map[string]*types.Package
+	files map[string][]*ast.File // import path -> parsed files
 	info  *types.Info
 	decls map[*types.Func]*ast.FuncDecl
+}
+
+const module = "repro"
+
+var (
+	checkOnce sync.Once
+	checked   *moduleChecker
+	checkErr  error
+)
+
+// checkedModule returns the module's one type-check, which both
+// tripwires share.
+func checkedModule(t *testing.T) *moduleChecker {
+	t.Helper()
+	checkOnce.Do(func() { checked, checkErr = checkModule() })
+	if checkErr != nil {
+		t.Fatal(checkErr)
+	}
+	return checked
+}
+
+// newInfo returns the type-check record both tripwires read.
+func newInfo() *types.Info {
+	return &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+func checkModule() (*moduleChecker, error) {
+	// The pure-Go variants of the standard library type-check without a
+	// C toolchain, and none of the module uses cgo.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	m := &moduleChecker{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		decls: map[*types.Func]*ast.FuncDecl{},
+		info:  newInfo(),
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if matches, _ := filepath.Glob(filepath.Join(path, "*.go")); len(matches) > 0 {
+			m.dirs[filepath.ToSlash(filepath.Join(module, path))] = path
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for path := range m.dirs {
+		if _, err := m.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
 }
 
 func (m *moduleChecker) Import(path string) (*types.Package, error) {
@@ -251,6 +280,7 @@ func (m *moduleChecker) Import(path string) (*types.Package, error) {
 		}
 	}
 	m.pkgs[path] = p
+	m.files[path] = files
 	return p, nil
 }
 
@@ -263,4 +293,286 @@ func (m *moduleChecker) lookup(key string) *types.Func {
 		}
 	}
 	return nil
+}
+
+// fieldAllowlist names the struct fields under internal/ and cmd/ that
+// no non-test Go may read, each with its reason. Keys are
+// "<package path>.<type>.<field>".
+var fieldAllowlist = map[string]string{
+	"repro/internal/core.RetrainConfig.WarmFrom": "ignored; deleted with ROADMAP 3(d)",
+	"repro/internal/serve.RegistryConfig.Async":  "ignored; deleted with ROADMAP 3(d)",
+	"repro/internal/neural.adamConsts.c1":        "read by kernels_amd64.s",
+	"repro/internal/neural.adamConsts.c2":        "read by kernels_amd64.s",
+}
+
+// TestEveryInternalFieldIsRead fails on any struct field under
+// internal/ or cmd/ that no non-test Go reads (benchmark/ included), by
+// the rules of fieldReads: a field only written is state nothing looks
+// at, and a field only tests read belongs in the test. Fields with a
+// json tag are exempt, and so are the exported fields of the library
+// API: the types this package aliases and every type reachable from
+// them through exported fields.
+func TestEveryInternalFieldIsRead(t *testing.T) {
+	m := checkedModule(t)
+	var all []*ast.File
+	keys := map[*types.Var]string{}
+	for path, files := range m.files {
+		all = append(all, files...)
+		if strings.HasPrefix(path, module+"/internal/") || strings.HasPrefix(path, module+"/cmd/") {
+			maps.Copy(keys, structFields(path, files, m.info))
+		}
+	}
+	read := fieldReads(all, m.info)
+	api := apiFields(m.pkgs[module])
+
+	var missing []string
+	byKey := map[string]*types.Var{}
+	for v, key := range keys {
+		byKey[key] = v
+		if read[v] || api[v] {
+			continue
+		}
+		if _, ok := fieldAllowlist[key]; ok {
+			continue
+		}
+		missing = append(missing, key+" ("+m.fset.Position(v.Pos()).String()+")")
+	}
+	sort.Strings(missing)
+	for _, k := range missing {
+		t.Errorf("field %s is never read in non-test Go: delete it, move it into a test file, or allowlist it with a reason", k)
+	}
+	for key := range fieldAllowlist {
+		switch v := byKey[key]; {
+		case v == nil:
+			t.Errorf("allowlisted field %s is not declared, or has a json tag, now: drop its entry", key)
+		case read[v]:
+			t.Errorf("allowlisted field %s is read now: drop its entry", key)
+		case api[v]:
+			t.Errorf("allowlisted field %s is library API, which is exempt: drop its entry", key)
+		}
+	}
+}
+
+// TestFieldCheckRules pins fieldReads' rules on small packages, one
+// outcome each.
+func TestFieldCheckRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		unread    []string
+	}{
+		{"read", `type T struct{ a int }
+			func F(t T) int { return t.a }`, nil},
+		{"write only", `type T struct{ a, b int }
+			func F() T { t := T{a: 1}; t.a = 2; t.b = 3; return T{4, 5} }`, []string{"p.T.a", "p.T.b"}},
+		{"op-assign and inc-dec", `type T struct{ n, m int }
+			func F(t *T) { t.n += 2; t.m++; t.m-- }`, []string{"p.T.m", "p.T.n"}},
+		{"map key", `type K struct{ a, b int }
+			var m = map[K]int{}
+			func F() int { return m[K{a: 1, b: 2}] }`, nil},
+		{"compared", `type E struct{ a int; in struct{ b int } }
+			func F(x, y E) bool { return x != y }`, nil},
+		{"promoted field", `type Inner struct{ v int }
+			type Outer struct{ Inner }
+			func F(o Outer) int { return o.v }`, nil},
+		{"promoted method", `type Inner struct{}
+			func (Inner) M() int { return 1 }
+			type Outer struct{ Inner }
+			func F(o Outer) int { return o.M() }`, nil},
+		{"embedded but not promoted", `type Inner struct{}
+			type Outer struct{ Inner; x int }
+			func F(o Outer) int { return o.x }`, []string{"p.Outer.Inner"}},
+		{"json tag", "type J struct{ A int `json:\"a\"`; B int `db:\"b\"` }", []string{"p.J.B"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "p.go", "package p\n"+tc.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, files := newInfo(), []*ast.File{f}
+			if _, err := new(types.Config).Check("p", fset, files, info); err != nil {
+				t.Fatal(err)
+			}
+			read := fieldReads(files, info)
+			var unread []string
+			for v, key := range structFields("p", files, info) {
+				if !read[v] {
+					unread = append(unread, key)
+				}
+			}
+			sort.Strings(unread)
+			if fmt.Sprint(unread) != fmt.Sprint(tc.unread) {
+				t.Errorf("unread fields %v, want %v", unread, tc.unread)
+			}
+		})
+	}
+}
+
+// structFields keys the struct fields declared in files, the package
+// path's, as "<package path>.<type>.<field>", except those with a json
+// tag: their reader is encoding/json. A nested struct's field is named
+// through the outer one ("<package path>.<type>.<field>.<field>"), and
+// a struct outside any type declaration is keyed under "<anonymous>".
+func structFields(path string, files []*ast.File, info *types.Info) map[*types.Var]string {
+	out := map[*types.Var]string{}
+	for _, f := range files {
+		prefix := map[*ast.StructType]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					prefix[st] = path + "." + n.Name.Name
+				}
+			case *ast.StructType:
+				p, ok := prefix[n]
+				if !ok {
+					p = path + ".<anonymous>"
+				}
+				st := info.Types[n].Type.(*types.Struct)
+				i := 0
+				for _, field := range n.Fields.List {
+					k := max(len(field.Names), 1) // an embedded field is one
+					for ; k > 0; k-- {
+						v := st.Field(i)
+						i++
+						if field.Tag != nil {
+							tag, _ := strconv.Unquote(field.Tag.Value)
+							if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+								continue
+							}
+						}
+						if inner, ok := field.Type.(*ast.StructType); ok {
+							prefix[inner] = p + "." + v.Name()
+						}
+						out[v] = p + "." + v.Name()
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// fieldReads returns the struct fields that files read. A write is not
+// a read: a composite-literal key or positional element, the selector
+// on the left of an assignment (op= included), and the operand of ++
+// and --. Every other use is, and so is each embedded field on a
+// promoted selection's path, and every field of a struct type that is
+// a map key or an operand of == or != (recursively through its struct
+// and array fields), since the comparison reads them all.
+func fieldReads(files []*ast.File, info *types.Info) map[*types.Var]bool {
+	writes := map[*ast.Ident]bool{}
+	writeSel := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					writeSel(e)
+				}
+			case *ast.IncDecStmt:
+				writeSel(n.X)
+			}
+			return true
+		})
+	}
+
+	read := map[*types.Var]bool{}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, sel := range info.Selections {
+		typ, path := sel.Recv(), sel.Index()
+		for _, i := range path[:len(path)-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			v := typ.Underlying().(*types.Struct).Field(i)
+			read[v.Origin()] = true
+			typ = v.Type()
+		}
+	}
+	var compared func(types.Type)
+	compared = func(typ types.Type) {
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				compared(u.Field(i).Type())
+			}
+		case *types.Array:
+			compared(u.Elem())
+		}
+	}
+	for e, tv := range info.Types {
+		if tv.Type == nil {
+			continue
+		}
+		if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+			compared(mt.Key())
+		}
+		if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+			if x := info.Types[b.X].Type; x != nil {
+				compared(x)
+			}
+		}
+	}
+	return read
+}
+
+// apiFields returns the exported fields of the library API: those of
+// the types root aliases and, transitively, of the module's types
+// reachable from them through exported fields.
+func apiFields(root *types.Package) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	seen := map[*types.TypeName]bool{}
+	var reach func(types.Type)
+	reach = func(typ types.Type) {
+		switch t := types.Unalias(typ).(type) {
+		case *types.Pointer:
+			reach(t.Elem())
+		case *types.Slice:
+			reach(t.Elem())
+		case *types.Array:
+			reach(t.Elem())
+		case *types.Map:
+			reach(t.Key())
+			reach(t.Elem())
+		case *types.Named:
+			obj := t.Origin().Obj()
+			if seen[obj] || obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), module+"/") {
+				return
+			}
+			seen[obj] = true
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						out[f.Origin()] = true
+						reach(f.Type())
+					}
+				}
+			}
+		}
+	}
+	for _, name := range root.Scope().Names() {
+		if tn, ok := root.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			reach(tn.Type())
+		}
+	}
+	return out
 }

@@ -237,37 +237,6 @@ func (e *Extractor) ExtractAll(docs []*datamodel.Document) []*Candidate {
 // Reset restarts dense ID assignment (for a fresh extraction run).
 func (e *Extractor) Reset() { e.nextID = 0 }
 
-// Balance summarizes the class balance of a labeled candidate set —
-// the quantity throttlers are tuned against (Section 4.1 recommends
-// balancing negative and positive candidates).
-type Balance struct {
-	Positives, Negatives int
-}
-
-// Ratio returns negatives per positive (+Inf when no positives).
-func (b Balance) Ratio() float64 {
-	if b.Positives == 0 {
-		if b.Negatives == 0 {
-			return 0
-		}
-		return float64(b.Negatives) * 1e18 // effectively infinite
-	}
-	return float64(b.Negatives) / float64(b.Positives)
-}
-
-// MeasureBalance counts positives and negatives under a gold oracle.
-func MeasureBalance(cands []*Candidate, gold func(*Candidate) bool) Balance {
-	var b Balance
-	for _, c := range cands {
-		if gold(c) {
-			b.Positives++
-		} else {
-			b.Negatives++
-		}
-	}
-	return b
-}
-
 // SortByKey orders candidates deterministically by their span keys;
 // used to make experiment output stable across runs.
 func SortByKey(cands []*Candidate) {

@@ -177,26 +177,6 @@ func TestNoMentionsNoCartesianBlowup(t *testing.T) {
 	}
 }
 
-func TestBalance(t *testing.T) {
-	d := buildDoc(t)
-	e := &Extractor{Args: []ArgSpec{partArg(), currentArg()}, Scope: DocumentScope}
-	cands := e.Extract(d)
-	gold := func(c *Candidate) bool { return c.Mentions[1].Span.Text() == "200" }
-	b := MeasureBalance(cands, gold)
-	if b.Positives != 2 || b.Negatives != 2 {
-		t.Fatalf("balance = %+v", b)
-	}
-	if b.Ratio() != 1 {
-		t.Fatalf("ratio = %v", b.Ratio())
-	}
-	if (Balance{}).Ratio() != 0 {
-		t.Fatal("empty ratio")
-	}
-	if (Balance{Negatives: 5}).Ratio() < 1e18 {
-		t.Fatal("no-positive ratio must be effectively infinite")
-	}
-}
-
 func TestSortByKeyDeterminism(t *testing.T) {
 	d := buildDoc(t)
 	e := &Extractor{Args: []ArgSpec{partArg(), currentArg()}, Scope: DocumentScope}

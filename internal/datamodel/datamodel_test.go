@@ -1,6 +1,7 @@
 package datamodel
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -150,6 +151,23 @@ func TestSpanBasics(t *testing.T) {
 
 // Equal helper for Box in tests.
 func (b Box) Equal(o Box) bool { return b == o }
+
+// NewSpan constructs a span over sent.Words[start:end]. It panics if
+// the interval is out of range or empty, so a test cannot build a span
+// no matcher or generator would.
+func NewSpan(sent *Sentence, start, end int) Span {
+	if sent == nil || start < 0 || end > len(sent.Words) || start >= end {
+		panic(fmt.Sprintf("datamodel: invalid span [%d,%d) over %d words", start, end, wordCount(sent)))
+	}
+	return Span{Sentence: sent, Start: start, End: end}
+}
+
+func wordCount(s *Sentence) int {
+	if s == nil {
+		return 0
+	}
+	return len(s.Words)
+}
 
 func TestSpanPanicsOnInvalid(t *testing.T) {
 	d := buildFig1(t)

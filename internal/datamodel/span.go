@@ -15,23 +15,6 @@ type Span struct {
 	End      int
 }
 
-// NewSpan constructs a span over sent.Words[start:end]. It panics if
-// the interval is out of range or empty, because such spans indicate a
-// programming error in a matcher or generator.
-func NewSpan(sent *Sentence, start, end int) Span {
-	if sent == nil || start < 0 || end > len(sent.Words) || start >= end {
-		panic(fmt.Sprintf("datamodel: invalid span [%d,%d) over %d words", start, end, wordCount(sent)))
-	}
-	return Span{Sentence: sent, Start: start, End: end}
-}
-
-func wordCount(s *Sentence) int {
-	if s == nil {
-		return 0
-	}
-	return len(s.Words)
-}
-
 // Words returns the covered words.
 func (s Span) Words() []string { return s.Sentence.Words[s.Start:s.End] }
 

@@ -129,8 +129,8 @@ func TestFeaturizeModalities(t *testing.T) {
 func TestPairTabularFeatures(t *testing.T) {
 	d := buildDoc(t)
 	// Candidate of two tabular mentions: 200 and the Value header.
-	val := datamodel.NewSpan(d.Sentences()[5], 0, 1) // 200
-	hdr := datamodel.NewSpan(d.Sentences()[2], 0, 1) // Value
+	val := datamodel.Span{Sentence: d.Sentences()[5], Start: 0, End: 1} // 200
+	hdr := datamodel.Span{Sentence: d.Sentences()[2], Start: 0, End: 1} // Value
 	c := &candidates.Candidate{Mentions: []candidates.Mention{
 		{TypeName: "A", Span: val}, {TypeName: "B", Span: hdr},
 	}}
@@ -150,8 +150,8 @@ func TestPairTabularFeatures(t *testing.T) {
 func TestSameCellFeatures(t *testing.T) {
 	d := buildDoc(t)
 	s := d.Sentences()[4] // "Collector current"
-	a := datamodel.NewSpan(s, 0, 1)
-	b := datamodel.NewSpan(s, 1, 2)
+	a := datamodel.Span{Sentence: s, Start: 0, End: 1}
+	b := datamodel.Span{Sentence: s, Start: 1, End: 2}
 	c := &candidates.Candidate{Mentions: []candidates.Mention{
 		{TypeName: "A", Span: a}, {TypeName: "B", Span: b},
 	}}

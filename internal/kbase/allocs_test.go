@@ -111,7 +111,7 @@ func TestSealAllocs(t *testing.T) {
 		page += mallocs() - before
 	}
 	page /= runs
-	if pages := b.Stats().Pages; pages != runs {
+	if pages := sealedPages(b); pages != runs {
 		t.Fatalf("sealed %d pages, want %d", pages, runs)
 	}
 	t.Logf("filling and sealing a %d-row, %d-column page: %d allocations", pageRows, schema.Arity(), page)

@@ -54,8 +54,7 @@ type matcher struct {
 type compiledPred struct {
 	col    int
 	want   string // rendered probe: what float and string cells and the index's hash compare against
-	intVal int64  // parsed probe when intOK
-	intOK  bool
+	intVal int64  // parsed probe on an integer column
 }
 
 // compilePreds compiles a conjunction against the schema. The preds
@@ -72,7 +71,7 @@ func compilePreds(schema Schema, preds []Pred) matcher {
 		if schema.Columns[p.Col].Type == IntCol {
 			n, err := strconv.ParseInt(p.Want, 10, 64)
 			if err == nil && strconv.FormatInt(n, 10) == p.Want {
-				cp.intVal, cp.intOK = n, true
+				cp.intVal = n
 			} else {
 				// fmt.Sprint(int64) only ever emits the canonical
 				// rendering, so a non-canonical probe matches nothing.
@@ -183,28 +182,19 @@ type Backend interface {
 	// Snapshot writes the rows (no header) in the WriteTSV row
 	// encoding.
 	Snapshot(w io.Writer) error
-	// Stats reports the backend's paging counters (zero-valued on the
-	// memory kind).
+	// Stats reports the backend's page-cache counters (zero-valued on
+	// the memory kind).
 	Stats() BackendStats
 	// Close releases backend resources (the spill segment and its
 	// descriptor). The backend is unusable afterwards.
 	Close() error
 }
 
-// BackendStats are one backend's paging and query-plan counters. The
-// paging counters come from the backend itself; the plan counters
-// (IndexHits, FullScans) are recorded by the Table-level planner and
-// merged in by Table.BackendStats.
+// BackendStats are one backend's page-cache counters: decoded-page
+// cache lookups, where a miss fetches and decodes one full page. A
+// filtered read's plan is not counted here: PageWhereInfo returns it.
 type BackendStats struct {
-	// Pages counts sealed pages (in the table's segment file for the
-	// "disk" kind, heap blobs for "columnar").
-	Pages int
-	// CacheHits / CacheMisses count decoded-page cache lookups. A miss
-	// fetches and decodes one full page.
 	CacheHits, CacheMisses int64
-	// IndexHits counts filtered reads answered through a hash index;
-	// FullScans counts filtered reads that walked every page.
-	IndexHits, FullScans int64
 }
 
 // Engine creates backends — one per table — sharing a storage policy

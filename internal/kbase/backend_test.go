@@ -384,8 +384,8 @@ func TestDiskBackendPaging(t *testing.T) {
 	// a delete rewrite, and nothing once the table is closed.
 	checkSpill := func(when string, pages int) {
 		t.Helper()
-		if bs := tbl.BackendStats(); bs.Pages != pages {
-			t.Fatalf("%s: pages = %d, want %d", when, bs.Pages, pages)
+		if got := sealedPages(tbl.be); got != pages {
+			t.Fatalf("%s: pages = %d, want %d", when, got, pages)
 		}
 		want := map[string]int64{}
 		if pages > 0 {
@@ -625,7 +625,7 @@ func TestDiskDBSaveLoadRoundTrip(t *testing.T) {
 	if !EqualDB(db, mem) || !EqualDB(db, disk) || !EqualDB(mem, disk) {
 		t.Fatal("round-tripped databases differ")
 	}
-	if disk.BackendKind() != "disk" || disk.Stats().Backend != "disk" {
+	if disk.BackendKind() != "disk" {
 		t.Fatalf("restored kind = %q", disk.BackendKind())
 	}
 	// A disk snapshot is the table files and their manifest, nothing
@@ -705,17 +705,17 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 			if err := appendRow(b, schema, row(7)); err == nil || !strings.Contains(err.Error(), "injected put fault") {
 				t.Fatalf("Append over a failing put = %v", err)
 			}
-			if rows := state(); !reflect.DeepEqual(rows, wantRows) || b.Stats().Pages != 1 {
+			if rows := state(); !reflect.DeepEqual(rows, wantRows) || sealedPages(b) != 1 {
 				t.Fatalf("failed Append left %d rows, %d pages; want %d, 1",
-					len(rows), b.Stats().Pages, len(wantRows))
+					len(rows), sealedPages(b), len(wantRows))
 			}
 			// The retry seals the page.
 			if err := appendRow(b, schema, row(7)); err != nil {
 				t.Fatalf("retry: %v", err)
 			}
 			rows := state()
-			if len(rows) != 8 || !reflect.DeepEqual(rows[7], row(7)) || b.Stats().Pages != 2 {
-				t.Fatalf("after retry: %d rows, %d pages", len(rows), b.Stats().Pages)
+			if len(rows) != 8 || !reflect.DeepEqual(rows[7], row(7)) || sealedPages(b) != 2 {
+				t.Fatalf("after retry: %d rows, %d pages", len(rows), sealedPages(b))
 			}
 
 			// A page that cannot be read back: cached pages still
@@ -754,17 +754,17 @@ func TestPagedBackendStoreFaults(t *testing.T) {
 		if err := appendRow(b, schema, row(11)); err == nil {
 			t.Fatal("Append over a read-only segment succeeded")
 		}
-		if b.Len() != 11 || b.Stats().Pages != 2 || !reflect.DeepEqual(store.ends, ends) {
+		if b.Len() != 11 || sealedPages(b) != 2 || !reflect.DeepEqual(store.ends, ends) {
 			t.Fatalf("failed Append left %d rows, %d pages, directory %v; want 11, 2, %v",
-				b.Len(), b.Stats().Pages, store.ends, ends)
+				b.Len(), sealedPages(b), store.ends, ends)
 		}
 		store.f.Close()
 		store.f = rw
 		if err := appendRow(b, schema, row(11)); err != nil {
 			t.Fatalf("retry: %v", err)
 		}
-		if info, err := os.Stat(store.path); err != nil || b.Stats().Pages != 3 || info.Size() != store.ends[2] {
-			t.Fatalf("after retry: %d pages, segment %v (%v), directory %v", b.Stats().Pages, info, err, store.ends)
+		if info, err := os.Stat(store.path); err != nil || sealedPages(b) != 3 || info.Size() != store.ends[2] {
+			t.Fatalf("after retry: %d pages, segment %v (%v), directory %v", sealedPages(b), info, err, store.ends)
 		}
 		// A segment cut short behind the store's back: the pages before
 		// the cut still read, the one across it is lost, by name.
@@ -824,7 +824,12 @@ func TestScanPlanConcurrent(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if got, want := tbl.BackendStats().FullScans, int64(readers*rounds); got != want {
-		t.Fatalf("FullScans = %d, want %d", got, want)
-	}
+}
+
+// sealedPages reads a paged backend's count of sealed pages.
+func sealedPages(be Backend) int {
+	b := be.(*pagedBackend)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.pages
 }

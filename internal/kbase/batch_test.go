@@ -251,8 +251,8 @@ func TestInsertBatchStopsAtBackendError(t *testing.T) {
 				if added, err := insert(tbl, batch); err != nil || added != 4 {
 					t.Fatalf("retry = %d, %v; want the 4 rows that were left", added, err)
 				}
-				if got := tbl.Tuples(); !reflect.DeepEqual(got, batch2rows(batch)) || tbl.BackendStats().Pages != 2 {
-					t.Fatalf("after the retry: %d pages, rows %v", tbl.BackendStats().Pages, got)
+				if got := tbl.Tuples(); !reflect.DeepEqual(got, batch2rows(batch)) || sealedPages(tbl.be) != 2 {
+					t.Fatalf("after the retry: %d pages, rows %v", sealedPages(tbl.be), got)
 				}
 				if added, err := insert(tbl, batch); err != nil || added != 0 {
 					t.Fatalf("a third offer = %d, %v; want all duplicates", added, err)

@@ -51,8 +51,6 @@ type planner struct {
 	// insert batch, almost always on a table nobody has filtered — can
 	// tell there is nothing to drop without taking mu.
 	built atomic.Bool
-
-	indexHits, fullScans int64
 }
 
 func newPlanner() *planner {
@@ -114,7 +112,6 @@ func (t *Table) choosePlan(m matcher) []int {
 		}
 	}
 	postings := func(ci *colIndex, cp compiledPred) []int {
-		p.indexHits++
 		if at := ci.postings[hashKey(cp.want)]; at != nil {
 			return at
 		}
@@ -133,7 +130,6 @@ func (t *Table) choosePlan(m matcher) []int {
 			return postings(ci, cp)
 		}
 	}
-	p.fullScans++
 	return nil
 }
 

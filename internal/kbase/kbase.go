@@ -178,17 +178,9 @@ func newTableWith(schema Schema, be Backend) *Table {
 // BackendKind names the table's storage backend.
 func (t *Table) BackendKind() string { return t.be.Kind() }
 
-// BackendStats reports the table's paging counters (zero-valued for
-// the in-memory backend) merged with the planner's plan-choice
-// counters.
-func (t *Table) BackendStats() BackendStats {
-	bs := t.be.Stats()
-	t.plan.mu.Lock()
-	bs.IndexHits = t.plan.indexHits
-	bs.FullScans = t.plan.fullScans
-	t.plan.mu.Unlock()
-	return bs
-}
+// BackendStats reports the table's page-cache counters (zero-valued
+// for the in-memory backend).
+func (t *Table) BackendStats() BackendStats { return t.be.Stats() }
 
 // Close releases the table's backend resources (the spill segment and
 // its descriptor). The table is unusable afterwards.
@@ -493,14 +485,9 @@ func (db *DB) Close() error {
 	return firstErr
 }
 
-// DBStats aggregates the paging and query-plan counters of every
-// table's backend.
+// DBStats aggregates the page-cache counters of every table's
+// backend.
 type DBStats struct {
-	// Backend is the engine kind (one of BackendKinds).
-	Backend string
-	// Pages counts sealed pages across all tables (0 on the memory
-	// engine).
-	Pages int
 	// CacheHits / CacheMisses sum the tables' decoded-page cache
 	// lookups.
 	CacheHits, CacheMisses int64
@@ -508,9 +495,6 @@ type DBStats struct {
 	// kept only because benchmark/ still reads it; it goes when the next
 	// benchmark-archetype PR drops that read (ROADMAP item 3(d)).
 	PagesSkipped int64
-	// IndexHits / FullScans sum the tables' filtered-read plan
-	// choices: answered through a hash index vs scanned.
-	IndexHits, FullScans int64
 }
 
 // HitRate returns the page-cache hit fraction (0 when no lookups).
@@ -524,14 +508,11 @@ func (s DBStats) HitRate() float64 {
 
 // Stats aggregates the database's backend statistics.
 func (db *DB) Stats() DBStats {
-	out := DBStats{Backend: db.engine.Kind()}
+	var out DBStats
 	for _, t := range db.tables {
 		bs := t.BackendStats()
-		out.Pages += bs.Pages
 		out.CacheHits += bs.CacheHits
 		out.CacheMisses += bs.CacheMisses
-		out.IndexHits += bs.IndexHits
-		out.FullScans += bs.FullScans
 	}
 	return out
 }
@@ -568,8 +549,6 @@ func (db *DB) Names() []string {
 //	Coverage  = |got ∩ ref| / |ref|   (how much of the existing KB we found)
 //	NewEntries = |got \ ref|           (entries we found beyond the KB)
 type Comparison struct {
-	RefEntries int
-	GotEntries int
 	Overlap    int
 	NewEntries int
 	Coverage   float64
@@ -577,7 +556,7 @@ type Comparison struct {
 
 // Compare computes the Table 3 comparison between got and ref.
 func Compare(got, ref *Table) Comparison {
-	c := Comparison{RefEntries: ref.Len(), GotEntries: got.Len()}
+	var c Comparison
 	got.Scan(func(tp Tuple) bool {
 		if ref.Contains(tp) {
 			c.Overlap++

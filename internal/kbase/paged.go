@@ -724,7 +724,7 @@ func (b *pagedBackend) Snapshot(w io.Writer) error {
 func (b *pagedBackend) Stats() BackendStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BackendStats{Pages: b.pages, CacheHits: b.hits, CacheMisses: b.misses}
+	return BackendStats{CacheHits: b.hits, CacheMisses: b.misses}
 }
 
 func (b *pagedBackend) Close() error {

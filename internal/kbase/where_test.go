@@ -262,12 +262,9 @@ func TestIndexLifecycle(t *testing.T) {
 
 		// EnsureIndex: first filtered read builds and uses the index.
 		mustEnsureIndex(t, tbl, "grp")
-		rows, total := tbl.PageWhere([]Pred{{Col: 1, Want: "g1"}}, 0, 0)
-		if total != 8 || len(rows) != 8 {
-			t.Fatalf("indexed read: %d rows, total %d", len(rows), total)
-		}
-		if st := tbl.BackendStats(); st.IndexHits != 1 || st.FullScans != 0 {
-			t.Fatalf("after indexed read: hits=%d scans=%d", st.IndexHits, st.FullScans)
+		rows, total, info := tbl.PageWhereInfo([]Pred{{Col: 1, Want: "g1"}}, 0, 0)
+		if total != 8 || len(rows) != 8 || info.Plan != "index" {
+			t.Fatalf("indexed read: %d rows, total %d, plan %q", len(rows), total, info.Plan)
 		}
 
 		// Mutation invalidates; the next read rebuilds and stays right.
@@ -287,15 +284,10 @@ func TestIndexLifecycle(t *testing.T) {
 
 		// Heat-based auto selection: a cold column scans twice, then
 		// flips to an index plan.
-		st0 := tbl.BackendStats()
-		for i := 0; i < 3; i++ {
-			if _, total := tbl.PageWhere([]Pred{{Col: 0, Want: "p005"}}, 0, 0); total != 1 {
-				t.Fatalf("read %d: total %d", i, total)
+		for i, want := range []string{"scan", "index", "index"} {
+			if _, total, info := tbl.PageWhereInfo([]Pred{{Col: 0, Want: "p005"}}, 0, 0); total != 1 || info.Plan != want {
+				t.Fatalf("auto-heat read %d: total %d, plan %q, want %q", i, total, info.Plan, want)
 			}
-		}
-		st1 := tbl.BackendStats()
-		if scans := st1.FullScans - st0.FullScans; scans != 1 {
-			t.Fatalf("auto-heat full scans = %d, want 1 (reads 2..3 indexed)", scans)
 		}
 
 		// Size cap: an over-cap table never builds, every read scans.
@@ -306,12 +298,9 @@ func TestIndexLifecycle(t *testing.T) {
 		fillParts(t, big, 10)
 		mustEnsureIndex(t, big, "part")
 		for i := 0; i < 3; i++ {
-			if _, total := big.PageWhere([]Pred{{Col: 0, Want: "p03"}}, 0, 0); total != 1 {
-				t.Fatalf("capped read %d: total %d", i, total)
+			if _, total, info := big.PageWhereInfo([]Pred{{Col: 0, Want: "p03"}}, 0, 0); total != 1 || info.Plan != "scan" {
+				t.Fatalf("capped read %d: total %d, plan %q", i, total, info.Plan)
 			}
-		}
-		if st := big.BackendStats(); st.IndexHits != 0 || st.FullScans != 3 {
-			t.Fatalf("capped table: hits=%d scans=%d", st.IndexHits, st.FullScans)
 		}
 	})
 }

@@ -51,25 +51,6 @@ func NewMatrix(rep sparse.Matrix, numCands, numLFs int) *Matrix {
 	return &Matrix{M: rep, NumCands: numCands, NumLFs: numLFs}
 }
 
-// Apply runs every LF over every candidate, writing labels into a new
-// COO-backed matrix (the development-mode representation).
-func Apply(lfs []LF, cands []*candidates.Candidate) *Matrix {
-	m := NewMatrix(sparse.NewCOO(), len(cands), len(lfs))
-	for _, c := range cands {
-		for j, lf := range lfs {
-			ApplyOne(m, c, j, lf)
-		}
-	}
-	return m
-}
-
-// ApplyOne applies a single LF to a single candidate, updating the
-// matrix; Apply calls it cell by cell. (A store that installs or edits
-// one LF re-applies it with ParallelColumnVotes instead.)
-func ApplyOne(m *Matrix, c *candidates.Candidate, col int, lf LF) {
-	m.M.Set(c.ID, col, float64(clampVote(lf.Fn(c))))
-}
-
 // RowLabels returns the non-abstain (column, label) pairs of row i.
 func (m *Matrix) RowLabels(i int) []sparse.Entry { return m.M.Row(i) }
 

@@ -14,6 +14,26 @@ import (
 // Label returns Λ[i,j] as -1, 0 or +1.
 func (m *Matrix) Label(i, j int) int { return int(m.M.Get(i, j)) }
 
+// Apply runs every LF over every candidate, writing labels cell by
+// cell into a new COO-backed matrix (the development-mode
+// representation): the sequential reference ParallelApply is tested
+// against.
+func Apply(lfs []LF, cands []*candidates.Candidate) *Matrix {
+	m := NewMatrix(sparse.NewCOO(), len(cands), len(lfs))
+	for _, c := range cands {
+		for j, lf := range lfs {
+			applyOne(m, c, j, lf)
+		}
+	}
+	return m
+}
+
+// applyOne writes one LF's clamped vote on one candidate into column
+// col, overwriting the cell.
+func applyOne(m *Matrix, c *candidates.Candidate, col int, lf LF) {
+	m.M.Set(c.ID, col, float64(clampVote(lf.Fn(c))))
+}
+
 // makeCands fabricates n candidates with dense IDs over a dummy
 // document (LF tests only need IDs and values).
 func makeCands(t *testing.T, vals []string) []*candidates.Candidate {
@@ -255,7 +275,7 @@ func TestApplyOneIncremental(t *testing.T) {
 	m := NewMatrix(sparse.NewCOO(), len(cands), 1)
 	lf := lfEquals("is-a", "a", +1)
 	for _, c := range cands {
-		ApplyOne(m, c, 0, lf)
+		applyOne(m, c, 0, lf)
 	}
 	if m.Label(0, 0) != 1 || m.Label(1, 0) != 0 {
 		t.Fatal("incremental apply")
@@ -263,7 +283,7 @@ func TestApplyOneIncremental(t *testing.T) {
 	// Editing the LF (now labels b) and re-applying overwrites.
 	lf2 := lfEquals("is-b", "b", -1)
 	for _, c := range cands {
-		ApplyOne(m, c, 0, lf2)
+		applyOne(m, c, 0, lf2)
 	}
 	if m.Label(0, 0) != 0 || m.Label(1, 0) != -1 {
 		t.Fatal("re-apply must overwrite")

@@ -29,8 +29,8 @@ func forShards(n, workers int, fn func(lo, hi int)) {
 }
 
 // clampVote clamps a labeling function's raw return to {-1, 0, +1} —
-// the single clamping rule shared by ApplyOne and the parallel paths,
-// so sequential and sharded application can never diverge.
+// the single clamping rule of every path that applies LFs, so
+// sequential and sharded application can never diverge.
 func clampVote(v int) int8 {
 	if v > 1 {
 		return 1
@@ -76,11 +76,11 @@ func ParallelColumnVotes(lf LF, cands []*candidates.Candidate, workers int) []in
 
 // MatrixFromVotes materializes a LIL-backed label matrix from
 // candidate-major vote rows (row i of the matrix is votes[i]),
-// dropping abstains. The result is identical to
-// Apply(lfs, cands).Compact() when votes came from the same LFs in
-// the same candidate order.
+// dropping abstains. The result is identical to the compacted matrix
+// of setting each vote cell by cell, when votes came from the same LFs
+// in the same candidate order.
 func MatrixFromVotes(votes [][]int8, numLFs int) *Matrix {
-	nnz, last := 0, -1 // last: the last row with a vote, where Apply's matrix ends
+	nnz, last := 0, -1 // last: the last row with a vote, where a matrix built by Set ends
 	for i, row := range votes {
 		for _, v := range row {
 			if v != 0 {
@@ -109,7 +109,8 @@ func MatrixFromVotes(votes [][]int8, numLFs int) *Matrix {
 
 // ParallelApply runs every LF over every candidate with up to workers
 // goroutines (<=0 means GOMAXPROCS) and materializes the label matrix
-// from the votes: the contents of Apply(lfs, cands).Compact(). Rows
+// from the votes: the contents of applying each LF to each candidate
+// in turn and compacting the result. Rows
 // are keyed by list position, which equals the candidate's ID under
 // the dense-ID precondition the pipeline documents (core.
 // RunWithCandidates: IDs dense from zero, in list order).

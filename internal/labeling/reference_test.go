@@ -175,7 +175,13 @@ func TestFitMatchesReference(t *testing.T) {
 				}
 				m := MatrixFromVotes(votes, tc.lfs)
 				if tc.wrapInCOO {
-					m = &Matrix{M: sparse.ToCOO(m.M), NumLFs: m.NumLFs, NumCands: m.NumCands}
+					coo := sparse.NewCOO()
+					for r := 0; r < m.M.Rows(); r++ {
+						for _, e := range m.M.Row(r) {
+							coo.Set(e.Row, e.Col, e.Val)
+						}
+					}
+					m = &Matrix{M: coo, NumLFs: m.NumLFs, NumCands: m.NumCands}
 				}
 				opts := FitOptions{LearnPrior: learnPrior, MaxIter: tc.maxIter, InitAcc: tc.overrideInit}
 				if tc.looseTol {

@@ -20,7 +20,7 @@ func testDoc(t *testing.T, text string) *datamodel.Document {
 
 func span(t *testing.T, d *datamodel.Document, sent, start, end int) datamodel.Span {
 	t.Helper()
-	return datamodel.NewSpan(d.Sentences()[sent], start, end)
+	return datamodel.Span{Sentence: d.Sentences()[sent], Start: start, End: end}
 }
 
 func TestRegex(t *testing.T) {

@@ -20,7 +20,7 @@ func makeExample(id int, cue string, feats []int, marginal float64) Example {
 	b.Finish()
 	c := &candidates.Candidate{
 		ID:       id,
-		Mentions: []candidates.Mention{{TypeName: "X", Span: datamodel.NewSpan(s, 2, 3)}},
+		Mentions: []candidates.Mention{{TypeName: "X", Span: datamodel.Span{Sentence: s, Start: 2, End: 3}}},
 	}
 	return Example{Cand: c, SparseFeats: feats, Marginal: marginal}
 }
@@ -386,8 +386,8 @@ func TestTrainBatchChangesTrajectory(t *testing.T) {
 // pairExample builds a binary candidate over two spans of one sentence.
 func pairExample(id int, s *datamodel.Sentence, a, b [2]int) Example {
 	return Example{Cand: &candidates.Candidate{ID: id, Mentions: []candidates.Mention{
-		{TypeName: "Part", Span: datamodel.NewSpan(s, a[0], a[1])},
-		{TypeName: "Value", Span: datamodel.NewSpan(s, b[0], b[1])},
+		{TypeName: "Part", Span: datamodel.Span{Sentence: s, Start: a[0], End: a[1]}},
+		{TypeName: "Value", Span: datamodel.Span{Sentence: s, Start: b[0], End: b[1]}},
 	}}, SparseFeats: []int{id % 3}, Marginal: float64(id % 2)}
 }
 

@@ -185,7 +185,6 @@ type opKind uint8
 
 const (
 	opAdd opKind = iota
-	opSub
 	opMul
 	opTanh
 	opSigmoid
@@ -193,7 +192,6 @@ const (
 	opDot
 	opMatVec
 	opSoftmax
-	opSum
 	opWeightedSum
 	opSparseLinear
 	opMaxPool
@@ -245,11 +243,6 @@ func (t *Tape) backward(o *op) {
 			a.G[i] += out.G[i]
 			b.G[i] += out.G[i]
 		}
-	case opSub:
-		for i := range out.G {
-			a.G[i] += out.G[i]
-			b.G[i] -= out.G[i]
-		}
 	case opMul:
 		for i := range out.G {
 			a.G[i] += out.G[i] * b.V[i]
@@ -287,12 +280,6 @@ func (t *Tape) backward(o *op) {
 		}
 		for i := range a.G {
 			a.G[i] += out.V[i] * (out.G[i] - dot)
-		}
-	case opSum:
-		for _, v := range o.vs {
-			for i := range v.G {
-				v.G[i] += out.G[i]
-			}
 		}
 	case opWeightedSum:
 		for j, v := range o.vs {
@@ -335,17 +322,6 @@ func (t *Tape) Add(a, b *Vec) *Vec {
 		out.V[i] = a.V[i] + b.V[i]
 	}
 	t.record(op{kind: opAdd, out: out, a: a, b: b})
-	return out
-}
-
-// Sub returns a - b.
-func (t *Tape) Sub(a, b *Vec) *Vec {
-	mustSameLen(a, b)
-	out := t.NewVec(a.Len())
-	for i := range out.V {
-		out.V[i] = a.V[i] - b.V[i]
-	}
-	t.record(op{kind: opSub, out: out, a: a, b: b})
 	return out
 }
 
@@ -436,22 +412,6 @@ func (t *Tape) Softmax(a *Vec) *Vec {
 	out := t.NewVec(a.Len())
 	SoftmaxProbs(out.V, a.V)
 	t.record(op{kind: opSoftmax, out: out, a: a})
-	return out
-}
-
-// Sum returns the element-wise sum of several equal-length vectors.
-func (t *Tape) Sum(vs ...*Vec) *Vec {
-	if len(vs) == 0 {
-		panic("neural: Sum of nothing")
-	}
-	out := t.NewVec(vs[0].Len())
-	for _, v := range vs {
-		mustSameLen(vs[0], v)
-		for i := range out.V {
-			out.V[i] += v.V[i]
-		}
-	}
-	t.record(op{kind: opSum, out: out, vs: t.keep(vs)})
 	return out
 }
 

@@ -315,11 +315,11 @@ type Sample struct {
 	Value float64
 }
 
-// ParsedFamily is one family's declared metadata plus its samples.
+// ParsedFamily is one family's declared name and type plus its
+// samples.
 type ParsedFamily struct {
 	Name    string
 	Type    string
-	Help    string
 	Samples []Sample
 }
 
@@ -361,7 +361,7 @@ func ParseExposition(r io.Reader) ([]ParsedFamily, error) {
 			if byName[name] != nil {
 				return nil, fmt.Errorf("line %d: duplicate HELP for %s", lineNo, name)
 			}
-			fams = append(fams, ParsedFamily{Name: name, Help: rest[len(name)+1:]})
+			fams = append(fams, ParsedFamily{Name: name})
 			byName[name] = &fams[len(fams)-1]
 			continue
 		}

@@ -325,7 +325,7 @@ func TestAlignVisual(t *testing.T) {
 	}
 	// Words in one sentence are horizontally aligned.
 	s := d.Sentences()[3] // a table row sentence
-	a := datamodel.NewSpan(s, 0, 1)
+	a := datamodel.Span{Sentence: s, Start: 0, End: 1}
 	if !a.HasVisual() {
 		t.Fatal("span must have visuals")
 	}

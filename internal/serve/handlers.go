@@ -549,7 +549,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // handleTrain retrains the model over the currently served corpus and
 // publishes the new generation (POST /admin/train): the manual version
-// of what the background trainer does on drift/interval triggers.
+// of what the background trainer does on drift/interval triggers. A
+// generation already trained at the served epoch is answered as is.
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	view, err := s.Train()

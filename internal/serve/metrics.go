@@ -46,11 +46,9 @@ var (
 // serverMetrics is one registry's per-tenant family set, shared by
 // every Server wired to the same obs.Metrics.
 type serverMetrics struct {
-	m *obs.Metrics
-
 	httpReqs    *obs.Family // counter  {tenant,route,status}
 	httpDur     *obs.Family // histogram{tenant,route,status}
-	publishDur  *obs.Family // histogram{tenant}: ingest accepted -> epoch published
+	publishDur  *obs.Family // histogram{tenant}: ingest accepted -> delta epoch published
 	stageDur    *obs.Family // histogram{tenant,stage}
 	trainEpochs *obs.Family // counter  {tenant}
 	trainDur    *obs.Family // histogram{tenant}
@@ -62,7 +60,6 @@ type serverMetrics struct {
 
 func newServerMetrics(m *obs.Metrics) *serverMetrics {
 	return &serverMetrics{
-		m: m,
 		httpReqs: m.Counter("fonduer_http_requests_total",
 			"HTTP requests served, by tenant, route and status.",
 			"tenant", "route", "status"),
@@ -70,7 +67,7 @@ func newServerMetrics(m *obs.Metrics) *serverMetrics {
 			"HTTP request latency in seconds, by tenant, route and status.",
 			obs.DefDurationBuckets, "tenant", "route", "status"),
 		publishDur: m.Histogram("fonduer_ingest_publish_duration_seconds",
-			"Wall time from an accepted ingest batch to its epoch being published.",
+			"Wall time from an accepted ingest batch to its epoch being published, over delta publishes only.",
 			obs.DefStageBuckets, "tenant"),
 		stageDur: m.Histogram("fonduer_pipeline_stage_duration_seconds",
 			"Per-stage pipeline wall time for publish runs (extract, featurize, supervise, train, ...).",
@@ -301,8 +298,9 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, e
 	}
 }
 
-// observePublish records one publication's metrics: the end-to-end
-// publish latency, each stage's duration, and the training counters.
+// observePublish records one publication's metrics: the ingest-to-
+// publish latency of a delta publish, each stage's duration, and the
+// training counters (a train publish's time is trainDur's).
 // Called from the writer goroutine after the trace is assembled.
 func (sm *serverMetrics) observePublish(tenant string, tr obs.Trace, epochs int, trainSecs float64) {
 	kind := tr.Kind
@@ -313,7 +311,9 @@ func (sm *serverMetrics) observePublish(tenant string, tr obs.Trace, epochs int,
 	if tr.Err != "" {
 		return
 	}
-	sm.publishDur.With(tenant).Observe(tr.DurationMs / 1e3)
+	if tr.Kind == "delta" {
+		sm.publishDur.With(tenant).Observe(tr.DurationMs / 1e3)
+	}
 	for _, sp := range tr.Spans {
 		sm.stageDur.With(tenant, sp.Name).Observe(sp.DurationMs / 1e3)
 	}

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -474,6 +475,57 @@ func TestTracesAndHealthObservability(t *testing.T) {
 	// just assert the reserved fleet tenant name is refused).
 	if _, err := rg.Create(serve.TenantConfig{Name: "_fleet", Domain: "electronics"}); err == nil {
 		t.Fatal("reserved tenant name _fleet was accepted")
+	}
+}
+
+// TestTrainWhenCaughtUp: after one ingest, two POST /admin/train answer
+// the same generation, and only the first trains and publishes. The
+// ingest-publish histogram counts the delta publish alone, while
+// fonduer_publish_total counts every publication by kind.
+func TestTrainWhenCaughtUp(t *testing.T) {
+	rg := newTestRegistry(t, "", core.Options{Seed: 3, Epochs: 1, Workers: 2})
+	if _, err := rg.Create(serve.TenantConfig{Name: "elec", Domain: "electronics"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rg.Handler())
+	defer ts.Close()
+
+	corpus := synth.Electronics(63, 3)
+	var batch []serve.DocumentUpload
+	for i := 0; i < 3; i++ {
+		batch = append(batch, uploadFor(corpus, i))
+	}
+	postJSON(t, ts.URL+"/t/elec/ingest", map[string]any{"documents": batch}, http.StatusOK)
+	for i := 0; i < 2; i++ {
+		if got := postJSON(t, ts.URL+"/t/elec/admin/train", nil, http.StatusOK); got["generation"] != 1.0 || got["epoch"] != 1.0 {
+			t.Fatalf("train %d answered %v, want generation 1 at epoch 1", i, got)
+		}
+	}
+	trains := 0
+	for _, tr := range getJSON(t, ts.URL+"/t/elec/admin/traces", http.StatusOK)["traces"].([]any) {
+		if tr.(map[string]any)["kind"] == "train" {
+			trains++
+		}
+	}
+	if trains != 1 {
+		t.Fatalf("%d train traces, want 1", trains)
+	}
+
+	counts := map[string]float64{}
+	for _, f := range scrape(t, ts.URL+"/metrics") {
+		for _, s := range f.Samples {
+			switch {
+			case s.Labels["tenant"] != "elec" || s.Value == 0:
+			case s.Name == "fonduer_publish_total":
+				counts[s.Labels["kind"]] = s.Value
+			case s.Name == "fonduer_ingest_publish_duration_seconds_count":
+				counts["ingest_publish_duration_count"] = s.Value
+			}
+		}
+	}
+	want := map[string]float64{"initial": 1, "delta": 1, "train": 1, "ingest_publish_duration_count": 1}
+	if !reflect.DeepEqual(counts, want) {
+		t.Fatalf("publish counts %v, want %v", counts, want)
 	}
 }
 

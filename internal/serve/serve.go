@@ -478,13 +478,18 @@ func (s *Server) needsTrain() bool {
 // direct call), never on the writer; only the install goes through the
 // writer loop. trainMu is held from reading the base view to the end of
 // the install turn, so the generation being served at install is the
-// base's. It returns the view the install published.
+// base's. It returns the view the install published, or, when the
+// served generation was trained at the served epoch and the trainer's
+// record is clean, the served view: nothing is trained or published.
 func (s *Server) Train() (*core.StoreView, error) {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
 
 	val, err := s.contain("trainer", "train", func() (any, error) {
 		base := s.CurrentView()
+		if !s.needsTrain() {
+			return base, nil // caught up: a retrain would mint a bit-identical model
+		}
 		t0 := time.Now()
 		trained, err := base.Retrain(core.RetrainConfig{Gold: s.gold, Generation: base.Generation() + 1})
 		if err != nil {

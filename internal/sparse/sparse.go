@@ -242,14 +242,3 @@ func ToLIL(src Matrix) *LIL {
 	}
 	return dst
 }
-
-// ToCOO converts any Matrix into a COO matrix.
-func ToCOO(src Matrix) *COO {
-	dst := NewCOO()
-	for r := 0; r < src.Rows(); r++ {
-		for _, e := range src.Row(r) {
-			dst.Set(e.Row, e.Col, e.Val)
-		}
-	}
-	return dst
-}

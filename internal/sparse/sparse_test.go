@@ -104,10 +104,6 @@ func TestConversions(t *testing.T) {
 	if lil.Get(0, 1) != 5 || lil.Get(2, 3) != 3 || lil.NNZ() != 2 {
 		t.Fatalf("ToLIL mismatch: %v", lil)
 	}
-	coo := ToCOO(lil)
-	if coo.Get(0, 1) != 5 || coo.Get(2, 3) != 3 || coo.NNZ() != 2 {
-		t.Fatalf("ToCOO mismatch")
-	}
 }
 
 // Property: LIL and COO agree with a dense reference model under a

@@ -10,6 +10,54 @@ import (
 	"repro/internal/labeling"
 )
 
+// balance summarizes the class balance of a labeled candidate set —
+// the quantity throttlers are tuned against (Section 4.1 recommends
+// balancing negative and positive candidates).
+type balance struct {
+	Positives, Negatives int
+}
+
+// Ratio returns negatives per positive (+Inf when no positives).
+func (b balance) Ratio() float64 {
+	if b.Positives == 0 {
+		if b.Negatives == 0 {
+			return 0
+		}
+		return float64(b.Negatives) * 1e18 // effectively infinite
+	}
+	return float64(b.Negatives) / float64(b.Positives)
+}
+
+// measureBalance counts positives and negatives under a gold oracle.
+func measureBalance(cands []*candidates.Candidate, gold func(*candidates.Candidate) bool) balance {
+	var b balance
+	for _, c := range cands {
+		if gold(c) {
+			b.Positives++
+		} else {
+			b.Negatives++
+		}
+	}
+	return b
+}
+
+func TestBalance(t *testing.T) {
+	cands := []*candidates.Candidate{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 3}}
+	b := measureBalance(cands, func(c *candidates.Candidate) bool { return c.ID%2 == 0 })
+	if b.Positives != 2 || b.Negatives != 2 {
+		t.Fatalf("balance = %+v", b)
+	}
+	if b.Ratio() != 1 {
+		t.Fatalf("ratio = %v", b.Ratio())
+	}
+	if (balance{}).Ratio() != 0 {
+		t.Fatal("empty ratio")
+	}
+	if (balance{Negatives: 5}).Ratio() < 1e18 {
+		t.Fatal("no-positive ratio must be effectively infinite")
+	}
+}
+
 func extractor(task core.Task, scope candidates.Scope, throttle bool) *candidates.Extractor {
 	e := &candidates.Extractor{Args: task.Args, Scope: scope}
 	if throttle {
@@ -117,13 +165,13 @@ func TestElectronicsCandidatesAndGold(t *testing.T) {
 	}
 	// Class imbalance: negatives dominate before throttling.
 	e := extractor(task, candidates.DocumentScope, false)
-	bal := candidates.MeasureBalance(e.ExtractAll(c.Docs), task.Gold)
+	bal := measureBalance(e.ExtractAll(c.Docs), task.Gold)
 	if bal.Ratio() < 1.5 {
 		t.Fatalf("unthrottled balance should skew negative: %+v", bal)
 	}
 	// Throttling improves balance but keeps positives.
 	et := extractor(task, candidates.DocumentScope, true)
-	balT := candidates.MeasureBalance(et.ExtractAll(c.Docs), task.Gold)
+	balT := measureBalance(et.ExtractAll(c.Docs), task.Gold)
 	if balT.Positives < bal.Positives*9/10 {
 		t.Fatalf("throttler lost positives: %+v -> %+v", bal, balT)
 	}
@@ -138,7 +186,7 @@ func TestElectronicsLFQuality(t *testing.T) {
 	task := c.Tasks[0]
 	e := extractor(task, candidates.DocumentScope, true)
 	cands := e.ExtractAll(c.Docs)
-	m := labeling.Apply(task.LFs, cands)
+	m := labeling.ParallelApply(task.LFs, cands, 0)
 	met := labeling.ComputeMetrics(m)
 	if met.Coverage < 0.8 {
 		t.Fatalf("LF coverage = %v", met.Coverage)
@@ -266,7 +314,7 @@ func TestGenomicsShape(t *testing.T) {
 	// candidate IDs are dense again for the label matrix.
 	e.Reset()
 	cands := e.ExtractAll(c.Docs)
-	m := labeling.Apply(task.LFs, cands)
+	m := labeling.ParallelApply(task.LFs, cands, 0)
 	mod := labeling.Fit(m, labeling.FitOptions{})
 	marg := mod.Marginals(m)
 	correct := 0
@@ -304,8 +352,8 @@ func TestGoldSetCaseInsensitive(t *testing.T) {
 	s := b.AddSentence(p, []string{"SMBT3904", "200"})
 	b.Finish()
 	cand := &candidates.Candidate{Mentions: []candidates.Mention{
-		{TypeName: "a", Span: datamodel.NewSpan(s, 0, 1)},
-		{TypeName: "b", Span: datamodel.NewSpan(s, 1, 2)},
+		{TypeName: "a", Span: datamodel.Span{Sentence: s, Start: 0, End: 1}},
+		{TypeName: "b", Span: datamodel.Span{Sentence: s, Start: 1, End: 2}},
 	}}
 	if !g.has(cand) {
 		t.Fatal("gold lookup should be case-insensitive")
