@@ -14,6 +14,7 @@ import (
 	"maps"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,7 +118,7 @@ func TestEveryInternalFuncHasACaller(t *testing.T) {
 			if api[recv.Obj()] && fn.Exported() {
 				continue
 			}
-			if implementsUsed(recv, ifaces[fn.Name()]) {
+			if implementsAny(recv, ifaces[fn.Name()]) {
 				continue
 			}
 		}
@@ -158,9 +159,9 @@ func funcKey(fn *types.Func) (string, *types.Named) {
 	return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name(), named
 }
 
-// implementsUsed reports whether named (or its pointer) implements one
+// implementsAny reports whether named (or its pointer) implements one
 // of ifaces.
-func implementsUsed(named *types.Named, ifaces []*types.Interface) bool {
+func implementsAny(named *types.Named, ifaces []*types.Interface) bool {
 	for _, it := range ifaces {
 		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
 			return true
@@ -190,7 +191,7 @@ var (
 	checkErr  error
 )
 
-// checkedModule returns the module's one type-check, which both
+// checkedModule returns the module's one type-check, which the
 // tripwires share.
 func checkedModule(t *testing.T) *moduleChecker {
 	t.Helper()
@@ -201,7 +202,7 @@ func checkedModule(t *testing.T) *moduleChecker {
 	return checked
 }
 
-// newInfo returns the type-check record both tripwires read.
+// newInfo returns the type-check record the tripwires read.
 func newInfo() *types.Info {
 	return &types.Info{
 		Defs:       map[*ast.Ident]types.Object{},
@@ -293,6 +294,130 @@ func (m *moduleChecker) lookup(key string) *types.Func {
 		}
 	}
 	return nil
+}
+
+// interfaceAllowlist names the interface types under internal/ and cmd/
+// that fewer than two named types of non-test Go may implement, each with
+// its reason. Keys are "<package path>.<type>".
+var interfaceAllowlist = map[string]string{}
+
+// TestEveryInternalInterfaceHasTwoImplementations fails on any interface
+// type declared under internal/ or cmd/ that fewer than two named types of
+// the module's non-test Go implement, by value or through their pointer:
+// an interface with one implementation is an indirection with nothing to
+// choose between, so the program should name that type instead. Test
+// doubles do not count.
+func TestEveryInternalInterfaceHasTwoImplementations(t *testing.T) {
+	m := checkedModule(t)
+	var declared, all []*types.Package
+	for path, p := range m.pkgs {
+		all = append(all, p)
+		if strings.HasPrefix(path, module+"/internal/") || strings.HasPrefix(path, module+"/cmd/") {
+			declared = append(declared, p)
+		}
+	}
+	impls := implementations(declared, all)
+	var lonely []string
+	for key, n := range impls {
+		if _, ok := interfaceAllowlist[key]; n < 2 && !ok {
+			lonely = append(lonely, key)
+		}
+	}
+	sort.Strings(lonely)
+	for _, k := range lonely {
+		t.Errorf("interface %s has %d implementations in non-test Go: name the type instead, or allowlist it with a reason", k, impls[k])
+	}
+	for key := range interfaceAllowlist {
+		switch n, ok := impls[key]; {
+		case !ok:
+			t.Errorf("allowlisted interface %s is not declared any more: drop its entry", key)
+		case n >= 2:
+			t.Errorf("allowlisted interface %s has %d implementations now: drop its entry", key, n)
+		}
+	}
+}
+
+// TestInterfaceCheckRules pins implementations' count on small packages.
+func TestInterfaceCheckRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      map[string]int
+	}{
+		{"one implementation", `type I interface{ M() }
+			type A struct{}
+			func (A) M() {}`, map[string]int{"p.I": 1}},
+		{"two implementations", `type I interface{ M() }
+			type A struct{}
+			func (A) M() {}
+			type B int
+			func (B) M() {}`, map[string]int{"p.I": 2}},
+		{"pointer receiver", `type I interface{ M() }
+			type A struct{}
+			func (*A) M() {}
+			type B struct{}
+			func (*B) M() {}`, map[string]int{"p.I": 2}},
+		{"interfaces are not implementations", `type I interface{ M() }
+			type J interface{ I; N() }
+			type A struct{}
+			func (A) M() {}
+			func (A) N() {}`, map[string]int{"p.I": 1, "p.J": 1}},
+		{"constraints are not interfaces", `type Number interface{ ~int | ~float64 }`, map[string]int{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "p.go", "package p\n"+tc.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := new(types.Config).Check("p", fset, []*ast.File{f}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgs := []*types.Package{p}
+			if got := implementations(pkgs, pkgs); !maps.Equal(got, tc.want) {
+				t.Errorf("implementations = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// implementations counts, for each interface type declared at package
+// level in declared (a subset of all), the named non-interface types
+// declared at package level in all that implement it, by value or through
+// their pointer, keyed "<package path>.<type>". Constraint interfaces and generic types are
+// left out: neither has a method set to compare without instantiating.
+func implementations(declared, all []*types.Package) map[string]int {
+	var ifaces, impls []*types.Named
+	for _, p := range all {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			switch it, ok := n.Underlying().(*types.Interface); {
+			case !ok:
+				impls = append(impls, n)
+			case it.IsMethodSet() && slices.Contains(declared, p):
+				ifaces = append(ifaces, n)
+			}
+		}
+	}
+	out := map[string]int{}
+	for _, n := range ifaces {
+		it := n.Underlying().(*types.Interface)
+		key := n.Obj().Pkg().Path() + "." + n.Obj().Name()
+		out[key] = 0
+		for _, c := range impls {
+			if implementsAny(c, []*types.Interface{it}) {
+				out[key]++
+			}
+		}
+	}
+	return out
 }
 
 // fieldAllowlist names the struct fields under internal/ and cmd/ that

@@ -24,10 +24,6 @@ type DevSession struct {
 	// sample maps session candidate order to gold labels when the user
 	// supplies a labeled holdout for accuracy estimates.
 	holdout map[int]bool
-	// Workers sizes the pool used to apply an added or edited LF
-	// across the session's candidates (<=0 means GOMAXPROCS). The
-	// label state is identical at any worker count.
-	Workers int
 }
 
 // NewDevSession ingests the development documents once (in parallel
@@ -38,32 +34,25 @@ type DevSession struct {
 // recomputed; that is a deliberate trade of constructor latency for
 // the shared dev/production state representation. Document names must
 // be unique — the store keys its relations by name — and the error is
-// AddDocuments'. Use NewDevSessionWorkers to bound the session's
-// parallelism.
+// AddDocuments'.
 func NewDevSession(task Task, docs []*datamodel.Document) (*DevSession, error) {
-	return NewDevSessionWorkers(task, docs, 0)
-}
-
-// NewDevSessionWorkers is NewDevSession with an explicit worker-pool
-// size governing both the initial ingestion and subsequent LF
-// application (<=0 means GOMAXPROCS, 1 means sequential).
-func NewDevSessionWorkers(task Task, docs []*datamodel.Document, workers int) (*DevSession, error) {
 	// A dev session starts with no labeling functions installed even
 	// when the task carries some: the session's whole point is to
 	// build them up interactively. The explicit empty (non-nil) LFs
 	// override expresses that to the store.
-	st := NewStore(task, Options{Workers: workers, LFs: []labeling.LF{}})
+	st := NewStore(task, Options{LFs: []labeling.LF{}})
 	if err := st.AddDocuments(docs...); err != nil {
 		st.Close()
 		return nil, err
 	}
-	return &DevSession{store: st, Workers: workers}, nil
+	return &DevSession{store: st}, nil
 }
 
 // SessionFromStore wraps an existing store (e.g. one resumed with
-// OpenStore) in the development-mode view.
+// OpenStore) in the development-mode view. LF edits apply over the
+// store's own Options.Workers.
 func SessionFromStore(st *Store) *DevSession {
-	return &DevSession{store: st, Workers: st.opts.Workers}
+	return &DevSession{store: st}
 }
 
 // Store exposes the session's backing store.
@@ -79,14 +68,12 @@ func (s *DevSession) NumLFs() int { return s.store.NumLFs() }
 // (one new Labels column — the fast-update path). It returns the LF's
 // column index; the error is Store.AddLF's.
 func (s *DevSession) AddLF(lf labeling.LF) (int, error) {
-	s.store.setWorkers(s.Workers)
 	return s.store.AddLF(lf)
 }
 
 // EditLF replaces the labeling function at col and re-applies it; only
 // that column of the Labels relation is re-materialized.
 func (s *DevSession) EditLF(col int, lf labeling.LF) error {
-	s.store.setWorkers(s.Workers)
 	return s.store.EditLF(col, lf)
 }
 

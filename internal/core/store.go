@@ -218,10 +218,6 @@ func (s *Store) LabelMatrix() *labeling.Matrix {
 	return labeling.MatrixFromVotes(s.votes, len(s.lfs))
 }
 
-// setWorkers rebinds the worker-pool size for subsequent store
-// operations (DevSession exposes this through its Workers field).
-func (s *Store) setWorkers(n int) { s.opts.Workers = n }
-
 // Epoch returns the number of completed mutations (document ingests
 // and labeling-function installs/edits). Each published StoreView is
 // stamped with the epoch it was built at.

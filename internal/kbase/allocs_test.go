@@ -164,15 +164,15 @@ func TestMemoryBackendBytesPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	for _, engine := range []Engine{MemoryEngine{}, NewColumnarEngine(0, 0), disk} {
+	for _, engine := range []*Engine{memoryEngine, NewColumnarEngine(0, 0), disk} {
 		before := liveHeap()
-		tbl := newBackedTable(t, engine, schema)
+		tbl := newBackedTable(engine, schema)
 		featureRows(t, tbl, n, names)
 		perRow := float64(liveHeap()-before) / n
 		runtime.KeepAlive(tbl)
-		t.Logf("%s backend: %.1f B/row at %d rows over %d names", engine.Kind(), perRow, n, names)
-		if limit := map[string]float64{"memory": 40, "disk": 15}[engine.Kind()]; limit > 0 && perRow > limit {
-			t.Errorf("a features row costs %.1f B on the %s backend, want <= %.0f", perRow, engine.Kind(), limit)
+		t.Logf("%s backend: %.1f B/row at %d rows over %d names", engine.kind, perRow, n, names)
+		if limit := map[string]float64{"memory": 40, "disk": 15}[engine.kind]; limit > 0 && perRow > limit {
+			t.Errorf("a features row costs %.1f B on the %s backend, want <= %.0f", perRow, engine.kind, limit)
 		}
 		if err := tbl.Close(); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package kbase
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,8 +86,8 @@ func compilePreds(schema Schema, preds []Pred) matcher {
 
 // window is the [offset, offset+limit) slice of a read's match sequence
 // (limit <= 0 means "to the end"), advanced as matches are counted.
-// Every windowed read — each backend's Page and Table's index plan —
-// clips through it, so the offset/limit conventions exist once.
+// Every windowed read, a scan's or an index plan's, clips through it in
+// pagedBackend.Page, so the offset/limit conventions exist once.
 type window struct{ offset, limit, seen int }
 
 // newWindow clamps a negative offset to 0.
@@ -116,98 +115,11 @@ func (w *window) admit() bool {
 // full reports that no later match can fall inside the window.
 func (w *window) full() bool { return w.limit > 0 && w.seen-w.offset >= w.limit }
 
-// Backend is the row storage behind a Table. A Table owns exactly one
-// backend and layers relational semantics on top of it — schema/type
-// checking, set semantics via a compact hash index, and the filtered-read
-// planner — so a backend only has to store an ordered row sequence.
-//
-// There is one implementation, pagedBackend (paged.go): typed pages of
-// column vectors (page.go), which the "disk" and "columnar" kinds seal
-// into a page store as they fill and the "memory" kind keeps open.
-//
-// Contract, relied on by Table and by the cross-backend equivalence
-// tests:
-//
-//   - Append stores its own copy of the listed rows of a batch Table has
-//     checked against the schema, a column at a time, and retains nothing
-//     of the batch. It stops at the first row it fails to store and
-//     returns how many it stored: those stay, and the backend is as if
-//     the call had listed only them (the next Append retries whatever
-//     failed). It preserves insertion order; Scan, Page and Snapshot
-//     observe rows in exactly that order, and Equal addresses them by it.
-//   - Scan and Page are the only read entry points. Both take the
-//     conjunction already compiled by Table (never an impossible one;
-//     the zero matcher selects every row) and number its matches in
-//     insertion order. at, when non-nil, lists in ascending order the
-//     only positions worth considering (an index plan's candidates);
-//     every one of them is still checked against the conjunction. Scan
-//     streams the matches *borrowed* — its tuple is a scratch row
-//     overwritten by the next match, so it must not be retained or
-//     modified — until fn returns false. Page returns detached rows for
-//     the matches numbered [offset, offset+limit) (limit <= 0 means "to
-//     the end", a negative offset is 0, an empty window is nil) plus the
-//     exact number of matches: rows stop being built once the window
-//     fills, counting always runs to the end — except that with no
-//     predicates the count is Len, so the walk goes straight to the
-//     offset's page and stops after the window.
-//   - Concurrency: Append may run beside any number of reads, and reads
-//     beside each other; a read sees the rows stored when it began.
-//     DeleteWhere must run beside nothing.
-//   - DeleteWhere keeps survivors in relative order and re-packs
-//     positions densely (row i is the i-th surviving row).
-//   - Snapshot streams the rows in the escaped-TSV row encoding of
-//     WriteTSV, so a table's serialized bytes are identical across
-//     kinds holding the same rows in the same order.
-type Backend interface {
-	// Kind names the backend (one of BackendKinds).
-	Kind() string
-	// Len returns the number of stored rows.
-	Len() int
-	// Append stores rows rows[0], rows[1], … of the checked batch b at
-	// positions Len(), Len()+1, … and returns how many it stored, with the
-	// error that stopped it short.
-	Append(b *Batch, rows []int) (int, error)
-	// Equal reports whether the row at position i and row r of the
-	// checked batch b have the same dedup key, comparing typed cells in
-	// place. It panics when i is out of range — positions come from the
-	// Table's index and are trusted.
-	Equal(i int, b *Batch, r int) bool
-	// Scan is the streaming read: see the contract above.
-	Scan(at []int, m matcher, fn func(Tuple) bool)
-	// Page is the windowed read: see the contract above.
-	Page(at []int, m matcher, offset, limit int) (rows []Tuple, total int)
-	// DeleteWhere removes rows satisfying pred (which borrows its tuple,
-	// as Scan's callback does), returning how many were removed.
-	DeleteWhere(pred func(Tuple) bool) int
-	// Snapshot writes the rows (no header) in the WriteTSV row
-	// encoding.
-	Snapshot(w io.Writer) error
-	// Stats reports the backend's page-cache counters (zero-valued on
-	// the memory kind).
-	Stats() BackendStats
-	// Close releases backend resources (the spill segment and its
-	// descriptor). The backend is unusable afterwards.
-	Close() error
-}
-
 // BackendStats are one backend's page-cache counters: decoded-page
 // cache lookups, where a miss fetches and decodes one full page. A
 // filtered read's plan is not counted here: PageWhereInfo returns it.
 type BackendStats struct {
 	CacheHits, CacheMisses int64
-}
-
-// Engine creates backends — one per table — sharing a storage policy
-// (page geometry and, for the "disk" kind, a spill directory).
-type Engine interface {
-	// Kind names the engine; every backend it creates reports the
-	// same kind.
-	Kind() string
-	// NewBackend creates an empty backend for one table.
-	NewBackend(schema Schema) (Backend, error)
-	// Close releases engine-wide resources. Backends created by the
-	// engine must be closed first.
-	Close() error
 }
 
 // BackendKinds lists the storage engine names NewEngine accepts, in
@@ -238,14 +150,14 @@ func BackendKindsWant() string {
 }
 
 // NewEngine resolves an engine kind: "" or "memory" is the in-memory
-// engine, "disk" the paged engine with one segment file per table under
-// dir (a fresh temporary directory when dir is empty), "columnar" the paged
-// engine with its pages on the heap; both paged kinds get the default
-// page geometry.
-func NewEngine(kind, dir string) (Engine, error) {
+// engine, "disk" the engine with one segment file per table under dir (a
+// fresh temporary directory when dir is empty), "columnar" the engine
+// with its pages on the heap; both paging kinds get the default page
+// geometry.
+func NewEngine(kind, dir string) (*Engine, error) {
 	switch kind {
 	case "", "memory":
-		return MemoryEngine{}, nil
+		return memoryEngine, nil
 	case "disk":
 		return NewDiskEngine(dir, 0, 0)
 	case "columnar":

@@ -27,12 +27,12 @@ func (b *pagedBackend) Get(i int) Tuple {
 // forEachBackend runs the same test body against every storage
 // engine, so Table semantics (set membership, insertion order,
 // pagination, deletion, snapshots) are proven identical across the
-// in-memory, disk-paged and columnar backends. The paged engines use
-// a tiny page size so a handful of rows already spans several pages
-// and a partial tail.
-func forEachBackend(t *testing.T, fn func(t *testing.T, engine Engine)) {
+// memory, disk and columnar kinds. The disk and columnar engines use a
+// tiny page size so a handful of rows already spans several pages and a
+// partial tail.
+func forEachBackend(t *testing.T, fn func(t *testing.T, engine *Engine)) {
 	t.Helper()
-	t.Run("memory", func(t *testing.T) { fn(t, MemoryEngine{}) })
+	t.Run("memory", func(t *testing.T) { fn(t, memoryEngine) })
 	t.Run("disk", func(t *testing.T) {
 		engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
 		if err != nil {
@@ -48,15 +48,10 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, engine Engine)) {
 	})
 }
 
-// newBackedTable creates one table through the engine (via a DB, the
-// production construction path).
-func newBackedTable(t *testing.T, engine Engine, schema Schema) *Table {
-	t.Helper()
-	be, err := engine.NewBackend(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newTableWith(schema, be)
+// newBackedTable creates one table through the engine, as DB.Create
+// does.
+func newBackedTable(engine *Engine, schema Schema) *Table {
+	return newTableWith(schema, engine.newBackend(schema))
 }
 
 // fillParts inserts n rows ("p<i>", i) in order.
@@ -79,8 +74,8 @@ func partsOf(rows []Tuple) []string {
 }
 
 func TestBackendSetSemantics(t *testing.T) {
-	forEachInsertPath(t, func(t *testing.T, engine Engine, insert insertFunc) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
+	forEachInsertPath(t, func(t *testing.T, engine *Engine, insert insertFunc) {
+		tbl := newBackedTable(engine, mustSchema(t, "r", "part", "n:integer"))
 		for i := 0; i < 10; i++ {
 			if added, err := insert(tbl, []Tuple{{fmt.Sprintf("p%02d", i), i}}); err != nil || added != 1 {
 				t.Fatalf("insert %d: added=%v err=%v", i, added, err)
@@ -127,7 +122,7 @@ func TestBackendSetSemantics(t *testing.T) {
 		// a subnormal, NUL and separator bytes — in sealed pages as in the
 		// tail (two pages and a row at pageRows = 4), whichever read hands
 		// them back.
-		exact := newBackedTable(t, engine, mustSchema(t, "exact", "s", "f:float"))
+		exact := newBackedTable(engine, mustSchema(t, "exact", "s", "f:float"))
 		stored := exactRows()
 		if n, err := insert(exact, stored); err != nil || n != len(stored) {
 			t.Fatalf("insert(exact) = %d, %v", n, err)
@@ -138,12 +133,10 @@ func TestBackendSetSemantics(t *testing.T) {
 			return true
 		})
 		reads := map[string][]Tuple{"Scan": scanned, "Page": exact.Page(0, 0)}
-		if paged, ok := exact.be.(*pagedBackend); ok {
-			for i := range stored {
-				gotten = append(gotten, paged.Get(i).Clone())
-			}
-			reads["Get"] = gotten
+		for i := range stored {
+			gotten = append(gotten, exact.be.Get(i).Clone())
 		}
+		reads["Get"] = gotten
 		for read, got := range reads {
 			if len(got) != len(stored) {
 				t.Fatalf("%s returned %d rows, want %d", read, len(got), len(stored))
@@ -178,8 +171,8 @@ func exactRows() []Tuple {
 }
 
 func TestBackendPageEdgeCases(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, mustSchema(t, "r", "part", "n:integer"))
 
 		// Empty table: every window is empty.
 		if got := tbl.Page(0, 0); got != nil {
@@ -227,8 +220,8 @@ func TestBackendPageEdgeCases(t *testing.T) {
 }
 
 func TestBackendDeleteWhereEdgeCases(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, mustSchema(t, "r", "part", "n:integer"))
 
 		// Deleting from an empty table is a no-op.
 		if n := tbl.DeleteWhere(func(Tuple) bool { return true }); n != 0 {
@@ -285,8 +278,8 @@ func TestBackendDeleteWhereEdgeCases(t *testing.T) {
 // delete does not disturb it, and a snapshot taken after reflects
 // exactly the survivors.
 func TestBackendDeleteDuringSnapshot(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, mustSchema(t, "r", "part", "n:integer"))
 		fillParts(t, tbl, 10)
 
 		var before bytes.Buffer
@@ -335,9 +328,9 @@ func TestBackendTSVBytesIdentical(t *testing.T) {
 			float64(i) / 7,
 		})
 	}
-	render := func(t *testing.T, engine Engine) []byte {
+	render := func(t *testing.T, engine *Engine) []byte {
 		t.Helper()
-		tbl := newBackedTable(t, engine, schema)
+		tbl := newBackedTable(engine, schema)
 		for _, tp := range rows {
 			if _, err := tbl.Insert(tp); err != nil {
 				t.Fatal(err)
@@ -349,7 +342,7 @@ func TestBackendTSVBytesIdentical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	mem := render(t, MemoryEngine{})
+	mem := render(t, memoryEngine)
 	disk, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 8, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -376,8 +369,8 @@ func TestDiskBackendPaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-	tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
-	empty := newBackedTable(t, engine, mustSchema(t, "e", "part"))
+	tbl := newBackedTable(engine, mustSchema(t, "r", "part", "n:integer"))
+	empty := newBackedTable(engine, mustSchema(t, "e", "part"))
 	fillParts(t, tbl, 3) // no page sealed yet
 	// The spill holds one segment per table that has sealed a page, as
 	// long as its pages laid end to end — nothing else, before and after
@@ -389,7 +382,7 @@ func TestDiskBackendPaging(t *testing.T) {
 		}
 		want := map[string]int64{}
 		if pages > 0 {
-			store := tbl.be.(*pagedBackend).store
+			store := tbl.be.store
 			for p := 0; p < pages; p++ {
 				page, err := store.get(p)
 				if err != nil {
@@ -481,7 +474,7 @@ func TestDiskBackendPaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer roomy.Close()
-	cached := newBackedTable(t, roomy, mustSchema(t, "c", "part", "n:integer"))
+	cached := newBackedTable(roomy, mustSchema(t, "c", "part", "n:integer"))
 	cached.SetAutoIndex(false)
 	fillParts(t, cached, 19) // 4 sealed pages + 3-row tail
 	where := []Pred{{Col: 1, Want: "7"}}
@@ -556,7 +549,7 @@ func TestDiskDescriptorLifecycle(t *testing.T) {
 	// A backend dropped without Close: the finalizer closes and removes
 	// its segment.
 	func() {
-		fillParts(t, newBackedTable(t, engine, mustSchema(t, "dropped", "part", "n:integer")), 9)
+		fillParts(t, newBackedTable(engine, mustSchema(t, "dropped", "part", "n:integer")), 9)
 		if got := open(); len(got) != 1 {
 			t.Fatalf("dropped table's segment: %v", got)
 		}
@@ -579,7 +572,7 @@ func TestDiskDescriptorLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	late := newBackedTable(t, owner, mustSchema(t, "late", "part", "n:integer"))
+	late := newBackedTable(owner, mustSchema(t, "late", "part", "n:integer"))
 	fillParts(t, late, 9)
 	if err := owner.Close(); err != nil {
 		t.Fatal(err)
@@ -795,7 +788,7 @@ func TestScanPlanConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.Close()
-	tbl := newBackedTable(t, engine, whereSchema(t))
+	tbl := newBackedTable(engine, whereSchema(t))
 	tbl.SetAutoIndex(false) // every read takes the scan plan
 	fillWidgets(t, tbl, 64) // 16 pages, grp g0..g7 → 2 pages per group
 	reads := []struct {
@@ -827,8 +820,7 @@ func TestScanPlanConcurrent(t *testing.T) {
 }
 
 // sealedPages reads a paged backend's count of sealed pages.
-func sealedPages(be Backend) int {
-	b := be.(*pagedBackend)
+func sealedPages(b *pagedBackend) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.pages

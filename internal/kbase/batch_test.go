@@ -47,9 +47,9 @@ var insertPaths = map[string]insertFunc{
 
 // forEachInsertPath runs fn on every backend, as forEachBackend does, once
 // per entry point, each in a subtest of the backend's.
-func forEachInsertPath(t *testing.T, fn func(t *testing.T, engine Engine, insert insertFunc)) {
+func forEachInsertPath(t *testing.T, fn func(t *testing.T, engine *Engine, insert insertFunc)) {
 	t.Helper()
-	forEachBackend(t, func(t *testing.T, engine Engine) {
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
 		for path, insert := range insertPaths {
 			t.Run(path, func(t *testing.T) { fn(t, engine, insert) })
 		}
@@ -107,7 +107,7 @@ func tuplesOf(v *pageView) []Tuple {
 }
 
 // appendRow appends one tuple to a bare backend.
-func appendRow(b Backend, schema Schema, tp Tuple) error {
+func appendRow(b *pagedBackend, schema Schema, tp Tuple) error {
 	_, err := b.Append(batchOf(schema, []Tuple{tp}), []int{0})
 	return err
 }
@@ -142,8 +142,8 @@ func TestInsertBatchMatchesInsertAll(t *testing.T) {
 	}
 	batches = append(batches, []Tuple{{"a\x00b", "c", int64(9), 0.5}, {"a", "b\x00c", int64(9), 0.5}}, nil)
 
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		one, all, typed := newBackedTable(t, engine, schema), newBackedTable(t, engine, schema), newBackedTable(t, engine, schema)
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		one, all, typed := newBackedTable(engine, schema), newBackedTable(engine, schema), newBackedTable(engine, schema)
 		defer one.Close()
 		defer all.Close()
 		defer typed.Close()

@@ -44,11 +44,7 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 	// A page holds only typed cells, so a mistyped cell is refused before
 	// it reaches one: the insert errors and stores nothing, and the table
 	// takes the next row.
-	be, err := NewColumnarEngine(1, 2).NewBackend(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := newTableWith(schema, be)
+	tbl := newBackedTable(NewColumnarEngine(1, 2), schema)
 	defer tbl.Close()
 	if _, err := tbl.Insert(Tuple{"x", "not-an-int", 0.0}); err == nil {
 		t.Fatal("Insert with a mistyped cell did not error")

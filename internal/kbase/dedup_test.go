@@ -86,8 +86,8 @@ func TestHashTupleUntypedCells(t *testing.T) {
 // ("a\x00b", "c") and ("a", "b\x00c") join to the same bytes, so the
 // second insert used to be dropped as a duplicate of the first.
 func TestDedupNulAliasing(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "pairs", "x", "y"))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, mustSchema(t, "pairs", "x", "y"))
 		defer tbl.Close()
 		left, right := Tuple{"a\x00b", "c"}, Tuple{"a", "b\x00c"}
 		if hashTuple(left) != hashTuple(right) {
@@ -119,8 +119,8 @@ func TestDedupForcedCollisions(t *testing.T) {
 	dedupHashMask = 3
 	defer func() { dedupHashMask = old }()
 
-	forEachInsertPath(t, func(t *testing.T, engine Engine, insert insertFunc) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "c", "k", "n:integer", "f:float"))
+	forEachInsertPath(t, func(t *testing.T, engine *Engine, insert insertFunc) {
+		tbl := newBackedTable(engine, mustSchema(t, "c", "k", "n:integer", "f:float"))
 		defer tbl.Close()
 		row := func(i int) Tuple { return Tuple{fmt.Sprintf("k%d", i%17), int64(i), float64(i%5) / 4} }
 		const n = 150
@@ -169,9 +169,9 @@ func TestDedupForcedCollisions(t *testing.T) {
 // — same rows, same order, same count, and the same stop at the first
 // rejected tuple with everything before it kept.
 func TestInsertAllMatchesInsert(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
 		schema := mustSchema(t, "m", "k", "n:integer")
-		one, all := newBackedTable(t, engine, schema), newBackedTable(t, engine, schema)
+		one, all := newBackedTable(engine, schema), newBackedTable(engine, schema)
 		defer one.Close()
 		defer all.Close()
 		rng := rand.New(rand.NewSource(5))

@@ -93,11 +93,11 @@ func TestEngineRandomHistories(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer disk.Close()
-			engines := []Engine{MemoryEngine{}, disk, NewColumnarEngine(4, 2)}
+			engines := []*Engine{memoryEngine, disk, NewColumnarEngine(4, 2)}
 			tables := make([]*Table, 2*len(engines))
 			batchFed := map[*Table]bool{}
 			for i := range tables {
-				tables[i] = newBackedTable(t, engines[i/2], whereSchema(t))
+				tables[i] = newBackedTable(engines[i/2], whereSchema(t))
 				defer tables[i].Close()
 				batchFed[tables[i]] = i%2 == 1
 			}

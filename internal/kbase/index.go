@@ -135,7 +135,7 @@ func (t *Table) choosePlan(m matcher) []int {
 
 // buildColIndex scans the backend once, hashing one column's rendered
 // values into a postings map.
-func buildColIndex(be Backend, col int) *colIndex {
+func buildColIndex(be *pagedBackend, col int) *colIndex {
 	ci := &colIndex{postings: make(map[uint64][]int)}
 	pos := 0
 	be.Scan(nil, matcher{}, func(tp Tuple) bool {

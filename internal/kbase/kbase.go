@@ -6,7 +6,7 @@
 // existing knowledge base), and it is the snapshot format of the
 // intermediate Candidates/Features/Labels relations.
 //
-// A Table layers the relational semantics over one Backend, which holds
+// A Table layers the relational semantics over one backend, which holds
 // its rows as typed pages of column vectors in one of three kinds:
 // "memory" keeps every page open, sharing one string dictionary per
 // column (the served KB always uses it); "disk" and "columnar" seal each
@@ -144,7 +144,7 @@ func (tp Tuple) Clone() Tuple {
 // Table stores the tuples of one relation as a set over whole tuples
 // (inserting a duplicate is a no-op, as relation mentions are
 // de-duplicated when populating the KB). Row storage is delegated to a
-// Backend of one of the storage kinds, while the Table keeps the
+// backend of one of the storage kinds, while the Table keeps the
 // relational semantics: schema/type checking and the dedup index
 // (dedup.go: a flat hash -> position table, at most 16 bytes per row and
 // invisible to the garbage collector, so set semantics cost bounded
@@ -152,7 +152,7 @@ func (tp Tuple) Clone() Tuple {
 // verified against the stored row).
 type Table struct {
 	schema Schema
-	be     Backend
+	be     *pagedBackend
 	dedup  dedupIndex
 	plan   *planner // filtered-read planner (lazy hash indexes)
 
@@ -166,17 +166,16 @@ type Table struct {
 
 // NewTable creates an empty in-memory table for the schema.
 func NewTable(schema Schema) *Table {
-	be, _ := MemoryEngine{}.NewBackend(schema) // never fails
-	return newTableWith(schema, be)
+	return newTableWith(schema, memoryEngine.newBackend(schema))
 }
 
 // newTableWith wraps an empty backend in a table.
-func newTableWith(schema Schema, be Backend) *Table {
+func newTableWith(schema Schema, be *pagedBackend) *Table {
 	return &Table{schema: schema, be: be, plan: newPlanner()}
 }
 
 // BackendKind names the table's storage backend.
-func (t *Table) BackendKind() string { return t.be.Kind() }
+func (t *Table) BackendKind() string { return t.be.kind }
 
 // BackendStats reports the table's page-cache counters (zero-valued
 // for the in-memory backend).
@@ -436,22 +435,22 @@ func (t *Table) Page(offset, limit int) []Tuple {
 // created through the database's storage engine (in-memory unless the
 // DB was built with NewDBWith).
 type DB struct {
-	engine Engine
+	engine *Engine
 	tables map[string]*Table
 }
 
 // NewDB returns an empty database over the in-memory engine.
-func NewDB() *DB { return NewDBWith(MemoryEngine{}) }
+func NewDB() *DB { return NewDBWith(memoryEngine) }
 
 // NewDBWith returns an empty database whose tables are created by the
 // given storage engine. The database takes ownership of the engine:
 // Close closes every table, then the engine.
-func NewDBWith(engine Engine) *DB {
+func NewDBWith(engine *Engine) *DB {
 	return &DB{engine: engine, tables: map[string]*Table{}}
 }
 
 // BackendKind names the database's storage engine.
-func (db *DB) BackendKind() string { return db.engine.Kind() }
+func (db *DB) BackendKind() string { return db.engine.kind }
 
 // Create creates a table for the schema. Creating an existing table is
 // an error (the pipeline initializes each KB exactly once).
@@ -459,11 +458,7 @@ func (db *DB) Create(schema Schema) (*Table, error) {
 	if _, exists := db.tables[schema.Name]; exists {
 		return nil, fmt.Errorf("kbase: table %s already exists", schema.Name)
 	}
-	be, err := db.engine.NewBackend(schema)
-	if err != nil {
-		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", db.engine.Kind(), schema.Name, err)
-	}
-	t := newTableWith(schema, be)
+	t := newTableWith(schema, db.engine.newBackend(schema))
 	db.tables[schema.Name] = t
 	return t, nil
 }

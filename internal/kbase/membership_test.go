@@ -41,8 +41,8 @@ func TestContainsDeleteProbes(t *testing.T) {
 		gone := tp[0] == int64(2) && tp[1] == int64(0) // deleted by the widened probe
 		probes = append(probes, probe{tp, true, !gone})
 	}
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "features", "cand:integer", "seq:integer", "feature"))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, mustSchema(t, "features", "cand:integer", "seq:integer", "feature"))
 		defer tbl.Close()
 		if n, err := tbl.InsertAll(rows); err != nil || n != len(rows) {
 			t.Fatalf("InsertAll = %d, %v", n, err)

@@ -18,8 +18,8 @@ func TestMemoryBackendConcurrentReads(t *testing.T) {
 	forEachBackend(t, concurrentReads)
 }
 
-func concurrentReads(t *testing.T, engine Engine) {
-	tbl := newBackedTable(t, engine, whereSchema(t))
+func concurrentReads(t *testing.T, engine *Engine) {
+	tbl := newBackedTable(engine, whereSchema(t))
 	const n = 512
 	fillWidgets(t, tbl, n)
 	want := tbl.Tuples()

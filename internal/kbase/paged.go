@@ -23,9 +23,9 @@ const (
 )
 
 // pageStore holds sealed pages (binaryCodec blobs) as opaque bytes. It is
-// what makes a paged engine kind — one implementation keeps the pages in
-// a file, one on the heap — and the seam where a test substitutes a store
-// that fails. The backend calls a store only while holding its own
+// what tells the disk kind from the columnar one — one implementation
+// keeps the pages in a file, one on the heap — and the seam where a test
+// substitutes a store that fails. The backend calls a store only while holding its own
 // mutex, puts pages 0, 1, 2… in order, and never rewrites a page it has
 // put.
 type pageStore interface {
@@ -154,30 +154,19 @@ func (s *heapStore) close() error {
 	return nil
 }
 
-// MemoryEngine creates the "memory" kind's backends: every row resident,
-// zero I/O.
-type MemoryEngine struct{}
-
-// Kind returns "memory".
-func (MemoryEngine) Kind() string { return "memory" }
-
-// NewBackend creates an empty backend with no page store.
-func (MemoryEngine) NewBackend(schema Schema) (Backend, error) {
-	return newPagedBackend("memory", schema, nil, defaultPageRows, 0), nil
-}
-
-// Close is a no-op.
-func (MemoryEngine) Close() error { return nil }
-
-// PagedEngine creates the paged backends. Its kind says where their
-// pages live and nothing else: "disk" keeps them in one segment file of
-// the spill directory per table, so a table's resident footprint is the
-// decoded-page cache plus its tail, whatever its size, and one open
-// descriptor once it has sealed a page; "columnar" keeps them on the
-// heap. Durable snapshots are SaveDB's TSV for both, rendered from the
-// bit-exact stored values.
-type PagedEngine struct {
-	dir        string // spill directory; "" keeps pages on the heap
+// Engine creates the backends of a database's tables, one per table,
+// sharing a storage policy. Its kind says where their pages live and
+// nothing else: "memory" keeps every page open, with no page store;
+// "columnar" seals each page as it fills onto the heap; "disk" seals it
+// into one segment file of the spill directory per table, so a table's
+// resident footprint is the decoded-page cache plus its tail, whatever
+// its size, and one open descriptor once it has sealed a page. Durable
+// snapshots are SaveDB's TSV for every kind, rendered from the bit-exact
+// stored values. NewEngine, NewDiskEngine and NewColumnarEngine make one;
+// the zero Engine is not usable.
+type Engine struct {
+	kind       string // "memory", "columnar" or "disk"
+	dir        string // the disk kind's spill directory
 	pageRows   int
 	cachePages int
 	owned      bool // engine created dir and removes it on Close
@@ -186,12 +175,16 @@ type PagedEngine struct {
 	seq int // per-table segment counter
 }
 
-// NewDiskEngine creates a paged engine spilling under dir (a fresh
+// memoryEngine is the in-memory engine NewDB, NewTable, LoadDB and
+// ReadTSV use. It holds no resources, so every database may share it.
+var memoryEngine = &Engine{kind: "memory", pageRows: defaultPageRows}
+
+// NewDiskEngine creates a disk engine spilling under dir (a fresh
 // os.MkdirTemp directory when dir is empty, removed on Close).
 // pageRows and cachePages override the default page geometry when
 // positive; cachePages bounds the per-table LRU of decoded pages behind
-// Get and every read.
-func NewDiskEngine(dir string, pageRows, cachePages int) (*PagedEngine, error) {
+// every read.
+func NewDiskEngine(dir string, pageRows, cachePages int) (*Engine, error) {
 	e := NewColumnarEngine(pageRows, cachePages) // the geometry; a spill directory makes it "disk"
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "kbase-spill-")
@@ -202,35 +195,30 @@ func NewDiskEngine(dir string, pageRows, cachePages int) (*PagedEngine, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	e.dir = dir
+	e.kind, e.dir = "disk", dir
 	return e, nil
 }
 
-// NewColumnarEngine creates a paged engine with its pages on the heap;
+// NewColumnarEngine creates a columnar engine, its pages on the heap;
 // pageRows and cachePages as for NewDiskEngine.
-func NewColumnarEngine(pageRows, cachePages int) *PagedEngine {
+func NewColumnarEngine(pageRows, cachePages int) *Engine {
 	if pageRows <= 0 {
 		pageRows = defaultPageRows
 	}
 	if cachePages <= 0 {
 		cachePages = defaultCachePages
 	}
-	return &PagedEngine{pageRows: pageRows, cachePages: cachePages}
+	return &Engine{kind: "columnar", pageRows: pageRows, cachePages: cachePages}
 }
 
-// Kind returns "disk" or "columnar".
-func (e *PagedEngine) Kind() string {
-	if e.dir == "" {
-		return "columnar"
-	}
-	return "disk"
-}
-
-// NewBackend creates an empty backend for one table: over the heap, or
-// over its own segment of the spill.
-func (e *PagedEngine) NewBackend(schema Schema) (Backend, error) {
-	if e.dir == "" {
-		return newPagedBackend(e.Kind(), schema, &heapStore{}, e.pageRows, e.cachePages), nil
+// newBackend creates an empty backend for one table: with no page store,
+// over the heap, or over its own segment of the spill.
+func (e *Engine) newBackend(schema Schema) *pagedBackend {
+	switch e.kind {
+	case "memory":
+		return newPagedBackend(e.kind, schema, nil, e.pageRows, 0)
+	case "columnar":
+		return newPagedBackend(e.kind, schema, &heapStore{}, e.pageRows, e.cachePages)
 	}
 	e.mu.Lock()
 	e.seq++
@@ -240,7 +228,7 @@ func (e *PagedEngine) NewBackend(schema Schema) (Backend, error) {
 		name += "-" + schema.Name
 	}
 	store := &segmentStore{path: filepath.Join(e.dir, name+".seg")}
-	b := newPagedBackend(e.Kind(), schema, store, e.pageRows, e.cachePages)
+	b := newPagedBackend(e.kind, schema, store, e.pageRows, e.cachePages)
 	// GC backstop for sessions dropped without Close: the backend is
 	// reachable from the stack during every operation on it, so the
 	// finalizer can only fire once no reader or writer can ever touch
@@ -249,27 +237,32 @@ func (e *PagedEngine) NewBackend(schema Schema) (Backend, error) {
 	// method still scans this backend.) Explicit Close remains the
 	// deterministic cleanup path.
 	runtime.SetFinalizer(b, func(fb *pagedBackend) { fb.Close() })
-	return b, nil
+	return b
 }
 
-// Close removes the spill directory when the engine created it.
-func (e *PagedEngine) Close() error {
+// Close removes the spill directory when the engine created it. The
+// engine's tables must be closed first.
+func (e *Engine) Close() error {
 	if e.owned {
 		return os.RemoveAll(e.dir)
 	}
 	return nil
 }
 
-// pagedBackend is kbase's one Backend: a table's rows as a sequence of
-// pageRows-row typed pages (colPage). The first are sealed — encoded as
-// binaryCodec blobs into the kind's page store — and the rest are open,
-// filled in place. The "memory" kind has no page store and never seals, so
-// all its pages are open; they share one table-wide dictionary per string
-// column, and its cache stays empty. The "disk" and "columnar" kinds seal a
-// page as soon as it fills, so their one open page is the tail, with
-// dictionaries of its own. Every read of a sealed page goes through a small
-// LRU of decoded pages, and every read tests rows the same way on sealed
-// and open pages.
+// pagedBackend is the row storage behind a Table. The Table keeps the
+// relational semantics — schema checks, the dedup index, the filtered-read
+// planner — so the backend only stores an ordered row sequence: rows are
+// numbered in insertion order, Scan, Page and Snapshot observe them in that
+// order, and Equal addresses them by it. It holds them as pageRows-row
+// typed pages (colPage). The first are sealed — encoded as binaryCodec
+// blobs into the kind's page store — and the rest are open, filled in
+// place. The "memory" kind has no page store and never seals, so all its
+// pages are open; they share one table-wide dictionary per string column,
+// and its cache stays empty. The "disk" and "columnar" kinds seal a page as
+// soon as it fills, so their one open page is the tail, with dictionaries
+// of its own. Every read of a sealed page goes through a small LRU of
+// decoded pages, and every read tests rows the same way on sealed and open
+// pages.
 //
 //	Append ─► open page ──(pageRows rows, a store)──► encode ─► store.put
 //	Get, reads ─► LRU ─(miss)─► store.get ─► decode
@@ -341,8 +334,7 @@ func (b *pagedBackend) emptySeq() pageSeq {
 	return pageSeq{dicts: dicts}
 }
 
-func (b *pagedBackend) Kind() string { return b.kind }
-
+// Len returns the number of stored rows.
 func (b *pagedBackend) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -405,9 +397,14 @@ func (b *pagedBackend) openView(s *pageSeq, k int) pageView {
 	return pageView{l: &b.layout, colPage: s.open[k], n: n, dicts: s.dicts}
 }
 
-// Append fills the open pages from the batch, a column at a time, sealing
-// each page that fills on a kind with a page store. mu is held
-// throughout: a read waits for the batch, not for a row.
+// Append stores its own copy of rows rows[0], rows[1], … of the batch,
+// which Table has checked against the schema, at positions Len(), Len()+1,
+// …, and retains nothing of the batch. It fills the open pages a column at
+// a time, sealing each page that fills on a kind with a page store. It
+// stops at the first row it fails to store and returns how many it stored:
+// those stay, and the backend is as if the call had listed only them (the
+// next Append retries whatever failed). mu is held throughout: a read
+// waits for the batch, not for a row.
 func (b *pagedBackend) Append(bt *Batch, rows []int) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -498,6 +495,10 @@ func (b *pagedBackend) row(i int) (pageView, int) {
 	return b.openView(&b.pageSeq, i/b.pageRows-b.pages), i % b.pageRows
 }
 
+// Equal reports whether the row at position i and row r of the checked
+// batch bt have the same dedup key, comparing typed cells in place. It
+// panics when i is out of range: positions come from the Table's index
+// and are trusted.
 func (b *pagedBackend) Equal(i int, bt *Batch, r int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -593,7 +594,15 @@ func (b *pagedBackend) read(s *pageSeq, at []int, m matcher, w window, emit func
 	return w.seen
 }
 
-// Scan lends one scratch row, filled from the vectors.
+// Scan and Page are the only read entry points. Both take the conjunction
+// Table compiled (never an impossible one; the zero matcher selects every
+// row) and number its matches in insertion order. at, when non-nil, lists
+// in ascending order the only positions worth considering (an index plan's
+// candidates); every one of them is still checked against the conjunction.
+//
+// Scan streams the matches borrowed until fn returns false: it lends one
+// scratch row, filled from the vectors and overwritten by the next match,
+// so fn must not retain or modify it.
 func (b *pagedBackend) Scan(at []int, m matcher, fn func(Tuple) bool) {
 	s, scratch := b.snapshot(), make(Tuple, b.schema.Arity())
 	b.read(&s, at, m, window{}, func(v *pageView, i int) bool {
@@ -602,8 +611,13 @@ func (b *pagedBackend) Scan(at []int, m matcher, fn func(Tuple) bool) {
 	})
 }
 
-// Page builds the window's rows from the vectors, cut from one cell
-// buffer, each capped to its own cells.
+// Page returns detached rows for the matches numbered [offset,
+// offset+limit) (limit <= 0 means "to the end", a negative offset is 0, an
+// empty window is nil) plus the exact number of matches: rows stop being
+// built once the window fills, but counting runs to the end, except that
+// with no predicates the count is Len, so the walk goes straight to the
+// offset's page and stops after the window. The rows are cut from one
+// cell buffer, each capped to its own cells.
 func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, int) {
 	s, arity, w := b.snapshot(), b.schema.Arity(), newWindow(offset, limit)
 	room := min(max(limit, 0), s.n) // a window holds at most limit rows
@@ -630,11 +644,14 @@ func (b *pagedBackend) Page(at []int, m matcher, offset, limit int) ([]Tuple, in
 	return out, total
 }
 
-// DeleteWhere streams the survivors, through the append path, into a
-// fresh sequence — fresh pages, fresh dictionaries, so what was deleted is
-// released, and for a kind with a page store a fresh store, one page in
-// memory at a time — then swaps it in. Sealed pages are decoded bypassing
-// the LRU, which the swap empties.
+// DeleteWhere removes the rows satisfying pred, which borrows its tuple as
+// Scan's callback does, and returns how many it removed. The survivors
+// keep their relative order and are re-packed densely (row i is the i-th
+// survivor): they stream, through the append path, into a fresh sequence
+// — fresh pages, fresh dictionaries, so what was deleted is released, and
+// for a kind with a page store a fresh store, one page in memory at a
+// time — which is then swapped in. Sealed pages are decoded bypassing the
+// LRU, which the swap empties.
 func (b *pagedBackend) DeleteWhere(pred func(Tuple) bool) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -695,8 +712,10 @@ func (b *pagedBackend) DeleteWhere(pred func(Tuple) bool) int {
 	return deleted
 }
 
-// Snapshot renders sealed pages from their blobs and open pages from
-// their vectors.
+// Snapshot writes the rows (no header) in WriteTSV's row encoding, so a
+// table's serialized bytes are the same on every kind holding the same
+// rows in the same order. It renders sealed pages from their blobs and
+// open pages from their vectors.
 func (b *pagedBackend) Snapshot(w io.Writer) error {
 	s := b.snapshot()
 	for p := 0; p < s.pages; p++ {
@@ -721,12 +740,16 @@ func (b *pagedBackend) Snapshot(w io.Writer) error {
 	return nil
 }
 
+// Stats reports the decoded-page cache's counters (zero on the memory
+// kind).
 func (b *pagedBackend) Stats() BackendStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BackendStats{CacheHits: b.hits, CacheMisses: b.misses}
 }
 
+// Close releases the page store (the spill segment and its descriptor).
+// The backend is unusable afterwards.
 func (b *pagedBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

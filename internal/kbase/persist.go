@@ -237,22 +237,17 @@ func (tr *TSVReader) Next() (*Batch, error) {
 // the schema from the header line and type-converting every value.
 // The table is in-memory; ReadTSVWith restores into another engine.
 func ReadTSV(r io.Reader) (*Table, error) {
-	return ReadTSVWith(r, MemoryEngine{})
+	return ReadTSVWith(r, memoryEngine)
 }
 
 // ReadTSVWith is ReadTSV with the rows stored through the given engine,
 // a TSVReader batch at a time.
-func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
+func ReadTSVWith(r io.Reader, engine *Engine) (*Table, error) {
 	tr, err := NewTSVReader(r)
 	if err != nil {
 		return nil, err
 	}
-	schema := tr.schema
-	be, err := engine.NewBackend(schema)
-	if err != nil {
-		return nil, fmt.Errorf("kbase: creating %s backend for %s: %w", engine.Kind(), schema.Name, err)
-	}
-	t := newTableWith(schema, be)
+	t := newTableWith(tr.schema, engine.newBackend(tr.schema))
 	for {
 		b, err := tr.Next()
 		if err == io.EOF {
@@ -264,7 +259,7 @@ func ReadTSVWith(r io.Reader, engine Engine) (*Table, error) {
 			}
 		}
 		if err != nil {
-			t.Close() // a paged backend holds its segment open
+			t.Close() // a disk backend holds its segment open
 			return nil, err
 		}
 	}
@@ -354,14 +349,14 @@ func WriteSnapshot(dir string, names []string, write func(name string, w io.Writ
 
 // LoadDB restores a database from a SaveDB directory into memory.
 func LoadDB(dir string) (*DB, error) {
-	return LoadDBWith(dir, MemoryEngine{})
+	return LoadDBWith(dir, memoryEngine)
 }
 
 // LoadDBWith restores a database from a SaveDB directory through the
 // given storage engine. The database takes ownership of the engine.
 // On error the partially built database is closed, so a failed
 // disk-backed load leaks no spill files.
-func LoadDBWith(dir string, engine Engine) (*DB, error) {
+func LoadDBWith(dir string, engine *Engine) (*DB, error) {
 	body, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		engine.Close()

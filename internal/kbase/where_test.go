@@ -78,15 +78,15 @@ func whereConfigs(t *testing.T) []whereConfig {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { engine.Close() })
-		return newBackedTable(t, engine, whereSchema(t))
+		return newBackedTable(engine, whereSchema(t))
 	}
 	newColumnar := func(t *testing.T) *Table {
-		return newBackedTable(t, NewColumnarEngine(4, 2), whereSchema(t))
+		return newBackedTable(NewColumnarEngine(4, 2), whereSchema(t))
 	}
 	return []whereConfig{
 		{
 			name: "memory",
-			make: func(t *testing.T) *Table { return newBackedTable(t, MemoryEngine{}, whereSchema(t)) },
+			make: func(t *testing.T) *Table { return newBackedTable(memoryEngine, whereSchema(t)) },
 		},
 		{
 			// Auto planner: early reads scan, hot columns flip to index
@@ -180,7 +180,7 @@ func whereGrid(t *testing.T, ref, tbl *Table, stage string) {
 // engine-invariance contract.
 func TestFilteredReadEquivalence(t *testing.T) {
 	const rows = 40 // 10 pages at pageRows=4, plus no tail; groups span 5 values
-	ref := newBackedTable(t, MemoryEngine{}, whereSchema(t))
+	ref := newBackedTable(memoryEngine, whereSchema(t))
 	fillWidgets(t, ref, rows)
 
 	for _, cfg := range whereConfigs(t) {
@@ -197,7 +197,7 @@ func TestFilteredReadEquivalence(t *testing.T) {
 
 			// DeleteWhere re-pack: drop every third row, indexes
 			// rebuild.
-			refDel := newBackedTable(t, MemoryEngine{}, whereSchema(t))
+			refDel := newBackedTable(memoryEngine, whereSchema(t))
 			drop := func(tp Tuple) bool { return tp[2].(int64)%3 == 0 }
 			ref.Scan(func(tp Tuple) bool {
 				if !drop(tp) {
@@ -225,7 +225,7 @@ func TestFilteredReadEquivalence(t *testing.T) {
 			if err := SaveDB(db, snap); err != nil {
 				t.Fatal(err)
 			}
-			var engine Engine = MemoryEngine{}
+			engine := memoryEngine
 			switch tbl.BackendKind() {
 			case "disk":
 				var err error
@@ -256,8 +256,8 @@ func TestFilteredReadEquivalence(t *testing.T) {
 // TestIndexLifecycle covers lazy builds, heat-based auto selection,
 // invalidation on mutation, and the size cap.
 func TestIndexLifecycle(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, whereSchema(t))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, whereSchema(t))
 		fillWidgets(t, tbl, 24)
 
 		// EnsureIndex: first filtered read builds and uses the index.
@@ -294,7 +294,7 @@ func TestIndexLifecycle(t *testing.T) {
 		old := maxIndexedRows
 		maxIndexedRows = 4
 		defer func() { maxIndexedRows = old }()
-		big := newBackedTable(t, engine, mustSchema(t, "caps", "part", "n:integer"))
+		big := newBackedTable(engine, mustSchema(t, "caps", "part", "n:integer"))
 		fillParts(t, big, 10)
 		mustEnsureIndex(t, big, "part")
 		for i := 0; i < 3; i++ {
@@ -310,8 +310,8 @@ func TestIndexLifecycle(t *testing.T) {
 // fmt.Sprint-based filtering for NaN, negative zero, exponent-form
 // floats, and non-canonical integer probes.
 func TestMatcherRenderedEquality(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, mustSchema(t, "nums", "tag", "n:integer", "f:float"))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, mustSchema(t, "nums", "tag", "n:integer", "f:float"))
 		rows := []Tuple{
 			{"nan", 1, math.NaN()},
 			{"negzero", 2, math.Copysign(0, -1)},
@@ -370,8 +370,8 @@ func TestMatcherRenderedEquality(t *testing.T) {
 // every kind: an Append may run beside reads on every backend. Run with
 // -race.
 func TestFilteredReadsConcurrentIngest(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, engine Engine) {
-		tbl := newBackedTable(t, engine, whereSchema(t))
+	forEachBackend(t, func(t *testing.T, engine *Engine) {
+		tbl := newBackedTable(engine, whereSchema(t))
 		fillWidgets(t, tbl, 16)
 		mustEnsureIndex(t, tbl, "grp")
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,6 +172,29 @@ func (f *Family) With(values ...string) *Child {
 	return c
 }
 
+// Forget drops every child, across all families, whose label named
+// label has the value value, so a deleted series leaves the exposition
+// instead of freezing in it. A child resolved earlier keeps working but
+// is no longer exposed; the next With of its values starts a new series
+// from zero.
+func (m *Metrics) Forget(label, value string) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, f := range m.fam {
+		i := slices.Index(f.labels, label)
+		if i < 0 {
+			continue
+		}
+		f.mu.Lock()
+		for key, c := range f.children {
+			if c.values[i] == value {
+				delete(f.children, key)
+			}
+		}
+		f.mu.Unlock()
+	}
+}
+
 // addFloat atomically adds v to a float64 stored as bits.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {
@@ -188,8 +212,9 @@ func (c *Child) Add(v float64) { addFloat(&c.bits, v) }
 func (c *Child) Inc() { c.Add(1) }
 
 // Set stores v. Gauges use this freely; counter families whose value
-// is sampled from an external cumulative source (the kbase planner
-// counters) set the sampled value at scrape time.
+// is sampled from an external cumulative source (the runtime's GC CPU
+// seconds, the process's response-error counts) set the sampled value
+// at scrape time.
 func (c *Child) Set(v float64) { c.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current counter/gauge value.

@@ -114,6 +114,65 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 	m.Gauge("x_total", "x", "tenant")
 }
 
+// TestForget drops exactly the children carrying the label value, in
+// every family with that label, and a later With starts from zero.
+func TestForget(t *testing.T) {
+	m := NewMetrics()
+	reqs := m.Counter("reqs_total", "requests", "tenant", "route")
+	reqs.With("a", "kb").Inc()
+	reqs.With("b", "kb").Inc()
+	reqs.With("b", "meta").Inc()
+	m.Histogram("dur_seconds", "latency", nil, "tenant").With("b").Observe(1)
+	m.Gauge("route_b", "a route label, not a tenant", "route").With("b").Set(1)
+	m.Gauge("up", "unlabelled").With().Set(1)
+
+	m.Forget("tenant", "b")
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			got = append(got, fmt.Sprintf("%s %v", s.Name, s.Labels))
+		}
+	}
+	want := []string{"reqs_total map[route:kb tenant:a]", "route_b map[route:b]", "up map[]"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after Forget: %v, want %v", got, want)
+	}
+	if v := reqs.With("b", "kb").Value(); v != 0 {
+		t.Fatalf("a forgotten series came back at %v, want 0", v)
+	}
+
+	// Forget runs beside updates and scrapes.
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				switch g {
+				case 0:
+					m.Forget("tenant", "b")
+				case 1:
+					if err := m.WritePrometheus(io.Discard); err != nil {
+						t.Error(err)
+						return
+					}
+				default:
+					reqs.With("b", "kb").Inc()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestHistogramConcurrentScrapes hammers one histogram child from
 // many writers while scraping continuously: every scrape must parse
 // and every parsed histogram must be internally consistent (monotone

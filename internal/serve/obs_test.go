@@ -561,3 +561,92 @@ func TestMetricsOffByDefault(t *testing.T) {
 		t.Fatalf("standalone /metrics status = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestDeleteTenantDropsItsSeries: deleting a tenant takes every series
+// labelled with its name out of /metrics — the per-tenant HTTP and
+// publish families as well as the scrape-time state gauges — and a
+// tenant created again under that name starts its counters from zero.
+func TestDeleteTenantDropsItsSeries(t *testing.T) {
+	rg := newTestRegistry(t, "", core.Options{Seed: 3, Epochs: 1, Workers: 2})
+	for _, name := range []string{"a", "b"} {
+		if _, err := rg.Create(serve.TenantConfig{Name: name, Domain: "electronics"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(rg.Handler())
+	defer ts.Close()
+	// series returns the samples labelled tenant="b", by family.
+	series := func() map[string][]obs.Sample {
+		out := map[string][]obs.Sample{}
+		for _, f := range scrape(t, ts.URL+"/metrics") {
+			for _, s := range f.Samples {
+				if s.Labels["tenant"] == "b" {
+					out[f.Name] = append(out[f.Name], s)
+				}
+			}
+		}
+		return out
+	}
+	// kbReads is b's count of 200 responses on /kb.
+	kbReads := func(got map[string][]obs.Sample) float64 {
+		for _, s := range got["fonduer_http_requests_total"] {
+			if s.Labels["route"] == "/kb" && s.Labels["status"] == "200" {
+				return s.Value
+			}
+		}
+		return -1
+	}
+
+	getJSON(t, ts.URL+"/t/b/kb", http.StatusOK)
+	before := series()
+	for _, fam := range []string{"fonduer_http_requests_total", "fonduer_model_generation", "fonduer_kbase_index_hits_total"} {
+		if len(before[fam]) == 0 {
+			t.Fatalf("no %s series for tenant b before the delete", fam)
+		}
+	}
+	if n := kbReads(before); n != 1 {
+		t.Fatalf("b's /kb 200 count = %v, want 1", n)
+	}
+
+	// Scrapes run beside the delete: none may revive b's series.
+	stop, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}
+	}()
+	deleteReq(t, ts.URL+"/admin/tenants/b", http.StatusOK)
+	close(stop)
+	<-scraped
+	if after := series(); len(after) != 0 {
+		var fams []string
+		for fam := range after {
+			fams = append(fams, fam)
+		}
+		sort.Strings(fams)
+		t.Fatalf("tenant b deleted, yet /metrics still has its series in %v", fams)
+	}
+
+	if _, err := rg.Create(serve.TenantConfig{Name: "b", Domain: "electronics"}); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, ts.URL+"/t/b/kb", http.StatusOK)
+	again := series()
+	if len(again["fonduer_model_generation"]) == 0 {
+		t.Fatal("re-created tenant b has no state series")
+	}
+	if n := kbReads(again); n != 1 {
+		t.Fatalf("re-created b's /kb 200 count = %v, want 1 (a fresh series)", n)
+	}
+}

@@ -305,10 +305,11 @@ func (rg *Registry) Get(name string) *Server {
 }
 
 // Delete removes a tenant: it disappears from routing immediately,
-// then its writer goroutine stops and its store is closed. In-flight
-// reads finish against their
-// already-loaded views. The default tenant cannot be deleted — the
-// un-prefixed alias must keep resolving.
+// then its writer and trainer stop and its metric series are dropped.
+// In-flight reads finish against their already-loaded views. Until the
+// series are gone the name stays reserved, so a concurrent Create of it
+// is refused rather than having its fresh series dropped. The default
+// tenant cannot be deleted — the un-prefixed alias must keep resolving.
 func (rg *Registry) Delete(name string) error {
 	rg.mu.Lock()
 	e, ok := rg.tenants[name]
@@ -320,9 +321,13 @@ func (rg *Registry) Delete(name string) error {
 		rg.mu.Unlock()
 		return fmt.Errorf("%w: tenant %q is the default tenant; pick a new default before deleting it", errBadRequest, name)
 	}
-	delete(rg.tenants, name)
+	rg.tenants[name] = nil // reservation
 	rg.mu.Unlock()
 	e.srv.Close()
+	rg.metrics.Forget("tenant", name)
+	rg.mu.Lock()
+	delete(rg.tenants, name)
+	rg.mu.Unlock()
 	obs.Log().Info("tenant deleted", "tenant", name)
 	return nil
 }
@@ -525,17 +530,18 @@ func (rg *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // pool utilization, sampled storage counters) are refreshed here,
 // right before exposition, so scraping is what pays for them.
 func (rg *Registry) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var entries []*tenantEntry
-	var statuses []TenantStatus // entries' rows, from one hold of the lock
+	// The sample is taken under the lock, so it cannot revive the series
+	// of a tenant that Delete has reserved and is about to drop.
 	if !rg.read(w, func() {
-		entries = rg.sortedEntriesLocked()
+		entries := rg.sortedEntriesLocked()
+		var statuses []TenantStatus // entries' rows, from one hold of the lock
 		for _, e := range entries {
 			statuses = append(statuses, rg.statusLocked(e))
 		}
+		rg.fleetMetrics.sample(time.Since(rg.start).Seconds(), statuses, entries)
 	}) {
 		return
 	}
-	rg.fleetMetrics.sample(time.Since(rg.start).Seconds(), statuses, entries)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := rg.metrics.WritePrometheus(w); err != nil {
 		respErrWrite.Add(1)

@@ -112,7 +112,7 @@ type Server struct {
 	kbIndexReads, kbScanReads *obs.Child
 
 	// store is the owned session; mutated only by the writer
-	// goroutine, closed (storage-engine cleanup) by Close.
+	// goroutine.
 	store *core.Store
 
 	view atomic.Pointer[core.StoreView]
