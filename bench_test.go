@@ -365,27 +365,27 @@ func BenchmarkTokenize(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainSequential / BenchmarkTrainParallel time deterministic
-// data-parallel minibatch training (model.Train) at Workers=1 vs
-// Workers=8 on the bench corpus's training examples. Both runs train
-// the bit-identical model (gradients reduce in fixed example-index
-// order); the contrast is pure wall clock.
-func BenchmarkTrainSequential(b *testing.B) { benchTrain(b, 16, 1) }
-
-// BenchmarkTrainParallel is the 8-worker counterpart.
-func BenchmarkTrainParallel(b *testing.B) { benchTrain(b, 16, 8) }
-
-// BenchmarkTrainBatch1 is the training layer as every server and the
-// repository benchmark run it: one Adam step per example. Beside
-// ns/op (two epochs, model construction included) it reports the cost
-// of one example and — the kernel's contract — how many objects one
-// example allocates: the whole run's count spread over its steps,
-// which construction, encoding and the tape's warm-up account for.
-func BenchmarkTrainBatch1(b *testing.B) { benchTrain(b, 1, 1) }
+// BenchmarkTrain is the training layer as every server and the
+// repository benchmark run it: one Adam step per example. Beside ns/op
+// (two epochs, model construction included) it reports the cost of one
+// example and — the kernel's contract — how many objects one example
+// allocates: the whole run's count spread over its steps, which
+// construction, encoding and the tape's warm-up account for.
+func BenchmarkTrain(b *testing.B) {
+	task, numFeatures, exs := benchTrainCorpus(b)
+	const epochs = 2
+	perItem := startPerItem(b)
+	for i := 0; i < b.N; i++ {
+		m := model.NewFonduer(len(task.Args), numFeatures, 1, exs)
+		st := m.Train(exs, model.TrainOptions{Epochs: epochs})
+		b.ReportMetric(st.SecsPerEpoch*1000, "ms/epoch")
+	}
+	perItem(b.N*epochs*len(exs), "example")
+	b.ReportMetric(float64(len(exs)), "examples")
+}
 
 // benchTrainCorpus builds the training examples once: the pipeline's
-// front half (core.TrainExamples), which the trainspeed study also
-// uses, so the benchmark and the study measure the same workload.
+// front half (core.TrainExamples).
 func benchTrainCorpus(b *testing.B) (task core.Task, numFeatures int, exs []model.Example) {
 	elec := synth.Electronics(42, 32)
 	task = elec.Tasks[0]
@@ -394,19 +394,6 @@ func benchTrainCorpus(b *testing.B) (task core.Task, numFeatures int, exs []mode
 		b.Fatal("bench corpus produced no covered examples")
 	}
 	return task, numFeatures, exs
-}
-
-func benchTrain(b *testing.B, batch, workers int) {
-	task, numFeatures, exs := benchTrainCorpus(b)
-	const epochs = 2
-	perItem := startPerItem(b)
-	for i := 0; i < b.N; i++ {
-		m := model.NewFonduer(len(task.Args), numFeatures, 1, exs)
-		st := m.Train(exs, model.TrainOptions{Epochs: epochs, Batch: batch, Workers: workers})
-		b.ReportMetric(st.SecsPerEpoch*1000, "ms/epoch")
-	}
-	perItem(b.N*epochs*len(exs), "example")
-	b.ReportMetric(float64(len(exs)), "examples")
 }
 
 // startPerItem starts the measured part of a benchmark whose op is a
@@ -490,7 +477,7 @@ func BenchmarkServeIngestPublish(b *testing.B) {
 		b.StopTimer()
 		srv, err := serve.New(serve.Config{
 			Task:    task,
-			Options: core.Options{Seed: 1, Epochs: 2, Batch: 16},
+			Options: core.Options{Seed: 1, Epochs: 2},
 			Gold:    elec.GoldTuples[task.Relation],
 		})
 		if err != nil {

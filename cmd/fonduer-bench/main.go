@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table2..table6, fig4, fig6..fig9, cache, sparse, speedup, trainspeed")
+	exp := flag.String("exp", "all", "experiment: all, table2..table6, fig4, fig6..fig9, cache, sparse, speedup")
 	fast := flag.Bool("fast", false, "use the small test configuration")
 	seed := flag.Int64("seed", 0, "override the config seed (0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size for parallel stages (0 = GOMAXPROCS, 1 = sequential)")
@@ -66,7 +66,6 @@ func runners() []runner {
 		{"cache", func(cfg experiments.Config) fmt.Stringer { return experiments.CacheStudy(cfg) }},
 		{"sparse", func(experiments.Config) fmt.Stringer { return experiments.DefaultSparseStudy() }},
 		{"speedup", func(cfg experiments.Config) fmt.Stringer { return experiments.SpeedupStudy(cfg) }},
-		{"trainspeed", func(cfg experiments.Config) fmt.Stringer { return experiments.TrainSpeedStudy(cfg) }},
 	}
 }
 

@@ -13,7 +13,7 @@ func TestRunnersCoverAllExperiments(t *testing.T) {
 	want := []string{
 		"table2", "table3", "table4", "table5", "table6",
 		"fig4", "fig6", "fig7", "fig8", "fig9",
-		"cache", "sparse", "speedup", "trainspeed",
+		"cache", "sparse", "speedup",
 	}
 	rs := runners()
 	if len(rs) != len(want) {

@@ -74,9 +74,8 @@ import (
 func main() {
 	store := flag.String("store", "", "session directory as used by 'fonduer -store' (default tenant at <store>/<relation>, others at <store>/<tenant>/<relation>)")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "per-tenant worker count for ingest-time pipeline stages and minibatch training (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "per-tenant worker count for ingest-time pipeline stages (0 = GOMAXPROCS)")
 	poolSize := flag.Int("pool", 0, "fleet-wide worker budget shared across all tenants' parallel stages (0 = GOMAXPROCS, <0 = unlimited); one tenant's retrain can use at most this many extra goroutines")
-	batch := flag.Int("batch", 0, "training minibatch size per published view (0 = 1, one Adam step per example; >1 parallelizes gradient work across -workers)")
 	domain := flag.String("domain", "electronics", "default tenant's task definitions: electronics, ads, paleo, genomics")
 	relation := flag.String("relation", "", "default tenant's relation (default: the domain's first)")
 	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation] specs; empty = one default tenant from -domain/-relation")
@@ -137,8 +136,7 @@ func main() {
 
 	opts := fonduer.Options{
 		ThresholdOverride: fonduer.Float64(*threshold), Epochs: *epochs, Seed: *seed,
-		Workers: *workers, Batch: *batch,
-		Backend: *backend,
+		Workers: *workers, Backend: *backend,
 	}
 	rg, err := buildRegistry(*store, *domain, *relation, *tenants, *defaultTenant, opts, *trainDrift, *trainInterval)
 	if err != nil {

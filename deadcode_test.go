@@ -426,6 +426,7 @@ func implementations(declared, all []*types.Package) map[string]int {
 var fieldAllowlist = map[string]string{
 	"repro/internal/core.RetrainConfig.WarmFrom": "ignored; deleted with ROADMAP 3(d)",
 	"repro/internal/serve.RegistryConfig.Async":  "ignored; deleted with ROADMAP 3(d)",
+	"repro/internal/model.TrainOptions.Workers":  "ignored; deleted with ROADMAP 3(d)",
 	"repro/internal/neural.adamConsts.c1":        "read by kernels_amd64.s",
 	"repro/internal/neural.adamConsts.c2":        "read by kernels_amd64.s",
 }

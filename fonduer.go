@@ -43,9 +43,8 @@
 //
 // Documents are processed atomically, so the pipeline's extraction,
 // featurization and supervision stages run on a worker pool sized by
-// Options.Workers (0 = all cores, 1 = sequential), and training fans
-// each minibatch's per-example gradients over the same pool when
-// Options.Batch > 1. Results are bit-identical at any worker count.
+// Options.Workers (0 = all cores, 1 = sequential); training takes one
+// Adam step per example. Results are bit-identical at any worker count.
 //
 // See examples/ for runnable end-to-end programs and DESIGN.md for the
 // system inventory.

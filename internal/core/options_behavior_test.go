@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -32,42 +31,5 @@ func TestOptionsThresholdZeroBehavior(t *testing.T) {
 	}
 	if nLow == 0 {
 		t.Fatal("threshold 0 should classify the positive-probability candidates")
-	}
-}
-
-// TestOptionsBatchTrainingBehavior covers the Batch option end to end:
-// the zero value must mean "batch of 1" (the pre-minibatch trajectory,
-// bit-identical Result), Batch must reach the training stage (a real
-// minibatch changes the trained model's predictions' trajectory), and
-// a Batch>1 run must stay bit-identical at any worker count — the
-// pipeline's determinism contract extended to data-parallel training.
-func TestOptionsBatchTrainingBehavior(t *testing.T) {
-	corpus := synth.Electronics(33, 12)
-	task := corpus.Tasks[0]
-	train, test := corpus.Split()
-	gold := corpus.GoldTuples[task.Relation]
-
-	run := func(batch, workers int) core.Result {
-		r := core.Run(task, train, test, gold, core.Options{
-			Seed: 5, Epochs: 2, Batch: batch, Workers: workers})
-		r.TrainStats.SecsPerEpoch = 0
-		r.TrainStats.TotalDuration = 0
-		return r
-	}
-
-	def := run(0, 1)
-	if !reflect.DeepEqual(def, run(1, 1)) {
-		t.Fatal("Batch=0 (sentinel) must be bit-identical to Batch=1")
-	}
-
-	want := run(4, 1)
-	for _, workers := range []int{2, 8} {
-		if got := run(4, workers); !reflect.DeepEqual(want, got) {
-			t.Fatalf("Batch=4 diverges between workers=1 and workers=%d:\n got: %+v\nwant: %+v",
-				workers, got, want)
-		}
-	}
-	if def.TrainStats.FinalLoss == want.TrainStats.FinalLoss {
-		t.Fatal("Batch=4 trained identically to Batch=1; option not reaching the train stage")
 	}
 }

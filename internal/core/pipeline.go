@@ -76,21 +76,11 @@ type Options struct {
 	// Seed drives all stochastic choices.
 	Seed int64
 	// Workers sizes the worker pool shared by the pipeline's parallel
-	// stages — candidate extraction, featurization,
-	// labeling-function application, and (when Batch > 1) the
-	// per-example gradient fan-out of minibatch training. <=0 means
-	// GOMAXPROCS. Results are bit-identical at any worker count:
-	// documents are processed atomically and merged in corpus order
-	// (Appendix C), and minibatch gradients are reduced in fixed
-	// example-index order (DESIGN.md §3d).
+	// stages — candidate extraction, featurization and
+	// labeling-function application. <=0 means GOMAXPROCS. Results are
+	// bit-identical at any worker count: documents are processed
+	// atomically and merged in corpus order (Appendix C).
 	Workers int
-	// Batch is the training minibatch size: per-example gradients are
-	// averaged over Batch examples and applied as one Adam step, so
-	// minibatch gradient work parallelizes across Workers. The zero
-	// value is a sentinel meaning "use the default 1" — one Adam step
-	// per example, the pre-minibatch trajectory. Results depend on
-	// Batch (it is a real hyperparameter) but never on Workers.
-	Batch int
 	// Backend names a kbase storage engine kind: "memory", "disk" or
 	// "columnar"; the zero value "" means "memory". It is a label: a
 	// Store echoes it in StorageStats and checks nothing (fonduer-serve

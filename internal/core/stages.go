@@ -376,10 +376,7 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 		// source (Options literals), never parsed from a request or a file.
 		panic("core: unknown variant")
 	}
-	stats := m.Train(trainEx, model.TrainOptions{
-		Epochs: opts.Epochs, LR: 0.02, L2: 1e-4,
-		Batch: opts.Batch, Workers: opts.Workers,
-	})
+	stats := m.Train(trainEx, model.TrainOptions{Epochs: opts.Epochs, LR: 0.02, L2: 1e-4})
 	return m, stats
 }
 

@@ -25,7 +25,7 @@ import (
 // task the store was built for (labeling functions are code and cannot
 // be persisted; they are re-supplied here), and opts must agree with
 // the persisted configuration on every knob that shaped the relations.
-// Runtime knobs (Seed, Epochs, ThresholdOverride, Workers, Batch) are
+// Runtime knobs (Seed, Epochs, ThresholdOverride, Workers) are
 // taken fresh from opts. Meta rows the session does not write (an
 // older format-3 snapshot's no_feature_cache) are not compared.
 //

@@ -16,11 +16,11 @@ import (
 // sequential execution on everything before Train — candidate
 // extraction, featurization, index construction, labeling-function
 // application and label-model denoising (core.TrainExamples). Training
-// is excluded here — its own data-parallel speedup is measured by
-// TrainSpeedStudy. Candidates counts the covered candidates, i.e. the
-// training examples both runs end in; Identical confirms the parallel
-// run produced them bit for bit, the guarantee that makes parallelism
-// safe to enable by default.
+// is excluded: it takes one Adam step per example on one goroutine, so
+// it runs the same at any worker count. Candidates counts the covered
+// candidates, i.e. the training examples both runs end in; Identical
+// confirms the parallel run produced them bit for bit, the guarantee
+// that makes parallelism safe to enable by default.
 type SpeedupResult struct {
 	Workers    int
 	Docs       int

@@ -13,7 +13,7 @@ import (
 // detector changes allocation counts and empties sync.Pool at random,
 // hence the build tag). Training: two otherwise identical runs that
 // differ only in epoch count must allocate the same number of objects,
-// i.e. once the slot's tape is warm a training step — encode lookup,
+// i.e. once the step's tape is warm a training step — encode lookup,
 // forward, loss, backward, clip, Adam — allocates nothing. Inference: a
 // warm PredictProb, pooled tape and token encoding included, allocates
 // nothing either (the candidate's "X3" token takes the lowercasing

@@ -20,7 +20,6 @@ import (
 	"repro/internal/datamodel"
 	"repro/internal/neural"
 	"repro/internal/nlp"
-	"repro/internal/pool"
 )
 
 // Example is one training or inference instance: a candidate, its
@@ -401,18 +400,11 @@ type TrainOptions struct {
 	// decay keeps rare identity features (e.g. a part number seen in
 	// one document) from dominating generic multimodal features.
 	L2 float64
-	// Batch is the minibatch size: per-example gradients are averaged
-	// over Batch examples and applied as one Adam step. The zero value
-	// is a sentinel meaning "use the default 1" — one step per example,
-	// the classic per-example trajectory. (0 is not a meaningful batch
-	// size, so no override pointer is needed.) Results are a function
-	// of Batch but never of Workers.
-	Batch int
-	// Workers bounds the goroutines computing a minibatch's
-	// per-example gradients concurrently; <=0 means GOMAXPROCS.
-	// Training results are bit-identical at any worker count: each
-	// minibatch position owns a private gradient buffer, and buffers
-	// are reduced in fixed example-index order (see Train).
+	// Workers is ignored: training is one Adam step per example, on the
+	// calling goroutine.
+	//
+	// Deprecated: kept only so existing callers compile; it is to be
+	// deleted.
 	Workers int
 }
 
@@ -426,9 +418,6 @@ func (o *TrainOptions) defaults() {
 	if o.Clip <= 0 {
 		o.Clip = 5
 	}
-	if o.Batch <= 0 {
-		o.Batch = 1
-	}
 }
 
 // TrainStats reports training cost, for the Table 6 runtime comparison.
@@ -439,65 +428,29 @@ type TrainStats struct {
 	TotalDuration time.Duration
 }
 
-// shadow returns a replica of the model for one minibatch slot of
-// data-parallel training: every layer shares the master's weight
-// storage but accumulates gradients into private buffers, while the
-// immutable pieces — config, frozen vocabulary — are shared directly.
-// Forward/backward passes through distinct shadows are race-free
-// because nothing mutable is shared; weights must not be updated while
-// shadow passes are in flight. The replica's params list mirrors the
-// master's construction order exactly, which is what lets
-// Params.AccumGrad merge the two position by position.
-func (m *Model) shadow() *Model {
-	s := &Model{cfg: m.cfg, vocab: m.vocab}
-	if m.emb != nil {
-		s.emb = m.emb.Shadow()
-		s.bi = m.bi.Shadow()
-		s.att = m.att.Shadow()
-		s.headText = m.headText.Shadow()
-		s.params = append(s.params, s.emb.Params()...)
-		s.params = append(s.params, s.bi.Params()...)
-		s.params = append(s.params, s.att.Params()...)
-		s.params = append(s.params, s.headText.Params()...)
-	}
-	if m.headSparse != nil {
-		s.headSparse = m.headSparse.Shadow()
-		s.params = append(s.params, s.headSparse)
-	}
-	s.bias = m.bias.Shadow()
-	s.params = append(s.params, s.bias)
-	return s
-}
-
-// trainSlot is one minibatch position's private training state: a
-// model (shared weights, private gradients) and a reusable tape. Slot k
-// always computes the k-th example of the current minibatch, whichever
-// pool worker picks it up, so the work done per slot — and the
-// gradients it yields — never depends on scheduling. Slot 0 is the
-// master model itself: its gradients are where the reduction starts,
-// so they need neither a shadow nor a copy.
-type trainSlot struct {
-	model *Model
-	tape  *neural.Tape
-	loss  float64
+// trainStep is the scratch of one training step, reused by every step:
+// the tape and the part of the sparse parameters' gradient the step's
+// example wrote.
+type trainStep struct {
+	tape *neural.Tape
 	// rows and cols are the embedding rows and feature-head columns the
-	// slot's example read: outside them its gradient is +0.
+	// example read: outside them its gradient is +0.
 	rows, cols []int
-	// sparse names the slot model's embedding table and feature head,
-	// the parameters whose gradient an example writes only in part, with
-	// Idx at rows and cols.
+	// sparse names the model's embedding table and feature head, the
+	// parameters whose gradient an example writes only in part, with Idx
+	// at rows and cols.
 	sparse []neural.Sparse
 }
 
-// touch records the embedding rows and feature-head columns the slot's
+// touch records the embedding rows and feature-head columns the
 // example read (its token sequences and features), and points the
-// slot's sparse entries at them.
-func (s *trainSlot) touch(seq *seqIDs, feats []int) {
-	if s.model.emb != nil {
-		s.rows = s.model.emb.Rows(s.rows, seq.ids)
+// sparse entries at them.
+func (s *trainStep) touch(m *Model, seq *seqIDs, feats []int) {
+	if m.emb != nil {
+		s.rows = m.emb.Rows(s.rows, seq.ids)
 	}
-	if s.model.headSparse != nil {
-		s.cols = neural.SparseCols(s.cols, s.model.headSparse, feats)
+	if m.headSparse != nil {
+		s.cols = neural.SparseCols(s.cols, m.headSparse, feats)
 	}
 	for j := range s.sparse {
 		s.sparse[j].Idx = s.rows
@@ -523,29 +476,16 @@ func (m *Model) sparseParams() []neural.Sparse {
 }
 
 // Train fits the model with Adam on the noise-aware cross-entropy
-// against the examples' marginals, using deterministic data-parallel
-// minibatch SGD:
-//
-//  1. Each example's token sequences are encoded to vocabulary ids
-//     once; each epoch shuffles the example order (seeded rng,
-//     unchanged from the sequential implementation).
-//  2. For every minibatch of opts.Batch examples, per-example
-//     gradients are computed concurrently on up to opts.Workers
-//     goroutines — one model replica and one reusable tape per slot,
-//     no shared mutable state.
-//  3. Slot gradients are reduced into the master's (slot 0's) in fixed
-//     example-index order, averaged over the batch, and applied as a
-//     single Adam step with the clip factor folded in.
-//
-// Because slot k's gradient is a pure function of the weights and
-// example k, and the reduction order is fixed, the trained weights are
-// bit-identical at any worker count. At Batch=1 there is nothing to
-// reduce, and the trajectory is exactly the per-example sequential loop
-// this implementation replaced. A step reads the whole parameter set
-// once, in Adam; the clip norm and the zeroing of the gradients visit
-// only the dense parameters and the embedding rows and feature columns
-// the step's examples read (their union over a minibatch), since every
-// other gradient is +0.
+// against the examples' marginals, one step per example. Each example's
+// token sequences are encoded to vocabulary ids once; each epoch
+// shuffles the example order (seeded rng), and every step runs the
+// example forward and backward on one reused tape, clips the gradient
+// to opts.Clip and applies one Adam update with the clip factor folded
+// in. A step reads the whole parameter set once, in Adam; the clip norm
+// and the zeroing of the gradient visit only the dense parameters and
+// the embedding rows and feature columns the example read, since every
+// other gradient is +0. The trajectory is a function of the seed and
+// the examples alone.
 func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	opts.defaults()
 	optim := neural.NewAdam(opts.LR)
@@ -559,75 +499,23 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 		seqs[i] = seqIDs{ids: slices.Clone(scratch.ids), ends: slices.Clone(scratch.ends)}
 		order[i] = i
 	}
-	nslots := opts.Batch
-	if nslots > len(examples) {
-		nslots = len(examples)
-	}
-	if nslots < 1 {
-		nslots = 1
-	}
-	slots := make([]*trainSlot, nslots)
-	slots[0] = &trainSlot{model: m, tape: neural.NewTape()}
-	for k := 1; k < nslots; k++ {
-		slots[k] = &trainSlot{model: m.shadow(), tape: neural.NewTape()}
-	}
-	for _, s := range slots {
-		s.sparse = s.model.sparseParams()
-	}
-	// union is the master's scratch for a minibatch's rows and columns,
-	// one list per sparse entry.
-	union := make([][]int, len(slots[0].sparse))
+	s := trainStep{tape: neural.NewTape(), sparse: m.sparseParams()}
 	// Steps zero only what they wrote, so they start from a zero gradient.
 	m.params.ZeroGrad()
-	// One closure for the whole run (base is the minibatch's offset
-	// into order): a step allocates nothing, not even this.
-	var base int
-	step := func(k int) {
-		s, i := slots[k], order[base+k]
-		s.tape.Reset()
-		logits := s.model.forward(s.tape, &seqs[i], examples[i].SparseFeats, nil)
-		loss, node := neural.NoiseAwareCE(s.tape, logits, examples[i].Marginal)
-		s.loss = loss
-		s.tape.Backward(node)
-		s.touch(&seqs[i], examples[i].SparseFeats)
-	}
 	var lastLoss float64
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		optim.LR = opts.LR / (1 + lrDecay*float64(epoch))
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		total := 0.0
-		for base = 0; base < len(order); base += nslots {
-			n := len(order) - base
-			if n > nslots {
-				n = nslots
-			}
-			pool.Run(n, opts.Workers, step)
-			total += slots[0].loss
-			for k := 1; k < n; k++ {
-				m.params.AccumGrad(slots[k].model.params)
-				total += slots[k].loss
-			}
-			if n > 1 {
-				m.params.ScaleGrad(1 / float64(n))
-			}
-			// The master's gradient can be nonzero wherever a slot's was.
-			master := slots[0].sparse
-			if n > 1 {
-				for j := range master {
-					u := union[j][:0]
-					for _, s := range slots[:n] {
-						u = append(u, s.sparse[j].Idx...)
-					}
-					slices.Sort(u)
-					union[j] = slices.Compact(u)
-					master[j].Idx = union[j]
-				}
-			}
-			optim.StepScaled(m.params, m.params.ClipScale(opts.Clip, master...))
-			m.params.ZeroGrad(master...)
-			for k := 1; k < n; k++ {
-				slots[k].model.params.ZeroGrad(slots[k].sparse...)
-			}
+		for _, i := range order {
+			s.tape.Reset()
+			logits := m.forward(s.tape, &seqs[i], examples[i].SparseFeats, nil)
+			loss, node := neural.NoiseAwareCE(s.tape, logits, examples[i].Marginal)
+			total += loss
+			s.tape.Backward(node)
+			s.touch(m, &seqs[i], examples[i].SparseFeats)
+			optim.StepScaled(m.params, m.params.ClipScale(opts.Clip, s.sparse...))
+			m.params.ZeroGrad(s.sparse...)
 		}
 		if len(examples) > 0 {
 			lastLoss = total / float64(len(examples))
@@ -718,6 +606,3 @@ func (m *Model) predict(inf *inference, ex Example, memo *encodingMemo) float64 
 func (m *Model) Classify(ex Example, threshold float64) bool {
 	return m.PredictProb(ex) > threshold
 }
-
-// ParamCount returns the number of trainable scalars.
-func (m *Model) ParamCount() int { return m.params.Count() }

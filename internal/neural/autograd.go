@@ -10,7 +10,7 @@
 // Everything is float64. A Tape owns the memory of the graph built on
 // it: node values and gradients come from a bump arena, node headers
 // from a slab, and the backward pass is a list of plain records — so a
-// tape that is Reset and reused (one per training slot, pooled ones for
+// tape that is Reset and reused (one for training, pooled ones for
 // inference) allocates nothing once it has seen its largest example.
 // The hot, fixed-shape path — the LSTM step and Attention.Apply — is one
 // fused op each; the primitive ops stay for the ablation variants and
@@ -18,12 +18,8 @@
 // performs the same floating-point operations in the same accumulation
 // order as the primitive composition it replaces.
 //
-// A single tape is single-threaded, but the shadow-parameter machinery
-// (Mat.Shadow, Params.AccumGrad) lets any number of goroutines build
-// independent graphs over shared weights with private gradient buffers
-// — the substrate of the model package's deterministic data-parallel
-// training. Gradient correctness is enforced by numeric gradient checks
-// in the tests.
+// A single tape is single-threaded; gradient correctness is enforced by
+// numeric gradient checks in the tests.
 package neural
 
 import (

@@ -58,10 +58,6 @@ func (e *Embedding) Rows(dst, ids []int) []int {
 // Params returns the trainable table.
 func (e *Embedding) Params() Params { return Params{e.Table} }
 
-// Shadow returns an embedding over shared weights with a private
-// gradient buffer (see Mat.Shadow).
-func (e *Embedding) Shadow() *Embedding { return &Embedding{Table: e.Table.Shadow()} }
-
 // LSTM is one direction's long short-term memory cell with input,
 // forget and output gates (the equations of Section 2.2):
 //
@@ -232,17 +228,6 @@ func (l *LSTM) Params() Params {
 	return Params{l.Wi, l.Ui, l.Wf, l.Uf, l.Wo, l.Uo, l.Wc, l.Uc, l.Bi, l.Bf, l.Bo, l.Bc}
 }
 
-// Shadow returns an LSTM over shared weights with private gradient
-// buffers (see Mat.Shadow).
-func (l *LSTM) Shadow() *LSTM {
-	return &LSTM{
-		InDim: l.InDim, HidDim: l.HidDim,
-		Wi: l.Wi.Shadow(), Ui: l.Ui.Shadow(), Wf: l.Wf.Shadow(), Uf: l.Uf.Shadow(),
-		Wo: l.Wo.Shadow(), Uo: l.Uo.Shadow(), Wc: l.Wc.Shadow(), Uc: l.Uc.Shadow(),
-		Bi: l.Bi.Shadow(), Bf: l.Bf.Shadow(), Bo: l.Bo.Shadow(), Bc: l.Bc.Shadow(),
-	}
-}
-
 // BiLSTM pairs a forward and a backward LSTM; the representation of
 // each timestep is the concatenation [h^F_i, h^B_i] (Section 2.2).
 type BiLSTM struct {
@@ -275,10 +260,6 @@ func (b *BiLSTM) OutDim() int { return b.Fwd.HidDim + b.Bwd.HidDim }
 
 // Params returns both directions' parameters.
 func (b *BiLSTM) Params() Params { return append(b.Fwd.Params(), b.Bwd.Params()...) }
-
-// Shadow returns a BiLSTM over shared weights with private gradient
-// buffers (see Mat.Shadow).
-func (b *BiLSTM) Shadow() *BiLSTM { return &BiLSTM{Fwd: b.Fwd.Shadow(), Bwd: b.Bwd.Shadow()} }
 
 // Attention is the word-attention mechanism of Section 4.2:
 //
@@ -367,12 +348,6 @@ func (a *Attention) applyBackward(t *Tape, o *op) {
 // Params returns the attention parameters.
 func (a *Attention) Params() Params { return Params{a.Ww, a.Bw, a.Uw} }
 
-// Shadow returns attention over shared weights with private gradient
-// buffers (see Mat.Shadow).
-func (a *Attention) Shadow() *Attention {
-	return &Attention{Ww: a.Ww.Shadow(), Bw: a.Bw.Shadow(), Uw: a.Uw.Shadow()}
-}
-
 // Linear is a fully connected layer y = Wx + b.
 type Linear struct {
 	W *Mat
@@ -391,10 +366,6 @@ func (l *Linear) Apply(t *Tape, x *Vec) *Vec {
 
 // Params returns the layer's parameters.
 func (l *Linear) Params() Params { return Params{l.W, l.B} }
-
-// Shadow returns a linear layer over shared weights with private
-// gradient buffers (see Mat.Shadow).
-func (l *Linear) Shadow() *Linear { return &Linear{W: l.W.Shadow(), B: l.B.Shadow()} }
 
 // MaxPool returns the element-wise maximum over the sequence — the
 // pooling strategy attention improves on (Section 2.2); kept as an

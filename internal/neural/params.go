@@ -30,15 +30,6 @@ func NewMatXavier(rows, cols int, rng *rand.Rand) *Mat {
 	return m
 }
 
-// Shadow returns a matrix sharing m's weights but carrying a private,
-// zeroed gradient buffer. A forward/backward pass through a shadow
-// reads the live weights and accumulates gradients without touching
-// the original — the per-worker state of data-parallel training.
-// Weights must not be updated while shadows are in use.
-func (m *Mat) Shadow() *Mat {
-	return &Mat{Rows: m.Rows, Cols: m.Cols, W: m.W, G: make([]float64, len(m.G))}
-}
-
 // Params is the set of trainable matrices of a model.
 type Params []*Mat
 
@@ -58,7 +49,7 @@ type Sparse struct {
 // ClipScale and ZeroGrad each walk the named rows and columns
 // themselves: a shared walker with a callback per row and per column
 // made the two together 2.1× slower in a profile of
-// BenchmarkTrainBatch1.
+// BenchmarkTrain.
 func sparseOf(p *Mat, sparse []Sparse) *Sparse {
 	for i := range sparse {
 		if sparse[i].M == p {
@@ -89,46 +80,6 @@ func (ps Params) ZeroGrad(sparse ...Sparse) {
 			for _, r := range s.Idx {
 				clear(p.G[r*p.Cols:][:p.Cols])
 			}
-		}
-	}
-}
-
-// Count returns the total number of scalar parameters.
-func (ps Params) Count() int {
-	n := 0
-	for _, p := range ps {
-		n += len(p.W)
-	}
-	return n
-}
-
-// AccumGrad adds src's gradients into ps's, position by position.
-// Both parameter lists must come from the same model (same shapes in
-// the same order); the reduction step of minibatch training calls this
-// once per example slot, in fixed example-index order, so the float
-// summation order — and therefore the resulting weights — never
-// depends on how slots were assigned to workers.
-func (ps Params) AccumGrad(src Params) {
-	if len(ps) != len(src) {
-		panic("neural: AccumGrad parameter count mismatch")
-	}
-	for k, p := range ps {
-		s := src[k]
-		if len(p.G) != len(s.G) {
-			panic("neural: AccumGrad shape mismatch")
-		}
-		for i := range p.G {
-			p.G[i] += s.G[i]
-		}
-	}
-}
-
-// ScaleGrad multiplies every gradient by s (the 1/batch averaging of
-// minibatch training).
-func (ps Params) ScaleGrad(s float64) {
-	for _, p := range ps {
-		for i := range p.G {
-			p.G[i] *= s
 		}
 	}
 }

@@ -22,7 +22,11 @@ import (
 // their child once and then touch only atomics. Exposition is the
 // Prometheus text format (version 0.0.4): deterministic ordering
 // (families by name, children by label values), so scrapes diff
-// cleanly and the conformance test can pin the inventory.
+// cleanly and the conformance test can pin the inventory. A child is
+// written only once something happened to it — a counter that is not
+// 0, a histogram with an observation, a gauge that was Set — so a
+// child resolved in advance for a hot path costs a scrape nothing
+// until it is used.
 //
 // Cardinality discipline: every label is drawn from a bounded set —
 // tenant names (bounded by created tenants), route patterns (a fixed
@@ -134,6 +138,7 @@ type Child struct {
 	values []string
 
 	bits atomic.Uint64 // counter/gauge value (float64 bits)
+	set  atomic.Bool   // Set was called: a gauge is written from then on
 
 	// histogram state: counts[i] is the number of observations in
 	// (buckets[i-1], buckets[i]]; the last slot is the +Inf bucket.
@@ -214,8 +219,11 @@ func (c *Child) Inc() { c.Add(1) }
 // Set stores v. Gauges use this freely; counter families whose value
 // is sampled from an external cumulative source (the runtime's GC CPU
 // seconds, the process's response-error counts) set the sampled value
-// at scrape time.
-func (c *Child) Set(v float64) { c.bits.Store(math.Float64bits(v)) }
+// at scrape time. A gauge child is exposed once Set.
+func (c *Child) Set(v float64) {
+	c.bits.Store(math.Float64bits(v))
+	c.set.Store(true)
+}
 
 // Value returns the current counter/gauge value.
 func (c *Child) Value() float64 { return math.Float64frombits(c.bits.Load()) }
@@ -276,7 +284,9 @@ func labelString(names, values []string, extraK, extraV string) string {
 }
 
 // WritePrometheus writes the registry in the Prometheus text
-// exposition format (version 0.0.4), deterministically ordered.
+// exposition format (version 0.0.4), deterministically ordered. It
+// writes only observed children (see observed); a family with children
+// but none observed prints only its HELP and TYPE.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	m.mu.RLock()
 	fams := make([]*Family, 0, len(m.fam))
@@ -303,6 +313,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		for _, c := range children {
+			if !c.observed(f.typ) {
+				continue
+			}
 			if f.typ != TypeHistogram {
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, labelString(f.labels, c.values, "", ""), formatValue(c.Value()))
 				continue
@@ -325,6 +338,24 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// observed reports whether the child of a family of type typ has
+// anything to show: a counter that is not 0, a histogram with an
+// observation, a gauge that was Set.
+func (c *Child) observed(typ string) bool {
+	switch typ {
+	case TypeCounter:
+		return c.Value() != 0
+	case TypeGauge:
+		return c.set.Load()
+	}
+	for i := range c.counts {
+		if c.counts[i].Load() != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- Exposition parsing (the conformance tests' and tooling's view).

@@ -97,6 +97,48 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritesOnlyObservedChildren pins which children the exposition
+// writes: a counter that is not 0, a histogram with an observation and
+// a gauge that was Set (to 0 too); a family with none of those prints
+// only its HELP and TYPE.
+func TestWritesOnlyObservedChildren(t *testing.T) {
+	m := NewMetrics()
+	reqs := m.Counter("reqs_total", "requests", "route")
+	reqs.With("idle")
+	reqs.With("busy").Inc()
+	state := m.Gauge("state", "state", "tenant")
+	state.With("unset")
+	state.With("zero").Set(0)
+	dur := m.Histogram("dur_seconds", "latency", []float64{1}, "route")
+	dur.With("idle")
+	m.Counter("never_total", "never", "route").With("idle").Add(0)
+
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("exposition does not parse:\n%s\nerr: %v", buf.String(), err)
+	}
+	got := map[string][]string{}
+	for _, f := range fams {
+		got[f.Name] = []string{}
+		for _, s := range f.Samples {
+			got[f.Name] = append(got[f.Name], s.Labels["route"]+s.Labels["tenant"])
+		}
+	}
+	want := map[string][]string{
+		"reqs_total":  {"busy"},
+		"state":       {"zero"},
+		"dur_seconds": {},
+		"never_total": {},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("written children %v, want %v\n%s", got, want, buf.String())
+	}
+}
+
 // TestRegistrationIsIdempotent: N tenants wiring the same registry
 // must share families; a conflicting re-registration must panic.
 func TestRegistrationIsIdempotent(t *testing.T) {

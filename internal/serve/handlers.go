@@ -117,24 +117,36 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a request body; readJSON answers 413 past it.
+const maxBodyBytes = 32 << 20
+
 // readJSON decodes the body, one JSON value and nothing after it but
-// whitespace, into v or answers 400; an empty body passes only if emptyOK.
+// whitespace, into v or answers 400 (413 for a body over maxBodyBytes);
+// an empty body passes only if emptyOK.
 func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
+	var tooLarge *http.MaxBytesError
 	err := dec.Decode(v)
 	if err == nil {
 		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("data after the JSON value")
+			err = tail
+			if !errors.As(tail, &tooLarge) {
+				err = errors.New("data after the JSON value")
+			}
 		}
 	} else if emptyOK && errors.Is(err, io.EOF) {
 		err = nil
 	}
-	if err != nil {
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over the %d-byte cap", tooLarge.Limit)
+	default:
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
-		return false
 	}
-	return true
+	return false
 }
 
 // pageParams parses offset/limit query parameters (limit 0 or absent

@@ -597,15 +597,20 @@ func TestDeleteTenantDropsItsSeries(t *testing.T) {
 		return -1
 	}
 
-	getJSON(t, ts.URL+"/t/b/kb", http.StatusOK)
+	col := getJSON(t, ts.URL+"/t/b/kb", http.StatusOK)["columns"].([]any)[0].(string)
+	// Two filtered reads, a scan then an index hit: a plan counter's
+	// child is written once it is not 0.
+	for i := 0; i < 2; i++ {
+		getJSON(t, ts.URL+"/t/b/kb?"+col+"=x", http.StatusOK)
+	}
 	before := series()
 	for _, fam := range []string{"fonduer_http_requests_total", "fonduer_model_generation", "fonduer_kbase_index_hits_total"} {
 		if len(before[fam]) == 0 {
 			t.Fatalf("no %s series for tenant b before the delete", fam)
 		}
 	}
-	if n := kbReads(before); n != 1 {
-		t.Fatalf("b's /kb 200 count = %v, want 1", n)
+	if n := kbReads(before); n != 3 {
+		t.Fatalf("b's /kb 200 count = %v, want 3", n)
 	}
 
 	// Scrapes run beside the delete: none may revive b's series.
@@ -649,4 +654,46 @@ func TestDeleteTenantDropsItsSeries(t *testing.T) {
 	if n := kbReads(again); n != 1 {
 		t.Fatalf("re-created b's /kb 200 count = %v, want 1 (a fresh series)", n)
 	}
+}
+
+// TestIdleScrapeIsSmall: a fresh 3-tenant registry writes fewer than
+// 600 series, since the (tenant, route, status) children resolved at
+// route registration are written only once observed; one request then
+// shows up in its counter and histogram children.
+func TestIdleScrapeIsSmall(t *testing.T) {
+	rg := newTestRegistry(t, "", core.Options{Seed: 3, Epochs: 1})
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := rg.Create(serve.TenantConfig{Name: name, Domain: "electronics"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(rg.Handler())
+	defer ts.Close()
+	series := 0
+	for _, f := range scrape(t, ts.URL+"/metrics") {
+		series += len(f.Samples)
+	}
+	if series >= 600 {
+		t.Fatalf("a fresh 3-tenant registry writes %d series, want < 600", series)
+	}
+
+	getJSON(t, ts.URL+"/t/b/kb", http.StatusOK)
+	var reqs, count float64
+	for _, f := range scrape(t, ts.URL+"/metrics") {
+		for _, s := range f.Samples {
+			if s.Labels["tenant"] != "b" || s.Labels["route"] != "/kb" || s.Labels["status"] != "200" {
+				continue
+			}
+			switch s.Name {
+			case "fonduer_http_requests_total":
+				reqs = s.Value
+			case "fonduer_http_request_duration_seconds_count":
+				count = s.Value
+			}
+		}
+	}
+	if reqs != 1 || count != 1 {
+		t.Fatalf("after one /t/b/kb: requests_total %v, duration _count %v; want 1, 1", reqs, count)
+	}
+	t.Logf("%d series on a fresh 3-tenant registry", series)
 }

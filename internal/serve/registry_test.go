@@ -495,3 +495,47 @@ func TestRegistryCreateRefusesMalformedSnapshot(t *testing.T) {
 		t.Fatalf("Create after the repair = %+v, want the 3-document session resumed", status)
 	}
 }
+
+// filler is an endless stream of one byte.
+type filler byte
+
+func (b filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyIs413: a JSON body one byte over the handlers' 32 MB
+// cap is refused with 413 and a message naming the cap, not 400, on
+// every route that reads one. The body is one open JSON string streamed
+// from a generator, so neither side holds it.
+func TestOversizedBodyIs413(t *testing.T) {
+	const bodyCap = 32 << 20
+	rg := newTestRegistry(t, t.TempDir(), core.Options{Seed: 1, Epochs: 1})
+	ts := httptest.NewServer(rg.Handler())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "elec", "domain": "electronics"}, http.StatusCreated)
+
+	for _, route := range []string{"/ingest", "/classify", "/admin/snapshot", "/admin/tenants"} {
+		const head = `{"name":"`
+		body := io.MultiReader(strings.NewReader(head), io.LimitReader(filler('a'), bodyCap+1-int64(len(head))))
+		resp, err := http.Post(ts.URL+route, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("POST %s: %v", route, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], fmt.Sprint(bodyCap)) {
+			t.Errorf("POST %s with %d bytes: %d %q, want 413 naming the cap", route, bodyCap+1, resp.StatusCode, out["error"])
+		}
+	}
+	// Nothing was ingested.
+	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["docs"] != float64(0) {
+		t.Fatalf("healthz after refused uploads = %v", h)
+	}
+}
