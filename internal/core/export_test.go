@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/model"
+import (
+	"repro/internal/candidates"
+	"repro/internal/labeling"
+	"repro/internal/model"
+)
 
 // What the external test package needs to see of a store's in-memory
 // Features relation, which has no exported accessor (ids are
@@ -31,4 +35,10 @@ func (s *Store) ForgetFeatures() (pairs int) {
 // ScoreByDoc is scoreByDoc, every scoring site's path into the model.
 func ScoreByDoc(m *model.Model, exs []model.Example, workers int) []float64 {
 	return scoreByDoc(m, exs, workers)
+}
+
+// Supervise is the Label and Supervise stages over cands: the
+// marginals, coverage and LF metrics superviseStage produces.
+func Supervise(task Task, opts Options, cands []*candidates.Candidate) (marginals []float64, covered func(int) bool, metrics labeling.Metrics) {
+	return superviseStage(opts, labelStage(task, opts, cands))
 }

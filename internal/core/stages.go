@@ -210,8 +210,8 @@ func featurizeSplit(newFx func() *features.Extractor, cands []*candidates.Candid
 }
 
 // labelStage applies the session's labeling functions to a candidate
-// list and materializes the Labels relation as the label matrix (rows
-// positional, matching cands) — nil when explicit Options.Marginals
+// list and returns the Labels relation's vote rows as the label matrix
+// (rows positional, matching cands) — nil when explicit Options.Marginals
 // bypass supervision. opts.LFs, when non-nil, overrides the task's.
 func labelStage(task Task, opts Options, cands []*candidates.Candidate) *labeling.Matrix {
 	if opts.Marginals != nil {
@@ -318,8 +318,7 @@ func superviseStage(opts Options, labels *labeling.Matrix) (marginals []float64,
 	}
 	metrics = labeling.ComputeMetrics(labels)
 	marginals = labeling.Fit(labels, labeling.FitOptions{}).Marginals(labels)
-	covered = func(i int) bool { return len(labels.RowLabels(i)) > 0 }
-	return marginals, covered, metrics
+	return marginals, labels.Covered, metrics
 }
 
 // coveredExamples builds the Train stage's input from the covered

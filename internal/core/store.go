@@ -211,11 +211,12 @@ func (s *Store) StorageStats() StorageStats {
 	return StorageStats{Backend: s.opts.Backend, Docs: len(s.docs), PeakResidentDocs: len(s.docs)}
 }
 
-// LabelMatrix materializes the Labels relation as a LIL matrix over
-// all ingested candidates — the development-mode view DevSession
-// inspects between labeling-function iterations.
+// LabelMatrix is the Labels relation as a label matrix over all
+// ingested candidates — the development-mode view DevSession inspects
+// between labeling-function iterations. It shares the store's vote
+// rows, so it must be read before the next mutation.
 func (s *Store) LabelMatrix() *labeling.Matrix {
-	return labeling.MatrixFromVotes(s.votes, len(s.lfs))
+	return &labeling.Matrix{Votes: s.votes, NumLFs: len(s.lfs)}
 }
 
 // Epoch returns the number of completed mutations (document ingests
@@ -483,7 +484,7 @@ func (s *Store) RunSplit(trainNames, testNames []string, gold []GoldTuple) (Resu
 		for i, c := range train.cands {
 			rows[i] = s.votes[c.ID]
 		}
-		labels = labeling.MatrixFromVotes(rows, len(s.lfs))
+		labels = &labeling.Matrix{Votes: rows, NumLFs: len(s.lfs)}
 	}
 	testDocs := map[string]bool{}
 	for _, n := range testNames {

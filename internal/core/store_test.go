@@ -255,17 +255,17 @@ func TestStoreResumeLFFidelity(t *testing.T) {
 			}
 		}
 		lm, rm := live.LabelMatrix(), resumed.LabelMatrix()
-		if lm.NumCands != rm.NumCands || lm.NumLFs != rm.NumLFs {
-			t.Fatalf("%s: matrix dims differ: %dx%d vs %dx%d", domain.name, lm.NumCands, lm.NumLFs, rm.NumCands, rm.NumLFs)
+		if len(lm.Votes) != len(rm.Votes) || lm.NumLFs != rm.NumLFs {
+			t.Fatalf("%s: matrix dims differ: %dx%d vs %dx%d", domain.name, len(lm.Votes), lm.NumLFs, len(rm.Votes), rm.NumLFs)
 		}
 		diverged := 0
-		for i := 0; i < lm.NumCands; i++ {
-			if !reflect.DeepEqual(lm.RowLabels(i), rm.RowLabels(i)) {
+		for i := range lm.Votes {
+			if !reflect.DeepEqual(lm.Votes[i], rm.Votes[i]) {
 				diverged++
 			}
 		}
 		if diverged != 0 {
-			t.Fatalf("%s: %d/%d candidates get different LF votes after resume", domain.name, diverged, lm.NumCands)
+			t.Fatalf("%s: %d/%d candidates get different LF votes after resume", domain.name, diverged, len(lm.Votes))
 		}
 		if m := labeling.ComputeMetrics(rm); m.Coverage == 0 {
 			t.Fatalf("%s: resumed LF application is all-abstain (coverage 0)", domain.name)

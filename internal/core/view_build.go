@@ -140,7 +140,7 @@ func (v *StoreView) labels() *labeling.Matrix {
 	if v.opts.Marginals != nil {
 		return nil
 	}
-	return labeling.MatrixFromVotes(v.votes, len(v.lfNames))
+	return &labeling.Matrix{Votes: v.votes, NumLFs: len(v.lfNames)}
 }
 
 // withModel returns v under generation state g: res becomes its Result

@@ -106,10 +106,10 @@ func Figure9(cfg Config) Figure9Result {
 		if n > len(task.LFs) {
 			n = len(task.LFs)
 		}
-		lm := labeling.ParallelApply(task.LFs[:n], trainCands, innerWorkers()).Compact()
+		lm := labeling.ParallelApply(task.LFs[:n], trainCands, innerWorkers())
 		labeled := 0
-		for i := 0; i < lm.NumCands; i++ {
-			if len(lm.RowLabels(i)) > 0 {
+		for i := range lm.Votes {
+			if lm.Covered(i) {
 				labeled++
 			}
 		}

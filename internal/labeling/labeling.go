@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/candidates"
 	"repro/internal/features"
-	"repro/internal/sparse"
 )
 
 // LF is a labeling function. Fn returns +1, -1, or 0 (abstain).
@@ -36,34 +35,47 @@ type LF struct {
 	Fn       func(*candidates.Candidate) int
 }
 
-// Matrix is the label matrix Λ ∈ {-1,0,+1}^{k×l}: one row per
-// candidate, one column per labeling function. It is backed by a
-// sparse representation; Appendix C.2 motivates COO during iterative
-// development (fast updates) and LIL in production (fast row queries).
+// Matrix is the label matrix Λ ∈ {-1,0,+1}^{k×l}: the Labels
+// relation's vote rows, one per candidate. Votes[i][j] is LF j's
+// clamped vote on candidate i, 0 meaning abstain. The rows are read,
+// never copied or written: a matrix shares them with whoever holds the
+// relation (Appendix C.2's row-major form for row scans).
 type Matrix struct {
-	M        sparse.Matrix
-	NumLFs   int
-	NumCands int
+	Votes  [][]int8
+	NumLFs int
 }
 
-// NewMatrix creates a label matrix backed by the given representation.
-func NewMatrix(rep sparse.Matrix, numCands, numLFs int) *Matrix {
-	return &Matrix{M: rep, NumCands: numCands, NumLFs: numLFs}
-}
-
-// RowLabels returns the non-abstain (column, label) pairs of row i.
-func (m *Matrix) RowLabels(i int) []sparse.Entry { return m.M.Row(i) }
-
-// Compact returns a matrix with the same contents backed by a LIL
-// representation — the representation switch the pipeline performs
-// when moving from iterative development (COO, fast updates) to the
-// row-scan-heavy model-fitting passes (Appendix C.2).
-func (m *Matrix) Compact() *Matrix {
-	if _, ok := m.M.(*sparse.LIL); ok {
-		return m
+// Covered reports whether any LF labeled row i.
+func (m *Matrix) Covered(i int) bool {
+	for _, v := range m.Votes[i] {
+		if v != 0 {
+			return true
+		}
 	}
-	return &Matrix{M: sparse.ToLIL(m.M), NumLFs: m.NumLFs, NumCands: m.NumCands}
+	return false
 }
+
+// RowLabels returns the LFs that voted on row i, in ascending order.
+//
+// Deprecated: read m.Votes[i], or Covered for len(RowLabels(i)) > 0.
+// It is kept only because benchmark/ still calls it; it goes when
+// benchmark/ drops that call (ROADMAP item 3(d)).
+func (m *Matrix) RowLabels(i int) []int {
+	var lfs []int
+	for j, v := range m.Votes[i] {
+		if v != 0 {
+			lfs = append(lfs, j)
+		}
+	}
+	return lfs
+}
+
+// Compact returns m.
+//
+// Deprecated: a matrix is its vote rows and has no other
+// representation to switch to. It is kept only because benchmark/
+// still calls it; it goes with RowLabels (ROADMAP item 3(d)).
+func (m *Matrix) Compact() *Matrix { return m }
 
 // Metrics are the labeling-function development metrics Fonduer
 // reports to users for error analysis (Section 3.3): coverage (the
@@ -86,49 +98,50 @@ type LFMetrics struct {
 
 // ComputeMetrics summarizes a label matrix.
 func ComputeMetrics(m *Matrix) Metrics {
-	m = m.Compact()
 	var out Metrics
 	out.PerLF = make([]LFMetrics, m.NumLFs)
-	if m.NumCands == 0 {
+	if len(m.Votes) == 0 {
 		return out
 	}
 	covered, overlapped, conflicted := 0, 0, 0
 	lfCov := make([]int, m.NumLFs)
 	lfOver := make([]int, m.NumLFs)
 	lfConf := make([]int, m.NumLFs)
-	for i := 0; i < m.NumCands; i++ {
-		row := m.RowLabels(i)
-		if len(row) == 0 {
-			continue
-		}
-		covered++
+	for _, row := range m.Votes {
 		pos, neg := 0, 0
-		for _, e := range row {
-			if e.Val > 0 {
+		for _, v := range row {
+			if v > 0 {
 				pos++
-			} else if e.Val < 0 {
+			} else if v < 0 {
 				neg++
 			}
 		}
-		if len(row) >= 2 {
+		voted := pos + neg
+		if voted == 0 {
+			continue
+		}
+		covered++
+		if voted >= 2 {
 			overlapped++
 		}
-		hasConflict := pos > 0 && neg > 0
-		if hasConflict {
+		if pos > 0 && neg > 0 {
 			conflicted++
 		}
-		for _, e := range row {
-			lfCov[e.Col]++
-			if len(row) >= 2 {
-				lfOver[e.Col]++
+		for j, v := range row {
+			if v == 0 {
+				continue
+			}
+			lfCov[j]++
+			if voted >= 2 {
+				lfOver[j]++
 			}
 			// This LF conflicts if any other LF disagrees with it.
-			if (e.Val > 0 && neg > 0) || (e.Val < 0 && pos > 0) {
-				lfConf[e.Col]++
+			if (v > 0 && neg > 0) || (v < 0 && pos > 0) {
+				lfConf[j]++
 			}
 		}
 	}
-	n := float64(m.NumCands)
+	n := float64(len(m.Votes))
 	out.Coverage = float64(covered) / n
 	out.Overlap = float64(overlapped) / n
 	out.Conflict = float64(conflicted) / n
@@ -183,56 +196,67 @@ func (o *FitOptions) defaults() {
 	}
 }
 
-// votePatterns groups the rows of a LIL-backed label matrix by vote
-// pattern: the (column, sign) sequence a row holds. A dozen labeling
-// functions leave a few dozen patterns among thousands of rows, and a
-// row's posterior depends on its pattern alone, so the E-step runs once
-// per pattern instead of once per row.
+// votePatterns groups the rows of a label matrix by vote pattern: the
+// (LF, sign) sequence a row holds. A dozen labeling functions leave a
+// few dozen patterns among thousands of rows, and a row's posterior
+// depends on its pattern alone, so the E-step runs once per pattern
+// instead of once per row.
 type votePatterns struct {
-	of   []int32          // of[i] is row i's pattern
-	rows [][]sparse.Entry // one row of each pattern
+	of   []int32  // of[i] is row i's pattern
+	rows [][]vote // each pattern's votes in ascending LF order
 }
 
+// vote is one non-abstain cell of a pattern.
+type vote struct {
+	lf  int32
+	pos bool // the LF voted +1
+}
+
+// groupRows keys each row by its own bytes and stores each distinct
+// pattern once, its votes cut from one backing array: a first pass
+// numbers the patterns in order of first appearance and sizes the
+// array, a second fills it from each pattern's first row.
 func groupRows(m *Matrix) votePatterns {
-	g := votePatterns{of: make([]int32, m.NumCands)}
-	byHash := map[uint64][]int32{} // patterns sharing a hash, told apart by sameVotes
-	for i := range g.of {
-		row := m.RowLabels(i)
-		h := uint64(len(row))
-		for _, e := range row {
-			h = h*1099511628211 + uint64(e.Col)<<1 // the 64-bit FNV prime
-			if e.Val > 0 {
-				h++
-			}
+	g := votePatterns{of: make([]int32, len(m.Votes))}
+	ids := map[string]int32{}
+	key := make([]byte, 0, m.NumLFs)
+	nnz := 0 // votes over the patterns' first rows
+	for i, row := range m.Votes {
+		key = key[:0]
+		for _, v := range row {
+			key = append(key, byte(v))
 		}
-		id := int32(-1)
-		for _, p := range byHash[h] {
-			if sameVotes(g.rows[p], row) {
-				id = p
-				break
+		id, ok := ids[string(key)]
+		if !ok {
+			id = int32(len(ids))
+			ids[string(key)] = id
+			for _, v := range row {
+				if v != 0 {
+					nnz++
+				}
 			}
-		}
-		if id < 0 {
-			id = int32(len(g.rows))
-			g.rows = append(g.rows, row)
-			byHash[h] = append(byHash[h], id)
 		}
 		g.of[i] = id
 	}
-	return g
-}
-
-// sameVotes reports whether two rows hold the same pattern.
-func sameVotes(a, b []sparse.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k].Col != b[k].Col || (a[k].Val > 0) != (b[k].Val > 0) {
-			return false
+	votes := make([]vote, 0, nnz)
+	g.rows = make([][]vote, len(ids))
+	next := int32(0) // the first pattern not yet filled
+	for i, p := range g.of {
+		if p != next {
+			continue
+		}
+		first := len(votes)
+		for j, v := range m.Votes[i] {
+			if v != 0 {
+				votes = append(votes, vote{lf: int32(j), pos: v > 0})
+			}
+		}
+		g.rows[p] = votes[first:len(votes):len(votes)]
+		if next++; int(next) == len(g.rows) {
+			break
 		}
 	}
-	return true
+	return g
 }
 
 // logOdds are the logarithms a posterior sums, taken once per model
@@ -253,16 +277,16 @@ func (lo *logOdds) set(mod *Model) {
 	}
 }
 
-// posterior computes P(y=+1 | row) under the independent-LF model.
-func (lo *logOdds) posterior(row []sparse.Entry) float64 {
+// posterior computes P(y=+1 | votes) under the independent-LF model.
+func (lo *logOdds) posterior(votes []vote) float64 {
 	logPos, logNeg := lo.prior, lo.notPrior
-	for _, e := range row {
-		if e.Val > 0 {
-			logPos += lo.acc[e.Col]
-			logNeg += lo.notAcc[e.Col]
+	for _, e := range votes {
+		if e.pos {
+			logPos += lo.acc[e.lf]
+			logNeg += lo.notAcc[e.lf]
 		} else {
-			logPos += lo.notAcc[e.Col]
-			logNeg += lo.acc[e.Col]
+			logPos += lo.notAcc[e.lf]
+			logNeg += lo.acc[e.lf]
 		}
 	}
 	// Stable softmax over two log scores.
@@ -295,12 +319,11 @@ func (mod *Model) posteriors(pats votePatterns, lo *logOdds, mu []float64) {
 // so the fitted model is bit for bit the one a per-row E-step yields.
 func Fit(m *Matrix, opts FitOptions) *Model {
 	opts.defaults()
-	m = m.Compact()
 	mod := &Model{Acc: make([]float64, m.NumLFs), Prior: 0.5}
 	for j := range mod.Acc {
 		mod.Acc[j] = opts.InitAcc
 	}
-	if m.NumCands == 0 || m.NumLFs == 0 {
+	if len(m.Votes) == 0 || m.NumLFs == 0 {
 		return mod
 	}
 	pats := groupRows(m)
@@ -308,7 +331,7 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 	total := make([]float64, m.NumLFs)
 	for _, p := range pats.of {
 		for _, e := range pats.rows[p] {
-			total[e.Col]++
+			total[e.lf]++
 		}
 	}
 	var lo logOdds
@@ -338,10 +361,10 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 		clear(agree)
 		for _, p := range pats.of {
 			for _, e := range pats.rows[p] {
-				if e.Val > 0 {
-					agree[e.Col] += mu[p]
+				if e.pos {
+					agree[e.lf] += mu[p]
 				} else {
-					agree[e.Col] += 1 - mu[p]
+					agree[e.lf] += 1 - mu[p]
 				}
 			}
 		}
@@ -377,11 +400,10 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 // probabilistic training labels consumed by the noise-aware
 // discriminative model. Rows with no labels get the prior.
 func (mod *Model) Marginals(m *Matrix) []float64 {
-	m = m.Compact()
 	pats := groupRows(m)
 	mu := make([]float64, len(pats.rows))
 	mod.posteriors(pats, new(logOdds), mu)
-	out := make([]float64, m.NumCands)
+	out := make([]float64, len(m.Votes))
 	for i, p := range pats.of {
 		out[i] = mu[p]
 	}

@@ -8,18 +8,25 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/datamodel"
 	"repro/internal/features"
-	"repro/internal/sparse"
 )
 
 // Label returns Λ[i,j] as -1, 0 or +1.
-func (m *Matrix) Label(i, j int) int { return int(m.M.Get(i, j)) }
+func (m *Matrix) Label(i, j int) int { return int(m.Votes[i][j]) }
+
+// abstaining returns a numCands × numLFs label matrix of abstains.
+func abstaining(numCands, numLFs int) *Matrix {
+	m := &Matrix{Votes: make([][]int8, numCands), NumLFs: numLFs}
+	for i := range m.Votes {
+		m.Votes[i] = make([]int8, numLFs)
+	}
+	return m
+}
 
 // Apply runs every LF over every candidate, writing labels cell by
-// cell into a new COO-backed matrix (the development-mode
-// representation): the sequential reference ParallelApply is tested
-// against.
+// cell into a new matrix: the sequential reference ParallelApply is
+// tested against.
 func Apply(lfs []LF, cands []*candidates.Candidate) *Matrix {
-	m := NewMatrix(sparse.NewCOO(), len(cands), len(lfs))
+	m := abstaining(len(cands), len(lfs))
 	for _, c := range cands {
 		for j, lf := range lfs {
 			applyOne(m, c, j, lf)
@@ -31,7 +38,7 @@ func Apply(lfs []LF, cands []*candidates.Candidate) *Matrix {
 // applyOne writes one LF's clamped vote on one candidate into column
 // col, overwriting the cell.
 func applyOne(m *Matrix, c *candidates.Candidate, col int, lf LF) {
-	m.M.Set(c.ID, col, float64(clampVote(lf.Fn(c))))
+	m.Votes[c.ID][col] = clampVote(lf.Fn(c))
 }
 
 // makeCands fabricates n candidates with dense IDs over a dummy
@@ -69,14 +76,14 @@ func TestApplyAndLabels(t *testing.T) {
 		lfEquals("is-b", "b", -1),
 	}
 	m := Apply(lfs, cands)
-	if m.NumCands != 4 || m.NumLFs != 2 {
-		t.Fatalf("dims = %d x %d", m.NumCands, m.NumLFs)
+	if len(m.Votes) != 4 || m.NumLFs != 2 {
+		t.Fatalf("dims = %d x %d", len(m.Votes), m.NumLFs)
 	}
 	if m.Label(0, 0) != 1 || m.Label(1, 1) != -1 || m.Label(3, 0) != 0 {
 		t.Fatal("labels wrong")
 	}
-	if got := len(m.RowLabels(3)); got != 0 {
-		t.Fatalf("row 3 labels = %d", got)
+	if m.Covered(3) || !m.Covered(0) {
+		t.Fatalf("rows 0 and 3: %v %v", m.Votes[0], m.Votes[3])
 	}
 }
 
@@ -125,7 +132,7 @@ func TestMetrics(t *testing.T) {
 		t.Fatalf("per-LF[2] = %+v", got.PerLF[2])
 	}
 	// Empty matrix.
-	empty := NewMatrix(sparse.NewCOO(), 0, 2)
+	empty := &Matrix{NumLFs: 2}
 	if mm := ComputeMetrics(empty); mm.Coverage != 0 {
 		t.Fatal("empty metrics")
 	}
@@ -138,18 +145,18 @@ func synthMatrix(rng *rand.Rand, n int, accs []float64, coverage float64) (*Matr
 	for i := range truth {
 		truth[i] = rng.Float64() < 0.4
 	}
-	m := NewMatrix(sparse.NewCOO(), n, len(accs))
+	m := abstaining(n, len(accs))
 	for i := 0; i < n; i++ {
 		for j, a := range accs {
 			if rng.Float64() > coverage {
 				continue
 			}
 			correct := rng.Float64() < a
-			lbl := -1.0
+			lbl := int8(-1)
 			if truth[i] == correct {
-				lbl = 1.0
+				lbl = 1
 			}
-			m.M.Set(i, j, lbl)
+			m.Votes[i][j] = lbl
 		}
 	}
 	return m, truth
@@ -189,7 +196,7 @@ func TestFitRecoversAccuracies(t *testing.T) {
 }
 
 func TestFitEmpty(t *testing.T) {
-	m := NewMatrix(sparse.NewCOO(), 0, 0)
+	m := &Matrix{}
 	mod := Fit(m, FitOptions{})
 	if mod.Prior != 0.5 {
 		t.Fatalf("empty prior = %v", mod.Prior)
@@ -202,9 +209,9 @@ func TestFitEmpty(t *testing.T) {
 
 func TestPosteriorDirections(t *testing.T) {
 	mod := &Model{Acc: []float64{0.9, 0.9}, Prior: 0.5}
-	pos := mod.posterior([]sparse.Entry{{Col: 0, Val: 1}, {Col: 1, Val: 1}})
-	neg := mod.posterior([]sparse.Entry{{Col: 0, Val: -1}, {Col: 1, Val: -1}})
-	mixed := mod.posterior([]sparse.Entry{{Col: 0, Val: 1}, {Col: 1, Val: -1}})
+	pos := mod.posterior([]vote{{lf: 0, pos: true}, {lf: 1, pos: true}})
+	neg := mod.posterior([]vote{{lf: 0}, {lf: 1}})
+	mixed := mod.posterior([]vote{{lf: 0, pos: true}, {lf: 1}})
 	if pos < 0.9 || neg > 0.1 {
 		t.Fatalf("posteriors: pos=%v neg=%v", pos, neg)
 	}
@@ -219,14 +226,13 @@ func TestPosteriorDirections(t *testing.T) {
 // MajorityVote returns marginals by unweighted voting — the baseline
 // data programming improves on. Ties and empty rows yield 0.5.
 func MajorityVote(m *Matrix) []float64 {
-	m = m.Compact()
-	out := make([]float64, m.NumCands)
-	for i := range out {
+	out := make([]float64, len(m.Votes))
+	for i, row := range m.Votes {
 		pos, neg := 0, 0
-		for _, e := range m.RowLabels(i) {
-			if e.Val > 0 {
+		for _, v := range row {
+			if v > 0 {
 				pos++
-			} else {
+			} else if v < 0 {
 				neg++
 			}
 		}
@@ -237,12 +243,11 @@ func MajorityVote(m *Matrix) []float64 {
 }
 
 func TestMajorityVote(t *testing.T) {
-	m := NewMatrix(sparse.NewCOO(), 3, 3)
-	m.M.Set(0, 0, 1)
-	m.M.Set(0, 1, 1)
-	m.M.Set(0, 2, -1)
-	m.M.Set(1, 0, -1)
-	// Row 2 empty.
+	m := &Matrix{Votes: [][]int8{
+		{1, 1, -1},
+		{-1, 0, 0},
+		{0, 0, 0}, // empty
+	}, NumLFs: 3}
 	mv := MajorityVote(m)
 	if mv[0] <= 0.5 {
 		t.Fatalf("2-vs-1 positive = %v", mv[0])
@@ -272,7 +277,7 @@ func TestModalityFilters(t *testing.T) {
 
 func TestApplyOneIncremental(t *testing.T) {
 	cands := makeCands(t, []string{"a", "b"})
-	m := NewMatrix(sparse.NewCOO(), len(cands), 1)
+	m := abstaining(len(cands), 1)
 	lf := lfEquals("is-a", "a", +1)
 	for _, c := range cands {
 		applyOne(m, c, 0, lf)

@@ -9,20 +9,16 @@ import (
 	"repro/internal/candidates"
 )
 
-// matricesEqual compares two label matrices cell-semantically: same
-// dimensions and the same live value at every (candidate, LF) cell.
+// matricesEqual compares two label matrices: same dimensions and the
+// same vote at every (candidate, LF) cell.
 func matricesEqual(t *testing.T, got, want *Matrix) {
 	t.Helper()
-	if got.NumCands != want.NumCands || got.NumLFs != want.NumLFs {
-		t.Fatalf("dims: got %dx%d want %dx%d", got.NumCands, got.NumLFs, want.NumCands, want.NumLFs)
+	if len(got.Votes) != len(want.Votes) || got.NumLFs != want.NumLFs {
+		t.Fatalf("dims: got %dx%d want %dx%d", len(got.Votes), got.NumLFs, len(want.Votes), want.NumLFs)
 	}
-	g, w := got.Compact(), want.Compact()
-	if g.M.NNZ() != w.M.NNZ() {
-		t.Fatalf("NNZ: got %d want %d", g.M.NNZ(), w.M.NNZ())
-	}
-	for i := 0; i < want.NumCands; i++ {
-		if !reflect.DeepEqual(g.RowLabels(i), w.RowLabels(i)) {
-			t.Fatalf("row %d: got %v want %v", i, g.RowLabels(i), w.RowLabels(i))
+	for i := range want.Votes {
+		if !reflect.DeepEqual(got.Votes[i], want.Votes[i]) {
+			t.Fatalf("row %d: got %v want %v", i, got.Votes[i], want.Votes[i])
 		}
 	}
 }
@@ -45,8 +41,7 @@ func randomLFs(n int, seed int64) []LF {
 // TestParallelApplyMatchesSequential is the property test for sharded
 // LF application: over randomized LF sets and candidate-set sizes
 // (including sizes spanning multiple shards), ParallelApply must equal
-// Apply at every worker count, and the COO logs must match entry for
-// entry so development-mode incremental updates behave identically.
+// Apply at every worker count.
 func TestParallelApplyMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 4; trial++ {
@@ -62,11 +57,6 @@ func TestParallelApplyMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8, 0} {
 			got := ParallelApply(lfs, cands, workers)
 			matricesEqual(t, got, want)
-			// The raw COO logs must also coincide (write order matters
-			// for the development-mode update path).
-			if want.M.NNZ() != got.M.NNZ() {
-				t.Fatalf("trial %d workers %d: COO NNZ %d != %d", trial, workers, got.M.NNZ(), want.M.NNZ())
-			}
 		}
 	}
 }
@@ -80,13 +70,13 @@ func TestParallelApplyEdgeCases(t *testing.T) {
 	}
 	cands := makeCands(t, vals)
 
-	// Empty LF set: a k x 0 matrix with an empty log.
+	// Empty LF set: a k x 0 matrix of empty rows.
 	m := ParallelApply(nil, cands, 4)
-	if m.NumLFs != 0 || m.NumCands != len(cands) || m.M.NNZ() != 0 {
-		t.Fatalf("empty LF set: %dx%d nnz=%d", m.NumCands, m.NumLFs, m.M.NNZ())
+	if m.NumLFs != 0 || len(m.Votes) != len(cands) || m.Covered(0) {
+		t.Fatalf("empty LF set: %dx%d, row 0 %v", len(m.Votes), m.NumLFs, m.Votes[0])
 	}
 
-	// All-abstain LFs: full log of zeros, no live cells, zero coverage.
+	// All-abstain LFs: rows of zeros, nothing covered, zero coverage.
 	abstain := []LF{
 		{Name: "a0", Fn: func(*candidates.Candidate) int { return 0 }},
 		{Name: "a1", Fn: func(*candidates.Candidate) int { return 0 }},

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/sparse"
 )
 
 // referenceFit, referencePosterior and referenceMarginals are the
@@ -14,20 +12,19 @@ import (
 // and Marginals must match bit for bit.
 func referenceFit(m *Matrix, opts FitOptions) *Model {
 	opts.defaults()
-	m = m.Compact()
 	mod := &Model{Acc: make([]float64, m.NumLFs), Prior: 0.5}
 	for j := range mod.Acc {
 		mod.Acc[j] = opts.InitAcc
 	}
-	if m.NumCands == 0 || m.NumLFs == 0 {
+	if len(m.Votes) == 0 || m.NumLFs == 0 {
 		return mod
 	}
-	mu := make([]float64, m.NumCands)
-	prev := make([]float64, m.NumCands)
+	mu := make([]float64, len(m.Votes))
+	prev := make([]float64, len(m.Votes))
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		mod.Iterations = iter + 1
 		for i := range mu {
-			mu[i] = referencePosterior(mod, m.RowLabels(i))
+			mu[i] = referencePosterior(mod, m.Votes[i])
 		}
 		if iter > 0 {
 			delta := 0.0
@@ -41,13 +38,16 @@ func referenceFit(m *Matrix, opts FitOptions) *Model {
 		copy(prev, mu)
 		agree := make([]float64, m.NumLFs)
 		total := make([]float64, m.NumLFs)
-		for i := 0; i < m.NumCands; i++ {
-			for _, e := range m.RowLabels(i) {
-				total[e.Col]++
-				if e.Val > 0 {
-					agree[e.Col] += mu[i]
+		for i, row := range m.Votes {
+			for j, v := range row {
+				if v == 0 {
+					continue
+				}
+				total[j]++
+				if v > 0 {
+					agree[j] += mu[i]
 				} else {
-					agree[e.Col] += 1 - mu[i]
+					agree[j] += 1 - mu[i]
 				}
 			}
 		}
@@ -58,8 +58,8 @@ func referenceFit(m *Matrix, opts FitOptions) *Model {
 		}
 		if opts.LearnPrior {
 			covSum, covN := 0.0, 0
-			for i := 0; i < m.NumCands; i++ {
-				if len(m.RowLabels(i)) > 0 {
+			for i := range m.Votes {
+				if m.Covered(i) {
 					covSum += mu[i]
 					covN++
 				}
@@ -72,12 +72,15 @@ func referenceFit(m *Matrix, opts FitOptions) *Model {
 	return mod
 }
 
-func referencePosterior(mod *Model, row []sparse.Entry) float64 {
+func referencePosterior(mod *Model, row []int8) float64 {
 	logPos := math.Log(mod.Prior)
 	logNeg := math.Log(1 - mod.Prior)
-	for _, e := range row {
-		a := mod.Acc[e.Col]
-		if e.Val > 0 {
+	for j, v := range row {
+		if v == 0 {
+			continue
+		}
+		a := mod.Acc[j]
+		if v > 0 {
 			logPos += math.Log(a)
 			logNeg += math.Log(1 - a)
 		} else {
@@ -91,18 +94,17 @@ func referencePosterior(mod *Model, row []sparse.Entry) float64 {
 	return pp / (pp + pn)
 }
 
-// posterior is one row's posterior through the production kernel.
-func (mod *Model) posterior(row []sparse.Entry) float64 {
+// posterior is one pattern's posterior through the production kernel.
+func (mod *Model) posterior(votes []vote) float64 {
 	var lo logOdds
 	lo.set(mod)
-	return lo.posterior(row)
+	return lo.posterior(votes)
 }
 
 func referenceMarginals(mod *Model, m *Matrix) []float64 {
-	m = m.Compact()
-	out := make([]float64, m.NumCands)
+	out := make([]float64, len(m.Votes))
 	for i := range out {
-		out[i] = referencePosterior(mod, m.RowLabels(i))
+		out[i] = referencePosterior(mod, m.Votes[i])
 	}
 	return out
 }
@@ -145,7 +147,6 @@ func TestFitMatchesReference(t *testing.T) {
 		rows, lfs    int
 		density      float64
 		emptyEvery   int // every k-th row abstains everywhere
-		wrapInCOO    bool
 		maxIter      int
 		looseTol     bool
 		overrideInit float64
@@ -158,7 +159,6 @@ func TestFitMatchesReference(t *testing.T) {
 		{name: "no-rows", rows: 0, lfs: 5, density: 0.5},
 		{name: "no-lfs", rows: 40, lfs: 0, density: 0.5},
 		{name: "wide-300-lfs", rows: 300, lfs: 300, density: 0.05},
-		{name: "coo-backed", rows: 200, lfs: 9, density: 0.4, wrapInCOO: true},
 		{name: "iteration-cap", rows: 500, lfs: 10, density: 0.3, maxIter: 3},
 		{name: "loose-tolerance", rows: 500, lfs: 10, density: 0.3, looseTol: true},
 		{name: "init-acc", rows: 300, lfs: 7, density: 0.5, overrideInit: 0.9},
@@ -173,16 +173,7 @@ func TestFitMatchesReference(t *testing.T) {
 						clear(votes[i])
 					}
 				}
-				m := MatrixFromVotes(votes, tc.lfs)
-				if tc.wrapInCOO {
-					coo := sparse.NewCOO()
-					for r := 0; r < m.M.Rows(); r++ {
-						for _, e := range m.M.Row(r) {
-							coo.Set(e.Row, e.Col, e.Val)
-						}
-					}
-					m = &Matrix{M: coo, NumLFs: m.NumLFs, NumCands: m.NumCands}
-				}
+				m := &Matrix{Votes: votes, NumLFs: tc.lfs}
 				opts := FitOptions{LearnPrior: learnPrior, MaxIter: tc.maxIter, InitAcc: tc.overrideInit}
 				if tc.looseTol {
 					opts.Tol = 1e-2
@@ -210,7 +201,7 @@ func TestFitMatchesReference(t *testing.T) {
 // session would hold).
 func TestMarginalsMatchReferenceOnForeignModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := MatrixFromVotes(randomVotes(rng, 700, 9, 0.35), 9)
+	m := &Matrix{Votes: randomVotes(rng, 700, 9, 0.35), NumLFs: 9}
 	mod := &Model{Acc: make([]float64, 9), Prior: 0.31}
 	for j := range mod.Acc {
 		mod.Acc[j] = 0.55 + 0.4*rng.Float64()

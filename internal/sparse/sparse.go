@@ -16,8 +16,9 @@
 //     requires touching many triples.
 //
 // The package exposes both behind a common Matrix interface so the
-// pipeline can switch representations per mode of operation, and so
-// the Appendix C.2 benchmarks can compare them directly.
+// Appendix C.2 study (experiments.SparseStudy and the BenchmarkSparse*
+// benchmarks) can compare them directly. The pipeline uses neither: its
+// Labels relation is the store's row-major vote rows (labeling.Matrix).
 package sparse
 
 import "sort"
@@ -54,18 +55,6 @@ type LIL struct {
 
 // NewLIL returns an empty LIL matrix.
 func NewLIL() *LIL { return &LIL{} }
-
-// LILFromRows returns a LIL matrix that takes ownership of rows: row r
-// holds its non-zero entries, each with Row r, in ascending column
-// order. Rows may share one backing array as long as each is capped to
-// its own entries, so that a later Set reallocates the row it grows.
-func LILFromRows(rows [][]Entry) *LIL {
-	m := &LIL{rows: rows}
-	for _, r := range rows {
-		m.nnz += len(r)
-	}
-	return m
-}
 
 // Name implements Matrix.
 func (m *LIL) Name() string { return "lil" }
@@ -224,21 +213,3 @@ func (m *COO) NNZ() int {
 
 // Rows implements Matrix.
 func (m *COO) Rows() int { return m.maxRow + 1 }
-
-// ToLIL converts any Matrix into a LIL matrix — the representation
-// switch the pipeline performs when moving from development to
-// production mode. COO sources are converted with a single log scan
-// (later writes override earlier ones).
-func ToLIL(src Matrix) *LIL {
-	dst := NewLIL()
-	if coo, ok := src.(*COO); ok {
-		coo.scan(func(e Entry) { dst.Set(e.Row, e.Col, e.Val) })
-		return dst
-	}
-	for r := 0; r < src.Rows(); r++ {
-		for _, e := range src.Row(r) {
-			dst.Set(e.Row, e.Col, e.Val)
-		}
-	}
-	return dst
-}

@@ -95,17 +95,6 @@ func TestNegativeIndexPanics(t *testing.T) {
 	}
 }
 
-func TestConversions(t *testing.T) {
-	src := NewCOO()
-	src.Set(0, 1, 1)
-	src.Set(2, 3, 3)
-	src.Set(0, 1, 5) // update
-	lil := ToLIL(src)
-	if lil.Get(0, 1) != 5 || lil.Get(2, 3) != 3 || lil.NNZ() != 2 {
-		t.Fatalf("ToLIL mismatch: %v", lil)
-	}
-}
-
 // Property: LIL and COO agree with a dense reference model under a
 // random operation sequence.
 func TestEquivalenceProperty(t *testing.T) {
@@ -179,35 +168,4 @@ func TestEmptyMatrices(t *testing.T) {
 			t.Fatal("empty row content")
 		}
 	}
-}
-
-// TestLILFromRows: rows cut from one backing array and capped to their
-// own entries behave like rows built by Set, and growing one never
-// writes into its neighbour.
-func TestLILFromRows(t *testing.T) {
-	backing := []Entry{{Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 4, Val: -1}, {Row: 2, Col: 0, Val: 1}}
-	m := LILFromRows([][]Entry{backing[0:2:2], nil, backing[2:3:3]})
-	want := NewLIL()
-	for _, e := range backing {
-		want.Set(e.Row, e.Col, e.Val)
-	}
-	same := func() {
-		t.Helper()
-		if m.NNZ() != want.NNZ() || m.Rows() != want.Rows() {
-			t.Fatalf("nnz %d rows %d, want %d and %d", m.NNZ(), m.Rows(), want.NNZ(), want.Rows())
-		}
-		for r := 0; r < want.Rows(); r++ {
-			if !reflect.DeepEqual(m.Row(r), want.Row(r)) {
-				t.Fatalf("row %d = %v, want %v", r, m.Row(r), want.Row(r))
-			}
-		}
-	}
-	same()
-	for _, mm := range []*LIL{m, want} {
-		mm.Set(0, 2, 1) // grows row 0 in the middle
-		mm.Set(0, 9, -1)
-		mm.Set(1, 3, 1)
-		mm.Set(0, 1, 0) // deletes
-	}
-	same()
 }
