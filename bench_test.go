@@ -28,7 +28,6 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/model"
 	"repro/internal/nlp"
-	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -156,18 +155,32 @@ func BenchmarkServeMixedRead(b *testing.B) {
 	benchServeRead(b, []string{"/kb", "/candidates?limit=10", "/marginals", "/lfmetrics", "/features", "/meta", "/healthz"})
 }
 
-func benchServeRead(b *testing.B, paths []string) {
-	elec := synth.Electronics(8, 16)
+// benchTenant builds the session a serving benchmark drives: tenant
+// "default" of a registry of its own, serving elec's first task and its
+// gold at Seed 1 and 2 epochs. Close the registry when done.
+func benchTenant(b *testing.B, elec *synth.Corpus) (*serve.Registry, *serve.Server) {
+	b.Helper()
 	task := elec.Tasks[0]
-	srv, err := serve.New(serve.Config{
-		Task:    task,
-		Options: core.Options{Seed: 1, Epochs: 2},
-		Gold:    elec.GoldTuples[task.Relation],
+	rg, err := serve.NewRegistry(serve.RegistryConfig{
+		Resolve: func(string, string) (core.Task, []core.GoldTuple, error) {
+			return task, elec.GoldTuples[task.Relation], nil
+		},
+		BaseOptions: core.Options{Seed: 1, Epochs: 2},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
+	if _, err := rg.Create(serve.TenantConfig{Name: "default"}); err != nil {
+		rg.Close()
+		b.Fatal(err)
+	}
+	return rg, rg.Get("default")
+}
+
+func benchServeRead(b *testing.B, paths []string) {
+	elec := synth.Electronics(8, 16)
+	rg, srv := benchTenant(b, elec)
+	defer rg.Close()
 	if _, err := srv.Ingest(elec.Docs); err != nil {
 		b.Fatal(err)
 	}
@@ -470,19 +483,11 @@ func BenchmarkClassify(b *testing.B) {
 // the path.
 func BenchmarkServeIngestPublish(b *testing.B) {
 	elec := synth.Electronics(8, 16)
-	task := elec.Tasks[0]
 	warm := len(elec.Docs) - 2
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		srv, err := serve.New(serve.Config{
-			Task:    task,
-			Options: core.Options{Seed: 1, Epochs: 2},
-			Gold:    elec.GoldTuples[task.Relation],
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rg, srv := benchTenant(b, elec)
 		if _, err := srv.Ingest(elec.Docs[:warm]); err != nil {
 			b.Fatal(err)
 		}
@@ -501,87 +506,9 @@ func BenchmarkServeIngestPublish(b *testing.B) {
 		if view.NumDocs() != len(elec.Docs) {
 			b.Fatalf("published view has %d docs, want %d", view.NumDocs(), len(elec.Docs))
 		}
-		srv.Close()
+		rg.Close()
 		b.StartTimer()
 	}
-}
-
-// BenchmarkServeMetricsOverhead measures the cost of HTTP
-// instrumentation: two identical warm servers answer the same read
-// mix — one wired to an obs.Metrics registry, one with Metrics nil,
-// which serves the exact pre-instrumentation handler chain — and the
-// relative latency difference is reported as overhead_pct. The
-// instrumented hot path is one map lookup plus two atomic updates per
-// request. Each sample is the fastest of eight interleaved 100-request chunks, so
-// GC pauses and scheduler noise fall out of both sides.
-func BenchmarkServeMetricsOverhead(b *testing.B) {
-	elec := synth.Electronics(8, 16)
-	task := elec.Tasks[0]
-	build := func(m *obs.Metrics) http.Handler {
-		srv, err := serve.New(serve.Config{
-			Task:    task,
-			Options: core.Options{Seed: 1, Epochs: 2},
-			Gold:    elec.GoldTuples[task.Relation],
-			Name:    "bench",
-			Metrics: m,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(srv.Close)
-		if _, err := srv.Ingest(elec.Docs); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := srv.Train(); err != nil {
-			b.Fatal(err)
-		}
-		return srv.Handler()
-	}
-	plain := build(nil)
-	instr := build(obs.NewMetrics())
-
-	paths := []string{"/kb", "/healthz", "/meta", "/candidates?limit=10"}
-	const chunks, perChunk = 8, 100
-	chunk := func(h http.Handler) time.Duration {
-		t0 := time.Now()
-		for i := 0; i < perChunk; i++ {
-			path := paths[i%len(paths)]
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("status %d for %s", rec.Code, path)
-			}
-		}
-		return time.Since(t0)
-	}
-	measure := func() (plainMin, instrMin time.Duration) {
-		plainMin, instrMin = time.Hour, time.Hour
-		for c := 0; c < chunks; c++ {
-			if d := chunk(plain); d < plainMin {
-				plainMin = d
-			}
-			if d := chunk(instr); d < instrMin {
-				instrMin = d
-			}
-		}
-		return plainMin, instrMin
-	}
-	measure() // warm-up: route tables, JSON encoder states, metric children
-
-	b.ResetTimer()
-	var plainNs, instrNs int64
-	for i := 0; i < b.N; i++ {
-		p, m := measure()
-		plainNs += p.Nanoseconds()
-		instrNs += m.Nanoseconds()
-	}
-	b.StopTimer()
-
-	reqs := float64(b.N * perChunk)
-	b.ReportMetric(float64(plainNs)/reqs, "plain_ns/req")
-	b.ReportMetric(float64(instrNs)/reqs, "instr_ns/req")
-	overhead := (float64(instrNs) - float64(plainNs)) / float64(plainNs) * 100
-	b.ReportMetric(overhead, "overhead_pct")
 }
 
 // The four benchmarks below are the layers of one ingest-to-publish

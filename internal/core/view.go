@@ -264,19 +264,11 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 	for i, c := range perDoc[0] {
 		exs[i] = model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, names[i])}
 	}
+	probs, threshold := scoreByDoc(v.model, exs, 1), v.opts.threshold()
 	var out DocClassification
-	seen := map[string]bool{}
-	for i, p := range scoreByDoc(v.model, exs, 1) {
-		c := exs[i].Cand
-		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.threshold()}
-		out.Candidates = append(out.Candidates, cc)
-		if cc.Positive {
-			t := TupleFromCandidate(c)
-			if !seen[t.Key()] {
-				seen[t.Key()] = true
-				out.Tuples = append(out.Tuples, t)
-			}
-		}
+	for i, p := range probs {
+		out.Candidates = append(out.Candidates, ClassifiedCandidate{Values: exs[i].Cand.Values(), Marginal: p, Positive: p > threshold})
 	}
+	out.Tuples = keepPositives(nil, map[string]bool{}, probs, threshold, func(i int) *candidates.Candidate { return exs[i].Cand })
 	return out, nil
 }

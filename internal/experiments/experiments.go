@@ -26,12 +26,12 @@ type Config struct {
 	ElecDocs, AdsDocs, PaleoDocs, GenDocs int
 	Epochs                                int
 	// Workers sizes the pool used to fan out independent pipeline
-	// configurations (and, inside each pipeline, its parallel stages).
-	// <=0 means GOMAXPROCS. Every experiment is seeded, and parallel
-	// pipeline execution is bit-identical to sequential, so results do
-	// not depend on this value. Experiments that measure wall-clock
-	// time (Table 6, Figure 4, the appendix studies) always run their
-	// timed sections one at a time.
+	// configurations; each pipeline runs its own stages at
+	// innerWorkers. <=0 means GOMAXPROCS. Every experiment is seeded,
+	// and parallel pipeline execution is bit-identical to sequential,
+	// so results do not depend on this value. Experiments that measure
+	// wall-clock time (Table 6, Figure 4, the appendix studies) always
+	// run their timed sections one at a time.
 	Workers int
 }
 
@@ -97,8 +97,21 @@ func Domains(cfg Config) []Domain {
 // level, and cfg.Workers == 1 means genuinely sequential end to end
 // (the `-workers 1` contract, e.g. for timing baselines). Results are
 // identical either way (bit-identical at any worker count).
-func innerWorkers() int {
-	return 1
+const innerWorkers = 1
+
+// options fills what an experiment's pipeline options leave zero:
+// cfg's epochs and seed, and innerWorkers.
+func (cfg Config) options(opts core.Options) core.Options {
+	if opts.Epochs == 0 {
+		opts.Epochs = cfg.Epochs
+	}
+	if opts.Seed == 0 {
+		opts.Seed = cfg.Seed
+	}
+	if opts.Workers == 0 {
+		opts.Workers = innerWorkers
+	}
+	return opts
 }
 
 // runGrid evaluates fn over an rows x cols grid with one flat fan-out
@@ -120,16 +133,7 @@ func runGrid[T any](rows, cols, workers int, fn func(r, c int) T) [][]T {
 func runTask(c *synth.Corpus, taskIdx int, cfg Config, opts core.Options) core.Result {
 	task := c.Tasks[taskIdx]
 	train, test := c.Split()
-	if opts.Epochs == 0 {
-		opts.Epochs = cfg.Epochs
-	}
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
-	if opts.Workers == 0 {
-		opts.Workers = innerWorkers()
-	}
-	return core.Run(task, train, test, c.GoldTuples[task.Relation], opts)
+	return core.Run(task, train, test, c.GoldTuples[task.Relation], cfg.options(opts))
 }
 
 // extracted is one task's pre-extracted Candidates relation, shared
@@ -152,8 +156,8 @@ func extractTask(c *synth.Corpus, taskIdx int) extracted {
 	return extracted{
 		task:       task,
 		testDocs:   test,
-		trainCands: core.ParallelExtract(task, train, candidates.DocumentScope, true, innerWorkers()),
-		testCands:  core.ParallelExtract(task, test, candidates.DocumentScope, true, innerWorkers()),
+		trainCands: core.ParallelExtract(task, train, candidates.DocumentScope, true, innerWorkers),
+		testCands:  core.ParallelExtract(task, test, candidates.DocumentScope, true, innerWorkers),
 		gold:       c.GoldTuples[task.Relation],
 	}
 }
@@ -162,16 +166,7 @@ func extractTask(c *synth.Corpus, taskIdx int) extracted {
 // candidates; results are identical to a full runTask with the same
 // options.
 func (e extracted) run(cfg Config, opts core.Options) core.Result {
-	if opts.Epochs == 0 {
-		opts.Epochs = cfg.Epochs
-	}
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
-	if opts.Workers == 0 {
-		opts.Workers = innerWorkers()
-	}
-	return core.RunWithCandidates(e.task, e.trainCands, e.testCands, e.testDocs, e.gold, opts)
+	return core.RunWithCandidates(e.task, e.trainCands, e.testCands, e.testDocs, e.gold, cfg.options(opts))
 }
 
 // meanPRF averages precision and recall (recomputing F1) — how the

@@ -85,8 +85,7 @@ func Figure4(cfg Config) Figure4Result {
 		te := keepFiltered(testAll, ratio, cfg.Seed+1000+int64(ratio*100))
 		runs[i] = func() float64 {
 			start := time.Now()
-			res := core.RunWithCandidates(task, tr, te, test, gold,
-				core.Options{Epochs: cfg.Epochs, Seed: cfg.Seed, NoThrottlers: true, Workers: innerWorkers()})
+			res := core.RunWithCandidates(task, tr, te, test, gold, cfg.options(core.Options{NoThrottlers: true}))
 			// Every run of a point is seeded alike and gives the same
 			// result; only its time varies.
 			out.Points[i] = Figure4Point{FilterRatio: ratio, Quality: res.Quality}

@@ -117,8 +117,7 @@ func Table3(cfg Config) Table3Result {
 		task := d.corpus.Tasks[0]
 		train, _ := d.corpus.Split()
 		// Production mode: finalized LFs, classify the whole corpus.
-		res := core.Run(task, train, d.corpus.Docs, d.corpus.GoldTuples[task.Relation],
-			core.Options{Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: innerWorkers()})
+		res := core.Run(task, train, d.corpus.Docs, d.corpus.GoldTuples[task.Relation], cfg.options(core.Options{}))
 		// Corpus-level predicted KB (drop document scoping).
 		predKB := kbase.NewTable(task.Schema)
 		for _, t := range res.Predicted {

@@ -65,9 +65,7 @@ func Figure9(cfg Config) Figure9Result {
 	// the corpus' stylistic variety.
 
 	runWith := func(marginals []float64) float64 {
-		res := core.RunWithCandidates(task, trainCands, testCands, test, gold, core.Options{
-			Epochs: cfg.Epochs, Seed: cfg.Seed, Marginals: marginals, Workers: innerWorkers(),
-		})
+		res := core.RunWithCandidates(task, trainCands, testCands, test, gold, cfg.options(core.Options{Marginals: marginals}))
 		return res.Quality.F1
 	}
 
@@ -106,7 +104,7 @@ func Figure9(cfg Config) Figure9Result {
 		if n > len(task.LFs) {
 			n = len(task.LFs)
 		}
-		lm := labeling.ParallelApply(task.LFs[:n], trainCands, innerWorkers())
+		lm := labeling.ParallelApply(task.LFs[:n], trainCands, innerWorkers)
 		labeled := 0
 		for i := range lm.Votes {
 			if lm.Covered(i) {

@@ -166,6 +166,11 @@ type Model struct {
 	Prior float64
 	// Iterations actually run by EM.
 	Iterations int
+
+	// fitted is the matrix Fit estimated the model from and pats its
+	// rows' grouping, which Marginals of that matrix reuses.
+	fitted *Matrix
+	pats   votePatterns
 }
 
 // FitOptions configure Fit.
@@ -327,6 +332,7 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 		return mod
 	}
 	pats := groupRows(m)
+	mod.fitted, mod.pats = m, pats
 	// total[j] counts LF j's labels: the same in every iteration.
 	total := make([]float64, m.NumLFs)
 	for _, p := range pats.of {
@@ -398,9 +404,14 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 
 // Marginals returns P(y=+1 | Λ_i) for every candidate row — the
 // probabilistic training labels consumed by the noise-aware
-// discriminative model. Rows with no labels get the prior.
+// discriminative model. Rows with no labels get the prior. On the
+// matrix the model was fitted on it reuses Fit's grouping of the rows
+// (a matrix's rows are never written).
 func (mod *Model) Marginals(m *Matrix) []float64 {
-	pats := groupRows(m)
+	pats := mod.pats
+	if m != mod.fitted || len(m.Votes) != len(pats.of) {
+		pats = groupRows(m)
+	}
 	mu := make([]float64, len(pats.rows))
 	mod.posteriors(pats, new(logOdds), mu)
 	out := make([]float64, len(m.Votes))

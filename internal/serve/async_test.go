@@ -61,11 +61,7 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	// Drift and interval are off: the test controls exactly when
 	// generations advance, via Train — the same entry point the
 	// background trainer and POST /admin/train use.
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -277,11 +273,7 @@ func TestServeAsyncGenerationsMatchView(t *testing.T) {
 	opts := core.Options{Seed: 9, Epochs: 2, Workers: 2}
 	docs := reparse(t, corpus)
 
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts}, "")
 	for b := 0; b < 4; b++ {
 		if _, err := srv.Ingest(docs[2*b : 2*b+2]); err != nil {
 			t.Fatal(err)
@@ -333,10 +325,7 @@ func TestServeCaughtUpRestartServesSameKB(t *testing.T) {
 			task := corpus.Tasks[0]
 			opts := core.Options{Seed: 9, Epochs: 2, Workers: 2}
 			dir := filepath.Join(t.TempDir(), "snap")
-			srv, err := serve.New(serve.Config{Task: task, Options: opts, SnapshotDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
+			srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, dir)
 			ts := httptest.NewServer(srv.Handler())
 			for b := 0; b < 4; b++ {
 				postJSON(t, ts.URL+"/ingest", uploads(corpus, 2*b, 2*b+2), http.StatusOK)
@@ -352,15 +341,7 @@ func TestServeCaughtUpRestartServesSameKB(t *testing.T) {
 			ts.Close()
 			srv.Close()
 
-			st, err := core.OpenStore(dir, task, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := serve.New(serve.Config{Task: task, Options: opts, Store: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resumed.Close()
+			resumed := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, dir)
 			ts = httptest.NewServer(resumed.Handler())
 			defer ts.Close()
 			if _, after := kbOf(t, ts.URL); after != before || !strings.Contains(before, "[[") {
@@ -396,11 +377,7 @@ func TestServeTrainFailureKeepsDelta(t *testing.T) {
 	}
 
 	metrics := obs.NewMetrics()
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Metrics: metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts, Metrics: metrics}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -476,11 +453,7 @@ func TestServeBackgroundTrainTriggers(t *testing.T) {
 	}
 
 	t.Run("drift", func(t *testing.T) {
-		srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, TrainDrift: 0.01})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+		srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts, TrainDrift: 0.01}, "")
 		if _, err := srv.Ingest(reparse(t, corpus)[:3]); err != nil {
 			t.Fatal(err)
 		}
@@ -491,11 +464,7 @@ func TestServeBackgroundTrainTriggers(t *testing.T) {
 	})
 
 	t.Run("interval", func(t *testing.T) {
-		srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, TrainInterval: 25 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+		srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts, TrainInterval: 25 * time.Millisecond}, "")
 		if _, err := srv.Ingest(reparse(t, corpus)[3:]); err != nil {
 			t.Fatal(err)
 		}
@@ -521,11 +490,7 @@ func TestServeTrainOverlappingIngest(t *testing.T) {
 	task := corpus.Tasks[0]
 	docs := reparse(t, corpus)
 
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 9, Epochs: 2, Workers: 2}, TrainDrift: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 9, Epochs: 2, Workers: 2}, TrainDrift: 0.01}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

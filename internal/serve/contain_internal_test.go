@@ -20,11 +20,18 @@ import (
 // fault; a writer panic is, and after it every turn and run is refused.
 func TestContainRecords(t *testing.T) {
 	corpus := synth.Electronics(78, 1)
-	s, err := New(Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 5, Epochs: 1, Workers: 1}})
+	rg, err := NewRegistry(RegistryConfig{
+		Resolve:     func(string, string) (core.Task, []core.GoldTuple, error) { return corpus.Tasks[0], nil, nil },
+		BaseOptions: core.Options{Seed: 5, Epochs: 1, Workers: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer rg.Close()
+	if _, err := rg.Create(TenantConfig{Name: "default"}); err != nil {
+		t.Fatal(err)
+	}
+	s := rg.Get("default")
 	good := func() (any, error) { return 7, nil }
 	bad := func() (any, error) { return nil, errors.New("disk on fire") }
 

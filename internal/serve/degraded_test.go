@@ -100,11 +100,7 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2, Backend: "disk"}
 	snap := filepath.Join(t.TempDir(), "snap")
 
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, SnapshotDir: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, snap)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -142,20 +138,8 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 
 	// ---- The way back: reload from the snapshot.
 	armed.Store(false)
-	st, err := core.OpenStore(snap, task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := serve.New(serve.Config{Task: task, Options: opts, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reloaded.Close()
-	ref, err := serve.New(serve.Config{Task: task, Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
+	reloaded := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, snap)
+	ref := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, "")
 	reloadedTS, refTS := httptest.NewServer(reloaded.Handler()), httptest.NewServer(ref.Handler())
 	defer reloadedTS.Close()
 	defer refTS.Close()
@@ -176,7 +160,8 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 // /admin/snapshot with its snapshot directory byte-identical, and keeps
 // serving its last epoch; the fleet /healthz conjunction and the tenant
 // listing show it; B (disk) and C (memory) never notice — every epoch
-// they publish afterwards is bit-identical to a standalone server's.
+// they publish afterwards is bit-identical to a fresh single-tenant
+// registry's.
 // Deleting and re-creating A reloads it from its snapshot.
 func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 1}
@@ -234,7 +219,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		t.Fatal("failed tenant's snapshot directory changed")
 	}
 
-	// The neighbours go on, bit-identical to standalone servers.
+	// The neighbours go on, bit-identical to fresh single-tenant registries.
 	resolver := testResolver(t)
 	for _, tn := range tenants[1:] {
 		postJSON(t, ts.URL+"/t/"+tn.name+"/ingest", uploads(tn.corpus, 2, 4), http.StatusOK)
@@ -242,10 +227,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := serve.New(serve.Config{Task: task, Options: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, "")
 		refTS := httptest.NewServer(ref.Handler())
 		ingestTrained(t, refTS.URL, uploads(tn.corpus, 0, 2))
 		postJSON(t, refTS.URL+"/ingest", uploads(tn.corpus, 2, 4), http.StatusOK)
@@ -254,7 +236,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		refTS.Close()
 		ref.Close()
 		if gotE != wantE || got != want {
-			t.Fatalf("tenant %s epoch %d differs from standalone epoch %d\n got: %s\nwant: %s", tn.name, gotE, wantE, got, want)
+			t.Fatalf("tenant %s epoch %d differs from a fresh registry's epoch %d\n got: %s\nwant: %s", tn.name, gotE, wantE, got, want)
 		}
 	}
 
@@ -303,10 +285,7 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 func TestIngestNamesFirstBadDocument(t *testing.T) {
 	corpus := synth.Electronics(78, 5)
 	for _, workers := range []int{1, 2, 8} {
-		srv, err := serve.New(serve.Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 5, Epochs: 1, Workers: workers}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newTenant(t, corpus.Tasks[0], nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 5, Epochs: 1, Workers: workers}}, "")
 		ts := httptest.NewServer(srv.Handler())
 		for round := 0; round < 20; round++ {
 			bad := uploads(corpus, 0, 5)
@@ -339,18 +318,15 @@ func TestReservedByteUploadRefused(t *testing.T) {
 	corpus := synth.Electronics(78, 4)
 	task := corpus.Tasks[0]
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 2}
-	serverOver := func(st *core.Store, snapDir string) (*serve.Server, string) {
-		srv, err := serve.New(serve.Config{Task: task, Options: opts, Store: st, SnapshotDir: snapDir})
-		if err != nil {
-			t.Fatal(err)
-		}
+	serverOver := func(snapDir string) (*serve.Server, string) {
+		srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: opts}, snapDir)
 		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(func() { ts.Close(); srv.Close() })
+		t.Cleanup(ts.Close)
 		return srv, ts.URL
 	}
 	snap, refSnap := filepath.Join(t.TempDir(), "s"), filepath.Join(t.TempDir(), "s")
-	srv, url := serverOver(nil, snap)
-	_, refURL := serverOver(nil, refSnap)
+	srv, url := serverOver(snap)
+	_, refURL := serverOver(refSnap)
 	for _, u := range []string{url, refURL} {
 		postJSON(t, u+"/ingest", uploads(corpus, 0, 2), http.StatusOK)
 	}
@@ -385,11 +361,7 @@ func TestReservedByteUploadRefused(t *testing.T) {
 	}
 	var kbs []string
 	for _, dir := range []string{snap, refSnap} {
-		st, err := core.OpenStore(dir, task, opts)
-		if err != nil {
-			t.Fatalf("snapshot does not resume: %v", err)
-		}
-		_, resumedURL := serverOver(st, "")
+		_, resumedURL := serverOver(dir)
 		_, kb := kbOf(t, resumedURL)
 		kbs = append(kbs, kb)
 	}
@@ -415,11 +387,7 @@ func TestWriterPanicClosesTenant(t *testing.T) {
 		return true
 	})
 	metrics := obs.NewMetrics()
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 5, Epochs: 1, Workers: 2}, Metrics: metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 5, Epochs: 1, Workers: 2}, Metrics: metrics}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -458,11 +426,7 @@ func TestWriterPanicClosesTenant(t *testing.T) {
 func TestKBRejectsDuplicateFilterParams(t *testing.T) {
 	corpus := synth.Electronics(79, 4)
 	task := corpus.Tasks[0]
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 5, Epochs: 1, Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 5, Epochs: 1, Workers: 1}}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var docs []serve.DocumentUpload

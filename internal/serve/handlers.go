@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -19,9 +18,10 @@ import (
 	"repro/internal/pool"
 )
 
-// Handler returns the HTTP API. Every response body carries the epoch
-// it was served from; handlers load the published view exactly once, so
-// a response can never mix state from two epochs.
+// Handler returns the tenant's HTTP API, every route counted in the
+// registry's request counter and latency histogram. Every response body
+// carries the epoch it was served from; handlers load the published view
+// exactly once, so a response can never mix state from two epochs.
 //
 //	GET  /healthz         liveness + epoch summary
 //	GET  /kb              KB tuples: relation/column filters, pagination
@@ -37,16 +37,8 @@ import (
 //	GET  /admin/traces    recent publication traces (span trees)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// reg registers one route, wrapping it with the request counter
-	// and latency histogram when the session is instrumented. The
-	// route label is the pattern's path part — a fixed table, so the
-	// metric label set stays bounded.
 	reg := func(pattern string, h http.HandlerFunc) {
-		if s.metrics != nil {
-			route := pattern[strings.IndexByte(pattern, ' ')+1:]
-			h = s.metrics.instrument(s.name, route, h)
-		}
-		mux.HandleFunc(pattern, h)
+		mux.HandleFunc(pattern, s.metrics.instrument(s.name, pattern, h))
 	}
 	reg("GET /healthz", s.handleHealthz)
 	reg("GET /kb", s.handleKB)

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"runtime/metrics"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -113,14 +114,16 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 }
 
 // instrument wraps one route's handler with the request counter and
-// latency histogram. Children for the fixed status set are resolved
+// latency histogram. The route label is the pattern's path part — a
+// fixed table, so the metric label set stays bounded. Children for the fixed status set are resolved
 // here, at registration — the per-request cost is a small map lookup
 // plus two atomic updates, keeping the lock-free read path lock-free.
 // A handler panic, which net/http would isolate silently, is counted in
 // fonduer_panics_total{where="http"}, logged with its stack and
 // answered 500 (counted as such); once the response has begun the
 // connection is aborted instead.
-func (sm *serverMetrics) instrument(tenant, route string, h http.HandlerFunc) http.HandlerFunc {
+func (sm *serverMetrics) instrument(tenant, pattern string, h http.HandlerFunc) http.HandlerFunc {
+	route := pattern[strings.IndexByte(pattern, ' ')+1:]
 	type cell struct{ reqs, dur *obs.Child }
 	cells := make(map[int]cell, len(trackedStatuses))
 	for _, st := range trackedStatuses {
@@ -164,12 +167,9 @@ func (sm *serverMetrics) instrument(tenant, route string, h http.HandlerFunc) ht
 }
 
 // countPanic records one panic recovered at a boundary (contain's, or
-// instrument's): fonduer_panics_total — sm is nil for an uninstrumented
-// session — and a log line carrying the stack.
+// instrument's): fonduer_panics_total and a log line carrying the stack.
 func (sm *serverMetrics) countPanic(tenant, where string, r any) {
-	if sm != nil {
-		sm.panics.With(tenant, where).Inc()
-	}
+	sm.panics.With(tenant, where).Inc()
 	obs.Log().Error("panic recovered", "tenant", tenant, "where", where,
 		"panic", fmt.Sprint(r), "stack", string(debug.Stack()))
 }

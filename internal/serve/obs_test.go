@@ -470,9 +470,7 @@ func TestTracesAndHealthObservability(t *testing.T) {
 		}
 	}
 
-	// Snapshot mutations trace too (needs a snapshot dir — re-create
-	// registry-less standalone assertions are covered elsewhere; here
-	// just assert the reserved fleet tenant name is refused).
+	// The fleet's pseudo-tenant name is refused as a real tenant's.
 	if _, err := rg.Create(serve.TenantConfig{Name: "_fleet", Domain: "electronics"}); err == nil {
 		t.Fatal("reserved tenant name _fleet was accepted")
 	}
@@ -526,39 +524,6 @@ func TestTrainWhenCaughtUp(t *testing.T) {
 	want := map[string]float64{"initial": 1, "delta": 1, "train": 1, "ingest_publish_duration_count": 1}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("publish counts %v, want %v", counts, want)
-	}
-}
-
-// TestMetricsOffByDefault: a standalone Server built without a
-// metrics registry must serve the exact pre-instrumentation handler
-// chain (no counters anywhere) while traces keep working.
-func TestMetricsOffByDefault(t *testing.T) {
-	corpus := synth.Electronics(64, 2)
-	srv, err := serve.New(serve.Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 3, Epochs: 1, Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	h := getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if _, ok := h["uptimeSeconds"].(float64); !ok {
-		t.Fatalf("healthz without metrics lacks uptime: %v", h)
-	}
-	tr := getJSON(t, ts.URL+"/admin/traces", http.StatusOK)
-	if len(tr["traces"].([]any)) != 1 {
-		t.Fatalf("standalone trace ring = %v", tr["traces"])
-	}
-	// No /metrics route on a standalone server: the exposition is the
-	// registry's.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("standalone /metrics status = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -33,11 +33,7 @@ func TestKBFilterPushdown(t *testing.T) {
 func testKBFilterPushdown(t *testing.T, backend string) {
 	corpus := synth.Electronics(40, 8)
 	task := corpus.Tasks[0]
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 3, Epochs: 1, Workers: 2, Backend: backend}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 3, Epochs: 1, Workers: 2, Backend: backend}}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -171,11 +171,7 @@ func TestServeConcurrentEpochConsistency(t *testing.T) {
 	opts := core.Options{Seed: 9, Epochs: 1, Workers: 2}
 	docs := reparse(t, corpus)
 
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts}, "")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

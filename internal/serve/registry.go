@@ -10,10 +10,11 @@ package serve
 // # Isolation and sharing
 //
 // Tenants share nothing that carries state: stores, views, epochs and
-// snapshot directories are strictly per-tenant, so every tenant's
-// served epochs are bit-identical to a standalone single-tenant
-// Server over the same document batches (the registry race test pins
-// this). What tenants do share is machine capacity: the process-wide
+// snapshot directories are strictly per-tenant, so every epoch a tenant
+// serves beside busy neighbours is bit-identical to core.Run from
+// scratch over the same corpus prefix (the registry race test pins
+// this), and a failed tenant's neighbours serve what a fresh
+// single-tenant registry fed the same batches serves. What tenants do share is machine capacity: the process-wide
 // pool.SetSharedLimit budget caps the total extra worker goroutines
 // across all tenants' pipeline stages, so one tenant's retrain
 // degrades toward sequential instead of starving the fleet — and
@@ -24,7 +25,7 @@ package serve
 //
 //	/t/<tenant>/kb|candidates|marginals|lfmetrics|features|meta|
 //	            ingest|classify|healthz|admin/snapshot
-//	                      per-tenant API (identical to a standalone Server)
+//	                      per-tenant API: the tenant Server's Handler
 //	/kb, /ingest, ...     the same routes, un-prefixed: the default tenant
 //	GET    /admin/tenants           list tenants with epoch/doc stats
 //	POST   /admin/tenants           create a tenant {name, domain, relation}
@@ -39,7 +40,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -50,7 +50,9 @@ import (
 // ResolveTask maps a (domain, relation) pair to the task definitions
 // a new tenant serves. Labeling functions are code, so the mapping
 // lives with the caller (cmd/fonduer-serve resolves through the
-// built-in domains); relation "" selects the domain's first task.
+// built-in domains); relation "" selects the domain's first task. The
+// gold tuples, when non-nil, scope each epoch's quality evaluation
+// (surfaced in /meta); serving works identically without them.
 type ResolveTask func(domain, relation string) (core.Task, []core.GoldTuple, error)
 
 // RegistryConfig assembles a Registry.
@@ -58,7 +60,8 @@ type RegistryConfig struct {
 	// Resolve maps tenant (domain, relation) specs to tasks. Required.
 	Resolve ResolveTask
 	// BaseOptions are every tenant's session options; a tenant
-	// overrides none of them.
+	// overrides none of them. Workers also bounds each writer's
+	// per-ingest parallelism and an upload's parse fan-out.
 	BaseOptions core.Options
 	// SnapshotRoot, when non-empty, roots per-tenant persistence:
 	// tenant <name> serving relation <rel> snapshots into (and resumes
@@ -69,9 +72,13 @@ type RegistryConfig struct {
 	// way). Per-Registry rather than process-global, so concurrent
 	// registries — tests, embedders — never share series.
 	Metrics *obs.Metrics
-	// TrainDrift/TrainInterval configure every tenant's background
-	// trainer (see Config); the registry applies them uniformly to all
-	// tenants it builds.
+	// TrainDrift and TrainInterval configure every tenant's background
+	// trainer. TrainDrift retrains when the session feature space has
+	// grown by more than this fraction since the serving generation was
+	// trained (0.1 = 10%); <= 0 disables the drift trigger.
+	// TrainInterval, when > 0, checks at this cadence whether the
+	// serving generation is stale (delta epochs published since it
+	// trained) and retrains if so.
 	TrainDrift    float64
 	TrainInterval time.Duration
 	// Async is ignored: every tenant publishes delta epochs and trains
@@ -94,7 +101,9 @@ type TenantConfig struct {
 	// SnapshotDir, when set programmatically, overrides the
 	// <SnapshotRoot>/<name>/<relation> layout (cmd/fonduer-serve uses
 	// this to keep the legacy <store>/<relation> path for the default
-	// tenant). Not settable over HTTP.
+	// tenant). Not settable over HTTP. The tenant resumes the snapshot
+	// found there and POST /admin/snapshot writes it; with neither
+	// this nor SnapshotRoot set, snapshots are refused.
 	SnapshotDir string `json:"-"`
 }
 
@@ -157,11 +166,13 @@ type Registry struct {
 	trainDrift    float64
 	trainInterval time.Duration
 
-	// metrics is the fleet's instrumentation registry; every tenant's
-	// Server records into it, and fleetMetrics holds the gauge/counter
+	// metrics is the fleet's instrumentation registry: tenantMetrics
+	// are the families every tenant's Server (and the fleet routes,
+	// under _fleet) records into, fleetMetrics the gauge/counter
 	// families the /metrics handler samples at scrape time.
-	metrics      *obs.Metrics
-	fleetMetrics *registryMetrics
+	metrics       *obs.Metrics
+	tenantMetrics *serverMetrics
+	fleetMetrics  *registryMetrics
 
 	mu          sync.RWMutex
 	tenants     map[string]*tenantEntry
@@ -188,6 +199,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		trainDrift:    cfg.TrainDrift,
 		trainInterval: cfg.TrainInterval,
 		metrics:       m,
+		tenantMetrics: newServerMetrics(m),
 		fleetMetrics:  newRegistryMetrics(m),
 		tenants:       map[string]*tenantEntry{},
 	}, nil
@@ -245,39 +257,44 @@ func (rg *Registry) Create(tc TenantConfig) (*TenantStatus, error) {
 	return &status, nil
 }
 
+// buildTenant is the one place a Server is built: from the registry's
+// settings, the tenant's config, its resolved task and gold, and the
+// store it resumes from the tenant's snapshot directory or, when there
+// is none, creates empty. It publishes the initial view and starts the
+// writer and the trainer.
 func (rg *Registry) buildTenant(tc TenantConfig, task core.Task, gold []core.GoldTuple) (*tenantEntry, error) {
-	opts := rg.baseOpts
-	snapDir := tc.SnapshotDir
-	if snapDir == "" && rg.snapshotRoot != "" {
-		snapDir = filepath.Join(rg.snapshotRoot, tc.Name, task.Relation)
+	if tc.SnapshotDir == "" && rg.snapshotRoot != "" {
+		tc.SnapshotDir = filepath.Join(rg.snapshotRoot, tc.Name, task.Relation)
 	}
-	tc.SnapshotDir = snapDir
-
+	resumed := tc.SnapshotDir != "" && core.IsStoreDir(tc.SnapshotDir)
 	var st *core.Store
-	resumed := false
-	if snapDir != "" && core.IsStoreDir(snapDir) {
+	if resumed {
 		var err error
-		st, err = core.OpenStore(snapDir, task, opts)
-		if err != nil {
-			return nil, fmt.Errorf("serve: tenant %q: resuming %s: %w", tc.Name, snapDir, err)
+		if st, err = core.OpenStore(tc.SnapshotDir, task, rg.baseOpts); err != nil {
+			return nil, fmt.Errorf("serve: tenant %q: resuming %s: %w", tc.Name, tc.SnapshotDir, err)
 		}
-		resumed = true
+	} else {
+		st = core.NewStore(task, rg.baseOpts)
 	}
-	srv, err := New(Config{
-		Task:          task,
-		Options:       opts,
-		Gold:          gold,
-		Store:         st,
-		SnapshotDir:   snapDir,
-		Name:          tc.Name,
-		Metrics:       rg.metrics,
-		TrainDrift:    rg.trainDrift,
-		TrainInterval: rg.trainInterval,
-	})
-	if err != nil {
-		if st != nil {
-			st.Close() // New only takes ownership on success
-		}
+	srv := &Server{
+		gold:          gold,
+		snapshotDir:   tc.SnapshotDir,
+		name:          tc.Name,
+		start:         time.Now(),
+		workers:       rg.baseOpts.Workers,
+		traces:        obs.NewTraceRing(0),
+		metrics:       rg.tenantMetrics,
+		kbIndexReads:  rg.tenantMetrics.indexHits.With(tc.Name),
+		kbScanReads:   rg.tenantMetrics.fullScans.With(tc.Name),
+		store:         st,
+		trainDrift:    rg.trainDrift,
+		trainInterval: rg.trainInterval,
+		trainKick:     make(chan struct{}, 1),
+		reqs:          make(chan writerReq),
+		closed:        make(chan struct{}),
+	}
+	if err := srv.run(); err != nil {
+		st.Close()
 		return nil, fmt.Errorf("serve: tenant %q: %w", tc.Name, err)
 	}
 	return &tenantEntry{cfg: tc, srv: srv, handler: srv.Handler(), resumed: resumed}, nil
@@ -392,10 +409,8 @@ func (rg *Registry) Close() {
 // name so a real tenant can never alias its series.
 func (rg *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
-	sm := newServerMetrics(rg.metrics)
 	reg := func(pattern string, h http.HandlerFunc) {
-		route := pattern[strings.IndexByte(pattern, ' ')+1:]
-		mux.HandleFunc(pattern, sm.instrument(fleetTenant, route, h))
+		mux.HandleFunc(pattern, rg.tenantMetrics.instrument(fleetTenant, pattern, h))
 	}
 	reg("GET /admin/tenants", rg.handleList)
 	reg("POST /admin/tenants", rg.handleCreate)
@@ -427,8 +442,8 @@ func (rg *Registry) read(w http.ResponseWriter, fn func()) bool {
 }
 
 // handleTenant is the one dispatch into a tenant's own handler:
-// /t/<name>/<rest> with the prefix stripped, so the per-tenant API is
-// byte-identical to a standalone Server's, and every un-prefixed route
+// /t/<name>/<rest> with the prefix stripped, so the tenant's Handler
+// answers it exactly as it answers <rest>, and every un-prefixed route
 // (/kb, /ingest, /admin/snapshot, ... — the matched pattern has no
 // {tenant}) as it is, against the default tenant.
 func (rg *Registry) handleTenant(w http.ResponseWriter, r *http.Request) {

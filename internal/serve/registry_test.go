@@ -18,7 +18,7 @@ import (
 )
 
 // testResolver resolves the synth domains the way cmd/fonduer-serve
-// does, so registry tenants and standalone reference servers share
+// does, so registry tenants and their single-tenant references share
 // identical task definitions.
 func testResolver(t *testing.T) serve.ResolveTask {
 	t.Helper()
@@ -57,6 +57,25 @@ func newTestRegistry(t *testing.T, root string, opts core.Options) *serve.Regist
 	}
 	t.Cleanup(rg.Close)
 	return rg
+}
+
+// newTenant is how a test gets a Server: tenant "default" of a registry
+// of its own whose resolver serves task and gold, under cfg's options
+// and trainer settings. It resumes the snapshot in snapDir, if there is
+// one, and snapshots there; "" refuses snapshots. The registry closes
+// with the test.
+func newTenant(t testing.TB, task core.Task, gold []core.GoldTuple, cfg serve.RegistryConfig, snapDir string) *serve.Server {
+	t.Helper()
+	cfg.Resolve = func(string, string) (core.Task, []core.GoldTuple, error) { return task, gold, nil }
+	rg, err := serve.NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rg.Close)
+	if _, err := rg.Create(serve.TenantConfig{Name: "default", SnapshotDir: snapDir}); err != nil {
+		t.Fatal(err)
+	}
+	return rg.Get("default")
 }
 
 // spillFDs lists what this process's open descriptors on kbase spill
@@ -496,14 +515,15 @@ func TestRegistryCreateRefusesMalformedSnapshot(t *testing.T) {
 	}
 }
 
-// filler is an endless stream of one byte.
-type filler byte
+// filler is an endless stream of its one byte, copied out in bulk.
+type filler [4096]byte
 
-func (b filler) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(b)
+func (f *filler) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		n += copy(p[n:], f[:])
 	}
-	return len(p), nil
+	return n, nil
 }
 
 // TestOversizedBodyIs413: a JSON body one byte over the handlers' 32 MB
@@ -517,23 +537,34 @@ func TestOversizedBodyIs413(t *testing.T) {
 	defer ts.Close()
 	postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "elec", "domain": "electronics"}, http.StatusCreated)
 
-	for _, route := range []string{"/ingest", "/classify", "/admin/snapshot", "/admin/tenants"} {
-		const head = `{"name":"`
-		body := io.MultiReader(strings.NewReader(head), io.LimitReader(filler('a'), bodyCap+1-int64(len(head))))
-		resp, err := http.Post(ts.URL+route, "application/json", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out map[string]string
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("POST %s: %v", route, err)
-		}
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], fmt.Sprint(bodyCap)) {
-			t.Errorf("POST %s with %d bytes: %d %q, want 413 naming the cap", route, bodyCap+1, resp.StatusCode, out["error"])
-		}
+	var a filler
+	for i := range a {
+		a[i] = 'a'
 	}
+	// The routes stream their bodies side by side; the race detector
+	// makes each one slow, not the four together.
+	t.Run("routes", func(t *testing.T) {
+		for _, route := range []string{"/ingest", "/classify", "/admin/snapshot", "/admin/tenants"} {
+			t.Run(route, func(t *testing.T) {
+				t.Parallel()
+				const head = `{"name":"`
+				body := io.MultiReader(strings.NewReader(head), io.LimitReader(&a, bodyCap+1-int64(len(head))))
+				resp, err := http.Post(ts.URL+route, "application/json", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out map[string]string
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatalf("POST %s: %v", route, err)
+				}
+				if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], fmt.Sprint(bodyCap)) {
+					t.Errorf("POST %s with %d bytes: %d %q, want 413 naming the cap", route, bodyCap+1, resp.StatusCode, out["error"])
+				}
+			})
+		}
+	})
 	// Nothing was ingested.
 	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["docs"] != float64(0) {
 		t.Fatalf("healthz after refused uploads = %v", h)

@@ -1,7 +1,8 @@
 // Package serve is the concurrent knowledge-base serving subsystem:
-// an HTTP JSON server over one live extraction session (a core.Store)
-// that serves reads to any number of clients while documents keep
-// arriving.
+// a Registry of tenants, each a Server — an HTTP JSON server over one
+// live extraction session (a core.Store) that serves reads to any
+// number of clients while documents keep arriving. The Registry builds
+// every Server (Registry.Create).
 //
 // # Concurrency model: epoch-based copy-on-write publication
 //
@@ -49,66 +50,27 @@ import (
 	"repro/internal/obs"
 )
 
-// Config assembles a Server.
-type Config struct {
-	// Task is the extraction task being served (labeling functions
-	// are code and travel with it).
-	Task core.Task
-	// Options fix the session configuration (variant, modalities,
-	// workers, training knobs). Workers also bounds the writer's
-	// per-ingest parallelism and an upload's parse fan-out.
-	Options core.Options
-	// Gold, when non-nil, scopes each epoch's quality evaluation
-	// (surfaced in /meta); serving works identically without it.
-	Gold []core.GoldTuple
-	// Store, when non-nil, is an existing session (e.g. resumed from
-	// a cmd/fonduer -store snapshot) to serve; otherwise an empty
-	// session is created. The server takes ownership: no other
-	// goroutine may mutate the store afterwards.
-	Store *core.Store
-	// SnapshotDir is the directory POST /admin/snapshot writes; when
-	// empty, snapshots are refused.
-	SnapshotDir string
-	// Name labels this session in metrics, traces and log lines
-	// (the registry passes the tenant name; "" means "default").
-	Name string
-	// Metrics, when non-nil, instruments the HTTP surface and the
-	// publish pipeline into the given registry. Nil leaves the serving
-	// path completely uninstrumented — byte-for-byte the pre-metrics
-	// handler chain (the overhead benchmark compares the two).
-	Metrics *obs.Metrics
-	// TrainDrift triggers a background retrain when the session
-	// feature space has grown by more than this fraction since the
-	// serving generation was trained (0.1 = 10%). <= 0 disables the
-	// drift trigger.
-	TrainDrift float64
-	// TrainInterval, when > 0, checks at this cadence whether the
-	// serving generation is stale (delta epochs published since it
-	// trained) and retrains if so.
-	TrainInterval time.Duration
-}
-
-// Server serves one extraction session over HTTP — standalone, or as
-// one tenant of a Registry. Create with New, attach Handler to an
-// http.Server, and Close when done.
+// Server serves one extraction session over HTTP as one tenant of a
+// Registry: Registry.Create builds it (buildTenant), routes to its
+// Handler, and Close stops it.
 type Server struct {
 	gold        []core.GoldTuple
 	snapshotDir string
 	name        string
 	start       time.Time
-	workers     int // Config.Options.Workers
+	workers     int // the registry's BaseOptions.Workers
 
 	// traces is the bounded ring of publication traces (initial
 	// build, each ingest, snapshots) behind /meta's trace section and
 	// GET /admin/traces. Written by the writer goroutine only.
 	traces *obs.TraceRing
-	// metrics is non-nil when Config.Metrics instrumented the session.
+	// metrics are the registry's per-tenant families the session
+	// records into.
 	metrics *serverMetrics
 	// kbIndexReads and kbScanReads count the filtered /kb reads answered
 	// through a hash index and by a scan: the tenant's children of
-	// fonduer_kbase_{index_hits,full_scans}_total, or counters of the
-	// server's own when it is not instrumented. Every epoch serves a new
-	// KB table, so the counts cannot live in the table's planner.
+	// fonduer_kbase_{index_hits,full_scans}_total. Every epoch serves a
+	// new KB table, so the counts cannot live in the table's planner.
 	kbIndexReads, kbScanReads *obs.Child
 
 	// store is the owned session; mutated only by the writer
@@ -240,53 +202,19 @@ type writerReply struct {
 	err error
 }
 
-// New builds a server over the configured session, publishes the
-// initial view (epoch 0 for a fresh store; the restored epoch count
-// for a resumed one is 0 too, since epochs count this process's
-// mutations), and starts the writer goroutine.
-func New(cfg Config) (*Server, error) {
-	st := cfg.Store
-	if st == nil {
-		st = core.NewStore(cfg.Task, cfg.Options)
-	}
-	name := cfg.Name
-	if name == "" {
-		name = "default"
-	}
-	s := &Server{
-		gold:          cfg.Gold,
-		snapshotDir:   cfg.SnapshotDir,
-		name:          name,
-		start:         time.Now(),
-		workers:       cfg.Options.Workers,
-		traces:        obs.NewTraceRing(0),
-		store:         st,
-		trainDrift:    cfg.TrainDrift,
-		trainInterval: cfg.TrainInterval,
-		trainKick:     make(chan struct{}, 1),
-		reqs:          make(chan writerReq),
-		closed:        make(chan struct{}),
-		kbIndexReads:  &obs.Child{},
-		kbScanReads:   &obs.Child{},
-	}
-	if cfg.Metrics != nil {
-		s.metrics = newServerMetrics(cfg.Metrics)
-		s.kbIndexReads, s.kbScanReads = s.metrics.indexHits.With(name), s.metrics.fullScans.With(name)
-	}
+// run publishes the initial view (epoch 0, for a fresh store and a
+// resumed one alike: epochs count this process's mutations) and starts
+// the writer goroutine and the trainer. buildTenant calls it once, on
+// the Server it built.
+func (s *Server) run() error {
 	t0 := time.Now()
-	view, err := st.View(cfg.Gold)
+	view, err := s.store.View(s.gold)
 	if err != nil {
-		if cfg.Store == nil {
-			// We created this store, so we close it. A caller-provided
-			// store stays the caller's to close — ownership only
-			// transfers on success.
-			st.Close()
-		}
-		return nil, fmt.Errorf("serve: building initial view: %w", err)
+		return fmt.Errorf("serve: building initial view: %w", err)
 	}
 	s.publish("initial", t0, view.NumDocs(), view.StageSpans(), view, nil)
 
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
 		for {
@@ -294,14 +222,13 @@ func New(cfg Config) (*Server, error) {
 			case <-s.closed:
 				return
 			case req := <-s.reqs:
-				val, err := s.contain("writer", req.kind, func() (any, error) { return req.apply(st) })
+				val, err := s.contain("writer", req.kind, func() (any, error) { return req.apply(s.store) })
 				req.reply <- writerReply{val: val, err: err}
 			}
 		}
 	}()
-	s.wg.Add(1)
 	go s.trainLoop()
-	return s, nil
+	return nil
 }
 
 // Close stops the writer goroutine and closes the owned store. An
@@ -370,9 +297,7 @@ func (s *Server) publish(kind string, t0 time.Time, docs int, spans []obs.Span, 
 		tr.Err = err.Error()
 	}
 	s.traces.Add(tr)
-	if s.metrics != nil {
-		s.metrics.observePublish(s.name, tr, epochs, trainSecs)
-	}
+	s.metrics.observePublish(s.name, tr, epochs, trainSecs)
 	if err != nil {
 		obs.Log().Error("publish failed", "tenant", s.name, "kind", kind,
 			"docs", docs, "durationMs", tr.DurationMs, "error", tr.Err)
@@ -387,7 +312,7 @@ func (s *Server) publish(kind string, t0 time.Time, docs int, spans []obs.Span, 
 // the store's incremental semantics — captures the next epoch under
 // the serving model generation, publishes that delta epoch and returns
 // it. It never trains: it kicks the background trainer when the feature
-// space has drifted past Config.TrainDrift.
+// space has drifted past the registry's TrainDrift.
 func (s *Server) Ingest(docs []*datamodel.Document) (*core.StoreView, error) {
 	val, err := s.submit("delta", func(st *core.Store) (any, error) {
 		t0 := time.Now()
@@ -529,8 +454,8 @@ func (s *Server) install(trained *core.StoreView, t0 time.Time) (*core.StoreView
 	return v, nil
 }
 
-// Snapshot persists the session's relations to Config.SnapshotDir on
-// the writer goroutine, so it can never interleave with an ingest. The
+// Snapshot persists the session's relations to the tenant's snapshot
+// directory on the writer goroutine, so it can never interleave with an ingest. The
 // returned epoch is captured inside the writer turn, so it names
 // exactly the state the snapshot contains — not whatever epoch is
 // current once the caller reads the reply.

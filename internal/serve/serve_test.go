@@ -139,11 +139,7 @@ func TestServeEndToEnd(t *testing.T) {
 	opts := core.Options{Seed: 3, Epochs: 1, Workers: 2}
 
 	snapDir := filepath.Join(t.TempDir(), "session")
-	srv, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, SnapshotDir: snapDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts}, snapDir)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -311,15 +307,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	kbBefore := getJSON(t, ts.URL+"/kb", http.StatusOK)
 
-	st, err := core.OpenStore(snapDir, task, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := serve.New(serve.Config{Task: task, Options: opts, Gold: gold, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
+	srv2 := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts}, snapDir)
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	kbAfter := getJSON(t, ts2.URL+"/kb", http.StatusOK)
@@ -336,10 +324,7 @@ func TestServeEndToEnd(t *testing.T) {
 func TestServeClosed(t *testing.T) {
 	corpus := synth.Electronics(52, 2)
 	task := corpus.Tasks[0]
-	srv, err := serve.New(serve.Config{Task: task, Options: core.Options{Seed: 1, Epochs: 1}, SnapshotDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 1, Epochs: 1}}, t.TempDir())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -360,11 +345,7 @@ func TestReingestConflictsOnEveryBackend(t *testing.T) {
 	corpus := synth.Electronics(53, 2)
 	for _, backend := range kbase.BackendKinds() {
 		t.Run(backend, func(t *testing.T) {
-			srv, err := serve.New(serve.Config{Task: corpus.Tasks[0], Options: core.Options{Seed: 1, Epochs: 1, Backend: backend}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
+			srv := newTenant(t, corpus.Tasks[0], nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 1, Epochs: 1, Backend: backend}}, "")
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			req := map[string]any{"documents": []serve.DocumentUpload{uploadFor(corpus, 0), uploadFor(corpus, 1)}}
