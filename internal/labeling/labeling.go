@@ -409,7 +409,7 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 // (a matrix's rows are never written).
 func (mod *Model) Marginals(m *Matrix) []float64 {
 	pats := mod.pats
-	if m != mod.fitted || len(m.Votes) != len(pats.of) {
+	if m != mod.fitted {
 		pats = groupRows(m)
 	}
 	mu := make([]float64, len(pats.rows))

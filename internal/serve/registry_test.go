@@ -306,9 +306,9 @@ func TestRegistryLifecycle(t *testing.T) {
 // production fleet mixes) are ingested, each batch followed by a
 // retrain, and read concurrently through the registry. Every observed
 // per-tenant /kb response must be bit-identical to the from-scratch
-// reference for its (epoch, generation) pair — the KB a standalone
-// session over the same batches serves at that pair — so multi-tenancy
-// is invisible to any single tenant.
+// reference for its (epoch, generation) pair (fromScratch: a fresh
+// core.Store fed the same batches, no server), so multi-tenancy is
+// invisible to any single tenant.
 func TestRegistryTenantEpochsBitIdenticalToStandalone(t *testing.T) {
 	const nDocs, batchSize, nReaders = 6, 2, 2
 	opts := core.Options{Seed: 9, Epochs: 1, Workers: 2}
