@@ -12,8 +12,9 @@
 // goroutine and epoch pointer, routed under /t/<tenant>/..., with the
 // un-prefixed routes reaching the default tenant. Tenants are
 // bootstrapped with -tenants or created at runtime via
-// POST /admin/tenants; all tenants share one worker-pool budget
-// (-pool) so a retrain in one cannot starve the rest.
+// POST /admin/tenants. Tenants share CPU through the Go scheduler;
+// nothing caps their goroutines, and no result depends on the
+// schedule.
 //
 // Usage:
 //
@@ -67,7 +68,6 @@ import (
 	fonduer "repro"
 	"repro/internal/kbase"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/serve"
 )
 
@@ -75,7 +75,6 @@ func main() {
 	store := flag.String("store", "", "session directory as used by 'fonduer -store' (default tenant at <store>/<relation>, others at <store>/<tenant>/<relation>)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "per-tenant worker count for ingest-time pipeline stages (0 = GOMAXPROCS)")
-	poolSize := flag.Int("pool", 0, "fleet-wide worker budget shared across all tenants' parallel stages (0 = GOMAXPROCS, <0 = unlimited); one tenant's retrain can use at most this many extra goroutines")
 	domain := flag.String("domain", "electronics", "default tenant's task definitions: electronics, ads, paleo, genomics")
 	relation := flag.String("relation", "", "default tenant's relation (default: the domain's first)")
 	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation] specs; empty = one default tenant from -domain/-relation")
@@ -128,12 +127,6 @@ func main() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(150)
 	}
-	// The fleet-wide pool budget: installed before any tenant exists so
-	// even bootstrap-time view building honors it.
-	if *poolSize >= 0 {
-		pool.SetSharedLimit(pool.Workers(*poolSize))
-	}
-
 	opts := fonduer.Options{
 		ThresholdOverride: fonduer.Float64(*threshold), Epochs: *epochs, Seed: *seed,
 		Workers: *workers, Backend: *backend,
@@ -154,8 +147,7 @@ func main() {
 		}
 		fmt.Printf("tenant %-16s %s/%s %s%s\n", ts.Name, ts.Domain, ts.Relation, state, def)
 	}
-	fmt.Printf("fonduer-serve: %d tenant(s), pool budget %d, listening on %s\n",
-		len(rg.List()), pool.SharedLimit(), *addr)
+	fmt.Printf("fonduer-serve: %d tenant(s), listening on %s\n", len(rg.List()), *addr)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -702,3 +702,200 @@ func apiFields(root *types.Package) map[*types.Var]bool {
 	}
 	return out
 }
+
+// optionAllowlist names the fields of option structs under internal/ that
+// no non-test Go may set, each with its reason. Keys are
+// "<package path>.<type>.<field>".
+var optionAllowlist = map[string]string{
+	"repro/internal/model.TrainOptions.Clip":      "TestGoldenTrajectory hashes trained weights at other clip values",
+	"repro/internal/serve.RegistryConfig.Metrics": "tests inject a registry to read a tenant's series without HTTP",
+}
+
+// TestEveryInternalOptionIsSet fails on any field of a struct type under
+// internal/ whose name ends in Options or Config that no non-test Go sets
+// (benchmark/ and examples/ included), by the rules of fieldSets: a
+// setting every caller leaves at its zero value has one value in use, and
+// that value is a constant, not a choice. Fields with a json tag are
+// exempt: encoding/json sets them from a request body.
+func TestEveryInternalOptionIsSet(t *testing.T) {
+	m := checkedModule(t)
+	var all []*ast.File
+	keys := map[*types.Var]string{}
+	for path, files := range m.files {
+		all = append(all, files...)
+		if strings.HasPrefix(path, module+"/internal/") {
+			maps.Copy(keys, optionFields(m.pkgs[path]))
+		}
+	}
+	set := fieldSets(all, m.info)
+
+	var unset []string
+	byKey := map[string]*types.Var{}
+	for v, key := range keys {
+		byKey[key] = v
+		if _, ok := optionAllowlist[key]; set[v] || ok {
+			continue
+		}
+		unset = append(unset, key+" ("+m.fset.Position(v.Pos()).String()+")")
+	}
+	sort.Strings(unset)
+	for _, k := range unset {
+		t.Errorf("option %s is never set in non-test Go: make its one value a constant, or allowlist it with a reason", k)
+	}
+	for key := range optionAllowlist {
+		switch v := byKey[key]; {
+		case v == nil:
+			t.Errorf("allowlisted option %s is not declared, or has a json tag, now: drop its entry", key)
+		case set[v]:
+			t.Errorf("allowlisted option %s is set now: drop its entry", key)
+		}
+	}
+}
+
+// TestOptionCheckRules pins optionFields' and fieldSets' rules on small
+// packages, one outcome each.
+func TestOptionCheckRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		unset     []string
+	}{
+		{"literal key", `type Options struct{ a, b int }
+			var _ = Options{a: 1}`, []string{"p.Options.b"}},
+		{"positional literal", `type Config struct{ a, b int }
+			var _ = []Config{{1, 2}}`, nil},
+		{"elided pointer literal", `type Config struct{ a, b int }
+			var _ = []*Config{{a: 1}}`, []string{"p.Config.b"}},
+		{"assignment and inc-dec", `type Options struct{ a, b, c int }
+			func F(o *Options) { o.a = 1; o.b += 2; o.c++ }`, nil},
+		{"read is not a set", `type Options struct{ a int }
+			func F(o Options) int { return o.a }`, []string{"p.Options.a"}},
+		{"own method does not count", `type Options struct{ a int }
+			func (o *Options) defaults() { o.a = 1 }
+			func (o Options) with() Options { return Options{a: 2} }`, []string{"p.Options.a"}},
+		{"other type's method counts", `type Options struct{ a int }
+			type T struct{ o Options }
+			func (t *T) F() { t.o.a = 1 }`, nil},
+		{"only Options and Config", `type Settings struct{ a int }
+			type ConfigSet struct{ b int }`, nil},
+		{"json tag", "type Config struct{ A int `json:\"a\"`; B int }", []string{"p.Config.B"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "p.go", "package p\n"+tc.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, files := newInfo(), []*ast.File{f}
+			p, err := new(types.Config).Check("p", fset, files, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := fieldSets(files, info)
+			var unset []string
+			for v, key := range optionFields(p) {
+				if !set[v] {
+					unset = append(unset, key)
+				}
+			}
+			sort.Strings(unset)
+			if fmt.Sprint(unset) != fmt.Sprint(tc.unset) {
+				t.Errorf("unset options %v, want %v", unset, tc.unset)
+			}
+		})
+	}
+}
+
+// optionFields keys the fields of p's struct types whose names end in
+// Options or Config as "<package path>.<type>.<field>", except those
+// with a json tag.
+func optionFields(p *types.Package) map[*types.Var]string {
+	out := map[*types.Var]string{}
+	for _, name := range p.Scope().Names() {
+		tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); !ok {
+				out[st.Field(i)] = p.Path() + "." + name + "." + st.Field(i).Name()
+			}
+		}
+	}
+	return out
+}
+
+// fieldSets returns the struct fields that files set: a composite
+// literal's key or positional element (&T{...} and an elided element
+// of []*T included), the selector on the left of an
+// assignment (op= included), and the operand of ++ and --. A set inside
+// a method of the field's own struct type (a defaults method) does not
+// count: it is the type choosing its own value, not a caller.
+func fieldSets(files []*ast.File, info *types.Info) map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			var own *types.Struct // the receiver's struct type, if any
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+					if _, named := funcKey(fn); named != nil {
+						own, _ = named.Underlying().(*types.Struct)
+					}
+				}
+			}
+			mark := func(v *types.Var) {
+				if own != nil {
+					for i := 0; i < own.NumFields(); i++ {
+						if own.Field(i) == v {
+							return
+						}
+					}
+				}
+				set[v.Origin()] = true
+			}
+			markSel := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+						mark(v)
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := info.Types[n].Type
+					if typ == nil {
+						return true
+					}
+					if p, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = p.Elem() // an element of []*T{{...}}
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								mark(v)
+							}
+						} else {
+							mark(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						markSel(e)
+					}
+				case *ast.IncDecStmt:
+					markSel(n.X)
+				}
+				return true
+			})
+		}
+	}
+	return set
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 	"time"
 
 	"repro/internal/candidates"
@@ -259,20 +258,6 @@ func indexColumns(ix *features.Index, dict []string) []int32 {
 		}
 	}
 	return colOf
-}
-
-// featureColumns is the same row built from names — ad-hoc document
-// classification, whose document was never interned: a reader must not
-// touch a writer's dictionary, and the frozen index is all it needs.
-func featureColumns(ix *features.Index, names []string) []int {
-	var cols []int
-	for _, n := range names {
-		if id, ok := ix.Lookup(n); ok {
-			cols = append(cols, id)
-		}
-	}
-	sort.Ints(cols)
-	return cols
 }
 
 // materializeStage maps each candidate's feature ids through

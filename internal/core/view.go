@@ -250,8 +250,8 @@ type DocClassification struct {
 // the epoch's frozen index, and model classification over one
 // document — the Extract and Featurize stages of stages.go over a
 // one-document corpus — without mutating anything: both extractors are
-// private to the call, the document's feature names are looked up in
-// the frozen index and never interned, and the model's forward pass is
+// private to the call, the document's feature names are interned only
+// into a dictionary of its own, and the model's forward pass is
 // read-only. Safe to call from any number of goroutines
 // concurrently, on the same or different views.
 func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification, error) {
@@ -259,10 +259,15 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 		return DocClassification{}, fmt.Errorf("core: nil document")
 	}
 	perDoc := extractStage(v.task, []*datamodel.Document{doc}, v.opts.Scope, !v.opts.NoThrottlers, 1)
-	names := featurizeStage(extractorFactory(v.opts), perDoc, 1)[0].names
+	// The document's names are interned into a dictionary private to the
+	// call (a reader must not touch a writer's), then mapped through the
+	// frozen index like every stored candidate's.
+	dict := features.NewIndex()
+	ids := internRows(dict, featurizeStage(extractorFactory(v.opts), perDoc, 1)[0].names)
+	rows := materializeStage(stagedSplit{names: ids, dict: dict.NamesView()}, v.runIndex)
 	exs := make([]model.Example, len(perDoc[0]))
 	for i, c := range perDoc[0] {
-		exs[i] = model.Example{Cand: c, SparseFeats: featureColumns(v.runIndex, names[i])}
+		exs[i] = model.Example{Cand: c, SparseFeats: rows[i]}
 	}
 	probs, threshold := scoreByDoc(v.model, exs, 1), v.opts.threshold()
 	var out DocClassification

@@ -173,33 +173,25 @@ type Model struct {
 	pats   votePatterns
 }
 
-// FitOptions configure Fit.
-type FitOptions struct {
-	// MaxIter bounds EM iterations (default 50).
-	MaxIter int
-	// Tol stops EM when marginals move less than this (default 1e-6).
-	Tol float64
-	// InitAcc is the initial LF accuracy (default 0.7).
-	InitAcc float64
-	// LearnPrior lets EM estimate the class prior from covered rows.
-	// Off by default: a learned shared prior is self-reinforcing in
-	// skewed domains (a high prior makes accurate negative LFs look
-	// inaccurate, which raises the prior further), so the symmetric
-	// prior P(y=+1)=0.5 is the robust default.
-	LearnPrior bool
-}
+// FitOptions configure nothing: every setting of the label model is
+// one of the constants below.
+//
+// Deprecated: pass FitOptions{}. The type stays only because
+// benchmark/ writes labeling.FitOptions{}.
+type FitOptions struct{}
 
-func (o *FitOptions) defaults() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 50
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.InitAcc <= 0 {
-		o.InitAcc = 0.7
-	}
-}
+// The label model's settings. EM runs at most maxIter iterations and
+// stops once the marginals move less than tol on average; every LF
+// starts at accuracy initAcc. The class prior stays at the symmetric
+// prior: a learned shared prior is self-reinforcing in skewed domains
+// (a high prior makes accurate negative LFs look inaccurate, which
+// raises the prior further).
+const (
+	maxIter = 50
+	tol     = 1e-6
+	initAcc = 0.7
+	prior   = 0.5
+)
 
 // votePatterns groups the rows of a label matrix by vote pattern: the
 // (LF, sign) sequence a row holds. A dozen labeling functions leave a
@@ -317,16 +309,15 @@ func (mod *Model) posteriors(pats votePatterns, lo *logOdds, mu []float64) {
 //
 //	E-step: μ_i = P(y_i=+1 | Λ_i, acc, prior)
 //	M-step: acc_j = expected fraction of LF j's labels that agree
-//	        with the latent label; prior = mean μ.
+//	        with the latent label; the prior stays 0.5.
 //
 // The E-step runs per vote pattern; every sum over rows — the
 // convergence test and the M-step — still adds row by row in row order,
 // so the fitted model is bit for bit the one a per-row E-step yields.
-func Fit(m *Matrix, opts FitOptions) *Model {
-	opts.defaults()
-	mod := &Model{Acc: make([]float64, m.NumLFs), Prior: 0.5}
+func Fit(m *Matrix, _ FitOptions) *Model {
+	mod := &Model{Acc: make([]float64, m.NumLFs), Prior: prior}
 	for j := range mod.Acc {
-		mod.Acc[j] = opts.InitAcc
+		mod.Acc[j] = initAcc
 	}
 	if len(m.Votes) == 0 || m.NumLFs == 0 {
 		return mod
@@ -345,7 +336,7 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 	prev := make([]float64, len(pats.rows))
 	moved := make([]float64, len(pats.rows))
 	agree := make([]float64, m.NumLFs)
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		mod.Iterations = iter + 1
 		// E-step.
 		mod.posteriors(pats, &lo, mu)
@@ -358,7 +349,7 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 			for _, p := range pats.of {
 				delta += moved[p]
 			}
-			if delta/float64(len(pats.of)) < opts.Tol {
+			if delta/float64(len(pats.of)) < tol {
 				break
 			}
 		}
@@ -381,21 +372,6 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 				// lower clamp also breaks the label-inversion symmetry
 				// EM would otherwise be free to converge to.
 				mod.Acc[j] = clamp(agree[j]/total[j], 0.55, 0.95)
-			}
-		}
-		if opts.LearnPrior {
-			// Estimate the class prior from covered rows only, so
-			// uncovered rows (which receive the prior) cannot
-			// reinforce it.
-			covSum, covN := 0.0, 0
-			for _, p := range pats.of {
-				if len(pats.rows[p]) > 0 {
-					covSum += mu[p]
-					covN++
-				}
-			}
-			if covN > 0 {
-				mod.Prior = clamp(covSum/float64(covN), 0.05, 0.95)
 			}
 		}
 	}

@@ -23,7 +23,10 @@ func TestWorkers(t *testing.T) {
 
 // TestRunCoversEveryIndexOnce checks the contract every parallel stage
 // relies on: fn runs exactly once per index, for any worker count,
-// including workers > n, n == 0 and n == 1.
+// including workers > n, n == 0 and n == 1; with concurrent callers
+// (tenants' stages side by side); and with a Run nested inside a worker
+// (an experiment sweep running pipelines, one tenant's stages inside
+// the registry's writer), which must complete.
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 1000} {
 		for _, workers := range []int{1, 2, 8, 0, 2000} {
@@ -33,6 +36,40 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 				if got := calls[i].Load(); got != 1 {
 					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
 				}
+			}
+		}
+	}
+
+	const callers, n = 4, 200
+	var calls [callers][n]atomic.Int32
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			Run(n, 8, func(i int) {
+				runtime.Gosched()
+				calls[c][i].Add(1)
+			})
+		}(c)
+	}
+	wg.Wait()
+	for c := 0; c < callers; c++ {
+		for i := 0; i < n; i++ {
+			if got := calls[c][i].Load(); got != 1 {
+				t.Fatalf("concurrent caller %d: index %d ran %d times", c, i, got)
+			}
+		}
+	}
+
+	var nested [4][4]atomic.Int32
+	Run(4, 4, func(i int) {
+		Run(4, 4, func(j int) { nested[i][j].Add(1) })
+	})
+	for i := range nested {
+		for j := range nested[i] {
+			if got := nested[i][j].Load(); got != 1 {
+				t.Fatalf("nested run (%d, %d) ran %d times", i, j, got)
 			}
 		}
 	}
@@ -51,72 +88,6 @@ func TestRunSequentialOrder(t *testing.T) {
 	}
 	if len(seen) != 5 {
 		t.Fatalf("len = %d", len(seen))
-	}
-}
-
-// TestSharedLimitBoundsConcurrency checks the fleet-sharing contract:
-// with a shared limit of k extra workers, any number of concurrent
-// Run calls hold at most (callers + k) goroutines inside fn at once,
-// and every index still runs exactly once.
-func TestSharedLimitBoundsConcurrency(t *testing.T) {
-	const limit, callers, n = 2, 4, 200
-	SetSharedLimit(limit)
-	defer SetSharedLimit(0)
-	if got := SharedLimit(); got != limit {
-		t.Fatalf("SharedLimit() = %d, want %d", got, limit)
-	}
-
-	var inFn, peak atomic.Int64
-	var calls [callers][n]atomic.Int32
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			Run(n, 8, func(i int) {
-				cur := inFn.Add(1)
-				for {
-					p := peak.Load()
-					if cur <= p || peak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
-				runtime.Gosched()
-				inFn.Add(-1)
-				calls[c][i].Add(1)
-			})
-		}(c)
-	}
-	wg.Wait()
-	for c := 0; c < callers; c++ {
-		for i := 0; i < n; i++ {
-			if got := calls[c][i].Load(); got != 1 {
-				t.Fatalf("caller %d index %d ran %d times", c, i, got)
-			}
-		}
-	}
-	// Each caller's own goroutine is always allowed in, plus at most
-	// `limit` extra workers fleet-wide.
-	if p := peak.Load(); p > callers+limit {
-		t.Fatalf("peak concurrency %d exceeds callers(%d)+limit(%d)", p, callers, limit)
-	}
-}
-
-// TestSharedLimitNeverStarves pins the no-deadlock guarantee: a
-// one-slot fleet with nested Run calls still completes, because the
-// calling goroutine always works without holding a slot.
-func TestSharedLimitNeverStarves(t *testing.T) {
-	SetSharedLimit(1)
-	defer SetSharedLimit(0)
-	var total atomic.Int64
-	Run(4, 4, func(i int) {
-		// Nested fan-out from inside a worker — the shape of an
-		// experiment sweep running pipelines, or one tenant's stages
-		// inside the registry's writer.
-		Run(4, 4, func(j int) { total.Add(1) })
-	})
-	if got := total.Load(); got != 16 {
-		t.Fatalf("nested runs executed %d tasks, want 16", got)
 	}
 }
 

@@ -526,7 +526,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "ingest request has no documents")
 		return
 	}
-	// The documents parse side by side, under the shared pool limit like
+	// The documents parse side by side on the tenant's workers, like
 	// every other stage; the refusal names the first bad one in upload
 	// order, whatever the schedule.
 	docs, errs := make([]*datamodel.Document, len(req.Documents)), make([]error, len(req.Documents))

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Metrics wiring for the serving layer. Every family is registered
@@ -24,7 +23,7 @@ import (
 // The hot path is pure atomics: per-route children are resolved once
 // at route-registration time (instrument), so serving a request does
 // one map lookup on the status int and two atomic updates. Gauges
-// that mirror fleet state (epochs, doc counts, pool utilization) are
+// that mirror fleet state (epochs, doc counts, heap) are
 // sampled at scrape time instead of being maintained on writes.
 
 // trackedStatuses is the fixed status label set; anything else is
@@ -181,8 +180,6 @@ type registryMetrics struct {
 	uptime    *obs.Family // gauge
 	buildInfo *obs.Family // gauge {version,revision,goversion}, fixed at 1
 	tenants   *obs.Family // gauge
-	poolLimit *obs.Family // gauge
-	poolInUse *obs.Family // gauge
 
 	// The process's memory, read with runtime/metrics (which, unlike
 	// ReadMemStats, stops nothing): what a claim about resident memory or
@@ -213,10 +210,6 @@ func newRegistryMetrics(m *obs.Metrics) *registryMetrics {
 			"version", "revision", "goversion"),
 		tenants: m.Gauge("fonduer_tenants",
 			"Live tenants in the registry."),
-		poolLimit: m.Gauge("fonduer_pool_shared_limit",
-			"Process-wide cap on extra worker goroutines (0 = unlimited)."),
-		poolInUse: m.Gauge("fonduer_pool_shared_in_use",
-			"Extra worker goroutines currently holding a shared-limit slot."),
 		heapLive: m.Gauge("fonduer_go_heap_live_bytes",
 			"Heap that survived the last garbage collection ("+runtimeHeapLive+")."),
 		heapObjects: m.Gauge("fonduer_go_heap_objects_bytes",
@@ -271,8 +264,6 @@ func (rm *registryMetrics) sample(uptimeSecs float64, statuses []TenantStatus, e
 	b := obs.BuildInfo()
 	rm.buildInfo.With(b.Version, b.Revision, b.GoVersion).Set(1)
 	rm.tenants.With().Set(float64(len(statuses)))
-	rm.poolLimit.With().Set(float64(pool.SharedLimit()))
-	rm.poolInUse.With().Set(float64(pool.SharedInUse()))
 	rm.respErrs.With("encode").Set(float64(respErrEncode.Load()))
 	rm.respErrs.With("write").Set(float64(respErrWrite.Load()))
 	mem := []metrics.Sample{{Name: runtimeHeapLive}, {Name: runtimeHeapObjects}, {Name: runtimeGCCPU}}

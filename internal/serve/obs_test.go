@@ -159,8 +159,6 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"fonduer_uptime_seconds",
 		"fonduer_build_info",
 		"fonduer_tenants",
-		"fonduer_pool_shared_limit",
-		"fonduer_pool_shared_in_use",
 		"fonduer_go_heap_live_bytes",
 		"fonduer_go_heap_objects_bytes",
 		"fonduer_go_gc_cpu_seconds_total",

@@ -14,12 +14,10 @@ package serve
 // serves beside busy neighbours is bit-identical to core.Run from
 // scratch over the same corpus prefix (the registry race test pins
 // this), and a failed tenant's neighbours serve what a fresh
-// single-tenant registry fed the same batches serves. What tenants do share is machine capacity: the process-wide
-// pool.SetSharedLimit budget caps the total extra worker goroutines
-// across all tenants' pipeline stages, so one tenant's retrain
-// degrades toward sequential instead of starving the fleet — and
-// since every stage is bit-identical at any worker count, the cap
-// never changes results.
+// single-tenant registry fed the same batches serves. What tenants do
+// share is CPU, through the Go scheduler: nothing caps their pipeline
+// stages' goroutines, and since every stage is bit-identical at any
+// worker count, the schedule never changes results.
 //
 // # Routing
 //
@@ -542,7 +540,7 @@ func (rg *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetrics is GET /metrics: Prometheus text exposition of the
 // whole fleet. Counter and histogram series are maintained on the
 // request/publish paths; state-mirroring gauges (epochs, doc counts,
-// pool utilization, sampled storage counters) are refreshed here,
+// heap, sampled storage counters) are refreshed here,
 // right before exposition, so scraping is what pays for them.
 func (rg *Registry) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// The sample is taken under the lock, so it cannot revive the series
