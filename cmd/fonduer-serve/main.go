@@ -10,7 +10,8 @@
 // One process carries N isolated tenants (a session registry, see
 // internal/serve/registry.go): each tenant is its own store, writer
 // goroutine and epoch pointer, routed under /t/<tenant>/..., with the
-// un-prefixed routes reaching the default tenant. Tenants are
+// un-prefixed routes reaching the default tenant: the first one created,
+// the first -tenants spec or, without one, "default". Tenants are
 // bootstrapped with -tenants or created at runtime via
 // POST /admin/tenants. Tenants share CPU through the Go scheduler;
 // nothing caps their goroutines, and no result depends on the
@@ -35,11 +36,11 @@
 //
 //	GET  /healthz   GET /kb   GET /candidates   GET /marginals
 //	GET  /lfmetrics GET /features GET /meta     (default-tenant alias;
-//	                                             /healthz and /meta aggregate the fleet)
+//	                                             /healthz rolls up the fleet)
 //	POST /ingest    POST /classify   POST /admin/snapshot   POST /admin/train
+//	GET  /admin/traces   (recent publication span trees)
 //	GET|POST /admin/tenants   DELETE /admin/tenants/<name>
 //	GET  /metrics   (Prometheus text exposition, fleet + per-tenant)
-//	GET  /admin/traces   (recent publication span trees, per tenant)
 //	/t/<tenant>/<any of the per-tenant routes above>
 //
 // Observability: -log-level picks the structured JSON log level,
@@ -78,7 +79,6 @@ func main() {
 	domain := flag.String("domain", "electronics", "default tenant's task definitions: electronics, ads, paleo, genomics")
 	relation := flag.String("relation", "", "default tenant's relation (default: the domain's first)")
 	tenants := flag.String("tenants", "", "bootstrap tenants as comma-separated name:domain[:relation] specs; empty = one default tenant from -domain/-relation")
-	defaultTenant := flag.String("default-tenant", "", "tenant served by the un-prefixed routes (default: the first bootstrapped tenant)")
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -131,7 +131,7 @@ func main() {
 		ThresholdOverride: fonduer.Float64(*threshold), Epochs: *epochs, Seed: *seed,
 		Workers: *workers, Backend: *backend,
 	}
-	rg, err := buildRegistry(*store, *domain, *relation, *tenants, *defaultTenant, opts, *trainDrift, *trainInterval)
+	rg, err := buildRegistry(*store, *domain, *relation, *tenants, opts, *trainDrift, *trainInterval)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fonduer-serve:", err)
 		os.Exit(1)
@@ -247,11 +247,12 @@ func parseTenantSpecs(s string) ([]serve.TenantConfig, error) {
 }
 
 // buildRegistry assembles the session registry from the flag surface:
-// explicit -tenants specs or, without them, one tenant named "default"
-// from -domain/-relation, resuming the cmd/fonduer <store>/<relation>
-// layout directly. trainDrift and trainInterval are every tenant's
-// background-trainer triggers (-train-drift, -train-interval).
-func buildRegistry(storeDir, domain, relation, tenantsFlag, defaultTenant string, opts fonduer.Options, trainDrift float64, trainInterval time.Duration) (*serve.Registry, error) {
+// explicit -tenants specs, the first of which is the default tenant,
+// or, without them, one tenant named "default" from -domain/-relation,
+// resuming the cmd/fonduer <store>/<relation> layout directly.
+// trainDrift and trainInterval are every tenant's background-trainer
+// triggers (-train-drift, -train-interval).
+func buildRegistry(storeDir, domain, relation, tenantsFlag string, opts fonduer.Options, trainDrift float64, trainInterval time.Duration) (*serve.Registry, error) {
 	rg, err := serve.NewRegistry(serve.RegistryConfig{
 		Resolve:       resolveTask,
 		BaseOptions:   opts,
@@ -287,12 +288,6 @@ func buildRegistry(storeDir, domain, relation, tenantsFlag, defaultTenant string
 	}
 	for _, tc := range specs {
 		if _, err := rg.Create(tc); err != nil {
-			rg.Close()
-			return nil, err
-		}
-	}
-	if defaultTenant != "" {
-		if err := rg.SetDefault(defaultTenant); err != nil {
 			rg.Close()
 			return nil, err
 		}

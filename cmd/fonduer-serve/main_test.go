@@ -53,7 +53,7 @@ func TestServeStoreIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rg, err := buildRegistry(storeDir, "electronics", task.Relation, "", "", opts, 0, 0)
+	rg, err := buildRegistry(storeDir, "electronics", task.Relation, "", opts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestServeStoreIntegration(t *testing.T) {
 	if meta["relation"].(string) != task.Relation {
 		t.Fatalf("meta relation = %v", meta["relation"])
 	}
-	if _, ok := meta["registry"]; !ok {
-		t.Fatalf("registry /meta lacks fleet section: %v", meta)
+	if fleet := get(t, ts.URL+"/admin/tenants"); fleet["default"] != "default" || len(fleet["tenants"].([]any)) != 1 {
+		t.Fatalf("/admin/tenants = %v", fleet)
 	}
 	kb := get(t, ts.URL+"/kb")
 	if int(kb["total"].(float64)) != len(kb["tuples"].([]any)) {
@@ -97,7 +97,7 @@ func TestServeStoreIntegration(t *testing.T) {
 // with an empty store directory serves an empty epoch-0 default
 // tenant ready for online ingestion.
 func TestServeFreshSession(t *testing.T) {
-	rg, err := buildRegistry(t.TempDir(), "electronics", "", "", "", fonduer.Options{Epochs: 2, Seed: 1, Workers: 1}, 0, 0)
+	rg, err := buildRegistry(t.TempDir(), "electronics", "", "", fonduer.Options{Epochs: 2, Seed: 1, Workers: 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +118,12 @@ func TestServeFreshSession(t *testing.T) {
 }
 
 // TestServeMultiTenantBootstrap covers -tenants parsing and the
-// resulting fleet: per-tenant domains, the -default-tenant override,
-// and spec validation errors (a fourth field is one).
+// resulting fleet: per-tenant domains, the first spec as the default
+// tenant, and spec validation errors (a fourth field is one).
 func TestServeMultiTenantBootstrap(t *testing.T) {
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1}
 	rg, err := buildRegistry(t.TempDir(), "electronics", "",
-		"elec:electronics, ads:ads:, paleo:paleo", "ads", opts, 0, 0)
+		"ads:ads:, elec:electronics, paleo:paleo", opts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 	byName := map[string]bool{}
 	for _, ts := range list {
 		byName[ts.Name] = true
-		// The -default-tenant override: ads is the default, no one else.
+		// The first spec is the default, no one else.
 		if ts.Default != (ts.Name == "ads") {
 			t.Fatalf("default flag wrong on %+v", ts)
 		}
@@ -145,12 +145,9 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 	}
 
 	for _, bad := range []string{"justaname", "x:nosuchdomain", "a:electronics:NoSuchRelation", "e:electronics::disk", "e:electronics::disk:4"} {
-		if _, err := buildRegistry(t.TempDir(), "electronics", "", bad, "", opts, 0, 0); err == nil {
+		if _, err := buildRegistry(t.TempDir(), "electronics", "", bad, opts, 0, 0); err == nil {
 			t.Fatalf("-tenants %q must fail", bad)
 		}
-	}
-	if _, err := buildRegistry(t.TempDir(), "electronics", "", "a:electronics", "nosuchtenant", opts, 0, 0); err == nil {
-		t.Fatal("-default-tenant naming an unknown tenant must fail")
 	}
 }
 
@@ -158,10 +155,10 @@ func TestServeMultiTenantBootstrap(t *testing.T) {
 // single-tenant surface.
 func TestServeUnknownInputs(t *testing.T) {
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1}
-	if _, err := buildRegistry("", "nosuchdomain", "", "", "", opts, 0, 0); err == nil {
+	if _, err := buildRegistry("", "nosuchdomain", "", "", opts, 0, 0); err == nil {
 		t.Fatal("unknown domain must fail")
 	}
-	if _, err := buildRegistry("", "electronics", "NoSuchRelation", "", "", opts, 0, 0); err == nil {
+	if _, err := buildRegistry("", "electronics", "NoSuchRelation", "", opts, 0, 0); err == nil {
 		t.Fatal("unknown relation must fail")
 	}
 }
@@ -180,7 +177,7 @@ func TestShutdownReleasesSpillDirs(t *testing.T) {
 
 	opts := fonduer.Options{Epochs: 1, Seed: 1, Workers: 1, Backend: "disk"}
 	rg, err := buildRegistry("", "electronics", "",
-		"a:electronics,b:ads,c:genomics", "", opts, 0, 0)
+		"a:electronics,b:ads,c:genomics", opts, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -707,8 +707,7 @@ func apiFields(root *types.Package) map[*types.Var]bool {
 // no non-test Go may set, each with its reason. Keys are
 // "<package path>.<type>.<field>".
 var optionAllowlist = map[string]string{
-	"repro/internal/model.TrainOptions.Clip":      "TestGoldenTrajectory hashes trained weights at other clip values",
-	"repro/internal/serve.RegistryConfig.Metrics": "tests inject a registry to read a tenant's series without HTTP",
+	"repro/internal/model.TrainOptions.Clip": "TestGoldenTrajectory hashes trained weights at other clip values",
 }
 
 // TestEveryInternalOptionIsSet fails on any field of a struct type under

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -74,8 +75,17 @@ type Store struct {
 	docs   []*storeDoc
 	byName map[string]*storeDoc
 
+	// docNames are the documents' names in ingestion order and stats
+	// their summed featurization cache statistics: both only grow, so a
+	// view takes a capped prefix of one and a copy of the other.
+	docNames []string
+	stats    features.CacheStats
+
 	// Global candidate-indexed relations; candidate IDs are assigned
-	// densely in ingestion order, so index i is candidate ID i.
+	// densely in ingestion order, so index i is candidate ID i. All
+	// three are append-only, element by element: a published view holds
+	// capped prefixes of them, so AddLF and EditLF replace votes (header
+	// and rows) instead of writing a row a view may hold.
 	cands []*candidates.Candidate
 	names [][]uint32 // Features relation: distinct features as ids into feats, first-occurrence order
 	votes [][]int8   // Labels relation: one clamped vote per LF
@@ -162,11 +172,7 @@ func (s *Store) NumCandidates() int { return len(s.cands) }
 
 // DocNames returns the ingested document names in ingestion order.
 func (s *Store) DocNames() []string {
-	out := make([]string, len(s.docs))
-	for i, sd := range s.docs {
-		out[i] = sd.name
-	}
-	return out
+	return append([]string(nil), s.docNames...)
 }
 
 // Close releases nothing, as the store holds no file or storage engine,
@@ -214,7 +220,7 @@ func (s *Store) StorageStats() StorageStats {
 // LabelMatrix is the Labels relation as a label matrix over all
 // ingested candidates — the development-mode view DevSession inspects
 // between labeling-function iterations. It shares the store's vote
-// rows, so it must be read before the next mutation.
+// rows, which no mutation writes: it keeps the votes as of the call.
 func (s *Store) LabelMatrix() *labeling.Matrix {
 	return &labeling.Matrix{Votes: s.votes, NumLFs: len(s.lfs)}
 }
@@ -335,6 +341,9 @@ func (s *Store) AddDocuments(docs ...*datamodel.Document) error {
 		}
 		s.docs = append(s.docs, sd)
 		s.byName[d.Name] = sd
+		s.docNames = append(s.docNames, d.Name)
+		s.stats.Hits += sd.stats.Hits
+		s.stats.Misses += sd.stats.Misses
 		s.cands = append(s.cands, perDoc[i]...)
 		s.names = append(s.names, internRows(s.feats, feats[i].names)...)
 		s.rows[tblSentences] += len(d.Sentences())
@@ -400,24 +409,28 @@ func (s *Store) TakeIngestSpans() []obs.Span {
 
 // AddLF installs a labeling function and applies it to every ingested
 // candidate — the Supervise stage re-run for one new Labels column.
-// It returns the LF's column index and never fails: the error result is
-// always nil.
+// Every vote row is rebuilt with the new column appended, into a new
+// header, so no published view sees the change. It returns the LF's
+// column index and never fails: the error result is always nil.
 func (s *Store) AddLF(lf labeling.LF) (int, error) {
 	s.beginMutation()
 	defer s.endMutation(true)
 	col := len(s.lfs)
 	s.lfs = append(s.lfs, lf)
 	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)
-	for i := range s.votes {
-		s.votes[i] = append(s.votes[i], votes[i])
+	rows := make([][]int8, len(s.votes))
+	for i, row := range s.votes {
+		rows[i] = append(row[:len(row):len(row)], votes[i])
 	}
+	s.votes = rows
 	s.rows[tblLabels] += countVotes(votes)
 	return col, nil
 }
 
 // EditLF replaces the labeling function at col and re-applies it to
-// every candidate: the column's votes are replaced in place. A column
-// that does not exist is the only error, and leaves the store untouched.
+// every candidate: every vote row is rebuilt with the column's new
+// votes, into a new header, as in AddLF. A column that does not exist
+// is the only error, and leaves the store untouched.
 func (s *Store) EditLF(col int, lf labeling.LF) error {
 	if col < 0 || col >= len(s.lfs) {
 		return fmt.Errorf("core: no labeling function at column %d", col)
@@ -426,12 +439,15 @@ func (s *Store) EditLF(col int, lf labeling.LF) error {
 	defer s.endMutation(true)
 	s.lfs[col] = lf
 	votes := labeling.ParallelColumnVotes(lf, s.cands, s.opts.Workers)
-	for i := range s.votes {
-		if s.votes[i][col] != 0 {
+	rows := make([][]int8, len(s.votes))
+	for i, row := range s.votes {
+		if row[col] != 0 {
 			s.rows[tblLabels]--
 		}
-		s.votes[i][col] = votes[i]
+		rows[i] = slices.Clone(row)
+		rows[i][col] = votes[i]
 	}
+	s.votes = rows
 	s.rows[tblLabels] += countVotes(votes)
 	return nil
 }

@@ -158,6 +158,9 @@ func (s *Store) resume(dir string) error {
 		}
 		s.docs = append(s.docs, sd)
 		s.byName[sd.name] = sd
+		s.docNames = append(s.docNames, sd.name)
+		s.stats.Hits += sd.stats.Hits
+		s.stats.Misses += sd.stats.Misses
 		return nil
 	})
 	if err != nil {

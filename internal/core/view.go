@@ -24,17 +24,21 @@ import (
 // view_build.go: epoch state (Store.capture — a function of the
 // corpus) and generation state (modelState — a function of the model,
 // either trained here or inherited). Immutability is by construction:
-// mutable store state (votes, relation row counts) is deep-copied at
-// capture, structurally immutable state (ingested documents,
-// candidates, per-candidate feature-id rows, and prefixes of the two
-// append-only name lists — the feature dictionary and the admitted
-// session features) is shared, and every step returns a new view
-// instead of touching its receiver.
+// the view holds capped prefixes of the store's append-only lists
+// (document names, candidates, per-candidate feature-id and vote rows,
+// the feature dictionary and the admitted session features), whose
+// elements the store never writes again — AddLF and EditLF rebuild the
+// vote rows instead — plus copies of the small mutable state (LF names,
+// relation row counts); and every step returns a new view instead of
+// touching its receiver.
 //
 // Accessors returning slices or maps either return private copies or
 // the view's own immutable data; callers must treat every returned
 // value as read-only.
 type StoreView struct {
+	// store is the store the view was captured from, for ViewDelta's
+	// same-store check only: a view never reads it.
+	store    *Store
 	epoch    uint64
 	relation string
 	task     Task
@@ -182,7 +186,7 @@ func (v *StoreView) LFMetrics() labeling.Metrics { return v.result.LFMetrics }
 
 // KB returns the epoch's materialized knowledge base. The table is
 // private to the view and never mutated after publication; use its
-// cloning read paths (Tuples/Select/Page) to hand rows out.
+// cloning read paths (Tuples/Page/PageWhere) to hand rows out.
 func (v *StoreView) KB() *kbase.Table { return v.kb }
 
 // FeatureStats summarizes the epoch's feature spaces: the run's

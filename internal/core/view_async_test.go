@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/core"
+	"repro/internal/labeling"
 	"repro/internal/synth"
 )
 
@@ -151,12 +153,108 @@ func TestViewDeltaMatchesAdopt(t *testing.T) {
 	}
 }
 
-// TestViewDeltaLeavesEarlierViewsAlone: a delta view carries its
-// predecessor's doc names, predicted tuples and session feature names
-// forward instead of copying them, so what it adds must never show
-// through an earlier view — neither through the predecessor nor through
-// a sibling built from the same predecessor — and building the same
-// delta twice must give the same view.
+// TestViewDeltaAfterLFChange: votes, marginals and LF names are epoch
+// state, so a delta published after a labeling function was edited or
+// added carries the store's current ones — bit-identical to a full View
+// at the same epoch — while its KB stays prev's generation's: the
+// epoch's corpus reclassified under prev's model. A view of another
+// store is refused as a predecessor.
+func TestViewDeltaAfterLFChange(t *testing.T) {
+	corpus := synth.Electronics(71, 8)
+	task := corpus.Tasks[0]
+	gold := corpus.GoldTuples[task.Relation]
+	opts := core.Options{Seed: 7, Epochs: 2, Workers: 2}
+	always := labeling.LF{Name: "always_positive", Fn: func(*candidates.Candidate) int { return 1 }}
+
+	for _, tc := range []struct {
+		name   string
+		change func(*core.Store) error
+	}{
+		{"EditLF", func(st *core.Store) error { return st.EditLF(0, always) }},
+		{"AddLF", func(st *core.Store) error { _, err := st.AddLF(always); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := core.NewStore(task, opts)
+			if err := st.AddDocuments(corpus.Docs[:4]...); err != nil {
+				t.Fatal(err)
+			}
+			prev, err := st.View(gold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.change(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AddDocuments(corpus.Docs[4:]...); err != nil {
+				t.Fatal(err)
+			}
+			delta, err := st.ViewDelta(prev, gold)
+			if err != nil {
+				t.Fatalf("ViewDelta after %s: %v", tc.name, err)
+			}
+			full, err := st.View(gold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if delta.Epoch() != full.Epoch() || delta.Generation() != prev.Generation() {
+				t.Fatalf("delta at (epoch %d, generation %d), want (%d, %d)", delta.Epoch(), delta.Generation(), full.Epoch(), prev.Generation())
+			}
+			changed := 0
+			for i := range full.Candidates() {
+				if !reflect.DeepEqual(delta.Votes(i), full.Votes(i)) {
+					t.Fatalf("candidate %d: delta votes %v, full view %v", i, delta.Votes(i), full.Votes(i))
+				}
+				if i < len(prev.Candidates()) && !reflect.DeepEqual(delta.Votes(i), prev.Votes(i)) {
+					changed++
+				}
+			}
+			if changed == 0 {
+				t.Fatal("the LF change altered no earlier candidate's votes; test is vacuous")
+			}
+			if !reflect.DeepEqual(delta.Marginals(), full.Marginals()) {
+				t.Error("delta marginals differ from the full view's")
+			}
+			if !reflect.DeepEqual(delta.LFMetrics(), full.LFMetrics()) {
+				t.Errorf("delta LF metrics differ from the full view's\n got: %+v\nwant: %+v", delta.LFMetrics(), full.LFMetrics())
+			}
+			if !reflect.DeepEqual(delta.LFNames(), full.LFNames()) {
+				t.Errorf("delta LF names %v, full view %v", delta.LFNames(), full.LFNames())
+			}
+
+			adopt, err := delta.AdoptModel(prev, gold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(delta.Result().Predicted, adopt.Result().Predicted) || !reflect.DeepEqual(delta.KB().Tuples(), adopt.KB().Tuples()) {
+				t.Error("delta KB differs from the epoch's corpus reclassified under prev's generation")
+			}
+			if len(delta.Result().Predicted) == 0 {
+				t.Fatal("no tuples predicted; test is vacuous")
+			}
+
+			other := core.NewStore(task, opts)
+			if err := other.AddDocuments(corpus.Docs[:4]...); err != nil {
+				t.Fatal(err)
+			}
+			foreign, err := other.View(gold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.ViewDelta(foreign, gold); err == nil {
+				t.Error("ViewDelta accepted a view of another store as its predecessor")
+			}
+		})
+	}
+}
+
+// TestViewDeltaLeavesEarlierViewsAlone: a view shares the store's
+// append-only lists in place — doc names, candidates, vote and feature
+// rows, session feature names — and a delta view carries its
+// predecessor's predicted tuples forward, so nothing a later ingest or
+// LF edit adds or rebuilds may show through an earlier view — neither
+// through the predecessor nor through a sibling built from the same
+// predecessor — and building the same delta twice must give the same
+// view.
 func TestViewDeltaLeavesEarlierViewsAlone(t *testing.T) {
 	corpus := synth.Electronics(72, 12)
 	task := corpus.Tasks[0]
@@ -170,18 +268,32 @@ func TestViewDeltaLeavesEarlierViewsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	type state struct {
-		docs, feats []string
-		predicted   []core.GoldTuple
-		stats       core.FeatureStats
-		quality     core.PRF
+		docs, feats, lfs []string
+		predicted        []core.GoldTuple
+		votes            [][]int8
+		marginals        []float64
+		stats            core.FeatureStats
+		quality          core.PRF
 	}
 	capture := func(v *core.StoreView) state {
-		return state{v.DocNames(), v.FeatureNames(), append([]core.GoldTuple(nil), v.Result().Predicted...), v.FeatureStats(), v.Result().Quality}
+		votes := make([][]int8, len(v.Candidates()))
+		for i := range votes {
+			votes[i] = append([]int8(nil), v.Votes(i)...)
+		}
+		return state{v.DocNames(), v.FeatureNames(), v.LFNames(), append([]core.GoldTuple(nil), v.Result().Predicted...),
+			votes, append([]float64(nil), v.Marginals()...), v.FeatureStats(), v.Result().Quality}
 	}
 	views := []*core.StoreView{base}
 	want := []state{capture(base)}
 	for hi := 4; hi <= len(corpus.Docs); hi += 2 {
 		prev := views[len(views)-1]
+		if hi == 8 {
+			// One step also rebuilds every vote row the earlier views hold.
+			always := labeling.LF{Name: "always_positive", Fn: func(*candidates.Candidate) int { return 1 }}
+			if err := st.EditLF(0, always); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := st.AddDocuments(corpus.Docs[prev.NumDocs():hi]...); err != nil {
 			t.Fatal(err)
 		}
@@ -210,6 +322,9 @@ func TestViewDeltaLeavesEarlierViewsAlone(t *testing.T) {
 	last := want[len(want)-1]
 	if len(last.predicted) <= len(want[0].predicted) || len(last.feats) <= len(want[0].feats) {
 		t.Fatal("the deltas added neither tuples nor features; test is vacuous")
+	}
+	if reflect.DeepEqual(last.lfs, want[0].lfs) || reflect.DeepEqual(last.votes[:len(want[0].votes)], want[0].votes) {
+		t.Fatal("the LF edit changed no LF name or earlier vote; test is vacuous")
 	}
 }
 

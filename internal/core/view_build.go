@@ -16,8 +16,11 @@ import (
 // How a StoreView is built: two orthogonal steps, each written once.
 //
 //   - Epoch state — Store.capture: everything that is a function of the
-//     corpus. It takes an optional predecessor and carries forward
-//     whatever only grows between epochs, so a capture costs the delta.
+//     corpus. The store's relations are append-only element by element
+//     (AddLF and EditLF rebuild the vote rows rather than write them), so
+//     a capture is capped prefixes of them, shared in place, plus the
+//     supervision over the epoch's full label matrix. It copies no
+//     per-document or per-candidate slice, whatever view came before.
 //   - Generation state — StoreView.withModel: everything that is a
 //     function of the model. It comes from one of two places: train
 //     (Retrain) or serve under an existing model
@@ -25,8 +28,8 @@ import (
 //
 // The four exported builders are compositions of those:
 //
-//	Store.View       capture(nil),  then a Retrain
-//	Store.ViewDelta  capture(prev), then classifyFrom(prev, len(prev.cands))
+//	Store.View       capture,  then a Retrain
+//	Store.ViewDelta  capture,  then classifyFrom(prev, len(prev.cands))
 //	Retrain          train on the view's corpus
 //	AdoptModel       classifyFrom(other, 0)
 //
@@ -38,69 +41,42 @@ import (
 // proven by TestViewDeltaMatchesAdopt and the serving layer's replay
 // suite — and a Retrain is the staged run of Store.RunSplit with
 // train = test = the full corpus, hence bit-identical to a from-scratch
-// Run (TestStoreViewEquivalence, TestViewRetrainMatchesView).
+// Run (TestStoreViewEquivalence, TestViewRetrainMatchesView). Votes,
+// marginals and LF names are epoch state, so a delta after AddLF or
+// EditLF carries the store's current ones (TestViewDeltaAfterLFChange).
 
 // capture builds the epoch state of a view of the store at its current
-// epoch. prev, when non-nil, must be a view of this same store at an
-// earlier (or equal) epoch with the same labeling functions installed;
-// everything that only grows between epochs — doc names, candidates,
-// vote rows, cache statistics — is then carried forward from it, capped
-// to its length, and only the documents ingested since are read from
-// the store. With a nil prev the whole store is read.
+// epoch: capped prefixes of the store's document names, candidates,
+// feature rows and vote rows, which no later mutation writes, and the
+// label model's marginals over those votes. hydrate names the span that
+// times the prefix capture; it counts the documents and candidates past
+// seenDocs and seenCands, what the caller already held (zero for a full
+// view).
 //
 // capture reads the store, so it takes the same writer-goroutine-only
 // guard as a mutation: call it from the thread that mutates the store,
 // never concurrently with one.
-func (s *Store) capture(prev *StoreView) (*StoreView, error) {
+func (s *Store) capture(hydrate string, seenDocs, seenCands int) *StoreView {
 	s.beginMutation()
 	defer s.endMutation(false)
-
-	hydrate := "hydrateDelta"
-	if prev == nil {
-		prev, hydrate = &StoreView{}, "hydrate" // nothing to carry forward
-	} else {
-		if prev.relation != s.task.Relation {
-			return nil, fmt.Errorf("core: ViewDelta across relations (%q vs %q)", prev.relation, s.task.Relation)
-		}
-		if len(prev.lfNames) != len(s.lfs) {
-			return nil, fmt.Errorf("core: labeling functions changed since the previous view (%d vs %d); rebuild with View", len(prev.lfNames), len(s.lfs))
-		}
-		if prev.NumDocs() > len(s.docs) {
-			return nil, fmt.Errorf("core: previous view has %d docs, store has %d", prev.NumDocs(), len(s.docs))
-		}
-	}
-	for i, n := range prev.docNames {
-		if s.docs[i].name != n {
-			return nil, fmt.Errorf("core: document order diverged at %d (%q vs %q)", i, s.docs[i].name, n)
-		}
-	}
 
 	// The view shares the store's candidate objects (immutable after
 	// ingestion) and, through them, pins every parsed document.
 	t0 := time.Now()
-	delta := s.docs[prev.NumDocs():]
-	names := prev.docNames[:len(prev.docNames):len(prev.docNames)]
-	cands := prev.cands[:len(prev.cands):len(prev.cands)]
-	splitStats := prev.splitStats
-	for _, sd := range delta {
-		names = append(names, sd.name)
-		cands = append(cands, sd.cands...)
-		splitStats.Hits += sd.stats.Hits
-		splitStats.Misses += sd.stats.Misses
-	}
-	hydrateSpan := obs.NewSpan(hydrate, t0, len(delta), len(cands)-len(prev.cands), 0)
-
+	nd, nc := len(s.docNames), len(s.cands)
 	v := &StoreView{
+		store:            s,
 		epoch:            s.epoch,
 		relation:         s.task.Relation,
 		task:             s.task,
 		opts:             s.opts,
-		docNames:         names,
-		cands:            cands,
-		names:            s.names[:len(cands):len(cands)],
+		docNames:         s.docNames[:nd:nd],
+		cands:            s.cands[:nc:nc],
+		votes:            s.votes[:nc:nc],
+		names:            s.names[:nc:nc],
 		featNames:        s.feats.NamesView(),
 		lfNames:          make([]string, len(s.lfs)),
-		splitStats:       splitStats,
+		splitStats:       s.stats,
 		sessionFeatures:  s.dict.NamesView(),
 		pendingFeatures:  s.feats.Len() - s.dict.Len(),
 		distinctFeatures: s.feats.Len(),
@@ -109,29 +85,22 @@ func (s *Store) capture(prev *StoreView) (*StoreView, error) {
 	for i, lf := range s.lfs {
 		v.lfNames[i] = lf.Name
 	}
-	// Vote rows are mutated in place by AddLF/EditLF, so the view needs
-	// its own copies. prev's rows already are private copies; only the
-	// delta candidates' rows are copied out of the mutable store.
-	v.votes = make([][]int8, len(s.votes))
-	copy(v.votes, prev.votes)
-	for i := len(prev.votes); i < len(s.votes); i++ {
-		v.votes[i] = append([]int8(nil), s.votes[i]...)
-	}
+	hydrateSpan := obs.NewSpan(hydrate, t0, nd-seenDocs, nc-seenCands, 0)
 
 	// Supervision is epoch state, not generation state: denoise over the
 	// full label matrix, exactly as a from-scratch run at this epoch
 	// would.
 	t0 = time.Now()
 	v.marginals, _, v.result.LFMetrics = superviseStage(s.opts, v.labels())
-	v.spans = []obs.Span{hydrateSpan, obs.NewSpan("supervise", t0, len(cands), len(v.marginals), 0)}
+	v.spans = []obs.Span{hydrateSpan, obs.NewSpan("supervise", t0, nc, len(v.marginals), 0)}
 
 	// The corpus-determined part of the Result: the production run trains
 	// and classifies the whole corpus, so both splits are all of it.
-	v.result.TrainCandidates = len(cands)
-	v.result.TestCandidates = len(cands)
-	v.result.CacheStats = features.CacheStats{Hits: 2 * splitStats.Hits, Misses: 2 * splitStats.Misses}
+	v.result.TrainCandidates = nc
+	v.result.TestCandidates = nc
+	v.result.CacheStats = features.CacheStats{Hits: 2 * s.stats.Hits, Misses: 2 * s.stats.Misses}
 	v.storage = s.StorageStats()
-	return v, nil
+	return v
 }
 
 // labels is the label matrix over the view's votes — nil when explicit
@@ -218,10 +187,7 @@ func (v *StoreView) classifyFrom(src *StoreView, from, workers int, gold []GoldT
 // non-nil, scopes the Result's quality evaluation exactly as in
 // RunSplit. Writer-goroutine-only, like capture.
 func (s *Store) View(gold []GoldTuple) (*StoreView, error) {
-	v, err := s.capture(nil)
-	if err != nil {
-		return nil, err
-	}
+	v := s.capture("hydrate", 0, 0)
 	nv, err := v.Retrain(RetrainConfig{Gold: gold})
 	if err != nil {
 		return nil, err
@@ -236,18 +202,21 @@ func (s *Store) View(gold []GoldTuple) (*StoreView, error) {
 // resulting view serves epoch s.Epoch() at generation
 // prev.Generation(), and its KB is bit-identical to reclassifying the
 // whole corpus under that generation. No training happens, so ingest
-// latency is decoupled from model cost.
+// latency is decoupled from model cost. Its votes, marginals and LF
+// names are the store's current ones, whatever labeling functions were
+// added or edited since prev.
 //
-// Writer-goroutine-only; prev must satisfy capture's contract — the
-// serving layer's writer loop guarantees it.
+// Writer-goroutine-only, like capture. prev must be a view of this
+// store: the store only appends documents and candidates, so prev's are
+// a prefix of the current epoch's.
 func (s *Store) ViewDelta(prev *StoreView, gold []GoldTuple) (*StoreView, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: ViewDelta requires a previous view")
 	}
-	v, err := s.capture(prev)
-	if err != nil {
-		return nil, err
+	if prev.store != s {
+		return nil, fmt.Errorf("core: ViewDelta from a view of another store")
 	}
+	v := s.capture("hydrateDelta", prev.NumDocs(), len(prev.cands))
 	// A writer-path delta is a handful of candidates: score them inline.
 	t0 := time.Now()
 	res := v.classifyFrom(prev, len(prev.cands), 1, gold)

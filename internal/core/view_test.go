@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/candidates"
 	"repro/internal/core"
+	"repro/internal/labeling"
 	"repro/internal/synth"
 )
 
@@ -118,8 +120,9 @@ func TestStoreViewClassifyMatchesRun(t *testing.T) {
 // contract at the core level: direct Store mutation is
 // writer-goroutine-only, while StoreView accessors are safe from any
 // number of goroutines — including concurrently with the writer
-// ingesting more documents and publishing fresh views. Run under
-// -race, this is the satellite coverage for Store misuse vs. view
+// ingesting more documents, adding and editing labeling functions, and
+// publishing fresh delta views that share the store's rows in place.
+// Run under -race, this is the coverage for Store misuse vs. view
 // safety.
 func TestStoreViewConcurrentReaders(t *testing.T) {
 	corpus := synth.Electronics(29, 6)
@@ -154,13 +157,25 @@ func TestStoreViewConcurrentReaders(t *testing.T) {
 					t.Errorf("epoch %d: %d candidates vs %d marginals", epoch, n, len(v.Marginals()))
 					return
 				}
+				nLFs := len(v.LFNames())
+				sum := 0.0
+				for c, m := range v.Marginals() {
+					votes := v.Votes(c)
+					if len(votes) != nLFs {
+						t.Errorf("epoch %d: candidate %d has %d votes for %d LFs", epoch, c, len(votes), nLFs)
+						return
+					}
+					for _, vote := range votes {
+						sum += float64(vote)
+					}
+					sum += m
+				}
+				_ = sum
 				_ = v.DocNames()
-				_ = v.LFNames()
 				_ = v.LFMetrics()
 				_ = v.FeatureStats()
 				_ = v.TableRows()
 				_ = v.KB().Tuples()
-				_ = v.Votes(0)
 				// The model forward pass is the expensive accessor;
 				// exercise it on a fraction of iterations so the
 				// writer keeps making progress under -race.
@@ -175,18 +190,24 @@ func TestStoreViewConcurrentReaders(t *testing.T) {
 	}
 
 	// The writer goroutine: ingest the rest one document at a time,
-	// publishing a fresh view after each mutation.
-	for _, doc := range corpus.Docs[2:] {
-		if err := st.AddDocuments(doc); err != nil {
-			t.Error(err)
-			break
+	// adding or editing a labeling function between ingests, and publish
+	// a fresh delta view after each mutation.
+	always := labeling.LF{Name: "always_positive", Fn: func(*candidates.Candidate) int { return 1 }}
+	mutations := []func() error{
+		func() error { _, err := st.AddLF(always); return err },
+		func() error { return st.EditLF(0, always) },
+	}
+	for i, doc := range corpus.Docs[2:] {
+		for k, mutate := range []func() error{func() error { return st.AddDocuments(doc) }, mutations[i%2]} {
+			if err := mutate(); err != nil {
+				t.Fatalf("mutation %d.%d: %v", i, k, err)
+			}
+			v, err := st.ViewDelta(published.Load(), gold)
+			if err != nil {
+				t.Fatalf("mutation %d.%d: %v", i, k, err)
+			}
+			published.Store(v)
 		}
-		v, err := st.View(gold)
-		if err != nil {
-			t.Error(err)
-			break
-		}
-		published.Store(v)
 	}
 	close(stop)
 	wg.Wait()

@@ -97,10 +97,10 @@ func TestBackendSetSemantics(t *testing.T) {
 			t.Fatal("phantom membership")
 		}
 		// Exact-tuple delete re-packs and keeps the rest queryable.
-		if !tbl.Delete(Tuple{"p04", 4}) {
+		if !deleteTuple(tbl, Tuple{"p04", 4}) {
 			t.Fatal("Delete(p04) = false")
 		}
-		if tbl.Delete(Tuple{"p04", 4}) {
+		if deleteTuple(tbl, Tuple{"p04", 4}) {
 			t.Fatal("second Delete(p04) must be false")
 		}
 		if tbl.Len() != 9 || tbl.Contains(Tuple{"p04", 4}) {
@@ -440,8 +440,8 @@ func TestDiskBackendPaging(t *testing.T) {
 	if after := tbl.BackendStats(); after.CacheHits <= bs.CacheHits {
 		t.Fatalf("expected cache hits to grow: %+v -> %+v", bs, after)
 	}
-	if tbl.BackendKind() != "disk" {
-		t.Fatalf("kind = %q", tbl.BackendKind())
+	if tbl.be.kind != "disk" {
+		t.Fatalf("kind = %q", tbl.be.kind)
 	}
 	if n := tbl.DeleteWhere(func(tp Tuple) bool { return tp[1].(int64) < 9 }); n != 9 {
 		t.Fatalf("DeleteWhere removed %d", n)
@@ -618,8 +618,8 @@ func TestDiskDBSaveLoadRoundTrip(t *testing.T) {
 	if !EqualDB(db, mem) || !EqualDB(db, disk) || !EqualDB(mem, disk) {
 		t.Fatal("round-tripped databases differ")
 	}
-	if disk.BackendKind() != "disk" {
-		t.Fatalf("restored kind = %q", disk.BackendKind())
+	if disk.engine.kind != "disk" {
+		t.Fatalf("restored kind = %q", disk.engine.kind)
 	}
 	// A disk snapshot is the table files and their manifest, nothing
 	// derived beside them.

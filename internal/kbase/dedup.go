@@ -8,7 +8,7 @@ import (
 
 // The dedup key of a tuple is its cells rendered as fmt.Sprint renders
 // them, joined by NUL bytes. It is never built: hashTuple feeds those
-// bytes straight into FNV-1a, and rowsEqual decides a hash hit cell by
+// bytes straight into FNV-1a, and Table.find decides a hash hit cell by
 // cell, so ("a\x00b", "c") and ("a", "b\x00c") — equal as joined bytes —
 // are different rows.
 
@@ -57,40 +57,6 @@ func hashTuple(tp Tuple) uint64 {
 		}
 	}
 	return h & dedupHashMask
-}
-
-// rowsEqual reports whether a stored (normalized) row and a probe
-// tuple of the same width have the same dedup key, that is, whether
-// every pair of cells renders alike. The typed cases are renderCell
-// equality without the rendering.
-func rowsEqual(stored, probe Tuple) bool {
-	for i, a := range stored {
-		if !cellsEqual(a, probe[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func cellsEqual(a, b any) bool {
-	switch x := a.(type) {
-	case string:
-		if y, ok := b.(string); ok {
-			return x == y
-		}
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			return x == y
-		case int:
-			return x == int64(y)
-		}
-	case float64:
-		if y, ok := b.(float64); ok {
-			return floatsEqual(x, y)
-		}
-	}
-	return renderCell(a) == renderCell(b)
 }
 
 // floatsEqual reports whether two floats render alike: the shortest

@@ -116,7 +116,7 @@ func TestEngineRandomHistories(t *testing.T) {
 				t.Helper()
 				for _, tbl := range tables {
 					if err := fn(tbl); err != nil {
-						t.Fatalf("%s on %s: %v", op, tbl.BackendKind(), err)
+						t.Fatalf("%s on %s: %v", op, tbl.be.kind, err)
 					}
 				}
 			}
@@ -161,7 +161,7 @@ func TestEngineRandomHistories(t *testing.T) {
 						model = append(model[:at:at], model[at+1:]...)
 					}
 					each(op, func(tbl *Table) error {
-						if got := tbl.Delete(tp); got != (at >= 0) {
+						if got := deleteTuple(tbl, tp); got != (at >= 0) {
 							return fmt.Errorf("= %v, want %v", got, at >= 0)
 						}
 						return nil
@@ -213,12 +213,14 @@ func TestEngineRandomHistories(t *testing.T) {
 				case k < 17:
 					preds := historyPreds(rng, domain)
 					stopAfter := 1 + rng.Intn(6)
-					op = fmt.Sprintf("ScanWhere(%v) stopping after %d", preds, stopAfter)
+					op = fmt.Sprintf("Scan filtered by %v stopping after %d", preds, stopAfter)
 					want := modelWindow(modelFilter(model, preds), 0, stopAfter)
 					each(op, func(tbl *Table) error {
 						var got []Tuple
-						tbl.ScanWhere(preds, func(tp Tuple) bool {
-							got = append(got, tp.Clone())
+						tbl.Scan(func(tp Tuple) bool {
+							if len(modelFilter([]Tuple{tp}, preds)) == 1 {
+								got = append(got, tp.Clone())
+							}
 							return len(got) < stopAfter
 						})
 						if !reflect.DeepEqual(got, want) {
@@ -266,7 +268,7 @@ func TestEngineRandomHistories(t *testing.T) {
 					got := tbl.Tuples()
 					if tbl.Len() != len(model) || len(got) != len(model) || len(got) > 0 && !reflect.DeepEqual(got, model) {
 						t.Fatalf("step %d, after %s: %s holds %d rows %v, model %d rows %v",
-							step, op, tbl.BackendKind(), tbl.Len(), got, len(model), model)
+							step, op, tbl.be.kind, tbl.Len(), got, len(model), model)
 					}
 				}
 			}

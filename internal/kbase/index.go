@@ -147,18 +147,6 @@ func buildColIndex(be *pagedBackend, col int) *colIndex {
 	return ci
 }
 
-// ScanWhere calls fn for every tuple satisfying all predicates, in
-// insertion order, until fn returns false. The tuple is borrowed,
-// like Scan's. The planner may answer through a hash index or a
-// backend scan; both emit identical rows.
-func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
-	m := compilePreds(t.schema, preds)
-	if m.impossible {
-		return
-	}
-	t.be.Scan(t.choosePlan(m), m, fn)
-}
-
 // PlanInfo describes how one filtered read was answered, for slow-
 // query logging and tracing. Plan is one of "unfiltered" (no
 // predicates), "impossible" (a predicate no row can satisfy: a missing

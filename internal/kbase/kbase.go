@@ -174,9 +174,6 @@ func newTableWith(schema Schema, be *pagedBackend) *Table {
 	return &Table{schema: schema, be: be, plan: newPlanner()}
 }
 
-// BackendKind names the table's storage backend.
-func (t *Table) BackendKind() string { return t.be.kind }
-
 // BackendStats reports the table's page-cache counters (zero-valued
 // for the in-memory backend).
 func (t *Table) BackendStats() BackendStats { return t.be.Stats() }
@@ -360,22 +357,10 @@ func (t *Table) Contains(tp Tuple) bool {
 	return found
 }
 
-// Delete removes the exact tuple (after int normalization), reporting
-// whether it was present. Deletion re-packs the stored rows, so it is
-// O(n). Bulk re-materialization (e.g. a labeling-function edit
-// rewriting a Labels column) goes through DeleteWhere, which re-packs
-// once for any number of rows.
-func (t *Table) Delete(tp Tuple) bool {
-	if !t.Contains(tp) {
-		return false
-	}
-	// Set semantics: exactly one stored row equals tp.
-	t.DeleteWhere(func(row Tuple) bool { return rowsEqual(row, tp) })
-	return true
-}
-
 // DeleteWhere removes every tuple satisfying pred, returning how many
 // were deleted. Surviving tuples keep their relative insertion order.
+// Deletion re-packs the stored rows once, so it is O(n) for any number
+// of deleted rows.
 func (t *Table) DeleteWhere(pred func(Tuple) bool) int {
 	deleted := t.be.DeleteWhere(pred)
 	if deleted > 0 {
@@ -389,25 +374,10 @@ func (t *Table) DeleteWhere(pred func(Tuple) bool) int {
 // stops the scan. The tuple passed to fn is *borrowed*: it is a scratch
 // row the next call overwrites, so it is valid for the duration of the
 // callback only and must not be retained or modified (clone it with
-// Tuple.Clone to keep it). Scan is the one deliberately zero-copy read path; Select,
-// Tuples and Page return detached rows.
+// Tuple.Clone to keep it). Scan is the one deliberately zero-copy read path; Tuples,
+// Page and PageWhere return detached rows.
 func (t *Table) Scan(fn func(Tuple) bool) {
 	t.be.Scan(nil, matcher{}, fn)
-}
-
-// Select returns clones of the tuples satisfying the predicate. The
-// result shares no storage with the table: callers (the serving layer
-// hands these out to concurrent readers) may hold or modify them
-// freely while the table keeps mutating.
-func (t *Table) Select(pred func(Tuple) bool) []Tuple {
-	var out []Tuple
-	t.be.Scan(nil, matcher{}, func(tp Tuple) bool {
-		if pred(tp) {
-			out = append(out, tp.Clone())
-		}
-		return true
-	})
-	return out
 }
 
 // Tuples returns a deep copy of the stored tuples: both the outer
@@ -448,9 +418,6 @@ func NewDB() *DB { return NewDBWith(memoryEngine) }
 func NewDBWith(engine *Engine) *DB {
 	return &DB{engine: engine, tables: map[string]*Table{}}
 }
-
-// BackendKind names the database's storage engine.
-func (db *DB) BackendKind() string { return db.engine.kind }
 
 // Create creates a table for the schema. Creating an existing table is
 // an error (the pipeline initializes each KB exactly once).

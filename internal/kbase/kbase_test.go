@@ -106,10 +106,6 @@ func TestScanSelect(t *testing.T) {
 	if len(seen) != 2 {
 		t.Fatalf("early-stop scan saw %v", seen)
 	}
-	sel := tbl.Select(func(tp Tuple) bool { return tp[0].(string) != "B" })
-	if len(sel) != 2 {
-		t.Fatalf("select = %v", sel)
-	}
 	cp := tbl.Tuples()
 	cp[0] = Tuple{"X", "Y"}
 	if tbl.Tuples()[0][0] != "A" {
@@ -146,7 +142,6 @@ func TestReadPathsDetached(t *testing.T) {
 		}
 	}
 	check("Tuples", tbl.Tuples())
-	check("Select", tbl.Select(func(Tuple) bool { return true }))
 	check("Page", tbl.Page(0, 3))
 
 	// Scan borrows; Clone detaches the borrow.

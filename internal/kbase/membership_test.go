@@ -53,7 +53,7 @@ func TestContainsDeleteProbes(t *testing.T) {
 			}
 		}
 		for _, p := range probes {
-			if got := tbl.Delete(p.tp); got != p.deletes {
+			if got := deleteTuple(tbl, p.tp); got != p.deletes {
 				t.Errorf("Delete(%#v) = %v, want %v", p.tp, got, p.deletes)
 			}
 		}

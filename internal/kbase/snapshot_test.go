@@ -141,10 +141,10 @@ func TestTableDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !tbl.Delete(Tuple{"c", 2}) {
+	if !deleteTuple(tbl, Tuple{"c", 2}) {
 		t.Fatal("delete existing")
 	}
-	if tbl.Delete(Tuple{"c", 2}) {
+	if deleteTuple(tbl, Tuple{"c", 2}) {
 		t.Fatal("double delete")
 	}
 	if tbl.Len() != 4 || tbl.Contains(Tuple{"c", 2}) {

@@ -153,16 +153,6 @@ func whereGrid(t *testing.T, ref, tbl *Table, stage string) {
 		{0, 0}, {0, -1}, {0, 1}, {0, 3}, {1, 2}, {3, 100}, {-2, 2}, {1000, 5},
 	}
 	for pi, preds := range predSets {
-		// ScanWhere equivalence (borrowed tuples, full result).
-		var got []Tuple
-		tbl.ScanWhere(preds, func(tp Tuple) bool {
-			got = append(got, tp.Clone())
-			return true
-		})
-		want, _ := legacyFilterPage(ref, preds, 0, 0)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: ScanWhere preds#%d: got %v want %v", stage, pi, got, want)
-		}
 		for _, pg := range pages {
 			gotRows, gotTotal := tbl.PageWhere(preds, pg.offset, pg.limit)
 			wantRows, wantTotal := legacyFilterPage(ref, preds, pg.offset, pg.limit)
@@ -226,7 +216,7 @@ func TestFilteredReadEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			engine := memoryEngine
-			switch tbl.BackendKind() {
+			switch tbl.be.kind {
 			case "disk":
 				var err error
 				engine, err = NewDiskEngine(filepath.Join(t.TempDir(), "spill2"), 4, 2)
@@ -411,7 +401,6 @@ func TestFilteredReadsConcurrentIngest(t *testing.T) {
 							}
 						}
 					}
-					tbl.ScanWhere(preds, func(Tuple) bool { return true })
 					select {
 					case <-stop:
 						return

@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/synth"
 )
@@ -376,9 +374,8 @@ func TestServeTrainFailureKeepsDelta(t *testing.T) {
 		opts.Marginals[i] = 0.9
 	}
 
-	metrics := obs.NewMetrics()
-	srv := newTenant(t, task, gold, serve.RegistryConfig{BaseOptions: opts, Metrics: metrics}, "")
-	ts := httptest.NewServer(srv.Handler())
+	rg := newTenantRegistry(t, task, gold, serve.RegistryConfig{BaseOptions: opts}, "")
+	ts := httptest.NewServer(rg.Handler())
 	defer ts.Close()
 
 	// The trainer works while the marginals cover the corpus.
@@ -415,11 +412,7 @@ func TestServeTrainFailureKeepsDelta(t *testing.T) {
 
 	// A stuck generation is retried, not refused.
 	postJSON(t, ts.URL+"/admin/train", nil, http.StatusInternalServerError)
-	var buf bytes.Buffer
-	if err := metrics.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if want := `fonduer_panics_total{tenant="default",where="trainer"} 2`; !strings.Contains(buf.String(), want) {
+	if want := `fonduer_panics_total{tenant="default",where="trainer"} 2`; !strings.Contains(getText(t, ts.URL+"/metrics"), want) {
 		t.Fatalf("metrics lack %s", want)
 	}
 	meta := getJSON(t, ts.URL+"/meta", http.StatusOK)

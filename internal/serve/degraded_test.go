@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"bytes"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/candidates"
 	"repro/internal/core"
 	"repro/internal/datamodel"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/synth"
 )
@@ -192,6 +190,11 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		{"b", "ads", synth.Ads(44, 4)},
 		{"c", "genomics", synth.Genomics(45, 4)},
 	}
+	// The first tenant created is the default, which cannot be deleted:
+	// one that stays idle, so that A can be deleted and re-created.
+	if _, err := rg.Create(serve.TenantConfig{Name: "idle", Domain: "ads"}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tn := range tenants {
 		if _, err := rg.Create(serve.TenantConfig{Name: tn.name, Domain: tn.domain}); err != nil {
 			t.Fatal(err)
@@ -264,9 +267,6 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	// The way back: delete and re-create A. It resumes its snapshot —
 	// the KB it was serving — healthy, and takes the batch it refused.
 	armed.Store(false)
-	if err := rg.SetDefault("c"); err != nil {
-		t.Fatal(err)
-	}
 	deleteReq(t, ts.URL+"/admin/tenants/a", http.StatusOK)
 	created := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "a", "domain": "electronics"}, http.StatusCreated)
 	if _, kb := kbOf(t, ts.URL+"/t/a"); created["resumed"] != true || kb != kbA {
@@ -386,9 +386,8 @@ func TestWriterPanicClosesTenant(t *testing.T) {
 		}
 		return true
 	})
-	metrics := obs.NewMetrics()
-	srv := newTenant(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 5, Epochs: 1, Workers: 2}, Metrics: metrics}, "")
-	ts := httptest.NewServer(srv.Handler())
+	rg := newTenantRegistry(t, task, nil, serve.RegistryConfig{BaseOptions: core.Options{Seed: 5, Epochs: 1, Workers: 2}}, "")
+	ts := httptest.NewServer(rg.Handler())
 	defer ts.Close()
 
 	postJSON(t, ts.URL+"/ingest", uploads(corpus, 0, 1), http.StatusOK)
@@ -403,16 +402,13 @@ func TestWriterPanicClosesTenant(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/classify", uploadFor(corpus, 1), http.StatusInternalServerError)
 
-	var buf bytes.Buffer
-	if err := metrics.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
+	exposition := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		`fonduer_panics_total{tenant="default",where="writer"} 1`,
 		`fonduer_panics_total{tenant="default",where="http"} 1`,
 		`fonduer_http_requests_total{tenant="default",route="/classify",status="500"} 1`,
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(exposition, want) {
 			t.Errorf("metrics lack %s", want)
 		}
 	}

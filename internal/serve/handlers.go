@@ -443,12 +443,6 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metaPayload())
-}
-
-// metaPayload builds the full /meta body; the registry reuses it for
-// the default-tenant alias and decorates it with fleet-wide state.
-func (s *Server) metaPayload() map[string]any {
 	v := s.CurrentView()
 	schema := v.Schema()
 	cols := make([]map[string]string, schema.Arity())
@@ -497,7 +491,7 @@ func (s *Server) metaPayload() map[string]any {
 	if d := s.Degraded(); d != nil {
 		p["degraded"] = d
 	}
-	return p
+	writeJSON(w, http.StatusOK, p)
 }
 
 // handleTraces serves the session's buffered publication traces,

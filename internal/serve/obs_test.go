@@ -445,10 +445,9 @@ func TestTracesAndHealthObservability(t *testing.T) {
 		t.Fatalf("/meta trace section = %v", meta["trace"])
 	}
 
-	// Fleet aggregation keyed by tenant.
-	fleet := getJSON(t, ts.URL+"/admin/traces", http.StatusOK)
-	if _, ok := fleet["tenants"].(map[string]any)["elec"]; !ok {
-		t.Fatalf("fleet traces = %v", fleet)
+	// The un-prefixed route answers the default tenant's ring.
+	if alias := getJSON(t, ts.URL+"/admin/traces", http.StatusOK); !reflect.DeepEqual(alias, tr) {
+		t.Fatalf("un-prefixed traces = %v, want elec's ring %v", alias, tr)
 	}
 
 	// Uptime and build identity on tenant and fleet healthz.

@@ -24,12 +24,14 @@ package serve
 //	/t/<tenant>/kb|candidates|marginals|lfmetrics|features|meta|
 //	            ingest|classify|healthz|admin/snapshot
 //	                      per-tenant API: the tenant Server's Handler
-//	/kb, /ingest, ...     the same routes, un-prefixed: the default tenant
+//	/kb, /meta, ...       the same routes, un-prefixed: the default tenant,
+//	                      the first one created
 //	GET    /admin/tenants           list tenants with epoch/doc stats
 //	POST   /admin/tenants           create a tenant {name, domain, relation}
 //	DELETE /admin/tenants/<name>    remove from routing, Close the store
-//	GET    /healthz, /meta          registry-wide aggregation (default tenant's
-//	                                payload + per-tenant fleet summary)
+//	GET    /healthz                 fleet roll-up (default tenant's payload +
+//	                                per-tenant summaries; ok over every tenant)
+//	GET    /metrics                 Prometheus exposition of the fleet
 
 import (
 	"errors"
@@ -65,11 +67,6 @@ type RegistryConfig struct {
 	// tenant <name> serving relation <rel> snapshots into (and resumes
 	// from) <SnapshotRoot>/<name>/<rel>.
 	SnapshotRoot string
-	// Metrics receives the fleet's instrumentation; nil creates a
-	// private registry (every Registry serves GET /metrics either
-	// way). Per-Registry rather than process-global, so concurrent
-	// registries — tests, embedders — never share series.
-	Metrics *obs.Metrics
 	// TrainDrift and TrainInterval configure every tenant's background
 	// trainer. TrainDrift retrains when the session feature space has
 	// grown by more than this fraction since the serving generation was
@@ -105,8 +102,7 @@ type TenantConfig struct {
 	SnapshotDir string `json:"-"`
 }
 
-// TenantStatus is one tenant's row in GET /admin/tenants and the
-// registry /meta aggregation.
+// TenantStatus is one tenant's row in GET /admin/tenants.
 type TenantStatus struct {
 	Name     string `json:"name"`
 	Domain   string `json:"domain"`
@@ -137,7 +133,7 @@ var (
 var tenantName = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
 // fleetTenant is the pseudo-tenant labeling the registry's own routes
-// (/admin/tenants, fleet /healthz, /meta, /metrics) in the HTTP
+// (/admin/tenants, fleet /healthz, /metrics) in the HTTP
 // metrics; Create refuses it as a real tenant name.
 const fleetTenant = "_fleet"
 
@@ -164,31 +160,31 @@ type Registry struct {
 	trainDrift    float64
 	trainInterval time.Duration
 
-	// metrics is the fleet's instrumentation registry: tenantMetrics
-	// are the families every tenant's Server (and the fleet routes,
-	// under _fleet) records into, fleetMetrics the gauge/counter
-	// families the /metrics handler samples at scrape time.
+	// metrics is the fleet's instrumentation registry, private to this
+	// Registry so concurrent registries never share series:
+	// tenantMetrics are the families every tenant's Server (and the
+	// fleet routes, under _fleet) records into, fleetMetrics the
+	// gauge/counter families the /metrics handler samples at scrape
+	// time.
 	metrics       *obs.Metrics
 	tenantMetrics *serverMetrics
 	fleetMetrics  *registryMetrics
 
-	mu          sync.RWMutex
-	tenants     map[string]*tenantEntry
+	mu      sync.RWMutex
+	tenants map[string]*tenantEntry
+	// defaultName is the first tenant created, set once: Delete refuses
+	// it, so the un-prefixed routes always reach the same tenant.
 	defaultName string
 	closed      bool
 }
 
 // NewRegistry builds an empty registry. The first tenant created
-// becomes the default (un-prefixed route alias) unless SetDefault
-// picks another.
+// becomes the default (un-prefixed route alias).
 func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.Resolve == nil {
 		return nil, fmt.Errorf("serve: registry needs a task resolver")
 	}
-	m := cfg.Metrics
-	if m == nil {
-		m = obs.NewMetrics()
-	}
+	m := obs.NewMetrics()
 	return &Registry{
 		resolve:       cfg.Resolve,
 		baseOpts:      cfg.BaseOptions,
@@ -298,17 +294,6 @@ func (rg *Registry) buildTenant(tc TenantConfig, task core.Task, gold []core.Gol
 	return &tenantEntry{cfg: tc, srv: srv, handler: srv.Handler(), resumed: resumed}, nil
 }
 
-// SetDefault makes name the default tenant (the un-prefixed alias).
-func (rg *Registry) SetDefault(name string) error {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	if e, ok := rg.tenants[name]; !ok || e == nil {
-		return fmt.Errorf("serve: %w: %q", ErrUnknownTenant, name)
-	}
-	rg.defaultName = name
-	return nil
-}
-
 // Get returns a tenant's serving unit, or nil if unknown.
 func (rg *Registry) Get(name string) *Server {
 	rg.mu.RLock()
@@ -334,7 +319,7 @@ func (rg *Registry) Delete(name string) error {
 	}
 	if name == rg.defaultName {
 		rg.mu.Unlock()
-		return fmt.Errorf("%w: tenant %q is the default tenant; pick a new default before deleting it", errBadRequest, name)
+		return fmt.Errorf("%w: tenant %q is the default tenant, which cannot be deleted", errBadRequest, name)
 	}
 	rg.tenants[name] = nil // reservation
 	rg.mu.Unlock()
@@ -401,8 +386,8 @@ func (rg *Registry) Close() {
 
 // Handler returns the registry's HTTP API: per-tenant routes under
 // /t/<name>/, the same routes un-prefixed for the default tenant,
-// tenant lifecycle under /admin/tenants, fleet-wide /healthz + /meta + /admin/traces,
-// and Prometheus exposition at /metrics. Fleet-level routes are
+// tenant lifecycle under /admin/tenants, the fleet-wide /healthz, and
+// Prometheus exposition at /metrics. Fleet-level routes are
 // instrumented under the pseudo-tenant "_fleet"; Create reserves the
 // name so a real tenant can never alias its series.
 func (rg *Registry) Handler() http.Handler {
@@ -414,9 +399,7 @@ func (rg *Registry) Handler() http.Handler {
 	reg("POST /admin/tenants", rg.handleCreate)
 	reg("DELETE /admin/tenants/{name}", rg.handleDelete)
 	reg("GET /healthz", rg.handleHealthz)
-	reg("GET /meta", rg.handleMeta)
 	reg("GET /metrics", rg.handleMetrics)
-	reg("GET /admin/traces", rg.handleTraces)
 	mux.HandleFunc("/t/{tenant}", rg.handleTenant) // no trailing path: still resolve, 404 cleanly
 	mux.HandleFunc("/t/{tenant}/", rg.handleTenant)
 	mux.HandleFunc("/", rg.handleTenant) // un-prefixed: the default tenant
@@ -560,41 +543,6 @@ func (rg *Registry) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		respErrWrite.Add(1)
 		obs.Log().Debug("metrics exposition write failed", "error", err)
 	}
-}
-
-// handleTraces is the fleet GET /admin/traces: every tenant's recent
-// publication traces, keyed by tenant name. (Per-tenant rings are
-// also served at /t/<name>/admin/traces.)
-func (rg *Registry) handleTraces(w http.ResponseWriter, r *http.Request) {
-	var entries []*tenantEntry
-	if !rg.read(w, func() { entries = rg.sortedEntriesLocked() }) {
-		return
-	}
-	perTenant := make(map[string]any, len(entries))
-	for _, e := range entries {
-		perTenant[e.cfg.Name] = e.srv.Traces()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": perTenant})
-}
-
-// handleMeta serves the registry-wide /meta: the default tenant's
-// full metadata (alias compatibility) decorated with a "registry"
-// section carrying the fleet's per-tenant stats.
-func (rg *Registry) handleMeta(w http.ResponseWriter, r *http.Request) {
-	var def *tenantEntry
-	var defName string
-	if !rg.read(w, func() { def, defName = rg.tenants[rg.defaultName], rg.defaultName }) {
-		return
-	}
-	p := map[string]any{}
-	if def != nil {
-		p = def.srv.metaPayload()
-	}
-	p["registry"] = map[string]any{
-		"default": defName,
-		"tenants": rg.List(),
-	}
-	writeJSON(w, http.StatusOK, p)
 }
 
 // sortedEntriesLocked snapshots the live tenants in name order;

@@ -60,11 +60,19 @@ func newTestRegistry(t *testing.T, root string, opts core.Options) *serve.Regist
 }
 
 // newTenant is how a test gets a Server: tenant "default" of a registry
-// of its own whose resolver serves task and gold, under cfg's options
-// and trainer settings. It resumes the snapshot in snapDir, if there is
-// one, and snapshots there; "" refuses snapshots. The registry closes
-// with the test.
+// of its own (newTenantRegistry).
 func newTenant(t testing.TB, task core.Task, gold []core.GoldTuple, cfg serve.RegistryConfig, snapDir string) *serve.Server {
+	t.Helper()
+	return newTenantRegistry(t, task, gold, cfg, snapDir).Get("default")
+}
+
+// newTenantRegistry builds a registry of one tenant, "default", whose
+// resolver serves task and gold, under cfg's options and trainer
+// settings: its Handler serves the tenant un-prefixed, plus the fleet
+// routes (/metrics). The tenant resumes the snapshot in snapDir, if
+// there is one, and snapshots there; "" refuses snapshots. The registry
+// closes with the test.
+func newTenantRegistry(t testing.TB, task core.Task, gold []core.GoldTuple, cfg serve.RegistryConfig, snapDir string) *serve.Registry {
 	t.Helper()
 	cfg.Resolve = func(string, string) (core.Task, []core.GoldTuple, error) { return task, gold, nil }
 	rg, err := serve.NewRegistry(cfg)
@@ -75,7 +83,7 @@ func newTenant(t testing.TB, task core.Task, gold []core.GoldTuple, cfg serve.Re
 	if _, err := rg.Create(serve.TenantConfig{Name: "default", SnapshotDir: snapDir}); err != nil {
 		t.Fatal(err)
 	}
-	return rg.Get("default")
+	return rg
 }
 
 // spillFDs lists what this process's open descriptors on kbase spill

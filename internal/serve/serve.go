@@ -485,8 +485,3 @@ func (s *Server) Snapshot() (string, uint64, error) {
 	}
 	return dir, val.(uint64), nil
 }
-
-// Traces returns the session's buffered publication traces, newest
-// first (the /admin/traces payload; the registry aggregates it per
-// tenant).
-func (s *Server) Traces() []obs.Trace { return s.traces.Snapshot() }

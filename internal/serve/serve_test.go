@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -49,6 +50,21 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 		t.Fatalf("GET %s: %v", url, err)
 	}
 	return out
+}
+
+// getText returns the body of a GET that must answer 200.
+func getText(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+	}
+	return string(body)
 }
 
 // rawBody is a request body postJSON sends as it is, unmarshaled.
