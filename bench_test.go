@@ -142,9 +142,11 @@ func BenchmarkOpenStore(b *testing.B) {
 // BenchmarkServeKBRead / BenchmarkServeMixedRead establish the
 // serving subsystem's read-throughput baseline: concurrent clients
 // querying a populated store through the full HTTP handler stack
-// (request routing, snapshot-view loading, tuple cloning, JSON
-// encoding) without network overhead. ns/op is the per-query latency;
-// queries/sec is reported as a custom metric.
+// (request routing and instrumentation, snapshot-view loading, the
+// table's page read, the body appended into a pooled buffer) without
+// network overhead. ns/op is the per-query latency, allocs/op and B/op
+// include the recorder and request each query builds; queries/sec is
+// reported as a custom metric.
 func BenchmarkServeKBRead(b *testing.B) {
 	benchServeRead(b, []string{"/kb"})
 }
@@ -199,6 +201,7 @@ func benchServeRead(b *testing.B, paths []string) {
 			b.Fatalf("warm-up status %d for %s", rec.Code, path)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	b.RunParallel(func(pb *testing.PB) {

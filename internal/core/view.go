@@ -143,11 +143,10 @@ func (v *StoreView) Relation() string { return v.relation }
 // Schema returns the task's target KB schema.
 func (v *StoreView) Schema() kbase.Schema { return v.task.Schema }
 
-// DocNames returns a copy of the ingested document names in ingestion
-// order.
-func (v *StoreView) DocNames() []string {
-	return append([]string(nil), v.docNames...)
-}
+// DocNames returns the ingested document names in ingestion order, nil
+// before the first document: a capped prefix of the store's names,
+// shared, read-only.
+func (v *StoreView) DocNames() []string { return v.docNames }
 
 // NumDocs returns the number of ingested documents.
 func (v *StoreView) NumDocs() int { return len(v.docNames) }

@@ -280,7 +280,7 @@ func TestViewDeltaLeavesEarlierViewsAlone(t *testing.T) {
 		for i := range votes {
 			votes[i] = append([]int8(nil), v.Votes(i)...)
 		}
-		return state{v.DocNames(), v.FeatureNames(), v.LFNames(), append([]core.GoldTuple(nil), v.Result().Predicted...),
+		return state{append([]string(nil), v.DocNames()...), v.FeatureNames(), v.LFNames(), append([]core.GoldTuple(nil), v.Result().Predicted...),
 			votes, append([]float64(nil), v.Marginals()...), v.FeatureStats(), v.Result().Quality}
 	}
 	views := []*core.StoreView{base}

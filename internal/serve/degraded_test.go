@@ -160,7 +160,9 @@ func TestPartialIngestMarksDegraded(t *testing.T) {
 // listing show it; B (disk) and C (memory) never notice — every epoch
 // they publish afterwards is bit-identical to a fresh single-tenant
 // registry's.
-// Deleting and re-creating A reloads it from its snapshot.
+// A is the default tenant: deleting it leaves the un-prefixed routes
+// answering 404 with its name, and re-creating it reloads it from its
+// snapshot behind them.
 func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 	opts := core.Options{Seed: 5, Epochs: 1, Workers: 1}
 	root := t.TempDir()
@@ -189,11 +191,6 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		{"a", "electronics", synth.Electronics(78, 4)},
 		{"b", "ads", synth.Ads(44, 4)},
 		{"c", "genomics", synth.Genomics(45, 4)},
-	}
-	// The first tenant created is the default, which cannot be deleted:
-	// one that stays idle, so that A can be deleted and re-created.
-	if _, err := rg.Create(serve.TenantConfig{Name: "idle", Domain: "ads"}); err != nil {
-		t.Fatal(err)
 	}
 	for _, tn := range tenants {
 		if _, err := rg.Create(serve.TenantConfig{Name: tn.name, Domain: tn.domain}); err != nil {
@@ -264,15 +261,23 @@ func TestRegistryAggregatesDegradedTenant(t *testing.T) {
 		}
 	}
 
-	// The way back: delete and re-create A. It resumes its snapshot —
-	// the KB it was serving — healthy, and takes the batch it refused.
+	// The way back: delete and re-create A, the default. While it is
+	// gone the un-prefixed routes name it in a 404; the re-created A is
+	// the default again, resumes its snapshot — the KB it was serving —
+	// healthy, and takes the batch it refused.
 	armed.Store(false)
 	deleteReq(t, ts.URL+"/admin/tenants/a", http.StatusOK)
-	created := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "a", "domain": "electronics"}, http.StatusCreated)
-	if _, kb := kbOf(t, ts.URL+"/t/a"); created["resumed"] != true || kb != kbA {
-		t.Fatalf("re-created tenant %v does not serve its snapshot's KB", created)
+	if msg, _ := getJSON(t, ts.URL+"/kb", http.StatusNotFound)["error"].(string); !strings.Contains(msg, `"a"`) {
+		t.Fatalf("un-prefixed /kb without its default tenant: error %q does not name it", msg)
 	}
-	postJSON(t, ts.URL+"/t/a/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusOK)
+	if def := getJSON(t, ts.URL+"/admin/tenants", http.StatusOK)["default"]; def != "a" {
+		t.Fatalf("default after deleting it = %v", def)
+	}
+	created := postJSON(t, ts.URL+"/admin/tenants", map[string]any{"name": "a", "domain": "electronics"}, http.StatusCreated)
+	if _, kb := kbOf(t, ts.URL); created["resumed"] != true || created["default"] != true || kb != kbA {
+		t.Fatalf("re-created tenant %v does not serve its snapshot's KB un-prefixed", created)
+	}
+	postJSON(t, ts.URL+"/ingest", uploads(tenants[0].corpus, 2, 4), http.StatusOK)
 	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["ok"] != true {
 		t.Fatalf("fleet healthz after the reload = %v", h)
 	}

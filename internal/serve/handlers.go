@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -88,21 +89,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
-		// The status line is gone, so the client can't be told — but
-		// the failure must not vanish: a write error (client hung up)
-		// and an encode error (a payload that doesn't marshal — a
-		// server bug) are counted separately and logged at debug.
-		kind := "encode"
-		var ne *net.OpError
-		if errors.As(err, &ne) || errors.Is(err, http.ErrHandlerTimeout) {
-			kind = "write"
-			respErrWrite.Add(1)
-		} else {
-			respErrEncode.Add(1)
-		}
-		obs.Log().Debug("response failed after status was written",
-			"kind", kind, "status", status, "error", err)
+		countRespErr(status, err)
 	}
+}
+
+// countRespErr records a response that failed after its status line was
+// written. The client can't be told, but the failure must not vanish: a
+// write error (client hung up) and an encode error (a payload that
+// doesn't marshal — a server bug) are counted separately and logged at
+// debug.
+func countRespErr(status int, err error) {
+	kind := "encode"
+	var ne *net.OpError
+	if errors.As(err, &ne) || errors.Is(err, http.ErrHandlerTimeout) {
+		kind = "write"
+		respErrWrite.Add(1)
+	} else {
+		respErrEncode.Add(1)
+	}
+	obs.Log().Debug("response failed after status was written",
+		"kind", kind, "status", status, "error", err)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -141,10 +147,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool 
 	return false
 }
 
-// pageParams parses offset/limit query parameters (limit 0 or absent
-// means "to the end").
-func pageParams(r *http.Request) (offset, limit int, err error) {
-	q := r.URL.Query()
+// pageParams parses the offset/limit query parameters (limit 0 or
+// absent means "to the end").
+func pageParams(q url.Values) (offset, limit int, err error) {
 	if v := q.Get("offset"); v != "" {
 		if offset, err = strconv.Atoi(v); err != nil || offset < 0 {
 			return 0, 0, fmt.Errorf("bad offset %q", v)
@@ -236,7 +241,7 @@ func (s *Server) handleKB(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "relation %q is not served here (serving %q)", rel, v.Relation())
 		return
 	}
-	offset, limit, err := pageParams(r)
+	offset, limit, err := pageParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -294,93 +299,27 @@ func (s *Server) handleKB(w http.ResponseWriter, r *http.Request) {
 				"rows", total, "durationMs", float64(dur.Nanoseconds())/1e6)
 		}
 	}
-	if page == nil {
-		page = []kbase.Tuple{} // serialize as [], never null
-	}
-	cols := make([]string, schema.Arity())
-	for i, c := range schema.Columns {
-		cols[i] = c.Name
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":      v.Epoch(),
-		"generation": v.Generation(),
-		"relation":   v.Relation(),
-		"columns":    cols,
-		"total":      total,
-		"offset":     min(offset, total),
-		"tuples":     page,
+	writeBody(w, func(b []byte) ([]byte, error) {
+		return appendKB(b, v.Epoch(), v.Generation(), v.Relation(), schema, page, total, min(offset, total))
 	})
-}
-
-// mentionJSON locates one candidate argument in its document.
-type mentionJSON struct {
-	Type     string `json:"type"`
-	Sentence int    `json:"sentence"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	Text     string `json:"text"`
-}
-
-// candidateJSON is one served candidate.
-type candidateJSON struct {
-	ID       int           `json:"id"`
-	Doc      string        `json:"doc"`
-	Values   []string      `json:"values"`
-	Marginal float64       `json:"marginal"`
-	Votes    []int8        `json:"votes"`
-	Mentions []mentionJSON `json:"mentions"`
 }
 
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	v := s.CurrentView()
-	offset, limit, err := pageParams(r)
+	q := r.URL.Query()
+	offset, limit, err := pageParams(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	docFilter := r.URL.Query().Get("doc")
-	cands := v.Candidates()
-	marginals := v.Marginals()
-	sel := make([]int, 0, len(cands))
-	for i, c := range cands {
-		if docFilter != "" && c.Doc().Name != docFilter {
-			continue
-		}
-		sel = append(sel, i)
-	}
-	lo, hi := pageBounds(len(sel), offset, limit)
-	out := make([]candidateJSON, 0, hi-lo)
-	for _, i := range sel[lo:hi] {
-		c := cands[i]
-		cj := candidateJSON{
-			ID:       c.ID,
-			Doc:      c.Doc().Name,
-			Values:   c.Values(),
-			Marginal: marginals[i],
-			Votes:    v.Votes(i),
-		}
-		for _, m := range c.Mentions {
-			cj.Mentions = append(cj.Mentions, mentionJSON{
-				Type:     m.TypeName,
-				Sentence: m.Span.Sentence.Position,
-				Start:    m.Span.Start,
-				End:      m.Span.End,
-				Text:     m.Span.Text(),
-			})
-		}
-		out = append(out, cj)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":      v.Epoch(),
-		"total":      len(sel),
-		"offset":     lo,
-		"candidates": out,
+	writeBody(w, func(b []byte) ([]byte, error) {
+		return appendCandidates(b, v.Epoch(), v.Candidates(), v.Marginals(), v.Votes, q.Get("doc"), offset, limit)
 	})
 }
 
 func (s *Server) handleMarginals(w http.ResponseWriter, r *http.Request) {
 	v := s.CurrentView()
-	offset, limit, err := pageParams(r)
+	offset, limit, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -423,7 +362,7 @@ func (s *Server) handleLFMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	v := s.CurrentView()
-	offset, limit, err := pageParams(r)
+	offset, limit, err := pageParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

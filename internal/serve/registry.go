@@ -172,8 +172,9 @@ type Registry struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*tenantEntry
-	// defaultName is the first tenant created, set once: Delete refuses
-	// it, so the un-prefixed routes always reach the same tenant.
+	// defaultName is the first tenant created, set once, so the
+	// un-prefixed routes always reach a tenant of that name — or, while
+	// none exists after a Delete, answer 404 naming it.
 	defaultName string
 	closed      bool
 }
@@ -308,18 +309,16 @@ func (rg *Registry) Get(name string) *Server {
 // then its writer and trainer stop and its metric series are dropped.
 // In-flight reads finish against their already-loaded views. Until the
 // series are gone the name stays reserved, so a concurrent Create of it
-// is refused rather than having its fresh series dropped. The default
-// tenant cannot be deleted — the un-prefixed alias must keep resolving.
+// is refused rather than having its fresh series dropped. Deleting the
+// default tenant — the way back for a failed one — keeps its name the
+// default: the un-prefixed routes answer 404 until a tenant of that name
+// is created again, which resumes its snapshot.
 func (rg *Registry) Delete(name string) error {
 	rg.mu.Lock()
 	e, ok := rg.tenants[name]
 	if !ok || e == nil {
 		rg.mu.Unlock()
 		return fmt.Errorf("serve: %w: %q", ErrUnknownTenant, name)
-	}
-	if name == rg.defaultName {
-		rg.mu.Unlock()
-		return fmt.Errorf("%w: tenant %q is the default tenant, which cannot be deleted", errBadRequest, name)
 	}
 	rg.tenants[name] = nil // reservation
 	rg.mu.Unlock()

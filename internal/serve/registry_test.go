@@ -129,8 +129,8 @@ func deleteReq(t *testing.T, url string, wantStatus int) map[string]any {
 // and reads, per-tenant snapshot into <root>/<tenant>/<relation> (and
 // nowhere a request names),
 // deletion, resume-on-create, and the cross-tenant isolation error
-// paths (unknown tenant 404, duplicate create 409, undeletable
-// default, deletion leaving other tenants' epochs untouched).
+// paths (unknown tenant 404, duplicate create 409, deletion leaving
+// other tenants' epochs untouched).
 func TestRegistryLifecycle(t *testing.T) {
 	root := t.TempDir()
 	opts := core.Options{Seed: 3, Epochs: 1, Workers: 2}
@@ -272,9 +272,8 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("snapshot directory %s empty or unreadable after the chunked request: %v", wantDir, err)
 	}
 
-	// ---- Deletion: the default tenant is protected; others close
-	// cleanly and vanish from routing without disturbing neighbors.
-	deleteReq(t, ts.URL+"/admin/tenants/elec", http.StatusBadRequest)
+	// ---- Deletion: a tenant closes cleanly and vanishes from routing
+	// without disturbing its neighbors.
 	deleteReq(t, ts.URL+"/admin/tenants/nosuchtenant", http.StatusNotFound)
 	elecEpochBefore := epochOf(t, getJSON(t, ts.URL+"/t/elec/healthz", http.StatusOK))
 	elecKBBefore := getJSON(t, ts.URL+"/t/elec/kb", http.StatusOK)
